@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/compressor"
 	"rqm/internal/experiments"
 	"rqm/internal/partition"
 )
@@ -218,7 +219,7 @@ func BenchmarkCompressPipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rqm.Compress(f, opts); err != nil {
+		if _, err := compressor.Compress(f, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -228,7 +229,7 @@ func BenchmarkCompressPipeline(b *testing.B) {
 func BenchmarkDecompressPipeline(b *testing.B) {
 	f := benchField(b)
 	lo, hi := f.ValueRange()
-	res, err := rqm.Compress(f, rqm.CompressOptions{
+	res, err := compressor.Compress(f, rqm.CompressOptions{
 		Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: (hi - lo) * 1e-3,
 	})
 	if err != nil {
@@ -317,7 +318,7 @@ func BenchmarkDirectCompressBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, f := range fields {
-			if _, err := rqm.Compress(f, opts); err != nil {
+			if _, err := compressor.Compress(f, opts); err != nil {
 				b.Fatal(err)
 			}
 		}

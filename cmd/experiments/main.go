@@ -1,5 +1,5 @@
 // Command experiments regenerates the paper's tables and figures (DESIGN.md
-// §16 lists the experiment ids).
+// §15 lists the experiment ids).
 //
 // Usage:
 //

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/compressor"
 )
 
 // fuzzSeedContainers builds one valid container of each format family plus
@@ -29,7 +30,7 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 	}
 	seeds = append(seeds, res.Bytes)
 
-	legacy, err := rqm.Compress(field, rqm.CompressOptions{Mode: rqm.REL, ErrorBound: 1e-3})
+	legacy, err := compressor.Compress(field, rqm.CompressOptions{Mode: rqm.REL, ErrorBound: 1e-3})
 	if err != nil {
 		f.Fatal(err)
 	}

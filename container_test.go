@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/compressor"
+	"rqm/internal/transform"
 )
 
 // routingField builds the shared input for container-routing tests.
@@ -67,7 +69,7 @@ func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 		{
 			name: "legacy RQMC prediction",
 			make: func(t *testing.T) []byte {
-				res, err := rqm.Compress(f, rqm.CompressOptions{
+				res, err := compressor.Compress(f, rqm.CompressOptions{
 					Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb,
 				})
 				if err != nil {
@@ -81,7 +83,7 @@ func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 		{
 			name: "legacy RQZF transform",
 			make: func(t *testing.T) []byte {
-				res, err := rqm.TransformCompress(f, rqm.TransformOptions{ErrorBound: eb})
+				res, err := transform.Compress(f, transform.Options{ErrorBound: eb})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/compressor"
 )
 
 func batchFields(t testing.TB, n int) []*rqm.Field {
@@ -145,8 +146,8 @@ func TestEngineMixedCodecDecompressBatch(t *testing.T) {
 		}
 		blobs = append(blobs, res.Bytes)
 	}
-	// Legacy containers ride in the same batch.
-	legacy, err := rqm.Compress(f, rqm.CompressOptions{Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb})
+	// Legacy (pre-envelope) containers ride in the same batch.
+	legacy, err := compressor.Compress(f, rqm.CompressOptions{Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb})
 	if err != nil {
 		t.Fatal(err)
 	}

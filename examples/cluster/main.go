@@ -78,8 +78,9 @@ func main() {
 	ctx := context.Background()
 
 	// --- 2. Put datasets through the router ----------------------------
-	// Each put fans out to its 2 ring-placed replicas and needs a write
-	// quorum; the response is the shard's own answer plus replica headers.
+	// Each put is compressed on one of its 2 ring-placed replicas, raw-synced
+	// to the other, and needs a write quorum; the response is the shard's own
+	// answer plus replica headers.
 	names := []string{"nyx-temp", "nyx-dens", "cesm-ts", "hurricane-u"}
 	for i, name := range names {
 		g, err := rqm.GenerateField("nyx/temperature", uint64(i+1), rqm.ScaleSmall)

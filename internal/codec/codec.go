@@ -213,7 +213,7 @@ func Compress(c Codec, f *grid.Field, opts Options) (*Result, error) {
 }
 
 func init() {
-	for _, c := range []Codec{predictionCodec{}, transformCodec{}, predictionILVCodec{}, predictionTANSCodec{}} {
+	for _, c := range []Codec{prediction, transformCodec{}, predictionILV, predictionTANS} {
 		if err := register(c); err != nil {
 			panic(err)
 		}

@@ -50,11 +50,11 @@ func TestRegistryHasBuiltins(t *testing.T) {
 
 func TestRegistryRejectsDuplicatesAndUnknown(t *testing.T) {
 	// Public Register enforces the reserved-ID floor for built-in space...
-	if err := Register(predictionCodec{}); err == nil || !strings.Contains(err.Error(), "reserved") {
+	if err := Register(prediction); err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("reserved built-in ID accepted: %v", err)
 	}
 	// ...and the floor-free internal path still rejects duplicates.
-	if err := register(predictionCodec{}); err == nil {
+	if err := register(prediction); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
 	if err := Register(nil); err == nil {

@@ -6,23 +6,52 @@ import (
 	"rqm/internal/grid"
 )
 
-// PredictionName is the registered name of the prediction-based codec.
-const PredictionName = "prediction"
+// Registered names of the prediction-based codecs. All three run the same
+// SZ3-style prediction pipeline and differ only in the entropy stage. The
+// stage choice is codec identity rather than an Options field: the wire ID
+// pins how a chunk body must be decoded, so containers written by any
+// variant route correctly through the registry with no envelope or
+// chunk-format change.
+const (
+	// PredictionName is the serial canonical-Huffman variant.
+	PredictionName = "prediction"
+	// PredictionILVName is the interleaved multi-stream Huffman variant
+	// (same coded size as PredictionName, parallel bit-extraction on decode).
+	PredictionILVName = "prediction-ilv"
+	// PredictionTANSName is the tANS variant (fractional bits/symbol on
+	// skewed histograms).
+	PredictionTANSName = "prediction-tans"
+)
 
-// predictionCodec adapts the SZ3-style prediction pipeline to the Codec
-// interface. Its native payload is the "RQMC" container.
-type predictionCodec struct{}
+// predictionCodec adapts the prediction pipeline with one entropy stage to
+// the Codec interface. Its native payload is the "RQMC" container.
+type predictionCodec struct {
+	name    string
+	id      ID
+	entropy compressor.EntropyKind
+	// modelEntropy is the size model matching the stage. Interleaving changes
+	// decode throughput, not coded size — the streams share one codebook and
+	// split the same codeword sequence — so it keeps the Eq. 1 Huffman model.
+	modelEntropy core.EntropyModel
+}
 
-func (predictionCodec) Name() string { return PredictionName }
-func (predictionCodec) ID() ID       { return IDPrediction }
+var (
+	prediction     = predictionCodec{PredictionName, IDPrediction, compressor.EntropyHuffman, core.EntropyModelHuffman}
+	predictionILV  = predictionCodec{PredictionILVName, IDPredictionILV, compressor.EntropyInterleaved, core.EntropyModelHuffman}
+	predictionTANS = predictionCodec{PredictionTANSName, IDPredictionTANS, compressor.EntropyTANS, core.EntropyModelANS}
+)
 
-func (predictionCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
+func (c predictionCodec) Name() string { return c.name }
+func (c predictionCodec) ID() ID       { return c.id }
+
+func (c predictionCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
 	res, err := compressor.Compress(f, compressor.Options{
 		Predictor:  opts.Predictor,
 		Mode:       opts.Mode,
 		ErrorBound: opts.ErrorBound,
 		Lossless:   opts.Lossless,
 		Radius:     opts.Radius,
+		Entropy:    c.entropy,
 	})
 	if err != nil {
 		return nil, err
@@ -34,9 +63,12 @@ func (predictionCodec) Decompress(payload []byte) (*grid.Field, error) {
 	return compressor.Decompress(payload)
 }
 
-func (predictionCodec) Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error) {
+func (c predictionCodec) Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error) {
 	if mopts.Radius == 0 {
 		mopts.Radius = copts.Radius // keep the model on the compression radius
+	}
+	if c.modelEntropy != core.EntropyModelHuffman {
+		mopts.Entropy = c.modelEntropy
 	}
 	return core.NewProfile(f, copts.Predictor, mopts)
 }

@@ -8,8 +8,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"rqm"
 	"rqm/internal/service"
@@ -92,13 +94,16 @@ type testCluster struct {
 	ts     *httptest.Server
 }
 
-func newShard(t *testing.T) *testShard {
+func newShard(t *testing.T) *testShard { return newShardWith(t, nil) }
+
+// newShardWith is newShard with a non-default base engine (nil = defaults).
+func newShardWith(t *testing.T, eng *rqm.Engine) *testShard {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := service.New(service.Config{Store: st})
+	svc, err := service.New(service.Config{Store: st, Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,6 +528,7 @@ func TestClusterRebalanceAfterJoin(t *testing.T) {
 func TestClusterQuorumFailure(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	body := fieldBytes(t, 1)
+	goroutines := runtime.NumGoroutine()
 
 	// Find a name whose desired set includes shard 0.
 	name := ""
@@ -559,6 +565,22 @@ func TestClusterQuorumFailure(t *testing.T) {
 	tc.put(t, name, "mode=abs&eb=0.01", body)
 	if h := tc.holders(t, name); len(h) != 2 {
 		t.Fatalf("post-failure put landed on %v, want 2 live replicas", h)
+	}
+
+	// No sync outlives its request: with the idle keep-alive connections
+	// dropped, the goroutine count settles back to where it started.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		tc.rt.ownTransport.CloseIdleConnections()
+		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+		n := runtime.NumGoroutine()
+		if n <= goroutines {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed and the retried put, %d before: a sync leaked", n, goroutines)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
+	"sync/atomic"
 
 	"rqm/internal/service"
 )
@@ -106,7 +108,7 @@ func (rt *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 		}
 
 		// Repair the desired replica set up to the authoritative version.
-		desired := rt.desiredReplicas(name)
+		desired := rt.writeTargets(name)
 		desiredSet := map[*shardState]bool{}
 		fullyPlaced := true
 		for _, d := range desired {
@@ -178,20 +180,11 @@ func (rt *Router) listShard(ctx context.Context, sh *shardState) ([]service.Data
 // deleteOn removes name from a single shard (no fan-out; used by rebalance
 // for stray copies). A 404 is success — the copy is gone either way.
 func (rt *Router) deleteOn(ctx context.Context, sh *shardState, name string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, sh.url+datasetPath(name), nil)
-	if err != nil {
-		return err
+	res := rt.exchange(ctx, http.MethodDelete, sh, datasetPath(name), "", nil, nil)
+	if res.err == nil && res.status >= 300 && res.status != http.StatusNotFound {
+		res.err = fmt.Errorf("shard returned %d %s", res.status, envelopeCode(res.body))
 	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 300 && resp.StatusCode != http.StatusNotFound {
-		return errStatus(resp)
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
+	return res.err
 }
 
 // syncReplica copies name from src to dst byte-for-byte: full manifest +
@@ -220,24 +213,45 @@ func (rt *Router) syncReplica(ctx context.Context, src, dst *shardState, name st
 	return n, status, err
 }
 
+// errManifestTooLarge marks a source manifest past the cap the raw-put
+// endpoint accepts: the sync could never be admitted, so it fails up front
+// instead of shipping a truncated record.
+var errManifestTooLarge = errors.New("router: manifest exceeds the raw-put frame cap")
+
+// fetch GETs one piece of name (selected by query) off src for a sync,
+// treating anything but a 200 as a failure of that piece.
+func (rt *Router) fetch(ctx context.Context, src *shardState, name, query, what string) (*http.Response, error) {
+	req, err := shardRequest(ctx, http.MethodGet, src, datasetPath(name), query, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rt.send(src, req)
+	if err != nil {
+		return nil, fmt.Errorf("fetch %s from %s: %w", what, src.url, err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		err := errStatus(resp)
+		resp.Body.Close()
+		return nil, fmt.Errorf("fetch %s from %s: %w", what, src.url, err)
+	}
+	return resp, nil
+}
+
 func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, name string) (int64, int, error) {
 	// Full manifest: the verbatim store.Manifest including chunk index and
-	// profile, exactly what the raw-put frame carries.
-	manReq, err := http.NewRequestWithContext(ctx, http.MethodGet, src.url+datasetPath(name)+"?manifest=1&full=1", nil)
+	// profile, exactly what the raw-put frame carries — and capped at what
+	// the raw-put endpoint will take.
+	manResp, err := rt.fetch(ctx, src, name, "manifest=1&full=1", "manifest")
 	if err != nil {
 		return 0, 0, err
 	}
-	manResp, err := rt.hc.Do(manReq)
+	manBytes, err := io.ReadAll(io.LimitReader(manResp.Body, service.RawPutMaxManifest+1))
+	manResp.Body.Close()
 	if err != nil {
 		return 0, 0, fmt.Errorf("fetch manifest from %s: %w", src.url, err)
 	}
-	manBytes, err := io.ReadAll(io.LimitReader(manResp.Body, errBodyLimit))
-	manResp.Body.Close()
-	if err != nil {
-		return 0, 0, err
-	}
-	if manResp.StatusCode != http.StatusOK {
-		return 0, 0, fmt.Errorf("fetch manifest from %s: status %d", src.url, manResp.StatusCode)
+	if len(manBytes) > service.RawPutMaxManifest {
+		return 0, 0, fmt.Errorf("%w: %q on %s is over %d bytes", errManifestTooLarge, name, src.url, service.RawPutMaxManifest)
 	}
 	// The only manifest field the router reads: whether a residual layer
 	// travels with the container. Everything else passes through opaquely.
@@ -251,19 +265,11 @@ func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, na
 	}
 
 	// Raw container stream, source-verified before the first byte leaves.
-	rawReq, err := http.NewRequestWithContext(ctx, http.MethodGet, src.url+datasetPath(name)+"?raw=1&verify=1", nil)
+	rawResp, err := rt.fetch(ctx, src, name, "raw=1&verify=1", "container")
 	if err != nil {
 		return 0, 0, err
 	}
-	rawResp, err := rt.hc.Do(rawReq)
-	if err != nil {
-		return 0, 0, fmt.Errorf("fetch container from %s: %w", src.url, err)
-	}
 	defer rawResp.Body.Close()
-	if rawResp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(rawResp.Body, errBodyLimit))
-		return 0, 0, fmt.Errorf("fetch container from %s: status %d", src.url, rawResp.StatusCode)
-	}
 
 	// Residual stream, when declared: fetched with the same source-side
 	// verification and appended after the container — the raw-put frame is
@@ -274,19 +280,11 @@ func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, na
 		frameLen = int64(4+len(manBytes)) + cl
 	}
 	if man.Residual != nil {
-		resReq, err := http.NewRequestWithContext(ctx, http.MethodGet, src.url+datasetPath(name)+"?raw=1&residual=1&verify=1", nil)
+		resResp, err := rt.fetch(ctx, src, name, "raw=1&residual=1&verify=1", "residual")
 		if err != nil {
 			return 0, 0, err
 		}
-		resResp, err := rt.hc.Do(resReq)
-		if err != nil {
-			return 0, 0, fmt.Errorf("fetch residual from %s: %w", src.url, err)
-		}
 		defer resResp.Body.Close()
-		if resResp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resResp.Body, errBodyLimit))
-			return 0, 0, fmt.Errorf("fetch residual from %s: status %d", src.url, resResp.StatusCode)
-		}
 		stream = io.MultiReader(rawResp.Body, resResp.Body)
 		if frameLen > 0 && resResp.ContentLength > 0 {
 			frameLen += resResp.ContentLength
@@ -310,28 +308,29 @@ func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, na
 	if frameLen > 0 {
 		putReq.ContentLength = frameLen
 	}
-	putResp, err := rt.hc.Do(putReq)
+	putResp, err := rt.send(dst, putReq)
 	if err != nil {
-		return counted.n, 0, fmt.Errorf("raw put to %s: %w", dst.url, err)
+		return counted.n.Load(), 0, fmt.Errorf("raw put to %s: %w", dst.url, err)
 	}
 	defer putResp.Body.Close()
 	switch putResp.StatusCode {
 	case http.StatusCreated, http.StatusOK, http.StatusConflict:
 		io.Copy(io.Discard, io.LimitReader(putResp.Body, errBodyLimit))
-		return counted.n, putResp.StatusCode, nil
+		return counted.n.Load(), putResp.StatusCode, nil
 	default:
-		return counted.n, putResp.StatusCode, fmt.Errorf("raw put to %s: %w", dst.url, errStatus(putResp))
+		return counted.n.Load(), putResp.StatusCode, fmt.Errorf("raw put to %s: %w", dst.url, errStatus(putResp))
 	}
 }
 
-// countingReader tallies container bytes actually streamed.
+// countingReader tallies container bytes actually streamed. The transport
+// may still be reading it when the put returns, hence the atomic.
 type countingReader struct {
 	r io.Reader
-	n int64
+	n atomic.Int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	c.n += int64(n)
+	c.n.Add(int64(n))
 	return n, err
 }

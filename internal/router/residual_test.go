@@ -84,6 +84,13 @@ func TestClusterExactPutReplicatesResidual(t *testing.T) {
 	if len(ra) == 0 || !bytes.Equal(ra, rb) {
 		t.Fatalf("replica residuals differ (%d vs %d bytes)", len(ra), len(rb))
 	}
+	// The residual was built on exactly one shard; the other received it in
+	// the raw sync frame.
+	ma, mb := a.metrics(t), b.metrics(t)
+	if ma.DatasetPuts+mb.DatasetPuts != 1 || ma.DatasetRawPuts+mb.DatasetRawPuts != 1 {
+		t.Fatalf("exact put ran %d compressing puts and %d raw puts across the replicas, want 1 and 1",
+			ma.DatasetPuts+mb.DatasetPuts, ma.DatasetRawPuts+mb.DatasetRawPuts)
+	}
 
 	code, got, hdr := tc.exactGet(t, name)
 	if code != http.StatusOK {

@@ -1,7 +1,8 @@
 // Package router implements the stateless cluster tier in front of a fleet
 // of rqserved shards. Datasets are placed on a consistent-hash ring with
-// virtual nodes; each dataset lives on R replicas (write-to-R with a
-// majority quorum, read-from-any-healthy with failover). The router holds
+// virtual nodes; each dataset lives on R replicas (mutate on one, raw-sync
+// to the rest, majority quorum on puts; read-from-any-healthy with
+// failover). The router holds
 // no durable state of its own — placement is a pure function of (shard
 // list, vnodes, name), health is re-learned by probing, and divergent
 // replicas are arbitrated by the manifests' (created_at, generation)
@@ -92,6 +93,10 @@ type Router struct {
 	// request.
 	repairMu  sync.Mutex
 	repairing map[string]bool
+
+	// mutating serializes replicated mutations per dataset name, striped by
+	// name hash (see mutateThenSync).
+	mutating [64]sync.Mutex
 
 	// snapMu makes /metrics a consistent cut: increments share an RLock,
 	// Snapshot takes the write lock (same pattern as internal/service).
@@ -264,22 +269,14 @@ func (rt *Router) candidates(name string) (healthy, down []*shardState) {
 	return healthy, down
 }
 
-// writeTargets is the current write set for name: the first R healthy
-// shards in ring order. When replicas of the ideal set are down, their ring
-// successors stand in (sloppy placement) so writes stay available through
-// an outage; a later rebalance moves the data home.
+// writeTargets is the current write set for name — also where the rebalancer
+// says the dataset belongs right now: the first R healthy shards in ring
+// order. When replicas of the ideal set are down, their ring successors
+// stand in (sloppy placement) so writes stay available through an outage; a
+// later rebalance moves the data home.
 func (rt *Router) writeTargets(name string) []*shardState {
 	healthy, _ := rt.candidates(name)
-	if len(healthy) > rt.cfg.Replicas {
-		healthy = healthy[:rt.cfg.Replicas]
-	}
-	return healthy
-}
-
-// desiredReplicas returns the ideal R-replica set for name over LIVE shards
-// only — the rebalancer's notion of "where this dataset belongs right now".
-func (rt *Router) desiredReplicas(name string) []*shardState {
-	return rt.writeTargets(name)
+	return healthy[:min(len(healthy), rt.cfg.Replicas)]
 }
 
 // ---------------------------------------------------------------------------
@@ -319,26 +316,17 @@ func (rt *Router) writeErr(w http.ResponseWriter, status int, code, format strin
 	writeJSON(w, status, &eb)
 }
 
-// copyProxyHeaders forwards the request headers that matter to shards:
-// content negotiation plus every X-RQM-* knob (the service accepts all its
-// query parameters as X-RQM-<name> headers too).
-func copyProxyHeaders(dst, src http.Header) {
-	for _, k := range []string{"Content-Type", "Accept"} {
-		if v := src.Get(k); v != "" {
-			dst.Set(k, v)
-		}
-	}
-	for k, vs := range src {
-		if strings.HasPrefix(k, "X-Rqm-") {
-			dst[k] = vs
-		}
-	}
-}
+// Headers that cross the proxy besides the X-RQM-* family: content
+// negotiation on the way to a shard, body metadata on the way back.
+var (
+	proxyHeaders = []string{"Content-Type", "Accept"}
+	relayHeaders = []string{"Content-Type", "Content-Length", "Retry-After"}
+)
 
-// relayHeaders copies the response headers a shard sets onto the router's
-// response: body metadata and every X-RQM-* annotation.
-func relayHeaders(dst, src http.Header) {
-	for _, k := range []string{"Content-Type", "Content-Length", "Retry-After"} {
+// copyHeaders copies the named headers plus every X-RQM-* knob or annotation
+// (the service accepts all its query parameters as X-RQM-<name> headers too).
+func copyHeaders(dst, src http.Header, names []string) {
+	for _, k := range names {
 		if v := src.Get(k); v != "" {
 			dst.Set(k, v)
 		}
@@ -362,9 +350,20 @@ func shardRequest(ctx context.Context, method string, sh *shardState, path, rawQ
 		return nil, err
 	}
 	if hdr != nil {
-		copyProxyHeaders(req.Header, hdr)
+		copyHeaders(req.Header, hdr, proxyHeaders)
 	}
 	return req, nil
+}
+
+// send issues one request to sh. A transport error marks the shard down on
+// the spot — the caller just proved it unreachable — unless the request's own
+// context is already done, which says nothing about the shard.
+func (rt *Router) send(sh *shardState, req *http.Request) (*http.Response, error) {
+	resp, err := rt.hc.Do(req)
+	if err != nil && req.Context().Err() == nil {
+		sh.markUnreachable(err)
+	}
+	return resp, err
 }
 
 // corruptCodes are the shard error codes that mean "this replica's stored
@@ -414,13 +413,12 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 			rt.writeErr(w, http.StatusBadGateway, "proxy_failed", "%v", err)
 			return
 		}
-		resp, err := rt.hc.Do(req)
+		resp, err := rt.send(sh, req)
 		if err != nil {
 			if r.Context().Err() != nil {
 				rt.writeErr(w, http.StatusBadGateway, "proxy_failed", "%v", r.Context().Err())
 				return
 			}
-			sh.markUnreachable(err)
 			rt.count(&rt.failovers, 1)
 			continue
 		}
@@ -440,7 +438,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 					w.Header().Set("X-RQM-Failover", strconv.Itoa(i))
 				}
 				w.Header().Set("X-RQM-Shard", sh.url)
-				relayHeaders(w.Header(), resp.Header)
+				copyHeaders(w.Header(), resp.Header, relayHeaders)
 				w.Header().Del("Content-Length") // body was re-buffered
 				rt.count(&rt.errors, 1)
 				w.WriteHeader(resp.StatusCode)
@@ -458,7 +456,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 				w.Header().Set("X-RQM-Failover", strconv.Itoa(i))
 			}
 			w.Header().Set("X-RQM-Shard", sh.url)
-			relayHeaders(w.Header(), resp.Header)
+			copyHeaders(w.Header(), resp.Header, relayHeaders)
 			w.WriteHeader(resp.StatusCode)
 			_, _ = io.Copy(w, resp.Body)
 			resp.Body.Close()
@@ -535,41 +533,34 @@ type shardResult struct {
 	err    error
 }
 
-// fanOut issues the same request against every target in parallel and
-// collects buffered results in target order.
-func (rt *Router) fanOut(ctx context.Context, method string, targets []*shardState, path, rawQuery string, hdr http.Header, body []byte) []shardResult {
+// exchange issues one request to sh and buffers its answer (up to
+// errBodyLimit); a nil body sends none.
+func (rt *Router) exchange(ctx context.Context, method string, sh *shardState, path, rawQuery string, hdr http.Header, body []byte) shardResult {
+	res := shardResult{sh: sh}
+	req, err := shardRequest(ctx, method, sh, path, rawQuery, hdr, bytes.NewReader(body))
+	if err == nil {
+		var resp *http.Response
+		if resp, err = rt.send(sh, req); err == nil {
+			res.status, res.header = resp.StatusCode, resp.Header
+			res.body, _ = io.ReadAll(io.LimitReader(resp.Body, errBodyLimit))
+			resp.Body.Close()
+		}
+	}
+	res.err = err
+	return res
+}
+
+// fanOut issues the same bodyless request against every target in parallel
+// and collects buffered results in target order.
+func (rt *Router) fanOut(ctx context.Context, method string, targets []*shardState, path, rawQuery string, hdr http.Header) []shardResult {
 	results := make([]shardResult, len(targets))
 	var wg sync.WaitGroup
 	for i, sh := range targets {
 		wg.Add(1)
-		go func(i int, sh *shardState) {
+		go func() {
 			defer wg.Done()
-			res := shardResult{sh: sh}
-			var rd io.Reader
-			if body != nil {
-				rd = bytes.NewReader(body)
-			}
-			req, err := shardRequest(ctx, method, sh, path, rawQuery, hdr, rd)
-			if err != nil {
-				res.err = err
-				results[i] = res
-				return
-			}
-			resp, err := rt.hc.Do(req)
-			if err != nil {
-				if ctx.Err() == nil {
-					sh.markUnreachable(err)
-				}
-				res.err = err
-				results[i] = res
-				return
-			}
-			res.status = resp.StatusCode
-			res.header = resp.Header
-			res.body, _ = io.ReadAll(io.LimitReader(resp.Body, errBodyLimit))
-			resp.Body.Close()
-			results[i] = res
-		}(i, sh)
+			results[i] = rt.exchange(ctx, method, sh, path, rawQuery, hdr, nil)
+		}()
 	}
 	wg.Wait()
 	return results
@@ -577,67 +568,44 @@ func (rt *Router) fanOut(ctx context.Context, method string, targets []*shardSta
 
 // relayBuffered writes one buffered shard response through to the client.
 func relayBuffered(w http.ResponseWriter, res shardResult) {
-	relayHeaders(w.Header(), res.header)
+	copyHeaders(w.Header(), res.header, relayHeaders)
 	w.Header().Del("Content-Length") // body was re-buffered; let net/http set it
 	w.WriteHeader(res.status)
 	_, _ = w.Write(res.body)
 }
 
-// handlePut fans a dataset write out to the R-replica write set and
-// requires a majority quorum of 2xx responses. The body is buffered once
-// and replayed to each replica. On quorum the primary's response is
-// relayed with X-RQM-Replicas: "ok/attempted"; with zero successes and at
-// least one real HTTP error the first such error is relayed (a bad request
-// should read as 4xx, not as a router failure); anything else is a 502
+// handlePut is the replicated write: the body is compressed once, on the
+// first member of the write set that takes it, and the committed container
+// reaches the other members by raw sync (mutateThenSync). The write set is
+// fixed here, at request start, and quorum is counted over it: with a
+// majority holding the result the primary's 201 is relayed with
+// X-RQM-Replicas: "ok/attempted"; a non-2xx answer from the primary is the
+// request's own verdict and is relayed as-is; anything else is the typed 502
 // quorum failure.
 func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	rt.count(&rt.proxiedPuts, 1)
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes))
-	if err != nil {
-		rt.writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", rt.cfg.MaxBodyBytes)
+	body, ok := rt.bufferBody(w, r, rt.cfg.MaxBodyBytes)
+	if !ok {
 		return
 	}
-	targets := rt.writeTargets(name)
-	if len(targets) == 0 {
+	set := rt.writeTargets(name)
+	if len(set) == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
 		return
 	}
-	// Stamp one identity timestamp for the whole fan-out: every replica
-	// commits the same (created_at, generation) version, so the version
-	// arbiter sees agreement, not R microsecond-skewed "divergent" copies.
-	q := r.URL.Query()
-	if q.Get("created-at") == "" && r.Header.Get("X-RQM-created-at") == "" {
-		q.Set("created-at", time.Now().UTC().Format(time.RFC3339Nano))
-	}
-	results := rt.fanOut(r.Context(), http.MethodPost, targets, datasetPath(name), q.Encode(), r.Header, body)
-	quorum := rt.Quorum()
-	if quorum > len(targets) {
-		quorum = len(targets)
-	}
-	ok := 0
-	firstOK, firstHTTPErr := -1, -1
-	for i, res := range results {
-		switch {
-		case res.err == nil && res.status < 300:
-			ok++
-			if firstOK < 0 {
-				firstOK = i
-			}
-		case res.err == nil && firstHTTPErr < 0:
-			firstHTTPErr = i
-		}
-	}
+	res, holders := rt.mutateThenSync(r, name, "", body, set, set)
+	quorum := min(rt.Quorum(), len(set))
 	switch {
-	case ok >= quorum:
-		w.Header().Set("X-RQM-Replicas", fmt.Sprintf("%d/%d", ok, len(targets)))
-		relayBuffered(w, results[firstOK])
-	case ok == 0 && firstHTTPErr >= 0:
-		relayBuffered(w, results[firstHTTPErr])
-	default:
+	case res.sh != nil && res.status >= 300:
+		relayBuffered(w, res)
+	case holders < quorum:
 		rt.count(&rt.quorumFailures, 1)
 		rt.writeErr(w, http.StatusBadGateway, "quorum_failed",
-			"write reached %d/%d replicas, quorum is %d", ok, len(targets), quorum)
+			"write reached %d/%d replicas, quorum is %d", holders, len(set), quorum)
+	default:
+		w.Header().Set("X-RQM-Replicas", fmt.Sprintf("%d/%d", holders, len(set)))
+		relayBuffered(w, res)
 	}
 }
 
@@ -667,7 +635,7 @@ type DeleteResponse struct {
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	rt.count(&rt.proxiedDeletes, 1)
 	name := r.PathValue("name")
-	results := rt.fanOut(r.Context(), http.MethodDelete, rt.shards, datasetPath(name), r.URL.RawQuery, r.Header, nil)
+	results := rt.fanOut(r.Context(), http.MethodDelete, rt.shards, datasetPath(name), r.URL.RawQuery, r.Header)
 	deleted, notFound, reachable := 0, 0, 0
 	firstHTTPErr := -1
 	for i, res := range results {
@@ -714,7 +682,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
 		return
 	}
-	results := rt.fanOut(r.Context(), http.MethodGet, healthy, "/v1/datasets", r.URL.RawQuery, r.Header, nil)
+	results := rt.fanOut(r.Context(), http.MethodGet, healthy, "/v1/datasets", r.URL.RawQuery, r.Header)
 	merged := map[string]service.DatasetInfo{}
 	listed := 0
 	for _, res := range results {
@@ -776,17 +744,14 @@ func (rt *Router) handleDemote(w http.ResponseWriter, r *http.Request) {
 	rt.forwardThenSync(w, r, "/demote", "demote", errBodyLimit)
 }
 
-// forwardThenSync is the shared mutate-once-replicate-bytes proxy: the
-// request (body buffered up to maxBody, replayable across failover) goes to
-// the first healthy replica that takes it — a 404 tries the next peer, any
-// other answer is final — and on success the served shard's new bytes are
-// raw-synced to the remaining desired replicas. X-RQM-Replicas-Synced
-// reports how many peers converged in-request.
+// forwardThenSync proxies the mutations of an existing dataset: any healthy
+// shard may hold it (sloppy placement), so every one of them is a candidate
+// for the mutation, and the result converges onto the current write set.
+// X-RQM-Replicas-Synced reports how many peers converged in-request.
 func (rt *Router) forwardThenSync(w http.ResponseWriter, r *http.Request, subpath, verb string, maxBody int64) {
 	name := r.PathValue("name")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-	if err != nil {
-		rt.writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", maxBody)
+	body, ok := rt.bufferBody(w, r, maxBody)
+	if !ok {
 		return
 	}
 	healthy, _ := rt.candidates(name)
@@ -794,45 +759,75 @@ func (rt *Router) forwardThenSync(w http.ResponseWriter, r *http.Request, subpat
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
 		return
 	}
-	for i, sh := range healthy {
-		req, rerr := shardRequest(r.Context(), http.MethodPost, sh, datasetPath(name)+subpath, r.URL.RawQuery, r.Header, bytes.NewReader(body))
-		if rerr != nil {
-			rt.writeErr(w, http.StatusBadGateway, "proxy_failed", "%v", rerr)
-			return
-		}
-		resp, derr := rt.hc.Do(req)
-		if derr != nil {
+	res, holders := rt.mutateThenSync(r, name, subpath, body, healthy, healthy[:min(len(healthy), rt.cfg.Replicas)])
+	if res.sh == nil {
+		rt.writeErr(w, http.StatusBadGateway, "no_replica", "no replica could %s dataset %q", verb, name)
+		return
+	}
+	if res.status < 300 {
+		w.Header().Set("X-RQM-Replicas-Synced", strconv.Itoa(holders-1))
+	}
+	relayBuffered(w, res)
+}
+
+// bufferBody reads a mutation's request body (replayed across failover) up
+// to maxBody, answering the typed 413 itself when it is larger.
+func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		rt.writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", maxBody)
+		return nil, false
+	}
+	return body, true
+}
+
+// mutateThenSync is the one replicated-mutation primitive (put, recompact,
+// promote, demote): the request runs on exactly one shard — the first of try
+// to answer; a transport error marks that shard down and moves on, a 404
+// lets the peer of a lagging replica try, any other answer is final — and on
+// success that shard's committed bytes are raw-synced to the rest of set,
+// the write set the caller fixed at request start (members that are down by
+// then are not attempted). It returns the serving shard's buffered answer
+// (res.sh nil: no shard answered) and how many shards now hold the result:
+// the one that ran the mutation plus every synced member of set.
+//
+// Mutations of one name are serialized within this router. A sync reads the
+// source's manifest and container in two requests, and a shard commits
+// plain puts in arrival order, whatever their timestamps: overlapping
+// mutations could ship a torn pair (the target's hash check refuses it) or
+// leave the peers one version behind the primary. Across routers the raw
+// put's version arbiter and the next rebalance settle what is left.
+func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []byte, try, set []*shardState) (shardResult, int) {
+	mu := &rt.mutating[hashKey(name)%uint64(len(rt.mutating))]
+	mu.Lock()
+	defer mu.Unlock()
+	for i, sh := range try {
+		res := rt.exchange(r.Context(), http.MethodPost, sh, datasetPath(name)+subpath, r.URL.RawQuery, r.Header, body)
+		if res.err != nil {
 			if r.Context().Err() != nil {
-				rt.writeErr(w, http.StatusBadGateway, "proxy_failed", "%v", r.Context().Err())
-				return
+				break
 			}
-			sh.markUnreachable(derr)
 			rt.count(&rt.failovers, 1)
 			continue
 		}
-		res := shardResult{sh: sh, status: resp.StatusCode, header: resp.Header}
-		res.body, _ = io.ReadAll(io.LimitReader(resp.Body, errBodyLimit))
-		resp.Body.Close()
-		if res.status == http.StatusNotFound && i < len(healthy)-1 {
-			// This replica may simply lag; let a peer try.
-			continue
+		if res.status == http.StatusNotFound && i < len(try)-1 {
+			continue // this replica may simply lag; let a peer try
 		}
+		holders := 0
 		if res.status < 300 {
-			synced := 0
-			for _, peer := range rt.desiredReplicas(name) {
-				if peer == sh {
+			holders = 1
+			for _, peer := range set {
+				if peer == sh || !peer.isHealthy() {
 					continue
 				}
-				if _, _, serr := rt.syncReplica(r.Context(), sh, peer, name); serr == nil {
-					synced++
+				if _, _, err := rt.syncReplica(r.Context(), sh, peer, name); err == nil {
+					holders++
 				}
 			}
-			w.Header().Set("X-RQM-Replicas-Synced", strconv.Itoa(synced))
 		}
-		relayBuffered(w, res)
-		return
+		return res, holders
 	}
-	rt.writeErr(w, http.StatusBadGateway, "no_replica", "no replica could %s dataset %q", verb, name)
+	return shardResult{}, 0
 }
 
 // handleNotRoutable rejects everything outside the dataset and cluster

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 // The cluster tier (internal/router) rides four shard-side hooks: the
@@ -130,27 +129,6 @@ func TestConditionalPutCAS(t *testing.T) {
 	second := putDataset(t, ts, "cas", "mode=abs&eb=0.01&if-generation=0", body)
 	if second.Generation != first.Generation+1 || !second.CreatedAt.Equal(first.CreatedAt) {
 		t.Fatalf("CAS put version: %+v -> %+v", first, second)
-	}
-}
-
-func TestPutCreatedAtPin(t *testing.T) {
-	_, _, ts := newStoreServer(t)
-	_, body := testField(t)
-
-	pin := time.Date(2026, 1, 2, 3, 4, 5, 6, time.UTC)
-	info := putDataset(t, ts, "pin", "mode=abs&eb=0.01&created-at="+pin.Format(time.RFC3339Nano), body)
-	if !info.CreatedAt.Equal(pin) {
-		t.Fatalf("created-at pin: got %s, want %s", info.CreatedAt, pin)
-	}
-
-	resp, err := http.Post(ts.URL+"/v1/datasets/pin2?mode=abs&eb=0.01&created-at=yesterday",
-		"application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad created-at: status %d, want 400", resp.StatusCode)
 	}
 }
 

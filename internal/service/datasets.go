@@ -206,7 +206,11 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	// One sampling pass buys the dataset its lifetime of O(sample) answers:
 	// the profile is cached in the manifest and drives every later
 	// admission, estimate, and recompaction decision.
-	p, err := s.profileField(eng, f, q, r.Header)
+	sample, seed, err := sampleSeed(q, r.Header)
+	if err != nil {
+		return err
+	}
+	p, err := s.profile(eng, f, sample, seed)
 	if err != nil {
 		return err
 	}
@@ -217,13 +221,9 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	}
 	est := p.EstimateAt(abs)
 
-	var streamOpts []rqm.StreamOption
-	if v := param(q, r.Header, "chunk"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return errf(http.StatusBadRequest, "bad_param", "chunk: %q is not a positive integer", v)
-		}
-		streamOpts = append(streamOpts, rqm.WithChunkSize(n))
+	streamOpts, err := chunkParam(q, r.Header)
+	if err != nil {
+		return err
 	}
 
 	man := &store.Manifest{
@@ -239,18 +239,6 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 		OriginalBytes: f.OriginalBytes(),
 		EstPSNR:       finiteOrZero(est.PSNR),
 		Profile:       store.NewProfileRecord(p),
-	}
-	// ?created-at pins the manifest's identity timestamp instead of stamping
-	// time.Now(). A replicating router sets one value across a fan-out so
-	// every replica commits the identical (created_at, generation) version —
-	// without it, R independently stamped replicas look divergent to the
-	// version arbiter even though their bytes agree.
-	if v := param(q, r.Header, "created-at"); v != "" {
-		ts, perr := time.Parse(time.RFC3339Nano, v)
-		if perr != nil {
-			return errf(http.StatusBadRequest, "bad_param", "created-at: %q is not an RFC3339 timestamp", v)
-		}
-		man.CreatedAt = ts.UTC()
 	}
 	// ?if-generation=G turns the put into a compare-and-swap against the
 	// committed version (store.Replace): a writer that read generation G can
@@ -314,55 +302,6 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	}
 	s.count(&s.datasetPuts, 1)
 	return writeJSON(w, http.StatusCreated, datasetInfo(committed))
-}
-
-// profileField builds the request-scoped profile for a dataset put,
-// honoring sample/seed overrides exactly like POST /v1/profile.
-func (s *Service) profileField(eng *rqm.Engine, f *rqm.Field, q url.Values, h http.Header) (*rqm.Profile, error) {
-	sample, hasSample, err := floatParam(q, h, "sample")
-	if err != nil {
-		return nil, err
-	}
-	if hasSample && (sample <= 0 || sample > 1) {
-		return nil, errf(http.StatusBadRequest, "bad_param", "sample: %g is outside (0, 1]", sample)
-	}
-	var seed uint64
-	if v := param(q, h, "seed"); v != "" {
-		if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return nil, errf(http.StatusBadRequest, "bad_param", "seed: %q is not an unsigned integer", v)
-		}
-	}
-	mopts := s.model
-	if sample > 0 {
-		mopts.SampleRate = sample
-	}
-	if seed > 0 {
-		mopts.Seed = seed
-	}
-	peng, err := cloneEngine(eng, mopts)
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "bad_param", "%v", err)
-	}
-	p, err := peng.Profile(f)
-	if err != nil {
-		return nil, errf(http.StatusUnprocessableEntity, "profile_failed", "%v", err)
-	}
-	return p, nil
-}
-
-// cloneEngine rebuilds an engine with substituted model options.
-func cloneEngine(eng *rqm.Engine, mopts rqm.ModelOptions) (*rqm.Engine, error) {
-	o := eng.Options()
-	return rqm.NewEngine(
-		rqm.WithCodec(eng.Codec()),
-		rqm.WithMode(o.Mode),
-		rqm.WithErrorBound(o.ErrorBound),
-		rqm.WithPredictor(o.Predictor),
-		rqm.WithLossless(o.Lossless),
-		rqm.WithRadius(o.Radius),
-		rqm.WithConcurrency(eng.Concurrency()),
-		rqm.WithModelOptions(mopts),
-	)
 }
 
 func (s *Service) handleDatasetGet(w http.ResponseWriter, r *http.Request) error {
@@ -825,10 +764,11 @@ func (s *Service) rewriteDataset(st *store.Store, m *store.Manifest, curAbs, new
 	return committed, stats, nil
 }
 
-// rawPutMaxManifest caps the framed manifest record of a raw put (16 MiB —
+// RawPutMaxManifest caps the framed manifest record of a raw put (16 MiB —
 // generous: the dominant field is the base64 profile, ~1 MiB per 10M-value
-// dataset at the default 1% sampling rate).
-const rawPutMaxManifest = 16 << 20
+// dataset at the default 1% sampling rate). Exported so the router's sync
+// reads the source manifest under the same cap the target enforces.
+const RawPutMaxManifest = 16 << 20
 
 // handleDatasetRawPut admits an already-compressed dataset verbatim: the
 // body is a 4-byte big-endian manifest length, the full manifest JSON (as
@@ -868,7 +808,7 @@ func (s *Service) handleDatasetRawPut(w http.ResponseWriter, r *http.Request) er
 		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest length frame: %v", err)
 	}
 	mlen := binary.BigEndian.Uint32(lenBuf[:])
-	if mlen == 0 || mlen > rawPutMaxManifest {
+	if mlen == 0 || mlen > RawPutMaxManifest {
 		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest frame of %d bytes", mlen)
 	}
 	mbuf := make([]byte, mlen)

@@ -308,28 +308,7 @@ func param(q url.Values, h http.Header, name string) string {
 // codec options appear in the query/headers, in which case a request-scoped
 // engine is built from the base configuration plus the overrides.
 func (s *Service) engineFor(q url.Values, h http.Header) (*rqm.Engine, error) {
-	names := []string{"codec", "predictor", "mode", "eb", "lossless"}
-	override := false
-	for _, n := range names {
-		if param(q, h, n) != "" {
-			override = true
-			break
-		}
-	}
-	if !override {
-		return s.eng, nil
-	}
-	base := s.eng.Options()
-	opts := []rqm.EngineOption{
-		rqm.WithCodec(s.eng.Codec()),
-		rqm.WithMode(base.Mode),
-		rqm.WithErrorBound(base.ErrorBound),
-		rqm.WithPredictor(base.Predictor),
-		rqm.WithLossless(base.Lossless),
-		rqm.WithRadius(base.Radius),
-		rqm.WithConcurrency(s.eng.Concurrency()),
-		rqm.WithModelOptions(s.model),
-	}
+	var opts []rqm.EngineOption
 	if v := param(q, h, "codec"); v != "" {
 		opts = append(opts, rqm.WithCodecName(v))
 	}
@@ -361,11 +340,53 @@ func (s *Service) engineFor(q url.Values, h http.Header) (*rqm.Engine, error) {
 		}
 		opts = append(opts, rqm.WithLossless(l))
 	}
-	eng, err := rqm.NewEngine(opts...)
+	if len(opts) == 0 {
+		return s.eng, nil
+	}
+	return deriveEngine(s.eng, s.model, opts...)
+}
+
+// deriveEngine builds a request-scoped engine: base's configuration, mopts
+// as the model options, then the overrides.
+func deriveEngine(base *rqm.Engine, mopts rqm.ModelOptions, overrides ...rqm.EngineOption) (*rqm.Engine, error) {
+	o := base.Options()
+	eng, err := rqm.NewEngine(append([]rqm.EngineOption{
+		rqm.WithCodec(base.Codec()),
+		rqm.WithMode(o.Mode),
+		rqm.WithErrorBound(o.ErrorBound),
+		rqm.WithPredictor(o.Predictor),
+		rqm.WithLossless(o.Lossless),
+		rqm.WithRadius(o.Radius),
+		rqm.WithConcurrency(base.Concurrency()),
+		rqm.WithModelOptions(mopts),
+	}, overrides...)...)
 	if err != nil {
 		return nil, errf(http.StatusBadRequest, "bad_param", "%v", err)
 	}
 	return eng, nil
+}
+
+// sampleParam parses the optional sampling-rate override, a rate in (0, 1];
+// 0 means not given.
+func sampleParam(q url.Values, h http.Header) (float64, error) {
+	sample, ok, err := floatParam(q, h, "sample")
+	if err == nil && ok && (sample <= 0 || sample > 1) {
+		err = errf(http.StatusBadRequest, "bad_param", "sample: %g is outside (0, 1]", sample)
+	}
+	return sample, err
+}
+
+// chunkParam parses the optional chunk-size override into stream options.
+func chunkParam(q url.Values, h http.Header) ([]rqm.StreamOption, error) {
+	v := param(q, h, "chunk")
+	if v == "" {
+		return nil, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 1 {
+		return nil, errf(http.StatusBadRequest, "bad_param", "chunk: %q is not a positive integer", v)
+	}
+	return []rqm.StreamOption{rqm.WithChunkSize(n)}, nil
 }
 
 // floatParam parses an optional positive float parameter.
@@ -606,13 +627,11 @@ func (s *Service) compressStream(w http.ResponseWriter, r *http.Request, eng *rq
 		rqm.WithStreamShape(prec, dims...),
 		rqm.WithStreamFieldName(param(q, r.Header, "name")),
 	}
-	if v := param(q, r.Header, "chunk"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return errf(http.StatusBadRequest, "bad_param", "chunk: %q is not a positive integer", v)
-		}
-		opts = append(opts, rqm.WithChunkSize(n))
+	chunk, err := chunkParam(q, r.Header)
+	if err != nil {
+		return err
 	}
+	opts = append(opts, chunk...)
 	adaptive := targetRatio > 0 || targetPSNR > 0
 	adaptiveSpace := param(q, r.Header, "adaptive-space") == "1"
 	if adaptiveSpace && !adaptive {
@@ -621,13 +640,12 @@ func (s *Service) compressStream(w http.ResponseWriter, r *http.Request, eng *rq
 	}
 	if adaptive {
 		model := s.model
-		if v, ok, err := floatParam(q, r.Header, "sample"); err != nil {
+		sample, err := sampleParam(q, r.Header)
+		if err != nil {
 			return err
-		} else if ok {
-			if v <= 0 || v > 1 {
-				return errf(http.StatusBadRequest, "bad_param", "sample: %g is outside (0, 1]", v)
-			}
-			model.SampleRate = v
+		}
+		if sample > 0 {
+			model.SampleRate = sample
 		}
 		opts = append(opts,
 			rqm.WithAdaptiveBound(rqm.AdaptiveBound{TargetRatio: targetRatio, TargetPSNR: targetPSNR}),
@@ -829,18 +847,9 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	sample, hasSample, err := floatParam(q, r.Header, "sample")
+	sample, seed, err := sampleSeed(q, r.Header)
 	if err != nil {
 		return err
-	}
-	if hasSample && (sample <= 0 || sample > 1) {
-		return errf(http.StatusBadRequest, "bad_param", "sample: %g is outside (0, 1]", sample)
-	}
-	var seed uint64
-	if v := param(q, r.Header, "seed"); v != "" {
-		if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return errf(http.StatusBadRequest, "bad_param", "seed: %q is not an unsigned integer", v)
-		}
 	}
 	id := profileKey(body, eng, sample, seed)
 	if cp, ok := s.cache.get(id); ok {
@@ -852,24 +861,10 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	mopts := s.model
-	if sample > 0 {
-		mopts.SampleRate = sample
-	}
-	if seed > 0 {
-		mopts.Seed = seed
-	}
-	// Profiles always run on a request-scoped clone so the service's model
-	// options (and any sample/seed overrides) actually reach the sampling
-	// pass — the base engine carries its own, unrelated model options.
-	peng, err := cloneEngine(eng, mopts)
-	if err != nil {
-		return errf(http.StatusBadRequest, "bad_param", "%v", err)
-	}
 	start := time.Now()
-	p, err := peng.Profile(f)
+	p, err := s.profile(eng, f, sample, seed)
 	if err != nil {
-		return errf(http.StatusUnprocessableEntity, "profile_failed", "%v", err)
+		return err
 	}
 	s.count(&s.profileBuilds, 1)
 	cp := &cachedProfile{
@@ -885,6 +880,43 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) error {
 	}
 	s.count(&s.evictions, int64(s.cache.put(cp)))
 	return writeJSON(w, http.StatusOK, profileResponse(cp, false))
+}
+
+// sampleSeed parses the sampling overrides of a profiling request; zero
+// means not given.
+func sampleSeed(q url.Values, h http.Header) (sample float64, seed uint64, err error) {
+	if sample, err = sampleParam(q, h); err != nil {
+		return 0, 0, err
+	}
+	if v := param(q, h, "seed"); v != "" {
+		if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
+			return 0, 0, errf(http.StatusBadRequest, "bad_param", "seed: %q is not an unsigned integer", v)
+		}
+	}
+	return sample, seed, nil
+}
+
+// profile runs the sampling pass for one request. Profiles always run on a
+// request-scoped clone so the service's model options (and any sample/seed
+// overrides) actually reach the sampling pass — the base engine carries its
+// own, unrelated model options.
+func (s *Service) profile(eng *rqm.Engine, f *rqm.Field, sample float64, seed uint64) (*rqm.Profile, error) {
+	mopts := s.model
+	if sample > 0 {
+		mopts.SampleRate = sample
+	}
+	if seed > 0 {
+		mopts.Seed = seed
+	}
+	peng, err := deriveEngine(eng, mopts)
+	if err != nil {
+		return nil, err
+	}
+	p, err := peng.Profile(f)
+	if err != nil {
+		return nil, errf(http.StatusUnprocessableEntity, "profile_failed", "%v", err)
+	}
+	return p, nil
 }
 
 func profileResponse(cp *cachedProfile, cached bool) *ProfileResponse {

@@ -192,77 +192,50 @@ func CopyResidual(r io.Reader, declared *ResidualRecord) ResidualBuilder {
 // returns bit-exact original values. Only the covering chunks and blocks
 // are read. ErrNoResidual when the dataset has no residual layer.
 func (s *Store) ReadRangeExact(m *Manifest, off, n int64) ([]float64, error) {
-	name := m.Name
 	if m.Residual == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoResidual, name)
+		return nil, fmt.Errorf("%w: %q", ErrNoResidual, m.Name)
 	}
-	if off < 0 || n <= 0 || off > m.TotalValues || n > m.TotalValues-off {
-		return nil, fmt.Errorf("%w: [%d, %d) of %d values", ErrBadRange, off, off+n, m.TotalValues)
-	}
-	f, err := s.fs.Open(filepath.Join(s.datasetDir(name), ContainerFile))
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	rf, err := s.fs.Open(filepath.Join(s.datasetDir(name), ResidualFile))
+	return s.readRange(m, off, n, true)
+}
+
+// openResidual opens m's residual file and loads its block index, checked
+// against the container's layout. The caller closes the file.
+func (s *Store) openResidual(m *Manifest) (io.ReadSeekCloser, *residual.Index, error) {
+	rf, err := s.fs.Open(filepath.Join(s.datasetDir(m.Name), ResidualFile))
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return nil, fmt.Errorf("%w: %q: manifest records a residual but the file is missing",
-				ErrCorruptDataset, name)
+			return nil, nil, fmt.Errorf("%w: %q: manifest records a residual but the file is missing",
+				ErrCorruptDataset, m.Name)
 		}
-		return nil, fmt.Errorf("store: %w", err)
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	defer rf.Close()
 	idx, err := residual.LoadIndex(rf)
 	if err != nil {
-		return nil, corruptResidual(name, err)
+		err = corruptResidual(m.Name, err)
+	} else if len(idx.Blocks) != len(m.Chunks) || idx.Header.Width*8 != m.PrecBits {
+		err = fmt.Errorf("%w: %q: residual layout does not match the container", ErrCorruptDataset, m.Name)
 	}
-	if len(idx.Blocks) != len(m.Chunks) || idx.Header.Width*8 != m.PrecBits {
-		return nil, fmt.Errorf("%w: %q: residual layout does not match the container", ErrCorruptDataset, name)
+	if err != nil {
+		rf.Close()
+		return nil, nil, err
 	}
+	return rf, idx, nil
+}
 
-	out := make([]float64, 0, n)
-	var start int64 // first element of the current chunk
-	for i, e := range m.IndexEntries() {
-		end := start + int64(e.Values)
-		if end <= off {
-			start = end
-			continue
-		}
-		if start >= off+n {
-			break
-		}
-		c, err := codec.ReadChunkAt(f, e)
-		if err != nil {
-			return nil, corruptRead(name, err)
-		}
-		vals, err := codec.DecodeChunk(c)
-		if err != nil {
-			return nil, corruptRead(name, err)
-		}
-		if idx.Blocks[i].Values != len(vals) {
-			return nil, fmt.Errorf("%w: %q: residual block %d covers %d values, chunk decodes %d",
-				ErrCorruptDataset, name, i, idx.Blocks[i].Values, len(vals))
-		}
-		raw, err := residual.ReadBlock(rf, idx.Header, idx.Blocks[i])
-		if err != nil {
-			return nil, corruptResidual(name, err)
-		}
-		if err := residual.Apply(vals, raw, m.Prec()); err != nil {
-			return nil, corruptResidual(name, err)
-		}
-		s.chunkReads.Add(1)
-		lo, hi := int64(0), int64(len(vals))
-		if off > start {
-			lo = off - start
-		}
-		if off+n < end {
-			hi = off + n - start
-		}
-		out = append(out, vals[lo:hi]...)
-		start = end
+// applyResidual XORs residual block i into the decoded values of chunk i.
+func applyResidual(m *Manifest, rf io.ReadSeeker, idx *residual.Index, i int, vals []float64) error {
+	if idx.Blocks[i].Values != len(vals) {
+		return fmt.Errorf("%w: %q: residual block %d covers %d values, chunk decodes %d",
+			ErrCorruptDataset, m.Name, i, idx.Blocks[i].Values, len(vals))
 	}
-	return out, nil
+	raw, err := residual.ReadBlock(rf, idx.Header, idx.Blocks[i])
+	if err != nil {
+		return corruptResidual(m.Name, err)
+	}
+	if err := residual.Apply(vals, raw, m.Prec()); err != nil {
+		return corruptResidual(m.Name, err)
+	}
+	return nil
 }
 
 // corruptResidual wraps a residual read/parse failure in ErrCorruptDataset

@@ -46,6 +46,7 @@ import (
 	"sync/atomic"
 
 	"rqm/internal/codec"
+	"rqm/internal/residual"
 )
 
 // Typed store errors.
@@ -592,6 +593,14 @@ func (s *Store) ReadRange(name string, off, n int64) ([]float64, error) {
 // at its offset, CRC-verified, and decoded; everything else stays untouched
 // on disk.
 func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
+	return s.readRange(m, off, n, false)
+}
+
+// readRange is the covering-chunk walk behind ReadRangeWith and
+// ReadRangeExact. With exact set, each decoded chunk additionally has its
+// residual block applied, turning the lossy reconstruction into the original
+// bit pattern.
+func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, error) {
 	name := m.Name
 	// The subtraction form cannot overflow (off < TotalValues is implied).
 	if off < 0 || n <= 0 || off > m.TotalValues || n > m.TotalValues-off {
@@ -602,10 +611,18 @@ func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
+	var rf io.ReadSeekCloser
+	var ridx *residual.Index
+	if exact {
+		if rf, ridx, err = s.openResidual(m); err != nil {
+			return nil, err
+		}
+		defer rf.Close()
+	}
 
 	out := make([]float64, 0, n)
 	var start int64 // first element of the current chunk
-	for _, e := range m.IndexEntries() {
+	for i, e := range m.IndexEntries() {
 		end := start + int64(e.Values)
 		if end <= off {
 			start = end
@@ -621,6 +638,11 @@ func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
 		vals, err := codec.DecodeChunk(c)
 		if err != nil {
 			return nil, corruptRead(name, err)
+		}
+		if exact {
+			if err := applyResidual(m, rf, ridx, i, vals); err != nil {
+				return nil, err
+			}
 		}
 		s.chunkReads.Add(1)
 		lo, hi := int64(0), int64(len(vals))

@@ -48,7 +48,6 @@ import (
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
 	"rqm/internal/quality"
-	"rqm/internal/transform"
 	"rqm/internal/tuner"
 )
 
@@ -81,10 +80,6 @@ type (
 	PredictorKind = predictor.Kind
 	// CompressOptions configures a compression run.
 	CompressOptions = compressor.Options
-	// CompressResult is the compressed container plus statistics.
-	CompressResult = compressor.Result
-	// CompressStats describes one compression run.
-	CompressStats = compressor.Stats
 	// ErrorMode interprets the error bound (ABS, REL, PWREL).
 	ErrorMode = compressor.ErrorMode
 	// LosslessKind selects the optional stage after Huffman coding.
@@ -165,16 +160,6 @@ func GenerateField(path string, seed uint64, sc Scale) (*Field, error) {
 	return datagen.GenerateField(path, seed, sc)
 }
 
-// Compress runs the full prediction-based pipeline, producing the codec's
-// native (pre-envelope) container.
-//
-// Deprecated: use NewEngine/Engine.Compress or CompressWith, which work for
-// every registered codec and seal the output in the self-describing
-// envelope. Decompress reads both formats.
-func Compress(f *Field, opts CompressOptions) (*CompressResult, error) {
-	return compressor.Compress(f, opts)
-}
-
 // Decompress reconstructs a field from any compressed container, routing to
 // the producing codec by inspection: envelope containers dispatch on their
 // codec ID through the registry, chunked stream containers (NewWriter
@@ -228,22 +213,6 @@ func SelectPredictor(f *Field, kinds []PredictorKind, absEB float64, opts ModelO
 	return tuner.SelectPredictor(f, kinds, absEB, opts)
 }
 
-// CompressToBudget compresses into a byte budget with model-planned bounds
-// (use-case B) using the prediction codec.
-//
-// Deprecated: use Engine.CompressToBudget, which works for every registered
-// codec.
-func CompressToBudget(f *Field, p *Profile, kind PredictorKind, budgetBytes int64,
-	headroom float64, strict bool, copts CompressOptions) (*MemoryPlan, error) {
-	c, err := codec.ByID(codec.IDPrediction)
-	if err != nil {
-		return nil, err
-	}
-	return tuner.CompressToBudget(f, p, c, budgetBytes, headroom, strict, codec.Options{
-		Predictor: kind, Lossless: copts.Lossless, Radius: copts.Radius,
-	})
-}
-
 // OptimizePartitionsForPSNR assigns per-partition error bounds meeting an
 // aggregate PSNR target with minimal bits (use-case C).
 func OptimizePartitionsForPSNR(profiles []*Profile, targetPSNR float64) ([]PartitionAllocation, error) {
@@ -276,47 +245,3 @@ func MSE(a, b *Field) (float64, error) { return quality.MSE(a, b) }
 // DefaultCluster returns the simulated 128-rank machine used by the
 // data-management experiments.
 func DefaultCluster() ClusterConfig { return cluster.DefaultBebop() }
-
-// Transform-based codec extension (the paper's future-work direction).
-type (
-	// TransformOptions configures the ZFP-style transform codec.
-	TransformOptions = transform.Options
-	// TransformResult is the transform codec's output.
-	TransformResult = transform.Result
-)
-
-// TransformCompress encodes a field with the transform-based codec
-// (value-domain quantization + integer block Haar + class entropy coding);
-// the absolute error bound is guaranteed. Produces the codec's native
-// (pre-envelope) container.
-//
-// Deprecated: use NewEngine(WithCodecName(CodecTransformName)) or
-// CompressWith with the registered transform codec; Decompress reads both
-// formats.
-func TransformCompress(f *Field, opts TransformOptions) (*TransformResult, error) {
-	return transform.Compress(f, opts)
-}
-
-// TransformDecompress reconstructs a transform-codec container.
-//
-// Deprecated: Decompress routes transform containers (enveloped and legacy)
-// automatically.
-func TransformDecompress(data []byte) (*Field, error) {
-	return transform.Decompress(data)
-}
-
-// TransformProfile extends the ratio-quality model to the transform codec:
-// the returned profile supports the same EstimateAt / inverse-solve API.
-//
-// Deprecated: use the registered transform codec's Profile method (or
-// Engine.Profile with the transform codec), which takes the same
-// ModelOptions.
-func TransformProfile(f *Field, sampleRate float64, seed uint64, opts ModelOptions) (*Profile, error) {
-	c, err := codec.ByID(codec.IDTransform)
-	if err != nil {
-		return nil, err
-	}
-	opts.SampleRate = sampleRate
-	opts.Seed = seed
-	return c.Profile(f, codec.Options{}, opts)
-}

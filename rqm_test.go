@@ -21,9 +21,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if est.Ratio <= 1 || est.PSNR <= 0 {
 		t.Fatalf("estimate: ratio=%v psnr=%v", est.Ratio, est.PSNR)
 	}
-	res, err := rqm.Compress(f, rqm.CompressOptions{
-		Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb, Lossless: rqm.LosslessFlate,
-	})
+	eng, err := rqm.NewEngine(rqm.WithPredictor(rqm.Lorenzo), rqm.WithMode(rqm.ABS),
+		rqm.WithErrorBound(eb), rqm.WithLossless(rqm.LosslessFlate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Compress(f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,11 @@ func TestPublicUseCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := rqm.CompressToBudget(f, prof, rqm.Lorenzo, f.OriginalBytes()/8, 0.2, true, rqm.CompressOptions{})
+	eng, err := rqm.NewEngine(rqm.WithPredictor(rqm.Lorenzo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.CompressToBudget(f, prof, f.OriginalBytes()/8, 0.2, true)
 	if err != nil {
 		t.Fatal(err)
 	}
