@@ -1,8 +1,9 @@
 // Benchmarks for the entropy stage: symbol-level decode throughput of the
 // serial, interleaved, and tANS coders over the same quantization-code
-// stream, plus end-to-end container decode per entropy codec. The CI
-// regression gate (BENCH_BASELINE.json) tracks these; the interleaved
-// symbol decode is the ">2x over serial" acceptance number.
+// stream, plus end-to-end container decode per entropy codec. Developer
+// tools — the perf record is `go run ./bench` (huffman.* / ans.* /
+// compressor.decompress_mb_s.*); the interleaved symbol decode is the ">2x
+// over serial" acceptance number.
 package rqm_test
 
 import (

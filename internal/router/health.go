@@ -102,15 +102,7 @@ func (rt *Router) probeLoop() {
 // before planning so placement decisions see the cluster as it is, not as
 // it was one probe interval ago.
 func (rt *Router) ProbeNow(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, sh := range rt.shards {
-		wg.Add(1)
-		go func(sh *shardState) {
-			defer wg.Done()
-			rt.probeShard(ctx, sh)
-		}(sh)
-	}
-	wg.Wait()
+	parallel(rt.shards, func(_ int, sh *shardState) { rt.probeShard(ctx, sh) })
 }
 
 // probeShard performs one /healthz round-trip against a shard and feeds the

@@ -8,8 +8,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"rqm/internal/service"
@@ -65,66 +66,43 @@ func (rt *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	rep := &RebalanceReport{}
 
 	// Inventory: every live shard's dataset listing. A shard that fails to
-	// list drops out of this pass (and is marked unreachable) — we neither
-	// copy from nor delete on a shard whose contents we could not observe.
-	occupancy := map[string][]replicaCopy{}
-	for _, sh := range rt.shards {
-		if !sh.isHealthy() {
-			continue
-		}
-		infos, err := rt.listShard(ctx, sh)
-		if err != nil {
-			sh.markUnreachable(err)
-			continue
-		}
-		rep.ShardsLive++
-		for _, d := range infos {
-			occupancy[d.Name] = append(occupancy[d.Name], replicaCopy{sh: sh, info: d})
-		}
-	}
-	if rep.ShardsLive == 0 {
+	// list drops out of this pass — we neither copy from nor delete on a shard
+	// whose contents we could not observe.
+	occupancy, live, _ := rt.inventory(ctx)
+	if rep.ShardsLive = live; live == 0 {
 		return nil, fmt.Errorf("rebalance: no live shards")
 	}
 
-	names := make([]string, 0, len(occupancy))
-	for name := range occupancy {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(occupancy))
 	rep.Datasets = len(names)
 
 	for _, name := range names {
 		copies := occupancy[name]
-		// Authoritative copy: newest by manifest version order.
-		auth := copies[0]
-		for _, c := range copies[1:] {
-			if infoNewer(&c.info, &auth.info) {
-				auth = c
-			}
-		}
+		auth := newest(copies)
 		holds := map[*shardState]*replicaCopy{}
 		for i := range copies {
 			holds[copies[i].sh] = &copies[i]
 		}
 
 		// Repair the desired replica set up to the authoritative version.
-		desired := rt.writeTargets(name)
 		desiredSet := map[*shardState]bool{}
-		fullyPlaced := true
-		for _, d := range desired {
+		var stale []*shardState
+		for _, d := range rt.writeTargets(name) {
 			desiredSet[d] = true
-			if c, ok := holds[d]; ok && !infoNewer(&auth.info, &c.info) {
-				continue // already current (or newer — it would have been auth)
+			if c, ok := holds[d]; !ok || infoNewer(&auth.info, &c.info) {
+				stale = append(stale, d) // missing, or behind the authoritative copy
 			}
-			n, status, err := rt.syncReplica(ctx, auth.sh, d, name)
+		}
+		fullyPlaced := true
+		for _, sr := range rt.converge(ctx, name, auth.sh, stale) {
 			switch {
-			case err != nil:
+			case sr.err != nil:
 				rep.Failed++
 				fullyPlaced = false
-			case status == http.StatusCreated:
+			case sr.status == http.StatusCreated:
 				rep.Copied++
-				rep.BytesMoved += n
-			case status == http.StatusConflict:
+				rep.BytesMoved += sr.n
+			case sr.status == http.StatusConflict:
 				// Target holds something newer than our listing; it wins.
 				rep.Conflicts++
 			default: // 200: idempotent skip
@@ -156,20 +134,45 @@ func (rt *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 	return rep, nil
 }
 
-// listShard fetches one shard's dataset listing.
-func (rt *Router) listShard(ctx context.Context, sh *shardState) ([]service.DatasetInfo, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, sh.url+"/v1/datasets", nil)
-	if err != nil {
-		return nil, err
+// inventory lists every healthy shard at once and groups the copies found by
+// dataset name; listed of the asked shards answered.
+func (rt *Router) inventory(ctx context.Context) (occupancy map[string][]replicaCopy, listed, asked int) {
+	healthy := healthyOf(rt.shards)
+	listings := make([][]service.DatasetInfo, len(healthy))
+	errs := make([]error, len(healthy))
+	parallel(healthy, func(i int, sh *shardState) { listings[i], errs[i] = rt.listShard(ctx, sh) })
+	occupancy = map[string][]replicaCopy{}
+	for i, infos := range listings {
+		if errs[i] != nil {
+			continue
+		}
+		listed++
+		for _, d := range infos {
+			occupancy[d.Name] = append(occupancy[d.Name], replicaCopy{sh: healthy[i], info: d})
+		}
 	}
-	resp, err := rt.hc.Do(req)
+	return occupancy, listed, len(healthy)
+}
+
+// newest picks the authoritative copy: the newest by manifest version order.
+func newest(copies []replicaCopy) replicaCopy {
+	auth := copies[0]
+	for _, c := range copies[1:] {
+		if infoNewer(&c.info, &auth.info) {
+			auth = c
+		}
+	}
+	return auth
+}
+
+// listShard fetches one shard's dataset listing, decoded off the wire: a
+// listing has no size cap.
+func (rt *Router) listShard(ctx context.Context, sh *shardState) ([]service.DatasetInfo, error) {
+	resp, err := rt.fetch(ctx, sh, "/v1/datasets", "", "listing")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errStatus(resp)
-	}
 	var lr service.ListDatasetsResponse
 	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
 		return nil, fmt.Errorf("decode listing: %w", err)
@@ -185,6 +188,29 @@ func (rt *Router) deleteOn(ctx context.Context, sh *shardState, name string) err
 		res.err = fmt.Errorf("shard returned %d %s", res.status, envelopeCode(res.body))
 	}
 	return res.err
+}
+
+// errManifestTooLarge marks a source manifest past the cap the raw-put
+// endpoint accepts: the sync could never be admitted, so it fails up front
+// instead of shipping a truncated record.
+var errManifestTooLarge = errors.New("router: manifest exceeds the raw-put frame cap")
+
+// fetch GETs path?query off src for a sync or an inventory, treating anything
+// but a 200 as a failure of that piece.
+func (rt *Router) fetch(ctx context.Context, src *shardState, path, query, what string) (*http.Response, error) {
+	req, err := shardRequest(ctx, http.MethodGet, src, path, query, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := rt.send(src, req)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = errStatus(resp)
+		resp.Body.Close()
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fetch %s from %s: %w", what, src.url, err)
+	}
+	return resp, nil
 }
 
 // syncReplica copies name from src to dst byte-for-byte: full manifest +
@@ -204,44 +230,10 @@ func (rt *Router) deleteOn(ctx context.Context, sh *shardState, name string) err
 // read-repair overwrite a rotten replica that still claims the right
 // version).
 func (rt *Router) syncReplica(ctx context.Context, src, dst *shardState, name string) (int64, int, error) {
-	n, status, err := rt.syncReplicaInner(ctx, src, dst, name)
-	if err != nil {
-		rt.count(&rt.replicaSyncFailures, 1)
-	} else {
-		rt.count(&rt.replicaSyncs, 1)
-	}
-	return n, status, err
-}
-
-// errManifestTooLarge marks a source manifest past the cap the raw-put
-// endpoint accepts: the sync could never be admitted, so it fails up front
-// instead of shipping a truncated record.
-var errManifestTooLarge = errors.New("router: manifest exceeds the raw-put frame cap")
-
-// fetch GETs one piece of name (selected by query) off src for a sync,
-// treating anything but a 200 as a failure of that piece.
-func (rt *Router) fetch(ctx context.Context, src *shardState, name, query, what string) (*http.Response, error) {
-	req, err := shardRequest(ctx, http.MethodGet, src, datasetPath(name), query, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.send(src, req)
-	if err != nil {
-		return nil, fmt.Errorf("fetch %s from %s: %w", what, src.url, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		err := errStatus(resp)
-		resp.Body.Close()
-		return nil, fmt.Errorf("fetch %s from %s: %w", what, src.url, err)
-	}
-	return resp, nil
-}
-
-func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, name string) (int64, int, error) {
 	// Full manifest: the verbatim store.Manifest including chunk index and
 	// profile, exactly what the raw-put frame carries — and capped at what
 	// the raw-put endpoint will take.
-	manResp, err := rt.fetch(ctx, src, name, "manifest=1&full=1", "manifest")
+	manResp, err := rt.fetch(ctx, src, datasetPath(name), "manifest=1&full=1", "manifest")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -265,7 +257,7 @@ func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, na
 	}
 
 	// Raw container stream, source-verified before the first byte leaves.
-	rawResp, err := rt.fetch(ctx, src, name, "raw=1&verify=1", "container")
+	rawResp, err := rt.fetch(ctx, src, datasetPath(name), "raw=1&verify=1", "container")
 	if err != nil {
 		return 0, 0, err
 	}
@@ -280,7 +272,7 @@ func (rt *Router) syncReplicaInner(ctx context.Context, src, dst *shardState, na
 		frameLen = int64(4+len(manBytes)) + cl
 	}
 	if man.Residual != nil {
-		resResp, err := rt.fetch(ctx, src, name, "raw=1&residual=1&verify=1", "residual")
+		resResp, err := rt.fetch(ctx, src, datasetPath(name), "raw=1&residual=1&verify=1", "residual")
 		if err != nil {
 			return 0, 0, err
 		}

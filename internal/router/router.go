@@ -94,8 +94,8 @@ type Router struct {
 	repairMu  sync.Mutex
 	repairing map[string]bool
 
-	// mutating serializes replicated mutations per dataset name, striped by
-	// name hash (see mutateThenSync).
+	// mutating serializes replicated mutations and replica syncs per dataset
+	// name, striped by name hash (see lockName).
 	mutating [64]sync.Mutex
 
 	// snapMu makes /metrics a consistent cut: increments share an RLock,
@@ -269,6 +269,16 @@ func (rt *Router) candidates(name string) (healthy, down []*shardState) {
 	return healthy, down
 }
 
+// healthyOf keeps the shards currently marked healthy, in order.
+func healthyOf(shards []*shardState) (healthy []*shardState) {
+	for _, sh := range shards {
+		if sh.isHealthy() {
+			healthy = append(healthy, sh)
+		}
+	}
+	return healthy
+}
+
 // writeTargets is the current write set for name — also where the rebalancer
 // says the dataset belongs right now: the first R healthy shards in ring
 // order. When replicas of the ideal set are down, their ring successors
@@ -323,8 +333,7 @@ var (
 	relayHeaders = []string{"Content-Type", "Content-Length", "Retry-After"}
 )
 
-// copyHeaders copies the named headers plus every X-RQM-* knob or annotation
-// (the service accepts all its query parameters as X-RQM-<name> headers too).
+// copyHeaders copies the named headers plus every X-RQM-* annotation.
 func copyHeaders(dst, src http.Header, names []string) {
 	for _, k := range names {
 		if v := src.Get(k); v != "" {
@@ -438,11 +447,8 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 					w.Header().Set("X-RQM-Failover", strconv.Itoa(i))
 				}
 				w.Header().Set("X-RQM-Shard", sh.url)
-				copyHeaders(w.Header(), resp.Header, relayHeaders)
-				w.Header().Del("Content-Length") // body was re-buffered
 				rt.count(&rt.errors, 1)
-				w.WriteHeader(resp.StatusCode)
-				_, _ = w.Write(body)
+				relayBuffered(w, shardResult{status: resp.StatusCode, header: resp.Header, body: body})
 				return
 			}
 			rt.count(&rt.failovers, 1)
@@ -483,8 +489,8 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 
 // scheduleReadRepair asynchronously re-replicates the container that just
 // served a read over each replica that answered the same read with a
-// corruption verdict. The copy rides syncReplica, whose protocol makes the
-// repair safe at both ends: the source re-verifies its own chunk CRCs
+// corruption verdict. The copy rides converge's raw sync, whose protocol makes
+// the repair safe at both ends: the source re-verifies its own chunk CRCs
 // before streaming (?verify=1 — a corrupt "good" copy aborts rather than
 // propagates) and the target re-verifies its committed copy before taking
 // the idempotent same-version skip (?repair=1 — a rotten copy with an
@@ -512,12 +518,12 @@ func (rt *Router) scheduleReadRepair(src *shardState, bad []*shardState, name st
 		// a generous multiple of the shard timeout bounding the whole copy.
 		ctx, cancel := context.WithTimeout(context.Background(), 4*timeout)
 		defer cancel()
-		for _, sh := range bad {
-			if _, _, err := rt.syncReplica(ctx, src, sh, name); err != nil {
+		for _, sr := range rt.converge(ctx, name, src, bad) {
+			if sr.err != nil {
 				rt.count(&rt.readRepairFailures, 1)
-				continue
+			} else {
+				rt.count(&rt.readRepairs, 1)
 			}
-			rt.count(&rt.readRepairs, 1)
 		}
 	}()
 }
@@ -550,20 +556,17 @@ func (rt *Router) exchange(ctx context.Context, method string, sh *shardState, p
 	return res
 }
 
-// fanOut issues the same bodyless request against every target in parallel
-// and collects buffered results in target order.
-func (rt *Router) fanOut(ctx context.Context, method string, targets []*shardState, path, rawQuery string, hdr http.Header) []shardResult {
-	results := make([]shardResult, len(targets))
+// parallel runs fn for every shard of shards at once and waits for all.
+func parallel(shards []*shardState, fn func(i int, sh *shardState)) {
 	var wg sync.WaitGroup
-	for i, sh := range targets {
+	for i, sh := range shards {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i] = rt.exchange(ctx, method, sh, path, rawQuery, hdr, nil)
+			fn(i, sh)
 		}()
 	}
 	wg.Wait()
-	return results
 }
 
 // relayBuffered writes one buffered shard response through to the client.
@@ -635,7 +638,10 @@ type DeleteResponse struct {
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 	rt.count(&rt.proxiedDeletes, 1)
 	name := r.PathValue("name")
-	results := rt.fanOut(r.Context(), http.MethodDelete, rt.shards, datasetPath(name), r.URL.RawQuery, r.Header)
+	results := make([]shardResult, len(rt.shards))
+	parallel(rt.shards, func(i int, sh *shardState) {
+		results[i] = rt.exchange(r.Context(), http.MethodDelete, sh, datasetPath(name), r.URL.RawQuery, r.Header, nil)
+	})
 	deleted, notFound, reachable := 0, 0, 0
 	firstHTTPErr := -1
 	for i, res := range results {
@@ -672,41 +678,17 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 // no list — and X-RQM-Shards-Listed reports the coverage.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.count(&rt.proxiedLists, 1)
-	var healthy []*shardState
-	for _, sh := range rt.shards {
-		if sh.isHealthy() {
-			healthy = append(healthy, sh)
-		}
-	}
-	if len(healthy) == 0 {
+	occupancy, listed, asked := rt.inventory(r.Context())
+	if asked == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
 		return
 	}
-	results := rt.fanOut(r.Context(), http.MethodGet, healthy, "/v1/datasets", r.URL.RawQuery, r.Header)
-	merged := map[string]service.DatasetInfo{}
-	listed := 0
-	for _, res := range results {
-		if res.err != nil || res.status != http.StatusOK {
-			continue
-		}
-		var lr service.ListDatasetsResponse
-		if json.Unmarshal(res.body, &lr) != nil {
-			continue
-		}
-		listed++
-		for _, d := range lr.Datasets {
-			cur, ok := merged[d.Name]
-			if !ok || infoNewer(&d, &cur) {
-				merged[d.Name] = d
-			}
-		}
-	}
 	out := service.ListDatasetsResponse{Datasets: []service.DatasetInfo{}}
-	for _, d := range merged {
-		out.Datasets = append(out.Datasets, d)
+	for _, copies := range occupancy {
+		out.Datasets = append(out.Datasets, newest(copies).info)
 	}
 	sort.Slice(out.Datasets, func(i, j int) bool { return out.Datasets[i].Name < out.Datasets[j].Name })
-	w.Header().Set("X-RQM-Shards-Listed", fmt.Sprintf("%d/%d", listed, len(healthy)))
+	w.Header().Set("X-RQM-Shards-Listed", fmt.Sprintf("%d/%d", listed, asked))
 	writeJSON(w, http.StatusOK, &out)
 }
 
@@ -790,17 +772,8 @@ func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int
 // then are not attempted). It returns the serving shard's buffered answer
 // (res.sh nil: no shard answered) and how many shards now hold the result:
 // the one that ran the mutation plus every synced member of set.
-//
-// Mutations of one name are serialized within this router. A sync reads the
-// source's manifest and container in two requests, and a shard commits
-// plain puts in arrival order, whatever their timestamps: overlapping
-// mutations could ship a torn pair (the target's hash check refuses it) or
-// leave the peers one version behind the primary. Across routers the raw
-// put's version arbiter and the next rebalance settle what is left.
 func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []byte, try, set []*shardState) (shardResult, int) {
-	mu := &rt.mutating[hashKey(name)%uint64(len(rt.mutating))]
-	mu.Lock()
-	defer mu.Unlock()
+	defer rt.lockName(name)()
 	for i, sh := range try {
 		res := rt.exchange(r.Context(), http.MethodPost, sh, datasetPath(name)+subpath, r.URL.RawQuery, r.Header, body)
 		if res.err != nil {
@@ -816,11 +789,8 @@ func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []b
 		holders := 0
 		if res.status < 300 {
 			holders = 1
-			for _, peer := range set {
-				if peer == sh || !peer.isHealthy() {
-					continue
-				}
-				if _, _, err := rt.syncReplica(r.Context(), sh, peer, name); err == nil {
+			for _, sr := range rt.convergeLocked(r.Context(), name, sh, healthyOf(set)) {
+				if sr.err == nil {
 					holders++
 				}
 			}
@@ -828,6 +798,56 @@ func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []b
 		return res, holders
 	}
 	return shardResult{}, 0
+}
+
+// lockName serializes this router's work on one dataset name and returns the
+// unlock: a mutation together with its peer syncs is one critical section (the
+// peers receive the version that request committed), each converge another. A
+// sync reads its source's manifest and container in two requests, and a shard
+// commits plain puts in arrival order, whatever their timestamps: a sync
+// overlapping a mutation could ship a torn pair (the target's hash check
+// refuses it), and two overlapping syncs could both take a target's
+// unconditional first-copy path. Across routers the raw put's version arbiter
+// and the next rebalance settle what is left.
+func (rt *Router) lockName(name string) (unlock func()) {
+	mu := &rt.mutating[hashKey(name)%uint64(len(rt.mutating))]
+	mu.Lock()
+	return mu.Unlock
+}
+
+// syncResult is the outcome of one raw sync: syncReplica's results.
+type syncResult struct {
+	n      int64
+	status int
+	err    error
+}
+
+// converge is the one replica-repair primitive: under the name's lock, targets
+// are made to hold src's committed version of name. Read-repair and rebalance
+// call it; mutateThenSync, which holds the lock already, calls its body.
+func (rt *Router) converge(ctx context.Context, name string, src *shardState, targets []*shardState) []syncResult {
+	defer rt.lockName(name)()
+	return rt.convergeLocked(ctx, name, src, targets)
+}
+
+// convergeLocked is the only caller of syncReplica: one raw sync to every
+// target other than src, whatever its health — an unreachable target is a
+// failed sync, never a silent skip — and one result per sync, in target order.
+func (rt *Router) convergeLocked(ctx context.Context, name string, src *shardState, targets []*shardState) []syncResult {
+	var out []syncResult
+	for _, dst := range targets {
+		if dst == src {
+			continue
+		}
+		n, status, err := rt.syncReplica(ctx, src, dst, name)
+		if err != nil {
+			rt.count(&rt.replicaSyncFailures, 1)
+		} else {
+			rt.count(&rt.replicaSyncs, 1)
+		}
+		out = append(out, syncResult{n, status, err})
+	}
+	return out
 }
 
 // handleNotRoutable rejects everything outside the dataset and cluster
@@ -968,11 +988,7 @@ func (rt *Router) Snapshot() Metrics {
 		ShardsTotal:         len(rt.shards),
 	}
 	rt.snapMu.Unlock()
-	for _, sh := range rt.shards {
-		if sh.isHealthy() {
-			m.ShardsHealthy++
-		}
-	}
+	m.ShardsHealthy = len(healthyOf(rt.shards))
 	return m
 }
 

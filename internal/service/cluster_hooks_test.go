@@ -242,6 +242,11 @@ func TestDatasetRawPutRejectsBadFrames(t *testing.T) {
 		"zero-manifest":      rawFrame(nil, container),
 		"manifest-not-json":  rawFrame([]byte("{nope"), container),
 		"truncated-manifest": {0x00, 0x00, 0xff, 0xff, 'x'},
+		// A raw-put manifest is outside input: names a later recompaction
+		// would rebuild its engine from are validated at the door.
+		"unknown-predictor": rawFrame(bytes.Replace(man, []byte(`"predictor":"lorenzo"`), []byte(`"predictor":"bogus"`), 1), container),
+		"unknown-lossless":  rawFrame(bytes.Replace(man, []byte(`"lossless":"none"`), []byte(`"lossless":"bogus"`), 1), container),
+		"unknown-mode":      rawFrame(bytes.Replace(man, []byte(`"mode":"abs"`), []byte(`"mode":"bogus"`), 1), container),
 	} {
 		resp, err := http.Post(ts.URL+"/v1/datasets/frame/raw", "application/octet-stream",
 			bytes.NewReader(frame))
@@ -255,6 +260,11 @@ func TestDatasetRawPutRejectsBadFrames(t *testing.T) {
 			t.Fatalf("%s: code %q, want bad_manifest", name, eb.Error.Code)
 		}
 		resp.Body.Close()
+	}
+	var ms MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &ms)
+	if ms.StoreWrites != 1 || ms.DatasetRawPuts != 0 {
+		t.Fatalf("rejected frames committed: store_writes %d, dataset_raw_puts %d", ms.StoreWrites, ms.DatasetRawPuts)
 	}
 
 	// Manifest naming a different dataset than the path: rejected before

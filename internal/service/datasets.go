@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 
 	"rqm"
@@ -31,25 +32,8 @@ import (
 // met. The store closes the paper's loop: the model doesn't just pick the
 // bound at compress time, it keeps answering for the artifact's lifetime.
 //
-//	POST   /v1/datasets/{name}            .rqmf body -> admit/replace dataset
-//	                                      (?if-generation=G -> CAS replace)
-//	GET    /v1/datasets                   list dataset summaries
-//	GET    /v1/datasets/{name}            .rqmf field (?raw=1 container,
-//	                                      ?manifest=1 summary JSON,
-//	                                      ?manifest=1&full=1 full manifest)
-//	DELETE /v1/datasets/{name}            remove dataset
-//	GET    /v1/datasets/{name}/slice      ?off=&len= -> 1-D .rqmf of the range
-//	POST   /v1/datasets/{name}/recompact  ?target-ratio=|target-psnr= ->
-//	                                      model-guided rewrite (or skip;
-//	                                      ?adaptive-space=1 replans chunk
-//	                                      geometry spatially and records the
-//	                                      partitioner in the manifest)
-//	POST   /v1/datasets/{name}/raw        framed manifest + container bytes
-//	                                      (+ residual bytes when the manifest
-//	                                      declares a residual layer) ->
-//	                                      verbatim replica admit (no re-compress)
-//	POST   /v1/datasets/{name}/promote    .rqmf original body -> add residual
-//	POST   /v1/datasets/{name}/demote     drop residual, keep lossy base
+// The endpoints are rows of the route table in New (service.go); DESIGN.md §7
+// lists each with its parameters.
 
 // DatasetInfo is the JSON summary of one stored dataset (put/stat/list
 // responses; the manifest minus the profile blob).
@@ -140,30 +124,8 @@ func datasetInfo(m *store.Manifest) DatasetInfo {
 	return di
 }
 
-// requireStore gates the dataset endpoints on a configured store.
-func (s *Service) requireStore() (*store.Store, error) {
-	if s.store == nil {
-		return nil, errf(http.StatusNotImplemented, "store_disabled",
-			"this server has no dataset store (start rqserved with -store-dir)")
-	}
-	return s.store, nil
-}
-
-// pathName validates the {name} path segment.
-func pathName(r *http.Request) (string, error) {
-	name := r.PathValue("name")
-	if err := store.ValidateName(name); err != nil {
-		return "", errf(http.StatusBadRequest, "bad_name", "%v", err)
-	}
-	return name, nil
-}
-
-func (s *Service) handleDatasetList(w http.ResponseWriter, _ *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	ms, err := st.List()
+func (s *Service) handleDatasetList(req *request) error {
+	ms, err := req.st.List()
 	if err != nil {
 		return err
 	}
@@ -171,20 +133,12 @@ func (s *Service) handleDatasetList(w http.ResponseWriter, _ *http.Request) erro
 	for _, m := range ms {
 		resp.Datasets = append(resp.Datasets, datasetInfo(m))
 	}
-	return writeJSON(w, http.StatusOK, &resp)
+	return writeJSON(req.w, http.StatusOK, &resp)
 }
 
-func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
-	q := r.URL.Query()
-	eng, err := s.engineFor(q, r.Header)
+func (s *Service) handleDatasetPut(req *request) error {
+	name, q := req.name, req.q
+	eng, err := s.engineFor(q)
 	if err != nil {
 		return err
 	}
@@ -197,7 +151,7 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	// the raw body is never retained, so a put's peak memory is one parsed
 	// field, not field + body.
 	hasher := sha256.New()
-	f, err := readFieldBody(io.TeeReader(r.Body, hasher))
+	f, err := readFieldBody(io.TeeReader(req.r.Body, hasher))
 	if err != nil {
 		return err
 	}
@@ -206,7 +160,7 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	// One sampling pass buys the dataset its lifetime of O(sample) answers:
 	// the profile is cached in the manifest and drives every later
 	// admission, estimate, and recompaction decision.
-	sample, seed, err := sampleSeed(q, r.Header)
+	sample, seed, err := sampleSeed(q)
 	if err != nil {
 		return err
 	}
@@ -221,7 +175,7 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	}
 	est := p.EstimateAt(abs)
 
-	streamOpts, err := chunkParam(q, r.Header)
+	streamOpts, err := chunkParam(q)
 	if err != nil {
 		return err
 	}
@@ -246,12 +200,12 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 	// clobbering a concurrent re-put or recompaction. The CAS put keeps the
 	// dataset's identity (CreatedAt) and bumps its generation.
 	var base *store.Manifest
-	if v := param(q, r.Header, "if-generation"); v != "" {
+	if v := q.Get("if-generation"); v != "" {
 		gen, perr := strconv.Atoi(v)
 		if perr != nil || gen < 0 {
 			return errf(http.StatusBadRequest, "bad_param", "if-generation: %q is not a generation", v)
 		}
-		if base, err = st.Manifest(name); err != nil {
+		if base, err = req.st.Manifest(name); err != nil {
 			if errors.Is(err, store.ErrNotFound) {
 				return errf(http.StatusConflict, "conflict",
 					"if-generation=%d but dataset %q does not exist", gen, name)
@@ -265,61 +219,33 @@ func (s *Service) handleDatasetPut(w http.ResponseWriter, r *http.Request) error
 		man.CreatedAt = base.CreatedAt
 		man.Generation = base.Generation + 1
 	}
-	build := func(cw io.Writer) (*store.Manifest, error) {
-		bw := bufio.NewWriterSize(cw, 1<<20)
-		sw, err := eng.NewFieldStreamWriter(bw, f, streamOpts...)
-		if err != nil {
-			return nil, err
-		}
-		if err := sw.WriteValues(f.Data); err != nil {
-			sw.Close()
-			return nil, err
-		}
-		if err := sw.Close(); err != nil {
-			return nil, err
-		}
-		return man, bw.Flush()
-	}
 	// ?exact=1 stages a residual layer alongside the container: the put
 	// becomes progressive-quality, able to serve the original bit for bit.
-	rb, err := residualBuilderFor(q, r.Header, f.Data, f.Prec)
+	var rb store.ResidualBuilder
+	if q.Get("exact") == "1" {
+		if rb, err = residualBuilderFor(q, f.Data, f.Prec); err != nil {
+			return err
+		}
+	}
+	committed, err := req.commit(base, func(cw io.Writer) (*store.Manifest, error) {
+		_, err := streamBuild(cw, eng, f, streamOpts...)
+		return man, err
+	}, rb)
 	if err != nil {
 		return err
-	}
-	var committed *store.Manifest
-	switch {
-	case base != nil && rb != nil:
-		committed, err = st.ReplaceWithResidual(name, base, build, rb)
-	case base != nil:
-		committed, err = st.Replace(name, base, build)
-	case rb != nil:
-		committed, err = st.PutWithResidual(name, build, rb)
-	default:
-		committed, err = st.Put(name, build)
-	}
-	if err != nil {
-		return putError(err)
 	}
 	s.count(&s.datasetPuts, 1)
-	return writeJSON(w, http.StatusCreated, datasetInfo(committed))
+	return writeJSON(req.w, http.StatusCreated, datasetInfo(committed))
 }
 
-func (s *Service) handleDatasetGet(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
+func (s *Service) handleDatasetGet(req *request) error {
+	w, st, name, q := req.w, req.st, req.name, req.q
 	m, err := st.Manifest(name)
 	if err != nil {
 		return err
 	}
-	q := r.URL.Query()
-	if param(q, r.Header, "manifest") == "1" {
-		if param(q, r.Header, "full") == "1" {
+	if q.Get("manifest") == "1" {
+		if q.Get("full") == "1" {
 			// The complete manifest, chunk index and cached profile included:
 			// together with ?raw=1 this is everything a replica repair needs
 			// to clone the dataset without decompressing a single chunk.
@@ -338,7 +264,7 @@ func (s *Service) handleDatasetGet(w http.ResponseWriter, r *http.Request) error
 	if err != nil {
 		return err
 	}
-	raw := param(q, r.Header, "raw") == "1"
+	raw := q.Get("raw") == "1"
 	// Verify before serve. Both payload paths commit a 200 and then stream;
 	// corruption discovered mid-body could only truncate the response. A
 	// shallow verification pass up front (container structure + every chunk
@@ -349,7 +275,7 @@ func (s *Service) handleDatasetGet(w http.ResponseWriter, r *http.Request) error
 	// for it so corruption cannot propagate; plain clients keep a verbatim
 	// sendfile-speed copy, protected end-to-end by the manifest's
 	// ContainerHash instead.
-	if !raw || param(q, r.Header, "verify") == "1" {
+	if !raw || q.Get("verify") == "1" {
 		if err := st.VerifyDataset(name, false); err != nil {
 			return err
 		}
@@ -357,11 +283,11 @@ func (s *Service) handleDatasetGet(w http.ResponseWriter, r *http.Request) error
 	// The residual tier's two read paths: ?exact=1 decodes losslessly (its
 	// own end-to-end hash check replaces the streaming container path), and
 	// ?raw=1&residual=1 ships the residual file verbatim for replica sync.
-	if !raw && param(q, r.Header, "exact") == "1" {
+	if !raw && q.Get("exact") == "1" {
 		s.count(&s.datasetGets, 1)
 		return s.serveExact(w, st, m)
 	}
-	if raw && param(q, r.Header, "residual") == "1" {
+	if raw && q.Get("residual") == "1" {
 		s.count(&s.datasetGets, 1)
 		return s.serveResidualRaw(w, st, m)
 	}
@@ -402,50 +328,34 @@ func (s *Service) handleDatasetGet(w http.ResponseWriter, r *http.Request) error
 	return nil
 }
 
-func (s *Service) handleDatasetDelete(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
-	if err := st.Delete(name); err != nil {
+func (s *Service) handleDatasetDelete(req *request) error {
+	if err := req.st.Delete(req.name); err != nil {
 		return err
 	}
 	s.count(&s.datasetDeletes, 1)
-	return writeJSON(w, http.StatusOK, map[string]interface{}{"deleted": name})
+	return writeJSON(req.w, http.StatusOK, map[string]interface{}{"deleted": req.name})
 }
 
-func (s *Service) handleDatasetSlice(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
+func (s *Service) handleDatasetSlice(req *request) error {
+	w, st, q := req.w, req.st, req.q
+	off, err := intParam(q, "off", 0)
 	if err != nil {
 		return err
 	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
-	q := r.URL.Query()
-	off, err := intParam(q, r.Header, "off", 0)
-	if err != nil {
-		return err
-	}
-	n, err := intParam(q, r.Header, "len", -1)
+	n, err := intParam(q, "len", -1)
 	if err != nil {
 		return err
 	}
 	if n <= 0 {
 		return errf(http.StatusBadRequest, "bad_param", "slice needs a positive len parameter")
 	}
-	m, err := st.Manifest(name)
+	m, err := st.Manifest(req.name)
 	if err != nil {
 		return err
 	}
 	// ?exact=1 reads the range at the lossless tier: same covering-chunk
 	// decode, plus each chunk's residual block — still O(covering chunks).
-	exact := param(q, r.Header, "exact") == "1"
+	exact := q.Get("exact") == "1"
 	var vals []float64
 	if exact {
 		vals, err = st.ReadRangeExact(m, off, n)
@@ -475,29 +385,13 @@ func (s *Service) handleDatasetSlice(w http.ResponseWriter, r *http.Request) err
 	return ignoreWriteErr(err)
 }
 
-func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
+func (s *Service) handleDatasetRecompact(req *request) error {
+	w, st, name, q := req.w, req.st, req.name, req.q
+	target, val, err := modelTarget(q, false, "target-ratio", "target-psnr")
 	if err != nil {
 		return err
 	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
-	q := r.URL.Query()
-	targetRatio, hasRatio, err := floatParam(q, r.Header, "target-ratio")
-	if err != nil {
-		return err
-	}
-	targetPSNR, hasPSNR, err := floatParam(q, r.Header, "target-psnr")
-	if err != nil {
-		return err
-	}
-	if hasRatio == hasPSNR {
-		return errf(http.StatusBadRequest, "bad_param",
-			"recompact needs exactly one of target-ratio, target-psnr")
-	}
-	if (hasRatio && !(targetRatio > 0)) || (hasPSNR && !(targetPSNR > 0)) {
+	if !(val > 0) {
 		return errf(http.StatusBadRequest, "bad_param", "recompaction target must be positive")
 	}
 
@@ -515,13 +409,15 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 	}
 
 	resp := &RecompactResponse{
-		Name:       name,
-		OldBound:   curAbs,
-		NewBound:   curAbs,
-		OldRatio:   m.Ratio,
-		NewRatio:   m.Ratio,
-		EstPSNR:    Float(m.EstPSNR),
-		Generation: m.Generation,
+		Name:        name,
+		Target:      strings.TrimPrefix(target, "target-"),
+		TargetValue: val,
+		OldBound:    curAbs,
+		NewBound:    curAbs,
+		OldRatio:    m.Ratio,
+		NewRatio:    m.Ratio,
+		EstPSNR:     Float(m.EstPSNR),
+		Generation:  m.Generation,
 	}
 
 	// The decision is answered entirely from the cached profile — O(sample),
@@ -532,15 +428,14 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 	// error does not accumulate, and tightening quality is legal.
 	hasResidual := m.Residual != nil
 	var newAbs float64
-	switch {
-	case hasRatio:
-		resp.Target, resp.TargetValue = "ratio", targetRatio
-		if m.Ratio >= targetRatio {
+	switch target {
+	case "target-ratio":
+		if m.Ratio >= val {
 			resp.Skipped = true
-			resp.Reason = fmt.Sprintf("achieved ratio %.2fx already meets the %.2fx target", m.Ratio, targetRatio)
+			resp.Reason = fmt.Sprintf("achieved ratio %.2fx already meets the %.2fx target", m.Ratio, val)
 			break
 		}
-		newAbs, err = p.ErrorBoundForRatio(targetRatio)
+		newAbs, err = p.ErrorBoundForRatio(val)
 		if err != nil {
 			return errf(http.StatusBadRequest, "unsolvable", "%v", err)
 		}
@@ -548,11 +443,10 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 			resp.Skipped = true
 			resp.Reason = fmt.Sprintf(
 				"model bound %.6g for ratio %.2fx is not looser than the stored bound %.6g; rewriting cannot gain",
-				newAbs, targetRatio, curAbs)
+				newAbs, val, curAbs)
 		}
 	default:
-		resp.Target, resp.TargetValue = "psnr", targetPSNR
-		newAbs, err = p.ErrorBoundForPSNR(targetPSNR)
+		newAbs, err = p.ErrorBoundForPSNR(val)
 		if err != nil {
 			return errf(http.StatusBadRequest, "unsolvable", "%v", err)
 		}
@@ -560,7 +454,7 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 			resp.Skipped = true
 			resp.Reason = fmt.Sprintf(
 				"stored bound %.6g is already at or beyond the bound %.6g the model solves for %.4g dB; "+
-					"a lossy archive cannot be recompressed to higher quality", curAbs, newAbs, targetPSNR)
+					"a lossy archive cannot be recompressed to higher quality", curAbs, newAbs, val)
 		}
 	}
 	if resp.Skipped {
@@ -572,12 +466,8 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 	// dataset once rewritten with spatial partitioning stays spatially
 	// partitioned; ?adaptive-space=1 opts a fixed-slab dataset in.
 	partName := m.Partitioner
-	if param(q, r.Header, "adaptive-space") == "1" {
+	if q.Get("adaptive-space") == "1" {
 		partName = partition.VarianceQuadtreeName
-	}
-	policy := rqm.AdaptiveBound{TargetRatio: targetRatio}
-	if hasPSNR {
-		policy = rqm.AdaptiveBound{TargetPSNR: targetPSNR}
 	}
 
 	// With a residual layer, recover the true original first: the rewrite's
@@ -589,7 +479,7 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 			return err
 		}
 	}
-	nm, rwStats, err := s.rewriteDataset(st, m, curAbs, newAbs, p, partName, policy, orig)
+	nm, rwStats, err := rewriteDataset(req, m, curAbs, newAbs, p, partName, adaptiveBound(target, val), orig)
 	if err != nil {
 		return err
 	}
@@ -631,7 +521,7 @@ func (s *Service) handleDatasetRecompact(w http.ResponseWriter, r *http.Request)
 // manifest records curAbs plus the loosest of them. Partitioners are
 // deterministic, so recording partName makes the geometry reproducible by
 // the next recompaction.
-func (s *Service) rewriteDataset(st *store.Store, m *store.Manifest, curAbs, newAbs float64, p *rqm.Profile, partName string, policy rqm.AdaptiveBound, orig []float64) (*store.Manifest, rqm.StreamStats, error) {
+func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *rqm.Profile, partName string, policy rqm.AdaptiveBound, orig []float64) (*store.Manifest, rqm.StreamStats, error) {
 	var stats rqm.StreamStats
 	var f *rqm.Field
 	baseErr := curAbs
@@ -644,7 +534,7 @@ func (s *Service) rewriteDataset(st *store.Store, m *store.Manifest, curAbs, new
 		}
 		f = ef
 	} else {
-		path, err := st.ContainerPath(m.Name)
+		path, err := req.st.ContainerPath(m.Name)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -667,14 +557,18 @@ func (s *Service) rewriteDataset(st *store.Store, m *store.Manifest, curAbs, new
 		f.Prec = m.Prec()
 	}
 
-	kind, err := rqm.ParsePredictorKind(m.Predictor)
-	if err != nil {
-		kind = rqm.Lorenzo
+	// Empty names are the fields' omitempty zero: the codec's defaults.
+	// Anything else was validated by store.ParseManifest.
+	kind, lossless := rqm.Lorenzo, rqm.LosslessNone
+	var err error
+	if m.Predictor != "" {
+		if kind, err = rqm.ParsePredictorKind(m.Predictor); err != nil {
+			return nil, stats, err
+		}
 	}
-	lossless := rqm.LosslessNone
 	if m.Lossless != "" {
-		if ll, err := rqm.ParseLosslessKind(m.Lossless); err == nil {
-			lossless = ll
+		if lossless, err = rqm.ParseLosslessKind(m.Lossless); err != nil {
+			return nil, stats, err
 		}
 	}
 	opts := []rqm.EngineOption{
@@ -728,40 +622,62 @@ func (s *Service) rewriteDataset(st *store.Store, m *store.Manifest, curAbs, new
 			rqm.WithPartitioner(pt),
 			rqm.WithAdaptiveBound(policy))
 	}
-	build := func(cw io.Writer) (*store.Manifest, error) {
-		bw := bufio.NewWriterSize(cw, 1<<20)
-		sw, err := eng.NewFieldStreamWriter(bw, f, streamOpts...)
-		if err != nil {
+	var rb store.ResidualBuilder
+	if orig != nil {
+		rb = store.BuildResidual(orig, m.Prec(), m.Residual.Backend)
+	}
+	committed, err := req.commit(m, func(cw io.Writer) (*store.Manifest, error) {
+		var err error
+		if stats, err = streamBuild(cw, eng, f, streamOpts...); err != nil {
 			return nil, err
 		}
-		if err := sw.WriteValues(f.Data); err != nil {
-			sw.Close()
-			return nil, err
-		}
-		if err := sw.Close(); err != nil {
-			return nil, err
-		}
-		stats = sw.Stats()
 		if spatial {
 			// Per-region bounds vary; the honest end-to-end guarantee is the
 			// accumulated input error plus the loosest region bound.
 			nm.ErrorBound = baseErr + stats.MaxBound
 			nm.EstPSNR = finiteOrZero(p.EstimateAt(nm.ErrorBound).PSNR)
 		}
-		return nm, bw.Flush()
+		return nm, nil
+	}, rb)
+	return committed, stats, err
+}
+
+// streamBuild stages the container of a compressing commit: f through eng's
+// chunked pipeline into cw.
+func streamBuild(cw io.Writer, eng *rqm.Engine, f *rqm.Field, opts ...rqm.StreamOption) (rqm.StreamStats, error) {
+	bw := bufio.NewWriterSize(cw, 1<<20)
+	sw, err := eng.NewFieldStreamWriter(bw, f, opts...)
+	if err != nil {
+		return rqm.StreamStats{}, err
 	}
-	var committed *store.Manifest
-	var err2 error
-	if orig != nil {
-		committed, err2 = st.ReplaceWithResidual(m.Name, m, build,
-			store.BuildResidual(orig, m.Prec(), m.Residual.Backend))
-	} else {
-		committed, err2 = st.Replace(m.Name, m, build)
+	if err := sw.WriteValues(f.Data); err != nil {
+		sw.Close()
+		return rqm.StreamStats{}, err
 	}
-	if err2 != nil {
-		return nil, stats, err2
+	if err := sw.Close(); err != nil {
+		return rqm.StreamStats{}, err
 	}
-	return committed, stats, nil
+	return sw.Stats(), bw.Flush()
+}
+
+// commit is the tail every dataset mutation ends in: build stages the
+// container, rb (when non-nil) the residual beside it, and the store publishes
+// both with one rename. A non-nil base makes the commit a compare-and-swap
+// against that committed version.
+func (req *request) commit(base *store.Manifest, build func(io.Writer) (*store.Manifest, error), rb store.ResidualBuilder) (*store.Manifest, error) {
+	var m *store.Manifest
+	var err error
+	switch {
+	case base != nil && rb != nil:
+		m, err = req.st.ReplaceWithResidual(req.name, base, build, rb)
+	case base != nil:
+		m, err = req.st.Replace(req.name, base, build)
+	case rb != nil:
+		m, err = req.st.PutWithResidual(req.name, build, rb)
+	default:
+		m, err = req.st.Put(req.name, build)
+	}
+	return m, putError(err)
 }
 
 // RawPutMaxManifest caps the framed manifest record of a raw put (16 MiB —
@@ -793,16 +709,10 @@ const RawPutMaxManifest = 16 << 20
 // The store additionally hashes the staged container against the incoming
 // manifest's ContainerHash, so a copy corrupted in flight is rejected
 // rather than committed.
-func (s *Service) handleDatasetRawPut(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
-	br := bufio.NewReaderSize(r.Body, 1<<20)
+func (s *Service) handleDatasetRawPut(req *request) error {
+	w, st, name := req.w, req.st, req.name
+	repair := req.q.Get("repair") == "1"
+	br := bufio.NewReaderSize(req.r.Body, 1<<20)
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest length frame: %v", err)
@@ -831,8 +741,7 @@ func (s *Service) handleDatasetRawPut(w http.ResponseWriter, r *http.Request) er
 	switch {
 	case errors.Is(err, store.ErrNotFound):
 		cur = nil
-	case (errors.Is(err, store.ErrManifestCorrupt) || errors.Is(err, store.ErrManifestVersion)) &&
-		param(r.URL.Query(), r.Header, "repair") == "1":
+	case (errors.Is(err, store.ErrManifestCorrupt) || errors.Is(err, store.ErrManifestVersion)) && repair:
 		// A torn manifest leaves no trustworthy committed version to
 		// arbitrate against: a repair put overwrites the wreck outright
 		// instead of failing the way a plain read of it would.
@@ -849,7 +758,7 @@ func (s *Service) handleDatasetRawPut(w http.ResponseWriter, r *http.Request) er
 			// far as asked: with ?repair=1 the committed copy must pass
 			// shallow verification to earn the idempotent skip.
 			verr := error(nil)
-			if param(r.URL.Query(), r.Header, "repair") == "1" {
+			if repair {
 				verr = st.VerifyDataset(name, false)
 			}
 			if verr == nil {
@@ -885,19 +794,9 @@ func (s *Service) handleDatasetRawPut(w http.ResponseWriter, r *http.Request) er
 	if m.Residual != nil {
 		rb = store.CopyResidual(br, m.Residual)
 	}
-	var committed *store.Manifest
-	switch {
-	case cur != nil && rb != nil:
-		committed, err = st.ReplaceWithResidual(name, cur, build, rb)
-	case cur != nil:
-		committed, err = st.Replace(name, cur, build)
-	case rb != nil:
-		committed, err = st.PutWithResidual(name, build, rb)
-	default:
-		committed, err = st.Put(name, build)
-	}
+	committed, err := req.commit(cur, build, rb)
 	if err != nil {
-		return putError(err)
+		return err
 	}
 	s.count(&s.datasetRawPuts, 1)
 	if repaired {
@@ -919,8 +818,8 @@ func manifestNewer(a, b *store.Manifest) bool {
 }
 
 // intParam parses an optional int64 parameter with a default.
-func intParam(q url.Values, h http.Header, name string, def int64) (int64, error) {
-	v := param(q, h, name)
+func intParam(q url.Values, name string, def int64) (int64, error) {
+	v := q.Get(name)
 	if v == "" {
 		return def, nil
 	}

@@ -308,6 +308,22 @@ func TestRecompactRewritesToTargetRatio(t *testing.T) {
 	if st.Writes() != writesBefore {
 		t.Fatal("impossible psnr recompact rewrote the container")
 	}
+
+	// Exactly one target, and a positive one: anything else is a 400 before
+	// the dataset is touched.
+	for _, query := range []string{"", "target-ratio=5&target-psnr=60", "target-ratio=5&target-psnr=0", "target-psnr=0"} {
+		resp, err := http.Post(ts.URL+"/v1/datasets/d/recompact?"+query, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if eb := decodeErrorBody(t, resp); resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "bad_param" {
+			t.Fatalf("recompact %q: status %d code %q, want 400 bad_param", query, resp.StatusCode, eb.Error.Code)
+		}
+		resp.Body.Close()
+	}
+	if st.Writes() != writesBefore {
+		t.Fatal("a rejected recompact rewrote the container")
+	}
 }
 
 func TestDatasetEndpointsWithoutStore(t *testing.T) {

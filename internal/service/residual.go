@@ -21,21 +21,13 @@ import (
 // reconstruction and return the original bit for bit, verified against the
 // stored original hash before a single byte goes out.
 //
-//	GET  /v1/datasets/{name}?exact=1          bit-exact original .rqmf
-//	GET  /v1/datasets/{name}?raw=1&residual=1 stored residual file verbatim
-//	GET  /v1/datasets/{name}/slice?exact=1    bit-exact range
-//	POST /v1/datasets/{name}/promote          .rqmf original body -> add a
-//	                                          residual layer to a lossy dataset
-//	POST /v1/datasets/{name}/demote           drop the residual layer, keep
-//	                                          the lossy base
+// The endpoints are rows of the route table in New (service.go); DESIGN.md §7
+// lists each with its parameters.
 
-// residualBuilderFor resolves the ?exact=1 / ?residual-backend= pair of a put
-// into a residual builder (nil when the put is plain lossy).
-func residualBuilderFor(q url.Values, h http.Header, data []float64, prec grid.Precision) (store.ResidualBuilder, error) {
-	if param(q, h, "exact") != "1" {
-		return nil, nil
-	}
-	backend := param(q, h, "residual-backend")
+// residualBuilderFor resolves ?residual-backend= (default
+// residual.DefaultBackend) into the builder of data's residual layer.
+func residualBuilderFor(q url.Values, data []float64, prec grid.Precision) (store.ResidualBuilder, error) {
+	backend := q.Get("residual-backend")
 	if backend == "" {
 		backend = residual.DefaultBackend
 	}
@@ -137,21 +129,13 @@ func copyContainerBuild(st *store.Store, name string, nm *store.Manifest) func(i
 // residual against the stored container — a promotion can never quietly
 // install a residual that "restores" to the wrong data. With a residual
 // already present and no body, the promote is an idempotent no-op.
-func (s *Service) handleDatasetPromote(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
+func (s *Service) handleDatasetPromote(req *request) error {
+	w, st, name := req.w, req.st, req.name
 	m, err := st.Manifest(name)
 	if err != nil {
 		return err
 	}
-	q := r.URL.Query()
-	br := bufio.NewReaderSize(r.Body, 1<<20)
+	br := bufio.NewReaderSize(req.r.Body, 1<<20)
 	if _, err := br.Peek(1); err != nil {
 		// No body. Already promoted -> idempotent skip; otherwise the caller
 		// must supply the original — the lossy base cannot conjure it.
@@ -176,18 +160,13 @@ func (s *Service) handleDatasetPromote(w http.ResponseWriter, r *http.Request) e
 		return errf(http.StatusConflict, "conflict",
 			"promotion body hashes to %s, dataset %q was put from %s: not the original", sum, name, m.ContentHash)
 	}
-	backend := param(q, r.Header, "residual-backend")
-	if backend == "" {
-		backend = residual.DefaultBackend
-	}
-	if _, err := residual.ByName(backend); err != nil {
-		return errf(http.StatusBadRequest, "bad_param", "residual-backend: %v", err)
-	}
-	nm := nextGeneration(m)
-	committed, err := st.ReplaceWithResidual(name, m, copyContainerBuild(st, name, nm),
-		store.BuildResidual(f.Data, f.Prec, backend))
+	rb, err := residualBuilderFor(req.q, f.Data, f.Prec)
 	if err != nil {
-		return putError(err)
+		return err
+	}
+	committed, err := req.commit(m, copyContainerBuild(st, name, nextGeneration(m)), rb)
+	if err != nil {
+		return err
 	}
 	s.count(&s.promotes, 1)
 	w.Header().Set("X-RQM-Promote", "promoted")
@@ -198,15 +177,8 @@ func (s *Service) handleDatasetPromote(w http.ResponseWriter, r *http.Request) e
 // base: the container is re-committed verbatim at generation+1 without a
 // residual builder, which clears the manifest's residual record and deletes
 // the file in the same atomic publish. Demoting a lossy dataset is a no-op.
-func (s *Service) handleDatasetDemote(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	name, err := pathName(r)
-	if err != nil {
-		return err
-	}
+func (s *Service) handleDatasetDemote(req *request) error {
+	w, st, name := req.w, req.st, req.name
 	m, err := st.Manifest(name)
 	if err != nil {
 		return err
@@ -215,10 +187,9 @@ func (s *Service) handleDatasetDemote(w http.ResponseWriter, r *http.Request) er
 		w.Header().Set("X-RQM-Demote", "skipped")
 		return writeJSON(w, http.StatusOK, datasetInfo(m))
 	}
-	nm := nextGeneration(m)
-	committed, err := st.Replace(name, m, copyContainerBuild(st, name, nm))
+	committed, err := req.commit(m, copyContainerBuild(st, name, nextGeneration(m)), nil)
 	if err != nil {
-		return putError(err)
+		return err
 	}
 	s.count(&s.demotes, 1)
 	w.Header().Set("X-RQM-Demote", "demoted")

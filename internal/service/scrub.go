@@ -51,29 +51,21 @@ type ScrubStatusResponse struct {
 	Report *store.ScrubReport `json:"report,omitempty"`
 }
 
-func (s *Service) handleScrubStart(w http.ResponseWriter, r *http.Request) error {
-	st, err := s.requireStore()
-	if err != nil {
-		return err
-	}
-	deep := param(r.URL.Query(), r.Header, "deep") == "1"
+func (s *Service) handleScrubStart(req *request) error {
 	s.scrubMu.Lock()
 	if s.scrubJob != nil && !s.scrubJob.done {
 		s.scrubMu.Unlock()
 		return errf(http.StatusConflict, "scrub_running", "a scrub pass is already running")
 	}
-	job := &scrubJob{deep: deep, startedAt: time.Now().UTC()}
+	job := &scrubJob{deep: req.q.Get("deep") == "1", startedAt: time.Now().UTC()}
 	s.scrubJob = job
 	s.scrubMu.Unlock()
-	go s.runScrub(st, job)
-	return writeJSON(w, http.StatusAccepted, s.scrubStatus())
+	go s.runScrub(req.st, job)
+	return writeJSON(req.w, http.StatusAccepted, s.scrubStatus())
 }
 
-func (s *Service) handleScrubStatus(w http.ResponseWriter, _ *http.Request) error {
-	if _, err := s.requireStore(); err != nil {
-		return err
-	}
-	return writeJSON(w, http.StatusOK, s.scrubStatus())
+func (s *Service) handleScrubStatus(req *request) error {
+	return writeJSON(req.w, http.StatusOK, s.scrubStatus())
 }
 
 // runScrub is the background body of one scrub pass.

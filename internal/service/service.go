@@ -6,25 +6,14 @@
 // with no compression run and no re-sampling, the "predict before you
 // compress" pattern at serving scale.
 //
-// Endpoints:
-//
-//	POST /v1/compress    .rqmf field body -> sealed container (query/header
-//	                     scoped codec options; bodies above the stream
-//	                     threshold flow through the chunked pipeline;
-//	                     adaptive-space=1 with a model target switches chunk
-//	                     planning to variance-guided spatial partitioning)
-//	POST /v1/decompress  container body -> .rqmf field (chunked containers
-//	                     stream; routing is self-describing)
-//	POST /v1/profile     .rqmf field body -> profile ID + ratio-quality curve
-//	                     (LRU-cached by content hash)
-//	GET  /v1/estimate    ?profile=ID&eb=..&mode=abs|rel -> model estimate
-//	GET  /v1/solve       ?profile=ID&target-ratio|target-psnr|target-bitrate
-//	GET  /healthz        liveness
-//	GET  /metrics        counters (requests, cache hits, inflight, store, ...)
-//
-// With a configured Store the service also hosts the persistent dataset
-// archive under /v1/datasets (put/get/delete, random-access slice reads,
-// model-guided recompaction) — see datasets.go and internal/store.
+// The stateless endpoints are POST /v1/compress, /v1/decompress and
+// /v1/profile, GET /v1/estimate and /v1/solve, plus /healthz and /metrics;
+// with a configured Store the service also hosts the persistent dataset
+// archive under /v1/datasets (see datasets.go and internal/store). The one
+// route table in New is the authoritative listing (DESIGN.md §7 renders it),
+// and every request crosses dispatch — accounting, method gate, admission,
+// store and name resolution, the single query parse, the error envelope —
+// before its handler runs. Request-scoped options travel in the query string.
 //
 // Heavy endpoints (compress, decompress, profile) are admission-controlled
 // by a permit semaphore: past MaxInflight concurrent requests the service
@@ -93,6 +82,7 @@ type Service struct {
 	store     *store.Store
 	sem       chan struct{}
 	threshold int64
+	routes    []route
 	mux       *http.ServeMux
 	start     time.Time
 	draining  atomic.Bool
@@ -176,38 +166,45 @@ func New(cfg Config) (*Service, error) {
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
 	}
-	s.mux.Handle("/healthz", s.handle(http.MethodGet, false, s.handleHealthz))
-	s.mux.Handle("/metrics", s.handle(http.MethodGet, false, s.handleMetrics))
-	s.mux.Handle("/v1/compress", s.handle(http.MethodPost, true, s.handleCompress))
-	s.mux.Handle("/v1/decompress", s.handle(http.MethodPost, true, s.handleDecompress))
-	s.mux.Handle("/v1/profile", s.handle(http.MethodPost, true, s.handleProfile))
-	s.mux.Handle("/v1/estimate", s.handle(http.MethodGet, false, s.handleEstimate))
-	s.mux.Handle("/v1/solve", s.handle(http.MethodGet, false, s.handleSolve))
-	// Dataset archive. Registered unconditionally — without a store they
-	// answer a typed 501 — so clients get a stable error, not a bare 404.
-	s.mux.Handle("/v1/datasets", s.handle(http.MethodGet, false, s.handleDatasetList))
-	s.mux.Handle("/v1/datasets/{name}", s.dispatch(map[string]endpoint{
-		http.MethodPost: {heavy: true, fn: s.handleDatasetPut},
+	s.routes = []route{
+		{http.MethodGet, "/healthz", light, false, s.handleHealthz},
+		{http.MethodGet, "/metrics", light, false, s.handleMetrics},
+		{http.MethodPost, "/v1/compress", heavy, false, s.handleCompress},
+		{http.MethodPost, "/v1/decompress", heavy, false, s.handleDecompress},
+		{http.MethodPost, "/v1/profile", heavy, false, s.handleProfile},
+		{http.MethodGet, "/v1/estimate", light, false, s.handleEstimate},
+		{http.MethodGet, "/v1/solve", light, false, s.handleSolve},
+		// Dataset archive. Registered unconditionally — without a store they
+		// answer a typed 501 — so clients get a stable error, not a bare 404.
+		{http.MethodGet, "/v1/datasets", light, true, s.handleDatasetList},
+		{http.MethodPost, "/v1/datasets/{name}", heavy, true, s.handleDatasetPut},
 		// GET admits itself: a ?manifest=1 stat is a metadata read that must
 		// not burn (or be rejected for) a compress-class permit.
-		http.MethodGet:    {heavy: false, fn: s.handleDatasetGet},
-		http.MethodDelete: {heavy: false, fn: s.handleDatasetDelete},
-	}))
-	s.mux.Handle("/v1/datasets/{name}/slice", s.handle(http.MethodGet, true, s.handleDatasetSlice))
-	// Integrity: POST starts one background scrub pass over the archive
-	// (progress via GET /v1/scrub/status). Registered as light endpoints —
-	// the pass itself runs outside the admission semaphore (see scrub.go).
-	s.mux.Handle("/v1/scrub", s.handle(http.MethodPost, false, s.handleScrubStart))
-	s.mux.Handle("/v1/scrub/status", s.handle(http.MethodGet, false, s.handleScrubStatus))
-	s.mux.Handle("/v1/datasets/{name}/recompact", s.handle(http.MethodPost, true, s.handleDatasetRecompact))
-	// Progressive quality: promote installs a residual layer over the lossy
-	// base (body = the original field), demote drops it. See residual.go.
-	s.mux.Handle("/v1/datasets/{name}/promote", s.handle(http.MethodPost, true, s.handleDatasetPromote))
-	s.mux.Handle("/v1/datasets/{name}/demote", s.handle(http.MethodPost, true, s.handleDatasetDemote))
-	// Replication plumbing: a raw put admits an already-compressed container
-	// verbatim (manifest framed ahead of it), so replica repair and shard
-	// rebalancing never decompress or recompress. See handleDatasetRawPut.
-	s.mux.Handle("/v1/datasets/{name}/raw", s.handle(http.MethodPost, true, s.handleDatasetRawPut))
+		{http.MethodGet, "/v1/datasets/{name}", selfAdmitting, true, s.handleDatasetGet},
+		{http.MethodDelete, "/v1/datasets/{name}", light, true, s.handleDatasetDelete},
+		{http.MethodGet, "/v1/datasets/{name}/slice", heavy, true, s.handleDatasetSlice},
+		{http.MethodPost, "/v1/datasets/{name}/recompact", heavy, true, s.handleDatasetRecompact},
+		// Progressive quality: promote installs a residual layer over the lossy
+		// base (body = the original field), demote drops it. See residual.go.
+		{http.MethodPost, "/v1/datasets/{name}/promote", heavy, true, s.handleDatasetPromote},
+		{http.MethodPost, "/v1/datasets/{name}/demote", heavy, true, s.handleDatasetDemote},
+		// Replication plumbing: a raw put admits an already-compressed container
+		// verbatim (manifest framed ahead of it), so replica repair and shard
+		// rebalancing never decompress or recompress. See handleDatasetRawPut.
+		{http.MethodPost, "/v1/datasets/{name}/raw", heavy, true, s.handleDatasetRawPut},
+		// Integrity: POST starts one background scrub pass over the archive
+		// (progress via GET /v1/scrub/status). Light — the pass itself runs
+		// outside the admission semaphore (see scrub.go).
+		{http.MethodPost, "/v1/scrub", light, true, s.handleScrubStart},
+		{http.MethodGet, "/v1/scrub/status", light, true, s.handleScrubStatus},
+	}
+	byPattern := map[string][]route{}
+	for _, rt := range s.routes {
+		byPattern[rt.pattern] = append(byPattern[rt.pattern], rt)
+	}
+	for pattern, rs := range byPattern {
+		s.mux.Handle(pattern, s.dispatch(pattern, rs))
+	}
 	return s, nil
 }
 
@@ -228,47 +225,92 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serv
 // it to force the cold path).
 func (s *Service) FlushProfiles() { s.cache.purge() }
 
-// endpoint pairs one method's handler with its admission class.
-type endpoint struct {
-	heavy bool
-	fn    func(http.ResponseWriter, *http.Request) error
+// class is a route's admission class.
+type class int
+
+const (
+	// light routes are always admitted (metadata, O(sample) model answers).
+	light class = iota
+	// heavy routes hold one permit of the admission semaphore for their whole
+	// run; dispatch claims it.
+	heavy
+	// selfAdmitting routes have a cheap branch and a heavy one: the handler
+	// calls admit itself once it knows which it is serving.
+	selfAdmitting
+)
+
+// route is one row of the service's route table (see New).
+type route struct {
+	method, pattern string
+	class           class
+	needsStore      bool
+	fn              func(*request) error
 }
 
-// handle wraps one single-method endpoint (see dispatch).
-func (s *Service) handle(method string, heavy bool, fn func(http.ResponseWriter, *http.Request) error) http.Handler {
-	return s.dispatch(map[string]endpoint{method: {heavy: heavy, fn: fn}})
+// request is what dispatch hands a handler: the exchange plus everything the
+// route table let dispatch resolve up front. q is the query string, parsed
+// once — the only channel request parameters arrive through; st is non-nil
+// on needsStore routes and name is the validated {name} path segment on
+// routes that have one.
+type request struct {
+	w    http.ResponseWriter
+	r    *http.Request
+	q    url.Values
+	st   *store.Store
+	name string
 }
 
-// dispatch wraps one route with per-method handlers: method gate, admission
-// control for heavy endpoints, request accounting, and error-envelope
-// rendering.
-func (s *Service) dispatch(eps map[string]endpoint) http.Handler {
-	methods := make([]string, 0, len(eps))
-	for m := range eps {
-		methods = append(methods, m)
+// dispatch serves one pattern of the route table, and is the one function
+// every request crosses: it counts the request, gates the method, claims the
+// permit of a heavy route, resolves the store and the dataset name, parses
+// the query, runs the handler, and counts and renders whatever error any of
+// those steps produced.
+func (s *Service) dispatch(pattern string, rs []route) http.Handler {
+	methods := make([]string, len(rs))
+	for i, rt := range rs {
+		methods[i] = rt.method
 	}
 	sort.Strings(methods)
 	allow := strings.Join(methods, ", ")
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.count(&s.reqTotal, 1)
-		ep, ok := eps[r.Method]
-		if !ok {
-			w.Header().Set("Allow", allow)
-			s.count(&s.errTotal, 1)
-			writeError(w, errf(http.StatusMethodNotAllowed, "method_not_allowed",
-				"%s only accepts %s", r.URL.Path, allow))
-			return
+	named := strings.Contains(pattern, "{name}")
+	serve := func(w http.ResponseWriter, r *http.Request) error {
+		var rt *route
+		for i := range rs {
+			if rs[i].method == r.Method {
+				rt = &rs[i]
+			}
 		}
-		if ep.heavy {
+		if rt == nil {
+			w.Header().Set("Allow", allow)
+			return errf(http.StatusMethodNotAllowed, "method_not_allowed",
+				"%s only accepts %s", r.URL.Path, allow)
+		}
+		req := &request{w: w, r: r}
+		if rt.class == heavy {
 			release, err := s.admit(w)
 			if err != nil {
-				s.count(&s.errTotal, 1)
-				writeError(w, err)
-				return
+				return err
 			}
 			defer release()
 		}
-		if err := ep.fn(w, r); err != nil {
+		if rt.needsStore {
+			if req.st = s.store; req.st == nil {
+				return errf(http.StatusNotImplemented, "store_disabled",
+					"this server has no dataset store (start rqserved with -store-dir)")
+			}
+		}
+		if named {
+			req.name = r.PathValue("name")
+			if err := store.ValidateName(req.name); err != nil {
+				return errf(http.StatusBadRequest, "bad_name", "%v", err)
+			}
+		}
+		req.q = r.URL.Query()
+		return rt.fn(req)
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.count(&s.reqTotal, 1)
+		if err := serve(w, r); err != nil {
 			s.count(&s.errTotal, 1)
 			writeError(w, err)
 		}
@@ -277,9 +319,8 @@ func (s *Service) dispatch(eps map[string]endpoint) http.Handler {
 
 // admit claims one heavy-request permit, returning its release function —
 // or the typed 429 (Retry-After set) when the service is at its limit.
-// Handlers whose cost depends on the request (e.g. a dataset GET that is a
-// metadata stat or a full decompress) call it themselves after the cheap
-// branch.
+// dispatch calls it for heavy routes, selfAdmitting handlers after their
+// cheap branch.
 func (s *Service) admit(w http.ResponseWriter) (func(), error) {
 	select {
 	case s.sem <- struct{}{}:
@@ -295,45 +336,36 @@ func (s *Service) admit(w http.ResponseWriter) (func(), error) {
 // ---------------------------------------------------------------------------
 // Request-scoped options
 
-// param reads a request-scoped option from the query string, falling back to
-// the X-RQM-<name> header.
-func param(q url.Values, h http.Header, name string) string {
-	if v := q.Get(name); v != "" {
-		return v
-	}
-	return h.Get("X-RQM-" + name)
-}
-
 // engineFor derives the engine serving one request: the base engine unless
-// codec options appear in the query/headers, in which case a request-scoped
-// engine is built from the base configuration plus the overrides.
-func (s *Service) engineFor(q url.Values, h http.Header) (*rqm.Engine, error) {
+// codec options appear in the query, in which case a request-scoped engine
+// is built from the base configuration plus the overrides.
+func (s *Service) engineFor(q url.Values) (*rqm.Engine, error) {
 	var opts []rqm.EngineOption
-	if v := param(q, h, "codec"); v != "" {
+	if v := q.Get("codec"); v != "" {
 		opts = append(opts, rqm.WithCodecName(v))
 	}
-	if v := param(q, h, "predictor"); v != "" {
+	if v := q.Get("predictor"); v != "" {
 		k, err := rqm.ParsePredictorKind(v)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "bad_param", "predictor: %v", err)
 		}
 		opts = append(opts, rqm.WithPredictor(k))
 	}
-	if v := param(q, h, "mode"); v != "" {
+	if v := q.Get("mode"); v != "" {
 		m, err := rqm.ParseErrorMode(v)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "bad_param", "mode: %v", err)
 		}
 		opts = append(opts, rqm.WithMode(m))
 	}
-	if v := param(q, h, "eb"); v != "" {
+	if v := q.Get("eb"); v != "" {
 		eb, err := strconv.ParseFloat(v, 64)
 		if err != nil || !(eb > 0) {
 			return nil, errf(http.StatusBadRequest, "bad_param", "eb: %q is not a positive number", v)
 		}
 		opts = append(opts, rqm.WithErrorBound(eb))
 	}
-	if v := param(q, h, "lossless"); v != "" {
+	if v := q.Get("lossless"); v != "" {
 		l, err := rqm.ParseLosslessKind(v)
 		if err != nil {
 			return nil, errf(http.StatusBadRequest, "bad_param", "lossless: %v", err)
@@ -368,8 +400,8 @@ func deriveEngine(base *rqm.Engine, mopts rqm.ModelOptions, overrides ...rqm.Eng
 
 // sampleParam parses the optional sampling-rate override, a rate in (0, 1];
 // 0 means not given.
-func sampleParam(q url.Values, h http.Header) (float64, error) {
-	sample, ok, err := floatParam(q, h, "sample")
+func sampleParam(q url.Values) (float64, error) {
+	sample, ok, err := floatParam(q, "sample")
 	if err == nil && ok && (sample <= 0 || sample > 1) {
 		err = errf(http.StatusBadRequest, "bad_param", "sample: %g is outside (0, 1]", sample)
 	}
@@ -377,8 +409,8 @@ func sampleParam(q url.Values, h http.Header) (float64, error) {
 }
 
 // chunkParam parses the optional chunk-size override into stream options.
-func chunkParam(q url.Values, h http.Header) ([]rqm.StreamOption, error) {
-	v := param(q, h, "chunk")
+func chunkParam(q url.Values) ([]rqm.StreamOption, error) {
+	v := q.Get("chunk")
 	if v == "" {
 		return nil, nil
 	}
@@ -389,9 +421,9 @@ func chunkParam(q url.Values, h http.Header) ([]rqm.StreamOption, error) {
 	return []rqm.StreamOption{rqm.WithChunkSize(n)}, nil
 }
 
-// floatParam parses an optional positive float parameter.
-func floatParam(q url.Values, h http.Header, name string) (float64, bool, error) {
-	v := param(q, h, name)
+// floatParam parses an optional float parameter.
+func floatParam(q url.Values, name string) (float64, bool, error) {
+	v := q.Get(name)
 	if v == "" {
 		return 0, false, nil
 	}
@@ -400,6 +432,36 @@ func floatParam(q url.Values, h http.Header, name string) (float64, bool, error)
 		return 0, false, errf(http.StatusBadRequest, "bad_param", "%s: %q is not a number", name, v)
 	}
 	return f, true, nil
+}
+
+// modelTarget resolves the one model target a request names among params.
+// Where a target is required, naming none or more than one is a 400 and the
+// value is the caller's to judge; where it is optional (param is then "") only
+// a positive value names a target — zero means unset, as in rqm.AdaptiveBound.
+func modelTarget(q url.Values, optional bool, params ...string) (param string, val float64, err error) {
+	n := 0
+	for _, p := range params {
+		v, ok, err := floatParam(q, p)
+		if err != nil {
+			return "", 0, err
+		}
+		if ok && (v > 0 || !optional) {
+			param, val, n = p, v, n+1
+		}
+	}
+	if n > 1 || (n == 0 && !optional) {
+		return "", 0, errf(http.StatusBadRequest, "bad_param",
+			"want exactly one target among %s (got %d)", strings.Join(params, ", "), n)
+	}
+	return param, val, nil
+}
+
+// adaptiveBound is the stream policy of a target-ratio / target-psnr target.
+func adaptiveBound(param string, val float64) rqm.AdaptiveBound {
+	if param == "target-psnr" {
+		return rqm.AdaptiveBound{TargetPSNR: val}
+	}
+	return rqm.AdaptiveBound{TargetRatio: val}
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +483,7 @@ type HealthResponse struct {
 // status "draining" once BeginDrain has been called, so a router stops
 // routing to a dying shard before its listener closes), and pure liveness
 // with ?live=1 (200 for as long as the process can answer at all).
-func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) error {
+func (s *Service) handleHealthz(req *request) error {
 	hr := &HealthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -433,11 +495,11 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		_, hr.Datasets = s.store.Bytes()
 	}
 	status := http.StatusOK
-	if s.draining.Load() && param(r.URL.Query(), r.Header, "live") != "1" {
+	if s.draining.Load() && req.q.Get("live") != "1" {
 		hr.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	return writeJSON(w, status, hr)
+	return writeJSON(req.w, status, hr)
 }
 
 // MetricsSnapshot is the /metrics body: monotonic counters plus gauges.
@@ -552,7 +614,7 @@ func (s *Service) Snapshot() MetricsSnapshot {
 	return snap
 }
 
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
+func (s *Service) handleMetrics(req *request) error {
 	// Rendered by hand rather than via writeJSON so the scrape contract is
 	// explicit: a typed Content-Type (scrapers dispatch on it) and no-store
 	// (a cached snapshot is a lie about a moving system).
@@ -560,38 +622,31 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) error {
 	if err != nil {
 		return errf(http.StatusInternalServerError, "internal", "encoding metrics: %v", err)
 	}
-	h := w.Header()
+	h := req.w.Header()
 	h.Set("Content-Type", "application/json; charset=utf-8")
 	h.Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	_, err = w.Write(append(data, '\n'))
+	req.w.WriteHeader(http.StatusOK)
+	_, err = req.w.Write(append(data, '\n'))
 	return ignoreWriteErr(err)
 }
 
 // ---------------------------------------------------------------------------
 // Compress / decompress
 
-func (s *Service) handleCompress(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	eng, err := s.engineFor(q, r.Header)
+func (s *Service) handleCompress(req *request) error {
+	w, r, q := req.w, req.r, req.q
+	eng, err := s.engineFor(q)
 	if err != nil {
 		return err
 	}
 	s.count(&s.compresses, 1)
 
-	targetRatio, _, err := floatParam(q, r.Header, "target-ratio")
+	target, val, err := modelTarget(q, true, "target-ratio", "target-psnr")
 	if err != nil {
 		return err
 	}
-	targetPSNR, _, err := floatParam(q, r.Header, "target-psnr")
-	if err != nil {
-		return err
-	}
-	adaptive := targetRatio > 0 || targetPSNR > 0
-	streaming := adaptive || param(q, r.Header, "stream") == "1" ||
-		(s.threshold > 0 && r.ContentLength >= s.threshold)
-	if streaming {
-		return s.compressStream(w, r, eng, targetRatio, targetPSNR)
+	if target != "" || q.Get("stream") == "1" || (s.threshold > 0 && r.ContentLength >= s.threshold) {
+		return s.compressStream(req, eng, target, val)
 	}
 
 	f, err := readFieldBody(r.Body)
@@ -616,31 +671,31 @@ func (s *Service) handleCompress(w http.ResponseWriter, r *http.Request) error {
 // straight into the response. All validation happens before the first
 // response byte; a failure after that aborts the connection, which a client
 // observes as a truncated (typed-error) container.
-func (s *Service) compressStream(w http.ResponseWriter, r *http.Request, eng *rqm.Engine, targetRatio, targetPSNR float64) error {
-	q := r.URL.Query()
-	br := bufio.NewReaderSize(r.Body, 1<<20)
+func (s *Service) compressStream(req *request, eng *rqm.Engine, target string, val float64) error {
+	w, q := req.w, req.q
+	br := bufio.NewReaderSize(req.r.Body, 1<<20)
 	prec, dims, err := grid.ReadHeader(br)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "bad_field", "field header: %v", err)
 	}
 	opts := []rqm.StreamOption{
 		rqm.WithStreamShape(prec, dims...),
-		rqm.WithStreamFieldName(param(q, r.Header, "name")),
+		rqm.WithStreamFieldName(q.Get("name")),
 	}
-	chunk, err := chunkParam(q, r.Header)
+	chunk, err := chunkParam(q)
 	if err != nil {
 		return err
 	}
 	opts = append(opts, chunk...)
-	adaptive := targetRatio > 0 || targetPSNR > 0
-	adaptiveSpace := param(q, r.Header, "adaptive-space") == "1"
+	adaptive := target != ""
+	adaptiveSpace := q.Get("adaptive-space") == "1"
 	if adaptiveSpace && !adaptive {
 		return errf(http.StatusBadRequest, "bad_param",
 			"adaptive-space needs a model target (target-ratio or target-psnr)")
 	}
 	if adaptive {
 		model := s.model
-		sample, err := sampleParam(q, r.Header)
+		sample, err := sampleParam(q)
 		if err != nil {
 			return err
 		}
@@ -648,7 +703,7 @@ func (s *Service) compressStream(w http.ResponseWriter, r *http.Request, eng *rq
 			model.SampleRate = sample
 		}
 		opts = append(opts,
-			rqm.WithAdaptiveBound(rqm.AdaptiveBound{TargetRatio: targetRatio, TargetPSNR: targetPSNR}),
+			rqm.WithAdaptiveBound(adaptiveBound(target, val)),
 			rqm.WithStreamModel(model))
 		if adaptiveSpace {
 			opts = append(opts, rqm.WithPartitioner(rqm.VarianceQuadtree{}))
@@ -656,7 +711,7 @@ func (s *Service) compressStream(w http.ResponseWriter, r *http.Request, eng *rq
 	} else if eng.Options().Mode == rqm.REL {
 		// Streamed REL needs the stream-global range: the server never sees
 		// the whole field at once, so the client must declare it.
-		lo, hi, err := parseRangeParam(q, r.Header)
+		lo, hi, err := parseRangeParam(q)
 		if err != nil {
 			return err
 		}
@@ -693,8 +748,8 @@ func (s *Service) compressStream(w http.ResponseWriter, r *http.Request, eng *rq
 }
 
 // parseRangeParam reads value-range=lo,hi.
-func parseRangeParam(q url.Values, h http.Header) (lo, hi float64, err error) {
-	v := param(q, h, "value-range")
+func parseRangeParam(q url.Values) (lo, hi float64, err error) {
+	v := q.Get("value-range")
 	if v == "" {
 		return 0, 0, errf(http.StatusBadRequest, "rel_needs_value_range",
 			"streamed REL compression needs value-range=lo,hi (or use mode=abs)")
@@ -712,9 +767,10 @@ func parseRangeParam(q url.Values, h http.Header) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
-func (s *Service) handleDecompress(w http.ResponseWriter, r *http.Request) error {
+func (s *Service) handleDecompress(req *request) error {
+	w := req.w
 	s.count(&s.decompresses, 1)
-	br := bufio.NewReaderSize(r.Body, 1<<20)
+	br := bufio.NewReaderSize(req.r.Body, 1<<20)
 	head, err := br.Peek(5)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "truncated",
@@ -837,17 +893,17 @@ func profileCurve(p *rqm.Profile) []CurvePoint {
 	return out
 }
 
-func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	eng, err := s.engineFor(q, r.Header)
+func (s *Service) handleProfile(req *request) error {
+	w := req.w
+	eng, err := s.engineFor(req.q)
 	if err != nil {
 		return err
 	}
-	body, err := readBufferedBody(r.Body)
+	body, err := readBufferedBody(req.r.Body)
 	if err != nil {
 		return err
 	}
-	sample, seed, err := sampleSeed(q, r.Header)
+	sample, seed, err := sampleSeed(req.q)
 	if err != nil {
 		return err
 	}
@@ -884,11 +940,11 @@ func (s *Service) handleProfile(w http.ResponseWriter, r *http.Request) error {
 
 // sampleSeed parses the sampling overrides of a profiling request; zero
 // means not given.
-func sampleSeed(q url.Values, h http.Header) (sample float64, seed uint64, err error) {
-	if sample, err = sampleParam(q, h); err != nil {
+func sampleSeed(q url.Values) (sample float64, seed uint64, err error) {
+	if sample, err = sampleParam(q); err != nil {
 		return 0, 0, err
 	}
-	if v := param(q, h, "seed"); v != "" {
+	if v := q.Get("seed"); v != "" {
 		if seed, err = strconv.ParseUint(v, 10, 64); err != nil {
 			return 0, 0, errf(http.StatusBadRequest, "bad_param", "seed: %q is not an unsigned integer", v)
 		}
@@ -965,13 +1021,12 @@ type EstimateResponse struct {
 	P0      float64 `json:"p0"`
 }
 
-func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	cp, err := s.lookupProfile(q, r.Header)
+func (s *Service) handleEstimate(req *request) error {
+	cp, err := s.lookupProfile(req.q)
 	if err != nil {
 		return err
 	}
-	eb, ok, err := floatParam(q, r.Header, "eb")
+	eb, ok, err := floatParam(req.q, "eb")
 	if err != nil {
 		return err
 	}
@@ -979,7 +1034,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 		return errf(http.StatusBadRequest, "bad_param", "estimate needs a positive eb parameter")
 	}
 	abs := eb
-	if mode := param(q, r.Header, "mode"); mode == "" || strings.EqualFold(mode, "rel") {
+	if mode := req.q.Get("mode"); mode == "" || strings.EqualFold(mode, "rel") {
 		if cp.Range <= 0 {
 			return errf(http.StatusBadRequest, "bad_param",
 				"profile %s has zero value range (constant field); use mode=abs", cp.ID)
@@ -990,7 +1045,7 @@ func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) error {
 	}
 	s.count(&s.estimates, 1)
 	est := cp.Profile.EstimateAt(abs)
-	return writeJSON(w, http.StatusOK, &EstimateResponse{
+	return writeJSON(req.w, http.StatusOK, &EstimateResponse{
 		Profile: cp.ID,
 		AbsEB:   abs,
 		RelEB:   relOf(abs, cp.Range),
@@ -1016,49 +1071,32 @@ type SolveResponse struct {
 	SSIM     Float   `json:"ssim"`
 }
 
-func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	cp, err := s.lookupProfile(q, r.Header)
+func (s *Service) handleSolve(req *request) error {
+	cp, err := s.lookupProfile(req.q)
 	if err != nil {
 		return err
 	}
-	type target struct {
-		name  string
-		val   float64
-		solve func(float64) (float64, error)
-	}
-	var targets []target
-	for _, t := range []struct {
-		name  string
-		solve func(float64) (float64, error)
-	}{
-		{"target-ratio", cp.Profile.ErrorBoundForRatio},
-		{"target-psnr", cp.Profile.ErrorBoundForPSNR},
-		{"target-bitrate", cp.Profile.ErrorBoundForBitRate},
-	} {
-		v, ok, err := floatParam(q, r.Header, t.name)
-		if err != nil {
-			return err
-		}
-		if ok {
-			targets = append(targets, target{t.name, v, t.solve})
-		}
-	}
-	if len(targets) != 1 {
-		return errf(http.StatusBadRequest, "bad_param",
-			"solve needs exactly one of target-ratio, target-psnr, target-bitrate (got %d)", len(targets))
+	target, val, err := modelTarget(req.q, false, "target-ratio", "target-psnr", "target-bitrate")
+	if err != nil {
+		return err
 	}
 	s.count(&s.solves, 1)
-	tg := targets[0]
-	abs, err := tg.solve(tg.val)
+	solve := cp.Profile.ErrorBoundForRatio
+	switch target {
+	case "target-psnr":
+		solve = cp.Profile.ErrorBoundForPSNR
+	case "target-bitrate":
+		solve = cp.Profile.ErrorBoundForBitRate
+	}
+	abs, err := solve(val)
 	if err != nil {
 		return errf(http.StatusBadRequest, "unsolvable", "%v", err)
 	}
 	est := cp.Profile.EstimateAt(abs)
-	return writeJSON(w, http.StatusOK, &SolveResponse{
+	return writeJSON(req.w, http.StatusOK, &SolveResponse{
 		Profile:  cp.ID,
-		Target:   strings.TrimPrefix(tg.name, "target-"),
-		TargetAt: tg.val,
+		Target:   strings.TrimPrefix(target, "target-"),
+		TargetAt: val,
 		AbsEB:    abs,
 		RelEB:    relOf(abs, cp.Range),
 		Ratio:    Float(est.Ratio),
@@ -1069,8 +1107,8 @@ func (s *Service) handleSolve(w http.ResponseWriter, r *http.Request) error {
 }
 
 // lookupProfile resolves the profile query parameter against the cache.
-func (s *Service) lookupProfile(q url.Values, h http.Header) (*cachedProfile, error) {
-	id := param(q, h, "profile")
+func (s *Service) lookupProfile(q url.Values) (*cachedProfile, error) {
+	id := q.Get("profile")
 	if id == "" {
 		return nil, errf(http.StatusBadRequest, "bad_param", "missing profile parameter")
 	}

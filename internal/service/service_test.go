@@ -488,6 +488,28 @@ func TestAdaptiveCompressTarget(t *testing.T) {
 	if psnr < 57 {
 		t.Fatalf("adaptive PSNR %.2f dB misses the 60 dB target", psnr)
 	}
+
+	// Two positive targets are a bad request; a non-positive one is unset.
+	for query, want := range map[string]int{
+		"target-ratio=8&target-psnr=60":  http.StatusBadRequest,
+		"target-ratio=0&target-psnr=60":  http.StatusOK,
+		"target-ratio=-2&target-psnr=60": http.StatusOK,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/compress?chunk=4096&"+query, "application/octet-stream",
+			bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != want {
+			t.Fatalf("compress %s: status %d, want %d", query, resp.StatusCode, want)
+		}
+		if want != http.StatusOK {
+			if eb := decodeErrorBody(t, resp); eb.Error.Code != "bad_param" {
+				t.Fatalf("compress %s: code %q", query, eb.Error.Code)
+			}
+		}
+		resp.Body.Close()
+	}
 }
 
 // TestEstimateAbsModeAndFlush covers abs-mode estimates and the operational
@@ -645,8 +667,9 @@ func TestSolveVariants(t *testing.T) {
 			t.Fatalf("solve %s: %+v", tc.query, sol)
 		}
 	}
-	// Zero targets and two targets are both bad requests.
-	for _, query := range []string{"", "&target-ratio=8&target-psnr=60"} {
+	// Zero targets and two targets are both bad requests; a target counts as
+	// named when present, whatever its value.
+	for _, query := range []string{"", "&target-ratio=8&target-psnr=60", "&target-ratio=0&target-psnr=60"} {
 		resp, err := http.Get(ts.URL + "/v1/solve?profile=" + pr.Profile + query)
 		if err != nil {
 			t.Fatal(err)
@@ -658,6 +681,15 @@ func TestSolveVariants(t *testing.T) {
 			t.Fatalf("solve with targets %q: code %q", query, eb.Error.Code)
 		}
 		resp.Body.Close()
+	}
+	// One named target the solver refuses is the solver's verdict.
+	resp, err = http.Get(ts.URL + "/v1/solve?profile=" + pr.Profile + "&target-ratio=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if eb := decodeErrorBody(t, resp); resp.StatusCode != http.StatusBadRequest || eb.Error.Code != "unsolvable" {
+		t.Fatalf("solve target-ratio=0: status %d code %q, want 400 unsolvable", resp.StatusCode, eb.Error.Code)
 	}
 }
 
@@ -746,6 +778,22 @@ func TestRequestScopedLossless(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown lossless: status %d, want 400", resp.StatusCode)
+	}
+	resp.Body.Close()
+	// The query string is the only parameter channel: an X-RQM-<name> header
+	// is not an option, so a malformed one cannot fail the request.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/compress", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-RQM-eb", "not-a-number")
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-RQM-Codec") != "prediction" {
+		t.Fatalf("X-RQM-eb header: status %d codec %q, want the base engine's 200",
+			resp.StatusCode, resp.Header.Get("X-RQM-Codec"))
 	}
 	resp.Body.Close()
 }

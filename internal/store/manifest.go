@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"rqm/internal/codec"
+	"rqm/internal/compressor"
 	"rqm/internal/core"
 	"rqm/internal/grid"
 	"rqm/internal/partition"
@@ -224,6 +225,22 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	}
 	if !partition.Known(m.Partitioner) {
 		return nil, corruptf("unknown partitioner %q", m.Partitioner)
+	}
+	// The pipeline names a recompaction rebuilds the engine from. Predictor
+	// and lossless are omitempty ("" = the codec's default / off); mode is
+	// always written.
+	if m.Predictor != "" {
+		if _, err := predictor.ParseKind(m.Predictor); err != nil {
+			return nil, corruptf("predictor: %v", err)
+		}
+	}
+	if m.Lossless != "" {
+		if _, err := compressor.ParseLosslessKind(m.Lossless); err != nil {
+			return nil, corruptf("lossless: %v", err)
+		}
+	}
+	if m.Mode != "abs" && m.Mode != "rel" {
+		return nil, corruptf("mode %q, want abs or rel", m.Mode)
 	}
 	if m.ContainerBytes <= 0 || m.OriginalBytes <= 0 {
 		return nil, corruptf("container %d / original %d bytes", m.ContainerBytes, m.OriginalBytes)

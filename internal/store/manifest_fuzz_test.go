@@ -49,6 +49,32 @@ func validManifestJSON(t testing.TB) []byte {
 	return data
 }
 
+// TestParseManifestPipelineNames pins the closed enums a recompaction
+// rebuilds its engine from: an unknown predictor, lossless backend or mode is
+// manifest corruption, while the omitempty fields may be absent.
+func TestParseManifestPipelineNames(t *testing.T) {
+	valid := string(validManifestJSON(t))
+	for _, tc := range []struct {
+		old, new string
+		ok       bool
+	}{
+		{`"predictor":"lorenzo",`, `"predictor":"bogus",`, false},
+		{`"mode":"abs"`, `"mode":"abs","lossless":"bogus"`, false},
+		{`"mode":"abs"`, `"mode":"pwrel"`, false},
+		{`"mode":"abs"`, `"mode":""`, false},
+		{`"predictor":"lorenzo",`, ``, true},
+		{`"mode":"abs"`, `"mode":"rel","lossless":"flate"`, true},
+	} {
+		_, err := store.ParseManifest([]byte(strings.Replace(valid, tc.old, tc.new, 1)))
+		if tc.ok && err != nil {
+			t.Errorf("%s -> %s: rejected: %v", tc.old, tc.new, err)
+		}
+		if !tc.ok && !errors.Is(err, store.ErrManifestCorrupt) {
+			t.Errorf("%s -> %s: error %v, want ErrManifestCorrupt", tc.old, tc.new, err)
+		}
+	}
+}
+
 // FuzzManifest hammers ParseManifest with valid, truncated, and
 // field-corrupted manifests: malformed input must yield a typed error
 // (ErrManifestCorrupt / ErrManifestVersion), never a panic, and anything
@@ -71,6 +97,8 @@ func FuzzManifest(f *testing.F) {
 	f.Add([]byte(strings.Replace(string(valid), `"dims":[512]`, `"dims":[0]`, 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`, `"name":"../escape"`, 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"predictor":"lorenzo"`, `"predictor":"warp-drive"`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `"mode":"abs"`, `"mode":"pwrel"`, 1)))
+	f.Add([]byte(strings.Replace(string(valid), `"mode":"abs"`, `"mode":"abs","lossless":"zpaq"`, 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"errors_b64":"`, `"errors_b64":"!!!`, 1)))
 	f.Add([]byte(strings.Replace(string(valid), `"prec_bits":64`, `"prec_bits":48`, 1)))
 	// Container-hash variants: valid, non-hex, wrong length. The scrubber

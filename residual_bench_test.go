@@ -9,11 +9,11 @@ import (
 	"rqm/internal/store"
 )
 
-// Residual-layer benchmarks, pinned in the CI bench baseline alongside the
-// store round trip: the cost of building the lossless layer at put time
-// (encode: XOR against the reconstruction, byte-plane transposition,
-// per-plane entropy coding) and of serving it at read time (exact read:
-// chunk decode + residual block decode + XOR apply).
+// Residual-layer benchmarks, beside the store round trip: the cost of
+// building the lossless layer at put time (encode: XOR against the
+// reconstruction, byte-plane transposition, per-plane entropy coding) and of
+// serving it at read time (exact read: chunk decode + residual block decode +
+// XOR apply).
 
 // BenchmarkResidualEncode measures framing one field's residual against its
 // lossy reconstruction — the marginal cost ?exact=1 adds to a dataset put.

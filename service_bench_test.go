@@ -65,8 +65,9 @@ func BenchmarkServiceProfileCold(b *testing.B) {
 
 // BenchmarkServiceEstimateCached measures the serving hot path: after one
 // profile, every ratio/PSNR question is answered from the cache in
-// O(sample) with no field upload and no sampling pass. The regression gate
-// holds this at least an order of magnitude faster than the cold profile.
+// O(sample) with no field upload and no sampling pass — at least an order of
+// magnitude faster than the cold profile (`go run ./bench` keeps the pair as
+// service.estimate_us vs service.profile_cold_ms).
 func BenchmarkServiceEstimateCached(b *testing.B) {
 	svc, body := serviceBenchSetup(b)
 	id := postProfile(b, svc, body)

@@ -79,8 +79,8 @@ func BenchmarkStoreRoundTrip(b *testing.B) {
 // BenchmarkStoreScrub measures one full shallow scrub of the archive — the
 // cost of a background integrity pass: manifest parse, trailer-vs-manifest
 // index reconciliation, and a CRC walk over every chunk. This is the
-// recurring price of the integrity layer, so it is pinned in the bench
-// baseline alongside the round trip.
+// recurring price of the integrity layer (`go run ./bench` records it as
+// store.scrub_mb_s).
 func BenchmarkStoreScrub(b *testing.B) {
 	st, eng, f, man := storeBenchSetup(b)
 	if _, err := st.Put("bench", func(w io.Writer) (*store.Manifest, error) {
