@@ -56,12 +56,13 @@ func main() {
 	c, err := rqm.CodecByName(*codecName)
 	must(err)
 	copts := rqm.CodecOptions{Predictor: kind, Mode: rqm.ABS, Lossless: rqm.LosslessFlate}
+	// The codec reads the pipeline (predictor, lossless stage) off copts.
+	mopts := rqm.ModelOptions{SampleRate: *sampleRate, Seed: *seed}
 	if *chunkPlan > 0 {
-		planChunks(f, c, copts, *chunkPlan, *targetRatio, *targetPSNR,
-			rqm.ModelOptions{SampleRate: *sampleRate, Seed: *seed, UseLossless: true})
+		planChunks(f, c, copts, *chunkPlan, *targetRatio, *targetPSNR, mopts)
 		return
 	}
-	prof, err := c.Profile(f, copts, rqm.ModelOptions{SampleRate: *sampleRate, Seed: *seed, UseLossless: true})
+	prof, err := c.Profile(f, copts, mopts)
 	must(err)
 	fmt.Printf("profile: %s/%s on %q (%d values, range %.6g, %d sampled errors, built in %v)\n",
 		c.Name(), kind, f.Name, prof.N, prof.Range, len(prof.Errors), prof.BuildTime)

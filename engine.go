@@ -108,8 +108,10 @@ func WithConcurrency(n int) EngineOption {
 	}
 }
 
-// WithModelOptions tunes the ratio-quality model used by Profile,
-// SelectCodec, and CompressToBudget.
+// WithModelOptions sets the sampling rate, seed and correction switch of the
+// ratio-quality model used by Profile, SelectCodec, and CompressToBudget. The
+// modeled pipeline (radius, entropy stage, lossless stage) always follows the
+// engine's codec and options; those fields of mo are ignored.
 func WithModelOptions(mo ModelOptions) EngineOption {
 	return func(e *Engine) error {
 		e.mopts = mo

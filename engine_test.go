@@ -1,8 +1,10 @@
 package rqm_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -243,5 +245,72 @@ func TestEngineSelectCodecAndBudget(t *testing.T) {
 	}
 	if _, err := rqm.Decompress(plan.Result.Bytes); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEngineModelsItsOwnPipeline: on a sparse field the lossless stage is most
+// of the ratio, so the engine's profile must describe the pipeline the engine
+// runs — WithModelOptions cannot talk it out of that — and the stream writer's
+// adaptive layer, solving on the same profile, must not loosen chunks to the
+// value range chasing a ratio the RLE stage delivers anyway.
+func TestEngineModelsItsOwnPipeline(t *testing.T) {
+	f, err := rqm.GenerateField("rtm/snapshot_1", 42, rqm.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rle := rqm.WithLossless(rqm.LosslessRLE)
+	for _, tc := range []struct {
+		opts   []rqm.EngineOption
+		within float64 // max(est, got) / min(est, got)
+	}{
+		{[]rqm.EngineOption{rle}, 4},
+		{[]rqm.EngineOption{rqm.WithModelOptions(rqm.ModelOptions{UseLossless: true})}, 1.05}, // over lossless=none
+		{[]rqm.EngineOption{rle, rqm.WithCodecName(rqm.CodecPredictionTANSName)}, 4},          // tANS leaves RLE nothing to win
+	} {
+		eng, err := rqm.NewEngine(tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := eng.Profile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Compress(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		est, got := p.EstimateAt(eng.Options().ErrorBound*p.Range).Ratio, res.Stats.Ratio
+		if off := math.Max(est, got) / math.Min(est, got); off > tc.within {
+			t.Errorf("%s lossless=%s: estimated %.1fx, delivered %.1fx (%.1fx apart, want within %gx)",
+				eng.Codec().Name(), eng.Options().Lossless, est, got, off, tc.within)
+		}
+	}
+
+	eng, err := rqm.NewEngine(rle, rqm.WithConcurrency(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w, err := eng.NewFieldStreamWriter(&buf, f, rqm.WithAdaptiveBound(rqm.AdaptiveBound{TargetRatio: 100}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteField(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := rqm.Decompress(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	psnr, err := rqm.PSNR(f, back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Unmodelled, the stage's chunks were loosened to 42 dB for 6000x.
+	if st := w.Stats(); psnr < 70 || st.Ratio < 100 {
+		t.Errorf("adaptive 100x over rle: %.1fx at %.1f dB, want >= 100x at >= 70 dB", st.Ratio, psnr)
 	}
 }

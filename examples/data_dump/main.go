@@ -1,8 +1,7 @@
 // End-to-end data management (paper §V-F): dump a simulation snapshot
-// sequence through the HDF5-like chunked container with the lossy filter,
-// choosing each snapshot's error bound in situ with the ratio-quality
-// model, and report the parallel dump-time breakdown on the simulated
-// 128-rank cluster.
+// sequence through the chunked stream container, choosing each snapshot's
+// error bound in situ with the ratio-quality model, and report the parallel
+// dump-time breakdown on the simulated 128-rank cluster.
 package main
 
 import (
@@ -13,7 +12,6 @@ import (
 	"time"
 
 	"rqm"
-	"rqm/internal/h5"
 )
 
 func main() {
@@ -29,6 +27,18 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
+	// One pipeline for every snapshot; only the bound changes. The model
+	// reads the pipeline (interpolation, a lossless stage) off the engine.
+	pipeline := []rqm.EngineOption{
+		rqm.WithPredictor(rqm.Interpolation),
+		rqm.WithLossless(rqm.LosslessFlate),
+		rqm.WithMode(rqm.ABS),
+	}
+	modelEng, err := rqm.NewEngine(pipeline...)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("dumping %d snapshots, target PSNR %.0f dB, %d simulated ranks\n\n",
 		len(ds.Fields), targetPSNR, machine.Ranks)
 
@@ -37,7 +47,7 @@ func main() {
 		// In-situ optimization: profile + inverse solve (this is the part
 		// trial-and-error replaces with several full compression runs).
 		optStart := time.Now()
-		prof, err := rqm.NewProfile(snap, rqm.Interpolation, rqm.ModelOptions{UseLossless: true})
+		prof, err := modelEng.Profile(snap)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -47,38 +57,46 @@ func main() {
 		}
 		optCPU := time.Since(optStart)
 
-		// Write the snapshot through the chunked container with the lossy
-		// filter (real bytes on a real file).
+		// Write the snapshot through the chunked container in four chunks
+		// (real bytes on a real file).
 		compStart := time.Now()
-		path := filepath.Join(dir, snap.Name[4:]+".rqh5")
-		w, err := h5.Create(path)
+		path := filepath.Join(dir, snap.Name[4:]+".rqz")
+		eng, err := rqm.NewEngine(append([]rqm.EngineOption{rqm.WithErrorBound(eb)}, pipeline...)...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		chunk := []int{snap.Dims[0], snap.Dims[1], snap.Dims[2] / 4}
-		stored, err := w.WriteDataset(snap.Name, snap, h5.DatasetOptions{
-			ChunkDims: chunk,
-			Filter:    h5.FilterLossy,
-			Compressor: rqm.CompressOptions{
-				Predictor: rqm.Interpolation, Mode: rqm.ABS, ErrorBound: eb,
-				Lossless: rqm.LosslessFlate,
-			},
-		})
+		out, err := os.Create(path)
 		if err != nil {
+			log.Fatal(err)
+		}
+		w, err := eng.NewFieldStreamWriter(out, snap, rqm.WithChunkSize(snap.Len()/4))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := w.WriteField(snap); err != nil {
 			log.Fatal(err)
 		}
 		if err := w.Close(); err != nil {
 			log.Fatal(err)
 		}
+		if err := out.Close(); err != nil {
+			log.Fatal(err)
+		}
 		compCPU := time.Since(compStart)
+		stored := w.Stats().BytesOut
 
 		// Read back and verify the quality end to end.
-		rf, err := h5.Open(path)
+		in, err := os.Open(path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		back, err := rf.ReadDataset(snap.Name)
-		rf.Close()
+		sr, err := rqm.NewReader(in)
+		if err != nil {
+			log.Fatal(err)
+		}
+		back, err := sr.ReadAll()
+		sr.Close()
+		in.Close()
 		if err != nil {
 			log.Fatal(err)
 		}

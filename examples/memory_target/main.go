@@ -20,7 +20,6 @@ func main() {
 	eng, err := rqm.NewEngine(
 		rqm.WithPredictor(rqm.Interpolation),
 		rqm.WithLossless(rqm.LosslessFlate),
-		rqm.WithModelOptions(rqm.ModelOptions{UseLossless: true}),
 	)
 	if err != nil {
 		log.Fatal(err)

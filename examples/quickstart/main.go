@@ -28,7 +28,6 @@ func main() {
 		rqm.WithMode(rqm.ABS),
 		rqm.WithErrorBound(eb),
 		rqm.WithLossless(rqm.LosslessFlate),
-		rqm.WithModelOptions(rqm.ModelOptions{UseLossless: true}),
 	)
 	if err != nil {
 		log.Fatal(err)

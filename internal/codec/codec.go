@@ -98,9 +98,11 @@ type Codec interface {
 	// Decompress reconstructs a field from a native payload.
 	Decompress(payload []byte) (*grid.Field, error)
 	// Profile builds a ratio-quality profile for f: the one-time sampling
-	// product all model estimates and inverse solves derive from. copts
-	// supplies codec configuration (e.g. the predictor to profile), mopts
-	// tunes the model itself (sampling rate, seed, ...).
+	// product all model estimates and inverse solves derive from. The
+	// modeled pipeline — predictor, quantizer radius, entropy stage, whether
+	// a lossless stage runs — is what Compress would run under copts, so an
+	// implementation fixes mopts' Radius, Entropy and UseLossless itself;
+	// from mopts it takes the sampling rate, the seed and DisableCorrection.
 	Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error)
 }
 

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -137,6 +138,69 @@ func TestProfileThroughInterface(t *testing.T) {
 		est := p.EstimateAt(eb)
 		if est.Ratio <= 1 || est.PSNR <= 0 {
 			t.Fatalf("%s estimate: ratio=%v psnr=%v", c.Name(), est.Ratio, est.PSNR)
+		}
+	}
+}
+
+// TestProfileDerivedAndPersistent: for every registered codec the profile's
+// pipeline facts are what copts and the codec's identity imply — contrary
+// mopts notwithstanding — and the profile's record, through JSON, rebuilds a
+// profile that answers bit-identically.
+func TestProfileDerivedAndPersistent(t *testing.T) {
+	sparse, err := datagen.GenerateField("rtm/snapshot_1", 42, datagen.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range All() {
+		for _, lossless := range []compressor.LosslessKind{compressor.LosslessNone, compressor.LosslessRLE} {
+			for _, f := range []*grid.Field{testField(t), sparse} {
+				on := lossless != compressor.LosslessNone
+				// mopts contradicts the pipeline on all three facts.
+				p, err := c.Profile(f, Options{Lossless: lossless, Radius: 4096}, core.Options{
+					SampleRate: 0.05, Seed: 7, Radius: 99, Entropy: core.EntropyModelANS, UseLossless: !on})
+				if err != nil {
+					t.Fatalf("%s: %v", c.Name(), err)
+				}
+				want := core.Options{SampleRate: 0.05, Seed: 7, Radius: 4096, UseLossless: on}
+				switch c.ID() {
+				case IDPredictionTANS:
+					want.Entropy = core.EntropyModelANS
+				case IDTransform:
+					want.Radius, want.UseLossless = 32768, false
+				}
+				if got := p.Options(); got != want {
+					t.Fatalf("%s lossless=%s: profile options %+v, want %+v", c.Name(), lossless, got, want)
+				}
+
+				raw, err := json.Marshal(p.Record())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if strings.Contains(string(raw), "Kind(") {
+					t.Fatalf("%s: unnamed kind on the wire: %.120s", c.Name(), raw)
+				}
+				var rec core.ProfileRecord
+				if err := json.Unmarshal(raw, &rec); err != nil {
+					t.Fatal(err)
+				}
+				back, err := core.ProfileFromRecord(&rec)
+				if err != nil {
+					t.Fatalf("%s: %v", c.Name(), err)
+				}
+				for _, rel := range []float64{1e-5, 1e-3, 1e-1} {
+					if a, b := p.EstimateAt(rel*p.Range), back.EstimateAt(rel*p.Range); a != b {
+						t.Fatalf("%s lossless=%s %s rel=%g: estimate %+v reloaded as %+v",
+							c.Name(), lossless, f.Name, rel, a, b)
+					}
+				}
+				for _, ratio := range []float64{5, 100} {
+					a, _ := p.ErrorBoundForRatio(ratio)
+					if b, _ := back.ErrorBoundForRatio(ratio); a != b || a == 0 {
+						t.Fatalf("%s lossless=%s %s: bound %v for %gx reloaded as %v",
+							c.Name(), lossless, f.Name, a, ratio, b)
+					}
+				}
+			}
 		}
 	}
 }

@@ -63,12 +63,12 @@ func (predictionCodec) Decompress(payload []byte) (*grid.Field, error) {
 	return compressor.Decompress(payload)
 }
 
+// Profile models the pipeline Compress would run under copts: its quantizer
+// radius, this codec's entropy stage, and a lossless stage exactly when copts
+// selects one. mopts has no say in those three.
 func (c predictionCodec) Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error) {
-	if mopts.Radius == 0 {
-		mopts.Radius = copts.Radius // keep the model on the compression radius
-	}
-	if c.modelEntropy != core.EntropyModelHuffman {
-		mopts.Entropy = c.modelEntropy
-	}
+	mopts.Radius = copts.Radius
+	mopts.Entropy = c.modelEntropy
+	mopts.UseLossless = copts.Lossless != compressor.LosslessNone
 	return core.NewProfile(f, copts.Predictor, mopts)
 }

@@ -306,15 +306,15 @@ func TestEstimateSpectrumRatio(t *testing.T) {
 
 func TestRLEGainProperties(t *testing.T) {
 	// No zeros: no gain.
-	if g := rleGain(0, 4, 16); g != 1 {
+	if g := rleGain(0, 4, 1); g != 1 {
 		t.Fatalf("gain with p0=0: %v", g)
 	}
 	// Overwhelming zeros at 1 bit/value: big gain.
-	if g := rleGain(0.999, 1.0, 16); g < 10 {
+	if g := rleGain(0.999, 1.0, 1); g < 10 {
 		t.Fatalf("gain with p0=0.999: %v", g)
 	}
 	// Gain must never fall below 1 (model skips a harmful stage).
-	if g := rleGain(0.3, 6, 16); g < 1 {
+	if g := rleGain(0.3, 6, 1); g < 1 {
 		t.Fatalf("gain clamped: %v", g)
 	}
 }

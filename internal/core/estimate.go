@@ -119,8 +119,8 @@ func (p *Profile) histogramAt(eb float64) (h *stats.CodeHistogram, unpredShare f
 		return h, float64(unpred) / float64(total)
 	}
 	p0, _ := h.TopP()
-	c2 := p.opts.c2For(p.Kind)
-	if !p.opts.DisableCorrection && c2 > 0 && p0 >= p.opts.CorrectionThreshold {
+	c2 := c2For(p.Kind)
+	if !p.opts.DisableCorrection && c2 > 0 && p0 >= correctionThreshold {
 		h = applyCorrection(h, c2, p0)
 	}
 	return h, float64(unpred) / float64(total)
@@ -216,22 +216,22 @@ func (p *Profile) entropyBitRate(h *stats.CodeHistogram) float64 {
 }
 
 // rleGain evaluates Eq. 4: Rrle = 1/(C1(1−p0)·P0 + (1−P0)), where P0 is the
-// footprint share of the zero code inside the Huffman payload and p0 the
-// share of zero codes by count. Gains below 1 are clamped (the stage is
-// skipped by the model when it would expand).
-func rleGain(p0, bitRate, c1 float64) float64 {
+// footprint share of the zero code inside the entropy-coded payload and p0
+// the share of zero codes by count. zeroBitsFloor is the least the entropy
+// stage spends on one zero code: 1 bit under Huffman — the redundancy a
+// sparse field leaves for the lossless stage to remove — and 0 under tANS,
+// whose fractional-bit zeros leave it next to nothing. Gains below 1 are
+// clamped (the stage is skipped by the model when it would expand).
+func rleGain(p0, bitRate, zeroBitsFloor float64) float64 {
 	if p0 <= 0 || bitRate <= 0 {
 		return 1
 	}
-	l0 := -math.Log2(p0)
-	if l0 < 1 {
-		l0 = 1
-	}
+	l0 := math.Max(-math.Log2(p0), zeroBitsFloor)
 	footprint := p0 * l0 / bitRate
 	if footprint > 1 {
 		footprint = 1
 	}
-	den := c1*(1-p0)*footprint + (1 - footprint)
+	den := rleC1Bits*(1-p0)*footprint + (1 - footprint)
 	if den <= 0 {
 		return 1
 	}
@@ -268,7 +268,11 @@ func (p *Profile) EstimateAt(absEB float64) Estimate {
 	if zcap := pz + 0.98*(1-pz); zeroForRLE > zcap {
 		zeroForRLE = zcap
 	}
-	est.RLEGain = rleGain(zeroForRLE, est.HuffmanBitRate, p.opts.RLEC1Bits)
+	zeroBitsFloor := 1.0
+	if p.opts.Entropy == EntropyModelANS {
+		zeroBitsFloor = 0
+	}
+	est.RLEGain = rleGain(zeroForRLE, est.HuffmanBitRate, zeroBitsFloor)
 	est.PayloadBitRate = est.HuffmanBitRate
 	if p.opts.UseLossless {
 		est.PayloadBitRate = est.HuffmanBitRate / est.RLEGain
@@ -278,7 +282,7 @@ func (p *Profile) EstimateAt(absEB float64) Estimate {
 	// header, unpredictable raw values, predictor side channel.
 	n := float64(p.N)
 	codebookBits := float64(est.DistinctCodes) * 16
-	headerBits := float64(p.opts.HeaderBytes) * 8
+	const headerBits = headerBytes * 8
 	est.OverheadBitRate = (codebookBits+headerBits)/n + est.UnpredShare*64 + p.AuxBitsPerValue
 	est.TotalBitRate = est.PayloadBitRate*(1-est.UnpredShare) + est.OverheadBitRate
 	if est.TotalBitRate > 0 {

@@ -43,7 +43,7 @@ func (p *Profile) ErrorBoundForBitRate(target float64) (float64, error) {
 	baseB := p.EstimateAt(base).HuffmanBitRate
 	e := math.Exp2(baseB-target) * base
 	if est := p.EstimateAt(e); math.Abs(est.HuffmanBitRate-target) <= tol &&
-		est.ZeroShare <= p.opts.AnchorP0[0] {
+		est.ZeroShare <= anchorP0[0] {
 		return e, nil
 	}
 	// Low-rate regime: anchor interpolation between (B, log e) points
@@ -58,13 +58,13 @@ func (p *Profile) ErrorBoundForBitRate(target float64) (float64, error) {
 }
 
 // anchorInterpolate implements the paper's low-bit-rate handling: profile
-// the histogram at central-bin shares p0 ∈ AnchorP0 (by construction the
+// the histogram at central-bin shares p0 ∈ anchorP0 (by construction the
 // error bound with share q is the q-quantile of |errors|), evaluate Eq. 1 at
 // each, and interpolate log(eb) against bit-rate.
 func (p *Profile) anchorInterpolate(target float64) (float64, bool) {
 	type anchor struct{ b, loge float64 }
 	var anchors []anchor
-	for _, q := range p.opts.AnchorP0 {
+	for _, q := range anchorP0 {
 		eb := p.quantileAbs(q)
 		if eb <= 0 {
 			continue

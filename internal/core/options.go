@@ -30,8 +30,33 @@ const (
 	EntropyModelANS
 )
 
-// Options tunes the model. The zero value selects the paper's defaults via
-// normalize().
+// The method's constants. The paper fixes them (§III-B/§III-C); nothing in
+// the tree ever set them to anything else, so they are not options.
+const (
+	// c2Lorenzo and c2Interp are the Eq. 9 transfer fractions C2.
+	c2Lorenzo = 0.2
+	c2Interp  = 0.1
+	// correctionThreshold is θ2 in Eq. 9: the correction layer engages once
+	// the top code's share reaches it.
+	correctionThreshold = 0.8
+	// rleC1Bits is C1 in Eq. 4–5: the fixed cost in bits of representing one
+	// run of consecutive zero codes — a marker byte plus a one-byte varint
+	// in the byte-oriented RLE.
+	rleC1Bits = 16
+	// headerBytes is the fixed container overhead the model assumes.
+	headerBytes = 120
+)
+
+// anchorP0 are the central-bin shares used as anchor points for the
+// low-bit-rate regime of the inverse solve.
+var anchorP0 = [...]float64{0.5, 0.8, 0.95}
+
+// Options configures the model. SampleRate and Seed steer the sampling pass
+// and DisableCorrection is the ablation switch; Radius, UseLossless and
+// Entropy describe the pipeline being modeled. Codec.Profile derives those
+// three from the codec options, so only direct NewProfile callers — which
+// have no codec options to read — state them. The zero value is the paper's
+// default pipeline: 1% sampling, default radius, Huffman, no lossless stage.
 type Options struct {
 	// SampleRate is the fraction of points sampled (paper default 0.01).
 	SampleRate float64
@@ -43,24 +68,9 @@ type Options struct {
 	// DisableCorrection turns off the Eq. 9 bin-transfer correction layer
 	// (exposed for the ablation benches).
 	DisableCorrection bool
-	// C2Lorenzo and C2Interp are the Eq. 9 transfer fractions
-	// (paper: 0.2 and 0.1).
-	C2Lorenzo float64
-	C2Interp  float64
-	// CorrectionThreshold is θ2 in Eq. 9 (paper: 0.8).
-	CorrectionThreshold float64
-	// RLEC1Bits is C1 in Eq. 4–5: the fixed cost in bits of representing one
-	// run of consecutive zero codes. The default 16 matches a marker byte
-	// plus a one-byte varint in the byte-oriented RLE.
-	RLEC1Bits float64
 	// UseLossless includes the RLE-modeled lossless stage in the total
 	// bit-rate (matches pipelines that enable a lossless backend).
 	UseLossless bool
-	// HeaderBytes is the fixed container overhead assumed by the model.
-	HeaderBytes int
-	// AnchorP0 are the central-bin shares used as anchor points for the
-	// low-bit-rate regime (paper: 0.5, 0.8, 0.95).
-	AnchorP0 []float64
 	// Entropy selects the entropy-stage size model (zero value: Huffman,
 	// the paper's Eq. 1). Codecs that code with tANS profile with
 	// EntropyModelANS so estimates and inverse solves track the fractional
@@ -76,35 +86,17 @@ func (o Options) normalize() Options {
 	if o.Radius == 0 {
 		o.Radius = 32768
 	}
-	if o.C2Lorenzo == 0 {
-		o.C2Lorenzo = 0.2
-	}
-	if o.C2Interp == 0 {
-		o.C2Interp = 0.1
-	}
-	if o.CorrectionThreshold == 0 {
-		o.CorrectionThreshold = 0.8
-	}
-	if o.RLEC1Bits == 0 {
-		o.RLEC1Bits = 16
-	}
-	if o.HeaderBytes == 0 {
-		o.HeaderBytes = 120
-	}
-	if len(o.AnchorP0) == 0 {
-		o.AnchorP0 = []float64{0.5, 0.8, 0.95}
-	}
 	return o
 }
 
 // c2For returns the Eq. 9 transfer fraction for a predictor kind (0 disables
 // correction for kinds the paper does not correct).
-func (o Options) c2For(kind predictor.Kind) float64 {
+func c2For(kind predictor.Kind) float64 {
 	switch kind {
 	case predictor.Lorenzo, predictor.Lorenzo2:
-		return o.C2Lorenzo
+		return c2Lorenzo
 	case predictor.Interpolation, predictor.InterpolationCubic:
-		return o.C2Interp
+		return c2Interp
 	}
 	return 0
 }

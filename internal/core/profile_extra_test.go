@@ -60,7 +60,7 @@ func TestSparseFieldKeepsHighRLEGain(t *testing.T) {
 		t.Skipf("premise: exact zeros = %v", p.ExactZeroFrac())
 	}
 	est := p.EstimateAt(0.05)
-	denseCap := 1 / (p.Options().RLEC1Bits * 0.02) // gain at the dense clamp
+	denseCap := 1 / (rleC1Bits * 0.02) // gain at the dense clamp
 	if est.RLEGain < denseCap {
 		t.Fatalf("sparse RLE gain %v below dense cap %v", est.RLEGain, denseCap)
 	}
@@ -104,14 +104,10 @@ func TestEstimateSSIMBounds(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	o := Options{}.normalize()
-	if o.SampleRate != 0.01 || o.Radius != 32768 || o.C2Lorenzo != 0.2 ||
-		o.C2Interp != 0.1 || o.CorrectionThreshold != 0.8 || o.RLEC1Bits != 16 {
+	if o.SampleRate != 0.01 || o.Radius != 32768 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if len(o.AnchorP0) != 3 || o.AnchorP0[0] != 0.5 {
-		t.Fatalf("anchors: %v", o.AnchorP0)
-	}
-	if o.c2For(predictor.Regression) != 0 {
+	if c2For(predictor.Regression) != 0 {
 		t.Fatal("regression should have no correction factor")
 	}
 }

@@ -28,10 +28,6 @@ type AdaptiveBound struct {
 	TargetRatio float64
 	// TargetPSNR aims each region at this reconstruction quality in dB (> 0).
 	TargetPSNR float64
-	// MinBound clamps the solved absolute bound from below (0 = no floor).
-	MinBound float64
-	// MaxBound clamps the solved absolute bound from above (0 = no cap).
-	MaxBound float64
 }
 
 // Validate checks the policy is well-formed.
@@ -46,12 +42,6 @@ func (a AdaptiveBound) Validate() error {
 	}
 	if hasPSNR && a.TargetPSNR <= 0 {
 		return fmt.Errorf("stream: AdaptiveBound.TargetPSNR must be positive, got %v", a.TargetPSNR)
-	}
-	if a.MinBound < 0 || a.MaxBound < 0 {
-		return errors.New("stream: AdaptiveBound clamps must be non-negative")
-	}
-	if a.MinBound > 0 && a.MaxBound > 0 && a.MinBound > a.MaxBound {
-		return fmt.Errorf("stream: AdaptiveBound.MinBound %v exceeds MaxBound %v", a.MinBound, a.MaxBound)
 	}
 	return nil
 }
@@ -86,17 +76,8 @@ func (a AdaptiveBound) BoundFor(c codec.Codec, f *grid.Field, copts codec.Option
 		lo, hi := f.ValueRange()
 		eb = (hi - lo) * 1e-6
 		if eb <= 0 {
-			eb = a.MinBound
-		}
-		if eb <= 0 {
 			eb = 1e-12
 		}
-	}
-	if a.MinBound > 0 && eb < a.MinBound {
-		eb = a.MinBound
-	}
-	if a.MaxBound > 0 && eb > a.MaxBound {
-		eb = a.MaxBound
 	}
 	return eb
 }

@@ -38,6 +38,12 @@ const (
 	Regression
 )
 
+// Transform labels ratio-quality profiles sampled from block-transform
+// coefficients rather than prediction errors (internal/transform). It is not
+// a prediction scheme — New, Kinds and ParseKind do not know it — but a
+// profile's kind needs one printable name whichever codec built it.
+const Transform Kind = 100
+
 // String returns the scheme name.
 func (k Kind) String() string {
 	switch k {
@@ -51,6 +57,8 @@ func (k Kind) String() string {
 		return "interpolation-cubic"
 	case Regression:
 		return "regression"
+	case Transform:
+		return "transform"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }

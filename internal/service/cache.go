@@ -20,10 +20,6 @@ type cachedProfile struct {
 	// Codec and Predictor name the profiled configuration.
 	Codec     string
 	Predictor string
-	// N, Range, and OrigBits describe the profiled field.
-	N        int
-	Range    float64
-	OrigBits int
 	// Profile is the sampling product all answers derive from.
 	Profile *rqm.Profile
 	// BuildTime is the sampling-pass cost the cache saves on every hit.

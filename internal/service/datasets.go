@@ -276,7 +276,7 @@ func (s *Service) handleDatasetGet(req *request) error {
 	// sendfile-speed copy, protected end-to-end by the manifest's
 	// ContainerHash instead.
 	if !raw || q.Get("verify") == "1" {
-		if err := st.VerifyDataset(name, false); err != nil {
+		if err := st.VerifyLoaded(name, m, false); err != nil {
 			return err
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/core"
 	"rqm/internal/grid"
 	"rqm/internal/store"
 )
@@ -323,6 +324,39 @@ func TestRecompactRewritesToTargetRatio(t *testing.T) {
 	}
 	if st.Writes() != writesBefore {
 		t.Fatal("a rejected recompact rewrote the container")
+	}
+}
+
+// TestDatasetProfileSurvivesManifest: whatever codec and lossless stage a put
+// runs, it is stored, the profile its manifest carries models that pipeline —
+// entropy stage and lossless stage included — and a recompaction solves on it.
+func TestDatasetProfileSurvivesManifest(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	_, body := testField(t)
+	for _, codecName := range rqm.CodecNames() {
+		for _, lossless := range []string{"none", "rle"} {
+			name := codecName + "-" + lossless
+			info := putDataset(t, ts, name, "mode=rel&eb=1e-4&codec="+codecName+"&lossless="+lossless, body)
+			m, err := st.Manifest(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := m.RQProfile()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want := rqm.ModelOptions{SampleRate: 0.01, Radius: 32768,
+				UseLossless: lossless == "rle" && codecName != rqm.CodecTransformName}
+			if codecName == rqm.CodecPredictionTANSName {
+				want.Entropy = core.EntropyModelANS
+			}
+			if got := p.Options(); got != want {
+				t.Fatalf("%s: reloaded profile models %+v, the put ran %+v", name, got, want)
+			}
+			if _, status := postRecompact(t, ts, name, fmt.Sprintf("target-ratio=%g", 2*info.Ratio)); status != http.StatusOK {
+				t.Fatalf("%s: recompact status %d", name, status)
+			}
+		}
 	}
 }
 

@@ -927,9 +927,6 @@ func (s *Service) handleProfile(req *request) error {
 		ID:        id,
 		Codec:     eng.Codec().Name(),
 		Predictor: eng.Options().Predictor.String(),
-		N:         p.N,
-		Range:     p.Range,
-		OrigBits:  p.OrigBits,
 		Profile:   p,
 		BuildTime: time.Since(start),
 		CreatedAt: time.Now(),
@@ -981,8 +978,8 @@ func profileResponse(cp *cachedProfile, cached bool) *ProfileResponse {
 		Cached:    cached,
 		Codec:     cp.Codec,
 		Predictor: cp.Predictor,
-		N:         cp.N,
-		Range:     cp.Range,
+		N:         cp.Profile.N,
+		Range:     cp.Profile.Range,
 		BuildMs:   float64(cp.BuildTime.Microseconds()) / 1e3,
 		Curve:     profileCurve(cp.Profile),
 	}
@@ -1035,11 +1032,11 @@ func (s *Service) handleEstimate(req *request) error {
 	}
 	abs := eb
 	if mode := req.q.Get("mode"); mode == "" || strings.EqualFold(mode, "rel") {
-		if cp.Range <= 0 {
+		if cp.Profile.Range <= 0 {
 			return errf(http.StatusBadRequest, "bad_param",
 				"profile %s has zero value range (constant field); use mode=abs", cp.ID)
 		}
-		abs = eb * cp.Range // REL is the default, matching the engine default
+		abs = eb * cp.Profile.Range // REL is the default, matching the engine default
 	} else if !strings.EqualFold(mode, "abs") {
 		return errf(http.StatusBadRequest, "bad_param", "mode: want abs or rel, got %q", mode)
 	}
@@ -1048,7 +1045,7 @@ func (s *Service) handleEstimate(req *request) error {
 	return writeJSON(req.w, http.StatusOK, &EstimateResponse{
 		Profile: cp.ID,
 		AbsEB:   abs,
-		RelEB:   relOf(abs, cp.Range),
+		RelEB:   relOf(abs, cp.Profile.Range),
 		Ratio:   Float(est.Ratio),
 		BitRate: est.TotalBitRate,
 		PSNR:    Float(est.PSNR),
@@ -1098,7 +1095,7 @@ func (s *Service) handleSolve(req *request) error {
 		Target:   strings.TrimPrefix(target, "target-"),
 		TargetAt: val,
 		AbsEB:    abs,
-		RelEB:    relOf(abs, cp.Range),
+		RelEB:    relOf(abs, cp.Profile.Range),
 		Ratio:    Float(est.Ratio),
 		BitRate:  est.TotalBitRate,
 		PSNR:     Float(est.PSNR),

@@ -1,12 +1,9 @@
 package store
 
 import (
-	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"rqm/internal/codec"
@@ -48,35 +45,9 @@ type ChunkRecord struct {
 	AbsBound float64 `json:"abs_bound"`
 }
 
-// ProfileRecord is the dataset's cached ratio-quality profile: the sampled
-// prediction errors plus the metadata core.NewProfileFromSamples needs to
-// rebuild a live Profile. Persisting it is the point of the store — every
-// admission, retrieval, and recompaction decision is answered from this
-// record in O(sample), with no re-sampling and no decompression.
-type ProfileRecord struct {
-	// Predictor names the profiled prediction scheme.
-	Predictor string `json:"predictor"`
-	// Dims is the profiled field shape.
-	Dims []int `json:"dims"`
-	// N is the profiled field's sample count.
-	N int `json:"n"`
-	// OrigBits is the original storage width per value (32 or 64).
-	OrigBits int `json:"orig_bits"`
-	// Range is the field's value range (max − min).
-	Range float64 `json:"range"`
-	// DataVar is the field's population variance (for the SSIM model).
-	DataVar float64 `json:"data_var"`
-	// AuxBitsPerValue is the predictor side-channel overhead in bits/value.
-	AuxBitsPerValue float64 `json:"aux_bits_per_value,omitempty"`
-	// SampleRate and Seed reproduce the sampling pass configuration.
-	SampleRate float64 `json:"sample_rate"`
-	Seed       uint64  `json:"seed,omitempty"`
-	// Radius is the quantizer radius the model assumes.
-	Radius int32 `json:"radius,omitempty"`
-	// Errors is the sampled prediction-error vector, base64-encoded
-	// little-endian float64s (compact and exact, unlike a JSON number array).
-	Errors string `json:"errors_b64"`
-}
+// ProfileRecord is the dataset's cached ratio-quality profile. Its fields —
+// which ones define a profile, and how they read back — belong to core.
+type ProfileRecord = core.ProfileRecord
 
 // ResidualRecord describes a dataset's optional lossless residual layer:
 // the entropy-coded XOR of the original against the lossy reconstruction,
@@ -279,62 +250,15 @@ func ParseManifest(data []byte) (*Manifest, error) {
 		}
 	}
 	if m.Profile != nil {
-		if _, err := m.Profile.decodeErrors(); err != nil {
-			return nil, err
-		}
-		if _, err := predictor.ParseKind(m.Profile.Predictor); err != nil {
-			return nil, corruptf("profile predictor: %v", err)
-		}
-		if m.Profile.N <= 0 {
-			return nil, corruptf("profile n %d", m.Profile.N)
-		}
-		if math.IsNaN(m.Profile.Range) || m.Profile.Range < 0 {
-			return nil, corruptf("profile range %v", m.Profile.Range)
+		if err := m.Profile.Validate(); err != nil {
+			return nil, corruptf("%v", err)
 		}
 	}
 	return &m, nil
 }
 
-// decodeErrors unpacks the base64 little-endian float64 error vector.
-func (pr *ProfileRecord) decodeErrors() ([]float64, error) {
-	raw, err := base64.StdEncoding.DecodeString(pr.Errors)
-	if err != nil {
-		return nil, corruptf("profile errors: %v", err)
-	}
-	if len(raw) == 0 || len(raw)%8 != 0 {
-		return nil, corruptf("profile errors: %d bytes is not a float64 vector", len(raw))
-	}
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-		if math.IsNaN(out[i]) {
-			return nil, corruptf("profile errors: NaN sample %d", i)
-		}
-	}
-	return out, nil
-}
-
 // NewProfileRecord serializes a live profile for the manifest.
-func NewProfileRecord(p *core.Profile) *ProfileRecord {
-	raw := make([]byte, 8*len(p.Errors))
-	for i, e := range p.Errors {
-		binary.LittleEndian.PutUint64(raw[8*i:], math.Float64bits(e))
-	}
-	o := p.Options()
-	return &ProfileRecord{
-		Predictor:       p.Kind.String(),
-		Dims:            append([]int(nil), p.Dims...),
-		N:               p.N,
-		OrigBits:        p.OrigBits,
-		Range:           p.Range,
-		DataVar:         p.DataVar,
-		AuxBitsPerValue: p.AuxBitsPerValue,
-		SampleRate:      o.SampleRate,
-		Seed:            o.Seed,
-		Radius:          o.Radius,
-		Errors:          base64.StdEncoding.EncodeToString(raw),
-	}
-}
+func NewProfileRecord(p *core.Profile) *ProfileRecord { return p.Record() }
 
 // RQProfile rebuilds the live ratio-quality profile from the cached record —
 // the store's O(sample) answer machine, reconstructed without touching the
@@ -343,25 +267,10 @@ func (m *Manifest) RQProfile() (*core.Profile, error) {
 	if m.Profile == nil {
 		return nil, corruptf("dataset %q has no cached profile", m.Name)
 	}
-	kind, err := predictor.ParseKind(m.Profile.Predictor)
+	p, err := core.ProfileFromRecord(m.Profile)
 	if err != nil {
-		return nil, corruptf("profile predictor: %v", err)
+		return nil, corruptf("%v", err)
 	}
-	errs, err := m.Profile.decodeErrors()
-	if err != nil {
-		return nil, err
-	}
-	p, err := core.NewProfileFromSamples(kind, errs, m.Profile.Dims,
-		m.Profile.N, m.Profile.OrigBits, m.Profile.Range, m.Profile.DataVar,
-		core.Options{
-			SampleRate: m.Profile.SampleRate,
-			Seed:       m.Profile.Seed,
-			Radius:     m.Profile.Radius,
-		})
-	if err != nil {
-		return nil, corruptf("profile: %v", err)
-	}
-	p.AuxBitsPerValue = m.Profile.AuxBitsPerValue
 	return p, nil
 }
 

@@ -51,7 +51,8 @@ func validManifestJSON(t testing.TB) []byte {
 
 // TestParseManifestPipelineNames pins the closed enums a recompaction
 // rebuilds its engine from: an unknown predictor, lossless backend or mode is
-// manifest corruption, while the omitempty fields may be absent.
+// manifest corruption, while the omitempty fields may be absent. The profile
+// record is held to the same standard.
 func TestParseManifestPipelineNames(t *testing.T) {
 	valid := string(validManifestJSON(t))
 	for _, tc := range []struct {
@@ -64,6 +65,17 @@ func TestParseManifestPipelineNames(t *testing.T) {
 		{`"mode":"abs"`, `"mode":""`, false},
 		{`"predictor":"lorenzo",`, ``, true},
 		{`"mode":"abs"`, `"mode":"rel","lossless":"flate"`, true},
+		// The profile record (core.ProfileRecord): its labels, its scalars,
+		// and a sample vector that is not base64, not whole float64s, or NaN.
+		{`"predictor":"lorenzo","dims"`, `"predictor":"Kind(100)","dims"`, false},
+		{`"predictor":"lorenzo","dims"`, `"predictor":"transform","dims"`, true},
+		{`"errors_b64"`, `"entropy":"bogus","errors_b64"`, false},
+		{`"errors_b64"`, `"entropy":"ans","use_lossless":true,"errors_b64"`, true},
+		{`"n":512`, `"n":0`, false},
+		{`"range":`, `"range":-`, false},
+		{`"errors_b64":"`, `"errors_b64":"!`, false},
+		{`"errors_b64":"`, `"errors_b64":"AAAA`, false},
+		{`"errors_b64":"`, `"errors_b64":"AAAAAAAA+H8AAAAAAAD4fwAAAAAAAPh/`, false},
 	} {
 		_, err := store.ParseManifest([]byte(strings.Replace(valid, tc.old, tc.new, 1)))
 		if tc.ok && err != nil {

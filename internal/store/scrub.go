@@ -135,6 +135,14 @@ func (s *Store) VerifyDataset(name string, deep bool) error {
 	return err
 }
 
+// VerifyLoaded is VerifyDataset for a caller that already holds the
+// dataset's parsed manifest (from Manifest): the same container and residual
+// checks against m, without reading and parsing the manifest file again.
+func (s *Store) VerifyLoaded(name string, m *Manifest, deep bool) error {
+	_, err := s.verifyLoaded(name, m, deep)
+	return err
+}
+
 // scrubDataset verifies one dataset and folds the outcome into the report,
 // quarantining on proven corruption.
 func (s *Store) scrubDataset(name string, deep bool, rep *ScrubReport) {
@@ -193,14 +201,21 @@ func (s *Store) verifyDataset(name string, deep bool) (raw []byte, chunks int64,
 	if err != nil {
 		return raw, 0, err // typed ErrManifestCorrupt / ErrManifestVersion
 	}
+	chunks, err = s.verifyLoaded(name, m, deep)
+	return raw, chunks, err
+}
+
+// verifyLoaded checks dataset name's files against its parsed manifest and
+// returns the number of chunks that passed CRC before any failure.
+func (s *Store) verifyLoaded(name string, m *Manifest, deep bool) (int64, error) {
 	if m.Name != name {
-		return raw, 0, fmt.Errorf("%w: %q: manifest names %q", ErrCorruptDataset, name, m.Name)
+		return 0, fmt.Errorf("%w: %q: manifest names %q", ErrCorruptDataset, name, m.Name)
 	}
-	chunks, err = s.verifyContainer(name, m, deep)
+	chunks, err := s.verifyContainer(name, m, deep)
 	if err != nil {
-		return raw, chunks, err
+		return chunks, err
 	}
-	return raw, chunks, s.verifyResidual(name, m, deep)
+	return chunks, s.verifyResidual(name, m, deep)
 }
 
 // verifyResidual runs the residual-side checks for one dataset: presence

@@ -309,6 +309,9 @@ func TestVerifyDatasetAndReadsAreTypedUnderInjectedCorruption(t *testing.T) {
 	if err := s.VerifyDataset("inj", false); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("verify under flip: %v", err)
 	}
+	if err := s.VerifyLoaded("inj", m, false); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("verify against the held manifest under flip: %v", err)
+	}
 	if _, err := s.ReadRange("inj", 0, 2048); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("read under flip: %v", err)
 	}
@@ -334,6 +337,14 @@ func TestVerifyDatasetAndReadsAreTypedUnderInjectedCorruption(t *testing.T) {
 	ffs.Reset()
 	if err := s.VerifyDataset("inj", true); err != nil {
 		t.Fatalf("verify after reset: %v", err)
+	}
+	if err := s.VerifyLoaded("inj", m, true); err != nil {
+		t.Fatalf("verify against the held manifest after reset: %v", err)
+	}
+	// A manifest is only evidence about the dataset it names.
+	other := putField(t, s, "other", testField(t, 2048), 512, 1e-4)
+	if err := s.VerifyLoaded("inj", other, false); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("verify against another dataset's manifest: %v", err)
 	}
 }
 

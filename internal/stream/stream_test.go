@@ -338,8 +338,6 @@ func TestAdaptiveBoundValidation(t *testing.T) {
 		{TargetRatio: 2, TargetPSNR: 60},
 		{TargetRatio: 0.5},
 		{TargetPSNR: -3},
-		{TargetRatio: 2, MinBound: 5, MaxBound: 1},
-		{TargetRatio: 2, MinBound: -1},
 	}
 	for i, a := range bad {
 		if _, err := NewWriter(io.Discard, WithAdaptive(a)); err == nil {

@@ -10,11 +10,10 @@ import (
 	"rqm/internal/stats"
 )
 
-// TransformKind labels transform-codec profiles in reports. It reuses the
-// predictor.Kind space above the prediction schemes; core applies no
-// correction layer to it (correct: there is no reconstruction feedback in
-// value-domain quantization).
-const TransformKind = predictor.Kind(100)
+// TransformKind labels transform-codec profiles in reports and on the wire.
+// core applies no correction layer to it (correct: there is no
+// reconstruction feedback in value-domain quantization).
+const TransformKind = predictor.Transform
 
 // NewProfile extends the ratio-quality model to the transform codec: it
 // samples whole 4^rank blocks, applies the real-valued analog of the block

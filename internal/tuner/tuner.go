@@ -45,13 +45,9 @@ func SelectPredictor(f *grid.Field, kinds []predictor.Kind, absEB float64, opts 
 	if len(kinds) == 0 {
 		return nil, errors.New("tuner: no candidate predictors")
 	}
-	c, err := codec.ByID(codec.IDPrediction)
-	if err != nil {
-		return nil, err
-	}
 	choices := make([]Choice, 0, len(kinds))
 	for _, k := range kinds {
-		p, err := c.Profile(f, codec.Options{Predictor: k}, opts)
+		p, err := core.NewProfile(f, k, opts)
 		if err != nil {
 			return nil, fmt.Errorf("tuner: profiling %s: %w", k, err)
 		}
