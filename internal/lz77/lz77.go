@@ -13,6 +13,7 @@ package lz77
 import (
 	"encoding/binary"
 	"errors"
+	"sync"
 )
 
 const (
@@ -32,16 +33,35 @@ func hash4(b []byte) uint32 {
 	return (v * 2654435761) >> (32 - hashBits)
 }
 
+// matcher is the encoder's hash-chain state: head maps a 4-byte hash to the
+// latest position holding it, prev links each position to the one before it
+// in the same chain. Pooled, so a caller coding many small inputs does not
+// pay 128 KiB of head plus 4 bytes per input byte each time.
+type matcher struct {
+	head [1 << hashBits]int32
+	prev []int32
+}
+
+var matcherPool = sync.Pool{New: func() interface{} { return new(matcher) }}
+
 // Encode compresses src. The output is self-delimiting given the original
 // length (see Decode).
 func Encode(src []byte) []byte {
+	return AppendEncode(make([]byte, 0, len(src)/2+16), src)
+}
+
+// AppendEncode is Encode appending to dst.
+func AppendEncode(dst, src []byte) []byte {
 	n := len(src)
-	out := make([]byte, 0, n/2+16)
 	if n == 0 {
-		return out
+		return dst
 	}
-	head := make([]int32, 1<<hashBits)
-	prev := make([]int32, n)
+	m := matcherPool.Get().(*matcher)
+	defer matcherPool.Put(m)
+	if cap(m.prev) < n {
+		m.prev = make([]int32, n)
+	}
+	head, prev := &m.head, m.prev[:n]
 	for i := range head {
 		head[i] = -1
 	}
@@ -52,8 +72,8 @@ func Encode(src []byte) []byte {
 			if run > maxLiteralRun {
 				run = maxLiteralRun
 			}
-			out = append(out, byte(run-1))
-			out = append(out, src[litStart:litStart+run]...)
+			dst = append(dst, byte(run-1))
+			dst = append(dst, src[litStart:litStart+run]...)
 			litStart += run
 		}
 	}
@@ -99,10 +119,10 @@ func Encode(src []byte) []byte {
 		}
 		if bestLen >= MinMatch {
 			flushLiterals(i)
-			out = append(out, 0x80|byte(bestLen-MinMatch))
+			dst = append(dst, 0x80|byte(bestLen-MinMatch))
 			var d [2]byte
 			binary.LittleEndian.PutUint16(d[:], uint16(bestDist))
-			out = append(out, d[0], d[1])
+			dst = append(dst, d[0], d[1])
 			end := i + bestLen
 			for ; i < end; i++ {
 				insert(i)
@@ -114,12 +134,21 @@ func Encode(src []byte) []byte {
 		i++
 	}
 	flushLiterals(n)
-	return out
+	return dst
 }
 
 // Decode decompresses to exactly dstLen bytes.
 func Decode(src []byte, dstLen int) ([]byte, error) {
-	out := make([]byte, 0, dstLen)
+	out := make([]byte, dstLen)
+	if err := DecodeInto(out, src); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeInto decompresses src into dst, which it must fill exactly.
+func DecodeInto(dst, src []byte) error {
+	n := 0
 	i := 0
 	for i < len(src) {
 		tok := src[i]
@@ -127,28 +156,36 @@ func Decode(src []byte, dstLen int) ([]byte, error) {
 		if tok&0x80 == 0 {
 			run := int(tok) + 1
 			if i+run > len(src) {
-				return nil, errors.New("lz77: truncated literal run")
+				return errors.New("lz77: truncated literal run")
 			}
-			out = append(out, src[i:i+run]...)
+			if run > len(dst)-n {
+				return errLength
+			}
+			n += copy(dst[n:], src[i:i+run])
 			i += run
 			continue
 		}
 		l := int(tok&0x7F) + MinMatch
 		if i+2 > len(src) {
-			return nil, errors.New("lz77: truncated match")
+			return errors.New("lz77: truncated match")
 		}
 		dist := int(binary.LittleEndian.Uint16(src[i:]))
 		i += 2
-		if dist == 0 || dist > len(out) {
-			return nil, errors.New("lz77: invalid match distance")
+		if dist == 0 || dist > n {
+			return errors.New("lz77: invalid match distance")
 		}
-		start := len(out) - dist
-		for j := 0; j < l; j++ {
-			out = append(out, out[start+j])
+		if l > len(dst)-n {
+			return errLength
+		}
+		// Byte by byte: a match may overlap the bytes it is producing.
+		for end := n + l; n < end; n++ {
+			dst[n] = dst[n-dist]
 		}
 	}
-	if len(out) != dstLen {
-		return nil, errors.New("lz77: output length mismatch")
+	if n != len(dst) {
+		return errLength
 	}
-	return out, nil
+	return nil
 }
+
+var errLength = errors.New("lz77: output length mismatch")

@@ -115,3 +115,44 @@ func BenchmarkEncode1MB(b *testing.B) {
 		Encode(src)
 	}
 }
+
+// TestAppendEncodeDecodeInto pins the dst-style pair the residual layer
+// codes planes with: AppendEncode leaves dst's prefix alone and appends
+// exactly Encode's bytes — whatever an earlier, longer input left in the
+// pooled matcher — and DecodeInto fills its buffer exactly or fails, never
+// writing past it.
+func TestAppendEncodeDecodeInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	long := make([]byte, 70000)
+	for i := range long {
+		long[i] = byte(rng.Intn(7))
+	}
+	Encode(long) // leaves stale chain links in the pooled matcher
+	for _, n := range []int{0, 1, 300, 5000, 70000} {
+		src := long[len(long)-n:]
+		want := Encode(src)
+		got := AppendEncode([]byte("prefix"), src)
+		if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[6:], want) {
+			t.Fatalf("n=%d: AppendEncode differs from Encode", n)
+		}
+		out := make([]byte, n+8)
+		for i := range out {
+			out[i] = 0xee
+		}
+		if err := DecodeInto(out[:n], want); err != nil || !bytes.Equal(out[:n], src) {
+			t.Fatalf("n=%d: DecodeInto: %v", n, err)
+		}
+		if !bytes.Equal(out[n:], bytes.Repeat([]byte{0xee}, 8)) {
+			t.Fatalf("n=%d: DecodeInto wrote past its buffer", n)
+		}
+		if n == 0 {
+			continue
+		}
+		if err := DecodeInto(out[:n-1], want); err == nil {
+			t.Fatalf("n=%d: stream longer than the buffer decoded", n)
+		}
+		if err := DecodeInto(out[:n+1], want); err == nil {
+			t.Fatalf("n=%d: stream shorter than the buffer decoded", n)
+		}
+	}
+}

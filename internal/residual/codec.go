@@ -10,19 +10,21 @@ import (
 	"rqm/internal/lz77"
 )
 
-// Codec is one entropy backend for residual block payloads. Compress is free
-// to expand (the container falls back to storing the block raw); Decompress
-// must reproduce exactly rawLen bytes or fail typed. Backends are stateless
-// and safe for concurrent use.
+// Codec is one entropy backend for the byte planes of a residual block.
+// Compress is free to expand (the container falls back to storing the plane
+// raw); Decompress must reproduce exactly len(plane) bytes or fail typed.
+// Both work on the caller's buffers and the block's pooled scratch, so a
+// warm encode or decode allocates nothing per plane. Backends are stateless
+// and safe for concurrent use, each call with its own scratch.
 type Codec interface {
 	// Name is the backend's registry name (recorded in manifests).
 	Name() string
 	// ID is the backend's wire ID (recorded in the container header).
 	ID() uint8
-	// Compress encodes raw into a self-contained payload.
-	Compress(raw []byte) ([]byte, error)
-	// Decompress reverses Compress given the original length.
-	Decompress(enc []byte, rawLen int) ([]byte, error)
+	// Compress appends plane's self-contained coded form to dst.
+	Compress(dst, plane []byte, s *scratch) ([]byte, error)
+	// Decompress decodes enc into plane, filling it exactly.
+	Decompress(plane, enc []byte, s *scratch) error
 }
 
 // Wire IDs. Frozen: containers carry them, so renumbering is a format break.
@@ -72,65 +74,96 @@ func ByID(id uint8) (Codec, error) {
 // Known reports whether name is a registered backend.
 func Known(name string) bool { _, ok := byName[name]; return ok }
 
-// symbolsOf widens bytes to the uint32 symbol alphabet the entropy stages
-// share with the quantization pipeline.
-func symbolsOf(raw []byte) []uint32 {
-	syms := make([]uint32, len(raw))
-	for i, b := range raw {
-		syms[i] = uint32(b)
+// histogram counts plane's byte values into h. Four interleaved tables keep
+// a run of equal bytes — the common case on a well-predicted plane — from
+// serializing on one counter's store-to-load latency.
+func histogram(h *[256]uint32, plane []byte) {
+	var part [4][256]uint32
+	i := 0
+	for ; i+4 <= len(plane); i += 4 {
+		part[0][plane[i]]++
+		part[1][plane[i+1]]++
+		part[2][plane[i+2]]++
+		part[3][plane[i+3]]++
 	}
-	return syms
+	for ; i < len(plane); i++ {
+		part[0][plane[i]]++
+	}
+	for b := range h {
+		h[b] = part[0][b] + part[1][b] + part[2][b] + part[3][b]
+	}
+}
+
+// errWideSymbol rejects a coding table that names a symbol no byte plane can
+// hold, before its stream is touched.
+func errWideSymbol(backend string, sym uint32) error {
+	return fmt.Errorf("%w: %s table names symbol %d outside byte range", ErrCorrupt, backend, sym)
 }
 
 // huffCodec frames a canonical Huffman stream as
-// [codebook][u64 LE bit count][bitstream].
+// [codebook][u64 LE bit count][bitstream]. The huffman package codes uint32
+// symbols from a map histogram; the plane is widened into the scratch for
+// it rather than into a fresh slice.
 type huffCodec struct{}
 
 func (huffCodec) Name() string { return "huffman" }
 func (huffCodec) ID() uint8    { return idHuffman }
 
-func (huffCodec) Compress(raw []byte) ([]byte, error) {
-	syms := symbolsOf(raw)
-	cb, err := huffman.Build(huffman.FreqsOf(syms))
+func (huffCodec) Compress(dst, plane []byte, s *scratch) ([]byte, error) {
+	var hist [256]uint32
+	histogram(&hist, plane)
+	if s.freqs == nil {
+		s.freqs = make(map[uint32]int64, 256)
+	}
+	clear(s.freqs)
+	for b, n := range hist {
+		if n > 0 {
+			s.freqs[uint32(b)] = int64(n)
+		}
+	}
+	cb, err := huffman.Build(s.freqs)
 	if err != nil {
 		return nil, err
 	}
-	w := bitio.NewWriter(len(raw) / 2)
-	if err := cb.Encode(w, syms); err != nil {
+	var lut [256]uint64
+	cb.FillLUT(lut[:])
+	syms := grow(&s.syms, len(plane))
+	for i, b := range plane {
+		syms[i] = uint32(b)
+	}
+	s.bits.Reset()
+	if err := cb.EncodeLUT(&s.bits, syms, lut[:]); err != nil {
 		return nil, err
 	}
-	table := cb.Serialize()
-	out := make([]byte, 0, len(table)+8+len(w.Bytes()))
-	out = append(out, table...)
-	out = binary.LittleEndian.AppendUint64(out, w.Bits())
-	return append(out, w.Bytes()...), nil
+	dst = append(dst, cb.Serialize()...)
+	dst = binary.LittleEndian.AppendUint64(dst, s.bits.Bits())
+	return append(dst, s.bits.Bytes()...), nil
 }
 
-func (huffCodec) Decompress(enc []byte, rawLen int) ([]byte, error) {
+func (huffCodec) Decompress(plane, enc []byte, s *scratch) error {
 	cb, consumed, err := huffman.Parse(enc)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if cb.MaxSymbol() > 0xff {
+		return errWideSymbol("huffman", cb.MaxSymbol())
 	}
 	if len(enc) < consumed+8 {
-		return nil, fmt.Errorf("%w: huffman payload shorter than its bit count", ErrTruncated)
+		return fmt.Errorf("%w: huffman payload shorter than its bit count", ErrTruncated)
 	}
 	bits := binary.LittleEndian.Uint64(enc[consumed:])
 	stream := enc[consumed+8:]
 	if bits > uint64(len(stream))*8 {
-		return nil, fmt.Errorf("%w: %d bits declared, %d bytes present", ErrTruncated, bits, len(stream))
+		return fmt.Errorf("%w: %d bits declared, %d bytes present", ErrTruncated, bits, len(stream))
 	}
-	out := make([]uint32, rawLen)
-	if err := cb.Decode(bitio.NewReader(stream), out); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	syms := grow(&s.syms, len(plane))
+	if err := cb.Decode(bitio.NewReader(stream), syms); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	raw := make([]byte, rawLen)
-	for i, s := range out {
-		if s > 0xff {
-			return nil, fmt.Errorf("%w: symbol %d outside byte range", ErrCorrupt, s)
-		}
-		raw[i] = byte(s)
+	for i, sym := range syms {
+		plane[i] = byte(sym)
 	}
-	return raw, nil
+	return nil
 }
 
 // ansCodec frames a 2-lane tANS stream as
@@ -140,56 +173,53 @@ type ansCodec struct{}
 func (ansCodec) Name() string { return "ans" }
 func (ansCodec) ID() uint8    { return idANS }
 
-func (ansCodec) Compress(raw []byte) ([]byte, error) {
-	syms := symbolsOf(raw)
-	t, err := ans.Build(huffman.FreqsOf(syms))
+// ansTrailer is the bit count and final states between table and stream.
+const ansTrailer = 8 + 4*ans.NumStates
+
+func (ansCodec) Compress(dst, plane []byte, _ *scratch) ([]byte, error) {
+	var hist, lut [256]uint32
+	histogram(&hist, plane)
+	t, err := ans.BuildDense(hist[:])
 	if err != nil {
 		return nil, err
 	}
 	defer t.Release()
-	var lut [256]uint32
 	t.FillLUT(lut[:])
-	stream, states, bits, err := t.Encode(nil, syms, lut[:])
+	dst = t.AppendSerialized(dst)
+	at := len(dst)
+	var trailer [ansTrailer]byte // filled in once the stream is coded
+	dst, states, bits, err := t.EncodeBytes(append(dst, trailer[:]...), plane, lut[:])
 	if err != nil {
 		return nil, err
 	}
-	table := t.Serialize()
-	out := make([]byte, 0, len(table)+16+len(stream))
-	out = append(out, table...)
-	out = binary.LittleEndian.AppendUint64(out, bits)
-	for _, s := range states {
-		out = binary.LittleEndian.AppendUint32(out, s)
+	binary.LittleEndian.PutUint64(dst[at:], bits)
+	for i, st := range states {
+		binary.LittleEndian.PutUint32(dst[at+8+4*i:], st)
 	}
-	return append(out, stream...), nil
+	return dst, nil
 }
 
-func (ansCodec) Decompress(enc []byte, rawLen int) ([]byte, error) {
+func (ansCodec) Decompress(plane, enc []byte, _ *scratch) error {
 	t, consumed, err := ans.Parse(enc)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	defer t.Release()
-	need := consumed + 8 + 4*ans.NumStates
-	if len(enc) < need {
-		return nil, fmt.Errorf("%w: ans payload shorter than its state block", ErrTruncated)
+	if t.MaxSymbol() > 0xff {
+		return errWideSymbol("ans", t.MaxSymbol())
+	}
+	if len(enc) < consumed+ansTrailer {
+		return fmt.Errorf("%w: ans payload shorter than its state block", ErrTruncated)
 	}
 	bits := binary.LittleEndian.Uint64(enc[consumed:])
 	var states [ans.NumStates]uint32
 	for i := range states {
 		states[i] = binary.LittleEndian.Uint32(enc[consumed+8+4*i:])
 	}
-	out := make([]uint32, rawLen)
-	if err := t.Decode(enc[need:], states, bits, out); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	if err := t.DecodeBytes(enc[consumed+ansTrailer:], states, bits, plane); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	raw := make([]byte, rawLen)
-	for i, s := range out {
-		if s > 0xff {
-			return nil, fmt.Errorf("%w: symbol %d outside byte range", ErrCorrupt, s)
-		}
-		raw[i] = byte(s)
-	}
-	return raw, nil
+	return nil
 }
 
 // lzCodec stores the lz77 token stream directly; it is self-delimiting given
@@ -199,12 +229,13 @@ type lzCodec struct{}
 func (lzCodec) Name() string { return "lz77" }
 func (lzCodec) ID() uint8    { return idLZ77 }
 
-func (lzCodec) Compress(raw []byte) ([]byte, error) { return lz77.Encode(raw), nil }
+func (lzCodec) Compress(dst, plane []byte, _ *scratch) ([]byte, error) {
+	return lz77.AppendEncode(dst, plane), nil
+}
 
-func (lzCodec) Decompress(enc []byte, rawLen int) ([]byte, error) {
-	raw, err := lz77.Decode(enc, rawLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+func (lzCodec) Decompress(plane, enc []byte, _ *scratch) error {
+	if err := lz77.DecodeInto(plane, enc); err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return raw, nil
+	return nil
 }

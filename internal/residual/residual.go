@@ -46,7 +46,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
+	"sync"
 
+	"rqm/internal/bitio"
 	"rqm/internal/grid"
 )
 
@@ -167,6 +170,11 @@ func Apply(recon []float64, res []byte, prec grid.Precision) error {
 	if err != nil {
 		return err
 	}
+	return applyRaw(recon, res, w)
+}
+
+// applyRaw is Apply at a known storage width.
+func applyRaw(recon []float64, res []byte, w int) error {
 	if len(res) != len(recon)*w {
 		return fmt.Errorf("%w: %d residual bytes for %d values at width %d", ErrCorrupt, len(res), len(recon), w)
 	}
@@ -184,68 +192,144 @@ func Apply(recon []float64, res []byte, prec grid.Precision) error {
 	return nil
 }
 
+// scratch is the working memory of one block in flight: Encode builds a
+// block in it, the readers load and decode a block in it. It lives in
+// scratchPool between calls, so nothing that points into it may outlive the
+// call that took it — ReadBlock copies out what it returns, ApplyBlock
+// leaves only the XORed values behind.
+type scratch struct {
+	// planes holds the block's byte planes, values×width bytes: plane p is
+	// bytes [p·values, (p+1)·values).
+	planes []byte
+	// payload is a block record's bytes: assembled here by Encode, read
+	// here from the file by the readers. Raw planes are used from it in
+	// place.
+	payload []byte
+	// syms, freqs and bits serve the huffman backend, whose package codes
+	// uint32 symbols from a map histogram into a bitio.Writer.
+	syms  []uint32
+	freqs map[uint32]int64
+	bits  bitio.Writer
+}
+
+var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
+
+// grow returns (*buf)[:n], reallocating only when the capacity is short.
+// The contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// hashSlab is how many payload bytes OriginalHash hands SHA-256 at a time:
+// large enough that the block function, not the call, is the cost.
+const hashSlab = 32 << 10
+
 // OriginalHash is the SHA-256 of vals serialized little-endian at the
 // storage width — the payload digest stamped into the file header and the
 // manifest, recomputed on every exact read before serving.
 func OriginalHash(vals []float64, prec grid.Precision) ([32]byte, error) {
-	var zero [32]byte
+	var sum [32]byte
 	w, err := widthOf(prec)
 	if err != nil {
-		return zero, err
+		return sum, err
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	slab := grow(&s.payload, hashSlab)
 	h := sha256.New()
-	var buf [8]byte
-	if w == 4 {
-		for _, v := range vals {
-			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(float32(v)))
-			h.Write(buf[:4])
+	for per := hashSlab / w; len(vals) > 0; {
+		part := vals[:min(per, len(vals))]
+		vals = vals[len(part):]
+		filled := slab[:len(part)*w]
+		out := filled
+		if w == 4 {
+			for _, v := range part {
+				binary.LittleEndian.PutUint32(out, math.Float32bits(float32(v)))
+				out = out[4:]
+			}
+		} else {
+			for _, v := range part {
+				binary.LittleEndian.PutUint64(out, math.Float64bits(v))
+				out = out[8:]
+			}
 		}
-	} else {
-		for _, v := range vals {
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-			h.Write(buf[:])
-		}
+		h.Write(filled)
 	}
-	h.Sum(zero[:0])
-	return zero, nil
+	h.Sum(sum[:0])
+	return sum, nil
 }
 
-// transpose regroups raw (n elements × width bytes) into byte planes:
-// plane p holds byte p of every element. The near-zero high planes of a
-// well-predicted residual become long constant runs.
-func transpose(raw []byte, width int) []byte {
-	n := len(raw) / width
-	out := make([]byte, len(raw))
-	for p := 0; p < width; p++ {
-		plane := out[p*n : (p+1)*n]
-		for i := 0; i < n; i++ {
-			plane[i] = raw[i*width+p]
-		}
+// planeViews slices a values×width plane buffer into its planes.
+func planeViews(planes []byte, values, width int) (p [8][]byte) {
+	for k := 0; k < width; k++ {
+		p[k] = planes[k*values : (k+1)*values]
 	}
-	return out
+	return p
 }
 
-// untranspose inverts transpose.
-func untranspose(planes []byte, width int) []byte {
-	n := len(planes) / width
-	out := make([]byte, len(planes))
-	for p := 0; p < width; p++ {
-		plane := planes[p*n : (p+1)*n]
-		for i := 0; i < n; i++ {
-			out[i*width+p] = plane[i]
+// xorPlanes writes the XOR residual of orig against recon straight into
+// byte planes: byte p of element i's storage-width XOR lands at
+// planes[p·n+i]. The near-zero high planes of a well-predicted residual
+// become long constant runs, each coded with its own model.
+func xorPlanes(planes []byte, orig, recon []float64, width int) {
+	recon = recon[:len(orig)]
+	p := planeViews(planes, len(orig), width)
+	if width == 4 {
+		for i, o := range orig {
+			x := math.Float32bits(float32(o)) ^ math.Float32bits(float32(recon[i]))
+			p[0][i], p[1][i], p[2][i], p[3][i] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+		}
+		return
+	}
+	for i, o := range orig {
+		x := math.Float64bits(o) ^ math.Float64bits(recon[i])
+		p[0][i], p[1][i], p[2][i], p[3][i] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
+		p[4][i], p[5][i], p[6][i], p[7][i] = byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56)
+	}
+}
+
+// applyPlanes XORs a block's byte planes into vals in place — the inverse
+// of xorPlanes, recovering the original values at storage precision. Each
+// plane holds len(vals) bytes.
+func applyPlanes(vals []float64, p *[8][]byte, width int) {
+	if width == 4 {
+		for i, v := range vals {
+			x := uint32(p[0][i]) | uint32(p[1][i])<<8 | uint32(p[2][i])<<16 | uint32(p[3][i])<<24
+			vals[i] = float64(math.Float32frombits(math.Float32bits(float32(v)) ^ x))
+		}
+		return
+	}
+	for i, v := range vals {
+		x := uint64(p[0][i]) | uint64(p[1][i])<<8 | uint64(p[2][i])<<16 | uint64(p[3][i])<<24 |
+			uint64(p[4][i])<<32 | uint64(p[5][i])<<40 | uint64(p[6][i])<<48 | uint64(p[7][i])<<56
+		vals[i] = math.Float64frombits(math.Float64bits(v) ^ x)
+	}
+}
+
+// interleave regroups byte planes into plain element order — the layout of
+// Compute's output and of a FlagRaw block.
+func interleave(out []byte, p *[8][]byte, width int) {
+	for k := 0; k < width; k++ {
+		for i, b := range p[k] {
+			out[i*width+k] = b
 		}
 	}
-	return out
 }
 
 // Encode writes a complete residual file: orig XOR recon, blocked by the
 // base container's chunk geometry (blocks[i] values in block i), each block
-// byte-plane-transposed and compressed with c (falling back to raw storage
+// split into byte planes and compressed with c (falling back to raw storage
 // when coding expands). Returns the byte count written.
 func Encode(w io.Writer, c Codec, prec grid.Precision, orig, recon []float64, blocks []int) (int64, error) {
 	width, err := widthOf(prec)
 	if err != nil {
 		return 0, err
+	}
+	if len(orig) != len(recon) {
+		return 0, fmt.Errorf("residual: %d original values vs %d reconstructed", len(orig), len(recon))
 	}
 	total := 0
 	for i, v := range blocks {
@@ -262,7 +346,7 @@ func Encode(w io.Writer, c Codec, prec grid.Precision, orig, recon []float64, bl
 		return 0, err
 	}
 
-	hdr := make([]byte, HeaderSize)
+	var hdr [HeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:], Magic)
 	hdr[4] = Version
 	hdr[5] = c.ID()
@@ -270,45 +354,69 @@ func Encode(w io.Writer, c Codec, prec grid.Precision, orig, recon []float64, bl
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(total))
 	copy(hdr[16:48], origHash[:])
 	binary.LittleEndian.PutUint32(hdr[48:], uint32(len(blocks)))
-	written := int64(0)
-	nw, err := w.Write(hdr)
-	written += int64(nw)
+	nw, err := w.Write(hdr[:])
+	written := int64(nw)
 	if err != nil {
 		return written, err
 	}
 
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	start := 0
-	var bh [blockHeaderSize]byte
 	for _, v := range blocks {
-		raw, err := Compute(orig[start:start+v], recon[start:start+v], prec)
+		record, err := encodeBlock(s, c, orig[start:start+v], recon[start:start+v], width)
 		if err != nil {
 			return written, err
 		}
 		start += v
-		payload, err := encodeBlock(c, raw, width)
-		if err != nil {
-			return written, err
-		}
-		flags := uint8(0)
-		if len(payload) >= len(raw) {
-			payload, flags = raw, FlagRaw
-		}
-		binary.LittleEndian.PutUint32(bh[0:], uint32(v))
-		bh[4] = flags
-		binary.LittleEndian.PutUint32(bh[5:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(bh[9:], crc32.ChecksumIEEE(payload))
-		nw, err = w.Write(bh[:])
-		written += int64(nw)
-		if err != nil {
-			return written, err
-		}
-		nw, err = w.Write(payload)
+		nw, err = w.Write(record)
 		written += int64(nw)
 		if err != nil {
 			return written, err
 		}
 	}
 	return written, nil
+}
+
+// encodeBlock builds one block record — header and payload — in the scratch
+// and returns it, valid until the scratch's next use. Each byte plane is
+// coded independently and stored raw when its own coding expands it; a
+// block whose planes together do not beat the raw width is stored as the
+// raw element-order residual instead.
+func encodeBlock(s *scratch, c Codec, orig, recon []float64, width int) ([]byte, error) {
+	n := len(orig)
+	planes := grow(&s.planes, n*width)
+	xorPlanes(planes, orig, recon, width)
+	rec := append(s.payload[:0], make([]byte, blockHeaderSize)...)
+	var err error
+	for p := 0; p < width; p++ {
+		plane := planes[p*n : (p+1)*n]
+		at := len(rec) + planeHeaderSize
+		rec = append(rec, make([]byte, planeHeaderSize)...)
+		if rec, err = c.Compress(rec, plane, s); err != nil {
+			return nil, err
+		}
+		flags := uint8(0)
+		if len(rec)-at >= n {
+			rec, flags = append(rec[:at], plane...), FlagRaw
+		}
+		rec[at-planeHeaderSize] = flags
+		binary.LittleEndian.PutUint32(rec[at-planeHeaderSize+1:], uint32(len(rec)-at))
+	}
+	flags := uint8(0)
+	if len(rec)-blockHeaderSize >= n*width {
+		p := planeViews(planes, n, width)
+		rec = append(rec[:blockHeaderSize], make([]byte, n*width)...)
+		interleave(rec[blockHeaderSize:], &p, width)
+		flags = FlagRaw
+	}
+	payload := rec[blockHeaderSize:]
+	binary.LittleEndian.PutUint32(rec[0:], uint32(n))
+	rec[4] = flags
+	binary.LittleEndian.PutUint32(rec[5:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[9:], crc32.ChecksumIEEE(payload))
+	s.payload = rec // keep what the appends grew
+	return rec, nil
 }
 
 // LoadIndex reads the file header and scans every block header (seeking
@@ -404,109 +512,131 @@ func LoadIndex(r io.ReadSeeker) (*Index, error) {
 	return idx, nil
 }
 
-// VerifyBlock reads one block's payload and verifies its CRC without
-// decoding — the shallow-scrub pass over a residual file.
-func VerifyBlock(r io.ReadSeeker, e BlockEntry) error {
-	if _, err := r.Seek(e.Offset+blockHeaderSize, io.SeekStart); err != nil {
-		return fmt.Errorf("residual: %w", err)
-	}
-	payload := make([]byte, e.EncBytes)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("%w: block payload: %v", ErrTruncated, err)
-	}
-	if crc := crc32.ChecksumIEEE(payload); crc != e.CRC {
-		return fmt.Errorf("%w: block CRC %08x, expected %08x", ErrCorrupt, crc, e.CRC)
-	}
-	return nil
-}
-
-// ReadBlock reads, CRC-verifies, and decodes one block, returning the raw
-// residual bytes (e.Values × width, plain element order) ready for Apply.
-func ReadBlock(r io.ReadSeeker, hdr Header, e BlockEntry) ([]byte, error) {
-	c, err := ByID(hdr.BackendID)
-	if err != nil {
-		return nil, err
-	}
+// readPayload reads block e's payload into the scratch and verifies its
+// CRC. The returned slice is scratch memory.
+func readPayload(s *scratch, r io.ReadSeeker, e BlockEntry) ([]byte, error) {
 	if _, err := r.Seek(e.Offset+blockHeaderSize, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("residual: %w", err)
 	}
-	payload := make([]byte, e.EncBytes)
+	payload := grow(&s.payload, e.EncBytes)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: block payload: %v", ErrTruncated, err)
 	}
 	if crc := crc32.ChecksumIEEE(payload); crc != e.CRC {
 		return nil, fmt.Errorf("%w: block CRC %08x, expected %08x", ErrCorrupt, crc, e.CRC)
 	}
-	if e.Flags&FlagRaw != 0 {
-		return payload, nil
-	}
-	planes, err := decodeBlock(c, payload, e.Values, hdr.Width)
-	if err != nil {
-		return nil, err
-	}
-	return untranspose(planes, hdr.Width), nil
+	return payload, nil
 }
 
-// encodeBlock codes each byte plane of the transposed residual
-// independently, storing a plane raw when its own coding expands it.
-func encodeBlock(c Codec, raw []byte, width int) ([]byte, error) {
-	planes := transpose(raw, width)
-	n := len(raw) / width
-	out := make([]byte, 0, len(raw)/4+width*planeHeaderSize)
-	for p := 0; p < width; p++ {
-		plane := planes[p*n : (p+1)*n]
-		enc, err := c.Compress(plane)
-		if err != nil {
-			return nil, err
-		}
-		flags := uint8(0)
-		if len(enc) >= len(plane) {
-			enc, flags = plane, FlagRaw
-		}
-		out = append(out, flags)
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(enc)))
-		out = append(out, enc...)
-	}
-	return out, nil
-}
-
-// decodeBlock reverses encodeBlock, returning the transposed plane bytes.
-func decodeBlock(c Codec, payload []byte, values, width int) ([]byte, error) {
-	planes := make([]byte, 0, values*width)
+// decodePlanes is the one plane decoder under every reader: it walks the
+// per-plane sub-records of a coded block's payload and returns each plane's
+// values bytes. A raw plane is used in place from the payload; a coded one
+// is decoded by c into the scratch. The views are scratch memory.
+func decodePlanes(s *scratch, c Codec, payload []byte, values, width int) (p [8][]byte, err error) {
+	p = planeViews(grow(&s.planes, values*width), values, width)
 	pos := 0
-	for p := 0; p < width; p++ {
+	for k := 0; k < width; k++ {
 		if len(payload)-pos < planeHeaderSize {
-			return nil, fmt.Errorf("%w: plane %d header", ErrTruncated, p)
+			return p, fmt.Errorf("%w: plane %d header", ErrTruncated, k)
 		}
 		flags := payload[pos]
 		encLen := int(binary.LittleEndian.Uint32(payload[pos+1:]))
 		pos += planeHeaderSize
 		if flags&^uint8(FlagRaw) != 0 {
-			return nil, fmt.Errorf("%w: plane %d: unknown flags %#x", ErrCorrupt, p, flags)
+			return p, fmt.Errorf("%w: plane %d: unknown flags %#x", ErrCorrupt, k, flags)
 		}
-		if encLen < 0 || len(payload)-pos < encLen {
-			return nil, fmt.Errorf("%w: plane %d payload of %d bytes", ErrTruncated, p, encLen)
+		if len(payload)-pos < encLen {
+			return p, fmt.Errorf("%w: plane %d payload of %d bytes", ErrTruncated, k, encLen)
 		}
 		enc := payload[pos : pos+encLen]
 		pos += encLen
 		if flags&FlagRaw != 0 {
 			if encLen != values {
-				return nil, fmt.Errorf("%w: raw plane %d holds %d bytes for %d values", ErrCorrupt, p, encLen, values)
+				return p, fmt.Errorf("%w: raw plane %d holds %d bytes for %d values", ErrCorrupt, k, encLen, values)
 			}
-			planes = append(planes, enc...)
+			p[k] = enc
 			continue
 		}
-		plane, err := c.Decompress(enc, values)
-		if err != nil {
-			return nil, err
+		if err := c.Decompress(p[k], enc, s); err != nil {
+			return p, err
 		}
-		if len(plane) != values {
-			return nil, fmt.Errorf("%w: plane %d decoded to %d bytes, want %d", ErrCorrupt, p, len(plane), values)
-		}
-		planes = append(planes, plane...)
 	}
 	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after plane %d", ErrCorrupt, len(payload)-pos, width-1)
+		return p, fmt.Errorf("%w: %d trailing bytes after plane %d", ErrCorrupt, len(payload)-pos, width-1)
 	}
-	return planes, nil
+	return p, nil
+}
+
+// VerifyBlock reads one block's payload and verifies its CRC — the
+// shallow-scrub pass over a residual file. With deep set it also decodes
+// every plane, the proof that the block will still apply.
+func VerifyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, deep bool) error {
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	payload, err := readPayload(s, r, e)
+	if err != nil || !deep || e.Flags&FlagRaw != 0 {
+		return err
+	}
+	c, err := ByID(hdr.BackendID)
+	if err != nil {
+		return err
+	}
+	_, err = decodePlanes(s, c, payload, e.Values, hdr.Width)
+	return err
+}
+
+// ReadBlock reads, CRC-verifies, and decodes one block, returning the raw
+// residual bytes (e.Values × width, plain element order) ready for Apply.
+// The result is the caller's: it never aliases the reader's scratch.
+func ReadBlock(r io.ReadSeeker, hdr Header, e BlockEntry) ([]byte, error) {
+	c, err := ByID(hdr.BackendID)
+	if err != nil {
+		return nil, err
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	payload, err := readPayload(s, r, e)
+	if err != nil {
+		return nil, err
+	}
+	if e.Flags&FlagRaw != 0 {
+		return slices.Clone(payload), nil
+	}
+	p, err := decodePlanes(s, c, payload, e.Values, hdr.Width)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, e.Values*hdr.Width)
+	interleave(out, &p, hdr.Width)
+	return out, nil
+}
+
+// ApplyBlock reads, CRC-verifies and decodes one block and XORs it into
+// vals in place — ReadBlock followed by Apply without the element-order
+// copy between them: decoded planes go straight into the values. vals holds
+// the block's e.Values lossy reconstructions and leaves holding the
+// original values at storage precision. On error vals is untouched.
+func ApplyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, vals []float64) error {
+	c, err := ByID(hdr.BackendID)
+	if err != nil {
+		return err
+	}
+	if len(vals) != e.Values {
+		return fmt.Errorf("%w: block of %d values applied to %d", ErrCorrupt, e.Values, len(vals))
+	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	payload, err := readPayload(s, r, e)
+	if err != nil {
+		return err
+	}
+	if e.Flags&FlagRaw != 0 {
+		return applyRaw(vals, payload, hdr.Width)
+	}
+	p, err := decodePlanes(s, c, payload, e.Values, hdr.Width)
+	if err != nil {
+		return err
+	}
+	applyPlanes(vals, &p, hdr.Width)
+	return nil
 }

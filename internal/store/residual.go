@@ -120,12 +120,15 @@ func checkResidualIndex(name string, m *Manifest, rec *ResidualRecord, idx *resi
 
 // BuildResidual synthesizes a residual layer: it decodes the (staged or
 // committed) container at containerPath to obtain the exact lossy
-// reconstruction, computes the XOR residual against orig, and writes the
-// framed residual file to w, blocked to the container's chunk geometry.
-// The returned record declares the backend and original hash; the store
-// fills Bytes and Hash at staging. Shaped as a ResidualBuilder factory so
-// callers pass BuildResidual(orig, prec, backend) straight to
-// PutWithResidual / ReplaceWithResidual.
+// reconstruction — what the decoder produces, never the compressor's working
+// array — computes the XOR residual against orig, and writes the framed
+// residual file to w, blocked to the container's chunk geometry. The
+// returned record declares the backend; the store fills Bytes and Hash at
+// staging and takes OriginalHash from the file header, so the digest Encode
+// stamped — the original is hashed once per put — is the one the manifest
+// declares. Shaped as a ResidualBuilder factory so callers pass
+// BuildResidual(orig, prec, backend) straight to PutWithResidual /
+// ReplaceWithResidual.
 func BuildResidual(orig []float64, prec grid.Precision, backend string) ResidualBuilder {
 	return func(containerPath string, w io.Writer) (*ResidualRecord, error) {
 		c, err := residual.ByName(backend)
@@ -162,11 +165,7 @@ func BuildResidual(orig []float64, prec grid.Precision, backend string) Residual
 		if _, err := residual.Encode(w, c, prec, orig, recon, blocks); err != nil {
 			return nil, err
 		}
-		h, err := residual.OriginalHash(orig, prec)
-		if err != nil {
-			return nil, err
-		}
-		return &ResidualRecord{Backend: backend, OriginalHash: hex.EncodeToString(h[:])}, nil
+		return &ResidualRecord{Backend: backend}, nil
 	}
 }
 
@@ -228,11 +227,7 @@ func applyResidual(m *Manifest, rf io.ReadSeeker, idx *residual.Index, i int, va
 		return fmt.Errorf("%w: %q: residual block %d covers %d values, chunk decodes %d",
 			ErrCorruptDataset, m.Name, i, idx.Blocks[i].Values, len(vals))
 	}
-	raw, err := residual.ReadBlock(rf, idx.Header, idx.Blocks[i])
-	if err != nil {
-		return corruptResidual(m.Name, err)
-	}
-	if err := residual.Apply(vals, raw, m.Prec()); err != nil {
+	if err := residual.ApplyBlock(rf, idx.Header, idx.Blocks[i], vals); err != nil {
 		return corruptResidual(m.Name, err)
 	}
 	return nil

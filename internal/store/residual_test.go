@@ -2,6 +2,7 @@ package store_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"math"
@@ -110,6 +111,11 @@ func TestPutWithResidualExactRead(t *testing.T) {
 		}
 		if gh != wh {
 			t.Fatalf("%s: exact payload hash differs from original", backend)
+		}
+		// BuildResidual declares no digest of its own: the manifest's is the
+		// one Encode stamped into the file header, the original's.
+		if want := hex.EncodeToString(wh[:]); m.Residual.OriginalHash != want {
+			t.Fatalf("%s: manifest original_hash %s, original hashes to %s", backend, m.Residual.OriginalHash, want)
 		}
 		// The residual survives reopen, the gauge tracks it, and verify
 		// passes at both depths.

@@ -253,12 +253,7 @@ func (s *Store) verifyResidual(name string, m *Manifest, deep bool) error {
 		return err
 	}
 	for _, e := range idx.Blocks {
-		if deep {
-			_, err = residual.ReadBlock(f, idx.Header, e)
-		} else {
-			err = residual.VerifyBlock(f, e)
-		}
-		if err != nil {
+		if err := residual.VerifyBlock(f, idx.Header, e, deep); err != nil {
 			return corruptResidual(name, err)
 		}
 		s.chunksVerified.Add(1)

@@ -341,10 +341,11 @@ func (s *Store) ResidualPath(name string) (string, error) {
 // ResidualBuilder stages a dataset's residual file. It runs after the
 // container is fully staged — containerPath is the staged container, so the
 // builder can decode the exact reconstruction the residual must invert —
-// and writes the residual file bytes to w. The returned record's Backend
-// and OriginalHash are the builder's to declare; Bytes and Hash are filled
-// by the store from the staged bytes (and verified against the record when
-// the builder pre-declares them, e.g. a replica transfer).
+// and writes the residual file bytes to w. The returned record's Backend is
+// the builder's to declare; Bytes and Hash are filled by the store from the
+// staged bytes, and OriginalHash from the staged file's header (each
+// verified against the record when the builder pre-declares it, e.g. a
+// replica transfer).
 type ResidualBuilder func(containerPath string, w io.Writer) (*ResidualRecord, error)
 
 // Put admits (or replaces) one dataset. build receives the staged container
