@@ -5,33 +5,21 @@ import (
 	"sync"
 
 	"rqm/internal/quantizer"
-	"rqm/internal/stats"
 )
 
-// codeCounter is the pooled dense scratch histogramAt accumulates into: one
-// counter per code in [-radius, radius], touched-list cleanup, so an
-// EstimateAt sweep (the inverse solver calls it dozens of times per solve)
-// never pays a map assignment per sampled error. counts is all-zero between
-// uses; release zeroes only the touched entries.
-type codeCounter struct {
-	counts  []int64
-	touched []int32
+// codeRun is one bin of the estimated quantization-code histogram.
+type codeRun struct {
+	code int32
+	n    int64
 }
 
-var counterPool = sync.Pool{New: func() interface{} { return &codeCounter{} }}
+// runScratch is the pooled scratch one EstimateAt builds its histogram in:
+// the runs walked off the sorted errors and, when Eq. 9 engages, the
+// corrected histogram merged from them. EstimateAt is its only owner from Get
+// to Put; an Estimate holds scalars only, so nothing refers to it afterwards.
+type runScratch struct{ runs, corrected []codeRun }
 
-// denseRadiusLimit bounds the dense path: beyond it (radius > 2^20) the
-// map-based histogram is used directly, so absurd radii cannot drive a huge
-// scratch allocation.
-const denseRadiusLimit = 1 << 20
-
-func (cc *codeCounter) release() {
-	for _, i := range cc.touched {
-		cc.counts[i] = 0
-	}
-	cc.touched = cc.touched[:0]
-	counterPool.Put(cc)
-}
+var runPool = sync.Pool{New: func() interface{} { return new(runScratch) }}
 
 // Estimate is the model's prediction of compression ratio and post-hoc
 // quality at one absolute error bound.
@@ -74,145 +62,150 @@ type Estimate struct {
 	SSIM        float64
 }
 
-// histogramAt builds the estimated quantization-code histogram for eb from
-// the sampled prediction errors, applying the Eq. 9 correction layer when
-// the central share exceeds the threshold.
-func (p *Profile) histogramAt(eb float64) (h *stats.CodeHistogram, unpredShare float64) {
-	h = stats.NewCodeHistogram()
-	radius := p.opts.Radius
-	var unpred int64
-	if radius <= denseRadiusLimit {
-		cc := counterPool.Get().(*codeCounter)
-		span := 2*int(radius) + 1
-		if cap(cc.counts) < span {
-			cc.counts = make([]int64, span)
-		}
-		cc.counts = cc.counts[:span]
-		for _, e := range p.Errors {
-			c := quantizer.CodeFor(e, eb)
-			if c > radius || c < -radius {
-				unpred++
-				continue
+// histogramAt builds the estimated quantization-code histogram for eb,
+// ascending by code, applying the Eq. 9 correction layer when the central
+// share exceeds the threshold. quantizer.CodeFor is monotone in the error, so
+// over the sorted errors equal codes are contiguous: each run's end is found
+// by galloping with CodeFor itself as the predicate, which makes bin
+// membership the per-sample loop's exactly, and runs outside the quantizer
+// radius are the unpredictable values.
+func (p *Profile) histogramAt(eb float64, sc *runScratch) (h []codeRun, total int64, unpredShare float64) {
+	s, radius := p.sorted, p.opts.Radius
+	// The one break in monotonicity: when 2·eb overflows, +Inf/+Inf is NaN
+	// and codes like the NaNs sorted first. Such a tail is out of radius.
+	for len(s) > 0 && s[len(s)-1] > 0 && quantizer.CodeFor(s[len(s)-1], eb) < 0 {
+		s = s[:len(s)-1]
+	}
+	h = sc.runs[:0]
+	for i, c := 0, quantizer.CodeFor(p.sorted[0], eb); i < len(s); { // s may be empty, p.sorted never is
+		// Gallop while the code holds, then bisect the last stride; next is
+		// the code of s[hi], which opens the following run.
+		lo, step, hi, next := i, 1, len(s), c
+		for lo+step < hi {
+			if k := quantizer.CodeFor(s[lo+step], eb); k != c {
+				hi, next = lo+step, k
+			} else {
+				lo, step = lo+step, 2*step
 			}
-			i := c + radius
-			if cc.counts[i] == 0 {
-				cc.touched = append(cc.touched, i)
-			}
-			cc.counts[i]++
 		}
-		for _, i := range cc.touched {
-			h.Add(i-radius, cc.counts[i])
-		}
-		cc.release()
-	} else {
-		for _, e := range p.Errors {
-			c := quantizer.CodeFor(e, eb)
-			if c > radius || c < -radius {
-				unpred++
-				continue
+		for lo+1 < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if k := quantizer.CodeFor(s[mid], eb); k != c {
+				hi, next = mid, k
+			} else {
+				lo = mid
 			}
-			h.Add(c, 1)
+		}
+		if c >= -radius && c <= radius {
+			h = append(h, codeRun{c, int64(hi - i)})
+			total += int64(hi - i)
+		}
+		i, c = hi, next
+	}
+	sc.runs = h
+	unpredShare = float64(int64(len(p.sorted))-total) / float64(len(p.sorted))
+	if c2 := c2For(p.Kind); total > 0 && c2 > 0 && !p.opts.DisableCorrection {
+		top, _ := topAndZero(h)
+		if p0 := float64(top.n) / float64(total); p0 >= correctionThreshold {
+			sc.corrected = applyCorrection(sc.corrected[:0], h, c2*(1-p0))
+			h = sc.corrected
 		}
 	}
-	total := int64(len(p.Errors))
-	if h.Total == 0 {
-		return h, float64(unpred) / float64(total)
+	return h, total, unpredShare
+}
+
+// topAndZero scans a histogram for its most frequent bin (the smallest code
+// among equals) and for the count of code 0.
+func topAndZero(h []codeRun) (top codeRun, zero int64) {
+	for _, r := range h {
+		if r.n > top.n {
+			top = r
+		}
+		if r.code == 0 {
+			zero = r.n
+		}
 	}
-	p0, _ := h.TopP()
-	c2 := c2For(p.Kind)
-	if !p.opts.DisableCorrection && c2 > 0 && p0 >= correctionThreshold {
-		h = applyCorrection(h, c2, p0)
-	}
-	return h, float64(unpred) / float64(total)
+	return top, zero
 }
 
 // applyCorrection implements Eq. 9: each bin transfers
 // Ntran = C2·(1−p0)·N(bin) codes evenly to its two neighbors, simulating the
 // bin-crossing uncertainty of predicting from reconstructed (not original)
-// values at high error bounds.
-func applyCorrection(h *stats.CodeHistogram, c2, p0 float64) *stats.CodeHistogram {
-	out := stats.NewCodeHistogram()
-	frac := c2 * (1 - p0)
-	for code, n := range h.Counts {
-		tran := int64(math.Round(frac * float64(n)))
-		if tran > n {
-			tran = n
-		}
-		keep := n - tran
-		left := tran / 2
-		right := tran - left
-		if keep > 0 {
-			out.Add(code, keep)
-		}
-		if left > 0 {
-			out.Add(code-1, left)
-		}
-		if right > 0 {
-			out.Add(code+1, right)
+// values at high error bounds. src ascends by code, so the three shifted
+// streams (left shares at code−1, kept counts, right shares at code+1) merge
+// into dst in one pass: only the previous bin's right share can still be
+// pending when the next bin's left share arrives.
+func applyCorrection(dst, src []codeRun, frac float64) []codeRun {
+	add := func(r codeRun) {
+		if k := len(dst) - 1; k >= 0 && dst[k].code == r.code {
+			dst[k].n += r.n
+		} else if r.n > 0 {
+			dst = append(dst, r)
 		}
 	}
-	return out
+	var right codeRun
+	if k := len(src) - 1; k >= 0 && src[k].code == math.MaxInt32 {
+		// Reachable at radius MaxInt32 only: code+1 wraps, as the int32
+		// arithmetic always has, and the wrapped bin sorts first.
+		tran := transfer(src[k].n, frac)
+		add(codeRun{math.MinInt32, tran - tran/2})
+	}
+	for _, r := range src {
+		tran := transfer(r.n, frac)
+		left := codeRun{r.code - 1, tran / 2}
+		if left.code < right.code {
+			add(left)
+			add(right)
+		} else {
+			add(right)
+			add(left)
+		}
+		add(codeRun{r.code, r.n - tran})
+		right = codeRun{r.code + 1, tran - tran/2}
+	}
+	if right.code != math.MinInt32 {
+		add(right)
+	}
+	return dst
 }
 
-// huffmanBitRate evaluates Eq. 1 on a code histogram: B = Σ p·L with
-// L = −log2 p, except the most frequent code is clamped to at least 1 bit.
-// Iteration is in sorted code order so the float summation (and therefore
-// every model estimate) is bit-for-bit deterministic.
-func huffmanBitRate(h *stats.CodeHistogram) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	_, top := h.TopP()
+// transfer is Eq. 9's Ntran for one bin of n codes.
+func transfer(n int64, frac float64) int64 {
+	return min(int64(math.Round(frac*float64(n))), n)
+}
+
+// entropyBitRate evaluates Eq. 1 on a code histogram, B = Σ p·L with
+// L = −log2 p, per the configured entropy model. Under Huffman the most
+// frequent code is clamped to at least 1 bit and so is the sum: a Huffman
+// coder cannot emit fewer than 1 bit per symbol. Under tANS it is the plain
+// Shannon entropy: an ANS coder emits fractional bits per symbol, down to a
+// framing floor that is negligible at the table sizes used. The sum runs in
+// code order, so every model estimate is bit-for-bit deterministic.
+func (p *Profile) entropyBitRate(h []codeRun, total int64, top int32) float64 {
+	huffman := p.opts.Entropy != EntropyModelANS
 	var b float64
-	tot := float64(h.Total)
-	for _, code := range h.Codes() {
-		n := h.Counts[code]
-		if n == 0 {
+	var memo [32]float64 // p·L by count: the tail's bins share counts 1, 2, 3…
+	tot := float64(total)
+	for _, r := range h {
+		shared := r.n < int64(len(memo)) && r.code != top
+		if shared && memo[r.n] != 0 {
+			b += memo[r.n]
 			continue
 		}
-		pi := float64(n) / tot
+		pi := float64(r.n) / tot
 		l := -math.Log2(pi)
-		if code == top && l < 1 {
+		if huffman && r.code == top && l < 1 {
 			l = 1
 		}
 		b += pi * l
+		if shared {
+			memo[r.n] = pi * l
+		}
 	}
-	if b < 1 {
-		// A Huffman coder cannot emit fewer than 1 bit per symbol.
+	if huffman && total > 0 && b < 1 {
 		b = 1
 	}
 	return b
-}
-
-// ansBitRate is the Eq. 1 analogue for the tANS stage: the plain Shannon
-// entropy H = Σ p·(−log2 p), with no most-frequent-code clamp and no
-// 1 bit/symbol floor, because an ANS coder emits fractional bits per symbol
-// (down to its ~log2(table)/table framing floor, which is negligible at the
-// table sizes used). Sorted-order iteration keeps the sum deterministic.
-func ansBitRate(h *stats.CodeHistogram) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var b float64
-	tot := float64(h.Total)
-	for _, code := range h.Codes() {
-		n := h.Counts[code]
-		if n == 0 {
-			continue
-		}
-		pi := float64(n) / tot
-		b += pi * -math.Log2(pi)
-	}
-	return b
-}
-
-// entropyBitRate dispatches Eq. 1 (or its ANS analogue) per the configured
-// entropy model.
-func (p *Profile) entropyBitRate(h *stats.CodeHistogram) float64 {
-	if p.opts.Entropy == EntropyModelANS {
-		return ansBitRate(h)
-	}
-	return huffmanBitRate(h)
 }
 
 // rleGain evaluates Eq. 4: Rrle = 1/(C1(1−p0)·P0 + (1−P0)), where P0 is the
@@ -243,21 +236,23 @@ func rleGain(p0, bitRate, zeroBitsFloor float64) float64 {
 }
 
 // EstimateAt produces the full ratio-quality estimate for an absolute error
-// bound. Cost is O(len(samples)).
+// bound. Cost is O(D·log(n/D)) for n samples falling into D occupied bins.
 func (p *Profile) EstimateAt(absEB float64) Estimate {
 	est := Estimate{AbsErrorBound: absEB}
 	if !(absEB > 0) {
 		return est
 	}
-	h, unpredShare := p.histogramAt(absEB)
+	sc := runPool.Get().(*runScratch)
+	h, total, unpredShare := p.histogramAt(absEB, sc)
 	est.UnpredShare = unpredShare
-	est.DistinctCodes = len(h.Counts)
-	if h.Total > 0 {
-		p0, _ := h.TopP()
-		est.P0 = p0
-		est.ZeroShare = h.P(0)
+	est.DistinctCodes = len(h)
+	top, zero := topAndZero(h)
+	if total > 0 {
+		est.P0 = float64(top.n) / float64(total)
+		est.ZeroShare = float64(zero) / float64(total)
 	}
-	est.HuffmanBitRate = p.entropyBitRate(h)
+	est.HuffmanBitRate = p.entropyBitRate(h, total, top.code)
+	runPool.Put(sc)
 	// Reconstruction feedback keeps a small fraction of imperfectly
 	// predicted codes non-zero even when original-value sampling maps them
 	// all to the central bin, which would otherwise drive Eq. 4 into its
@@ -289,16 +284,31 @@ func (p *Profile) EstimateAt(absEB float64) Estimate {
 		est.Ratio = float64(p.OrigBits) / est.TotalBitRate
 	}
 
-	// Error distribution: Eq. 10 (uniform) and Eq. 11 (refined).
-	est.ErrVarUniform = absEB * absEB / 3
-	share, centralVar := p.centralBinStats(absEB)
-	est.ErrVar = (1-share)*est.ErrVarUniform + share*centralVar
+	est.ErrVarUniform, est.ErrVar = p.errVars(absEB)
 	// Quality models.
 	est.PSNRUniform = psnrFromVariance(p.Range, est.ErrVarUniform)
 	est.PSNR = psnrFromVariance(p.Range, est.ErrVar)
 	est.SSIMUniform = ssimFromVariance(p.Range, p.DataVar, est.ErrVarUniform)
 	est.SSIM = ssimFromVariance(p.Range, p.DataVar, est.ErrVar)
 	return est
+}
+
+// errVars is the error distribution: Eq. 10's uniform variance and Eq. 11's
+// refinement of it by the central bin.
+func (p *Profile) errVars(eb float64) (uniform, refined float64) {
+	uniform = eb * eb / 3
+	share, centralVar := p.centralBinStats(eb)
+	return uniform, (1-share)*uniform + share*centralVar
+}
+
+// psnrAt is EstimateAt(eb).PSNR without the histogram, which PSNR never
+// reads: the bound reaches it through centralBinStats alone.
+func (p *Profile) psnrAt(eb float64) float64 {
+	if !(eb > 0) {
+		return 0
+	}
+	_, errVar := p.errVars(eb)
+	return psnrFromVariance(p.Range, errVar)
 }
 
 // psnrFromVariance is Eq. 12.

@@ -32,7 +32,7 @@ func (p *Profile) BaseErrorBound() float64 {
 // (0.5/0.8/0.95) in the low-rate regime where Eq. 3's approximation fails.
 // Each closed-form result is verified against the model; if the Eq. 2/3
 // approximations are off for this error distribution, the solver falls back
-// to geometric bisection on the model itself (still O(sample) per probe).
+// to geometric bisection on the model itself (one EstimateAt per probe).
 func (p *Profile) ErrorBoundForBitRate(target float64) (float64, error) {
 	if !(target > 0) {
 		return 0, fmt.Errorf("core: target bit-rate must be positive, got %v", target)
@@ -54,7 +54,7 @@ func (p *Profile) ErrorBoundForBitRate(target float64) (float64, error) {
 		}
 	}
 	// Robust fallback: invert the model numerically.
-	return p.solveMonotone(target, func(e Estimate) float64 { return e.HuffmanBitRate })
+	return p.solveMonotone(target, func(eb float64) float64 { return p.EstimateAt(eb).HuffmanBitRate })
 }
 
 // anchorInterpolate implements the paper's low-bit-rate handling: profile
@@ -108,23 +108,25 @@ func (p *Profile) ErrorBoundForRatio(targetRatio float64) (float64, error) {
 		return 0, fmt.Errorf("core: target ratio must exceed 1, got %v", targetRatio)
 	}
 	targetBits := float64(p.OrigBits) / targetRatio
-	return p.solveMonotone(targetBits, func(e Estimate) float64 { return e.TotalBitRate })
+	return p.solveMonotone(targetBits, func(eb float64) float64 { return p.EstimateAt(eb).TotalBitRate })
 }
 
 // ErrorBoundForPSNR solves for a target PSNR (dB) using the refined error
 // distribution; the result is the loosest bound whose modeled PSNR still
-// meets the target.
+// meets the target. PSNR reads no histogram, so each probe is two binary
+// searches: O(probes·log n) for the solve.
 func (p *Profile) ErrorBoundForPSNR(target float64) (float64, error) {
 	if math.IsNaN(target) {
 		return 0, errors.New("core: target PSNR is NaN")
 	}
-	return p.solveMonotone(target, func(e Estimate) float64 { return e.PSNR })
+	return p.solveMonotone(target, p.psnrAt)
 }
 
-// solveMonotone bisects the error bound so that metric(EstimateAt(eb)) hits
-// target. The metric must be monotone decreasing in eb (bit-rates and PSNR
-// are, within the full-mass regime enforced by the lower bracket).
-func (p *Profile) solveMonotone(target float64, metric func(Estimate) float64) (float64, error) {
+// solveMonotone bisects the error bound so that metric(eb) hits target. The
+// metric is the one Estimate field the solve reads, computed however cheaply
+// that field allows; it must be monotone decreasing in eb (bit-rates and
+// PSNR are, within the full-mass regime enforced by the lower bracket).
+func (p *Profile) solveMonotone(target float64, metric func(eb float64) float64) (float64, error) {
 	lo := p.Range * 1e-12
 	// Keep the bracket inside the regime where (nearly) no sample falls out
 	// of the quantizer range; below it the Huffman histogram loses mass and
@@ -144,8 +146,8 @@ func (p *Profile) solveMonotone(target float64, metric func(Estimate) float64) (
 	if hi <= lo {
 		hi = lo * 2
 	}
-	mLo := metric(p.EstimateAt(lo)) // largest metric value (tight bound)
-	mHi := metric(p.EstimateAt(hi)) // smallest
+	mLo := metric(lo) // largest metric value (tight bound)
+	mHi := metric(hi) // smallest
 	if target > mLo {
 		return lo, nil // cannot do better than the tightest bound
 	}
@@ -154,7 +156,7 @@ func (p *Profile) solveMonotone(target float64, metric func(Estimate) float64) (
 	}
 	for iter := 0; iter < 80; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection: eb spans decades
-		if metric(p.EstimateAt(mid)) >= target {
+		if metric(mid) >= target {
 			lo = mid
 		} else {
 			hi = mid

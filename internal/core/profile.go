@@ -38,6 +38,10 @@ type Profile struct {
 	BuildTime time.Duration
 
 	opts Options
+	// sorted are Errors sorted ascending (NaNs first), the order in which
+	// equal quantization codes are contiguous at every bound. Errors itself
+	// keeps sampling order: that is what ProfileRecord persists.
+	sorted []float64
 	// sortedAbs are |Errors| sorted ascending, with prefix sums of squares
 	// for O(log n) central-bin variance queries.
 	sortedAbs []float64
@@ -68,8 +72,7 @@ func NewProfile(f *grid.Field, kind predictor.Kind, opts Options) (*Profile, err
 	if len(errs) == 0 {
 		return nil, errors.New("core: sampling produced no prediction errors")
 	}
-	lo, hi := f.ValueRange()
-	_, dataVar := stats.MeanVar(f.Data)
+	_, dataVar, lo, hi := stats.MeanVarMinMax(f.Data)
 	p := &Profile{
 		Kind:     kind,
 		Dims:     append([]int(nil), f.Dims...),
@@ -119,16 +122,33 @@ func NewProfileFromSamples(kind predictor.Kind, samples []float64, dims []int,
 	return p, nil
 }
 
-// index prepares the sorted-|error| structures.
+// index prepares the sorted structures with one sort, done here and not on
+// first use because cached profiles are read concurrently. |errors| ascending
+// is the negative half reversed merged with the non-negative half.
 func (p *Profile) index() {
-	p.sortedAbs = make([]float64, len(p.Errors))
-	for i, e := range p.Errors {
-		p.sortedAbs[i] = math.Abs(e)
+	n := len(p.Errors)
+	s := append(make([]float64, 0, n), p.Errors...)
+	sort.Float64s(s)
+	p.sorted, p.sortedAbs, p.prefixSq = s, make([]float64, n), make([]float64, n+1)
+	nan := 0
+	for nan < n && s[nan] != s[nan] {
+		nan++
 	}
-	sort.Float64s(p.sortedAbs)
-	p.prefixSq = make([]float64, len(p.sortedAbs)+1)
-	for i, a := range p.sortedAbs {
-		p.prefixSq[i+1] = p.prefixSq[i] + a*a
+	pos := nan + sort.SearchFloat64s(s[nan:], 0)
+	neg := pos - 1
+	for k := range p.sortedAbs {
+		var a float64
+		switch {
+		case k < nan:
+			a = s[k]
+		case neg >= nan && (pos == n || -s[neg] <= s[pos]):
+			a, neg = s[neg], neg-1
+		default:
+			a, pos = s[pos], pos+1
+		}
+		a = math.Abs(a)
+		p.sortedAbs[k] = a
+		p.prefixSq[k+1] = p.prefixSq[k] + a*a
 	}
 	_, v := stats.MeanVar(p.Errors)
 	p.errStd = math.Sqrt(v)
@@ -159,9 +179,17 @@ func (p *Profile) centralBinStats(eb float64) (share, variance float64) {
 	return float64(k) / float64(n), p.prefixSq[k] / float64(k)
 }
 
-// quantileAbs returns the |error| value below which a fraction q of samples
-// falls (used for the anchor error bounds: central-bin share p0 at eb means
-// quantileAbs(p0) = eb).
+// quantileAbs returns the |error| value below which a fraction q in (0, 1] of
+// samples falls (used for the anchor error bounds: central-bin share p0 at eb
+// means quantileAbs(p0) = eb): stats.Quantile's interpolation over the
+// already sorted slice, without its copy and sort.
 func (p *Profile) quantileAbs(q float64) float64 {
-	return stats.Quantile(p.sortedAbs, q)
+	s := p.sortedAbs
+	pos := q * float64(len(s)-1)
+	i := int(pos)
+	if i+1 >= len(s) {
+		return s[len(s)-1]
+	}
+	frac := pos - float64(i)
+	return s[i]*(1-frac) + s[i+1]*frac
 }

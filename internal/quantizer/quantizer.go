@@ -67,13 +67,17 @@ func (q *Quantizer) Reconstruct(pred float64, code int32) float64 {
 }
 
 // CodeFor returns the code a prediction error `diff` maps to without range
-// checking; used by the model when building estimated histograms.
+// checking; used by the model when building estimated histograms. It is
+// monotone in diff wherever the quotient is a number. A NaN quotient (a NaN
+// error, or ±Inf over an overflowed 2·eb) has no code: it is filed at
+// MinInt32, below every radius, as Quantize refuses it — stated here because
+// int32(NaN) is whatever the GOARCH makes it (MinInt32 on amd64, 0 on arm64).
 func CodeFor(diff, eb float64) int32 {
 	c := math.Round(diff / (2 * eb))
 	if c > math.MaxInt32 {
 		return math.MaxInt32
 	}
-	if c < math.MinInt32 {
+	if c < math.MinInt32 || c != c {
 		return math.MinInt32
 	}
 	return int32(c)

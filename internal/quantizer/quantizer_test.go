@@ -125,4 +125,11 @@ func TestCodeFor(t *testing.T) {
 	if c := CodeFor(-1e300, 1e-12); c != math.MinInt32 {
 		t.Fatalf("huge negative diff = %d", c)
 	}
+	// A NaN quotient has no code; int32(NaN) would be MinInt32 on amd64 and
+	// 0 — the central bin — on arm64.
+	for _, q := range [][2]float64{{math.NaN(), 0.1}, {math.Inf(1), math.MaxFloat64}, {math.Inf(-1), math.Inf(1)}} {
+		if c := CodeFor(q[0], q[1]); c != math.MinInt32 {
+			t.Fatalf("CodeFor(%v, %v) = %d, want MinInt32", q[0], q[1], c)
+		}
+	}
 }

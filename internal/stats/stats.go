@@ -111,12 +111,38 @@ func MeanVar(xs []float64) (mean, variance float64) {
 		s += x
 	}
 	mean = s / float64(len(xs))
+	return mean, varianceAbout(xs, mean)
+}
+
+// MeanVarMinMax is MeanVar with MinMax's extrema riding its summing pass:
+// two scans of xs where the separate calls make three, and every result
+// bit-identical to theirs.
+func MeanVarMinMax(xs []float64) (mean, variance, lo, hi float64) {
+	if len(xs) == 0 {
+		return 0, 0, 0, 0
+	}
+	lo, hi = xs[0], xs[0]
+	var s float64
+	for _, x := range xs {
+		s += x
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	mean = s / float64(len(xs))
+	return mean, varianceAbout(xs, mean), lo, hi
+}
+
+func varianceAbout(xs []float64, mean float64) float64 {
 	var v float64
 	for _, x := range xs {
 		d := x - mean
 		v += d * d
 	}
-	return mean, v / float64(len(xs))
+	return v / float64(len(xs))
 }
 
 // MinMax scans for the extrema of xs. Empty input returns (0, 0).
@@ -217,25 +243,6 @@ func (h *CodeHistogram) Entropy() float64 {
 		e -= p * math.Log2(p)
 	}
 	return e
-}
-
-// Clone deep-copies the histogram.
-func (h *CodeHistogram) Clone() *CodeHistogram {
-	c := &CodeHistogram{Counts: make(map[int32]int64, len(h.Counts)), Total: h.Total}
-	for k, v := range h.Counts {
-		c.Counts[k] = v
-	}
-	return c
-}
-
-// Codes returns the codes present, sorted ascending.
-func (h *CodeHistogram) Codes() []int32 {
-	cs := make([]int32, 0, len(h.Counts))
-	for c := range h.Counts {
-		cs = append(cs, c)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	return cs
 }
 
 // XorShift64 is a tiny deterministic PRNG for reproducible sampling without

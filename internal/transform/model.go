@@ -41,7 +41,7 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 	// The integer transform on codes ≈ the same transform on values divided
 	// by the step; emulate it at a fine fixed-point resolution so rounding
 	// inside the lifting is negligible relative to any realistic bound.
-	lo, hi := f.ValueRange()
+	_, dataVar, lo, hi := stats.MeanVarMinMax(f.Data)
 	scale := 1.0
 	if span := hi - lo; span > 0 {
 		scale = float64(1<<40) / span
@@ -56,7 +56,6 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 			samples = append(samples, float64(c)/scale)
 		}
 	}
-	_, dataVar := stats.MeanVar(f.Data)
 	return core.NewProfileFromSamples(TransformKind, samples, f.Dims,
 		f.Len(), f.Prec.Bits(), hi-lo, dataVar, opts)
 }
