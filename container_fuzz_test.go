@@ -2,6 +2,7 @@ package rqm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"rqm"
@@ -35,6 +36,11 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 		f.Fatal(err)
 	}
 	seeds = append(seeds, legacy.Bytes)
+	// The same container with its first dimension (header offset 30) raised
+	// to 2^30: far more values declared than the payload has bits.
+	oversized := bytes.Clone(legacy.Bytes)
+	binary.LittleEndian.PutUint64(oversized[30:], 1<<30)
+	seeds = append(seeds, oversized)
 
 	// Version 2 native containers: the interleaved and tANS entropy stages
 	// add chunk-body sections (stream-length framing, ANS table + states)

@@ -2,8 +2,8 @@
 // serial, interleaved, and tANS coders over the same quantization-code
 // stream, plus end-to-end container decode per entropy codec. Developer
 // tools — the perf record is `go run ./bench` (huffman.* / ans.* /
-// compressor.decompress_mb_s.*); the interleaved symbol decode is the ">2x
-// over serial" acceptance number.
+// compressor.decompress_mb_s.*). Serial and interleaved Huffman run the same
+// decode kernel; what separates them is four overlapped dependency chains.
 package rqm_test
 
 import (
@@ -40,8 +40,8 @@ func benchSymbols(n int) ([]uint32, map[uint32]int64) {
 
 const benchSymbolCount = 1 << 20
 
-// BenchmarkDecodeSerialHuffman is the pre-existing serial path, kept as the
-// comparison anchor for the interleaved decoder.
+// BenchmarkDecodeSerialHuffman is the K = 1 case of the decode kernel, the
+// comparison anchor for the interleaved case.
 func BenchmarkDecodeSerialHuffman(b *testing.B) {
 	syms, freqs := benchSymbols(benchSymbolCount)
 	cb, err := huffman.Build(freqs)

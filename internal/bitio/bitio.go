@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -80,33 +81,54 @@ func (w *Writer) Reset() {
 	w.bits = 0
 }
 
+// Window is the unread end of an MSB-first bit stream, in the shape a decode
+// loop keeps in registers: the bits already loaded from Buf sit left-aligned
+// in Bits, so the next code is its top bits whatever the code's length, and
+// consuming l bits is Bits <<= l, N -= l.
+//
+// The top N bits of Bits are stream bits [8·Pos−N, 8·Pos). Below them Bits
+// holds zeros or — after a word refill — the leading bits of Buf[Pos], which
+// the next refill ORs in again unchanged; once Pos reaches len(Buf) they are
+// all zeros, so a peek past the end of the stream reads as zero padding and
+// N says how much of it is real.
+type Window struct {
+	Buf  []byte
+	Pos  int // next byte of Buf not yet counted in N
+	Bits uint64
+	N    uint
+}
+
+// Refill loads whole bytes until N >= 57 or Buf is exhausted: one big-endian
+// word load while eight bytes remain, bytewise over the stream's tail.
+func (w *Window) Refill() {
+	if w.Pos+8 <= len(w.Buf) {
+		k := (64 - w.N) >> 3
+		w.Bits |= binary.BigEndian.Uint64(w.Buf[w.Pos:]) >> w.N
+		w.Pos += int(k)
+		w.N += k << 3
+		return
+	}
+	for w.N <= 56 && w.Pos < len(w.Buf) {
+		w.Bits |= uint64(w.Buf[w.Pos]) << (56 - w.N)
+		w.Pos++
+		w.N += 8
+	}
+}
+
 // Reader consumes bits MSB-first from a byte slice.
 type Reader struct {
-	buf  []byte
-	pos  int    // next byte index
-	cur  uint64 // bit accumulator, left-filled from buf
-	n    uint   // valid bits in cur
-	read uint64 // total bits consumed
+	w Window
 }
 
 // NewReader returns a Reader over buf. The Reader does not copy buf.
 func NewReader(buf []byte) *Reader {
-	return &Reader{buf: buf}
+	return &Reader{w: Window{Buf: buf}}
 }
 
-// fill tops up the accumulator so that at least `need` bits are available,
-// or returns false if the stream is exhausted first.
-func (r *Reader) fill(need uint) bool {
-	for r.n < need {
-		if r.pos >= len(r.buf) {
-			return false
-		}
-		r.cur = r.cur<<8 | uint64(r.buf[r.pos])
-		r.pos++
-		r.n += 8
-	}
-	return true
-}
+// Window exposes the reader's position to a bulk decoder (the Huffman
+// kernel), which consumes bits from it directly; the reader carries on from
+// wherever the decoder left the window.
+func (r *Reader) Window() *Window { return &r.w }
 
 // ReadBits reads `width` bits MSB-first. width must be in [0, 57].
 func (r *Reader) ReadBits(width uint) (uint64, error) {
@@ -116,12 +138,15 @@ func (r *Reader) ReadBits(width uint) (uint64, error) {
 	if width > 57 {
 		panic(fmt.Sprintf("bitio: ReadBits width %d > 57", width))
 	}
-	if !r.fill(width) {
-		return 0, ErrUnexpectedEOF
+	w := &r.w
+	if w.N < width {
+		if w.Refill(); w.N < width {
+			return 0, ErrUnexpectedEOF
+		}
 	}
-	r.n -= width
-	v := r.cur >> r.n & ((1 << width) - 1)
-	r.read += uint64(width)
+	v := w.Bits >> (64 - width)
+	w.Bits <<= width
+	w.N -= width
 	return v, nil
 }
 
@@ -144,60 +169,5 @@ func (r *Reader) ReadUint64() (uint64, error) {
 	return hi<<32 | lo, nil
 }
 
-// Peek returns up to `width` upcoming bits without consuming them. If fewer
-// bits remain, the result is left-aligned as if the stream were zero-padded;
-// ok reports whether at least one real bit remains.
-func (r *Reader) Peek(width uint) (v uint64, ok bool) {
-	if width == 0 || width > 57 {
-		panic(fmt.Sprintf("bitio: Peek width %d out of range", width))
-	}
-	r.fill(width) // best effort
-	if r.n >= width {
-		return r.cur >> (r.n - width) & ((1 << width) - 1), true
-	}
-	if r.n == 0 {
-		return 0, false
-	}
-	// Zero-pad the tail.
-	return r.cur << (width - r.n) & ((1 << width) - 1), true
-}
-
-// PeekBits returns the next `width` bits without consuming them, zero-padded
-// on the right when fewer remain, and reports how many real bits are
-// available (avail < width only at the end of the stream). Unlike Peek, the
-// caller can tell exactly how many of the returned bits are real, which lets
-// table-driven decoders reject matches that would extend into the padding.
-func (r *Reader) PeekBits(width uint) (v uint64, avail uint) {
-	if width == 0 || width > 57 {
-		panic(fmt.Sprintf("bitio: PeekBits width %d out of range", width))
-	}
-	r.fill(width) // best effort
-	if r.n >= width {
-		return r.cur >> (r.n - width) & ((1 << width) - 1), width
-	}
-	if r.n == 0 {
-		return 0, 0
-	}
-	return r.cur << (width - r.n) & ((1 << width) - 1), r.n
-}
-
-// Skip consumes `width` bits previously examined with Peek. It is the
-// caller's responsibility not to skip past the padded end of stream.
-func (r *Reader) Skip(width uint) error {
-	if !r.fill(width) {
-		// Allow skipping into zero padding at most within the final byte.
-		if r.n == 0 {
-			return ErrUnexpectedEOF
-		}
-		r.read += uint64(r.n)
-		r.n = 0
-		return nil
-	}
-	r.n -= width
-	r.read += uint64(width)
-	return nil
-}
-
-// BitsRead reports the number of bits consumed so far (excluding padding
-// skipped at end of stream).
-func (r *Reader) BitsRead() uint64 { return r.read }
+// BitsRead reports the number of bits consumed so far.
+func (r *Reader) BitsRead() uint64 { return uint64(r.w.Pos)*8 - uint64(r.w.N) }

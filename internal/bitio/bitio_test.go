@@ -82,61 +82,43 @@ func TestReadPastEnd(t *testing.T) {
 	}
 }
 
-func TestPeekSkip(t *testing.T) {
+// A bulk decoder consumes through Window(); the reader must carry on from
+// where it stopped, across the word-refill / bytewise-tail boundary, and the
+// window must read as zero padding once the stream is exhausted.
+func TestWindowSharedWithReader(t *testing.T) {
 	w := NewWriter(0)
-	w.WriteBits(0b1011001, 7)
-	w.WriteBits(0b11110000, 8)
-	r := NewReader(w.Bytes())
-	v, ok := r.Peek(7)
-	if !ok || v != 0b1011001 {
-		t.Fatalf("Peek(7) = %#b ok=%v", v, ok)
+	for i := 0; i < 40; i++ {
+		w.WriteBits(uint64(i), 7)
 	}
-	if err := r.Skip(7); err != nil {
-		t.Fatalf("Skip: %v", err)
+	r := NewReader(w.Bytes()) // 280 bits in 35 bytes
+	for i := 0; i < 40; i++ {
+		if i%3 == 0 {
+			v, err := r.ReadBits(7)
+			if err != nil || v != uint64(i) {
+				t.Fatalf("ReadBits %d = %d, %v", i, v, err)
+			}
+		} else {
+			win := r.Window()
+			if win.N < 7 {
+				win.Refill()
+			}
+			if v := win.Bits >> 57; v != uint64(i) {
+				t.Fatalf("window value %d = %d", i, v)
+			}
+			win.Bits <<= 7
+			win.N -= 7
+		}
+		if got := r.BitsRead(); got != uint64(7*(i+1)) {
+			t.Fatalf("BitsRead after %d values = %d", i+1, got)
+		}
 	}
-	got, err := r.ReadBits(8)
-	if err != nil || got != 0b11110000 {
-		t.Fatalf("ReadBits(8) = %#b err=%v", got, err)
+	win := r.Window()
+	win.Refill()
+	if win.N != 0 || win.Bits != 0 || win.Pos != 35 {
+		t.Fatalf("exhausted window = %+v, want empty at byte 35", *win)
 	}
-}
-
-func TestPeekAtEndZeroPads(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0b101, 3)
-	r := NewReader(w.Bytes())
-	// One byte in the buffer: bits 101 followed by 5 zero-pad bits. A peek of
-	// 12 must left-align those 8 real bits and pad with zeros.
-	v, ok := r.Peek(12)
-	if !ok {
-		t.Fatal("Peek at start reported no data")
-	}
-	if v != 0b101000000000 {
-		t.Fatalf("Peek(12) = %012b, want 101000000000", v)
-	}
-}
-
-func TestPeekBitsReportsAvail(t *testing.T) {
-	w := NewWriter(0)
-	w.WriteBits(0b101, 3)
-	r := NewReader(w.Bytes())
-	// One byte in the buffer (3 real bits + 5 pad): mid-stream, avail ==
-	// width; past the last byte, avail is what remains, zero-padded right.
-	v, avail := r.PeekBits(6)
-	if avail != 6 || v != 0b101000 {
-		t.Fatalf("PeekBits(6) = %06b avail=%d, want 101000 avail=6", v, avail)
-	}
-	if err := r.Skip(6); err != nil {
-		t.Fatal(err)
-	}
-	v, avail = r.PeekBits(6)
-	if avail != 2 || v != 0 {
-		t.Fatalf("PeekBits(6) near end = %06b avail=%d, want 0 avail=2", v, avail)
-	}
-	if err := r.Skip(2); err != nil {
-		t.Fatal(err)
-	}
-	if _, avail = r.PeekBits(6); avail != 0 {
-		t.Fatalf("PeekBits past end reports avail=%d, want 0", avail)
+	if _, err := r.ReadBits(1); err != ErrUnexpectedEOF {
+		t.Fatalf("read past end: %v", err)
 	}
 }
 

@@ -5,9 +5,10 @@
 //
 // # Bitstream invariants
 //
-// Every consumer of these streams — the serial Huffman decoder, the
-// interleaved decoder's inline reader states, and the container fuzzers —
-// relies on the following contracts:
+// Every consumer of these streams — the Huffman decode kernel (one Window
+// per stream, serial or interleaved), the transform codec's class-code-plus-
+// raw-bits reader, and the container fuzzers — relies on the following
+// contracts:
 //
 //   - Bit order. WriteBits emits the low `width` bits of v starting with
 //     the most significant; a stream written as WriteBits(a, la),
@@ -20,15 +21,16 @@
 //     shorter than one byte, so a decoder that knows the symbol count can
 //     always distinguish real data from padding; decoders that match codes
 //     in the tail must verify the match fits in the real bits that remain
-//     (see PeekBits). Writer.Bits reports written bits excluding padding.
+//     (see Window). Writer.Bits reports written bits excluding padding.
 //
-//   - PeekBits contract. PeekBits(width) returns the next bits zero-padded
-//     on the right when fewer than `width` remain, together with `avail`,
-//     the count of real (unpadded) bits in the result. A table-driven
-//     decoder must reject a code of length L when L > avail — a match that
-//     extends into padding is not a match. Skip tolerates consuming into
-//     the zero padding only within the final byte; skipping further is a
-//     contract violation and errors.
+//   - Window contract. A Window keeps the loaded, unread bits left-aligned
+//     in Bits and counts the real ones in N; past the end of Buf the bits
+//     below N are zeros, so a peek wider than what remains reads as if the
+//     stream were zero-padded on the right. A table-driven decoder must
+//     reject a code of length L when L > N after a Refill — a match that
+//     extends into padding is not a match. Reader is a Window behind
+//     ReadBits; Reader.Window lends it to a bulk decoder and takes it back
+//     wherever the decoder stopped.
 //
 //   - Truncation. All reads past the end of real data return errors
 //     wrapping ErrUnexpectedEOF; no read panics and no read goes out of

@@ -35,11 +35,13 @@ type arena struct {
 	bw      *bitio.Writer
 	// Entropy-stage scratch beyond the serial writer: one bit writer per
 	// interleaved stream, a dense ANS encode LUT, the ANS output buffer,
-	// and the interleaved-blob assembly buffer.
+	// the interleaved-blob assembly buffer and the serialized Huffman
+	// codebook.
 	bws     []*bitio.Writer
 	ansLUTb []uint32
 	ansBuf  []byte
 	blobBuf []byte
+	cbBuf   []byte
 }
 
 var arenaPool = sync.Pool{New: func() interface{} { return &arena{} }}

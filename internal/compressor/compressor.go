@@ -287,13 +287,12 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	var aux []byte
 	var syms []uint32
 	var unpred []float64
-	var freqs map[uint32]int64
-	var counts []int64
+	var hist histogram
 	var encLUT []uint64
-	var k *encodeKernel
 	if dense {
+		var counts []int64
 		counts, encLUT = a.freqTables(int(resSym) + 1)
-		k = &encodeKernel{
+		k := &encodeKernel{
 			work:    work,
 			syms:    a.u32(f.Len()),
 			unpred:  a.unpred,
@@ -315,14 +314,11 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		}
 		syms, unpred = k.syms, k.unpred
 		a.unpred, a.touched = k.unpred, k.touched // hand grown slices back to the arena
-		// The dense counts double as the Huffman frequency table; only the
-		// touched entries exist, so the map handed to Build stays tiny.
-		freqs = make(map[uint32]int64, len(k.touched))
-		for _, s := range k.touched {
-			freqs[s] = counts[s]
-		}
+		// The dense counts double as the entropy stage's frequency table.
+		hist = histogram{counts: counts, touched: k.touched}
 	} else {
-		freqs = make(map[uint32]int64)
+		freqs := make(map[uint32]int64)
+		hist = histogram{sparse: freqs}
 		syms = a.u32(f.Len())[:0]
 		aux, err = pred.CompressWalk(f.Dims, work, func(idx int, p float64) {
 			code, recon, ok := qz.Quantize(work[idx], p)
@@ -345,7 +341,7 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	predictTime := time.Since(tPredict)
 
 	tEncode := time.Now()
-	enc, err := encodeEntropy(a, opts.Entropy, syms, freqs, dense, encLUT)
+	enc, err := encodeEntropy(a, opts.Entropy, syms, &hist, encLUT)
 	if err != nil {
 		return nil, err
 	}
@@ -371,14 +367,14 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	// Rebuild the code histogram (unpredictable excluded) from the symbol
 	// frequencies for the Stats consumers; it is small — one entry per
 	// distinct code — and escapes with the Result.
-	hist := stats.NewCodeHistogram()
-	for s, n := range freqs {
+	codeHist := stats.NewCodeHistogram()
+	hist.each(func(s uint32, n int64) {
 		if s != resSym {
-			hist.Add(int32(s)-radius, n)
+			codeHist.Add(int32(s)-radius, n)
 		}
-	}
-	p0, _ := hist.TopP()
-	if hist.Total == 0 {
+	})
+	p0, _ := codeHist.TopP()
+	if codeHist.Total == 0 {
 		p0 = 0
 	}
 	st := Stats{
@@ -393,8 +389,8 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		AuxBytes:          len(aux),
 		Unpredictable:     len(unpred),
 		P0:                p0,
-		ZeroFrac:          hist.P(0),
-		CodeHist:          hist,
+		ZeroFrac:          codeHist.P(0),
+		CodeHist:          codeHist,
 		BitRate:           float64(len(out)) * 8 / float64(f.Len()),
 		BitRateHuffman:    float64(huffBits) / float64(f.Len()),
 		Ratio:             float64(f.OriginalBytes()) / float64(len(out)),
@@ -744,6 +740,12 @@ func Decompress(data []byte) (*grid.Field, error) {
 	rawPayload, err := undoLossless(LosslessKind(lossless), payload, int(rawPayloadLen))
 	if err != nil {
 		return nil, err
+	}
+	// A Huffman symbol costs at least one bit, so a payload this short cannot
+	// hold the declared values: refuse before sizing anything by n. (tANS
+	// symbols can cost zero bits; its decoder checks its own bit count.)
+	if enc.kind != EntropyTANS && n > 8*len(rawPayload) {
+		return nil, errTruncatedContainer
 	}
 	a := getArena()
 	defer a.release()

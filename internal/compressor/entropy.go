@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"rqm/internal/ans"
-	"rqm/internal/bitio"
 	"rqm/internal/huffman"
 )
 
@@ -66,26 +65,65 @@ type entropyEnc struct {
 	bitLen   uint64
 }
 
+// histogram is the symbol histogram Compress hands the entropy stage. The
+// kernel path counts densely — counts indexed by symbol, touched listing
+// each counted symbol once — and radii past denseCompressRadiusLimit count
+// into the sparse map instead.
+type histogram struct {
+	counts  []int64
+	touched []uint32
+	sparse  map[uint32]int64
+}
+
+// each calls fn for every counted symbol, in no particular order.
+func (h *histogram) each(fn func(sym uint32, n int64)) {
+	for s, n := range h.sparse {
+		fn(s, n)
+	}
+	for _, s := range h.touched {
+		fn(s, h.counts[s])
+	}
+}
+
+// asMap is the histogram as the map ans.Build takes.
+func (h *histogram) asMap() map[uint32]int64 {
+	if h.sparse != nil {
+		return h.sparse
+	}
+	m := make(map[uint32]int64, len(h.touched))
+	for _, s := range h.touched {
+		m[s] = h.counts[s]
+	}
+	return m
+}
+
 // encodeEntropy runs the selected entropy coder over the symbol stream.
-// The returned raw blob aliases arena memory (the bit writers' buffers) for
-// the Huffman kinds; callers must finish with it before the arena releases.
-func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, freqs map[uint32]int64, dense bool, encLUT []uint64) (*entropyEnc, error) {
+// encLUT is the dense encode LUT scratch (nil on the sparse path). The
+// returned codebook and raw blob alias arena memory; callers must finish with
+// them before the arena releases.
+func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, h *histogram, encLUT []uint64) (*entropyEnc, error) {
 	switch kind {
 	case EntropyHuffman, EntropyInterleaved:
-		cb, err := huffman.Build(freqs)
+		var cb *huffman.Codebook
+		var err error
+		if h.sparse != nil {
+			cb, err = huffman.Build(h.sparse)
+		} else {
+			cb, err = huffman.BuildDense(h.counts, h.touched)
+		}
 		if err != nil {
 			return nil, err
 		}
-		enc := &entropyEnc{kind: kind, codebook: cb.Serialize()}
-		var lut []uint64
-		if dense {
+		defer cb.Release()
+		a.cbBuf = cb.AppendSerialized(a.cbBuf[:0])
+		enc := &entropyEnc{kind: kind, codebook: a.cbBuf}
+		if encLUT != nil {
 			cb.FillLUT(encLUT)
-			lut = encLUT
 		}
 		if kind == EntropyHuffman {
 			bw := a.bitWriter()
-			if lut != nil {
-				err = cb.EncodeLUT(bw, syms, lut)
+			if encLUT != nil {
+				err = cb.EncodeLUT(bw, syms, encLUT)
 			} else {
 				err = cb.Encode(bw, syms)
 			}
@@ -98,7 +136,7 @@ func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, freqs map[uint32]i
 		}
 		k := huffman.DefaultStreams
 		ws := a.bitWriters(k)
-		streams, err := cb.EncodeInterleaved(syms, k, lut, ws)
+		streams, err := cb.EncodeInterleaved(syms, k, encLUT, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -123,13 +161,13 @@ func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, freqs map[uint32]i
 		return enc, nil
 
 	case EntropyTANS:
-		tab, err := ans.Build(freqs)
+		tab, err := ans.Build(h.asMap())
 		if errors.Is(err, ans.ErrAlphabetTooLarge) {
 			// The alphabet cannot be normalized into the largest table;
 			// code this field serially instead. The container records what
 			// was actually used, so decode needs no knowledge of the fall
 			// back.
-			return encodeEntropy(a, EntropyHuffman, syms, freqs, dense, encLUT)
+			return encodeEntropy(a, EntropyHuffman, syms, h, encLUT)
 		}
 		if err != nil {
 			return nil, err
@@ -137,7 +175,7 @@ func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, freqs map[uint32]i
 		defer tab.Release()
 		enc := &entropyEnc{kind: EntropyTANS, codebook: tab.Serialize(), param: ans.NumStates}
 		var lut []uint32
-		if dense {
+		if encLUT != nil {
 			lut = a.ansLUT(int(tab.MaxSymbol()) + 1)
 			tab.FillLUT(lut)
 		}
@@ -164,13 +202,15 @@ func decodeEntropy(enc *entropyEnc, rawPayload []byte, syms []uint32) error {
 		if err != nil {
 			return err
 		}
-		return cb.Decode(bitio.NewReader(rawPayload), syms)
+		defer cb.Release()
+		return cb.DecodeSerial(rawPayload, syms)
 
 	case EntropyInterleaved:
 		cb, _, err := huffman.Parse(enc.codebook)
 		if err != nil {
 			return err
 		}
+		defer cb.Release()
 		k := int(enc.param)
 		if k < 1 || k > huffman.MaxStreams {
 			return fmt.Errorf("compressor: interleaved container declares %d streams", k)

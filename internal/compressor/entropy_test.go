@@ -2,6 +2,9 @@ package compressor
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"rqm/internal/grid"
@@ -147,6 +150,43 @@ func TestVersion2Corruption(t *testing.T) {
 			bad := bytes.Clone(data)
 			bad[i] ^= 0x55
 			_, _ = Decompress(bad) // must not panic
+		}
+	}
+}
+
+// TestDecompressRejectsOversizedDims: a Huffman symbol costs at least one
+// bit, so dims that multiply to more values than the payload has bits are a
+// truncated container — refused before anything is sized by the value
+// count (a 2^30-value symbol scratch would otherwise be allocated and then
+// pinned in the arena pool).
+func TestDecompressRejectsOversizedDims(t *testing.T) {
+	f := testField(t, "cesm/TS")
+	lo, hi := f.ValueRange()
+	for _, e := range []EntropyKind{EntropyHuffman, EntropyInterleaved} {
+		res, err := Compress(f, Options{Mode: ABS, ErrorBound: (hi - lo) * 1e-3, Entropy: e})
+		if err != nil {
+			t.Fatal(err)
+		}
+		crafted := bytes.Clone(res.Bytes)
+		// The fixed header is magic, four (v1) or six (v2) option bytes,
+		// radius, two bounds, precision and rank; the first dimension follows.
+		firstDim := 4 + 4 + 4 + 8 + 8 + 2
+		if e != EntropyHuffman {
+			firstDim += 2
+		}
+		if got := binary.LittleEndian.Uint64(crafted[firstDim:]); got != uint64(f.Dims[0]) {
+			t.Fatalf("%s: header offset %d holds %d, not the first dimension %d", e, firstDim, got, f.Dims[0])
+		}
+		binary.LittleEndian.PutUint64(crafted[firstDim:], 1<<30)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = Decompress(crafted)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errTruncatedContainer) {
+			t.Fatalf("%s: %d-byte container declaring 2^30×%d values: %v, want errTruncatedContainer", e, len(crafted), f.Dims[1], err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("%s: Decompress allocated %d bytes before rejecting the container", e, grew)
 		}
 	}
 }

@@ -10,9 +10,20 @@
 // and decoder agree on nothing but the serialized lengths. Codes are
 // written MSB-first through bitio, which makes canonical prefixes sort
 // lexicographically in the stream; codes are at most MaxCodeLen (32) bits.
-// Decoders are table-driven: a one-shot prefix table `decodeTableBits`
-// wide resolves codes up to 11 bits in a single lookup, longer codes fall
-// back to the per-length canonical walk.
+// There is one decoder (kernel.go) for every stream shape: each stream is
+// a bitio.Window, a one-shot prefix table `decodeTableBits` wide resolves
+// codes up to 11 bits in a single lookup, and a longer code is found by
+// comparing the window against the per-length code limits.
+//
+// # Codebook lifetime
+//
+// Build, BuildDense and Parse fill a pooled shell; a caller coding at chunk
+// rate hands it back with Release and allocates nothing in steady state.
+// Decode, DecodeSerial, DecodeInterleaved, FillLUT, EncodeLUT and
+// AppendSerialized only read the codebook and may run concurrently on one.
+// Encode and EncodeInterleaved without a LUT, CodeLength and MeanBits go
+// through a symbol index built on first use: concurrent callers of those on
+// one Codebook need a lock.
 //
 // # Stream-interleave order
 //
@@ -28,9 +39,10 @@
 // Every stream — serial or interleaved — is independently zero-padded to a
 // whole byte (bitio.Writer.Bytes). Interleaved streams are framed
 // externally (the compressor stores k uint32 byte lengths); inside a
-// stream the decoder may only accept a table match in the padded tail when
-// the matched code length fits in the real bits that remain, per the
-// bitio.PeekBits contract. Truncated or corrupt streams surface typed
-// errors (wrapping bitio.ErrUnexpectedEOF, or "invalid code" past
-// MaxCodeLen); decoders never panic and never read out of bounds.
+// stream the decoder accepts a match in the padded tail only when the
+// matched code length fits in the real bits that remain, per the
+// bitio.Window contract. Truncated or corrupt streams surface typed
+// errors (wrapping bitio.ErrUnexpectedEOF, or "invalid code" when more
+// than the longest code's worth of real bits matches nothing); the decoder
+// never panics and never reads out of bounds.
 package huffman

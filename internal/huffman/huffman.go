@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"rqm/internal/bitio"
 )
@@ -15,283 +16,330 @@ const MaxCodeLen = 32
 
 // decodeTableBits bounds the one-shot decode acceleration table: codes up to
 // this many bits long resolve with a single table lookup instead of the
-// bit-by-bit canonical walk. Quantization codes concentrate around zero, so
-// in practice almost every symbol decodes through the table.
+// per-length compare. Quantization codes concentrate around zero, so in
+// practice almost every symbol decodes through the table.
 const decodeTableBits = 11
 
-// Codebook holds canonical codes for a symbol set.
+// ErrTruncatedCodebook marks a serialized codebook that ends before the
+// entries its header declares.
+var ErrTruncatedCodebook = errors.New("huffman: truncated codebook")
+
+// Codebook holds canonical codes for a symbol set. Build, BuildDense and
+// Parse take its shell — every slice below included — from a pool; a caller
+// that codes at chunk rate hands it back with Release, one that does not
+// leaves it to the collector.
 type Codebook struct {
-	// symbols sorted by (length asc, symbol asc) — canonical order.
+	// syms and lens are the entries by ascending symbol: what Build and Parse
+	// fill and what Serialize emits.
+	syms []uint32
+	lens []uint8
+	// symbols, lengths and codes are the same entries in canonical order,
+	// (length asc, symbol asc).
 	symbols []uint32
 	lengths []uint8
 	codes   []uint32
-	// index maps symbol -> position in the canonical arrays.
-	index map[uint32]int
-	// decoding tables per length: firstCode[l], firstIndex[l], count[l].
-	firstCode  [MaxCodeLen + 2]uint32
-	firstIndex [MaxCodeLen + 2]int
-	countLen   [MaxCodeLen + 2]int
+	// index maps symbol -> canonical position. Only an Encode without a LUT
+	// (and CodeLength) consults it, and builds it on first use.
+	index map[uint32]int32
+	// Per code length l: the first canonical code of that length, its
+	// canonical position, and limit[l], the end of the codes no longer than l
+	// left-aligned to 32 bits — a 32-bit stream prefix below limit[l] starts
+	// with a code of at most l bits.
+	firstCode  [MaxCodeLen + 1]uint32
+	firstIndex [MaxCodeLen + 1]int32
+	limit      [MaxCodeLen + 1]uint64
 	maxLen     uint8
 	// dtab is the one-shot decode table over tabBits-wide prefixes: entry
-	// length<<16 | canonical index, 0 = no code of length <= tabBits here.
-	// Canonical order puts short codes first and Kraft bounds their count by
-	// 1<<tabBits, so the index always fits in 16 bits.
-	dtab    []uint32
+	// symbol<<8 | length, 0 = no code of length <= tabBits here. The length
+	// sits in the low bits so a decode loop shifts by the entry as loaded.
+	dtab    []uint64
 	tabBits uint
 	// maxSym is the largest symbol value (the dense-LUT sizing bound).
 	maxSym uint32
+	// freq and tree are build scratch kept with the pooled shell.
+	freq []int64
+	tree treeHeap
 }
 
-// hNode is one Huffman tree node in the flat arena treeLengths builds:
-// leaves first, internal nodes appended as merges happen. Children are arena
-// indices (-1 for leaves), so tree construction makes exactly two
-// allocations instead of one per symbol.
-type hNode struct {
-	freq        int64
-	sym         uint32
-	left, right int32
+// codebookPool recycles Codebook shells and their slices: chunk-rate encode
+// and decode must not allocate a fresh table set per chunk.
+var codebookPool = sync.Pool{New: func() interface{} { return new(Codebook) }}
+
+// shell takes an empty Codebook from the pool for a build or parse to fill.
+func shell() *Codebook {
+	cb := codebookPool.Get().(*Codebook)
+	cb.syms, cb.lens, cb.freq = cb.syms[:0], cb.lens[:0], cb.freq[:0]
+	return cb
+}
+
+// Release returns the codebook to the pool. The caller must not use it after.
+func (cb *Codebook) Release() {
+	cb.index = nil
+	codebookPool.Put(cb)
 }
 
 // Build constructs a canonical codebook from symbol frequencies. Zero-count
 // symbols are ignored; at least one positive count is required.
 func Build(freqs map[uint32]int64) (*Codebook, error) {
-	type sf struct {
-		sym  uint32
-		freq int64
-	}
-	items := make([]sf, 0, len(freqs))
+	cb := shell()
 	for s, f := range freqs {
 		if f > 0 {
-			items = append(items, sf{s, f})
+			cb.syms = append(cb.syms, s)
 		}
 	}
-	if len(items) == 0 {
+	slices.Sort(cb.syms)
+	for _, s := range cb.syms {
+		cb.freq = append(cb.freq, freqs[s])
+	}
+	return cb.build()
+}
+
+// BuildDense is Build over a dense histogram: counts[s] is symbol s's
+// frequency and touched lists, in any order and each once, the symbols whose
+// count may be positive (nil: every index of counts). The codebook is the one
+// Build returns for the same frequencies; once the pool is warm it allocates
+// nothing.
+func BuildDense(counts []int64, touched []uint32) (*Codebook, error) {
+	cb := shell()
+	if touched == nil {
+		for s, f := range counts {
+			if f > 0 {
+				cb.syms = append(cb.syms, uint32(s))
+				cb.freq = append(cb.freq, f)
+			}
+		}
+		return cb.build()
+	}
+	for _, s := range touched {
+		if counts[s] > 0 {
+			cb.syms = append(cb.syms, s)
+		}
+	}
+	slices.Sort(cb.syms)
+	for _, s := range cb.syms {
+		cb.freq = append(cb.freq, counts[s])
+	}
+	return cb.build()
+}
+
+// build derives code lengths from cb.freq (parallel to the ascending
+// cb.syms) and assembles the tables. On error the shell goes back to the
+// pool.
+func (cb *Codebook) build() (*Codebook, error) {
+	n := len(cb.syms)
+	if n == 0 {
+		cb.Release()
 		return nil, errors.New("huffman: no symbols with positive frequency")
 	}
-	slices.SortFunc(items, func(a, b sf) int {
-		if a.sym < b.sym {
-			return -1
-		}
-		return 1
-	})
-	if len(items) == 1 {
-		return fromLengths([]uint32{items[0].sym}, []uint8{1})
-	}
-	work := make([]int64, len(items))
-	for i, it := range items {
-		work[i] = it.freq
-	}
-	for {
-		lengths := treeLengths(work)
-		maxL := uint8(0)
-		for _, l := range lengths {
-			if l > maxL {
-				maxL = l
+	cb.lens = slices.Grow(cb.lens[:0], n)[:n]
+	if n == 1 {
+		cb.lens[0] = 1
+	} else {
+		for cb.tree.lengths(cb.freq, cb.lens) > MaxCodeLen {
+			// Flatten the distribution and retry; converges because lengths
+			// shrink toward the balanced-tree depth ceil(log2(n)) <= 32 for any
+			// alphabet addressed by uint32 counts of this size.
+			for i := range cb.freq {
+				cb.freq[i] = (cb.freq[i] + 1) / 2
 			}
 		}
-		if maxL <= MaxCodeLen {
-			syms := make([]uint32, len(items))
-			for i, it := range items {
-				syms[i] = it.sym
-			}
-			return fromLengths(syms, lengths)
-		}
-		// Flatten the distribution and retry; converges because lengths
-		// shrink toward the balanced-tree depth ceil(log2(n)) <= 32 for any
-		// alphabet addressed by uint32 counts of this size.
-		for i := range work {
-			work[i] = (work[i] + 1) / 2
-		}
 	}
-}
-
-// treeLengths builds a Huffman tree over (freq, sym) and returns code
-// lengths per item (indexed like the input). The index heap replicates
-// container/heap's sift order exactly (down picks the right child only on a
-// strict win), so the tree — and therefore every emitted container — is
-// bit-identical to the pointer-heap implementation it replaced.
-func treeLengths(freqs []int64) []uint8 {
-	n := len(freqs)
-	nodes := make([]hNode, n, 2*n-1)
-	for i, f := range freqs {
-		nodes[i] = hNode{freq: f, sym: uint32(i), left: -1, right: -1}
+	if err := cb.assemble(); err != nil {
+		cb.Release()
+		return nil, err
 	}
-	h := make([]int32, n, 2*n-1)
-	for i := range h {
-		h[i] = int32(i)
-	}
-	less := func(a, b int32) bool {
-		if nodes[a].freq != nodes[b].freq {
-			return nodes[a].freq < nodes[b].freq
-		}
-		return nodes[a].sym < nodes[b].sym // deterministic tie-break
-	}
-	down := func(i0 int) {
-		i := i0
-		for {
-			j1 := 2*i + 1
-			if j1 >= len(h) {
-				break
-			}
-			j := j1
-			if j2 := j1 + 1; j2 < len(h) && less(h[j2], h[j1]) {
-				j = j2
-			}
-			if !less(h[j], h[i]) {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			i = j
-		}
-	}
-	up := func(j int) {
-		for j > 0 {
-			i := (j - 1) / 2
-			if !less(h[j], h[i]) {
-				break
-			}
-			h[i], h[j] = h[j], h[i]
-			j = i
-		}
-	}
-	pop := func() int32 {
-		last := len(h) - 1
-		h[0], h[last] = h[last], h[0]
-		x := h[last]
-		h = h[:last]
-		down(0)
-		return x
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for len(h) > 1 {
-		a := pop()
-		b := pop()
-		nodes = append(nodes, hNode{freq: nodes[a].freq + nodes[b].freq, sym: nodes[a].sym, left: a, right: b})
-		h = append(h, int32(len(nodes)-1))
-		up(len(h) - 1)
-	}
-	root := h[0]
-	lengths := make([]uint8, n)
-	// Iterative depth assignment over (index, depth) packed into one int64.
-	stack := make([]int64, 0, 64)
-	stack = append(stack, int64(root)<<8)
-	for len(stack) > 0 {
-		e := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		nd, depth := &nodes[e>>8], uint8(e&0xff)
-		if nd.left < 0 {
-			if depth == 0 {
-				depth = 1 // single-leaf tree
-			}
-			lengths[nd.sym] = depth
-			continue
-		}
-		stack = append(stack, int64(nd.left)<<8|int64(depth+1), int64(nd.right)<<8|int64(depth+1))
-	}
-	return lengths
-}
-
-// fromLengths assembles the canonical codebook from (symbol, length) pairs.
-func fromLengths(syms []uint32, lengths []uint8) (*Codebook, error) {
-	n := len(syms)
-	ord := make([]int, n)
-	for i := range ord {
-		ord[i] = i
-	}
-	slices.SortFunc(ord, func(ia, ib int) int {
-		if lengths[ia] != lengths[ib] {
-			return int(lengths[ia]) - int(lengths[ib])
-		}
-		if syms[ia] < syms[ib] {
-			return -1
-		}
-		return 1
-	})
-	cb := &Codebook{
-		symbols: make([]uint32, n),
-		lengths: make([]uint8, n),
-		codes:   make([]uint32, n),
-		index:   make(map[uint32]int, n),
-	}
-	for i, o := range ord {
-		cb.symbols[i] = syms[o]
-		cb.lengths[i] = lengths[o]
-	}
-	var code uint32
-	var prevLen uint8
-	for i := 0; i < n; i++ {
-		l := cb.lengths[i]
-		if l == 0 || l > MaxCodeLen {
-			return nil, fmt.Errorf("huffman: invalid code length %d", l)
-		}
-		if i == 0 {
-			code = 0
-		} else {
-			code = (code + 1) << (l - prevLen)
-		}
-		cb.codes[i] = code
-		prevLen = l
-		if _, dup := cb.index[cb.symbols[i]]; dup {
-			return nil, fmt.Errorf("huffman: duplicate symbol %d", cb.symbols[i])
-		}
-		cb.index[cb.symbols[i]] = i
-		// Kraft check: code must fit in l bits.
-		if l < 32 && code >= 1<<l {
-			return nil, errors.New("huffman: code lengths violate Kraft inequality")
-		}
-	}
-	cb.maxLen = cb.lengths[n-1]
-	// Decoding tables.
-	for l := uint8(1); l <= cb.maxLen; l++ {
-		cb.firstIndex[l] = -1
-	}
-	for i := 0; i < n; i++ {
-		l := cb.lengths[i]
-		if cb.firstIndex[l] == -1 {
-			cb.firstIndex[l] = i
-			cb.firstCode[l] = cb.codes[i]
-		}
-		cb.countLen[l]++
-		if cb.symbols[i] > cb.maxSym {
-			cb.maxSym = cb.symbols[i]
-		}
-	}
-	cb.buildDecodeTable()
 	return cb, nil
 }
 
-// buildDecodeTable fills the one-shot prefix table. Symbols are in canonical
-// order (length ascending), so the fill stops at the first code longer than
-// tabBits; prefixes not covered keep entry 0 and fall back to the canonical
-// walk.
-func (cb *Codebook) buildDecodeTable() {
-	tb := uint(cb.maxLen)
-	if tb > decodeTableBits {
-		tb = decodeTableBits
+// treeItem is one live subtree in the tree builder's min-heap, ordered by
+// (freq, sym). A leaf's sym is its item index and a merged subtree carries
+// its first child's, so live keys are distinct: the merge order — and with it
+// the tree and every emitted container — is fixed by the frequencies alone,
+// whatever the heap does inside.
+type treeItem struct {
+	freq int64
+	sym  uint32
+	node int32
+}
+
+func (a treeItem) less(b treeItem) bool {
+	return a.freq < b.freq || a.freq == b.freq && a.sym < b.sym
+}
+
+// treeHeap is the tree builder's pooled scratch: the heap, the children of
+// each merged node (node n+j is the j-th merge; nodes below n are the leaves)
+// and the depth walk's stack.
+type treeHeap struct {
+	h     []treeItem
+	kids  [][2]int32
+	stack []int64
+}
+
+func (t *treeHeap) down(i int) {
+	h := t.h
+	x := h[i]
+	for {
+		j := 2*i + 1
+		if j >= len(h) {
+			break
+		}
+		if j+1 < len(h) && h[j+1].less(h[j]) {
+			j++
+		}
+		if !h[j].less(x) {
+			break
+		}
+		h[i] = h[j]
+		i = j
 	}
+	h[i] = x
+}
+
+func (t *treeHeap) pop() treeItem {
+	top := t.h[0]
+	last := len(t.h) - 1
+	t.h[0] = t.h[last]
+	t.h = t.h[:last]
+	if last > 0 {
+		t.down(0)
+	}
+	return top
+}
+
+func (t *treeHeap) push(x treeItem) {
+	t.h = append(t.h, x)
+	h := t.h
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !x.less(h[i]) {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = x
+}
+
+// lengths builds a Huffman tree over freqs (at least two) and writes each
+// item's code length into out, returning the longest.
+func (t *treeHeap) lengths(freqs []int64, out []uint8) (longest uint8) {
+	n := len(freqs)
+	t.h = slices.Grow(t.h[:0], n)[:n]
+	for i, f := range freqs {
+		t.h[i] = treeItem{freq: f, sym: uint32(i), node: int32(i)}
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		t.down(i)
+	}
+	t.kids = t.kids[:0]
+	for len(t.h) > 1 {
+		a := t.pop()
+		b := t.pop()
+		t.kids = append(t.kids, [2]int32{a.node, b.node})
+		t.push(treeItem{freq: a.freq + b.freq, sym: a.sym, node: int32(n + len(t.kids) - 1)})
+	}
+	// Iterative depth assignment over (node, depth) packed into one int64.
+	stack := append(t.stack[:0], int64(t.h[0].node)<<8)
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		node, depth := int(e>>8), uint8(e&0xff)
+		if node < n {
+			out[node] = depth
+			longest = max(longest, depth)
+			continue
+		}
+		kids := t.kids[node-n]
+		stack = append(stack, int64(kids[0])<<8|int64(depth+1), int64(kids[1])<<8|int64(depth+1))
+	}
+	t.stack = stack
+	return longest
+}
+
+// assemble derives the canonical order, the codes and the decode tables from
+// the entries in cb.syms / cb.lens (symbols strictly ascending). Sorting
+// symbol-ascending entries stably by length is the canonical order, so one
+// counting pass per length replaces a comparison sort.
+func (cb *Codebook) assemble() error {
+	n := len(cb.syms)
+	var count [MaxCodeLen + 1]int32
+	for _, l := range cb.lens {
+		if l == 0 || l > MaxCodeLen {
+			return fmt.Errorf("huffman: invalid code length %d", l)
+		}
+		count[l]++
+	}
+	var next [MaxCodeLen + 1]int32 // canonical position of each length's next entry
+	var code uint64
+	var at int32
+	cb.maxLen = 0
+	for l := 1; l <= MaxCodeLen; l++ {
+		code <<= 1
+		cb.firstCode[l], cb.firstIndex[l], next[l] = uint32(code), at, at
+		code += uint64(count[l])
+		at += count[l]
+		if code > 1<<l {
+			return errors.New("huffman: code lengths violate Kraft inequality")
+		}
+		cb.limit[l] = code << (32 - l)
+		if count[l] > 0 {
+			cb.maxLen = uint8(l)
+		}
+	}
+	cb.symbols = slices.Grow(cb.symbols[:0], n)[:n]
+	cb.lengths = slices.Grow(cb.lengths[:0], n)[:n]
+	cb.codes = slices.Grow(cb.codes[:0], n)[:n]
+	for i, s := range cb.syms {
+		l := cb.lens[i]
+		j := next[l]
+		next[l]++
+		cb.symbols[j] = s
+		cb.lengths[j] = l
+		cb.codes[j] = cb.firstCode[l] + uint32(j-cb.firstIndex[l])
+	}
+	cb.maxSym = cb.syms[n-1]
+	cb.index = nil
+
+	// The one-shot prefix table. Symbols are in canonical order (length
+	// ascending), so the fill stops at the first code longer than tabBits;
+	// prefixes not covered keep entry 0 and resolve by the per-length
+	// compare.
+	tb := min(uint(cb.maxLen), decodeTableBits)
 	cb.tabBits = tb
-	cb.dtab = make([]uint32, 1<<tb)
+	cb.dtab = slices.Grow(cb.dtab[:0], 1<<tb)[:1<<tb]
+	clear(cb.dtab)
 	for i, l := range cb.lengths {
 		if uint(l) > tb {
 			break
 		}
-		span := uint(1) << (tb - uint(l))
 		base := cb.codes[i] << (tb - uint(l))
-		e := uint32(l)<<16 | uint32(i)
-		for j := uint(0); j < span; j++ {
-			cb.dtab[base+uint32(j)] = e
+		e := uint64(cb.symbols[i])<<8 | uint64(l)
+		for j := range uint32(1) << (tb - uint(l)) {
+			cb.dtab[base+j] = e
 		}
 	}
+	return nil
 }
 
 // NumSymbols returns the alphabet size.
 func (cb *Codebook) NumSymbols() int { return len(cb.symbols) }
 
+// positions returns the symbol -> canonical position index, built on first
+// use — so concurrent callers on one Codebook need external locking.
+func (cb *Codebook) positions() map[uint32]int32 {
+	if cb.index == nil {
+		cb.index = make(map[uint32]int32, len(cb.symbols))
+		for i, s := range cb.symbols {
+			cb.index[s] = int32(i)
+		}
+	}
+	return cb.index
+}
+
 // CodeLength returns the code length for sym, or ok=false if absent.
 func (cb *Codebook) CodeLength(sym uint32) (uint8, bool) {
-	i, ok := cb.index[sym]
+	i, ok := cb.positions()[sym]
 	if !ok {
 		return 0, false
 	}
@@ -318,56 +366,18 @@ func (cb *Codebook) MeanBits(freqs map[uint32]int64) float64 {
 	return float64(bits) / float64(total)
 }
 
-// Encode appends the codes for syms to w. Unknown symbols are an error.
+// Encode appends the codes for syms to w. Unknown symbols are an error. It
+// goes through the symbol index the codebook builds on first use, so
+// concurrent Encodes on one Codebook need external locking (EncodeLUT does
+// not).
 func (cb *Codebook) Encode(w *bitio.Writer, syms []uint32) error {
+	index := cb.positions()
 	for _, s := range syms {
-		i, ok := cb.index[s]
+		i, ok := index[s]
 		if !ok {
 			return fmt.Errorf("huffman: symbol %d not in codebook", s)
 		}
 		w.WriteBits(uint64(cb.codes[i]), uint(cb.lengths[i]))
-	}
-	return nil
-}
-
-// Decode reads len(out) symbols from r using canonical decoding. Codes up to
-// decodeTableBits long resolve with one table lookup; longer codes (and the
-// padded stream tail, where a table match could otherwise extend into
-// zero-padding) fall back to the bit-by-bit canonical walk, which reports
-// truncation exactly as before.
-func (cb *Codebook) Decode(r *bitio.Reader, out []uint32) error {
-	tb := cb.tabBits
-	for i := range out {
-		if v, avail := r.PeekBits(tb); avail > 0 {
-			if e := cb.dtab[v]; e != 0 {
-				if l := uint(e >> 16); l <= avail {
-					_ = r.Skip(l)
-					out[i] = cb.symbols[e&0xffff]
-					continue
-				}
-			}
-		}
-		var code uint32
-		var l uint8
-		for {
-			b, err := r.ReadBits(1)
-			if err != nil {
-				return fmt.Errorf("huffman: truncated stream at symbol %d: %w", i, err)
-			}
-			code = code<<1 | uint32(b)
-			l++
-			if l > cb.maxLen {
-				return fmt.Errorf("huffman: invalid code at symbol %d", i)
-			}
-			if cb.countLen[l] == 0 {
-				continue
-			}
-			offset := int64(code) - int64(cb.firstCode[l])
-			if offset >= 0 && offset < int64(cb.countLen[l]) {
-				out[i] = cb.symbols[cb.firstIndex[l]+int(offset)]
-				break
-			}
-		}
 	}
 	return nil
 }
@@ -402,85 +412,68 @@ func (cb *Codebook) EncodeLUT(w *bitio.Writer, syms []uint32, lut []uint64) erro
 	return nil
 }
 
-// Serialize emits the codebook: uvarint(count), then per canonical entry a
-// uvarint symbol delta (+1 from previous, first is absolute) and a length
-// byte. Symbols are re-sorted by value for tight deltas.
-func (cb *Codebook) Serialize() []byte {
-	n := len(cb.symbols)
-	type entry struct {
-		sym uint32
-		l   uint8
-	}
-	entries := make([]entry, n)
-	for i := range cb.symbols {
-		entries[i] = entry{cb.symbols[i], cb.lengths[i]}
-	}
-	slices.SortFunc(entries, func(a, b entry) int {
-		if a.sym < b.sym {
-			return -1
-		}
-		return 1
-	})
-	buf := make([]byte, 0, n*2+10)
-	var tmp [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(tmp[:], uint64(n))
-	buf = append(buf, tmp[:k]...)
+// AppendSerialized appends the codebook to dst: uvarint(count), then per
+// entry by ascending symbol a uvarint symbol delta (+1 from previous, first
+// is absolute) and a length byte.
+func (cb *Codebook) AppendSerialized(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(cb.syms)))
 	prev := int64(-1)
-	for _, e := range entries {
-		delta := int64(e.sym) - prev
-		k := binary.PutUvarint(tmp[:], uint64(delta))
-		buf = append(buf, tmp[:k]...)
-		buf = append(buf, e.l)
-		prev = int64(e.sym)
+	for i, s := range cb.syms {
+		dst = binary.AppendUvarint(dst, uint64(int64(s)-prev))
+		dst = append(dst, cb.lens[i])
+		prev = int64(s)
 	}
-	return buf
+	return dst
+}
+
+// Serialize returns AppendSerialized in a fresh buffer.
+func (cb *Codebook) Serialize() []byte {
+	return cb.AppendSerialized(make([]byte, 0, len(cb.syms)*2+10))
 }
 
 // Parse reconstructs a codebook serialized by Serialize, returning the
-// number of bytes consumed.
+// number of bytes consumed. Nothing entry-sized is allocated before the
+// declared count is checked against the bytes present.
 func Parse(data []byte) (*Codebook, int, error) {
-	n64, k := binary.Uvarint(data)
-	if k <= 0 {
+	n64, pos := binary.Uvarint(data)
+	if pos <= 0 {
 		return nil, 0, errors.New("huffman: bad codebook count")
 	}
 	if n64 == 0 || n64 > 1<<28 {
 		return nil, 0, fmt.Errorf("huffman: unreasonable codebook size %d", n64)
 	}
-	pos := k
-	n := int(n64)
-	syms := make([]uint32, n)
-	lengths := make([]uint8, n)
+	// Every entry is at least a one-byte delta and a length byte.
+	if n64 > uint64(len(data)-pos)/2 {
+		return nil, 0, fmt.Errorf("%w: %d entries declared, %d bytes present", ErrTruncatedCodebook, n64, len(data)-pos)
+	}
+	cb := shell()
+	fail := func(err error) (*Codebook, int, error) {
+		cb.Release()
+		return nil, 0, err
+	}
 	prev := int64(-1)
-	for i := 0; i < n; i++ {
+	for range n64 {
 		d, k := binary.Uvarint(data[pos:])
 		if k <= 0 {
-			return nil, 0, errors.New("huffman: truncated codebook symbol")
+			return fail(fmt.Errorf("%w: symbol", ErrTruncatedCodebook))
 		}
 		pos += k
 		if pos >= len(data) {
-			return nil, 0, errors.New("huffman: truncated codebook length")
+			return fail(fmt.Errorf("%w: length", ErrTruncatedCodebook))
 		}
+		// Symbols ascend strictly: a zero delta repeats one, and a delta past
+		// the symbol range could wrap back below its predecessor.
 		sym := prev + int64(d)
-		if sym < 0 || sym > int64(^uint32(0)) {
-			return nil, 0, errors.New("huffman: symbol out of range")
+		if d == 0 || d > 1<<32 || sym > int64(^uint32(0)) {
+			return fail(errors.New("huffman: symbol out of range or not ascending"))
 		}
-		syms[i] = uint32(sym)
-		lengths[i] = data[pos]
+		cb.syms = append(cb.syms, uint32(sym))
+		cb.lens = append(cb.lens, data[pos])
 		pos++
 		prev = sym
 	}
-	cb, err := fromLengths(syms, lengths)
-	if err != nil {
-		return nil, 0, err
+	if err := cb.assemble(); err != nil {
+		return fail(err)
 	}
 	return cb, pos, nil
-}
-
-// FreqsOf tallies symbol frequencies of a slice.
-func FreqsOf(syms []uint32) map[uint32]int64 {
-	m := make(map[uint32]int64)
-	for _, s := range syms {
-		m[s]++
-	}
-	return m
 }

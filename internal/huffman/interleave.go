@@ -9,8 +9,8 @@ import (
 
 // Interleaved multi-stream coding: the symbol sequence is split round-robin
 // across K independent bitstreams (symbol i goes to stream i%K), all encoded
-// with ONE shared canonical codebook. Decoding keeps K independent bit-reader
-// states live in a single loop, so the CPU overlaps the serial
+// with ONE shared canonical codebook. Decoding (kernel.go) keeps K stream
+// windows live in a single loop, so the CPU overlaps the serial
 // bit-extraction dependency chains of all K streams — the standard trick
 // behind FSE/Huff0-style coders. Ratio cost is only the per-stream byte
 // padding (≤ K-1 bytes per chunk); decode throughput gain is the point.
@@ -40,9 +40,9 @@ func InterleavedLen(n, k, s int) int {
 // EncodeInterleaved encodes syms round-robin into k streams sharing this
 // codebook, appending through the provided writers (ws[i] must be Reset by
 // the caller; len(ws) >= k). lut is an optional dense encode LUT previously
-// filled with FillLUT (nil = map lookups). Returns one byte slice per
-// stream, each zero-padded to a whole byte; the slices alias the writers'
-// internal buffers.
+// filled with FillLUT (nil = map lookups, see Encode). Returns one byte
+// slice per stream, each zero-padded to a whole byte; the slices alias the
+// writers' internal buffers.
 func (cb *Codebook) EncodeInterleaved(syms []uint32, k int, lut []uint64, ws []*bitio.Writer) ([][]byte, error) {
 	if k < 1 || k > MaxStreams {
 		return nil, fmt.Errorf("%w: %d", ErrBadStreamCount, k)
@@ -59,8 +59,9 @@ func (cb *Codebook) EncodeInterleaved(syms []uint32, k int, lut []uint64, ws []*
 			ws[i%k].WriteBits(e>>8, uint(e&0xff))
 		}
 	} else {
+		index := cb.positions()
 		for i, s := range syms {
-			j, ok := cb.index[s]
+			j, ok := index[s]
 			if !ok {
 				return nil, fmt.Errorf("huffman: symbol %d not in codebook", s)
 			}
@@ -72,232 +73,4 @@ func (cb *Codebook) EncodeInterleaved(syms []uint32, k int, lut []uint64, ws []*
 		out[s] = ws[s].Bytes()
 	}
 	return out, nil
-}
-
-// ilvState is one stream's inline bit-reader state: a 64-bit MSB-aligned
-// accumulator refilled bytewise from the stream buffer. Keeping the state
-// flat (no methods on hot fields, no interface) lets the decode loop below
-// run K independent dependency chains without per-symbol call overhead.
-type ilvState struct {
-	buf []byte
-	pos int
-	acc uint64
-	n   uint
-}
-
-// refill tops the accumulator up to >= 56 valid bits or the end of buf.
-func (st *ilvState) refill() {
-	for st.n <= 56 && st.pos < len(st.buf) {
-		st.acc = st.acc<<8 | uint64(st.buf[st.pos])
-		st.pos++
-		st.n += 8
-	}
-}
-
-// DecodeInterleaved reads len(out) symbols from k round-robin streams
-// encoded with EncodeInterleaved against this codebook. out[i] comes from
-// streams[i%k]. Codes up to the table width resolve with one lookup; longer
-// codes fall back to the canonical walk. Truncated or corrupt streams
-// return a typed error — the decoder never reads past a stream's buffer and
-// never panics.
-//
-// The DefaultStreams case runs a specialized loop that keeps all four
-// reader states in registers, refills 32 bits at a time, and decodes two
-// rounds (eight symbols) per iteration, so the four bit-extraction
-// dependency chains overlap; it hands off to the generic loop for stream
-// tails and table-overflow codes.
-func (cb *Codebook) DecodeInterleaved(streams [][]byte, out []uint32) error {
-	k := len(streams)
-	if k < 1 || k > MaxStreams {
-		return fmt.Errorf("%w: %d", ErrBadStreamCount, k)
-	}
-	var sts [MaxStreams]ilvState
-	for s := 0; s < k; s++ {
-		sts[s].buf = streams[s]
-	}
-	n := len(out)
-	if k != 4 {
-		return cb.decodeIlvRange(&sts, out, 0, n, k)
-	}
-	i := 0
-	for i < n {
-		i = cb.decodeIlv4(&sts, out, i)
-		if i >= n {
-			return nil
-		}
-		// The fast loop stopped on a long code or a buffer tail: clear one
-		// full round generically (guaranteed progress), then retry it.
-		stop := i + 4
-		if stop > n {
-			stop = n
-		}
-		if err := cb.decodeIlvRange(&sts, out, i, stop, 4); err != nil {
-			return err
-		}
-		i = stop
-	}
-	return nil
-}
-
-// decodeIlv4 is the four-stream fast loop. Starting at symbol index start
-// (a multiple of 4, so it begins on stream 0), it decodes only while every
-// stream can word-refill and every code resolves in the one-shot table,
-// returning the index of the first undecoded symbol (again a multiple of
-// 4). It never consumes bits past that index.
-func (cb *Codebook) decodeIlv4(sts *[MaxStreams]ilvState, out []uint32, start int) int {
-	tb := cb.tabBits
-	dtab := cb.dtab
-	symbols := cb.symbols
-	mask := uint32(1)<<tb - 1
-	b0, b1, b2, b3 := sts[0].buf, sts[1].buf, sts[2].buf, sts[3].buf
-	a0, a1, a2, a3 := sts[0].acc, sts[1].acc, sts[2].acc, sts[3].acc
-	n0, n1, n2, n3 := sts[0].n, sts[1].n, sts[2].n, sts[3].n
-	p0, p1, p2, p3 := sts[0].pos, sts[1].pos, sts[2].pos, sts[3].pos
-	i, N := start, len(out)
-	for i+8 <= N {
-		// Refill each accumulator to >= 32 bits with one big-endian word
-		// load; near a buffer end, fall back to the generic bytewise loop.
-		if n0 < 32 {
-			if p0+4 > len(b0) {
-				break
-			}
-			a0 = a0<<32 | uint64(uint32(b0[p0])<<24|uint32(b0[p0+1])<<16|uint32(b0[p0+2])<<8|uint32(b0[p0+3]))
-			p0 += 4
-			n0 += 32
-		}
-		if n1 < 32 {
-			if p1+4 > len(b1) {
-				break
-			}
-			a1 = a1<<32 | uint64(uint32(b1[p1])<<24|uint32(b1[p1+1])<<16|uint32(b1[p1+2])<<8|uint32(b1[p1+3]))
-			p1 += 4
-			n1 += 32
-		}
-		if n2 < 32 {
-			if p2+4 > len(b2) {
-				break
-			}
-			a2 = a2<<32 | uint64(uint32(b2[p2])<<24|uint32(b2[p2+1])<<16|uint32(b2[p2+2])<<8|uint32(b2[p2+3]))
-			p2 += 4
-			n2 += 32
-		}
-		if n3 < 32 {
-			if p3+4 > len(b3) {
-				break
-			}
-			a3 = a3<<32 | uint64(uint32(b3[p3])<<24|uint32(b3[p3+1])<<16|uint32(b3[p3+2])<<8|uint32(b3[p3+3]))
-			p3 += 4
-			n3 += 32
-		}
-		// Round A: peek all four streams, then commit only if every code
-		// resolved (a zero entry means a code longer than the table — rare;
-		// the generic loop's canonical walk takes over with no bits lost).
-		e0 := dtab[uint32(a0>>(n0-tb))&mask]
-		e1 := dtab[uint32(a1>>(n1-tb))&mask]
-		e2 := dtab[uint32(a2>>(n2-tb))&mask]
-		e3 := dtab[uint32(a3>>(n3-tb))&mask]
-		if e0 == 0 || e1 == 0 || e2 == 0 || e3 == 0 {
-			break
-		}
-		n0 -= uint(e0 >> 16)
-		n1 -= uint(e1 >> 16)
-		n2 -= uint(e2 >> 16)
-		n3 -= uint(e3 >> 16)
-		out[i] = symbols[e0&0xffff]
-		out[i+1] = symbols[e1&0xffff]
-		out[i+2] = symbols[e2&0xffff]
-		out[i+3] = symbols[e3&0xffff]
-		i += 4
-		// Round B: after consuming <= tb bits each accumulator still holds
-		// >= 32-tb >= tb bits (tb <= 11), so a second decode needs no refill
-		// check.
-		e0 = dtab[uint32(a0>>(n0-tb))&mask]
-		e1 = dtab[uint32(a1>>(n1-tb))&mask]
-		e2 = dtab[uint32(a2>>(n2-tb))&mask]
-		e3 = dtab[uint32(a3>>(n3-tb))&mask]
-		if e0 == 0 || e1 == 0 || e2 == 0 || e3 == 0 {
-			break
-		}
-		n0 -= uint(e0 >> 16)
-		n1 -= uint(e1 >> 16)
-		n2 -= uint(e2 >> 16)
-		n3 -= uint(e3 >> 16)
-		out[i] = symbols[e0&0xffff]
-		out[i+1] = symbols[e1&0xffff]
-		out[i+2] = symbols[e2&0xffff]
-		out[i+3] = symbols[e3&0xffff]
-		i += 4
-	}
-	sts[0] = ilvState{buf: b0, pos: p0, acc: a0, n: n0}
-	sts[1] = ilvState{buf: b1, pos: p1, acc: a1, n: n1}
-	sts[2] = ilvState{buf: b2, pos: p2, acc: a2, n: n2}
-	sts[3] = ilvState{buf: b3, pos: p3, acc: a3, n: n3}
-	return i
-}
-
-// decodeIlvRange is the any-k, any-code-length loop over out[start:stop];
-// the fast path defers to it for stream tails, long codes, and stream
-// counts other than 4.
-func (cb *Codebook) decodeIlvRange(sts *[MaxStreams]ilvState, out []uint32, start, stop, k int) error {
-	tb := cb.tabBits
-	dtab := cb.dtab
-	symbols := cb.symbols
-	for i := start; i < stop; i++ {
-		st := &sts[i%k]
-		if st.n < 32 {
-			st.refill()
-		}
-		if st.n >= tb {
-			if e := dtab[uint32(st.acc>>(st.n-tb))&((1<<tb)-1)]; e != 0 {
-				st.n -= uint(e >> 16)
-				out[i] = symbols[e&0xffff]
-				continue
-			}
-		} else if st.n > 0 {
-			// Tail: peek with zero padding; a table hit is valid only when
-			// the matched code fits in the real bits that remain.
-			if e := dtab[uint32(st.acc<<(tb-st.n))&((1<<tb)-1)]; e != 0 {
-				if l := uint(e >> 16); l <= st.n {
-					st.n -= l
-					out[i] = symbols[e&0xffff]
-					continue
-				}
-			}
-		}
-		// Slow path: codes longer than the table (or a short tail).
-		sym, err := cb.decodeSlow(st, i)
-		if err != nil {
-			return err
-		}
-		out[i] = sym
-	}
-	return nil
-}
-
-// decodeSlow is the bit-by-bit canonical walk over one stream state, used
-// for codes longer than the decode table and for the padded stream tail.
-func (cb *Codebook) decodeSlow(st *ilvState, i int) (uint32, error) {
-	var code uint32
-	var l uint8
-	for {
-		if st.n == 0 {
-			st.refill()
-			if st.n == 0 {
-				return 0, fmt.Errorf("huffman: truncated stream at symbol %d: %w", i, bitio.ErrUnexpectedEOF)
-			}
-		}
-		st.n--
-		code = code<<1 | uint32(st.acc>>st.n&1)
-		l++
-		if l > cb.maxLen {
-			return 0, fmt.Errorf("huffman: invalid code at symbol %d", i)
-		}
-		if cb.countLen[l] == 0 {
-			continue
-		}
-		offset := int64(code) - int64(cb.firstCode[l])
-		if offset >= 0 && offset < int64(cb.countLen[l]) {
-			return cb.symbols[cb.firstIndex[l]+int(offset)], nil
-		}
-	}
 }

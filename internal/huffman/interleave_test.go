@@ -37,7 +37,7 @@ func TestInterleavedRoundTrip(t *testing.T) {
 				}
 				syms[i] = 32768 + v - 20
 			}
-			cb, err := Build(FreqsOf(syms))
+			cb, err := Build(freqsOf(syms))
 			if err != nil {
 				t.Fatalf("Build: %v", err)
 			}
@@ -62,7 +62,7 @@ func TestInterleavedMatchesSerialPerStream(t *testing.T) {
 	// Stream s of an interleaved encode must be the plain serial encode of
 	// the symbols at indices ≡ s (mod k): interleaving is pure round-robin.
 	syms := []uint32{5, 1, 1, 2, 5, 1, 0, 0, 1, 2, 3}
-	cb, err := Build(FreqsOf(syms))
+	cb, err := Build(freqsOf(syms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestInterleavedSingleSymbolAlphabet(t *testing.T) {
 	for i := range syms {
 		syms[i] = 9
 	}
-	cb, err := Build(FreqsOf(syms))
+	cb, err := Build(freqsOf(syms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestInterleavedTruncatedStream(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint32(rng.Intn(64))
 	}
-	cb, err := Build(FreqsOf(syms))
+	cb, err := Build(freqsOf(syms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestInterleavedTruncatedStream(t *testing.T) {
 
 func TestInterleavedBadStreamCount(t *testing.T) {
 	syms := []uint32{1, 2, 3}
-	cb, err := Build(FreqsOf(syms))
+	cb, err := Build(freqsOf(syms))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestInterleavedLUTMatchesMapEncode(t *testing.T) {
 	for i := range syms {
 		syms[i] = uint32(rng.Intn(100))
 	}
-	cb, err := Build(FreqsOf(syms))
+	cb, err := Build(freqsOf(syms))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rqm/internal/ans"
-	"rqm/internal/bitio"
 	"rqm/internal/huffman"
 	"rqm/internal/lz77"
 )
@@ -102,8 +101,8 @@ func errWideSymbol(backend string, sym uint32) error {
 
 // huffCodec frames a canonical Huffman stream as
 // [codebook][u64 LE bit count][bitstream]. The huffman package codes uint32
-// symbols from a map histogram; the plane is widened into the scratch for
-// it rather than into a fresh slice.
+// symbols; the plane is widened into the scratch for it rather than into a
+// fresh slice.
 type huffCodec struct{}
 
 func (huffCodec) Name() string { return "huffman" }
@@ -112,19 +111,15 @@ func (huffCodec) ID() uint8    { return idHuffman }
 func (huffCodec) Compress(dst, plane []byte, s *scratch) ([]byte, error) {
 	var hist [256]uint32
 	histogram(&hist, plane)
-	if s.freqs == nil {
-		s.freqs = make(map[uint32]int64, 256)
-	}
-	clear(s.freqs)
+	var counts [256]int64
 	for b, n := range hist {
-		if n > 0 {
-			s.freqs[uint32(b)] = int64(n)
-		}
+		counts[b] = int64(n)
 	}
-	cb, err := huffman.Build(s.freqs)
+	cb, err := huffman.BuildDense(counts[:], nil)
 	if err != nil {
 		return nil, err
 	}
+	defer cb.Release()
 	var lut [256]uint64
 	cb.FillLUT(lut[:])
 	syms := grow(&s.syms, len(plane))
@@ -135,7 +130,7 @@ func (huffCodec) Compress(dst, plane []byte, s *scratch) ([]byte, error) {
 	if err := cb.EncodeLUT(&s.bits, syms, lut[:]); err != nil {
 		return nil, err
 	}
-	dst = append(dst, cb.Serialize()...)
+	dst = cb.AppendSerialized(dst)
 	dst = binary.LittleEndian.AppendUint64(dst, s.bits.Bits())
 	return append(dst, s.bits.Bytes()...), nil
 }
@@ -145,6 +140,7 @@ func (huffCodec) Decompress(plane, enc []byte, s *scratch) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
+	defer cb.Release()
 	if cb.MaxSymbol() > 0xff {
 		return errWideSymbol("huffman", cb.MaxSymbol())
 	}
@@ -157,7 +153,7 @@ func (huffCodec) Decompress(plane, enc []byte, s *scratch) error {
 		return fmt.Errorf("%w: %d bits declared, %d bytes present", ErrTruncated, bits, len(stream))
 	}
 	syms := grow(&s.syms, len(plane))
-	if err := cb.Decode(bitio.NewReader(stream), syms); err != nil {
+	if err := cb.DecodeSerial(stream, syms); err != nil {
 		return fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	for i, sym := range syms {

@@ -429,31 +429,19 @@ func allocsOf(fn func()) (objects, bytes float64) {
 }
 
 // TestSteadyStateAllocations guards the pooled paths: once the pools are
-// warm, what Encode and ApplyBlock allocate per block is a small constant
-// that does not grow with the block's values — nothing plane-sized, so no
-// per-plane symbol slice — and for the ans and lz77 backends it is zero
-// whatever the plane count (no histogram map, no coding table, no matcher).
-// The huffman backend still builds its codebook through the huffman
-// package's allocating Build/Parse, shared with the lossy entropy stage: a
-// fixed handful of alphabet-sized objects per coded plane.
+// warm, what Encode and ApplyBlock allocate per block is nothing, on every
+// backend and whatever the plane count — no plane-sized symbol slice, no
+// histogram map, no coding table or codebook, no matcher.
 func TestSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
-	// huffmanPerPlane is the ceiling on the huffman package's objects per
-	// plane (Build + Serialize on encode; Parse + the bit reader on decode).
-	const huffmanPerPlane = 24
-	// huffmanBytesPerPlane bounds their size (measured: 27-29 KiB to build a
-	// 256-symbol codebook, tree arena and 8 KiB decode table included): less
-	// than one 65536-value plane, a fifth of one widened to uint32.
-	const huffmanBytesPerPlane = 48 << 10
 	for _, backend := range goldenBackends {
 		c, err := ByName(backend)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, pc := range goldenPrecs {
-			planes := pc.prec.Bits() / 8
 			for _, n := range []int{4096, 65536} {
 				orig, recon, blocks := smoothBlocks(pc.prec, 5, n)
 				encode := func(nblocks int) func() {
@@ -489,10 +477,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 					backend, pc.tag, n, encObjects, encBytes, applyObjects, applyBytes)
 				// Under one object and a few hundred bytes per block is the
 				// runtime's own noise across ten runs, not a code path.
-				maxObjects, maxBytes := 0.5, 512.0
-				if backend == "huffman" {
-					maxObjects, maxBytes = float64(huffmanPerPlane*planes), float64(huffmanBytesPerPlane*planes)
-				}
+				const maxObjects, maxBytes = 0.5, 512.0
 				if encObjects > maxObjects || applyObjects > maxObjects || encBytes > maxBytes || applyBytes > maxBytes {
 					t.Fatalf("%s/%s/%d values: per-block allocations above the guard (%.0f objects, %.0f B)",
 						backend, pc.tag, n, maxObjects, maxBytes)

@@ -205,11 +205,10 @@ type scratch struct {
 	// here from the file by the readers. Raw planes are used from it in
 	// place.
 	payload []byte
-	// syms, freqs and bits serve the huffman backend, whose package codes
-	// uint32 symbols from a map histogram into a bitio.Writer.
-	syms  []uint32
-	freqs map[uint32]int64
-	bits  bitio.Writer
+	// syms and bits serve the huffman backend, whose package codes uint32
+	// symbols into a bitio.Writer.
+	syms []uint32
+	bits bitio.Writer
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}

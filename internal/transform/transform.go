@@ -176,18 +176,23 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 
 	// Entropy code: Huffman over classes, raw extra bits.
 	classes := make([]uint32, len(coeffs))
+	var counts [65]int64 // one slot per bits.Len64 value
+	var lut [65]uint64
 	for i, c := range coeffs {
 		classes[i] = classOf(c)
+		counts[classes[i]]++
 	}
-	cb, err := huffman.Build(huffman.FreqsOf(classes))
+	cb, err := huffman.BuildDense(counts[:], nil)
 	if err != nil {
 		return nil, err
 	}
+	defer cb.Release()
 	codebook := cb.Serialize()
+	cb.FillLUT(lut[:])
 	bw := bitio.NewWriter(len(coeffs) / 2)
 	var classBits uint64
 	for i, c := range coeffs {
-		if err := cb.Encode(bw, classes[i:i+1]); err != nil {
+		if err := cb.EncodeLUT(bw, classes[i:i+1], lut[:]); err != nil {
 			return nil, err
 		}
 		if cl := classes[i]; cl > 0 {
@@ -292,6 +297,7 @@ func Decompress(data []byte) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer cb.Release()
 	var payLen uint32
 	if err := rd(&payLen); err != nil {
 		return nil, err

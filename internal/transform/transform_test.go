@@ -302,3 +302,22 @@ func BenchmarkTransformCompress(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkTransformDecompress(b *testing.B) {
+	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := f.ValueRange()
+	res, err := Compress(f, Options{ErrorBound: (hi - lo) * 1e-3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(f.OriginalBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompress(res.Bytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
