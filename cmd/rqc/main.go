@@ -435,16 +435,12 @@ func cmdInspect(args []string) {
 	must(err)
 	info, err := rqm.Inspect(blob)
 	must(err)
-	format := "envelope v" + fmt.Sprint(info.Version)
-	if info.Legacy {
-		format = "legacy native"
-	}
 	codecName := info.CodecName
 	if codecName == "" {
 		codecName = fmt.Sprintf("unregistered id %d", info.CodecID)
 	}
-	fmt.Printf("container: %d bytes, %s, codec %s (payload %d bytes)\n",
-		len(blob), format, codecName, info.PayloadBytes)
+	fmt.Printf("container: %d bytes, envelope v%d, codec %s (payload %d bytes)\n",
+		len(blob), info.Version, codecName, info.PayloadBytes)
 	fmt.Printf("field: %q dims=%v precision=float%d\n", info.FieldName, info.Dims, info.Prec.Bits())
 	if !*full {
 		return

@@ -88,8 +88,9 @@ func CompressWith(c Codec, f *Field, opts CodecOptions) (*CodecResult, error) {
 	return codec.Compress(c, f, opts)
 }
 
-// Inspect describes any container — enveloped or legacy — without decoding
-// its payload.
+// Inspect describes any container — envelope or chunked stream — without
+// decoding its payload (a chunked stream is walked record head by record head
+// and reconciled with its trailer and footer, payloads skipped).
 func Inspect(data []byte) (*ContainerInfo, error) { return codec.Inspect(data) }
 
 // SelectCodec ranks every registered codec at a PSNR target: one sampling

@@ -3,9 +3,11 @@ package rqm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"rqm"
+	"rqm/internal/codec"
 	"rqm/internal/compressor"
 )
 
@@ -31,15 +33,22 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 	}
 	seeds = append(seeds, res.Bytes)
 
-	legacy, err := compressor.Compress(field, rqm.CompressOptions{Mode: rqm.REL, ErrorBound: 1e-3})
+	// A bare native payload — no envelope — is not a container: the router
+	// must refuse it at the magic.
+	bare, err := compressor.Compress(field, rqm.CompressOptions{Mode: rqm.REL, ErrorBound: 1e-3})
 	if err != nil {
 		f.Fatal(err)
 	}
-	seeds = append(seeds, legacy.Bytes)
-	// The same container with its first dimension (header offset 30) raised
-	// to 2^30: far more values declared than the payload has bits.
-	oversized := bytes.Clone(legacy.Bytes)
-	binary.LittleEndian.PutUint64(oversized[30:], 1<<30)
+	seeds = append(seeds, bare.Bytes)
+	// The enveloped container with the first dimension of its native payload
+	// (payload offset 30) raised to 2^30: far more values declared than the
+	// payload has bits.
+	info, err := rqm.Inspect(res.Bytes)
+	if err != nil {
+		f.Fatal(err)
+	}
+	oversized := bytes.Clone(res.Bytes)
+	binary.LittleEndian.PutUint64(oversized[len(oversized)-info.PayloadBytes+30:], 1<<30)
 	seeds = append(seeds, oversized)
 
 	// Version 2 native containers: the interleaved and tANS entropy stages
@@ -85,6 +94,21 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 	first := idx.Entries[0]
 	last := idx.Entries[len(idx.Entries)-1]
 	trailer := last.Offset + int64(last.RecordBytes)
+	// Containers whose stored copies of one fact disagree, every CRC valid:
+	// a trailer that moves half the last record's values to the first entry
+	// (count and total intact), and a footer placing the trailer 7 bytes
+	// early. Every reader must refuse both.
+	lie := slices.Clone(idx.Entries)
+	moved := last.Values / 2
+	lie[0].Values += moved
+	lie[len(lie)-1].Values -= moved
+	lying := bytes.NewBuffer(bytes.Clone(chunked[:trailer]))
+	if _, err := codec.WriteTrailer(lying, lie, idx.TotalValues, trailer); err != nil {
+		f.Fatal(err)
+	}
+	early := bytes.Clone(chunked)
+	binary.LittleEndian.PutUint64(early[len(early)-12:], uint64(trailer-7))
+	seeds = append(seeds, lying.Bytes(), early)
 	for _, cut := range []int64{
 		0, 1, 4, 5, // inside the magic/version
 		first.Offset,             // header only

@@ -21,9 +21,11 @@ func routingField(t testing.TB) *rqm.Field {
 }
 
 // TestDecompressRoutesAllContainerFormats is the dispatch table of the
-// unified container surface: rqm.Decompress must reconstruct new-envelope
-// containers from every built-in codec and the two legacy native formats,
-// with no codec hint from the caller.
+// unified container surface: rqm.Decompress must reconstruct envelope
+// containers from every built-in codec with no codec hint from the caller,
+// and must refuse a bare native payload (pre-envelope "RQMC" / "RQZF", which
+// nothing writes any more) with the typed ErrBadMagic — the router holds no
+// second copy of the native header grammars.
 func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 	f := routingField(t)
 	lo, hi := f.ValueRange()
@@ -33,7 +35,7 @@ func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 		name      string
 		make      func(t *testing.T) []byte
 		wantCodec rqm.CodecID
-		legacy    bool
+		bare      bool
 	}{
 		{
 			name: "envelope prediction",
@@ -77,8 +79,26 @@ func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 				}
 				return res.Bytes
 			},
-			wantCodec: rqm.CodecPrediction,
-			legacy:    true,
+			bare: true,
+		},
+		{
+			// Version 2 of the native header (two entropy bytes after the
+			// lossless byte): the retired router misparsed it as "rank 63".
+			name: "bare RQMC v2 interleaved",
+			make: func(t *testing.T) []byte {
+				res, err := compressor.Compress(f, rqm.CompressOptions{
+					Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb,
+					Entropy: compressor.EntropyInterleaved,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := compressor.Decompress(res.Bytes); err != nil {
+					t.Fatalf("native decoder rejects its own v2 container: %v", err)
+				}
+				return res.Bytes
+			},
+			bare: true,
 		},
 		{
 			name: "legacy RQZF transform",
@@ -89,14 +109,22 @@ func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 				}
 				return res.Bytes
 			},
-			wantCodec: rqm.CodecTransform,
-			legacy:    true,
+			bare: true,
 		},
 	}
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			blob := tc.make(t)
+			if tc.bare {
+				if _, err := rqm.Inspect(blob); !errors.Is(err, rqm.ErrBadMagic) {
+					t.Fatalf("Inspect of a bare native payload: %v, want ErrBadMagic", err)
+				}
+				if _, err := rqm.Decompress(blob); !errors.Is(err, rqm.ErrBadMagic) {
+					t.Fatalf("Decompress of a bare native payload: %v, want ErrBadMagic", err)
+				}
+				return
+			}
 
 			info, err := rqm.Inspect(blob)
 			if err != nil {
@@ -104,9 +132,6 @@ func TestDecompressRoutesAllContainerFormats(t *testing.T) {
 			}
 			if info.CodecID != tc.wantCodec {
 				t.Fatalf("routed to codec %d, want %d", info.CodecID, tc.wantCodec)
-			}
-			if info.Legacy != tc.legacy {
-				t.Fatalf("legacy = %v, want %v", info.Legacy, tc.legacy)
 			}
 			if info.FieldName != f.Name {
 				t.Fatalf("field name %q, want %q", info.FieldName, f.Name)

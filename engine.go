@@ -157,8 +157,8 @@ func (e *Engine) Compress(f *Field) (*CodecResult, error) {
 }
 
 // Decompress reconstructs a field from any container — produced by this
-// engine, another codec's engine, the streaming writer, or the legacy
-// function families — routing by inspection. Containers carrying the
+// engine, another codec's engine, or the streaming writer — routing by
+// inspection. Containers carrying the
 // engine's own codec ID decode even when that codec is not registered;
 // everything else resolves through the registry.
 func (e *Engine) Decompress(data []byte) (*Field, error) {

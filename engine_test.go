@@ -148,13 +148,6 @@ func TestEngineMixedCodecDecompressBatch(t *testing.T) {
 		}
 		blobs = append(blobs, res.Bytes)
 	}
-	// Legacy (pre-envelope) containers ride in the same batch.
-	legacy, err := compressor.Compress(f, rqm.CompressOptions{Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	blobs = append(blobs, legacy.Bytes)
-
 	eng, err := rqm.NewEngine()
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +160,16 @@ func TestEngineMixedCodecDecompressBatch(t *testing.T) {
 		if err := rqm.VerifyErrorBound(f, b, rqm.ABS, eb); err != nil {
 			t.Fatalf("blob %d: %v", i, err)
 		}
+	}
+
+	// A bare (pre-envelope) native payload is not a container: riding in the
+	// same batch it fails the batch with the typed bad-magic error.
+	bare, err := compressor.Compress(f, rqm.CompressOptions{Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: eb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.DecompressBatch(context.Background(), append(blobs, bare.Bytes)); !errors.Is(err, rqm.ErrBadMagic) {
+		t.Fatalf("batch with a bare native payload: %v, want ErrBadMagic", err)
 	}
 }
 

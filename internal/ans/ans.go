@@ -105,9 +105,6 @@ func (t *Table) Release() {
 	tablePool.Put(t)
 }
 
-// TableLog returns the table size exponent.
-func (t *Table) TableLog() uint { return t.tableLog }
-
 // NumSymbols returns the alphabet size.
 func (t *Table) NumSymbols() int { return len(t.syms) }
 

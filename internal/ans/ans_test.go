@@ -290,7 +290,7 @@ func FuzzParse(f *testing.F) {
 		}
 		var states [NumStates]uint32
 		for i := range states {
-			states[i] = binary.LittleEndian.Uint32(rest[4*i:]) % (2 << tab.TableLog())
+			states[i] = binary.LittleEndian.Uint32(rest[4*i:]) % (2 << tab.tableLog)
 		}
 		stream := rest[4*NumStates:]
 		ref := newRefTable(tab.tableLog, slices.Clone(tab.syms), slices.Clone(tab.norm))

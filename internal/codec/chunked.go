@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"rqm/internal/grid"
 )
@@ -75,6 +76,10 @@ const (
 	// accepts, so corrupt length fields cannot drive huge allocations.
 	maxChunkValues  = 1 << 31
 	maxChunkPayload = 1 << 31
+
+	// maxPrealloc bounds the values a reader reserves room for on the
+	// strength of the stream header's dims alone (128 MiB of float64).
+	maxPrealloc = 1 << 24
 
 	chunkHeadSize  = 22 // tag .. CRC, without the payload
 	indexEntrySize = 24
@@ -179,7 +184,7 @@ func ReadStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
 	cr := &countReader{r: r}
 	var magic uint32
 	var version, id, prec, rank uint8
-	if err := readStream(cr, &magic, &version, &id, &prec, &rank); err != nil {
+	if err := readLE(cr, &magic, &version, &id, &prec, &rank); err != nil {
 		return nil, cr.n, err
 	}
 	if magic != EnvelopeMagic {
@@ -192,30 +197,16 @@ func ReadStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
 	if p := grid.Precision(prec); p != grid.Float32 && p != grid.Float64 {
 		return nil, cr.n, fmt.Errorf("%w: precision %d", ErrCorrupt, prec)
 	}
-	if rank > 4 {
-		return nil, cr.n, fmt.Errorf("%w: rank %d outside 0..4", ErrCorrupt, rank)
-	}
-	var dims []int
-	for i := 0; i < int(rank); i++ {
-		var d uint64
-		if err := readStream(cr, &d); err != nil {
-			return nil, cr.n, err
-		}
-		if d == 0 || d >= 1<<32 {
-			return nil, cr.n, fmt.Errorf("%w: dimension %d", ErrCorrupt, d)
-		}
-		dims = append(dims, int(d))
-	}
-	var nameLen uint16
-	if err := readStream(cr, &nameLen); err != nil {
+	dims, err := readDims(cr, rank, 0)
+	if err != nil {
 		return nil, cr.n, err
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(cr, name); err != nil {
-		return nil, cr.n, fmt.Errorf("%w: header ends mid-name", ErrTruncated)
+	name, err := readName(cr)
+	if err != nil {
+		return nil, cr.n, err
 	}
 	var chunkValues uint32
-	if err := readStream(cr, &chunkValues); err != nil {
+	if err := readLE(cr, &chunkValues); err != nil {
 		return nil, cr.n, err
 	}
 	if chunkValues == 0 {
@@ -225,7 +216,7 @@ func ReadStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
 		CodecID:     ID(id),
 		Prec:        grid.Precision(prec),
 		Dims:        dims,
-		Name:        string(name),
+		Name:        name,
 		ChunkValues: int(chunkValues),
 	}, cr.n, nil
 }
@@ -252,29 +243,14 @@ func WriteChunk(w io.Writer, c *Chunk) (int64, error) {
 	return int64(chunkHeadSize + n), err
 }
 
-// ReadChunkBody parses a chunk record after its tag byte, verifying the
-// payload CRC. Streaming readers call it once they have consumed a TagChunk
-// byte.
-func ReadChunkBody(r io.Reader) (*Chunk, error) {
-	c, wantCRC, err := ReadChunkBodyUnverified(r)
-	if err != nil {
-		return nil, err
-	}
-	if err := VerifyChunk(c, wantCRC); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// ReadChunkBodyUnverified parses a chunk record after its tag byte WITHOUT
-// checksumming the payload, returning the declared CRC for the caller to
-// verify with VerifyChunk. The concurrent stream reader uses this split to
-// keep its serial feeder goroutine I/O-only: the CRC pass (and the decode)
-// runs on the worker pool instead of serializing every chunk.
-func ReadChunkBodyUnverified(r io.Reader) (*Chunk, uint32, error) {
-	head := make([]byte, chunkHeadSize-1)
-	if _, err := io.ReadFull(r, head); err != nil {
-		return nil, 0, fmt.Errorf("%w: chunk record ends mid-header", ErrTruncated)
+// readChunk parses a chunk record after its tag byte WITHOUT checksumming
+// the payload, returning the CRC its head declares and the full record
+// length. The payload is read into pb — or, with skip set (it is then r
+// itself), seeked over, and the chunk comes back without one.
+func readChunk(r io.Reader, skip *bytes.Reader, pb *bytes.Buffer) (*Chunk, uint32, int, error) {
+	var head [chunkHeadSize - 1]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		return nil, 0, 0, fmt.Errorf("%w: chunk record ends mid-header", ErrTruncated)
 	}
 	c := &Chunk{
 		CodecID:  ID(head[0]),
@@ -284,23 +260,32 @@ func ReadChunkBodyUnverified(r io.Reader) (*Chunk, uint32, error) {
 	payloadLen := binary.LittleEndian.Uint32(head[13:])
 	wantCRC := binary.LittleEndian.Uint32(head[17:])
 	if c.Values < 1 {
-		return nil, 0, fmt.Errorf("%w: chunk declares %d values", ErrCorrupt, c.Values)
+		return nil, 0, 0, fmt.Errorf("%w: chunk declares %d values", ErrCorrupt, c.Values)
 	}
 	if payloadLen == 0 || payloadLen > maxChunkPayload {
-		return nil, 0, fmt.Errorf("%w: chunk declares %d payload bytes", ErrCorrupt, payloadLen)
+		return nil, 0, 0, fmt.Errorf("%w: chunk declares %d payload bytes", ErrCorrupt, payloadLen)
+	}
+	recordBytes := chunkHeadSize + int(payloadLen)
+	if skip != nil {
+		if int64(payloadLen) > int64(skip.Len()) {
+			return nil, 0, 0, fmt.Errorf("%w: chunk payload declares %d bytes, %d remain",
+				ErrTruncated, payloadLen, skip.Len())
+		}
+		_, _ = skip.Seek(int64(payloadLen), io.SeekCurrent) // in range: cannot fail
+		return c, wantCRC, recordBytes, nil
 	}
 	// Grow the payload with the bytes actually read rather than trusting the
 	// declared length: a corrupt length field must not drive a huge
 	// allocation from a tiny input.
-	var pb bytes.Buffer
+	pb.Reset()
 	if payloadLen < 1<<20 {
 		pb.Grow(int(payloadLen))
 	}
-	if _, err := io.CopyN(&pb, r, int64(payloadLen)); err != nil {
-		return nil, 0, fmt.Errorf("%w: chunk record ends mid-payload", ErrTruncated)
+	if _, err := io.CopyN(pb, r, int64(payloadLen)); err != nil {
+		return nil, 0, 0, fmt.Errorf("%w: chunk record ends mid-payload", ErrTruncated)
 	}
 	c.Payload = pb.Bytes()
-	return c, wantCRC, nil
+	return c, wantCRC, recordBytes, nil
 }
 
 // VerifyChunk checks a chunk payload against the CRC its record declared.
@@ -332,43 +317,39 @@ func WriteTrailer(w io.Writer, entries []IndexEntry, totalValues, trailerOffset 
 	return int64(n), err
 }
 
-// ReadTrailerBody parses a trailer after its tag byte (CRC included, footer
+// readTrailer parses a trailer after its tag byte (CRC included, footer
 // excluded).
-func ReadTrailerBody(r io.Reader) ([]IndexEntry, int64, error) {
+func readTrailer(r io.Reader) ([]IndexEntry, int64, error) {
 	crc := crc32.NewIEEE()
 	crc.Write([]byte{TagTrailer})
 	tr := io.TeeReader(r, crc)
 	var count uint32
-	if err := readStream(tr, &count); err != nil {
+	if err := readLE(tr, &count); err != nil {
 		return nil, 0, err
 	}
 	// Cap the preallocation: a corrupt count must not drive a huge
 	// allocation from a tiny input. Honest containers beyond the cap still
 	// parse — the slice just grows with the bytes actually read.
-	prealloc := count
-	if prealloc > 1<<16 {
-		prealloc = 1 << 16
-	}
-	entries := make([]IndexEntry, 0, prealloc)
+	entries := make([]IndexEntry, 0, min(count, 1<<16))
+	var raw [indexEntrySize]byte
 	for i := uint32(0); i < count; i++ {
-		raw := make([]byte, indexEntrySize)
-		if _, err := io.ReadFull(tr, raw); err != nil {
+		if _, err := io.ReadFull(tr, raw[:]); err != nil {
 			return nil, 0, fmt.Errorf("%w: trailer ends mid-index", ErrTruncated)
 		}
 		entries = append(entries, IndexEntry{
-			Offset:      int64(binary.LittleEndian.Uint64(raw)),
+			Offset:      int64(binary.LittleEndian.Uint64(raw[:])),
 			Values:      int(binary.LittleEndian.Uint32(raw[8:])),
 			RecordBytes: int(binary.LittleEndian.Uint32(raw[12:])),
 			AbsBound:    math.Float64frombits(binary.LittleEndian.Uint64(raw[16:])),
 		})
 	}
 	var totalValues uint64
-	if err := readStream(tr, &totalValues); err != nil {
+	if err := readLE(tr, &totalValues); err != nil {
 		return nil, 0, err
 	}
 	want := crc.Sum32()
 	var gotCRC uint32
-	if err := readStream(r, &gotCRC); err != nil {
+	if err := readLE(r, &gotCRC); err != nil {
 		return nil, 0, err
 	}
 	if gotCRC != want {
@@ -377,11 +358,12 @@ func ReadTrailerBody(r io.Reader) ([]IndexEntry, int64, error) {
 	return entries, int64(totalValues), nil
 }
 
-// ReadFooter parses the 12-byte footer after the trailer CRC.
-func ReadFooter(r io.Reader) (trailerOffset int64, err error) {
+// readFooter parses the 12-byte footer after the trailer CRC, returning the
+// trailer offset it declares.
+func readFooter(r io.Reader) (int64, error) {
 	var off uint64
 	var magic uint32
-	if err := readStream(r, &off, &magic); err != nil {
+	if err := readLE(r, &off, &magic); err != nil {
 		return 0, err
 	}
 	if magic != FooterMagic {
@@ -390,80 +372,161 @@ func ReadFooter(r io.Reader) (trailerOffset int64, err error) {
 	return int64(off), nil
 }
 
+// Records is the one sequential parser of the chunked grammar: every reader
+// that consumes a container front to back — Inspect, the serial
+// DecompressChunked, the concurrent stream.Reader — is a loop over Next. It
+// owns the record tags, the head layout, the allocation guards, the byte
+// offset of every record and the end-of-stream reconciliation.
+type Records struct {
+	// Header is the stream header the records follow.
+	Header StreamHeader
+
+	r io.Reader
+	// whole is r when the source is a complete in-memory container: the
+	// footer must then be its last byte. skip is r when, on top of that,
+	// payloads are to be seeked over instead of read (Inspect stays
+	// O(records), not O(bytes)).
+	whole, skip *bytes.Reader
+
+	tag   [1]byte      // read buffer (a field, so reading a tag allocates nothing)
+	off   int64        // container offset of the next record tag
+	seen  []IndexEntry // every chunk record walked so far, as the trailer must index it
+	total int64        // values in seen
+}
+
+// OpenRecords parses the stream header of r and returns the walker over the
+// records behind it. It reads exactly the container: nothing past the footer
+// is consumed.
+func OpenRecords(r io.Reader) (*Records, error) {
+	h, n, err := ReadStreamHeader(r)
+	if err != nil {
+		return nil, err
+	}
+	return &Records{Header: *h, r: r, off: n}, nil
+}
+
+// openContainer is OpenRecords over a complete in-memory container; heads
+// asks for record heads only.
+func openContainer(data []byte, heads bool) (*Records, error) {
+	br := bytes.NewReader(data)
+	rs, err := OpenRecords(br)
+	if err != nil {
+		return nil, err
+	}
+	if rs.whole = br; heads {
+		rs.skip = br
+	}
+	return rs, nil
+}
+
+// Next returns the next chunk record and the payload CRC its head declares
+// — NOT yet checked: VerifyChunk is the caller's, so a concurrent reader can
+// run it off the parsing goroutine. It returns io.EOF only after a trailer
+// and footer that agree with the walk entry for entry: every index entry's
+// offset, value count, record length and bound equal to what the record at
+// that position declared, the total equal to the sum, and the footer's
+// trailer offset equal to where the trailer tag actually stood. All copies
+// of a chunk's geometry and bound must agree or the container is corrupt.
+func (rs *Records) Next() (*Chunk, uint32, error) {
+	if _, err := io.ReadFull(rs.r, rs.tag[:]); err != nil {
+		return nil, 0, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
+	}
+	switch rs.tag[0] {
+	case TagChunk:
+		c, crc, n, err := readChunk(rs.r, rs.skip, new(bytes.Buffer))
+		if err != nil {
+			return nil, 0, err
+		}
+		rs.seen = append(rs.seen, IndexEntry{Offset: rs.off, Values: c.Values, RecordBytes: n, AbsBound: c.AbsBound})
+		rs.off += int64(n)
+		rs.total += int64(c.Values)
+		return c, crc, nil
+	case TagTrailer:
+		if err := rs.reconcile(); err != nil {
+			return nil, 0, err
+		}
+		return nil, 0, io.EOF
+	}
+	return nil, 0, fmt.Errorf("%w: record tag %d", ErrCorrupt, rs.tag[0])
+}
+
+// reconcile parses the trailer and footer and holds them against the walk.
+func (rs *Records) reconcile() error {
+	entries, totalValues, err := readTrailer(rs.r)
+	if err != nil {
+		return err
+	}
+	trailerOffset, err := readFooter(rs.r)
+	if err != nil {
+		return err
+	}
+	if rs.whole != nil && rs.whole.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after footer", ErrCorrupt, rs.whole.Len())
+	}
+	if len(entries) != len(rs.seen) || totalValues != rs.total {
+		return fmt.Errorf("%w: trailer indexes %d chunks / %d values, stream has %d / %d",
+			ErrCorrupt, len(entries), totalValues, len(rs.seen), rs.total)
+	}
+	for i, e := range entries {
+		if !e.equal(rs.seen[i]) {
+			return fmt.Errorf("%w: chunk %d: trailer indexes %+v, stream has %+v", ErrCorrupt, i, e, rs.seen[i])
+		}
+	}
+	if trailerOffset != rs.off {
+		return fmt.Errorf("%w: footer places the trailer at offset %d, it stands at %d",
+			ErrCorrupt, trailerOffset, rs.off)
+	}
+	return nil
+}
+
+// equal compares two index entries field for field, the bound by its bit
+// pattern (what the wire carries), so a NaN bound still equals itself.
+func (e IndexEntry) equal(o IndexEntry) bool {
+	return e.Offset == o.Offset && e.Values == o.Values && e.RecordBytes == o.RecordBytes &&
+		math.Float64bits(e.AbsBound) == math.Float64bits(o.AbsBound)
+}
+
 // openChunked walks a chunked container's structure — header, record
-// headers, trailer, footer — without decoding or checksumming payloads, and
+// heads, trailer, footer — without reading or checksumming payloads, and
 // returns its Info. The returned payload is the whole container (chunked
 // streams have no single payload; DecompressChunked consumes them).
 func openChunked(data []byte) (*Info, []byte, error) {
-	br := bytes.NewReader(data)
-	h, _, err := ReadStreamHeader(br)
+	rs, err := openContainer(data, true)
 	if err != nil {
 		return nil, nil, err
 	}
+	for {
+		if _, _, err = rs.Next(); err != nil {
+			break
+		}
+	}
+	if err != io.EOF {
+		return nil, nil, err
+	}
+	h := &rs.Header
 	info := &Info{
 		CodecID:     h.CodecID,
 		Version:     ChunkedVersion,
 		Chunked:     true,
+		Chunks:      len(rs.seen),
+		ChunkValues: h.ChunkValues,
+		TotalValues: rs.total,
 		FieldName:   h.Name,
 		Prec:        h.Prec,
 		Dims:        h.Dims,
-		ChunkValues: h.ChunkValues,
+	}
+	for _, e := range rs.seen {
+		info.PayloadBytes += e.RecordBytes - chunkHeadSize
 	}
 	if c, err := ByID(h.CodecID); err == nil {
 		info.CodecName = c.Name()
-	}
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
-		}
-		if tag == TagTrailer {
-			break
-		}
-		if tag != TagChunk {
-			return nil, nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
-		}
-		head := make([]byte, chunkHeadSize-1)
-		if _, err := io.ReadFull(br, head); err != nil {
-			return nil, nil, fmt.Errorf("%w: chunk record ends mid-header", ErrTruncated)
-		}
-		values := int(binary.LittleEndian.Uint32(head[9:]))
-		payloadLen := int64(binary.LittleEndian.Uint32(head[13:]))
-		if values < 1 || payloadLen < 1 {
-			return nil, nil, fmt.Errorf("%w: chunk declares %d values, %d payload bytes",
-				ErrCorrupt, values, payloadLen)
-		}
-		if payloadLen > int64(br.Len()) {
-			return nil, nil, fmt.Errorf("%w: chunk payload declares %d bytes, %d remain",
-				ErrTruncated, payloadLen, br.Len())
-		}
-		if _, err := br.Seek(payloadLen, io.SeekCurrent); err != nil {
-			return nil, nil, fmt.Errorf("%w: chunk payload", ErrTruncated)
-		}
-		info.Chunks++
-		info.TotalValues += int64(values)
-		info.PayloadBytes += int(payloadLen)
-	}
-	entries, totalValues, err := ReadTrailerBody(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	if _, err := ReadFooter(br); err != nil {
-		return nil, nil, err
-	}
-	if br.Len() != 0 {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes after footer", ErrCorrupt, br.Len())
-	}
-	if len(entries) != info.Chunks || totalValues != info.TotalValues {
-		return nil, nil, fmt.Errorf("%w: trailer indexes %d chunks / %d values, stream has %d / %d",
-			ErrCorrupt, len(entries), totalValues, info.Chunks, info.TotalValues)
 	}
 	return info, data, nil
 }
 
 // DecompressChunked reconstructs a field from a chunked container,
 // sequentially routing every chunk to its backend through the registry.
-// (internal/stream provides the concurrent pipeline over the same framing.)
+// (internal/stream provides the concurrent pipeline over the same walker.)
 func DecompressChunked(data []byte) (*grid.Field, error) {
 	return DecompressChunkedWith(data, nil)
 }
@@ -472,28 +535,19 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 // chunks whose codec ID matches fallback decode through it even when it is
 // not registered (the Engine's own-codec guarantee, extended to streams).
 func DecompressChunkedWith(data []byte, fallback Codec) (*grid.Field, error) {
-	br := bytes.NewReader(data)
-	h, _, err := ReadStreamHeader(br)
+	rs, err := openContainer(data, false)
 	if err != nil {
 		return nil, err
 	}
-	var vals []float64
-	if t := h.TotalFromDims(); t > 0 {
-		vals = make([]float64, 0, t)
-	}
-	chunks := 0
+	vals := rs.Header.ValueBuffer()
 	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
+		c, crc, err := rs.Next()
+		if err == io.EOF {
+			return AssembleField(&rs.Header, vals)
 		}
-		if tag == TagTrailer {
-			break
+		if err == nil {
+			err = VerifyChunk(c, crc)
 		}
-		if tag != TagChunk {
-			return nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, tag)
-		}
-		c, err := ReadChunkBody(br)
 		if err != nil {
 			return nil, err
 		}
@@ -502,23 +556,7 @@ func DecompressChunkedWith(data []byte, fallback Codec) (*grid.Field, error) {
 			return nil, err
 		}
 		vals = append(vals, chunkVals...)
-		chunks++
 	}
-	entries, totalValues, err := ReadTrailerBody(br)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ReadFooter(br); err != nil {
-		return nil, err
-	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after footer", ErrCorrupt, br.Len())
-	}
-	if len(entries) != chunks || totalValues != int64(len(vals)) {
-		return nil, fmt.Errorf("%w: trailer indexes %d chunks / %d values, stream has %d / %d",
-			ErrCorrupt, len(entries), totalValues, chunks, len(vals))
-	}
-	return AssembleField(h, vals)
 }
 
 // DecodeChunk decompresses one chunk record's payload through the registry
@@ -564,6 +602,14 @@ func AssembleField(h *StreamHeader, vals []float64) (*grid.Field, error) {
 	return grid.FromData(h.Name, prec, vals, len(vals))
 }
 
+// ValueBuffer returns an empty slice to append the stream's decoded values
+// to, with room for what the header's shape implies — up to maxPrealloc: a
+// corrupt dimension must not drive a huge allocation from a tiny input, and
+// an honest stream beyond the cap just grows with the values decoded.
+func (h *StreamHeader) ValueBuffer() []float64 {
+	return make([]float64, 0, max(0, min(h.TotalFromDims(), maxPrealloc)))
+}
+
 // TotalFromDims returns the sample count the header's shape implies, or 0
 // when the shape is unknown.
 func (h *StreamHeader) TotalFromDims() int64 { return ShapeValues(h.Dims) }
@@ -583,12 +629,15 @@ func ShapeValues(dims []int) int64 {
 // LoadIndex reads the trailer index of a chunked container through its
 // footer: seek to the end, follow the trailer offset, parse the index. This
 // is the random-access entry point — with the index, ReadChunkAt decodes
-// any chunk without touching the rest of the stream.
+// any chunk without touching the rest of the stream. The index is admitted
+// only if it accounts for every byte of the container: the entries tile
+// [header end, trailer offset) without gap or overlap, their value counts
+// sum to the declared total, and the trailer ends where the footer begins.
 func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	h, _, err := ReadStreamHeader(rs)
+	h, headerEnd, err := ReadStreamHeader(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -602,44 +651,93 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if _, err := rs.Seek(end-FooterSize, io.SeekStart); err != nil {
 		return nil, err
 	}
-	trailerOffset, err := ReadFooter(rs)
+	trailerOffset, err := readFooter(rs)
 	if err != nil {
 		return nil, err
 	}
-	if trailerOffset < 0 || trailerOffset >= end-FooterSize {
+	if trailerOffset < headerEnd || trailerOffset >= end-FooterSize {
 		return nil, fmt.Errorf("%w: trailer offset %d outside container", ErrCorrupt, trailerOffset)
 	}
 	if _, err := rs.Seek(trailerOffset, io.SeekStart); err != nil {
 		return nil, err
 	}
-	tag := make([]byte, 1)
-	if _, err := io.ReadFull(rs, tag); err != nil {
+	var tag [1]byte
+	if _, err := io.ReadFull(rs, tag[:]); err != nil {
 		return nil, fmt.Errorf("%w: trailer tag", ErrTruncated)
 	}
 	if tag[0] != TagTrailer {
 		return nil, fmt.Errorf("%w: trailer offset points at tag %d", ErrCorrupt, tag[0])
 	}
-	entries, totalValues, err := ReadTrailerBody(rs)
+	entries, totalValues, err := readTrailer(rs)
 	if err != nil {
 		return nil, err
+	}
+	if pos, err := rs.Seek(0, io.SeekCurrent); err != nil {
+		return nil, err
+	} else if pos != end-FooterSize {
+		return nil, fmt.Errorf("%w: trailer ends at offset %d, footer starts at %d", ErrCorrupt, pos, end-FooterSize)
+	}
+	next, sum := headerEnd, int64(0)
+	for i, e := range entries {
+		if e.Offset != next || e.RecordBytes <= chunkHeadSize || e.Values < 1 {
+			return nil, fmt.Errorf("%w: index entry %d (%+v) does not continue the records at offset %d",
+				ErrCorrupt, i, e, next)
+		}
+		next += int64(e.RecordBytes)
+		sum += int64(e.Values)
+	}
+	if next != trailerOffset || sum != totalValues {
+		return nil, fmt.Errorf("%w: index covers %d values up to offset %d, trailer declares %d values at offset %d",
+			ErrCorrupt, sum, next, totalValues, trailerOffset)
 	}
 	return &StreamIndex{Header: *h, Entries: entries, TotalValues: totalValues}, nil
 }
 
-// ReadChunkAt seeks to one indexed chunk record and parses it (payload CRC
-// verified). Pair with DecodeChunk for random-access decompression.
+// ReadChunkAt seeks to one indexed chunk record and parses it: payload CRC
+// verified, and the record's own head held against the entry that located it
+// — value count, record length and bound must match, so a caller may size
+// and slice by the entry. Pair with DecodeChunk for random-access
+// decompression.
 func ReadChunkAt(rs io.ReadSeeker, e IndexEntry) (*Chunk, error) {
+	return readChunkAt(rs, e, new(bytes.Buffer))
+}
+
+// VerifyChunkAt is ReadChunkAt for a caller that wants the verdict alone
+// (the store's shallow verification): the same checks over a pooled payload
+// buffer, nothing kept.
+func VerifyChunkAt(rs io.ReadSeeker, e IndexEntry) error {
+	pb := payloadPool.Get().(*bytes.Buffer)
+	defer payloadPool.Put(pb)
+	_, err := readChunkAt(rs, e, pb)
+	return err
+}
+
+var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func readChunkAt(rs io.ReadSeeker, e IndexEntry, pb *bytes.Buffer) (*Chunk, error) {
 	if _, err := rs.Seek(e.Offset, io.SeekStart); err != nil {
 		return nil, err
 	}
-	tag := make([]byte, 1)
-	if _, err := io.ReadFull(rs, tag); err != nil {
+	var tag [1]byte
+	if _, err := io.ReadFull(rs, tag[:]); err != nil {
 		return nil, fmt.Errorf("%w: chunk tag", ErrTruncated)
 	}
 	if tag[0] != TagChunk {
 		return nil, fmt.Errorf("%w: index entry points at tag %d", ErrCorrupt, tag[0])
 	}
-	return ReadChunkBody(rs)
+	c, crc, n, err := readChunk(rs, nil, pb)
+	if err != nil {
+		return nil, err
+	}
+	// CRC before the comparison: a damaged length field reads as the
+	// checksum failure a sequential reader reports for the same bytes.
+	if err := VerifyChunk(c, crc); err != nil {
+		return nil, err
+	}
+	if head := (IndexEntry{Offset: e.Offset, Values: c.Values, RecordBytes: n, AbsBound: c.AbsBound}); !head.equal(e) {
+		return nil, fmt.Errorf("%w: record declares %+v, its index entry %+v", ErrCorrupt, head, e)
+	}
+	return c, nil
 }
 
 // countReader counts consumed bytes for offset accounting.
@@ -652,14 +750,4 @@ func (cr *countReader) Read(p []byte) (int, error) {
 	n, err := cr.r.Read(p)
 	cr.n += int64(n)
 	return n, err
-}
-
-// readStream reads fixed-size values, mapping short reads to ErrTruncated.
-func readStream(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("%w: stream ends mid-field", ErrTruncated)
-		}
-	}
-	return nil
 }

@@ -80,7 +80,7 @@ func TestSealOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.CodecID != IDPrediction || info.CodecName != PredictionName || info.Legacy {
+	if info.CodecID != IDPrediction || info.CodecName != PredictionName {
 		t.Fatalf("info = %+v", info)
 	}
 	if info.FieldName != f.Name || len(info.Dims) != f.Rank() || info.Prec != f.Prec {

@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"io"
 
-	"rqm/internal/compressor"
 	"rqm/internal/grid"
-	"rqm/internal/transform"
 )
 
 // Typed container errors. Callers match them with errors.Is; every parse
@@ -45,10 +43,8 @@ type Info struct {
 	CodecID ID
 	// CodecName is the registered name ("" when the ID is unregistered).
 	CodecName string
-	// Version is the envelope version (0 for legacy native containers).
+	// Version is the envelope version.
 	Version uint8
-	// Legacy reports a pre-envelope native container (RQMC / RQZF).
-	Legacy bool
 	// Chunked reports a v2 chunked stream container.
 	Chunked bool
 	// Chunks counts the chunk records (chunked containers only).
@@ -64,8 +60,7 @@ type Info struct {
 	// Dims is the field shape.
 	Dims []int
 	// PayloadBytes is the native payload size inside the envelope (for
-	// legacy containers the whole container, for chunked containers the sum
-	// of the chunk payloads).
+	// chunked containers the sum of the chunk payloads).
 	PayloadBytes int
 }
 
@@ -108,60 +103,18 @@ func Seal(id ID, f *grid.Field, payload []byte) ([]byte, error) {
 }
 
 // Open inspects a container, returning its routing info and the native
-// payload. It accepts the unified envelope (v1), the chunked stream (v2,
-// for which the "payload" is the whole container — see DecompressChunked),
-// and the two legacy native formats (prediction "RQMC", transform "RQZF"),
-// which stay decodable.
+// payload. It accepts the unified envelope (v1) and the chunked stream (v2,
+// for which the "payload" is the whole container — see DecompressChunked).
+// A bare native payload (prediction "RQMC", transform "RQZF") is not a
+// container: nothing writes one outside an envelope, and it fails with
+// ErrBadMagic like any other unknown magic.
 func Open(data []byte) (*Info, []byte, error) {
 	if len(data) < 4 {
 		return nil, nil, fmt.Errorf("%w: %d bytes, need at least a 4-byte magic", ErrTruncated, len(data))
 	}
-	switch binary.LittleEndian.Uint32(data) {
-	case EnvelopeMagic:
-		return openEnvelope(data)
-	case compressor.ContainerMagic:
-		info, err := legacyPredictionInfo(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return info, data, nil
-	case transform.ContainerMagic:
-		info, err := legacyTransformInfo(data)
-		if err != nil {
-			return nil, nil, err
-		}
-		return info, data, nil
+	if magic := binary.LittleEndian.Uint32(data); magic != EnvelopeMagic {
+		return nil, nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
 	}
-	return nil, nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, binary.LittleEndian.Uint32(data))
-}
-
-// Decompress routes any container — enveloped, chunked, or legacy — to its
-// backend by inspection and reconstructs the field.
-func Decompress(data []byte) (*grid.Field, error) {
-	// Chunked containers route on their 5-byte prefix: DecompressChunked
-	// validates the full structure itself, so a prior Open walk would parse
-	// everything twice.
-	if IsChunked(data) {
-		return DecompressChunked(data)
-	}
-	info, payload, err := Open(data)
-	if err != nil {
-		return nil, err
-	}
-	c, err := ByID(info.CodecID)
-	if err != nil {
-		return nil, err
-	}
-	return c.Decompress(payload)
-}
-
-// Inspect returns container routing info without decoding the payload.
-func Inspect(data []byte) (*Info, error) {
-	info, _, err := Open(data)
-	return info, err
-}
-
-func openEnvelope(data []byte) (*Info, []byte, error) {
 	r := bytes.NewReader(data[4:])
 	var version, id, prec, rank uint8
 	if err := readLE(r, &version, &id, &prec, &rank); err != nil {
@@ -174,7 +127,7 @@ func openEnvelope(data []byte) (*Info, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: version %d, this build reads %d and %d",
 			ErrUnsupportedVersion, version, EnvelopeVersion, ChunkedVersion)
 	}
-	dims, err := readDims(r, rank)
+	dims, err := readDims(r, rank, 1)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -209,71 +162,40 @@ func openEnvelope(data []byte) (*Info, []byte, error) {
 	return info, payload, nil
 }
 
-// legacyPredictionInfo parses the header prefix of a native "RQMC" container
-// (magic, version, predictor, mode, lossless, radius, two float64 bounds,
-// precision, rank, dims, name).
-func legacyPredictionInfo(data []byte) (*Info, error) {
-	r := bytes.NewReader(data[4:])
-	var version, predKind, mode, lossless, prec, rank uint8
-	var radius int32
-	var userEB, absEB float64
-	if err := readLE(r, &version, &predKind, &mode, &lossless, &radius, &userEB, &absEB, &prec, &rank); err != nil {
-		return nil, err
+// Decompress routes any container — enveloped or chunked — to its backend
+// by inspection and reconstructs the field.
+func Decompress(data []byte) (*grid.Field, error) {
+	// Chunked containers route on their 5-byte prefix: DecompressChunked
+	// validates the full structure itself, so a prior Open walk would parse
+	// everything twice.
+	if IsChunked(data) {
+		return DecompressChunked(data)
 	}
-	dims, err := readDims(r, rank)
+	info, payload, err := Open(data)
 	if err != nil {
 		return nil, err
 	}
-	name, err := readName(r)
+	c, err := ByID(info.CodecID)
 	if err != nil {
 		return nil, err
 	}
-	return &Info{
-		CodecID:      IDPrediction,
-		CodecName:    PredictionName,
-		Legacy:       true,
-		FieldName:    name,
-		Prec:         grid.Precision(prec),
-		Dims:         dims,
-		PayloadBytes: len(data),
-	}, nil
+	return c.Decompress(payload)
 }
 
-// legacyTransformInfo parses the header prefix of a native "RQZF" container
-// (magic, error bound, precision, rank, dims, name).
-func legacyTransformInfo(data []byte) (*Info, error) {
-	r := bytes.NewReader(data[4:])
-	var eb float64
-	var prec, rank uint8
-	if err := readLE(r, &eb, &prec, &rank); err != nil {
-		return nil, err
-	}
-	dims, err := readDims(r, rank)
-	if err != nil {
-		return nil, err
-	}
-	name, err := readName(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Info{
-		CodecID:      IDTransform,
-		CodecName:    TransformName,
-		Legacy:       true,
-		FieldName:    name,
-		Prec:         grid.Precision(prec),
-		Dims:         dims,
-		PayloadBytes: len(data),
-	}, nil
+// Inspect returns container routing info without decoding the payload.
+func Inspect(data []byte) (*Info, error) {
+	info, _, err := Open(data)
+	return info, err
 }
 
-// readDims validates the rank and reads that many uint64 dimensions.
-func readDims(r *bytes.Reader, rank uint8) ([]int, error) {
-	if rank < 1 || rank > 4 {
-		return nil, fmt.Errorf("%w: rank %d outside 1..4", ErrCorrupt, rank)
+// readDims validates the rank (minRank..4) and reads that many uint64
+// dimensions; rank 0 — a stream of unknown shape — yields nil.
+func readDims(r io.Reader, rank, minRank uint8) ([]int, error) {
+	if rank < minRank || rank > 4 {
+		return nil, fmt.Errorf("%w: rank %d outside %d..4", ErrCorrupt, rank, minRank)
 	}
-	dims := make([]int, rank)
-	for i := range dims {
+	var dims []int
+	for i := 0; i < int(rank); i++ {
 		var d uint64
 		if err := readLE(r, &d); err != nil {
 			return nil, err
@@ -281,29 +203,27 @@ func readDims(r *bytes.Reader, rank uint8) ([]int, error) {
 		if d == 0 || d >= 1<<32 {
 			return nil, fmt.Errorf("%w: dimension %d", ErrCorrupt, d)
 		}
-		dims[i] = int(d)
+		dims = append(dims, int(d))
 	}
 	return dims, nil
 }
 
-// readLE reads fixed-size values, mapping short reads to ErrTruncated.
-func readLE(r *bytes.Reader, vs ...interface{}) error {
+// readLE reads fixed-size little-endian values, mapping short reads to
+// ErrTruncated.
+func readLE(r io.Reader, vs ...interface{}) error {
 	for _, v := range vs {
 		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("%w: header ends mid-field", ErrTruncated)
+			return fmt.Errorf("%w: container ends mid-field", ErrTruncated)
 		}
 	}
 	return nil
 }
 
 // readName reads a uint16-prefixed name, mapping short reads to ErrTruncated.
-func readName(r *bytes.Reader) (string, error) {
+func readName(r io.Reader) (string, error) {
 	var n uint16
 	if err := readLE(r, &n); err != nil {
 		return "", err
-	}
-	if int(n) > r.Len() {
-		return "", fmt.Errorf("%w: name declares %d bytes, %d remain", ErrTruncated, n, r.Len())
 	}
 	b := make([]byte, n)
 	if _, err := io.ReadFull(r, b); err != nil {

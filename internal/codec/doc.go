@@ -29,12 +29,17 @@
 //   - Every parse failure wraps exactly one typed error (ErrTruncated,
 //     ErrBadMagic, ErrUnsupportedVersion, ErrUnknownCodec, ErrCorrupt,
 //     ErrChecksum); no input makes a parser panic or read out of bounds.
-//   - Routing dispatches on the leading magic: RQCE envelopes carry a
-//     codec ID byte; legacy RQMC/RQZF native containers route to codecs
-//     1/2 whole, since native containers are self-contained. A native
-//     container produced by the entropy-variant codecs still begins with
-//     RQMC and self-describes its entropy stage, so legacy-path decodes
-//     of ID 3/4 payloads work unchanged.
+//   - RQCE is the only container magic. Envelopes and chunk records carry a
+//     codec ID byte that routes the native payload (RQMC / RQZF) inside
+//     them; a bare native payload is not a container and fails with
+//     ErrBadMagic.
+//   - Each container grammar has one parser. The chunked stream is walked
+//     sequentially by Records alone (Inspect, DecompressChunked and the
+//     stream.Reader are loops over it) and through its index by LoadIndex
+//     and ReadChunkAt alone; both hold every stored copy of a chunk's
+//     geometry and bound — record head, trailer entry, footer offset —
+//     against the others, and a container on which they disagree is
+//     ErrCorrupt to every reader.
 //   - Chunk bodies in the chunked stream container are per-chunk
 //     independent: each record names its codec ID, is CRC-checked before
 //     decode, and decodes with no state from neighboring chunks.

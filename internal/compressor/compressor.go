@@ -175,13 +175,11 @@ type Result struct {
 	Stats Stats
 }
 
-// ContainerMagic is the little-endian magic of the native prediction-codec
-// container ("RQMC"); the codec router uses it to recognize legacy payloads.
-const ContainerMagic uint32 = 0x52514d43
-
 const (
-	containerMagic   = ContainerMagic
-	containerVersion = 1
+	// containerMagic is the little-endian magic of the native
+	// prediction-codec container ("RQMC").
+	containerMagic   uint32 = 0x52514d43
+	containerVersion        = 1
 	// containerVersionEntropy (version 2) inserts two bytes after the
 	// lossless byte — entropy kind and entropy parameter — and, for tANS,
 	// the final states + bit count before the payload lengths. It is

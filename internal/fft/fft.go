@@ -11,23 +11,9 @@ import (
 	"math/cmplx"
 )
 
-// Forward computes the in-place-forward DFT of x and returns the result in a
-// new slice. Any length >= 1 is supported.
+// Forward computes the forward DFT of x and returns the result in a new
+// slice. Any length >= 1 is supported.
 func Forward(x []complex128) []complex128 {
-	return transform(x, false)
-}
-
-// Inverse computes the inverse DFT (with 1/N normalization).
-func Inverse(x []complex128) []complex128 {
-	out := transform(x, true)
-	n := complex(float64(len(out)), 0)
-	for i := range out {
-		out[i] /= n
-	}
-	return out
-}
-
-func transform(x []complex128, inverse bool) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
 	copy(out, x)
@@ -35,10 +21,10 @@ func transform(x []complex128, inverse bool) []complex128 {
 		return out
 	}
 	if n&(n-1) == 0 {
-		radix2(out, inverse)
+		radix2(out, false)
 		return out
 	}
-	return bluestein(out, inverse)
+	return bluestein(out)
 }
 
 // radix2 runs the iterative Cooley–Tukey FFT in place; len(x) must be a
@@ -74,20 +60,16 @@ func radix2(x []complex128, inverse bool) {
 	}
 }
 
-// bluestein evaluates an arbitrary-length DFT as a convolution, using a
-// zero-padded power-of-two FFT of length >= 2n-1.
-func bluestein(x []complex128, inverse bool) []complex128 {
+// bluestein evaluates an arbitrary-length forward DFT as a convolution, using
+// a zero-padded power-of-two FFT of length >= 2n-1.
+func bluestein(x []complex128) []complex128 {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp: w[k] = exp(sign*i*pi*k^2/n). Use k^2 mod 2n to avoid overflow
+	// Chirp: w[k] = exp(-i*pi*k^2/n). Use k^2 mod 2n to avoid overflow
 	// and precision loss for large k.
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		angle := sign * math.Pi * float64(kk) / float64(n)
+		angle := -math.Pi * float64(kk) / float64(n)
 		chirp[k] = cmplx.Exp(complex(0, angle))
 	}
 	m := 1
@@ -115,16 +97,6 @@ func bluestein(x []complex128, inverse bool) []complex128 {
 		out[k] = a[k] * inv * chirp[k]
 	}
 	return out
-}
-
-// ForwardReal transforms a real-valued signal and returns the complex
-// spectrum (full length, conjugate-symmetric).
-func ForwardReal(x []float64) []complex128 {
-	c := make([]complex128, len(x))
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	return Forward(c)
 }
 
 // ForwardND computes the separable N-D DFT of a row-major array with the

@@ -66,28 +66,3 @@ func Decode(src []byte, maxLen int) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// Gain returns the compression ratio len(src)/len(Encode(src)) without
-// materializing the output.
-func Gain(src []byte) float64 {
-	if len(src) == 0 {
-		return 1
-	}
-	var outLen int
-	var tmp [binary.MaxVarintLen64]byte
-	i := 0
-	for i < len(src) {
-		if src[i] != 0 {
-			outLen++
-			i++
-			continue
-		}
-		j := i
-		for j < len(src) && src[j] == 0 {
-			j++
-		}
-		outLen += 1 + binary.PutUvarint(tmp[:], uint64(j-i-1))
-		i = j
-	}
-	return float64(len(src)) / float64(outLen)
-}

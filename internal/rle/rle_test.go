@@ -66,24 +66,6 @@ func TestDecodeCorrupted(t *testing.T) {
 	}
 }
 
-func TestGainMatchesEncode(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		src := make([]byte, 2048)
-		for i := range src {
-			if rng.Float64() < 0.7 {
-				src[i] = 0
-			} else {
-				src[i] = byte(rng.Intn(255) + 1)
-			}
-		}
-		want := float64(len(src)) / float64(len(Encode(src)))
-		if got := Gain(src); got != want {
-			t.Fatalf("Gain = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestQuickRoundTrip(t *testing.T) {
 	f := func(src []byte) bool {
 		enc := Encode(src)

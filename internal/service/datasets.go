@@ -831,15 +831,16 @@ func intParam(q url.Values, name string, def int64) (int64, error) {
 }
 
 // putError maps store commit failures onto request-shaped errors. Typed
-// store errors — notably ErrConflict from a CAS replace — keep their own
-// HTTP mapping (409 via mapError); only untyped build/commit failures
-// collapse into the 422 envelope.
+// store errors — notably ErrConflict from a CAS replace, and
+// ErrCorruptDataset from the commit-time verification of the staged bytes —
+// keep their own HTTP mapping (409 / 422 corrupt_dataset via mapError); only
+// untyped build/commit failures collapse into the 422 put_failed envelope.
 func putError(err error) error {
 	if err == nil {
 		return nil
 	}
 	if errors.Is(err, store.ErrConflict) || errors.Is(err, store.ErrNotFound) ||
-		errors.Is(err, store.ErrBadName) {
+		errors.Is(err, store.ErrBadName) || errors.Is(err, store.ErrCorruptDataset) {
 		return err
 	}
 	return errf(http.StatusUnprocessableEntity, "put_failed", "%v", err)

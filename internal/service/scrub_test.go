@@ -2,14 +2,19 @@ package service
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
+	"rqm/internal/codec"
 	"rqm/internal/faultfs"
 	"rqm/internal/store"
 )
@@ -370,6 +375,58 @@ func TestRawPutRejectsInFlightCorruption(t *testing.T) {
 	}
 	if err := st.VerifyDataset("wire", true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRawPutRefusesLyingTrailer is probe (1) of ISSUE 24 from outside: a raw
+// put whose container's trailer claims 2x the values its first record holds
+// (manifest and container hash repeating the lie, every CRC valid) used to be
+// committed, and the next slice read panicked the handler. It must answer the
+// typed corruption envelope and commit nothing.
+func TestRawPutRefusesLyingTrailer(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	_, body := testField(t)
+	putDataset(t, ts, "liar", "mode=abs&eb=0.01&chunk=1024", body)
+	man, container := fetchReplicaParts(t, ts, "liar")
+	if err := st.Delete("liar"); err != nil {
+		t.Fatal(err)
+	}
+
+	idx, err := codec.LoadIndex(bytes.NewReader(container))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lie := slices.Clone(idx.Entries)
+	lie[0].Values, lie[2].Values, lie[3].Values = 2*lie[0].Values, lie[2].Values/2, lie[3].Values/2
+	last := lie[len(lie)-1]
+	trailer := last.Offset + int64(last.RecordBytes)
+	lying := bytes.NewBuffer(bytes.Clone(container[:trailer]))
+	if _, err := codec.WriteTrailer(lying, lie, idx.TotalValues, trailer); err != nil {
+		t.Fatal(err)
+	}
+	var m store.Manifest
+	if err := json.Unmarshal(man, &m); err != nil {
+		t.Fatal(err)
+	}
+	for i := range m.Chunks {
+		m.Chunks[i].Values = lie[i].Values
+	}
+	sum := sha256.Sum256(lying.Bytes())
+	m.ContainerHash = hex.EncodeToString(sum[:])
+	if man, err = json.Marshal(&m); err != nil {
+		t.Fatal(err)
+	}
+
+	resp := rawPut(t, ts, "liar", "", rawFrame(man, lying.Bytes()))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("raw put of a lying container: status %d, want 422", resp.StatusCode)
+	}
+	if eb := decodeErrorBody(t, resp); eb.Error.Code != "corrupt_dataset" {
+		t.Fatalf("raw put of a lying container: code %q, want corrupt_dataset", eb.Error.Code)
+	}
+	if _, err := st.Manifest("liar"); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("lying container was committed: %v", err)
 	}
 }
 

@@ -215,9 +215,6 @@ func New(cfg Config) (*Service, error) {
 // just leaving. Idempotent.
 func (s *Service) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Service) Draining() bool { return s.draining.Load() }
-
 // ServeHTTP dispatches to the endpoint handlers.
 func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 

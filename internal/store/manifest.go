@@ -278,16 +278,12 @@ func (m *Manifest) RQProfile() (*core.Profile, error) {
 func (m *Manifest) Prec() grid.Precision { return grid.Precision(m.PrecBits) }
 
 // IndexEntries converts the manifest's chunk records to container index
-// entries for codec.ReadChunkAt.
+// entries for codec.ReadChunkAt (the two types differ only in their JSON
+// tags).
 func (m *Manifest) IndexEntries() []codec.IndexEntry {
 	out := make([]codec.IndexEntry, len(m.Chunks))
 	for i, c := range m.Chunks {
-		out[i] = codec.IndexEntry{
-			Offset:      c.Offset,
-			Values:      c.Values,
-			RecordBytes: c.RecordBytes,
-			AbsBound:    c.AbsBound,
-		}
+		out[i] = codec.IndexEntry(c)
 	}
 	return out
 }
@@ -296,12 +292,7 @@ func (m *Manifest) IndexEntries() []codec.IndexEntry {
 func chunkRecords(entries []codec.IndexEntry) []ChunkRecord {
 	out := make([]ChunkRecord, len(entries))
 	for i, e := range entries {
-		out[i] = ChunkRecord{
-			Offset:      e.Offset,
-			Values:      e.Values,
-			RecordBytes: e.RecordBytes,
-			AbsBound:    e.AbsBound,
-		}
+		out[i] = ChunkRecord(e)
 	}
 	return out
 }

@@ -150,17 +150,13 @@ func BuildResidual(orig []float64, prec grid.Precision, backend string) Residual
 		}
 		recon := make([]float64, 0, idx.TotalValues)
 		blocks := make([]int, len(idx.Entries))
-		for i, e := range idx.Entries {
-			ch, err := codec.ReadChunkAt(f, e)
-			if err != nil {
-				return nil, fmt.Errorf("store: residual base: %w", err)
-			}
-			vals, err := codec.DecodeChunk(ch)
-			if err != nil {
-				return nil, fmt.Errorf("store: residual base: %w", err)
-			}
+		err = eachChunk(containerPath, f, idx.Entries, 0, len(idx.Entries), true, func(i int, vals []float64) error {
 			blocks[i] = len(vals)
 			recon = append(recon, vals...)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("store: residual base: %w", err)
 		}
 		if _, err := residual.Encode(w, c, prec, orig, recon, blocks); err != nil {
 			return nil, err

@@ -29,6 +29,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -211,7 +212,8 @@ func (s *Store) verifyLoaded(name string, m *Manifest, deep bool) (int64, error)
 	if m.Name != name {
 		return 0, fmt.Errorf("%w: %q: manifest names %q", ErrCorruptDataset, name, m.Name)
 	}
-	chunks, err := s.verifyContainer(name, m, deep)
+	_, chunks, err := s.verifyContainer(name, filepath.Join(s.datasetDir(name), ContainerFile), m, deep)
+	s.chunksVerified.Add(chunks)
 	if err != nil {
 		return chunks, err
 	}
@@ -274,88 +276,81 @@ func (s *Store) verifyResidual(name string, m *Manifest, deep bool) error {
 	return nil
 }
 
-// verifyContainer runs the container-side checks for one dataset.
-func (s *Store) verifyContainer(name string, m *Manifest, deep bool) (int64, error) {
-	f, err := s.fs.Open(filepath.Join(s.datasetDir(name), ContainerFile))
+// verifyContainer is the one container verification: run on a staged
+// container before it is published (m nil — the manifest is about to be
+// completed from the very index being verified), on the GET pre-pass and by
+// scrub. It returns the index it admitted and the number of chunks that
+// passed CRC before any failure.
+func (s *Store) verifyContainer(name, path string, m *Manifest, deep bool) (*codec.StreamIndex, int64, error) {
+	f, err := s.fs.Open(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, fmt.Errorf("%w: %q: manifest committed but container missing", ErrCorruptDataset, name)
+			return nil, 0, fmt.Errorf("%w: %q: manifest committed but container missing", ErrCorruptDataset, name)
 		}
-		return 0, fmt.Errorf("store: %w", err)
+		return nil, 0, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if size != m.ContainerBytes {
-		return 0, fmt.Errorf("%w: %q: container is %d bytes on disk, manifest records %d",
-			ErrCorruptDataset, name, size, m.ContainerBytes)
-	}
 
 	// Structural pass: LoadIndex re-parses the stream header, footer, and
-	// trailer (trailer payload is itself CRC-protected), then the trailer
-	// index must agree with the manifest's chunk records entry for entry.
+	// trailer (trailer payload is itself CRC-protected) and admits the index
+	// only if its entries tile the container; the manifest's independently
+	// stored copy of the same geometry must then agree with it exactly.
 	idx, err := codec.LoadIndex(f)
 	if err != nil {
-		return 0, corruptRead(name, err)
+		return nil, 0, corruptRead(name, err)
 	}
-	if len(idx.Entries) != len(m.Chunks) {
-		return 0, fmt.Errorf("%w: %q: trailer indexes %d chunks, manifest records %d",
-			ErrCorruptDataset, name, len(idx.Entries), len(m.Chunks))
-	}
-	if idx.TotalValues != m.TotalValues {
-		return 0, fmt.Errorf("%w: %q: trailer totals %d values, manifest records %d",
-			ErrCorruptDataset, name, idx.TotalValues, m.TotalValues)
-	}
-	for i, e := range idx.Entries {
-		c := m.Chunks[i]
-		if e.Offset != c.Offset || int(e.Values) != c.Values ||
-			int(e.RecordBytes) != c.RecordBytes || e.AbsBound != c.AbsBound {
-			return 0, fmt.Errorf("%w: %q: chunk %d: trailer index and manifest record disagree",
-				ErrCorruptDataset, name, i)
+	if m != nil {
+		if err := checkIndex(name, f, idx, m); err != nil {
+			return nil, 0, err
 		}
 	}
 
-	// Payload pass: ReadChunkAt re-frames each record and verifies the CRC
-	// its head declares (codec.VerifyChunk); deep additionally decodes.
+	// Payload pass: every record re-framed at its entry, head against entry,
+	// payload against the CRC the head declares; deep additionally decodes.
 	var verified int64
-	for i, e := range idx.Entries {
-		c, err := codec.ReadChunkAt(f, e)
-		if err != nil {
-			return verified, corruptRead(name, err)
-		}
-		if deep {
-			vals, err := codec.DecodeChunk(c)
-			if err != nil {
-				return verified, corruptRead(name, err)
-			}
-			if len(vals) != int(e.Values) {
-				return verified, fmt.Errorf("%w: %q: chunk %d decodes to %d values, index declares %d",
-					ErrCorruptDataset, name, i, len(vals), e.Values)
-			}
-		}
+	err = eachChunk(name, f, idx.Entries, 0, len(idx.Entries), deep, func(int, []float64) error {
 		verified++
-		s.chunksVerified.Add(1)
+		return nil
+	})
+	if err != nil {
+		return nil, verified, err
 	}
 
 	// Whole-file pass (deep only): the SHA-256 stamped at commit covers the
 	// bytes no chunk CRC does. Manifests from before the field existed have
 	// no reference hash and skip this check.
-	if deep && m.ContainerHash != "" {
+	if deep && m != nil && m.ContainerHash != "" {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return verified, fmt.Errorf("store: %w", err)
+			return nil, verified, fmt.Errorf("store: %w", err)
 		}
 		h := sha256.New()
 		if _, err := io.Copy(h, f); err != nil {
-			return verified, fmt.Errorf("store: %w", err)
+			return nil, verified, fmt.Errorf("store: %w", err)
 		}
 		if sum := hex.EncodeToString(h.Sum(nil)); sum != m.ContainerHash {
-			return verified, fmt.Errorf("%w: %q: container hashes to %s, manifest records %s",
+			return nil, verified, fmt.Errorf("%w: %q: container hashes to %s, manifest records %s",
 				ErrCorruptDataset, name, sum, m.ContainerHash)
 		}
 	}
-	return verified, nil
+	return idx, verified, nil
+}
+
+// checkIndex holds a container's size and trailer index against the
+// manifest's chunk records.
+func checkIndex(name string, f io.Seeker, idx *codec.StreamIndex, m *Manifest) error {
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if size != m.ContainerBytes {
+		return fmt.Errorf("%w: %q: container is %d bytes on disk, manifest records %d",
+			ErrCorruptDataset, name, size, m.ContainerBytes)
+	}
+	if idx.TotalValues != m.TotalValues || !slices.Equal(idx.Entries, m.IndexEntries()) {
+		return fmt.Errorf("%w: %q: trailer indexes %d chunks / %d values, manifest records %d / %d, or a chunk record differs",
+			ErrCorruptDataset, name, len(idx.Entries), idx.TotalValues, len(m.Chunks), m.TotalValues)
+	}
+	return nil
 }
 
 // quarantine moves a corrupt dataset directory out of datasets/ into

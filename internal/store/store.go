@@ -495,25 +495,25 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 		return nil, errors.New("store: build returned no manifest")
 	}
 
-	// Complete the manifest from the container itself: the trailer index is
-	// the ground truth for the chunk records, and loading it doubles as an
-	// integrity check of what was just written.
-	rf, err := os.Open(cpath)
+	// Verify the staged container with the routine scrub and the GET pre-pass
+	// run on committed ones — index tiling, every record against its entry,
+	// every payload CRC — so nothing that would fail verification is ever
+	// published, and complete the manifest from the index that pass admitted:
+	// the trailer is the ground truth for the chunk records.
+	idx, _, err := s.verifyContainer(name, cpath, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := os.Stat(cpath)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	idx, err := codec.LoadIndex(rf)
-	size, _ := rf.Seek(0, io.SeekEnd)
-	rf.Close()
-	if err != nil {
-		return nil, fmt.Errorf("store: staged container: %w", err)
 	}
 	m.Version = ManifestVersion
 	m.Name = name
 	m.Chunks = chunkRecords(idx.Entries)
 	m.TotalValues = idx.TotalValues
 	m.ChunkValues = idx.Header.ChunkValues
-	m.ContainerBytes = size
+	m.ContainerBytes = fi.Size()
 	sum := hex.EncodeToString(hasher.Sum(nil))
 	if m.ContainerHash != "" && m.ContainerHash != sum {
 		return nil, fmt.Errorf("%w: %q: staged container hashes to %s, manifest declares %s",
@@ -521,7 +521,7 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 	}
 	m.ContainerHash = sum
 	if m.OriginalBytes > 0 {
-		m.Ratio = float64(m.OriginalBytes) / float64(size)
+		m.Ratio = float64(m.OriginalBytes) / float64(m.ContainerBytes)
 	}
 
 	// Stage the residual layer, when the caller supplies one. Without a
@@ -621,42 +621,59 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, err
 		defer rf.Close()
 	}
 
+	// The covering chunks [lo, hi); start is the first element of chunk lo.
+	entries := m.IndexEntries()
+	lo, hi := 0, 0
+	var start, end int64
+	for ; hi < len(entries) && end < off+n; hi++ {
+		if end += int64(entries[hi].Values); end <= off {
+			lo, start = hi+1, end
+		}
+	}
 	out := make([]float64, 0, n)
-	var start int64 // first element of the current chunk
-	for i, e := range m.IndexEntries() {
-		end := start + int64(e.Values)
-		if end <= off {
-			start = end
-			continue
-		}
-		if start >= off+n {
-			break
-		}
-		c, err := codec.ReadChunkAt(f, e)
-		if err != nil {
-			return nil, corruptRead(name, err)
-		}
-		vals, err := codec.DecodeChunk(c)
-		if err != nil {
-			return nil, corruptRead(name, err)
-		}
+	err = eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
 		if exact {
 			if err := applyResidual(m, rf, ridx, i, vals); err != nil {
-				return nil, err
+				return err
 			}
 		}
 		s.chunkReads.Add(1)
-		lo, hi := int64(0), int64(len(vals))
-		if off > start {
-			lo = off - start
-		}
-		if off+n < end {
-			hi = off + n - start
-		}
-		out = append(out, vals[lo:hi]...)
-		start = end
+		// ReadChunkAt and DecodeChunk hold len(vals) to the entry's count,
+		// so the slice below is in range whatever the container claims.
+		out = append(out, vals[max(off-start, 0):min(off+n-start, int64(len(vals)))]...)
+		start += int64(len(vals))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// eachChunk is the store's one index-driven chunk read: each of chunks
+// [lo, hi) is re-framed at its entry (CRC verified, head held against the
+// entry) and, with decode set, decompressed; fn receives its position and
+// values (nil without decode, which keeps no payload either). Read and decode
+// failures come back typed through corruptRead, fn's own errors untouched.
+func eachChunk(name string, rs io.ReadSeeker, entries []codec.IndexEntry, lo, hi int, decode bool, fn func(i int, vals []float64) error) error {
+	for i := lo; i < hi; i++ {
+		var vals []float64
+		var err error
+		if !decode {
+			err = codec.VerifyChunkAt(rs, entries[i])
+		} else if c, rerr := codec.ReadChunkAt(rs, entries[i]); rerr != nil {
+			err = rerr
+		} else {
+			vals, err = codec.DecodeChunk(c)
+		}
+		if err != nil {
+			return corruptRead(name, err)
+		}
+		if err := fn(i, vals); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeFileSync writes data to path and fsyncs it before returning.

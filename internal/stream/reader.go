@@ -28,15 +28,16 @@ func WithReaderWorkers(n int) ReaderOption {
 }
 
 // Reader decompresses a chunked container with the Writer's pipeline run in
-// reverse: a feeder parses records sequentially and fans the payloads out
-// to a decode pool, and consumption hands chunks back in stream order.
-// Payload CRCs are verified as records are parsed, and the trailer's chunk
-// and value totals are checked against the stream before EOF is reported.
+// reverse: a feeder walks the records sequentially (codec.Records, the one
+// parser of the grammar) and fans the payloads out to a decode pool, and
+// consumption hands chunks back in stream order. Payload CRCs are verified
+// on the pool, and the walker reconciles trailer and footer with the records
+// it saw, entry for entry, before EOF is reported.
 //
 // A Reader is single-consumer: NextChunk, Read, and ReadAll must come from
 // one goroutine.
 type Reader struct {
-	hdr     codec.StreamHeader
+	recs    *codec.Records
 	workers int
 
 	pending  chan chan decResult // per-chunk result slots, in stream order
@@ -65,12 +66,12 @@ type decJob struct {
 // NewReader parses the stream header of src and starts the decode pipeline.
 // Header parse failures surface immediately with the typed container errors.
 func NewReader(src io.Reader, opts ...ReaderOption) (*Reader, error) {
-	hdr, _, err := codec.ReadStreamHeader(src)
+	recs, err := codec.OpenRecords(src)
 	if err != nil {
 		return nil, err
 	}
 	r := &Reader{
-		hdr:      *hdr,
+		recs:     recs,
 		done:     make(chan struct{}),
 		feedDone: make(chan struct{}),
 	}
@@ -83,19 +84,18 @@ func NewReader(src io.Reader, opts ...ReaderOption) (*Reader, error) {
 		r.workers = runtime.GOMAXPROCS(0)
 	}
 	r.pending = make(chan chan decResult, r.workers+2)
-	go r.feed(src)
+	go r.feed()
 	return r, nil
 }
 
 // Header returns the stream header (codec, shape, name, chunk size).
-func (r *Reader) Header() codec.StreamHeader { return r.hdr }
+func (r *Reader) Header() codec.StreamHeader { return r.recs.Header }
 
-// feed parses records sequentially, dispatching chunk payloads to the
-// decode pool and validating the trailer at the end of the stream. The
-// feeder is deliberately I/O-only: payload checksumming and decoding both
-// happen on the workers, so the serial section of the pipeline is just
+// feed walks the records, dispatching chunk payloads to the decode pool.
+// The feeder is deliberately I/O-only: payload checksumming and decoding
+// both happen on the workers, so the serial section of the pipeline is just
 // reading bytes and parsing 21-byte record heads.
-func (r *Reader) feed(src io.Reader) {
+func (r *Reader) feed() {
 	defer close(r.feedDone)
 	defer close(r.pending)
 	jobs := make(chan decJob, r.workers)
@@ -117,51 +117,24 @@ func (r *Reader) feed(src io.Reader) {
 	defer wg.Wait()
 	defer close(jobs)
 
-	chunks := 0
-	var total int64
-	tag := make([]byte, 1)
 	for {
-		if _, err := io.ReadFull(src, tag); err != nil {
-			r.emitErr(fmt.Errorf("%w: container ends without a trailer", codec.ErrTruncated))
+		c, crc, err := r.recs.Next()
+		if err == io.EOF {
 			return
 		}
-		switch tag[0] {
-		case codec.TagChunk:
-			c, crc, err := codec.ReadChunkBodyUnverified(src)
-			if err != nil {
-				r.emitErr(err)
-				return
-			}
-			res := make(chan decResult, 1)
-			select {
-			case r.pending <- res:
-			case <-r.done:
-				return
-			}
-			select {
-			case jobs <- decJob{chunk: c, crc: crc, res: res}:
-			case <-r.done:
-				return
-			}
-			chunks++
-			total += int64(c.Values)
-		case codec.TagTrailer:
-			entries, totalValues, err := codec.ReadTrailerBody(src)
-			if err != nil {
-				r.emitErr(err)
-				return
-			}
-			if _, err := codec.ReadFooter(src); err != nil {
-				r.emitErr(err)
-				return
-			}
-			if len(entries) != chunks || totalValues != total {
-				r.emitErr(fmt.Errorf("%w: trailer indexes %d chunks / %d values, stream has %d / %d",
-					codec.ErrCorrupt, len(entries), totalValues, chunks, total))
-			}
+		if err != nil {
+			r.emitErr(err)
 			return
-		default:
-			r.emitErr(fmt.Errorf("%w: record tag %d", codec.ErrCorrupt, tag[0]))
+		}
+		res := make(chan decResult, 1)
+		select {
+		case r.pending <- res:
+		case <-r.done:
+			return
+		}
+		select {
+		case jobs <- decJob{chunk: c, crc: crc, res: res}:
+		case <-r.done:
 			return
 		}
 	}
@@ -217,7 +190,7 @@ func (r *Reader) Read(p []byte) (int, error) {
 
 // encodeValues serializes one chunk at the stream precision.
 func (r *Reader) encodeValues(vals []float64) []byte {
-	if r.hdr.Prec == grid.Float32 {
+	if r.recs.Header.Prec == grid.Float32 {
 		out := make([]byte, 4*len(vals))
 		for i, v := range vals {
 			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
@@ -235,10 +208,7 @@ func (r *Reader) encodeValues(vals []float64) []byte {
 // when it matches the value count, 1-D otherwise. An empty (zero-chunk)
 // stream returns ErrEmptyStream.
 func (r *Reader) ReadAll() (*grid.Field, error) {
-	var vals []float64
-	if t := r.hdr.TotalFromDims(); t > 0 {
-		vals = make([]float64, 0, t)
-	}
+	vals := r.recs.Header.ValueBuffer()
 	for {
 		chunk, err := r.NextChunk()
 		if err == io.EOF {
@@ -252,7 +222,7 @@ func (r *Reader) ReadAll() (*grid.Field, error) {
 	if len(vals) == 0 {
 		return nil, ErrEmptyStream
 	}
-	return codec.AssembleField(&r.hdr, vals)
+	return codec.AssembleField(&r.recs.Header, vals)
 }
 
 // Values reports how many samples have been consumed so far.

@@ -64,11 +64,9 @@ type Result struct {
 	Stats Stats
 }
 
-// ContainerMagic is the little-endian magic of the native transform-codec
-// container ("RQZF"); the codec router uses it to recognize legacy payloads.
-const ContainerMagic uint32 = 0x52515A46
-
-const containerMagic = ContainerMagic
+// containerMagic is the little-endian magic of the native transform-codec
+// container ("RQZF").
+const containerMagic uint32 = 0x52515A46
 
 // haar4Fwd applies the two-level integer S-transform to a 4-long line in
 // place: (v0..v3) → (ss, sd, d0, d1). Exactly invertible by haar4Inv.

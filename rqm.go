@@ -19,8 +19,8 @@
 //
 // Every compressor backend sits behind one Codec interface and one
 // registry; compressed data travels in one self-describing container
-// envelope, so Decompress routes any payload — including legacy
-// pre-envelope containers — to the right backend by inspection. The Engine
+// envelope, so Decompress routes any container to the right backend by
+// inspection. The Engine
 // is the configured entry point, with worker-pool batch paths for
 // multi-field datasets.
 //
@@ -162,11 +162,13 @@ func GenerateField(path string, seed uint64, sc Scale) (*Field, error) {
 
 // Decompress reconstructs a field from any compressed container, routing to
 // the producing codec by inspection: envelope containers dispatch on their
-// codec ID through the registry, chunked stream containers (NewWriter
-// output) decode chunk by chunk, and the legacy native prediction ("RQMC")
-// and transform ("RQZF") containers remain decodable. Parse failures wrap
-// the typed errors ErrTruncated, ErrBadMagic, ErrUnsupportedVersion,
-// ErrUnknownCodec, ErrCorrupt, and ErrChecksum.
+// codec ID through the registry, and chunked stream containers (NewWriter
+// output) decode chunk by chunk. A bare native payload outside an envelope
+// (pre-envelope "RQMC" / "RQZF") is not a container and fails with
+// ErrBadMagic. Parse failures wrap the typed errors ErrTruncated,
+// ErrBadMagic, ErrUnsupportedVersion, ErrUnknownCodec, ErrCorrupt, and
+// ErrChecksum; a chunked container whose stored copies of a chunk's geometry
+// or bound disagree (record head, trailer entry, footer) is ErrCorrupt.
 func Decompress(data []byte) (*Field, error) {
 	return codec.Decompress(data)
 }
