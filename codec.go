@@ -5,9 +5,9 @@ import (
 	"rqm/internal/tuner"
 )
 
-// Codec abstraction: every compressor backend — built-in or third-party —
-// implements one interface and registers into one process-wide registry, and
-// every backend's output travels in one self-describing container envelope.
+// Codec abstraction: every compressor backend implements one interface, the
+// backends form one closed set fixed at build time, and every backend's
+// output travels in one self-describing container envelope.
 type (
 	// Codec is one error-bounded compression backend
 	// (Compress / Decompress / Profile / Name / ID).
@@ -43,10 +43,6 @@ const (
 	CodecTransformName      = codec.TransformName
 	CodecPredictionILVName  = codec.PredictionILVName
 	CodecPredictionTANSName = codec.PredictionTANSName
-
-	// CodecFirstExternalID is the lowest wire ID RegisterCodec accepts;
-	// lower IDs are reserved for built-in backends.
-	CodecFirstExternalID = codec.FirstExternalID
 )
 
 // Typed container errors; match with errors.Is. Every Decompress/Inspect
@@ -59,27 +55,22 @@ var (
 	ErrBadMagic = codec.ErrBadMagic
 	// ErrUnsupportedVersion marks an envelope version this build cannot read.
 	ErrUnsupportedVersion = codec.ErrUnsupportedVersion
-	// ErrUnknownCodec marks an envelope whose codec ID has no registration.
+	// ErrUnknownCodec marks an envelope whose codec ID names no codec.
 	ErrUnknownCodec = codec.ErrUnknownCodec
 	// ErrCorrupt marks a structurally invalid container header.
 	ErrCorrupt = codec.ErrCorrupt
 )
 
-// RegisterCodec adds a backend to the process-wide registry, making it
-// reachable by Decompress routing, CodecByName/CodecByID, SelectCodec, and
-// the Engine. Registration fails when the name or wire ID is taken.
-func RegisterCodec(c Codec) error { return codec.Register(c) }
-
-// Codecs returns the registered codecs sorted by wire ID.
+// Codecs returns the codecs sorted by wire ID.
 func Codecs() []Codec { return codec.All() }
 
-// CodecNames returns the registered codec names sorted by wire ID.
+// CodecNames returns the codec names sorted by wire ID.
 func CodecNames() []string { return codec.Names() }
 
-// CodecByName looks up a registered codec ("prediction", "transform", ...).
+// CodecByName looks up a codec by name ("prediction", "transform", ...).
 func CodecByName(name string) (Codec, error) { return codec.ByName(name) }
 
-// CodecByID looks up a registered codec by wire ID.
+// CodecByID looks up a codec by wire ID.
 func CodecByID(id CodecID) (Codec, error) { return codec.ByID(id) }
 
 // CompressWith runs one codec on a field and seals the output in the
@@ -93,7 +84,7 @@ func CompressWith(c Codec, f *Field, opts CodecOptions) (*CodecResult, error) {
 // and reconciled with its trailer and footer, payloads skipped).
 func Inspect(data []byte) (*ContainerInfo, error) { return codec.Inspect(data) }
 
-// SelectCodec ranks every registered codec at a PSNR target: one sampling
+// SelectCodec ranks every codec at a PSNR target: one sampling
 // pass per backend, then the model solves each backend's error bound for the
 // target and orders candidates by modeled bit-rate (best ratio first). The
 // winner's Profile and ErrorBound are ready to compress with.

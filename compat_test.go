@@ -81,3 +81,51 @@ func TestPrePR7ContainersDecodeByteIdentically(t *testing.T) {
 		t.Errorf("streaming reader: decoded stream hash %s, want %s", got, compatChunkedSHA)
 	}
 }
+
+// The two radius containers under testdata/ were written by the last build
+// that let a caller choose the quantizer radius, from a 32×32×4 float64
+// field with outliers (ABS 1e-3, Lorenzo): one at radius 255, one at radius
+// 2^20+1 (the sparse compress path that build took above 2^20). Compression
+// now always uses the default radius, but a container records its own, so
+// both must keep decoding to the exact same values. Each row pins the file
+// and the decoded float64 stream.
+func TestRadiusContainersDecodeByteIdentically(t *testing.T) {
+	cases := []struct {
+		file, fileSHA, want string
+	}{
+		{"testdata/pre_pr26_radius_255.rqz",
+			"599e88624c9d4d5dbe9e453f9b4914f041b6b46899b9577f6fd7d0965c7c8be7",
+			"7ffbe6b9d9741b0829ee2f6a9e2a3f484d0ddf264d397f36bd03f64f19ed8719"},
+		{"testdata/pre_pr26_radius_1048577.rqz",
+			"601a65204d558266f86c093263ca3424ca82133f163931136586316c76db5c2d",
+			"018bb3839b1a01526539af9ef483751b6ce208cc7e67218feca23ee17f349764"},
+	}
+	eng, err := rqm.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		blob, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatalf("golden container missing: %v", err)
+		}
+		if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != tc.fileSHA {
+			t.Fatalf("%s: file hash %x, want %s", tc.file, sum, tc.fileSHA)
+		}
+		for name, decode := range map[string]func([]byte) (*rqm.Field, error){
+			"rqm.Decompress":    rqm.Decompress,
+			"Engine.Decompress": eng.Decompress,
+		} {
+			f, err := decode(blob)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.file, name, err)
+			}
+			if f.Len() != 32*32*4 {
+				t.Fatalf("%s via %s: decoded %d values, want %d", tc.file, name, f.Len(), 32*32*4)
+			}
+			if got := decodedSHA(f); got != tc.want {
+				t.Errorf("%s via %s: decoded stream hash %s, want %s", tc.file, name, got, tc.want)
+			}
+		}
+	}
+}

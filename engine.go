@@ -28,21 +28,7 @@ type Engine struct {
 // EngineOption configures an Engine at construction.
 type EngineOption func(*Engine) error
 
-// WithCodec selects the backend (any registered or unregistered Codec).
-// Note that Decompress routing of *other* codecs' containers still requires
-// those codecs to be registered.
-func WithCodec(c Codec) EngineOption {
-	return func(e *Engine) error {
-		if c == nil {
-			return errors.New("rqm: WithCodec(nil)")
-		}
-		e.codec = c
-		return nil
-	}
-}
-
-// WithCodecName selects the backend by registered name
-// ("prediction", "transform", ...).
+// WithCodecName selects the backend by name ("prediction", "transform", ...).
 func WithCodecName(name string) EngineOption {
 	return func(e *Engine) error {
 		c, err := codec.ByName(name)
@@ -89,14 +75,6 @@ func WithLossless(l LosslessKind) EngineOption {
 	}
 }
 
-// WithRadius overrides the quantizer radius (prediction codec only).
-func WithRadius(r int32) EngineOption {
-	return func(e *Engine) error {
-		e.copts.Radius = r
-		return nil
-	}
-}
-
 // WithConcurrency sets the batch worker count (default GOMAXPROCS).
 func WithConcurrency(n int) EngineOption {
 	return func(e *Engine) error {
@@ -110,7 +88,7 @@ func WithConcurrency(n int) EngineOption {
 
 // WithModelOptions sets the sampling rate, seed and correction switch of the
 // ratio-quality model used by Profile, SelectCodec, and CompressToBudget. The
-// modeled pipeline (radius, entropy stage, lossless stage) always follows the
+// modeled pipeline (entropy stage, lossless stage) always follows the
 // engine's codec and options; those fields of mo are ignored.
 func WithModelOptions(mo ModelOptions) EngineOption {
 	return func(e *Engine) error {
@@ -158,26 +136,8 @@ func (e *Engine) Compress(f *Field) (*CodecResult, error) {
 
 // Decompress reconstructs a field from any container — produced by this
 // engine, another codec's engine, or the streaming writer — routing by
-// inspection. Containers carrying the
-// engine's own codec ID decode even when that codec is not registered;
-// everything else resolves through the registry.
-func (e *Engine) Decompress(data []byte) (*Field, error) {
-	if codec.IsChunked(data) {
-		return codec.DecompressChunkedWith(data, e.codec)
-	}
-	info, payload, err := codec.Open(data)
-	if err != nil {
-		return nil, err
-	}
-	if info.CodecID == e.codec.ID() {
-		return e.codec.Decompress(payload)
-	}
-	c, err := codec.ByID(info.CodecID)
-	if err != nil {
-		return nil, err
-	}
-	return c.Decompress(payload)
-}
+// inspection, exactly as the package-level Decompress does.
+func (e *Engine) Decompress(data []byte) (*Field, error) { return Decompress(data) }
 
 // Profile builds the ratio-quality profile of f under the configured codec.
 func (e *Engine) Profile(f *Field) (*Profile, error) {
@@ -242,7 +202,7 @@ func (e *Engine) CompressToBudget(f *Field, p *Profile, budgetBytes int64, headr
 // ErrStreamNeedsValueRange.
 func (e *Engine) NewStreamWriter(w io.Writer, extra ...StreamOption) (*StreamWriter, error) {
 	opts := []StreamOption{
-		WithStreamCodec(e.codec),
+		WithStreamCodecName(e.codec.Name()),
 		WithStreamCompression(e.copts),
 		WithStreamModel(e.mopts),
 		WithStreamWorkers(e.Concurrency()),
@@ -268,7 +228,7 @@ func (e *Engine) NewFieldStreamWriter(w io.Writer, f *Field, extra ...StreamOpti
 	return e.NewStreamWriter(w, append(opts, extra...)...)
 }
 
-// SelectCodec ranks every registered codec for f at a PSNR target using the
+// SelectCodec ranks every codec for f at a PSNR target using the
 // engine's configuration (codec auto-selection in one call).
 func (e *Engine) SelectCodec(f *Field, targetPSNR float64) ([]CodecChoice, error) {
 	return tuner.SelectCodec(f, codec.All(), targetPSNR, e.copts, e.mopts)

@@ -35,9 +35,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := rqm.NewEngine(rqm.WithConcurrency(0)); err == nil {
 		t.Fatal("zero concurrency accepted")
 	}
-	if _, err := rqm.NewEngine(rqm.WithCodec(nil)); err == nil {
-		t.Fatal("nil codec accepted")
-	}
 	eng, err := rqm.NewEngine(rqm.WithConcurrency(3))
 	if err != nil {
 		t.Fatal(err)
@@ -170,53 +167,6 @@ func TestEngineMixedCodecDecompressBatch(t *testing.T) {
 	}
 	if _, err := eng.DecompressBatch(context.Background(), append(blobs, bare.Bytes)); !errors.Is(err, rqm.ErrBadMagic) {
 		t.Fatalf("batch with a bare native payload: %v, want ErrBadMagic", err)
-	}
-}
-
-// wrappedCodec is an external codec (unreserved ID, not registered) that
-// reuses the prediction backend's payload format.
-type wrappedCodec struct{ inner rqm.Codec }
-
-func (w wrappedCodec) Name() string    { return "wrapped" }
-func (w wrappedCodec) ID() rqm.CodecID { return rqm.CodecFirstExternalID + 13 }
-func (w wrappedCodec) Compress(f *rqm.Field, o rqm.CodecOptions) ([]byte, error) {
-	return w.inner.Compress(f, o)
-}
-func (w wrappedCodec) Decompress(p []byte) (*rqm.Field, error) { return w.inner.Decompress(p) }
-func (w wrappedCodec) Profile(f *rqm.Field, co rqm.CodecOptions, mo rqm.ModelOptions) (*rqm.Profile, error) {
-	return w.inner.Profile(f, co, mo)
-}
-
-// TestEngineDecompressesOwnUnregisteredCodec: an engine built around a codec
-// that is not in the registry still round-trips its own containers; only the
-// registry-routed package Decompress refuses them.
-func TestEngineDecompressesOwnUnregisteredCodec(t *testing.T) {
-	pred, err := rqm.CodecByName(rqm.CodecPredictionName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := rqm.NewEngine(rqm.WithCodec(wrappedCodec{pred}), rqm.WithMode(rqm.REL), rqm.WithErrorBound(1e-3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := batchFields(t, 1)[0]
-	res, err := eng.Compress(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Codec != "wrapped" {
-		t.Fatalf("stats codec = %q", res.Stats.Codec)
-	}
-	back, err := eng.Decompress(res.Bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo, hi := f.ValueRange()
-	if err := rqm.VerifyErrorBound(f, back, rqm.ABS, 1e-3*(hi-lo)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rqm.Decompress(res.Bytes); !errors.Is(err, rqm.ErrUnknownCodec) {
-		t.Fatalf("registry-routed decompress of unregistered codec: %v", err)
 	}
 }
 

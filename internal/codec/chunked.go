@@ -55,19 +55,19 @@ import (
 // the 12-byte footer, follow the trailer offset, and jump straight to any
 // chunk via its index entry.
 
-// ChunkedVersion is the envelope version byte of the chunked stream format.
-const ChunkedVersion = 2
+// chunkedVersion is the envelope version byte of the chunked stream format.
+const chunkedVersion = 2
 
-// FooterMagic terminates a chunked container ("RQCX" little-endian).
-const FooterMagic uint32 = 0x58435152
+// footerMagic terminates a chunked container ("RQCX" little-endian).
+const footerMagic uint32 = 0x58435152
 
-// FooterSize is the byte length of the fixed footer.
-const FooterSize = 12
+// footerSize is the byte length of the fixed footer.
+const footerSize = 12
 
-// TagChunk and TagTrailer are the record tag bytes of the chunked format.
+// tagChunk and tagTrailer are the record tag bytes of the chunked format.
 const (
-	TagChunk   = 1
-	TagTrailer = 2
+	tagChunk   = 1
+	tagTrailer = 2
 )
 
 const (
@@ -140,8 +140,8 @@ type StreamIndex struct {
 // IsChunked reports whether data begins with a chunked (v2) stream header.
 func IsChunked(data []byte) bool {
 	return len(data) >= 5 &&
-		binary.LittleEndian.Uint32(data) == EnvelopeMagic &&
-		data[4] == ChunkedVersion
+		binary.LittleEndian.Uint32(data) == envelopeMagic &&
+		data[4] == chunkedVersion
 }
 
 // WriteStreamHeader serializes h, returning the byte count written.
@@ -163,8 +163,8 @@ func WriteStreamHeader(w io.Writer, h *StreamHeader) (int64, error) {
 	}
 	var buf bytes.Buffer
 	le := func(v interface{}) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	le(EnvelopeMagic)
-	le(uint8(ChunkedVersion))
+	le(envelopeMagic)
+	le(uint8(chunkedVersion))
 	le(uint8(h.CodecID))
 	le(uint8(h.Prec))
 	le(uint8(len(h.Dims)))
@@ -178,21 +178,21 @@ func WriteStreamHeader(w io.Writer, h *StreamHeader) (int64, error) {
 	return int64(n), err
 }
 
-// ReadStreamHeader parses a stream header, returning it and the byte count
+// readStreamHeader parses a stream header, returning it and the byte count
 // consumed. Parse failures wrap the typed container errors.
-func ReadStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
+func readStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
 	cr := &countReader{r: r}
 	var magic uint32
 	var version, id, prec, rank uint8
 	if err := readLE(cr, &magic, &version, &id, &prec, &rank); err != nil {
 		return nil, cr.n, err
 	}
-	if magic != EnvelopeMagic {
+	if magic != envelopeMagic {
 		return nil, cr.n, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
 	}
-	if version != ChunkedVersion {
+	if version != chunkedVersion {
 		return nil, cr.n, fmt.Errorf("%w: version %d, chunked streams are version %d",
-			ErrUnsupportedVersion, version, ChunkedVersion)
+			ErrUnsupportedVersion, version, chunkedVersion)
 	}
 	if p := grid.Precision(prec); p != grid.Float32 && p != grid.Float64 {
 		return nil, cr.n, fmt.Errorf("%w: precision %d", ErrCorrupt, prec)
@@ -230,7 +230,7 @@ func WriteChunk(w io.Writer, c *Chunk) (int64, error) {
 		return 0, fmt.Errorf("%w: chunk payload of %d bytes", ErrCorrupt, len(c.Payload))
 	}
 	head := make([]byte, chunkHeadSize)
-	head[0] = TagChunk
+	head[0] = tagChunk
 	head[1] = uint8(c.CodecID)
 	binary.LittleEndian.PutUint64(head[2:], uint64(math.Float64bits(c.AbsBound)))
 	binary.LittleEndian.PutUint32(head[10:], uint32(c.Values))
@@ -301,7 +301,7 @@ func VerifyChunk(c *Chunk, wantCRC uint32) error {
 func WriteTrailer(w io.Writer, entries []IndexEntry, totalValues, trailerOffset int64) (int64, error) {
 	var buf bytes.Buffer
 	le := func(v interface{}) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	buf.WriteByte(TagTrailer)
+	buf.WriteByte(tagTrailer)
 	le(uint32(len(entries)))
 	for _, e := range entries {
 		le(uint64(e.Offset))
@@ -312,7 +312,7 @@ func WriteTrailer(w io.Writer, entries []IndexEntry, totalValues, trailerOffset 
 	le(uint64(totalValues))
 	le(crc32.ChecksumIEEE(buf.Bytes()))
 	le(uint64(trailerOffset))
-	le(FooterMagic)
+	le(footerMagic)
 	n, err := w.Write(buf.Bytes())
 	return int64(n), err
 }
@@ -321,7 +321,7 @@ func WriteTrailer(w io.Writer, entries []IndexEntry, totalValues, trailerOffset 
 // excluded).
 func readTrailer(r io.Reader) ([]IndexEntry, int64, error) {
 	crc := crc32.NewIEEE()
-	crc.Write([]byte{TagTrailer})
+	crc.Write([]byte{tagTrailer})
 	tr := io.TeeReader(r, crc)
 	var count uint32
 	if err := readLE(tr, &count); err != nil {
@@ -366,7 +366,7 @@ func readFooter(r io.Reader) (int64, error) {
 	if err := readLE(r, &off, &magic); err != nil {
 		return 0, err
 	}
-	if magic != FooterMagic {
+	if magic != footerMagic {
 		return 0, fmt.Errorf("%w: footer magic 0x%08x", ErrCorrupt, magic)
 	}
 	return int64(off), nil
@@ -398,7 +398,7 @@ type Records struct {
 // records behind it. It reads exactly the container: nothing past the footer
 // is consumed.
 func OpenRecords(r io.Reader) (*Records, error) {
-	h, n, err := ReadStreamHeader(r)
+	h, n, err := readStreamHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -432,7 +432,7 @@ func (rs *Records) Next() (*Chunk, uint32, error) {
 		return nil, 0, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
 	}
 	switch rs.tag[0] {
-	case TagChunk:
+	case tagChunk:
 		c, crc, n, err := readChunk(rs.r, rs.skip, new(bytes.Buffer))
 		if err != nil {
 			return nil, 0, err
@@ -441,7 +441,7 @@ func (rs *Records) Next() (*Chunk, uint32, error) {
 		rs.off += int64(n)
 		rs.total += int64(c.Values)
 		return c, crc, nil
-	case TagTrailer:
+	case tagTrailer:
 		if err := rs.reconcile(); err != nil {
 			return nil, 0, err
 		}
@@ -506,7 +506,7 @@ func openChunked(data []byte) (*Info, []byte, error) {
 	h := &rs.Header
 	info := &Info{
 		CodecID:     h.CodecID,
-		Version:     ChunkedVersion,
+		Version:     chunkedVersion,
 		Chunked:     true,
 		Chunks:      len(rs.seen),
 		ChunkValues: h.ChunkValues,
@@ -525,16 +525,9 @@ func openChunked(data []byte) (*Info, []byte, error) {
 }
 
 // DecompressChunked reconstructs a field from a chunked container,
-// sequentially routing every chunk to its backend through the registry.
+// sequentially routing every chunk to its backend by codec ID.
 // (internal/stream provides the concurrent pipeline over the same walker.)
 func DecompressChunked(data []byte) (*grid.Field, error) {
-	return DecompressChunkedWith(data, nil)
-}
-
-// DecompressChunkedWith is DecompressChunked with a fallback backend:
-// chunks whose codec ID matches fallback decode through it even when it is
-// not registered (the Engine's own-codec guarantee, extended to streams).
-func DecompressChunkedWith(data []byte, fallback Codec) (*grid.Field, error) {
 	rs, err := openContainer(data, false)
 	if err != nil {
 		return nil, err
@@ -551,7 +544,7 @@ func DecompressChunkedWith(data []byte, fallback Codec) (*grid.Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunkVals, err := decodeChunk(c, fallback)
+		chunkVals, err := DecodeChunk(c)
 		if err != nil {
 			return nil, err
 		}
@@ -559,21 +552,12 @@ func DecompressChunkedWith(data []byte, fallback Codec) (*grid.Field, error) {
 	}
 }
 
-// DecodeChunk decompresses one chunk record's payload through the registry
-// and returns its samples.
+// DecodeChunk decompresses one chunk record's payload through the codec its
+// ID names and returns its samples.
 func DecodeChunk(c *Chunk) ([]float64, error) {
-	return decodeChunk(c, nil)
-}
-
-// decodeChunk resolves the chunk's backend — the fallback when its ID
-// matches, the registry otherwise — and decompresses the payload.
-func decodeChunk(c *Chunk, fallback Codec) ([]float64, error) {
-	backend := fallback
-	if backend == nil || backend.ID() != c.CodecID {
-		var err error
-		if backend, err = ByID(c.CodecID); err != nil {
-			return nil, err
-		}
+	backend, err := ByID(c.CodecID)
+	if err != nil {
+		return nil, err
 	}
 	f, err := backend.Decompress(c.Payload)
 	if err != nil {
@@ -637,7 +621,7 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	h, headerEnd, err := ReadStreamHeader(rs)
+	h, headerEnd, err := readStreamHeader(rs)
 	if err != nil {
 		return nil, err
 	}
@@ -645,17 +629,17 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if end < FooterSize {
-		return nil, fmt.Errorf("%w: %d bytes, need a %d-byte footer", ErrTruncated, end, FooterSize)
+	if end < footerSize {
+		return nil, fmt.Errorf("%w: %d bytes, need a %d-byte footer", ErrTruncated, end, footerSize)
 	}
-	if _, err := rs.Seek(end-FooterSize, io.SeekStart); err != nil {
+	if _, err := rs.Seek(end-footerSize, io.SeekStart); err != nil {
 		return nil, err
 	}
 	trailerOffset, err := readFooter(rs)
 	if err != nil {
 		return nil, err
 	}
-	if trailerOffset < headerEnd || trailerOffset >= end-FooterSize {
+	if trailerOffset < headerEnd || trailerOffset >= end-footerSize {
 		return nil, fmt.Errorf("%w: trailer offset %d outside container", ErrCorrupt, trailerOffset)
 	}
 	if _, err := rs.Seek(trailerOffset, io.SeekStart); err != nil {
@@ -665,7 +649,7 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if _, err := io.ReadFull(rs, tag[:]); err != nil {
 		return nil, fmt.Errorf("%w: trailer tag", ErrTruncated)
 	}
-	if tag[0] != TagTrailer {
+	if tag[0] != tagTrailer {
 		return nil, fmt.Errorf("%w: trailer offset points at tag %d", ErrCorrupt, tag[0])
 	}
 	entries, totalValues, err := readTrailer(rs)
@@ -674,8 +658,8 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	}
 	if pos, err := rs.Seek(0, io.SeekCurrent); err != nil {
 		return nil, err
-	} else if pos != end-FooterSize {
-		return nil, fmt.Errorf("%w: trailer ends at offset %d, footer starts at %d", ErrCorrupt, pos, end-FooterSize)
+	} else if pos != end-footerSize {
+		return nil, fmt.Errorf("%w: trailer ends at offset %d, footer starts at %d", ErrCorrupt, pos, end-footerSize)
 	}
 	next, sum := headerEnd, int64(0)
 	for i, e := range entries {
@@ -722,7 +706,7 @@ func readChunkAt(rs io.ReadSeeker, e IndexEntry, pb *bytes.Buffer) (*Chunk, erro
 	if _, err := io.ReadFull(rs, tag[:]); err != nil {
 		return nil, fmt.Errorf("%w: chunk tag", ErrTruncated)
 	}
-	if tag[0] != TagChunk {
+	if tag[0] != tagChunk {
 		return nil, fmt.Errorf("%w: index entry points at tag %d", ErrCorrupt, tag[0])
 	}
 	c, crc, n, err := readChunk(rs, nil, pb)

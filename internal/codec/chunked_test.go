@@ -70,7 +70,7 @@ func TestStreamHeaderRoundTrip(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Fatalf("reported %d bytes, wrote %d", n, buf.Len())
 		}
-		got, rn, err := ReadStreamHeader(bytes.NewReader(buf.Bytes()))
+		got, rn, err := readStreamHeader(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestChunkedContainerCorruption(t *testing.T) {
 		{"cut mid-chunk-header", mut(func(b []byte) []byte { return b[:entries[0].Offset+10] }), ErrTruncated},
 		{"cut mid-payload", mut(func(b []byte) []byte { return b[:entries[1].Offset-7] }), ErrTruncated},
 		{"truncated trailer", mut(func(b []byte) []byte { return b[:trailerStart+9] }), ErrTruncated},
-		{"missing footer", mut(func(b []byte) []byte { return b[:len(b)-FooterSize] }), ErrTruncated},
+		{"missing footer", mut(func(b []byte) []byte { return b[:len(b)-footerSize] }), ErrTruncated},
 		{"corrupted payload CRC", mut(func(b []byte) []byte {
 			b[entries[1].Offset+int64(chunkHeadSize)+3] ^= 0xFF // flip a payload byte
 			return b
@@ -228,7 +228,7 @@ func TestCorruptLengthsDoNotAllocate(t *testing.T) {
 	// A chunk header declaring a ~2 GB payload on a short container.
 	bigChunk := append([]byte(nil), data[:entries[0].Offset]...)
 	rec := make([]byte, chunkHeadSize)
-	rec[0] = TagChunk
+	rec[0] = tagChunk
 	rec[1] = byte(IDPrediction)
 	binary.LittleEndian.PutUint32(rec[10:], 64)
 	binary.LittleEndian.PutUint32(rec[14:], maxChunkPayload-1)

@@ -3,8 +3,6 @@ package codec
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"rqm/internal/compressor"
@@ -28,10 +26,6 @@ const (
 	// IDPredictionTANS is the prediction pipeline with the tANS entropy
 	// stage.
 	IDPredictionTANS ID = 4
-	// FirstExternalID is the lowest ID open to third-party registrations;
-	// everything below is reserved for built-ins so future releases can add
-	// backends without colliding with archived containers.
-	FirstExternalID ID = 64
 )
 
 // Options is the codec-agnostic compression configuration. Fields a codec
@@ -48,9 +42,6 @@ type Options struct {
 	// Lossless selects the optional stage after entropy coding
 	// (prediction codec only).
 	Lossless compressor.LosslessKind
-	// Radius overrides the quantizer radius (prediction codec only;
-	// 0 = default).
-	Radius int32
 }
 
 // Stats is the codec-agnostic description of one compression run. Sizes are
@@ -99,90 +90,44 @@ type Codec interface {
 	Decompress(payload []byte) (*grid.Field, error)
 	// Profile builds a ratio-quality profile for f: the one-time sampling
 	// product all model estimates and inverse solves derive from. The
-	// modeled pipeline — predictor, quantizer radius, entropy stage, whether
-	// a lossless stage runs — is what Compress would run under copts, so an
-	// implementation fixes mopts' Radius, Entropy and UseLossless itself;
-	// from mopts it takes the sampling rate, the seed and DisableCorrection.
+	// modeled pipeline — predictor, entropy stage, whether a lossless stage
+	// runs — is what Compress would run under copts, so an implementation
+	// fixes mopts' Entropy and UseLossless itself; from mopts it takes the
+	// sampling rate, the seed and DisableCorrection.
 	Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error)
 }
 
-var (
-	regMu     sync.RWMutex
-	regByID   = map[ID]Codec{}
-	regByName = map[string]Codec{}
-)
+// all is the closed codec set, in wire-ID order. It is never written: a
+// codec joins it only with a new wire ID, in a new release.
+var all = []Codec{prediction, transformCodec{}, predictionILV, predictionTANS}
 
-// Register adds a codec to the process-wide registry. It fails when the name
-// or ID is already taken, so wire IDs stay unambiguous, and rejects IDs
-// below FirstExternalID, which are reserved for built-ins.
-func Register(c Codec) error {
-	if c != nil && c.ID() < FirstExternalID {
-		return fmt.Errorf("codec: id %d is reserved for built-ins (use %d or above)",
-			c.ID(), FirstExternalID)
-	}
-	return register(c)
-}
-
-// register is the floor-free path the built-ins use.
-func register(c Codec) error {
-	if c == nil {
-		return errors.New("codec: nil codec")
-	}
-	if c.Name() == "" {
-		return errors.New("codec: empty codec name")
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if prev, ok := regByID[c.ID()]; ok {
-		return fmt.Errorf("codec: id %d already registered to %q", c.ID(), prev.Name())
-	}
-	if _, ok := regByName[c.Name()]; ok {
-		return fmt.Errorf("codec: name %q already registered", c.Name())
-	}
-	regByID[c.ID()] = c
-	regByName[c.Name()] = c
-	return nil
-}
-
-// ByID looks up a registered codec by wire ID.
+// ByID looks up a codec by wire ID.
 func ByID(id ID) (Codec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := regByID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: id %d", ErrUnknownCodec, id)
+	for _, c := range all {
+		if c.ID() == id {
+			return c, nil
+		}
 	}
-	return c, nil
+	return nil, fmt.Errorf("%w: id %d", ErrUnknownCodec, id)
 }
 
-// ByName looks up a registered codec by name.
+// ByName looks up a codec by name.
 func ByName(name string) (Codec, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	c, ok := regByName[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: name %q", ErrUnknownCodec, name)
+	for _, c := range all {
+		if c.Name() == name {
+			return c, nil
+		}
 	}
-	return c, nil
+	return nil, fmt.Errorf("%w: name %q", ErrUnknownCodec, name)
 }
 
-// All returns the registered codecs sorted by ID.
-func All() []Codec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]Codec, 0, len(regByID))
-	for _, c := range regByID {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
-	return out
-}
+// All returns the codecs sorted by ID.
+func All() []Codec { return append([]Codec(nil), all...) }
 
-// Names returns the registered codec names sorted by ID.
+// Names returns the codec names sorted by ID.
 func Names() []string {
-	cs := All()
-	out := make([]string, len(cs))
-	for i, c := range cs {
+	out := make([]string, len(all))
+	for i, c := range all {
 		out[i] = c.Name()
 	}
 	return out
@@ -212,12 +157,4 @@ func Compress(c Codec, f *grid.Field, opts Options) (*Result, error) {
 		EncodeTime:      time.Since(start),
 	}
 	return &Result{Bytes: sealed, Stats: st}, nil
-}
-
-func init() {
-	for _, c := range []Codec{prediction, transformCodec{}, predictionILV, predictionTANS} {
-		if err := register(c); err != nil {
-			panic(err)
-		}
-	}
 }

@@ -23,18 +23,19 @@ func testField(t testing.TB) *grid.Field {
 
 func TestRegistryHasBuiltins(t *testing.T) {
 	all := All()
-	if len(all) < 2 {
-		t.Fatalf("registered codecs = %d, want at least the 2 built-ins", len(all))
+	if len(all) != 4 {
+		t.Fatalf("codecs = %d, want the 4 built-ins", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i].ID() <= all[i-1].ID() {
 			t.Fatal("All() not sorted by ID")
 		}
 	}
-	for _, want := range []struct {
+	for i, want := range []struct {
 		id   ID
 		name string
-	}{{IDPrediction, PredictionName}, {IDTransform, TransformName}} {
+	}{{IDPrediction, PredictionName}, {IDTransform, TransformName},
+		{IDPredictionILV, PredictionILVName}, {IDPredictionTANS, PredictionTANSName}} {
 		byID, err := ByID(want.id)
 		if err != nil {
 			t.Fatal(err)
@@ -43,23 +44,26 @@ func TestRegistryHasBuiltins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if byID != byName {
-			t.Fatalf("ByID(%d) and ByName(%q) disagree", want.id, want.name)
+		if byID != byName || byID.Name() != want.name || Names()[i] != want.name {
+			t.Fatalf("ByID(%d), ByName(%q) and Names disagree", want.id, want.name)
 		}
+	}
+	// The set is read-only: what All returns is the caller's copy.
+	all[0] = nil
+	if c, err := ByID(IDPrediction); err != nil || c == nil || All()[0] == nil {
+		t.Fatal("writing All's result changed the codec set")
 	}
 }
 
+// TestRegistryRejectsDuplicatesAndUnknown: the closed set names every codec
+// by one ID and one name, and an unknown ID or name resolves to nothing.
 func TestRegistryRejectsDuplicatesAndUnknown(t *testing.T) {
-	// Public Register enforces the reserved-ID floor for built-in space...
-	if err := Register(prediction); err == nil || !strings.Contains(err.Error(), "reserved") {
-		t.Fatalf("reserved built-in ID accepted: %v", err)
-	}
-	// ...and the floor-free internal path still rejects duplicates.
-	if err := register(prediction); err == nil {
-		t.Fatal("duplicate registration accepted")
-	}
-	if err := Register(nil); err == nil {
-		t.Fatal("nil codec accepted")
+	ids, names := map[ID]bool{}, map[string]bool{}
+	for _, c := range All() {
+		if ids[c.ID()] || names[c.Name()] || c.Name() == "" {
+			t.Fatalf("codec %q (id %d) duplicates another or has no name", c.Name(), c.ID())
+		}
+		ids[c.ID()], names[c.Name()] = true, true
 	}
 	if _, err := ByID(ID(200)); !errors.Is(err, ErrUnknownCodec) {
 		t.Fatalf("ByID unknown: %v", err)
@@ -142,7 +146,7 @@ func TestProfileThroughInterface(t *testing.T) {
 	}
 }
 
-// TestProfileDerivedAndPersistent: for every registered codec the profile's
+// TestProfileDerivedAndPersistent: for every codec the profile's
 // pipeline facts are what copts and the codec's identity imply — contrary
 // mopts notwithstanding — and the profile's record, through JSON, rebuilds a
 // profile that answers bit-identically.
@@ -155,18 +159,18 @@ func TestProfileDerivedAndPersistent(t *testing.T) {
 		for _, lossless := range []compressor.LosslessKind{compressor.LosslessNone, compressor.LosslessRLE} {
 			for _, f := range []*grid.Field{testField(t), sparse} {
 				on := lossless != compressor.LosslessNone
-				// mopts contradicts the pipeline on all three facts.
-				p, err := c.Profile(f, Options{Lossless: lossless, Radius: 4096}, core.Options{
-					SampleRate: 0.05, Seed: 7, Radius: 99, Entropy: core.EntropyModelANS, UseLossless: !on})
+				// mopts contradicts the pipeline on both facts.
+				p, err := c.Profile(f, Options{Lossless: lossless}, core.Options{
+					SampleRate: 0.05, Seed: 7, Entropy: core.EntropyModelANS, UseLossless: !on})
 				if err != nil {
 					t.Fatalf("%s: %v", c.Name(), err)
 				}
-				want := core.Options{SampleRate: 0.05, Seed: 7, Radius: 4096, UseLossless: on}
+				want := core.Options{SampleRate: 0.05, Seed: 7, UseLossless: on}
 				switch c.ID() {
 				case IDPredictionTANS:
 					want.Entropy = core.EntropyModelANS
 				case IDTransform:
-					want.Radius, want.UseLossless = 32768, false
+					want.UseLossless = false
 				}
 				if got := p.Options(); got != want {
 					t.Fatalf("%s lossless=%s: profile options %+v, want %+v", c.Name(), lossless, got, want)
@@ -228,7 +232,7 @@ func TestOpenEnvelopeErrors(t *testing.T) {
 			t.Fatal(err) // Open succeeds; routing fails
 		}
 		if info.CodecName != "" {
-			t.Fatalf("unregistered ID resolved name %q", info.CodecName)
+			t.Fatalf("unknown ID resolved name %q", info.CodecName)
 		}
 		if _, err := Decompress(bad); !errors.Is(err, ErrUnknownCodec) {
 			t.Fatalf("Decompress: %v", err)

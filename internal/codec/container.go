@@ -20,19 +20,19 @@ var (
 	ErrBadMagic = errors.New("codec: bad container magic")
 	// ErrUnsupportedVersion marks an envelope version this build cannot read.
 	ErrUnsupportedVersion = errors.New("codec: unsupported envelope version")
-	// ErrUnknownCodec marks an envelope whose codec ID has no registration.
+	// ErrUnknownCodec marks an envelope whose codec ID names no codec.
 	ErrUnknownCodec = errors.New("codec: unknown codec")
 	// ErrCorrupt marks a structurally invalid header (bad rank, dimension,
 	// or length field).
 	ErrCorrupt = errors.New("codec: corrupt container header")
 )
 
-// EnvelopeMagic is the little-endian magic of the unified envelope ("RQCE",
+// envelopeMagic is the little-endian magic of the unified envelope ("RQCE",
 // ratio-quality codec envelope).
-const EnvelopeMagic uint32 = 0x52514345
+const envelopeMagic uint32 = 0x52514345
 
-// EnvelopeVersion is the current envelope layout version.
-const EnvelopeVersion = 1
+// envelopeVersion is the current envelope layout version.
+const envelopeVersion = 1
 
 // maxEnvelopeName bounds the stored field name.
 const maxEnvelopeName = 65535
@@ -41,7 +41,7 @@ const maxEnvelopeName = 65535
 type Info struct {
 	// CodecID identifies the backend the payload belongs to.
 	CodecID ID
-	// CodecName is the registered name ("" when the ID is unregistered).
+	// CodecName is the codec's name ("" when the ID names no codec).
 	CodecName string
 	// Version is the envelope version.
 	Version uint8
@@ -87,8 +87,8 @@ func Seal(id ID, f *grid.Field, payload []byte) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.Grow(len(payload) + 64 + len(name))
 	w := func(v interface{}) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(EnvelopeMagic)
-	w(uint8(EnvelopeVersion))
+	w(envelopeMagic)
+	w(uint8(envelopeVersion))
 	w(uint8(id))
 	w(uint8(f.Prec))
 	w(uint8(f.Rank()))
@@ -112,7 +112,7 @@ func Open(data []byte) (*Info, []byte, error) {
 	if len(data) < 4 {
 		return nil, nil, fmt.Errorf("%w: %d bytes, need at least a 4-byte magic", ErrTruncated, len(data))
 	}
-	if magic := binary.LittleEndian.Uint32(data); magic != EnvelopeMagic {
+	if magic := binary.LittleEndian.Uint32(data); magic != envelopeMagic {
 		return nil, nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
 	}
 	r := bytes.NewReader(data[4:])
@@ -120,12 +120,12 @@ func Open(data []byte) (*Info, []byte, error) {
 	if err := readLE(r, &version, &id, &prec, &rank); err != nil {
 		return nil, nil, err
 	}
-	if version == ChunkedVersion {
+	if version == chunkedVersion {
 		return openChunked(data)
 	}
-	if version != EnvelopeVersion {
+	if version != envelopeVersion {
 		return nil, nil, fmt.Errorf("%w: version %d, this build reads %d and %d",
-			ErrUnsupportedVersion, version, EnvelopeVersion, ChunkedVersion)
+			ErrUnsupportedVersion, version, envelopeVersion, chunkedVersion)
 	}
 	dims, err := readDims(r, rank, 1)
 	if err != nil {

@@ -1,15 +1,15 @@
 // Package codec defines the compressor-agnostic abstraction the
 // ratio-quality model is built around: a Codec interface every
-// error-bounded backend implements, a process-wide registry the built-in
-// backends register into, and a single self-describing container envelope
-// so any payload routes to the right backend by inspection (see
-// container.go). The tuner use-cases and the public rqm.Engine operate on
-// this interface only, so new codecs plug in behind one surface.
+// error-bounded backend implements, one closed, read-only set of codecs
+// (ByID, ByName, All), and a single self-describing container envelope so
+// any payload routes to the right backend by inspection (see container.go).
+// The tuner use-cases and the public rqm.Engine operate on this interface
+// only.
 //
-// # Built-in codecs
+// # Codecs
 //
-// Wire IDs below FirstExternalID are reserved for built-ins and are stable
-// forever — never reuse or renumber a published ID:
+// The set is fixed at build time; nothing registers a codec at run time.
+// Wire IDs are stable forever — never reuse or renumber a published ID:
 //
 //	1  prediction       SZ3-style pipeline, serial Huffman entropy stage
 //	2  transform        ZFP-style transform codec

@@ -6,12 +6,12 @@ import (
 	"rqm/internal/grid"
 )
 
-// Registered names of the prediction-based codecs. All three run the same
+// Names of the prediction-based codecs. All three run the same
 // SZ3-style prediction pipeline and differ only in the entropy stage. The
 // stage choice is codec identity rather than an Options field: the wire ID
 // pins how a chunk body must be decoded, so containers written by any
-// variant route correctly through the registry with no envelope or
-// chunk-format change.
+// variant route correctly by codec ID with no envelope or chunk-format
+// change.
 const (
 	// PredictionName is the serial canonical-Huffman variant.
 	PredictionName = "prediction"
@@ -50,7 +50,6 @@ func (c predictionCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
 		Mode:       opts.Mode,
 		ErrorBound: opts.ErrorBound,
 		Lossless:   opts.Lossless,
-		Radius:     opts.Radius,
 		Entropy:    c.entropy,
 	})
 	if err != nil {
@@ -63,11 +62,10 @@ func (predictionCodec) Decompress(payload []byte) (*grid.Field, error) {
 	return compressor.Decompress(payload)
 }
 
-// Profile models the pipeline Compress would run under copts: its quantizer
-// radius, this codec's entropy stage, and a lossless stage exactly when copts
-// selects one. mopts has no say in those three.
+// Profile models the pipeline Compress would run under copts: this codec's
+// entropy stage, and a lossless stage exactly when copts selects one. mopts
+// has no say in those two.
 func (c predictionCodec) Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error) {
-	mopts.Radius = copts.Radius
 	mopts.Entropy = c.modelEntropy
 	mopts.UseLossless = copts.Lossless != compressor.LosslessNone
 	return core.NewProfile(f, copts.Predictor, mopts)

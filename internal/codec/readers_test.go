@@ -228,7 +228,7 @@ func TestLyingTrailerRejected(t *testing.T) {
 func TestWrongFooterRejected(t *testing.T) {
 	data, _ := testContainer(t, 64, 64, 30)
 	bad := bytes.Clone(data)
-	foot := bad[len(bad)-codec.FooterSize:]
+	foot := bad[len(bad)-12:] // the footer: trailer offset (u64), magic (u32)
 	binary.LittleEndian.PutUint64(foot, binary.LittleEndian.Uint64(foot)-7)
 	if v := requireAgreement(t, "footer 7 bytes early", bad); v.class != "ErrCorrupt" {
 		t.Fatalf("footer 7 bytes early: %v, want ErrCorrupt", v)

@@ -9,7 +9,7 @@ import (
 	"rqm/internal/transform"
 )
 
-// TransformName is the registered name of the transform-based codec.
+// TransformName is the name of the transform-based codec.
 const TransformName = "transform"
 
 // transformCodec adapts the ZFP-style transform pipeline to the Codec
@@ -37,10 +37,9 @@ func (transformCodec) Decompress(payload []byte) (*grid.Field, error) {
 	return transform.Decompress(payload)
 }
 
-// Profile models the transform pipeline, which has no configurable radius,
-// codes with Huffman and never runs a lossless stage — whatever mopts says.
+// Profile models the transform pipeline, which codes with Huffman and never
+// runs a lossless stage — whatever mopts says.
 func (transformCodec) Profile(f *grid.Field, copts Options, mopts core.Options) (*core.Profile, error) {
-	mopts.Radius = 0
 	mopts.Entropy = core.EntropyModelHuffman
 	mopts.UseLossless = false
 	return transform.NewProfile(f, mopts.SampleRate, mopts.Seed, mopts)

@@ -113,8 +113,6 @@ type Options struct {
 	ErrorBound float64
 	// Lossless selects the optional stage after Huffman.
 	Lossless LosslessKind
-	// Radius overrides the quantizer radius (0 = quantizer.DefaultRadius).
-	Radius int32
 	// Entropy selects the entropy stage (serial Huffman, interleaved
 	// multi-stream Huffman, or tANS). The default EntropyHuffman emits the
 	// historical version 1 container byte-for-byte.
@@ -196,12 +194,9 @@ func reservedSymbol(radius int32) uint32 { return uint32(2*radius) + 1 }
 // fused and generic paths emit byte-identical containers.
 var useFusedKernels = true
 
-// denseCompressRadiusLimit bounds the dense counts/encode-LUT scratch
-// (2*radius+2 entries each): radii beyond 2^20 take the sparse map-based
-// path instead of allocating gigabytes of pooled arena per compression.
-const denseCompressRadiusLimit = 1 << 20
-
-// Compress runs the full pipeline on f.
+// Compress runs the full pipeline on f. It always quantizes at
+// quantizer.DefaultRadius; Decompress reads whatever radius a container
+// records.
 func Compress(f *grid.Field, opts Options) (*Result, error) {
 	if f == nil || f.Len() == 0 {
 		return nil, errors.New("compressor: empty field")
@@ -216,10 +211,7 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	if !pred.Supports(f.Rank()) {
 		return nil, fmt.Errorf("compressor: predictor %s does not support rank %d", opts.Predictor, f.Rank())
 	}
-	radius := opts.Radius
-	if radius == 0 {
-		radius = quantizer.DefaultRadius
-	}
+	const radius int32 = quantizer.DefaultRadius
 
 	a := getArena()
 	defer a.release()
@@ -267,75 +259,39 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("compressor: unknown error mode %d", int(opts.Mode))
 	}
 
-	// Resolve the quantizer early: it validates the bound/radius pair, and
-	// the sparse (large-radius) path quantizes through it directly.
-	qz, err := quantizer.New(absEB, radius)
-	if err != nil {
+	// The quantizer validates the bound; the kernel inlines its arithmetic.
+	if _, err := quantizer.New(absEB, radius); err != nil {
 		return nil, err
 	}
 
-	// The dense counts/LUT tables are sized 2*radius+2; past the guard an
-	// absurd-but-valid radius would allocate gigabytes of scratch (and pin
-	// it in the pool), so large radii take the sparse map-based path — the
-	// pre-kernel algorithm, byte-identical output.
-	dense := radius <= denseCompressRadiusLimit
-
 	tPredict := time.Now()
 	resSym := reservedSymbol(radius)
+	counts, encLUT := a.freqTables(int(resSym) + 1)
+	k := &encodeKernel{
+		work:    work,
+		syms:    a.u32(f.Len()),
+		unpred:  a.unpred,
+		counts:  counts,
+		touched: a.touched,
+		eb:      absEB,
+		twoEB:   2 * absEB,
+		radF:    float64(radius),
+		radius:  radius,
+		resSym:  resSym,
+	}
 	var aux []byte
-	var syms []uint32
-	var unpred []float64
-	var hist histogram
-	var encLUT []uint64
-	if dense {
-		var counts []int64
-		counts, encLUT = a.freqTables(int(resSym) + 1)
-		k := &encodeKernel{
-			work:    work,
-			syms:    a.u32(f.Len()),
-			unpred:  a.unpred,
-			counts:  counts,
-			touched: a.touched,
-			eb:      absEB,
-			twoEB:   2 * absEB,
-			radF:    float64(radius),
-			radius:  radius,
-			resSym:  resSym,
-		}
-		if useFusedKernels && fusedCompress(opts.Predictor, f.Dims, k) {
-			// fused path: predict+quantize+emit ran in one pass, no aux.
-		} else {
-			aux, err = pred.CompressWalk(f.Dims, work, k.emit)
-			if err != nil {
-				return nil, err
-			}
-		}
-		syms, unpred = k.syms, k.unpred
-		a.unpred, a.touched = k.unpred, k.touched // hand grown slices back to the arena
-		// The dense counts double as the entropy stage's frequency table.
-		hist = histogram{counts: counts, touched: k.touched}
+	if useFusedKernels && fusedCompress(opts.Predictor, f.Dims, k) {
+		// fused path: predict+quantize+emit ran in one pass, no aux.
 	} else {
-		freqs := make(map[uint32]int64)
-		hist = histogram{sparse: freqs}
-		syms = a.u32(f.Len())[:0]
-		aux, err = pred.CompressWalk(f.Dims, work, func(idx int, p float64) {
-			code, recon, ok := qz.Quantize(work[idx], p)
-			if !ok {
-				syms = append(syms, resSym)
-				freqs[resSym]++
-				unpred = append(unpred, work[idx])
-				// work[idx] keeps the exact value.
-				return
-			}
-			s := uint32(code) + uint32(radius)
-			syms = append(syms, s)
-			freqs[s]++
-			work[idx] = recon
-		})
+		aux, err = pred.CompressWalk(f.Dims, work, k.emit)
 		if err != nil {
 			return nil, err
 		}
 	}
+	syms, unpred := k.syms, k.unpred
+	a.unpred, a.touched = k.unpred, k.touched // hand grown slices back to the arena
+	// The dense counts double as the entropy stage's frequency table.
+	hist := histogram{counts: counts, touched: k.touched}
 	predictTime := time.Since(tPredict)
 
 	tEncode := time.Now()
@@ -360,7 +316,7 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		zerosEnc = rle.Encode(zeros)
 	}
 
-	out := assembleContainer(f, opts, radius, absEB, aux, unpred, signsEnc, zerosEnc, enc, finalPayload, len(enc.raw))
+	out := assembleContainer(f, opts, absEB, aux, unpred, signsEnc, zerosEnc, enc, finalPayload, len(enc.raw))
 
 	// Rebuild the code histogram (unpredictable excluded) from the symbol
 	// frequencies for the Stats consumers; it is small — one entry per
@@ -455,7 +411,7 @@ func undoLossless(kind LosslessKind, data []byte, rawLen int) ([]byte, error) {
 // assembleContainer lays out the self-describing byte stream in one
 // exact-size allocation (the only large allocation a steady-state compress
 // makes; everything else comes from the arena).
-func assembleContainer(f *grid.Field, opts Options, radius int32, absEB float64,
+func assembleContainer(f *grid.Field, opts Options, absEB float64,
 	aux []byte, unpred []float64, signsEnc, zerosEnc []byte, enc *entropyEnc, payload []byte, rawPayloadLen int) []byte {
 
 	codebook := enc.codebook
@@ -488,7 +444,7 @@ func assembleContainer(f *grid.Field, opts Options, radius int32, absEB float64,
 	if version >= containerVersionEntropy {
 		out = append(out, uint8(enc.kind), enc.param)
 	}
-	p32(uint32(radius))
+	p32(quantizer.DefaultRadius)
 	p64(math.Float64bits(opts.ErrorBound))
 	p64(math.Float64bits(absEB))
 	out = append(out, uint8(f.Prec), uint8(f.Rank()))

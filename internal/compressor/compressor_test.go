@@ -149,14 +149,15 @@ func TestHigherBoundSmallerOutput(t *testing.T) {
 }
 
 func TestUnpredictableValuesPath(t *testing.T) {
-	// A tiny radius forces most codes out of range → unpredictable path.
+	// A bound this tight puts most codes past ±quantizer.DefaultRadius →
+	// unpredictable path.
 	f := testField(t, "hurricane/U")
 	lo, hi := f.ValueRange()
 	res, dec := compressDecompress(t, f, Options{
-		Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: (hi - lo) * 1e-7, Radius: 2,
+		Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: (hi - lo) * 1e-10,
 	})
 	if res.Stats.Unpredictable == 0 {
-		t.Fatal("expected unpredictable values with radius 2")
+		t.Fatal("expected unpredictable values at a 1e-10 relative bound")
 	}
 	// Unpredictable values must reconstruct exactly (they are stored raw).
 	_ = dec

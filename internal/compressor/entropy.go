@@ -65,21 +65,15 @@ type entropyEnc struct {
 	bitLen   uint64
 }
 
-// histogram is the symbol histogram Compress hands the entropy stage. The
-// kernel path counts densely — counts indexed by symbol, touched listing
-// each counted symbol once — and radii past denseCompressRadiusLimit count
-// into the sparse map instead.
+// histogram is the symbol histogram Compress hands the entropy stage:
+// counts indexed by symbol, touched listing each counted symbol once.
 type histogram struct {
 	counts  []int64
 	touched []uint32
-	sparse  map[uint32]int64
 }
 
 // each calls fn for every counted symbol, in no particular order.
 func (h *histogram) each(fn func(sym uint32, n int64)) {
-	for s, n := range h.sparse {
-		fn(s, n)
-	}
 	for _, s := range h.touched {
 		fn(s, h.counts[s])
 	}
@@ -87,9 +81,6 @@ func (h *histogram) each(fn func(sym uint32, n int64)) {
 
 // asMap is the histogram as the map ans.Build takes.
 func (h *histogram) asMap() map[uint32]int64 {
-	if h.sparse != nil {
-		return h.sparse
-	}
 	m := make(map[uint32]int64, len(h.touched))
 	for _, s := range h.touched {
 		m[s] = h.counts[s]
@@ -98,36 +89,23 @@ func (h *histogram) asMap() map[uint32]int64 {
 }
 
 // encodeEntropy runs the selected entropy coder over the symbol stream.
-// encLUT is the dense encode LUT scratch (nil on the sparse path). The
-// returned codebook and raw blob alias arena memory; callers must finish with
-// them before the arena releases.
+// encLUT is the dense encode LUT scratch. The returned codebook and raw blob
+// alias arena memory; callers must finish with them before the arena
+// releases.
 func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, h *histogram, encLUT []uint64) (*entropyEnc, error) {
 	switch kind {
 	case EntropyHuffman, EntropyInterleaved:
-		var cb *huffman.Codebook
-		var err error
-		if h.sparse != nil {
-			cb, err = huffman.Build(h.sparse)
-		} else {
-			cb, err = huffman.BuildDense(h.counts, h.touched)
-		}
+		cb, err := huffman.BuildDense(h.counts, h.touched)
 		if err != nil {
 			return nil, err
 		}
 		defer cb.Release()
 		a.cbBuf = cb.AppendSerialized(a.cbBuf[:0])
 		enc := &entropyEnc{kind: kind, codebook: a.cbBuf}
-		if encLUT != nil {
-			cb.FillLUT(encLUT)
-		}
+		cb.FillLUT(encLUT)
 		if kind == EntropyHuffman {
 			bw := a.bitWriter()
-			if encLUT != nil {
-				err = cb.EncodeLUT(bw, syms, encLUT)
-			} else {
-				err = cb.Encode(bw, syms)
-			}
-			if err != nil {
+			if err := cb.EncodeLUT(bw, syms, encLUT); err != nil {
 				return nil, err
 			}
 			enc.bits = bw.Bits()
@@ -174,11 +152,8 @@ func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, h *histogram, encL
 		}
 		defer tab.Release()
 		enc := &entropyEnc{kind: EntropyTANS, codebook: tab.Serialize(), param: ans.NumStates}
-		var lut []uint32
-		if encLUT != nil {
-			lut = a.ansLUT(int(tab.MaxSymbol()) + 1)
-			tab.FillLUT(lut)
-		}
+		lut := a.ansLUT(int(tab.MaxSymbol()) + 1)
+		tab.FillLUT(lut)
 		stream, states, bits, err := tab.Encode(a.ansBuf[:0], syms, lut)
 		if err != nil {
 			return nil, err

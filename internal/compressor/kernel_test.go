@@ -202,35 +202,9 @@ func TestRegressionStillRoundTrips(t *testing.T) {
 	}
 }
 
-// TestSparseRadiusPath covers the large-radius fallback: a radius past
-// denseCompressRadiusLimit must not allocate the dense scratch tables and
-// still round-trip with the bound held.
-func TestSparseRadiusPath(t *testing.T) {
-	f := kernelField(t, 31, 29)
-	opts := Options{
-		Predictor:  predictor.Lorenzo,
-		Mode:       ABS,
-		ErrorBound: 1e-3,
-		Radius:     denseCompressRadiusLimit + 1,
-	}
-	res, err := Compress(f, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decompress(res.Bytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyErrorBound(f, back, ABS, opts.ErrorBound); err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Unpredictable == 0 {
-		t.Fatal("outlier field compressed with no unpredictable values")
-	}
-}
-
 // TestArenaReuseIsClean runs many mixed compressions back to back so pooled
-// arenas are reused across different radii, modes, and sizes; any stale
+// arenas are reused across different bounds and sizes — from nearly every
+// code in range to nearly every value stored exactly — so any stale
 // counts/touched/LUT state would corrupt a later container.
 func TestArenaReuseIsClean(t *testing.T) {
 	fields := []*grid.Field{
@@ -238,11 +212,11 @@ func TestArenaReuseIsClean(t *testing.T) {
 		kernelField(t, 13, 11, 7),
 		kernelField(t, 64, 64),
 	}
-	radii := []int32{0, 255, 31}
+	bounds := []float64{1e-3, 1e-9, 1e-6}
 	for round := 0; round < 3; round++ {
 		for _, f := range fields {
-			for _, r := range radii {
-				opts := Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: 1e-3, Radius: r}
+			for _, eb := range bounds {
+				opts := Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: eb}
 				res, err := Compress(f, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -252,7 +226,7 @@ func TestArenaReuseIsClean(t *testing.T) {
 					t.Fatal(err)
 				}
 				if err := VerifyErrorBound(f, back, ABS, opts.ErrorBound); err != nil {
-					t.Fatalf("radius %d round %d: %v", r, round, err)
+					t.Fatalf("eb %g round %d: %v", eb, round, err)
 				}
 			}
 		}

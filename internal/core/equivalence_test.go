@@ -11,6 +11,7 @@ import (
 
 	"rqm/internal/datagen"
 	"rqm/internal/predictor"
+	"rqm/internal/quantizer"
 )
 
 // canonBits is a float's bit pattern, every NaN folded into one: which
@@ -75,8 +76,8 @@ func pipelines(p *Profile) []*Profile {
 }
 
 func pipelineLabel(name string, p *Profile) string {
-	return fmt.Sprintf("%s/%s/%s/lossless=%v/nocorr=%v/radius=%d", name, p.Kind,
-		p.opts.Entropy, p.opts.UseLossless, p.opts.DisableCorrection, p.opts.Radius)
+	return fmt.Sprintf("%s/%s/%s/lossless=%v/nocorr=%v", name, p.Kind,
+		p.opts.Entropy, p.opts.UseLossless, p.opts.DisableCorrection)
 }
 
 // logSpaced returns n points from lo to hi, evenly spaced in the exponent.
@@ -121,8 +122,9 @@ func datagenProfiles(t testing.TB) map[string]*Profile {
 
 // adversarialProfiles are the shapes the deleted dense/map split and the
 // sorted-run walk could disagree on: degenerate sample sets, ranges at the
-// ends of float64, non-finite and signed-zero samples, and radii from 1 to
-// MaxInt32 (where the correction layer's code+1 wraps).
+// ends of float64, non-finite and signed-zero samples, and a peaked set that
+// keeps Eq. 9 on at every bound. The bounds each is probed at run down to
+// where most codes fall past ±quantizer.DefaultRadius.
 func adversarialProfiles(t testing.TB) map[string]*Profile {
 	t.Helper()
 	spread := func(scale float64) []float64 {
@@ -139,27 +141,21 @@ func adversarialProfiles(t testing.TB) map[string]*Profile {
 		name    string
 		samples []float64
 		vrange  float64
-		radius  int32
 	}{
-		{"all-zero", make([]float64, 64), 1, 0},
-		{"all-zero-range-0", make([]float64, 64), 0, 0},
-		{"one-sample", []float64{0.25}, 1, 0},
-		{"one-negative-sample", []float64{-3}, 1, 0},
-		{"range-1e300", spread(1e299), 1e300, 0},
-		{"range-1e-300", spread(1e-301), 1e-300, 0},
-		{"radius-1", spread(1), 2, 1},
-		{"radius-2", peaked, 2, 2},
-		{"radius-2^20+1", spread(1), 2, 1<<20 + 1},
-		{"radius-maxint32", spread(1), 2, math.MaxInt32},
-		{"radius-maxint32-peaked", peaked, 2, math.MaxInt32},
-		{"hostile", hostile, 2, 0},
-		{"hostile-radius-maxint32", hostile, 2, math.MaxInt32},
-		{"all-negative", []float64{-1, -2, -2, -3, -1e-9}, 4, 0},
+		{"all-zero", make([]float64, 64), 1},
+		{"all-zero-range-0", make([]float64, 64), 0},
+		{"one-sample", []float64{0.25}, 1},
+		{"one-negative-sample", []float64{-3}, 1},
+		{"range-1e300", spread(1e299), 1e300},
+		{"range-1e-300", spread(1e-301), 1e-300},
+		{"spread", spread(1), 2},
+		{"peaked", peaked, 2},
+		{"hostile", hostile, 2},
+		{"all-negative", []float64{-1, -2, -2, -3, -1e-9}, 4},
 	}
 	out := map[string]*Profile{}
 	for _, sh := range shapes {
-		p, err := NewProfileFromSamples(predictor.Lorenzo, sh.samples, []int{1 << 16}, 1<<16, 32, sh.vrange, 0.1,
-			Options{Radius: sh.radius})
+		p, err := NewProfileFromSamples(predictor.Lorenzo, sh.samples, []int{1 << 16}, 1<<16, 32, sh.vrange, 0.1, Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", sh.name, err)
 		}
@@ -215,7 +211,8 @@ func TestEstimateMatchesOracle(t *testing.T) {
 			scale = 1
 		}
 		bounds := append(logSpaced(scale*1e-12, scale, points), extremes...)
-		bounds = append(bounds, stepEdges(base, stride, 1, 3, 5)...)
+		// Over 2·DefaultRadius+1 a sample crosses out of the quantizer range.
+		bounds = append(bounds, stepEdges(base, stride, 1, 3, 5, 2*quantizer.DefaultRadius+1)...)
 		for _, p := range pipelines(base) {
 			o, label := newOracle(p), pipelineLabel(name, p)
 			for _, eb := range bounds {
@@ -394,7 +391,7 @@ func TestRecordRoundTripAnswersIdentically(t *testing.T) {
 
 // profileFromFuzz decodes a fuzz input into a profile: little-endian float64
 // samples, any bit pattern allowed.
-func profileFromFuzz(data []byte, radius int32, flags uint8) (*Profile, error) {
+func profileFromFuzz(data []byte, flags uint8) (*Profile, error) {
 	samples := make([]float64, len(data)/8)
 	for i := range samples {
 		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
@@ -403,7 +400,7 @@ func profileFromFuzz(data []byte, radius int32, flags uint8) (*Profile, error) {
 	if flags&8 != 0 {
 		kind = predictor.Interpolation
 	}
-	opts := Options{Radius: radius, UseLossless: flags&2 != 0, DisableCorrection: flags&4 != 0}
+	opts := Options{UseLossless: flags&2 != 0, DisableCorrection: flags&4 != 0}
 	if flags&1 != 0 {
 		opts.Entropy = EntropyModelANS
 	}
@@ -418,20 +415,21 @@ func fuzzBytes(samples []float64) []byte {
 	return out
 }
 
-// FuzzEstimateMatchesOracle: any samples, bound, radius and pipeline flags —
+// FuzzEstimateMatchesOracle: any samples, bound and pipeline flags —
 // the estimate equals the oracle's, and so do the solves, or both reject.
 func FuzzEstimateMatchesOracle(f *testing.F) {
 	for _, p := range adversarialProfiles(f) {
 		for _, exp := range []int16{-1074, -300, -10, 0, 10, 1023} {
-			f.Add(fuzzBytes(p.Errors), exp, uint16(0x8000), p.opts.Radius, uint8(0))
-			f.Add(fuzzBytes(p.Errors), exp, uint16(0x1234), p.opts.Radius, uint8(11))
+			f.Add(fuzzBytes(p.Errors), exp, uint16(0x8000), uint8(0))
+			f.Add(fuzzBytes(p.Errors), exp, uint16(0x1234), uint8(11))
+			f.Add(fuzzBytes(p.Errors), exp, uint16(0x4321), uint8(6))
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, exp int16, mant uint16, radius int32, flags uint8) {
-		if radius < 0 || len(data) > 1<<16 {
-			t.Skip() // a negative radius is no quantizer; the cap keeps the oracle's per-sample loop quick
+	f.Fuzz(func(t *testing.T, data []byte, exp int16, mant uint16, flags uint8) {
+		if len(data) > 1<<16 {
+			t.Skip() // the cap keeps the oracle's per-sample loop quick
 		}
-		p, err := profileFromFuzz(data, radius, flags)
+		p, err := profileFromFuzz(data, flags)
 		if err != nil {
 			t.Skip()
 		}

@@ -70,7 +70,7 @@ type Estimate struct {
 // membership the per-sample loop's exactly, and runs outside the quantizer
 // radius are the unpredictable values.
 func (p *Profile) histogramAt(eb float64, sc *runScratch) (h []codeRun, total int64, unpredShare float64) {
-	s, radius := p.sorted, p.opts.Radius
+	s := p.sorted
 	// The one break in monotonicity: when 2·eb overflows, +Inf/+Inf is NaN
 	// and codes like the NaNs sorted first. Such a tail is out of radius.
 	for len(s) > 0 && s[len(s)-1] > 0 && quantizer.CodeFor(s[len(s)-1], eb) < 0 {
@@ -96,7 +96,7 @@ func (p *Profile) histogramAt(eb float64, sc *runScratch) (h []codeRun, total in
 				lo = mid
 			}
 		}
-		if c >= -radius && c <= radius {
+		if c >= -quantizer.DefaultRadius && c <= quantizer.DefaultRadius {
 			h = append(h, codeRun{c, int64(hi - i)})
 			total += int64(hi - i)
 		}
@@ -144,12 +144,6 @@ func applyCorrection(dst, src []codeRun, frac float64) []codeRun {
 		}
 	}
 	var right codeRun
-	if k := len(src) - 1; k >= 0 && src[k].code == math.MaxInt32 {
-		// Reachable at radius MaxInt32 only: code+1 wraps, as the int32
-		// arithmetic always has, and the wrapped bin sorts first.
-		tran := transfer(src[k].n, frac)
-		add(codeRun{math.MinInt32, tran - tran/2})
-	}
 	for _, r := range src {
 		tran := transfer(r.n, frac)
 		left := codeRun{r.code - 1, tran / 2}
@@ -163,9 +157,7 @@ func applyCorrection(dst, src []codeRun, frac float64) []codeRun {
 		add(codeRun{r.code, r.n - tran})
 		right = codeRun{r.code + 1, tran - tran/2}
 	}
-	if right.code != math.MinInt32 {
-		add(right)
-	}
+	add(right)
 	return dst
 }
 

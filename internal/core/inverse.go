@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"rqm/internal/quantizer"
 )
 
 // BaseErrorBound returns the error bound the profile uses as the Eq. 2
@@ -18,7 +20,7 @@ func (p *Profile) BaseErrorBound() float64 {
 		eb = 1e-12
 	}
 	if q := p.quantileAbs(0.995); q > 0 {
-		if minEB := q / (1.8 * float64(p.opts.Radius)); eb < minEB {
+		if minEB := q / (1.8 * quantizer.DefaultRadius); eb < minEB {
 			eb = minEB
 		}
 	}
@@ -132,7 +134,7 @@ func (p *Profile) solveMonotone(target float64, metric func(eb float64) float64)
 	// of the quantizer range; below it the Huffman histogram loses mass and
 	// the bit-rate metric stops being monotone.
 	if q := p.quantileAbs(1.0); q > 0 {
-		if minEB := q / (1.8 * float64(p.opts.Radius)); lo < minEB {
+		if minEB := q / (1.8 * quantizer.DefaultRadius); lo < minEB {
 			lo = minEB
 		}
 	}

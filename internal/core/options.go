@@ -52,19 +52,18 @@ const (
 var anchorP0 = [...]float64{0.5, 0.8, 0.95}
 
 // Options configures the model. SampleRate and Seed steer the sampling pass
-// and DisableCorrection is the ablation switch; Radius, UseLossless and
-// Entropy describe the pipeline being modeled. Codec.Profile derives those
-// three from the codec options, so only direct NewProfile callers — which
-// have no codec options to read — state them. The zero value is the paper's
-// default pipeline: 1% sampling, default radius, Huffman, no lossless stage.
+// and DisableCorrection is the ablation switch; UseLossless and Entropy
+// describe the pipeline being modeled. Codec.Profile derives those two from
+// the codec options, so only direct NewProfile callers — which have no codec
+// options to read — state them. The quantizer radius is not an option: every
+// compressor quantizes at quantizer.DefaultRadius, so the model assumes it.
+// The zero value is the paper's default pipeline: 1% sampling, Huffman, no
+// lossless stage.
 type Options struct {
 	// SampleRate is the fraction of points sampled (paper default 0.01).
 	SampleRate float64
 	// Seed makes sampling deterministic.
 	Seed uint64
-	// Radius is the quantizer radius assumed by the model
-	// (quantizer.DefaultRadius when 0).
-	Radius int32
 	// DisableCorrection turns off the Eq. 9 bin-transfer correction layer
 	// (exposed for the ablation benches).
 	DisableCorrection bool
@@ -82,9 +81,6 @@ type Options struct {
 func (o Options) normalize() Options {
 	if o.SampleRate <= 0 || o.SampleRate > 1 {
 		o.SampleRate = 0.01
-	}
-	if o.Radius == 0 {
-		o.Radius = 32768
 	}
 	return o
 }

@@ -62,8 +62,6 @@ type codeCounter struct {
 
 var counterPool = sync.Pool{New: func() interface{} { return &codeCounter{} }}
 
-const denseRadiusLimit = 1 << 20
-
 func (cc *codeCounter) release() {
 	for _, i := range cc.touched {
 		cc.counts[i] = 0
@@ -74,41 +72,30 @@ func (cc *codeCounter) release() {
 
 func (p *oracle) histogramAt(eb float64) (h *stats.CodeHistogram, unpredShare float64) {
 	h = stats.NewCodeHistogram()
-	radius := p.opts.Radius
+	const radius = quantizer.DefaultRadius
 	var unpred int64
-	if radius <= denseRadiusLimit {
-		cc := counterPool.Get().(*codeCounter)
-		span := 2*int(radius) + 1
-		if cap(cc.counts) < span {
-			cc.counts = make([]int64, span)
-		}
-		cc.counts = cc.counts[:span]
-		for _, e := range p.Errors {
-			c := quantizer.CodeFor(e, eb)
-			if c > radius || c < -radius {
-				unpred++
-				continue
-			}
-			i := c + radius
-			if cc.counts[i] == 0 {
-				cc.touched = append(cc.touched, i)
-			}
-			cc.counts[i]++
-		}
-		for _, i := range cc.touched {
-			h.Add(i-radius, cc.counts[i])
-		}
-		cc.release()
-	} else {
-		for _, e := range p.Errors {
-			c := quantizer.CodeFor(e, eb)
-			if c > radius || c < -radius {
-				unpred++
-				continue
-			}
-			h.Add(c, 1)
-		}
+	cc := counterPool.Get().(*codeCounter)
+	span := 2*int(radius) + 1
+	if cap(cc.counts) < span {
+		cc.counts = make([]int64, span)
 	}
+	cc.counts = cc.counts[:span]
+	for _, e := range p.Errors {
+		c := quantizer.CodeFor(e, eb)
+		if c > radius || c < -radius {
+			unpred++
+			continue
+		}
+		i := c + radius
+		if cc.counts[i] == 0 {
+			cc.touched = append(cc.touched, i)
+		}
+		cc.counts[i]++
+	}
+	for _, i := range cc.touched {
+		h.Add(i-radius, cc.counts[i])
+	}
+	cc.release()
 	total := int64(len(p.Errors))
 	if h.Total == 0 {
 		return h, float64(unpred) / float64(total)
@@ -259,7 +246,7 @@ func (p *oracle) BaseErrorBound() float64 {
 		eb = 1e-12
 	}
 	if q := p.quantileAbs(0.995); q > 0 {
-		if minEB := q / (1.8 * float64(p.opts.Radius)); eb < minEB {
+		if minEB := q / (1.8 * quantizer.DefaultRadius); eb < minEB {
 			eb = minEB
 		}
 	}
@@ -344,7 +331,7 @@ func (p *oracle) ErrorBoundForPSNR(target float64) (float64, error) {
 func (p *oracle) solveMonotone(target float64, metric func(Estimate) float64) (float64, error) {
 	lo := p.Range * 1e-12
 	if q := p.quantileAbs(1.0); q > 0 {
-		if minEB := q / (1.8 * float64(p.opts.Radius)); lo < minEB {
+		if minEB := q / (1.8 * quantizer.DefaultRadius); lo < minEB {
 			lo = minEB
 		}
 	}

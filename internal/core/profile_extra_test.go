@@ -71,15 +71,20 @@ func TestUnpredShareMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProfile(f, predictor.Lorenzo, Options{SampleRate: 0.3, Radius: 64})
+	p, err := NewProfile(f, predictor.Lorenzo, Options{SampleRate: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// From bounds so tight that nearly every code overflows ±DefaultRadius
+	// to bounds where none does.
 	prev := 2.0
-	for _, rel := range []float64{1e-7, 1e-6, 1e-5, 1e-4, 1e-3} {
+	for _, rel := range []float64{1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3} {
 		est := p.EstimateAt(rel * p.Range)
 		if est.UnpredShare > prev+1e-12 {
 			t.Fatalf("unpredictable share not monotone at rel=%g", rel)
+		}
+		if rel == 1e-11 && est.UnpredShare < 0.5 {
+			t.Fatalf("premise: unpredictable share %v at rel=1e-11", est.UnpredShare)
 		}
 		prev = est.UnpredShare
 	}
@@ -104,7 +109,7 @@ func TestEstimateSSIMBounds(t *testing.T) {
 
 func TestOptionsNormalization(t *testing.T) {
 	o := Options{}.normalize()
-	if o.SampleRate != 0.01 || o.Radius != 32768 {
+	if o.SampleRate != 0.01 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if c2For(predictor.Regression) != 0 {

@@ -35,8 +35,6 @@ type ProfileRecord struct {
 	// SampleRate and Seed reproduce the sampling pass configuration.
 	SampleRate float64 `json:"sample_rate"`
 	Seed       uint64  `json:"seed,omitempty"`
-	// Radius is the quantizer radius the model assumes.
-	Radius int32 `json:"radius,omitempty"`
 	// Entropy, UseLossless and DisableCorrection complete the modeled
 	// pipeline. Each is omitted at its zero value (Huffman, no lossless
 	// stage, correction on), which is also how records written before the
@@ -90,7 +88,6 @@ func (p *Profile) Record() *ProfileRecord {
 		AuxBitsPerValue:   p.AuxBitsPerValue,
 		SampleRate:        p.opts.SampleRate,
 		Seed:              p.opts.Seed,
-		Radius:            p.opts.Radius,
 		Entropy:           p.opts.Entropy,
 		UseLossless:       p.opts.UseLossless,
 		DisableCorrection: p.opts.DisableCorrection,
@@ -148,7 +145,6 @@ func ProfileFromRecord(r *ProfileRecord) (*Profile, error) {
 	p, err := NewProfileFromSamples(kind, errs, r.Dims, r.N, r.OrigBits, r.Range, r.DataVar, Options{
 		SampleRate:        r.SampleRate,
 		Seed:              r.Seed,
-		Radius:            r.Radius,
 		Entropy:           r.Entropy,
 		UseLossless:       r.UseLossless,
 		DisableCorrection: r.DisableCorrection,

@@ -17,7 +17,7 @@ func TestRecordCarriesEveryField(t *testing.T) {
 	p := &Profile{
 		Kind: predictor.Lorenzo2, Dims: []int{3}, N: 3, OrigBits: 32, Range: 2, DataVar: 0.5,
 		Errors: []float64{0.5, -0.25, 1}, AuxBitsPerValue: 0.125,
-		opts: Options{SampleRate: 0.5, Seed: 9, Radius: 77, DisableCorrection: true,
+		opts: Options{SampleRate: 0.5, Seed: 9, DisableCorrection: true,
 			UseLossless: true, Entropy: EntropyModelANS},
 	}
 	for _, v := range []reflect.Value{reflect.ValueOf(*p), reflect.ValueOf(p.opts)} {

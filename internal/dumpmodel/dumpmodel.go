@@ -1,4 +1,4 @@
-// Package cluster is an analytic performance model of parallel data dumping
+// Package dumpmodel is an analytic performance model of parallel data dumping
 // on an HPC system — the stand-in for the paper's 8-node/128-core Bebop
 // experiments with parallel HDF5 over MPI-IO. Compression and optimization
 // are embarrassingly parallel across ranks (each rank holds a slice of the
@@ -7,7 +7,7 @@
 // relative shape of Fig. 14 (optimization ≫ for in-situ trial-and-error,
 // I/O ∝ compressed bytes, stability of the model-driven dumps) is preserved
 // even though absolute seconds differ from Bebop's.
-package cluster
+package dumpmodel
 
 import (
 	"errors"
@@ -39,10 +39,10 @@ func DefaultBebop() Config {
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Ranks <= 0 {
-		return errors.New("cluster: ranks must be positive")
+		return errors.New("dumpmodel: ranks must be positive")
 	}
 	if c.FSBandwidth <= 0 || c.PerRankBandwidth <= 0 {
-		return errors.New("cluster: bandwidths must be positive")
+		return errors.New("dumpmodel: bandwidths must be positive")
 	}
 	return nil
 }

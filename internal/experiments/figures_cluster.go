@@ -6,10 +6,10 @@ import (
 	"math"
 	"time"
 
-	"rqm/internal/cluster"
 	"rqm/internal/compressor"
 	"rqm/internal/core"
 	"rqm/internal/datagen"
+	"rqm/internal/dumpmodel"
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
 	"rqm/internal/quality"
@@ -175,8 +175,8 @@ func measuredPSNRAt(f *grid.Field, absEB float64) (float64, *compressor.Stats, e
 // Figure14Strategy aggregates one approach's dump sequence.
 type Figure14Strategy struct {
 	Name    string
-	Reports []cluster.DumpReport
-	Summary cluster.Summary
+	Reports []dumpmodel.DumpReport
+	Summary dumpmodel.Summary
 }
 
 // Figure14Result compares the three dumping strategies on the simulated
@@ -201,7 +201,7 @@ type Figure14Result struct {
 // 682 GB dataset lives (its uncompressed dump is I/O-bound at 29.4 s).
 func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 	const target = 56.0
-	machine := cluster.DefaultBebop()
+	machine := dumpmodel.DefaultBebop()
 	ranks := int64(machine.Ranks)
 	ds, err := datagen.Generate("rtm", cfg.Seed, cfg.Scale)
 	if err != nil {
@@ -244,7 +244,7 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 			machine.Dump(f.Name, 0, compCPU*time.Duration(ranks),
 				ranks*res.Stats.CompressedBytes, int(ranks)*f.Len(), 0))
 	}
-	trad.Summary = cluster.Summarize(trad.Reports)
+	trad.Summary = dumpmodel.Summarize(trad.Reports)
 
 	// In-situ TAE: each snapshot tries all candidates online (optimization
 	// cost = the trial compressions), then compresses with the pick.
@@ -274,7 +274,7 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 			machine.Dump(f.Name, optCPU*time.Duration(ranks), compCPU*time.Duration(ranks),
 				ranks*res.Stats.CompressedBytes, int(ranks)*f.Len(), 0))
 	}
-	tae.Summary = cluster.Summarize(tae.Reports)
+	tae.Summary = dumpmodel.Summarize(tae.Reports)
 
 	// Model-driven: profile + inverse solve per snapshot (optimization),
 	// then one compression.
@@ -301,7 +301,7 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 			machine.Dump(f.Name, optCPU*time.Duration(ranks), compCPU*time.Duration(ranks),
 				ranks*res.Stats.CompressedBytes, int(ranks)*f.Len(), 0))
 	}
-	mod.Summary = cluster.Summarize(mod.Reports)
+	mod.Summary = dumpmodel.Summarize(mod.Reports)
 
 	out.Strategies = []Figure14Strategy{trad, tae, mod}
 	if mod.Summary.Total > 0 {

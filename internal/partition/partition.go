@@ -1,10 +1,10 @@
 // Package partition is the pluggable chunk-planning layer of the stream
 // pipeline: a Partitioner maps an incoming value window to an ordered
 // sequence of regions, each carrying its own element range and, optionally,
-// a solved absolute error bound and codec ID. The stream writer compresses
-// each region as one chunk of the RQCE v2 container — whose per-chunk
-// bound/codec-ID records already encode exactly this, so no partitioner can
-// ever require a container format change.
+// a solved absolute error bound. The stream writer compresses each region as
+// one chunk of the RQCE v2 container — whose per-chunk bound records already
+// encode exactly this, so no partitioner can ever require a container format
+// change.
 //
 // Two implementations ship with the package. FixedSlab is the historical
 // planner extracted from the stream writer's accumulate-and-ship loop:
@@ -47,9 +47,6 @@ type Region struct {
 	// must be compressed at (ABS mode). Zero leaves the writer's configured
 	// options — including its own per-chunk adaptive policy — in charge.
 	Bound float64
-	// CodecID, when non-zero, selects the codec for this region's chunk.
-	// Zero uses the stream codec.
-	CodecID codec.ID
 }
 
 // Plan is the partitioning of one window.
@@ -115,10 +112,7 @@ type Partitioner interface {
 // FixedSlab is the historical chunk planner: fixed-size linear slabs in
 // stream order, one region per window. It is the writer's default and is
 // byte-identical to the pre-partition-layer pipeline on every path.
-type FixedSlab struct {
-	// Values overrides the slab size (0 = the writer's chunk size).
-	Values int
-}
+type FixedSlab struct{}
 
 // FixedSlabName is FixedSlab's manifest identifier.
 const FixedSlabName = "fixed"
@@ -126,16 +120,12 @@ const FixedSlabName = "fixed"
 // Name implements Partitioner.
 func (FixedSlab) Name() string { return FixedSlabName }
 
-// WindowValues implements Partitioner: one slab per window.
-func (s FixedSlab) WindowValues(env Env) int {
-	if s.Values > 0 {
-		return s.Values
-	}
-	return env.ChunkValues
-}
+// WindowValues implements Partitioner: one slab per window, the writer's
+// chunk size.
+func (FixedSlab) WindowValues(env Env) int { return env.ChunkValues }
 
 // Partition implements Partitioner: the window is the region.
-func (s FixedSlab) Partition(window []float64, env Env) (Plan, error) {
+func (FixedSlab) Partition(window []float64, env Env) (Plan, error) {
 	if len(window) == 0 {
 		return Plan{}, nil
 	}

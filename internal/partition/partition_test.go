@@ -46,9 +46,6 @@ func TestFixedSlabPlans(t *testing.T) {
 	if got := (FixedSlab{}).WindowValues(env); got != 1024 {
 		t.Fatalf("default window = %d, want the nominal chunk size", got)
 	}
-	if got := (FixedSlab{Values: 64}).WindowValues(env); got != 64 {
-		t.Fatalf("override window = %d, want 64", got)
-	}
 	empty, err := FixedSlab{}.Partition(nil, env)
 	if err != nil || len(empty.Regions) != 0 {
 		t.Fatalf("empty window plan = %+v, %v", empty, err)
@@ -62,11 +59,11 @@ func TestPlanValidate(t *testing.T) {
 		n    int
 		ok   bool
 	}{
-		{"exact", Plan{Regions: []Region{{0, 3, 0, 0}, {3, 2, 0, 0}}}, 5, true},
-		{"gap", Plan{Regions: []Region{{0, 2, 0, 0}, {3, 2, 0, 0}}}, 5, false},
-		{"overlap", Plan{Regions: []Region{{0, 3, 0, 0}, {2, 3, 0, 0}}}, 5, false},
-		{"short", Plan{Regions: []Region{{0, 3, 0, 0}}}, 5, false},
-		{"empty-region", Plan{Regions: []Region{{0, 0, 0, 0}, {0, 5, 0, 0}}}, 5, false},
+		{"exact", Plan{Regions: []Region{{0, 3, 0}, {3, 2, 0}}}, 5, true},
+		{"gap", Plan{Regions: []Region{{0, 2, 0}, {3, 2, 0}}}, 5, false},
+		{"overlap", Plan{Regions: []Region{{0, 3, 0}, {2, 3, 0}}}, 5, false},
+		{"short", Plan{Regions: []Region{{0, 3, 0}}}, 5, false},
+		{"empty-region", Plan{Regions: []Region{{0, 0, 0}, {0, 5, 0}}}, 5, false},
 		{"empty-plan-empty-window", Plan{}, 0, true},
 		{"empty-plan-nonempty-window", Plan{}, 5, false},
 	}

@@ -345,7 +345,7 @@ func TestDatasetProfileSurvivesManifest(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			want := rqm.ModelOptions{SampleRate: 0.01, Radius: 32768,
+			want := rqm.ModelOptions{SampleRate: 0.01,
 				UseLossless: lossless == "rle" && codecName != rqm.CodecTransformName}
 			if codecName == rqm.CodecPredictionTANSName {
 				want.Entropy = core.EntropyModelANS

@@ -380,12 +380,11 @@ func (s *Service) engineFor(q url.Values) (*rqm.Engine, error) {
 func deriveEngine(base *rqm.Engine, mopts rqm.ModelOptions, overrides ...rqm.EngineOption) (*rqm.Engine, error) {
 	o := base.Options()
 	eng, err := rqm.NewEngine(append([]rqm.EngineOption{
-		rqm.WithCodec(base.Codec()),
+		rqm.WithCodecName(base.Codec().Name()),
 		rqm.WithMode(o.Mode),
 		rqm.WithErrorBound(o.ErrorBound),
 		rqm.WithPredictor(o.Predictor),
 		rqm.WithLossless(o.Lossless),
-		rqm.WithRadius(o.Radius),
 		rqm.WithConcurrency(base.Concurrency()),
 		rqm.WithModelOptions(mopts),
 	}, overrides...)...)
@@ -984,19 +983,18 @@ func profileResponse(cp *cachedProfile, cached bool) *ProfileResponse {
 
 // profileKey content-addresses a profile: the field bytes plus every option
 // that changes the sampling product or the modeled curve (predictor,
-// lossless stage, quantizer radius, sampling rate, seed, codec). Identical
+// lossless stage, sampling rate, seed, codec). Identical
 // uploads under identical options always map to the same ID; any option
 // that changes the answer changes the ID.
 func profileKey(body []byte, eng *rqm.Engine, sample float64, seed uint64) string {
 	h := sha256.New()
 	h.Write(body)
 	o := eng.Options()
-	var meta [40]byte
+	var meta [32]byte
 	binary.LittleEndian.PutUint64(meta[0:], uint64(o.Predictor))
 	binary.LittleEndian.PutUint64(meta[8:], uint64(o.Lossless))
-	binary.LittleEndian.PutUint64(meta[16:], uint64(uint32(o.Radius)))
-	binary.LittleEndian.PutUint64(meta[24:], math.Float64bits(sample))
-	binary.LittleEndian.PutUint64(meta[32:], seed)
+	binary.LittleEndian.PutUint64(meta[16:], math.Float64bits(sample))
+	binary.LittleEndian.PutUint64(meta[24:], seed)
 	h.Write(meta[:])
 	io.WriteString(h, eng.Codec().Name())
 	return hex.EncodeToString(h.Sum(nil))[:16]

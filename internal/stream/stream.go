@@ -77,18 +77,7 @@ func (cfg *config) env() partition.Env {
 // Option configures a Writer.
 type Option func(*config) error
 
-// WithCodec selects the backend codec for every chunk.
-func WithCodec(c codec.Codec) Option {
-	return func(cfg *config) error {
-		if c == nil {
-			return errors.New("stream: WithCodec(nil)")
-		}
-		cfg.codec = c
-		return nil
-	}
-}
-
-// WithCodecName selects the backend codec by registered name.
+// WithCodecName selects the backend codec for every chunk by name.
 func WithCodecName(name string) Option {
 	return func(cfg *config) error {
 		c, err := codec.ByName(name)
@@ -101,7 +90,7 @@ func WithCodecName(name string) Option {
 }
 
 // WithCompression sets the codec options applied to every chunk (mode,
-// bound, predictor, lossless stage, radius). Under an AdaptiveBound policy
+// bound, predictor, lossless stage). Under an AdaptiveBound policy
 // the mode and bound are overridden per chunk; the rest still applies.
 func WithCompression(o codec.Options) Option {
 	return func(cfg *config) error {

@@ -84,9 +84,8 @@ type Writer struct {
 
 type job struct {
 	vals    []float64
-	bound   float64  // partitioner-solved ABS bound (0 = writer options)
-	codecID codec.ID // partitioner-selected codec (0 = stream codec)
-	recycle bool     // vals is a whole pool buffer, return it after use
+	bound   float64 // partitioner-solved ABS bound (0 = writer options)
+	recycle bool    // vals is a whole pool buffer, return it after use
 	res     chan result
 }
 
@@ -256,13 +255,13 @@ func (w *Writer) planWindow() {
 		r := plan.Regions[0]
 		vals := w.buf
 		w.buf = (*w.bufPool.Get().(*[]float64))[:0]
-		w.dispatch(vals, r.Bound, r.CodecID, true)
+		w.dispatch(vals, r.Bound, true)
 		return
 	}
 	window := w.buf
 	w.buf = (*w.bufPool.Get().(*[]float64))[:0]
 	for _, r := range plan.Regions {
-		w.dispatch(window[r.Off:r.Off+r.Len], r.Bound, r.CodecID, false)
+		w.dispatch(window[r.Off:r.Off+r.Len], r.Bound, false)
 	}
 }
 
@@ -283,7 +282,7 @@ func (w *Writer) planStream() {
 		if w.err() != nil {
 			return
 		}
-		w.dispatch(w.all[r.Off:r.Off+r.Len], r.Bound, r.CodecID, false)
+		w.dispatch(w.all[r.Off:r.Off+r.Len], r.Bound, false)
 	}
 }
 
@@ -293,10 +292,10 @@ func (w *Writer) planStream() {
 // the producer draws the next accumulation buffer from bufPool and workers
 // return finished buffers to it, so a steady-state stream reuses the same
 // workers+2 buffers however long it runs.
-func (w *Writer) dispatch(vals []float64, bound float64, id codec.ID, recycle bool) {
+func (w *Writer) dispatch(vals []float64, bound float64, recycle bool) {
 	res := make(chan result, 1)
 	w.order <- res
-	w.jobs <- job{vals: vals, bound: bound, codecID: id, recycle: recycle, res: res}
+	w.jobs <- job{vals: vals, bound: bound, recycle: recycle, res: res}
 }
 
 // worker compresses chunks until the job channel closes.
@@ -329,11 +328,6 @@ func (w *Writer) compressChunk(j job) (*codec.Chunk, error) {
 		return nil, err
 	}
 	c := w.cfg.codec
-	if j.codecID != 0 && j.codecID != c.ID() {
-		if c, err = codec.ByID(j.codecID); err != nil {
-			return nil, err
-		}
-	}
 	copts := w.cfg.copts
 	switch {
 	case j.bound > 0:

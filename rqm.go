@@ -17,8 +17,8 @@
 //     compression with a target footprint, and in-situ per-partition
 //     error-bound optimization.
 //
-// Every compressor backend sits behind one Codec interface and one
-// registry; compressed data travels in one self-describing container
+// Every compressor backend sits behind one Codec interface in one closed
+// codec set; compressed data travels in one self-describing container
 // envelope, so Decompress routes any container to the right backend by
 // inspection. The Engine
 // is the configured entry point, with worker-pool batch paths for
@@ -35,16 +35,16 @@
 //	res, _ := eng.Compress(field)
 //	back, _ := rqm.Decompress(res.Bytes) // routed by the container envelope
 //
-// See DESIGN.md for the architecture, including the codec registry and the
+// See DESIGN.md for the architecture, including the codec set and the
 // container envelope byte layout.
 package rqm
 
 import (
-	"rqm/internal/cluster"
 	"rqm/internal/codec"
 	"rqm/internal/compressor"
 	"rqm/internal/core"
 	"rqm/internal/datagen"
+	"rqm/internal/dumpmodel"
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
 	"rqm/internal/quality"
@@ -132,9 +132,9 @@ type (
 	// RatePoint is one point of a rate-distortion sweep.
 	RatePoint = tuner.RatePoint
 	// ClusterConfig models the parallel dump machine.
-	ClusterConfig = cluster.Config
+	ClusterConfig = dumpmodel.Config
 	// DumpReport breaks a snapshot dump into optimization/compression/I-O.
-	DumpReport = cluster.DumpReport
+	DumpReport = dumpmodel.DumpReport
 )
 
 // NewField allocates a zero-filled field.
@@ -162,7 +162,7 @@ func GenerateField(path string, seed uint64, sc Scale) (*Field, error) {
 
 // Decompress reconstructs a field from any compressed container, routing to
 // the producing codec by inspection: envelope containers dispatch on their
-// codec ID through the registry, and chunked stream containers (NewWriter
+// codec ID, and chunked stream containers (NewWriter
 // output) decode chunk by chunk. A bare native payload outside an envelope
 // (pre-envelope "RQMC" / "RQZF") is not a container and fails with
 // ErrBadMagic. Parse failures wrap the typed errors ErrTruncated,
@@ -246,4 +246,4 @@ func MSE(a, b *Field) (float64, error) { return quality.MSE(a, b) }
 
 // DefaultCluster returns the simulated 128-rank machine used by the
 // data-management experiments.
-func DefaultCluster() ClusterConfig { return cluster.DefaultBebop() }
+func DefaultCluster() ClusterConfig { return dumpmodel.DefaultBebop() }

@@ -119,10 +119,7 @@ func NewReader(r io.Reader, opts ...StreamReaderOption) (*StreamReader, error) {
 	return stream.NewReader(r, opts...)
 }
 
-// WithStreamCodec selects the backend codec for every chunk.
-func WithStreamCodec(c Codec) StreamOption { return stream.WithCodec(c) }
-
-// WithStreamCodecName selects the backend codec by registered name.
+// WithStreamCodecName selects the backend codec for every chunk by name.
 func WithStreamCodecName(name string) StreamOption { return stream.WithCodecName(name) }
 
 // WithStreamCompression sets the codec options applied to every chunk.
