@@ -190,10 +190,6 @@ const (
 // an unpredictable (exactly stored) sample.
 func reservedSymbol(radius int32) uint32 { return uint32(2*radius) + 1 }
 
-// useFusedKernels gates the fused batch kernels; tests flip it to prove the
-// fused and generic paths emit byte-identical containers.
-var useFusedKernels = true
-
 // Compress runs the full pipeline on f. It always quantizes at
 // quantizer.DefaultRadius; Decompress reads whatever radius a container
 // records.
@@ -279,14 +275,9 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		radius:  radius,
 		resSym:  resSym,
 	}
-	var aux []byte
-	if useFusedKernels && fusedCompress(opts.Predictor, f.Dims, k) {
-		// fused path: predict+quantize+emit ran in one pass, no aux.
-	} else {
-		aux, err = pred.CompressWalk(f.Dims, work, k.emit)
-		if err != nil {
-			return nil, err
-		}
+	aux, err := predictor.Encode(opts.Predictor, f.Dims, work, k)
+	if err != nil {
+		return nil, err
 	}
 	syms, unpred := k.syms, k.unpred
 	a.unpred, a.touched = k.unpred, k.touched // hand grown slices back to the arena
@@ -726,16 +717,12 @@ func Decompress(data []byte) (*grid.Field, error) {
 		radius: radius,
 		resSym: reservedSymbol(radius),
 	}
-	if useFusedKernels && len(aux) == 0 && fusedDecompress(predictor.Kind(predKind), dims, k) {
-		// fused path ran; sticky error checked below.
-	} else {
-		if !pred.Supports(int(rank)) {
-			return nil, fmt.Errorf("compressor: predictor %s does not support rank %d",
-				predictor.Kind(predKind), rank)
-		}
-		if err := pred.DecompressWalk(dims, work, aux, k.emit); err != nil {
-			return nil, err
-		}
+	if !pred.Supports(int(rank)) {
+		return nil, fmt.Errorf("compressor: predictor %s does not support rank %d",
+			predictor.Kind(predKind), rank)
+	}
+	if err := predictor.Decode(predictor.Kind(predKind), dims, work, aux, k); err != nil {
+		return nil, err
 	}
 	if k.err != nil {
 		return nil, k.err

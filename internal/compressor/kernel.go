@@ -4,33 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"rqm/internal/predictor"
 )
 
-// Fused batch kernels: specialized prediction walks that predict, quantize,
-// and emit symbols in one tight pass over the slice — no per-element closure
-// call, no interface dispatch, no map updates in the loop. Each kernel
-// mirrors its predictor walk in rqm/internal/predictor line for line and
-// inlines the quantizer's exact float operations in the same order, so the
-// fused path emits byte-identical containers to the generic Visit-callback
-// walk (pinned by TestFusedKernelsMatchGenericWalk). The generic ND walk
-// remains the fallback for every (predictor, rank) pair without a kernel:
-// the regression predictor (block side channel) and 4-D Lorenzo.
-//
-// The compress and decompress loop bodies are intentionally duplicated per
-// shape: routing both through one emitter interface or a generics dictionary
-// would reintroduce an indirect call per element, which is the overhead this
-// file exists to remove.
+// The two emitters predictor.Encode and predictor.Decode drive: each walk
+// calls Emit once per value with its prediction, and the emitter quantizes
+// (encode) or reconstructs (decode) that value in place.
 
-// errUnpredExhausted mirrors the generic decompress walk's error for a
-// symbol stream claiming more exact values than the container stores.
+// errUnpredExhausted reports a symbol stream claiming more exact values than
+// the container stores.
 var errUnpredExhausted = errors.New("compressor: unpredictable stream exhausted")
 
-// encodeKernel is the fused compression state: quantizer parameters
-// flattened to plain fields plus the output streams. emit replicates
-// quantizer.Quantize bit for bit, then does the symbol/histogram/work
-// bookkeeping the generic path runs in its Visit closure.
+// encodeKernel is the compression state: quantizer parameters flattened to
+// plain fields plus the output streams. Emit inlines quantizer.Quantize's
+// float operations in the same order, so its codes and reconstructions are
+// Quantize's bit for bit, then does the symbol/histogram/work bookkeeping.
 type encodeKernel struct {
 	work    []float64 // in: original (possibly transformed) values; out: reconstruction
 	syms    []uint32  // out: quantization symbols, one per value
@@ -45,10 +32,10 @@ type encodeKernel struct {
 	pos     int
 }
 
-// emit quantizes work[idx] against pred: the hot in-range path updates the
+// Emit quantizes work[idx] against pred: the hot in-range path updates the
 // symbol stream, dense counts, and reconstruction in place; out-of-range and
 // precision-loss cases take the unpredictable slow path.
-func (k *encodeKernel) emit(idx int, pred float64) {
+func (k *encodeKernel) Emit(idx int, pred float64) {
 	v := k.work[idx]
 	c := math.Round((v - pred) / k.twoEB)
 	// NaN fails both comparisons, exactly like the IsNaN branch in
@@ -84,8 +71,8 @@ func (k *encodeKernel) emitUnpred(v float64) {
 	k.unpred = append(k.unpred, v)
 }
 
-// decodeKernel is the fused decompression state: symbols in, reconstructed
-// values out, with the same sticky-error semantics as the generic walk.
+// decodeKernel is the decompression state: symbols in, reconstructed values
+// out. Its first error is sticky.
 type decodeKernel struct {
 	syms   []uint32
 	work   []float64
@@ -97,9 +84,9 @@ type decodeKernel struct {
 	err    error
 }
 
-// emit consumes the next symbol and reconstructs work[idx]. After the first
-// error it does nothing, matching the generic walk's early-return closure.
-func (k *decodeKernel) emit(idx int, pred float64) {
+// Emit consumes the next symbol and reconstructs work[idx]. After the first
+// error it does nothing; Decompress reports the error once the walk ends.
+func (k *decodeKernel) Emit(idx int, pred float64) {
 	if k.err != nil {
 		return
 	}
@@ -120,397 +107,4 @@ func (k *decodeKernel) emit(idx int, pred float64) {
 		return
 	}
 	k.work[idx] = pred + float64(int32(code))*k.twoEB
-}
-
-// fusedCompress runs the fused kernel for (kind, dims) when one exists,
-// reporting false when the caller must fall back to the generic Visit walk.
-func fusedCompress(kind predictor.Kind, dims []int, k *encodeKernel) bool {
-	switch kind {
-	case predictor.Lorenzo:
-		switch len(dims) {
-		case 1:
-			k.lorenzo1D(dims[0])
-		case 2:
-			k.lorenzo2D(dims)
-		case 3:
-			k.lorenzo3D(dims)
-		default:
-			return false
-		}
-	case predictor.Lorenzo2:
-		if len(dims) != 1 {
-			return false
-		}
-		k.lorenzo2nd(dims[0])
-	case predictor.Interpolation:
-		k.interp(dims, false)
-	case predictor.InterpolationCubic:
-		k.interp(dims, true)
-	default:
-		return false
-	}
-	return true
-}
-
-// fusedDecompress is the decode-side twin of fusedCompress.
-func fusedDecompress(kind predictor.Kind, dims []int, k *decodeKernel) bool {
-	switch kind {
-	case predictor.Lorenzo:
-		switch len(dims) {
-		case 1:
-			k.lorenzo1D(dims[0])
-		case 2:
-			k.lorenzo2D(dims)
-		case 3:
-			k.lorenzo3D(dims)
-		default:
-			return false
-		}
-	case predictor.Lorenzo2:
-		if len(dims) != 1 {
-			return false
-		}
-		k.lorenzo2nd(dims[0])
-	case predictor.Interpolation:
-		k.interp(dims, false)
-	case predictor.InterpolationCubic:
-		k.interp(dims, true)
-	default:
-		return false
-	}
-	return true
-}
-
-// ---------------------------------------------------------------------------
-// Lorenzo kernels (order-1 rank 1..3 and order-2 1-D), mirroring
-// predictor.walkLorenzo{1D,2,2D,3D}.
-
-func (k *encodeKernel) lorenzo1D(n int) {
-	prev := 0.0
-	for i := 0; i < n; i++ {
-		k.emit(i, prev)
-		prev = k.work[i]
-	}
-}
-
-func (k *decodeKernel) lorenzo1D(n int) {
-	prev := 0.0
-	for i := 0; i < n; i++ {
-		k.emit(i, prev)
-		prev = k.work[i]
-	}
-}
-
-func (k *encodeKernel) lorenzo2nd(n int) {
-	for i := 0; i < n; i++ {
-		var pred float64
-		switch {
-		case i >= 2:
-			pred = 2*k.work[i-1] - k.work[i-2]
-		case i == 1:
-			pred = k.work[0]
-		}
-		k.emit(i, pred)
-	}
-}
-
-func (k *decodeKernel) lorenzo2nd(n int) {
-	for i := 0; i < n; i++ {
-		var pred float64
-		switch {
-		case i >= 2:
-			pred = 2*k.work[i-1] - k.work[i-2]
-		case i == 1:
-			pred = k.work[0]
-		}
-		k.emit(i, pred)
-	}
-}
-
-func (k *encodeKernel) lorenzo2D(dims []int) {
-	rows, cols := dims[0], dims[1]
-	work := k.work
-	for i := 0; i < rows; i++ {
-		row := i * cols
-		for j := 0; j < cols; j++ {
-			var a, b, c float64 // west, north, northwest
-			if j > 0 {
-				a = work[row+j-1]
-			}
-			if i > 0 {
-				b = work[row-cols+j]
-				if j > 0 {
-					c = work[row-cols+j-1]
-				}
-			}
-			k.emit(row+j, a+b-c)
-		}
-	}
-}
-
-func (k *decodeKernel) lorenzo2D(dims []int) {
-	rows, cols := dims[0], dims[1]
-	work := k.work
-	for i := 0; i < rows; i++ {
-		row := i * cols
-		for j := 0; j < cols; j++ {
-			var a, b, c float64
-			if j > 0 {
-				a = work[row+j-1]
-			}
-			if i > 0 {
-				b = work[row-cols+j]
-				if j > 0 {
-					c = work[row-cols+j-1]
-				}
-			}
-			k.emit(row+j, a+b-c)
-		}
-	}
-}
-
-func (k *encodeKernel) lorenzo3D(dims []int) {
-	d0, d1, d2 := dims[0], dims[1], dims[2]
-	s0 := d1 * d2
-	work := k.work
-	for i := 0; i < d0; i++ {
-		for j := 0; j < d1; j++ {
-			base := i*s0 + j*d2
-			for kk := 0; kk < d2; kk++ {
-				idx := base + kk
-				var f100, f010, f001, f110, f101, f011, f111 float64
-				if i > 0 {
-					f100 = work[idx-s0]
-				}
-				if j > 0 {
-					f010 = work[idx-d2]
-				}
-				if kk > 0 {
-					f001 = work[idx-1]
-				}
-				if i > 0 && j > 0 {
-					f110 = work[idx-s0-d2]
-				}
-				if i > 0 && kk > 0 {
-					f101 = work[idx-s0-1]
-				}
-				if j > 0 && kk > 0 {
-					f011 = work[idx-d2-1]
-				}
-				if i > 0 && j > 0 && kk > 0 {
-					f111 = work[idx-s0-d2-1]
-				}
-				k.emit(idx, f100+f010+f001-f110-f101-f011+f111)
-			}
-		}
-	}
-}
-
-func (k *decodeKernel) lorenzo3D(dims []int) {
-	d0, d1, d2 := dims[0], dims[1], dims[2]
-	s0 := d1 * d2
-	work := k.work
-	for i := 0; i < d0; i++ {
-		for j := 0; j < d1; j++ {
-			base := i*s0 + j*d2
-			for kk := 0; kk < d2; kk++ {
-				idx := base + kk
-				var f100, f010, f001, f110, f101, f011, f111 float64
-				if i > 0 {
-					f100 = work[idx-s0]
-				}
-				if j > 0 {
-					f010 = work[idx-d2]
-				}
-				if kk > 0 {
-					f001 = work[idx-1]
-				}
-				if i > 0 && j > 0 {
-					f110 = work[idx-s0-d2]
-				}
-				if i > 0 && kk > 0 {
-					f101 = work[idx-s0-1]
-				}
-				if j > 0 && kk > 0 {
-					f011 = work[idx-d2-1]
-				}
-				if i > 0 && j > 0 && kk > 0 {
-					f111 = work[idx-s0-d2-1]
-				}
-				k.emit(idx, f100+f010+f001-f110-f101-f011+f111)
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Interpolation kernels, mirroring predictor's multilevel walk and sweep.
-
-// kernelStrides is the row-major stride helper shared by the interp kernels
-// (a copy of the predictor package's unexported strides).
-func kernelStrides(dims []int) []int {
-	s := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= dims[i]
-	}
-	return s
-}
-
-// kernelMaxLevel is the predictor package's maxLevelFor: smallest L with
-// 2^L >= max(dims), at least 1.
-func kernelMaxLevel(dims []int) int {
-	maxDim := 1
-	for _, d := range dims {
-		if d > maxDim {
-			maxDim = d
-		}
-	}
-	l := 0
-	for (1 << l) < maxDim {
-		l++
-	}
-	if l == 0 {
-		l = 1
-	}
-	return l
-}
-
-func (k *encodeKernel) interp(dims []int, cubic bool) {
-	k.emit(0, 0) // anchor point
-	st := kernelStrides(dims)
-	for level := kernelMaxLevel(dims); level >= 1; level-- {
-		s := 1 << (level - 1)
-		for d := range dims {
-			k.interpSweep(dims, st, d, s, cubic)
-		}
-	}
-}
-
-func (k *decodeKernel) interp(dims []int, cubic bool) {
-	k.emit(0, 0)
-	st := kernelStrides(dims)
-	for level := kernelMaxLevel(dims); level >= 1; level-- {
-		s := 1 << (level - 1)
-		for d := range dims {
-			k.interpSweep(dims, st, d, s, cubic)
-		}
-	}
-}
-
-func (k *encodeKernel) interpSweep(dims, st []int, d, s int, cubic bool) {
-	rank := len(dims)
-	if s >= dims[d] {
-		return
-	}
-	coord := make([]int, rank)
-	steps := make([]int, rank)
-	for j := 0; j < rank; j++ {
-		if j < d {
-			steps[j] = s
-		} else {
-			steps[j] = 2 * s
-		}
-	}
-	stD := st[d]
-	dimD := dims[d]
-	work := k.work
-	for {
-		base := 0
-		for j := 0; j < rank; j++ {
-			if j != d {
-				base += coord[j] * st[j]
-			}
-		}
-		for c := s; c < dimD; c += 2 * s {
-			idx := base + c*stD
-			a := work[idx-s*stD]
-			var pred float64
-			hasB := c+s < dimD
-			if cubic && c-3*s >= 0 && c+3*s < dimD {
-				a3 := work[idx-3*s*stD]
-				b1 := work[idx+s*stD]
-				b3 := work[idx+3*s*stD]
-				pred = (-a3 + 9*a + 9*b1 - b3) / 16
-			} else if hasB {
-				pred = (a + work[idx+s*stD]) / 2
-			} else {
-				pred = a
-			}
-			k.emit(idx, pred)
-		}
-		j := rank - 1
-		for ; j >= 0; j-- {
-			if j == d {
-				continue
-			}
-			coord[j] += steps[j]
-			if coord[j] < dims[j] {
-				break
-			}
-			coord[j] = 0
-		}
-		if j < 0 {
-			return
-		}
-	}
-}
-
-func (k *decodeKernel) interpSweep(dims, st []int, d, s int, cubic bool) {
-	rank := len(dims)
-	if s >= dims[d] {
-		return
-	}
-	coord := make([]int, rank)
-	steps := make([]int, rank)
-	for j := 0; j < rank; j++ {
-		if j < d {
-			steps[j] = s
-		} else {
-			steps[j] = 2 * s
-		}
-	}
-	stD := st[d]
-	dimD := dims[d]
-	work := k.work
-	for {
-		base := 0
-		for j := 0; j < rank; j++ {
-			if j != d {
-				base += coord[j] * st[j]
-			}
-		}
-		for c := s; c < dimD; c += 2 * s {
-			idx := base + c*stD
-			a := work[idx-s*stD]
-			var pred float64
-			hasB := c+s < dimD
-			if cubic && c-3*s >= 0 && c+3*s < dimD {
-				a3 := work[idx-3*s*stD]
-				b1 := work[idx+s*stD]
-				b3 := work[idx+3*s*stD]
-				pred = (-a3 + 9*a + 9*b1 - b3) / 16
-			} else if hasB {
-				pred = (a + work[idx+s*stD]) / 2
-			} else {
-				pred = a
-			}
-			k.emit(idx, pred)
-		}
-		j := rank - 1
-		for ; j >= 0; j-- {
-			if j == d {
-				continue
-			}
-			coord[j] += steps[j]
-			if coord[j] < dims[j] {
-				break
-			}
-			coord[j] = 0
-		}
-		if j < 0 {
-			return
-		}
-	}
 }

@@ -1,13 +1,13 @@
 package compressor
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"testing"
 
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
+	"rqm/internal/quantizer"
 	"rqm/internal/stats"
 )
 
@@ -35,49 +35,63 @@ func kernelField(t testing.TB, dims ...int) *grid.Field {
 	return f
 }
 
-// compressBothPaths runs Compress with the fused kernels on and off.
-func compressBothPaths(t *testing.T, f *grid.Field, opts Options) (fused, generic *Result) {
-	t.Helper()
-	restore := SetFusedKernels(true)
-	defer restore()
-	fused, err := Compress(f, opts)
-	if err != nil {
-		t.Fatalf("fused compress: %v", err)
-	}
-	SetFusedKernels(false)
-	generic, err = Compress(f, opts)
-	if err != nil {
-		t.Fatalf("generic compress: %v", err)
-	}
-	return fused, generic
+// quantizerEmitter is the reference for the compressor's emitters: it runs
+// under the same predictor.Encode walk but quantizes through
+// quantizer.Quantize itself, whose arithmetic encodeKernel.Emit inlines.
+type quantizerEmitter struct {
+	q      *quantizer.Quantizer
+	work   []float64
+	unpred int
 }
 
-// TestFusedKernelsMatchGenericWalk is the golden equivalence property: for
-// every fused (predictor, rank) pair, across bound modes and edge sizes
-// (n=1, prime dims, single rows/columns), the fused path must emit a
-// container byte-identical to the generic Visit walk, decode identically
-// under both paths, and hold the error bound pointwise.
+func (e *quantizerEmitter) Emit(idx int, pred float64) {
+	if _, recon, ok := e.q.Quantize(e.work[idx], pred); ok {
+		e.work[idx] = recon
+	} else {
+		e.unpred++
+	}
+}
+
+// quantizationDomain returns f's values as Compress quantizes them and the
+// absolute bound it quantizes at, plus the map from a reconstruction back to
+// the field's domain. PWREL needs a field without zeros.
+func quantizationDomain(t *testing.T, f *grid.Field, mode ErrorMode, eb float64) (work []float64, absEB float64, back func(i int, w float64) float64) {
+	t.Helper()
+	work = append([]float64(nil), f.Data...)
+	back = func(_ int, w float64) float64 { return w }
+	switch mode {
+	case ABS:
+		return work, eb, back
+	case REL:
+		lo, hi := f.ValueRange()
+		if absEB = eb * (hi - lo); absEB == 0 {
+			absEB = eb
+		}
+		return work, absEB, back
+	}
+	for i, v := range work {
+		if v == 0 {
+			t.Fatal("PWREL reference needs a field without zeros")
+		}
+		work[i] = math.Log2(math.Abs(v))
+	}
+	return work, math.Log2(1 + eb), func(i int, w float64) float64 {
+		if f.Data[i] < 0 {
+			return -math.Exp2(w)
+		}
+		return math.Exp2(w)
+	}
+}
+
+// TestFusedKernelsMatchGenericWalk checks the emitters that fuse quantization
+// into the walk against the generic quantizer: for every predictor × shape
+// × bound mode, the values Decompress returns must be bit-identical to the
+// reconstruction of the same walk quantized by quantizer.Quantize, with the
+// same count of exactly stored values, and must hold the bound pointwise.
 func TestFusedKernelsMatchGenericWalk(t *testing.T) {
-	shapes := [][]int{
-		{1}, {2}, {3}, {127}, {4096},
-		{1, 1}, {1, 37}, {37, 1}, {31, 29}, {64, 64},
-		{1, 1, 1}, {5, 1, 13}, {13, 11, 7}, {16, 16, 16},
-	}
-	preds := []predictor.Kind{
-		predictor.Lorenzo, predictor.Lorenzo2,
-		predictor.Interpolation, predictor.InterpolationCubic,
-	}
-	modes := []struct {
-		mode ErrorMode
-		eb   float64
-	}{
-		{ABS, 1e-3},
-		{REL, 1e-3},
-		{PWREL, 1e-2},
-	}
-	for _, dims := range shapes {
+	for _, dims := range pinnedShapes {
 		f := kernelField(t, dims...)
-		for _, pk := range preds {
+		for _, pk := range predictor.Kinds() {
 			p, err := predictor.New(pk)
 			if err != nil {
 				t.Fatal(err)
@@ -85,41 +99,36 @@ func TestFusedKernelsMatchGenericWalk(t *testing.T) {
 			if !p.Supports(len(dims)) {
 				continue
 			}
-			for _, m := range modes {
+			for _, m := range pinnedBounds[:3] {
 				name := fmt.Sprintf("%s/%v/%s", pk, dims, m.mode)
 				t.Run(name, func(t *testing.T) {
-					opts := Options{Predictor: pk, Mode: m.mode, ErrorBound: m.eb}
-					fused, generic := compressBothPaths(t, f, opts)
-					if !bytes.Equal(fused.Bytes, generic.Bytes) {
-						t.Fatalf("fused and generic containers differ: %d vs %d bytes",
-							len(fused.Bytes), len(generic.Bytes))
-					}
-					if fused.Stats.Unpredictable != generic.Stats.Unpredictable ||
-						fused.Stats.HuffmanBits != generic.Stats.HuffmanBits ||
-						fused.Stats.P0 != generic.Stats.P0 {
-						t.Fatalf("fused and generic stats differ: %+v vs %+v",
-							fused.Stats, generic.Stats)
-					}
-
-					restore := SetFusedKernels(true)
-					fusedDec, err := Decompress(fused.Bytes)
+					res, err := Compress(f, Options{Predictor: pk, Mode: m.mode, ErrorBound: m.eb})
 					if err != nil {
-						t.Fatalf("fused decompress: %v", err)
+						t.Fatal(err)
 					}
-					SetFusedKernels(false)
-					genericDec, err := Decompress(fused.Bytes)
-					restore()
+					dec, err := Decompress(res.Bytes)
 					if err != nil {
-						t.Fatalf("generic decompress: %v", err)
+						t.Fatal(err)
 					}
-					for i := range fusedDec.Data {
-						if fusedDec.Data[i] != genericDec.Data[i] &&
-							!(math.IsNaN(fusedDec.Data[i]) && math.IsNaN(genericDec.Data[i])) {
-							t.Fatalf("decode paths differ at %d: %g vs %g",
-								i, fusedDec.Data[i], genericDec.Data[i])
+					work, absEB, back := quantizationDomain(t, f, m.mode, m.eb)
+					q, err := quantizer.New(absEB, quantizer.DefaultRadius)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := &quantizerEmitter{q: q, work: work}
+					if _, err := predictor.Encode(pk, dims, work, ref); err != nil {
+						t.Fatal(err)
+					}
+					if res.Stats.AbsEB != absEB || res.Stats.Unpredictable != ref.unpred {
+						t.Fatalf("abs bound %g, %d stored exactly; reference %g, %d",
+							res.Stats.AbsEB, res.Stats.Unpredictable, absEB, ref.unpred)
+					}
+					for i, w := range work {
+						if want := back(i, w); math.Float64bits(dec.Data[i]) != math.Float64bits(want) {
+							t.Fatalf("value %d decodes to %g, reference %g", i, dec.Data[i], want)
 						}
 					}
-					if err := VerifyErrorBound(f, fusedDec, m.mode, m.eb); err != nil {
+					if err := VerifyErrorBound(f, dec, m.mode, m.eb); err != nil {
 						t.Fatalf("error bound violated: %v", err)
 					}
 				})
@@ -128,64 +137,20 @@ func TestFusedKernelsMatchGenericWalk(t *testing.T) {
 	}
 }
 
-// TestEmptyFieldRejectedOnBothPaths covers the n=0 edge: an empty field
-// must error identically whichever kernel gate is active (the check runs
-// before either path is chosen).
-func TestEmptyFieldRejectedOnBothPaths(t *testing.T) {
+// TestEmptyFieldRejected covers the n=0 edge: a nil or empty field is
+// refused before any walk runs.
+func TestEmptyFieldRejected(t *testing.T) {
 	opts := Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: 1e-3}
-	for _, fused := range []bool{true, false} {
-		restore := SetFusedKernels(fused)
-		if _, err := Compress(nil, opts); err == nil {
-			t.Errorf("fused=%v: nil field accepted", fused)
-		}
-		if _, err := Compress(&grid.Field{}, opts); err == nil {
-			t.Errorf("fused=%v: empty field accepted", fused)
-		}
-		restore()
+	if _, err := Compress(nil, opts); err == nil {
+		t.Error("nil field accepted")
+	}
+	if _, err := Compress(&grid.Field{}, opts); err == nil {
+		t.Error("empty field accepted")
 	}
 }
 
-// TestFusedKernelFallback pins the dispatch table: shapes and predictors
-// without a fused kernel must report false so Compress takes the generic
-// walk (regression, 4-D Lorenzo), and fused pairs must report true.
-func TestFusedKernelFallback(t *testing.T) {
-	k := func() *encodeKernel { return &encodeKernel{} }
-	cases := []struct {
-		kind predictor.Kind
-		dims []int
-		want bool
-	}{
-		{predictor.Lorenzo, []int{8}, true},
-		{predictor.Lorenzo, []int{4, 4}, true},
-		{predictor.Lorenzo, []int{4, 4, 4}, true},
-		{predictor.Lorenzo, []int{2, 2, 2, 2}, false},
-		{predictor.Lorenzo2, []int{8}, true},
-		{predictor.Lorenzo2, []int{4, 4}, false},
-		{predictor.Regression, []int{4, 4}, false},
-	}
-	for _, tc := range cases {
-		kk := k()
-		n := 1
-		for _, d := range tc.dims {
-			n *= d
-		}
-		kk.work = make([]float64, n)
-		kk.syms = make([]uint32, n)
-		kk.counts = make([]int64, 4)
-		kk.twoEB = 2
-		kk.eb = 1
-		kk.radF = 1
-		kk.radius = 1
-		kk.resSym = 3
-		if got := fusedCompress(tc.kind, tc.dims, kk); got != tc.want {
-			t.Errorf("fusedCompress(%s, %v) = %v, want %v", tc.kind, tc.dims, got, tc.want)
-		}
-	}
-}
-
-// TestRegressionStillRoundTrips covers the fallback path end to end: the
-// regression predictor (no fused kernel, aux side channel) must round-trip
-// through the rewritten Compress/Decompress.
+// TestRegressionStillRoundTrips covers the aux side channel end to end: the
+// regression predictor's coefficients must round-trip through the container.
 func TestRegressionStillRoundTrips(t *testing.T) {
 	f := kernelField(t, 24, 24)
 	opts := Options{Predictor: predictor.Regression, Mode: ABS, ErrorBound: 1e-3}

@@ -171,23 +171,23 @@ func (f *Field) ValueRange() (lo, hi float64) {
 }
 
 // Block describes an axis-aligned sub-box of a field: Origin coordinates and
-// Size per dimension (clipped at field edges by BlockIter).
+// Size per dimension (clipped at field edges by Blocks).
 type Block struct {
 	Origin []int
 	Size   []int
 }
 
-// Blocks partitions the field into blocks of edge `edge` (clipped at the
-// boundary) and returns them in scan order. Used by the regression predictor
-// (edge 6 in SZ) and by block sampling.
-func (f *Field) Blocks(edge int) []Block {
+// Blocks partitions a field of shape dims into blocks of edge `edge`
+// (clipped at the boundary) and returns them in scan order. Used by the
+// regression predictor (edge 6 in SZ) and by windowed SSIM.
+func Blocks(dims []int, edge int) []Block {
 	if edge <= 0 {
 		edge = 1
 	}
-	rank := f.Rank()
+	rank := len(dims)
 	counts := make([]int, rank)
 	total := 1
-	for i, d := range f.Dims {
+	for i, d := range dims {
 		counts[i] = (d + edge - 1) / edge
 		total *= counts[i]
 	}
@@ -198,8 +198,8 @@ func (f *Field) Blocks(edge int) []Block {
 		for i := range coord {
 			b.Origin[i] = coord[i] * edge
 			sz := edge
-			if b.Origin[i]+sz > f.Dims[i] {
-				sz = f.Dims[i] - b.Origin[i]
+			if b.Origin[i]+sz > dims[i] {
+				sz = dims[i] - b.Origin[i]
 			}
 			b.Size[i] = sz
 		}

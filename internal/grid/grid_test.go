@@ -87,7 +87,7 @@ func TestOriginalBytes(t *testing.T) {
 
 func TestBlocksCoverExactly(t *testing.T) {
 	f := MustNew("x", Float32, 7, 5)
-	blocks := f.Blocks(3)
+	blocks := Blocks(f.Dims, 3)
 	// ceil(7/3)*ceil(5/3) = 3*2 = 6 blocks.
 	if len(blocks) != 6 {
 		t.Fatalf("blocks = %d", len(blocks))
@@ -105,7 +105,7 @@ func TestBlocksCoverExactly(t *testing.T) {
 
 func TestBlocksClipAtEdge(t *testing.T) {
 	f := MustNew("x", Float32, 7)
-	blocks := f.Blocks(4)
+	blocks := Blocks(f.Dims, 4)
 	if len(blocks) != 2 {
 		t.Fatalf("blocks = %d", len(blocks))
 	}

@@ -42,41 +42,24 @@ func maxLevelFor(dims []int) int {
 	return l
 }
 
-func (p interpPredictor) CompressWalk(dims []int, work []float64, visit Visit) ([]byte, error) {
-	if err := checkWalkArgs(p, dims, work); err != nil {
-		return nil, err
-	}
-	p.walk(dims, work, visit)
-	return nil, nil
-}
-
-func (p interpPredictor) DecompressWalk(dims []int, work []float64, aux []byte, visit Visit) error {
-	if err := checkWalkArgs(p, dims, work); err != nil {
-		return err
-	}
-	p.walk(dims, work, visit)
-	return nil
-}
-
-func (p interpPredictor) walk(dims []int, work []float64, visit Visit) {
-	// Anchor point: predicted as 0.
-	visit(0, 0)
+// walkInterp is the multilevel walk: the anchor, then every level from
+// coarse to fine, sweeping each dimension in turn.
+func walkInterp[E Emitter](dims []int, work []float64, cubic bool, e E) {
+	e.Emit(0, 0) // anchor point: predicted as 0
 	st := strides(dims)
 	for level := maxLevelFor(dims); level >= 1; level-- {
 		s := 1 << (level - 1)
 		for d := range dims {
-			p.sweep(dims, st, work, d, s, func(idx int, pred float64) {
-				visit(idx, pred)
-			})
+			sweep(dims, st, work, d, s, cubic, e)
 		}
 	}
 }
 
 // sweep predicts all points whose coordinate along dim d is an odd multiple
 // of s, with coords along dims < d on the s-grid and dims > d on the 2s-grid.
-// fn receives the flat index and the interpolated prediction (reading from
+// e receives the flat index and the interpolated prediction (reading from
 // work, which holds known values).
-func (p interpPredictor) sweep(dims, st []int, work []float64, d, s int, fn func(idx int, pred float64)) {
+func sweep[E Emitter](dims, st []int, work []float64, d, s int, cubic bool, e E) {
 	rank := len(dims)
 	if s >= dims[d] {
 		return // no odd multiple of s inside this dimension
@@ -106,7 +89,7 @@ func (p interpPredictor) sweep(dims, st []int, work []float64, d, s int, fn func
 			a := work[idx-s*stD] // coord c-s always >= 0
 			var pred float64
 			hasB := c+s < dimD
-			if p.cubic && c-3*s >= 0 && c+3*s < dimD {
+			if cubic && c-3*s >= 0 && c+3*s < dimD {
 				a3 := work[idx-3*s*stD]
 				b1 := work[idx+s*stD]
 				b3 := work[idx+3*s*stD]
@@ -116,7 +99,7 @@ func (p interpPredictor) sweep(dims, st []int, work []float64, d, s int, fn func
 			} else {
 				pred = a
 			}
-			fn(idx, pred)
+			e.Emit(idx, pred)
 		}
 		// Advance the odometer over free dims.
 		j := rank - 1
@@ -159,11 +142,11 @@ func (p interpPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) 
 	}
 	if len(out) == 0 && f.Len() > 1 {
 		// Degenerate rate: fall back to one deterministic sample.
-		p.sweep(dims, st, f.Data, 0, 1, func(idx int, pred float64) {
+		sweep(dims, st, f.Data, 0, 1, p.cubic, emitFunc(func(idx int, pred float64) {
 			if len(out) == 0 {
 				out = append(out, pred-f.Data[idx])
 			}
-		})
+		}))
 	}
 	return out
 }

@@ -28,46 +28,15 @@ func (l lorenzoPredictor) Supports(rank int) bool {
 	return rank >= 1 && rank <= 4
 }
 
-func (l lorenzoPredictor) CompressWalk(dims []int, work []float64, visit Visit) ([]byte, error) {
-	if err := checkWalkArgs(l, dims, work); err != nil {
-		return nil, err
-	}
-	l.walk(dims, work, visit)
-	return nil, nil
-}
-
-func (l lorenzoPredictor) DecompressWalk(dims []int, work []float64, aux []byte, visit Visit) error {
-	if err := checkWalkArgs(l, dims, work); err != nil {
-		return err
-	}
-	l.walk(dims, work, visit)
-	return nil
-}
-
-func (l lorenzoPredictor) walk(dims []int, work []float64, visit Visit) {
-	switch {
-	case l.order == 2:
-		walkLorenzo2(dims[0], work, visit)
-	case len(dims) == 1:
-		walkLorenzo1D(dims[0], work, visit)
-	case len(dims) == 2:
-		walkLorenzo2D(dims, work, visit)
-	case len(dims) == 3:
-		walkLorenzo3D(dims, work, visit)
-	default:
-		walkLorenzoND(dims, work, visit)
-	}
-}
-
-func walkLorenzo1D(n int, work []float64, visit Visit) {
+func walkLorenzo1D[E Emitter](n int, work []float64, e E) {
 	prev := 0.0
 	for i := 0; i < n; i++ {
-		visit(i, prev)
+		e.Emit(i, prev)
 		prev = work[i]
 	}
 }
 
-func walkLorenzo2(n int, work []float64, visit Visit) {
+func walkLorenzo2[E Emitter](n int, work []float64, e E) {
 	for i := 0; i < n; i++ {
 		var pred float64
 		switch {
@@ -76,11 +45,11 @@ func walkLorenzo2(n int, work []float64, visit Visit) {
 		case i == 1:
 			pred = work[0]
 		}
-		visit(i, pred)
+		e.Emit(i, pred)
 	}
 }
 
-func walkLorenzo2D(dims []int, work []float64, visit Visit) {
+func walkLorenzo2D[E Emitter](dims []int, work []float64, e E) {
 	rows, cols := dims[0], dims[1]
 	for i := 0; i < rows; i++ {
 		row := i * cols
@@ -95,12 +64,12 @@ func walkLorenzo2D(dims []int, work []float64, visit Visit) {
 					c = work[row-cols+j-1]
 				}
 			}
-			visit(row+j, a+b-c)
+			e.Emit(row+j, a+b-c)
 		}
 	}
 }
 
-func walkLorenzo3D(dims []int, work []float64, visit Visit) {
+func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
 	d0, d1, d2 := dims[0], dims[1], dims[2]
 	s0 := d1 * d2
 	for i := 0; i < d0; i++ {
@@ -130,21 +99,22 @@ func walkLorenzo3D(dims []int, work []float64, visit Visit) {
 				if i > 0 && j > 0 && k > 0 {
 					f111 = work[idx-s0-d2-1]
 				}
-				visit(idx, f100+f010+f001-f110-f101-f011+f111)
+				e.Emit(idx, f100+f010+f001-f110-f101-f011+f111)
 			}
 		}
 	}
 }
 
-// walkLorenzoND is the generic inclusion–exclusion Lorenzo walk (used for 4D).
-func walkLorenzoND(dims []int, work []float64, visit Visit) {
+// walkLorenzoND is the inclusion–exclusion Lorenzo walk over any rank
+// (used for 4-D).
+func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	rank := len(dims)
 	st := strides(dims)
 	n := totalLen(dims)
 	coord := make([]int, rank)
 	for idx := 0; idx < n; idx++ {
 		pred := lorenzoPredictND(work, coord, st, rank, idx)
-		visit(idx, pred)
+		e.Emit(idx, pred)
 		for d := rank - 1; d >= 0; d-- {
 			coord[d]++
 			if coord[d] < dims[d] {

@@ -1,22 +1,27 @@
-// Package predictor implements the three prediction schemes of the SZ
-// family that the paper models: the Lorenzo predictor, the multilevel
-// (spline) interpolation predictor, and the block-wise linear regression
-// predictor. Each scheme provides two things:
+// Package predictor implements the prediction schemes of the SZ family
+// that the paper models: the Lorenzo predictor (order 1 at rank 1–4, order 2
+// in 1-D), the multilevel (spline) interpolation predictor, and the
+// block-wise linear regression predictor. Each scheme provides two things:
 //
-//   - a deterministic walk over the field used by both compression and
-//     decompression (prediction always reads previously *reconstructed*
-//     values, so the decompressor can replay it bit-exactly), and
+//   - one deterministic walk over the field, shared by compression and
+//     decompression: Encode and Decode run it with the caller's Emitter,
+//     which quantizes or reconstructs each value in place, and prediction
+//     always reads previously *reconstructed* values, so the decompressor
+//     replays it bit-exactly; and
 //   - the paper's sampling strategy (§III-C) that estimates the
 //     prediction-error distribution from original values only, which is what
 //     the ratio-quality model consumes.
+//
+// The walks are generic over the Emitter, so each is written once for both
+// of the compressor's emitters. Emit is then called through the generic
+// instantiation's dictionary; the emitters are too large to inline, so a
+// direct call would cost one call per value as well.
 package predictor
 
 import (
 	"fmt"
-	"math"
 
 	"rqm/internal/grid"
-	"rqm/internal/stats"
 )
 
 // Kind enumerates the prediction schemes.
@@ -73,25 +78,24 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("predictor: unknown kind %q", s)
 }
 
-// Visit is called once per sample in prediction order. It must write the
-// reconstructed value into the walk's work buffer at idx (the Predictor
-// reads it back for subsequent predictions).
-type Visit func(idx int, pred float64)
+// Emitter receives every prediction a walk makes, in walk order. Emit must
+// leave the reconstructed value in work[idx] before it returns: later
+// predictions read it.
+type Emitter interface {
+	Emit(idx int, pred float64)
+}
 
-// Predictor is one prediction scheme bound to no particular field; walks
-// take dims and a work buffer explicitly.
+// emitFunc adapts a function to Emitter.
+type emitFunc func(idx int, pred float64)
+
+func (f emitFunc) Emit(idx int, pred float64) { f(idx, pred) }
+
+// Predictor is one prediction scheme bound to no particular field.
 type Predictor interface {
 	// Kind returns the scheme identifier.
 	Kind() Kind
 	// Supports reports whether the scheme handles fields of the given rank.
 	Supports(rank int) bool
-	// CompressWalk visits every sample once. work holds original values on
-	// entry; visit must store reconstructed values into work[idx]. The
-	// returned aux bytes (possibly nil) must be given to DecompressWalk.
-	CompressWalk(dims []int, work []float64, visit Visit) ([]byte, error)
-	// DecompressWalk replays the identical order. work starts zeroed; visit
-	// fills in reconstructed values.
-	DecompressWalk(dims []int, work []float64, aux []byte, visit Visit) error
 	// SampleErrors returns sampled prediction errors (predicted − original)
 	// computed from original values only, using the scheme's sampling
 	// strategy at the given rate, deterministically from seed.
@@ -118,6 +122,52 @@ func New(kind Kind) (Predictor, error) {
 // Kinds lists all implemented predictor kinds.
 func Kinds() []Kind {
 	return []Kind{Lorenzo, Lorenzo2, Interpolation, InterpolationCubic, Regression}
+}
+
+// Encode runs kind's walk over dims, visiting every sample once. work holds
+// the original values on entry and e must store each reconstruction into
+// work[idx]. The returned aux bytes (nil unless the scheme has a side
+// channel) must be given to Decode.
+func Encode[E Emitter](kind Kind, dims []int, work []float64, e E) ([]byte, error) {
+	if err := checkWalkArgs(kind, dims, work); err != nil {
+		return nil, err
+	}
+	if kind == Regression {
+		return encodeRegression(dims, work, e), nil
+	}
+	walk(kind, dims, work, e)
+	return nil, nil
+}
+
+// Decode replays Encode's walk in the identical order from its aux bytes.
+// work starts zeroed and e fills in the reconstructed values.
+func Decode[E Emitter](kind Kind, dims []int, work []float64, aux []byte, e E) error {
+	if err := checkWalkArgs(kind, dims, work); err != nil {
+		return err
+	}
+	if kind == Regression {
+		return decodeRegression(dims, work, aux, e)
+	}
+	walk(kind, dims, work, e)
+	return nil
+}
+
+// walk dispatches the schemes without a side channel on kind and rank.
+func walk[E Emitter](kind Kind, dims []int, work []float64, e E) {
+	switch {
+	case kind == Interpolation || kind == InterpolationCubic:
+		walkInterp(dims, work, kind == InterpolationCubic, e)
+	case kind == Lorenzo2:
+		walkLorenzo2(dims[0], work, e)
+	case len(dims) == 1:
+		walkLorenzo1D(dims[0], work, e)
+	case len(dims) == 2:
+		walkLorenzo2D(dims, work, e)
+	case len(dims) == 3:
+		walkLorenzo3D(dims, work, e)
+	default:
+		walkLorenzoND(dims, work, e)
+	}
 }
 
 // strides returns row-major strides for dims.
@@ -149,26 +199,16 @@ func sampleCap(n int, rate float64) int {
 }
 
 // checkWalkArgs validates the shared walk preconditions.
-func checkWalkArgs(p Predictor, dims []int, work []float64) error {
+func checkWalkArgs(kind Kind, dims []int, work []float64) error {
+	p, err := New(kind)
+	if err != nil {
+		return err
+	}
 	if !p.Supports(len(dims)) {
-		return fmt.Errorf("predictor: %s does not support rank %d", p.Kind(), len(dims))
+		return fmt.Errorf("predictor: %s does not support rank %d", kind, len(dims))
 	}
 	if totalLen(dims) != len(work) {
 		return fmt.Errorf("predictor: work length %d does not match dims %v", len(work), dims)
 	}
 	return nil
 }
-
-// meanAbs is a small shared helper for tests and diagnostics.
-func meanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Abs(x)
-	}
-	return s / float64(len(xs))
-}
-
-var _ = stats.MinMax // keep import stable while files are split

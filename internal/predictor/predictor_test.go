@@ -7,9 +7,27 @@ import (
 	"rqm/internal/datagen"
 )
 
-// identityVisit writes the original value back (lossless walk), so a
-// compress walk visits every index exactly once and predictions are finite.
-func coverageCheck(t *testing.T, p Predictor, dims []int) {
+// nop discards every prediction: the walk keeps the original values, so
+// predictions stay finite and every index is visited against known data.
+var nop = emitFunc(func(int, float64) {})
+
+// meanAbs is the mean absolute value of xs.
+func meanAbs(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var s float64
+	for _, x := range xs {
+		s += math.Abs(x)
+	}
+	return s / float64(len(xs))
+}
+
+// coverageCheck runs kind's walk losslessly (work keeps the original
+// values): Encode must visit every index exactly once with a finite
+// prediction, and Decode, reconstructing the exact values, must replay the
+// same order with the same predictions.
+func coverageCheck(t *testing.T, kind Kind, dims []int) {
 	t.Helper()
 	n := totalLen(dims)
 	work := make([]float64, n)
@@ -17,54 +35,48 @@ func coverageCheck(t *testing.T, p Predictor, dims []int) {
 		work[i] = float64(i%17) * 0.5
 	}
 	seen := make([]int, n)
-	aux, err := p.CompressWalk(dims, work, func(idx int, pred float64) {
+	var order1, order2 []int
+	var preds1, preds2 []float64
+	aux, err := Encode(kind, dims, work, emitFunc(func(idx int, pred float64) {
 		if idx < 0 || idx >= n {
-			t.Fatalf("%s: index %d out of range", p.Kind(), idx)
+			t.Fatalf("%s: index %d out of range", kind, idx)
 		}
 		if math.IsNaN(pred) || math.IsInf(pred, 0) {
-			t.Fatalf("%s: non-finite prediction at %d", p.Kind(), idx)
+			t.Fatalf("%s: non-finite prediction at %d", kind, idx)
 		}
 		seen[idx]++
-		// Keep the value: lossless visit.
-	})
+		order1 = append(order1, idx)
+		preds1 = append(preds1, pred)
+	}))
 	if err != nil {
-		t.Fatalf("%s dims %v: %v", p.Kind(), dims, err)
+		t.Fatalf("%s dims %v: %v", kind, dims, err)
 	}
 	for i, c := range seen {
 		if c != 1 {
-			t.Fatalf("%s dims %v: index %d visited %d times", p.Kind(), dims, i, c)
+			t.Fatalf("%s dims %v: index %d visited %d times", kind, dims, i, c)
 		}
 	}
-	// Decompress walk must replay the same order with the same predictions
-	// when the visit reconstructs the exact values.
 	work2 := make([]float64, n)
-	var order1, order2 []int
-	var preds1, preds2 []float64
-	if _, err := p.CompressWalk(dims, append([]float64(nil), work...), func(idx int, pred float64) {
-		order1 = append(order1, idx)
-		preds1 = append(preds1, pred)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.DecompressWalk(dims, work2, aux, func(idx int, pred float64) {
+	if err := Decode(kind, dims, work2, aux, emitFunc(func(idx int, pred float64) {
 		order2 = append(order2, idx)
 		preds2 = append(preds2, pred)
 		work2[idx] = work[idx] // exact reconstruction
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	if len(order1) != len(order2) {
-		t.Fatalf("%s: walk lengths differ: %d vs %d", p.Kind(), len(order1), len(order2))
+		t.Fatalf("%s: walk lengths differ: %d vs %d", kind, len(order1), len(order2))
 	}
 	for i := range order1 {
-		if order1[i] != order2[i] {
-			t.Fatalf("%s: walk order diverges at step %d: %d vs %d", p.Kind(), i, order1[i], order2[i])
+		if order1[i] != order2[i] || preds1[i] != preds2[i] {
+			t.Fatalf("%s: walk diverges at step %d: index %d vs %d, prediction %g vs %g",
+				kind, i, order1[i], order2[i], preds1[i], preds2[i])
 		}
 	}
 }
 
 func TestWalkCoverageAllKinds(t *testing.T) {
-	shapes := [][]int{{1}, {7}, {64}, {5, 9}, {16, 16}, {4, 6, 5}, {8, 8, 8}, {3, 4, 5, 2}}
+	shapes := [][]int{{1}, {7}, {64}, {5, 9}, {16, 16}, {4, 6, 5}, {8, 8, 8}, {3, 4, 5, 2}, {7, 1, 9, 2}}
 	for _, kind := range Kinds() {
 		p, err := New(kind)
 		if err != nil {
@@ -74,25 +86,31 @@ func TestWalkCoverageAllKinds(t *testing.T) {
 			if !p.Supports(len(dims)) {
 				continue
 			}
-			coverageCheck(t, p, dims)
+			coverageCheck(t, kind, dims)
 		}
 	}
 }
 
 func TestUnsupportedRankRejected(t *testing.T) {
-	p, _ := New(Lorenzo2)
 	work := make([]float64, 6)
-	if _, err := p.CompressWalk([]int{2, 3}, work, func(int, float64) {}); err == nil {
+	if _, err := Encode(Lorenzo2, []int{2, 3}, work, nop); err == nil {
 		t.Fatal("Lorenzo2 accepted rank 2")
 	}
-	if err := p.DecompressWalk([]int{2, 3}, work, nil, func(int, float64) {}); err == nil {
+	if err := Decode(Lorenzo2, []int{2, 3}, work, nil, nop); err == nil {
 		t.Fatal("Lorenzo2 decompress accepted rank 2")
+	}
+	for _, kind := range Kinds() {
+		if _, err := Encode(kind, []int{1, 1, 2, 1, 3}, work, nop); err == nil {
+			t.Fatalf("%s accepted rank 5", kind)
+		}
+	}
+	if _, err := Encode(Transform, []int{6}, work, nop); err == nil {
+		t.Fatal("Transform accepted as a walk")
 	}
 }
 
 func TestWorkLengthMismatch(t *testing.T) {
-	p, _ := New(Lorenzo)
-	if _, err := p.CompressWalk([]int{4, 4}, make([]float64, 7), func(int, float64) {}); err == nil {
+	if _, err := Encode(Lorenzo, []int{4, 4}, make([]float64, 7), nop); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -106,15 +124,14 @@ func TestLorenzo2DExactOnAffine(t *testing.T) {
 			work[i*8+j] = 3 + 2*float64(i) - 1.5*float64(j)
 		}
 	}
-	p, _ := New(Lorenzo)
-	if _, err := p.CompressWalk(dims, work, func(idx int, pred float64) {
+	if _, err := Encode(Lorenzo, dims, work, emitFunc(func(idx int, pred float64) {
 		i, j := idx/8, idx%8
 		if i > 0 && j > 0 {
 			if math.Abs(pred-work[idx]) > 1e-12 {
 				t.Fatalf("interior affine prediction error at (%d,%d): pred %v want %v", i, j, pred, work[idx])
 			}
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,15 +146,14 @@ func TestLorenzo3DExactOnTrilinearCorners(t *testing.T) {
 			}
 		}
 	}
-	p, _ := New(Lorenzo)
-	if _, err := p.CompressWalk(dims, work, func(idx int, pred float64) {
+	if _, err := Encode(Lorenzo, dims, work, emitFunc(func(idx int, pred float64) {
 		k := idx % 6
 		j := idx / 6 % 6
 		i := idx / 36
 		if i > 0 && j > 0 && k > 0 && math.Abs(pred-work[idx]) > 1e-12 {
 			t.Fatalf("3D affine prediction error at (%d,%d,%d)", i, j, k)
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -147,12 +163,11 @@ func TestLorenzo2ExactOnLinear(t *testing.T) {
 	for i := range work {
 		work[i] = 5 - 0.75*float64(i)
 	}
-	p, _ := New(Lorenzo2)
-	if _, err := p.CompressWalk([]int{32}, work, func(idx int, pred float64) {
+	if _, err := Encode(Lorenzo2, []int{32}, work, emitFunc(func(idx int, pred float64) {
 		if idx >= 2 && math.Abs(pred-work[idx]) > 1e-12 {
 			t.Fatalf("order-2 Lorenzo missed linear trend at %d", idx)
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -165,16 +180,15 @@ func TestInterpolationExactOnLinear1D(t *testing.T) {
 	for i := range work {
 		work[i] = 2 * float64(i)
 	}
-	p, _ := New(Interpolation)
 	bad := 0
-	if _, err := p.CompressWalk([]int{n}, work, func(idx int, pred float64) {
+	if _, err := Encode(Interpolation, []int{n}, work, emitFunc(func(idx int, pred float64) {
 		if idx == 0 {
 			return
 		}
 		if math.Abs(pred-work[idx]) > 1e-12 {
 			bad++
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	// Only points predicted by one-sided copy (no right neighbor) may miss.
@@ -195,19 +209,17 @@ func TestCubicBeatsLinearOnSmooth(t *testing.T) {
 			base[i*n+j] = math.Sin(2*math.Pi*float64(i)/n) * math.Cos(2*math.Pi*float64(j)/n)
 		}
 	}
-	lin, _ := New(Interpolation)
-	cub, _ := New(InterpolationCubic)
-	sumAbs := func(p Predictor) float64 {
+	sumAbs := func(kind Kind) float64 {
 		var s float64
 		work := append([]float64(nil), base...)
-		if _, err := p.CompressWalk(dims, work, func(idx int, pred float64) {
+		if _, err := Encode(kind, dims, work, emitFunc(func(idx int, pred float64) {
 			s += math.Abs(pred - work[idx])
-		}); err != nil {
+		})); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	el, ec := sumAbs(lin), sumAbs(cub)
+	el, ec := sumAbs(Interpolation), sumAbs(InterpolationCubic)
 	if ec >= el {
 		t.Fatalf("cubic (%.4g) not better than linear (%.4g) on smooth field", ec, el)
 	}
@@ -221,12 +233,11 @@ func TestRegressionExactOnAffineBlocks(t *testing.T) {
 			work[i*12+j] = -4 + 0.5*float64(i) + 0.25*float64(j)
 		}
 	}
-	p, _ := New(Regression)
-	if _, err := p.CompressWalk(dims, work, func(idx int, pred float64) {
+	if _, err := Encode(Regression, dims, work, emitFunc(func(idx int, pred float64) {
 		if math.Abs(pred-work[idx]) > 1e-4 { // float32 coefficient rounding
 			t.Fatalf("regression missed affine field at %d: pred %v want %v", idx, pred, work[idx])
 		}
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -238,20 +249,19 @@ func TestRegressionAuxRoundTrip(t *testing.T) {
 	for i := range orig {
 		orig[i] = math.Sin(float64(i) * 0.3)
 	}
-	p, _ := New(Regression)
 	var predsC []float64
-	aux, err := p.CompressWalk(dims, append([]float64(nil), orig...), func(idx int, pred float64) {
+	aux, err := Encode(Regression, dims, append([]float64(nil), orig...), emitFunc(func(idx int, pred float64) {
 		predsC = append(predsC, pred)
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var predsD []float64
 	work := make([]float64, n)
-	if err := p.DecompressWalk(dims, work, aux, func(idx int, pred float64) {
+	if err := Decode(Regression, dims, work, aux, emitFunc(func(idx int, pred float64) {
 		predsD = append(predsD, pred)
 		work[idx] = orig[idx]
-	}); err != nil {
+	})); err != nil {
 		t.Fatal(err)
 	}
 	for i := range predsC {
@@ -262,8 +272,7 @@ func TestRegressionAuxRoundTrip(t *testing.T) {
 }
 
 func TestRegressionAuxLengthValidated(t *testing.T) {
-	p, _ := New(Regression)
-	if err := p.DecompressWalk([]int{12}, make([]float64, 12), []byte{1, 2, 3}, func(int, float64) {}); err == nil {
+	if err := Decode(Regression, []int{12}, make([]float64, 12), []byte{1, 2, 3}, nop); err == nil {
 		t.Fatal("bad aux length accepted")
 	}
 }
@@ -352,11 +361,10 @@ func BenchmarkLorenzoWalk3D(b *testing.B) {
 	for i := range work {
 		work[i] = math.Sin(float64(i) * 1e-3)
 	}
-	p, _ := New(Lorenzo)
 	b.SetBytes(int64(len(work) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.CompressWalk(dims, work, func(idx int, pred float64) {}); err != nil {
+		if _, err := Encode(Lorenzo, dims, work, nop); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -368,11 +376,10 @@ func BenchmarkInterpWalk3D(b *testing.B) {
 	for i := range work {
 		work[i] = math.Sin(float64(i) * 1e-3)
 	}
-	p, _ := New(Interpolation)
 	b.SetBytes(int64(len(work) * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.CompressWalk(dims, work, func(idx int, pred float64) {}); err != nil {
+		if _, err := Encode(Interpolation, dims, work, nop); err != nil {
 			b.Fatal(err)
 		}
 	}

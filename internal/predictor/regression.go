@@ -23,63 +23,21 @@ type regressionPredictor struct{}
 func (regressionPredictor) Kind() Kind             { return Regression }
 func (regressionPredictor) Supports(rank int) bool { return rank >= 1 && rank <= 4 }
 
-// block mirrors grid.Block but is local to dims-based walks.
-type block struct {
-	origin []int
-	size   []int
-}
-
-func blocksOf(dims []int, edge int) []block {
-	rank := len(dims)
-	counts := make([]int, rank)
-	total := 1
-	for i, d := range dims {
-		counts[i] = (d + edge - 1) / edge
-		total *= counts[i]
-	}
-	out := make([]block, 0, total)
-	coord := make([]int, rank)
-	for {
-		b := block{origin: make([]int, rank), size: make([]int, rank)}
-		for i := range coord {
-			b.origin[i] = coord[i] * edge
-			sz := edge
-			if b.origin[i]+sz > dims[i] {
-				sz = dims[i] - b.origin[i]
-			}
-			b.size[i] = sz
-		}
-		out = append(out, b)
-		i := rank - 1
-		for ; i >= 0; i-- {
-			coord[i]++
-			if coord[i] < counts[i] {
-				break
-			}
-			coord[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	return out
-}
-
 // forEachInBlock iterates the block in scan order, passing the flat index
 // and local coordinates (valid until return).
-func forEachInBlock(dims []int, st []int, b block, fn func(flat int, local []int)) {
+func forEachInBlock(dims []int, st []int, b grid.Block, fn func(flat int, local []int)) {
 	rank := len(dims)
 	local := make([]int, rank)
 	for {
 		flat := 0
 		for i := range local {
-			flat += (b.origin[i] + local[i]) * st[i]
+			flat += (b.Origin[i] + local[i]) * st[i]
 		}
 		fn(flat, local)
 		i := rank - 1
 		for ; i >= 0; i-- {
 			local[i]++
-			if local[i] < b.size[i] {
+			if local[i] < b.Size[i] {
 				break
 			}
 			local[i] = 0
@@ -93,16 +51,16 @@ func forEachInBlock(dims []int, st []int, b block, fn func(flat int, local []int
 // fitBlock computes least-squares affine coefficients for the block from
 // `data`. On a full tensor grid the centered regressors are orthogonal, so
 // each slope is cov(t_d, f)/var(t_d).
-func fitBlock(dims, st []int, b block, data []float64) []float64 {
+func fitBlock(dims, st []int, b grid.Block, data []float64) []float64 {
 	rank := len(dims)
 	n := 1
-	for _, s := range b.size {
+	for _, s := range b.Size {
 		n *= s
 	}
 	meanT := make([]float64, rank)
 	varT := make([]float64, rank)
 	for d := 0; d < rank; d++ {
-		m := float64(b.size[d])
+		m := float64(b.Size[d])
 		meanT[d] = (m - 1) / 2
 		varT[d] = (m*m - 1) / 12
 	}
@@ -139,37 +97,38 @@ func roundCoef(coef []float64) []float64 {
 	return out
 }
 
-func (p regressionPredictor) CompressWalk(dims []int, work []float64, visit Visit) ([]byte, error) {
-	if err := checkWalkArgs(p, dims, work); err != nil {
-		return nil, err
+// regressionPredict is the affine prediction at a block's local coordinate.
+func regressionPredict(coef []float64, local []int) float64 {
+	pred := coef[0]
+	for d := range local {
+		pred += coef[d+1] * float64(local[d])
 	}
+	return pred
+}
+
+// encodeRegression fits each block on the original values, emits the
+// block's samples against its float32-rounded coefficients, and returns the
+// coefficients as the aux channel.
+func encodeRegression[E Emitter](dims []int, work []float64, e E) []byte {
 	st := strides(dims)
-	bls := blocksOf(dims, RegressionBlockEdge)
+	bls := grid.Blocks(dims, RegressionBlockEdge)
 	aux := make([]byte, 0, len(bls)*(len(dims)+1)*4)
-	var scratch [4]byte
 	for _, b := range bls {
 		coef := roundCoef(fitBlock(dims, st, b, work))
 		for _, c := range coef {
-			binary.LittleEndian.PutUint32(scratch[:], math.Float32bits(float32(c)))
-			aux = append(aux, scratch[:]...)
+			aux = binary.LittleEndian.AppendUint32(aux, math.Float32bits(float32(c)))
 		}
 		forEachInBlock(dims, st, b, func(flat int, local []int) {
-			pred := coef[0]
-			for d := range local {
-				pred += coef[d+1] * float64(local[d])
-			}
-			visit(flat, pred)
+			e.Emit(flat, regressionPredict(coef, local))
 		})
 	}
-	return aux, nil
+	return aux
 }
 
-func (p regressionPredictor) DecompressWalk(dims []int, work []float64, aux []byte, visit Visit) error {
-	if err := checkWalkArgs(p, dims, work); err != nil {
-		return err
-	}
+// decodeRegression replays encodeRegression from its aux channel.
+func decodeRegression[E Emitter](dims []int, work []float64, aux []byte, e E) error {
 	st := strides(dims)
-	bls := blocksOf(dims, RegressionBlockEdge)
+	bls := grid.Blocks(dims, RegressionBlockEdge)
 	rank := len(dims)
 	need := len(bls) * (rank + 1) * 4
 	if len(aux) != need {
@@ -183,11 +142,7 @@ func (p regressionPredictor) DecompressWalk(dims []int, work []float64, aux []by
 			off += 4
 		}
 		forEachInBlock(dims, st, b, func(flat int, local []int) {
-			pred := coef[0]
-			for d := range local {
-				pred += coef[d+1] * float64(local[d])
-			}
-			visit(flat, pred)
+			e.Emit(flat, regressionPredict(coef, local))
 		})
 	}
 	return nil
@@ -197,7 +152,7 @@ func (p regressionPredictor) DecompressWalk(dims []int, work []float64, aux []by
 // predictor in bits per value for a field shape; the ratio-quality model
 // adds it to the estimated bit-rate.
 func AuxBitsPerValue(dims []int) float64 {
-	bls := blocksOf(dims, RegressionBlockEdge)
+	bls := grid.Blocks(dims, RegressionBlockEdge)
 	total := totalLen(dims)
 	if total == 0 {
 		return 0
@@ -211,18 +166,14 @@ func AuxBitsPerValue(dims []int) float64 {
 func (p regressionPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
 	dims := f.Dims
 	st := strides(dims)
-	bls := blocksOf(dims, RegressionBlockEdge)
+	bls := grid.Blocks(dims, RegressionBlockEdge)
 	picked := stats.SampleIndices(len(bls), rate, seed)
 	out := make([]float64, 0, sampleCap(f.Len(), rate))
 	for _, bi := range picked {
 		b := bls[bi]
 		coef := roundCoef(fitBlock(dims, st, b, f.Data))
 		forEachInBlock(dims, st, b, func(flat int, local []int) {
-			pred := coef[0]
-			for d := range local {
-				pred += coef[d+1] * float64(local[d])
-			}
-			out = append(out, pred-f.Data[flat])
+			out = append(out, regressionPredict(coef, local)-f.Data[flat])
 		})
 	}
 	return out

@@ -97,7 +97,7 @@ func WindowedSSIM(a, b *grid.Field, edge int) (float64, error) {
 	}
 	lo, hi := a.ValueRange()
 	c1, c2 := ssimConstants(hi - lo)
-	blocks := a.Blocks(edge)
+	blocks := grid.Blocks(a.Dims, edge)
 	var sum float64
 	var bx, by []float64
 	for _, blk := range blocks {
