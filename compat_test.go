@@ -129,3 +129,65 @@ func TestRadiusContainersDecodeByteIdentically(t *testing.T) {
 		}
 	}
 }
+
+// The two transform containers under testdata/ were written by `rqc compress
+// -codec transform -mode rel -eb 1e-3` from datagen's tiny fields (seed 42):
+// an envelope of nyx_temperature (24³ float32) and a chunked stream of
+// exafel_raw (2×4×16×32 float32, -stream -chunk 1024 -workers 2). Each row
+// pins the file and the decoded float64 stream through every read path, so
+// a change to the transform codec's tiling, parse or inverse transform that
+// moves one value fails here.
+func TestTransformContainersDecodeByteIdentically(t *testing.T) {
+	cases := []struct {
+		file, fileSHA, want string
+		n                   int
+		chunked             bool
+	}{
+		{"testdata/pre_pr28_transform.rqz",
+			"59cbcad8d4509e89b02b519b1ec22010d71885fe2477b02e6a3dd8c16e57f408",
+			"cdc35d9a166c0a6d0b4892bca7a85ac1b69f4e475f51b676e1100362434802ea",
+			24 * 24 * 24, false},
+		{"testdata/pre_pr28_transform_chunked.rqz",
+			"b656bc151ed8304f052788b2a2abe64832f2db87498ee16dec784f955ac45a05",
+			"184ea26e4b9b0e491293c8b48c04da241960e98c2329d431de8fb627e187b770",
+			2 * 4 * 16 * 32, true},
+	}
+	eng, err := rqm.NewEngine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		blob, err := os.ReadFile(tc.file)
+		if err != nil {
+			t.Fatalf("golden container missing: %v", err)
+		}
+		if sum := sha256.Sum256(blob); hex.EncodeToString(sum[:]) != tc.fileSHA {
+			t.Fatalf("%s: file hash %x, want %s", tc.file, sum, tc.fileSHA)
+		}
+		decoders := map[string]func([]byte) (*rqm.Field, error){
+			"rqm.Decompress":    rqm.Decompress,
+			"Engine.Decompress": eng.Decompress,
+		}
+		if tc.chunked {
+			decoders["rqm.NewReader"] = func(b []byte) (*rqm.Field, error) {
+				r, err := rqm.NewReader(bytes.NewReader(b), rqm.WithStreamReaderWorkers(2))
+				if err != nil {
+					return nil, err
+				}
+				return r.ReadAll()
+			}
+		}
+		for name, decode := range decoders {
+			f, err := decode(blob)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.file, name, err)
+			}
+			if f.Len() != tc.n {
+				t.Fatalf("%s via %s: decoded %d values, want %d", tc.file, name, f.Len(), tc.n)
+			}
+			if got := decodedSHA(f); got != tc.want {
+				t.Errorf("%s via %s: decoded stream hash %s, want %s", tc.file, name, got, tc.want)
+			}
+		}
+	}
+}

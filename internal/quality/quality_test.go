@@ -164,6 +164,37 @@ func TestWindowedSSIMBounds(t *testing.T) {
 	if math.Abs(sIdent-1) > 1e-12 {
 		t.Fatalf("windowed SSIM identical = %v", sIdent)
 	}
+
+	// Pinned bit for bit: the window walk visits every cell once, in the
+	// same order, whatever the rank and however the edge windows clip.
+	pinned := []struct {
+		dims []int
+		edge int
+		want uint64
+	}{
+		{[]int{100}, 8, 0x3fef9fd57a8a7201},
+		{[]int{19, 13}, 8, 0x3fefcc12a5f6905d},
+		{[]int{9, 10, 11}, 4, 0x3fefee4bfcb1a4d8},
+		{[]int{3, 5, 4, 6}, 3, 0x3fefe181c5dc7ee6},
+	}
+	for _, p := range pinned {
+		x := grid.MustNew("x", grid.Float64, p.dims...)
+		rng := stats.NewXorShift64(uint64(x.Len()))
+		for i := range x.Data {
+			x.Data[i] = math.Sin(float64(i)*0.1) + 0.1*rng.Float64()
+		}
+		y := x.Clone()
+		for i := range y.Data {
+			y.Data[i] += 0.02 * rng.NormFloat64()
+		}
+		s, err := WindowedSSIM(x, y, p.edge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(s) != p.want {
+			t.Errorf("WindowedSSIM %v edge %d = %v (%#x), want %#x", p.dims, p.edge, s, math.Float64bits(s), p.want)
+		}
+	}
 }
 
 func TestSpectrumDistortionCleanVsNoisy(t *testing.T) {
