@@ -3,6 +3,7 @@ package rqm_test
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"slices"
 	"testing"
 
@@ -174,6 +175,31 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 			rot[off] ^= 0xFF
 			seeds = append(seeds, rot)
 		}
+	}
+	// Transform payloads declaring far more than they hold, each sealed in a
+	// valid envelope: a codebook length of 2 GiB over 3 bytes, and 2^15×2^14
+	// values over a one-class codebook and 4 payload bytes. The decoder must
+	// refuse both before sizing anything by them.
+	le := binary.LittleEndian
+	transformHead := func(dims ...uint64) []byte {
+		b := le.AppendUint32(nil, 0x52515A46) // "RQZF"
+		b = le.AppendUint64(b, math.Float64bits(1e-3))
+		b = append(b, 32, byte(len(dims)))
+		for _, d := range dims {
+			b = le.AppendUint64(b, d)
+		}
+		return le.AppendUint16(b, 0) // no name
+	}
+	bigShape := append(le.AppendUint32(transformHead(1<<15, 1<<14), 3), 1, 1, 1)
+	for _, payload := range [][]byte{
+		append(le.AppendUint32(transformHead(64), 1<<31), 1, 1, 1),
+		append(le.AppendUint32(bigShape, 4), 0, 0, 0, 0),
+	} {
+		sealed, err := codec.Seal(codec.IDTransform, field, payload)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, sealed)
 	}
 	return seeds
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/codec"
 	"rqm/internal/compressor"
 	"rqm/internal/transform"
 )
@@ -165,6 +166,23 @@ func TestDecompressRejectsBadContainers(t *testing.T) {
 	corrupt := func(mutate func([]byte) []byte) []byte {
 		return mutate(append([]byte{}, sealed...))
 	}
+	// A valid envelope around the first half of a valid native payload: the
+	// envelope parses, the codec's own decoder refuses the payload.
+	halfPayload := func(id codec.ID, payload []byte) []byte {
+		b, err := codec.Seal(id, f, payload[:len(payload)/2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	pred, err := compressor.Compress(f, rqm.CompressOptions{Mode: rqm.REL, ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := transform.Compress(f, transform.Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name    string
@@ -183,6 +201,8 @@ func TestDecompressRejectsBadContainers(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[8:], 0)
 			return b
 		}), rqm.ErrCorrupt},
+		{"prediction payload cut in half", halfPayload(codec.IDPrediction, pred.Bytes), rqm.ErrCorrupt},
+		{"transform payload cut in half", halfPayload(codec.IDTransform, tr.Bytes), rqm.ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -71,15 +71,10 @@ const (
 )
 
 const (
-
 	// maxChunkValues / maxChunkPayload bound the per-chunk sizes a reader
 	// accepts, so corrupt length fields cannot drive huge allocations.
 	maxChunkValues  = 1 << 31
 	maxChunkPayload = 1 << 31
-
-	// maxPrealloc bounds the values a reader reserves room for on the
-	// strength of the stream header's dims alone (128 MiB of float64).
-	maxPrealloc = 1 << 24
 
 	chunkHeadSize  = 22 // tag .. CRC, without the payload
 	indexEntrySize = 24
@@ -587,11 +582,12 @@ func AssembleField(h *StreamHeader, vals []float64) (*grid.Field, error) {
 }
 
 // ValueBuffer returns an empty slice to append the stream's decoded values
-// to, with room for what the header's shape implies — up to maxPrealloc: a
-// corrupt dimension must not drive a huge allocation from a tiny input, and
-// an honest stream beyond the cap just grows with the values decoded.
+// to, with room for what the header's shape implies — up to
+// grid.MaxPrealloc: a corrupt dimension must not drive a huge allocation
+// from a tiny input, and an honest stream beyond the cap just grows with the
+// values decoded.
 func (h *StreamHeader) ValueBuffer() []float64 {
-	return make([]float64, 0, max(0, min(h.TotalFromDims(), maxPrealloc)))
+	return make([]float64, 0, max(0, min(h.TotalFromDims(), grid.MaxPrealloc)))
 }
 
 // TotalFromDims returns the sample count the header's shape implies, or 0

@@ -23,7 +23,7 @@ var (
 	// ErrUnknownCodec marks an envelope whose codec ID names no codec.
 	ErrUnknownCodec = errors.New("codec: unknown codec")
 	// ErrCorrupt marks a structurally invalid header (bad rank, dimension,
-	// or length field).
+	// or length field), or a native payload its codec cannot decode.
 	ErrCorrupt = errors.New("codec: corrupt container header")
 )
 

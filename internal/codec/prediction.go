@@ -1,6 +1,8 @@
 package codec
 
 import (
+	"fmt"
+
 	"rqm/internal/compressor"
 	"rqm/internal/core"
 	"rqm/internal/grid"
@@ -59,7 +61,11 @@ func (c predictionCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
 }
 
 func (predictionCodec) Decompress(payload []byte) (*grid.Field, error) {
-	return compressor.Decompress(payload)
+	f, err := compressor.Decompress(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return f, nil
 }
 
 // Profile models the pipeline Compress would run under copts: this codec's

@@ -34,7 +34,11 @@ func (transformCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
 }
 
 func (transformCodec) Decompress(payload []byte) (*grid.Field, error) {
-	return transform.Decompress(payload)
+	f, err := transform.Decompress(payload)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return f, nil
 }
 
 // Profile models the transform pipeline, which codes with Huffman and never

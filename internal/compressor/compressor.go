@@ -469,217 +469,54 @@ func assembleContainer(f *grid.Field, opts Options, absEB float64,
 	return out
 }
 
-// cursor is a bounds-checked zero-copy reader over a container byte slice:
-// blobs come back as subslices of the input, never copies.
-type cursor struct {
-	data []byte
-	pos  int
-}
-
-var errTruncatedContainer = errors.New("compressor: truncated container")
-
-func (c *cursor) take(n int) ([]byte, error) {
-	if n < 0 || len(c.data)-c.pos < n {
-		return nil, errTruncatedContainer
-	}
-	b := c.data[c.pos : c.pos+n : c.pos+n]
-	c.pos += n
-	return b, nil
-}
-
-func (c *cursor) u8() (uint8, error) {
-	b, err := c.take(1)
-	if err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func (c *cursor) u16() (uint16, error) {
-	b, err := c.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(b), nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b), nil
-}
-
-func (c *cursor) u64() (uint64, error) {
-	b, err := c.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b), nil
-}
-
-func (c *cursor) f64() (float64, error) {
-	v, err := c.u64()
-	return math.Float64frombits(v), err
-}
-
-// blob reads a uint32 length prefix and returns that many bytes, zero-copy.
-func (c *cursor) blob() ([]byte, error) {
-	l, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	b, err := c.take(int(l))
-	if err != nil {
-		return nil, errors.New("compressor: blob length exceeds container")
-	}
-	return b, nil
-}
-
 // Decompress reconstructs a field from a container produced by Compress.
-// The parse is zero-copy: aux, bitmaps, codebook, and payload are read as
-// subslices of data, so the only large allocation is the returned field's
-// value slice (the symbol scratch comes from the arena pool).
+// The parse is a zero-copy grid.Cursor: aux, bitmaps, codebook, and payload
+// are subslices of data, so the only large allocation is the returned
+// field's value slice (the symbol scratch comes from the arena pool).
 func Decompress(data []byte) (*grid.Field, error) {
-	c := &cursor{data: data}
-	magic, err := c.u32()
-	if err != nil || magic != containerMagic {
+	c := grid.NewCursor(data)
+	if c.U32() != containerMagic {
 		return nil, errors.New("compressor: bad magic")
 	}
-	version, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	if version != containerVersion && version != containerVersionEntropy {
+	version := c.U8()
+	if c.Err() == nil && version != containerVersion && version != containerVersionEntropy {
 		return nil, fmt.Errorf("compressor: unsupported version %d", version)
 	}
-	predKind, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	mode, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	lossless, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
+	predKind, mode, lossless := c.U8(), c.U8(), c.U8()
 	enc := &entropyEnc{kind: EntropyHuffman}
 	if version >= containerVersionEntropy {
-		entropy, err := c.u8()
-		if err != nil {
-			return nil, err
-		}
-		if EntropyKind(entropy) > EntropyTANS {
-			return nil, fmt.Errorf("compressor: unknown entropy stage %d", entropy)
-		}
-		enc.kind = EntropyKind(entropy)
-		if enc.param, err = c.u8(); err != nil {
-			return nil, err
+		enc.kind, enc.param = EntropyKind(c.U8()), c.U8()
+		if enc.kind > EntropyTANS {
+			return nil, fmt.Errorf("compressor: unknown entropy stage %d", enc.kind)
 		}
 	}
-	radiusU, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	radius := int32(radiusU)
-	if _, err := c.f64(); err != nil { // user error bound, unused on decode
-		return nil, err
-	}
-	absEB, err := c.f64()
-	if err != nil {
-		return nil, err
-	}
-	prec, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	rank, err := c.u8()
-	if err != nil {
-		return nil, err
-	}
-	if rank < 1 || rank > 4 {
-		return nil, fmt.Errorf("compressor: bad rank %d", rank)
-	}
-	dims := make([]int, rank)
-	n := 1
-	for i := range dims {
-		d, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		if d == 0 || d > 1<<32 {
-			return nil, fmt.Errorf("compressor: bad dimension %d", d)
-		}
-		if uint64(n) > uint64(math.MaxInt/8)/d {
-			return nil, errors.New("compressor: dimension product overflows")
-		}
-		dims[i] = int(d)
-		n *= dims[i]
-	}
-	nameLen, err := c.u16()
-	if err != nil {
-		return nil, err
-	}
-	name, err := c.take(int(nameLen))
-	if err != nil {
-		return nil, err
-	}
-	unpredCount, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
+	radius := int32(c.U32())
+	c.F64() // user error bound, unused on decode
+	absEB := c.F64()
+	prec := c.U8()
+	dims, n := c.Dims()
+	name := c.Take(int(c.U16()))
+	unpredCount := c.U32()
 	if int(unpredCount) > n {
 		return nil, errors.New("compressor: unpredictable count exceeds field size")
 	}
-	unpredRaw, err := c.take(8 * int(unpredCount))
-	if err != nil {
+	unpredRaw := c.Take(8 * int(unpredCount))
+	aux, signsEnc, zerosEnc := c.Blob(), c.Blob(), c.Blob()
+	enc.codebook = c.Blob()
+	if enc.kind == EntropyTANS {
+		for i := range enc.states {
+			enc.states[i] = c.U32()
+		}
+		enc.bitLen = c.U64()
+	}
+	rawPayloadLen := c.U32()
+	payload := c.Blob()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	unpred := make([]float64, unpredCount)
 	for i := range unpred {
 		unpred[i] = math.Float64frombits(binary.LittleEndian.Uint64(unpredRaw[8*i:]))
-	}
-	aux, err := c.blob()
-	if err != nil {
-		return nil, err
-	}
-	signsEnc, err := c.blob()
-	if err != nil {
-		return nil, err
-	}
-	zerosEnc, err := c.blob()
-	if err != nil {
-		return nil, err
-	}
-	codebookBytes, err := c.blob()
-	if err != nil {
-		return nil, err
-	}
-	enc.codebook = codebookBytes
-	if enc.kind == EntropyTANS {
-		for i := range enc.states {
-			if enc.states[i], err = c.u32(); err != nil {
-				return nil, err
-			}
-		}
-		if enc.bitLen, err = c.u64(); err != nil {
-			return nil, err
-		}
-	}
-	rawPayloadLen, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	payloadLen, err := c.u32()
-	if err != nil {
-		return nil, err
-	}
-	payload, err := c.take(int(payloadLen))
-	if err != nil {
-		return nil, err
 	}
 
 	rawPayload, err := undoLossless(LosslessKind(lossless), payload, int(rawPayloadLen))
@@ -690,7 +527,7 @@ func Decompress(data []byte) (*grid.Field, error) {
 	// hold the declared values: refuse before sizing anything by n. (tANS
 	// symbols can cost zero bits; its decoder checks its own bit count.)
 	if enc.kind != EntropyTANS && n > 8*len(rawPayload) {
-		return nil, errTruncatedContainer
+		return nil, fmt.Errorf("%w: %d values over a %d-byte payload", grid.ErrTruncated, n, len(rawPayload))
 	}
 	a := getArena()
 	defer a.release()
@@ -717,9 +554,9 @@ func Decompress(data []byte) (*grid.Field, error) {
 		radius: radius,
 		resSym: reservedSymbol(radius),
 	}
-	if !pred.Supports(int(rank)) {
+	if !pred.Supports(len(dims)) {
 		return nil, fmt.Errorf("compressor: predictor %s does not support rank %d",
-			predictor.Kind(predKind), rank)
+			predictor.Kind(predKind), len(dims))
 	}
 	if err := predictor.Decode(predictor.Kind(predKind), dims, work, aux, k); err != nil {
 		return nil, err

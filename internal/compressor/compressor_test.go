@@ -264,6 +264,30 @@ func TestQuickErrorBoundHolds(t *testing.T) {
 	}
 }
 
+// TestRegressionAllocations: the regression walk fits and walks each block
+// on the stack, so a whole-field compress or decompress makes a fixed
+// number of allocations however many blocks the field has.
+func TestRegressionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the arena's sync.Pool drops Puts under the race detector")
+	}
+	f := kernelField(t, 30, 30, 30)
+	for i := 96; i < f.Len(); i += 97 {
+		f.Data[i] = 0 // no raw-stored outliers: their count would grow with the field
+	}
+	opts := Options{Predictor: predictor.Regression, Mode: ABS, ErrorBound: 1e-3}
+	res, err := Compress(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(3, func() { _, _ = Compress(f, opts) }); a > 48 {
+		t.Errorf("Compress made %v allocations over %d blocks", a, len(grid.Blocks(f.Dims, predictor.RegressionBlockEdge)))
+	}
+	if a := testing.AllocsPerRun(3, func() { _, _ = Decompress(res.Bytes) }); a > 24 {
+		t.Errorf("Decompress made %v allocations over %d blocks", a, len(grid.Blocks(f.Dims, predictor.RegressionBlockEdge)))
+	}
+}
+
 func BenchmarkCompressLorenzo3D(b *testing.B) {
 	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"rqm/internal/ans"
+	"rqm/internal/grid"
 	"rqm/internal/huffman"
 )
 
@@ -40,16 +41,6 @@ func (e EntropyKind) String() string {
 		return "tans"
 	}
 	return fmt.Sprintf("EntropyKind(%d)", int(e))
-}
-
-// ParseEntropyKind resolves an entropy-stage name.
-func ParseEntropyKind(s string) (EntropyKind, error) {
-	for _, e := range []EntropyKind{EntropyHuffman, EntropyInterleaved, EntropyTANS} {
-		if e.String() == s {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("compressor: unknown entropy stage %q", s)
 }
 
 // entropyEnc is one encoded entropy stage, ready for container assembly.
@@ -190,21 +181,17 @@ func decodeEntropy(enc *entropyEnc, rawPayload []byte, syms []uint32) error {
 		if k < 1 || k > huffman.MaxStreams {
 			return fmt.Errorf("compressor: interleaved container declares %d streams", k)
 		}
-		if len(rawPayload) < 4*k {
-			return errTruncatedContainer
-		}
+		c := grid.NewCursor(rawPayload)
+		lens := grid.NewCursor(c.Take(4 * k))
 		streams := make([][]byte, k)
-		off := 4 * k
-		for i := 0; i < k; i++ {
-			l := int(binary.LittleEndian.Uint32(rawPayload[4*i:]))
-			if l < 0 || off+l > len(rawPayload) {
-				return fmt.Errorf("compressor: interleaved stream %d of %d bytes exceeds payload", i, l)
-			}
-			streams[i] = rawPayload[off : off+l : off+l]
-			off += l
+		for i := range streams {
+			streams[i] = c.Take(int(lens.U32()))
 		}
-		if off != len(rawPayload) {
-			return fmt.Errorf("compressor: %d trailing bytes after interleaved streams", len(rawPayload)-off)
+		if err := c.Err(); err != nil {
+			return err
+		}
+		if c.Len() != 0 {
+			return fmt.Errorf("compressor: %d trailing bytes after interleaved streams", c.Len())
 		}
 		return cb.DecodeInterleaved(streams, syms)
 

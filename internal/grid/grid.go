@@ -3,7 +3,8 @@
 // ratio-quality model need: logical shape, stride math, block iteration, and
 // the original storage precision used for ratio accounting (a field loaded
 // from float32 data counts 32 bits per value when computing compression
-// ratios, exactly as the paper does).
+// ratios, exactly as the paper does). It also holds the one shape check and
+// the bounds-checked payload Cursor both native decoders parse with.
 package grid
 
 import (
@@ -61,6 +62,123 @@ func shapeLen(dims []int) (int, error) {
 	return n, nil
 }
 
+// MaxPrealloc bounds the values a reader reserves room for on the strength
+// of a declared shape alone (128 MiB of float64): a corrupt header must not
+// drive a huge allocation from a tiny input, and an honest field beyond the
+// cap just grows with the values that arrive.
+const MaxPrealloc = 1 << 24
+
+// ErrTruncated marks a payload that ends before a field it declares.
+var ErrTruncated = errors.New("grid: truncated payload")
+
+// Cursor is a bounds-checked, zero-copy reader over a native codec payload:
+// every read is checked against the bytes present, and a blob comes back as
+// a subslice of the payload, never a copy, so no declared length sizes an
+// allocation. The first failed read is kept in Err; every read after it
+// returns zero values, so a parser reads its fields and checks Err once
+// before it uses them.
+type Cursor struct {
+	rest []byte
+	err  error
+}
+
+// NewCursor starts a cursor at the first byte of b.
+func NewCursor(b []byte) Cursor { return Cursor{rest: b} }
+
+// Err returns the first read failure, or nil.
+func (c *Cursor) Err() error { return c.err }
+
+// Len returns the number of unread bytes.
+func (c *Cursor) Len() int { return len(c.rest) }
+
+// fail records err unless an earlier failure is already recorded.
+func (c *Cursor) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// Take returns the next n bytes (nil once the cursor has failed).
+func (c *Cursor) Take(n int) []byte {
+	if c.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(c.rest) {
+		c.fail(fmt.Errorf("%w: %d bytes wanted, %d remain", ErrTruncated, n, len(c.rest)))
+		return nil
+	}
+	b := c.rest[:n:n]
+	c.rest = c.rest[n:]
+	return b
+}
+
+// U8 reads one byte.
+func (c *Cursor) U8() uint8 {
+	if b := c.Take(1); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+// U16 reads a little-endian uint16.
+func (c *Cursor) U16() uint16 {
+	if b := c.Take(2); b != nil {
+		return binary.LittleEndian.Uint16(b)
+	}
+	return 0
+}
+
+// U32 reads a little-endian uint32.
+func (c *Cursor) U32() uint32 {
+	if b := c.Take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// U64 reads a little-endian uint64.
+func (c *Cursor) U64() uint64 {
+	if b := c.Take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+// F64 reads a little-endian float64.
+func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
+
+// Blob reads a uint32 length prefix and returns that many bytes.
+func (c *Cursor) Blob() []byte { return c.Take(int(c.U32())) }
+
+// Dims reads a shape — a rank byte, then one uint64 per axis — and returns
+// it with its value count. The rank must be 1..4, every dimension 1..2^32,
+// and the count's float64 bytes must fit an int; this is the one shape check
+// of the native payloads. A shape that fails it fails the cursor (a read
+// after an earlier failure keeps that failure).
+func (c *Cursor) Dims() ([]int, int) {
+	rank := c.U8()
+	if rank < 1 || rank > 4 {
+		c.fail(fmt.Errorf("grid: bad rank %d", rank))
+		return nil, 0
+	}
+	dims := make([]int, rank)
+	n := 1
+	for i := range dims {
+		d := c.U64()
+		if d == 0 || d > 1<<32 {
+			c.fail(fmt.Errorf("grid: bad dimension %d", d))
+			return nil, 0
+		}
+		if uint64(n) > uint64(math.MaxInt/8)/d {
+			c.fail(errors.New("grid: dimension product overflows"))
+			return nil, 0
+		}
+		dims[i] = int(d)
+		n *= dims[i]
+	}
+	return dims, n
+}
+
 // New allocates a zero-filled field with the given shape.
 func New(name string, prec Precision, dims ...int) (*Field, error) {
 	n, err := shapeLen(dims)
@@ -110,12 +228,15 @@ func (f *Field) Len() int { return len(f.Data) }
 func (f *Field) Rank() int { return len(f.Dims) }
 
 // Strides returns row-major strides matching Dims (outermost first).
-func (f *Field) Strides() []int {
-	s := make([]int, len(f.Dims))
+func (f *Field) Strides() []int { return Strides(f.Dims) }
+
+// Strides returns the row-major strides of a shape (outermost first).
+func Strides(dims []int) []int {
+	s := make([]int, len(dims))
 	acc := 1
-	for i := len(f.Dims) - 1; i >= 0; i-- {
+	for i := len(dims) - 1; i >= 0; i-- {
 		s[i] = acc
-		acc *= f.Dims[i]
+		acc *= dims[i]
 	}
 	return s
 }
@@ -178,74 +299,79 @@ type Block struct {
 }
 
 // Blocks partitions a field of shape dims into blocks of edge `edge`
-// (clipped at the boundary) and returns them in scan order. Used by the
-// regression predictor (edge 6 in SZ) and by windowed SSIM.
+// (clipped at the boundary) and returns them in scan order. It is the one
+// tiling: the regression predictor (edge 6, as in SZ), the transform codec
+// (edge 4) and windowed SSIM all walk it. Every block's Origin and Size share
+// one backing array, so tiling makes two allocations however many blocks.
 func Blocks(dims []int, edge int) []Block {
 	if edge <= 0 {
 		edge = 1
 	}
 	rank := len(dims)
-	counts := make([]int, rank)
 	total := 1
-	for i, d := range dims {
-		counts[i] = (d + edge - 1) / edge
-		total *= counts[i]
+	for _, d := range dims {
+		total *= (d + edge - 1) / edge
 	}
-	out := make([]Block, 0, total)
-	coord := make([]int, rank)
-	for {
-		b := Block{Origin: make([]int, rank), Size: make([]int, rank)}
-		for i := range coord {
-			b.Origin[i] = coord[i] * edge
-			sz := edge
-			if b.Origin[i]+sz > dims[i] {
-				sz = dims[i] - b.Origin[i]
-			}
-			b.Size[i] = sz
+	out := make([]Block, total)
+	ints := make([]int, 2*rank*total)
+	for bi := range out {
+		b := Block{Origin: ints[:rank:rank], Size: ints[rank : 2*rank : 2*rank]}
+		ints = ints[2*rank:]
+		rem := bi
+		for i := rank - 1; i >= 0; i-- {
+			count := (dims[i] + edge - 1) / edge
+			b.Origin[i] = rem % count * edge
+			rem /= count
+			b.Size[i] = min(edge, dims[i]-b.Origin[i])
 		}
-		out = append(out, b)
-		// Increment odometer.
-		i := rank - 1
-		for ; i >= 0; i-- {
-			coord[i]++
-			if coord[i] < counts[i] {
-				break
-			}
-			coord[i] = 0
-		}
-		if i < 0 {
-			break
-		}
+		out[bi] = b
 	}
 	return out
 }
 
-// ForEachInBlock invokes fn for every flat index inside block b, in scan
-// order, passing the per-dimension coordinates (valid until return).
-func (f *Field) ForEachInBlock(b Block, fn func(flat int, coord []int)) {
-	rank := f.Rank()
-	coord := make([]int, rank)
-	copy(coord, b.Origin)
-	st := f.Strides()
-	for {
-		flat := 0
-		for i := range coord {
-			flat += coord[i] * st[i]
-		}
-		fn(flat, coord)
-		i := rank - 1
-		for ; i >= 0; i-- {
-			coord[i]++
-			if coord[i] < b.Origin[i]+b.Size[i] {
-				break
-			}
-			coord[i] = b.Origin[i]
-		}
-		if i < 0 {
-			return
-		}
-	}
+// CellWalk visits the cells of one block in scan order, the last axis
+// fastest. After each Next that reports true, Flat is the cell's index in
+// the field and Local returns its coordinates relative to the block's
+// origin. A walk lives on its caller's stack: it allocates nothing. Drive it
+// as `w := b.Cells(st); for w.Next() { ... }` — declared in a three-clause
+// for, the walk would be copied into a fresh variable every iteration.
+type CellWalk struct {
+	Flat  int
+	st    []int
+	size  []int
+	local [4]int
 }
+
+// Cells starts a walk over b's cells in a field with row-major strides st.
+func (b Block) Cells(st []int) CellWalk {
+	last := len(b.Size) - 1
+	w := CellWalk{st: st, size: b.Size}
+	for i, o := range b.Origin {
+		w.Flat += o * st[i]
+	}
+	// One step before the first cell, so the first Next lands on it.
+	w.local[last] = -1
+	w.Flat -= st[last]
+	return w
+}
+
+// Next advances to the next cell and reports whether there was one.
+func (w *CellWalk) Next() bool {
+	for i := len(w.size) - 1; i >= 0; i-- {
+		w.local[i]++
+		w.Flat += w.st[i]
+		if w.local[i] < w.size[i] {
+			return true
+		}
+		w.Flat -= w.local[i] * w.st[i]
+		w.local[i] = 0
+	}
+	return false
+}
+
+// Local returns the current cell's block-local coordinates (valid until the
+// next call to Next).
+func (w *CellWalk) Local() []int { return w.local[:len(w.size)] }
 
 // binary layout magic for the on-disk raw field format (cmd/datagen output).
 const fieldMagic = 0x52514d46 // "RQMF"
@@ -334,28 +460,38 @@ func WriteHeader(w io.Writer, prec Precision, dims []int) (int64, error) {
 	return n, nil
 }
 
-// ReadFrom deserializes a field written by WriteTo.
+// ReadFrom deserializes a field written by WriteTo. The header sizes
+// nothing: the sample slice starts with room for at most MaxPrealloc values
+// and grows only as samples arrive through a fixed-size buffer, so a shape
+// larger than its body fails with io.ErrUnexpectedEOF having allocated no
+// more than the body and the cap.
 func ReadFrom(r io.Reader) (*Field, error) {
 	prec, dims, err := ReadHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	f, err := New("", prec, dims...)
+	n, err := shapeLen(dims)
 	if err != nil {
 		return nil, err
 	}
-	if prec == Float32 {
-		buf := make([]float32, f.Len())
-		if err := binary.Read(r, binary.LittleEndian, buf); err != nil {
+	width := prec.Bits() / 8
+	data := make([]float64, 0, min(n, MaxPrealloc))
+	buf := make([]byte, 8<<10)
+	for len(data) < n {
+		b := buf[:min(n-len(data), len(buf)/width)*width]
+		if _, err := io.ReadFull(r, b); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF // the header promised samples
+			}
 			return nil, err
 		}
-		for i, v := range buf {
-			f.Data[i] = float64(v)
+		for ; len(b) > 0; b = b[width:] {
+			if prec == Float32 {
+				data = append(data, float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))
+			} else {
+				data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			}
 		}
-		return f, nil
 	}
-	if err := binary.Read(r, binary.LittleEndian, f.Data); err != nil {
-		return nil, err
-	}
-	return f, nil
+	return &Field{Dims: dims, Data: data, Prec: prec}, nil
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,7 +95,10 @@ func TestBlocksCoverExactly(t *testing.T) {
 	}
 	seen := make([]int, f.Len())
 	for _, b := range blocks {
-		f.ForEachInBlock(b, func(flat int, _ []int) { seen[flat]++ })
+		c := b.Cells(f.Strides())
+		for c.Next() {
+			seen[c.Flat]++
+		}
 	}
 	for i, c := range seen {
 		if c != 1 {
@@ -114,20 +118,60 @@ func TestBlocksClipAtEdge(t *testing.T) {
 	}
 }
 
-func TestForEachInBlockScanOrder(t *testing.T) {
+func TestBlockCellsScanOrder(t *testing.T) {
 	f := MustNew("x", Float32, 4, 4)
 	b := Block{Origin: []int{1, 1}, Size: []int{2, 3}}
-	var flats []int
-	f.ForEachInBlock(b, func(flat int, coord []int) {
-		flats = append(flats, flat)
-	})
-	want := []int{5, 6, 7, 9, 10, 11}
-	if len(flats) != len(want) {
-		t.Fatalf("visited %v", flats)
+	var flats, locals []int
+	c := b.Cells(f.Strides())
+	for c.Next() {
+		flats = append(flats, c.Flat)
+		locals = append(locals, c.Local()...)
 	}
-	for i := range want {
-		if flats[i] != want[i] {
-			t.Fatalf("visited %v, want %v", flats, want)
+	if want := []int{5, 6, 7, 9, 10, 11}; !slices.Equal(flats, want) {
+		t.Fatalf("visited %v, want %v", flats, want)
+	}
+	if want := []int{0, 0, 0, 1, 0, 2, 1, 0, 1, 1, 1, 2}; !slices.Equal(locals, want) {
+		t.Fatalf("local coordinates %v, want %v", locals, want)
+	}
+}
+
+// TestBlocksMatchOdometer checks the tiling against the nested scan it
+// replaced, at every rank with clipped edges, and that walking every block's
+// cells allocates nothing.
+func TestBlocksMatchOdometer(t *testing.T) {
+	for _, dims := range [][]int{{7}, {5, 9}, {4, 8}, {17, 9, 6}, {9, 1, 6, 5}} {
+		blocks := Blocks(dims, 4)
+		i := 0
+		var origin func(axis int, o []int)
+		origin = func(axis int, o []int) {
+			if axis == len(dims) {
+				b := blocks[i]
+				i++
+				for a := range dims {
+					if b.Origin[a] != o[a] || b.Size[a] != min(4, dims[a]-o[a]) {
+						t.Fatalf("%v: block %d is %+v, want origin %v", dims, i-1, b, o)
+					}
+				}
+				return
+			}
+			for c := 0; c < dims[axis]; c += 4 {
+				origin(axis+1, append(o, c))
+			}
+		}
+		origin(0, nil)
+		if i != len(blocks) {
+			t.Fatalf("%v: %d blocks, want %d", dims, len(blocks), i)
+		}
+		st := Strides(dims)
+		if a := testing.AllocsPerRun(10, func() {
+			for _, b := range blocks {
+				c := b.Cells(st)
+				for c.Next() {
+					_ = c.Local()
+				}
+			}
+		}); a != 0 {
+			t.Fatalf("%v: walking the cells made %v allocations", dims, a)
 		}
 	}
 }

@@ -46,7 +46,7 @@ func maxLevelFor(dims []int) int {
 // coarse to fine, sweeping each dimension in turn.
 func walkInterp[E Emitter](dims []int, work []float64, cubic bool, e E) {
 	e.Emit(0, 0) // anchor point: predicted as 0
-	st := strides(dims)
+	st := grid.Strides(dims)
 	for level := maxLevelFor(dims); level >= 1; level-- {
 		s := 1 << (level - 1)
 		for d := range dims {
@@ -131,7 +131,7 @@ func sweep[E Emitter](dims, st []int, work []float64, d, s int, cubic bool, e E)
 // (and therefore every model profile) is unchanged.
 func (p interpPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
 	dims := f.Dims
-	st := strides(dims)
+	st := grid.Strides(dims)
 	rng := stats.NewXorShift64(seed)
 	out := make([]float64, 0, sampleCap(f.Len(), rate))
 	for level := maxLevelFor(dims); level >= 1; level-- {

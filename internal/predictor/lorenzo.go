@@ -109,7 +109,7 @@ func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
 // (used for 4-D).
 func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	rank := len(dims)
-	st := strides(dims)
+	st := grid.Strides(dims)
 	n := totalLen(dims)
 	coord := make([]int, rank)
 	for idx := 0; idx < n; idx++ {
@@ -162,7 +162,7 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 	out := make([]float64, 0, len(idxs))
 	dims := f.Dims
 	rank := len(dims)
-	st := strides(dims)
+	st := grid.Strides(dims)
 	coord := make([]int, rank)
 	for _, idx := range idxs {
 		if idx == 0 {

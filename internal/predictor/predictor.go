@@ -170,17 +170,6 @@ func walk[E Emitter](kind Kind, dims []int, work []float64, e E) {
 	}
 }
 
-// strides returns row-major strides for dims.
-func strides(dims []int) []int {
-	s := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		s[i] = acc
-		acc *= dims[i]
-	}
-	return s
-}
-
 func totalLen(dims []int) int {
 	n := 1
 	for _, d := range dims {

@@ -23,58 +23,32 @@ type regressionPredictor struct{}
 func (regressionPredictor) Kind() Kind             { return Regression }
 func (regressionPredictor) Supports(rank int) bool { return rank >= 1 && rank <= 4 }
 
-// forEachInBlock iterates the block in scan order, passing the flat index
-// and local coordinates (valid until return).
-func forEachInBlock(dims []int, st []int, b grid.Block, fn func(flat int, local []int)) {
-	rank := len(dims)
-	local := make([]int, rank)
-	for {
-		flat := 0
-		for i := range local {
-			flat += (b.Origin[i] + local[i]) * st[i]
-		}
-		fn(flat, local)
-		i := rank - 1
-		for ; i >= 0; i-- {
-			local[i]++
-			if local[i] < b.Size[i] {
-				break
-			}
-			local[i] = 0
-		}
-		if i < 0 {
-			return
-		}
-	}
-}
-
 // fitBlock computes least-squares affine coefficients for the block from
-// `data`. On a full tensor grid the centered regressors are orthogonal, so
+// `data`, rounded to float32 (the stored precision); the first rank+1 are
+// used. On a full tensor grid the centered regressors are orthogonal, so
 // each slope is cov(t_d, f)/var(t_d).
-func fitBlock(dims, st []int, b grid.Block, data []float64) []float64 {
-	rank := len(dims)
+func fitBlock(st []int, b grid.Block, data []float64) (coef [5]float64) {
+	rank := len(st)
 	n := 1
 	for _, s := range b.Size {
 		n *= s
 	}
-	meanT := make([]float64, rank)
-	varT := make([]float64, rank)
+	var meanT, varT, covTF [4]float64
 	for d := 0; d < rank; d++ {
 		m := float64(b.Size[d])
 		meanT[d] = (m - 1) / 2
 		varT[d] = (m*m - 1) / 12
 	}
 	var sumF float64
-	covTF := make([]float64, rank)
-	forEachInBlock(dims, st, b, func(flat int, local []int) {
-		v := data[flat]
+	w := b.Cells(st)
+	for w.Next() {
+		v := data[w.Flat]
 		sumF += v
-		for d := 0; d < rank; d++ {
-			covTF[d] += (float64(local[d]) - meanT[d]) * v
+		for d, l := range w.Local() {
+			covTF[d] += (float64(l) - meanT[d]) * v
 		}
-	})
+	}
 	meanF := sumF / float64(n)
-	coef := make([]float64, rank+1)
 	for d := 0; d < rank; d++ {
 		if varT[d] > 0 {
 			coef[d+1] = covTF[d] / (varT[d] * float64(n))
@@ -85,16 +59,10 @@ func fitBlock(dims, st []int, b grid.Block, data []float64) []float64 {
 		c0 -= coef[d+1] * meanT[d]
 	}
 	coef[0] = c0
-	return coef
-}
-
-// roundCoef rounds coefficients to float32 (the stored precision).
-func roundCoef(coef []float64) []float64 {
-	out := make([]float64, len(coef))
-	for i, c := range coef {
-		out[i] = float64(float32(c))
+	for i := range coef {
+		coef[i] = float64(float32(coef[i]))
 	}
-	return out
+	return coef
 }
 
 // regressionPredict is the affine prediction at a block's local coordinate.
@@ -110,40 +78,41 @@ func regressionPredict(coef []float64, local []int) float64 {
 // block's samples against its float32-rounded coefficients, and returns the
 // coefficients as the aux channel.
 func encodeRegression[E Emitter](dims []int, work []float64, e E) []byte {
-	st := strides(dims)
+	st := grid.Strides(dims)
 	bls := grid.Blocks(dims, RegressionBlockEdge)
 	aux := make([]byte, 0, len(bls)*(len(dims)+1)*4)
 	for _, b := range bls {
-		coef := roundCoef(fitBlock(dims, st, b, work))
-		for _, c := range coef {
+		coef := fitBlock(st, b, work)
+		for _, c := range coef[:len(dims)+1] {
 			aux = binary.LittleEndian.AppendUint32(aux, math.Float32bits(float32(c)))
 		}
-		forEachInBlock(dims, st, b, func(flat int, local []int) {
-			e.Emit(flat, regressionPredict(coef, local))
-		})
+		w := b.Cells(st)
+		for w.Next() {
+			e.Emit(w.Flat, regressionPredict(coef[:], w.Local()))
+		}
 	}
 	return aux
 }
 
 // decodeRegression replays encodeRegression from its aux channel.
 func decodeRegression[E Emitter](dims []int, work []float64, aux []byte, e E) error {
-	st := strides(dims)
+	st := grid.Strides(dims)
 	bls := grid.Blocks(dims, RegressionBlockEdge)
 	rank := len(dims)
 	need := len(bls) * (rank + 1) * 4
 	if len(aux) != need {
 		return fmt.Errorf("predictor: regression aux has %d bytes, want %d", len(aux), need)
 	}
-	off := 0
-	coef := make([]float64, rank+1)
+	var coef [5]float64
 	for _, b := range bls {
-		for i := range coef {
-			coef[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(aux[off:])))
-			off += 4
+		for i := range coef[:rank+1] {
+			coef[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(aux)))
+			aux = aux[4:]
 		}
-		forEachInBlock(dims, st, b, func(flat int, local []int) {
-			e.Emit(flat, regressionPredict(coef, local))
-		})
+		w := b.Cells(st)
+		for w.Next() {
+			e.Emit(w.Flat, regressionPredict(coef[:], w.Local()))
+		}
 	}
 	return nil
 }
@@ -164,17 +133,16 @@ func AuxBitsPerValue(dims []int) float64 {
 // blocks is selected, each is fitted on original values, and all residuals
 // in selected blocks are collected.
 func (p regressionPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
-	dims := f.Dims
-	st := strides(dims)
-	bls := grid.Blocks(dims, RegressionBlockEdge)
+	st := f.Strides()
+	bls := grid.Blocks(f.Dims, RegressionBlockEdge)
 	picked := stats.SampleIndices(len(bls), rate, seed)
 	out := make([]float64, 0, sampleCap(f.Len(), rate))
 	for _, bi := range picked {
-		b := bls[bi]
-		coef := roundCoef(fitBlock(dims, st, b, f.Data))
-		forEachInBlock(dims, st, b, func(flat int, local []int) {
-			out = append(out, regressionPredict(coef, local)-f.Data[flat])
-		})
+		coef := fitBlock(st, bls[bi], f.Data)
+		w := bls[bi].Cells(st)
+		for w.Next() {
+			out = append(out, regressionPredict(coef[:], w.Local())-f.Data[w.Flat])
+		}
 	}
 	return out
 }

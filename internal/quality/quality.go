@@ -1,14 +1,13 @@
 // Package quality computes the measured (ground-truth) side of the paper's
-// post-hoc analysis metrics: MSE/PSNR, SSIM (global and windowed), and
-// FFT-based power-spectrum distortion. The ratio-quality model's estimates
-// are validated against these.
+// post-hoc analysis metrics: MSE/PSNR and SSIM (global and windowed). The
+// ratio-quality model's estimates are validated against these; power-spectrum
+// distortion is internal/fft's SpectrumRatio.
 package quality
 
 import (
 	"errors"
 	"math"
 
-	"rqm/internal/fft"
 	"rqm/internal/grid"
 	"rqm/internal/stats"
 )
@@ -98,43 +97,20 @@ func WindowedSSIM(a, b *grid.Field, edge int) (float64, error) {
 	lo, hi := a.ValueRange()
 	c1, c2 := ssimConstants(hi - lo)
 	blocks := grid.Blocks(a.Dims, edge)
+	st := a.Strides()
 	var sum float64
 	var bx, by []float64
 	for _, blk := range blocks {
 		bx = bx[:0]
 		by = by[:0]
-		a.ForEachInBlock(blk, func(flat int, _ []int) {
-			bx = append(bx, a.Data[flat])
-			by = append(by, b.Data[flat])
-		})
+		w := blk.Cells(st)
+		for w.Next() {
+			bx = append(bx, a.Data[w.Flat])
+			by = append(by, b.Data[w.Flat])
+		}
 		sum += ssimOn(bx, by, c1, c2)
 	}
 	return sum / float64(len(blocks)), nil
-}
-
-// SpectrumDistortion summarizes how far the decompressed power spectrum
-// deviates from the original: it returns the per-shell ratios P_b/P_a and
-// the root-mean-square of (ratio − 1) over shells 1..kmax (DC excluded).
-func SpectrumDistortion(a, b *grid.Field) (ratios []float64, rms float64, err error) {
-	pa, err := fft.PowerSpectrum(a.Data, a.Dims)
-	if err != nil {
-		return nil, 0, err
-	}
-	pb, err := fft.PowerSpectrum(b.Data, b.Dims)
-	if err != nil {
-		return nil, 0, err
-	}
-	ratios = fft.SpectrumRatio(pa, pb)
-	if len(ratios) <= 1 {
-		return ratios, 0, nil
-	}
-	var s float64
-	for _, r := range ratios[1:] {
-		d := r - 1
-		s += d * d
-	}
-	rms = math.Sqrt(s / float64(len(ratios)-1))
-	return ratios, rms, nil
 }
 
 // AccuracyOfEstimate implements the paper's Eq. 20 error metric between

@@ -197,34 +197,6 @@ func TestWindowedSSIMBounds(t *testing.T) {
 	}
 }
 
-func TestSpectrumDistortionCleanVsNoisy(t *testing.T) {
-	a := grid.MustNew("a", grid.Float64, 32, 32)
-	for i := 0; i < 32; i++ {
-		for j := 0; j < 32; j++ {
-			a.Data[i*32+j] = math.Sin(2*math.Pi*3*float64(j)/32) + 0.5*math.Cos(2*math.Pi*5*float64(i)/32)
-		}
-	}
-	_, rmsSame, err := SpectrumDistortion(a, a.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmsSame > 1e-12 {
-		t.Fatalf("identical spectrum distortion = %v", rmsSame)
-	}
-	b := a.Clone()
-	rng := stats.NewXorShift64(4)
-	for i := range b.Data {
-		b.Data[i] += 0.3 * rng.NormFloat64()
-	}
-	_, rmsNoisy, err := SpectrumDistortion(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rmsNoisy <= rmsSame {
-		t.Fatal("noise did not increase spectrum distortion")
-	}
-}
-
 func TestAccuracyOfEstimate(t *testing.T) {
 	// Perfect estimates → error rate 0.
 	if e := AccuracyOfEstimate([]float64{1, 2, 3}, []float64{1, 2, 3}); e > 1e-12 {

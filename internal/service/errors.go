@@ -36,7 +36,8 @@ func errf(status int, code, format string, args ...interface{}) error {
 
 // containerErrorCodes maps the codec package's typed container errors to
 // stable API codes. Every Decompress/Inspect parse failure wraps exactly one
-// of these, so the mapping is total for container input.
+// of these — a native payload its codec cannot decode included, as
+// ErrCorrupt — so the mapping is total for container input.
 var containerErrorCodes = []struct {
 	is   error
 	code string

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +14,9 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/codec"
+	"rqm/internal/compressor"
+	"rqm/internal/grid"
 )
 
 // testField synthesizes the shared request payload. The field is rewrapped
@@ -728,6 +732,50 @@ func TestCorruptContainerMapsChecksum(t *testing.T) {
 		}
 	} else {
 		t.Fatalf("corrupt container status %d", resp.StatusCode)
+	}
+}
+
+// TestUndecodablePayloadsAnswer422 checks that a valid envelope around a
+// payload its codec cannot decode is the client's error, typed corrupt,
+// never a 500 — and never memory sized by a shape the bytes cannot hold: the
+// 74-byte envelope carries a 47-byte transform payload declaring 2^15×2^14
+// values over a one-class codebook and 4 payload bytes.
+func TestUndecodablePayloadsAnswer422(t *testing.T) {
+	le := binary.LittleEndian
+	payload := le.AppendUint32(nil, 0x52515A46) // "RQZF"
+	payload = le.AppendUint64(payload, math.Float64bits(1e-3))
+	payload = append(payload, 32, 2)
+	payload = le.AppendUint64(le.AppendUint64(payload, 1<<15), 1<<14)
+	payload = le.AppendUint16(payload, 0)                     // no name
+	payload = append(le.AppendUint32(payload, 3), 1, 1, 1)    // codebook
+	payload = append(le.AppendUint32(payload, 4), 0, 0, 0, 0) // coefficients
+	hostile, err := codec.Seal(codec.IDTransform, grid.MustNew("h", grid.Float32, 1), payload)
+	if err != nil || len(hostile) != 74 {
+		t.Fatalf("hostile envelope: %d bytes, %v", len(hostile), err)
+	}
+	f, _ := testField(t)
+	pred, err := compressor.Compress(f, compressor.Options{Mode: compressor.ABS, ErrorBound: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := codec.Seal(codec.IDPrediction, f, pred.Bytes[:len(pred.Bytes)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{})
+	for name, body := range map[string][]byte{"transform 2^29 values in 4 bytes": hostile, "half a prediction payload": half} {
+		resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422", name, resp.StatusCode)
+		}
+		if eb := decodeErrorBody(t, resp); eb.Error.Code != "corrupt" {
+			t.Fatalf("%s: code %q, want corrupt", name, eb.Error.Code)
+		}
+		resp.Body.Close()
 	}
 }
 

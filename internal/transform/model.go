@@ -32,12 +32,10 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 	if rate <= 0 || rate > 1 {
 		rate = 0.01
 	}
-	blocks := blockList(f.Dims)
+	blocks := grid.Blocks(f.Dims, BlockEdge)
 	picked := stats.SampleIndices(len(blocks), rate, seed)
-	blockLen := 1 << (2 * rank)
-	buf := make([]float64, blockLen)
-	ibuf := make([]int64, blockLen)
-	samples := make([]float64, 0, len(picked)*blockLen)
+	buf := make([]int64, 1<<(2*rank))
+	samples := make([]float64, 0, len(picked)*len(buf))
 	// The integer transform on codes ≈ the same transform on values divided
 	// by the step; emulate it at a fine fixed-point resolution so rounding
 	// inside the lifting is negligible relative to any realistic bound.
@@ -46,45 +44,18 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 	if span := hi - lo; span > 0 {
 		scale = float64(1<<40) / span
 	}
+	st := f.Strides()
 	for _, bi := range picked {
-		gatherValues(f, blocks[bi], buf)
-		for i, v := range buf {
-			ibuf[i] = int64(math.Round(v * scale))
+		clear(buf)
+		w := blocks[bi].Cells(st)
+		for w.Next() {
+			buf[cellPos(w.Local())] = int64(math.Round(f.Data[w.Flat] * scale))
 		}
-		fwdBlock(ibuf, rank)
-		for _, c := range ibuf {
+		fwdBlock(buf, rank)
+		for _, c := range buf {
 			samples = append(samples, float64(c)/scale)
 		}
 	}
 	return core.NewProfileFromSamples(TransformKind, samples, f.Dims,
 		f.Len(), f.Prec.Bits(), hi-lo, dataVar, opts)
-}
-
-// gatherValues copies a block of original values with zero padding.
-func gatherValues(f *grid.Field, b box, buf []float64) {
-	rank := f.Rank()
-	st := f.Strides()
-	local := make([]int, rank)
-	for idx := range buf {
-		rem := idx
-		inside := true
-		flat := 0
-		for ax := rank - 1; ax >= 0; ax-- {
-			local[ax] = rem % BlockEdge
-			rem /= BlockEdge
-		}
-		for ax := 0; ax < rank; ax++ {
-			c := b.origin[ax] + local[ax]
-			if c >= f.Dims[ax] {
-				inside = false
-				break
-			}
-			flat += c * st[ax]
-		}
-		if inside {
-			buf[idx] = f.Data[flat]
-		} else {
-			buf[idx] = 0
-		}
-	}
 }

@@ -15,14 +15,20 @@
 // Because stage 1 fixes the error and stages 2–3 are lossless, the codec is
 // error-bounded for any input. The ratio-quality model extends to it by
 // sampling block coefficients instead of prediction errors (see model.go).
+//
+// The codec owns only its transform and its coefficient coding. The blocks
+// are grid.Blocks(dims, BlockEdge) and a block's cells are visited with
+// grid's cell walk — the tiling the regression predictor and windowed SSIM
+// use — and the container is parsed with grid.Cursor, as the prediction
+// codec's is: every blob is a bounds-checked subslice of the input, and a
+// shape with more padded coefficients than the payload has bits is refused
+// before anything is sized by it.
 package transform
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
 
@@ -138,6 +144,17 @@ func classOf(v int64) uint32 {
 	return uint32(bits.Len64(u))
 }
 
+// cellPos is the row-major index, in a 4^rank block buffer, of the cell at
+// block-local coordinates local: Σ local[a]·4^(rank−1−a). Cells a block
+// clipped at the field's edge lacks stay zero.
+func cellPos(local []int) int {
+	p := 0
+	for _, l := range local {
+		p = p*BlockEdge + l
+	}
+	return p
+}
+
 // Compress encodes f under an absolute error bound.
 func Compress(f *grid.Field, opts Options) (*Result, error) {
 	if f == nil || f.Len() == 0 {
@@ -151,174 +168,134 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("transform: unsupported rank %d", rank)
 	}
 	step := 2 * opts.ErrorBound
-	// Quantize the whole field; reject values whose codes overflow the
-	// int64 budget the transform needs (the transform can grow magnitudes
-	// by ~2 bits per level; keep codes under 2^55).
-	codes := make([]int64, f.Len())
-	for i, v := range f.Data {
-		c := math.Round(v / step)
-		if math.Abs(c) > 1<<55 || math.IsNaN(c) {
-			return nil, fmt.Errorf("transform: value %g too large for bound %g", v, opts.ErrorBound)
+	blockLen := 1 << (2 * rank)
+	blocks := grid.Blocks(f.Dims, BlockEdge)
+	st := f.Strides()
+	coeffs := make([]int64, len(blocks)*blockLen)
+	var counts [65]int64 // one slot per bits.Len64 value
+	for bi, b := range blocks {
+		blk := coeffs[bi*blockLen : (bi+1)*blockLen]
+		w := b.Cells(st)
+		for w.Next() {
+			// Reject values whose codes overflow the int64 budget the
+			// transform needs (it can grow magnitudes by ~2 bits per level;
+			// keep codes under 2^55).
+			c := math.Round(f.Data[w.Flat] / step)
+			if math.Abs(c) > 1<<55 || math.IsNaN(c) {
+				return nil, fmt.Errorf("transform: value %g too large for bound %g", f.Data[w.Flat], opts.ErrorBound)
+			}
+			blk[cellPos(w.Local())] = int64(c)
 		}
-		codes[i] = int64(c)
-	}
-
-	blocks := blockList(f.Dims)
-	buf := make([]int64, 1<<(2*rank))
-	coeffs := make([]int64, 0, len(codes))
-	for _, b := range blocks {
-		gather(codes, f.Dims, b, buf)
-		fwdBlock(buf, rank)
-		coeffs = append(coeffs, buf[:1<<(2*rank)]...)
+		fwdBlock(blk, rank)
+		for _, c := range blk {
+			counts[classOf(c)]++
+		}
 	}
 
 	// Entropy code: Huffman over classes, raw extra bits.
-	classes := make([]uint32, len(coeffs))
-	var counts [65]int64 // one slot per bits.Len64 value
-	var lut [65]uint64
-	for i, c := range coeffs {
-		classes[i] = classOf(c)
-		counts[classes[i]]++
-	}
 	cb, err := huffman.BuildDense(counts[:], nil)
 	if err != nil {
 		return nil, err
 	}
 	defer cb.Release()
 	codebook := cb.Serialize()
+	var lut [65]uint64
 	cb.FillLUT(lut[:])
 	bw := bitio.NewWriter(len(coeffs) / 2)
-	var classBits uint64
-	for i, c := range coeffs {
-		if err := cb.EncodeLUT(bw, classes[i:i+1], lut[:]); err != nil {
-			return nil, err
-		}
-		if cl := classes[i]; cl > 0 {
-			u := uint64(c)
-			neg := uint64(0)
+	for _, c := range coeffs {
+		cl := classOf(c)
+		bw.WriteBits(lut[cl]>>8, uint(lut[cl]&0xff)) // code<<8 | length
+		if cl > 0 {
+			u, neg := uint64(c), uint64(0)
 			if c < 0 {
-				u = uint64(-c)
-				neg = 1
+				u, neg = uint64(-c), 1
 			}
 			bw.WriteBits(neg, 1)
-			if cl > 1 {
-				// Implicit leading one: emit the low cl-1 bits.
-				bw.WriteBits(u&((1<<(cl-1))-1), uint(cl-1))
-			}
+			// Implicit leading one: emit the low cl-1 bits.
+			bw.WriteBits(u&(1<<(cl-1)-1), uint(cl-1))
 		}
 	}
-	classBits = bw.Bits()
+	classBits := bw.Bits()
 	payload := bw.Bytes()
 
-	var out bytes.Buffer
-	w := func(v interface{}) { _ = binary.Write(&out, binary.LittleEndian, v) }
-	w(uint32(containerMagic))
-	w(opts.ErrorBound)
-	w(uint8(f.Prec))
-	w(uint8(rank))
-	for _, d := range f.Dims {
-		w(uint64(d))
-	}
-	name := []byte(f.Name)
+	name := f.Name
 	if len(name) > 65535 {
 		name = name[:65535]
 	}
-	w(uint16(len(name)))
-	out.Write(name)
-	w(uint32(len(codebook)))
-	out.Write(codebook)
-	w(uint32(len(payload)))
-	out.Write(payload)
+	le := binary.LittleEndian
+	out := make([]byte, 0, 4+8+2+8*rank+2+len(name)+4+len(codebook)+4+len(payload))
+	out = le.AppendUint32(out, containerMagic)
+	out = le.AppendUint64(out, math.Float64bits(opts.ErrorBound))
+	out = append(out, uint8(f.Prec), uint8(rank))
+	for _, d := range f.Dims {
+		out = le.AppendUint64(out, uint64(d))
+	}
+	out = le.AppendUint16(out, uint16(len(name)))
+	out = append(out, name...)
+	out = le.AppendUint32(out, uint32(len(codebook)))
+	out = append(out, codebook...)
+	out = le.AppendUint32(out, uint32(len(payload)))
+	out = append(out, payload...)
 
-	st := Stats{
+	return &Result{Bytes: out, Stats: Stats{
 		N:                f.Len(),
 		OriginalBytes:    f.OriginalBytes(),
-		CompressedBytes:  int64(out.Len()),
-		BitRate:          float64(out.Len()) * 8 / float64(f.Len()),
-		Ratio:            float64(f.OriginalBytes()) / float64(out.Len()),
+		CompressedBytes:  int64(len(out)),
+		BitRate:          float64(len(out)) * 8 / float64(f.Len()),
+		Ratio:            float64(f.OriginalBytes()) / float64(len(out)),
 		PayloadBits:      classBits,
 		ClassEntropyBits: classBits,
-	}
-	return &Result{Bytes: out.Bytes(), Stats: st}, nil
+	}}, nil
 }
 
-// Decompress reconstructs a field compressed by Compress.
+// Decompress reconstructs a field compressed by Compress. The parse is a
+// grid.Cursor over data: the name, codebook and payload are subslices of
+// data, and nothing is sized by the declared shape until the payload is
+// known to hold it.
 func Decompress(data []byte) (*grid.Field, error) {
-	r := bytes.NewReader(data)
-	rd := func(v interface{}) error { return binary.Read(r, binary.LittleEndian, v) }
-	var magic uint32
-	if err := rd(&magic); err != nil || magic != containerMagic {
+	c := grid.NewCursor(data)
+	if c.U32() != containerMagic {
 		return nil, errors.New("transform: bad magic")
 	}
-	var eb float64
-	var prec, rank uint8
-	if err := rd(&eb); err != nil {
+	eb := c.F64()
+	prec := c.U8()
+	dims, _ := c.Dims()
+	name := c.Take(int(c.U16()))
+	cbBytes := c.Blob()
+	payload := c.Blob()
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
-	if err := rd(&prec); err != nil {
-		return nil, err
-	}
-	if err := rd(&rank); err != nil {
-		return nil, err
-	}
-	if rank < 1 || rank > 4 {
-		return nil, fmt.Errorf("transform: bad rank %d", rank)
-	}
-	dims := make([]int, rank)
-	for i := range dims {
-		var d uint64
-		if err := rd(&d); err != nil {
-			return nil, err
+	// A class code costs at least one bit, so a payload with fewer bits than
+	// the shape has padded coefficients cannot hold it: refuse before
+	// anything is sized by the shape.
+	coeffs := 1
+	for _, d := range dims {
+		e := (d + BlockEdge - 1) / BlockEdge * BlockEdge
+		if e > 8*len(payload)/coeffs {
+			return nil, fmt.Errorf("%w: shape %v outgrows a %d-byte payload", grid.ErrTruncated, dims, len(payload))
 		}
-		if d == 0 || d > 1<<32 {
-			return nil, fmt.Errorf("transform: bad dimension %d", d)
-		}
-		dims[i] = int(d)
-	}
-	var nameLen uint16
-	if err := rd(&nameLen); err != nil {
-		return nil, err
-	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, name); err != nil {
-		return nil, err
-	}
-	var cbLen uint32
-	if err := rd(&cbLen); err != nil {
-		return nil, err
-	}
-	cbBytes := make([]byte, cbLen)
-	if _, err := io.ReadFull(r, cbBytes); err != nil {
-		return nil, err
+		coeffs *= e
 	}
 	cb, _, err := huffman.Parse(cbBytes)
 	if err != nil {
 		return nil, err
 	}
 	defer cb.Release()
-	var payLen uint32
-	if err := rd(&payLen); err != nil {
-		return nil, err
-	}
-	payload := make([]byte, payLen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
 
 	f, err := grid.New(string(name), grid.Precision(prec), dims...)
 	if err != nil {
 		return nil, err
 	}
-	blocks := blockList(dims)
-	blockLen := 1 << (2 * rank)
+	rank := len(dims)
+	buf := make([]int64, 1<<(2*rank))
+	var cls [1]uint32
 	br := bitio.NewReader(payload)
-	buf := make([]int64, blockLen)
-	cls := make([]uint32, 1)
-	codes := make([]int64, f.Len())
 	step := 2 * eb
-	for _, b := range blocks {
-		for i := 0; i < blockLen; i++ {
-			if err := cb.Decode(br, cls); err != nil {
+	st := f.Strides()
+	for _, b := range grid.Blocks(dims, BlockEdge) {
+		for i := range buf {
+			if err := cb.Decode(br, cls[:]); err != nil {
 				return nil, err
 			}
 			cl := cls[0]
@@ -333,127 +310,20 @@ func Decompress(data []byte) (*grid.Field, error) {
 			if err != nil {
 				return nil, err
 			}
-			var low uint64
-			if cl > 1 {
-				low, err = br.ReadBits(uint(cl - 1))
-				if err != nil {
-					return nil, err
-				}
+			low, err := br.ReadBits(uint(cl - 1))
+			if err != nil {
+				return nil, err
 			}
-			v := int64(1)<<(cl-1) | int64(low)
+			buf[i] = int64(1)<<(cl-1) | int64(low)
 			if neg == 1 {
-				v = -v
+				buf[i] = -buf[i]
 			}
-			buf[i] = v
 		}
-		invBlock(buf, int(rank))
-		scatter(codes, dims, b, buf)
-	}
-	for i, c := range codes {
-		f.Data[i] = float64(c) * step
+		invBlock(buf, rank)
+		w := b.Cells(st)
+		for w.Next() {
+			f.Data[w.Flat] = float64(buf[cellPos(w.Local())]) * step
+		}
 	}
 	return f, nil
-}
-
-// box is one 4^rank block with clipping info.
-type box struct {
-	origin []int
-}
-
-// blockList enumerates block origins on the BlockEdge grid.
-func blockList(dims []int) []box {
-	rank := len(dims)
-	counts := make([]int, rank)
-	total := 1
-	for i, d := range dims {
-		counts[i] = (d + BlockEdge - 1) / BlockEdge
-		total *= counts[i]
-	}
-	out := make([]box, 0, total)
-	coord := make([]int, rank)
-	for {
-		b := box{origin: make([]int, rank)}
-		for i := range coord {
-			b.origin[i] = coord[i] * BlockEdge
-		}
-		out = append(out, b)
-		i := rank - 1
-		for ; i >= 0; i-- {
-			coord[i]++
-			if coord[i] < counts[i] {
-				break
-			}
-			coord[i] = 0
-		}
-		if i < 0 {
-			return out
-		}
-	}
-}
-
-// gather copies a block into buf (row-major 4^rank), zero-padding outside
-// the field.
-func gather(codes []int64, dims []int, b box, buf []int64) {
-	rank := len(dims)
-	st := make([]int, rank)
-	acc := 1
-	for i := rank - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= dims[i]
-	}
-	local := make([]int, rank)
-	for idx := range buf {
-		rem := idx
-		inside := true
-		flat := 0
-		for ax := rank - 1; ax >= 0; ax-- {
-			local[ax] = rem % BlockEdge
-			rem /= BlockEdge
-		}
-		for ax := 0; ax < rank; ax++ {
-			c := b.origin[ax] + local[ax]
-			if c >= dims[ax] {
-				inside = false
-				break
-			}
-			flat += c * st[ax]
-		}
-		if inside {
-			buf[idx] = codes[flat]
-		} else {
-			buf[idx] = 0
-		}
-	}
-}
-
-// scatter writes a block of codes back, skipping padded cells.
-func scatter(codes []int64, dims []int, b box, buf []int64) {
-	rank := len(dims)
-	st := make([]int, rank)
-	acc := 1
-	for i := rank - 1; i >= 0; i-- {
-		st[i] = acc
-		acc *= dims[i]
-	}
-	local := make([]int, rank)
-	for idx := range buf {
-		rem := idx
-		inside := true
-		flat := 0
-		for ax := rank - 1; ax >= 0; ax-- {
-			local[ax] = rem % BlockEdge
-			rem /= BlockEdge
-		}
-		for ax := 0; ax < rank; ax++ {
-			c := b.origin[ax] + local[ax]
-			if c >= dims[ax] {
-				inside = false
-				break
-			}
-			flat += c * st[ax]
-		}
-		if inside {
-			codes[flat] = buf[idx]
-		}
-	}
 }

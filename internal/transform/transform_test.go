@@ -1,7 +1,10 @@
 package transform
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +12,7 @@ import (
 	"rqm/internal/core"
 	"rqm/internal/datagen"
 	"rqm/internal/grid"
+	"rqm/internal/huffman"
 	"rqm/internal/predictor"
 	"rqm/internal/quality"
 	"rqm/internal/stats"
@@ -319,5 +323,77 @@ func BenchmarkTransformDecompress(b *testing.B) {
 		if _, err := Decompress(res.Bytes); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// hostileContainers are two native containers that declare far more than
+// they hold: a 31-byte one whose codebook length says 2 GiB, and a 47-byte
+// one declaring 2^15×2^14 values over a one-class codebook and a 4-byte
+// payload.
+func hostileContainers() (bigCodebook, bigShape []byte) {
+	le := binary.LittleEndian
+	head := func(dims ...uint64) []byte {
+		b := le.AppendUint32(nil, containerMagic)
+		b = le.AppendUint64(b, math.Float64bits(1e-3))
+		b = append(b, byte(grid.Float32), byte(len(dims)))
+		for _, d := range dims {
+			b = le.AppendUint64(b, d)
+		}
+		return le.AppendUint16(b, 0) // no name
+	}
+	bigCodebook = append(le.AppendUint32(head(64), 1<<31), 1, 1, 1)
+	bigShape = append(le.AppendUint32(head(1<<15, 1<<14), 3), 1, 1, 1)
+	bigShape = append(le.AppendUint32(bigShape, 4), 0, 0, 0, 0)
+	return bigCodebook, bigShape
+}
+
+// TestDecompressRefusesHostileShapes: nothing is sized by a declared length
+// or shape the bytes cannot hold. Both hostile containers fail with
+// grid.ErrTruncated having allocated under 1 MiB.
+func TestDecompressRefusesHostileShapes(t *testing.T) {
+	bigCodebook, bigShape := hostileContainers()
+	if len(bigCodebook) != 31 || len(bigShape) != 47 {
+		t.Fatalf("hostile containers are %d and %d bytes, want 31 and 47", len(bigCodebook), len(bigShape))
+	}
+	// The 47-byte container's codebook is valid: only its shape is a lie.
+	if _, _, err := huffman.Parse(bigShape[36:39]); err != nil {
+		t.Fatalf("the hostile shape's codebook does not parse: %v", err)
+	}
+	for name, data := range map[string][]byte{"2 GiB codebook": bigCodebook, "2^15×2^14 values": bigShape} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decompress(data)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, grid.ErrTruncated) {
+			t.Errorf("%s: %v, want grid.ErrTruncated", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Errorf("%s: Decompress allocated %d bytes before refusing %d bytes", name, grew, len(data))
+		}
+	}
+}
+
+// TestDecompressAllocations bounds a whole-field decode to a fixed number
+// of allocations: the field, the tiling, one block buffer and the codebook
+// — nothing per block or per value.
+func TestDecompressAllocations(t *testing.T) {
+	f := pinField(t, 33, 17, 9)
+	res, err := Compress(f, Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := testing.AllocsPerRun(5, func() {
+		if _, err := Decompress(res.Bytes); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 16 {
+		t.Errorf("Decompress made %v allocations, want at most 16", a)
+	}
+	if a := testing.AllocsPerRun(5, func() {
+		if _, err := Compress(f, Options{ErrorBound: 1e-3}); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 32 {
+		t.Errorf("Compress made %v allocations, want at most 32", a)
 	}
 }

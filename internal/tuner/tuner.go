@@ -456,37 +456,6 @@ func TAESelectErrorBound(f *grid.Field, c codec.Codec, copts codec.Options,
 	return out, nil
 }
 
-// TAESelectPredictor compresses with every candidate at the given bound and
-// returns the predictor with the best measured ratio, with full-run cost.
-func TAESelectPredictor(f *grid.Field, kinds []predictor.Kind, absEB float64) (predictor.Kind, *TAEOutcome, error) {
-	if len(kinds) == 0 {
-		return 0, nil, errors.New("tuner: no candidate predictors")
-	}
-	c, err := codec.ByID(codec.IDPrediction)
-	if err != nil {
-		return 0, nil, err
-	}
-	start := time.Now()
-	best := kinds[0]
-	bestRatio := -1.0
-	out := &TAEOutcome{ErrorBound: absEB, PSNR: math.NaN()}
-	for _, k := range kinds {
-		out.Trials++
-		res, err := codec.Compress(c, f, codec.Options{
-			Predictor: k, Mode: compressor.ABS, ErrorBound: absEB,
-		})
-		if err != nil {
-			return 0, nil, err
-		}
-		if res.Stats.Ratio > bestRatio {
-			bestRatio = res.Stats.Ratio
-			best = k
-		}
-	}
-	out.Elapsed = time.Since(start)
-	return best, out, nil
-}
-
 // CodecChoice records one codec's modeled performance at a quality target.
 type CodecChoice struct {
 	// Codec is the candidate backend.

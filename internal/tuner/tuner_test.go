@@ -289,28 +289,6 @@ func TestTAESelectErrorBoundNoCandidateMeets(t *testing.T) {
 	}
 }
 
-func TestTAESelectPredictor(t *testing.T) {
-	f := field(t, "cesm/TS")
-	lo, hi := f.ValueRange()
-	kinds := []predictor.Kind{predictor.Lorenzo, predictor.Interpolation}
-	best, out, err := TAESelectPredictor(f, kinds, (hi-lo)*1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Trials != 2 {
-		t.Fatalf("trials = %d", out.Trials)
-	}
-	found := false
-	for _, k := range kinds {
-		if k == best {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("best = %v not among candidates", best)
-	}
-}
-
 func TestSelectCodecRanksAllRegisteredBackends(t *testing.T) {
 	f := field(t, "nyx/temperature")
 	choices, err := SelectCodec(f, codec.All(), 60, codec.Options{Predictor: predictor.Lorenzo}, modelOpts)
