@@ -57,7 +57,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
@@ -380,19 +379,10 @@ func decompressStream(in, out string, workers int) {
 	dst, err := os.Create(out)
 	must(err)
 	if len(hdr.Dims) > 0 {
-		// Shape known up front: stream samples directly to disk.
-		want := hdr.TotalFromDims()
+		// Shape known up front: stream samples directly to disk. A stream
+		// that breaks the shape's promise leaves no field file behind.
 		bw := bufio.NewWriterSize(dst, 1<<20)
-		_, err = grid.WriteHeader(bw, hdr.Prec, hdr.Dims)
-		if err == nil {
-			_, err = io.Copy(bw, r)
-		}
-		if err == nil && r.Values() != want {
-			// The written header promised the shape; a mismatched stream
-			// would leave a corrupt field file behind.
-			err = fmt.Errorf("stream decodes to %d values, header shape %v declares %d",
-				r.Values(), hdr.Dims, want)
-		}
+		_, err = r.WriteField(bw)
 		if err == nil {
 			err = bw.Flush()
 		}
@@ -991,32 +981,21 @@ func scanValueRange(path string) (lo, hi float64) {
 	defer fh.Close()
 	prec, _, err := grid.ReadHeader(fh)
 	must(err)
-	width := prec.Bits() / 8
 	br := bufio.NewReaderSize(fh, 1<<20)
-	buf := make([]byte, 4096*width)
+	buf := make([]byte, 4096*prec.Bits()/8)
+	vals := make([]float64, 0, 4096)
 	lo, hi = math.Inf(1), math.Inf(-1)
-	rem := 0
 	for {
-		n, rerr := br.Read(buf[rem:])
-		total := rem + n
-		full := total / width * width
-		for off := 0; off < full; off += width {
-			var v float64
-			if prec == grid.Float32 {
-				v = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
-			} else {
-				v = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-			}
-			if v < lo {
+		n, rerr := io.ReadFull(br, buf)
+		for _, v := range grid.DecodeSamples(vals, prec, buf[:n]) {
+			if v < lo { // not min/max: a NaN sample must not become the range
 				lo = v
 			}
 			if v > hi {
 				hi = v
 			}
 		}
-		copy(buf, buf[full:total])
-		rem = total - full
-		if rerr == io.EOF {
+		if rerr == io.EOF || rerr == io.ErrUnexpectedEOF {
 			break
 		}
 		must(rerr)

@@ -201,18 +201,23 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 		}
 		seeds = append(seeds, sealed)
 	}
-	return seeds
+	// A stream header whose dimensions each pass a per-axis check but whose
+	// value count overflows.
+	return append(seeds, overflowingContainer(f))
 }
 
 // FuzzDecompress asserts the container parsers never panic: every input —
-// valid, truncated, or mutated — must come back as a field or an error.
+// valid, truncated, or mutated — must come back as a field or an error. The
+// indexed reader (ReadStreamIndex, then ReadStreamChunk on every entry) runs
+// too, and when it and the sequential reader both accept an input they must
+// decode it to the same values, bit for bit.
 func FuzzDecompress(f *testing.F) {
 	for _, seed := range fuzzSeedContainers(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Decompress and Inspect must return, not panic; errors are expected.
-		_, _ = rqm.Decompress(data)
+		field, err := rqm.Decompress(data)
 		_, _ = rqm.Inspect(data)
 		if r, err := rqm.NewReader(bytes.NewReader(data)); err == nil {
 			for i := 0; i < 1<<16; i++ {
@@ -221,6 +226,24 @@ func FuzzDecompress(f *testing.F) {
 				}
 			}
 			_ = r.Close()
+		}
+		idx, ierr := rqm.ReadStreamIndex(bytes.NewReader(data))
+		var indexed []float64
+		for i := 0; ierr == nil && i < len(idx.Entries); i++ {
+			var vals []float64
+			vals, ierr = rqm.ReadStreamChunk(bytes.NewReader(data), idx.Entries[i])
+			indexed = append(indexed, vals...)
+		}
+		if err != nil || ierr != nil {
+			return
+		}
+		if len(indexed) != field.Len() {
+			t.Fatalf("indexed reader decodes %d values, sequential %d", len(indexed), field.Len())
+		}
+		for i, v := range indexed {
+			if math.Float64bits(v) != math.Float64bits(field.Data[i]) {
+				t.Fatalf("value %d: indexed reader %v, sequential %v", i, v, field.Data[i])
+			}
 		}
 	})
 }

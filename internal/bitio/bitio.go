@@ -45,17 +45,6 @@ func (w *Writer) WriteBits(v uint64, width uint) {
 	}
 }
 
-// WriteBit writes a single bit (0 or 1).
-func (w *Writer) WriteBit(b uint) {
-	w.WriteBits(uint64(b&1), 1)
-}
-
-// WriteUint64 writes a full 64-bit value MSB-first.
-func (w *Writer) WriteUint64(v uint64) {
-	w.WriteBits(v>>32, 32)
-	w.WriteBits(v&0xFFFFFFFF, 32)
-}
-
 // Bits reports the total number of bits written so far.
 func (w *Writer) Bits() uint64 { return w.bits }
 
@@ -148,25 +137,6 @@ func (r *Reader) ReadBits(width uint) (uint64, error) {
 	w.Bits <<= width
 	w.N -= width
 	return v, nil
-}
-
-// ReadBit reads a single bit.
-func (r *Reader) ReadBit() (uint, error) {
-	v, err := r.ReadBits(1)
-	return uint(v), err
-}
-
-// ReadUint64 reads a full 64-bit value MSB-first.
-func (r *Reader) ReadUint64() (uint64, error) {
-	hi, err := r.ReadBits(32)
-	if err != nil {
-		return 0, err
-	}
-	lo, err := r.ReadBits(32)
-	if err != nil {
-		return 0, err
-	}
-	return hi<<32 | lo, nil
 }
 
 // BitsRead reports the number of bits consumed so far.

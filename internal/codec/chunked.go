@@ -141,71 +141,71 @@ func IsChunked(data []byte) bool {
 
 // WriteStreamHeader serializes h, returning the byte count written.
 func WriteStreamHeader(w io.Writer, h *StreamHeader) (int64, error) {
-	if len(h.Dims) > 4 {
-		return 0, fmt.Errorf("%w: rank %d outside 0..4", ErrCorrupt, len(h.Dims))
-	}
-	for _, d := range h.Dims {
-		if d <= 0 {
-			return 0, fmt.Errorf("%w: dimension %d", ErrCorrupt, d)
+	if len(h.Dims) > 0 { // rank 0: shape unknown
+		if _, err := grid.ShapeLen(h.Dims); err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
 	}
 	if h.ChunkValues < 1 || h.ChunkValues > maxChunkValues {
 		return 0, fmt.Errorf("%w: chunk size %d values", ErrCorrupt, h.ChunkValues)
 	}
-	name := []byte(h.Name)
-	if len(name) > maxEnvelopeName {
-		name = name[:maxEnvelopeName]
-	}
-	var buf bytes.Buffer
-	le := func(v interface{}) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	le(envelopeMagic)
-	le(uint8(chunkedVersion))
-	le(uint8(h.CodecID))
-	le(uint8(h.Prec))
-	le(uint8(len(h.Dims)))
-	for _, d := range h.Dims {
-		le(uint64(d))
-	}
-	le(uint16(len(name)))
-	buf.Write(name)
-	le(uint32(h.ChunkValues))
-	n, err := w.Write(buf.Bytes())
+	b := make([]byte, 0, 8+8*len(h.Dims)+2+min(len(h.Name), maxEnvelopeName)+4)
+	b = appendHead(b, chunkedVersion, h.CodecID, h.Prec, h.Dims, h.Name)
+	b = binary.LittleEndian.AppendUint32(b, uint32(h.ChunkValues))
+	n, err := w.Write(b)
 	return int64(n), err
+}
+
+// readSpan reads the next len(span) bytes of a frame and returns a cursor
+// over them: the streaming parsers read fixed-size spans and decode them as
+// Open decodes an in-memory envelope. A frame cut short is ErrTruncated.
+func readSpan(r io.Reader, span []byte, what string) (grid.Cursor, error) {
+	if _, err := io.ReadFull(r, span); err != nil {
+		return grid.Cursor{}, fmt.Errorf("%w: container ends mid-%s", ErrTruncated, what)
+	}
+	return grid.NewCursor(span), nil
 }
 
 // readStreamHeader parses a stream header, returning it and the byte count
 // consumed. Parse failures wrap the typed container errors.
 func readStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
-	cr := &countReader{r: r}
-	var magic uint32
-	var version, id, prec, rank uint8
-	if err := readLE(cr, &magic, &version, &id, &prec, &rank); err != nil {
-		return nil, cr.n, err
+	var span [8]byte
+	c, err := readSpan(r, span[:], "header")
+	if err != nil {
+		return nil, 0, err
 	}
+	magic, version, id, prec, rank := c.U32(), c.U8(), c.U8(), c.U8(), int(c.U8())
 	if magic != envelopeMagic {
-		return nil, cr.n, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
+		return nil, 0, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
 	}
 	if version != chunkedVersion {
-		return nil, cr.n, fmt.Errorf("%w: version %d, chunked streams are version %d",
+		return nil, 0, fmt.Errorf("%w: version %d, chunked streams are version %d",
 			ErrUnsupportedVersion, version, chunkedVersion)
 	}
 	if p := grid.Precision(prec); p != grid.Float32 && p != grid.Float64 {
-		return nil, cr.n, fmt.Errorf("%w: precision %d", ErrCorrupt, prec)
+		return nil, 0, fmt.Errorf("%w: precision %d", ErrCorrupt, prec)
 	}
-	dims, err := readDims(cr, rank, 0)
-	if err != nil {
-		return nil, cr.n, err
+	var dims []int
+	if rank != 0 { // rank 0: shape unknown, the stream is 1-D
+		dims, _, err = grid.AppendShape(make([]int, 0, 4), rank, func() (uint64, error) {
+			c, err := readSpan(r, span[:], "dims")
+			return c.U64(), err
+		})
+		if err != nil {
+			return nil, 0, frameErr(err)
+		}
 	}
-	name, err := readName(cr)
-	if err != nil {
-		return nil, cr.n, err
+	if c, err = readSpan(r, span[:2], "name"); err != nil {
+		return nil, 0, err
 	}
-	var chunkValues uint32
-	if err := readLE(cr, &chunkValues); err != nil {
-		return nil, cr.n, err
+	tail := make([]byte, int(c.U16())+4) // the name, then the chunk size
+	if c, err = readSpan(r, tail, "name"); err != nil {
+		return nil, 0, err
 	}
+	name := string(c.Take(len(tail) - 4))
+	chunkValues := c.U32()
 	if chunkValues == 0 {
-		return nil, cr.n, fmt.Errorf("%w: zero chunk size", ErrCorrupt)
+		return nil, 0, fmt.Errorf("%w: zero chunk size", ErrCorrupt)
 	}
 	return &StreamHeader{
 		CodecID:     ID(id),
@@ -213,7 +213,7 @@ func readStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
 		Dims:        dims,
 		Name:        name,
 		ChunkValues: int(chunkValues),
-	}, cr.n, nil
+	}, int64(8 + 8*len(dims) + 2 + len(tail)), nil
 }
 
 // WriteChunk serializes one chunk record, returning the byte count written.
@@ -224,13 +224,11 @@ func WriteChunk(w io.Writer, c *Chunk) (int64, error) {
 	if len(c.Payload) == 0 || len(c.Payload) > maxChunkPayload {
 		return 0, fmt.Errorf("%w: chunk payload of %d bytes", ErrCorrupt, len(c.Payload))
 	}
-	head := make([]byte, chunkHeadSize)
-	head[0] = tagChunk
-	head[1] = uint8(c.CodecID)
-	binary.LittleEndian.PutUint64(head[2:], uint64(math.Float64bits(c.AbsBound)))
-	binary.LittleEndian.PutUint32(head[10:], uint32(c.Values))
-	binary.LittleEndian.PutUint32(head[14:], uint32(len(c.Payload)))
-	binary.LittleEndian.PutUint32(head[18:], crc32.ChecksumIEEE(c.Payload))
+	head := append(make([]byte, 0, chunkHeadSize), tagChunk, uint8(c.CodecID))
+	head = binary.LittleEndian.AppendUint64(head, math.Float64bits(c.AbsBound))
+	head = binary.LittleEndian.AppendUint32(head, uint32(c.Values))
+	head = binary.LittleEndian.AppendUint32(head, uint32(len(c.Payload)))
+	head = binary.LittleEndian.AppendUint32(head, crc32.ChecksumIEEE(c.Payload))
 	if n, err := w.Write(head); err != nil {
 		return int64(n), err
 	}
@@ -243,17 +241,13 @@ func WriteChunk(w io.Writer, c *Chunk) (int64, error) {
 // length. The payload is read into pb — or, with skip set (it is then r
 // itself), seeked over, and the chunk comes back without one.
 func readChunk(r io.Reader, skip *bytes.Reader, pb *bytes.Buffer) (*Chunk, uint32, int, error) {
-	var head [chunkHeadSize - 1]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return nil, 0, 0, fmt.Errorf("%w: chunk record ends mid-header", ErrTruncated)
+	var span [chunkHeadSize - 1]byte
+	h, err := readSpan(r, span[:], "chunk head")
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	c := &Chunk{
-		CodecID:  ID(head[0]),
-		AbsBound: math.Float64frombits(binary.LittleEndian.Uint64(head[1:])),
-		Values:   int(binary.LittleEndian.Uint32(head[9:])),
-	}
-	payloadLen := binary.LittleEndian.Uint32(head[13:])
-	wantCRC := binary.LittleEndian.Uint32(head[17:])
+	c := &Chunk{CodecID: ID(h.U8()), AbsBound: h.F64(), Values: int(h.U32())}
+	payloadLen, wantCRC := h.U32(), h.U32()
 	if c.Values < 1 {
 		return nil, 0, 0, fmt.Errorf("%w: chunk declares %d values", ErrCorrupt, c.Values)
 	}
@@ -294,21 +288,19 @@ func VerifyChunk(c *Chunk, wantCRC uint32) error {
 // WriteTrailer serializes the trailer record and footer. trailerOffset is
 // the byte offset the trailer tag lands at (i.e. the bytes written so far).
 func WriteTrailer(w io.Writer, entries []IndexEntry, totalValues, trailerOffset int64) (int64, error) {
-	var buf bytes.Buffer
-	le := func(v interface{}) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	buf.WriteByte(tagTrailer)
-	le(uint32(len(entries)))
+	b := make([]byte, 0, 1+4+indexEntrySize*len(entries)+8+4+footerSize)
+	b = binary.LittleEndian.AppendUint32(append(b, tagTrailer), uint32(len(entries)))
 	for _, e := range entries {
-		le(uint64(e.Offset))
-		le(uint32(e.Values))
-		le(uint32(e.RecordBytes))
-		le(math.Float64bits(e.AbsBound))
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.Offset))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Values))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.RecordBytes))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.AbsBound))
 	}
-	le(uint64(totalValues))
-	le(crc32.ChecksumIEEE(buf.Bytes()))
-	le(uint64(trailerOffset))
-	le(footerMagic)
-	n, err := w.Write(buf.Bytes())
+	b = binary.LittleEndian.AppendUint64(b, uint64(totalValues))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+	b = binary.LittleEndian.AppendUint64(b, uint64(trailerOffset))
+	b = binary.LittleEndian.AppendUint32(b, footerMagic)
+	n, err := w.Write(b)
 	return int64(n), err
 }
 
@@ -318,37 +310,36 @@ func readTrailer(r io.Reader) ([]IndexEntry, int64, error) {
 	crc := crc32.NewIEEE()
 	crc.Write([]byte{tagTrailer})
 	tr := io.TeeReader(r, crc)
-	var count uint32
-	if err := readLE(tr, &count); err != nil {
+	var span [indexEntrySize]byte
+	c, err := readSpan(tr, span[:4], "trailer")
+	if err != nil {
 		return nil, 0, err
 	}
 	// Cap the preallocation: a corrupt count must not drive a huge
 	// allocation from a tiny input. Honest containers beyond the cap still
 	// parse — the slice just grows with the bytes actually read.
+	count := c.U32()
 	entries := make([]IndexEntry, 0, min(count, 1<<16))
-	var raw [indexEntrySize]byte
-	for i := uint32(0); i < count; i++ {
-		if _, err := io.ReadFull(tr, raw[:]); err != nil {
-			return nil, 0, fmt.Errorf("%w: trailer ends mid-index", ErrTruncated)
+	for range count {
+		if c, err = readSpan(tr, span[:], "index"); err != nil {
+			return nil, 0, err
 		}
 		entries = append(entries, IndexEntry{
-			Offset:      int64(binary.LittleEndian.Uint64(raw[:])),
-			Values:      int(binary.LittleEndian.Uint32(raw[8:])),
-			RecordBytes: int(binary.LittleEndian.Uint32(raw[12:])),
-			AbsBound:    math.Float64frombits(binary.LittleEndian.Uint64(raw[16:])),
+			Offset:      int64(c.U64()),
+			Values:      int(c.U32()),
+			RecordBytes: int(c.U32()),
+			AbsBound:    c.F64(),
 		})
 	}
-	var totalValues uint64
-	if err := readLE(tr, &totalValues); err != nil {
+	if c, err = readSpan(tr, span[:8], "trailer"); err != nil {
 		return nil, 0, err
 	}
-	want := crc.Sum32()
-	var gotCRC uint32
-	if err := readLE(r, &gotCRC); err != nil {
+	totalValues, want := c.U64(), crc.Sum32()
+	if c, err = readSpan(r, span[:4], "trailer"); err != nil {
 		return nil, 0, err
 	}
-	if gotCRC != want {
-		return nil, 0, fmt.Errorf("%w: trailer CRC 0x%08x, want 0x%08x", ErrChecksum, gotCRC, want)
+	if got := c.U32(); got != want {
+		return nil, 0, fmt.Errorf("%w: trailer CRC 0x%08x, want 0x%08x", ErrChecksum, got, want)
 	}
 	return entries, int64(totalValues), nil
 }
@@ -356,11 +347,12 @@ func readTrailer(r io.Reader) ([]IndexEntry, int64, error) {
 // readFooter parses the 12-byte footer after the trailer CRC, returning the
 // trailer offset it declares.
 func readFooter(r io.Reader) (int64, error) {
-	var off uint64
-	var magic uint32
-	if err := readLE(r, &off, &magic); err != nil {
+	var span [footerSize]byte
+	c, err := readSpan(r, span[:], "footer")
+	if err != nil {
 		return 0, err
 	}
+	off, magic := c.U64(), c.U32()
 	if magic != footerMagic {
 		return 0, fmt.Errorf("%w: footer magic 0x%08x", ErrCorrupt, magic)
 	}
@@ -591,19 +583,10 @@ func (h *StreamHeader) ValueBuffer() []float64 {
 }
 
 // TotalFromDims returns the sample count the header's shape implies, or 0
-// when the shape is unknown.
-func (h *StreamHeader) TotalFromDims() int64 { return ShapeValues(h.Dims) }
-
-// ShapeValues is the sample count a shape implies (0 = no/unknown shape).
-func ShapeValues(dims []int) int64 {
-	if len(dims) == 0 {
-		return 0
-	}
-	total := int64(1)
-	for _, d := range dims {
-		total *= int64(d)
-	}
-	return total
+// when the shape is unknown (rank 0).
+func (h *StreamHeader) TotalFromDims() int64 {
+	n, _ := grid.ShapeLen(h.Dims)
+	return int64(n)
 }
 
 // LoadIndex reads the trailer index of a chunked container through its
@@ -718,16 +701,4 @@ func readChunkAt(rs io.ReadSeeker, e IndexEntry, pb *bytes.Buffer) (*Chunk, erro
 		return nil, fmt.Errorf("%w: record declares %+v, its index entry %+v", ErrCorrupt, head, e)
 	}
 	return c, nil
-}
-
-// countReader counts consumed bytes for offset accounting.
-type countReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"strings"
@@ -238,4 +239,24 @@ func TestOpenEnvelopeErrors(t *testing.T) {
 			t.Fatalf("Decompress: %v", err)
 		}
 	})
+}
+
+// TestSealOpenAgreeOnShapes: the envelope writer and reader judge a shape by
+// one rule — a 2^32 dimension seals and opens, one past it does neither.
+func TestSealOpenAgreeOnShapes(t *testing.T) {
+	sealed, err := Seal(IDPrediction, &grid.Field{Prec: grid.Float32, Dims: []int{1 << 32}}, []byte("p"))
+	if err != nil {
+		t.Fatalf("Seal of a 2^32 dimension: %v", err)
+	}
+	info, _, err := Open(sealed)
+	if err != nil || len(info.Dims) != 1 || info.Dims[0] != 1<<32 {
+		t.Fatalf("Open of what Seal wrote: %+v, %v", info, err)
+	}
+	if _, err := Seal(IDPrediction, &grid.Field{Prec: grid.Float32, Dims: []int{1<<32 + 1}}, []byte("p")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Seal of a 2^32+1 dimension: %v, want ErrCorrupt", err)
+	}
+	binary.LittleEndian.PutUint64(sealed[8:], 1<<32+1)
+	if _, _, err := Open(sealed); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open of a 2^32+1 dimension: %v, want ErrCorrupt", err)
+	}
 }

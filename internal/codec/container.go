@@ -1,11 +1,9 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 
 	"rqm/internal/grid"
 )
@@ -77,29 +75,42 @@ type Info struct {
 //	...     8         payload length (uint64 LE)
 //	...     len       native codec payload
 func Seal(id ID, f *grid.Field, payload []byte) ([]byte, error) {
-	if f == nil || f.Rank() < 1 || f.Rank() > 4 {
-		return nil, fmt.Errorf("%w: field rank outside 1..4", ErrCorrupt)
+	if f == nil {
+		return nil, fmt.Errorf("%w: no field", ErrCorrupt)
 	}
-	name := []byte(f.Name)
-	if len(name) > maxEnvelopeName {
-		name = name[:maxEnvelopeName]
+	if _, err := grid.ShapeLen(f.Dims); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + 64 + len(name))
-	w := func(v interface{}) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w(envelopeMagic)
-	w(uint8(envelopeVersion))
-	w(uint8(id))
-	w(uint8(f.Prec))
-	w(uint8(f.Rank()))
-	for _, d := range f.Dims {
-		w(uint64(d))
+	b := make([]byte, 0, 8+8*len(f.Dims)+2+min(len(f.Name), maxEnvelopeName)+8+len(payload))
+	b = appendHead(b, envelopeVersion, id, f.Prec, f.Dims, f.Name)
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(payload)))
+	return append(b, payload...), nil
+}
+
+// appendHead appends the frame prefix the envelope and the stream header
+// share: magic, version, codec ID, precision, rank, dims, and the name
+// (uint16 length + bytes, cut at maxEnvelopeName).
+func appendHead(b []byte, version uint8, id ID, prec grid.Precision, dims []int, name string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, envelopeMagic)
+	b = append(b, version, uint8(id), uint8(prec), uint8(len(dims)))
+	for _, d := range dims {
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
 	}
-	w(uint16(len(name)))
-	buf.Write(name)
-	w(uint64(len(payload)))
-	buf.Write(payload)
-	return buf.Bytes(), nil
+	name = name[:min(len(name), maxEnvelopeName)]
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(name)))
+	return append(b, name...)
+}
+
+// frameErr types a frame parse failure: a frame cut short is ErrTruncated,
+// any other failure (a shape outside grid's rule) ErrCorrupt.
+func frameErr(err error) error {
+	switch {
+	case errors.Is(err, ErrTruncated):
+		return err
+	case errors.Is(err, grid.ErrTruncated):
+		return fmt.Errorf("%w: %v", ErrTruncated, err)
+	}
+	return fmt.Errorf("%w: %v", ErrCorrupt, err)
 }
 
 // Open inspects a container, returning its routing info and the native
@@ -115,11 +126,11 @@ func Open(data []byte) (*Info, []byte, error) {
 	if magic := binary.LittleEndian.Uint32(data); magic != envelopeMagic {
 		return nil, nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
 	}
-	r := bytes.NewReader(data[4:])
-	var version, id, prec, rank uint8
-	if err := readLE(r, &version, &id, &prec, &rank); err != nil {
-		return nil, nil, err
+	if len(data) < 8 {
+		return nil, nil, fmt.Errorf("%w: %d bytes, need an 8-byte header", ErrTruncated, len(data))
 	}
+	c := grid.NewCursor(data[4:])
+	version, id, prec := c.U8(), c.U8(), c.U8()
 	if version == chunkedVersion {
 		return openChunked(data)
 	}
@@ -127,27 +138,20 @@ func Open(data []byte) (*Info, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: version %d, this build reads %d and %d",
 			ErrUnsupportedVersion, version, envelopeVersion, chunkedVersion)
 	}
-	dims, err := readDims(r, rank, 1)
-	if err != nil {
-		return nil, nil, err
+	dims, _ := c.Dims()
+	name := string(c.Take(int(c.U16())))
+	payloadLen := c.U64()
+	if err := c.Err(); err != nil {
+		return nil, nil, frameErr(err)
 	}
-	name, err := readName(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	var payloadLen uint64
-	if err := readLE(r, &payloadLen); err != nil {
-		return nil, nil, err
-	}
-	if payloadLen > uint64(r.Len()) {
+	if payloadLen > uint64(c.Len()) {
 		return nil, nil, fmt.Errorf("%w: payload declares %d bytes, %d remain",
-			ErrTruncated, payloadLen, r.Len())
+			ErrTruncated, payloadLen, c.Len())
 	}
-	if uint64(r.Len()) > payloadLen {
+	if uint64(c.Len()) > payloadLen {
 		return nil, nil, fmt.Errorf("%w: %d trailing bytes after payload",
-			ErrCorrupt, uint64(r.Len())-payloadLen)
+			ErrCorrupt, uint64(c.Len())-payloadLen)
 	}
-	payload := data[len(data)-int(payloadLen):]
 	info := &Info{
 		CodecID:      ID(id),
 		Version:      version,
@@ -156,10 +160,10 @@ func Open(data []byte) (*Info, []byte, error) {
 		Dims:         dims,
 		PayloadBytes: int(payloadLen),
 	}
-	if c, err := ByID(info.CodecID); err == nil {
-		info.CodecName = c.Name()
+	if backend, err := ByID(info.CodecID); err == nil {
+		info.CodecName = backend.Name()
 	}
-	return info, payload, nil
+	return info, c.Take(c.Len()), nil
 }
 
 // Decompress routes any container — enveloped or chunked — to its backend
@@ -186,48 +190,4 @@ func Decompress(data []byte) (*grid.Field, error) {
 func Inspect(data []byte) (*Info, error) {
 	info, _, err := Open(data)
 	return info, err
-}
-
-// readDims validates the rank (minRank..4) and reads that many uint64
-// dimensions; rank 0 — a stream of unknown shape — yields nil.
-func readDims(r io.Reader, rank, minRank uint8) ([]int, error) {
-	if rank < minRank || rank > 4 {
-		return nil, fmt.Errorf("%w: rank %d outside %d..4", ErrCorrupt, rank, minRank)
-	}
-	var dims []int
-	for i := 0; i < int(rank); i++ {
-		var d uint64
-		if err := readLE(r, &d); err != nil {
-			return nil, err
-		}
-		if d == 0 || d >= 1<<32 {
-			return nil, fmt.Errorf("%w: dimension %d", ErrCorrupt, d)
-		}
-		dims = append(dims, int(d))
-	}
-	return dims, nil
-}
-
-// readLE reads fixed-size little-endian values, mapping short reads to
-// ErrTruncated.
-func readLE(r io.Reader, vs ...interface{}) error {
-	for _, v := range vs {
-		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("%w: container ends mid-field", ErrTruncated)
-		}
-	}
-	return nil
-}
-
-// readName reads a uint16-prefixed name, mapping short reads to ErrTruncated.
-func readName(r io.Reader) (string, error) {
-	var n uint16
-	if err := readLE(r, &n); err != nil {
-		return "", err
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return "", fmt.Errorf("%w: header ends mid-name", ErrTruncated)
-	}
-	return string(b), nil
 }

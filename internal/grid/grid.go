@@ -3,8 +3,8 @@
 // ratio-quality model need: logical shape, stride math, block iteration, and
 // the original storage precision used for ratio accounting (a field loaded
 // from float32 data counts 32 bits per value when computing compression
-// ratios, exactly as the paper does). It also holds the one shape check and
-// the bounds-checked payload Cursor both native decoders parse with.
+// ratios, exactly as the paper does). It also holds the one shape rule, the
+// .rqmf sample codec, and the Cursor every frame and payload parses with.
 package grid
 
 import (
@@ -42,24 +42,42 @@ type Field struct {
 	Prec Precision
 }
 
-// shapeLen validates a shape (rank 1..4, positive dims, overflow-guarded
-// product) and returns its sample count — the single source of the shape
-// rules shared by New and FromData.
-func shapeLen(dims []int) (int, error) {
-	if len(dims) < 1 || len(dims) > 4 {
-		return 0, fmt.Errorf("grid: unsupported rank %d (want 1..4)", len(dims))
+// AppendShape is the one shape rule, for every shape written or read: rank
+// 1..4, every dimension 1..2^32, and the count's float64 bytes fit an int.
+// It appends the rank dimensions next yields to dst and returns them with
+// their count. next is called only while the shape holds, so a reader reads
+// nothing past a bad dimension; an error from next is returned as is.
+func AppendShape(dst []int, rank int, next func() (uint64, error)) ([]int, int, error) {
+	if rank < 1 || rank > 4 {
+		return nil, 0, fmt.Errorf("grid: bad rank %d", rank)
 	}
 	n := 1
-	for _, d := range dims {
-		if d <= 0 {
-			return 0, fmt.Errorf("grid: non-positive dimension %d", d)
+	for range rank {
+		d, err := next()
+		if err != nil {
+			return nil, 0, err
 		}
-		if n > math.MaxInt/d {
-			return 0, errors.New("grid: dimension product overflows")
+		if d == 0 || d > 1<<32 {
+			return nil, 0, fmt.Errorf("grid: bad dimension %d", int64(d))
 		}
-		n *= d
+		if uint64(n) > uint64(math.MaxInt/8)/d {
+			return nil, 0, errors.New("grid: dimension product overflows")
+		}
+		dst = append(dst, int(d))
+		n *= int(d)
 	}
-	return n, nil
+	return dst, n, nil
+}
+
+// ShapeLen judges dims by AppendShape's rule and returns their sample count.
+func ShapeLen(dims []int) (int, error) {
+	var judged [4]int
+	_, n, err := AppendShape(judged[:0], len(dims), func() (uint64, error) {
+		d := dims[0]
+		dims = dims[1:]
+		return uint64(d), nil
+	})
+	return n, err
 }
 
 // MaxPrealloc bounds the values a reader reserves room for on the strength
@@ -150,47 +168,27 @@ func (c *Cursor) F64() float64 { return math.Float64frombits(c.U64()) }
 // Blob reads a uint32 length prefix and returns that many bytes.
 func (c *Cursor) Blob() []byte { return c.Take(int(c.U32())) }
 
-// Dims reads a shape — a rank byte, then one uint64 per axis — and returns
-// it with its value count. The rank must be 1..4, every dimension 1..2^32,
-// and the count's float64 bytes must fit an int; this is the one shape check
-// of the native payloads. A shape that fails it fails the cursor (a read
-// after an earlier failure keeps that failure).
+// Dims reads a shape — a rank byte, then one uint64 per axis, judged by
+// AppendShape as they are read — and returns it with its value count. A bad
+// shape fails the cursor (after an earlier failure, that failure stands).
 func (c *Cursor) Dims() ([]int, int) {
-	rank := c.U8()
-	if rank < 1 || rank > 4 {
-		c.fail(fmt.Errorf("grid: bad rank %d", rank))
-		return nil, 0
-	}
-	dims := make([]int, rank)
-	n := 1
-	for i := range dims {
+	dims, n, err := AppendShape(make([]int, 0, 4), int(c.U8()), func() (uint64, error) {
 		d := c.U64()
-		if d == 0 || d > 1<<32 {
-			c.fail(fmt.Errorf("grid: bad dimension %d", d))
-			return nil, 0
-		}
-		if uint64(n) > uint64(math.MaxInt/8)/d {
-			c.fail(errors.New("grid: dimension product overflows"))
-			return nil, 0
-		}
-		dims[i] = int(d)
-		n *= dims[i]
+		return d, c.err
+	})
+	if err != nil {
+		c.fail(err)
 	}
 	return dims, n
 }
 
 // New allocates a zero-filled field with the given shape.
 func New(name string, prec Precision, dims ...int) (*Field, error) {
-	n, err := shapeLen(dims)
+	n, err := ShapeLen(dims)
 	if err != nil {
 		return nil, err
 	}
-	return &Field{
-		Name: name,
-		Dims: append([]int(nil), dims...),
-		Data: make([]float64, n),
-		Prec: prec,
-	}, nil
+	return FromData(name, prec, make([]float64, n), dims...)
 }
 
 // MustNew is New that panics on error; for tests and generators with
@@ -206,7 +204,7 @@ func MustNew(name string, prec Precision, dims ...int) *Field {
 // FromData wraps an existing buffer (no copy, no throwaway allocation);
 // len(data) must match the shape product.
 func FromData(name string, prec Precision, data []float64, dims ...int) (*Field, error) {
-	n, err := shapeLen(dims)
+	n, err := ShapeLen(dims)
 	if err != nil {
 		return nil, err
 	}
@@ -376,88 +374,99 @@ func (w *CellWalk) Local() []int { return w.local[:len(w.size)] }
 // binary layout magic for the on-disk raw field format (cmd/datagen output).
 const fieldMagic = 0x52514d46 // "RQMF"
 
-// WriteTo serializes the field: magic, precision, rank, dims, then samples in
-// the original precision (float32 values are stored as float32). Returns the
-// byte count written.
-func (f *Field) WriteTo(w io.Writer) (int64, error) {
-	n, err := WriteHeader(w, f.Prec, f.Dims)
-	if err != nil {
-		return n, err
-	}
-	if f.Prec == Float32 {
-		buf := make([]float32, len(f.Data))
-		for i, v := range f.Data {
-			buf[i] = float32(v)
+// sampleBuf is the size of the fixed buffer .rqmf samples pass through.
+const sampleBuf = 8 << 10
+
+// EncodeSamples appends vals to b as little-endian samples at prec — float32
+// for Float32, float64 otherwise. With DecodeSamples it is the one sample
+// codec of .rqmf bodies and of a stream's raw bytes.
+func EncodeSamples(b []byte, prec Precision, vals []float64) []byte {
+	for _, v := range vals {
+		if prec == Float32 {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(float32(v)))
+		} else {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
-		if err := binary.Write(w, binary.LittleEndian, buf); err != nil {
-			return n, err
-		}
-		n += int64(4 * len(buf))
-		return n, nil
 	}
-	if err := binary.Write(w, binary.LittleEndian, f.Data); err != nil {
-		return n, err
-	}
-	n += int64(8 * len(f.Data))
-	return n, nil
+	return b
 }
 
-// ReadHeader parses a WriteTo header — magic, precision, shape — and leaves
-// r positioned at the first sample, so callers can stream the sample
-// section instead of materializing the field (the raw samples follow as
-// little-endian values in the returned precision).
+// DecodeSamples appends the whole little-endian samples in b, at prec (see
+// EncodeSamples), to vals and returns the extended slice.
+func DecodeSamples(vals []float64, prec Precision, b []byte) []float64 {
+	if prec == Float32 {
+		for ; len(b) >= 4; b = b[4:] {
+			vals = append(vals, float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))
+		}
+		return vals
+	}
+	for ; len(b) >= 8; b = b[8:] {
+		vals = append(vals, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+	return vals
+}
+
+// WriteTo serializes the field: magic, precision, rank, dims, then samples in
+// the original precision (float32 values are stored as float32), encoded
+// through a fixed buffer. Returns the byte count written.
+func (f *Field) WriteTo(w io.Writer) (int64, error) {
+	n, err := WriteHeader(w, f.Prec, f.Dims)
+	buf := make([]byte, 0, sampleBuf)
+	for i := 0; err == nil && i < len(f.Data); i += sampleBuf / 8 {
+		var m int
+		m, err = w.Write(EncodeSamples(buf, f.Prec, f.Data[i:min(i+sampleBuf/8, len(f.Data))]))
+		n += int64(m)
+	}
+	return n, err
+}
+
+// ReadHeader parses a WriteTo header — magic, precision, shape — one 8-byte
+// span per field, and leaves r positioned at the first sample, so callers
+// can stream the sample section instead of materializing the field (the raw
+// samples follow as little-endian values in the returned precision).
 func ReadHeader(r io.Reader) (Precision, []int, error) {
-	var magic, meta uint64
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
+	h := new(struct { // one allocation: the span and the returned dims
+		span [8]byte
+		dims [4]int
+	})
+	next := func() (uint64, error) {
+		_, err := io.ReadFull(r, h.span[:])
+		return binary.LittleEndian.Uint64(h.span[:]), err
+	}
+	magic, err := next()
+	if err != nil {
 		return 0, nil, err
 	}
 	if magic != fieldMagic {
 		return 0, nil, fmt.Errorf("grid: bad magic %#x", magic)
 	}
-	if err := binary.Read(r, binary.LittleEndian, &meta); err != nil {
+	meta, err := next()
+	if err != nil {
 		return 0, nil, err
 	}
 	prec := Precision(meta >> 8)
-	rank := int(meta & 0xFF)
 	if prec != Float32 && prec != Float64 {
 		return 0, nil, fmt.Errorf("grid: bad precision %d", prec)
 	}
-	if rank < 1 || rank > 4 {
-		return 0, nil, fmt.Errorf("grid: bad rank %d", rank)
-	}
-	dims := make([]int, rank)
-	for i := range dims {
-		var d uint64
-		if err := binary.Read(r, binary.LittleEndian, &d); err != nil {
-			return 0, nil, err
-		}
-		if d == 0 || d > 1<<32 {
-			return 0, nil, fmt.Errorf("grid: bad dimension %d", d)
-		}
-		dims[i] = int(d)
-	}
-	return prec, dims, nil
+	dims, _, err := AppendShape(h.dims[:0], int(meta&0xFF), next)
+	return prec, dims, err
 }
 
 // WriteHeader writes the WriteTo header for a shape without its samples —
-// the streaming mirror of ReadHeader. Returns the byte count written.
+// the streaming mirror of ReadHeader — in one Write. Returns the byte count
+// written.
 func WriteHeader(w io.Writer, prec Precision, dims []int) (int64, error) {
-	if len(dims) < 1 || len(dims) > 4 {
-		return 0, fmt.Errorf("grid: unsupported rank %d (want 1..4)", len(dims))
+	if _, err := ShapeLen(dims); err != nil {
+		return 0, err
 	}
-	hdr := make([]uint64, 0, 2+len(dims))
-	hdr = append(hdr, fieldMagic, uint64(prec)<<8|uint64(len(dims)))
+	b := make([]byte, 0, 8*(2+len(dims)))
+	b = binary.LittleEndian.AppendUint64(b, fieldMagic)
+	b = binary.LittleEndian.AppendUint64(b, uint64(prec)<<8|uint64(len(dims)))
 	for _, d := range dims {
-		hdr = append(hdr, uint64(d))
+		b = binary.LittleEndian.AppendUint64(b, uint64(d))
 	}
-	var n int64
-	for _, h := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, h); err != nil {
-			return n, err
-		}
-		n += 8
-	}
-	return n, nil
+	n, err := w.Write(b)
+	return int64(n), err
 }
 
 // ReadFrom deserializes a field written by WriteTo. The header sizes
@@ -470,13 +479,10 @@ func ReadFrom(r io.Reader) (*Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := shapeLen(dims)
-	if err != nil {
-		return nil, err
-	}
+	n, _ := ShapeLen(dims) // ReadHeader judged the shape
 	width := prec.Bits() / 8
 	data := make([]float64, 0, min(n, MaxPrealloc))
-	buf := make([]byte, 8<<10)
+	buf := make([]byte, sampleBuf)
 	for len(data) < n {
 		b := buf[:min(n-len(data), len(buf)/width)*width]
 		if _, err := io.ReadFull(r, b); err != nil {
@@ -485,13 +491,7 @@ func ReadFrom(r io.Reader) (*Field, error) {
 			}
 			return nil, err
 		}
-		for ; len(b) > 0; b = b[width:] {
-			if prec == Float32 {
-				data = append(data, float64(math.Float32frombits(binary.LittleEndian.Uint32(b))))
-			} else {
-				data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(b)))
-			}
-		}
+		data = DecodeSamples(data, prec, b)
 	}
 	return &Field{Dims: dims, Data: data, Prec: prec}, nil
 }

@@ -155,6 +155,26 @@ func TestReadFromBytesPerValue(t *testing.T) {
 	}
 }
 
+// TestFramingAllocations: WriteTo encodes samples through one fixed buffer
+// (under 0.1 B/value of a 2^20-value field), and reading or writing a
+// header costs at most one allocation.
+func TestFramingAllocations(t *testing.T) {
+	for _, prec := range []Precision{Float32, Float64} {
+		f := MustNew("honest", prec, 64, 128, 128)
+		if perValue := float64(allocated(func() { _, _ = f.WriteTo(io.Discard) })) / float64(f.Len()); perValue > 0.1 {
+			t.Errorf("float%d: WriteTo allocated %.2f B/value, want under 0.1", prec, perValue)
+		}
+		hdr := rqmfHeader(prec, f.Dims...)
+		r := bytes.NewReader(nil)
+		if n := testing.AllocsPerRun(50, func() { r.Reset(hdr); _, _, _ = ReadHeader(r) }); n > 1 {
+			t.Errorf("float%d: ReadHeader makes %v allocations, want at most 1", prec, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { _, _ = WriteHeader(io.Discard, prec, f.Dims) }); n > 1 {
+			t.Errorf("float%d: WriteHeader makes %v allocations, want at most 1", prec, n)
+		}
+	}
+}
+
 // FuzzReadFrom: ReadFrom never panics; an accepted input is exactly its
 // header and samples, and WriteTo reproduces those bytes (a signaling
 // float32 NaN comes back quieted: widening to float64 sets the quiet bit).

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 
 	"rqm/internal/grid"
 	"rqm/internal/residual"
@@ -151,7 +152,7 @@ func (s *Service) handleDatasetPromote(req *request) error {
 	if err != nil {
 		return err
 	}
-	if f.Prec.Bits() != m.PrecBits || !equalDims(f.Dims, m.Dims) {
+	if f.Prec.Bits() != m.PrecBits || !slices.Equal(f.Dims, m.Dims) {
 		return errf(http.StatusConflict, "conflict",
 			"promotion body is %d-bit %v, dataset %q is %d-bit %v",
 			f.Prec.Bits(), f.Dims, name, m.PrecBits, m.Dims)
@@ -194,16 +195,4 @@ func (s *Service) handleDatasetDemote(req *request) error {
 	s.count(&s.demotes, 1)
 	w.Header().Set("X-RQM-Demote", "demoted")
 	return writeJSON(w, http.StatusOK, datasetInfo(committed))
-}
-
-func equalDims(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

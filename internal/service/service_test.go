@@ -739,7 +739,9 @@ func TestCorruptContainerMapsChecksum(t *testing.T) {
 // payload its codec cannot decode is the client's error, typed corrupt,
 // never a 500 — and never memory sized by a shape the bytes cannot hold: the
 // 74-byte envelope carries a 47-byte transform payload declaring 2^15×2^14
-// values over a one-class codebook and 4 payload bytes.
+// values over a one-class codebook and 4 payload bytes. A chunked container
+// whose stream header declares 2^65+8 values (each dimension below 2^32, the
+// product wrapping int64 to the 8 values it holds) is corrupt too.
 func TestUndecodablePayloadsAnswer422(t *testing.T) {
 	le := binary.LittleEndian
 	payload := le.AppendUint32(nil, 0x52515A46) // "RQZF"
@@ -763,8 +765,24 @@ func TestUndecodablePayloadsAnswer422(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var overflow bytes.Buffer
+	w, err := rqm.NewWriter(&overflow, rqm.WithStreamShape(rqm.Float64, 8, 1, 1),
+		rqm.WithStreamCompression(rqm.CodecOptions{Mode: rqm.ABS, ErrorBound: 1e-3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues([]float64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	le.PutUint64(overflow.Bytes()[16:], 1380655685) // dims follow the 8-byte prefix
+	le.PutUint64(overflow.Bytes()[24:], 3340214413)
+
 	_, ts := newTestServer(t, Config{})
-	for name, body := range map[string][]byte{"transform 2^29 values in 4 bytes": hostile, "half a prediction payload": half} {
+	for name, body := range map[string][]byte{"transform 2^29 values in 4 bytes": hostile, "half a prediction payload": half,
+		"stream of 2^65+8 values": overflow.Bytes()} {
 		resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

@@ -70,29 +70,6 @@ func (m *Moments) Max() float64 { return m.max }
 // Range returns max-min (the "minmax" value range used by PSNR).
 func (m *Moments) Range() float64 { return m.max - m.min }
 
-// Merge combines another accumulator into m (parallel reduction).
-func (m *Moments) Merge(o Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = o
-		return
-	}
-	n := m.n + o.n
-	d := o.mean - m.mean
-	mean := m.mean + d*float64(o.n)/float64(n)
-	m.m2 += o.m2 + d*d*float64(m.n)*float64(o.n)/float64(n)
-	m.mean = mean
-	m.n = n
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-}
-
 // Summary computes moments of a slice in one pass.
 func Summary(xs []float64) Moments {
 	var m Moments

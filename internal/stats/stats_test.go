@@ -30,36 +30,6 @@ func TestMomentsBasic(t *testing.T) {
 	}
 }
 
-func TestMomentsMergeMatchesSequential(t *testing.T) {
-	xs := []float64{1.5, -2, 3.25, 0, 10, -7.5, 2, 2, 8}
-	var all Moments
-	all.AddSlice(xs)
-	var a, b Moments
-	a.AddSlice(xs[:4])
-	b.AddSlice(xs[4:])
-	a.Merge(b)
-	if !almostEq(a.Mean(), all.Mean(), 1e-12) || !almostEq(a.Variance(), all.Variance(), 1e-12) {
-		t.Fatalf("merge mean/var = %v/%v want %v/%v", a.Mean(), a.Variance(), all.Mean(), all.Variance())
-	}
-	if a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merge extrema mismatch")
-	}
-}
-
-func TestMergeEmptySides(t *testing.T) {
-	var empty, m Moments
-	m.AddSlice([]float64{1, 2, 3})
-	cp := m
-	m.Merge(empty)
-	if m != cp {
-		t.Fatal("merging empty changed accumulator")
-	}
-	empty.Merge(cp)
-	if empty != cp {
-		t.Fatal("merging into empty did not copy")
-	}
-}
-
 func TestMeanVarTwoPass(t *testing.T) {
 	mean, v := MeanVar([]float64{1, 2, 3, 4})
 	if !almostEq(mean, 2.5, 1e-15) || !almostEq(v, 1.25, 1e-15) {

@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sync"
 
@@ -45,8 +43,9 @@ type Reader struct {
 	feedDone chan struct{}
 	once     sync.Once
 
-	cur     []float64 // decoded chunk being drained by Read
-	curByte []byte    // serialized remainder for Read
+	cur     []float64 // decoded values Read has not serialized yet
+	buf     []byte    // Read's fixed sample buffer (allocated on first Read)
+	encoded []byte    // serialized samples Read has not returned yet
 	readErr error     // sticky
 
 	values int64
@@ -174,34 +173,46 @@ func (r *Reader) NextChunk() ([]float64, error) {
 
 // Read serializes the decompressed stream as raw little-endian samples in
 // the stream's precision — the mirror of Writer.Write, so a stream can be
-// piped back into a raw sample file with io.Copy.
+// piped back into a raw sample file with io.Copy. Samples are encoded
+// through one fixed buffer per Reader, sized like io.Copy's.
 func (r *Reader) Read(p []byte) (int, error) {
-	for len(r.curByte) == 0 {
-		vals, err := r.NextChunk()
-		if err != nil {
-			return 0, err
+	prec := r.recs.Header.Prec
+	for len(r.encoded) == 0 {
+		if len(r.cur) == 0 {
+			vals, err := r.NextChunk()
+			if err != nil {
+				return 0, err
+			}
+			r.cur = vals
 		}
-		r.curByte = r.encodeValues(vals)
+		if r.buf == nil {
+			r.buf = make([]byte, 0, 32<<10)
+		}
+		k := min(len(r.cur), cap(r.buf)/(prec.Bits()/8))
+		r.encoded = grid.EncodeSamples(r.buf, prec, r.cur[:k])
+		r.cur = r.cur[k:]
 	}
-	n := copy(p, r.curByte)
-	r.curByte = r.curByte[n:]
+	n := copy(p, r.encoded)
+	r.encoded = r.encoded[n:]
 	return n, nil
 }
 
-// encodeValues serializes one chunk at the stream precision.
-func (r *Reader) encodeValues(vals []float64) []byte {
-	if r.recs.Header.Prec == grid.Float32 {
-		out := make([]byte, 4*len(vals))
-		for i, v := range vals {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
-		}
-		return out
+// WriteField writes the stream to w as a .rqmf field — the header from the
+// stream's shape, then the samples as Read serializes them — and fails if
+// the stream does not hold exactly the values that shape declares. A stream
+// of unknown shape (rank 0) has no .rqmf header; ReadAll reassembles it.
+func (r *Reader) WriteField(w io.Writer) (int64, error) {
+	h := &r.recs.Header
+	n, err := grid.WriteHeader(w, h.Prec, h.Dims)
+	if err != nil {
+		return n, err
 	}
-	out := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
+	m, err := io.Copy(w, r)
+	n += m
+	if want := h.TotalFromDims(); err == nil && r.values != want {
+		err = fmt.Errorf("stream: decodes to %d values, header shape %v declares %d", r.values, h.Dims, want)
 	}
-	return out
+	return n, err
 }
 
 // ReadAll drains the stream and reassembles the field: the header's shape

@@ -172,12 +172,9 @@ func WithShape(prec grid.Precision, dims ...int) Option {
 		if prec != grid.Float32 && prec != grid.Float64 {
 			return fmt.Errorf("stream: unsupported precision %d", prec)
 		}
-		if len(dims) > 4 {
-			return fmt.Errorf("stream: rank %d outside 0..4", len(dims))
-		}
-		for _, d := range dims {
-			if d <= 0 {
-				return fmt.Errorf("stream: non-positive dimension %d", d)
+		if len(dims) > 0 { // rank 0: shape unknown
+			if _, err := grid.ShapeLen(dims); err != nil {
+				return fmt.Errorf("stream: %w", err)
 			}
 		}
 		cfg.prec = prec

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,6 +207,71 @@ func TestByteInterfaces(t *testing.T) {
 			if d := back.Data[i] - ref; d > 1e-3 || d < -1e-3 {
 				t.Fatalf("prec %d value %d: |%g - %g| breaks the bound", prec, i, back.Data[i], ref)
 			}
+		}
+	}
+}
+
+// TestWriteField: a stream of known shape writes the .rqmf field its
+// whole-buffer decode would, byte for byte, and serializing it through Read
+// costs one fixed buffer per Reader on top of decoding the chunks (at most
+// 0.6 B/value), not a copy of every chunk.
+func TestWriteField(t *testing.T) {
+	const n = 1 << 18
+	for _, prec := range []grid.Precision{grid.Float32, grid.Float64} {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, WithShape(prec, 64, n/64), WithChunkValues(1<<16), WithWorkers(2),
+			WithCompression(codec.Options{Mode: compressor.ABS, ErrorBound: 1e-3}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.WriteValues(waveValues(n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := codec.DecompressChunked(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if _, err := whole.WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := r.WriteField(&got); err != nil || m != int64(got.Len()) || !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("float%d: WriteField wrote %d bytes (%d reported), %v; want the %d bytes of WriteTo",
+				prec, got.Len(), m, err, want.Len())
+		}
+
+		if raceEnabled {
+			continue // pooled decode buffers allocate unevenly under the race detector
+		}
+		allocated := func(drain func(*Reader)) uint64 {
+			least := uint64(math.MaxUint64)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				r, err := NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(2))
+				if err != nil {
+					t.Fatal(err)
+				}
+				drain(r)
+				runtime.ReadMemStats(&after)
+				least = min(least, after.TotalAlloc-before.TotalAlloc)
+			}
+			return least
+		}
+		chunks := allocated(func(r *Reader) {
+			for err := error(nil); err == nil; _, err = r.NextChunk() {
+			}
+		})
+		copied := allocated(func(r *Reader) { _, _ = io.Copy(io.Discard, r) })
+		if extra := (float64(copied) - float64(chunks)) / n; extra > 0.6 {
+			t.Errorf("float%d: Read allocates %.2f B/value over NextChunk, want at most 0.6", prec, extra)
 		}
 	}
 }

@@ -1,10 +1,8 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -198,33 +196,21 @@ func (w *Writer) Write(p []byte) (int, error) {
 		}
 		w.rem = append(w.rem, p[:need]...)
 		p = p[need:]
-		if err := w.WriteValues([]float64{w.decodeValue(w.rem)}); err != nil {
+		if err := w.WriteValues(grid.DecodeSamples(nil, w.cfg.prec, w.rem)); err != nil {
 			return total - len(p), err
 		}
 		w.rem = w.rem[:0]
 	}
-	if full := len(p) / width; full > 0 {
-		vals := make([]float64, full)
-		for i := range vals {
-			vals[i] = w.decodeValue(p[i*width : (i+1)*width])
-		}
-		if err := w.WriteValues(vals); err != nil {
+	if full := len(p) / width * width; full > 0 {
+		if err := w.WriteValues(grid.DecodeSamples(make([]float64, 0, full/width), w.cfg.prec, p[:full])); err != nil {
 			return total - len(p), err
 		}
-		p = p[full*width:]
+		p = p[full:]
 	}
 	if len(p) > 0 {
 		w.rem = append(w.rem, p...)
 	}
 	return total, nil
-}
-
-// decodeValue converts one raw sample at the stream precision.
-func (w *Writer) decodeValue(b []byte) float64 {
-	if w.cfg.prec == grid.Float32 {
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(b)))
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
 // WriteField streams a whole field's samples.
@@ -419,8 +405,8 @@ func (w *Writer) Close() error {
 	if err := w.err(); err != nil {
 		return err
 	}
-	if want := codec.ShapeValues(w.cfg.dims); want > 0 && w.totalValues != want {
-		err := fmt.Errorf("stream: wrote %d values, shape %v declares %d",
+	if want, err := grid.ShapeLen(w.cfg.dims); err == nil && w.totalValues != int64(want) {
+		err = fmt.Errorf("stream: wrote %d values, shape %v declares %d",
 			w.totalValues, w.cfg.dims, want)
 		w.fail(err)
 		return err

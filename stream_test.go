@@ -2,6 +2,7 @@ package rqm_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -280,6 +281,58 @@ func TestDecompressRejectsTruncatedChunked(t *testing.T) {
 				t.Fatalf("NewReader path: %v, want %v", err, tc.want)
 			}
 		})
+	}
+}
+
+// overflowShape declares 2^65+8 values in dimensions that each pass a
+// per-axis check: their product wraps int64 to 8.
+var overflowShape = []uint64{8, 1380655685, 3340214413}
+
+// absStream compresses at an absolute bound, which needs no value range.
+var absStream = rqm.WithStreamCompression(rqm.CodecOptions{Mode: rqm.ABS, ErrorBound: 1e-3})
+
+// overflowingContainer is a valid eight-value chunked container whose stream
+// header is patched to declare overflowShape.
+func overflowingContainer(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := rqm.NewWriter(&buf, rqm.WithStreamShape(rqm.Float64, 8, 1, 1), absStream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues([]float64{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for i, d := range overflowShape {
+		binary.LittleEndian.PutUint64(data[8+8*i:], d) // dims follow the 8-byte prefix
+	}
+	return data
+}
+
+// TestOverflowingShapeRefused: a shape whose value count overflows is
+// refused when a writer is built with it, and a container declaring it is
+// ErrCorrupt to every reader.
+func TestOverflowingShapeRefused(t *testing.T) {
+	dims := []int{int(overflowShape[0]), int(overflowShape[1]), int(overflowShape[2])}
+	if _, err := rqm.NewWriter(io.Discard, rqm.WithStreamShape(rqm.Float64, dims...), absStream); err == nil {
+		t.Fatal("NewWriter accepted a shape of 2^65+8 values")
+	}
+	data := overflowingContainer(t)
+	if _, err := rqm.Decompress(data); !errors.Is(err, rqm.ErrCorrupt) {
+		t.Errorf("Decompress: %v, want ErrCorrupt", err)
+	}
+	if _, err := rqm.Inspect(data); !errors.Is(err, rqm.ErrCorrupt) {
+		t.Errorf("Inspect: %v, want ErrCorrupt", err)
+	}
+	if _, err := rqm.ReadStreamIndex(bytes.NewReader(data)); !errors.Is(err, rqm.ErrCorrupt) {
+		t.Errorf("ReadStreamIndex: %v, want ErrCorrupt", err)
+	}
+	if _, err := rqm.NewReader(bytes.NewReader(data)); !errors.Is(err, rqm.ErrCorrupt) {
+		t.Errorf("NewReader: %v, want ErrCorrupt", err)
 	}
 }
 
