@@ -596,22 +596,15 @@ func Decompress(data []byte) (*grid.Field, error) {
 	return out, nil
 }
 
-// VerifyErrorBound checks that recon satisfies the bound against orig.
-// Returns nil if every sample is within the bound (with a 1e-12 relative
-// slack for float round-off).
+// VerifyErrorBound checks that recon satisfies the bound against orig: a
+// finite original needs a reconstruction within the bound (with a 1e-9
+// relative slack for float round-off), a NaN needs NaN back, and ±Inf the
+// same signed infinity. Returns nil if every sample passes.
 func VerifyErrorBound(orig, recon *grid.Field, mode ErrorMode, eb float64) error {
 	if orig.Len() != recon.Len() {
 		return errors.New("compressor: field sizes differ")
 	}
 	switch mode {
-	case ABS:
-		slack := eb * 1e-9
-		for i := range orig.Data {
-			if math.Abs(orig.Data[i]-recon.Data[i]) > eb+slack {
-				return fmt.Errorf("compressor: ABS bound violated at %d: |%g - %g| > %g",
-					i, orig.Data[i], recon.Data[i], eb)
-			}
-		}
 	case REL:
 		lo, hi := orig.ValueRange()
 		abs := eb * (hi - lo)
@@ -619,20 +612,32 @@ func VerifyErrorBound(orig, recon *grid.Field, mode ErrorMode, eb float64) error
 			abs = eb
 		}
 		return VerifyErrorBound(orig, recon, ABS, abs)
-	case PWREL:
-		for i := range orig.Data {
-			o := orig.Data[i]
-			d := math.Abs(o - recon.Data[i])
-			if o == 0 {
-				if d != 0 {
-					return fmt.Errorf("compressor: PWREL zero not exact at %d", i)
-				}
-				continue
-			}
-			if d > eb*math.Abs(o)*(1+1e-9) {
-				return fmt.Errorf("compressor: PWREL bound violated at %d: %g vs %g", i, d, eb*math.Abs(o))
-			}
+	case ABS, PWREL:
+	default:
+		return nil
+	}
+	for i, o := range orig.Data {
+		bound := eb * (1 + 1e-9)
+		if mode == PWREL {
+			bound *= math.Abs(o) // a zero must come back exactly
+		}
+		if r := recon.Data[i]; !withinBound(o, r, bound) {
+			return fmt.Errorf("compressor: %s bound violated at %d: %g reconstructs as %g, bound %g",
+				mode, i, o, r, bound)
 		}
 	}
 	return nil
+}
+
+// withinBound reports whether r reconstructs o within bound: a finite o
+// needs |o − r| ≤ bound, which a NaN r fails; a NaN o needs NaN, and ±Inf
+// the same signed infinity.
+func withinBound(o, r, bound float64) bool {
+	switch {
+	case math.IsNaN(o):
+		return math.IsNaN(r)
+	case math.IsInf(o, 0):
+		return r == o
+	}
+	return math.Abs(o-r) <= bound
 }

@@ -322,3 +322,44 @@ func BenchmarkDecompressLorenzo3D(b *testing.B) {
 		}
 	}
 }
+
+// TestVerifyErrorBoundNonFinite pins the bound check on values outside the
+// reals: a finite original reconstructed as NaN or ±Inf fails, a NaN
+// original needs NaN back, and ±Inf needs the same signed infinity — under
+// ABS and PWREL alike. An exact reconstruction of each still passes.
+func TestVerifyErrorBoundNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	field := func(v float64) *grid.Field {
+		f, err := grid.FromData("nf", grid.Float64, []float64{1, v, 2}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for _, mode := range []ErrorMode{ABS, PWREL} {
+		for _, tc := range []struct {
+			orig, recon float64
+			ok          bool
+		}{
+			{0.5, nan, false},
+			{0.5, inf, false},
+			{0.5, 0.5 + 1e-4, true},
+			{nan, 0.5, false},
+			{nan, inf, false},
+			{nan, nan, true},
+			{inf, nan, false},
+			{inf, -inf, false},
+			{inf, math.MaxFloat64, false},
+			{inf, inf, true},
+			{-inf, inf, false},
+			{-inf, -inf, true},
+			{0, nan, false},
+			{0, 0, true},
+		} {
+			err := VerifyErrorBound(field(tc.orig), field(tc.recon), mode, 1e-3)
+			if (err == nil) != tc.ok {
+				t.Errorf("%s: %v reconstructed as %v: err %v, want ok=%v", mode, tc.orig, tc.recon, err, tc.ok)
+			}
+		}
+	}
+}

@@ -43,8 +43,10 @@ type ProfileRecord struct {
 	UseLossless       bool         `json:"use_lossless,omitempty"`
 	DisableCorrection bool         `json:"disable_correction,omitempty"`
 	// Errors is the sampled prediction-error vector, base64-encoded
-	// little-endian float64s (compact and exact, unlike a JSON number array).
-	Errors string `json:"errors_b64"`
+	// little-endian float64s in sampling order (compact and exact, unlike a
+	// JSON number array). It is empty on a record whose samples are stored
+	// apart from it, which ValidateHead checks and ProfileFromRecord refuses.
+	Errors string `json:"errors_b64,omitempty"`
 }
 
 // String names the entropy model; the name is its ProfileRecord label.
@@ -95,21 +97,30 @@ func (p *Profile) Record() *ProfileRecord {
 	}
 }
 
-// decode checks the record and unpacks what needs parsing: the kind label
-// and the sample vector.
-func (r *ProfileRecord) decode() (predictor.Kind, []float64, error) {
+// kind checks the record's scalars and resolves its kind label.
+func (r *ProfileRecord) kind() (predictor.Kind, error) {
 	kind := predictor.Transform
 	if r.Predictor != kind.String() {
 		var err error
 		if kind, err = predictor.ParseKind(r.Predictor); err != nil {
-			return 0, nil, fmt.Errorf("core: profile kind: %v", err)
+			return 0, fmt.Errorf("core: profile kind: %v", err)
 		}
 	}
 	if r.N <= 0 {
-		return 0, nil, fmt.Errorf("core: profile n %d", r.N)
+		return 0, fmt.Errorf("core: profile n %d", r.N)
 	}
 	if math.IsNaN(r.Range) || r.Range < 0 {
-		return 0, nil, fmt.Errorf("core: profile range %v", r.Range)
+		return 0, fmt.Errorf("core: profile range %v", r.Range)
+	}
+	return kind, nil
+}
+
+// decode checks the record and unpacks what needs parsing: the kind label
+// and the sample vector.
+func (r *ProfileRecord) decode() (predictor.Kind, []float64, error) {
+	kind, err := r.kind()
+	if err != nil {
+		return 0, nil, err
 	}
 	raw, err := base64.StdEncoding.DecodeString(r.Errors)
 	if err != nil {
@@ -132,6 +143,16 @@ func (r *ProfileRecord) decode() (predictor.Kind, []float64, error) {
 // without paying for the profile's sort.
 func (r *ProfileRecord) Validate() error {
 	_, _, err := r.decode()
+	return err
+}
+
+// ValidateHead is Validate for a record whose samples are stored apart:
+// every check but the sample vector's, which must be absent.
+func (r *ProfileRecord) ValidateHead() error {
+	if r.Errors != "" {
+		return fmt.Errorf("core: profile head carries %d bytes of inline samples", len(r.Errors))
+	}
+	_, err := r.kind()
 	return err
 }
 

@@ -6,11 +6,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"rqm/internal/faultfs"
 	"rqm/internal/service"
+	"rqm/internal/store"
 )
 
 // The chaos suite: fault-injected corruption and hangs against the full
@@ -165,6 +168,41 @@ func TestChaosCorruptReplicaReadRepair(t *testing.T) {
 	}
 	if m.ReadRepairFailures != 0 {
 		t.Fatalf("read_repair_failures = %d", m.ReadRepairFailures)
+	}
+}
+
+// TestChaosMissingProfileSamplesReadRepair: a replica whose profile samples
+// sidecar is gone fails its GET's verify-before-serve with 422
+// corrupt_dataset, so the router fails over, and read-repair re-syncs the
+// replica from its peer, sidecar included.
+func TestChaosMissingProfileSamplesReadRepair(t *testing.T) {
+	tc := newTestCluster(t, 3, 2)
+	const name = "cl-samples"
+	tc.put(t, name, "mode=abs&eb=0.01&chunk=512", fieldBytes(t, 3))
+	_, want, _ := tc.get(t, name)
+	victim := tc.shards[tc.rt.ring.sequence(name)[0]]
+	goodInfo, _ := victim.has(t, name)
+	if err := os.Remove(filepath.Join(victim.st.Dir(), "datasets", name, store.ProfileFile)); err != nil {
+		t.Fatal(err)
+	}
+
+	code, got, hdr := tc.get(t, name)
+	if code != http.StatusOK || !bytes.Equal(got, want) || hdr.Get("X-RQM-Failover") == "" {
+		t.Fatalf("read with one replica's samples missing: status %d, failover %q", code, hdr.Get("X-RQM-Failover"))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for victim.st.VerifyDataset(name, true) != nil {
+		if time.Now().After(deadline) {
+			t.Fatalf("repair did not land: %+v, verify %v", tc.rt.Snapshot(), victim.st.VerifyDataset(name, true))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	healedInfo, _ := victim.has(t, name)
+	if !healedInfo.CreatedAt.Equal(goodInfo.CreatedAt) || healedInfo.Generation != goodInfo.Generation {
+		t.Fatalf("repair changed the manifest version: %+v -> %+v", goodInfo, healedInfo)
+	}
+	if m := tc.rt.Snapshot(); m.ReadRepairs < 1 || m.ReadRepairFailures != 0 {
+		t.Fatalf("read_repairs %d, failures %d", m.ReadRepairs, m.ReadRepairFailures)
 	}
 }
 

@@ -7,8 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"rqm/internal/store"
 )
 
 // The cluster tier (internal/router) rides four shard-side hooks: the
@@ -232,10 +236,14 @@ func TestDatasetRawPutReplication(t *testing.T) {
 }
 
 func TestDatasetRawPutRejectsBadFrames(t *testing.T) {
-	_, _, ts := newStoreServer(t)
+	_, st, ts := newStoreServer(t)
 	_, body := testField(t)
 	putDataset(t, ts, "frame", "mode=abs&eb=0.01", body)
 	man, container := fetchReplicaParts(t, ts, "frame")
+	head, err := os.ReadFile(filepath.Join(st.Dir(), "datasets", "frame", store.ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for name, frame := range map[string][]byte{
 		"truncated-length":   {0x00, 0x01},
@@ -247,6 +255,8 @@ func TestDatasetRawPutRejectsBadFrames(t *testing.T) {
 		"unknown-predictor": rawFrame(bytes.Replace(man, []byte(`"predictor":"lorenzo"`), []byte(`"predictor":"bogus"`), 1), container),
 		"unknown-lossless":  rawFrame(bytes.Replace(man, []byte(`"lossless":"none"`), []byte(`"lossless":"bogus"`), 1), container),
 		"unknown-mode":      rawFrame(bytes.Replace(man, []byte(`"mode":"abs"`), []byte(`"mode":"bogus"`), 1), container),
+		// The frame carries the wire form; a stored head leaves its samples behind.
+		"stored-head": rawFrame(head, container),
 	} {
 		resp, err := http.Post(ts.URL+"/v1/datasets/frame/raw", "application/octet-stream",
 			bytes.NewReader(frame))

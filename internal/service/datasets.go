@@ -246,10 +246,15 @@ func (s *Service) handleDatasetGet(req *request) error {
 	}
 	if q.Get("manifest") == "1" {
 		if q.Get("full") == "1" {
-			// The complete manifest, chunk index and cached profile included:
-			// together with ?raw=1 this is everything a replica repair needs
-			// to clone the dataset without decompressing a single chunk.
-			return writeJSON(w, http.StatusOK, m)
+			// The complete manifest in its wire form, chunk index and cached
+			// profile samples included: together with ?raw=1 this is
+			// everything a replica repair needs to clone the dataset without
+			// decompressing a single chunk.
+			full, err := st.FullManifest(m)
+			if err != nil {
+				return err
+			}
+			return writeJSON(w, http.StatusOK, full)
 		}
 		info := datasetInfo(m)
 		return writeJSON(w, http.StatusOK, &info)
@@ -389,8 +394,13 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 		return errf(http.StatusBadRequest, "bad_param", "recompaction target must be positive")
 	}
 
+	// The decision needs the profile's samples; the rewrite carries them
+	// forward and the CAS is against this version.
 	m, err := st.Manifest(name)
 	if err != nil {
+		return err
+	}
+	if m, err = st.FullManifest(m); err != nil {
 		return err
 	}
 	p, err := m.RQProfile()
@@ -675,14 +685,17 @@ func (req *request) commit(base *store.Manifest, build func(io.Writer) (*store.M
 }
 
 // RawPutMaxManifest caps the framed manifest record of a raw put (16 MiB —
-// generous: the dominant field is the base64 profile, ~1 MiB per 10M-value
-// dataset at the default 1% sampling rate). Exported so the router's sync
-// reads the source manifest under the same cap the target enforces.
+// generous: the frame carries the manifest's wire form, whose dominant field
+// is the base64 profile, ~1 MiB per 10M-value dataset at the default 1%
+// sampling rate; on disk those samples sit in the profile sidecar instead).
+// Exported so the router's sync reads the source manifest under the same cap
+// the target enforces.
 const RawPutMaxManifest = 16 << 20
 
 // handleDatasetRawPut admits an already-compressed dataset verbatim: the
-// body is a 4-byte big-endian manifest length, the full manifest JSON (as
-// served by ?manifest=1&full=1), then the container bytes (as served by
+// body is a 4-byte big-endian manifest length, the full manifest JSON in its
+// wire form (store.WireVersion, as served by ?manifest=1&full=1), then the
+// container bytes (as served by
 // ?raw=1). This is the replication hook replica repair and rebalancing ride:
 // the container streams straight to disk — never decompressed, never
 // recompressed — and the manifest's identity (CreatedAt, Generation,
@@ -728,6 +741,10 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 	if m.Name != name {
 		return errf(http.StatusBadRequest, "bad_manifest",
 			"raw put: manifest names %q, path names %q", m.Name, name)
+	}
+	if m.Version != store.WireVersion {
+		return errf(http.StatusBadRequest, "bad_manifest",
+			"raw put: manifest version %d, the frame carries version %d", m.Version, store.WireVersion)
 	}
 
 	repaired := false

@@ -337,7 +337,11 @@ func TestDatasetProfileSurvivesManifest(t *testing.T) {
 		for _, lossless := range []string{"none", "rle"} {
 			name := codecName + "-" + lossless
 			info := putDataset(t, ts, name, "mode=rel&eb=1e-4&codec="+codecName+"&lossless="+lossless, body)
-			m, err := st.Manifest(name)
+			head, err := st.Manifest(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := st.FullManifest(head)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -91,10 +91,11 @@ func (s *Service) serveResidualRaw(w http.ResponseWriter, st *store.Store, m *st
 	return ignoreWriteErr(err)
 }
 
-// nextGeneration clones a manifest for a same-container rewrite (promote /
-// demote): identity (CreatedAt, ContentHash, profile) carries over, the
-// generation bumps, and the store refills the container-derived fields —
-// keeping ContainerHash makes the staged copy prove itself byte-identical.
+// nextGeneration clones a full manifest (Store.FullManifest) for a
+// same-container rewrite (promote / demote): identity (CreatedAt,
+// ContentHash, profile) carries over, the generation bumps, and the store
+// refills the container-derived fields — keeping ContainerHash makes the
+// staged copy prove itself byte-identical.
 func nextGeneration(m *store.Manifest) *store.Manifest {
 	nm := *m
 	nm.Generation++
@@ -165,6 +166,9 @@ func (s *Service) handleDatasetPromote(req *request) error {
 	if err != nil {
 		return err
 	}
+	if m, err = st.FullManifest(m); err != nil {
+		return err
+	}
 	committed, err := req.commit(m, copyContainerBuild(st, name, nextGeneration(m)), rb)
 	if err != nil {
 		return err
@@ -187,6 +191,9 @@ func (s *Service) handleDatasetDemote(req *request) error {
 	if m.Residual == nil {
 		w.Header().Set("X-RQM-Demote", "skipped")
 		return writeJSON(w, http.StatusOK, datasetInfo(m))
+	}
+	if m, err = st.FullManifest(m); err != nil {
+		return err
 	}
 	committed, err := req.commit(m, copyContainerBuild(st, name, nextGeneration(m)), nil)
 	if err != nil {

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -440,4 +442,134 @@ func corruptManifest(t *testing.T, path string) {
 	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestProfileSamplesCorruptionOverHTTP: a flipped byte in the profile
+// samples sidecar leaves every request that does not ask the model
+// answering — stat, slice, GET — while recompaction and the full manifest
+// a replica would be sent answer 422 corrupt_dataset. A missing sidecar
+// fails the GET's verify-before-serve the same way, so a router fails over.
+func TestProfileSamplesCorruptionOverHTTP(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	_, body := testField(t)
+	putDataset(t, ts, "srot", "mode=abs&eb=0.01&chunk=512", body)
+	path := filepath.Join(st.Dir(), "datasets", "srot", store.ProfileFile)
+	expect := func(when, method, path string, status int, code string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != status {
+			t.Fatalf("%s: %s %s: status %d, want %d", when, method, path, resp.StatusCode, status)
+		}
+		if code != "" {
+			if eb := decodeErrorBody(t, resp); eb.Error.Code != code {
+				t.Fatalf("%s: %s %s: code %q, want %q", when, method, path, eb.Error.Code, code)
+			}
+		}
+	}
+
+	if err := faultfs.CorruptFile(path, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"?manifest=1", "/slice?off=10&len=100", "", "?raw=1&verify=1"} {
+		expect("flipped", http.MethodGet, "/v1/datasets/srot"+p, http.StatusOK, "")
+	}
+	expect("flipped", http.MethodGet, "/v1/datasets/srot?manifest=1&full=1", http.StatusUnprocessableEntity, "corrupt_dataset")
+	expect("flipped", http.MethodPost, "/v1/datasets/srot/recompact?target-ratio=1000", http.StatusUnprocessableEntity, "corrupt_dataset")
+	if err := faultfs.CorruptFile(path, 3); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	expect("missing", http.MethodGet, "/v1/datasets/srot?manifest=1", http.StatusOK, "")
+	expect("missing", http.MethodGet, "/v1/datasets/srot", http.StatusUnprocessableEntity, "corrupt_dataset")
+	expect("missing", http.MethodGet, "/v1/datasets/srot?raw=1&verify=1", http.StatusUnprocessableEntity, "corrupt_dataset")
+}
+
+// TestStoreBytesGaugeMatchesDisk holds the stored-bytes gauge (Store.Bytes,
+// /metrics store_bytes) to the sum of every file's size under datasets/ —
+// profile samples sidecar and residual included — after each operation that
+// writes or removes a dataset.
+func TestStoreBytesGaugeMatchesDisk(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	_, dst, dts := newStoreServer(t)
+	f, body := testField(t)
+	var orig bytes.Buffer
+	if _, err := f.WriteTo(&orig); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, s *store.Store, server *httptest.Server) {
+		t.Helper()
+		var disk int64
+		err := filepath.WalkDir(filepath.Join(s.Dir(), "datasets"), func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				var fi fs.FileInfo
+				if fi, err = d.Info(); err == nil {
+					disk += fi.Size()
+				}
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m MetricsSnapshot
+		getJSON(t, server.URL+"/metrics", &m)
+		if total, _ := s.Bytes(); total != disk || m.StoreBytes != disk {
+			t.Fatalf("after %s: gauge %d, /metrics %d, disk holds %d", step, total, m.StoreBytes, disk)
+		}
+	}
+
+	putDataset(t, ts, "g", "mode=abs&eb=0.01&chunk=512", body)
+	putDataset(t, ts, "h", "mode=abs&eb=0.01&chunk=512", body)
+	check("put", st, ts)
+	putDataset(t, ts, "g", "mode=abs&eb=0.02&chunk=512&if-generation=0", body)
+	check("CAS replace", st, ts)
+	if rr, status := postRecompact(t, ts, "g", "target-psnr=20"); status != http.StatusOK || rr.Skipped {
+		t.Fatalf("recompact: status %d, %+v", status, rr)
+	}
+	check("recompact", st, ts)
+	if status, _, _ := postInfo(t, ts, "/v1/datasets/g/promote", orig.Bytes()); status != http.StatusCreated {
+		t.Fatalf("promote: status %d", status)
+	}
+	check("promote", st, ts)
+	if status, _, _ := postInfo(t, ts, "/v1/datasets/g/demote", nil); status != http.StatusOK {
+		t.Fatalf("demote: status %d", status)
+	}
+	check("demote", st, ts)
+
+	frame := fetchRawFrame(t, ts, "g")
+	rawPut(t, dts, "g", "", frame).Body.Close()
+	corruptStoredContainer(t, dst, "g")
+	resp := rawPut(t, dts, "g", "?repair=1", frame)
+	resp.Body.Close()
+	if resp.Header.Get("X-RQM-Raw-Put") != "repaired" {
+		t.Fatalf("raw-put repair: status %d %q", resp.StatusCode, resp.Header.Get("X-RQM-Raw-Put"))
+	}
+	check("raw-put repair", dst, dts)
+
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/datasets/h", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delete: status %d", resp.StatusCode)
+	}
+	check("delete", st, ts)
+	corruptStoredContainer(t, st, "g")
+	if rep, err := st.Scrub(store.ScrubOptions{}); err != nil || rep.DatasetsQuarantined != 1 {
+		t.Fatalf("scrub: %+v, %v", rep, err)
+	}
+	check("quarantine", st, ts)
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"testing"
 
 	"rqm/internal/faultfs"
@@ -173,5 +175,120 @@ func TestCorruptionMatrixScrubSweep(t *testing.T) {
 	}
 	if _, _, quarantined, _ := s.ScrubStats(); quarantined != 0 {
 		t.Fatalf("%d datasets quarantined — VerifyDataset must not quarantine", quarantined)
+	}
+}
+
+// TestCorruptionMatrixProfileSamples extends the matrix to the profile
+// samples sidecar, which only a model question reads. A byte flipped at any
+// offset leaves the size the head records, so stat, slice and shallow
+// verification still serve, while FullManifest and deep verification catch
+// it typed. A missing or truncated sidecar fails shallow verification too.
+// The same holds for faults injected as read views: every sidecar read goes
+// through ReadFS.
+func TestCorruptionMatrixProfileSamples(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := putField(t, s, "smatrix", testField(t, 8192), 1024, 1e-4)
+	path := filepath.Join(s.Dir(), "datasets", "smatrix", store.ProfileFile)
+	head, err := s.Manifest("smatrix")
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := head.ProfileSamples.Bytes
+	if fi, err := os.Stat(path); err != nil || fi.Size() != size || size < 404 {
+		t.Fatalf("sidecar %v, %v; head records %d bytes — the matrix needs several strides", fi, err, size)
+	}
+	serves := func(when string) {
+		t.Helper()
+		if _, err := s.Manifest("smatrix"); err != nil {
+			t.Fatalf("%s: stat: %v", when, err)
+		}
+		if _, err := s.ReadRange("smatrix", 100, 1000); err != nil {
+			t.Fatalf("%s: slice: %v", when, err)
+		}
+	}
+	fails := func(when string, deep bool) {
+		t.Helper()
+		if err := s.VerifyDataset("smatrix", deep); !errors.Is(err, store.ErrCorruptDataset) {
+			t.Fatalf("%s: verify (deep=%v): %v, want ErrCorruptDataset", when, deep, err)
+		}
+		if _, err := s.FullManifest(head); !errors.Is(err, store.ErrCorruptDataset) {
+			t.Fatalf("%s: FullManifest: %v, want ErrCorruptDataset", when, err)
+		}
+	}
+
+	for off := int64(0); off < size; off += 101 {
+		if err := faultfs.CorruptFile(path, off); err != nil {
+			t.Fatal(err)
+		}
+		when := "flip at " + strconv.FormatInt(off, 10)
+		serves(when)
+		if err := s.VerifyDataset("smatrix", false); err != nil {
+			t.Fatalf("%s: shallow verify: %v", when, err)
+		}
+		fails(when, true)
+		if err := faultfs.CorruptFile(path, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, damage := range []struct {
+		name string
+		data []byte
+	}{{"truncated", good[:size-8]}, {"empty", nil}} {
+		if err := os.WriteFile(path, damage.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		serves(damage.name)
+		fails(damage.name, false)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	serves("missing")
+	fails("missing", false)
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	ffs := faultfs.New()
+	s.SetReadFS(ffs)
+	for _, fault := range []faultfs.Fault{
+		{FlipOffset: size / 2, TruncateTo: -1},
+		{FlipOffset: -1, TruncateTo: size / 2},
+	} {
+		ffs.Set("smatrix/"+store.ProfileFile, fault)
+		fails("view", fault.TruncateTo < 0)
+	}
+	ffs.Reset()
+	s.SetReadFS(nil)
+
+	full, err := s.FullManifest(head)
+	if err != nil {
+		t.Fatalf("restored sidecar: %v", err)
+	}
+	if !reflect.DeepEqual(full.Profile, m.Profile) || full.Version != store.WireVersion || full.ProfileSamples != nil {
+		t.Fatal("FullManifest does not give back the profile Put committed")
+	}
+
+	// A deep scrub quarantines a flipped sidecar, whole dataset with it.
+	if err := faultfs.CorruptFile(path, size/3); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Scrub(store.ScrubOptions{Deep: true})
+	if err != nil || rep.DatasetsQuarantined != 1 || len(rep.Issues) != 1 || !rep.Issues[0].Quarantined {
+		t.Fatalf("deep scrub: %+v, %v", rep, err)
+	}
+	if _, err := os.Stat(filepath.Join(s.Dir(), store.QuarantineDir, "smatrix", store.ProfileFile)); err != nil {
+		t.Fatalf("quarantine lost the sidecar: %v", err)
+	}
+	if total, n := s.Bytes(); total != 0 || n != 0 {
+		t.Fatalf("gauges (%d, %d) after quarantining the only dataset", total, n)
 	}
 }

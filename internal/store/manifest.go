@@ -1,6 +1,9 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,10 +18,18 @@ import (
 	"rqm/internal/residual"
 )
 
-// ManifestVersion is the current manifest schema version. Readers accept
-// exactly this version; anything else is ErrManifestVersion, so a future
-// schema change cannot be silently misread as today's.
-const ManifestVersion = 1
+// Manifest schema versions. A store writes ManifestVersion: a head whose
+// profile samples live in the dataset's ProfileFile sidecar. WireVersion
+// carries them inline; it is what every manifest said before the sidecar
+// existed, and it stays the form a manifest travels in between shards
+// (?manifest=1&full=1 and the raw-put frame), so shards on either side of
+// the split replicate to each other. Readers accept exactly these two;
+// anything else is ErrManifestVersion, so a future schema change cannot be
+// silently misread as today's.
+const (
+	ManifestVersion = 2
+	WireVersion     = 1
+)
 
 // Typed manifest errors. ParseManifest failures wrap exactly one of these —
 // never a bare json error and never a panic — so callers (and the service's
@@ -130,11 +141,26 @@ type Manifest struct {
 	// Chunks is the container's trailer index, copied at commit time.
 	Chunks []ChunkRecord `json:"chunks"`
 	// Profile is the cached ratio-quality profile (nil only for datasets
-	// stored without one).
+	// stored without one). On a version-2 head it holds every field but the
+	// samples (Errors is empty): Store.FullManifest loads them.
 	Profile *ProfileRecord `json:"profile,omitempty"`
+	// ProfileSamples describes the sidecar holding Profile's samples
+	// (version 2 only).
+	ProfileSamples *SamplesRecord `json:"profile_samples,omitempty"`
 	// Residual describes the optional lossless residual layer (nil for
 	// lossy-only datasets).
 	Residual *ResidualRecord `json:"residual,omitempty"`
+}
+
+// SamplesRecord describes a dataset's profile samples sidecar (ProfileFile):
+// the profile's sampled errors as raw little-endian float64s in sampling
+// order — the bytes core's errors_b64 encodes — so every estimate answers
+// bit-identically to the inline form.
+type SamplesRecord struct {
+	// Bytes is the sidecar's size: 8 per sample.
+	Bytes int64 `json:"bytes"`
+	// Hash is the SHA-256 of the sidecar's bytes.
+	Hash string `json:"hash"`
 }
 
 // isSHA256Hex reports whether s is a lowercase hex SHA-256 digest — the
@@ -166,8 +192,8 @@ func ParseManifest(data []byte) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, corruptf("%v", err)
 	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("%w: version %d, want %d", ErrManifestVersion, m.Version, ManifestVersion)
+	if m.Version != ManifestVersion && m.Version != WireVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d or %d", ErrManifestVersion, m.Version, WireVersion, ManifestVersion)
 	}
 	if err := ValidateName(m.Name); err != nil {
 		return nil, corruptf("name: %v", err)
@@ -249,12 +275,97 @@ func ParseManifest(data []byte) (*Manifest, error) {
 			return nil, corruptf("residual original_hash %q is not a SHA-256 hex digest", m.Residual.OriginalHash)
 		}
 	}
-	if m.Profile != nil {
-		if err := m.Profile.Validate(); err != nil {
-			return nil, corruptf("%v", err)
-		}
+	if err := checkProfile(&m); err != nil {
+		return nil, err
 	}
 	return &m, nil
+}
+
+// checkProfile validates a parsed manifest's profile in the form its
+// version stores it: samples inline (version 1), or a head plus the
+// sidecar's size and hash (version 2).
+func checkProfile(m *Manifest) error {
+	switch {
+	case m.Profile == nil:
+		if m.ProfileSamples != nil {
+			return corruptf("profile samples recorded without a profile")
+		}
+		return nil
+	case m.Version == WireVersion:
+		if m.ProfileSamples != nil {
+			return corruptf("version %d manifest records a profile samples sidecar", m.Version)
+		}
+		if err := m.Profile.Validate(); err != nil {
+			return corruptf("%v", err)
+		}
+		return nil
+	}
+	rec := m.ProfileSamples
+	if rec == nil {
+		return corruptf("profile without a samples record")
+	}
+	if rec.Bytes <= 0 || rec.Bytes%8 != 0 {
+		return corruptf("profile samples of %d bytes", rec.Bytes)
+	}
+	if !isSHA256Hex(rec.Hash) {
+		return corruptf("profile samples hash %q is not a SHA-256 hex digest", rec.Hash)
+	}
+	if err := m.Profile.ValidateHead(); err != nil {
+		return corruptf("%v", err)
+	}
+	return nil
+}
+
+// splitProfile returns the version-2 head to commit for m and the bytes of
+// its samples sidecar (nil when m has no profile). m's profile must carry
+// its samples and pass Validate, or the commit is refused
+// (ErrManifestCorrupt), as it was when the samples were committed inline.
+func splitProfile(m *Manifest) (*Manifest, []byte, error) {
+	head := *m
+	head.Version = ManifestVersion
+	head.ProfileSamples = nil
+	if m.Profile == nil {
+		return &head, nil, nil
+	}
+	if err := m.Profile.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("store: refusing to commit: %w", corruptf("%v", err))
+	}
+	samples, _ := base64.StdEncoding.DecodeString(m.Profile.Errors) // Validate decoded it
+	pr := *m.Profile
+	pr.Errors = ""
+	head.Profile = &pr
+	sum := sha256.Sum256(samples)
+	head.ProfileSamples = &SamplesRecord{Bytes: int64(len(samples)), Hash: hex.EncodeToString(sum[:])}
+	return &head, samples, nil
+}
+
+// joinProfile returns the wire form of head: version 1, with samples — the
+// sidecar's bytes, held to the size and hash head records — inline in the
+// profile. A version-1 manifest already is its wire form and ignores
+// samples. A sidecar that does not match is ErrCorruptDataset.
+func joinProfile(head *Manifest, samples []byte) (*Manifest, error) {
+	full := *head
+	full.Version = WireVersion
+	full.ProfileSamples = nil
+	rec := head.ProfileSamples
+	if rec == nil {
+		return &full, nil
+	}
+	if int64(len(samples)) != rec.Bytes {
+		return nil, fmt.Errorf("%w: %q: %s is %d bytes, manifest records %d",
+			ErrCorruptDataset, head.Name, ProfileFile, len(samples), rec.Bytes)
+	}
+	if sum := sha256.Sum256(samples); hex.EncodeToString(sum[:]) != rec.Hash {
+		return nil, fmt.Errorf("%w: %q: %s hashes to %x, manifest records %s",
+			ErrCorruptDataset, head.Name, ProfileFile, sum, rec.Hash)
+	}
+	pr := *head.Profile
+	pr.Errors = base64.StdEncoding.EncodeToString(samples)
+	if err := pr.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %q: %s: %v", ErrCorruptDataset, head.Name, ProfileFile, err)
+	}
+	full.Profile = &pr
+	return &full, nil
 }
 
 // NewProfileRecord serializes a live profile for the manifest.
@@ -262,10 +373,14 @@ func NewProfileRecord(p *core.Profile) *ProfileRecord { return p.Record() }
 
 // RQProfile rebuilds the live ratio-quality profile from the cached record —
 // the store's O(sample) answer machine, reconstructed without touching the
-// container or the original data.
+// container or the original data. The record must carry its samples: a
+// manifest from Store.Manifest gets them from Store.FullManifest.
 func (m *Manifest) RQProfile() (*core.Profile, error) {
 	if m.Profile == nil {
 		return nil, corruptf("dataset %q has no cached profile", m.Name)
+	}
+	if m.Profile.Errors == "" {
+		return nil, fmt.Errorf("store: dataset %q: profile samples not loaded", m.Name)
 	}
 	p, err := core.ProfileFromRecord(m.Profile)
 	if err != nil {

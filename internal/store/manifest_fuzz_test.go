@@ -1,8 +1,14 @@
 package store_test
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,7 +26,7 @@ func validManifestJSON(t testing.TB) []byte {
 		t.Fatal(err)
 	}
 	m := &store.Manifest{
-		Version:        store.ManifestVersion,
+		Version:        store.WireVersion,
 		Name:           "fuzz-seed",
 		PrecBits:       64,
 		Dims:           []int{512},
@@ -87,59 +93,84 @@ func TestParseManifestPipelineNames(t *testing.T) {
 	}
 }
 
-// FuzzManifest hammers ParseManifest with valid, truncated, and
-// field-corrupted manifests: malformed input must yield a typed error
-// (ErrManifestCorrupt / ErrManifestVersion), never a panic, and anything
-// accepted must survive a marshal/parse round trip.
+// FuzzManifest hammers ParseManifest and the profile samples loader with
+// valid, truncated, and field-corrupted manifests, each paired with a
+// sidecar: version-1 manifests carry their samples inline and ignore it;
+// version-2 heads must join it, or refuse it typed when it is truncated, of
+// odd length, holds a NaN sample, or misses the size or hash the head
+// records. Malformed input must yield a typed error (ErrManifestCorrupt /
+// ErrManifestVersion from the parse, ErrCorruptDataset from the join), never
+// a panic, and anything accepted must survive a round trip: the manifest
+// through marshal/parse, and a joined pair back through SplitProfile to the
+// same head and sidecar.
 func FuzzManifest(f *testing.F) {
 	valid := validManifestJSON(f)
-	f.Add(valid)
+	f.Add(valid, []byte(nil))
 	// Truncations at several depths.
 	for _, frac := range []int{2, 3, 10} {
-		f.Add(valid[:len(valid)/frac])
+		f.Add(valid[:len(valid)/frac], []byte(nil))
 	}
 	// Field corruptions: wrong version, negative counts, bad base64, rank
 	// overflow, inconsistent chunk index, bad predictor, NaN-smuggling.
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"version":99,"name":"x"}`))
-	f.Add([]byte(strings.Replace(string(valid), `"version":1`, `"version":2`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"total_values":512`, `"total_values":-1`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"dims":[512]`, `"dims":[1,1,1,1,1]`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"dims":[512]`, `"dims":[0]`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`, `"name":"../escape"`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"predictor":"lorenzo"`, `"predictor":"warp-drive"`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"mode":"abs"`, `"mode":"pwrel"`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"mode":"abs"`, `"mode":"abs","lossless":"zpaq"`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"errors_b64":"`, `"errors_b64":"!!!`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"prec_bits":64`, `"prec_bits":48`, 1)))
+	for _, s := range []string{
+		`{}`,
+		`not json at all`,
+		`{"version":99,"name":"x"}`,
+		strings.Replace(string(valid), `"version":1`, `"version":2`, 1),
+		strings.Replace(string(valid), `"total_values":512`, `"total_values":-1`, 1),
+		strings.Replace(string(valid), `"dims":[512]`, `"dims":[1,1,1,1,1]`, 1),
+		strings.Replace(string(valid), `"dims":[512]`, `"dims":[0]`, 1),
+		strings.Replace(string(valid), `"name":"fuzz-seed"`, `"name":"../escape"`, 1),
+		strings.Replace(string(valid), `"predictor":"lorenzo"`, `"predictor":"warp-drive"`, 1),
+		strings.Replace(string(valid), `"mode":"abs"`, `"mode":"pwrel"`, 1),
+		strings.Replace(string(valid), `"mode":"abs"`, `"mode":"abs","lossless":"zpaq"`, 1),
+		strings.Replace(string(valid), `"errors_b64":"`, `"errors_b64":"!!!`, 1),
+		strings.Replace(string(valid), `"prec_bits":64`, `"prec_bits":48`, 1),
+	} {
+		f.Add([]byte(s), []byte(nil))
+	}
 	// Container-hash variants: valid, non-hex, wrong length. The scrubber
 	// trusts this field as its deep reference, so a parse must either accept
 	// a well-formed digest or reject typed — never let junk through.
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed","container_hash":"`+strings.Repeat("ab", 32)+`"`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed","container_hash":"`+strings.Repeat("zz", 32)+`"`, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed","container_hash":"abcd"`, 1)))
+	for _, h := range []string{strings.Repeat("ab", 32), strings.Repeat("zz", 32), "abcd"} {
+		f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
+			`"name":"fuzz-seed","container_hash":"`+h+`"`, 1)), []byte(nil))
+	}
 	// Residual-section variants: a valid record, an unknown backend, a
 	// malformed hash, non-positive byte counts, and a truncated section. A
 	// malformed record must reject typed — the exact-read path trusts these
 	// fields as its integrity reference.
 	resOK := `"residual":{"backend":"ans","bytes":2048,"hash":"` + strings.Repeat("ef", 32) +
 		`","original_hash":"` + strings.Repeat("01", 32) + `"}`
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed",`+resOK, 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed",`+strings.Replace(resOK, `"ans"`, `"warp-drive"`, 1), 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed",`+strings.Replace(resOK, strings.Repeat("ef", 32), "zz", 1), 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed",`+strings.Replace(resOK, `"bytes":2048`, `"bytes":0`, 1), 1)))
-	f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`,
-		`"name":"fuzz-seed",`+resOK[:len(resOK)/2], 1)))
+	for _, res := range []string{
+		resOK,
+		strings.Replace(resOK, `"ans"`, `"warp-drive"`, 1),
+		strings.Replace(resOK, strings.Repeat("ef", 32), "zz", 1),
+		strings.Replace(resOK, `"bytes":2048`, `"bytes":0`, 1),
+		resOK[:len(resOK)/2],
+	} {
+		f.Add([]byte(strings.Replace(string(valid), `"name":"fuzz-seed"`, `"name":"fuzz-seed",`+res, 1)), []byte(nil))
+	}
+	// Version-2 heads and their sidecars: the pair as committed, the sidecar
+	// truncated, of odd length, with a NaN sample under a hash that matches
+	// it, or disagreeing with the head's size or hash; and heads that break
+	// the version's rules — samples inline, no samples record, a version-1
+	// manifest naming a sidecar.
+	head, samples := validHead(f, valid)
+	f.Add(head, samples)
+	f.Add(head, samples[:len(samples)/2])
+	f.Add(head, samples[:len(samples)-3])
+	nan := bytes.Clone(samples)
+	binary.LittleEndian.PutUint64(nan[8:], math.Float64bits(math.NaN()))
+	nanSum := sha256.Sum256(nan)
+	f.Add(bytes.Replace(head, []byte(hashOf(samples)), []byte(hex.EncodeToString(nanSum[:])), 1), nan)
+	f.Add(head, append(bytes.Clone(samples), samples[:8]...))
+	f.Add(head, bytes.Replace(samples, samples[:8], make([]byte, 8), 1))
+	f.Add(bytes.Replace(head, []byte(`"sample_rate"`), []byte(`"errors_b64":"AAAAAAAAAAA=","sample_rate"`), 1), samples)
+	f.Add(bytes.Replace(head, []byte(`"profile_samples"`), []byte(`"ignored"`), 1), samples)
+	f.Add(bytes.Replace(valid, []byte(`"profile":`), []byte(`"profile_samples":{"bytes":8,"hash":"`+hashOf(samples[:8])+`"},"profile":`), 1), samples[:8])
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data, samples []byte) {
 		m, err := store.ParseManifest(data) // must never panic
 		if err != nil {
 			if !errors.Is(err, store.ErrManifestCorrupt) && !errors.Is(err, store.ErrManifestVersion) {
@@ -164,11 +195,63 @@ func FuzzManifest(f *testing.F) {
 			(m.Residual != nil && *m2.Residual != *m.Residual) {
 			t.Fatalf("round trip changed residual record: %+v vs %+v", m2.Residual, m.Residual)
 		}
+
+		// The sidecar loader: the pair joins into the wire form or fails typed.
+		full, err := store.JoinProfile(m, samples)
+		if err != nil {
+			if !errors.Is(err, store.ErrCorruptDataset) {
+				t.Fatalf("untyped join error: %v", err)
+			}
+			return
+		}
+		wire, err := json.Marshal(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := store.ParseManifest(wire)
+		if err != nil || back.Version != store.WireVersion {
+			t.Fatalf("joined wire form does not parse as version %d: %v", store.WireVersion, err)
+		}
+		h, sc, err := store.SplitProfile(back)
+		if err != nil || (sc == nil) != (m.Profile == nil) {
+			t.Fatalf("wire form does not split back: %v", err)
+		}
+		if m.Version == store.ManifestVersion && m.Profile != nil &&
+			(!bytes.Equal(sc, samples) || *h.ProfileSamples != *m.ProfileSamples || !reflect.DeepEqual(h.Profile, m.Profile)) {
+			t.Fatalf("joined pair does not split back to itself: %+v vs %+v", h.ProfileSamples, m.ProfileSamples)
+		}
 		// A present profile must either rebuild or fail typed.
-		if m.Profile != nil {
-			if _, err := m.RQProfile(); err != nil && !errors.Is(err, store.ErrManifestCorrupt) {
+		if full.Profile != nil {
+			if _, err := full.RQProfile(); err != nil && !errors.Is(err, store.ErrManifestCorrupt) {
 				t.Fatalf("untyped profile rebuild error: %v", err)
 			}
 		}
 	})
+}
+
+// validHead splits a valid version-1 manifest into the version-2 head and
+// sidecar a store commits for it.
+func validHead(t testing.TB, wire []byte) ([]byte, []byte) {
+	t.Helper()
+	m, err := store.ParseManifest(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head, samples, err := store.SplitProfile(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.ParseManifest(data); err != nil {
+		t.Fatalf("seed head does not parse: %v", err)
+	}
+	return data, samples
+}
+
+func hashOf(b []byte) string {
+	s := sha256.Sum256(b)
+	return hex.EncodeToString(s[:])
 }

@@ -125,8 +125,9 @@ func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 
 // VerifyDataset re-verifies one committed dataset without touching
 // quarantine: manifest parse + schema check, trailer index vs manifest
-// chunk records, per-chunk CRC; deep adds a full decode of every chunk and
-// the container SHA-256 against ContainerHash. Failures wrap
+// chunk records, per-chunk CRC, the residual's checks and the profile
+// samples' size; deep adds a full decode of every chunk, the container
+// SHA-256 against ContainerHash and the samples' SHA-256. Failures wrap
 // ErrCorruptDataset (or the manifest's own typed errors).
 func (s *Store) VerifyDataset(name string, deep bool) error {
 	if err := ValidateName(name); err != nil {
@@ -137,8 +138,9 @@ func (s *Store) VerifyDataset(name string, deep bool) error {
 }
 
 // VerifyLoaded is VerifyDataset for a caller that already holds the
-// dataset's parsed manifest (from Manifest): the same container and residual
-// checks against m, without reading and parsing the manifest file again.
+// dataset's parsed manifest (from Manifest): the same container, residual
+// and profile samples checks against m, without reading and parsing the
+// manifest file again.
 func (s *Store) VerifyLoaded(name string, m *Manifest, deep bool) error {
 	_, err := s.verifyLoaded(name, m, deep)
 	return err
@@ -217,7 +219,38 @@ func (s *Store) verifyLoaded(name string, m *Manifest, deep bool) (int64, error)
 	if err != nil {
 		return chunks, err
 	}
-	return chunks, s.verifyResidual(name, m, deep)
+	if err := s.verifyResidual(name, m, deep); err != nil {
+		return chunks, err
+	}
+	return chunks, s.verifySamples(name, m, deep)
+}
+
+// verifySamples checks the profile samples sidecar a version-2 head
+// records: present and of the recorded size; deep additionally re-hashes
+// and decodes it, as FullManifest does. A version-1 manifest carries its
+// samples inline and passes trivially.
+func (s *Store) verifySamples(name string, m *Manifest, deep bool) error {
+	switch {
+	case m.ProfileSamples == nil:
+		return nil
+	case deep:
+		_, err := s.readFull(m)
+		return err
+	}
+	f, err := s.fs.Open(filepath.Join(s.datasetDir(name), ProfileFile))
+	if err != nil {
+		return samplesReadError(name, err)
+	}
+	defer f.Close()
+	size, err := f.Seek(0, io.SeekEnd)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if size != m.ProfileSamples.Bytes {
+		return fmt.Errorf("%w: %q: %s is %d bytes on disk, manifest records %d",
+			ErrCorruptDataset, name, ProfileFile, size, m.ProfileSamples.Bytes)
+	}
+	return nil
 }
 
 // verifyResidual runs the residual-side checks for one dataset: presence

@@ -7,20 +7,27 @@
 // answers "what ratio/quality would bound e give" from one cheap sampling
 // pass; persisting that pass next to the artifact means admission,
 // retrieval, and background recompaction decisions are all O(sample) reads
-// of the manifest — no re-sampling, no decompression, no compression runs.
-// The chunk index (copied from the container trailer) makes element-range
-// reads decompress only the chunks they cover.
+// — no re-sampling, no decompression, no compression runs. The chunk index
+// (copied from the container trailer) makes element-range reads decompress
+// only the chunks they cover.
+//
+// The profile's samples are most of its bytes and only a model question
+// needs them, so they live in a sidecar beside a small manifest head: a
+// stat, slice, GET or List parses the head alone, and recompaction loads
+// the samples (FullManifest).
 //
 // On-disk layout under the store root:
 //
 //	datasets/<name>/data.rqz       chunked container (envelope v2)
-//	datasets/<name>/manifest.json  manifest, written last
+//	datasets/<name>/residual.rqr   lossless residual layer (promoted only)
+//	datasets/<name>/profile.rqp    profile samples, raw little-endian float64s
+//	datasets/<name>/manifest.json  manifest head, written last
 //	tmp/                           staging area, wiped at Open
 //	quarantine/<name>              corrupt datasets parked by Scrub
 //
 // Write protocol (Put): stage a complete dataset directory under tmp/ —
-// container first, fsynced, then the manifest via its own temp file +
-// rename — and finally publish the whole directory into datasets/ with an
+// container first, fsynced, then the residual and profile samples, then the
+// manifest — and finally publish the whole directory into datasets/ with an
 // atomic rename. A replacement first parks the committed dataset at a
 // dot-prefixed sibling (".old.<name>", invisible to readers) inside
 // datasets/; Open recovery restores a parked dataset whose replacement
@@ -73,13 +80,15 @@ var (
 	ErrNoResidual = errors.New("store: dataset has no residual layer")
 )
 
-// ContainerFile, ManifestFile, and ResidualFile are the fixed file names
-// inside a dataset directory (the residual file exists only on promoted
-// datasets).
+// ContainerFile, ManifestFile, ResidualFile and ProfileFile are the fixed
+// file names inside a dataset directory (the residual file exists only on
+// promoted datasets, the profile samples only beside a version-2 manifest
+// with a profile).
 const (
 	ContainerFile = "data.rqz"
 	ManifestFile  = "manifest.json"
 	ResidualFile  = "residual.rqr"
+	ProfileFile   = "profile.rqp"
 )
 
 // oldPrefix marks a displaced dataset directory awaiting replacement
@@ -230,7 +239,7 @@ func (s *Store) recoverParked() error {
 // datasetSize is the on-disk footprint of one committed dataset.
 func (s *Store) datasetSize(name string) int64 {
 	var total int64
-	for _, f := range []string{ContainerFile, ManifestFile, ResidualFile} {
+	for _, f := range []string{ContainerFile, ManifestFile, ResidualFile, ProfileFile} {
 		if fi, err := os.Stat(filepath.Join(s.datasetDir(name), f)); err == nil {
 			total += fi.Size()
 		}
@@ -275,7 +284,8 @@ func (s *Store) ContainerPath(name string) (string, error) {
 	return p, nil
 }
 
-// Manifest loads and validates one dataset's manifest.
+// Manifest loads and validates one dataset's manifest head: everything but
+// the profile's samples, which FullManifest adds.
 func (s *Store) Manifest(name string) (*Manifest, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
@@ -288,6 +298,47 @@ func (s *Store) Manifest(name string) (*Manifest, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	return ParseManifest(data)
+}
+
+// FullManifest returns the wire form of m, a head Manifest loaded:
+// version 1 with the profile's samples inline, read from the dataset's
+// ProfileFile and held to the size and hash the head records. It is what
+// rebuilds the live profile (RQProfile) and what a replica is sent. A
+// sidecar that is missing or does not match is ErrCorruptDataset, unless
+// the dataset was replaced or deleted since m was read (ErrConflict).
+func (s *Store) FullManifest(m *Manifest) (*Manifest, error) {
+	full, err := s.readFull(m)
+	if errors.Is(err, ErrCorruptDataset) {
+		// The head and the sidecar are two reads: a dataset republished or
+		// deleted between them is a race, not rot.
+		if cerr := s.checkBase(m.Name, m); cerr != nil {
+			return nil, cerr
+		}
+	}
+	return full, err
+}
+
+// readFull reads m's profile samples sidecar and joins it to m
+// (joinProfile).
+func (s *Store) readFull(m *Manifest) (*Manifest, error) {
+	if m.ProfileSamples == nil {
+		return joinProfile(m, nil)
+	}
+	samples, err := s.fs.ReadFile(filepath.Join(s.datasetDir(m.Name), ProfileFile))
+	if err != nil {
+		return nil, samplesReadError(m.Name, err)
+	}
+	return joinProfile(m, samples)
+}
+
+// samplesReadError types a failed read of a dataset's profile samples: a
+// missing sidecar is corruption, anything else an I/O failure.
+func samplesReadError(name string, err error) error {
+	if errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("%w: %q: manifest records profile samples but %s is missing",
+			ErrCorruptDataset, name, ProfileFile)
+	}
+	return fmt.Errorf("store: %w", err)
 }
 
 // List returns the manifests of every committed dataset, sorted by name.
@@ -314,8 +365,9 @@ func (s *Store) List() ([]*Manifest, error) {
 	return out, nil
 }
 
-// Bytes reports the committed datasets' total container+manifest+residual
-// footprint and count. The gauges are maintained incrementally on
+// Bytes reports the committed datasets' total on-disk footprint (every
+// file of ContainerFile, ManifestFile, ResidualFile and ProfileFile) and
+// count. The gauges are maintained incrementally on
 // Put/Delete, so this is an O(1) read — safe for a metrics scraper to poll.
 func (s *Store) Bytes() (total int64, datasets int) {
 	return s.bytesStored.Load(), int(s.datasetCount.Load())
@@ -352,8 +404,11 @@ type ResidualBuilder func(containerPath string, w io.Writer) (*ResidualRecord, e
 // file to write; the manifest it returns is completed by the store — chunk
 // index copied from the container trailer, container size filled in — and
 // committed after the container, so a visible manifest always describes a
-// fully written container. The whole dataset publishes with one directory
-// rename; a crash mid-put leaves the previous state.
+// fully written container. Its profile, when it has one, must carry its
+// samples: they are committed to the sidecar and the head records their
+// size and hash. The returned manifest is the committed one in its wire
+// form, as FullManifest would load it. The whole dataset publishes with one
+// directory rename; a crash mid-put leaves the previous state.
 func (s *Store) Put(name string, build func(w io.Writer) (*Manifest, error)) (*Manifest, error) {
 	return s.put(name, nil, build, nil)
 }
@@ -467,8 +522,9 @@ func (s *Store) checkBase(name string, base *Manifest) error {
 	return nil
 }
 
-// stageDataset writes container, optional residual, and manifest into the
-// staging directory (in that order — the manifest is the commit record).
+// stageDataset writes container, optional residual, profile samples and
+// manifest into the staging directory (in that order — the manifest is the
+// commit record).
 func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manifest, error), rb ResidualBuilder) (*Manifest, error) {
 	cpath := filepath.Join(stage, ContainerFile)
 	cf, err := os.Create(cpath)
@@ -508,7 +564,6 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	m.Version = ManifestVersion
 	m.Name = name
 	m.Chunks = chunkRecords(idx.Entries)
 	m.TotalValues = idx.TotalValues
@@ -537,7 +592,16 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 		m.Residual = rec
 	}
 
-	data, err := json.MarshalIndent(m, "", "  ")
+	head, samples, err := splitProfile(m)
+	if err != nil {
+		return nil, err
+	}
+	if samples != nil {
+		if err := writeFileSync(filepath.Join(stage, ProfileFile), samples); err != nil {
+			return nil, err
+		}
+	}
+	data, err := json.MarshalIndent(head, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding manifest: %w", err)
 	}
@@ -548,6 +612,7 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 		return nil, err
 	}
 	syncDir(stage)
+	m.Version, m.ProfileSamples = WireVersion, nil
 	return m, nil
 }
 

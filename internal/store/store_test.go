@@ -3,6 +3,7 @@ package store_test
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -114,7 +115,14 @@ func TestPutGetListDelete(t *testing.T) {
 	if got.ContentHash != m.ContentHash || got.TotalValues != m.TotalValues {
 		t.Fatalf("reloaded manifest differs: %+v vs %+v", got, m)
 	}
-	p, err := got.RQProfile()
+	if _, err := got.RQProfile(); err == nil {
+		t.Fatal("a manifest head rebuilt a profile without its samples")
+	}
+	full, err := s2.FullManifest(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := full.RQProfile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +402,8 @@ func TestCrashRecoveryRestoresParkedReplacement(t *testing.T) {
 }
 
 // TestBytesGaugeTracksPutReplaceDelete pins the O(1) size gauges against
-// the filesystem truth across put, replace, and delete.
+// the filesystem truth — every file under datasets/ — across put, replace,
+// and delete.
 func TestBytesGaugeTracksPutReplaceDelete(t *testing.T) {
 	s, err := store.Open(t.TempDir())
 	if err != nil {
@@ -402,14 +411,17 @@ func TestBytesGaugeTracksPutReplaceDelete(t *testing.T) {
 	}
 	sum := func() int64 {
 		var total int64
-		for _, m := range mustList(t, s) {
-			for _, file := range []string{store.ContainerFile, store.ManifestFile} {
-				fi, err := os.Stat(filepath.Join(s.Dir(), "datasets", m.Name, file))
-				if err != nil {
-					t.Fatal(err)
+		err := filepath.WalkDir(filepath.Join(s.Dir(), "datasets"), func(_ string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() {
+				var fi fs.FileInfo
+				if fi, err = d.Info(); err == nil {
+					total += fi.Size()
 				}
-				total += fi.Size()
 			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		return total
 	}
