@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -156,5 +158,60 @@ func TestCompressFlagValidation(t *testing.T) {
 				t.Fatalf("args %v: exit status %d, want usage error", tc.args, code)
 			}
 		})
+	}
+}
+
+// TestArchivedContainers drives rqc decompress and inspect over every archived
+// container. The .rqmf decompress writes must be the bytes rqm.Decompress's
+// field writes, and the two radius fixtures must decode to .rqmf files with
+// the SHA-256 pinned below.
+func TestArchivedContainers(t *testing.T) {
+	ins, _ := filepath.Glob("../../testdata/pre_pr*.rqz") // the pattern is well formed
+	ins = append(ins, "../../internal/store/testdata/pre_pr30_dataset/data.rqz")
+	pinned := map[string]string{
+		"pre_pr26_radius_255.rqz":     "8e396893a919c686cfdee3628f1c6f3e4c87e50e37443c74cef8f66942bff971",
+		"pre_pr26_radius_1048577.rqz": "b778a824f429e225edf3a152b5a672a4b7723c3fbca57519255a3da8266bd33d",
+	}
+	defer func() { exit = os.Exit }()
+	exit = func(c int) { panic(fmt.Sprintf("exit status %d", c)) }
+	run := func(t *testing.T, cmd func([]string), args ...string) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("rqc %v: %v", args, r)
+			}
+		}()
+		cmd(args)
+	}
+	for _, in := range ins {
+		t.Run(filepath.Base(in), func(t *testing.T) {
+			blob, err := os.ReadFile(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := rqm.Decompress(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if _, err := f.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			out := filepath.Join(t.TempDir(), "out.rqmf")
+			run(t, cmdInspect, "-in", in, "-full")
+			run(t, cmdDecompress, "-in", in, "-out", out)
+			got, err := os.ReadFile(out)
+			if err != nil || !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("decompress wrote %d bytes (%v), not the %d rqm.Decompress's field writes", len(got), err, want.Len())
+			}
+			name := filepath.Base(in)
+			if sum, ok := pinned[name]; ok && fmt.Sprintf("%x", sha256.Sum256(got)) != sum {
+				t.Errorf("decompress wrote a .rqmf hashing to %x, want %s", sha256.Sum256(got), sum)
+			}
+			delete(pinned, name)
+		})
+	}
+	if len(pinned) != 0 {
+		t.Errorf("no archived container ran for %v", pinned)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -203,7 +205,18 @@ func fuzzSeedContainers(f *testing.F) [][]byte {
 	}
 	// A stream header whose dimensions each pass a per-axis check but whose
 	// value count overflows.
-	return append(seeds, overflowingContainer(f))
+	seeds = append(seeds, overflowingContainer(f))
+	// Every archived container (the compatibility table's envelope, chunked
+	// and dataset rows), so mutation starts from each wire form ever written.
+	archived, _ := filepath.Glob("testdata/pre_pr*.rqz") // the pattern is well formed
+	for _, path := range append(archived, "internal/store/testdata/pre_pr30_dataset/data.rqz") {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, blob)
+	}
+	return seeds
 }
 
 // FuzzDecompress asserts the container parsers never panic: every input —

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -169,6 +170,15 @@ func FuzzManifest(f *testing.F) {
 	f.Add(bytes.Replace(head, []byte(`"sample_rate"`), []byte(`"errors_b64":"AAAAAAAAAAA=","sample_rate"`), 1), samples)
 	f.Add(bytes.Replace(head, []byte(`"profile_samples"`), []byte(`"ignored"`), 1), samples)
 	f.Add(bytes.Replace(valid, []byte(`"profile":`), []byte(`"profile_samples":{"bytes":8,"hash":"`+hashOf(samples[:8])+`"},"profile":`), 1), samples[:8])
+	// The archived manifests (the compatibility table's rows): a record from
+	// before the profile named its pipeline, and a version-1 dataset's.
+	for _, path := range []string{"testdata/pre_pr18_manifest.json", "testdata/pre_pr30_dataset/manifest.json"} {
+		archived, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(archived, []byte(nil))
+	}
 
 	f.Fuzz(func(t *testing.T, data, samples []byte) {
 		m, err := store.ParseManifest(data) // must never panic

@@ -670,37 +670,3 @@ func TestReadRangeOverVariableChunks(t *testing.T) {
 		}
 	}
 }
-
-// TestLegacyManifestAnswersUnchanged loads a manifest the last rqserved before
-// the profile record gained its pipeline fields wrote (prediction-tans,
-// lossless=rle — none of which that record said) and holds its profile to the
-// answers that rqserved gave from it.
-func TestLegacyManifestAnswersUnchanged(t *testing.T) {
-	raw, err := os.ReadFile("testdata/pre_pr18_manifest.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := store.ParseManifest(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := m.RQProfile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := p.EstimateAt(m.ErrorBound * p.Range)
-	forRatio, rerr := p.ErrorBoundForRatio(20)
-	forPSNR, perr := p.ErrorBoundForPSNR(50)
-	if rerr != nil || perr != nil {
-		t.Fatal(rerr, perr)
-	}
-	got := []float64{est.TotalBitRate, est.Ratio, est.PSNR, est.SSIM, forRatio, forPSNR}
-	want := []uint64{0x401b3b3808077fca, 0x4012cd47d0293fac, 0x4050320b5c175ea2,
-		0x3feffff429416dd4, 0x4024c4b1ffd61002, 0x3fe52af8e7637c53}
-	for i, v := range got {
-		if math.Float64bits(v) != want[i] {
-			t.Errorf("answer %d: %v (%#x), the writer's rqserved answered %v (%#x)",
-				i, v, math.Float64bits(v), math.Float64frombits(want[i]), want[i])
-		}
-	}
-}
