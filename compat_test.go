@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"rqm"
@@ -102,7 +103,26 @@ func TestArchivedFixtures(t *testing.T) {
 	if slices.Sort(rows); !slices.Equal(onDisk, rows) {
 		t.Fatalf("fixtures and rows differ:\n fixtures %q\n rows     %q", onDisk, rows)
 	}
+	checkRows(t, "")
+}
 
+// TestPrePR7ContainersDecodeByteIdentically holds the last container-version-1 build's envelope and stream to their rows.
+func TestPrePR7ContainersDecodeByteIdentically(t *testing.T) { checkRows(t, "testdata/pre_pr7_") }
+
+// TestRadiusContainersDecodeByteIdentically holds the containers written at a caller-picked radius to their rows.
+func TestRadiusContainersDecodeByteIdentically(t *testing.T) {
+	checkRows(t, "testdata/pre_pr26_radius_")
+}
+
+// TestTransformContainersDecodeByteIdentically holds the transform codec's envelope and stream to their rows.
+func TestTransformContainersDecodeByteIdentically(t *testing.T) {
+	checkRows(t, "testdata/pre_pr28_transform")
+}
+
+// checkRows sends every row whose path starts with prefix through every byte reader, then the readers of its kind,
+// one subtest per row: each must reproduce what the row decodes to, or refuse it with the typed error pinned here.
+func checkRows(t *testing.T, prefix string) {
+	t.Helper()
 	_, srv := serve(t, t.TempDir())
 	notContainer := refuse(rqm.ErrBadMagic, resid, manifest, rawPut)
 	notStream := refuse(rqm.ErrBadMagic, resid, manifest, rawPut)
@@ -136,7 +156,12 @@ func TestArchivedFixtures(t *testing.T) {
 		{"store.ParseManifest", refuse(store.ErrManifestCorrupt, envelope, chunked, resid, rawPut), "value", readManifest},
 	}
 
+	ran := 0
 	for _, fx := range fixtures {
+		if !strings.HasPrefix(fx.path, prefix) {
+			continue
+		}
+		ran++
 		t.Run(filepath.Base(fx.path), func(t *testing.T) {
 			path, form := fx.path, fx.kind
 			if form == dataset {
@@ -175,6 +200,9 @@ func TestArchivedFixtures(t *testing.T) {
 				checkServed(t, root, blob)
 			}
 		})
+	}
+	if ran == 0 {
+		t.Fatalf("no row starts with %q", prefix)
 	}
 }
 
