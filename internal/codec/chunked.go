@@ -370,10 +370,11 @@ type Records struct {
 
 	r io.Reader
 	// whole is r when the source is a complete in-memory container: the
-	// footer must then be its last byte. skip is r when, on top of that,
-	// payloads are to be seeked over instead of read (Inspect stays
-	// O(records), not O(bytes)).
-	whole, skip *bytes.Reader
+	// footer must then be its last byte, and payloads are seeked over
+	// instead of read — Inspect stays O(records), not O(bytes) — or, when
+	// data (the container) is set, sliced from it in place.
+	whole *bytes.Reader
+	data  []byte
 
 	tag   [1]byte      // read buffer (a field, so reading a tag allocates nothing)
 	off   int64        // container offset of the next record tag
@@ -393,15 +394,17 @@ func OpenRecords(r io.Reader) (*Records, error) {
 }
 
 // openContainer is OpenRecords over a complete in-memory container; heads
-// asks for record heads only.
+// asks for record heads only, and otherwise every payload is a subslice of
+// data (no copy).
 func openContainer(data []byte, heads bool) (*Records, error) {
 	br := bytes.NewReader(data)
 	rs, err := OpenRecords(br)
 	if err != nil {
 		return nil, err
 	}
-	if rs.whole = br; heads {
-		rs.skip = br
+	rs.whole = br
+	if !heads {
+		rs.data = data
 	}
 	return rs, nil
 }
@@ -414,15 +417,22 @@ func openContainer(data []byte, heads bool) (*Records, error) {
 // that position declared, the total equal to the sum, and the footer's
 // trailer offset equal to where the trailer tag actually stood. All copies
 // of a chunk's geometry and bound must agree or the container is corrupt.
-func (rs *Records) Next() (*Chunk, uint32, error) {
+//
+// The payload is read into pb, so a caller can recycle payload buffers: the
+// chunk's Payload aliases pb until pb is next written. Over an in-memory
+// container payloads are seeked over or sliced in place, and pb may be nil.
+func (rs *Records) Next(pb *bytes.Buffer) (*Chunk, uint32, error) {
 	if _, err := io.ReadFull(rs.r, rs.tag[:]); err != nil {
 		return nil, 0, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
 	}
 	switch rs.tag[0] {
 	case tagChunk:
-		c, crc, n, err := readChunk(rs.r, rs.skip, new(bytes.Buffer))
+		c, crc, n, err := readChunk(rs.r, rs.whole, pb)
 		if err != nil {
 			return nil, 0, err
+		}
+		if rs.data != nil {
+			c.Payload = rs.data[rs.off+chunkHeadSize : rs.off+int64(n) : rs.off+int64(n)]
 		}
 		rs.seen = append(rs.seen, IndexEntry{Offset: rs.off, Values: c.Values, RecordBytes: n, AbsBound: c.AbsBound})
 		rs.off += int64(n)
@@ -483,7 +493,7 @@ func openChunked(data []byte) (*Info, []byte, error) {
 		return nil, nil, err
 	}
 	for {
-		if _, _, err = rs.Next(); err != nil {
+		if _, _, err = rs.Next(nil); err != nil {
 			break
 		}
 	}
@@ -512,7 +522,8 @@ func openChunked(data []byte) (*Info, []byte, error) {
 }
 
 // DecompressChunked reconstructs a field from a chunked container,
-// sequentially routing every chunk to its backend by codec ID.
+// sequentially routing every chunk to its backend by codec ID. Payloads are
+// read in place and each chunk decodes straight into its span of the field.
 // (internal/stream provides the concurrent pipeline over the same walker.)
 func DecompressChunked(data []byte) (*grid.Field, error) {
 	rs, err := openContainer(data, false)
@@ -521,7 +532,7 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 	}
 	vals := rs.Header.ValueBuffer()
 	for {
-		c, crc, err := rs.Next()
+		c, crc, err := rs.Next(nil)
 		if err == io.EOF {
 			return AssembleField(&rs.Header, vals)
 		}
@@ -531,22 +542,38 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		chunkVals, err := DecodeChunk(c)
+		// Past the preallocation, grow by what was decoded, not by what the
+		// record declares: a corrupt count must not drive the allocation.
+		n := len(vals)
+		chunkVals, err := DecodeChunkInto(vals[n:], c)
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, chunkVals...)
+		if cap(vals)-n >= c.Values {
+			vals = vals[:n+c.Values]
+		} else {
+			vals = append(vals, chunkVals...)
+		}
 	}
 }
 
 // DecodeChunk decompresses one chunk record's payload through the codec its
-// ID names and returns its samples.
-func DecodeChunk(c *Chunk) ([]float64, error) {
+// ID names and returns its samples in a fresh slice.
+func DecodeChunk(c *Chunk) ([]float64, error) { return DecodeChunkInto(nil, c) }
+
+// DecodeChunkInto is DecodeChunk decoding into dst: when cap(dst) holds the
+// record's c.Values samples, the returned values are dst[:c.Values] and the
+// decode allocates no value slice. dst's prior contents do not matter. The
+// decoder never writes past dst[c.Values-1], whatever the payload declares.
+func DecodeChunkInto(dst []float64, c *Chunk) ([]float64, error) {
 	backend, err := ByID(c.CodecID)
 	if err != nil {
 		return nil, err
 	}
-	f, err := backend.Decompress(c.Payload)
+	if cap(dst) >= c.Values {
+		dst = dst[:0:c.Values]
+	}
+	f, err := backend.Decompress(dst, c.Payload)
 	if err != nil {
 		return nil, err
 	}
@@ -556,6 +583,31 @@ func DecodeChunk(c *Chunk) ([]float64, error) {
 	}
 	return f.Data, nil
 }
+
+// DecodeChunkAt is ReadChunkAt then DecodeChunkInto, with the payload read
+// into a pooled buffer that is recycled before it returns: the random-access
+// decode keeps nothing but the values.
+func DecodeChunkAt(rs io.ReadSeeker, e IndexEntry, dst []float64) ([]float64, error) {
+	pb := payloadPool.Get().(*bytes.Buffer)
+	defer payloadPool.Put(pb)
+	c, err := readChunkAt(rs, e, pb)
+	if err != nil {
+		return nil, err
+	}
+	return DecodeChunkInto(dst, c)
+}
+
+// valuesPool recycles decoded-chunk buffers (see GetValues).
+var valuesPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// GetValues takes a decode destination from the shared chunk-buffer pool.
+// Pass *b to DecodeChunkInto or DecodeChunkAt, store the result back in *b
+// (a chunk larger than the buffer comes back in a fresh slice the buffer
+// then keeps), and PutValues(b) once nothing reads those values any more.
+func GetValues() *[]float64 { return valuesPool.Get().(*[]float64) }
+
+// PutValues returns a GetValues buffer to the pool.
+func PutValues(b *[]float64) { valuesPool.Put(b) }
 
 // AssembleField shapes decoded stream samples into a field: the header's
 // dims when their product matches the sample count, 1-D otherwise.
@@ -660,7 +712,7 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 // verified, and the record's own head held against the entry that located it
 // — value count, record length and bound must match, so a caller may size
 // and slice by the entry. Pair with DecodeChunk for random-access
-// decompression.
+// decompression, or call DecodeChunkAt for both over a pooled payload.
 func ReadChunkAt(rs io.ReadSeeker, e IndexEntry) (*Chunk, error) {
 	return readChunkAt(rs, e, new(bytes.Buffer))
 }

@@ -86,8 +86,10 @@ type Codec interface {
 	// writer's chunk pipeline in particular) recycle the field's buffer as
 	// soon as Compress returns.
 	Compress(f *grid.Field, opts Options) (payload []byte, err error)
-	// Decompress reconstructs a field from a native payload.
-	Decompress(payload []byte) (*grid.Field, error)
+	// Decompress reconstructs a field from a native payload. When cap(dst)
+	// holds the field, its values are decoded into dst[:n], which the field's
+	// Data then aliases; otherwise (dst nil, say) they get a fresh slice.
+	Decompress(dst []float64, payload []byte) (*grid.Field, error)
 	// Profile builds a ratio-quality profile for f: the one-time sampling
 	// product all model estimates and inverse solves derive from. The
 	// modeled pipeline — predictor, entropy stage, whether a lossless stage

@@ -183,7 +183,7 @@ func Decompress(data []byte) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.Decompress(payload)
+	return c.Decompress(nil, payload)
 }
 
 // Inspect returns container routing info without decoding the payload.

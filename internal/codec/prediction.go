@@ -60,8 +60,8 @@ func (c predictionCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
 	return res.Bytes, nil
 }
 
-func (predictionCodec) Decompress(payload []byte) (*grid.Field, error) {
-	f, err := compressor.Decompress(payload)
+func (predictionCodec) Decompress(dst []float64, payload []byte) (*grid.Field, error) {
+	f, err := compressor.DecompressInto(dst, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

@@ -33,8 +33,8 @@ func (transformCodec) Compress(f *grid.Field, opts Options) ([]byte, error) {
 	return res.Bytes, nil
 }
 
-func (transformCodec) Decompress(payload []byte) (*grid.Field, error) {
-	f, err := transform.Decompress(payload)
+func (transformCodec) Decompress(dst []float64, payload []byte) (*grid.Field, error) {
+	f, err := transform.DecompressInto(dst, payload)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
 	}

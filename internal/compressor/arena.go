@@ -15,8 +15,10 @@ import (
 // Ownership rules (see DESIGN.md §12):
 //   - Compress/Decompress acquire an arena on entry and release it before
 //     returning; nothing reachable from a Result or a returned Field may
-//     alias arena memory (work on the decompress side is allocated fresh
-//     because it escapes as Field.Data).
+//     alias arena memory (work on the decompress side is the caller's
+//     DecompressInto buffer or fresh, because it escapes as Field.Data).
+//     The decode side's lossless-stage output (raw) and PWREL bitmaps are
+//     arena memory: they are consumed before Decompress returns.
 //   - counts is kept all-zero between uses. Whoever increments an entry
 //     appends its index to touched exactly once; release() zeroes only the
 //     touched entries, so cleanup is O(distinct symbols), not O(radius).
@@ -42,6 +44,9 @@ type arena struct {
 	ansBuf  []byte
 	blobBuf []byte
 	cbBuf   []byte
+	// raw is the decode side's lossless-stage output, the bytes the entropy
+	// decoder reads.
+	raw []byte
 }
 
 var arenaPool = sync.Pool{New: func() interface{} { return &arena{} }}

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"rqm/internal/ans"
@@ -371,32 +372,37 @@ func applyLossless(kind LosslessKind, payload []byte) ([]byte, error) {
 	return nil, fmt.Errorf("compressor: unknown lossless kind %d", int(kind))
 }
 
-func undoLossless(kind LosslessKind, data []byte, rawLen int) ([]byte, error) {
+// undoLossless reverses applyLossless into the arena's raw buffer (the
+// result is scratch: it lives until the arena is released).
+func undoLossless(a *arena, kind LosslessKind, data []byte, rawLen int) ([]byte, error) {
+	var err error
 	switch kind {
 	case LosslessNone:
 		return data, nil
 	case LosslessRLE:
-		return rle.Decode(data, rawLen)
+		a.raw, err = rle.AppendDecode(a.raw[:0], data, rawLen)
 	case LosslessLZ77:
-		return lz77.Decode(data, rawLen)
+		a.raw = slices.Grow(a.raw[:0], rawLen)[:rawLen]
+		err = lz77.DecodeInto(a.raw, data)
 	case LosslessFlate:
 		fr := flate.NewReader(bytes.NewReader(data))
 		defer fr.Close()
-		out := make([]byte, 0, rawLen)
-		buf := make([]byte, 64*1024)
-		for {
-			n, err := fr.Read(buf)
-			out = append(out, buf[:n]...)
-			if err == io.EOF {
-				break
+		out := slices.Grow(a.raw[:0], rawLen)
+		for err == nil {
+			if len(out) == cap(out) {
+				out = slices.Grow(out, 64<<10)
 			}
-			if err != nil {
-				return nil, err
-			}
+			var n int
+			n, err = fr.Read(out[len(out):cap(out)])
+			out = out[:len(out)+n]
 		}
-		return out, nil
+		if a.raw = out; err == io.EOF {
+			err = nil
+		}
+	default:
+		return nil, fmt.Errorf("compressor: unknown lossless kind %d", int(kind))
 	}
-	return nil, fmt.Errorf("compressor: unknown lossless kind %d", int(kind))
+	return a.raw, err
 }
 
 // assembleContainer lays out the self-describing byte stream in one
@@ -473,7 +479,13 @@ func assembleContainer(f *grid.Field, opts Options, absEB float64,
 // The parse is a zero-copy grid.Cursor: aux, bitmaps, codebook, and payload
 // are subslices of data, so the only large allocation is the returned
 // field's value slice (the symbol scratch comes from the arena pool).
-func Decompress(data []byte) (*grid.Field, error) {
+func Decompress(data []byte) (*grid.Field, error) { return DecompressInto(nil, data) }
+
+// DecompressInto is Decompress decoding into dst: when cap(dst) holds the
+// field, the returned field's Data is dst[:n] and the decode allocates no
+// value slice at all. dst's prior contents do not matter (it is cleared
+// first), and on error they are unspecified.
+func DecompressInto(dst []float64, data []byte) (*grid.Field, error) {
 	c := grid.NewCursor(data)
 	if c.U32() != containerMagic {
 		return nil, errors.New("compressor: bad magic")
@@ -519,7 +531,9 @@ func Decompress(data []byte) (*grid.Field, error) {
 		unpred[i] = math.Float64frombits(binary.LittleEndian.Uint64(unpredRaw[8*i:]))
 	}
 
-	rawPayload, err := undoLossless(LosslessKind(lossless), payload, int(rawPayloadLen))
+	a := getArena()
+	defer a.release()
+	rawPayload, err := undoLossless(a, LosslessKind(lossless), payload, int(rawPayloadLen))
 	if err != nil {
 		return nil, err
 	}
@@ -529,8 +543,6 @@ func Decompress(data []byte) (*grid.Field, error) {
 	if enc.kind != EntropyTANS && n > 8*len(rawPayload) {
 		return nil, fmt.Errorf("%w: %d values over a %d-byte payload", grid.ErrTruncated, n, len(rawPayload))
 	}
-	a := getArena()
-	defer a.release()
 	syms := a.u32(n)
 	if err := decodeEntropy(enc, rawPayload, syms); err != nil {
 		return nil, err
@@ -543,9 +555,9 @@ func Decompress(data []byte) (*grid.Field, error) {
 	if _, err := quantizer.New(absEB, radius); err != nil {
 		return nil, err
 	}
-	// work escapes as the returned field's data, so it is allocated fresh
-	// rather than pooled.
-	work := make([]float64, n)
+	// work escapes as the returned field's data, so it is the caller's dst
+	// or fresh, never the arena's.
+	work := grid.Reuse(dst, n)
 	k := &decodeKernel{
 		syms:   syms,
 		work:   work,
@@ -566,14 +578,16 @@ func Decompress(data []byte) (*grid.Field, error) {
 	}
 
 	if ErrorMode(mode) == PWREL {
-		signs, err := rle.Decode(signsEnc, n)
+		signs, err := rle.AppendDecode(a.signs[:0], signsEnc, n)
 		if err != nil {
 			return nil, err
 		}
-		zeros, err := rle.Decode(zerosEnc, n)
+		a.signs = signs
+		zeros, err := rle.AppendDecode(a.zeros[:0], zerosEnc, n)
 		if err != nil {
 			return nil, err
 		}
+		a.zeros = zeros
 		if len(signs) != n || len(zeros) != n {
 			return nil, errors.New("compressor: bitmap length mismatch")
 		}

@@ -191,6 +191,18 @@ func New(name string, prec Precision, dims ...int) (*Field, error) {
 	return FromData(name, prec, make([]float64, n), dims...)
 }
 
+// Reuse returns a zeroed length-n value slice: dst[:n] when dst has the
+// capacity, a fresh slice otherwise. Decoders take their output from it, so
+// a caller that hands one in owns the decoded values' memory.
+func Reuse(dst []float64, n int) []float64 {
+	if cap(dst) < n {
+		return make([]float64, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	return dst
+}
+
 // MustNew is New that panics on error; for tests and generators with
 // compile-time-constant shapes.
 func MustNew(name string, prec Precision, dims ...int) *Field {

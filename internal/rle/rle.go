@@ -11,6 +11,7 @@ package rle
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 )
 
 // Encode compresses src with zero-byte run-length encoding.
@@ -41,7 +42,13 @@ func Encode(src []byte) []byte {
 // Decode reverses Encode. maxLen bounds the output size as a safety check
 // against corrupted counts (0 means no bound).
 func Decode(src []byte, maxLen int) ([]byte, error) {
-	out := make([]byte, 0, len(src)*2)
+	return AppendDecode(make([]byte, 0, len(src)*2), src, maxLen)
+}
+
+// AppendDecode is Decode appending the decoded bytes to dst, so a caller can
+// decode into a buffer it reuses; maxLen bounds the bytes appended.
+func AppendDecode(dst, src []byte, maxLen int) ([]byte, error) {
+	out, base := dst, len(dst)
 	i := 0
 	for i < len(src) {
 		b := src[i]
@@ -57,12 +64,13 @@ func Decode(src []byte, maxLen int) ([]byte, error) {
 		}
 		i += k
 		run := int(n) + 1
-		if run < 0 || (maxLen > 0 && len(out)+run > maxLen) {
+		if run < 0 || (maxLen > 0 && len(out)-base+run > maxLen) {
 			return nil, errors.New("rle: run overflows expected size")
 		}
-		for j := 0; j < run; j++ {
-			out = append(out, 0)
-		}
+		out = slices.Grow(out, run)
+		end := len(out) + run
+		clear(out[len(out):end])
+		out = out[:end]
 	}
 	return out, nil
 }

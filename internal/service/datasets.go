@@ -312,7 +312,9 @@ func (s *Service) handleDatasetGet(req *request) error {
 		return ignoreWriteErr(err)
 	}
 	// Default: decompress back to a .rqmf field, streamed chunk by chunk.
-	sr, err := rqm.NewReader(bufio.NewReaderSize(f, 1<<20))
+	br := pooledReader(f)
+	defer releaseReader(br)
+	sr, err := rqm.NewReader(br)
 	if err != nil {
 		return err
 	}
@@ -546,13 +548,13 @@ func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *
 		if err != nil {
 			return nil, stats, err
 		}
-		sr, err := rqm.NewReader(bufio.NewReaderSize(cf, 1<<20))
-		if err != nil {
-			cf.Close()
-			return nil, stats, err
+		br := pooledReader(cf)
+		sr, err := rqm.NewReader(br)
+		if err == nil {
+			f, err = sr.ReadAll()
+			sr.Close()
 		}
-		f, err = sr.ReadAll()
-		sr.Close()
+		releaseReader(br)
 		cf.Close()
 		if err != nil {
 			return nil, stats, err

@@ -766,7 +766,8 @@ func parseRangeParam(q url.Values) (lo, hi float64, err error) {
 func (s *Service) handleDecompress(req *request) error {
 	w := req.w
 	s.count(&s.decompresses, 1)
-	br := bufio.NewReaderSize(req.r.Body, 1<<20)
+	br := pooledReader(req.r.Body)
+	defer releaseReader(br)
 	head, err := br.Peek(5)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "truncated",
@@ -1108,6 +1109,26 @@ func (s *Service) lookupProfile(q url.Values) (*cachedProfile, error) {
 
 // ---------------------------------------------------------------------------
 // Helpers
+
+// readerPool recycles the 1 MiB read buffers that containers stream through
+// on the read paths (a dataset GET, a recompaction's decode, POST
+// /v1/decompress), so a read allocates no buffer of its own.
+var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<20) }}
+
+// pooledReader returns a pooled buffered reader over r. The caller hands it
+// back with releaseReader once nothing — no stream.Reader feeder either —
+// reads from it any more.
+func pooledReader(r io.Reader) *bufio.Reader {
+	br := readerPool.Get().(*bufio.Reader)
+	br.Reset(r)
+	return br
+}
+
+// releaseReader returns a pooledReader buffer to the pool.
+func releaseReader(br *bufio.Reader) {
+	br.Reset(nil)
+	readerPool.Put(br)
+}
 
 // readBufferedBody materializes a request body up to maxBufferedBody,
 // answering 413 — not a misleading truncation error — beyond the cap.

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
@@ -43,24 +44,33 @@ type Reader struct {
 	feedDone chan struct{}
 	once     sync.Once
 
-	cur     []float64 // decoded values Read has not serialized yet
-	buf     []byte    // Read's fixed sample buffer (allocated on first Read)
-	encoded []byte    // serialized samples Read has not returned yet
-	readErr error     // sticky
+	cur     []float64  // decoded values Read has not serialized yet
+	curBuf  *[]float64 // the pooled chunk buffer cur points into
+	buf     []byte     // Read's fixed sample buffer (allocated on first Read)
+	encoded []byte     // serialized samples Read has not returned yet
+	readErr error      // sticky
 
 	values int64
 }
 
+// decResult is one decoded chunk: its values live in a buffer from the
+// codec's chunk-buffer pool, which the consumer returns once it has copied
+// or serialized them (NextChunk hands it to its caller instead).
 type decResult struct {
-	vals []float64
+	vals *[]float64
 	err  error
 }
 
 type decJob struct {
 	chunk *codec.Chunk
+	pb    *bytes.Buffer // the pooled payload buffer chunk.Payload aliases
 	crc   uint32
 	res   chan decResult
 }
+
+// payloadPool recycles chunk payload buffers between the feeder, which
+// reads a record into one, and the worker that decodes it.
+var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // NewReader parses the stream header of src and starts the decode pipeline.
 // Header parse failures surface immediately with the typed container errors.
@@ -104,12 +114,7 @@ func (r *Reader) feed() {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				if err := codec.VerifyChunk(j.chunk, j.crc); err != nil {
-					j.res <- decResult{err: err}
-					continue
-				}
-				vals, err := codec.DecodeChunk(j.chunk)
-				j.res <- decResult{vals: vals, err: err}
+				j.res <- decode(j)
 			}
 		}()
 	}
@@ -117,12 +122,13 @@ func (r *Reader) feed() {
 	defer close(jobs)
 
 	for {
-		c, crc, err := r.recs.Next()
-		if err == io.EOF {
-			return
-		}
+		pb := payloadPool.Get().(*bytes.Buffer)
+		c, crc, err := r.recs.Next(pb)
 		if err != nil {
-			r.emitErr(err)
+			payloadPool.Put(pb)
+			if err != io.EOF {
+				r.emitErr(err)
+			}
 			return
 		}
 		res := make(chan decResult, 1)
@@ -132,11 +138,28 @@ func (r *Reader) feed() {
 			return
 		}
 		select {
-		case jobs <- decJob{chunk: c, crc: crc, res: res}:
+		case jobs <- decJob{chunk: c, pb: pb, crc: crc, res: res}:
 		case <-r.done:
 			return
 		}
 	}
+}
+
+// decode verifies and decodes one chunk into a pooled buffer, recycling the
+// payload buffer either way.
+func decode(j decJob) decResult {
+	defer payloadPool.Put(j.pb)
+	if err := codec.VerifyChunk(j.chunk, j.crc); err != nil {
+		return decResult{err: err}
+	}
+	b := codec.GetValues()
+	vals, err := codec.DecodeChunkInto(*b, j.chunk)
+	if err != nil {
+		codec.PutValues(b)
+		return decResult{err: err}
+	}
+	*b = vals
+	return decResult{vals: b}
 }
 
 // emitErr delivers a feeder error as the next in-order result.
@@ -153,6 +176,16 @@ func (r *Reader) emitErr(err error) {
 // io.EOF after the last chunk of a valid stream. The returned slice is
 // owned by the caller.
 func (r *Reader) NextChunk() ([]float64, error) {
+	b, err := r.next()
+	if err != nil {
+		return nil, err
+	}
+	return *b, nil // the caller keeps it, so it never returns to the pool
+}
+
+// next is NextChunk handing back the pooled buffer itself, for the readers
+// that consume it and return it (codec.PutValues).
+func (r *Reader) next() (*[]float64, error) {
 	if r.readErr != nil {
 		return nil, r.readErr
 	}
@@ -167,7 +200,7 @@ func (r *Reader) NextChunk() ([]float64, error) {
 		r.Close()
 		return nil, res.err
 	}
-	r.values += int64(len(res.vals))
+	r.values += int64(len(*res.vals))
 	return res.vals, nil
 }
 
@@ -179,18 +212,21 @@ func (r *Reader) Read(p []byte) (int, error) {
 	prec := r.recs.Header.Prec
 	for len(r.encoded) == 0 {
 		if len(r.cur) == 0 {
-			vals, err := r.NextChunk()
+			b, err := r.next()
 			if err != nil {
 				return 0, err
 			}
-			r.cur = vals
+			r.curBuf, r.cur = b, *b
 		}
 		if r.buf == nil {
 			r.buf = make([]byte, 0, 32<<10)
 		}
 		k := min(len(r.cur), cap(r.buf)/(prec.Bits()/8))
 		r.encoded = grid.EncodeSamples(r.buf, prec, r.cur[:k])
-		r.cur = r.cur[k:]
+		if r.cur = r.cur[k:]; len(r.cur) == 0 {
+			codec.PutValues(r.curBuf)
+			r.curBuf = nil
+		}
 	}
 	n := copy(p, r.encoded)
 	r.encoded = r.encoded[n:]
@@ -221,14 +257,15 @@ func (r *Reader) WriteField(w io.Writer) (int64, error) {
 func (r *Reader) ReadAll() (*grid.Field, error) {
 	vals := r.recs.Header.ValueBuffer()
 	for {
-		chunk, err := r.NextChunk()
+		b, err := r.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, chunk...)
+		vals = append(vals, *b...)
+		codec.PutValues(b)
 	}
 	if len(vals) == 0 {
 		return nil, ErrEmptyStream

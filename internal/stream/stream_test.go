@@ -250,30 +250,99 @@ func TestWriteField(t *testing.T) {
 		if raceEnabled {
 			continue // pooled decode buffers allocate unevenly under the race detector
 		}
-		allocated := func(drain func(*Reader)) uint64 {
-			least := uint64(math.MaxUint64)
-			for range 3 {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				r, err := NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(2))
-				if err != nil {
-					t.Fatal(err)
-				}
-				drain(r)
-				runtime.ReadMemStats(&after)
-				least = min(least, after.TotalAlloc-before.TotalAlloc)
+		// Read decodes into pooled chunk buffers and recycles them once
+		// serialized, and the payloads it reads are pooled too: what is
+		// left is mostly Read's own 32 KiB sample buffer (0.125 B/value
+		// here). Before the pools it was 8 B/value and more.
+		copied := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			r, err := NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(2))
+			if err != nil {
+				t.Fatal(err)
 			}
-			return least
+			_, _ = io.Copy(io.Discard, r)
+			runtime.ReadMemStats(&after)
+			copied = min(copied, after.TotalAlloc-before.TotalAlloc)
 		}
-		chunks := allocated(func(r *Reader) {
-			for err := error(nil); err == nil; _, err = r.NextChunk() {
-			}
-		})
-		copied := allocated(func(r *Reader) { _, _ = io.Copy(io.Discard, r) })
-		if extra := (float64(copied) - float64(chunks)) / n; extra > 0.6 {
-			t.Errorf("float%d: Read allocates %.2f B/value over NextChunk, want at most 0.6", prec, extra)
+		if perValue := float64(copied) / n; perValue > 0.25 {
+			t.Errorf("float%d: Read allocates %.2f B/value, want at most 0.25", prec, perValue)
 		}
 	}
+}
+
+// TestNextChunkOwnsItsValues: the slices NextChunk returns are the caller's
+// — another Reader recycling pooled chunk buffers afterwards must not touch
+// them — while Read and ReadAll, which return their buffers, still
+// reassemble the stream exactly.
+func TestNextChunkOwnsItsValues(t *testing.T) {
+	const n = 1 << 16
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WithChunkValues(1<<12), WithWorkers(2),
+		WithCompression(codec.Options{Mode: compressor.ABS, ErrorBound: 1e-3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues(waveValues(n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want, err := codec.DecompressChunked(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]float64
+	for {
+		vals, err := r.NextChunk()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, vals)
+	}
+	for range 3 {
+		r, err := NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+		if r, err = NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(3)); err != nil {
+			t.Fatal(err)
+		}
+		if f, err := r.ReadAll(); err != nil || !equalBits(f.Data, want.Data) {
+			t.Fatalf("ReadAll over recycled buffers differs from DecompressChunked: %v", err)
+		}
+	}
+	var got []float64
+	for _, vals := range kept {
+		got = append(got, vals...)
+	}
+	if !equalBits(got, want.Data) {
+		t.Fatal("a NextChunk slice changed after other Readers recycled the chunk buffers")
+	}
+}
+
+func equalBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestShapeCountMismatch checks Close enforces the WithShape contract: a

@@ -252,14 +252,18 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 // grid.Cursor over data: the name, codebook and payload are subslices of
 // data, and nothing is sized by the declared shape until the payload is
 // known to hold it.
-func Decompress(data []byte) (*grid.Field, error) {
+func Decompress(data []byte) (*grid.Field, error) { return DecompressInto(nil, data) }
+
+// DecompressInto is Decompress decoding into dst: when cap(dst) holds the
+// field, the returned field's Data is dst[:n] (see grid.Reuse).
+func DecompressInto(dst []float64, data []byte) (*grid.Field, error) {
 	c := grid.NewCursor(data)
 	if c.U32() != containerMagic {
 		return nil, errors.New("transform: bad magic")
 	}
 	eb := c.F64()
 	prec := c.U8()
-	dims, _ := c.Dims()
+	dims, n := c.Dims()
 	name := c.Take(int(c.U16()))
 	cbBytes := c.Blob()
 	payload := c.Blob()
@@ -283,7 +287,7 @@ func Decompress(data []byte) (*grid.Field, error) {
 	}
 	defer cb.Release()
 
-	f, err := grid.New(string(name), grid.Precision(prec), dims...)
+	f, err := grid.FromData(string(name), grid.Precision(prec), grid.Reuse(dst, n), dims...)
 	if err != nil {
 		return nil, err
 	}

@@ -183,9 +183,5 @@ func ReadStreamIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 // ReadStreamChunk random-accesses one indexed chunk: seek to its record,
 // verify the CRC, and decompress just that chunk's samples.
 func ReadStreamChunk(rs io.ReadSeeker, e StreamIndexEntry) ([]float64, error) {
-	c, err := codec.ReadChunkAt(rs, e)
-	if err != nil {
-		return nil, err
-	}
-	return codec.DecodeChunk(c)
+	return codec.DecodeChunkAt(rs, e, nil)
 }
