@@ -523,7 +523,7 @@ func openChunked(data []byte) (*Info, []byte, error) {
 
 // DecompressChunked reconstructs a field from a chunked container,
 // sequentially routing every chunk to its backend by codec ID. Payloads are
-// read in place and each chunk decodes straight into its span of the field.
+// sliced from data in place and each chunk decodes into one pooled buffer.
 // (internal/stream provides the concurrent pipeline over the same walker.)
 func DecompressChunked(data []byte) (*grid.Field, error) {
 	rs, err := openContainer(data, false)
@@ -531,6 +531,8 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 		return nil, err
 	}
 	vals := rs.Header.ValueBuffer()
+	b := GetValues()
+	defer PutValues(b)
 	for {
 		c, crc, err := rs.Next(nil)
 		if err == io.EOF {
@@ -542,18 +544,12 @@ func DecompressChunked(data []byte) (*grid.Field, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Past the preallocation, grow by what was decoded, not by what the
-		// record declares: a corrupt count must not drive the allocation.
-		n := len(vals)
-		chunkVals, err := DecodeChunkInto(vals[n:], c)
+		chunkVals, err := DecodeChunkInto(*b, c)
 		if err != nil {
 			return nil, err
 		}
-		if cap(vals)-n >= c.Values {
-			vals = vals[:n+c.Values]
-		} else {
-			vals = append(vals, chunkVals...)
-		}
+		*b = chunkVals
+		vals = append(vals, chunkVals...)
 	}
 }
 
@@ -588,8 +584,8 @@ func DecodeChunkInto(dst []float64, c *Chunk) ([]float64, error) {
 // into a pooled buffer that is recycled before it returns: the random-access
 // decode keeps nothing but the values.
 func DecodeChunkAt(rs io.ReadSeeker, e IndexEntry, dst []float64) ([]float64, error) {
-	pb := payloadPool.Get().(*bytes.Buffer)
-	defer payloadPool.Put(pb)
+	pb := GetPayload()
+	defer PutPayload(pb)
 	c, err := readChunkAt(rs, e, pb)
 	if err != nil {
 		return nil, err
@@ -608,6 +604,17 @@ func GetValues() *[]float64 { return valuesPool.Get().(*[]float64) }
 
 // PutValues returns a GetValues buffer to the pool.
 func PutValues(b *[]float64) { valuesPool.Put(b) }
+
+// payloadPool recycles chunk payload buffers (see GetPayload).
+var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// GetPayload takes a buffer from the shared chunk-payload pool, for
+// Records.Next to read a record's payload into. PutPayload(pb) once nothing
+// reads the chunk's Payload any more.
+func GetPayload() *bytes.Buffer { return payloadPool.Get().(*bytes.Buffer) }
+
+// PutPayload returns a GetPayload buffer to the pool.
+func PutPayload(pb *bytes.Buffer) { payloadPool.Put(pb) }
 
 // AssembleField shapes decoded stream samples into a field: the header's
 // dims when their product matches the sample count, 1-D otherwise.
@@ -721,13 +728,11 @@ func ReadChunkAt(rs io.ReadSeeker, e IndexEntry) (*Chunk, error) {
 // (the store's shallow verification): the same checks over a pooled payload
 // buffer, nothing kept.
 func VerifyChunkAt(rs io.ReadSeeker, e IndexEntry) error {
-	pb := payloadPool.Get().(*bytes.Buffer)
-	defer payloadPool.Put(pb)
+	pb := GetPayload()
+	defer PutPayload(pb)
 	_, err := readChunkAt(rs, e, pb)
 	return err
 }
-
-var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 func readChunkAt(rs io.ReadSeeker, e IndexEntry, pb *bytes.Buffer) (*Chunk, error) {
 	if _, err := rs.Seek(e.Offset, io.SeekStart); err != nil {

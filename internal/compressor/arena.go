@@ -100,20 +100,22 @@ func (a *arena) freqTables(n int) (counts []int64, encLUT []uint64) {
 	return a.counts, a.encLUT
 }
 
-// bitmaps returns the two length-n PWREL bitmap slices, zeroed.
+// bitmaps returns the two length-n PWREL bitmap slices, zeroed. Each is
+// sized on its own: the decode side grows them one at a time, so their
+// capacities need not agree.
 func (a *arena) bitmaps(n int) (signs, zeros []byte) {
-	if cap(a.signs) < n {
-		a.signs = make([]byte, n)
-		a.zeros = make([]byte, n)
-	} else {
-		a.signs = a.signs[:n]
-		a.zeros = a.zeros[:n]
-		for i := range a.signs {
-			a.signs[i] = 0
-			a.zeros[i] = 0
-		}
-	}
+	a.signs, a.zeros = zeroed(a.signs, n), zeroed(a.zeros, n)
 	return a.signs, a.zeros
+}
+
+// zeroed returns b at length n and all zero, reusing its capacity.
+func zeroed(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // bitWriter returns the pooled payload writer, reset.

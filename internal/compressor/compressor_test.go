@@ -1,7 +1,11 @@
 package compressor
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -108,6 +112,47 @@ func TestPWRELMixedSignsAndZeros(t *testing.T) {
 		if v < 0 && dec.Data[i] >= 0 {
 			t.Fatalf("sign not preserved at %d", i)
 		}
+	}
+}
+
+// TestPWRELBitmapsAfterCorruptDecode: a PWREL decode grows the arena's two
+// bitmaps one at a time, so a payload whose zeros bitmap is corrupt leaves
+// the signs bitmap long and the zeros bitmap as it was. A PWREL compress
+// that then draws that arena from the pool must size each bitmap on its own.
+func TestPWRELBitmapsAfterCorruptDecode(t *testing.T) {
+	positive := func(n int) *grid.Field {
+		f := grid.MustNew("positive", grid.Float64, n)
+		for i := range f.Data {
+			f.Data[i] = 1 + float64(i%7)
+		}
+		return f
+	}
+	const big = 1 << 17
+	opts := Options{Predictor: predictor.Lorenzo, Mode: PWREL, ErrorBound: 1e-2}
+	res, err := Compress(positive(big), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No value is negative or zero, so each bitmap is one zero run, 0x00
+	// then uvarint(big-1), in a length-prefixed blob: signs, then zeros.
+	run := binary.AppendUvarint([]byte{0}, big-1)
+	blob := append(binary.LittleEndian.AppendUint32(nil, uint32(len(run))), run...)
+	pair := append(slices.Clone(blob), blob...)
+	at := bytes.Index(res.Bytes, pair)
+	if at < 0 {
+		t.Fatal("the two bitmap blobs are not in the container")
+	}
+	bad := slices.Clone(res.Bytes)
+	bad[at+len(pair)-1] |= 0x80 // the zeros run length now ends mid-varint
+	// Two collections empty the arena pool, so the decode below starts from
+	// a fresh arena: it grows signs to big and leaves zeros empty.
+	runtime.GC()
+	runtime.GC()
+	if _, err := Decompress(bad); err == nil {
+		t.Fatal("a truncated zeros bitmap decoded")
+	}
+	for _, n := range []int{big / 2, big} {
+		compressDecompress(t, positive(n), opts)
 	}
 }
 

@@ -10,9 +10,8 @@ import (
 )
 
 // TestReadRangeAllocatesOnlyItsValues: a range read costs the values it
-// returns plus a fixed overhead, whatever the chunk size. A chunk wholly
-// inside the range decodes straight into the result, a chunk the range cuts
-// decodes into a pooled buffer, and every payload is read into a pooled
+// returns plus a fixed overhead, whatever the chunk size. Every chunk
+// decodes into a pooled buffer and every payload is read into a pooled
 // buffer. Before, each covering chunk cost a fresh decode (8 B/value of the
 // whole chunk) and a fresh payload.
 func TestReadRangeAllocatesOnlyItsValues(t *testing.T) {
@@ -28,8 +27,8 @@ func TestReadRangeAllocatesOnlyItsValues(t *testing.T) {
 	}
 	for _, tc := range []struct{ off, n int64 }{
 		{chunk - 500, 1000},    // two cut chunks
-		{chunk / 2, 2 * chunk}, // one chunk in place between two cut ones
-		{0, 4 * chunk},         // every chunk in place
+		{chunk / 2, 2 * chunk}, // one whole chunk between two cut ones
+		{0, 4 * chunk},         // every chunk whole
 	} {
 		least := uint64(math.MaxUint64)
 		for range 3 {

@@ -148,16 +148,11 @@ func BuildResidual(orig []float64, prec grid.Precision, backend string) Residual
 			return nil, fmt.Errorf("store: residual base holds %d values, original holds %d",
 				idx.TotalValues, len(orig))
 		}
-		// Every chunk decodes straight into its span of recon.
-		recon := make([]float64, idx.TotalValues)
+		recon := make([]float64, 0, idx.TotalValues)
 		blocks := make([]int, len(idx.Entries))
-		at := 0
-		inPlace := func(i int) []float64 {
-			return recon[at : at+idx.Entries[i].Values : at+idx.Entries[i].Values]
-		}
-		err = eachChunk(containerPath, f, idx.Entries, 0, len(idx.Entries), true, inPlace, func(i int, vals []float64) error {
+		err = eachChunk(containerPath, f, idx.Entries, 0, len(idx.Entries), true, func(i int, vals []float64) error {
 			blocks[i] = len(vals)
-			at += len(vals)
+			recon = append(recon, vals...)
 			return nil
 		})
 		if err != nil {

@@ -341,7 +341,7 @@ func (s *Store) verifyContainer(name, path string, m *Manifest, deep bool) (*cod
 	// Payload pass: every record re-framed at its entry, head against entry,
 	// payload against the CRC the head declares; deep additionally decodes.
 	var verified int64
-	err = eachChunk(name, f, idx.Entries, 0, len(idx.Entries), deep, nil, func(int, []float64) error {
+	err = eachChunk(name, f, idx.Entries, 0, len(idx.Entries), deep, func(int, []float64) error {
 		verified++
 		return nil
 	})

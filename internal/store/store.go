@@ -695,19 +695,8 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, err
 			lo, start = hi+1, end
 		}
 	}
-	// A chunk wholly inside the range decodes straight into its span of
-	// out; only the one or two chunks it cuts go through the pooled buffer
-	// and are copied. at is the current chunk's first element relative to
-	// off (negative while the range starts inside it).
-	out := make([]float64, n)
-	at := start - off
-	inPlace := func(i int) []float64 {
-		if v := int64(entries[i].Values); at >= 0 && at+v <= n {
-			return out[at : at+v : at+v]
-		}
-		return nil
-	}
-	err = eachChunk(name, f, entries, lo, hi, true, inPlace, func(i int, vals []float64) error {
+	out := make([]float64, 0, n)
+	err = eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
 		if exact {
 			if err := applyResidual(m, rf, ridx, i, vals); err != nil {
 				return err
@@ -716,10 +705,8 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, err
 		s.chunkReads.Add(1)
 		// DecodeChunkAt holds len(vals) to the entry's count, so the slice
 		// below is in range whatever the container claims.
-		if at < 0 || at+int64(len(vals)) > n {
-			copy(out[max(at, 0):], vals[max(-at, 0):min(n-at, int64(len(vals)))])
-		}
-		at += int64(len(vals))
+		out = append(out, vals[max(off-start, 0):min(off+n-start, int64(len(vals)))]...)
+		start += int64(len(vals))
 		return nil
 	})
 	if err != nil {
@@ -730,34 +717,23 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, err
 
 // eachChunk is the store's one index-driven chunk read: each of chunks
 // [lo, hi) is re-framed at its entry (CRC verified, head held against the
-// entry) over a pooled payload buffer and, with decode set, decompressed —
-// into place(i) when place is set and returns a span (which must hold
-// exactly the entry's values), into a pooled chunk buffer otherwise. fn
-// receives its position and values (nil without decode); pooled values are
-// only valid until fn returns. Read and decode failures come back typed
-// through corruptRead, fn's own errors untouched.
-func eachChunk(name string, rs io.ReadSeeker, entries []codec.IndexEntry, lo, hi int, decode bool,
-	place func(i int) []float64, fn func(i int, vals []float64) error) error {
+// entry) over a pooled payload buffer and, with decode set, decompressed
+// into a pooled chunk buffer. fn receives its position and values (nil
+// without decode), which are only valid until fn returns. Read and decode
+// failures come back typed through corruptRead, fn's own errors untouched.
+func eachChunk(name string, rs io.ReadSeeker, entries []codec.IndexEntry, lo, hi int, decode bool, fn func(i int, vals []float64) error) error {
 	var pooled *[]float64
 	if decode {
 		pooled = codec.GetValues()
 		defer codec.PutValues(pooled)
 	}
 	for i := lo; i < hi; i++ {
-		var vals, dst []float64
+		var vals []float64
 		var err error
-		if place != nil {
-			dst = place(i)
-		}
-		switch {
-		case !decode:
+		if !decode {
 			err = codec.VerifyChunkAt(rs, entries[i])
-		case dst != nil:
-			vals, err = codec.DecodeChunkAt(rs, entries[i], dst)
-		default:
-			if vals, err = codec.DecodeChunkAt(rs, entries[i], *pooled); err == nil {
-				*pooled = vals // keeps a buffer the chunk outgrew
-			}
+		} else if vals, err = codec.DecodeChunkAt(rs, entries[i], *pooled); err == nil {
+			*pooled = vals // keeps a buffer the chunk outgrew
 		}
 		if err != nil {
 			return corruptRead(name, err)

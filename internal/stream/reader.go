@@ -68,10 +68,6 @@ type decJob struct {
 	res   chan decResult
 }
 
-// payloadPool recycles chunk payload buffers between the feeder, which
-// reads a record into one, and the worker that decodes it.
-var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
 // NewReader parses the stream header of src and starts the decode pipeline.
 // Header parse failures surface immediately with the typed container errors.
 func NewReader(src io.Reader, opts ...ReaderOption) (*Reader, error) {
@@ -122,10 +118,10 @@ func (r *Reader) feed() {
 	defer close(jobs)
 
 	for {
-		pb := payloadPool.Get().(*bytes.Buffer)
+		pb := codec.GetPayload()
 		c, crc, err := r.recs.Next(pb)
 		if err != nil {
-			payloadPool.Put(pb)
+			codec.PutPayload(pb)
 			if err != io.EOF {
 				r.emitErr(err)
 			}
@@ -148,7 +144,7 @@ func (r *Reader) feed() {
 // decode verifies and decodes one chunk into a pooled buffer, recycling the
 // payload buffer either way.
 func decode(j decJob) decResult {
-	defer payloadPool.Put(j.pb)
+	defer codec.PutPayload(j.pb)
 	if err := codec.VerifyChunk(j.chunk, j.crc); err != nil {
 		return decResult{err: err}
 	}
