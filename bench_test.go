@@ -225,11 +225,16 @@ func BenchmarkCompressPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkDecompressPipeline measures full decompression throughput.
+// BenchmarkDecompressPipeline measures full decompression throughput of a
+// sealed envelope, the container whole-buffer compression writes.
 func BenchmarkDecompressPipeline(b *testing.B) {
 	f := benchField(b)
 	lo, hi := f.ValueRange()
-	res, err := compressor.Compress(f, rqm.CompressOptions{
+	c, err := rqm.CodecByName(rqm.CodecPredictionName)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := rqm.CompressWith(c, f, rqm.CodecOptions{
 		Predictor: rqm.Lorenzo, Mode: rqm.ABS, ErrorBound: (hi - lo) * 1e-3,
 	})
 	if err != nil {

@@ -4,14 +4,17 @@
 // decompress and inspect need no codec flag at all.
 //
 // Large inputs flow through the chunked streaming pipeline: compress
-// switches to it automatically above -stream-threshold (or always with
-// -stream), splitting the file into chunks compressed concurrently by
-// -workers, so memory stays bounded however big the dataset is. With
-// -target-ratio or -target-psnr the ratio-quality model picks each chunk's
-// error bound adaptively to hit the global target; adding -adaptive-space
-// also lets it plan the chunk geometry, splitting the field where variance
-// is non-uniform and solving per region. decompress and inspect recognize
-// chunked containers on their own.
+// switches to it automatically for input files of 64 MiB or more, the size
+// rqserved streams request bodies at (or always with -stream), splitting
+// the file into chunks compressed concurrently by -workers, so memory stays
+// bounded however big the dataset is. With -target-ratio or -target-psnr
+// the ratio-quality model picks each chunk's error bound adaptively to hit
+// the global target; adding -adaptive-space also lets it plan the chunk
+// geometry, splitting the field where variance is non-uniform and solving
+// per region. decompress reads either container form through the one
+// streaming reader (an envelope is a stream of one chunk); inspect lists a
+// chunked container through its index and describes an envelope from its
+// head.
 //
 // Usage:
 //
@@ -68,6 +71,7 @@ import (
 	"rqm"
 	"rqm/client"
 	"rqm/internal/grid"
+	"rqm/internal/service"
 )
 
 func main() {
@@ -125,7 +129,6 @@ func cmdCompress(args []string) {
 		verify    = fs.Bool("verify", false, "decompress and verify the bound")
 
 		streaming   = fs.Bool("stream", false, "force the chunked streaming pipeline")
-		threshold   = fs.Int64("stream-threshold", 64<<20, "stream files at least this many bytes (0 disables auto-streaming)")
 		chunk       = fs.Int("chunk", 0, "chunk size in values (0 = default 256Ki)")
 		workers     = fs.Int("workers", 0, "concurrent chunk compressors (0 = GOMAXPROCS)")
 		targetRatio = fs.Float64("target-ratio", 0, "adapt per-chunk bounds to this compression ratio (streaming)")
@@ -160,7 +163,7 @@ func cmdCompress(args []string) {
 	if *remote != "" {
 		compressRemote(*remote, *in, *out, remoteParams{
 			codec: *codecName, predictor: *predName, mode: *mode, eb: *eb, lossless: *lossless,
-			stream: *streaming, threshold: *threshold, chunk: *chunk,
+			stream: *streaming, chunk: *chunk,
 			targetRatio: *targetRatio, targetPSNR: *targetPSNR,
 			sampleRate: *sampleRate, adaptiveSpace: *adaptSpace, verify: *verify,
 		})
@@ -177,13 +180,7 @@ func cmdCompress(args []string) {
 		Predictor: kind, Mode: m, ErrorBound: *eb, Lossless: ll,
 	}
 
-	useStream := *streaming || adaptive
-	if !useStream && *threshold > 0 {
-		if st, err := os.Stat(*in); err == nil && st.Size() >= *threshold {
-			useStream = true
-		}
-	}
-	if useStream {
+	if *streaming || adaptive || streamsBySize(*in) {
 		compressStream(*in, *out, *codecName, copts, streamParams{
 			chunk: *chunk, workers: *workers,
 			targetRatio: *targetRatio, targetPSNR: *targetPSNR,
@@ -342,41 +339,21 @@ func cmdDecompress(args []string) {
 		decompressRemote(*remote, *in, *out)
 		return
 	}
-	if chunked, _ := sniffChunked(*in); chunked {
-		decompressStream(*in, *out, *workers)
-		return
-	}
-	blob, err := os.ReadFile(*in)
-	must(err)
-	// Containers are self-describing: routing picks the backend.
-	f, err := rqm.Decompress(blob)
-	must(err)
-	dst, err := os.Create(*out)
-	must(err)
-	_, err = f.WriteTo(dst)
-	if cerr := dst.Close(); err == nil {
-		err = cerr
-	}
-	must(err)
-	fmt.Printf("decompressed %s -> %s (field %q, dims %v)\n", *in, *out, f.Name, f.Dims)
-}
-
-// decompressStream decodes a chunked container through the concurrent
-// reader. When the stream header carries the field shape, decoded samples
-// stream straight to the output file.
-func decompressStream(in, out string, workers int) {
-	src, err := os.Open(in)
+	// Any container — a chunked stream, or an envelope read as a stream of
+	// one chunk — decodes through the concurrent reader. When it carries the
+	// field shape, decoded samples stream straight to the output file.
+	src, err := os.Open(*in)
 	must(err)
 	defer src.Close()
 	var ropts []rqm.StreamReaderOption
-	if workers > 0 {
-		ropts = append(ropts, rqm.WithStreamReaderWorkers(workers))
+	if *workers > 0 {
+		ropts = append(ropts, rqm.WithStreamReaderWorkers(*workers))
 	}
 	r, err := rqm.NewReader(bufio.NewReaderSize(src, 1<<20), ropts...)
 	must(err)
 	hdr := r.Header()
 
-	dst, err := os.Create(out)
+	dst, err := os.Create(*out)
 	must(err)
 	if len(hdr.Dims) > 0 {
 		// Shape known up front: stream samples directly to disk. A stream
@@ -390,11 +367,11 @@ func decompressStream(in, out string, workers int) {
 			err = cerr
 		}
 		if err != nil {
-			os.Remove(out)
+			os.Remove(*out)
 		}
 		must(err)
 		fmt.Printf("decompressed %s -> %s (field %q, dims %v, %d values, streamed)\n",
-			in, out, hdr.Name, hdr.Dims, r.Values())
+			*in, *out, hdr.Name, hdr.Dims, r.Values())
 		return
 	}
 	f, err := r.ReadAll()
@@ -405,7 +382,7 @@ func decompressStream(in, out string, workers int) {
 		err = cerr
 	}
 	must(err)
-	fmt.Printf("decompressed %s -> %s (field %q, dims %v)\n", in, out, f.Name, f.Dims)
+	fmt.Printf("decompressed %s -> %s (field %q, dims %v)\n", *in, *out, f.Name, f.Dims)
 }
 
 func cmdInspect(args []string) {
@@ -512,12 +489,18 @@ func sniffChunked(path string) (bool, error) {
 	return rqm.IsChunkedContainer(head), nil
 }
 
+// streamsBySize reports whether the file at path is large enough to stream
+// by itself: service.DefaultStreamThreshold, the size rqserved streams at.
+func streamsBySize(path string) bool {
+	st, err := os.Stat(path)
+	return err == nil && st.Size() >= service.DefaultStreamThreshold
+}
+
 // remoteParams carries the compress flags routed to a rqserved instance.
 type remoteParams struct {
 	codec, predictor, mode, lossless string
 	eb                               float64
 	stream                           bool
-	threshold                        int64
 	chunk                            int
 	targetRatio, targetPSNR          float64
 	sampleRate                       float64
@@ -537,14 +520,8 @@ func compressRemote(base, in, out string, p remoteParams) {
 		SampleRate: p.sampleRate, AdaptiveSpace: p.adaptiveSpace,
 	}
 	// The request body streams from disk with no declared length, so the
-	// server cannot size-detect: decide streaming here, mirroring the local
-	// threshold rule.
-	params.Stream = p.stream
-	if !params.Stream && p.threshold > 0 {
-		if st, err := os.Stat(in); err == nil && st.Size() >= p.threshold {
-			params.Stream = true
-		}
-	}
+	// server cannot size-detect: decide streaming here, by the local rule.
+	params.Stream = p.stream || streamsBySize(in)
 	adaptive := p.targetRatio > 0 || p.targetPSNR > 0
 	if params.Stream && !adaptive && strings.EqualFold(p.mode, "rel") {
 		// Streamed REL needs the stream-global range; scan it locally.

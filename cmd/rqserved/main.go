@@ -8,8 +8,12 @@
 //
 //	rqserved -addr :8080
 //	rqserved -addr :8080 -codec prediction -predictor lorenzo -mode rel -eb 1e-3 \
-//	         -max-inflight 32 -cache 256 -stream-threshold 67108864
+//	         -max-inflight 32 -cache 256
 //	rqserved -addr :8080 -store-dir /var/lib/rqm   # enable /v1/datasets
+//
+// POST /v1/compress streams chunked when the body is at least 64 MiB
+// (service.DefaultStreamThreshold), asks for a model target, or sets
+// stream=1.
 //
 // With -store-dir the server also hosts the persistent dataset archive:
 // PUT/GET/DELETE /v1/datasets/{name}, random-access slice reads, and
@@ -49,10 +53,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
 		inflight  = flag.Int("max-inflight", 0, "concurrent heavy requests before 429 (0 = 4x workers)")
 		cacheSize = flag.Int("cache", 128, "profile LRU cache entries")
-		threshold = flag.Int64("stream-threshold", service.DefaultStreamThreshold,
-			"compress bodies at least this many bytes stream chunked (<0 disables)")
-		sample   = flag.Float64("sample", 0, "model sampling rate for profiles (0 = paper default 1%)")
-		storeDir = flag.String("store-dir", "",
+		sample    = flag.Float64("sample", 0, "model sampling rate for profiles (0 = paper default 1%)")
+		storeDir  = flag.String("store-dir", "",
 			"host the persistent dataset archive at this directory (empty disables /v1/datasets)")
 		pprofAddr = flag.String("pprof-addr", "",
 			"serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
@@ -80,7 +82,6 @@ func main() {
 		Model:            rqm.ModelOptions{SampleRate: *sample},
 		MaxInflight:      *inflight,
 		ProfileCacheSize: *cacheSize,
-		StreamThreshold:  *threshold,
 		Store:            st,
 	})
 	if err != nil {

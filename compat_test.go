@@ -125,8 +125,8 @@ func checkRows(t *testing.T, prefix string) {
 	t.Helper()
 	_, srv := serve(t, t.TempDir())
 	notContainer := refuse(rqm.ErrBadMagic, resid, manifest, rawPut)
-	notStream := refuse(rqm.ErrBadMagic, resid, manifest, rawPut)
-	notStream[envelope] = rqm.ErrUnsupportedVersion
+	notIndexed := refuse(rqm.ErrBadMagic, resid, manifest, rawPut) // an envelope has no index
+	notIndexed[envelope] = rqm.ErrUnsupportedVersion
 	readers := []struct {
 		name    string
 		refuses map[kind]error
@@ -143,11 +143,11 @@ func checkRows(t *testing.T, prefix string) {
 			}
 			return fmt.Sprint(info.Dims), nil
 		}},
-		{"NewReader(1).ReadAll", notStream, "value", readStream(1, false)},
-		{"NewReader(4).ReadAll", notStream, "value", readStream(4, false)},
-		{"NewReader(1).WriteField", notStream, "rqmf", readStream(1, true)},
-		{"NewReader(4).WriteField", notStream, "rqmf", readStream(4, true)},
-		{"ReadStreamChunk, shuffled", notStream, "value", readShuffled},
+		{"NewReader(1).ReadAll", notContainer, "value", readStream(1, false)},
+		{"NewReader(4).ReadAll", notContainer, "value", readStream(4, false)},
+		{"NewReader(1).WriteField", notContainer, "rqmf", readStream(1, true)},
+		{"NewReader(4).WriteField", notContainer, "rqmf", readStream(4, true)},
+		{"ReadStreamChunk, shuffled", notIndexed, "value", readShuffled},
 		{"POST /v1/decompress", refuse(httpError("422 bad_magic"), resid, manifest, rawPut), "rqmf", func(b []byte) (string, error) {
 			body, err := send(srv.URL, "POST", "/v1/decompress", b, http.StatusOK)
 			return sha(body), err

@@ -54,6 +54,12 @@ import (
 // trailer tag terminates the chunk sequence. Random-access readers seek to
 // the 12-byte footer, follow the trailer offset, and jump straight to any
 // chunk via its index entry.
+//
+// The v1 envelope (see Seal) shares the head up to the name, and the
+// sequential parser reads it as a stream of one record: where the stream
+// header holds the chunk size, the envelope holds its payload length, and
+// the payload that follows is the one chunk — the header's codec ID, the
+// shape's value count, no CRC, no trailer.
 
 // chunkedVersion is the envelope version byte of the chunked stream format.
 const chunkedVersion = 2
@@ -106,8 +112,12 @@ type Chunk struct {
 	AbsBound float64
 	// Values is the number of samples the payload decodes to.
 	Values int
-	// Payload is the codec's native compressed payload (a 1-D field).
+	// Payload is the codec's native compressed payload (a 1-D field, or a
+	// v1 envelope's whole field).
 	Payload []byte
+
+	crc    uint32 // the payload CRC-32 a parsed record declares (see Verify)
+	sealed bool   // a v1 envelope's payload, which no CRC covers
 }
 
 // IndexEntry locates one chunk record inside a chunked container.
@@ -166,54 +176,70 @@ func readSpan(r io.Reader, span []byte, what string) (grid.Cursor, error) {
 	return grid.NewCursor(span), nil
 }
 
-// readStreamHeader parses a stream header, returning it and the byte count
-// consumed. Parse failures wrap the typed container errors.
-func readStreamHeader(r io.Reader) (*StreamHeader, int64, error) {
+// OpenRecords parses the container head of r and returns the walker over
+// the records behind it. A chunked stream's header is followed by its chunk
+// records; a v1 envelope's head ends in its payload length instead of a
+// chunk size, and the payload is read as a stream of one record. It reads
+// exactly the container: nothing past the footer (or the envelope's payload)
+// is consumed. Parse failures wrap the typed container errors.
+func OpenRecords(r io.Reader) (*Records, error) {
 	var span [8]byte
-	c, err := readSpan(r, span[:], "header")
+	c, err := readSpan(r, span[:4], "header")
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	magic, version, id, prec, rank := c.U32(), c.U8(), c.U8(), c.U8(), int(c.U8())
-	if magic != envelopeMagic {
-		return nil, 0, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
+	if magic := c.U32(); magic != envelopeMagic {
+		return nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
 	}
-	if version != chunkedVersion {
-		return nil, 0, fmt.Errorf("%w: version %d, chunked streams are version %d",
-			ErrUnsupportedVersion, version, chunkedVersion)
+	if c, err = readSpan(r, span[:4], "header"); err != nil {
+		return nil, err
+	}
+	version, id, prec, rank := c.U8(), c.U8(), c.U8(), int(c.U8())
+	if version != envelopeVersion && version != chunkedVersion {
+		return nil, fmt.Errorf("%w: version %d, this build reads %d and %d",
+			ErrUnsupportedVersion, version, envelopeVersion, chunkedVersion)
 	}
 	if p := grid.Precision(prec); p != grid.Float32 && p != grid.Float64 {
-		return nil, 0, fmt.Errorf("%w: precision %d", ErrCorrupt, prec)
+		return nil, fmt.Errorf("%w: precision %d", ErrCorrupt, prec)
 	}
 	var dims []int
-	if rank != 0 { // rank 0: shape unknown, the stream is 1-D
+	if rank != 0 || version == envelopeVersion { // rank 0: a stream of unknown shape, 1-D
 		dims, _, err = grid.AppendShape(make([]int, 0, 4), rank, func() (uint64, error) {
 			c, err := readSpan(r, span[:], "dims")
 			return c.U64(), err
 		})
 		if err != nil {
-			return nil, 0, frameErr(err)
+			return nil, frameErr(err)
 		}
 	}
 	if c, err = readSpan(r, span[:2], "name"); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	tail := make([]byte, int(c.U16())+4) // the name, then the chunk size
+	size := 4 // what follows the name: a stream's chunk size, an envelope's payload length
+	if version == envelopeVersion {
+		size = 8
+	}
+	tail := make([]byte, int(c.U16())+size)
 	if c, err = readSpan(r, tail, "name"); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	name := string(c.Take(len(tail) - 4))
-	chunkValues := c.U32()
-	if chunkValues == 0 {
-		return nil, 0, fmt.Errorf("%w: zero chunk size", ErrCorrupt)
+	rs := &Records{
+		Header: StreamHeader{CodecID: ID(id), Prec: grid.Precision(prec), Dims: dims, Name: string(c.Take(len(tail) - size))},
+		r:      r,
+		off:    int64(8 + 8*len(dims) + 2 + len(tail)),
+		sealed: -1,
 	}
-	return &StreamHeader{
-		CodecID:     ID(id),
-		Prec:        grid.Precision(prec),
-		Dims:        dims,
-		Name:        name,
-		ChunkValues: int(chunkValues),
-	}, int64(8 + 8*len(dims) + 2 + len(tail)), nil
+	if version == envelopeVersion {
+		if rs.sealed = int64(c.U64()); rs.sealed < 0 {
+			return nil, fmt.Errorf("%w: payload declares %d bytes", ErrTruncated, uint64(rs.sealed))
+		}
+		rs.Header.ChunkValues = int(rs.Header.TotalFromDims()) // one record holds the field
+		return rs, nil
+	}
+	if rs.Header.ChunkValues = int(c.U32()); rs.Header.ChunkValues == 0 {
+		return nil, fmt.Errorf("%w: zero chunk size", ErrCorrupt)
+	}
+	return rs, nil
 }
 
 // WriteChunk serializes one chunk record, returning the byte count written.
@@ -237,50 +263,61 @@ func WriteChunk(w io.Writer, c *Chunk) (int64, error) {
 }
 
 // readChunk parses a chunk record after its tag byte WITHOUT checksumming
-// the payload, returning the CRC its head declares and the full record
-// length. The payload is read into pb — or, with skip set (it is then r
-// itself), seeked over, and the chunk comes back without one.
-func readChunk(r io.Reader, skip *bytes.Reader, pb *bytes.Buffer) (*Chunk, uint32, int, error) {
+// the payload (the chunk keeps the CRC its head declares, for Verify), and
+// returns it with the full record length. The payload is read by
+// readPayload.
+func readChunk(r io.Reader, skip *bytes.Reader, pb *bytes.Buffer) (*Chunk, int, error) {
 	var span [chunkHeadSize - 1]byte
 	h, err := readSpan(r, span[:], "chunk head")
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, err
 	}
 	c := &Chunk{CodecID: ID(h.U8()), AbsBound: h.F64(), Values: int(h.U32())}
-	payloadLen, wantCRC := h.U32(), h.U32()
+	payloadLen := h.U32()
+	c.crc = h.U32()
 	if c.Values < 1 {
-		return nil, 0, 0, fmt.Errorf("%w: chunk declares %d values", ErrCorrupt, c.Values)
+		return nil, 0, fmt.Errorf("%w: chunk declares %d values", ErrCorrupt, c.Values)
 	}
 	if payloadLen == 0 || payloadLen > maxChunkPayload {
-		return nil, 0, 0, fmt.Errorf("%w: chunk declares %d payload bytes", ErrCorrupt, payloadLen)
+		return nil, 0, fmt.Errorf("%w: chunk declares %d payload bytes", ErrCorrupt, payloadLen)
 	}
-	recordBytes := chunkHeadSize + int(payloadLen)
+	if c.Payload, err = readPayload(r, skip, pb, int64(payloadLen)); err != nil {
+		return nil, 0, err
+	}
+	return c, chunkHeadSize + int(payloadLen), nil
+}
+
+// readPayload reads the n-byte payload of a record into pb — or, with skip
+// set (it is then r itself), seeks over it and returns none.
+func readPayload(r io.Reader, skip *bytes.Reader, pb *bytes.Buffer, n int64) ([]byte, error) {
 	if skip != nil {
-		if int64(payloadLen) > int64(skip.Len()) {
-			return nil, 0, 0, fmt.Errorf("%w: chunk payload declares %d bytes, %d remain",
-				ErrTruncated, payloadLen, skip.Len())
+		if n > int64(skip.Len()) {
+			return nil, fmt.Errorf("%w: payload declares %d bytes, %d remain", ErrTruncated, n, skip.Len())
 		}
-		_, _ = skip.Seek(int64(payloadLen), io.SeekCurrent) // in range: cannot fail
-		return c, wantCRC, recordBytes, nil
+		_, _ = skip.Seek(n, io.SeekCurrent) // in range: cannot fail
+		return nil, nil
 	}
 	// Grow the payload with the bytes actually read rather than trusting the
 	// declared length: a corrupt length field must not drive a huge
 	// allocation from a tiny input.
 	pb.Reset()
-	if payloadLen < 1<<20 {
-		pb.Grow(int(payloadLen))
+	if n < 1<<20 {
+		pb.Grow(int(n))
 	}
-	if _, err := io.CopyN(pb, r, int64(payloadLen)); err != nil {
-		return nil, 0, 0, fmt.Errorf("%w: chunk record ends mid-payload", ErrTruncated)
+	if _, err := io.CopyN(pb, r, n); err != nil {
+		return nil, fmt.Errorf("%w: container ends mid-payload", ErrTruncated)
 	}
-	c.Payload = pb.Bytes()
-	return c, wantCRC, recordBytes, nil
+	return pb.Bytes(), nil
 }
 
-// VerifyChunk checks a chunk payload against the CRC its record declared.
-func VerifyChunk(c *Chunk, wantCRC uint32) error {
-	if got := crc32.ChecksumIEEE(c.Payload); got != wantCRC {
-		return fmt.Errorf("%w: chunk payload CRC 0x%08x, want 0x%08x", ErrChecksum, got, wantCRC)
+// Verify checks a parsed chunk's payload against the CRC its record
+// declared. A v1 envelope's payload has no CRC to check.
+func (c *Chunk) Verify() error {
+	if c.sealed {
+		return nil
+	}
+	if got := crc32.ChecksumIEEE(c.Payload); got != c.crc {
+		return fmt.Errorf("%w: chunk payload CRC 0x%08x, want 0x%08x", ErrChecksum, got, c.crc)
 	}
 	return nil
 }
@@ -359,38 +396,32 @@ func readFooter(r io.Reader) (int64, error) {
 	return int64(off), nil
 }
 
-// Records is the one sequential parser of the chunked grammar: every reader
-// that consumes a container front to back — Inspect, the serial
-// DecompressChunked, the concurrent stream.Reader — is a loop over Next. It
-// owns the record tags, the head layout, the allocation guards, the byte
-// offset of every record and the end-of-stream reconciliation.
+// Records is the one sequential parser of both container grammars: every
+// reader that consumes a container front to back — Open and Inspect, the
+// serial Decompress, the concurrent stream.Reader — is a loop over Next. A
+// chunked stream yields its chunk records; a v1 envelope yields one record,
+// its payload. It owns the record tags, the head layout, the allocation
+// guards, the byte offset of every record and the end-of-stream
+// reconciliation.
 type Records struct {
-	// Header is the stream header the records follow.
+	// Header is the stream header the records follow (a v1 envelope's head,
+	// its one record holding the whole field).
 	Header StreamHeader
 
 	r io.Reader
 	// whole is r when the source is a complete in-memory container: the
-	// footer must then be its last byte, and payloads are seeked over
+	// container must then end at its last byte, and payloads are seeked over
 	// instead of read — Inspect stays O(records), not O(bytes) — or, when
 	// data (the container) is set, sliced from it in place.
 	whole *bytes.Reader
 	data  []byte
+	// sealed is a v1 envelope's payload length, -1 for a chunked stream.
+	sealed int64
 
 	tag   [1]byte      // read buffer (a field, so reading a tag allocates nothing)
 	off   int64        // container offset of the next record tag
 	seen  []IndexEntry // every chunk record walked so far, as the trailer must index it
 	total int64        // values in seen
-}
-
-// OpenRecords parses the stream header of r and returns the walker over the
-// records behind it. It reads exactly the container: nothing past the footer
-// is consumed.
-func OpenRecords(r io.Reader) (*Records, error) {
-	h, n, err := readStreamHeader(r)
-	if err != nil {
-		return nil, err
-	}
-	return &Records{Header: *h, r: r, off: n}, nil
 }
 
 // openContainer is OpenRecords over a complete in-memory container; heads
@@ -409,45 +440,72 @@ func openContainer(data []byte, heads bool) (*Records, error) {
 	return rs, nil
 }
 
-// Next returns the next chunk record and the payload CRC its head declares
-// — NOT yet checked: VerifyChunk is the caller's, so a concurrent reader can
-// run it off the parsing goroutine. It returns io.EOF only after a trailer
+// Next returns the next record with its payload CRC NOT yet checked: Verify
+// is the caller's, so a concurrent reader can run it off the parsing
+// goroutine. Over a chunked stream it returns io.EOF only after a trailer
 // and footer that agree with the walk entry for entry: every index entry's
 // offset, value count, record length and bound equal to what the record at
 // that position declared, the total equal to the sum, and the footer's
 // trailer offset equal to where the trailer tag actually stood. All copies
 // of a chunk's geometry and bound must agree or the container is corrupt.
+// Over a v1 envelope it returns the payload as one record — the header's
+// codec, the shape's value count, no CRC — and then io.EOF.
 //
 // The payload is read into pb, so a caller can recycle payload buffers: the
 // chunk's Payload aliases pb until pb is next written. Over an in-memory
 // container payloads are seeked over or sliced in place, and pb may be nil.
-func (rs *Records) Next(pb *bytes.Buffer) (*Chunk, uint32, error) {
+func (rs *Records) Next(pb *bytes.Buffer) (*Chunk, error) {
+	if rs.sealed >= 0 {
+		if len(rs.seen) != 0 {
+			return nil, rs.ended()
+		}
+		payload, err := readPayload(rs.r, rs.whole, pb, rs.sealed)
+		if err != nil {
+			return nil, err
+		}
+		c := &Chunk{CodecID: rs.Header.CodecID, Values: rs.Header.ChunkValues, Payload: payload, sealed: true}
+		rs.add(c, 0, int(rs.sealed))
+		return c, nil
+	}
 	if _, err := io.ReadFull(rs.r, rs.tag[:]); err != nil {
-		return nil, 0, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
+		return nil, fmt.Errorf("%w: container ends without a trailer", ErrTruncated)
 	}
 	switch rs.tag[0] {
 	case tagChunk:
-		c, crc, n, err := readChunk(rs.r, rs.whole, pb)
+		c, n, err := readChunk(rs.r, rs.whole, pb)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if rs.data != nil {
-			c.Payload = rs.data[rs.off+chunkHeadSize : rs.off+int64(n) : rs.off+int64(n)]
-		}
-		rs.seen = append(rs.seen, IndexEntry{Offset: rs.off, Values: c.Values, RecordBytes: n, AbsBound: c.AbsBound})
-		rs.off += int64(n)
-		rs.total += int64(c.Values)
-		return c, crc, nil
+		rs.add(c, chunkHeadSize, n)
+		return c, nil
 	case tagTrailer:
-		if err := rs.reconcile(); err != nil {
-			return nil, 0, err
-		}
-		return nil, 0, io.EOF
+		return nil, rs.reconcile()
 	}
-	return nil, 0, fmt.Errorf("%w: record tag %d", ErrCorrupt, rs.tag[0])
+	return nil, fmt.Errorf("%w: record tag %d", ErrCorrupt, rs.tag[0])
 }
 
-// reconcile parses the trailer and footer and holds them against the walk.
+// add walks past a parsed record of n bytes whose payload starts head bytes
+// in, slicing the payload from an in-memory container.
+func (rs *Records) add(c *Chunk, head, n int) {
+	if rs.data != nil {
+		c.Payload = rs.data[rs.off+int64(head) : rs.off+int64(n) : rs.off+int64(n)]
+	}
+	rs.seen = append(rs.seen, IndexEntry{Offset: rs.off, Values: c.Values, RecordBytes: n, AbsBound: c.AbsBound})
+	rs.off += int64(n)
+	rs.total += int64(c.Values)
+}
+
+// ended is the walk's io.EOF once the last record is read: an in-memory
+// container must end there.
+func (rs *Records) ended() error {
+	if rs.whole != nil && rs.whole.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes after the container", ErrCorrupt, rs.whole.Len())
+	}
+	return io.EOF
+}
+
+// reconcile parses the trailer and footer and holds them against the walk,
+// returning io.EOF when they agree.
 func (rs *Records) reconcile() error {
 	entries, totalValues, err := readTrailer(rs.r)
 	if err != nil {
@@ -456,9 +514,6 @@ func (rs *Records) reconcile() error {
 	trailerOffset, err := readFooter(rs.r)
 	if err != nil {
 		return err
-	}
-	if rs.whole != nil && rs.whole.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes after footer", ErrCorrupt, rs.whole.Len())
 	}
 	if len(entries) != len(rs.seen) || totalValues != rs.total {
 		return fmt.Errorf("%w: trailer indexes %d chunks / %d values, stream has %d / %d",
@@ -473,7 +528,7 @@ func (rs *Records) reconcile() error {
 		return fmt.Errorf("%w: footer places the trailer at offset %d, it stands at %d",
 			ErrCorrupt, trailerOffset, rs.off)
 	}
-	return nil
+	return rs.ended()
 }
 
 // equal compares two index entries field for field, the bound by its bit
@@ -481,76 +536,6 @@ func (rs *Records) reconcile() error {
 func (e IndexEntry) equal(o IndexEntry) bool {
 	return e.Offset == o.Offset && e.Values == o.Values && e.RecordBytes == o.RecordBytes &&
 		math.Float64bits(e.AbsBound) == math.Float64bits(o.AbsBound)
-}
-
-// openChunked walks a chunked container's structure — header, record
-// heads, trailer, footer — without reading or checksumming payloads, and
-// returns its Info. The returned payload is the whole container (chunked
-// streams have no single payload; DecompressChunked consumes them).
-func openChunked(data []byte) (*Info, []byte, error) {
-	rs, err := openContainer(data, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	for {
-		if _, _, err = rs.Next(nil); err != nil {
-			break
-		}
-	}
-	if err != io.EOF {
-		return nil, nil, err
-	}
-	h := &rs.Header
-	info := &Info{
-		CodecID:     h.CodecID,
-		Version:     chunkedVersion,
-		Chunked:     true,
-		Chunks:      len(rs.seen),
-		ChunkValues: h.ChunkValues,
-		TotalValues: rs.total,
-		FieldName:   h.Name,
-		Prec:        h.Prec,
-		Dims:        h.Dims,
-	}
-	for _, e := range rs.seen {
-		info.PayloadBytes += e.RecordBytes - chunkHeadSize
-	}
-	if c, err := ByID(h.CodecID); err == nil {
-		info.CodecName = c.Name()
-	}
-	return info, data, nil
-}
-
-// DecompressChunked reconstructs a field from a chunked container,
-// sequentially routing every chunk to its backend by codec ID. Payloads are
-// sliced from data in place and each chunk decodes into one pooled buffer.
-// (internal/stream provides the concurrent pipeline over the same walker.)
-func DecompressChunked(data []byte) (*grid.Field, error) {
-	rs, err := openContainer(data, false)
-	if err != nil {
-		return nil, err
-	}
-	vals := rs.Header.ValueBuffer()
-	b := GetValues()
-	defer PutValues(b)
-	for {
-		c, crc, err := rs.Next(nil)
-		if err == io.EOF {
-			return AssembleField(&rs.Header, vals)
-		}
-		if err == nil {
-			err = VerifyChunk(c, crc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		chunkVals, err := DecodeChunkInto(*b, c)
-		if err != nil {
-			return nil, err
-		}
-		*b = chunkVals
-		vals = append(vals, chunkVals...)
-	}
 }
 
 // DecodeChunk decompresses one chunk record's payload through the codec its
@@ -659,10 +644,15 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	h, headerEnd, err := readStreamHeader(rs)
+	recs, err := OpenRecords(rs)
 	if err != nil {
 		return nil, err
 	}
+	if recs.sealed >= 0 {
+		return nil, fmt.Errorf("%w: a version %d envelope has no index, chunked streams are version %d",
+			ErrUnsupportedVersion, envelopeVersion, chunkedVersion)
+	}
+	headerEnd := recs.off
 	end, err := rs.Seek(0, io.SeekEnd)
 	if err != nil {
 		return nil, err
@@ -712,7 +702,7 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 		return nil, fmt.Errorf("%w: index covers %d values up to offset %d, trailer declares %d values at offset %d",
 			ErrCorrupt, sum, next, totalValues, trailerOffset)
 	}
-	return &StreamIndex{Header: *h, Entries: entries, TotalValues: totalValues}, nil
+	return &StreamIndex{Header: recs.Header, Entries: entries, TotalValues: totalValues}, nil
 }
 
 // ReadChunkAt seeks to one indexed chunk record and parses it: payload CRC
@@ -745,13 +735,13 @@ func readChunkAt(rs io.ReadSeeker, e IndexEntry, pb *bytes.Buffer) (*Chunk, erro
 	if tag[0] != tagChunk {
 		return nil, fmt.Errorf("%w: index entry points at tag %d", ErrCorrupt, tag[0])
 	}
-	c, crc, n, err := readChunk(rs, nil, pb)
+	c, n, err := readChunk(rs, nil, pb)
 	if err != nil {
 		return nil, err
 	}
 	// CRC before the comparison: a damaged length field reads as the
 	// checksum failure a sequential reader reports for the same bytes.
-	if err := VerifyChunk(c, crc); err != nil {
+	if err := c.Verify(); err != nil {
 		return nil, err
 	}
 	if head := (IndexEntry{Offset: e.Offset, Values: c.Values, RecordBytes: n, AbsBound: c.AbsBound}); !head.equal(e) {

@@ -70,13 +70,14 @@ func TestStreamHeaderRoundTrip(t *testing.T) {
 		if n != int64(buf.Len()) {
 			t.Fatalf("reported %d bytes, wrote %d", n, buf.Len())
 		}
-		got, rn, err := readStreamHeader(bytes.NewReader(buf.Bytes()))
+		rs, err := OpenRecords(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rn != n {
-			t.Fatalf("consumed %d bytes, wrote %d", rn, n)
+		if rs.off != n {
+			t.Fatalf("consumed %d bytes, wrote %d", rs.off, n)
 		}
+		got := rs.Header
 		if got.CodecID != want.CodecID || got.Prec != want.Prec || got.Name != want.Name ||
 			got.ChunkValues != want.ChunkValues || len(got.Dims) != len(want.Dims) {
 			t.Fatalf("got %+v, want %+v", got, want)
@@ -91,7 +92,7 @@ func TestStreamHeaderRoundTrip(t *testing.T) {
 
 // TestChunkedContainerRoundTrip is the table-driven framing test: empty
 // streams, single chunks, chunk-boundary-exact sizes, and partial tails all
-// survive DecompressChunked.
+// survive Decompress.
 func TestChunkedContainerRoundTrip(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -114,7 +115,7 @@ func TestChunkedContainerRoundTrip(t *testing.T) {
 			}
 			data, _ := buildChunkedContainer(t, tc.chunkValues, chunks)
 
-			f, err := DecompressChunked(data)
+			f, err := Decompress(data)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +150,7 @@ func TestChunkedContainerEmpty(t *testing.T) {
 	if !info.Chunked || info.Chunks != 0 || info.TotalValues != 0 {
 		t.Fatalf("info %+v, want empty chunked", info)
 	}
-	if _, err := DecompressChunked(data); !errors.Is(err, ErrCorrupt) {
+	if _, err := Decompress(data); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("decoding an empty stream: %v, want ErrCorrupt", err)
 	}
 }
@@ -193,8 +194,8 @@ func TestChunkedContainerCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecompressChunked(tc.blob); !errors.Is(err, tc.wantErr) {
-				t.Fatalf("DecompressChunked: %v, want %v", err, tc.wantErr)
+			if _, err := Decompress(tc.blob); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Decompress: %v, want %v", err, tc.wantErr)
 			}
 			// Inspect must agree on structural failures (it skips payload
 			// CRCs by design, so corruption under an intact structure may
@@ -218,7 +219,7 @@ func TestCorruptLengthsDoNotAllocate(t *testing.T) {
 
 	huge := append([]byte(nil), data[:trailerStart+1]...) // up to the trailer tag
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0xFF)           // count = 4294967295
-	if _, err := DecompressChunked(huge); !errors.Is(err, ErrTruncated) {
+	if _, err := Decompress(huge); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("huge trailer count: %v, want ErrTruncated", err)
 	}
 	if _, err := Inspect(huge); !errors.Is(err, ErrTruncated) {
@@ -233,7 +234,7 @@ func TestCorruptLengthsDoNotAllocate(t *testing.T) {
 	binary.LittleEndian.PutUint32(rec[10:], 64)
 	binary.LittleEndian.PutUint32(rec[14:], maxChunkPayload-1)
 	bigChunk = append(bigChunk, rec...)
-	if _, err := DecompressChunked(bigChunk); !errors.Is(err, ErrTruncated) {
+	if _, err := Decompress(bigChunk); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("huge payload length: %v, want ErrTruncated", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"rqm/internal/grid"
 )
@@ -113,77 +114,80 @@ func frameErr(err error) error {
 	return fmt.Errorf("%w: %v", ErrCorrupt, err)
 }
 
-// Open inspects a container, returning its routing info and the native
-// payload. It accepts the unified envelope (v1) and the chunked stream (v2,
-// for which the "payload" is the whole container — see DecompressChunked).
-// A bare native payload (prediction "RQMC", transform "RQZF") is not a
-// container: nothing writes one outside an envelope, and it fails with
-// ErrBadMagic like any other unknown magic.
+// Open inspects a container — a v1 envelope or a v2 chunked stream — by
+// walking its structure with Records (head, record heads, trailer, footer;
+// no payload read or checksummed) and returns its routing info and payload:
+// an envelope's native payload, or the whole of a chunked container, which
+// has no single payload. A bare native payload (prediction "RQMC",
+// transform "RQZF") is not a container: nothing writes one outside an
+// envelope, and it fails with ErrBadMagic like any other unknown magic.
 func Open(data []byte) (*Info, []byte, error) {
-	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("%w: %d bytes, need at least a 4-byte magic", ErrTruncated, len(data))
+	rs, err := openContainer(data, true)
+	if err != nil {
+		return nil, nil, err
 	}
-	if magic := binary.LittleEndian.Uint32(data); magic != envelopeMagic {
-		return nil, nil, fmt.Errorf("%w: 0x%08x", ErrBadMagic, magic)
+	for err == nil {
+		_, err = rs.Next(nil)
 	}
-	if len(data) < 8 {
-		return nil, nil, fmt.Errorf("%w: %d bytes, need an 8-byte header", ErrTruncated, len(data))
+	if err != io.EOF {
+		return nil, nil, err
 	}
-	c := grid.NewCursor(data[4:])
-	version, id, prec := c.U8(), c.U8(), c.U8()
-	if version == chunkedVersion {
-		return openChunked(data)
+	h := &rs.Header
+	info := &Info{CodecID: h.CodecID, FieldName: h.Name, Prec: h.Prec, Dims: h.Dims}
+	if c, err := ByID(h.CodecID); err == nil {
+		info.CodecName = c.Name()
 	}
-	if version != envelopeVersion {
-		return nil, nil, fmt.Errorf("%w: version %d, this build reads %d and %d",
-			ErrUnsupportedVersion, version, envelopeVersion, chunkedVersion)
+	if rs.sealed >= 0 {
+		info.Version, info.PayloadBytes = envelopeVersion, int(rs.sealed)
+		return info, data[rs.seen[0].Offset:], nil
 	}
-	dims, _ := c.Dims()
-	name := string(c.Take(int(c.U16())))
-	payloadLen := c.U64()
-	if err := c.Err(); err != nil {
-		return nil, nil, frameErr(err)
+	info.Version, info.Chunked, info.Chunks = chunkedVersion, true, len(rs.seen)
+	info.ChunkValues, info.TotalValues = h.ChunkValues, rs.total
+	for _, e := range rs.seen {
+		info.PayloadBytes += e.RecordBytes - chunkHeadSize
 	}
-	if payloadLen > uint64(c.Len()) {
-		return nil, nil, fmt.Errorf("%w: payload declares %d bytes, %d remain",
-			ErrTruncated, payloadLen, c.Len())
-	}
-	if uint64(c.Len()) > payloadLen {
-		return nil, nil, fmt.Errorf("%w: %d trailing bytes after payload",
-			ErrCorrupt, uint64(c.Len())-payloadLen)
-	}
-	info := &Info{
-		CodecID:      ID(id),
-		Version:      version,
-		FieldName:    name,
-		Prec:         grid.Precision(prec),
-		Dims:         dims,
-		PayloadBytes: int(payloadLen),
-	}
-	if backend, err := ByID(info.CodecID); err == nil {
-		info.CodecName = backend.Name()
-	}
-	return info, c.Take(c.Len()), nil
+	return info, data, nil
 }
 
-// Decompress routes any container — enveloped or chunked — to its backend
-// by inspection and reconstructs the field.
+// Decompress reconstructs the field in any container — a v1 envelope or a
+// chunked stream — walking its records with Records and routing every
+// payload to its backend by codec ID. Payloads are sliced from data in place.
+// (internal/stream provides the concurrent pipeline over the same walker.)
 func Decompress(data []byte) (*grid.Field, error) {
-	// Chunked containers route on their 5-byte prefix: DecompressChunked
-	// validates the full structure itself, so a prior Open walk would parse
-	// everything twice.
-	if IsChunked(data) {
-		return DecompressChunked(data)
-	}
-	info, payload, err := Open(data)
+	rs, err := openContainer(data, false)
 	if err != nil {
 		return nil, err
 	}
-	c, err := ByID(info.CodecID)
-	if err != nil {
-		return nil, err
+	vals := rs.Header.ValueBuffer()
+	for {
+		c, err := rs.Next(nil)
+		if err == io.EOF {
+			return AssembleField(&rs.Header, vals)
+		}
+		if err == nil {
+			err = c.Verify()
+		}
+		if err != nil {
+			return nil, err
+		}
+		// A chunk the preallocated shape holds decodes in place. Any other
+		// decodes into a fresh slice sized by its payload, not by what the
+		// record declares: the field itself when it is the first chunk (an
+		// envelope past the preallocation costs one value slice, as a native
+		// decode does), appended otherwise.
+		n := len(vals)
+		chunkVals, err := DecodeChunkInto(vals[n:], c)
+		switch {
+		case err != nil:
+			return nil, err
+		case cap(vals)-n >= c.Values:
+			vals = vals[:n+c.Values]
+		case n == 0:
+			vals = chunkVals
+		default:
+			vals = append(vals, chunkVals...)
+		}
 	}
-	return c.Decompress(nil, payload)
 }
 
 // Inspect returns container routing info without decoding the payload.

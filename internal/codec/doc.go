@@ -33,13 +33,14 @@
 //     codec ID byte that routes the native payload (RQMC / RQZF) inside
 //     them; a bare native payload is not a container and fails with
 //     ErrBadMagic.
-//   - Each container grammar has one parser. The chunked stream is walked
-//     sequentially by Records alone (Inspect, DecompressChunked and the
-//     stream.Reader are loops over it) and through its index by LoadIndex
-//     and ReadChunkAt alone; both hold every stored copy of a chunk's
-//     geometry and bound — record head, trailer entry, footer offset —
-//     against the others, and a container on which they disagree is
-//     ErrCorrupt to every reader.
+//   - Both container grammars have one sequential parser, Records: a v1
+//     envelope reads as a stream of one record (its payload, no CRC), and
+//     Open, Inspect, Decompress and the stream.Reader are loops over it with
+//     no branch on the version. A chunked stream is also read through its
+//     index, by LoadIndex and ReadChunkAt alone (an envelope has no index);
+//     both hold every stored copy of a chunk's geometry and bound — record
+//     head, trailer entry, footer offset — against the others, and a
+//     container on which they disagree is ErrCorrupt to every reader.
 //   - Chunk bodies in the chunked stream container are per-chunk
 //     independent: each record names its codec ID, is CRC-checked before
 //     decode, and decodes with no state from neighboring chunks.

@@ -126,13 +126,15 @@ func verdictOf(f *grid.Field, err error) verdict {
 
 func serialVerdict(data []byte) verdict { return verdictOf(codec.Decompress(data)) }
 
-func streamVerdict(data []byte) verdict {
-	r, err := stream.NewReader(bytes.NewReader(data), stream.WithReaderWorkers(2))
-	if err != nil {
-		return verdict{class: classOf(err)}
+func streamVerdict(workers int) func([]byte) verdict {
+	return func(data []byte) verdict {
+		r, err := stream.NewReader(bytes.NewReader(data), stream.WithReaderWorkers(workers))
+		if err != nil {
+			return verdict{class: classOf(err)}
+		}
+		defer r.Close()
+		return verdictOf(r.ReadAll())
 	}
-	defer r.Close()
-	return verdictOf(r.ReadAll())
 }
 
 func indexVerdict(data []byte) verdict {
@@ -156,25 +158,57 @@ func indexVerdict(data []byte) verdict {
 	return verdict{vals: vals}
 }
 
-// requireAgreement runs the three decoding readers and Inspect over data and
-// fails unless they agree. Inspect reads no payload byte and decodes nothing,
-// so it is excused exactly where the others' verdict comes from there: a
-// checksum failure or an unknown chunk codec.
-func requireAgreement(t *testing.T, what string, data []byte) verdict {
+// namedReader is one decoding reader under test.
+type namedReader struct {
+	name string
+	read func([]byte) verdict
+}
+
+// agree runs the decoding readers and Inspect over data and fails unless
+// they agree: the same values, or the same error class. Inspect reads no
+// payload byte and decodes nothing, so it is excused where excused(its
+// class, the decoders' class) says their verdict comes from decoding.
+func agree(t *testing.T, what string, data []byte, readers []namedReader, excused func(inspect, decoded string) bool) verdict {
 	t.Helper()
-	serial, streamed, indexed := serialVerdict(data), streamVerdict(data), indexVerdict(data)
-	for _, v := range []verdict{streamed, indexed} {
-		if v.class != serial.class || !slices.Equal(v.vals, serial.vals) {
-			t.Errorf("%s: readers disagree: Decompress %v, stream.Reader %v, LoadIndex+ReadChunkAt %v",
-				what, serial, streamed, indexed)
-			return serial
+	first := readers[0].read(data)
+	for _, rd := range readers[1:] {
+		if v := rd.read(data); v.class != first.class || !slices.Equal(v.vals, first.vals) {
+			t.Errorf("%s: readers disagree: %s %v, %s %v", what, readers[0].name, first, rd.name, v)
+			return first
 		}
 	}
 	_, err := codec.Inspect(data)
-	if got := classOf(err); got != serial.class && serial.class != "ErrChecksum" && serial.class != "ErrUnknownCodec" {
-		t.Errorf("%s: Inspect says %q, the decoding readers %v", what, got, serial)
+	if got := classOf(err); got != first.class && !excused(got, first.class) {
+		t.Errorf("%s: Inspect says %q, the decoding readers %v", what, got, first)
 	}
-	return serial
+	return first
+}
+
+// requireAgreement holds the three decoding readers of a chunked container
+// and Inspect to one verdict. Inspect is excused exactly where the others'
+// verdict comes from a payload: a checksum failure or an unknown chunk codec.
+func requireAgreement(t *testing.T, what string, data []byte) verdict {
+	t.Helper()
+	readers := []namedReader{{"Decompress", serialVerdict}, {"stream.Reader", streamVerdict(2)},
+		{"LoadIndex+ReadChunkAt", indexVerdict}}
+	return agree(t, what, data, readers, func(_, decoded string) bool {
+		return decoded == "ErrChecksum" || decoded == "ErrUnknownCodec"
+	})
+}
+
+// requireEnvelopeAgreement holds the readers of a v1 envelope — Decompress
+// and the stream.Reader at 1 and 4 workers; it has no index — and Inspect to
+// one verdict. No CRC covers an envelope's payload, so Inspect may accept
+// what decoding refuses: a payload its codec cannot decode, or does not
+// decode to the value count the shape declares (ErrCorrupt), or an unknown
+// codec.
+func requireEnvelopeAgreement(t *testing.T, what string, data []byte) verdict {
+	t.Helper()
+	readers := []namedReader{{"Decompress", serialVerdict}, {"stream.Reader(1)", streamVerdict(1)},
+		{"stream.Reader(4)", streamVerdict(4)}}
+	return agree(t, what, data, readers, func(inspect, decoded string) bool {
+		return inspect == "" && (decoded == "ErrCorrupt" || decoded == "ErrUnknownCodec")
+	})
 }
 
 // TestLyingTrailerRejected is probe (1) of ISSUE 24: four 1024-value records
@@ -275,6 +309,57 @@ func TestReadersAgree(t *testing.T) {
 	}
 	// The sweep must actually bite, in every class the grammar can produce.
 	for _, class := range []string{"accept", "ErrTruncated", "ErrCorrupt", "ErrChecksum", "ErrBadMagic", "ErrUnsupportedVersion"} {
+		if verdicts[class] == 0 {
+			t.Errorf("no flip produced %s (saw %v)", class, verdicts)
+		}
+	}
+	t.Logf("%d flips: %v", 3*len(structural), verdicts)
+}
+
+// TestReadersAgreeOnEnvelope is TestReadersAgree over a v1 envelope, which
+// the same walker reads as a stream of one record: every head byte flipped
+// in turn — magic, version, codec, precision, rank, dims, name, payload
+// length — and the payload's first and last byte.
+func TestReadersAgreeOnEnvelope(t *testing.T) {
+	c, err := codec.ByID(codec.IDPrediction)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := grid.MustNew("agree", grid.Float64, 2, 79)
+	for i := range f.Data {
+		f.Data[i] = float64(i%53) * 0.25
+	}
+	payload, err := c.Compress(f, codec.Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := codec.Seal(codec.IDPrediction, f, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := requireEnvelopeAgreement(t, "intact", data); v.class != "" || len(v.vals) != 158 {
+		t.Fatalf("intact envelope: %v", v)
+	}
+
+	head := len(data) - len(payload)
+	var structural []int
+	for off := range head { // the head
+		structural = append(structural, off)
+	}
+	structural = append(structural, head, len(data)-1) // payload ends
+	verdicts := map[string]int{}
+	for _, off := range structural {
+		for _, mask := range []byte{0x01, 0x80, 0xFF} {
+			bad := bytes.Clone(data)
+			bad[off] ^= mask
+			v := requireEnvelopeAgreement(t, fmt.Sprintf("byte %d ^ 0x%02x", off, mask), bad)
+			if v.class == "" {
+				v.class = "accept"
+			}
+			verdicts[v.class]++
+		}
+	}
+	for _, class := range []string{"accept", "ErrTruncated", "ErrCorrupt", "ErrBadMagic", "ErrUnsupportedVersion", "ErrUnknownCodec"} {
 		if verdicts[class] == 0 {
 			t.Errorf("no flip produced %s (saw %v)", class, verdicts)
 		}

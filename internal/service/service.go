@@ -45,8 +45,9 @@ import (
 	"rqm/internal/store"
 )
 
-// DefaultStreamThreshold is the request-body size at which compress switches
-// to the chunked streaming pipeline (64 MiB, matching the rqc CLI).
+// DefaultStreamThreshold is the size at which compress switches to the
+// chunked streaming pipeline (64 MiB): a request body's here, an input
+// file's in rqc, which routes by this same constant locally and remotely.
 const DefaultStreamThreshold = 64 << 20
 
 // maxBufferedBody caps bodies the non-streaming handlers materialize, so a
@@ -65,9 +66,6 @@ type Config struct {
 	MaxInflight int
 	// ProfileCacheSize bounds the LRU profile cache entries (0 = 128).
 	ProfileCacheSize int
-	// StreamThreshold is the compress body size that triggers the chunked
-	// streaming pipeline (0 = DefaultStreamThreshold, < 0 disables).
-	StreamThreshold int64
 	// Store is the persistent dataset archive behind the /v1/datasets
 	// endpoints (nil = dataset endpoints answer 501 store_disabled).
 	Store *store.Store
@@ -76,16 +74,15 @@ type Config struct {
 // Service is the HTTP handler set. Construct with New; a Service is safe for
 // concurrent use.
 type Service struct {
-	eng       *rqm.Engine
-	model     rqm.ModelOptions
-	cache     *profileCache
-	store     *store.Store
-	sem       chan struct{}
-	threshold int64
-	routes    []route
-	mux       *http.ServeMux
-	start     time.Time
-	draining  atomic.Bool
+	eng      *rqm.Engine
+	model    rqm.ModelOptions
+	cache    *profileCache
+	store    *store.Store
+	sem      chan struct{}
+	routes   []route
+	mux      *http.ServeMux
+	start    time.Time
+	draining atomic.Bool
 
 	// snapMu separates counter increments (read-locked, concurrent) from
 	// Snapshot's write-locked pass: a /metrics scrape always reads one
@@ -152,19 +149,14 @@ func New(cfg Config) (*Service, error) {
 	if cacheSize == 0 {
 		cacheSize = 128
 	}
-	threshold := cfg.StreamThreshold
-	if threshold == 0 {
-		threshold = DefaultStreamThreshold
-	}
 	s := &Service{
-		eng:       eng,
-		model:     cfg.Model,
-		cache:     newProfileCache(cacheSize),
-		store:     cfg.Store,
-		sem:       make(chan struct{}, inflight),
-		threshold: threshold,
-		mux:       http.NewServeMux(),
-		start:     time.Now(),
+		eng:   eng,
+		model: cfg.Model,
+		cache: newProfileCache(cacheSize),
+		store: cfg.Store,
+		sem:   make(chan struct{}, inflight),
+		mux:   http.NewServeMux(),
+		start: time.Now(),
 	}
 	s.routes = []route{
 		{http.MethodGet, "/healthz", light, false, s.handleHealthz},
@@ -641,7 +633,7 @@ func (s *Service) handleCompress(req *request) error {
 	if err != nil {
 		return err
 	}
-	if target != "" || q.Get("stream") == "1" || (s.threshold > 0 && r.ContentLength >= s.threshold) {
+	if target != "" || q.Get("stream") == "1" || r.ContentLength >= DefaultStreamThreshold {
 		return s.compressStream(req, eng, target, val)
 	}
 
@@ -763,41 +755,19 @@ func parseRangeParam(q url.Values) (lo, hi float64, err error) {
 	return lo, hi, nil
 }
 
+// handleDecompress streams any container — a chunked stream, or a v1
+// envelope read as a stream of one chunk — back out as a .rqmf field
+// without materializing it, when the container carries the shape.
 func (s *Service) handleDecompress(req *request) error {
 	w := req.w
 	s.count(&s.decompresses, 1)
 	br := pooledReader(req.r.Body)
 	defer releaseReader(br)
-	head, err := br.Peek(5)
-	if err != nil {
-		return errf(http.StatusUnprocessableEntity, "truncated",
-			"body holds %d bytes, not a container", len(head))
-	}
-	if rqm.IsChunkedContainer(head) {
-		return s.decompressStream(w, br)
-	}
-	body, err := readBufferedBody(br)
-	if err != nil {
-		return err
-	}
-	f, err := rqm.Decompress(body)
+	sr, err := rqm.NewReader(br)
 	if err != nil {
 		return err // typed container error -> 422 envelope
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-RQM-Field", f.Name)
-	_, err = f.WriteTo(w)
-	return ignoreWriteErr(err)
-}
-
-// decompressStream streams a chunked container back out as a .rqmf field
-// without materializing it — when the stream header carries the shape.
-func (s *Service) decompressStream(w http.ResponseWriter, br *bufio.Reader) error {
-	sr, err := rqm.NewReader(br)
-	if err != nil {
-		return err
-	}
-	// The reader stops exactly at the container footer, which under a
+	// The reader stops exactly at the container's end, which under a
 	// chunked request body leaves the trailing encoding unread; with
 	// full-duplex enabled the server will not clean that up safely, so
 	// drain to EOF before returning. Close first — it blocks until the
@@ -827,7 +797,12 @@ func (s *Service) decompressStream(w http.ResponseWriter, br *bufio.Reader) erro
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-RQM-Field", hdr.Name)
 	w.Header().Set("X-RQM-Streamed", "1")
-	if _, err := sr.WriteField(w); err != nil {
+	if n, err := sr.WriteField(w); err != nil {
+		if n == 0 { // the first chunk would not decode: no status is out yet
+			w.Header().Del("X-RQM-Field")
+			w.Header().Del("X-RQM-Streamed")
+			return err
+		}
 		panic(http.ErrAbortHandler) // mid-stream failure: truncate, don't lie
 	}
 	return nil

@@ -797,6 +797,56 @@ func TestUndecodablePayloadsAnswer422(t *testing.T) {
 	}
 }
 
+// TestUndecodableFirstChunkAnswers422 checks that a stream whose first chunk
+// will not decode is refused before the .rqmf header goes out: a typed 422,
+// not a 200 whose body is cut short. One chunk's payload is not a prediction
+// payload (its CRC is intact); the same chunk with a flipped payload byte
+// fails its CRC.
+func TestUndecodableFirstChunkAnswers422(t *testing.T) {
+	var buf bytes.Buffer
+	hdr := &codec.StreamHeader{CodecID: codec.IDPrediction, Prec: grid.Float64, Dims: []int{8}, Name: "bad", ChunkValues: 8}
+	if _, err := codec.WriteStreamHeader(&buf, hdr); err != nil {
+		t.Fatal(err)
+	}
+	at := int64(buf.Len())
+	n, err := codec.WriteChunk(&buf, &codec.Chunk{CodecID: codec.IDPrediction, AbsBound: 1e-3, Values: 8,
+		Payload: []byte("not a prediction payload")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := []codec.IndexEntry{{Offset: at, Values: 8, RecordBytes: int(n), AbsBound: 1e-3}}
+	if _, err := codec.WriteTrailer(&buf, entries, 8, int64(buf.Len())); err != nil {
+		t.Fatal(err)
+	}
+	undecodable := buf.Bytes()
+	flipped := bytes.Clone(undecodable)
+	flipped[at+int64(n)-1] ^= 0xFF // the payload's last byte
+
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		name string
+		body []byte
+		code string
+	}{{"undecodable payload", undecodable, "corrupt"}, {"payload fails its CRC", flipped, "checksum_mismatch"}} {
+		resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			resp.Body.Close()
+			t.Fatalf("%s: status %d, want 422", tc.name, resp.StatusCode)
+		}
+		if resp.Header.Get("X-RQM-Field") != "" {
+			t.Errorf("%s: the 422 carries X-RQM-Field %q", tc.name, resp.Header.Get("X-RQM-Field"))
+		}
+		eb := decodeErrorBody(t, resp)
+		resp.Body.Close()
+		if eb.Error.Code != tc.code {
+			t.Errorf("%s: code %q, want %q", tc.name, eb.Error.Code, tc.code)
+		}
+	}
+}
+
 // TestBadValueRangeParams covers the lo,hi parser's rejection paths.
 func TestBadValueRangeParams(t *testing.T) {
 	_, body := testField(t)

@@ -64,7 +64,7 @@ func TestQuadtreeStreamRoundTrip(t *testing.T) {
 		t.Fatalf("stats report %d values, want %d", st.Values, len(f.Data))
 	}
 
-	dec, err := codec.DecompressChunked(raw)
+	dec, err := codec.Decompress(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,11 +178,11 @@ func TestAdaptiveSpaceRatioWin(t *testing.T) {
 		WithAdaptive(pol),
 		WithPartitioner(partition.VarianceQuadtree{}))
 
-	fixedDec, err := codec.DecompressChunked(fixedRaw)
+	fixedDec, err := codec.Decompress(fixedRaw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quadDec, err := codec.DecompressChunked(quadRaw)
+	quadDec, err := codec.Decompress(quadRaw)
 	if err != nil {
 		t.Fatal(err)
 	}

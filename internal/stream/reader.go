@@ -26,12 +26,13 @@ func WithReaderWorkers(n int) ReaderOption {
 	}
 }
 
-// Reader decompresses a chunked container with the Writer's pipeline run in
-// reverse: a feeder walks the records sequentially (codec.Records, the one
-// parser of the grammar) and fans the payloads out to a decode pool, and
-// consumption hands chunks back in stream order. Payload CRCs are verified
-// on the pool, and the walker reconciles trailer and footer with the records
-// it saw, entry for entry, before EOF is reported.
+// Reader decompresses a container with the Writer's pipeline run in reverse:
+// a feeder walks the records sequentially (codec.Records, the one parser of
+// both grammars: a v1 envelope reads as a stream of one record) and fans
+// the payloads out to a decode pool, and consumption hands chunks back in
+// stream order. Payload CRCs are verified on the pool, and the walker
+// reconciles trailer and footer with the records it saw, entry for entry,
+// before EOF is reported.
 //
 // A Reader is single-consumer: NextChunk, Read, and ReadAll must come from
 // one goroutine.
@@ -64,11 +65,11 @@ type decResult struct {
 type decJob struct {
 	chunk *codec.Chunk
 	pb    *bytes.Buffer // the pooled payload buffer chunk.Payload aliases
-	crc   uint32
 	res   chan decResult
 }
 
-// NewReader parses the stream header of src and starts the decode pipeline.
+// NewReader parses the container head of src (a chunked stream's header or
+// a v1 envelope's) and starts the decode pipeline.
 // Header parse failures surface immediately with the typed container errors.
 func NewReader(src io.Reader, opts ...ReaderOption) (*Reader, error) {
 	recs, err := codec.OpenRecords(src)
@@ -119,7 +120,7 @@ func (r *Reader) feed() {
 
 	for {
 		pb := codec.GetPayload()
-		c, crc, err := r.recs.Next(pb)
+		c, err := r.recs.Next(pb)
 		if err != nil {
 			codec.PutPayload(pb)
 			if err != io.EOF {
@@ -134,7 +135,7 @@ func (r *Reader) feed() {
 			return
 		}
 		select {
-		case jobs <- decJob{chunk: c, pb: pb, crc: crc, res: res}:
+		case jobs <- decJob{chunk: c, pb: pb, res: res}:
 		case <-r.done:
 			return
 		}
@@ -145,7 +146,7 @@ func (r *Reader) feed() {
 // payload buffer either way.
 func decode(j decJob) decResult {
 	defer codec.PutPayload(j.pb)
-	if err := codec.VerifyChunk(j.chunk, j.crc); err != nil {
+	if err := j.chunk.Verify(); err != nil {
 		return decResult{err: err}
 	}
 	b := codec.GetValues()
@@ -207,12 +208,8 @@ func (r *Reader) next() (*[]float64, error) {
 func (r *Reader) Read(p []byte) (int, error) {
 	prec := r.recs.Header.Prec
 	for len(r.encoded) == 0 {
-		if len(r.cur) == 0 {
-			b, err := r.next()
-			if err != nil {
-				return 0, err
-			}
-			r.curBuf, r.cur = b, *b
+		if err := r.fill(); err != nil {
+			return 0, err
 		}
 		if r.buf == nil {
 			r.buf = make([]byte, 0, 32<<10)
@@ -229,11 +226,31 @@ func (r *Reader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// fill makes cur hold the next chunk's values once Read has serialized the
+// last ones.
+func (r *Reader) fill() error {
+	if len(r.cur) > 0 {
+		return nil
+	}
+	b, err := r.next()
+	if err != nil {
+		return err
+	}
+	r.curBuf, r.cur = b, *b
+	return nil
+}
+
 // WriteField writes the stream to w as a .rqmf field — the header from the
 // stream's shape, then the samples as Read serializes them — and fails if
-// the stream does not hold exactly the values that shape declares. A stream
-// of unknown shape (rank 0) has no .rqmf header; ReadAll reassembles it.
+// the stream does not hold exactly the values that shape declares. The
+// first chunk decodes before the header is written, so a stream that cannot
+// decode at all fails with nothing written (a server can still answer it
+// with an error status). A stream of unknown shape (rank 0) has no .rqmf
+// header; ReadAll reassembles it.
 func (r *Reader) WriteField(w io.Writer) (int64, error) {
+	if err := r.fill(); err != nil && err != io.EOF {
+		return 0, err
+	}
 	h := &r.recs.Header
 	n, err := grid.WriteHeader(w, h.Prec, h.Dims)
 	if err != nil {

@@ -56,7 +56,7 @@ func roundTrip(t *testing.T, vals []float64, wopts []Option, ropts []ReaderOptio
 		got = append(got, chunk...)
 	}
 	// The sequential whole-buffer decode must agree bit for bit.
-	whole, err := codec.DecompressChunked(buf.Bytes())
+	whole, err := codec.Decompress(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestByteInterfaces(t *testing.T) {
 			t.Fatalf("prec %d: read %d bytes, want %d", prec, len(out), len(raw))
 		}
 		// Decode and check the bound value-wise.
-		back, err := codec.DecompressChunked(buf.Bytes())
+		back, err := codec.Decompress(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestWriteField(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		whole, err := codec.DecompressChunked(buf.Bytes())
+		whole, err := codec.Decompress(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func TestNextChunkOwnsItsValues(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	want, err := codec.DecompressChunked(buf.Bytes())
+	want, err := codec.Decompress(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestNextChunkOwnsItsValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		if f, err := r.ReadAll(); err != nil || !equalBits(f.Data, want.Data) {
-			t.Fatalf("ReadAll over recycled buffers differs from DecompressChunked: %v", err)
+			t.Fatalf("ReadAll over recycled buffers differs from Decompress: %v", err)
 		}
 	}
 	var got []float64
@@ -739,7 +739,7 @@ func TestConstantChunkRecordsEnforcedBound(t *testing.T) {
 		t.Fatalf("stats bounds [%g, %g], want [%g, %g]", st.MinBound, st.MaxBound, want, want)
 	}
 	// The reconstruction must actually satisfy the recorded bound.
-	f, err := codec.DecompressChunked(buf.Bytes())
+	f, err := codec.Decompress(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

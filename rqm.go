@@ -161,14 +161,15 @@ func GenerateField(path string, seed uint64, sc Scale) (*Field, error) {
 }
 
 // Decompress reconstructs a field from any compressed container, routing to
-// the producing codec by inspection: envelope containers dispatch on their
-// codec ID, and chunked stream containers (NewWriter
-// output) decode chunk by chunk. A bare native payload outside an envelope
-// (pre-envelope "RQMC" / "RQZF") is not a container and fails with
-// ErrBadMagic. Parse failures wrap the typed errors ErrTruncated,
-// ErrBadMagic, ErrUnsupportedVersion, ErrUnknownCodec, ErrCorrupt, and
-// ErrChecksum; a chunked container whose stored copies of a chunk's geometry
-// or bound disagree (record head, trailer entry, footer) is ErrCorrupt.
+// the producing codec by inspection: one walker reads both grammars, a
+// chunked stream (NewWriter output) chunk by chunk and an envelope as a
+// stream of one chunk, each dispatched on its codec ID. A bare native
+// payload outside an envelope (pre-envelope "RQMC" / "RQZF") is not a
+// container and fails with ErrBadMagic. Parse failures wrap the typed errors
+// ErrTruncated, ErrBadMagic, ErrUnsupportedVersion, ErrUnknownCodec,
+// ErrCorrupt, and ErrChecksum; a chunked container whose stored copies of a
+// chunk's geometry or bound disagree (record head, trailer entry, footer) is
+// ErrCorrupt.
 func Decompress(data []byte) (*Field, error) {
 	return codec.Decompress(data)
 }

@@ -14,7 +14,8 @@ import (
 // trailer index makes every chunk randomly addressable; NewReader runs the
 // pipeline in reverse. Memory stays O(workers × chunk size) on both sides,
 // so arbitrarily large datasets stream through a fixed footprint, and
-// rqm.Decompress reads chunked containers like any other.
+// rqm.Decompress reads chunked containers like any other (and NewReader
+// reads an envelope as a stream of one chunk).
 //
 // Write side:
 //
@@ -113,8 +114,9 @@ func NewWriter(w io.Writer, opts ...StreamOption) (*StreamWriter, error) {
 	return stream.NewWriter(w, opts...)
 }
 
-// NewReader starts a streaming decompressor over a chunked container,
-// decoding chunks concurrently and handing them back in stream order.
+// NewReader starts a streaming decompressor over any container — a chunked
+// stream, or a v1 envelope read as a stream of one chunk — decoding chunks
+// concurrently and handing them back in stream order.
 func NewReader(r io.Reader, opts ...StreamReaderOption) (*StreamReader, error) {
 	return stream.NewReader(r, opts...)
 }
@@ -170,7 +172,8 @@ func WithStreamValueRange(lo, hi float64) StreamOption { return stream.WithValue
 func WithStreamReaderWorkers(n int) StreamReaderOption { return stream.WithReaderWorkers(n) }
 
 // IsChunkedContainer reports whether data begins with a chunked stream
-// container signature (5 bytes suffice).
+// container signature (5 bytes suffice): whether ReadStreamIndex can index
+// it. Decompress, Inspect and NewReader need no such check.
 func IsChunkedContainer(data []byte) bool { return codec.IsChunked(data) }
 
 // ReadStreamIndex loads a chunked container's trailer index through its
