@@ -215,3 +215,31 @@ func TestArchivedContainers(t *testing.T) {
 		t.Errorf("no archived container ran for %v", pinned)
 	}
 }
+
+// TestDecompressRefusesTrailingBytes checks rqc decompress refuses an
+// envelope followed by a stray byte, as rqm.Decompress does, and leaves no
+// field file behind.
+func TestDecompressRefusesTrailingBytes(t *testing.T) {
+	blob, err := os.ReadFile("../../testdata/pre_pr7_envelope.rqz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	in, out := filepath.Join(dir, "trailing.rqz"), filepath.Join(dir, "out.rqmf")
+	if err := os.WriteFile(in, append(blob, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { exit = os.Exit }()
+	exit = func(c int) { panic(fmt.Sprintf("exit status %d", c)) }
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("rqc decompress accepted an envelope with a trailing byte")
+			}
+		}()
+		cmdDecompress([]string{"-in", in, "-out", out})
+	}()
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Fatalf("refused decompress left %s behind (%v)", out, err)
+	}
+}

@@ -180,8 +180,8 @@ func readSpan(r io.Reader, span []byte, what string) (grid.Cursor, error) {
 // the records behind it. A chunked stream's header is followed by its chunk
 // records; a v1 envelope's head ends in its payload length instead of a
 // chunk size, and the payload is read as a stream of one record. It reads
-// exactly the container: nothing past the footer (or the envelope's payload)
-// is consumed. Parse failures wrap the typed container errors.
+// exactly a chunked stream, nothing past the footer; a streamed envelope
+// must end its source. Parse failures wrap the typed container errors.
 func OpenRecords(r io.Reader) (*Records, error) {
 	var span [8]byte
 	c, err := readSpan(r, span[:4], "header")
@@ -449,7 +449,8 @@ func openContainer(data []byte, heads bool) (*Records, error) {
 // trailer offset equal to where the trailer tag actually stood. All copies
 // of a chunk's geometry and bound must agree or the container is corrupt.
 // Over a v1 envelope it returns the payload as one record — the header's
-// codec, the shape's value count, no CRC — and then io.EOF.
+// codec, the shape's value count, no CRC — and then io.EOF. An oversized or
+// trailed envelope is refused before its record is returned.
 //
 // The payload is read into pb, so a caller can recycle payload buffers: the
 // chunk's Payload aliases pb until pb is next written. Over an in-memory
@@ -457,10 +458,19 @@ func openContainer(data []byte, heads bool) (*Records, error) {
 func (rs *Records) Next(pb *bytes.Buffer) (*Chunk, error) {
 	if rs.sealed >= 0 {
 		if len(rs.seen) != 0 {
-			return nil, rs.ended()
+			return nil, io.EOF
+		}
+		// Streamed, the payload is capped like a chunk record's; in memory it
+		// need only fit the input. Past both it is corrupt for every reader.
+		if rs.sealed > maxChunkPayload && (rs.whole == nil || rs.sealed > int64(rs.whole.Len())) {
+			return nil, fmt.Errorf("%w: envelope declares %d payload bytes, a streamed record holds at most %d",
+				ErrCorrupt, rs.sealed, maxChunkPayload)
 		}
 		payload, err := readPayload(rs.r, rs.whole, pb, rs.sealed)
 		if err != nil {
+			return nil, err
+		}
+		if err := rs.ended(); err != io.EOF {
 			return nil, err
 		}
 		c := &Chunk{CodecID: rs.Header.CodecID, Values: rs.Header.ChunkValues, Payload: payload, sealed: true}
@@ -496,10 +506,19 @@ func (rs *Records) add(c *Chunk, head, n int) {
 }
 
 // ended is the walk's io.EOF once the last record is read: an in-memory
-// container must end there.
+// container must end there, and so must a streamed envelope's source (one
+// more byte is read to see). A streamed chunked container is not read past
+// its footer.
 func (rs *Records) ended() error {
 	if rs.whole != nil && rs.whole.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes after the container", ErrCorrupt, rs.whole.Len())
+	}
+	if rs.whole == nil && rs.sealed >= 0 {
+		if _, err := io.ReadFull(rs.r, rs.tag[:]); err == nil {
+			return fmt.Errorf("%w: trailing bytes after the envelope's payload", ErrCorrupt)
+		} else if err != io.EOF {
+			return err
+		}
 	}
 	return io.EOF
 }

@@ -340,6 +340,10 @@ func TestReadersAgreeOnEnvelope(t *testing.T) {
 	if v := requireEnvelopeAgreement(t, "intact", data); v.class != "" || len(v.vals) != 158 {
 		t.Fatalf("intact envelope: %v", v)
 	}
+	// A streamed envelope must end its source, as an in-memory one must.
+	if v := requireEnvelopeAgreement(t, "trailing byte", append(bytes.Clone(data), 0)); v.class != "ErrCorrupt" {
+		t.Fatalf("envelope with a trailing byte: %v, want ErrCorrupt", v)
+	}
 
 	head := len(data) - len(payload)
 	var structural []int

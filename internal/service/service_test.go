@@ -114,6 +114,48 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	if err := rqm.VerifyErrorBound(f, got, rqm.ABS, 0.01*(1+1e-9)); err != nil {
 		t.Fatalf("round trip broke the request-scoped bound: %v", err)
 	}
+
+	// A byte after the envelope's payload is refused, as rqm.Decompress
+	// refuses it.
+	resp, err = http.Post(ts.URL+"/v1/decompress", "application/octet-stream",
+		bytes.NewReader(append(container, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("envelope with a trailing byte: status %d, want 422", resp.StatusCode)
+	}
+	if eb := decodeErrorBody(t, resp); eb.Error.Code != "corrupt" {
+		t.Fatalf("envelope with a trailing byte: code %q, want corrupt", eb.Error.Code)
+	}
+}
+
+// TestOversizedEnvelopeRefusedUnread checks that an envelope declaring a
+// payload larger than a streamed record may hold is refused from its head:
+// the 4 KiB that follow are never read as payload, so the answer is corrupt,
+// not the truncation reading them would end in.
+func TestOversizedEnvelopeRefusedUnread(t *testing.T) {
+	sealed, err := codec.Seal(codec.IDPrediction, grid.MustNew("big", grid.Float32, 1), []byte("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := sealed[:len(sealed)-1]
+	binary.LittleEndian.PutUint64(head[len(head)-8:], 1<<31+1) // the payload length ends the head
+	body := append(bytes.Clone(head), make([]byte, 4<<10)...)
+
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422", resp.StatusCode)
+	}
+	if eb := decodeErrorBody(t, resp); eb.Error.Code != "corrupt" {
+		t.Fatalf("code %q, want corrupt", eb.Error.Code)
+	}
 }
 
 // TestCompressStreamingREL checks the streaming path end to end, including

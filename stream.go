@@ -116,7 +116,8 @@ func NewWriter(w io.Writer, opts ...StreamOption) (*StreamWriter, error) {
 
 // NewReader starts a streaming decompressor over any container — a chunked
 // stream, or a v1 envelope read as a stream of one chunk — decoding chunks
-// concurrently and handing them back in stream order.
+// concurrently and handing them back in stream order. An envelope must end
+// r: bytes after its payload are ErrCorrupt.
 func NewReader(r io.Reader, opts ...StreamReaderOption) (*StreamReader, error) {
 	return stream.NewReader(r, opts...)
 }
