@@ -202,34 +202,20 @@ type CompressInfo struct {
 
 // Compress sends a .rqmf field and streams the compressed container to out.
 func (c *Client) Compress(ctx context.Context, field io.Reader, out io.Writer, p CompressParams) (*CompressInfo, error) {
-	resp, err := c.post(ctx, "/v1/compress", p.query(), field)
+	h, err := c.copyTo(ctx, http.MethodPost, "/v1/compress", p.query(), field, out, "compressed stream")
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	info := &CompressInfo{
-		Codec:    resp.Header.Get("X-RQM-Codec"),
-		Streamed: resp.Header.Get("X-RQM-Streamed") == "1",
-	}
-	info.Ratio, _ = strconv.ParseFloat(resp.Header.Get("X-RQM-Ratio"), 64)
-	info.BitRate, _ = strconv.ParseFloat(resp.Header.Get("X-RQM-Bit-Rate"), 64)
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		return nil, fmt.Errorf("client: reading compressed stream: %w", err)
-	}
+	info := &CompressInfo{Codec: h.Get("X-RQM-Codec"), Streamed: h.Get("X-RQM-Streamed") == "1"}
+	info.Ratio, _ = strconv.ParseFloat(h.Get("X-RQM-Ratio"), 64)
+	info.BitRate, _ = strconv.ParseFloat(h.Get("X-RQM-Bit-Rate"), 64)
 	return info, nil
 }
 
 // Decompress sends a container and streams the .rqmf field to out.
 func (c *Client) Decompress(ctx context.Context, container io.Reader, out io.Writer) error {
-	resp, err := c.post(ctx, "/v1/decompress", nil, container)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		return fmt.Errorf("client: reading decompressed stream: %w", err)
-	}
-	return nil
+	_, err := c.copyTo(ctx, http.MethodPost, "/v1/decompress", nil, container, out, "decompressed stream")
+	return err
 }
 
 // ProfileParams scope one profile request.
@@ -258,16 +244,7 @@ func (c *Client) Profile(ctx context.Context, field io.Reader, p ProfileParams) 
 	if p.Seed > 0 {
 		q.Set("seed", strconv.FormatUint(p.Seed, 10))
 	}
-	resp, err := c.post(ctx, "/v1/profile", q, field)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var pr ProfileResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return nil, fmt.Errorf("client: decoding profile response: %w", err)
-	}
-	return &pr, nil
+	return doJSON[ProfileResponse](ctx, c, http.MethodPost, "/v1/profile", q, field, "profile response")
 }
 
 // Estimate answers "what ratio/PSNR would error bound eb give" from the
@@ -280,16 +257,7 @@ func (c *Client) Estimate(ctx context.Context, profileID string, eb float64, mod
 	if mode != "" {
 		q.Set("mode", mode)
 	}
-	resp, err := c.get(ctx, "/v1/estimate", q)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var er EstimateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
-		return nil, fmt.Errorf("client: decoding estimate response: %w", err)
-	}
-	return &er, nil
+	return doJSON[EstimateResponse](ctx, c, http.MethodGet, "/v1/estimate", q, nil, "estimate response")
 }
 
 // SolveTarget names one inverse problem for Solve.
@@ -306,56 +274,52 @@ func (c *Client) Solve(ctx context.Context, profileID string, target SolveTarget
 	q := url.Values{}
 	q.Set("profile", profileID)
 	q.Set("target-"+target.Kind, strconv.FormatFloat(target.Value, 'g', -1, 64))
-	resp, err := c.get(ctx, "/v1/solve", q)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var sr SolveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, fmt.Errorf("client: decoding solve response: %w", err)
-	}
-	return &sr, nil
+	return doJSON[SolveResponse](ctx, c, http.MethodGet, "/v1/solve", q, nil, "solve response")
 }
 
 // Health checks liveness.
 func (c *Client) Health(ctx context.Context) (*HealthResponse, error) {
-	resp, err := c.get(ctx, "/healthz", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var hr HealthResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
-		return nil, fmt.Errorf("client: decoding health response: %w", err)
-	}
-	return &hr, nil
+	return doJSON[HealthResponse](ctx, c, http.MethodGet, "/healthz", nil, nil, "health response")
 }
 
 // Metrics fetches the service counters.
 func (c *Client) Metrics(ctx context.Context) (*MetricsSnapshot, error) {
-	resp, err := c.get(ctx, "/metrics", nil)
+	return doJSON[MetricsSnapshot](ctx, c, http.MethodGet, "/metrics", nil, nil, "metrics response")
+}
+
+// doJSON is the one path a JSON answer is read through: it issues the
+// request, decodes the 2xx body as a T, and names the answer (what) in a
+// decoding error.
+func doJSON[T any](ctx context.Context, c *Client, method, path string, q url.Values, body io.Reader, what string) (*T, error) {
+	resp, err := c.do(ctx, method, path, q, body)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	var ms MetricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&ms); err != nil {
-		return nil, fmt.Errorf("client: decoding metrics response: %w", err)
+	v := new(T)
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+		return nil, fmt.Errorf("client: decoding %s: %w", what, err)
 	}
-	return &ms, nil
+	return v, nil
 }
 
-// post issues a POST with body and returns the response, mapping non-2xx
-// statuses to *APIError.
-func (c *Client) post(ctx context.Context, path string, q url.Values, body io.Reader) (*http.Response, error) {
-	return c.do(ctx, http.MethodPost, path, q, body)
+// copyTo is the one path a streamed answer is read through: it issues the
+// request, copies the 2xx body to out, and returns the response headers;
+// what names the stream in a read error.
+func (c *Client) copyTo(ctx context.Context, method, path string, q url.Values, body io.Reader, out io.Writer, what string) (http.Header, error) {
+	resp, err := c.do(ctx, method, path, q, body)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(out, resp.Body); err != nil {
+		return nil, fmt.Errorf("client: reading %s: %w", what, err)
+	}
+	return resp.Header, nil
 }
 
-func (c *Client) get(ctx context.Context, path string, q url.Values) (*http.Response, error) {
-	return c.do(ctx, http.MethodGet, path, q, nil)
-}
-
+// do issues one request and returns its 2xx response, mapping any other
+// status to *APIError.
 func (c *Client) do(ctx context.Context, method, path string, q url.Values, body io.Reader) (*http.Response, error) {
 	// Idempotent requests (GETs carry no body and cause no server-side
 	// effect) retry two transient failure classes with jittered exponential

@@ -2,8 +2,7 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
+	"net/http"
 
 	"rqm/internal/router"
 )
@@ -28,44 +27,17 @@ type (
 
 // RouterStatus fetches cluster topology and per-shard health from a router.
 func (c *Client) RouterStatus(ctx context.Context) (*ClusterStatus, error) {
-	resp, err := c.get(ctx, "/v1/cluster/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var cs ClusterStatus
-	if err := json.NewDecoder(resp.Body).Decode(&cs); err != nil {
-		return nil, fmt.Errorf("client: decoding cluster status: %w", err)
-	}
-	return &cs, nil
+	return doJSON[ClusterStatus](ctx, c, http.MethodGet, "/v1/cluster/status", nil, nil, "cluster status")
 }
 
 // Rebalance asks a router to run one placement repair pass and reports
 // what moved. Idempotent at the byte level (a clean second pass only
 // skips), but a POST all the same: it is never auto-retried.
 func (c *Client) Rebalance(ctx context.Context) (*RebalanceReport, error) {
-	resp, err := c.post(ctx, "/v1/cluster/rebalance", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var rr RebalanceReport
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("client: decoding rebalance report: %w", err)
-	}
-	return &rr, nil
+	return doJSON[RebalanceReport](ctx, c, http.MethodPost, "/v1/cluster/rebalance", nil, nil, "rebalance report")
 }
 
 // RouterMetricsSnapshot fetches the router's proxy/failover counters.
 func (c *Client) RouterMetricsSnapshot(ctx context.Context) (*RouterMetrics, error) {
-	resp, err := c.get(ctx, "/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var m RouterMetrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, fmt.Errorf("client: decoding router metrics: %w", err)
-	}
-	return &m, nil
+	return doJSON[RouterMetrics](ctx, c, http.MethodGet, "/metrics", nil, nil, "router metrics")
 }

@@ -2,9 +2,8 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
+	"net/http"
 	"net/url"
 	"strconv"
 
@@ -83,29 +82,13 @@ func datasetPath(name string) string { return "/v1/datasets/" + url.PathEscape(n
 // PutDataset uploads a .rqmf field for persistent storage under name,
 // replacing any previous dataset of that name.
 func (c *Client) PutDataset(ctx context.Context, name string, field io.Reader, p PutDatasetParams) (*DatasetInfo, error) {
-	resp, err := c.post(ctx, datasetPath(name), p.query(), field)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var info DatasetInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("client: decoding dataset response: %w", err)
-	}
-	return &info, nil
+	return doJSON[DatasetInfo](ctx, c, http.MethodPost, datasetPath(name), p.query(), field, "dataset response")
 }
 
 // GetDataset streams the stored dataset back as a decompressed .rqmf field.
 func (c *Client) GetDataset(ctx context.Context, name string, out io.Writer) error {
-	resp, err := c.get(ctx, datasetPath(name), nil)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		return fmt.Errorf("client: reading dataset stream: %w", err)
-	}
-	return nil
+	_, err := c.copyTo(ctx, http.MethodGet, datasetPath(name), nil, nil, out, "dataset stream")
+	return err
 }
 
 // GetDatasetExact streams the dataset's lossless tier: the original field
@@ -116,15 +99,8 @@ func (c *Client) GetDataset(ctx context.Context, name string, out io.Writer) err
 func (c *Client) GetDatasetExact(ctx context.Context, name string, out io.Writer) error {
 	q := url.Values{}
 	q.Set("exact", "1")
-	resp, err := c.get(ctx, datasetPath(name), q)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		return fmt.Errorf("client: reading exact dataset stream: %w", err)
-	}
-	return nil
+	_, err := c.copyTo(ctx, http.MethodGet, datasetPath(name), q, nil, out, "exact dataset stream")
+	return err
 }
 
 // PromoteDataset adds a lossless residual layer to a committed dataset. The
@@ -132,31 +108,13 @@ func (c *Client) GetDatasetExact(ctx context.Context, name string, out io.Writer
 // the dataset's content hash before building the residual, so a promotion
 // can never install a layer that "restores" to the wrong data.
 func (c *Client) PromoteDataset(ctx context.Context, name string, original io.Reader) (*DatasetInfo, error) {
-	resp, err := c.post(ctx, datasetPath(name)+"/promote", nil, original)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var info DatasetInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("client: decoding promote response: %w", err)
-	}
-	return &info, nil
+	return doJSON[DatasetInfo](ctx, c, http.MethodPost, datasetPath(name)+"/promote", nil, original, "promote response")
 }
 
 // DemoteDataset drops a dataset's residual layer, keeping the lossy base.
 // Demoting a dataset with no residual is an idempotent no-op.
 func (c *Client) DemoteDataset(ctx context.Context, name string) (*DatasetInfo, error) {
-	resp, err := c.post(ctx, datasetPath(name)+"/demote", nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var info DatasetInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("client: decoding demote response: %w", err)
-	}
-	return &info, nil
+	return doJSON[DatasetInfo](ctx, c, http.MethodPost, datasetPath(name)+"/demote", nil, nil, "demote response")
 }
 
 // GetDatasetContainer streams the stored dataset's compressed container
@@ -165,50 +123,29 @@ func (c *Client) DemoteDataset(ctx context.Context, name string) (*DatasetInfo, 
 func (c *Client) GetDatasetContainer(ctx context.Context, name string, out io.Writer) error {
 	q := url.Values{}
 	q.Set("raw", "1")
-	resp, err := c.get(ctx, datasetPath(name), q)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		return fmt.Errorf("client: reading container stream: %w", err)
-	}
-	return nil
+	_, err := c.copyTo(ctx, http.MethodGet, datasetPath(name), q, nil, out, "container stream")
+	return err
 }
 
 // StatDataset fetches one dataset's manifest summary without any payload.
 func (c *Client) StatDataset(ctx context.Context, name string) (*DatasetInfo, error) {
 	q := url.Values{}
 	q.Set("manifest", "1")
-	resp, err := c.get(ctx, datasetPath(name), q)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var info DatasetInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		return nil, fmt.Errorf("client: decoding dataset manifest: %w", err)
-	}
-	return &info, nil
+	return doJSON[DatasetInfo](ctx, c, http.MethodGet, datasetPath(name), q, nil, "dataset manifest")
 }
 
 // ListDatasets fetches the summaries of every stored dataset.
 func (c *Client) ListDatasets(ctx context.Context) ([]DatasetInfo, error) {
-	resp, err := c.get(ctx, "/v1/datasets", nil)
+	lr, err := doJSON[service.ListDatasetsResponse](ctx, c, http.MethodGet, "/v1/datasets", nil, nil, "dataset list")
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	var lr service.ListDatasetsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil {
-		return nil, fmt.Errorf("client: decoding dataset list: %w", err)
 	}
 	return lr.Datasets, nil
 }
 
 // DeleteDataset removes a stored dataset.
 func (c *Client) DeleteDataset(ctx context.Context, name string) error {
-	resp, err := c.do(ctx, "DELETE", datasetPath(name), nil, nil)
+	resp, err := c.do(ctx, http.MethodDelete, datasetPath(name), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -236,15 +173,8 @@ func (c *Client) slice(ctx context.Context, name string, off, n int64, exact boo
 	if exact {
 		q.Set("exact", "1")
 	}
-	resp, err := c.get(ctx, datasetPath(name)+"/slice", q)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if _, err := io.Copy(out, resp.Body); err != nil {
-		return fmt.Errorf("client: reading slice stream: %w", err)
-	}
-	return nil
+	_, err := c.copyTo(ctx, http.MethodGet, datasetPath(name)+"/slice", q, nil, out, "slice stream")
+	return err
 }
 
 // RecompactOption adjusts one recompaction request beyond its solve target.
@@ -268,14 +198,5 @@ func (c *Client) RecompactDataset(ctx context.Context, name string, target Solve
 	for _, opt := range opts {
 		opt(q)
 	}
-	resp, err := c.post(ctx, datasetPath(name)+"/recompact", q, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var rr RecompactResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return nil, fmt.Errorf("client: decoding recompact response: %w", err)
-	}
-	return &rr, nil
+	return doJSON[RecompactResponse](ctx, c, http.MethodPost, datasetPath(name)+"/recompact", q, nil, "recompact response")
 }

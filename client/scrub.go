@@ -2,8 +2,7 @@ package client
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
+	"net/http"
 	"net/url"
 
 	"rqm/internal/service"
@@ -33,29 +32,11 @@ func (c *Client) StartScrub(ctx context.Context, deep bool) (*ScrubStatus, error
 	if deep {
 		q.Set("deep", "1")
 	}
-	resp, err := c.post(ctx, "/v1/scrub", q, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st ScrubStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("client: decoding scrub status: %w", err)
-	}
-	return &st, nil
+	return doJSON[ScrubStatus](ctx, c, http.MethodPost, "/v1/scrub", q, nil, "scrub status")
 }
 
 // ScrubStatus reports the current (or last) scrub pass's progress and, once
 // finished, its full report.
 func (c *Client) ScrubStatus(ctx context.Context) (*ScrubStatus, error) {
-	resp, err := c.get(ctx, "/v1/scrub/status", nil)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var st ScrubStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, fmt.Errorf("client: decoding scrub status: %w", err)
-	}
-	return &st, nil
+	return doJSON[ScrubStatus](ctx, c, http.MethodGet, "/v1/scrub/status", nil, nil, "scrub status")
 }

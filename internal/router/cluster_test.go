@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -837,6 +838,108 @@ func TestRouterMetricsContentTypeAndCounters(t *testing.T) {
 	}
 	if m.Requests < 3 {
 		t.Fatalf("requests counter %d, want >= 3", m.Requests)
+	}
+}
+
+// TestRouterWrongMethodAnswers405: a wrong method on a routed path answers
+// what a shard answers for it — the typed 405 with the path's Allow list —
+// not the router's 404 for unrouted paths; router-only paths answer the same
+// shape from the router's own route table.
+func TestRouterWrongMethodAnswers405(t *testing.T) {
+	tc := newTestCluster(t, 1, 1)
+	do := func(base, method, path string) (int, string, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, base+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Allow"), decodeErr(t, resp).Error.Code
+	}
+	for _, method := range []string{http.MethodPut, http.MethodPatch} {
+		for _, path := range []string{"/healthz", "/metrics", "/v1/datasets", "/v1/datasets/x",
+			"/v1/datasets/x/slice", "/v1/datasets/x/recompact", "/v1/datasets/x/promote", "/v1/datasets/x/demote"} {
+			before := tc.rt.Snapshot()
+			status, allow, code := do(tc.ts.URL, method, path)
+			wantStatus, wantAllow, wantCode := do(tc.shards[0].ts.URL, method, path)
+			if status != wantStatus || allow != wantAllow || code != wantCode || status != http.StatusMethodNotAllowed {
+				t.Fatalf("%s %s via router: %d %s, Allow %q; the shard answers %d %s, Allow %q",
+					method, path, status, code, allow, wantStatus, wantCode, wantAllow)
+			}
+			if after := tc.rt.Snapshot(); after.Requests != before.Requests+1 || after.Errors != before.Errors+1 {
+				t.Fatalf("%s %s: router requests +%d errors +%d, want +1 +1", method, path,
+					after.Requests-before.Requests, after.Errors-before.Errors)
+			}
+		}
+		for path, wantAllow := range map[string]string{"/v1/cluster/status": "GET", "/v1/cluster/rebalance": "POST"} {
+			if status, allow, code := do(tc.ts.URL, method, path); status != http.StatusMethodNotAllowed ||
+				allow != wantAllow || code != "method_not_allowed" {
+				t.Fatalf("%s %s: %d %s, Allow %q; want 405 method_not_allowed, Allow %q",
+					method, path, status, code, allow, wantAllow)
+			}
+		}
+	}
+}
+
+// TestRouterSnapshotIsConsistentCut: while requests run concurrently, some
+// of them failing, every router and shard snapshot taken mid-flight is one
+// cut of the counters — an error is never visible without its request.
+func TestRouterSnapshotIsConsistentCut(t *testing.T) {
+	tc := newTestCluster(t, 2, 2)
+	tc.put(t, "cut", "mode=abs&eb=0.01", fieldBytes(t, 1))
+
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scraped <- n }()
+		for ; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if m := tc.rt.Snapshot(); m.Errors > m.Requests {
+				t.Errorf("torn router snapshot: requests %d, errors %d", m.Requests, m.Errors)
+				return
+			}
+			for _, sh := range tc.shards {
+				if m := sh.svc.Snapshot(); m.Errors > m.Requests || m.Rejected > m.Requests {
+					t.Errorf("torn shard snapshot: requests %d, errors %d, rejected %d", m.Requests, m.Errors, m.Rejected)
+					return
+				}
+			}
+		}
+	}()
+	const clients, each = 4, 15
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				path := [...]string{"/v1/datasets/cut?manifest=1", "/v1/datasets/missing", "/v1/compress"}[(c+i)%3]
+				resp, err := http.Get(tc.ts.URL + path) // served, 404 from the shards, 404 not_routable
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Fatal("no snapshot was taken while requests ran")
+	}
+	if m := tc.rt.Snapshot(); m.Errors < 2*clients*each/3 {
+		t.Fatalf("router errors %d, want at least %d", m.Errors, 2*clients*each/3)
 	}
 }
 

@@ -21,54 +21,45 @@ import (
 // shutdown) counts as a failed probe: the shard asked to be taken out of
 // rotation before its listener closes.
 
-// shardState is the mutable health record for one configured shard.
+// shardState is the health record for one configured shard: its immutable
+// url, and the mutable rest kept as the ShardStatus it is served as.
 type shardState struct {
 	url string
 
-	mu          sync.Mutex
-	healthy     bool
-	consecFails int
-	lastErr     string
-	lastProbe   time.Time
-	datasets    int // dataset count from the last successful /healthz body
+	mu sync.Mutex
+	st ShardStatus
 }
 
-// snapshotLocked copies the state for status reporting.
+// status copies the record for status reporting.
 func (s *shardState) status() ShardStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return ShardStatus{
-		URL:                 s.url,
-		Healthy:             s.healthy,
-		ConsecutiveFailures: s.consecFails,
-		Datasets:            s.datasets,
-		LastError:           s.lastErr,
-		LastProbe:           s.lastProbe,
-	}
+	return s.st
 }
 
 func (s *shardState) isHealthy() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.healthy
+	return s.st.Healthy
 }
 
-// markProbe records an active probe result under the FailAfter threshold.
+// markProbe records an active probe result under the FailAfter threshold;
+// datasets is the count from a successful probe's /healthz body.
 func (s *shardState) markProbe(failAfter int, err error, datasets int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.lastProbe = time.Now()
+	s.st.LastProbe = time.Now()
 	if err == nil {
-		s.healthy = true
-		s.consecFails = 0
-		s.lastErr = ""
-		s.datasets = datasets
+		s.st.Healthy = true
+		s.st.ConsecutiveFailures = 0
+		s.st.LastError = ""
+		s.st.Datasets = datasets
 		return
 	}
-	s.consecFails++
-	s.lastErr = err.Error()
-	if s.consecFails >= failAfter {
-		s.healthy = false
+	s.st.ConsecutiveFailures++
+	s.st.LastError = err.Error()
+	if s.st.ConsecutiveFailures >= failAfter {
+		s.st.Healthy = false
 	}
 }
 
@@ -77,11 +68,9 @@ func (s *shardState) markProbe(failAfter int, err error, datasets int) {
 func (s *shardState) markUnreachable(err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.healthy = false
-	if s.consecFails == 0 {
-		s.consecFails = 1
-	}
-	s.lastErr = err.Error()
+	s.st.Healthy = false
+	s.st.ConsecutiveFailures = max(s.st.ConsecutiveFailures, 1)
+	s.st.LastError = err.Error()
 }
 
 // probeLoop runs until Close; each tick probes every shard in parallel.
@@ -115,10 +104,10 @@ func (rt *Router) probeShard(ctx context.Context, sh *shardState) {
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	rt.count(&rt.probes, 1)
+	rt.count(&rt.m.Probes, 1)
 	datasets, err := rt.fetchHealth(ctx, sh.url)
 	if err != nil {
-		rt.count(&rt.probeFailures, 1)
+		rt.count(&rt.m.ProbeFailures, 1)
 	}
 	sh.markProbe(rt.cfg.FailAfter, err, datasets)
 }

@@ -127,10 +127,10 @@ func (rt *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 		}
 	}
 
-	rt.count(&rt.rebalances, 1)
-	rt.count(&rt.rebalanceCopied, int64(rep.Copied))
-	rt.count(&rt.rebalanceRemoved, int64(rep.Removed))
-	rt.count(&rt.rebalanceBytes, rep.BytesMoved)
+	rt.count(&rt.m.Rebalances, 1)
+	rt.count(&rt.m.RebalanceCopied, int64(rep.Copied))
+	rt.count(&rt.m.RebalanceRemoved, int64(rep.Removed))
+	rt.count(&rt.m.RebalanceBytesMoved, rep.BytesMoved)
 	return rep, nil
 }
 

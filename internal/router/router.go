@@ -22,7 +22,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"rqm/internal/service"
@@ -98,31 +97,10 @@ type Router struct {
 	// name, striped by name hash (see lockName).
 	mutating [64]sync.Mutex
 
-	// snapMu makes /metrics a consistent cut: increments share an RLock,
-	// Snapshot takes the write lock (same pattern as internal/service).
-	snapMu              sync.RWMutex
-	requests            atomic.Int64
-	errors              atomic.Int64
-	proxiedPuts         atomic.Int64
-	proxiedGets         atomic.Int64
-	proxiedLists        atomic.Int64
-	proxiedDeletes      atomic.Int64
-	proxiedSlices       atomic.Int64
-	proxiedRecompacts   atomic.Int64
-	proxiedPromotes     atomic.Int64
-	proxiedDemotes      atomic.Int64
-	failovers           atomic.Int64
-	readRepairs         atomic.Int64
-	readRepairFailures  atomic.Int64
-	quorumFailures      atomic.Int64
-	replicaSyncs        atomic.Int64
-	replicaSyncFailures atomic.Int64
-	rebalances          atomic.Int64
-	rebalanceCopied     atomic.Int64
-	rebalanceRemoved    atomic.Int64
-	rebalanceBytes      atomic.Int64
-	probes              atomic.Int64
-	probeFailures       atomic.Int64
+	// mu guards m, the /metrics counters: every writer bumps them under it
+	// and Snapshot copies them under it, so a scrape is one consistent cut.
+	mu sync.Mutex
+	m  Metrics
 }
 
 // New validates cfg, builds the ring, and starts the health prober (unless
@@ -184,21 +162,25 @@ func New(cfg Config) (*Router, error) {
 		// Shards start healthy: an idle cluster must route immediately, and
 		// the first failed request or probe corrects optimism within one
 		// round-trip.
-		rt.shards = append(rt.shards, &shardState{url: s, healthy: true})
+		rt.shards = append(rt.shards, &shardState{url: s, st: ShardStatus{URL: s, Healthy: true}})
 	}
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("GET /v1/cluster/status", rt.handleClusterStatus)
-	rt.mux.HandleFunc("POST /v1/cluster/rebalance", rt.handleRebalance)
-	rt.mux.HandleFunc("GET /v1/datasets", rt.handleList)
-	rt.mux.HandleFunc("POST /v1/datasets/{name}", rt.handlePut)
-	rt.mux.HandleFunc("GET /v1/datasets/{name}", rt.handleGet)
-	rt.mux.HandleFunc("DELETE /v1/datasets/{name}", rt.handleDelete)
-	rt.mux.HandleFunc("GET /v1/datasets/{name}/slice", rt.handleSlice)
-	rt.mux.HandleFunc("POST /v1/datasets/{name}/recompact", rt.handleRecompact)
-	rt.mux.HandleFunc("POST /v1/datasets/{name}/promote", rt.handlePromote)
-	rt.mux.HandleFunc("POST /v1/datasets/{name}/demote", rt.handleDemote)
+	// The route table: pattern -> method -> handler.
+	routes := map[string]map[string]http.HandlerFunc{
+		"/healthz":                      {http.MethodGet: rt.handleHealthz},
+		"/metrics":                      {http.MethodGet: rt.handleMetrics},
+		"/v1/cluster/status":            {http.MethodGet: rt.handleClusterStatus},
+		"/v1/cluster/rebalance":         {http.MethodPost: rt.handleRebalance},
+		"/v1/datasets":                  {http.MethodGet: rt.handleList},
+		"/v1/datasets/{name}":           {http.MethodPost: rt.handlePut, http.MethodGet: rt.handleGet, http.MethodDelete: rt.handleDelete},
+		"/v1/datasets/{name}/slice":     {http.MethodGet: rt.handleSlice},
+		"/v1/datasets/{name}/recompact": {http.MethodPost: rt.handleRecompact},
+		"/v1/datasets/{name}/promote":   {http.MethodPost: rt.handlePromote},
+		"/v1/datasets/{name}/demote":    {http.MethodPost: rt.handleDemote},
+	}
+	for pattern, fns := range routes {
+		rt.mux.Handle(pattern, rt.dispatch(fns))
+	}
 	rt.mux.HandleFunc("/", rt.handleNotRoutable)
 	if cfg.ProbeInterval > 0 {
 		go rt.probeLoop()
@@ -240,15 +222,36 @@ func (rt *Router) Close() {
 func (rt *Router) Quorum() int { return rt.cfg.Replicas/2 + 1 }
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.requests, 1)
+	rt.count(&rt.m.Requests, 1)
 	rt.mux.ServeHTTP(w, r)
 }
 
-// count bumps a counter under the snapshot read-lock (see snapMu).
-func (rt *Router) count(c *atomic.Int64, delta int64) {
-	rt.snapMu.RLock()
-	c.Add(delta)
-	rt.snapMu.RUnlock()
+// count adds delta to one counter of rt.m, e.g. rt.count(&rt.m.Failovers, 1).
+func (rt *Router) count(c *int64, delta int64) {
+	rt.mu.Lock()
+	*c += delta
+	rt.mu.Unlock()
+}
+
+// dispatch serves one pattern of the route table by method. A method the
+// pattern does not register answers the shard's typed 405, Allow listing the
+// ones it does, so a wrong method reads the same through the router as on a
+// shard.
+func (rt *Router) dispatch(fns map[string]http.HandlerFunc) http.HandlerFunc {
+	methods := make([]string, 0, len(fns))
+	for m := range fns {
+		methods = append(methods, m)
+	}
+	sort.Strings(methods)
+	allow := strings.Join(methods, ", ")
+	return func(w http.ResponseWriter, r *http.Request) {
+		if fn := fns[r.Method]; fn != nil {
+			fn(w, r)
+			return
+		}
+		w.Header().Set("Allow", allow)
+		rt.writeErr(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s only accepts %s", r.URL.Path, allow)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // writeErr emits the same typed error envelope the shards use, so clients
 // see one error schema whether they talk to a shard or the router.
 func (rt *Router) writeErr(w http.ResponseWriter, status int, code, format string, args ...interface{}) {
-	rt.count(&rt.errors, 1)
+	rt.count(&rt.m.Errors, 1)
 	var eb service.ErrorBody
 	eb.Error.Code = code
 	eb.Error.Message = fmt.Sprintf(format, args...)
@@ -428,7 +431,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 				rt.writeErr(w, http.StatusBadGateway, "proxy_failed", "%v", r.Context().Err())
 				return
 			}
-			rt.count(&rt.failovers, 1)
+			rt.count(&rt.m.Failovers, 1)
 			continue
 		}
 		switch {
@@ -447,11 +450,11 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 					w.Header().Set("X-RQM-Failover", strconv.Itoa(i))
 				}
 				w.Header().Set("X-RQM-Shard", sh.url)
-				rt.count(&rt.errors, 1)
+				rt.count(&rt.m.Errors, 1)
 				relayBuffered(w, shardResult{status: resp.StatusCode, header: resp.Header, body: body})
 				return
 			}
-			rt.count(&rt.failovers, 1)
+			rt.count(&rt.m.Failovers, 1)
 			continue
 		case resp.StatusCode == http.StatusNotFound:
 			resp.Body.Close()
@@ -520,9 +523,9 @@ func (rt *Router) scheduleReadRepair(src *shardState, bad []*shardState, name st
 		defer cancel()
 		for _, sr := range rt.converge(ctx, name, src, bad) {
 			if sr.err != nil {
-				rt.count(&rt.readRepairFailures, 1)
+				rt.count(&rt.m.ReadRepairFailures, 1)
 			} else {
-				rt.count(&rt.readRepairs, 1)
+				rt.count(&rt.m.ReadRepairs, 1)
 			}
 		}
 	}()
@@ -586,7 +589,7 @@ func relayBuffered(w http.ResponseWriter, res shardResult) {
 // request's own verdict and is relayed as-is; anything else is the typed 502
 // quorum failure.
 func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedPuts, 1)
+	rt.count(&rt.m.ProxiedPuts, 1)
 	name := r.PathValue("name")
 	body, ok := rt.bufferBody(w, r, rt.cfg.MaxBodyBytes)
 	if !ok {
@@ -603,7 +606,7 @@ func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	case res.sh != nil && res.status >= 300:
 		relayBuffered(w, res)
 	case holders < quorum:
-		rt.count(&rt.quorumFailures, 1)
+		rt.count(&rt.m.QuorumFailures, 1)
 		rt.writeErr(w, http.StatusBadGateway, "quorum_failed",
 			"write reached %d/%d replicas, quorum is %d", holders, len(set), quorum)
 	default:
@@ -613,13 +616,13 @@ func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleGet(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedGets, 1)
+	rt.count(&rt.m.ProxiedGets, 1)
 	name := r.PathValue("name")
 	rt.proxyRead(w, r, name, datasetPath(name))
 }
 
 func (rt *Router) handleSlice(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedSlices, 1)
+	rt.count(&rt.m.ProxiedSlices, 1)
 	name := r.PathValue("name")
 	rt.proxyRead(w, r, name, datasetPath(name)+"/slice")
 }
@@ -636,7 +639,7 @@ type DeleteResponse struct {
 // anywhere. Success if any replica deleted; 404 only when every reachable
 // shard answered 404.
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedDeletes, 1)
+	rt.count(&rt.m.ProxiedDeletes, 1)
 	name := r.PathValue("name")
 	results := make([]shardResult, len(rt.shards))
 	parallel(rt.shards, func(i int, sh *shardState) {
@@ -677,7 +680,7 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 // then generation). Unreachable shards are skipped — a partial list beats
 // no list — and X-RQM-Shards-Listed reports the coverage.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedLists, 1)
+	rt.count(&rt.m.ProxiedLists, 1)
 	occupancy, listed, asked := rt.inventory(r.Context())
 	if asked == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
@@ -707,7 +710,7 @@ func infoNewer(a, b *service.DatasetInfo) bool {
 // other replicas get its bytes verbatim. X-RQM-Replicas-Synced reports how
 // many repairs succeeded.
 func (rt *Router) handleRecompact(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedRecompacts, 1)
+	rt.count(&rt.m.ProxiedRecompacts, 1)
 	rt.forwardThenSync(w, r, "/recompact", "recompact", errBodyLimit)
 }
 
@@ -717,12 +720,12 @@ func (rt *Router) handleRecompact(w http.ResponseWriter, r *http.Request) {
 // the resulting generation — residual included — through the raw sync frame,
 // so the lossless tier never has to be rebuilt R times.
 func (rt *Router) handlePromote(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedPromotes, 1)
+	rt.count(&rt.m.ProxiedPromotes, 1)
 	rt.forwardThenSync(w, r, "/promote", "promote", rt.cfg.MaxBodyBytes)
 }
 
 func (rt *Router) handleDemote(w http.ResponseWriter, r *http.Request) {
-	rt.count(&rt.proxiedDemotes, 1)
+	rt.count(&rt.m.ProxiedDemotes, 1)
 	rt.forwardThenSync(w, r, "/demote", "demote", errBodyLimit)
 }
 
@@ -780,7 +783,7 @@ func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []b
 			if r.Context().Err() != nil {
 				break
 			}
-			rt.count(&rt.failovers, 1)
+			rt.count(&rt.m.Failovers, 1)
 			continue
 		}
 		if res.status == http.StatusNotFound && i < len(try)-1 {
@@ -841,9 +844,9 @@ func (rt *Router) convergeLocked(ctx context.Context, name string, src *shardSta
 		}
 		n, status, err := rt.syncReplica(ctx, src, dst, name)
 		if err != nil {
-			rt.count(&rt.replicaSyncFailures, 1)
+			rt.count(&rt.m.ReplicaSyncFailures, 1)
 		} else {
-			rt.count(&rt.replicaSyncs, 1)
+			rt.count(&rt.m.ReplicaSyncs, 1)
 		}
 		out = append(out, syncResult{n, status, err})
 	}
@@ -928,7 +931,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, &h)
 }
 
-// Metrics is the router's /metrics snapshot.
+// Metrics is the router's /metrics snapshot, and where its counters live: a
+// Router keeps one, bumps its fields with count, and serves a copy of it.
 type Metrics struct {
 	UptimeSeconds       float64 `json:"uptime_seconds"`
 	Requests            int64   `json:"requests"`
@@ -957,37 +961,14 @@ type Metrics struct {
 	ShardsHealthy       int     `json:"shards_healthy"`
 }
 
-// Snapshot takes the write side of snapMu so the counters form one
-// consistent cut (no torn reads against concurrent increments).
+// Snapshot copies the counters as one consistent cut (see mu) and fills the
+// gauges in after it.
 func (rt *Router) Snapshot() Metrics {
-	rt.snapMu.Lock()
-	m := Metrics{
-		UptimeSeconds:       time.Since(rt.start).Seconds(),
-		Requests:            rt.requests.Load(),
-		Errors:              rt.errors.Load(),
-		ProxiedPuts:         rt.proxiedPuts.Load(),
-		ProxiedGets:         rt.proxiedGets.Load(),
-		ProxiedLists:        rt.proxiedLists.Load(),
-		ProxiedDeletes:      rt.proxiedDeletes.Load(),
-		ProxiedSlices:       rt.proxiedSlices.Load(),
-		ProxiedRecompacts:   rt.proxiedRecompacts.Load(),
-		ProxiedPromotes:     rt.proxiedPromotes.Load(),
-		ProxiedDemotes:      rt.proxiedDemotes.Load(),
-		Failovers:           rt.failovers.Load(),
-		ReadRepairs:         rt.readRepairs.Load(),
-		ReadRepairFailures:  rt.readRepairFailures.Load(),
-		QuorumFailures:      rt.quorumFailures.Load(),
-		ReplicaSyncs:        rt.replicaSyncs.Load(),
-		ReplicaSyncFailures: rt.replicaSyncFailures.Load(),
-		Rebalances:          rt.rebalances.Load(),
-		RebalanceCopied:     rt.rebalanceCopied.Load(),
-		RebalanceRemoved:    rt.rebalanceRemoved.Load(),
-		RebalanceBytesMoved: rt.rebalanceBytes.Load(),
-		Probes:              rt.probes.Load(),
-		ProbeFailures:       rt.probeFailures.Load(),
-		ShardsTotal:         len(rt.shards),
-	}
-	rt.snapMu.Unlock()
+	rt.mu.Lock()
+	m := rt.m
+	rt.mu.Unlock()
+	m.UptimeSeconds = time.Since(rt.start).Seconds()
+	m.ShardsTotal = len(rt.shards)
 	m.ShardsHealthy = len(healthyOf(rt.shards))
 	return m
 }

@@ -234,7 +234,7 @@ func (s *Service) handleDatasetPut(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.datasetPuts, 1)
+	s.count(&s.m.DatasetPuts, 1)
 	return writeJSON(req.w, http.StatusCreated, datasetInfo(committed))
 }
 
@@ -289,11 +289,11 @@ func (s *Service) handleDatasetGet(req *request) error {
 	// own end-to-end hash check replaces the streaming container path), and
 	// ?raw=1&residual=1 ships the residual file verbatim for replica sync.
 	if !raw && q.Get("exact") == "1" {
-		s.count(&s.datasetGets, 1)
+		s.count(&s.m.DatasetGets, 1)
 		return s.serveExact(w, st, m)
 	}
 	if raw && q.Get("residual") == "1" {
-		s.count(&s.datasetGets, 1)
+		s.count(&s.m.DatasetGets, 1)
 		return s.serveResidualRaw(w, st, m)
 	}
 	f, err := os.Open(path)
@@ -301,7 +301,7 @@ func (s *Service) handleDatasetGet(req *request) error {
 		return err
 	}
 	defer f.Close()
-	s.count(&s.datasetGets, 1)
+	s.count(&s.m.DatasetGets, 1)
 	if raw {
 		// The stored container, verbatim: clients can random-access it with
 		// ReadStreamIndex/ReadStreamChunk without another server round trip.
@@ -333,7 +333,7 @@ func (s *Service) handleDatasetDelete(req *request) error {
 	if err := req.st.Delete(req.name); err != nil {
 		return err
 	}
-	s.count(&s.datasetDeletes, 1)
+	s.count(&s.m.DatasetDeletes, 1)
 	return writeJSON(req.w, http.StatusOK, map[string]interface{}{"deleted": req.name})
 }
 
@@ -366,9 +366,9 @@ func (s *Service) handleDatasetSlice(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.sliceReads, 1)
+	s.count(&s.m.SliceReads, 1)
 	if exact {
-		s.count(&s.exactReads, 1)
+		s.count(&s.m.ExactReads, 1)
 	}
 	// The slice travels as a self-describing 1-D .rqmf field in the
 	// dataset's original precision; the offset rides in a header.
@@ -464,7 +464,7 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 		}
 	}
 	if resp.Skipped {
-		s.count(&s.recompactSkips, 1)
+		s.count(&s.m.RecompactionsSkipped, 1)
 		return writeJSON(w, http.StatusOK, resp)
 	}
 
@@ -489,11 +489,11 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.recompactions, 1)
+	s.count(&s.m.Recompactions, 1)
 	if partName != "" && partName != partition.FixedSlabName {
-		s.count(&s.adaptiveSpaceRuns, 1)
-		s.count(&s.partitionRegions, int64(rwStats.Chunks))
-		s.count(&s.partitionSplits, int64(rwStats.Splits))
+		s.count(&s.m.AdaptiveSpaceRuns, 1)
+		s.count(&s.m.PartitionRegions, int64(rwStats.Chunks))
+		s.count(&s.m.PartitionSplits, int64(rwStats.Splits))
 	}
 	resp.NewBound = nm.ErrorBound
 	resp.NewRatio = nm.Ratio
@@ -811,7 +811,7 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.datasetRawPuts, 1)
+	s.count(&s.m.DatasetRawPuts, 1)
 	if repaired {
 		w.Header().Set("X-RQM-Raw-Put", "repaired")
 	} else {

@@ -55,7 +55,7 @@ func (s *Service) serveExact(w http.ResponseWriter, st *store.Store, m *store.Ma
 		return fmt.Errorf("%w: %q: exact reconstruction hashes to %s, residual layer promises %s",
 			store.ErrCorruptDataset, m.Name, got, m.Residual.OriginalHash)
 	}
-	s.count(&s.exactReads, 1)
+	s.count(&s.m.ExactReads, 1)
 	f, err := grid.FromData(m.Name, m.Prec(), vals, m.Dims...)
 	if err != nil {
 		return err
@@ -173,7 +173,7 @@ func (s *Service) handleDatasetPromote(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.promotes, 1)
+	s.count(&s.m.Promotes, 1)
 	w.Header().Set("X-RQM-Promote", "promoted")
 	return writeJSON(w, http.StatusCreated, datasetInfo(committed))
 }
@@ -199,7 +199,7 @@ func (s *Service) handleDatasetDemote(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.demotes, 1)
+	s.count(&s.m.Demotes, 1)
 	w.Header().Set("X-RQM-Demote", "demoted")
 	return writeJSON(w, http.StatusOK, datasetInfo(committed))
 }

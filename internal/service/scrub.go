@@ -19,22 +19,9 @@ import (
 // be starved by it. The store's own publish lock already serializes the
 // only contended step (quarantine renames).
 
-// scrubJob is the mutable state of the current (or last) scrub pass,
-// guarded by Service.scrubMu.
-type scrubJob struct {
-	deep       bool
-	startedAt  time.Time
-	scanned    int
-	total      int
-	current    string
-	done       bool
-	finishedAt time.Time
-	report     *store.ScrubReport
-	err        error
-}
-
 // ScrubStatusResponse is the GET /v1/scrub/status body (also returned by
-// the POST that starts a pass).
+// the POST that starts a pass), and the state of the current (or last) pass
+// itself: Service.scrub, guarded by Service.mu.
 type ScrubStatusResponse struct {
 	// State is "idle" (never run), "running", "done", or "failed".
 	State string `json:"state"`
@@ -52,15 +39,15 @@ type ScrubStatusResponse struct {
 }
 
 func (s *Service) handleScrubStart(req *request) error {
-	s.scrubMu.Lock()
-	if s.scrubJob != nil && !s.scrubJob.done {
-		s.scrubMu.Unlock()
+	s.mu.Lock()
+	if s.scrub.State == "running" {
+		s.mu.Unlock()
 		return errf(http.StatusConflict, "scrub_running", "a scrub pass is already running")
 	}
-	job := &scrubJob{deep: req.q.Get("deep") == "1", startedAt: time.Now().UTC()}
-	s.scrubJob = job
-	s.scrubMu.Unlock()
-	go s.runScrub(req.st, job)
+	deep := req.q.Get("deep") == "1"
+	s.scrub = ScrubStatusResponse{State: "running", Deep: deep, StartedAt: time.Now().UTC()}
+	s.mu.Unlock()
+	go s.runScrub(req.st, deep)
 	return writeJSON(req.w, http.StatusAccepted, s.scrubStatus())
 }
 
@@ -69,48 +56,30 @@ func (s *Service) handleScrubStatus(req *request) error {
 }
 
 // runScrub is the background body of one scrub pass.
-func (s *Service) runScrub(st *store.Store, job *scrubJob) {
+func (s *Service) runScrub(st *store.Store, deep bool) {
 	rep, err := st.Scrub(store.ScrubOptions{
-		Deep: job.deep,
+		Deep: deep,
 		Progress: func(scanned, total int, name string) {
-			s.scrubMu.Lock()
-			job.scanned, job.total, job.current = scanned, total, name
-			s.scrubMu.Unlock()
+			s.mu.Lock()
+			s.scrub.Scanned, s.scrub.Total, s.scrub.Current = scanned, total, name
+			s.mu.Unlock()
 		},
 	})
-	s.scrubMu.Lock()
-	job.done = true
-	job.finishedAt = time.Now().UTC()
-	job.current = ""
-	job.report = rep
-	job.err = err
-	s.scrubMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.scrub.State = "done"
+	s.scrub.FinishedAt = time.Now().UTC()
+	s.scrub.Current = ""
+	s.scrub.Report = rep
+	if err != nil {
+		s.scrub.State = "failed"
+		s.scrub.Error = err.Error()
+	}
 }
 
-// scrubStatus snapshots the current job state.
+// scrubStatus copies the current job state.
 func (s *Service) scrubStatus() ScrubStatusResponse {
-	s.scrubMu.Lock()
-	defer s.scrubMu.Unlock()
-	job := s.scrubJob
-	if job == nil {
-		return ScrubStatusResponse{State: "idle"}
-	}
-	resp := ScrubStatusResponse{
-		State:     "running",
-		Deep:      job.deep,
-		Scanned:   job.scanned,
-		Total:     job.total,
-		Current:   job.current,
-		StartedAt: job.startedAt,
-	}
-	if job.done {
-		resp.State = "done"
-		resp.FinishedAt = job.finishedAt
-		resp.Report = job.report
-		if job.err != nil {
-			resp.State = "failed"
-			resp.Error = job.err.Error()
-		}
-	}
-	return resp
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.scrub
 }

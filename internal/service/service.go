@@ -84,49 +84,14 @@ type Service struct {
 	start    time.Time
 	draining atomic.Bool
 
-	// snapMu separates counter increments (read-locked, concurrent) from
-	// Snapshot's write-locked pass: a /metrics scrape always reads one
-	// consistent cut of the counters, never a torn mix where e.g. an error
-	// is counted but its request is not.
-	snapMu sync.RWMutex
-
-	reqTotal      atomic.Int64
-	errTotal      atomic.Int64
-	rejected      atomic.Int64
-	profileBuilds atomic.Int64
-	profileHits   atomic.Int64
-	evictions     atomic.Int64
-	estimates     atomic.Int64
-	solves        atomic.Int64
-	compresses    atomic.Int64
-	decompresses  atomic.Int64
-
-	datasetPuts    atomic.Int64
-	datasetRawPuts atomic.Int64
-	datasetGets    atomic.Int64
-	datasetDeletes atomic.Int64
-	sliceReads     atomic.Int64
-	recompactions  atomic.Int64
-	recompactSkips atomic.Int64
-
-	// Residual-layer counters: bit-exact reads served (full gets and exact
-	// slices), and promote/demote transitions between the quality tiers.
-	exactReads atomic.Int64
-	promotes   atomic.Int64
-	demotes    atomic.Int64
-
-	// Partition-layer counters: adaptive-space runs (compressions and
-	// recompactions planned by a spatial partitioner) and the regions/splits
-	// those plans produced.
-	adaptiveSpaceRuns atomic.Int64
-	partitionRegions  atomic.Int64
-	partitionSplits   atomic.Int64
-
-	// Scrub job state (see scrub.go): one background integrity pass at a
-	// time, guarded by its own mutex — progress updates must not contend
-	// with the counter fast path.
-	scrubMu  sync.Mutex
-	scrubJob *scrubJob
+	// mu guards the served state: m, the /metrics counters, and scrub, the
+	// current (or last) scrub pass (see scrub.go). Every writer updates them
+	// under it and Snapshot copies m under it, so a /metrics scrape is one
+	// consistent cut — never a torn mix where e.g. an error is counted but
+	// its request is not.
+	mu    sync.Mutex
+	m     MetricsSnapshot
+	scrub ScrubStatusResponse
 }
 
 // New builds a Service from cfg.
@@ -157,6 +122,7 @@ func New(cfg Config) (*Service, error) {
 		sem:   make(chan struct{}, inflight),
 		mux:   http.NewServeMux(),
 		start: time.Now(),
+		scrub: ScrubStatusResponse{State: "idle"},
 	}
 	s.routes = []route{
 		{http.MethodGet, "/healthz", light, false, s.handleHealthz},
@@ -298,9 +264,9 @@ func (s *Service) dispatch(pattern string, rs []route) http.Handler {
 		return rt.fn(req)
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.count(&s.reqTotal, 1)
+		s.count(&s.m.Requests, 1)
 		if err := serve(w, r); err != nil {
-			s.count(&s.errTotal, 1)
+			s.count(&s.m.Errors, 1)
 			writeError(w, err)
 		}
 	})
@@ -315,7 +281,7 @@ func (s *Service) admit(w http.ResponseWriter) (func(), error) {
 	case s.sem <- struct{}{}:
 		return func() { <-s.sem }, nil
 	default:
-		s.count(&s.rejected, 1)
+		s.count(&s.m.Rejected, 1)
 		w.Header().Set("Retry-After", "1")
 		return nil, errf(http.StatusTooManyRequests, "too_many_requests",
 			"service at its %d-request concurrency limit", cap(s.sem))
@@ -490,7 +456,9 @@ func (s *Service) handleHealthz(req *request) error {
 	return writeJSON(req.w, status, hr)
 }
 
-// MetricsSnapshot is the /metrics body: monotonic counters plus gauges.
+// MetricsSnapshot is the /metrics body: monotonic counters plus gauges. It
+// is also where the counters live: a Service keeps one, bumps its fields
+// with count, and serves a copy of it (see Snapshot).
 type MetricsSnapshot struct {
 	UptimeSeconds  float64 `json:"uptime_seconds"`
 	Requests       int64   `json:"requests"`
@@ -542,54 +510,25 @@ type MetricsSnapshot struct {
 	BytesQuarantined    int64 `json:"bytes_quarantined"`
 }
 
-// count bumps one service counter by delta under the snapshot read-lock:
-// increments stay concurrent with each other, but are mutually exclusive
-// with Snapshot's write-locked read pass.
-func (s *Service) count(c *atomic.Int64, delta int64) {
-	s.snapMu.RLock()
-	c.Add(delta)
-	s.snapMu.RUnlock()
+// count adds delta to one counter of s.m, e.g. s.count(&s.m.Solves, 1).
+func (s *Service) count(c *int64, delta int64) {
+	s.mu.Lock()
+	*c += delta
+	s.mu.Unlock()
 }
 
-// Snapshot captures the current metrics (also served at /metrics). The
-// write lock excludes every count() increment for the duration of the read
-// pass, so the snapshot is one monotonically consistent cut — a scraper can
-// never observe e.g. errors > requests, or a failover counted on one line
-// but not the other.
+// Snapshot captures the current metrics (also served at /metrics): a copy of
+// the counters, taken as one consistent cut (see mu), with the gauges filled
+// in after it. The store figures are the store's own, read one by one
+// outside the cut.
 func (s *Service) Snapshot() MetricsSnapshot {
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	snap := MetricsSnapshot{
-		UptimeSeconds:  time.Since(s.start).Seconds(),
-		Requests:       s.reqTotal.Load(),
-		Errors:         s.errTotal.Load(),
-		Rejected:       s.rejected.Load(),
-		Inflight:       len(s.sem),
-		MaxInflight:    cap(s.sem),
-		Compresses:     s.compresses.Load(),
-		Decompresses:   s.decompresses.Load(),
-		ProfileBuilds:  s.profileBuilds.Load(),
-		ProfileHits:    s.profileHits.Load(),
-		CacheEntries:   s.cache.len(),
-		CacheEvictions: s.evictions.Load(),
-		Estimates:      s.estimates.Load(),
-		Solves:         s.solves.Load(),
-
-		DatasetPuts:          s.datasetPuts.Load(),
-		DatasetRawPuts:       s.datasetRawPuts.Load(),
-		DatasetGets:          s.datasetGets.Load(),
-		DatasetDeletes:       s.datasetDeletes.Load(),
-		SliceReads:           s.sliceReads.Load(),
-		Recompactions:        s.recompactions.Load(),
-		RecompactionsSkipped: s.recompactSkips.Load(),
-		ExactReads:           s.exactReads.Load(),
-		Promotes:             s.promotes.Load(),
-		Demotes:              s.demotes.Load(),
-
-		AdaptiveSpaceRuns: s.adaptiveSpaceRuns.Load(),
-		PartitionRegions:  s.partitionRegions.Load(),
-		PartitionSplits:   s.partitionSplits.Load(),
-	}
+	s.mu.Lock()
+	snap := s.m
+	s.mu.Unlock()
+	snap.UptimeSeconds = time.Since(s.start).Seconds()
+	snap.Inflight = len(s.sem)
+	snap.MaxInflight = cap(s.sem)
+	snap.CacheEntries = s.cache.len()
 	if s.store != nil {
 		snap.StoreEnabled = true
 		snap.StoreBytes, snap.Datasets = s.store.Bytes()
@@ -627,7 +566,7 @@ func (s *Service) handleCompress(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.compresses, 1)
+	s.count(&s.m.Compresses, 1)
 
 	target, val, err := modelTarget(q, true, "target-ratio", "target-psnr")
 	if err != nil {
@@ -728,9 +667,9 @@ func (s *Service) compressStream(req *request, eng *rqm.Engine, target string, v
 	}
 	if adaptiveSpace {
 		st := sw.Stats()
-		s.count(&s.adaptiveSpaceRuns, 1)
-		s.count(&s.partitionRegions, int64(st.Chunks))
-		s.count(&s.partitionSplits, int64(st.Splits))
+		s.count(&s.m.AdaptiveSpaceRuns, 1)
+		s.count(&s.m.PartitionRegions, int64(st.Chunks))
+		s.count(&s.m.PartitionSplits, int64(st.Splits))
 	}
 	return nil
 }
@@ -760,7 +699,7 @@ func parseRangeParam(q url.Values) (lo, hi float64, err error) {
 // without materializing it, when the container carries the shape.
 func (s *Service) handleDecompress(req *request) error {
 	w := req.w
-	s.count(&s.decompresses, 1)
+	s.count(&s.m.Decompresses, 1)
 	br := pooledReader(req.r.Body)
 	defer releaseReader(br)
 	sr, err := rqm.NewReader(br)
@@ -875,7 +814,7 @@ func (s *Service) handleProfile(req *request) error {
 	}
 	id := profileKey(body, eng, sample, seed)
 	if cp, ok := s.cache.get(id); ok {
-		s.count(&s.profileHits, 1)
+		s.count(&s.m.ProfileHits, 1)
 		return writeJSON(w, http.StatusOK, profileResponse(cp, true))
 	}
 
@@ -888,7 +827,7 @@ func (s *Service) handleProfile(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.profileBuilds, 1)
+	s.count(&s.m.ProfileBuilds, 1)
 	cp := &cachedProfile{
 		ID:        id,
 		Codec:     eng.Codec().Name(),
@@ -897,7 +836,7 @@ func (s *Service) handleProfile(req *request) error {
 		BuildTime: time.Since(start),
 		CreatedAt: time.Now(),
 	}
-	s.count(&s.evictions, int64(s.cache.put(cp)))
+	s.count(&s.m.CacheEvictions, int64(s.cache.put(cp)))
 	return writeJSON(w, http.StatusOK, profileResponse(cp, false))
 }
 
@@ -1005,7 +944,7 @@ func (s *Service) handleEstimate(req *request) error {
 	} else if !strings.EqualFold(mode, "abs") {
 		return errf(http.StatusBadRequest, "bad_param", "mode: want abs or rel, got %q", mode)
 	}
-	s.count(&s.estimates, 1)
+	s.count(&s.m.Estimates, 1)
 	est := cp.Profile.EstimateAt(abs)
 	return writeJSON(req.w, http.StatusOK, &EstimateResponse{
 		Profile: cp.ID,
@@ -1042,7 +981,7 @@ func (s *Service) handleSolve(req *request) error {
 	if err != nil {
 		return err
 	}
-	s.count(&s.solves, 1)
+	s.count(&s.m.Solves, 1)
 	solve := cp.Profile.ErrorBoundForRatio
 	switch target {
 	case "target-psnr":

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
 
 	"rqm"
@@ -500,6 +501,71 @@ func TestMetricsAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if m.Requests < 1 || m.MaxInflight < 1 {
 		t.Fatalf("metrics %+v", m)
+	}
+}
+
+// TestSnapshotIsConsistentCut: while requests run concurrently — some
+// served, some failing, some refused admission — every snapshot taken
+// mid-flight is one cut of the counters: a request's error or rejection is
+// never visible without the request itself.
+func TestSnapshotIsConsistentCut(t *testing.T) {
+	_, body := testField(t)
+	svc, ts := newTestServer(t, Config{MaxInflight: 1})
+	svc.sem <- struct{}{} // hold the only permit: every heavy request is refused
+	defer func() { <-svc.sem }()
+
+	stop := make(chan struct{})
+	scraped := make(chan int)
+	go func() {
+		n := 0
+		defer func() { scraped <- n }()
+		for ; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if m := svc.Snapshot(); m.Errors > m.Requests || m.Rejected > m.Requests {
+				t.Errorf("torn snapshot: requests %d, errors %d, rejected %d", m.Requests, m.Errors, m.Rejected)
+				return
+			}
+		}
+	}()
+	const clients, each = 4, 30
+	var wg sync.WaitGroup
+	for c := range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				var resp *http.Response
+				var err error
+				switch (c + i) % 3 {
+				case 0: // heavy: refused with a 429
+					resp, err = http.Post(ts.URL+"/v1/profile", "application/octet-stream", bytes.NewReader(body))
+				case 1: // light, failing: the profile is not cached
+					resp, err = http.Get(ts.URL + "/v1/estimate?profile=missing&eb=1e-3")
+				default: // light, served
+					resp, err = http.Get(ts.URL + "/healthz")
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Fatal("no snapshot was taken while requests ran")
+	}
+	const third = clients * each / 3
+	if m := svc.Snapshot(); m.Requests != 3*third || m.Errors != 2*third || m.Rejected != third {
+		t.Fatalf("final snapshot: requests %d, errors %d, rejected %d; want %d, %d, %d",
+			m.Requests, m.Errors, m.Rejected, 3*third, 2*third, third)
 	}
 }
 
