@@ -58,7 +58,6 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -206,12 +205,7 @@ func cmdCompress(args []string) {
 	fmt.Printf("compressed %s (%s): %d -> %d bytes (ratio %.2fx, %.3f bits/value) in %v\n",
 		*in, st.Codec, st.OriginalBytes, st.CompressedBytes, st.Ratio, st.BitRate, st.EncodeTime)
 	if *verify {
-		dec, err := eng.Decompress(res.Bytes)
-		must(err)
-		must(rqm.VerifyErrorBound(f, dec, m, *eb))
-		psnr, err := rqm.PSNR(f, dec)
-		must(err)
-		fmt.Printf("  verified: bound holds, PSNR %.2f dB\n", psnr)
+		verifyOutput(*in, *out, m, *eb)
 	}
 }
 
@@ -297,14 +291,15 @@ func compressStream(in, out, codecName string, copts rqm.CodecOptions, p streamP
 		fmt.Printf("  per-chunk bounds: [%.6g, %.6g]\n", st.MinBound, st.MaxBound)
 	}
 	if p.verify {
-		verifyStream(in, out, copts, st.MaxBound)
+		verifyOutput(in, out, copts.Mode, copts.ErrorBound)
 	}
 }
 
-// verifyStream re-reads both files and checks the loosest per-chunk bound
-// (or the user's pointwise-relative bound, which has no single absolute
-// equivalent to record).
-func verifyStream(in, out string, copts rqm.CodecOptions, maxBound float64) {
+// verifyOutput is compress -verify on every path: it reads the container
+// at out back through rqm.NewReader and holds it to the loosest per-chunk
+// bound the container records or, when it records none (an envelope, a
+// pointwise-relative stream), to the -mode/-eb bound.
+func verifyOutput(in, out string, mode rqm.ErrorMode, eb float64) {
 	orig := readField(in)
 	blob, err := os.Open(out)
 	must(err)
@@ -313,14 +308,19 @@ func verifyStream(in, out string, copts rqm.CodecOptions, maxBound float64) {
 	must(err)
 	dec, err := r.ReadAll()
 	must(err)
-	if maxBound > 0 {
-		must(rqm.VerifyErrorBound(orig, dec, rqm.ABS, maxBound*(1+1e-12)))
-	} else {
-		must(rqm.VerifyErrorBound(orig, dec, copts.Mode, copts.ErrorBound))
+	chunked, err := sniffChunked(out)
+	must(err)
+	if chunked {
+		idx, err := rqm.ReadStreamIndex(blob)
+		must(err)
+		if _, maxB := boundRange(idx.Entries); maxB > 0 {
+			mode, eb = rqm.ABS, maxB*(1+1e-12)
+		}
 	}
+	must(rqm.VerifyErrorBound(orig, dec, mode, eb))
 	psnr, err := rqm.PSNR(orig, dec)
 	must(err)
-	fmt.Printf("  verified: per-chunk bounds hold, PSNR %.2f dB\n", psnr)
+	fmt.Printf("  verified: bound holds, PSNR %.2f dB\n", psnr)
 }
 
 func cmdDecompress(args []string) {
@@ -554,35 +554,10 @@ func compressRemote(base, in, out string, p remoteParams) {
 			in, out, st.Size(), info.Codec, info.Ratio, base)
 	}
 	if p.verify {
-		verifyRemoteOutput(in, out, p)
-	}
-}
-
-// verifyRemoteOutput re-reads both files and checks the served container
-// locally — the same end-to-end guarantee -verify gives the local paths.
-func verifyRemoteOutput(in, out string, p remoteParams) {
-	orig := readField(in)
-	blob, err := os.ReadFile(out)
-	must(err)
-	dec, err := rqm.Decompress(blob)
-	must(err)
-	adaptive := p.targetRatio > 0 || p.targetPSNR > 0
-	if adaptive {
-		// Adaptive runs have no single user bound; hold the container to the
-		// loosest per-chunk bound it recorded.
-		idx, err := rqm.ReadStreamIndex(bytes.NewReader(blob))
-		must(err)
-		if _, maxB := boundRange(idx.Entries); maxB > 0 {
-			must(rqm.VerifyErrorBound(orig, dec, rqm.ABS, maxB*(1+1e-12)))
-		}
-	} else {
 		m, err := rqm.ParseErrorMode(p.mode)
 		must(err)
-		must(rqm.VerifyErrorBound(orig, dec, m, p.eb))
+		verifyOutput(in, out, m, p.eb)
 	}
-	psnr, err := rqm.PSNR(orig, dec)
-	must(err)
-	fmt.Printf("  verified: bound holds, PSNR %.2f dB\n", psnr)
 }
 
 // decompressRemote streams a container to a rqserved instance and the field

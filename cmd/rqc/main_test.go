@@ -243,3 +243,81 @@ func TestDecompressRefusesTrailingBytes(t *testing.T) {
 		t.Fatalf("refused decompress left %s behind (%v)", out, err)
 	}
 }
+
+// writeField writes f to path as a .rqmf file.
+func writeField(t *testing.T, path string, f *rqm.Field) {
+	t.Helper()
+	fh, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteTo(fh); err != nil {
+		t.Fatal(err)
+	}
+	if err := fh.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompressVerify drives compress -verify down each output path — local
+// whole-buffer, local streamed, adaptive and -remote — and checks the one
+// verification both passes the output and refuses it against an input one
+// value of which moved far outside the bound.
+func TestCompressVerify(t *testing.T) {
+	svc, err := service.New(service.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc)
+	t.Cleanup(ts.Close)
+
+	dir := t.TempDir()
+	g, err := rqm.GenerateField("nyx/temperature", 11, rqm.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := rqm.FieldFromData("verify", rqm.Float64, g.Data, g.Dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, moved := filepath.Join(dir, "in.rqmf"), filepath.Join(dir, "moved.rqmf")
+	writeField(t, in, f)
+	lo, hi := f.Data[0], f.Data[0]
+	for _, v := range f.Data {
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	mf, err := rqm.FieldFromData("verify", rqm.Float64, append([]float64(nil), f.Data...), f.Dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf.Data[len(mf.Data)/2] += (hi - lo) / 10
+	writeField(t, moved, mf)
+
+	defer func() { exit = os.Exit }()
+	exit = func(c int) { panic(fmt.Sprintf("exit status %d", c)) }
+	exited := func(run func()) (r any) {
+		defer func() { r = recover() }()
+		run()
+		return nil
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"whole-buffer", nil},
+		{"streamed", []string{"-stream", "-chunk", "4096"}},
+		{"adaptive", []string{"-target-psnr", "60", "-chunk", "4096"}},
+		{"remote", []string{"-remote", ts.URL}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out.rqz")
+			args := append([]string{"-in", in, "-out", out, "-mode", "rel", "-eb", "1e-3", "-verify"}, tc.args...)
+			if r := exited(func() { cmdCompress(args) }); r != nil {
+				t.Fatalf("compress %v: %v", args, r)
+			}
+			if r := exited(func() { verifyOutput(moved, out, rqm.REL, 1e-3) }); r == nil {
+				t.Fatal("-verify passed an output against an input it does not bound")
+			}
+		})
+	}
+}

@@ -697,7 +697,7 @@ func TestClusterListMergesAndDeleteFansOut(t *testing.T) {
 	}
 }
 
-// TestClusterCASConflictThroughRouter: the store's Replace CAS surfaces as
+// TestClusterCASConflictThroughRouter: the store's Commit CAS surfaces as
 // the typed 409 through the proxy — the cluster's conflict arbiter is
 // reachable end to end.
 func TestClusterCASConflictThroughRouter(t *testing.T) {

@@ -195,9 +195,9 @@ func (s *Service) handleDatasetPut(req *request) error {
 		Profile:       store.NewProfileRecord(p),
 	}
 	// ?if-generation=G turns the put into a compare-and-swap against the
-	// committed version (store.Replace): a writer that read generation G can
-	// demand its update lands on G or fails with a typed 409 — never silently
-	// clobbering a concurrent re-put or recompaction. The CAS put keeps the
+	// committed version (store.Commit with a base): a writer that read
+	// generation G can demand its update lands on G or fails with a typed
+	// 409 — never silently clobbering a concurrent re-put or recompaction. The CAS put keeps the
 	// dataset's identity (CreatedAt) and bumps its generation.
 	var base *store.Manifest
 	if v := q.Get("if-generation"); v != "" {
@@ -506,9 +506,10 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 // the model-solved absolute bound through the stream pipeline, committing
 // the replacement with the same crash-safe protocol as a put — conditioned
 // on the dataset still being the version the decision was made against
-// (store.Replace; a concurrent re-put or delete aborts with 409). The
-// cached profile (a model of the *original* data) rides along unchanged —
-// that is what keeps the next recompaction decision O(sample) too.
+// (store.Commit with a base; a concurrent re-put or delete aborts with
+// 409). The cached profile (a model of the *original* data) rides along
+// unchanged — that is what keeps the next recompaction decision O(sample)
+// too.
 //
 // The rewrite's input is the stored reconstruction, already up to curAbs
 // away from the original, so the manifest records curAbs+newAbs — the
@@ -666,24 +667,19 @@ func streamBuild(cw io.Writer, eng *rqm.Engine, f *rqm.Field, opts ...rqm.Stream
 	return sw.Stats(), bw.Flush()
 }
 
-// commit is the tail every dataset mutation ends in: build stages the
-// container, rb (when non-nil) the residual beside it, and the store publishes
-// both with one rename. A non-nil base makes the commit a compare-and-swap
-// against that committed version.
+// commit is the tail every dataset mutation ends in: one store.Commit, its
+// failures mapped onto request-shaped errors. Typed store errors — notably
+// ErrConflict from a compare-and-swap, and ErrCorruptDataset from the
+// commit-time verification of the staged files — keep their own HTTP
+// mapping (409 / 422 corrupt_dataset via mapError); only untyped
+// build/commit failures collapse into the 422 put_failed envelope.
 func (req *request) commit(base *store.Manifest, build func(io.Writer) (*store.Manifest, error), rb store.ResidualBuilder) (*store.Manifest, error) {
-	var m *store.Manifest
-	var err error
-	switch {
-	case base != nil && rb != nil:
-		m, err = req.st.ReplaceWithResidual(req.name, base, build, rb)
-	case base != nil:
-		m, err = req.st.Replace(req.name, base, build)
-	case rb != nil:
-		m, err = req.st.PutWithResidual(req.name, build, rb)
-	default:
-		m, err = req.st.Put(req.name, build)
+	m, err := req.st.Commit(req.name, base, build, rb)
+	if err == nil || errors.Is(err, store.ErrConflict) || errors.Is(err, store.ErrNotFound) ||
+		errors.Is(err, store.ErrBadName) || errors.Is(err, store.ErrCorruptDataset) {
+		return m, err
 	}
-	return m, putError(err)
+	return nil, errf(http.StatusUnprocessableEntity, "put_failed", "%v", err)
 }
 
 // RawPutMaxManifest caps the framed manifest record of a raw put (16 MiB —
@@ -789,19 +785,17 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 
 	// When the incoming manifest declares a residual layer, the frame carries
 	// the residual file right after the container: exactly ContainerBytes of
-	// container, then exactly Residual.Bytes of residual. CopyResidual makes
-	// the store's staging checks prove the copy arrived byte-identical.
+	// container, then exactly Residual.Bytes of residual, and nothing after.
+	// CopyResidual makes the store's staging checks prove the copy arrived
+	// byte-identical.
 	build := func(cw io.Writer) (*store.Manifest, error) {
+		var err error
 		if m.Residual != nil {
-			if _, err := io.CopyN(cw, br, m.ContainerBytes); err != nil {
-				return nil, err
-			}
-			return m, nil
+			_, err = io.CopyN(cw, br, m.ContainerBytes)
+		} else {
+			_, err = io.Copy(cw, br)
 		}
-		if _, err := io.Copy(cw, br); err != nil {
-			return nil, err
-		}
-		return m, nil
+		return m, err
 	}
 	var rb store.ResidualBuilder
 	if m.Residual != nil {
@@ -841,22 +835,6 @@ func intParam(q url.Values, name string, def int64) (int64, error) {
 		return 0, errf(http.StatusBadRequest, "bad_param", "%s: %q is not an integer", name, v)
 	}
 	return n, nil
-}
-
-// putError maps store commit failures onto request-shaped errors. Typed
-// store errors — notably ErrConflict from a CAS replace, and
-// ErrCorruptDataset from the commit-time verification of the staged bytes —
-// keep their own HTTP mapping (409 / 422 corrupt_dataset via mapError); only
-// untyped build/commit failures collapse into the 422 put_failed envelope.
-func putError(err error) error {
-	if err == nil {
-		return nil
-	}
-	if errors.Is(err, store.ErrConflict) || errors.Is(err, store.ErrNotFound) ||
-		errors.Is(err, store.ErrBadName) || errors.Is(err, store.ErrCorruptDataset) {
-		return err
-	}
-	return errf(http.StatusUnprocessableEntity, "put_failed", "%v", err)
 }
 
 // finiteOrZero clamps non-finite model estimates for JSON-borne manifests.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"rqm"
 	"rqm/internal/grid"
+	"rqm/internal/residual"
 )
 
 // getBody GETs a path and returns status, body, and headers.
@@ -382,5 +384,89 @@ func TestRawPutResidualFrame(t *testing.T) {
 	}
 	if err := dstStore.VerifyDataset("rf", true); err != nil {
 		t.Fatalf("replica deep verify: %v", err)
+	}
+}
+
+// rawPutCode posts a raw-put frame and returns the status and, for an
+// error, its code.
+func rawPutCode(t *testing.T, ts *httptest.Server, name string, frame []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/datasets/"+name+"/raw", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode < 300 {
+		return resp.StatusCode, ""
+	}
+	return resp.StatusCode, decodeErrorBody(t, resp).Error.Code
+}
+
+// promotedReplicaParts puts an exact dataset on a fresh server and returns
+// what a replica is sent: the full manifest, the container and the residual.
+func promotedReplicaParts(t *testing.T, name string) (man, container, res []byte) {
+	t.Helper()
+	_, _, src := newStoreServer(t)
+	_, body := testField(t)
+	putDataset(t, src, name, "mode=abs&eb=1e-4&chunk=1024&exact=1", body)
+	man, container = fetchReplicaParts(t, src, name)
+	status, res, _ := getBody(t, src, "/v1/datasets/"+name+"?raw=1&residual=1")
+	if status != http.StatusOK {
+		t.Fatalf("raw residual get: status %d", status)
+	}
+	return bytes.TrimSpace(man), container, res
+}
+
+// TestRawPutEndsAtItsResidual pins the end of a raw-put frame: a byte after
+// the declared residual is refused 422 corrupt_dataset with nothing
+// committed, as a byte after a container-only frame's container is.
+func TestRawPutEndsAtItsResidual(t *testing.T) {
+	man, container, res := promotedReplicaParts(t, "tail")
+	lossy, lcontainer := func() ([]byte, []byte) {
+		_, _, src := newStoreServer(t)
+		_, body := testField(t)
+		putDataset(t, src, "tail", "mode=abs&eb=1e-4&chunk=1024", body)
+		return fetchReplicaParts(t, src, "tail")
+	}()
+	for label, frame := range map[string][]byte{
+		"container-only": append(rawFrame(lossy, lcontainer), 0),
+		"residual":       append(rawFrame(man, append(append([]byte(nil), container...), res...)), 0),
+	} {
+		_, dstStore, dst := newStoreServer(t)
+		if status, code := rawPutCode(t, dst, "tail", frame); status != http.StatusUnprocessableEntity || code != "corrupt_dataset" {
+			t.Errorf("%s frame with a trailing byte: %d %q, want 422 corrupt_dataset", label, status, code)
+		}
+		if _, err := dstStore.Manifest("tail"); err == nil {
+			t.Errorf("%s frame with a trailing byte committed the dataset", label)
+		}
+	}
+}
+
+// TestRawPutRefusesResidualFailingVerification pins "nothing that fails
+// shallow verification is published" for the residual: a frame whose
+// manifest declares the hash of a residual with one flipped block-payload
+// byte reproduces its size and hash, and is refused at the block CRC.
+func TestRawPutRefusesResidualFailingVerification(t *testing.T) {
+	man, container, res := promotedReplicaParts(t, "flip")
+	idx, err := residual.LoadIndex(bytes.NewReader(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), res...)
+	e := idx.Blocks[len(idx.Blocks)/2]
+	bad[e.Offset+13+int64(e.EncBytes/2)] ^= 0x40 // past the 13-byte block header
+	oldSum, newSum := sha256.Sum256(res), sha256.Sum256(bad)
+	lying := bytes.Replace(man, []byte(hex.EncodeToString(oldSum[:])), []byte(hex.EncodeToString(newSum[:])), 1)
+	if bytes.Equal(lying, man) {
+		t.Fatal("manifest does not carry the residual hash")
+	}
+
+	_, dstStore, dst := newStoreServer(t)
+	status, code := rawPutCode(t, dst, "flip", rawFrame(lying, append(append([]byte(nil), container...), bad...)))
+	if status != http.StatusUnprocessableEntity || code != "corrupt_dataset" {
+		t.Fatalf("raw put of a residual with a flipped payload byte: %d %q, want 422 corrupt_dataset", status, code)
+	}
+	if _, err := dstStore.Manifest("flip"); err == nil {
+		t.Fatal("refused raw put committed the dataset")
 	}
 }

@@ -1,121 +1,115 @@
-// Residual-layer store support: staging and commit-time validation of the
-// residual file, the exact (bit-lossless) range read path, and the builder
-// that synthesizes a residual from an original against a staged container.
+// Residual-layer store support: staging the residual file, the one opening
+// of it that staging, verification and exact reads share, the exact
+// (bit-lossless) range read path and its proof against the original hash,
+// and the builders that synthesize or copy a residual against a staged
+// container.
 package store
 
 import (
-	"crypto/sha256"
+	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 
 	"rqm/internal/codec"
 	"rqm/internal/grid"
 	"rqm/internal/residual"
 )
 
-// stageResidual writes the residual file into the staging directory, tees
-// it through SHA-256, and validates the staged bytes against both the
-// builder's declared record (a replica transfer must arrive intact) and the
-// manifest's chunk geometry (blocks must align one-to-one with chunks) —
-// the same refuse-to-commit discipline the container gets.
-func (s *Store) stageResidual(stage, name, cpath string, m *Manifest, rb ResidualBuilder) (*ResidualRecord, error) {
-	rpath := filepath.Join(stage, ResidualFile)
-	rf, err := os.Create(rpath)
+// stageResidual writes rb's residual file into the staging directory beside
+// the staged container at cpath, records it in m, and holds it to m with the
+// shallow verification scrub runs on a committed residual — so a residual
+// that would fail verification is never published, the same refuse-to-commit
+// discipline the container gets. The builder's record is completed in
+// place: a hash it declares (a replica transfer must arrive intact) must
+// match the staged bytes, and a declared size is held to them by that
+// verification.
+func (s *Store) stageResidual(stage, cpath string, m *Manifest, rb ResidualBuilder) error {
+	var rec *ResidualRecord
+	size, sum, err := stageFile(filepath.Join(stage, ResidualFile), func(w io.Writer) (err error) {
+		rec, err = rb(cpath, w)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	hasher := sha256.New()
-	rec, err := rb(cpath, io.MultiWriter(rf, hasher))
-	if err == nil {
-		err = rf.Sync()
-	}
-	if cerr := rf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
+		return err
 	}
 	if rec == nil {
-		return nil, errors.New("store: residual builder returned no record")
+		return errors.New("store: residual builder returned no record")
 	}
-	fi, err := os.Stat(rpath)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	sum := hex.EncodeToString(hasher.Sum(nil))
 	if rec.Hash != "" && rec.Hash != sum {
-		return nil, fmt.Errorf("%w: %q: staged residual hashes to %s, record declares %s",
-			ErrCorruptDataset, name, sum, rec.Hash)
+		return fmt.Errorf("%w: %q: staged residual hashes to %s, record declares %s",
+			ErrCorruptDataset, m.Name, sum, rec.Hash)
 	}
-	if rec.Bytes > 0 && rec.Bytes != fi.Size() {
-		return nil, fmt.Errorf("%w: %q: staged residual is %d bytes, record declares %d",
-			ErrCorruptDataset, name, fi.Size(), rec.Bytes)
-	}
-	out := &ResidualRecord{
-		Backend:      rec.Backend,
-		Bytes:        fi.Size(),
-		Hash:         sum,
-		OriginalHash: rec.OriginalHash,
-	}
-
-	// Structural check of what was just written: parseable, right backend,
-	// and block-for-chunk aligned with the manifest.
-	f, err := os.Open(rpath)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	defer f.Close()
-	idx, err := residual.LoadIndex(f)
-	if err != nil {
-		return nil, corruptResidual(name, err)
-	}
-	if out.OriginalHash == "" {
-		out.OriginalHash = hex.EncodeToString(idx.Header.OriginalHash[:])
-	}
-	if err := checkResidualIndex(name, m, out, idx); err != nil {
-		return nil, err
-	}
-	return out, nil
+	rec.Bytes, rec.Hash = cmp.Or(rec.Bytes, size), sum
+	m.Residual = rec
+	_, err = s.verifyResidual(stage, m, false)
+	return err
 }
 
-// checkResidualIndex cross-checks a residual index against the manifest it
-// is about to be (or is) committed with.
-func checkResidualIndex(name string, m *Manifest, rec *ResidualRecord, idx *residual.Index) error {
+// openResidual is the one opening of a residual file: the one in dir, held
+// to m's residual record — present, Residual.Bytes long, an index that
+// parses, and a header and blocks that agree with the record and the
+// dataset (backend, width, size, original hash, one block per chunk
+// covering the chunk's values). Staging, verification and exact reads all
+// open a residual through it. A record with no original hash, which only a
+// staged BuildResidual leaves, takes the one the file header carries: the
+// original is hashed once per put, by the encoder. The caller closes the
+// file.
+func (s *Store) openResidual(dir string, m *Manifest) (_ io.ReadSeekCloser, _ *residual.Index, err error) {
+	name, rec := m.Name, m.Residual
+	f, err := s.fs.Open(filepath.Join(dir, ResidualFile))
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil, fmt.Errorf("%w: %q: manifest records a residual but the file is missing",
+				ErrCorruptDataset, name)
+		}
+		return nil, nil, fmt.Errorf("store: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	if err := checkSize(name, ResidualFile, f, rec.Bytes); err != nil {
+		return nil, nil, err
+	}
+	idx, err := residual.LoadIndex(f)
+	if err != nil {
+		return nil, nil, corruptResidual(name, err)
+	}
 	c, err := residual.ByName(rec.Backend)
 	if err != nil {
-		return corruptResidual(name, err)
+		return nil, nil, corruptResidual(name, err)
 	}
-	if idx.Header.BackendID != c.ID() {
-		return fmt.Errorf("%w: %q: residual coded with backend id %d, record names %q",
-			ErrCorruptDataset, name, idx.Header.BackendID, rec.Backend)
+	hh := hex.EncodeToString(idx.Header.OriginalHash[:])
+	if rec.OriginalHash == "" {
+		rec.OriginalHash = hh
 	}
-	if idx.Header.Width*8 != m.PrecBits {
-		return fmt.Errorf("%w: %q: residual width %d bytes for %d-bit data",
-			ErrCorruptDataset, name, idx.Header.Width, m.PrecBits)
+	switch {
+	case idx.Header.BackendID != c.ID():
+		err = fmt.Errorf("residual coded with backend id %d, record names %q", idx.Header.BackendID, rec.Backend)
+	case idx.Header.Width*8 != m.PrecBits:
+		err = fmt.Errorf("residual width %d bytes for %d-bit data", idx.Header.Width, m.PrecBits)
+	case idx.Header.ElemCount != m.TotalValues:
+		err = fmt.Errorf("residual covers %d values, dataset holds %d", idx.Header.ElemCount, m.TotalValues)
+	case hh != rec.OriginalHash:
+		err = fmt.Errorf("residual header original hash %s, record declares %s", hh, rec.OriginalHash)
+	case len(idx.Blocks) != len(m.Chunks):
+		err = fmt.Errorf("residual holds %d blocks, container holds %d chunks", len(idx.Blocks), len(m.Chunks))
 	}
-	if idx.Header.ElemCount != m.TotalValues {
-		return fmt.Errorf("%w: %q: residual covers %d values, dataset holds %d",
-			ErrCorruptDataset, name, idx.Header.ElemCount, m.TotalValues)
-	}
-	if hh := hex.EncodeToString(idx.Header.OriginalHash[:]); hh != rec.OriginalHash {
-		return fmt.Errorf("%w: %q: residual header original hash %s, record declares %s",
-			ErrCorruptDataset, name, hh, rec.OriginalHash)
-	}
-	if len(idx.Blocks) != len(m.Chunks) {
-		return fmt.Errorf("%w: %q: residual holds %d blocks, container holds %d chunks",
-			ErrCorruptDataset, name, len(idx.Blocks), len(m.Chunks))
-	}
-	for i, b := range idx.Blocks {
-		if b.Values != m.Chunks[i].Values {
-			return fmt.Errorf("%w: %q: residual block %d covers %d values, chunk covers %d",
-				ErrCorruptDataset, name, i, b.Values, m.Chunks[i].Values)
+	for i := 0; err == nil && i < len(idx.Blocks); i++ {
+		if b := idx.Blocks[i]; b.Values != m.Chunks[i].Values {
+			err = fmt.Errorf("residual block %d covers %d values, chunk covers %d", i, b.Values, m.Chunks[i].Values)
 		}
 	}
-	return nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %q: %v", ErrCorruptDataset, name, err)
+	}
+	return f, idx, nil
 }
 
 // BuildResidual synthesizes a residual layer: it decodes the (staged or
@@ -127,8 +121,7 @@ func checkResidualIndex(name string, m *Manifest, rec *ResidualRecord, idx *resi
 // staging and takes OriginalHash from the file header, so the digest Encode
 // stamped — the original is hashed once per put — is the one the manifest
 // declares. Shaped as a ResidualBuilder factory so callers pass
-// BuildResidual(orig, prec, backend) straight to PutWithResidual /
-// ReplaceWithResidual.
+// BuildResidual(orig, prec, backend) straight to Commit.
 func BuildResidual(orig []float64, prec grid.Precision, backend string) ResidualBuilder {
 	return func(containerPath string, w io.Writer) (*ResidualRecord, error) {
 		c, err := residual.ByName(backend)
@@ -168,13 +161,20 @@ func BuildResidual(orig []float64, prec grid.Precision, backend string) Residual
 // CopyResidual is the replica-transfer ResidualBuilder: it streams exactly
 // declared.Bytes from r into the staged residual file and re-declares the
 // source's record, so the store's staging checks prove the copy arrived
-// byte-identical (hash and size must reproduce).
+// byte-identical (hash and size must reproduce). r must end there: a byte
+// after the residual is ErrCorruptDataset, as a byte after a container is.
 func CopyResidual(r io.Reader, declared *ResidualRecord) ResidualBuilder {
 	return func(_ string, w io.Writer) (*ResidualRecord, error) {
 		if declared == nil {
 			return nil, errors.New("store: CopyResidual needs the declared record")
 		}
 		if _, err := io.CopyN(w, r, declared.Bytes); err != nil {
+			return nil, fmt.Errorf("store: copying residual: %w", err)
+		}
+		if _, err := io.ReadFull(r, make([]byte, 1)); err == nil {
+			return nil, fmt.Errorf("%w: bytes follow the declared %d-byte residual",
+				ErrCorruptDataset, declared.Bytes)
+		} else if err != io.EOF {
 			return nil, fmt.Errorf("store: copying residual: %w", err)
 		}
 		rec := *declared
@@ -187,46 +187,35 @@ func CopyResidual(r io.Reader, declared *ResidualRecord) ResidualBuilder {
 // returns bit-exact original values. Only the covering chunks and blocks
 // are read. ErrNoResidual when the dataset has no residual layer.
 func (s *Store) ReadRangeExact(m *Manifest, off, n int64) ([]float64, error) {
-	if m.Residual == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoResidual, m.Name)
-	}
-	return s.readRange(m, off, n, true)
+	return s.readRange(m, off, n, true, &s.chunkReads)
 }
 
-// openResidual opens m's residual file and loads its block index, checked
-// against the container's layout. The caller closes the file.
-func (s *Store) openResidual(m *Manifest) (io.ReadSeekCloser, *residual.Index, error) {
-	rf, err := s.fs.Open(filepath.Join(s.datasetDir(m.Name), ResidualFile))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil, fmt.Errorf("%w: %q: manifest records a residual but the file is missing",
-				ErrCorruptDataset, m.Name)
-		}
-		return nil, nil, fmt.Errorf("store: %w", err)
-	}
-	idx, err := residual.LoadIndex(rf)
-	if err != nil {
-		err = corruptResidual(m.Name, err)
-	} else if len(idx.Blocks) != len(m.Chunks) || idx.Header.Width*8 != m.PrecBits {
-		err = fmt.Errorf("%w: %q: residual layout does not match the container", ErrCorruptDataset, m.Name)
-	}
-	if err != nil {
-		rf.Close()
-		return nil, nil, err
-	}
-	return rf, idx, nil
+// ReadExact is the whole dataset at the lossless tier, proven: the
+// reconstruction must hash to the residual layer's original hash, or the
+// read fails with ErrCorruptDataset instead of returning plausible values.
+// ErrNoResidual when the dataset has no residual layer.
+func (s *Store) ReadExact(m *Manifest) ([]float64, error) {
+	return s.readExact(m, &s.chunkReads)
 }
 
-// applyResidual XORs residual block i into the decoded values of chunk i.
-func applyResidual(m *Manifest, rf io.ReadSeeker, idx *residual.Index, i int, vals []float64) error {
-	if idx.Blocks[i].Values != len(vals) {
-		return fmt.Errorf("%w: %q: residual block %d covers %d values, chunk decodes %d",
-			ErrCorruptDataset, m.Name, i, idx.Blocks[i].Values, len(vals))
+// readExact is the one proof of an exact reconstruction against
+// original_hash, behind ReadExact and deep verification: every chunk
+// decoded and its residual block applied, then the values re-hashed at
+// storage width. Chunks are counted in reads, as readRange counts them.
+func (s *Store) readExact(m *Manifest, reads *atomic.Int64) ([]float64, error) {
+	vals, err := s.readRange(m, 0, m.TotalValues, true, reads)
+	if err != nil {
+		return nil, err
 	}
-	if err := residual.ApplyBlock(rf, idx.Header, idx.Blocks[i], vals); err != nil {
-		return corruptResidual(m.Name, err)
+	sum, err := residual.OriginalHash(vals, m.Prec())
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if got := hex.EncodeToString(sum[:]); got != m.Residual.OriginalHash {
+		return nil, fmt.Errorf("%w: %q: exact reconstruction hashes to %s, residual layer promises %s",
+			ErrCorruptDataset, m.Name, got, m.Residual.OriginalHash)
+	}
+	return vals, nil
 }
 
 // corruptResidual wraps a residual read/parse failure in ErrCorruptDataset

@@ -22,9 +22,19 @@ import (
 // container — the store-level equivalent of `put -exact`.
 func putPromoted(t testing.TB, s *store.Store, name string, f *rqm.Field, chunkValues int, absEB float64, backend string) *store.Manifest {
 	t.Helper()
-	eng, err := rqm.NewEngine(rqm.WithMode(rqm.ABS), rqm.WithErrorBound(absEB))
+	committed, err := putWith(s, name, f, chunkValues, absEB, store.BuildResidual(f.Data, f.Prec, backend))
 	if err != nil {
 		t.Fatal(err)
+	}
+	return committed
+}
+
+// putWith commits f under name with rb as its residual builder, returning
+// Commit's error.
+func putWith(s *store.Store, name string, f *rqm.Field, chunkValues int, absEB float64, rb store.ResidualBuilder) (*store.Manifest, error) {
+	eng, err := rqm.NewEngine(rqm.WithMode(rqm.ABS), rqm.WithErrorBound(absEB))
+	if err != nil {
+		return nil, err
 	}
 	man := &store.Manifest{
 		CreatedAt:     time.Now().UTC(),
@@ -37,7 +47,7 @@ func putPromoted(t testing.TB, s *store.Store, name string, f *rqm.Field, chunkV
 		ContentHash:   strings.Repeat("ab", 32),
 		OriginalBytes: f.OriginalBytes(),
 	}
-	committed, err := s.PutWithResidual(name, func(w io.Writer) (*store.Manifest, error) {
+	return s.PutWithResidual(name, func(w io.Writer) (*store.Manifest, error) {
 		sw, err := eng.NewFieldStreamWriter(w, f, rqm.WithChunkSize(chunkValues))
 		if err != nil {
 			return nil, err
@@ -46,11 +56,7 @@ func putPromoted(t testing.TB, s *store.Store, name string, f *rqm.Field, chunkV
 			return nil, err
 		}
 		return man, sw.Close()
-	}, store.BuildResidual(f.Data, f.Prec, backend))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return committed
+	}, rb)
 }
 
 // storageExact returns v at the dataset's storage precision — the value an
@@ -222,9 +228,9 @@ func TestExactReadWithoutResidual(t *testing.T) {
 	}
 }
 
-// TestReplaceDropsResidual pins the demote-side store contract: a Replace
-// without a residual builder commits a manifest without a residual record
-// and removes the file from the published directory.
+// TestReplaceDropsResidual pins the demote-side store contract: a Commit
+// against a base without a residual builder commits a manifest without a
+// residual record and removes the file from the published directory.
 func TestReplaceDropsResidual(t *testing.T) {
 	s, err := store.Open(t.TempDir())
 	if err != nil {
@@ -242,7 +248,7 @@ func TestReplaceDropsResidual(t *testing.T) {
 	nm := *m
 	nm.Generation++
 	nm.Chunks = nil
-	got, err := s.Replace("drop", m, func(w io.Writer) (*store.Manifest, error) {
+	got, err := s.Commit("drop", m, func(w io.Writer) (*store.Manifest, error) {
 		sw, err := eng.NewFieldStreamWriter(w, f, rqm.WithChunkSize(512))
 		if err != nil {
 			return nil, err
@@ -251,12 +257,12 @@ func TestReplaceDropsResidual(t *testing.T) {
 			return nil, err
 		}
 		return &nm, sw.Close()
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Residual != nil {
-		t.Fatal("Replace without a builder kept the residual record")
+		t.Fatal("Commit without a builder kept the residual record")
 	}
 	if s.ResidualBytes() != 0 {
 		t.Fatalf("gauge %d after residual drop, want 0", s.ResidualBytes())
@@ -389,7 +395,8 @@ func TestScrubQuarantinesCorruptResidual(t *testing.T) {
 }
 
 // TestCopyResidualTransfer pins the replica-transfer path: a byte-identical
-// copy commits, a damaged copy is refused typed at staging.
+// copy commits, a damaged copy or one followed by a stray byte is refused
+// typed at staging.
 func TestCopyResidualTransfer(t *testing.T) {
 	src, err := store.Open(t.TempDir())
 	if err != nil {
@@ -449,6 +456,15 @@ func TestCopyResidualTransfer(t *testing.T) {
 	if _, err := dst2.Manifest("xfer"); !errors.Is(err, store.ErrNotFound) {
 		t.Fatal("damaged transfer left a committed dataset behind")
 	}
+
+	// So must a byte after the declared residual.
+	if _, err := dst2.PutWithResidual("xfer", copyBuild,
+		store.CopyResidual(bytes.NewReader(append(rbytes, 0)), m.Residual)); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("transfer with a trailing byte: %v, want ErrCorruptDataset", err)
+	}
+	if _, err := dst2.Manifest("xfer"); !errors.Is(err, store.ErrNotFound) {
+		t.Fatal("transfer with a trailing byte left a committed dataset behind")
+	}
 }
 
 // TestResidualFloat32 pins the 32-bit storage path end to end: residuals
@@ -476,5 +492,108 @@ func TestResidualFloat32(t *testing.T) {
 		if got[i] != float64(float32(vals[i])) {
 			t.Fatalf("value %d: got %v, want %v", i, got[i], float64(float32(vals[i])))
 		}
+	}
+}
+
+// wrongReconResidual is BuildResidual with one flaw: it encodes the residual
+// against a reconstruction one bit off in value 0, so the file is well
+// formed, its CRCs and header agree with the record, and only applying it
+// shows it does not rebuild the original.
+func wrongReconResidual(orig []float64, prec grid.Precision) store.ResidualBuilder {
+	return func(containerPath string, w io.Writer) (*store.ResidualRecord, error) {
+		f, err := os.Open(containerPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		idx, err := rqm.ReadStreamIndex(f)
+		if err != nil {
+			return nil, err
+		}
+		var recon []float64
+		var blocks []int
+		for _, e := range idx.Entries {
+			vals, err := rqm.ReadStreamChunk(f, e)
+			if err != nil {
+				return nil, err
+			}
+			recon = append(recon, vals...)
+			blocks = append(blocks, len(vals))
+		}
+		recon[0] = math.Nextafter(recon[0], math.Inf(1))
+		c, err := residual.ByName("ans")
+		if err != nil {
+			return nil, err
+		}
+		if _, err := residual.Encode(w, c, prec, orig, recon, blocks); err != nil {
+			return nil, err
+		}
+		return &store.ResidualRecord{Backend: "ans"}, nil
+	}
+}
+
+// TestDeepVerifyProvesOriginalHash pins deep verification's last step: a
+// residual that passes every file check but does not rebuild the original
+// passes shallow verification and fails deep, and ReadExact refuses it.
+func TestDeepVerifyProvesOriginalHash(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testField(t, 2048)
+	m, err := putWith(s, "liar", f, 256, 1e-3, wrongReconResidual(f.Data, f.Prec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.VerifyDataset("liar", false); err != nil {
+		t.Fatalf("shallow verify: %v", err)
+	}
+	if err := s.VerifyDataset("liar", true); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("deep verify: %v, want ErrCorruptDataset", err)
+	}
+	if _, err := s.ReadExact(m); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("ReadExact: %v, want ErrCorruptDataset", err)
+	}
+	// The sound residual of the same field proves itself.
+	good := putPromoted(t, s, "sound", f, 256, 1e-3, "ans")
+	if err := s.VerifyDataset("sound", true); err != nil {
+		t.Fatalf("deep verify of a sound residual: %v", err)
+	}
+	if _, err := s.ReadExact(good); err != nil {
+		t.Fatalf("ReadExact of a sound residual: %v", err)
+	}
+}
+
+// TestStagedResidualCRCRefused pins staging's shallow residual check: a
+// builder whose block payload no longer matches its CRC is refused typed,
+// and nothing is committed.
+func TestStagedResidualCRCRefused(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := testField(t, 2048)
+	flipped := func(containerPath string, w io.Writer) (*store.ResidualRecord, error) {
+		var buf bytes.Buffer
+		rec, err := store.BuildResidual(f.Data, f.Prec, "ans")(containerPath, &buf)
+		if err != nil {
+			return nil, err
+		}
+		b := buf.Bytes()
+		idx, err := residual.LoadIndex(bytes.NewReader(b))
+		if err != nil {
+			return nil, err
+		}
+		e := idx.Blocks[0]
+		b[e.Offset+13+int64(e.EncBytes/2)] ^= 0x40 // past the 13-byte block header
+		_, err = w.Write(b)
+		return rec, err
+	}
+	writes := s.Writes()
+	if _, err := putWith(s, "flip", f, 256, 1e-3, flipped); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("residual with a bad block CRC: %v, want ErrCorruptDataset", err)
+	}
+	if _, err := s.Manifest("flip"); !errors.Is(err, store.ErrNotFound) || s.Writes() != writes {
+		t.Fatalf("refused residual left a committed dataset behind (%v)", err)
 	}
 }

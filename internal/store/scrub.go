@@ -9,12 +9,17 @@
 // deep pass additionally decodes every chunk through the codec registry and
 // re-hashes the whole container file against the manifest's ContainerHash —
 // the only check that covers spans no CRC does (the stream header, the
-// chunk record heads themselves). ContentHash is deliberately NOT part of
-// either pass: it fingerprints the original uncompressed field, which a
-// lossy container cannot reproduce — it is an identity, not a checksum.
+// chunk record heads themselves). A residual layer gets the same two depths:
+// size, index and block-for-chunk layout plus every block CRC, and deep
+// re-hashes the file and proves the exact reconstruction against the
+// original hash. ContentHash is deliberately NOT part of either pass: it
+// fingerprints the original uncompressed field, which a lossy container
+// cannot reproduce — it is an identity, not a checksum. The shallow pass
+// over each file is also what Commit runs on the staged files before
+// publishing them.
 //
 // A dataset that fails verification is moved wholesale to quarantine/ under
-// the publish lock (same single-rename discipline as Put), where it stays
+// the publish lock (same single-rename discipline as Commit), where it stays
 // addressable for forensics but invisible to every reader — a quarantined
 // name answers ErrNotFound, which is exactly what lets a replicated tier
 // re-replicate a good copy over the slot.
@@ -32,6 +37,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"rqm/internal/codec"
@@ -49,9 +55,11 @@ var ErrScrubCorrupt = fmt.Errorf("%w: failed scrub verification", ErrCorruptData
 
 // ScrubOptions configures one scrub pass.
 type ScrubOptions struct {
-	// Deep additionally decodes every chunk and re-hashes the container
-	// against the manifest's ContainerHash. Roughly the cost of reading
-	// every dataset end to end, vs the shallow pass's CRC-only sweep.
+	// Deep additionally decodes every chunk, re-hashes the container and
+	// residual files against the manifest, and proves a residual layer's
+	// exact reconstruction against its original hash. Roughly the cost of
+	// reading every dataset end to end, vs the shallow pass's CRC-only
+	// sweep.
 	Deep bool
 	// Progress, when set, is called after each dataset is scrubbed.
 	Progress func(scanned, total int, name string)
@@ -126,8 +134,9 @@ func (s *Store) Scrub(opts ScrubOptions) (*ScrubReport, error) {
 // VerifyDataset re-verifies one committed dataset without touching
 // quarantine: manifest parse + schema check, trailer index vs manifest
 // chunk records, per-chunk CRC, the residual's checks and the profile
-// samples' size; deep adds a full decode of every chunk, the container
-// SHA-256 against ContainerHash and the samples' SHA-256. Failures wrap
+// samples' size; deep adds a full decode of every chunk, the container and
+// residual SHA-256s, the exact reconstruction's SHA-256 against the
+// residual's original hash and the samples' SHA-256. Failures wrap
 // ErrCorruptDataset (or the manifest's own typed errors).
 func (s *Store) VerifyDataset(name string, deep bool) error {
 	if err := ValidateName(name); err != nil {
@@ -214,12 +223,15 @@ func (s *Store) verifyLoaded(name string, m *Manifest, deep bool) (int64, error)
 	if m.Name != name {
 		return 0, fmt.Errorf("%w: %q: manifest names %q", ErrCorruptDataset, name, m.Name)
 	}
-	_, chunks, err := s.verifyContainer(name, filepath.Join(s.datasetDir(name), ContainerFile), m, deep)
+	dir := s.datasetDir(name)
+	_, chunks, err := s.verifyContainer(name, filepath.Join(dir, ContainerFile), m, deep)
 	s.chunksVerified.Add(chunks)
 	if err != nil {
 		return chunks, err
 	}
-	if err := s.verifyResidual(name, m, deep); err != nil {
+	blocks, err := s.verifyResidual(dir, m, deep)
+	s.chunksVerified.Add(blocks)
+	if err != nil {
 		return chunks, err
 	}
 	return chunks, s.verifySamples(name, m, deep)
@@ -242,71 +254,73 @@ func (s *Store) verifySamples(name string, m *Manifest, deep bool) error {
 		return samplesReadError(name, err)
 	}
 	defer f.Close()
+	return checkSize(name, ProfileFile, f, m.ProfileSamples.Bytes)
+}
+
+// checkSize holds the size of f, dataset name's file, to the size its
+// manifest records.
+func checkSize(name, file string, f io.Seeker, want int64) error {
 	size, err := f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if size != m.ProfileSamples.Bytes {
+	if size != want {
 		return fmt.Errorf("%w: %q: %s is %d bytes on disk, manifest records %d",
-			ErrCorruptDataset, name, ProfileFile, size, m.ProfileSamples.Bytes)
+			ErrCorruptDataset, name, file, size, want)
 	}
 	return nil
 }
 
-// verifyResidual runs the residual-side checks for one dataset: presence
-// and size against the manifest record, structural index parse, block
-// alignment with the container's chunk geometry, and per-block CRCs; deep
-// additionally decodes every block and re-hashes the file against the
-// manifest's residual hash. Datasets without a residual layer pass
-// trivially.
-func (s *Store) verifyResidual(name string, m *Manifest, deep bool) error {
-	if m.Residual == nil {
-		return nil
-	}
-	f, err := s.fs.Open(filepath.Join(s.datasetDir(name), ResidualFile))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("%w: %q: manifest records a residual but the file is missing",
-				ErrCorruptDataset, name)
-		}
+// checkHash re-hashes f, dataset name's file, against the SHA-256 its
+// manifest records.
+func checkHash(name, file string, f io.ReadSeeker, want string) error {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	defer f.Close()
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if size != m.Residual.Bytes {
-		return fmt.Errorf("%w: %q: residual is %d bytes on disk, manifest records %d",
-			ErrCorruptDataset, name, size, m.Residual.Bytes)
-	}
-	idx, err := residual.LoadIndex(f)
-	if err != nil {
-		return corruptResidual(name, err)
-	}
-	if err := checkResidualIndex(name, m, m.Residual, idx); err != nil {
-		return err
-	}
-	for _, e := range idx.Blocks {
-		if err := residual.VerifyBlock(f, idx.Header, e, deep); err != nil {
-			return corruptResidual(name, err)
-		}
-		s.chunksVerified.Add(1)
-	}
-	if deep {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-		if sum := hex.EncodeToString(h.Sum(nil)); sum != m.Residual.Hash {
-			return fmt.Errorf("%w: %q: residual hashes to %s, manifest records %s",
-				ErrCorruptDataset, name, sum, m.Residual.Hash)
-		}
+	if sum := hex.EncodeToString(h.Sum(nil)); sum != want {
+		return fmt.Errorf("%w: %q: %s hashes to %s, manifest records %s",
+			ErrCorruptDataset, name, file, sum, want)
 	}
 	return nil
+}
+
+// verifyResidual is the one residual verification, run on a staged
+// residual before it is published (dir the staging directory) and on a
+// committed one by scrub: openResidual's presence, size, index and layout
+// checks, then every block's CRC; deep additionally re-hashes the file
+// against the manifest's residual hash and proves the exact reconstruction
+// against its original hash (readExact). Datasets without a residual layer
+// pass trivially. It returns the number of blocks that passed CRC before
+// any failure.
+func (s *Store) verifyResidual(dir string, m *Manifest, deep bool) (int64, error) {
+	if m.Residual == nil {
+		return 0, nil
+	}
+	f, idx, err := s.openResidual(dir, m)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	var verified int64
+	for _, e := range idx.Blocks {
+		if err := residual.VerifyBlock(f, idx.Header, e, false); err != nil {
+			return verified, corruptResidual(m.Name, err)
+		}
+		verified++
+	}
+	if !deep {
+		return verified, nil
+	}
+	if err := checkHash(m.Name, ResidualFile, f, m.Residual.Hash); err != nil {
+		return verified, err
+	}
+	var uncounted atomic.Int64 // verification is not a served read
+	_, err = s.readExact(m, &uncounted)
+	return verified, err
 }
 
 // verifyContainer is the one container verification: run on a staged
@@ -353,16 +367,8 @@ func (s *Store) verifyContainer(name, path string, m *Manifest, deep bool) (*cod
 	// bytes no chunk CRC does. Manifests from before the field existed have
 	// no reference hash and skip this check.
 	if deep && m != nil && m.ContainerHash != "" {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, verified, fmt.Errorf("store: %w", err)
-		}
-		h := sha256.New()
-		if _, err := io.Copy(h, f); err != nil {
-			return nil, verified, fmt.Errorf("store: %w", err)
-		}
-		if sum := hex.EncodeToString(h.Sum(nil)); sum != m.ContainerHash {
-			return nil, verified, fmt.Errorf("%w: %q: container hashes to %s, manifest records %s",
-				ErrCorruptDataset, name, sum, m.ContainerHash)
+		if err := checkHash(name, ContainerFile, f, m.ContainerHash); err != nil {
+			return nil, verified, err
 		}
 	}
 	return idx, verified, nil
@@ -371,13 +377,8 @@ func (s *Store) verifyContainer(name, path string, m *Manifest, deep bool) (*cod
 // checkIndex holds a container's size and trailer index against the
 // manifest's chunk records.
 func checkIndex(name string, f io.Seeker, idx *codec.StreamIndex, m *Manifest) error {
-	size, err := f.Seek(0, io.SeekEnd)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if size != m.ContainerBytes {
-		return fmt.Errorf("%w: %q: container is %d bytes on disk, manifest records %d",
-			ErrCorruptDataset, name, size, m.ContainerBytes)
+	if err := checkSize(name, ContainerFile, f, m.ContainerBytes); err != nil {
+		return err
 	}
 	if idx.TotalValues != m.TotalValues || !slices.Equal(idx.Entries, m.IndexEntries()) {
 		return fmt.Errorf("%w: %q: trailer indexes %d chunks / %d values, manifest records %d / %d, or a chunk record differs",

@@ -25,17 +25,18 @@
 //	tmp/                           staging area, wiped at Open
 //	quarantine/<name>              corrupt datasets parked by Scrub
 //
-// Write protocol (Put): stage a complete dataset directory under tmp/ —
-// container first, fsynced, then the residual and profile samples, then the
-// manifest — and finally publish the whole directory into datasets/ with an
-// atomic rename. A replacement first parks the committed dataset at a
-// dot-prefixed sibling (".old.<name>", invisible to readers) inside
-// datasets/; Open recovery restores a parked dataset whose replacement
-// never landed and removes one whose replacement did. A crash at any step
-// therefore leaves the previous dataset or the new one — never half of
-// either and never neither: tmp/ leftovers are invisible to readers and
-// wiped on reopen, and a dataset directory without a parseable manifest is
-// skipped.
+// Write protocol (Commit): stage a complete dataset directory under tmp/ —
+// container first, then the residual and profile samples, then the
+// manifest, each written and fsynced by one stager, and container and
+// residual held to the shallow verification scrub runs — and finally
+// publish the whole directory into datasets/ with an atomic rename. A
+// replacement first parks the committed dataset at a dot-prefixed sibling
+// (".old.<name>", invisible to readers) inside datasets/; Open recovery
+// restores a parked dataset whose replacement never landed and removes one
+// whose replacement did. A crash at any step therefore leaves the previous
+// dataset or the new one — never half of either and never neither: tmp/
+// leftovers are invisible to readers and wiped on reopen, and a dataset
+// directory without a parseable manifest is skipped.
 package store
 
 import (
@@ -64,7 +65,7 @@ var (
 	ErrBadName = errors.New("store: invalid dataset name")
 	// ErrBadRange marks a slice request outside the dataset's extent.
 	ErrBadRange = errors.New("store: range outside dataset")
-	// ErrConflict marks a Replace whose base version is no longer the
+	// ErrConflict marks a Commit whose base version is no longer the
 	// committed one (the dataset was re-put or deleted mid-flight).
 	ErrConflict = errors.New("store: dataset changed concurrently")
 	// ErrCorruptDataset marks stored bytes that fail integrity verification:
@@ -400,56 +401,36 @@ func (s *Store) ResidualPath(name string) (string, error) {
 // replica transfer).
 type ResidualBuilder func(containerPath string, w io.Writer) (*ResidualRecord, error)
 
-// Put admits (or replaces) one dataset. build receives the staged container
-// file to write; the manifest it returns is completed by the store — chunk
-// index copied from the container trailer, container size filled in — and
-// committed after the container, so a visible manifest always describes a
-// fully written container. Its profile, when it has one, must carry its
-// samples: they are committed to the sidecar and the head records their
-// size and hash. The returned manifest is the committed one in its wire
-// form, as FullManifest would load it. The whole dataset publishes with one
-// directory rename; a crash mid-put leaves the previous state.
+// Put admits (or replaces) one dataset: Commit with no base and no
+// residual layer.
 func (s *Store) Put(name string, build func(w io.Writer) (*Manifest, error)) (*Manifest, error) {
-	return s.put(name, nil, build, nil)
+	return s.Commit(name, nil, build, nil)
 }
 
-// PutWithResidual is Put plus a residual layer: rb stages the residual file
-// after the container, and the committed manifest carries the residual
-// record. The same single-rename publish covers both files, so a crash can
-// never leave a container without its residual or vice versa.
+// PutWithResidual is Put plus a residual layer: Commit with no base.
 func (s *Store) PutWithResidual(name string, build func(w io.Writer) (*Manifest, error), rb ResidualBuilder) (*Manifest, error) {
-	return s.put(name, nil, build, rb)
+	return s.Commit(name, nil, build, rb)
 }
 
-// Replace is Put conditioned on the committed version: the commit aborts
-// with ErrConflict if the dataset's (CreatedAt, Generation) no longer
-// matches base — it was re-put or deleted while the caller was rebuilding
-// it. Recompaction rides this compare-and-swap so a long rewrite can never
-// silently clobber newer data or resurrect a deleted dataset. A Replace
-// without a residual builder drops any residual the dataset had (the
-// manifest's Residual section is cleared): a rewritten container invalidates
-// the old residual by construction.
-func (s *Store) Replace(name string, base *Manifest, build func(w io.Writer) (*Manifest, error)) (*Manifest, error) {
-	if base == nil {
-		return nil, errors.New("store: Replace needs the base manifest")
-	}
-	return s.put(name, base, build, nil)
-}
-
-// ReplaceWithResidual is Replace plus a residual layer (see PutWithResidual).
-func (s *Store) ReplaceWithResidual(name string, base *Manifest, build func(w io.Writer) (*Manifest, error), rb ResidualBuilder) (*Manifest, error) {
-	if base == nil {
-		return nil, errors.New("store: Replace needs the base manifest")
-	}
-	return s.put(name, base, build, rb)
-}
-
-func (s *Store) put(name string, base *Manifest, build func(w io.Writer) (*Manifest, error), rb ResidualBuilder) (*Manifest, error) {
+// Commit is the store's one write entry point. build receives the staged
+// container file to write; the manifest it returns is completed by the
+// store (chunk index from the container trailer, sizes and hashes) and
+// committed last, its profile samples to the sidecar. rb, when non-nil,
+// stages the residual file after the container; without it the committed
+// manifest has no residual layer, since a rewritten container invalidates
+// the old residual by construction. A non-nil base makes the commit a
+// compare-and-swap: ErrConflict if the dataset's (CreatedAt, Generation)
+// no longer matches base, so a long rewrite can never clobber newer data or
+// resurrect a deleted dataset. Every staged file passes the shallow
+// verification scrub runs before the directory publishes with one rename,
+// so a crash mid-commit leaves the previous state. The returned manifest is
+// the committed one in its wire form, as FullManifest would load it.
+func (s *Store) Commit(name string, base *Manifest, build func(w io.Writer) (*Manifest, error), rb ResidualBuilder) (*Manifest, error) {
 	if err := ValidateName(name); err != nil {
 		return nil, err
 	}
-	// Fast-fail an already-stale Replace before paying for the build; the
-	// authoritative check repeats under the publish lock.
+	// Fast-fail an already-stale compare-and-swap before paying for the
+	// build; the authoritative check repeats under the publish lock.
 	if base != nil {
 		if err := s.checkBase(name, base); err != nil {
 			return nil, err
@@ -524,26 +505,18 @@ func (s *Store) checkBase(name string, base *Manifest) error {
 
 // stageDataset writes container, optional residual, profile samples and
 // manifest into the staging directory (in that order — the manifest is the
-// commit record).
+// commit record), each through stageFile.
 func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manifest, error), rb ResidualBuilder) (*Manifest, error) {
+	// The container's digest becomes the manifest's ContainerHash (the
+	// deep-scrub reference), and when the incoming manifest already carries
+	// one — a replica transfer — the staged bytes must reproduce it, an
+	// end-to-end check that a copy arrived intact.
 	cpath := filepath.Join(stage, ContainerFile)
-	cf, err := os.Create(cpath)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	// Tee the container bytes through SHA-256 as they are staged: the digest
-	// becomes the manifest's ContainerHash (the deep-scrub reference), and
-	// when the incoming manifest already carries one — a replica transfer —
-	// the staged bytes must reproduce it, an end-to-end check that a copy
-	// arrived intact.
-	hasher := sha256.New()
-	m, err := build(io.MultiWriter(cf, hasher))
-	if err == nil {
-		err = cf.Sync()
-	}
-	if cerr := cf.Close(); err == nil {
-		err = cerr
-	}
+	var m *Manifest
+	size, sum, err := stageFile(cpath, func(w io.Writer) (err error) {
+		m, err = build(w)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -560,16 +533,11 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 	if err != nil {
 		return nil, err
 	}
-	fi, err := os.Stat(cpath)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	m.Name = name
 	m.Chunks = chunkRecords(idx.Entries)
 	m.TotalValues = idx.TotalValues
 	m.ChunkValues = idx.Header.ChunkValues
-	m.ContainerBytes = fi.Size()
-	sum := hex.EncodeToString(hasher.Sum(nil))
+	m.ContainerBytes = size
 	if m.ContainerHash != "" && m.ContainerHash != sum {
 		return nil, fmt.Errorf("%w: %q: staged container hashes to %s, manifest declares %s",
 			ErrCorruptDataset, name, sum, m.ContainerHash)
@@ -585,11 +553,9 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 	// never staged.
 	m.Residual = nil
 	if rb != nil {
-		rec, err := s.stageResidual(stage, name, cpath, m, rb)
-		if err != nil {
+		if err := s.stageResidual(stage, cpath, m, rb); err != nil {
 			return nil, err
 		}
-		m.Residual = rec
 	}
 
 	head, samples, err := splitProfile(m)
@@ -597,7 +563,7 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 		return nil, err
 	}
 	if samples != nil {
-		if err := writeFileSync(filepath.Join(stage, ProfileFile), samples); err != nil {
+		if _, _, err := stageFile(filepath.Join(stage, ProfileFile), writeBytes(samples)); err != nil {
 			return nil, err
 		}
 	}
@@ -608,7 +574,7 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 	if _, err := ParseManifest(data); err != nil {
 		return nil, fmt.Errorf("store: refusing to commit: %w", err)
 	}
-	if err := writeFileSync(filepath.Join(stage, ManifestFile), data); err != nil {
+	if _, _, err := stageFile(filepath.Join(stage, ManifestFile), writeBytes(data)); err != nil {
 		return nil, err
 	}
 	syncDir(stage)
@@ -616,9 +582,45 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 	return m, nil
 }
 
+// stageFile is the one way a dataset file is written: it creates path,
+// streams write's output into it through SHA-256, fsyncs and closes it, and
+// returns the size and hex digest of what it holds. write's own errors come
+// back as they are.
+func stageFile(path string, write func(w io.Writer) error) (size int64, sum string, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, "", fmt.Errorf("store: %w", err)
+	}
+	h := sha256.New()
+	if err := write(io.MultiWriter(f, h)); err != nil {
+		f.Close()
+		return 0, "", err
+	}
+	size, err = f.Seek(0, io.SeekCurrent)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, "", fmt.Errorf("store: %w", err)
+	}
+	return size, hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// writeBytes is the stageFile write of bytes held in memory.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
 // Delete removes a dataset. The manifest goes first — the commit record, so
 // a crash mid-delete leaves an invisible directory, not a half dataset —
-// then the directory.
+// then the directory, and datasets/ is fsynced so the removal is durable
+// before Delete returns.
 func (s *Store) Delete(name string) error {
 	if err := ValidateName(name); err != nil {
 		return err
@@ -637,6 +639,7 @@ func (s *Store) Delete(name string) error {
 	if err := os.RemoveAll(dir); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	syncDir(filepath.Dir(dir))
 	s.bytesStored.Add(-size)
 	s.residualBytes.Add(-res)
 	s.datasetCount.Add(-1)
@@ -659,15 +662,19 @@ func (s *Store) ReadRange(name string, off, n int64) ([]float64, error) {
 // at its offset, CRC-verified, and decoded; everything else stays untouched
 // on disk.
 func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
-	return s.readRange(m, off, n, false)
+	return s.readRange(m, off, n, false, &s.chunkReads)
 }
 
-// readRange is the covering-chunk walk behind ReadRangeWith and
-// ReadRangeExact. With exact set, each decoded chunk additionally has its
-// residual block applied, turning the lossy reconstruction into the original
-// bit pattern.
-func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, error) {
+// readRange is the covering-chunk walk behind ReadRangeWith, ReadRangeExact
+// and deep verification. With exact set, each decoded chunk additionally
+// has its residual block applied, turning the lossy reconstruction into the
+// original bit pattern (ErrNoResidual without a residual layer). Each chunk
+// it delivers is counted in reads: ChunkReads for a served read.
+func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64) ([]float64, error) {
 	name := m.Name
+	if exact && m.Residual == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoResidual, name)
+	}
 	// The subtraction form cannot overflow (off < TotalValues is implied).
 	if off < 0 || n <= 0 || off > m.TotalValues || n > m.TotalValues-off {
 		return nil, fmt.Errorf("%w: [%d, %d) of %d values", ErrBadRange, off, off+n, m.TotalValues)
@@ -680,7 +687,7 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, err
 	var rf io.ReadSeekCloser
 	var ridx *residual.Index
 	if exact {
-		if rf, ridx, err = s.openResidual(m); err != nil {
+		if rf, ridx, err = s.openResidual(s.datasetDir(name), m); err != nil {
 			return nil, err
 		}
 		defer rf.Close()
@@ -698,11 +705,13 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool) ([]float64, err
 	out := make([]float64, 0, n)
 	err = eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
 		if exact {
-			if err := applyResidual(m, rf, ridx, i, vals); err != nil {
-				return err
+			// openResidual held every block to its chunk's value count, and
+			// DecodeChunkAt len(vals) to the entry's.
+			if err := residual.ApplyBlock(rf, ridx.Header, ridx.Blocks[i], vals); err != nil {
+				return corruptResidual(name, err)
 			}
 		}
-		s.chunkReads.Add(1)
+		reads.Add(1)
 		// DecodeChunkAt holds len(vals) to the entry's count, so the slice
 		// below is in range whatever the container claims.
 		out = append(out, vals[max(off-start, 0):min(off+n-start, int64(len(vals)))]...)
@@ -741,25 +750,6 @@ func eachChunk(name string, rs io.ReadSeeker, entries []codec.IndexEntry, lo, hi
 		if err := fn(i, vals); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	return nil
 }

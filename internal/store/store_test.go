@@ -442,7 +442,7 @@ func TestBytesGaugeTracksPutReplaceDelete(t *testing.T) {
 	}
 }
 
-// TestReplaceConflicts pins the compare-and-swap: a Replace whose base
+// TestReplaceConflicts pins the compare-and-swap: a Commit whose base
 // version was re-put or deleted mid-flight aborts with ErrConflict and
 // leaves the committed state untouched.
 func TestReplaceConflicts(t *testing.T) {
@@ -456,18 +456,18 @@ func TestReplaceConflicts(t *testing.T) {
 	// The dataset is re-put (new version) after the base was read.
 	newer := putField(t, s, "cas", testField(t, 2048), 256, 1e-3)
 	writes := s.Writes()
-	_, err = s.Replace("cas", base, func(w io.Writer) (*store.Manifest, error) {
+	_, err = s.Commit("cas", base, func(w io.Writer) (*store.Manifest, error) {
 		t.Fatal("build ran despite a stale base")
 		return nil, nil
-	})
+	}, nil)
 	if !errors.Is(err, store.ErrConflict) {
-		t.Fatalf("stale Replace: %v, want ErrConflict", err)
+		t.Fatalf("stale Commit: %v, want ErrConflict", err)
 	}
 	if s.Writes() != writes {
-		t.Fatal("stale Replace committed a write")
+		t.Fatal("stale Commit committed a write")
 	}
 	if got, _ := s.Manifest("cas"); got == nil || got.TotalValues != newer.TotalValues {
-		t.Fatal("stale Replace disturbed the committed dataset")
+		t.Fatal("stale Commit disturbed the committed dataset")
 	}
 
 	// A matching base goes through.
@@ -475,26 +475,26 @@ func TestReplaceConflicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Replace("cas", cur, func(w io.Writer) (*store.Manifest, error) {
+	if _, err := s.Commit("cas", cur, func(w io.Writer) (*store.Manifest, error) {
 		return mustStage(t, w, testField(t, 2048), 256, 1e-3), nil
-	}); err != nil {
-		t.Fatalf("fresh Replace: %v", err)
+	}, nil); err != nil {
+		t.Fatalf("fresh Commit: %v", err)
 	}
 
 	// A deleted dataset cannot be resurrected.
 	if err := s.Delete("cas"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Replace("cas", cur, func(w io.Writer) (*store.Manifest, error) {
+	if _, err := s.Commit("cas", cur, func(w io.Writer) (*store.Manifest, error) {
 		t.Fatal("build ran despite deletion")
 		return nil, nil
-	}); !errors.Is(err, store.ErrConflict) {
-		t.Fatalf("Replace after delete: %v, want ErrConflict", err)
+	}, nil); !errors.Is(err, store.ErrConflict) {
+		t.Fatalf("Commit after delete: %v, want ErrConflict", err)
 	}
 }
 
 // mustStage writes one compressed container into w and returns its
-// manifest (the build-callback body shared by the Replace tests).
+// manifest (the build-callback body shared by the Commit tests).
 func mustStage(t testing.TB, w io.Writer, f *rqm.Field, chunkValues int, absEB float64) *store.Manifest {
 	t.Helper()
 	eng, err := rqm.NewEngine(rqm.WithMode(rqm.ABS), rqm.WithErrorBound(absEB))
