@@ -570,8 +570,14 @@ func DecompressInto(dst []float64, data []byte) (*grid.Field, error) {
 		return nil, fmt.Errorf("compressor: predictor %s does not support rank %d",
 			predictor.Kind(predKind), len(dims))
 	}
-	if err := predictor.Decode(predictor.Kind(predKind), dims, work, aux, k); err != nil {
+	// Every stream chunk is a rank-1 Lorenzo field.
+	if predictor.Kind(predKind) == predictor.Lorenzo && len(dims) == 1 {
+		k.lorenzo1D()
+	} else if err := predictor.Decode(predictor.Kind(predKind), dims, work, aux, k); err != nil {
 		return nil, err
+	}
+	if k.err == nil && k.up != len(unpred) {
+		k.err = fmt.Errorf("%w: %d of %d", errUnpredUnused, k.up, len(unpred))
 	}
 	if k.err != nil {
 		return nil, k.err

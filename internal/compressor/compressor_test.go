@@ -368,6 +368,33 @@ func BenchmarkDecompressLorenzo3D(b *testing.B) {
 	}
 }
 
+// BenchmarkDecompressLorenzo1DChunk decodes one chunk at the shape the
+// stream writer codes every chunk at: 65,536 values as a rank-1 field,
+// order-1 Lorenzo, ABS at 1e-3 of the chunk's range.
+func BenchmarkDecompressLorenzo1DChunk(b *testing.B) {
+	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk, err := grid.FromData("chunk", f.Prec, f.Data[:1<<16], 1<<16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := chunk.ValueRange()
+	res, err := Compress(chunk, Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: (hi - lo) * 1e-3})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dst := make([]float64, chunk.Len())
+	b.SetBytes(chunk.OriginalBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecompressInto(dst, res.Bytes); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestVerifyErrorBoundNonFinite pins the bound check on values outside the
 // reals: a finite original reconstructed as NaN or ±Inf fails, a NaN
 // original needs NaN back, and ±Inf needs the same signed infinity — under

@@ -6,13 +6,19 @@ import (
 	"math"
 )
 
-// The two emitters predictor.Encode and predictor.Decode drive: each walk
+// The two emitters predictor.Encode and predictor.Decode drive — each walk
 // calls Emit once per value with its prediction, and the emitter quantizes
-// (encode) or reconstructs (decode) that value in place.
+// (encode) or reconstructs (decode) that value in place — plus lorenzo1D,
+// the direct decode loop for the rank-1 Lorenzo walk every stream chunk
+// takes. A walk pays a call per value, direct or through the generic
+// dictionary; a loop with Emit's body inline pays none.
 
 // errUnpredExhausted reports a symbol stream claiming more exact values than
-// the container stores.
-var errUnpredExhausted = errors.New("compressor: unpredictable stream exhausted")
+// the container stores; errUnpredUnused, fewer.
+var (
+	errUnpredExhausted = errors.New("compressor: unpredictable stream exhausted")
+	errUnpredUnused    = errors.New("compressor: unpredictable values left unused")
+)
 
 // encodeKernel is the compression state: quantizer parameters flattened to
 // plain fields plus the output streams. Emit inlines quantizer.Quantize's
@@ -107,4 +113,26 @@ func (k *decodeKernel) Emit(idx int, pred float64) {
 		return
 	}
 	k.work[idx] = pred + float64(int32(code))*k.twoEB
+}
+
+// lorenzo1D is predictor.Decode's order-1 Lorenzo walk at rank 1 with
+// Emit's hot path inline, run on a fresh kernel. Exact and out-of-range
+// symbols go through Emit itself, so the first error stops the loop with
+// work, sp and up where the walk would leave them.
+func (k *decodeKernel) lorenzo1D() {
+	work, radius, twoEB := k.work, int64(k.radius), k.twoEB
+	prev := 0.0
+	for i, s := range k.syms[:len(work)] {
+		if code := int64(s) - radius; code <= radius {
+			prev = prev + float64(code)*twoEB
+			work[i] = prev
+			continue
+		}
+		k.sp = i
+		if k.Emit(i, prev); k.err != nil {
+			return
+		}
+		prev = work[i]
+	}
+	k.sp = len(work)
 }

@@ -14,8 +14,11 @@
 //
 // The walks are generic over the Emitter, so each is written once for both
 // of the compressor's emitters. Emit is then called through the generic
-// instantiation's dictionary; the emitters are too large to inline, so a
-// direct call would cost one call per value as well.
+// instantiation's dictionary, once per value; the emitters are too large to
+// inline, so a direct call would cost a call per value as well. Only a loop
+// with the emitter's body written into it makes no call: the compressor
+// decodes the order-1 Lorenzo walk at rank 1, which every stream chunk
+// takes, through such a loop, and Decode stays its reference.
 package predictor
 
 import (

@@ -14,6 +14,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rqm"
@@ -478,10 +479,12 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 
 	// With a residual layer, recover the true original first: the rewrite's
 	// input is then exact, and the new residual is rebuilt against the new
-	// container — accumulated error dies here instead of compounding.
+	// container — accumulated error dies here instead of compounding. The
+	// recovery is proven against original_hash, so a residual that does not
+	// rebuild the original is refused here instead of re-stamped.
 	var orig []float64
 	if hasResidual {
-		if orig, err = st.ReadRangeExact(m, 0, m.TotalValues); err != nil {
+		if orig, err = st.ReadExact(m); err != nil {
 			return err
 		}
 	}
@@ -649,10 +652,19 @@ func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *
 	return committed, stats, err
 }
 
+// stagingWriters recycles streamBuild's 1 MiB staging buffers across
+// commits.
+var stagingWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<20) }}
+
 // streamBuild stages the container of a compressing commit: f through eng's
 // chunked pipeline into cw.
 func streamBuild(cw io.Writer, eng *rqm.Engine, f *rqm.Field, opts ...rqm.StreamOption) (rqm.StreamStats, error) {
-	bw := bufio.NewWriterSize(cw, 1<<20)
+	bw := stagingWriters.Get().(*bufio.Writer)
+	bw.Reset(cw)
+	defer func() {
+		bw.Reset(nil) // drop cw: the pool must not keep a staged file alive
+		stagingWriters.Put(bw)
+	}()
 	sw, err := eng.NewFieldStreamWriter(bw, f, opts...)
 	if err != nil {
 		return rqm.StreamStats{}, err

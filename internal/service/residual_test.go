@@ -6,16 +6,19 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"testing"
 
 	"rqm"
 	"rqm/internal/grid"
 	"rqm/internal/residual"
+	"rqm/internal/store"
 )
 
 // getBody GETs a path and returns status, body, and headers.
@@ -291,6 +294,96 @@ func TestRecompactFromTrueOriginal(t *testing.T) {
 	status, _, _ = getBody(t, ts, "/v1/datasets/lo?exact=1")
 	if status != http.StatusConflict {
 		t.Fatalf("exact read on lossy twin: status %d, want 409", status)
+	}
+}
+
+// TestRecompactProvesTheOriginal: an exact dataset whose residual is well
+// formed but rebuilds a value one ULP off the original fails deep
+// verification, and a recompaction refuses to rebuild from it — 422
+// corrupt_dataset, the generation unchanged — instead of stamping a new
+// residual with the hash of the wrong values.
+func TestRecompactProvesTheOriginal(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	f, body := testField(t)
+	putDataset(t, ts, "liar", "mode=rel&eb=1e-5&chunk=1024&exact=1", body)
+	head, err := st.Manifest("liar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := st.FullManifest(head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpath, err := st.ContainerPath("liar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	container, err := os.ReadFile(cpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same container and manifest at the next generation, with a
+	// residual encoded against a reconstruction one ULP off in value 0.
+	next := *m
+	next.Generation++
+	wrongRecon := func(containerPath string, w io.Writer) (*store.ResidualRecord, error) {
+		cf, err := os.Open(containerPath)
+		if err != nil {
+			return nil, err
+		}
+		defer cf.Close()
+		idx, err := rqm.ReadStreamIndex(cf)
+		if err != nil {
+			return nil, err
+		}
+		var recon []float64
+		var blocks []int
+		for _, e := range idx.Entries {
+			vals, err := rqm.ReadStreamChunk(cf, e)
+			if err != nil {
+				return nil, err
+			}
+			recon = append(recon, vals...)
+			blocks = append(blocks, len(vals))
+		}
+		recon[0] = math.Nextafter(recon[0], math.Inf(1))
+		c, err := residual.ByName("ans")
+		if err != nil {
+			return nil, err
+		}
+		if _, err := residual.Encode(w, c, f.Prec, f.Data, recon, blocks); err != nil {
+			return nil, err
+		}
+		return &store.ResidualRecord{Backend: "ans"}, nil
+	}
+	liar, err := st.Commit("liar", m, func(w io.Writer) (*store.Manifest, error) {
+		_, err := w.Write(container)
+		return &next, err
+	}, wrongRecon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.VerifyDataset("liar", true); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("deep verify: %v, want ErrCorruptDataset", err)
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/datasets/liar/recompact?target-psnr=50", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("recompact: status %d, want 422", resp.StatusCode)
+	}
+	if eb := decodeErrorBody(t, resp); eb.Error.Code != "corrupt_dataset" {
+		t.Fatalf("recompact: code %q, want corrupt_dataset", eb.Error.Code)
+	}
+	after, err := st.Manifest("liar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Generation != liar.Generation {
+		t.Fatalf("the refused recompact moved the generation from %d to %d", liar.Generation, after.Generation)
 	}
 }
 

@@ -955,6 +955,69 @@ func TestUndecodableFirstChunkAnswers422(t *testing.T) {
 	}
 }
 
+// TestUnpredictableCountMismatchAnswers422: a chunk whose container declares
+// one more unpredictable value than its symbols use is refused with the
+// status and code of one that declares one fewer.
+func TestUnpredictableCountMismatchAnswers422(t *testing.T) {
+	f, err := grid.FromData("unpred", grid.Float64, []float64{0, 1, 2, 3, 4, 5, 1e300, -1e300}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := compressor.Compress(f, compressor.Options{Mode: compressor.ABS, ErrorBound: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The container stores 1e300 and -1e300 exactly, after a u32 count of 2.
+	at := bytes.Index(res.Bytes, binary.LittleEndian.AppendUint64(nil, math.Float64bits(1e300)))
+	if at < 4 || binary.LittleEndian.Uint32(res.Bytes[at-4:]) != 2 {
+		t.Fatal("no two-value unpredictable list in the container")
+	}
+	declare := func(count int) []byte {
+		list := make([]byte, 8*count)
+		copy(list, res.Bytes[at:at+16])
+		payload := binary.LittleEndian.AppendUint32(bytes.Clone(res.Bytes[:at-4]), uint32(count))
+		payload = append(append(payload, list...), res.Bytes[at+16:]...)
+		var buf bytes.Buffer
+		hdr := &codec.StreamHeader{CodecID: codec.IDPrediction, Prec: grid.Float64, Dims: []int{8}, Name: "unpred", ChunkValues: 8}
+		if _, err := codec.WriteStreamHeader(&buf, hdr); err != nil {
+			t.Fatal(err)
+		}
+		off := int64(buf.Len())
+		n, err := codec.WriteChunk(&buf, &codec.Chunk{CodecID: codec.IDPrediction, AbsBound: 0.01, Values: 8, Payload: payload})
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := []codec.IndexEntry{{Offset: off, Values: 8, RecordBytes: int(n), AbsBound: 0.01}}
+		if _, err := codec.WriteTrailer(&buf, entries, 8, int64(buf.Len())); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	_, ts := newTestServer(t, Config{})
+	post := func(body []byte) (int, string) {
+		resp, err := http.Post(ts.URL+"/v1/decompress", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			return resp.StatusCode, ""
+		}
+		return resp.StatusCode, decodeErrorBody(t, resp).Error.Code
+	}
+	if status, _ := post(declare(2)); status != http.StatusOK {
+		t.Fatalf("the container as written: status %d", status)
+	}
+	exhausted, exhaustedCode := post(declare(1))
+	if exhausted != http.StatusUnprocessableEntity || exhaustedCode != "corrupt" {
+		t.Fatalf("one declared, two used: status %d code %q, want 422 corrupt", exhausted, exhaustedCode)
+	}
+	if status, code := post(declare(3)); status != exhausted || code != exhaustedCode {
+		t.Fatalf("three declared, two used: status %d code %q, want %d %q", status, code, exhausted, exhaustedCode)
+	}
+}
+
 // TestBadValueRangeParams covers the lo,hi parser's rejection paths.
 func TestBadValueRangeParams(t *testing.T) {
 	_, body := testField(t)

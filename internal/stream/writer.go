@@ -55,11 +55,10 @@ type Writer struct {
 	dst          *countWriter
 	start        time.Time
 
-	buf     []float64 // accumulating window (incremental mode)
-	all     []float64 // accumulating stream (whole-stream mode)
-	rem     []byte    // partial value carried between Write calls
-	splits  int       // split decisions across all plans (producer-owned)
-	bufPool sync.Pool // recycled chunk buffers ([]float64 with window capacity)
+	buf    []float64 // accumulating window (incremental mode)
+	all    []float64 // accumulating stream (whole-stream mode)
+	rem    []byte    // partial value carried between Write calls
+	splits int       // split decisions across all plans (producer-owned)
 
 	order chan chan result // per-chunk result slots, in input order
 	jobs  chan job
@@ -116,11 +115,7 @@ func NewWriter(w io.Writer, opts ...Option) (*Writer, error) {
 		seqDone:      make(chan struct{}),
 	}
 	if windowValues > 0 {
-		sw.buf = make([]float64, 0, windowValues)
-	}
-	sw.bufPool.New = func() interface{} {
-		b := make([]float64, 0, windowValues)
-		return &b
+		sw.buf = sw.nextBuf()
 	}
 	// The header's chunk size stays nominal: the partitioner may emit
 	// smaller or unequal chunks (each record carries its own count), but the
@@ -224,9 +219,10 @@ func (w *Writer) WriteField(f *grid.Field) error {
 // planWindow runs the partitioner over the accumulated window and dispatches
 // its regions. The common case — one region covering the whole window, which
 // is all FixedSlab ever plans — ships the accumulation buffer itself and
-// recycles it through bufPool, exactly the historical fast path. Multi-region
-// plans dispatch sub-slices of the window without recycling (the regions
-// alias one buffer, so it goes to the collector once all chunks are done).
+// recycles it through the chunk-buffer pool, exactly the historical fast
+// path. Multi-region plans dispatch sub-slices of the window without
+// recycling (the regions alias one buffer, so it goes to the collector once
+// all chunks are done).
 func (w *Writer) planWindow() {
 	plan, err := w.cfg.partitioner.Partition(w.buf, w.env)
 	if err == nil {
@@ -240,15 +236,26 @@ func (w *Writer) planWindow() {
 	if len(plan.Regions) == 1 {
 		r := plan.Regions[0]
 		vals := w.buf
-		w.buf = (*w.bufPool.Get().(*[]float64))[:0]
+		w.buf = w.nextBuf()
 		w.dispatch(vals, r.Bound, true)
 		return
 	}
 	window := w.buf
-	w.buf = (*w.bufPool.Get().(*[]float64))[:0]
+	w.buf = w.nextBuf()
 	for _, r := range plan.Regions {
 		w.dispatch(window[r.Off:r.Off+r.Len], r.Bound, false)
 	}
+}
+
+// nextBuf draws an empty accumulation buffer of window capacity from the
+// codec's shared chunk-buffer pool (codec.GetValues), so window buffers
+// recycle from one stream to the next, not just within one.
+func (w *Writer) nextBuf() []float64 {
+	b := codec.GetValues()
+	if cap(*b) < w.windowValues {
+		return make([]float64, 0, w.windowValues)
+	}
+	return (*b)[:0]
 }
 
 // planStream partitions the fully buffered stream (whole-stream mode) and
@@ -275,9 +282,9 @@ func (w *Writer) planStream() {
 // dispatch hands one region to the pool. The order channel's capacity is the
 // pipeline's chunk-in-flight budget, so this blocks (and back-pressures the
 // producer) when the pool is saturated. Whole-buffer regions are recycled:
-// the producer draws the next accumulation buffer from bufPool and workers
-// return finished buffers to it, so a steady-state stream reuses the same
-// workers+2 buffers however long it runs.
+// the producer draws the next accumulation buffer from the chunk-buffer pool
+// and workers return finished buffers to it, so a steady-state stream reuses
+// the same workers+2 buffers however long it runs.
 func (w *Writer) dispatch(vals []float64, bound float64, recycle bool) {
 	res := make(chan result, 1)
 	w.order <- res
@@ -298,7 +305,7 @@ func (w *Writer) worker() {
 			// the payload never aliases vals, so the buffer can be recycled
 			// now. Sub-window regions skip this: they alias a shared window.
 			vals := j.vals[:0]
-			w.bufPool.Put(&vals)
+			codec.PutValues(&vals)
 		}
 		j.res <- result{chunk: c, err: err}
 	}
@@ -402,6 +409,13 @@ func (w *Writer) Close() error {
 	w.workerWG.Wait()
 	close(w.order)
 	<-w.seqDone
+	if cap(w.buf) > 0 {
+		// The accumulation buffer drawn after the last window: nothing
+		// writes to a closed stream, so it goes back to the pool.
+		vals := w.buf[:0]
+		codec.PutValues(&vals)
+		w.buf = nil
+	}
 	if err := w.err(); err != nil {
 		return err
 	}
