@@ -45,6 +45,30 @@ func (w *Writer) WriteBits(v uint64, width uint) {
 	}
 }
 
+// WriteCodes writes the codes of syms[0], syms[stride], … (stride ≥ 1)
+// from lut, whose entries are code<<8 | length (length ≤ 32, code <
+// 2^length), as WriteBits would, but through a local accumulator flushed
+// 32 bits at a time. It stops at the first symbol outside lut and returns
+// its index, or len(syms) or more when every code is written.
+func (w *Writer) WriteCodes(syms []uint32, stride int, lut []uint64) int {
+	buf, acc, n, i := w.buf, w.cur, w.n, 0
+	for ; i < len(syms) && uint64(syms[i]) < uint64(len(lut)); i += stride {
+		e := lut[syms[i]]
+		acc = acc<<(e&0xff) | e>>8
+		if n += uint(e & 0xff); n >= 32 {
+			n -= 32
+			buf = binary.BigEndian.AppendUint32(buf, uint32(acc>>n))
+		}
+	}
+	for n >= 8 {
+		n -= 8
+		buf = append(buf, byte(acc>>n))
+	}
+	w.bits += 8*uint64(len(buf)-len(w.buf)) + uint64(n) - uint64(w.n)
+	w.buf, w.cur, w.n = buf, acc, n
+	return i
+}
+
 // Bits reports the total number of bits written so far.
 func (w *Writer) Bits() uint64 { return w.bits }
 

@@ -1,6 +1,7 @@
 package bitio
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -141,6 +142,87 @@ func TestQuickRoundTrip(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeBitsLoop is the per-symbol loop WriteCodes replaces: it stops where
+// WriteCodes does and returns the same index.
+func writeBitsLoop(w *Writer, syms []uint32, stride int, lut []uint64) int {
+	i := 0
+	for ; i < len(syms); i += stride {
+		if int64(syms[i]) >= int64(len(lut)) {
+			break
+		}
+		e := lut[syms[i]]
+		w.WriteBits(e>>8, uint(e&0xff))
+	}
+	return i
+}
+
+// checkWriteCodes runs WriteCodes and writeBitsLoop from a writer holding
+// the same pending bits and requires the same stop index, Bytes and Bits.
+func checkWriteCodes(t *testing.T, pending uint, syms []uint32, stride int, lut []uint64) {
+	t.Helper()
+	packed, looped := NewWriter(0), NewWriter(0)
+	packed.WriteBits(0x5a, pending)
+	looped.WriteBits(0x5a, pending)
+	pi, li := packed.WriteCodes(syms, stride, lut), writeBitsLoop(looped, syms, stride, lut)
+	if pi != li || packed.Bits() != looped.Bits() {
+		t.Fatalf("pending %d stride %d: WriteCodes stops at %d after %d bits, WriteBits at %d after %d",
+			pending, stride, pi, packed.Bits(), li, looped.Bits())
+	}
+	if a, b := packed.Bytes(), looped.Bytes(); !bytes.Equal(a, b) {
+		t.Fatalf("pending %d stride %d: WriteCodes %x, WriteBits %x", pending, stride, a, b)
+	}
+}
+
+// randomLUT returns m entries of code<<8 | length with lengths 1–32.
+func randomLUT(rng *rand.Rand, m int) []uint64 {
+	lut := make([]uint64, m)
+	for i := range lut {
+		l := uint64(rng.Intn(32) + 1)
+		lut[i] = (rng.Uint64()&(1<<l-1))<<8 | l
+	}
+	return lut
+}
+
+// TestWriteCodesMatchesWriteBits holds the packer to the WriteBits loop: the
+// same stream, bit count and stop index from every pending-bit start, for an
+// empty input, full-width codes, and a symbol outside the LUT first, in the
+// middle and last — then for random LUTs, symbols and strides.
+func TestWriteCodesMatchesWriteBits(t *testing.T) {
+	lut := []uint64{0x1<<8 | 1, 0xffffffff<<8 | 32, 0x2a<<8 | 7, 0x0<<8 | 3, 0x12345<<8 | 17}
+	out := uint32(len(lut))
+	rows := [][]uint32{
+		nil,
+		{1, 1, 1, 1, 1},
+		{0, 1, 2, 3, 4, 4, 3, 2, 1, 0, 1, 1},
+		{out, 1, 2, 3},
+		{1, 2, out + 7, 3, 4},
+		{1, 2, 3, 4, out},
+	}
+	for _, syms := range rows {
+		for pending := uint(0); pending < 8; pending++ {
+			for _, stride := range []int{1, 2, 3} {
+				checkWriteCodes(t, pending, syms, stride, lut)
+			}
+		}
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lut := randomLUT(rng, rng.Intn(64)+1)
+		syms := make([]uint32, rng.Intn(300))
+		for i := range syms {
+			syms[i] = uint32(rng.Intn(len(lut)))
+			if rng.Intn(100) == 0 { // outside the LUT
+				syms[i] = uint32(len(lut) + rng.Intn(3))
+			}
+		}
+		checkWriteCodes(t, uint(rng.Intn(8)), syms, rng.Intn(5)+1, lut)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -265,19 +265,20 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	resSym := reservedSymbol(radius)
 	counts, encLUT := a.freqTables(int(resSym) + 1)
 	k := &encodeKernel{
-		work:    work,
-		syms:    a.u32(f.Len()),
-		unpred:  a.unpred,
-		counts:  counts,
-		touched: a.touched,
-		eb:      absEB,
-		twoEB:   2 * absEB,
-		radF:    float64(radius),
-		radius:  radius,
-		resSym:  resSym,
+		quantStep: newQuantStep(absEB, radius),
+		work:      work,
+		syms:      a.u32(f.Len()),
+		unpred:    a.unpred,
+		counts:    counts,
+		touched:   a.touched,
+		radius:    radius,
+		resSym:    resSym,
 	}
-	aux, err := predictor.Encode(opts.Predictor, f.Dims, work, k)
-	if err != nil {
+	var aux []byte
+	// Every stream chunk is a rank-1 Lorenzo field.
+	if opts.Predictor == predictor.Lorenzo && f.Rank() == 1 {
+		k.lorenzo1D()
+	} else if aux, err = predictor.Encode(opts.Predictor, f.Dims, work, k); err != nil {
 		return nil, err
 	}
 	syms, unpred := k.syms, k.unpred

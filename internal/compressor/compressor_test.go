@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"rqm/internal/datagen"
 	"rqm/internal/grid"
@@ -393,6 +394,36 @@ func BenchmarkDecompressLorenzo1DChunk(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCompressLorenzo1DChunk compresses the chunk
+// BenchmarkDecompressLorenzo1DChunk decodes, at the same bound, and reports
+// the predict+quantize and entropy stages per value from Result.Stats.
+func BenchmarkCompressLorenzo1DChunk(b *testing.B) {
+	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chunk, err := grid.FromData("chunk", f.Prec, f.Data[:1<<16], 1<<16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lo, hi := chunk.ValueRange()
+	opts := Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: (hi - lo) * 1e-3}
+	var predict, encode time.Duration
+	b.SetBytes(chunk.OriginalBytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Compress(chunk, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		predict += res.Stats.PredictTime
+		encode += res.Stats.EncodeTime
+	}
+	vals := float64(b.N) * float64(chunk.Len())
+	b.ReportMetric(float64(predict.Nanoseconds())/vals, "predict-ns/val")
+	b.ReportMetric(float64(encode.Nanoseconds())/vals, "encode-ns/val")
 }
 
 // TestVerifyErrorBoundNonFinite pins the bound check on values outside the

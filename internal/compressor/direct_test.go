@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
+	"rqm/internal/quantizer"
 )
 
 // FuzzDirectDecodeMatchesWalk holds the direct rank-1 Lorenzo loop to the
@@ -64,6 +66,84 @@ func FuzzDirectDecodeMatchesWalk(f *testing.F) {
 		}
 		if direct.sp != walked.sp || direct.up != walked.up {
 			t.Fatalf("direct stops at sp=%d up=%d, walk at sp=%d up=%d", direct.sp, direct.up, walked.sp, walked.up)
+		}
+	})
+}
+
+// FuzzDirectEncodeMatchesWalk holds the direct rank-1 Lorenzo encode loop,
+// and with it the quantize step, to quantizer.Quantize under the generic
+// walk: from the same values, bound and radius, lorenzo1D and
+// predictor.Encode with a quantizerEmitter must produce the same symbols,
+// exactly stored values, counts, first-seen symbol order and work bits.
+// raw holds the values as little-endian float64 bits.
+func FuzzDirectEncodeMatchesWalk(f *testing.F) {
+	vals := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	// Exact ties: v − pred = (k+½)·2eb, where Round and RoundToEven differ.
+	f.Add(uint16(32767), 0.375, vals(1.875, 0.375, -0.375, 0.75, 4.5))
+	f.Add(uint16(32767), 0.5, vals(0.5, -0.5, 2.5, 1.5, -2.5))
+	// ±radius±½, at an even and an odd radius.
+	f.Add(uint16(32767), 0.5, vals(32768.5, 0, 32767.5, -0.5, -32768))
+	f.Add(uint16(6), 0.5, vals(6.5, 0, -7.5, -1, 6.5, -0.5))
+	// Non-finite values, −0 after an exactly stored −0 (pred −0), subnormals.
+	f.Add(uint16(32767), 0.01, vals(math.NaN(), 1, math.Inf(1), 2, math.Inf(-1), 3, math.NaN()))
+	f.Add(uint16(32767), 0.5, vals(1e300, math.Copysign(0, -1), -1e-20, math.Copysign(0, -1), 0))
+	f.Add(uint16(32767), 1e-310, vals(5e-324, -5e-324, 0x1p-1022, 1e-310, 3e-310))
+	// 2eb whose reciprocal overflows, and one whose reciprocal is subnormal.
+	f.Add(uint16(32767), 0x1p-1031, vals(1e-310, 2e-310, -1e-311, 0))
+	f.Add(uint16(32767), 0x1.8p1021, vals(1e308, -1e308, 5e307, 1e300))
+	smooth := make([]float64, 64)
+	for i := range smooth {
+		smooth[i] = math.Sin(float64(i) * 0.3)
+	}
+	f.Add(uint16(32767), 1e-3, vals(smooth...))
+	f.Fuzz(func(t *testing.T, radiusB uint16, eb float64, raw []byte) {
+		radius := int32(radiusB%quantizer.DefaultRadius) + 1
+		q, err := quantizer.New(eb, radius)
+		if err != nil || len(raw) < 8 {
+			t.Skip()
+		}
+		work := make([]float64, len(raw)/8)
+		for i := range work {
+			work[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		ref := &quantizerEmitter{q: q, work: slices.Clone(work)}
+		if _, err := predictor.Encode(predictor.Lorenzo, []int{len(work)}, ref.work, ref); err != nil {
+			t.Fatal(err)
+		}
+		resSym := reservedSymbol(radius)
+		k := &encodeKernel{
+			quantStep: newQuantStep(eb, radius),
+			work:      work,
+			syms:      make([]uint32, len(work)),
+			counts:    make([]int64, resSym+1),
+			radius:    radius,
+			resSym:    resSym,
+		}
+		k.lorenzo1D()
+		if k.pos != len(work) || !slices.Equal(k.syms, ref.syms) {
+			t.Fatalf("symbols: direct %v (pos %d), walk %v", k.syms, k.pos, ref.syms)
+		}
+		bits := func(vs []float64) []uint64 {
+			out := make([]uint64, len(vs))
+			for i, v := range vs {
+				out[i] = math.Float64bits(v)
+			}
+			return out
+		}
+		if a, b := bits(k.unpred), bits(ref.exact); !slices.Equal(a, b) {
+			t.Fatalf("stored exactly: direct %x, walk %x", a, b)
+		}
+		if a, b := bits(k.work), bits(ref.work); !slices.Equal(a, b) {
+			t.Fatalf("work: direct %x, walk %x", a, b)
+		}
+		if !slices.Equal(k.counts, ref.counts) || !slices.Equal(k.touched, ref.touched) {
+			t.Fatalf("touched: direct %v, walk %v", k.touched, ref.touched)
 		}
 	})
 }

@@ -37,19 +37,36 @@ func kernelField(t testing.TB, dims ...int) *grid.Field {
 
 // quantizerEmitter is the reference for the compressor's emitters: it runs
 // under the same predictor.Encode walk but quantizes through
-// quantizer.Quantize itself, whose arithmetic encodeKernel.Emit inlines.
+// quantizer.Quantize itself, whose codes encodeKernel.Emit reproduces. It
+// keeps the streams an encodeKernel keeps: symbols, exactly stored values,
+// dense counts and first-seen symbol order.
 type quantizerEmitter struct {
-	q      *quantizer.Quantizer
-	work   []float64
-	unpred int
+	q       *quantizer.Quantizer
+	work    []float64
+	unpred  int
+	syms    []uint32
+	exact   []float64
+	counts  []int64
+	touched []uint32
 }
 
 func (e *quantizerEmitter) Emit(idx int, pred float64) {
-	if _, recon, ok := e.q.Quantize(e.work[idx], pred); ok {
+	sym := reservedSymbol(e.q.Radius())
+	if code, recon, ok := e.q.Quantize(e.work[idx], pred); ok {
 		e.work[idx] = recon
+		sym = uint32(code + e.q.Radius())
 	} else {
 		e.unpred++
+		e.exact = append(e.exact, e.work[idx])
 	}
+	if e.counts == nil {
+		e.counts = make([]int64, reservedSymbol(e.q.Radius())+1)
+	}
+	if e.counts[sym] == 0 {
+		e.touched = append(e.touched, sym)
+	}
+	e.counts[sym]++
+	e.syms = append(e.syms, sym)
 }
 
 // quantizationDomain returns f's values as Compress quantizes them and the

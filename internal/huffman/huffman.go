@@ -402,12 +402,8 @@ func (cb *Codebook) FillLUT(lut []uint64) {
 // entries are not detected); the compressor hot path satisfies this by
 // building the codebook from the same symbol stream it encodes.
 func (cb *Codebook) EncodeLUT(w *bitio.Writer, syms []uint32, lut []uint64) error {
-	for _, s := range syms {
-		if int64(s) >= int64(len(lut)) {
-			return fmt.Errorf("huffman: symbol %d outside LUT of %d entries", s, len(lut))
-		}
-		e := lut[s]
-		w.WriteBits(e>>8, uint(e&0xff))
+	if i := w.WriteCodes(syms, 1, lut); i < len(syms) {
+		return fmt.Errorf("huffman: symbol %d outside LUT of %d entries", syms[i], len(lut))
 	}
 	return nil
 }

@@ -51,12 +51,13 @@ func (cb *Codebook) EncodeInterleaved(syms []uint32, k int, lut []uint64, ws []*
 		return nil, fmt.Errorf("huffman: %d writers for %d streams", len(ws), k)
 	}
 	if lut != nil {
-		for i, s := range syms {
-			if int64(s) >= int64(len(lut)) {
-				return nil, fmt.Errorf("huffman: symbol %d outside LUT of %d entries", s, len(lut))
-			}
-			e := lut[s]
-			ws[i%k].WriteBits(e>>8, uint(e&0xff))
+		// One packer per stream; the earliest stop is the serial pass's.
+		bad := len(syms)
+		for s := 0; s < k && s < len(syms); s++ {
+			bad = min(bad, s+ws[s].WriteCodes(syms[s:], k, lut))
+		}
+		if bad < len(syms) {
+			return nil, fmt.Errorf("huffman: symbol %d outside LUT of %d entries", syms[bad], len(lut))
 		}
 	} else {
 		index := cb.positions()

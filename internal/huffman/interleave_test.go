@@ -2,7 +2,9 @@ package huffman
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rqm/internal/bitio"
@@ -206,6 +208,37 @@ func TestInterleavedLUTMatchesMapEncode(t *testing.T) {
 	for s := range viaMap {
 		if string(viaLUT[s]) != string(viaMap[s]) {
 			t.Fatalf("stream %d: LUT and map encodes differ", s)
+		}
+	}
+}
+
+// TestEncodeOutsideLUT: a symbol past the LUT, first, in the middle or
+// last, is refused with the text the per-symbol loops gave, by EncodeLUT
+// and by EncodeInterleaved. With two such symbols in different streams, the
+// interleaved encoder names the one a serial pass meets first.
+func TestEncodeOutsideLUT(t *testing.T) {
+	base := []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	cb, err := Build(freqsOf(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lut := make([]uint64, cb.MaxSymbol()+1)
+	cb.FillLUT(lut)
+	ws := []*bitio.Writer{bitio.NewWriter(0), bitio.NewWriter(0), bitio.NewWriter(0), bitio.NewWriter(0)}
+	for _, at := range [][]int{{0}, {4}, {8}, {6, 3}} {
+		syms := slices.Clone(base)
+		for j, i := range at {
+			syms[i] = 100 + uint32(j)
+		}
+		want := fmt.Sprintf("huffman: symbol %d outside LUT of %d entries", syms[slices.Min(at)], len(lut))
+		if err := cb.EncodeLUT(bitio.NewWriter(0), syms, lut); err == nil || err.Error() != want {
+			t.Errorf("EncodeLUT, outside at %v: %v, want %q", at, err, want)
+		}
+		for _, w := range ws {
+			w.Reset()
+		}
+		if _, err := cb.EncodeInterleaved(syms, 4, lut, ws); err == nil || err.Error() != want {
+			t.Errorf("EncodeInterleaved, outside at %v: %v, want %q", at, err, want)
 		}
 	}
 }

@@ -17,8 +17,11 @@
 // instantiation's dictionary, once per value; the emitters are too large to
 // inline, so a direct call would cost a call per value as well. Only a loop
 // with the emitter's body written into it makes no call: the compressor
-// decodes the order-1 Lorenzo walk at rank 1, which every stream chunk
-// takes, through such a loop, and Decode stays its reference.
+// encodes and decodes the order-1 Lorenzo walk at rank 1, which every
+// stream chunk takes, through such loops, and Encode and Decode stay their
+// references. On the encode side the call is the smaller cost; the chain
+// through each previous reconstruction is the larger, and the compressor's
+// quantize step shortens it for every walk.
 package predictor
 
 import (
