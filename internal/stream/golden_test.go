@@ -94,3 +94,52 @@ func TestFixedSlabByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// Quadtree containers pinned before the per-region solve moved from the
+// planner into the stream workers: moving where a leaf's bound is solved
+// must not move a byte.
+const (
+	goldenQuadtreePSNR  = "3c0a2df7a8688c8515b542bb358855abce9127430f7852e648255fa114e350e9"
+	goldenQuadtreeRatio = "202e48513d5cb8d020e95c104a210d08fc95bd868a55eecf76b972c5c480f646"
+)
+
+func TestVarianceQuadtreeByteIdentical(t *testing.T) {
+	vals := goldenField()
+	q := partition.VarianceQuadtree{SplitFactor: 1.1, MinRegionValues: 1024}
+	cases := []struct {
+		name   string
+		want   string
+		policy AdaptiveBound
+	}{
+		{"quadtree-psnr", goldenQuadtreePSNR, AdaptiveBound{TargetPSNR: 70}},
+		{"quadtree-ratio", goldenQuadtreeRatio, AdaptiveBound{TargetRatio: 8}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			w, err := NewWriter(&buf,
+				WithChunkValues(16*1024),
+				WithShape(grid.Float64, 64, 64, 16),
+				WithName("pin"),
+				WithAdaptive(tc.policy),
+				WithPartitioner(q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteValues(vals); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := w.Stats(); st.Splits == 0 || st.MinBound == st.MaxBound {
+				t.Fatalf("plan took %d splits, bounds [%g, %g]: want unequal leaves", st.Splits, st.MinBound, st.MaxBound)
+			}
+			sum := sha256.Sum256(buf.Bytes())
+			if hex.EncodeToString(sum[:]) != tc.want {
+				t.Errorf("container hash = %x, want %s", sum, tc.want)
+			}
+		})
+	}
+}
