@@ -481,8 +481,9 @@ func BenchmarkStreamWriterAdaptiveSpace(b *testing.B) {
 }
 
 // BenchmarkPartitionPlan isolates the quadtree planning cost — summed-area
-// table build, recursive splitting, per-leaf model solves — from the
-// compression it steers; it must stay far below the compression itself.
+// table build and recursive splitting; the per-leaf model solves run later,
+// in the stream workers — from the compression it steers. On the small
+// mixed field it is the same order as compressing the leaves, not far below.
 func BenchmarkPartitionPlan(b *testing.B) {
 	f, err := rqm.GenerateField("mixed", 42, rqm.ScaleSmall)
 	if err != nil {

@@ -16,12 +16,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
 
 	"rqm"
 	"rqm/internal/grid"
+	"rqm/internal/partition"
 )
 
 func main() {
@@ -59,7 +61,8 @@ func main() {
 	// The codec reads the pipeline (predictor, lossless stage) off copts.
 	mopts := rqm.ModelOptions{SampleRate: *sampleRate, Seed: *seed}
 	if *chunkPlan > 0 {
-		planChunks(f, c, copts, *chunkPlan, *targetRatio, *targetPSNR, mopts)
+		must(planChunks(os.Stdout, f, partition.Env{Codec: c, Copts: copts, Mopts: mopts, Prec: f.Prec,
+			Policy: &partition.AdaptiveBound{TargetRatio: *targetRatio, TargetPSNR: *targetPSNR}}, *chunkPlan))
 		return
 	}
 	prof, err := c.Profile(f, copts, mopts)
@@ -121,43 +124,28 @@ func sweep(prof *rqm.Profile, f *rqm.Field, c rqm.Codec, copts rqm.CodecOptions,
 }
 
 // planChunks is a dry run of the streaming pipeline's adaptive layer: it
-// splits the field into chunks, profiles each with the model, and prints
-// the per-chunk bound the AdaptiveBound policy would pick — all without
+// splits the field into fixed chunks and prints, for each, the bound the
+// stream writer would record — solved by the writer's own per-region solve,
+// env.SolveRegion — with the model's estimates at that bound, all without
 // compressing a single byte.
-func planChunks(f *rqm.Field, c rqm.Codec, copts rqm.CodecOptions,
-	chunkValues int, targetRatio, targetPSNR float64, mopts rqm.ModelOptions) {
-	if targetRatio <= 1 && targetPSNR <= 0 {
-		must(fmt.Errorf("-chunk-plan needs -target-ratio or -target-psnr"))
+func planChunks(out io.Writer, f *rqm.Field, env partition.Env, chunkValues int) error {
+	if err := env.Policy.Validate(); err != nil {
+		return fmt.Errorf("-chunk-plan needs one of -target-ratio and -target-psnr: %w", err)
 	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "chunk\tvalues\tabsEB\test bits\test ratio\test PSNR")
 	for i, off := 0, 0; off < f.Len(); i, off = i+1, off+chunkValues {
-		n := chunkValues
-		if off+n > f.Len() {
-			n = f.Len() - off
-		}
-		cf, err := rqm.FieldFromData(fmt.Sprintf("%s#%d", f.Name, i), f.Prec, f.Data[off:off+n], n)
-		must(err)
-		prof, err := c.Profile(cf, copts, mopts)
-		if err != nil {
-			fmt.Fprintf(tw, "%d\t%d\t(unprofilable: %v)\n", i, n, err)
-			continue
-		}
-		var eb float64
-		if targetRatio > 1 {
-			eb, err = prof.ErrorBoundForRatio(targetRatio)
-		} else {
-			eb, err = prof.ErrorBoundForPSNR(targetPSNR)
-		}
-		if err != nil {
-			fmt.Fprintf(tw, "%d\t%d\t(unsolvable: %v)\n", i, n, err)
+		vals := f.Data[off:min(off+chunkValues, f.Len())]
+		eb, prof := env.SolveRegion(vals, 0)
+		if prof == nil {
+			fmt.Fprintf(tw, "%d\t%d\t%.6g\t(fallback: the model cannot solve this chunk)\n", i, len(vals), eb)
 			continue
 		}
 		est := prof.EstimateAt(eb)
-		fmt.Fprintf(tw, "%d\t%d\t%.4g\t%.3f\t%.2f\t%.2f\n",
-			i, n, eb, est.TotalBitRate, est.Ratio, est.PSNR)
+		fmt.Fprintf(tw, "%d\t%d\t%.6g\t%.3f\t%.2f\t%.2f\n",
+			i, len(vals), eb, est.TotalBitRate, est.Ratio, est.PSNR)
 	}
-	must(tw.Flush())
+	return tw.Flush()
 }
 
 func must(err error) {

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"math"
 
-	"rqm/internal/codec"
 	"rqm/internal/core"
 	"rqm/internal/grid"
+	"rqm/internal/stats"
 )
 
 // AdaptiveBound is the per-region error-bound policy: a region is profiled
@@ -18,9 +18,9 @@ import (
 // while every region tracks the same global ratio or quality target — the
 // paper's in-situ error-bound optimization running inside the pipeline.
 //
-// The stream writer applies the policy to whatever regions its partitioner
-// plans: fixed slabs under FixedSlab (the historical per-chunk adaptive
-// mode), variance-guided leaves under VarianceQuadtree.
+// The stream writer's workers apply the policy to every region its
+// partitioner plans — fixed slabs under FixedSlab, variance-guided leaves
+// under VarianceQuadtree — through one function, Env.SolveRegion.
 //
 // Exactly one of TargetRatio and TargetPSNR must be set.
 type AdaptiveBound struct {
@@ -52,32 +52,55 @@ func (a AdaptiveBound) Validate() error {
 // contributes at least this many.
 const minAdaptiveSamples = 256
 
-// BoundFor solves the policy for one region. Degenerate regions the model
-// cannot profile (constant data, too few samples) fall back to a tight
-// bound relative to the region's value range, so a pathological region never
-// fails the stream.
-func (a AdaptiveBound) BoundFor(c codec.Codec, f *grid.Field, copts codec.Options, mopts core.Options) float64 {
+// SolveRegion solves env.Policy (which must be set) for one region, profiled
+// as its own 1-D field, and returns the absolute bound with the profile it
+// was solved on. It is the one per-region solve: the stream writer's workers
+// call it for every chunk, and `rqmodel -chunk-plan` prints what it returns.
+//
+// windowRange is the value range of the window the region was planned from,
+// or 0 when the region is its whole window (every fixed slab is). A PSNR
+// target is judged against the window's range, but the model normalizes PSNR
+// by the profiled region's own range, so a region of range r in a
+// multi-region window is solved at T + 20·log₁₀(r / windowRange) dB (at
+// least 1): the error budget it may spend while the window still meets T.
+// A region that is its whole window is solved at the raw target.
+//
+// A region the model cannot profile or solve (constant data, too few
+// samples) falls back to a tight bound relative to its own value range, with
+// a nil profile, so a pathological region never fails the stream.
+func (env Env) SolveRegion(vals []float64, windowRange float64) (float64, *core.Profile) {
+	pol := *env.Policy
+	if pol.TargetPSNR > 0 && windowRange > 0 {
+		if lo, hi := stats.MinMax(vals); hi > lo {
+			pol.TargetPSNR = max(pol.TargetPSNR+20*math.Log10((hi-lo)/windowRange), 1)
+		}
+	}
+	mopts := env.Mopts
 	if mopts.SampleRate <= 0 || mopts.SampleRate > 1 {
 		mopts.SampleRate = 0.01
 	}
-	if float64(f.Len())*mopts.SampleRate < minAdaptiveSamples {
-		mopts.SampleRate = math.Min(1, minAdaptiveSamples/float64(f.Len()))
+	if float64(len(vals))*mopts.SampleRate < minAdaptiveSamples {
+		mopts.SampleRate = math.Min(1, minAdaptiveSamples/float64(len(vals)))
 	}
+	f, err := grid.FromData("", env.Prec, vals, len(vals))
 	var eb float64
-	p, err := c.Profile(f, copts, mopts)
+	var p *core.Profile
 	if err == nil {
-		if a.TargetRatio > 0 {
-			eb, err = p.ErrorBoundForRatio(a.TargetRatio)
+		p, err = env.Codec.Profile(f, env.Copts, mopts)
+	}
+	if err == nil {
+		if pol.TargetRatio > 0 {
+			eb, err = p.ErrorBoundForRatio(pol.TargetRatio)
 		} else {
-			eb, err = p.ErrorBoundForPSNR(a.TargetPSNR)
+			eb, err = p.ErrorBoundForPSNR(pol.TargetPSNR)
 		}
 	}
 	if err != nil || !(eb > 0) {
-		lo, hi := f.ValueRange()
-		eb = (hi - lo) * 1e-6
-		if eb <= 0 {
+		lo, hi := stats.MinMax(vals)
+		if eb = (hi - lo) * 1e-6; eb <= 0 {
 			eb = 1e-12
 		}
+		return eb, nil
 	}
-	return eb
+	return eb, p
 }

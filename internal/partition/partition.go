@@ -1,21 +1,22 @@
 // Package partition is the pluggable chunk-planning layer of the stream
 // pipeline: a Partitioner maps an incoming value window to an ordered
-// sequence of regions, each carrying its own element range and, optionally,
-// a solved absolute error bound. The stream writer compresses each region as
-// one chunk of the RQCE v2 container — whose per-chunk bound records already
-// encode exactly this, so no partitioner can ever require a container format
-// change.
+// sequence of regions, each an element range of the window. Partitioners plan
+// geometry only; every region's error bound is solved by one function,
+// Env.SolveRegion, which the stream writer's workers call as they compress.
+// The writer compresses each region as one chunk of the RQCE v2 container —
+// whose per-chunk bound records already encode a bound per region, so no
+// partitioner can ever require a container format change.
 //
 // Two implementations ship with the package. FixedSlab is the historical
 // planner extracted from the stream writer's accumulate-and-ship loop:
 // fixed-size linear slabs, byte-identical to the pre-partition-layer writer.
 // VarianceQuadtree is the spatially adaptive planner from the ROADMAP's
 // "variance-guided region splitting" item: it builds summed-area tables over
-// the window (stats.Integral), recursively bisects where variance is
+// the window (stats.Integral) and recursively bisects where variance is
 // non-uniform — quadtree/octree-style along the field's axes, O(1) per split
-// decision — and solves the ratio-quality model per leaf so smooth regions
-// get aggressive bounds while turbulent regions stay tight (Jin et al.,
-// ICDE 2022, §V-C applied per region instead of per fixed slab).
+// decision — so that, once the model is solved per leaf, smooth regions get
+// aggressive bounds while turbulent regions stay tight (Jin et al., ICDE
+// 2022, §V-C applied per region instead of per fixed slab).
 //
 // Invariants every Partitioner must uphold (and downstream layers may rely
 // on): a Plan's regions tile the window exactly — in order, gapless, no
@@ -32,8 +33,8 @@ import (
 	"rqm/internal/grid"
 )
 
-// ErrNeedPolicy marks a partitioner that solves per-region bounds being run
-// without an AdaptiveBound policy to solve against.
+// ErrNeedPolicy marks a partitioner that plans regions for per-region bounds
+// being run without an AdaptiveBound policy to solve them against.
 var ErrNeedPolicy = errors.New(
 	"partition: per-region bound solving needs an AdaptiveBound policy: install one with WithAdaptive")
 
@@ -43,10 +44,6 @@ type Region struct {
 	Off int
 	// Len is the element count; always positive.
 	Len int
-	// Bound, when positive, is the solved absolute error bound the region
-	// must be compressed at (ABS mode). Zero leaves the writer's configured
-	// options — including its own per-chunk adaptive policy — in charge.
-	Bound float64
 }
 
 // Plan is the partitioning of one window.
@@ -74,9 +71,9 @@ func (p Plan) Validate(n int) error {
 	return nil
 }
 
-// Env is the stream context a partitioner plans against: the codec and model
-// configuration for per-region solving, the declared field geometry, and the
-// writer's nominal chunk size.
+// Env is the stream context a partitioner plans against and SolveRegion
+// solves in: the codec and model configuration for per-region solving, the
+// declared field geometry, and the writer's nominal chunk size.
 type Env struct {
 	// Codec is the stream's backend codec.
 	Codec codec.Codec

@@ -59,11 +59,11 @@ func TestPlanValidate(t *testing.T) {
 		n    int
 		ok   bool
 	}{
-		{"exact", Plan{Regions: []Region{{0, 3, 0}, {3, 2, 0}}}, 5, true},
-		{"gap", Plan{Regions: []Region{{0, 2, 0}, {3, 2, 0}}}, 5, false},
-		{"overlap", Plan{Regions: []Region{{0, 3, 0}, {2, 3, 0}}}, 5, false},
-		{"short", Plan{Regions: []Region{{0, 3, 0}}}, 5, false},
-		{"empty-region", Plan{Regions: []Region{{0, 0, 0}, {0, 5, 0}}}, 5, false},
+		{"exact", Plan{Regions: []Region{{0, 3}, {3, 2}}}, 5, true},
+		{"gap", Plan{Regions: []Region{{0, 2}, {3, 2}}}, 5, false},
+		{"overlap", Plan{Regions: []Region{{0, 3}, {2, 3}}}, 5, false},
+		{"short", Plan{Regions: []Region{{0, 3}}}, 5, false},
+		{"empty-region", Plan{Regions: []Region{{0, 0}, {0, 5}}}, 5, false},
 		{"empty-plan-empty-window", Plan{}, 0, true},
 		{"empty-plan-nonempty-window", Plan{}, 5, false},
 	}
@@ -120,8 +120,12 @@ func TestQuadtreeConstantField(t *testing.T) {
 		t.Fatalf("constant field planned %d regions / %d splits, want 1 / 0",
 			len(plan.Regions), plan.Splits)
 	}
-	if !(plan.Regions[0].Bound > 0) {
-		t.Fatalf("constant region bound = %v, want positive fallback", plan.Regions[0].Bound)
+	for _, windowRange := range []float64{0, 1} {
+		eb, p := env.SolveRegion(window, windowRange)
+		if !(eb > 0) || p != nil {
+			t.Fatalf("constant region solve (window range %v) = %v, %v; want a positive fallback and no profile",
+				windowRange, eb, p)
+		}
 	}
 }
 
@@ -151,9 +155,9 @@ func TestQuadtreeForcedSplits(t *testing.T) {
 
 // TestQuadtreeMixedField is the core behavioral contract: on a composite
 // field whose outer halves are smooth and turbulent, the planner must (a)
-// tile exactly, (b) split the field rather than emit one slab, and (c) give
-// the smooth half looser bounds than the turbulent half under a shared PSNR
-// target.
+// tile exactly, (b) split the field rather than emit one slab, and (c) the
+// per-region solve must give the smooth half looser bounds than the
+// turbulent half under a shared PSNR target.
 func TestQuadtreeMixedField(t *testing.T) {
 	dims := []int{32, 48, 48}
 	f := datagen.MixedField("mixed", grid.Float64, dims, 7)
@@ -171,18 +175,20 @@ func TestQuadtreeMixedField(t *testing.T) {
 			len(plan.Regions), plan.Splits)
 	}
 	half := len(f.Data) / 2
+	lo, hi := f.ValueRange()
 	var smoothSum, roughSum float64
 	var smoothN, roughN int
 	for _, r := range plan.Regions {
-		if !(r.Bound > 0) {
-			t.Fatalf("region %+v has no solved bound", r)
+		eb, p := env.SolveRegion(f.Data[r.Off:r.Off+r.Len], hi-lo)
+		if !(eb > 0) || p == nil {
+			t.Fatalf("region %+v solved to %v (profile %v), want a modeled bound", r, eb, p)
 		}
 		mid := r.Off + r.Len/2
 		if mid < half {
-			smoothSum += r.Bound * float64(r.Len)
+			smoothSum += eb * float64(r.Len)
 			smoothN += r.Len
 		} else {
-			roughSum += r.Bound * float64(r.Len)
+			roughSum += eb * float64(r.Len)
 			roughN += r.Len
 		}
 	}
@@ -264,5 +270,36 @@ func TestQuadtreeValidateConfig(t *testing.T) {
 	}
 	if math.IsNaN(DefaultSplitFactor) || DefaultSplitFactor < 1 {
 		t.Error("bad DefaultSplitFactor")
+	}
+}
+
+// TestSolveRegionRule pins the one per-region rule: a region that is its
+// whole window solves at the raw target, a region of a wider window at
+// T + 20·log₁₀(regionRange/windowRange), and the profile comes from at
+// least minAdaptiveSamples samples however small the region.
+func TestSolveRegionRule(t *testing.T) {
+	const target = 60
+	env := testEnv(t, nil, 1<<16, &AdaptiveBound{TargetPSNR: target})
+	f := datagen.SpectralField("r", grid.Float64, []int{2048}, -1.6, -1, 1, 3)
+	vals := f.Data
+	lo, hi := f.ValueRange()
+
+	raw, p := env.SolveRegion(vals, 0)
+	if p == nil || len(p.Errors) < minAdaptiveSamples-1 {
+		t.Fatalf("profile %v: want one built from the %d-sample floor", p, minAdaptiveSamples)
+	}
+	if eb, err := p.ErrorBoundForPSNR(target); err != nil || eb != raw {
+		t.Fatalf("returned profile solves to %v (%v), the solve returned %v", eb, err, raw)
+	}
+	if own, _ := env.SolveRegion(vals, hi-lo); own != raw {
+		t.Fatalf("window range = region range solved to %v, the raw target to %v", own, raw)
+	}
+	wide, p := env.SolveRegion(vals, 10*(hi-lo))
+	leafTarget := target + 20*math.Log10((hi-lo)/(10*(hi-lo))) // about 40 dB
+	if eb, _ := p.ErrorBoundForPSNR(leafTarget); eb != wide {
+		t.Fatalf("a tenth of the window's range solved to %v, want the %v dB bound %v", wide, leafTarget, eb)
+	}
+	if !(wide > raw) {
+		t.Fatalf("a quiet region's bound %v is not looser than the raw target's %v", wide, raw)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rqm/internal/grid"
 	"rqm/internal/stats"
 )
 
@@ -16,9 +15,10 @@ const VarianceQuadtreeName = "variance-quadtree"
 // window, then walks the field quadtree/octree-style — bisecting an axis
 // range where the two halves' variances disagree, descending into single
 // hyperplanes to keep splitting along inner axes — and emits each leaf as
-// one region with an error bound solved per leaf by the stream's
-// AdaptiveBound policy. Every split decision is O(1) thanks to the tables,
-// so planning costs one O(N) table build plus O(leaves) model solves.
+// one region. It plans geometry only: the stream writer's workers solve each
+// leaf's bound with Env.SolveRegion as they compress it. Every split decision
+// is O(1) thanks to the tables, so planning costs one O(N) table build plus
+// O(leaves) table queries.
 //
 // Splits always land on axis-aligned prefix boxes (fixed outer coordinates,
 // a range on one axis, full extents after it), which are exactly the boxes
@@ -26,7 +26,8 @@ const VarianceQuadtreeName = "variance-quadtree"
 // contiguous chunk of the container and the RQCE v2 format needs no change.
 //
 // The zero value is ready to use with the defaults below; it requires an
-// AdaptiveBound policy in the stream (Env.Policy) to solve leaf bounds.
+// AdaptiveBound policy in the stream (Env.Policy): leaves planned for their
+// contrast are worth nothing compressed at one bound.
 type VarianceQuadtree struct {
 	// MinRegionValues floors the leaf size (default 4096): below it the
 	// per-region model solve is noise and chunk framing overhead dominates.
@@ -166,38 +167,6 @@ func (q VarianceQuadtree) Partition(window []float64, env Env) (Plan, error) {
 
 	p.part(nil, 0, 0, dims[0])
 
-	// Solve the policy per leaf; each leaf is profiled as its own 1-D field.
-	// A PSNR target needs one adjustment: the model normalizes PSNR by the
-	// profiled field's own range, but the stream's PSNR is judged against
-	// the whole window's range. Solving each leaf at the raw target would
-	// over-tighten quiet (small-range) leaves — the error budget that a
-	// leaf of range r may spend while the window still meets T dB globally
-	// corresponds to a leaf-local target of T + 20·log₁₀(r / window range).
-	policy := *env.Policy
-	var windowRange float64
-	if policy.TargetPSNR > 0 {
-		mn, mx := stats.MinMax(window)
-		windowRange = mx - mn
-	}
-	for i := range p.regions {
-		r := &p.regions[i]
-		leaf := window[r.Off : r.Off+r.Len]
-		pol := policy
-		if windowRange > 0 {
-			mn, mx := stats.MinMax(leaf)
-			if lr := mx - mn; lr > 0 {
-				pol.TargetPSNR = policy.TargetPSNR + 20*math.Log10(lr/windowRange)
-				if pol.TargetPSNR < 1 {
-					pol.TargetPSNR = 1
-				}
-			}
-		}
-		f, err := grid.FromData("", env.Prec, leaf, r.Len)
-		if err != nil {
-			return Plan{}, err
-		}
-		r.Bound = pol.BoundFor(env.Codec, f, env.Copts, env.Mopts)
-	}
 	plan := Plan{Regions: p.regions, Splits: p.splits}
 	if err := plan.Validate(len(window)); err != nil {
 		return Plan{}, err

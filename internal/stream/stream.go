@@ -6,10 +6,12 @@
 // throughput scales with cores because chunks compress independently.
 //
 // The adaptive layer is the paper's headline use case wired into the hot
-// path: with an AdaptiveBound policy, the Writer runs the ratio-quality
-// model's cheap sampling estimate on every chunk before compressing it and
+// path: with an AdaptiveBound policy, each worker runs the ratio-quality
+// model's cheap sampling estimate on its chunk before compressing it and
 // solves for the per-chunk error bound that meets a global compression-ratio
-// or PSNR target (Jin et al., ICDE 2022, §V-C).
+// or PSNR target (Jin et al., ICDE 2022, §V-C). Every chunk — a fixed slab
+// or a partitioner's leaf — is solved by one function, partition's
+// Env.SolveRegion; partitioners plan geometry only.
 package stream
 
 import (
@@ -126,8 +128,8 @@ func WithAdaptive(a AdaptiveBound) Option {
 // WithPartitioner installs the chunk-planning strategy. The default,
 // partition.FixedSlab, reproduces the historical fixed-size slabs byte for
 // byte; partition.VarianceQuadtree buffers the stream and splits it where
-// variance is non-uniform, solving the AdaptiveBound policy per region
-// (it requires one via WithAdaptive). Partitioners that buffer the whole
+// variance is non-uniform, and the workers solve the AdaptiveBound policy per
+// region (it requires one via WithAdaptive). Partitioners that buffer the whole
 // stream (WindowValues 0) trade the pipeline's O(workers × chunk) memory
 // bound for O(stream).
 func WithPartitioner(p partition.Partitioner) Option {

@@ -10,6 +10,7 @@ import (
 	"rqm/internal/compressor"
 	"rqm/internal/grid"
 	"rqm/internal/partition"
+	"rqm/internal/stats"
 )
 
 // Stats summarizes one finished stream write.
@@ -37,12 +38,14 @@ type Stats struct {
 // Writer compresses a value stream into a chunked container through a
 // bounded worker pipeline: Write/WriteValues accumulate a planning window,
 // the partitioner maps each window to one or more regions, regions fan out
-// to the worker pool as chunks, and a sequencer writes the compressed
-// records back in input order. Under the default fixed-slab partitioner a
-// window is one chunk, at most workers+2 chunks are in flight, and memory
-// stays O(workers × chunk size) however long the stream runs; whole-stream
-// partitioners (WindowValues 0, e.g. the variance quadtree) buffer the
-// stream and plan once at Close, trading that bound for O(stream) memory.
+// to the worker pool as chunks — each worker solves its region's bound with
+// Env.SolveRegion when an AdaptiveBound policy is set — and a sequencer
+// writes the compressed records back in input order. Under the default
+// fixed-slab partitioner a window is one chunk, at most workers+2 chunks are
+// in flight, and memory stays O(workers × chunk size) however long the
+// stream runs; whole-stream partitioners (WindowValues 0, e.g. the variance
+// quadtree) buffer the stream and plan once at Close, trading that bound for
+// O(stream) memory.
 //
 // A Writer is single-producer: Write, WriteValues, and Close must come from
 // one goroutine (the compression fan-out happens internally). Close flushes
@@ -55,8 +58,7 @@ type Writer struct {
 	dst          *countWriter
 	start        time.Time
 
-	buf    []float64 // accumulating window (incremental mode)
-	all    []float64 // accumulating stream (whole-stream mode)
+	buf    []float64 // accumulating window (the whole stream when windowValues is 0)
 	rem    []byte    // partial value carried between Write calls
 	splits int       // split decisions across all plans (producer-owned)
 
@@ -80,10 +82,10 @@ type Writer struct {
 }
 
 type job struct {
-	vals    []float64
-	bound   float64 // partitioner-solved ABS bound (0 = writer options)
-	recycle bool    // vals is a whole pool buffer, return it after use
-	res     chan result
+	vals        []float64
+	windowRange float64 // value range of vals's window (0 = vals is the window)
+	recycle     bool    // vals is a whole pool buffer, return it after use
+	res         chan result
 }
 
 type result struct {
@@ -150,25 +152,18 @@ func (w *Writer) WriteValues(vals []float64) error {
 	if w.closed {
 		return ErrClosed
 	}
-	if w.windowValues == 0 {
-		if err := w.err(); err != nil {
-			return err
-		}
-		w.all = append(w.all, vals...)
-		return nil
-	}
 	for len(vals) > 0 {
 		if err := w.err(); err != nil {
 			return err
 		}
-		n := w.windowValues - len(w.buf)
-		if n > len(vals) {
-			n = len(vals)
+		n := len(vals)
+		if w.windowValues > 0 {
+			n = min(n, w.windowValues-len(w.buf))
 		}
 		w.buf = append(w.buf, vals[:n]...)
 		vals = vals[n:]
 		if len(w.buf) == w.windowValues {
-			w.planWindow()
+			w.plan()
 		}
 	}
 	return w.err()
@@ -216,34 +211,42 @@ func (w *Writer) WriteField(f *grid.Field) error {
 	return w.WriteValues(f.Data)
 }
 
-// planWindow runs the partitioner over the accumulated window and dispatches
-// its regions. The common case — one region covering the whole window, which
-// is all FixedSlab ever plans — ships the accumulation buffer itself and
-// recycles it through the chunk-buffer pool, exactly the historical fast
-// path. Multi-region plans dispatch sub-slices of the window without
-// recycling (the regions alias one buffer, so it goes to the collector once
-// all chunks are done).
-func (w *Writer) planWindow() {
-	plan, err := w.cfg.partitioner.Partition(w.buf, w.env)
+// plan runs the partitioner over the accumulated window and dispatches its
+// regions. The common case — one region covering a full window, which is all
+// FixedSlab ever plans — ships the accumulation buffer itself and recycles it
+// through the chunk-buffer pool, exactly the historical fast path. Regions of
+// a multi-region plan alias one buffer, so none recycles (it goes to the
+// collector once all chunks are done), and each carries the window's value
+// range for the per-region solve. A whole-stream buffer is never pooled.
+func (w *Writer) plan() {
+	window := w.buf
+	plan, err := w.cfg.partitioner.Partition(window, w.env)
 	if err == nil {
-		err = plan.Validate(len(w.buf))
+		err = plan.Validate(len(window))
 	}
 	if err != nil {
 		w.fail(err)
 		return
 	}
 	w.splits += plan.Splits
-	if len(plan.Regions) == 1 {
-		r := plan.Regions[0]
-		vals := w.buf
+	w.buf = nil
+	if w.windowValues > 0 {
 		w.buf = w.nextBuf()
-		w.dispatch(vals, r.Bound, true)
+	}
+	if len(plan.Regions) == 1 {
+		w.dispatch(window, 0, w.windowValues > 0)
 		return
 	}
-	window := w.buf
-	w.buf = w.nextBuf()
+	var windowRange float64
+	if w.env.Policy != nil {
+		lo, hi := stats.MinMax(window)
+		windowRange = hi - lo
+	}
 	for _, r := range plan.Regions {
-		w.dispatch(window[r.Off:r.Off+r.Len], r.Bound, false)
+		if w.err() != nil {
+			return
+		}
+		w.dispatch(window[r.Off:r.Off+r.Len], windowRange, false)
 	}
 }
 
@@ -258,37 +261,16 @@ func (w *Writer) nextBuf() []float64 {
 	return (*b)[:0]
 }
 
-// planStream partitions the fully buffered stream (whole-stream mode) and
-// dispatches every region. Regions alias the stream buffer, so none recycle;
-// the order channel still bounds how many compressed chunks are in flight.
-func (w *Writer) planStream() {
-	plan, err := w.cfg.partitioner.Partition(w.all, w.env)
-	if err == nil {
-		err = plan.Validate(len(w.all))
-	}
-	if err != nil {
-		w.fail(err)
-		return
-	}
-	w.splits += plan.Splits
-	for _, r := range plan.Regions {
-		if w.err() != nil {
-			return
-		}
-		w.dispatch(w.all[r.Off:r.Off+r.Len], r.Bound, false)
-	}
-}
-
 // dispatch hands one region to the pool. The order channel's capacity is the
 // pipeline's chunk-in-flight budget, so this blocks (and back-pressures the
 // producer) when the pool is saturated. Whole-buffer regions are recycled:
 // the producer draws the next accumulation buffer from the chunk-buffer pool
 // and workers return finished buffers to it, so a steady-state stream reuses
 // the same workers+2 buffers however long it runs.
-func (w *Writer) dispatch(vals []float64, bound float64, recycle bool) {
+func (w *Writer) dispatch(vals []float64, windowRange float64, recycle bool) {
 	res := make(chan result, 1)
 	w.order <- res
-	w.jobs <- job{vals: vals, bound: bound, recycle: recycle, res: res}
+	w.jobs <- job{vals: vals, windowRange: windowRange, recycle: recycle, res: res}
 }
 
 // worker compresses chunks until the job channel closes.
@@ -311,10 +293,9 @@ func (w *Writer) worker() {
 	}
 }
 
-// compressChunk encodes one region as a 1-D field. A partitioner-solved
-// bound wins; otherwise the writer's own adaptive policy (if any) solves one
-// per chunk — the historical fixed-slab adaptive mode — and plain options
-// apply last.
+// compressChunk encodes one region as a 1-D field, in ABS mode at the bound
+// Env.SolveRegion solves for it under an AdaptiveBound policy, and under the
+// writer's options otherwise.
 func (w *Writer) compressChunk(j job) (*codec.Chunk, error) {
 	f, err := grid.FromData("", w.cfg.prec, j.vals, len(j.vals))
 	if err != nil {
@@ -322,13 +303,9 @@ func (w *Writer) compressChunk(j job) (*codec.Chunk, error) {
 	}
 	c := w.cfg.codec
 	copts := w.cfg.copts
-	switch {
-	case j.bound > 0:
+	if w.env.Policy != nil {
 		copts.Mode = compressor.ABS
-		copts.ErrorBound = j.bound
-	case w.cfg.adaptive != nil:
-		copts.Mode = compressor.ABS
-		copts.ErrorBound = w.cfg.adaptive.BoundFor(c, f, copts, w.cfg.mopts)
+		copts.ErrorBound, _ = w.env.SolveRegion(j.vals, j.windowRange)
 	}
 	payload, err := c.Compress(f, copts)
 	if err != nil {
@@ -400,16 +377,13 @@ func (w *Writer) Close() error {
 		w.fail(fmt.Errorf("stream: %d trailing bytes do not form a value", len(w.rem)))
 	}
 	if len(w.buf) > 0 && w.err() == nil {
-		w.planWindow()
-	}
-	if w.windowValues == 0 && len(w.all) > 0 && w.err() == nil {
-		w.planStream()
+		w.plan()
 	}
 	close(w.jobs)
 	w.workerWG.Wait()
 	close(w.order)
 	<-w.seqDone
-	if cap(w.buf) > 0 {
+	if w.windowValues > 0 && cap(w.buf) > 0 {
 		// The accumulation buffer drawn after the last window: nothing
 		// writes to a closed stream, so it goes back to the pool.
 		vals := w.buf[:0]

@@ -41,8 +41,8 @@ import (
 //	back, _ := r.ReadAll()        // or chunk-at-a-time via r.NextChunk()
 //
 // Adaptive per-chunk tuning — the paper's ratio-quality model driving the
-// pipeline: each chunk is profiled with one cheap sampling pass and
-// compressed at the bound the model solves for a global target, so smooth
+// pipeline: each worker profiles its chunk with one cheap sampling pass and
+// compresses it at the bound the model solves for a global target, so smooth
 // regions get loose bounds and complex regions tight ones:
 //
 //	w, _ := rqm.NewWriter(&buf,
@@ -51,9 +51,11 @@ import (
 // Spatial partitioning goes one step further: instead of slicing the stream
 // into fixed-size slabs, a Partitioner plans chunk geometry from the data
 // itself. VarianceQuadtree recursively splits the field where variance is
-// non-uniform and solves the model per region, so one container mixes large
-// loose-bound chunks over smooth regions with small tight-bound chunks over
-// turbulent ones — a better ratio at the same delivered quality:
+// non-uniform; the workers then solve the model per region with the same
+// solve fixed slabs get, a PSNR target adjusted by the region's share of the
+// field's value range. One container mixes large loose-bound chunks over
+// smooth regions with small tight-bound chunks over turbulent ones — a
+// better ratio at the same delivered quality:
 //
 //	w, _ := rqm.NewWriter(&buf,
 //	    rqm.WithStreamShape(rqm.Float64, 512, 512, 512),
@@ -81,8 +83,8 @@ type (
 	// historical chunking behavior.
 	FixedSlab = partition.FixedSlab
 	// VarianceQuadtree is the spatially adaptive Partitioner: it splits the
-	// field where variance is non-uniform and solves the ratio-quality model
-	// per region. Requires WithAdaptiveBound.
+	// field where variance is non-uniform, and the writer solves the
+	// ratio-quality model per region. Requires WithAdaptiveBound.
 	VarianceQuadtree = partition.VarianceQuadtree
 	// PartitionRegion is one planned region of a partitioned window.
 	PartitionRegion = partition.Region
