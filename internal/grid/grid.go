@@ -310,33 +310,80 @@ type Block struct {
 
 // Blocks partitions a field of shape dims into blocks of edge `edge`
 // (clipped at the boundary) and returns them in scan order. It is the one
-// tiling: the regression predictor (edge 6, as in SZ), the transform codec
-// (edge 4) and windowed SSIM all walk it. Every block's Origin and Size share
-// one backing array, so tiling makes two allocations however many blocks.
+// tiling: the regression predictor (edge 6, as in SZ) and windowed SSIM list
+// it, the transform codec (edge 4) walks it (WalkBlocks). Every block's
+// Origin and Size share one backing array: two allocations in all.
 func Blocks(dims []int, edge int) []Block {
-	if edge <= 0 {
-		edge = 1
-	}
-	rank := len(dims)
-	total := 1
-	for _, d := range dims {
-		total *= (d + edge - 1) / edge
-	}
-	out := make([]Block, total)
-	ints := make([]int, 2*rank*total)
-	for bi := range out {
-		b := Block{Origin: ints[:rank:rank], Size: ints[rank : 2*rank : 2*rank]}
-		ints = ints[2*rank:]
-		rem := bi
-		for i := rank - 1; i >= 0; i-- {
-			count := (dims[i] + edge - 1) / edge
-			b.Origin[i] = rem % count * edge
-			rem /= count
-			b.Size[i] = min(edge, dims[i]-b.Origin[i])
-		}
-		out[bi] = b
+	w := WalkBlocks(dims, edge)
+	out := make([]Block, 0, w.Count())
+	ints := make([]int, 0, 2*len(dims)*w.Count())
+	for w.Next() {
+		n := len(ints)
+		ints = append(append(ints, w.origin[:w.rank]...), w.size[:w.rank]...)
+		out = append(out, Block{Origin: ints[n : n+w.rank : n+w.rank], Size: ints[n+w.rank : n+2*w.rank : n+2*w.rank]})
 	}
 	return out
+}
+
+// BlockWalk visits the blocks Blocks lists, in the same order, without
+// listing them or allocating. After each Next or Seek, Flat is the field
+// index of the block's first cell, Full says no axis is clipped, and Block
+// returns the block until the walk moves. Drive it as CellWalk is driven.
+type BlockWalk struct {
+	Flat                   int
+	Full                   bool
+	bi, rank, edge, count  int
+	dims, st, origin, size [4]int
+}
+
+// WalkBlocks starts a walk over Blocks(dims, edge), before the first block.
+func WalkBlocks(dims []int, edge int) BlockWalk {
+	w := BlockWalk{bi: -1, rank: len(dims), edge: max(edge, 1), count: 1}
+	copy(w.dims[:], dims)
+	for i, st := len(dims)-1, 1; i >= 0; i-- {
+		w.st[i], st = st, st*dims[i]
+		w.count *= (dims[i] + w.edge - 1) / w.edge
+	}
+	return w
+}
+
+// Count returns the number of blocks the walk visits.
+func (w *BlockWalk) Count() int { return w.count }
+
+// Next moves to the next block, stepping along the last axis and seeking
+// at a row's end, and reports whether there was one.
+func (w *BlockWalk) Next() bool {
+	if w.bi++; w.bi >= w.count {
+		return false
+	}
+	if l := w.rank - 1; w.bi > 0 && w.origin[l]+w.edge < w.dims[l] {
+		w.origin[l] += w.edge
+		w.Flat += w.edge
+		w.size[l] = min(w.edge, w.dims[l]-w.origin[l])
+		w.Full = w.Full && w.size[l] == w.edge // the block before was full along l
+		return true
+	}
+	w.Seek(w.bi)
+	return true
+}
+
+// Seek moves the walk onto block bi of the scan order (0 <= bi < Count),
+// its origin computed from the index; Next then carries on from block bi+1.
+func (w *BlockWalk) Seek(bi int) {
+	w.bi, w.Flat, w.Full = bi, 0, true
+	for i := w.rank - 1; i >= 0; i-- {
+		count := (w.dims[i] + w.edge - 1) / w.edge
+		w.origin[i] = bi % count * w.edge
+		bi /= count
+		w.Flat += w.origin[i] * w.st[i]
+		w.size[i] = min(w.edge, w.dims[i]-w.origin[i])
+		w.Full = w.Full && w.size[i] == w.edge
+	}
+}
+
+// Block returns the current block; its Origin and Size alias the walk.
+func (w *BlockWalk) Block() Block {
+	return Block{Origin: w.origin[:w.rank], Size: w.size[:w.rank]}
 }
 
 // CellWalk visits the cells of one block in scan order, the last axis

@@ -176,6 +176,68 @@ func TestBlocksMatchOdometer(t *testing.T) {
 	}
 }
 
+// TestBlockWalkMatchesBlocks holds the walk to the listed tiling: block for
+// block, by Next and by Seek, with Flat the first cell's index and Full
+// set exactly on unclipped blocks; walking allocates nothing.
+func TestBlockWalkMatchesBlocks(t *testing.T) {
+	for _, dims := range [][]int{{1}, {7}, {64}, {5, 9}, {4, 8}, {17, 9, 6}, {9, 1, 6, 5}, {4, 4, 4, 4}} {
+		st := Strides(dims)
+		for _, edge := range []int{1, 3, 4, 6} {
+			blocks := Blocks(dims, edge)
+			flatOf := func(b Block) int {
+				flat := 0
+				for a := range dims {
+					flat += b.Origin[a] * st[a]
+				}
+				return flat
+			}
+			check := func(how string, bi int, w *BlockWalk) {
+				t.Helper()
+				b, flat, full := blocks[bi], flatOf(blocks[bi]), true
+				for a := range dims {
+					full = full && b.Size[a] == edge
+				}
+				got := w.Block()
+				if !slices.Equal(got.Origin, b.Origin) || !slices.Equal(got.Size, b.Size) || w.Flat != flat || w.Full != full {
+					t.Fatalf("%v edge %d, %s block %d: %+v flat %d full %v, want %+v flat %d full %v",
+						dims, edge, how, bi, got, w.Flat, w.Full, b, flat, full)
+				}
+			}
+			w := WalkBlocks(dims, edge)
+			if w.Count() != len(blocks) {
+				t.Fatalf("%v edge %d: Count %d, want %d", dims, edge, w.Count(), len(blocks))
+			}
+			bi := 0
+			for ; w.Next(); bi++ {
+				check("Next", bi, &w)
+			}
+			if bi != len(blocks) {
+				t.Fatalf("%v edge %d: walked %d blocks, want %d", dims, edge, bi, len(blocks))
+			}
+			for bi := len(blocks) - 1; bi >= 0; bi-- {
+				w.Seek(bi)
+				check("Seek", bi, &w)
+				if w.Next() != (bi+1 < len(blocks)) || (bi+1 < len(blocks) && w.Flat != flatOf(blocks[bi+1])) {
+					t.Fatalf("%v edge %d: Next after Seek(%d) did not land on the next block", dims, edge, bi)
+				}
+			}
+			if a := testing.AllocsPerRun(10, func() {
+				w := WalkBlocks(dims, edge)
+				for w.Next() {
+					c := w.Block().Cells(st)
+					for c.Next() {
+					}
+				}
+			}); a != 0 {
+				t.Fatalf("%v edge %d: walking made %v allocations", dims, edge, a)
+			}
+		}
+	}
+	if w := WalkBlocks([]int{3, 0}, 4); w.Next() {
+		t.Fatal("a shape with a zero axis has a block")
+	}
+}
+
 func TestSerializationRoundTrip(t *testing.T) {
 	for _, prec := range []Precision{Float32, Float64} {
 		f := MustNew("field", prec, 3, 5)

@@ -18,7 +18,7 @@ import (
 // Two loops share that step. run1 and run4 are the unchecked ones: they run
 // only while every stream has eight bytes left to load, so every bit they
 // look at is real, and stop — consuming nothing — at whatever they cannot
-// take. step is the checked one: it refills bytewise over a stream's tail,
+// take. Step is the checked one: it refills bytewise over a stream's tail,
 // accepts a match only when it fits in the real bits that remain (a match
 // reaching into the zero padding is a truncated stream, not a symbol) and
 // names the failure. The drivers alternate: run as far as possible, take one
@@ -65,7 +65,7 @@ func (cb *Codebook) DecodeInterleaved(streams [][]byte, out []uint32) error {
 		}
 		// One checked round, which clears whatever stopped the run.
 		for stop := min(i+k, len(out)); i < stop; i++ {
-			sym, err := cb.step(&ws[i%k], i)
+			sym, err := cb.Step(&ws[i%k], i)
 			if err != nil {
 				return err
 			}
@@ -83,7 +83,7 @@ func (cb *Codebook) decode1(w *bitio.Window, out []uint32) error {
 				break
 			}
 		}
-		sym, err := cb.step(w, i)
+		sym, err := cb.Step(w, i)
 		if err != nil {
 			return err
 		}
@@ -106,9 +106,10 @@ func (cb *Codebook) resolve(bits uint64) (l uint, sym uint32) {
 	return 0, 0
 }
 
-// step decodes one symbol (out[i], for the error text) from w with every
-// check on.
-func (cb *Codebook) step(w *bitio.Window, i int) (uint32, error) {
+// Step decodes one symbol (out[i], for the error text) from w with every
+// check on. Called on its own, it lets a caller read raw bits between
+// symbols off the same window (the transform codec).
+func (cb *Codebook) Step(w *bitio.Window, i int) (uint32, error) {
 	if w.N <= MaxCodeLen {
 		w.Refill()
 	}
@@ -136,7 +137,7 @@ func (cb *Codebook) step(w *bitio.Window, i int) (uint32, error) {
 // runSymbols table lookups. A code longer than the table is resolved in
 // place once the window holds MaxCodeLen bits. It returns the index of the
 // first symbol it left undecoded: the end of out, the stream's last words, or
-// a prefix no code matches (step says which).
+// a prefix no code matches (Step says which).
 func (cb *Codebook) run1(w *bitio.Window, out []uint32, i int) int {
 	dtab := cb.dtab
 	shift := (64 - cb.tabBits) & 63

@@ -32,8 +32,8 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 	if rate <= 0 || rate > 1 {
 		rate = 0.01
 	}
-	blocks := grid.Blocks(f.Dims, BlockEdge)
-	picked := stats.SampleIndices(len(blocks), rate, seed)
+	w := grid.WalkBlocks(f.Dims, BlockEdge)
+	picked := stats.SampleIndices(w.Count(), rate, seed)
 	buf := make([]int64, 1<<(2*rank))
 	samples := make([]float64, 0, len(picked)*len(buf))
 	// The integer transform on codes ≈ the same transform on values divided
@@ -47,11 +47,12 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 	st := f.Strides()
 	for _, bi := range picked {
 		clear(buf)
-		w := blocks[bi].Cells(st)
-		for w.Next() {
-			buf[cellPos(w.Local())] = int64(math.Round(f.Data[w.Flat] * scale))
+		w.Seek(bi)
+		c := w.Block().Cells(st)
+		for c.Next() {
+			buf[cellPos(c.Local())] = int64(math.Round(f.Data[c.Flat] * scale))
 		}
-		fwdBlock(buf, rank)
+		fwdBlock(buf)
 		for _, c := range buf {
 			samples = append(samples, float64(c)/scale)
 		}

@@ -17,15 +17,18 @@
 // sampling block coefficients instead of prediction errors (see model.go).
 //
 // The codec owns only its transform and its coefficient coding. The blocks
-// are grid.Blocks(dims, BlockEdge) and a block's cells are visited with
-// grid's cell walk — the tiling the regression predictor and windowed SSIM
-// use — and the container is parsed with grid.Cursor, as the prediction
-// codec's is: every blob is a bounds-checked subslice of the input, and a
-// shape with more padded coefficients than the payload has bits is refused
-// before anything is sized by it.
+// are grid.Blocks(dims, BlockEdge), visited in place by grid.WalkBlocks: a
+// full block gathers and scatters through a 4^rank offset table, a clipped
+// one takes grid's cell walk. A coefficient is one write (class code, sign,
+// low bits) and one huffman.Codebook.Step plus one read off a bitio.Window.
+// The container is parsed with grid.Cursor, as the prediction codec's is:
+// every blob is a bounds-checked subslice of the input, and a shape with
+// more padded coefficients than the payload has bits is refused before
+// anything is sized by it.
 package transform
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -100,33 +103,26 @@ func haar4Inv(p []int64, s int) {
 }
 
 // fwdBlock / invBlock run the separable transform over a 4^rank block held
-// in row-major order. Integer lifting steps along different axes do not
-// commute (rounding), so the inverse undoes the axes in reverse order.
-func fwdBlock(buf []int64, rank int) {
-	for axis := rank - 1; axis >= 0; axis-- { // innermost (stride 1) first
-		axisPass(buf, rank, axis, haar4Fwd)
-	}
-}
-
-func invBlock(buf []int64, rank int) {
-	for axis := 0; axis < rank; axis++ { // outermost first: reverse of fwd
-		axisPass(buf, rank, axis, haar4Inv)
-	}
-}
-
-// axisPass applies `line` to every 4-long line along the given axis of the
-// 4^rank block (axis 0 is outermost, stride 4^(rank-1)).
-func axisPass(buf []int64, rank, axis int, line func([]int64, int)) {
-	size := 1 << (2 * rank)
-	stride := 1
-	for a := rank - 1; a > axis; a-- {
-		stride *= 4
-	}
-	for base := 0; base < size; base++ {
-		if (base/stride)%4 != 0 {
-			continue // not the first cell of its line
+// in row-major order; the lines along the axis of stride s start at hi+lo,
+// hi a multiple of 4s and lo < s. Integer lifting steps along different
+// axes do not commute (rounding), so the inverse undoes them in reverse.
+func fwdBlock(buf []int64) {
+	for s := 1; s < len(buf); s *= 4 { // innermost (stride 1) first
+		for hi := 0; hi < len(buf); hi += 4 * s {
+			for b := hi; b < hi+s; b++ {
+				haar4Fwd(buf[b:], s)
+			}
 		}
-		line(buf[base:], stride)
+	}
+}
+
+func invBlock(buf []int64) {
+	for s := len(buf) / 4; s >= 1; s /= 4 { // outermost first: reverse of fwd
+		for hi := 0; hi < len(buf); hi += 4 * s {
+			for b := hi; b < hi+s; b++ {
+				haar4Inv(buf[b:], s)
+			}
+		}
 	}
 }
 
@@ -155,6 +151,18 @@ func cellPos(local []int) int {
 	return p
 }
 
+// blockOffsets fills offs (4^rank long) with the field offset, from a full
+// block's first cell, of the cell at each block-buffer index: a full block
+// gathers and scatters through it, a clipped one takes the cell walk.
+func blockOffsets(offs, st []int) {
+	var origin [4]int
+	edges := [4]int{BlockEdge, BlockEdge, BlockEdge, BlockEdge}
+	c := grid.Block{Origin: origin[:len(st)], Size: edges[:len(st)]}.Cells(st)
+	for i := 0; c.Next(); i++ {
+		offs[i] = c.Flat
+	}
+}
+
 // Compress encodes f under an absolute error bound.
 func Compress(f *grid.Field, opts Options) (*Result, error) {
 	if f == nil || f.Len() == 0 {
@@ -169,30 +177,43 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	}
 	step := 2 * opts.ErrorBound
 	blockLen := 1 << (2 * rank)
-	blocks := grid.Blocks(f.Dims, BlockEdge)
 	st := f.Strides()
-	coeffs := make([]int64, len(blocks)*blockLen)
+	var offs [1 << (2 * 4)]int
+	blockOffsets(offs[:blockLen], st)
+	w := grid.WalkBlocks(f.Dims, BlockEdge)
+	coeffs := make([]int64, w.Count()*blockLen)
 	var counts [65]int64 // one slot per bits.Len64 value
-	for bi, b := range blocks {
-		blk := coeffs[bi*blockLen : (bi+1)*blockLen]
-		w := b.Cells(st)
-		for w.Next() {
-			// Reject values whose codes overflow the int64 budget the
-			// transform needs (it can grow magnitudes by ~2 bits per level;
-			// keep codes under 2^55).
-			c := math.Round(f.Data[w.Flat] / step)
-			if math.Abs(c) > 1<<55 || math.IsNaN(c) {
-				return nil, fmt.Errorf("transform: value %g too large for bound %g", f.Data[w.Flat], opts.ErrorBound)
+	var vals [1 << (2 * 4)]float64
+	for blk := coeffs; w.Next(); blk = blk[blockLen:] {
+		blk := blk[:blockLen]
+		if w.Full {
+			for i, o := range offs[:blockLen] {
+				vals[i] = f.Data[w.Flat+o]
 			}
-			blk[cellPos(w.Local())] = int64(c)
+		} else {
+			clear(vals[:blockLen])
+			c := w.Block().Cells(st)
+			for c.Next() {
+				vals[cellPos(c.Local())] = f.Data[c.Flat]
+			}
 		}
-		fwdBlock(blk, rank)
+		for i, v := range vals[:blockLen] {
+			// Keep codes under 2^55: each axis of the transform can double
+			// a coefficient, and the coder takes classes up to 60.
+			c := math.Round(v / step)
+			if math.Abs(c) > 1<<55 || math.IsNaN(c) {
+				return nil, fmt.Errorf("transform: value %g too large for bound %g", v, opts.ErrorBound)
+			}
+			blk[i] = int64(c)
+		}
+		fwdBlock(blk)
 		for _, c := range blk {
 			counts[classOf(c)]++
 		}
 	}
 
-	// Entropy code: Huffman over classes, raw extra bits.
+	// Entropy code: Huffman over classes, then the sign and the low class−1
+	// bits under the implicit leading one, in one write with the class code.
 	cb, err := huffman.BuildDense(counts[:], nil)
 	if err != nil {
 		return nil, err
@@ -203,17 +224,22 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	cb.FillLUT(lut[:])
 	bw := bitio.NewWriter(len(coeffs) / 2)
 	for _, c := range coeffs {
-		cl := classOf(c)
-		bw.WriteBits(lut[cl]>>8, uint(lut[cl]&0xff)) // code<<8 | length
-		if cl > 0 {
-			u, neg := uint64(c), uint64(0)
-			if c < 0 {
-				u, neg = uint64(-c), 1
-			}
-			bw.WriteBits(neg, 1)
-			// Implicit leading one: emit the low cl-1 bits.
-			bw.WriteBits(u&(1<<(cl-1)-1), uint(cl-1))
+		cl := uint(classOf(c))
+		code, n := lut[cl]>>8, uint(lut[cl]&0xff) // code<<8 | length
+		u, body := uint64(c), uint64(0)           // class 0: shifts by cl−1 (wrapped) give 0
+		if c < 0 {
+			u, body = uint64(-c), 1<<(cl-1)
 		}
+		body |= u & (1<<(cl-1) - 1)
+		if n+cl <= 57 {
+			bw.WriteBits(code<<cl|body, n+cl)
+			continue
+		}
+		bw.WriteBits(code, n)
+		if cl > 32 {
+			bw.WriteBits(body>>32, cl-32)
+		}
+		bw.WriteBits(body, min(cl, 32))
 	}
 	classBits := bw.Bits()
 	payload := bw.Bytes()
@@ -291,42 +317,57 @@ func DecompressInto(dst []float64, data []byte) (*grid.Field, error) {
 	if err != nil {
 		return nil, err
 	}
-	rank := len(dims)
-	buf := make([]int64, 1<<(2*rank))
-	var cls [1]uint32
-	br := bitio.NewReader(payload)
-	step := 2 * eb
+	blockLen := 1 << (2 * len(dims))
+	var buf [1 << (2 * 4)]int64
+	var offs [1 << (2 * 4)]int
+	blk := buf[:blockLen]
 	st := f.Strides()
-	for _, b := range grid.Blocks(dims, BlockEdge) {
-		for i := range buf {
-			if err := cb.Decode(br, cls[:]); err != nil {
+	blockOffsets(offs[:blockLen], st)
+	br := bitio.NewReader(payload)
+	win := br.Window()
+	step := 2 * eb
+	w := grid.WalkBlocks(dims, BlockEdge)
+	for k := 0; w.Next(); k += blockLen {
+		// Coefficient k+i: one codebook step for its class, then its sign
+		// and low class−1 bits in one read off the same window.
+		for i := range blk {
+			cl, err := cb.Step(win, k+i)
+			if err != nil {
 				return nil, err
-			}
-			cl := cls[0]
-			if cl == 0 {
-				buf[i] = 0
-				continue
 			}
 			if cl > 60 {
-				return nil, fmt.Errorf("transform: invalid class %d", cl)
+				return nil, fmt.Errorf("transform: invalid class %d at coefficient %d", cl, k+i)
 			}
-			neg, err := br.ReadBits(1)
-			if err != nil {
-				return nil, err
+			var body uint64
+			if win.N >= uint(cl) {
+				body = win.Bits >> (64 - cl)
+				win.Bits <<= cl
+				win.N -= uint(cl)
+			} else { // refill; a class above 57 is more than one read takes
+				hi, err := br.ReadBits(uint(cl) - min(uint(cl), 32))
+				lo, err2 := br.ReadBits(min(uint(cl), 32))
+				if err = cmp.Or(err, err2); err != nil {
+					return nil, fmt.Errorf("transform: coefficient %d: %w", k+i, err)
+				}
+				body = hi<<32 | lo
 			}
-			low, err := br.ReadBits(uint(cl - 1))
-			if err != nil {
-				return nil, err
+			// Class 0 reads no bits and is 0: a shift by cl−1 (wrapped) is 0.
+			v := int64(1)<<(cl-1) | int64(body&(1<<(cl-1)-1))
+			if body>>(cl-1) != 0 {
+				v = -v // a select, not a branch: the sign is a coin flip
 			}
-			buf[i] = int64(1)<<(cl-1) | int64(low)
-			if neg == 1 {
-				buf[i] = -buf[i]
-			}
+			blk[i] = v
 		}
-		invBlock(buf, rank)
-		w := b.Cells(st)
-		for w.Next() {
-			f.Data[w.Flat] = float64(buf[cellPos(w.Local())]) * step
+		invBlock(blk)
+		if w.Full {
+			for i, o := range offs[:blockLen] {
+				f.Data[w.Flat+o] = float64(blk[i]) * step
+			}
+			continue
+		}
+		c := w.Block().Cells(st)
+		for c.Next() {
+			f.Data[c.Flat] = float64(blk[cellPos(c.Local())]) * step
 		}
 	}
 	return f, nil

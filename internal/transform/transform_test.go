@@ -68,8 +68,8 @@ func TestBlockTransformRoundTrip(t *testing.T) {
 			buf[i] = int64(rng.Intn(20001) - 10000)
 			want[i] = buf[i]
 		}
-		fwdBlock(buf, rank)
-		invBlock(buf, rank)
+		fwdBlock(buf)
+		invBlock(buf)
 		for i := range buf {
 			if buf[i] != want[i] {
 				t.Fatalf("rank %d: block transform not invertible at %d", rank, i)
@@ -326,6 +326,65 @@ func BenchmarkTransformDecompress(b *testing.B) {
 	}
 }
 
+// chunkFields splits small nyx/temperature into the 65,536-value rank-1
+// chunks a stream writes (the last one shorter), returning them with the
+// whole field's bytes and an ABS bound of 1e-3 of its range.
+func chunkFields(tb testing.TB) ([]*grid.Field, int64, float64) {
+	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var chunks []*grid.Field
+	for off := 0; off < f.Len(); off += 1 << 16 {
+		vals := f.Data[off:min(off+1<<16, f.Len())]
+		c, err := grid.FromData(f.Name, f.Prec, vals, len(vals))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		chunks = append(chunks, c)
+	}
+	lo, hi := f.ValueRange()
+	return chunks, f.OriginalBytes(), (hi - lo) * 1e-3
+}
+
+// BenchmarkTransformChunk times the path every stream chunk takes: compress
+// and decompress of 65,536-value rank-1 chunks, decoded into a reused buffer
+// as the stream reader does. One op is the whole field.
+func BenchmarkTransformChunk(b *testing.B) {
+	chunks, size, eb := chunkFields(b)
+	blobs := make([][]byte, len(chunks))
+	for i, c := range chunks {
+		res, err := Compress(c, Options{ErrorBound: eb})
+		if err != nil {
+			b.Fatal(err)
+		}
+		blobs[i] = res.Bytes
+	}
+	b.Run("compress", func(b *testing.B) {
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for range b.N {
+			for _, c := range chunks {
+				if _, err := Compress(c, Options{ErrorBound: eb}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("decompress", func(b *testing.B) {
+		dst := make([]float64, 1<<16)
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for range b.N {
+			for _, blob := range blobs {
+				if _, err := DecompressInto(dst, blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // hostileContainers are two native containers that declare far more than
 // they hold: a 31-byte one whose codebook length says 2 GiB, and a 47-byte
 // one declaring 2^15×2^14 values over a one-class codebook and a 4-byte
@@ -374,8 +433,9 @@ func TestDecompressRefusesHostileShapes(t *testing.T) {
 }
 
 // TestDecompressAllocations bounds a whole-field decode to a fixed number
-// of allocations: the field, the tiling, one block buffer and the codebook
-// — nothing per block or per value.
+// of allocations — the field and the codebook, nothing per block or per
+// value — and a 65,536-value rank-1 chunk decoded into a buffer that holds
+// it (the stream reader's case) to under 64 KiB.
 func TestDecompressAllocations(t *testing.T) {
 	f := pinField(t, 33, 17, 9)
 	res, err := Compress(f, Options{ErrorBound: 1e-3})
@@ -395,5 +455,24 @@ func TestDecompressAllocations(t *testing.T) {
 		}
 	}); a > 32 {
 		t.Errorf("Compress made %v allocations, want at most 32", a)
+	}
+
+	chunk := pinField(t, 1<<16)
+	res, err = Compress(chunk, Options{ErrorBound: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, 1<<16)
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := DecompressInto(dst, res.Bytes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Errorf("a 65,536-value rank-1 DecompressInto allocated %d bytes, want under 64 KiB", per)
 	}
 }
