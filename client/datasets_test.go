@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -191,6 +192,52 @@ func TestDatasetClientExactLifecycle(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), body) {
 		t.Fatal("exact get after promote is not the original bytes")
+	}
+}
+
+// TestGetDatasetExactSendsLength: an exact GET declares its body's length
+// (the .rqmf header and the proven samples) before the body, and
+// GetDatasetExact still returns the original bytes, on f32 and f64 data.
+func TestGetDatasetExactSendsLength(t *testing.T) {
+	c := newDatasetClient(t)
+	ctx := context.Background()
+	f, _ := fieldBytes(t)
+	for _, prec := range []rqm.Precision{rqm.Float32, rqm.Float64} {
+		data := append([]float64(nil), f.Data...)
+		if prec == rqm.Float32 {
+			for i, v := range data {
+				data[i] = float64(float32(v))
+			}
+		}
+		pf, err := rqm.FieldFromData("len", prec, data, f.Dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		if _, err := pf.WriteTo(&body); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("len%d", prec.Bits())
+		if _, err := c.PutDataset(ctx, name, bytes.NewReader(body.Bytes()), PutDatasetParams{
+			Mode: "rel", ErrorBound: 1e-3, ChunkValues: 1000, Exact: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := c.GetDatasetExact(ctx, name, &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), body.Bytes()) {
+			t.Fatalf("%s: exact get is not the original bytes", name)
+		}
+		resp, err := http.Get(c.base + "/v1/datasets/" + name + "?exact=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.ContentLength != int64(body.Len()) {
+			t.Fatalf("%s: Content-Length %d for a %d-byte body", name, resp.ContentLength, body.Len())
+		}
 	}
 }
 

@@ -87,6 +87,9 @@ var (
 	ErrCorrupt = errors.New("residual: corrupt container")
 	// ErrTruncated marks a file that ends before its declared content.
 	ErrTruncated = errors.New("residual: truncated container")
+	// ErrGeometry marks an Encoder driven past the blocks or values it
+	// declared, or closed before coding them all.
+	ErrGeometry = errors.New("residual: block geometry mismatch")
 )
 
 // Header is the residual file's fixed header.
@@ -192,8 +195,8 @@ func applyRaw(recon []float64, res []byte, w int) error {
 	return nil
 }
 
-// scratch is the working memory of one block in flight: Encode builds a
-// block in it, the readers load and decode a block in it. It lives in
+// scratch is the working memory of one block in flight: an Encoder builds
+// a block in it, the readers load and decode a block in it. It lives in
 // scratchPool between calls, so nothing that points into it may outlive the
 // call that took it — ReadBlock copies out what it returns, ApplyBlock
 // leaves only the XORed values behind.
@@ -201,7 +204,7 @@ type scratch struct {
 	// planes holds the block's byte planes, values×width bytes: plane p is
 	// bytes [p·values, (p+1)·values).
 	planes []byte
-	// payload is a block record's bytes: assembled here by Encode, read
+	// payload is a block record's bytes: assembled here by an Encoder, read
 	// here from the file by the readers. Raw planes are used from it in
 	// place.
 	payload []byte
@@ -226,9 +229,9 @@ func grow[T any](buf *[]T, n int) []T {
 // large enough that the block function, not the call, is the cost.
 const hashSlab = 32 << 10
 
-// OriginalHash is the SHA-256 of vals serialized little-endian at the
-// storage width — the payload digest stamped into the file header and the
-// manifest, recomputed on every exact read before serving.
+// OriginalHash is the SHA-256 of vals serialized at the storage width by
+// grid.EncodeSamples — the payload digest stamped into the file header and
+// the manifest, which every exact read proves the bytes it serves against.
 func OriginalHash(vals []float64, prec grid.Precision) ([32]byte, error) {
 	var sum [32]byte
 	w, err := widthOf(prec)
@@ -242,20 +245,7 @@ func OriginalHash(vals []float64, prec grid.Precision) ([32]byte, error) {
 	for per := hashSlab / w; len(vals) > 0; {
 		part := vals[:min(per, len(vals))]
 		vals = vals[len(part):]
-		filled := slab[:len(part)*w]
-		out := filled
-		if w == 4 {
-			for _, v := range part {
-				binary.LittleEndian.PutUint32(out, math.Float32bits(float32(v)))
-				out = out[4:]
-			}
-		} else {
-			for _, v := range part {
-				binary.LittleEndian.PutUint64(out, math.Float64bits(v))
-				out = out[8:]
-			}
-		}
-		h.Write(filled)
+		h.Write(grid.EncodeSamples(slab[:0], prec, part))
 	}
 	h.Sum(sum[:0])
 	return sum, nil
@@ -319,62 +309,93 @@ func interleave(out []byte, p *[8][]byte, width int) {
 }
 
 // Encode writes a complete residual file: orig XOR recon, blocked by the
-// base container's chunk geometry (blocks[i] values in block i), each block
-// split into byte planes and compressed with c (falling back to raw storage
-// when coding expands). Returns the byte count written.
+// base container's chunk geometry (blocks[i] values in block i), through one
+// Encoder. Returns the byte count written.
 func Encode(w io.Writer, c Codec, prec grid.Precision, orig, recon []float64, blocks []int) (int64, error) {
-	width, err := widthOf(prec)
-	if err != nil {
-		return 0, err
-	}
 	if len(orig) != len(recon) {
 		return 0, fmt.Errorf("residual: %d original values vs %d reconstructed", len(orig), len(recon))
 	}
-	total := 0
-	for i, v := range blocks {
-		if v <= 0 {
-			return 0, fmt.Errorf("residual: block %d has %d values", i, v)
-		}
-		total += v
-	}
-	if total != len(orig) {
-		return 0, fmt.Errorf("residual: blocks cover %d values, field holds %d", total, len(orig))
-	}
-	origHash, err := OriginalHash(orig, prec)
+	enc, err := NewEncoder(w, c, prec, orig, len(blocks))
 	if err != nil {
 		return 0, err
 	}
-
-	var hdr [HeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], Magic)
-	hdr[4] = Version
-	hdr[5] = c.ID()
-	hdr[6] = byte(width)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(total))
-	copy(hdr[16:48], origHash[:])
-	binary.LittleEndian.PutUint32(hdr[48:], uint32(len(blocks)))
-	nw, err := w.Write(hdr[:])
-	written := int64(nw)
-	if err != nil {
-		return written, err
-	}
-
-	s := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(s)
-	start := 0
 	for _, v := range blocks {
-		record, err := encodeBlock(s, c, orig[start:start+v], recon[start:start+v], width)
-		if err != nil {
-			return written, err
+		if v < 0 || v > len(recon) {
+			v = 0 // an empty block, which Block refuses
 		}
-		start += v
-		nw, err = w.Write(record)
-		written += int64(nw)
-		if err != nil {
-			return written, err
+		if err := enc.Block(recon[:v]); err != nil {
+			return enc.n, err
 		}
+		recon = recon[v:]
 	}
-	return written, nil
+	return enc.Close()
+}
+
+// Encoder writes a residual file a block at a time, as each block's
+// reconstruction decodes. A call against the declared geometry fails with
+// ErrGeometry and writes nothing; any failure is final.
+type Encoder struct {
+	w      io.Writer
+	c      Codec
+	width  int
+	orig   []float64 // the original values not yet coded
+	blocks int       // the declared blocks not yet coded
+	n      int64     // bytes written
+	err    error
+}
+
+// NewEncoder hashes orig (OriginalHash) and writes the header of a residual
+// file of len(orig) values in nblocks blocks, each coded with c.
+func NewEncoder(w io.Writer, c Codec, prec grid.Precision, orig []float64, nblocks int) (*Encoder, error) {
+	width, err := widthOf(prec)
+	if err != nil {
+		return nil, err
+	}
+	origHash, err := OriginalHash(orig, prec)
+	if err != nil {
+		return nil, err
+	}
+	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, HeaderSize), Magic)
+	hdr = append(hdr, Version, c.ID(), byte(width), 0) // the reserved byte
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(orig)))
+	hdr = append(hdr, origHash[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(nblocks))
+	if _, err := w.Write(hdr); err != nil {
+		return nil, err
+	}
+	return &Encoder{w: w, c: c, width: width, orig: orig, blocks: nblocks, n: HeaderSize}, nil
+}
+
+// Block codes the next len(recon) original values against their
+// reconstruction recon as one block record.
+func (e *Encoder) Block(recon []float64) error {
+	switch {
+	case e.err != nil:
+	case e.blocks <= 0:
+		e.err = fmt.Errorf("%w: a block past the declared count", ErrGeometry)
+	case len(recon) == 0 || len(recon) > len(e.orig):
+		e.err = fmt.Errorf("%w: a block of %d values with %d original values left", ErrGeometry, len(recon), len(e.orig))
+	default:
+		s := scratchPool.Get().(*scratch)
+		var record []byte
+		if record, e.err = encodeBlock(s, e.c, e.orig[:len(recon)], recon, e.width); e.err == nil {
+			var n int
+			n, e.err = e.w.Write(record)
+			e.n += int64(n)
+		}
+		scratchPool.Put(s)
+		e.orig, e.blocks = e.orig[len(recon):], e.blocks-1
+	}
+	return e.err
+}
+
+// Close reports the bytes written, refusing a file whose declared blocks or
+// values were not all coded.
+func (e *Encoder) Close() (int64, error) {
+	if e.err == nil && (e.blocks != 0 || len(e.orig) != 0) {
+		e.err = fmt.Errorf("%w: %d blocks and %d original values never coded", ErrGeometry, e.blocks, len(e.orig))
+	}
+	return e.n, e.err
 }
 
 // encodeBlock builds one block record — header and payload — in the scratch

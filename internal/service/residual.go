@@ -2,14 +2,17 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
 	"slices"
+	"strconv"
 
 	"rqm/internal/grid"
 	"rqm/internal/residual"
@@ -40,24 +43,25 @@ func residualBuilderFor(q url.Values, data []float64, prec grid.Precision) (stor
 
 // serveExact answers GET ?exact=1: the full dataset at the lossless tier.
 // The reconstruction is proven against the residual layer's stored
-// original hash (store.ReadExact) BEFORE the status commits — an exact read
+// original hash (store.WithExact) BEFORE the status commits — an exact read
 // that cannot prove it is exact fails typed instead of serving plausible
-// bytes.
+// bytes. The proven samples are written from the store's pooled buffer
+// inside WithExact, after a Content-Length the proof makes known.
 func (s *Service) serveExact(w http.ResponseWriter, st *store.Store, m *store.Manifest) error {
-	vals, err := st.ReadExact(m)
-	if err != nil {
-		return err
-	}
-	s.count(&s.m.ExactReads, 1)
-	f, err := grid.FromData(m.Name, m.Prec(), vals, m.Dims...)
-	if err != nil {
-		return err
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-RQM-Dataset", m.Name)
-	w.Header().Set("X-RQM-Exact", "1")
-	_, err = f.WriteTo(w)
-	return ignoreWriteErr(err)
+	return st.WithExact(m, func(samples []byte) error {
+		var hdr bytes.Buffer
+		if _, err := grid.WriteHeader(&hdr, m.Prec(), m.Dims); err != nil {
+			return err
+		}
+		s.count(&s.m.ExactReads, 1)
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("Content-Length", strconv.Itoa(hdr.Len()+len(samples)))
+		h.Set("X-RQM-Dataset", m.Name)
+		h.Set("X-RQM-Exact", "1")
+		_, err := (&net.Buffers{hdr.Bytes(), samples}).WriteTo(w)
+		return ignoreWriteErr(err)
+	})
 }
 
 // serveResidualRaw answers GET ?raw=1&residual=1: the stored residual file

@@ -7,12 +7,15 @@ package store
 
 import (
 	"cmp"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"rqm/internal/codec"
@@ -115,13 +118,14 @@ func (s *Store) openResidual(dir string, m *Manifest) (_ io.ReadSeekCloser, _ *r
 // BuildResidual synthesizes a residual layer: it decodes the (staged or
 // committed) container at containerPath to obtain the exact lossy
 // reconstruction — what the decoder produces, never the compressor's working
-// array — computes the XOR residual against orig, and writes the framed
-// residual file to w, blocked to the container's chunk geometry. The
-// returned record declares the backend; the store fills Bytes and Hash at
-// staging and takes OriginalHash from the file header, so the digest Encode
-// stamped — the original is hashed once per put — is the one the manifest
-// declares. Shaped as a ResidualBuilder factory so callers pass
-// BuildResidual(orig, prec, backend) straight to Commit.
+// array — and codes each chunk's residual block against orig as the chunk
+// decodes, so the file is blocked to the container's chunk geometry and the
+// reconstruction is never held whole. The returned record declares the
+// backend; the store fills Bytes and Hash at staging and takes OriginalHash
+// from the file header, so the digest the encoder stamped — the original is
+// hashed once per put — is the one the manifest declares. Shaped as a
+// ResidualBuilder factory so callers pass BuildResidual(orig, prec, backend)
+// straight to Commit.
 func BuildResidual(orig []float64, prec grid.Precision, backend string) ResidualBuilder {
 	return func(containerPath string, w io.Writer) (*ResidualRecord, error) {
 		c, err := residual.ByName(backend)
@@ -141,17 +145,17 @@ func BuildResidual(orig []float64, prec grid.Precision, backend string) Residual
 			return nil, fmt.Errorf("store: residual base holds %d values, original holds %d",
 				idx.TotalValues, len(orig))
 		}
-		recon := make([]float64, 0, idx.TotalValues)
-		blocks := make([]int, len(idx.Entries))
-		err = eachChunk(containerPath, f, idx.Entries, 0, len(idx.Entries), true, func(i int, vals []float64) error {
-			blocks[i] = len(vals)
-			recon = append(recon, vals...)
-			return nil
+		enc, err := residual.NewEncoder(w, c, prec, orig, len(idx.Entries))
+		if err != nil {
+			return nil, err
+		}
+		err = eachChunk(containerPath, f, idx.Entries, 0, len(idx.Entries), true, func(_ int, vals []float64) error {
+			return enc.Block(vals)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("store: residual base: %w", err)
 		}
-		if _, err := residual.Encode(w, c, prec, orig, recon, blocks); err != nil {
+		if _, err := enc.Close(); err != nil {
 			return nil, err
 		}
 		return &ResidualRecord{Backend: backend}, nil
@@ -190,32 +194,52 @@ func (s *Store) ReadRangeExact(m *Manifest, off, n int64) ([]float64, error) {
 	return s.readRange(m, off, n, true, &s.chunkReads)
 }
 
-// ReadExact is the whole dataset at the lossless tier, proven: the
-// reconstruction must hash to the residual layer's original hash, or the
-// read fails with ErrCorruptDataset instead of returning plausible values.
-// ErrNoResidual when the dataset has no residual layer.
-func (s *Store) ReadExact(m *Manifest) ([]float64, error) {
-	return s.readExact(m, &s.chunkReads)
+// ReadExact is WithExact's proven samples decoded to values.
+func (s *Store) ReadExact(m *Manifest) (vals []float64, err error) {
+	err = s.WithExact(m, func(samples []byte) error {
+		vals = grid.DecodeSamples(make([]float64, 0, m.TotalValues), m.Prec(), samples)
+		return nil
+	})
+	return vals, err
 }
 
-// readExact is the one proof of an exact reconstruction against
-// original_hash, behind ReadExact and deep verification: every chunk
-// decoded and its residual block applied, then the values re-hashed at
-// storage width. Chunks are counted in reads, as readRange counts them.
-func (s *Store) readExact(m *Manifest, reads *atomic.Int64) ([]float64, error) {
-	vals, err := s.readRange(m, 0, m.TotalValues, true, reads)
+// WithExact is the whole dataset at the lossless tier, proven: fn gets its
+// samples as grid.EncodeSamples writes them, only once they hash to the
+// residual layer's original hash (else ErrCorruptDataset; ErrNoResidual
+// without one), in a pooled buffer valid until fn returns.
+func (s *Store) WithExact(m *Manifest, fn func(samples []byte) error) error {
+	return s.readExact(m, &s.chunkReads, fn)
+}
+
+// exactBufs recycles the sample buffers readExact proves into.
+var exactBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readExact is the one proof against original_hash, behind WithExact and
+// deep verification: walkRange's exact values appended to a pooled buffer
+// at storage width and hashed as they are appended, fn called once the
+// digest matches. Chunks are counted in reads, as readRange counts them.
+func (s *Store) readExact(m *Manifest, reads *atomic.Int64, fn func(samples []byte) error) error {
+	prec := m.Prec()
+	buf := exactBufs.Get().(*[]byte)
+	defer exactBufs.Put(buf)
+	b, h := (*buf)[:0], sha256.New()
+	err := s.walkRange(m, 0, m.TotalValues, true, reads, func(vals []float64) {
+		if len(b) == 0 {
+			b = slices.Grow(b, int(m.TotalValues)*prec.Bits()/8)
+		}
+		at := len(b)
+		b = grid.EncodeSamples(b, prec, vals)
+		h.Write(b[at:])
+	})
+	*buf = b // keeps a buffer the dataset outgrew
 	if err != nil {
-		return nil, err
+		return err
 	}
-	sum, err := residual.OriginalHash(vals, m.Prec())
-	if err != nil {
-		return nil, err
-	}
-	if got := hex.EncodeToString(sum[:]); got != m.Residual.OriginalHash {
-		return nil, fmt.Errorf("%w: %q: exact reconstruction hashes to %s, residual layer promises %s",
+	if got := hex.EncodeToString(h.Sum(nil)); got != m.Residual.OriginalHash {
+		return fmt.Errorf("%w: %q: exact reconstruction hashes to %s, residual layer promises %s",
 			ErrCorruptDataset, m.Name, got, m.Residual.OriginalHash)
 	}
-	return vals, nil
+	return fn(b)
 }
 
 // corruptResidual wraps a residual read/parse failure in ErrCorruptDataset

@@ -665,30 +665,46 @@ func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
 	return s.readRange(m, off, n, false, &s.chunkReads)
 }
 
-// readRange is the covering-chunk walk behind ReadRangeWith, ReadRangeExact
-// and deep verification. With exact set, each decoded chunk additionally
-// has its residual block applied, turning the lossy reconstruction into the
-// original bit pattern (ErrNoResidual without a residual layer). Each chunk
-// it delivers is counted in reads: ChunkReads for a served read.
-func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64) ([]float64, error) {
+// readRange is ReadRangeWith and ReadRangeExact: the values walkRange
+// delivers for the range, appended in order.
+func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64) (out []float64, err error) {
+	err = s.walkRange(m, off, n, exact, reads, func(vals []float64) {
+		if out == nil {
+			out = make([]float64, 0, n) // walkRange admitted n
+		}
+		out = append(out, vals...)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// walkRange is the one covering-chunk walk behind every read of values.
+// With exact set, each decoded chunk has its residual block applied, turning
+// the lossy reconstruction into the original bit pattern (ErrNoResidual
+// without a residual layer). fn gets each chunk's part of [off, off+n) once
+// the range is admitted, valid until fn returns. Each chunk it delivers is
+// counted in reads: ChunkReads for a served read.
+func (s *Store) walkRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64, fn func(vals []float64)) error {
 	name := m.Name
 	if exact && m.Residual == nil {
-		return nil, fmt.Errorf("%w: %q", ErrNoResidual, name)
+		return fmt.Errorf("%w: %q", ErrNoResidual, name)
 	}
 	// The subtraction form cannot overflow (off < TotalValues is implied).
 	if off < 0 || n <= 0 || off > m.TotalValues || n > m.TotalValues-off {
-		return nil, fmt.Errorf("%w: [%d, %d) of %d values", ErrBadRange, off, off+n, m.TotalValues)
+		return fmt.Errorf("%w: [%d, %d) of %d values", ErrBadRange, off, off+n, m.TotalValues)
 	}
 	f, err := s.fs.Open(filepath.Join(s.datasetDir(name), ContainerFile))
 	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	var rf io.ReadSeekCloser
 	var ridx *residual.Index
 	if exact {
 		if rf, ridx, err = s.openResidual(s.datasetDir(name), m); err != nil {
-			return nil, err
+			return err
 		}
 		defer rf.Close()
 	}
@@ -702,8 +718,7 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.I
 			lo, start = hi+1, end
 		}
 	}
-	out := make([]float64, 0, n)
-	err = eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
+	return eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
 		if exact {
 			// openResidual held every block to its chunk's value count, and
 			// DecodeChunkAt len(vals) to the entry's.
@@ -714,14 +729,10 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.I
 		reads.Add(1)
 		// DecodeChunkAt holds len(vals) to the entry's count, so the slice
 		// below is in range whatever the container claims.
-		out = append(out, vals[max(off-start, 0):min(off+n-start, int64(len(vals)))]...)
+		fn(vals[max(off-start, 0):min(off+n-start, int64(len(vals)))])
 		start += int64(len(vals))
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // eachChunk is the store's one index-driven chunk read: each of chunks
