@@ -61,6 +61,13 @@ var fixtures = []struct {
 	{"internal/residual/testdata/pre_pr20_f64_ans.rqr", resid, "cca1cd89680e73c23ea76fcad95486b6faf0d9521e442c565c7c96d1531de95f", "8b48725fa965b9fe7c8b01ccd2cb15b5ef66fb73a975d55335b0ee4e461251fd"},
 	{"internal/residual/testdata/pre_pr20_f64_huffman.rqr", resid, "954a96ae712a5ca239358042b03a7581fafbabfad0107ff44b8588ddac74b6c4", "8b48725fa965b9fe7c8b01ccd2cb15b5ef66fb73a975d55335b0ee4e461251fd"},
 	{"internal/residual/testdata/pre_pr20_f64_lz77.rqr", resid, "3a16cd5e9f5de727523645338148d07fd1e60684e268d2f30bab7cf21a7121d4", "8b48725fa965b9fe7c8b01ccd2cb15b5ef66fb73a975d55335b0ee4e461251fd"},
+	// The same goldens at residual version 2, ULP blocks beside XOR ones; ULP blocks read as their payloads.
+	{"internal/residual/testdata/v2_f32_ans.rqr", resid, "95e086737d937520f0e8b188b9252260d9520e71de5d6045ee4a901e72ddd67d", "1aa4d4d435e440a396fb8f429cdc9f24429faba119ad2cbbda60aa67fe999681"},
+	{"internal/residual/testdata/v2_f32_huffman.rqr", resid, "1fe9129d56c2682bcdff84cfb86061a81d13d5f01f5e72a2fa1e5c816c865626", "1aa4d4d435e440a396fb8f429cdc9f24429faba119ad2cbbda60aa67fe999681"},
+	{"internal/residual/testdata/v2_f32_lz77.rqr", resid, "b12b3c6a799299453a51d9feae7eaeb2971049aefdf5ddf3ea62955db11ce4af", "1aa4d4d435e440a396fb8f429cdc9f24429faba119ad2cbbda60aa67fe999681"},
+	{"internal/residual/testdata/v2_f64_ans.rqr", resid, "d38d1ad520d2f087a884751089c5eb55cbabad04df69fdba4d47fed4c14baf0f", "07655379baaa67d15a5d7f8f11317339639b9c03381f873a939c8d5a93ba1020"},
+	{"internal/residual/testdata/v2_f64_huffman.rqr", resid, "9c5a73aecfa3c11a5b7a542b0ccb6875aec8161e93fe31cd9dba49bc272f2907", "07655379baaa67d15a5d7f8f11317339639b9c03381f873a939c8d5a93ba1020"},
+	{"internal/residual/testdata/v2_f64_lz77.rqr", resid, "d6574e3594e440169f51306b28ea4352f74201291b0fdbd7d6f05358638a623d", "07655379baaa67d15a5d7f8f11317339639b9c03381f873a939c8d5a93ba1020"},
 	// Written before the profile record named its pipeline (prediction-tans, rle); rqserved's answers from it.
 	{"internal/store/testdata/pre_pr18_manifest.json", manifest, "70786dd347b497cce503ea8f7d42a842bf18637cb119c797924df0d850f3b3b5",
 		"[0x401b3b3808077fca 0x4012cd47d0293fac 0x4050320b5c175ea2 0x3feffff429416dd4 0x4024c4b1ffd61002 0x3fe52af8e7637c53]"},
@@ -94,8 +101,10 @@ func (e httpError) Error() string { return string(e) }
 // fixture committed at the parent; the guard fails on a fixture with no row or a row with no fixture.
 func TestArchivedFixtures(t *testing.T) {
 	inPkgs, _ := filepath.Glob("internal/*/testdata/pre_pr*") // the patterns are well formed
+	v2, _ := filepath.Glob("internal/residual/testdata/v2_*")
 	atRoot, _ := filepath.Glob("testdata/pre_pr*")
-	onDisk := append(inPkgs, atRoot...) // sorted, as internal/ < testdata/
+	onDisk := slices.Concat(inPkgs, v2, atRoot)
+	slices.Sort(onDisk)
 	var rows []string
 	for _, fx := range fixtures {
 		rows = append(rows, fx.path)

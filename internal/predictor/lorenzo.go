@@ -109,12 +109,11 @@ func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
 // (used for 4-D).
 func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	rank := len(dims)
-	st := grid.Strides(dims)
+	terms := newLorenzoTerms(grid.Strides(dims))
 	n := totalLen(dims)
 	coord := make([]int, rank)
 	for idx := 0; idx < n; idx++ {
-		pred := lorenzoPredictND(work, coord, st, rank, idx)
-		e.Emit(idx, pred)
+		e.Emit(idx, terms.predict(work, idx, zeroMask(coord)))
 		for d := rank - 1; d >= 0; d-- {
 			coord[d]++
 			if coord[d] < dims[d] {
@@ -125,27 +124,53 @@ func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	}
 }
 
-func lorenzoPredictND(work []float64, coord, st []int, rank, idx int) float64 {
-	var pred float64
-	for mask := 1; mask < 1<<rank; mask++ {
-		off := idx
-		ok := true
-		for d := 0; d < rank; d++ {
+// lorenzoTerms is the inclusion–exclusion stencil of the order-1 Lorenzo
+// predictor at one field's strides: for each nonempty dimension mask, in
+// mask order, the backward neighbour's distance from the point and whether
+// it is added (an odd number of dimensions) or subtracted.
+type lorenzoTerms struct {
+	off []int
+	add []bool
+}
+
+func newLorenzoTerms(st []int) lorenzoTerms {
+	n := 1<<len(st) - 1
+	t := lorenzoTerms{off: make([]int, n), add: make([]bool, n)}
+	for mask := 1; mask <= n; mask++ {
+		for d := range st {
 			if mask&(1<<d) != 0 {
-				if coord[d] == 0 {
-					ok = false
-					break
-				}
-				off -= st[d]
+				t.off[mask-1] += st[d]
 			}
 		}
-		if !ok {
+		t.add[mask-1] = bits.OnesCount(uint(mask))%2 == 1
+	}
+	return t
+}
+
+// zeroMask has bit d set where coord[d] is 0: the dimensions with no
+// backward neighbour.
+func zeroMask(coord []int) uint {
+	var z uint
+	for d, c := range coord {
+		if c == 0 {
+			z |= 1 << d
+		}
+	}
+	return z
+}
+
+// predict is the Lorenzo prediction at idx from the terms whose dimensions
+// all have a backward neighbour (none in zero), summed in mask order.
+func (t lorenzoTerms) predict(work []float64, idx int, zero uint) float64 {
+	var pred float64
+	for m, off := range t.off {
+		if uint(m+1)&zero != 0 {
 			continue
 		}
-		if bits.OnesCount(uint(mask))%2 == 1 {
-			pred += work[off]
+		if t.add[m] {
+			pred += work[idx-off]
 		} else {
-			pred -= work[off]
+			pred -= work[idx-off]
 		}
 	}
 	return pred
@@ -155,23 +180,29 @@ func lorenzoPredictND(work []float64, coord, st []int, rank, idx int) float64 {
 // Lorenzo prediction is computed from *original* neighbor values (paper
 // §III-C1 and §III-C4). The very first point has no neighbors (prediction 0,
 // a giant outlier the compressor effectively stores raw), so it is excluded
-// from the error distribution.
+// from the error distribution. The sampled indices ascend, so each point's
+// coordinates advance from the last one's, dividing only on a carry.
 func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
 	n := f.Len()
 	idxs := stats.SampleIndices(n, rate, seed)
 	out := make([]float64, 0, len(idxs))
 	dims := f.Dims
-	rank := len(dims)
-	st := grid.Strides(dims)
-	coord := make([]int, rank)
+	terms := newLorenzoTerms(grid.Strides(dims))
+	coord := make([]int, len(dims))
+	prev := 0
 	for _, idx := range idxs {
+		step := idx - prev
+		prev = idx
+		for d := len(dims) - 1; d >= 0 && step > 0; d-- {
+			c := coord[d] + step
+			if c < dims[d] {
+				coord[d], step = c, 0
+			} else {
+				coord[d], step = c%dims[d], c/dims[d]
+			}
+		}
 		if idx == 0 {
 			continue
-		}
-		rem := idx
-		for d := rank - 1; d >= 0; d-- {
-			coord[d] = rem % dims[d]
-			rem /= dims[d]
 		}
 		var pred float64
 		if l.order == 2 {
@@ -182,7 +213,7 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 				pred = f.Data[0]
 			}
 		} else {
-			pred = lorenzoPredictND(f.Data, coord, st, rank, idx)
+			pred = terms.predict(f.Data, idx, zeroMask(coord))
 		}
 		out = append(out, pred-f.Data[idx])
 	}

@@ -9,30 +9,33 @@ import (
 	"rqm/internal/grid"
 )
 
-// benchShapes are the two block geometries worth timing on a smooth
-// 256Ki-value field: float64 in 4096-value blocks, where building eight
-// coding tables per block is most of the work, and float32 in 65536-value
-// blocks — what the store writes — where coding is.
+// benchShapes are the block geometries worth timing on a 256Ki-value
+// field: XOR-layout blocks (a mostly-exact reconstruction) of float64 in
+// 4096-value blocks, where building eight coding tables per block is most
+// of the work, and of float32 in 65536-value blocks — what the store writes
+// — where coding is; and ULP-layout blocks (a smooth field under a bound)
+// of float32 in 65536-value blocks, the exact tier's common case.
 var benchShapes = []struct {
 	prec   grid.Precision
 	values int
-}{{grid.Float64, 4096}, {grid.Float32, 65536}}
+	layout uint8
+}{{grid.Float64, 4096, 0}, {grid.Float32, 65536, 0}, {grid.Float32, 65536, FlagULP}}
 
-func benchName(prec grid.Precision, values int) string {
-	return fmt.Sprintf("f%d/%d", prec.Bits(), values)
+func benchName(prec grid.Precision, values int, layout uint8) string {
+	return fmt.Sprintf("%s/f%d/%d", layoutName(layout), prec.Bits(), values)
 }
 
-// BenchmarkResidualEncode measures residual synthesis end to end — XOR into
-// byte planes, entropy coding, framing — at the default backend, reported
-// as input bytes/sec.
+// BenchmarkResidualEncode measures residual synthesis end to end — the
+// layout pass, then ULP packing or XOR into byte planes and entropy coding,
+// framing — at the default backend, reported as input bytes/sec.
 func BenchmarkResidualEncode(b *testing.B) {
 	c, err := ByName(DefaultBackend)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, sh := range benchShapes {
-		b.Run(benchName(sh.prec, sh.values), func(b *testing.B) {
-			orig, recon, blocks := smoothBlocks(sh.prec, (1<<18)/sh.values, sh.values)
+		b.Run(benchName(sh.prec, sh.values, sh.layout), func(b *testing.B) {
+			orig, recon, blocks := layoutBlocks(b, c, sh.prec, (1<<18)/sh.values, sh.values, sh.layout)
 			b.SetBytes(int64(len(orig) * sh.prec.Bits() / 8))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -46,15 +49,16 @@ func BenchmarkResidualEncode(b *testing.B) {
 }
 
 // BenchmarkResidualDecode measures the exact-read hot loop — block read,
-// CRC, entropy decode, XOR into the values — as the store runs it
-// (ApplyBlock) next to the two-step ReadBlock + Apply it replaced there.
+// CRC, then ULP unpacking or entropy decode and XOR into the values — as
+// the store runs it (ApplyBlock), next to the two-step ReadBlock + Apply it
+// replaced there on XOR blocks.
 func BenchmarkResidualDecode(b *testing.B) {
 	c, err := ByName(DefaultBackend)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, sh := range benchShapes {
-		orig, recon, blocks := smoothBlocks(sh.prec, (1<<18)/sh.values, sh.values)
+		orig, recon, blocks := layoutBlocks(b, c, sh.prec, (1<<18)/sh.values, sh.values, sh.layout)
 		var buf bytes.Buffer
 		if _, err := Encode(&buf, c, sh.prec, orig, recon, blocks); err != nil {
 			b.Fatal(err)
@@ -66,7 +70,7 @@ func BenchmarkResidualDecode(b *testing.B) {
 		}
 		vals := make([]float64, len(orig))
 		run := func(name string, block func(r io.ReadSeeker, e BlockEntry, vals []float64) error) {
-			b.Run(name+"/"+benchName(sh.prec, sh.values), func(b *testing.B) {
+			b.Run(name+"/"+benchName(sh.prec, sh.values, sh.layout), func(b *testing.B) {
 				b.SetBytes(int64(len(orig) * sh.prec.Bits() / 8))
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -86,6 +90,9 @@ func BenchmarkResidualDecode(b *testing.B) {
 		run("ApplyBlock", func(r io.ReadSeeker, e BlockEntry, vals []float64) error {
 			return ApplyBlock(r, idx.Header, e, vals)
 		})
+		if sh.layout == FlagULP {
+			continue // a ULP block has no XOR bytes for Apply
+		}
 		run("ReadBlock+Apply", func(r io.ReadSeeker, e BlockEntry, vals []float64) error {
 			raw, err := ReadBlock(r, idx.Header, e)
 			if err != nil {

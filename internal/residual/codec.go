@@ -9,7 +9,8 @@ import (
 	"rqm/internal/lz77"
 )
 
-// Codec is one entropy backend for the byte planes of a residual block.
+// Codec is one entropy backend for the byte planes of an XOR-layout residual
+// block; a ULP block is bit-packed the same whatever the backend.
 // Compress is free to expand (the container falls back to storing the plane
 // raw); Decompress must reproduce exactly len(plane) bytes or fail typed.
 // Both work on the caller's buffers and the block's pooled scratch, so a
@@ -33,9 +34,10 @@ const (
 	idLZ77    = 3
 )
 
-// DefaultBackend is the backend used when the caller does not pick one.
-// tANS over byte planes wins on the near-constant high planes a good
-// predictor leaves behind, at table costs amortized per block.
+// DefaultBackend is the backend used when the caller does not pick one. It
+// codes only the XOR-layout blocks — those the layout rule finds mostly
+// exact zeros — where tANS over byte planes wins on the near-constant high
+// planes, at table costs amortized per block.
 const DefaultBackend = "ans"
 
 var (

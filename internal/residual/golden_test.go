@@ -2,7 +2,9 @@ package residual
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -145,62 +147,112 @@ func requireSameBits(t *testing.T, what string, got, want []float64, prec grid.P
 	}
 }
 
-// TestGoldenSameBytes: Encode reproduces every parent-written file byte for
-// byte, and the reader restores the original bit for bit from each.
+// v2Goldens pins testdata/v2_<prec>_<backend>.rqr by SHA-256: the version-2
+// files Encode writes from goldenCase, holding ULP blocks beside XOR ones.
+var v2Goldens = map[string]string{
+	"v2_f32_ans.rqr":     "95e086737d937520f0e8b188b9252260d9520e71de5d6045ee4a901e72ddd67d",
+	"v2_f32_huffman.rqr": "1fe9129d56c2682bcdff84cfb86061a81d13d5f01f5e72a2fa1e5c816c865626",
+	"v2_f32_lz77.rqr":    "b12b3c6a799299453a51d9feae7eaeb2971049aefdf5ddf3ea62955db11ce4af",
+	"v2_f64_ans.rqr":     "d38d1ad520d2f087a884751089c5eb55cbabad04df69fdba4d47fed4c14baf0f",
+	"v2_f64_huffman.rqr": "9c5a73aecfa3c11a5b7a542b0ccb6875aec8161e93fe31cd9dba49bc272f2907",
+	"v2_f64_lz77.rqr":    "d6574e3594e440169f51306b28ea4352f74201291b0fdbd7d6f05358638a623d",
+}
+
+// layoutCounts counts what a file's blocks hold: ULP blocks, raw blocks,
+// and the raw and coded planes of its XOR blocks.
+func layoutCounts(file []byte, idx *Index) (ulp, rawBlocks, rawPlanes, codedPlanes int) {
+	for _, e := range idx.Blocks {
+		switch {
+		case e.Flags&FlagULP != 0:
+			ulp++
+			continue
+		case e.Flags&FlagRaw != 0:
+			rawBlocks++
+			continue
+		}
+		p := file[e.Offset+blockHeaderSize:][:e.EncBytes]
+		for len(p) > 0 {
+			if p[0]&FlagRaw != 0 {
+				rawPlanes++
+			} else {
+				codedPlanes++
+			}
+			p = p[planeHeaderSize+int(binary.LittleEndian.Uint32(p[1:])):]
+		}
+	}
+	return
+}
+
+// restoreAll applies every block of file to a copy of recon and requires
+// the original's bits and the header's original hash back.
+func restoreAll(t *testing.T, what string, file []byte, orig, recon []float64, prec grid.Precision) {
+	t.Helper()
+	r := bytes.NewReader(file)
+	idx, err := LoadIndex(r)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	got := append([]float64(nil), recon...)
+	start := 0
+	for i, e := range idx.Blocks {
+		if err := ApplyBlock(r, idx.Header, e, got[start:start+e.Values]); err != nil {
+			t.Fatalf("%s: block %d: %v", what, i, err)
+		}
+		start += e.Values
+	}
+	requireSameBits(t, "ApplyBlock over "+what, got, orig, prec)
+	sum, err := OriginalHash(got, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum != idx.Header.OriginalHash {
+		t.Fatalf("%s: restored payload does not hash to the header's original hash", what)
+	}
+}
+
+// TestGoldenSameBytes: the reader restores the original bit for bit from
+// every parent-written pre_pr20 file (version 1, XOR blocks only) and every
+// pinned v2 golden, and Encode reproduces each v2 golden byte for byte.
 func TestGoldenSameBytes(t *testing.T) {
 	eachGolden(t, func(t *testing.T, c Codec, prec grid.Precision, file []byte, orig, recon []float64, blocks []int) {
+		idx, err := LoadIndex(bytes.NewReader(file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fixture must keep holding what it was built to hold.
+		ulp, rawBlocks, rawPlanes, codedPlanes := layoutCounts(file, idx)
+		if ulp != 0 || rawBlocks == 0 || rawPlanes == 0 || codedPlanes == 0 || idx.Blocks[1].Values != 1 {
+			t.Fatalf("fixture lost its coverage: %d ULP blocks, %d raw blocks, %d raw planes, %d coded planes, block 1 of %d values",
+				ulp, rawBlocks, rawPlanes, codedPlanes, idx.Blocks[1].Values)
+		}
+		restoreAll(t, "the parent's file", file, orig, recon, prec)
+
+		name := fmt.Sprintf("v2_f%d_%s.rqr", prec.Bits(), c.Name())
+		v2, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(v2); hex.EncodeToString(sum[:]) != v2Goldens[name] {
+			t.Fatalf("%s hashes to %x, pinned %s", name, sum, v2Goldens[name])
+		}
 		var buf bytes.Buffer
 		n, err := Encode(&buf, c, prec, orig, recon, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n != int64(buf.Len()) || !bytes.Equal(buf.Bytes(), file) {
-			t.Fatalf("Encode wrote %d bytes that differ from the parent's %d-byte file", buf.Len(), len(file))
+		if n != int64(buf.Len()) || !bytes.Equal(buf.Bytes(), v2) {
+			t.Fatalf("Encode wrote %d bytes that differ from the %d-byte %s", buf.Len(), len(v2), name)
 		}
-
-		r := bytes.NewReader(file)
-		idx, err := LoadIndex(r)
+		idx, err = LoadIndex(bytes.NewReader(v2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The fixture must keep holding what it was built to hold.
-		var rawBlocks, rawPlanes, codedPlanes int
-		for _, e := range idx.Blocks {
-			if e.Flags&FlagRaw != 0 {
-				rawBlocks++
-				continue
-			}
-			p := file[e.Offset+blockHeaderSize:][:e.EncBytes]
-			for len(p) > 0 {
-				if p[0]&FlagRaw != 0 {
-					rawPlanes++
-				} else {
-					codedPlanes++
-				}
-				p = p[planeHeaderSize+int(binary.LittleEndian.Uint32(p[1:])):]
-			}
+		ulp, rawBlocks, rawPlanes, codedPlanes = layoutCounts(v2, idx)
+		if ulp == 0 || rawBlocks == 0 || rawPlanes == 0 || codedPlanes == 0 || idx.Blocks[1].Values != 1 {
+			t.Fatalf("%s lost its coverage: %d ULP blocks, %d raw blocks, %d raw planes, %d coded planes, block 1 of %d values",
+				name, ulp, rawBlocks, rawPlanes, codedPlanes, idx.Blocks[1].Values)
 		}
-		if rawBlocks == 0 || rawPlanes == 0 || codedPlanes == 0 || idx.Blocks[1].Values != 1 {
-			t.Fatalf("fixture lost its coverage: %d raw blocks, %d raw planes, %d coded planes, block 1 of %d values",
-				rawBlocks, rawPlanes, codedPlanes, idx.Blocks[1].Values)
-		}
-
-		got := append([]float64(nil), recon...)
-		start := 0
-		for i, e := range idx.Blocks {
-			if err := ApplyBlock(r, idx.Header, e, got[start:start+e.Values]); err != nil {
-				t.Fatalf("block %d: %v", i, err)
-			}
-			start += e.Values
-		}
-		requireSameBits(t, "ApplyBlock over the parent's file", got, orig, prec)
-		sum, err := OriginalHash(got, prec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sum != idx.Header.OriginalHash {
-			t.Fatal("restored payload does not hash to the header's original hash")
-		}
+		restoreAll(t, name, v2, orig, recon, prec)
 	})
 }
 
@@ -412,6 +464,62 @@ func smoothBlocks(prec grid.Precision, nblocks, n int) (orig, recon []float64, b
 	return
 }
 
+// sparseBlocks is smoothBlocks reconstructed exactly on seven values in
+// eight: a mostly-zero residual, which the layout rule gives to the XOR
+// layout.
+func sparseBlocks(prec grid.Precision, nblocks, n int) (orig, recon []float64, blocks []int) {
+	orig, recon, blocks = smoothBlocks(prec, nblocks, n)
+	for i := range recon {
+		if i%8 != 0 {
+			recon[i] = orig[i]
+		}
+	}
+	return
+}
+
+// layoutBlocks is a field whose every block the rule codes in the given
+// layout (FlagULP, or 0 for XOR planes), held to it.
+func layoutBlocks(t testing.TB, c Codec, prec grid.Precision, nblocks, n int, layout uint8) (orig, recon []float64, blocks []int) {
+	t.Helper()
+	if layout == FlagULP {
+		// Moved inside one binade, [2, 4): a reconstruction across a sign
+		// change from its original is billions of ULPs away from it, and
+		// one across a binade boundary above it raises the block's t.
+		orig, recon, blocks = smoothBlocks(prec, nblocks, n)
+		for i, o := range orig {
+			lifted := 3 + 0.4*o
+			if prec == grid.Float32 {
+				lifted = float64(float32(lifted))
+			}
+			orig[i], recon[i] = lifted, lifted+(recon[i]-o)
+		}
+	} else {
+		orig, recon, blocks = sparseBlocks(prec, nblocks, n)
+	}
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, c, prec, orig, recon, blocks); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := LoadIndex(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range idx.Blocks {
+		if e.Flags&^FlagRaw != layout {
+			t.Fatalf("block %d coded with flags %#x, want layout %#x", i, e.Flags, layout)
+		}
+	}
+	return orig, recon, blocks
+}
+
+// layoutName names a layout in test and benchmark names.
+func layoutName(layout uint8) string {
+	if layout == FlagULP {
+		return "ulp"
+	}
+	return "xor"
+}
+
 // allocsOf is testing.AllocsPerRun that also reports bytes: the mean objects
 // and bytes one warm run of fn allocates, on one P so the sync.Pools the
 // guarded paths lean on are not missed by a migrating goroutine.
@@ -430,8 +538,9 @@ func allocsOf(fn func()) (objects, bytes float64) {
 
 // TestSteadyStateAllocations guards the pooled paths: once the pools are
 // warm, what Encode and ApplyBlock allocate per block is nothing, on every
-// backend and whatever the plane count — no plane-sized symbol slice, no
-// histogram map, no coding table or codebook, no matcher.
+// backend, in both layouts and whatever the plane count — no plane-sized
+// symbol slice, no histogram map, no coding table or codebook, no matcher,
+// no ULP read buffer.
 func TestSteadyStateAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items under the race detector")
@@ -442,8 +551,12 @@ func TestSteadyStateAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pc := range goldenPrecs {
-			for _, n := range []int{4096, 65536} {
-				orig, recon, blocks := smoothBlocks(pc.prec, 5, n)
+			for _, sh := range []struct {
+				n      int
+				layout uint8
+			}{{4096, 0}, {65536, 0}, {4096, FlagULP}, {65536, FlagULP}} {
+				n := sh.n
+				orig, recon, blocks := layoutBlocks(t, c, pc.prec, 5, n, sh.layout)
 				encode := func(nblocks int) func() {
 					return func() {
 						if _, err := Encode(io.Discard, c, pc.prec, orig[:nblocks*n], recon[:nblocks*n], blocks[:nblocks]); err != nil {
@@ -473,14 +586,14 @@ func TestSteadyStateAllocations(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				t.Logf("%s/%s/%d values: per block Encode %.1f objects %.0f B, ApplyBlock %.1f objects %.0f B",
-					backend, pc.tag, n, encObjects, encBytes, applyObjects, applyBytes)
+				t.Logf("%s/%s/%s/%d values: per block Encode %.1f objects %.0f B, ApplyBlock %.1f objects %.0f B",
+					backend, pc.tag, layoutName(sh.layout), n, encObjects, encBytes, applyObjects, applyBytes)
 				// Under one object and a few hundred bytes per block is the
 				// runtime's own noise across ten runs, not a code path.
 				const maxObjects, maxBytes = 0.5, 512.0
 				if encObjects > maxObjects || applyObjects > maxObjects || encBytes > maxBytes || applyBytes > maxBytes {
-					t.Fatalf("%s/%s/%d values: per-block allocations above the guard (%.0f objects, %.0f B)",
-						backend, pc.tag, n, maxObjects, maxBytes)
+					t.Fatalf("%s/%s/%s/%d values: per-block allocations above the guard (%.0f objects, %.0f B)",
+						backend, pc.tag, layoutName(sh.layout), n, maxObjects, maxBytes)
 				}
 			}
 		}

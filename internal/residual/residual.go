@@ -1,22 +1,31 @@
 // Package residual implements the lossless residual layer over a lossy
-// container: the bitwise difference between the original field and its
-// decoded reconstruction, entropy-coded into a self-describing framed file
-// stored beside the base container.
+// container: the difference between the original field and its decoded
+// reconstruction, bit for bit, in a self-describing framed file stored
+// beside the base container.
 //
-// The residual is the XOR of the storage-width bit patterns (float32 →
-// uint32, float64 → uint64), not a floating-point subtraction: XOR is
-// exactly invertible bit for bit, while orig − recon need not round-trip
-// under FP arithmetic. When the predictor is good the reconstruction shares
-// the sign, exponent, and high mantissa bits of the original, so the XOR is
-// mostly zeros in the high bytes — byte-plane transposition groups those
-// near-constant planes together, and a generic entropy backend (Huffman,
-// tANS, or LZ77 — see Codec) compresses them far below the raw width.
+// A block holds its residual in one of two layouts, chosen per block by a
+// size estimate. The ULP layout (ulp.go) stores each value's integer
+// distance from its reconstruction in value-ordered key space, bit-packed at
+// a width the reconstruction's exponent sets: under an absolute error bound
+// that width is known per value, so the distances pack tightly and decode
+// with one bit-field read each. The XOR layout stores the XOR of the
+// storage-width bit patterns (float32 → uint32, float64 → uint64): when the
+// predictor is good the reconstruction shares the sign, exponent, and high
+// mantissa bits of the original, so the XOR is mostly zeros in the high
+// bytes — byte-plane transposition groups those near-constant planes
+// together, and a generic entropy backend (Huffman, tANS, or LZ77 — see
+// Codec) compresses them far below the raw width; the backend a file
+// names codes only its XOR blocks. Neither is a
+// floating-point subtraction: both are exactly invertible on bit patterns,
+// NaN payloads included. The XOR layout wins where the residual is mostly
+// exact zeros (a zero-dominated field reconstructed to exact zeros); the
+// ULP layout wherever the bound leaves noise in every value.
 //
 // File layout (all integers little-endian):
 //
 //	offset size
 //	0      4   magic "RQRS"
-//	4      1   version (1)
+//	4      1   version (2; version-1 files hold XOR blocks only)
 //	5      1   backend ID
 //	6      1   element width in bytes (4 or 8)
 //	7      1   reserved (0)
@@ -27,15 +36,17 @@
 //
 // Each block record is a 13-byte header — u32 values, u8 flags, u32 encoded
 // bytes, u32 CRC-32 (IEEE) of the payload — followed by the payload. Flag
-// bit 0 set means the payload is the raw (untransposed) residual bytes: the
-// writer falls back to raw storage when coding expands a block. Otherwise
-// the payload is one sub-record per byte plane — [u8 flags][u32 bytes][data]
-// — each plane entropy-coded with its own model (or stored raw when it is
-// incompressible noise): plane separation is the entire win, because a
-// single model over concatenated planes blurs the near-zero high planes
-// into the noisy low ones. Blocks align one-to-one with the base
-// container's chunk index, so a slice read decodes exactly the blocks
-// covering its chunks.
+// bit 1 (FlagULP) means the payload is a ULP block: [u16 t][the packed
+// distances, zero pad bits]. Flag bit 0 (FlagRaw) means the payload is the
+// raw (untransposed) XOR residual bytes: the writer falls back to raw
+// storage when coding expands a block. The two are never set together.
+// Otherwise the payload is one sub-record per XOR byte plane — [u8
+// flags][u32 bytes][data] — each plane entropy-coded with its own model (or
+// stored raw when it is incompressible noise): plane separation is the
+// entire win, because a single model over concatenated planes blurs the
+// near-zero high planes into the noisy low ones. Blocks align one-to-one
+// with the base container's chunk index, so a slice read decodes exactly
+// the blocks covering its chunks.
 package residual
 
 import (
@@ -57,8 +68,12 @@ import (
 const (
 	// Magic opens every residual file ("RQRS" little-endian).
 	Magic = uint32(0x53525152)
-	// Version is the current format version.
-	Version = 1
+	// Version is the format version the writer stamps. Version 2 added
+	// FlagULP; LoadIndex reads versions 1 and 2 and refuses FlagULP in a
+	// version-1 file.
+	Version = 2
+	// versionXOR is the version whose blocks are all XOR-layout.
+	versionXOR = 1
 	// HeaderSize is the fixed file header length in bytes.
 	HeaderSize = 52
 	// blockHeaderSize is the fixed per-block header length in bytes.
@@ -66,6 +81,8 @@ const (
 	// FlagRaw marks a block (or a plane sub-record) stored as raw bytes
 	// because coding would have expanded it.
 	FlagRaw = 1 << 0
+	// FlagULP marks a block stored in the ULP layout (ulp.go).
+	FlagULP = 1 << 1
 	// planeHeaderSize is the per-plane sub-record header length in bytes.
 	planeHeaderSize = 5
 	// maxBlockBytes bounds a single block payload LoadIndex will accept;
@@ -114,7 +131,7 @@ type BlockEntry struct {
 	Offset int64
 	// Values is the block's element count.
 	Values int
-	// Flags is the block's flag byte (FlagRaw).
+	// Flags is the block's flag byte (FlagRaw or FlagULP).
 	Flags uint8
 	// EncBytes is the payload length.
 	EncBytes int
@@ -212,6 +229,10 @@ type scratch struct {
 	// symbols into a bitio.Writer.
 	syms []uint32
 	bits bitio.Writer
+	// stats is an Encoder's one pass over the block, which picks its layout.
+	stats blockStats
+	// ulp is a ULP block's per-exponent widths and masks, for ApplyBlock.
+	ulp ulpTable
 }
 
 var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
@@ -399,15 +420,44 @@ func (e *Encoder) Close() (int64, error) {
 }
 
 // encodeBlock builds one block record — header and payload — in the scratch
-// and returns it, valid until the scratch's next use. Each byte plane is
-// coded independently and stored raw when its own coding expands it; a
-// block whose planes together do not beat the raw width is stored as the
-// raw element-order residual instead.
+// and returns it, valid until the scratch's next use. One pass over the
+// values measures both layouts: the ULP layout's exact size and the XOR
+// layout's order-0 estimate. The block is a ULP block when that is smaller:
+//
+//	ulpPayloadSize(Σw_i) < Σ_planes min(n, ⌈H_p·n/8⌉ + 40)
+//
+// Otherwise it is an XOR block (encodeXORBlock). The entropy backends
+// cannot code a plane below its order-0 entropy; lz77's matches can, so an
+// lz77 block the rule gives to the ULP layout is coded both ways and the
+// smaller kept.
 func encodeBlock(s *scratch, c Codec, orig, recon []float64, width int) ([]byte, error) {
+	st := &s.stats
+	st.measure(orig, recon, width)
+	nbits := st.ulpBits(width)
+	if ulpPayloadSize(nbits) >= st.xorEstimate(len(orig), width) {
+		return encodeXORBlock(s, c, orig, recon, width)
+	}
+	if c.ID() == idLZ77 {
+		rec, err := encodeXORBlock(s, c, orig, recon, width)
+		if err != nil || len(rec)-blockHeaderSize <= ulpPayloadSize(nbits) {
+			return rec, err
+		}
+	}
+	rec := append(s.payload[:0], make([]byte, blockHeaderSize)...)
+	rec = appendULP(rec, orig, recon, width, st.t, nbits)
+	return frameBlock(s, rec, len(orig), FlagULP), nil
+}
+
+// encodeXORBlock builds an XOR block record in the scratch and returns it,
+// valid until the scratch's next use. Each byte plane is coded
+// independently and stored raw when its own coding expands it; a block
+// whose planes together do not beat the raw width is stored as the raw
+// element-order residual instead.
+func encodeXORBlock(s *scratch, c Codec, orig, recon []float64, width int) ([]byte, error) {
 	n := len(orig)
+	rec := append(s.payload[:0], make([]byte, blockHeaderSize)...)
 	planes := grow(&s.planes, n*width)
 	xorPlanes(planes, orig, recon, width)
-	rec := append(s.payload[:0], make([]byte, blockHeaderSize)...)
 	var err error
 	for p := 0; p < width; p++ {
 		plane := planes[p*n : (p+1)*n]
@@ -430,19 +480,26 @@ func encodeBlock(s *scratch, c Codec, orig, recon []float64, width int) ([]byte,
 		interleave(rec[blockHeaderSize:], &p, width)
 		flags = FlagRaw
 	}
+	return frameBlock(s, rec, n, flags), nil
+}
+
+// frameBlock fills in the header of a record of n values whose payload
+// follows it in rec, and keeps rec as the scratch's record buffer.
+func frameBlock(s *scratch, rec []byte, n int, flags uint8) []byte {
 	payload := rec[blockHeaderSize:]
 	binary.LittleEndian.PutUint32(rec[0:], uint32(n))
 	rec[4] = flags
 	binary.LittleEndian.PutUint32(rec[5:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[9:], crc32.ChecksumIEEE(payload))
 	s.payload = rec // keep what the appends grew
-	return rec, nil
+	return rec
 }
 
 // LoadIndex reads the file header and scans every block header (seeking
 // past payloads), validating structure as it goes: magic, version, a
-// registered backend, a sane width, and block counts that sum to the
-// declared element count. Payload bytes are not read or verified here.
+// registered backend, a sane width, flags the version knows, payload
+// lengths the layout can have, and block counts that sum to the declared
+// element count. Payload bytes are not read or verified here.
 func LoadIndex(r io.ReadSeeker) (*Index, error) {
 	if _, err := r.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("residual: %w", err)
@@ -461,8 +518,9 @@ func LoadIndex(r io.ReadSeeker) (*Index, error) {
 	if binary.LittleEndian.Uint32(hdr[0:]) != Magic {
 		return nil, ErrBadMagic
 	}
-	if hdr[4] != Version {
-		return nil, fmt.Errorf("%w: %d", ErrUnsupportedVersion, hdr[4])
+	version := hdr[4]
+	if version != Version && version != versionXOR {
+		return nil, fmt.Errorf("%w: %d", ErrUnsupportedVersion, version)
 	}
 	if _, err := ByID(hdr[5]); err != nil {
 		return nil, err
@@ -506,11 +564,18 @@ func LoadIndex(r io.ReadSeeker) (*Index, error) {
 		if e.Values <= 0 || e.EncBytes <= 0 || e.EncBytes > maxBlockBytes {
 			return nil, fmt.Errorf("%w: block %d: %d values, %d bytes", ErrCorrupt, i, e.Values, e.EncBytes)
 		}
-		if e.Flags&^uint8(FlagRaw) != 0 {
+		known := uint8(FlagRaw)
+		if version != versionXOR {
+			known |= FlagULP
+		}
+		if e.Flags&^known != 0 || e.Flags == FlagRaw|FlagULP {
 			return nil, fmt.Errorf("%w: block %d: unknown flags %#x", ErrCorrupt, i, e.Flags)
 		}
 		if e.Flags&FlagRaw != 0 && e.EncBytes != e.Values*idx.Header.Width {
 			return nil, fmt.Errorf("%w: block %d: raw payload of %d bytes for %d values", ErrCorrupt, i, e.EncBytes, e.Values)
+		}
+		if e.Flags&FlagULP != 0 && (e.EncBytes < ulpHeaderSize || e.EncBytes > ulpPayloadSize(8*e.Values*idx.Header.Width)) {
+			return nil, fmt.Errorf("%w: block %d: ULP payload of %d bytes for %d values", ErrCorrupt, i, e.EncBytes, e.Values)
 		}
 		next := off + blockHeaderSize + int64(e.EncBytes)
 		if next > end {
@@ -533,12 +598,13 @@ func LoadIndex(r io.ReadSeeker) (*Index, error) {
 }
 
 // readPayload reads block e's payload into the scratch and verifies its
-// CRC. The returned slice is scratch memory.
+// CRC. The returned slice is scratch memory, with ulpPad bytes of capacity
+// past its end for the ULP reader's wide loads.
 func readPayload(s *scratch, r io.ReadSeeker, e BlockEntry) ([]byte, error) {
 	if _, err := r.Seek(e.Offset+blockHeaderSize, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("residual: %w", err)
 	}
-	payload := grow(&s.payload, e.EncBytes)
+	payload := grow(&s.payload, e.EncBytes+ulpPad)[:e.EncBytes]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: block payload: %v", ErrTruncated, err)
 	}
@@ -589,12 +655,19 @@ func decodePlanes(s *scratch, c Codec, payload []byte, values, width int) (p [8]
 
 // VerifyBlock reads one block's payload and verifies its CRC — the
 // shallow-scrub pass over a residual file. With deep set it also decodes
-// every plane, the proof that the block will still apply.
+// every plane of an XOR block, the proof that the block will still apply.
+// A ULP block cannot be split into values without its reconstruction:
+// deep verification checks its t, and the store's deep verification
+// proves it by applying it (the exact read against original_hash).
 func VerifyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, deep bool) error {
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
 	payload, err := readPayload(s, r, e)
 	if err != nil || !deep || e.Flags&FlagRaw != 0 {
+		return err
+	}
+	if e.Flags&FlagULP != 0 {
+		_, err = checkULPHead(payload, hdr.Width)
 		return err
 	}
 	c, err := ByID(hdr.BackendID)
@@ -605,9 +678,13 @@ func VerifyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, deep bool) error {
 	return err
 }
 
-// ReadBlock reads, CRC-verifies, and decodes one block, returning the raw
-// residual bytes (e.Values × width, plain element order) ready for Apply.
-// The result is the caller's: it never aliases the reader's scratch.
+// ReadBlock reads, CRC-verifies, and decodes one XOR-layout block,
+// returning the raw residual bytes (e.Values × width, plain element order)
+// ready for Apply. A ULP block's distances cannot be turned into XOR bytes
+// without the reconstruction, so for one ReadBlock returns a copy of its
+// CRC-checked payload (t checked) and ApplyBlock is the one applier of both
+// layouts. The result is the caller's: it never aliases the reader's
+// scratch.
 func ReadBlock(r io.ReadSeeker, hdr Header, e BlockEntry) ([]byte, error) {
 	c, err := ByID(hdr.BackendID)
 	if err != nil {
@@ -619,7 +696,13 @@ func ReadBlock(r io.ReadSeeker, hdr Header, e BlockEntry) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.Flags&FlagRaw != 0 {
+	switch e.Flags {
+	case FlagULP:
+		if _, err := checkULPHead(payload, hdr.Width); err != nil {
+			return nil, err
+		}
+		return slices.Clone(payload), nil
+	case FlagRaw:
 		return slices.Clone(payload), nil
 	}
 	p, err := decodePlanes(s, c, payload, e.Values, hdr.Width)
@@ -631,11 +714,12 @@ func ReadBlock(r io.ReadSeeker, hdr Header, e BlockEntry) ([]byte, error) {
 	return out, nil
 }
 
-// ApplyBlock reads, CRC-verifies and decodes one block and XORs it into
-// vals in place — ReadBlock followed by Apply without the element-order
-// copy between them: decoded planes go straight into the values. vals holds
-// the block's e.Values lossy reconstructions and leaves holding the
-// original values at storage precision. On error vals is untouched.
+// ApplyBlock reads, CRC-verifies and decodes one block and applies it to
+// vals in place: a ULP block's distances are added in key space, an XOR
+// block's decoded planes go straight into the values (ReadBlock followed
+// by Apply without the element-order copy between them). vals holds the
+// block's e.Values lossy reconstructions and leaves holding the original
+// values at storage precision. On error vals is untouched.
 func ApplyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, vals []float64) error {
 	c, err := ByID(hdr.BackendID)
 	if err != nil {
@@ -650,7 +734,10 @@ func ApplyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, vals []float64) error
 	if err != nil {
 		return err
 	}
-	if e.Flags&FlagRaw != 0 {
+	switch e.Flags {
+	case FlagULP:
+		return applyULP(&s.ulp, vals, payload, hdr.Width)
+	case FlagRaw:
 		return applyRaw(vals, payload, hdr.Width)
 	}
 	p, err := decodePlanes(s, c, payload, e.Values, hdr.Width)

@@ -87,7 +87,14 @@ func TestEncodeDecodeAllBackends(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: block %d: %v", name, prec, i, err)
 				}
-				if err := Apply(got[start:start+e.Values], raw, prec); err != nil {
+				// ReadBlock yields XOR bytes for an XOR block; a ULP block
+				// applies only against its reconstruction, through ApplyBlock.
+				if e.Flags&FlagULP != 0 {
+					err = ApplyBlock(r, idx.Header, e, got[start:start+e.Values])
+				} else {
+					err = Apply(got[start:start+e.Values], raw, prec)
+				}
+				if err != nil {
 					t.Fatal(err)
 				}
 				start += e.Values

@@ -229,7 +229,7 @@ func (s *Service) handleDatasetPut(req *request) error {
 		}
 	}
 	committed, err := req.commit(base, func(cw io.Writer) (*store.Manifest, error) {
-		_, err := streamBuild(cw, eng, f, streamOpts...)
+		_, err := streamBuild(cw, eng, f, lo, hi, streamOpts...)
 		return man, err
 	}, rb)
 	if err != nil {
@@ -636,9 +636,10 @@ func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *
 	if orig != nil {
 		rb = store.BuildResidual(orig, m.Prec(), m.Residual.Backend)
 	}
+	lo, hi := f.ValueRange()
 	committed, err := req.commit(m, func(cw io.Writer) (*store.Manifest, error) {
 		var err error
-		if stats, err = streamBuild(cw, eng, f, streamOpts...); err != nil {
+		if stats, err = streamBuild(cw, eng, f, lo, hi, streamOpts...); err != nil {
 			return nil, err
 		}
 		if spatial {
@@ -656,16 +657,22 @@ func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *
 // commits.
 var stagingWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 1<<20) }}
 
-// streamBuild stages the container of a compressing commit: f through eng's
-// chunked pipeline into cw.
-func streamBuild(cw io.Writer, eng *rqm.Engine, f *rqm.Field, opts ...rqm.StreamOption) (rqm.StreamStats, error) {
+// streamBuild stages the container of a compressing commit: f, whose value
+// range the caller has taken once as [lo, hi], through eng's chunked
+// pipeline into cw. It declares what NewFieldStreamWriter would — shape,
+// name, range — without scanning the field for the range again.
+func streamBuild(cw io.Writer, eng *rqm.Engine, f *rqm.Field, lo, hi float64, opts ...rqm.StreamOption) (rqm.StreamStats, error) {
 	bw := stagingWriters.Get().(*bufio.Writer)
 	bw.Reset(cw)
 	defer func() {
 		bw.Reset(nil) // drop cw: the pool must not keep a staged file alive
 		stagingWriters.Put(bw)
 	}()
-	sw, err := eng.NewFieldStreamWriter(bw, f, opts...)
+	sw, err := eng.NewStreamWriter(bw, append([]rqm.StreamOption{
+		rqm.WithStreamShape(f.Prec, f.Dims...),
+		rqm.WithStreamFieldName(f.Name),
+		rqm.WithStreamValueRange(lo, hi),
+	}, opts...)...)
 	if err != nil {
 		return rqm.StreamStats{}, err
 	}

@@ -6,6 +6,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -292,21 +293,22 @@ func SampleIndices(n int, rate float64, seed uint64) []int {
 		}
 		return out
 	}
-	// Floyd's algorithm for distinct sampling.
+	// Floyd's algorithm for distinct sampling, membership in an n-bit set:
+	// scanning the set emits the indices sorted, with no map and no sort.
 	rng := NewXorShift64(seed)
-	chosen := make(map[int]struct{}, k)
+	chosen := make([]uint64, (n+63)/64)
 	for j := n - k; j < n; j++ {
 		t := rng.Intn(j + 1)
-		if _, ok := chosen[t]; ok {
-			chosen[j] = struct{}{}
-		} else {
-			chosen[t] = struct{}{}
+		if chosen[t>>6]&(1<<(t&63)) != 0 {
+			t = j
 		}
+		chosen[t>>6] |= 1 << (t & 63)
 	}
 	out := make([]int, 0, k)
-	for i := range chosen {
-		out = append(out, i)
+	for w, word := range chosen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6+bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(out)
 	return out
 }

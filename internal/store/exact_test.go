@@ -102,6 +102,30 @@ func TestExactPathsAllocateLittle(t *testing.T) {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	s, m, f, cpath := exactFixture(t)
+	// The fixture's residual holds ULP blocks, the layout exact reads decode
+	// most: its reader must stay as allocation-free as the XOR one.
+	rpath, err := s.ResidualPath(m.Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rfile, err := os.ReadFile(rpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := residual.LoadIndex(bytes.NewReader(rfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ulp := 0
+	for _, e := range idx.Blocks {
+		if e.Flags&residual.FlagULP != 0 {
+			ulp++
+		}
+	}
+	t.Logf("%d of %d residual blocks are ULP blocks", ulp, len(idx.Blocks))
+	if ulp == 0 {
+		t.Fatal("the fixture's residual holds no ULP block")
+	}
 	build := store.BuildResidual(f.Data, f.Prec, residual.DefaultBackend)
 	for _, tc := range []struct {
 		name string

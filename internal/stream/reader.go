@@ -142,15 +142,26 @@ func (r *Reader) feed() {
 	}
 }
 
+// decodeChunkInto is the decode workers' codec call: a variable only so the
+// package's tests can make a worker panic.
+var decodeChunkInto = codec.DecodeChunkInto
+
 // decode verifies and decodes one chunk into a pooled buffer, recycling the
-// payload buffer either way.
-func decode(j decJob) decResult {
+// payload buffer either way. A decoder panic becomes that chunk's error,
+// wrapping codec.ErrCorrupt: the pool runs outside any caller's recover, so
+// an unrecovered one would end the process.
+func decode(j decJob) (res decResult) {
 	defer codec.PutPayload(j.pb)
+	defer func() {
+		if p := recover(); p != nil {
+			res = decResult{err: fmt.Errorf("%w: chunk decoder panicked: %v", codec.ErrCorrupt, p)}
+		}
+	}()
 	if err := j.chunk.Verify(); err != nil {
 		return decResult{err: err}
 	}
 	b := codec.GetValues()
-	vals, err := codec.DecodeChunkInto(*b, j.chunk)
+	vals, err := decodeChunkInto(*b, j.chunk)
 	if err != nil {
 		codec.PutValues(b)
 		return decResult{err: err}

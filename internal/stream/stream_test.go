@@ -804,3 +804,66 @@ func TestZeroLengthStreamRoundTrip(t *testing.T) {
 		t.Fatalf("reader consumed %d values from an empty stream", r.Values())
 	}
 }
+
+// TestWorkerPanicFailsTyped: a panic on a pool worker — decode or compress —
+// is that chunk's error, wrapping codec.ErrCorrupt and delivered in order,
+// not the end of the process. The chunks before the panicking one decode.
+func TestWorkerPanicFailsTyped(t *testing.T) {
+	vals := waveValues(1000) // chunks of 256, 256, 256 and a short 232
+	const short = 232
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WithChunkValues(256), WithWorkers(2), WithValueRange(-2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues(vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	blob := buf.Bytes()
+
+	decodeChunkInto = func(dst []float64, c *codec.Chunk) ([]float64, error) {
+		if c.Values == short {
+			panic("decoder bug")
+		}
+		return codec.DecodeChunkInto(dst, c)
+	}
+	t.Cleanup(func() { decodeChunkInto = codec.DecodeChunkInto })
+	r, err := NewReader(bytes.NewReader(blob), WithReaderWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := r.NextChunk(); err != nil {
+			t.Fatalf("chunk %d, before the panicking one: %v", i, err)
+		}
+	}
+	if _, err := r.NextChunk(); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("NextChunk on the panicking chunk: %v, want codec.ErrCorrupt", err)
+	}
+	r, err = NewReader(bytes.NewReader(blob), WithReaderWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadAll(); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("ReadAll: %v, want codec.ErrCorrupt", err)
+	}
+
+	compressChunk = func(w *Writer, j job) (*codec.Chunk, error) {
+		if len(j.vals) == short {
+			panic("compressor bug")
+		}
+		return w.compressChunk(j)
+	}
+	t.Cleanup(func() { compressChunk = (*Writer).compressChunk })
+	w, err = NewWriter(io.Discard, WithChunkValues(256), WithWorkers(2), WithValueRange(-2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	werr := w.WriteValues(vals)
+	if cerr := w.Close(); !errors.Is(cerr, codec.ErrCorrupt) {
+		t.Fatalf("Close after a compressor panic: %v (WriteValues: %v), want codec.ErrCorrupt", cerr, werr)
+	}
+}

@@ -273,6 +273,22 @@ func (w *Writer) dispatch(vals []float64, windowRange float64, recycle bool) {
 	w.jobs <- job{vals: vals, windowRange: windowRange, recycle: recycle, res: res}
 }
 
+// compressChunk is the compress workers' work: a variable only so the
+// package's tests can make a worker panic.
+var compressChunk = (*Writer).compressChunk
+
+// compress is compressChunk with a panic turned into that chunk's error,
+// wrapping codec.ErrCorrupt: the pool runs outside any caller's recover, so
+// an unrecovered one would end the process.
+func (w *Writer) compress(j job) (c *codec.Chunk, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c, err = nil, fmt.Errorf("%w: chunk compressor panicked: %v", codec.ErrCorrupt, p)
+		}
+	}()
+	return compressChunk(w, j)
+}
+
 // worker compresses chunks until the job channel closes.
 func (w *Writer) worker() {
 	defer w.workerWG.Done()
@@ -281,7 +297,7 @@ func (w *Writer) worker() {
 			j.res <- result{err: w.err()}
 			continue
 		}
-		c, err := w.compressChunk(j)
+		c, err := w.compress(j)
 		if j.recycle {
 			// The compressor copies the chunk into its own work buffer and
 			// the payload never aliases vals, so the buffer can be recycled
