@@ -533,14 +533,23 @@ func WriteHeader(w io.Writer, prec Precision, dims []int) (int64, error) {
 // and grows only as samples arrive through a fixed-size buffer, so a shape
 // larger than its body fails with io.ErrUnexpectedEOF having allocated no
 // more than the body and the cap.
-func ReadFrom(r io.Reader) (*Field, error) {
+func ReadFrom(r io.Reader) (*Field, error) { return ReadInto(r, nil) }
+
+// ReadInto is ReadFrom parsing the samples into dst's storage when its
+// capacity holds the declared shape; otherwise the samples go to a new
+// slice, sized by ReadFrom's rule. Every value of the result is read from r,
+// never left over in dst, and on error the field is nil.
+func ReadInto(r io.Reader, dst []float64) (*Field, error) {
 	prec, dims, err := ReadHeader(r)
 	if err != nil {
 		return nil, err
 	}
 	n, _ := ShapeLen(dims) // ReadHeader judged the shape
 	width := prec.Bits() / 8
-	data := make([]float64, 0, min(n, MaxPrealloc))
+	data := dst[:0]
+	if cap(dst) < n {
+		data = make([]float64, 0, min(n, MaxPrealloc))
+	}
 	buf := make([]byte, sampleBuf)
 	for len(data) < n {
 		b := buf[:min(n-len(data), len(buf)/width)*width]

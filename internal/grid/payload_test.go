@@ -110,18 +110,56 @@ func rqmfHeader(prec Precision, dims ...int) []byte {
 // TestReadFromSizesByBody: a header sizes nothing beyond MaxPrealloc values.
 // A 32-byte body declaring 2^13×2^13 float32 values fails having allocated
 // at most the cap, and one declaring 2^36 values fails instead of aborting
-// the process on an allocation it cannot make.
+// the process on an allocation it cannot make. ReadInto keeps the bound
+// whatever destination it is handed: one too short for the shape does not
+// count toward it.
 func TestReadFromSizesByBody(t *testing.T) {
+	short := make([]float64, 1<<10)
 	for _, dims := range [][]int{{1 << 13, 1 << 13}, {1 << 18, 1 << 18}} {
 		hdr := rqmfHeader(Float32, dims...)
-		var err error
-		grew := allocated(func() { _, err = ReadFrom(bytes.NewReader(hdr)) })
-		if !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("%d-byte body declaring %v: %v, want io.ErrUnexpectedEOF", len(hdr), dims, err)
+		for _, dst := range [][]float64{nil, short} {
+			var err error
+			grew := allocated(func() { _, err = ReadInto(bytes.NewReader(hdr), dst) })
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%d-byte body declaring %v, dst cap %d: %v, want io.ErrUnexpectedEOF", len(hdr), dims, cap(dst), err)
+			}
+			if grew > 8*MaxPrealloc+1<<20 {
+				t.Fatalf("%v, dst cap %d: ReadInto allocated %d bytes for a %d-byte body", dims, cap(dst), grew, len(hdr))
+			}
 		}
-		if grew > 8*MaxPrealloc+1<<20 {
-			t.Fatalf("%v: ReadFrom allocated %d bytes for a %d-byte body", dims, grew, len(hdr))
-		}
+	}
+}
+
+// TestReadIntoReusesDestination: a destination whose capacity holds the
+// shape takes every value, so a warm parse allocates only its header and
+// sample buffer; every value comes from the body, none from dst.
+func TestReadIntoReusesDestination(t *testing.T) {
+	f := MustNew("honest", Float32, 1<<10, 1<<8)
+	for i := range f.Data {
+		f.Data[i] = float64(float32(math.Cos(float64(i))))
+	}
+	var buf bytes.Buffer
+	if _, err := f.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]float64, f.Len()+5)
+	for i := range dst {
+		dst[i] = math.NaN()
+	}
+	var g *Field
+	var err error
+	grew := allocated(func() { g, err = ReadInto(bytes.NewReader(buf.Bytes()), dst) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &g.Data[0] != &dst[0] || len(g.Data) != f.Len() {
+		t.Fatalf("ReadInto parsed %d values outside the %d-value destination", len(g.Data), cap(dst))
+	}
+	if perValue := float64(grew) / float64(f.Len()); perValue > 0.1 {
+		t.Errorf("ReadInto allocated %.2f B/value into a destination that fits, want under 0.1", perValue)
+	}
+	if !slices.Equal(g.Data, f.Data) {
+		t.Fatal("ReadInto values differ from the field written")
 	}
 }
 
@@ -197,6 +235,7 @@ func FuzzReadFrom(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		fld, err := ReadFrom(r)
+		readIntoAgrees(t, data, fld, err)
 		if err != nil {
 			return
 		}
@@ -221,4 +260,41 @@ func FuzzReadFrom(f *testing.F) {
 			t.Fatalf("WriteTo(ReadFrom(x)) differs from the %d bytes read", len(consumed))
 		}
 	})
+}
+
+// readIntoAgrees holds ReadInto to ReadFrom's answer (fld, err) for data
+// with a nil destination, garbage-filled ones shorter than, exactly as long
+// as and longer than the declared shape: the same field bits, or the same
+// error.
+func readIntoAgrees(t *testing.T, data []byte, fld *Field, err error) {
+	t.Helper()
+	n := 0
+	if _, dims, herr := ReadHeader(bytes.NewReader(data)); herr == nil {
+		n, _ = ShapeLen(dims)
+	}
+	n = min(n, 1<<16) // a larger declared shape fails on its short body anyway
+	garbage := func(size int) []float64 {
+		d := make([]float64, size)
+		for i := range d {
+			d[i] = math.Float64frombits(0x7ff8dead00000000 | uint64(i))
+		}
+		return d
+	}
+	for _, dst := range [][]float64{nil, garbage(max(n-1, 0)), garbage(n), garbage(n + 7)} {
+		got, gerr := ReadInto(bytes.NewReader(data), dst)
+		if (gerr == nil) != (err == nil) || gerr != nil && gerr.Error() != err.Error() {
+			t.Fatalf("dst cap %d: ReadInto error %v, ReadFrom error %v", cap(dst), gerr, err)
+		}
+		if err != nil {
+			continue
+		}
+		if got.Prec != fld.Prec || !slices.Equal(got.Dims, fld.Dims) || len(got.Data) != len(fld.Data) {
+			t.Fatalf("dst cap %d: ReadInto gave float%d %v, ReadFrom float%d %v", cap(dst), got.Prec, got.Dims, fld.Prec, fld.Dims)
+		}
+		for i, v := range fld.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+				t.Fatalf("dst cap %d: value %d is %#x, ReadFrom read %#x", cap(dst), i, math.Float64bits(got.Data[i]), math.Float64bits(v))
+			}
+		}
+	}
 }

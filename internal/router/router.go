@@ -756,9 +756,16 @@ func (rt *Router) forwardThenSync(w http.ResponseWriter, r *http.Request, subpat
 }
 
 // bufferBody reads a mutation's request body (replayed across failover) up
-// to maxBody, answering the typed 413 itself when it is larger.
+// to maxBody, answering the typed 413 itself when it is larger. A body that
+// declares its length lands in one buffer of that length (service.ReadBody).
+// The buffer is not pooled: the transport may still be reading a replayed
+// body after its exchange returns.
 func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	var body []byte
+	var err error = &http.MaxBytesError{Limit: maxBody} // declared over the cap
+	if r.ContentLength <= maxBody {
+		body, err = service.ReadBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
+	}
 	if err != nil {
 		rt.writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", maxBody)
 		return nil, false

@@ -150,12 +150,14 @@ func (s *Service) handleDatasetPut(req *request) error {
 	}
 	// Parse the field straight off the wire, hashing the bytes as they pass:
 	// the raw body is never retained, so a put's peak memory is one parsed
-	// field, not field + body.
+	// field, not field + body. The field is pooled: by the time commit
+	// returns, the stream workers and the residual builder are done with it.
 	hasher := sha256.New()
-	f, err := readFieldBody(io.TeeReader(req.r.Body, hasher))
+	f, release, err := readFieldBody(io.TeeReader(req.r.Body, hasher))
 	if err != nil {
 		return err
 	}
+	defer release()
 	f.Name = name
 
 	// One sampling pass buys the dataset its lifetime of O(sample) answers:
@@ -484,9 +486,12 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 	// rebuild the original is refused here instead of re-stamped.
 	var orig []float64
 	if hasResidual {
-		if orig, err = st.ReadExact(m); err != nil {
+		buf, release := pooledValues()
+		if orig, err = st.ReadExact(m, buf); err != nil {
+			release(buf)
 			return err
 		}
+		defer func() { release(orig) }()
 	}
 	nm, rwStats, err := rewriteDataset(req, m, curAbs, newAbs, p, partName, adaptiveBound(target, val), orig)
 	if err != nil {
@@ -736,7 +741,8 @@ const RawPutMaxManifest = 16 << 20
 func (s *Service) handleDatasetRawPut(req *request) error {
 	w, st, name := req.w, req.st, req.name
 	repair := req.q.Get("repair") == "1"
-	br := bufio.NewReaderSize(req.r.Body, 1<<20)
+	br := pooledReader(req.r.Body)
+	defer releaseReader(br) // commit has read the container and residual
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest length frame: %v", err)
@@ -745,8 +751,14 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 	if mlen == 0 || mlen > RawPutMaxManifest {
 		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest frame of %d bytes", mlen)
 	}
-	mbuf := make([]byte, mlen)
-	if _, err := io.ReadFull(br, mbuf); err != nil {
+	// The length prefix alone sizes nothing: the manifest buffer starts at
+	// the bytes already received and grows as more arrive, so a short body
+	// declaring 16 MiB allocates little.
+	mbuf, err := ReadBody(io.LimitReader(br, int64(mlen)), int64(min(int(mlen), br.Buffered())))
+	if err == nil && len(mbuf) < int(mlen) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest truncated: %v", err)
 	}
 	m, err := store.ParseManifest(mbuf)

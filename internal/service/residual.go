@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -134,7 +133,8 @@ func (s *Service) handleDatasetPromote(req *request) error {
 	if err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(req.r.Body, 1<<20)
+	br := pooledReader(req.r.Body)
+	defer releaseReader(br)
 	if _, err := br.Peek(1); err != nil {
 		// No body. Already promoted -> idempotent skip; otherwise the caller
 		// must supply the original — the lossy base cannot conjure it.
@@ -146,10 +146,11 @@ func (s *Service) handleDatasetPromote(req *request) error {
 			store.ErrNoResidual, name)
 	}
 	hasher := sha256.New()
-	f, err := readFieldBody(io.TeeReader(br, hasher))
+	f, release, err := readFieldBody(io.TeeReader(br, hasher))
 	if err != nil {
 		return err
 	}
+	defer release() // after commit: the residual builder reads f.Data
 	if f.Prec.Bits() != m.PrecBits || !slices.Equal(f.Dims, m.Dims) {
 		return errf(http.StatusConflict, "conflict",
 			"promotion body is %d-bit %v, dataset %q is %d-bit %v",

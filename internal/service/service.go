@@ -576,10 +576,11 @@ func (s *Service) handleCompress(req *request) error {
 		return s.compressStream(req, eng, target, val)
 	}
 
-	f, err := readFieldBody(r.Body)
+	f, release, err := readFieldBody(r.Body)
 	if err != nil {
 		return err
 	}
+	defer release()
 	res, err := eng.Compress(f)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "compress_failed", "%v", err)
@@ -600,7 +601,8 @@ func (s *Service) handleCompress(req *request) error {
 // observes as a truncated (typed-error) container.
 func (s *Service) compressStream(req *request, eng *rqm.Engine, target string, val float64) error {
 	w, q := req.w, req.q
-	br := bufio.NewReaderSize(req.r.Body, 1<<20)
+	br := pooledReader(req.r.Body)
+	defer releaseReader(br)
 	prec, dims, err := grid.ReadHeader(br)
 	if err != nil {
 		return errf(http.StatusUnprocessableEntity, "bad_field", "field header: %v", err)
@@ -804,7 +806,7 @@ func (s *Service) handleProfile(req *request) error {
 	if err != nil {
 		return err
 	}
-	body, err := readBufferedBody(req.r.Body)
+	body, err := readBufferedBody(req.r.Body, req.r.ContentLength)
 	if err != nil {
 		return err
 	}
@@ -818,12 +820,13 @@ func (s *Service) handleProfile(req *request) error {
 		return writeJSON(w, http.StatusOK, profileResponse(cp, true))
 	}
 
-	f, err := readFieldBody(bytes.NewReader(body))
+	f, release, err := readFieldBody(bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	start := time.Now()
 	p, err := s.profile(eng, f, sample, seed)
+	release() // a Profile keeps sampled errors, not the field
 	if err != nil {
 		return err
 	}
@@ -1024,9 +1027,11 @@ func (s *Service) lookupProfile(q url.Values) (*cachedProfile, error) {
 // ---------------------------------------------------------------------------
 // Helpers
 
-// readerPool recycles the 1 MiB read buffers that containers stream through
-// on the read paths (a dataset GET, a recompaction's decode, POST
-// /v1/decompress), so a read allocates no buffer of its own.
+// readerPool recycles the 1 MiB buffered readers that request bodies and
+// containers stream through: on the read paths (a dataset GET, a
+// recompaction's decode, POST /v1/decompress) and on the write paths (a raw
+// put, a promotion's body, a streamed POST /v1/compress), so no request
+// allocates a reader of its own.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<20) }}
 
 // pooledReader returns a pooled buffered reader over r. The caller hands it
@@ -1044,28 +1049,82 @@ func releaseReader(br *bufio.Reader) {
 	readerPool.Put(br)
 }
 
-// readBufferedBody materializes a request body up to maxBufferedBody,
-// answering 413 — not a misleading truncation error — beyond the cap.
-func readBufferedBody(r io.Reader) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r, maxBufferedBody+1))
-	if err != nil {
-		return nil, errf(http.StatusBadRequest, "read_failed", "%v", err)
+// ReadBody is io.ReadAll for a body expected to be n bytes long, as a
+// request declares in its Content-Length (n < 0: unknown, read as
+// io.ReadAll reads). A body of n bytes lands in one buffer of n bytes, read
+// once, instead of one grown from 512 bytes by a copy per doubling. n
+// alone reserves no more than grid.MaxPrealloc float64s' worth: beyond
+// that, and beyond n, the buffer grows only as bytes arrive, so a false
+// Content-Length cannot drive a huge allocation from a tiny body.
+func ReadBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 {
+		return io.ReadAll(r)
 	}
-	if len(body) > maxBufferedBody {
+	// One byte past n: the read that finds the end has room to land, so an
+	// honest body never grows the buffer.
+	b := make([]byte, 0, min(n, 8*grid.MaxPrealloc)+1)
+	for {
+		m, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+m]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
+
+// readBufferedBody materializes a request body of declared length n (see
+// ReadBody) up to maxBufferedBody, answering 413 — not a misleading
+// truncation error — beyond the cap.
+func readBufferedBody(r io.Reader, n int64) ([]byte, error) {
+	var body []byte
+	if n <= maxBufferedBody {
+		var err error
+		if body, err = ReadBody(io.LimitReader(r, maxBufferedBody+1), n); err != nil {
+			return nil, errf(http.StatusBadRequest, "read_failed", "%v", err)
+		}
+	}
+	if n > maxBufferedBody || len(body) > maxBufferedBody {
 		return nil, errf(http.StatusRequestEntityTooLarge, "payload_too_large",
 			"body exceeds the %d-byte buffered limit; use the streaming path", maxBufferedBody)
 	}
 	return body, nil
 }
 
-// readFieldBody parses a .rqmf field from a request body.
-func readFieldBody(r io.Reader) (*rqm.Field, error) {
-	f, err := grid.ReadFrom(io.LimitReader(r, maxBufferedBody))
+// fieldPool recycles the sample slices request fields parse into (and a
+// recompaction's exact original decodes into), so a warm write allocates
+// no slice as long as its field.
+var fieldPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// pooledValues returns a pooled sample slice and the release that hands it
+// back, keeping vals — the slice as the caller last grew it — for the next
+// taker. The caller releases once nothing reads the values any more.
+func pooledValues() (buf []float64, release func(vals []float64)) {
+	p := fieldPool.Get().(*[]float64)
+	return *p, func(vals []float64) {
+		*p = vals[:0]
+		fieldPool.Put(p)
+	}
+}
+
+// readFieldBody parses a .rqmf field from a request body into a pooled
+// sample slice. release hands the slice back; the caller calls it once
+// nothing — no stream worker, no residual builder, no response write —
+// reads the field any more.
+func readFieldBody(r io.Reader) (f *rqm.Field, release func(), err error) {
+	buf, put := pooledValues()
+	f, err = grid.ReadInto(io.LimitReader(r, maxBufferedBody), buf)
 	if err != nil {
-		return nil, errf(http.StatusUnprocessableEntity, "bad_field",
+		put(buf)
+		return nil, nil, errf(http.StatusUnprocessableEntity, "bad_field",
 			"body is not a .rqmf field: %v", err)
 	}
-	return f, nil
+	return f, func() { put(f.Data) }, nil
 }
 
 // relOf is abs/range, guarded for constant fields.

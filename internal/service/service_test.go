@@ -105,7 +105,7 @@ func TestCompressDecompressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFieldBody(bytes.NewReader(fieldBytes))
+	got, err := grid.ReadFrom(bytes.NewReader(fieldBytes))
 	if err != nil {
 		t.Fatalf("decompress response is not a field: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestCompressStreamingREL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := readFieldBody(bytes.NewReader(fieldBytes))
+	got, err := grid.ReadFrom(bytes.NewReader(fieldBytes))
 	if err != nil {
 		t.Fatalf("streamed decompress response is not a field: %v", err)
 	}
@@ -735,7 +735,7 @@ func TestDecompressShapelessStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := readFieldBody(bytes.NewReader(raw))
+	f, err := grid.ReadFrom(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestWithExactServesTheOriginal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := s.ReadExact(m)
+	vals, err := s.ReadExact(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

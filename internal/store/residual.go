@@ -194,10 +194,11 @@ func (s *Store) ReadRangeExact(m *Manifest, off, n int64) ([]float64, error) {
 	return s.readRange(m, off, n, true, &s.chunkReads)
 }
 
-// ReadExact is WithExact's proven samples decoded to values.
-func (s *Store) ReadExact(m *Manifest) (vals []float64, err error) {
+// ReadExact is WithExact's proven samples decoded to values, into dst's
+// storage when its capacity holds them (the values are dst[:0] extended).
+func (s *Store) ReadExact(m *Manifest, dst []float64) (vals []float64, err error) {
 	err = s.WithExact(m, func(samples []byte) error {
-		vals = grid.DecodeSamples(make([]float64, 0, m.TotalValues), m.Prec(), samples)
+		vals = grid.DecodeSamples(slices.Grow(dst[:0], int(m.TotalValues)), m.Prec(), samples)
 		return nil
 	})
 	return vals, err

@@ -551,7 +551,7 @@ func TestDeepVerifyProvesOriginalHash(t *testing.T) {
 	if err := s.VerifyDataset("liar", true); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("deep verify: %v, want ErrCorruptDataset", err)
 	}
-	if _, err := s.ReadExact(m); !errors.Is(err, store.ErrCorruptDataset) {
+	if _, err := s.ReadExact(m, nil); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("ReadExact: %v, want ErrCorruptDataset", err)
 	}
 	// The sound residual of the same field proves itself.
@@ -559,7 +559,7 @@ func TestDeepVerifyProvesOriginalHash(t *testing.T) {
 	if err := s.VerifyDataset("sound", true); err != nil {
 		t.Fatalf("deep verify of a sound residual: %v", err)
 	}
-	if _, err := s.ReadExact(good); err != nil {
+	if _, err := s.ReadExact(good, nil); err != nil {
 		t.Fatalf("ReadExact of a sound residual: %v", err)
 	}
 }

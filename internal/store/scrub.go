@@ -170,6 +170,11 @@ func (s *Store) scrubDataset(name string, deep bool, rep *ScrubReport) {
 		// Deleted while the pass was running — not this archive's problem.
 		rep.Datasets--
 		rep.BytesScanned -= size
+	case s.newerVersion(name, raw, err):
+		// Intact bytes this build cannot read are not corruption: report
+		// them and leave the dataset for a build that reads them.
+		rep.Issues = append(rep.Issues, ScrubIssue{Name: name, Bytes: size,
+			Reason: fmt.Sprintf("left in place: %v; the file hashes to its manifest record, so a newer build wrote it", err)})
 	case errors.Is(err, ErrCorruptDataset),
 		errors.Is(err, ErrManifestCorrupt),
 		errors.Is(err, ErrManifestVersion):
@@ -189,6 +194,33 @@ func (s *Store) scrubDataset(name string, deep bool, rep *ScrubReport) {
 		// dataset in place for the next pass.
 		rep.Issues = append(rep.Issues, ScrubIssue{Name: name, Reason: err.Error(), Bytes: size})
 	}
+}
+
+// newerVersion reports whether verification of dataset name (against its raw
+// manifest) failed on a container or residual format version this build
+// does not read, in a file that still hashes to the record the manifest
+// keeps for it. A version byte that fails its hash is corruption.
+func (s *Store) newerVersion(name string, raw []byte, err error) bool {
+	m, perr := ParseManifest(raw)
+	if perr != nil {
+		return false
+	}
+	var file, want string
+	switch {
+	case errors.Is(err, codec.ErrUnsupportedVersion):
+		file, want = ContainerFile, m.ContainerHash
+	case errors.Is(err, residual.ErrUnsupportedVersion) && m.Residual != nil:
+		file, want = ResidualFile, m.Residual.Hash
+	}
+	if want == "" {
+		return false
+	}
+	f, ferr := s.fs.Open(filepath.Join(s.datasetDir(name), file))
+	if ferr != nil {
+		return false
+	}
+	defer f.Close()
+	return checkHash(name, file, f, want) == nil
 }
 
 // verifyDataset checks one dataset and returns the raw manifest bytes it

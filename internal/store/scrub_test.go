@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"rqm/internal/faultfs"
+	"rqm/internal/residual"
 	"rqm/internal/store"
 )
 
@@ -385,5 +387,81 @@ func TestDeepScrubCatchesContainerHashMismatch(t *testing.T) {
 	rep, err := s.Scrub(store.ScrubOptions{Deep: true})
 	if err != nil || rep.DatasetsQuarantined != 1 {
 		t.Fatalf("deep scrub: %+v, %v", rep, err)
+	}
+}
+
+// TestScrubLeavesNewerVersionsInPlace: a container or residual whose format
+// version this build does not read, but which still hashes to the record
+// its manifest keeps, was written by a newer build: scrub reports it, names
+// the version and leaves the dataset in place. The same version byte
+// without a matching record is corruption and is quarantined. The read gate
+// answers ErrCorruptDataset either way.
+func TestScrubLeavesNewerVersionsInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name, file string
+		rehash     bool
+	}{
+		{"forged residual", store.ResidualFile, true},
+		{"forged container", store.ContainerFile, true},
+		{"flipped residual", store.ResidualFile, false},
+		{"flipped container", store.ContainerFile, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			putPromoted(t, s, "v3", f32Field(t, 4096), 1024, 1e-3, residual.DefaultBackend)
+			dir := filepath.Join(s.Dir(), "datasets", "v3")
+			path := filepath.Join(dir, tc.file)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			was := hex.EncodeToString(sum[:])
+			raw[4] = 3 // the version byte of a container and of a residual
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if tc.rehash {
+				mpath := filepath.Join(dir, store.ManifestFile)
+				man, err := os.ReadFile(mpath)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum = sha256.Sum256(raw)
+				man = bytes.ReplaceAll(man, []byte(was), []byte(hex.EncodeToString(sum[:])))
+				if err := os.WriteFile(mpath, man, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, deep := range []bool{false, true} {
+				rep, err := s.Scrub(store.ScrubOptions{Deep: deep})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !tc.rehash {
+					if len(rep.Issues) != 1 || !rep.Issues[0].Quarantined || rep.DatasetsQuarantined != 1 {
+						t.Fatalf("deep=%v: a version byte that fails its hash was not quarantined: %+v", deep, rep)
+					}
+					return
+				}
+				if len(rep.Issues) != 1 || rep.Issues[0].Quarantined || rep.DatasetsQuarantined != 0 {
+					t.Fatalf("deep=%v: intact newer %s: %+v", deep, tc.file, rep)
+				}
+				if r := rep.Issues[0].Reason; !strings.Contains(r, "unsupported") || !strings.Contains(r, "version") || !strings.Contains(r, "3") {
+					t.Fatalf("deep=%v: reason %q does not name the version", deep, r)
+				}
+			}
+			m, err := s.Manifest("v3")
+			if err != nil {
+				t.Fatalf("the dataset left in place does not answer: %v", err)
+			}
+			// The check every served GET runs before its status line.
+			if err := s.VerifyLoaded("v3", m, false); !errors.Is(err, store.ErrCorruptDataset) {
+				t.Fatalf("read gate on a newer %s: %v, want ErrCorruptDataset", tc.file, err)
+			}
+		})
 	}
 }
