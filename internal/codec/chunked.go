@@ -652,6 +652,18 @@ func (h *StreamHeader) TotalFromDims() int64 {
 	return int64(n)
 }
 
+// OpenChunked is OpenRecords for a reader that needs a chunked stream, as
+// every indexed reader does: a v1 envelope has no index, and is refused
+// with ErrUnsupportedVersion like any version this build does not index.
+func OpenChunked(r io.Reader) (*Records, error) {
+	recs, err := OpenRecords(r)
+	if err == nil && recs.sealed >= 0 {
+		return nil, fmt.Errorf("%w: a version %d envelope has no index, chunked streams are version %d",
+			ErrUnsupportedVersion, envelopeVersion, chunkedVersion)
+	}
+	return recs, err
+}
+
 // LoadIndex reads the trailer index of a chunked container through its
 // footer: seek to the end, follow the trailer offset, parse the index. This
 // is the random-access entry point — with the index, ReadChunkAt decodes
@@ -663,13 +675,9 @@ func LoadIndex(rs io.ReadSeeker) (*StreamIndex, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, err
 	}
-	recs, err := OpenRecords(rs)
+	recs, err := OpenChunked(rs)
 	if err != nil {
 		return nil, err
-	}
-	if recs.sealed >= 0 {
-		return nil, fmt.Errorf("%w: a version %d envelope has no index, chunked streams are version %d",
-			ErrUnsupportedVersion, envelopeVersion, chunkedVersion)
 	}
 	headerEnd := recs.off
 	end, err := rs.Seek(0, io.SeekEnd)

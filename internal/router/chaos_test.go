@@ -307,8 +307,9 @@ func TestChaosHungShardFailsOver(t *testing.T) {
 }
 
 // TestChaosRebalanceRefusesCorruptSource: a rebalance whose only live copy
-// of a dataset is rotten must fail that dataset's sync (source-side
-// ?verify=1), never propagate the damaged bytes to a new replica.
+// of a dataset is rotten must fail that dataset's sync (the source verifies
+// before it serves the frame), never propagate the damaged bytes to a new
+// replica.
 func TestChaosRebalanceRefusesCorruptSource(t *testing.T) {
 	tc := newTestCluster(t, 3, 2)
 	const name = "cl-rbv"

@@ -1,11 +1,8 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -19,14 +16,15 @@ import (
 // The rebalance pass restores the placement invariant after shards die,
 // rejoin, or are added: every dataset on its R ring-desired shards, at the
 // newest version, with stray copies removed. It moves container bytes
-// verbatim — source side serves the full manifest (?manifest=1&full=1) and
-// the raw container (?raw=1); the target's POST /v1/datasets/{name}/raw
-// re-stages those bytes preserving created_at/generation/content_hash, so a
-// migration never decompresses or recompresses anything and replicas stay
-// bit-identical. Divergent copies are arbitrated by manifest version order
-// ((created_at, generation), the store's CAS key): the newest live copy is
-// authoritative, older ones are overwritten, and a target that turns out
-// newer than our listing wins via the raw endpoint's own 409.
+// verbatim — the source serves its raw-put frame (GET
+// /v1/datasets/{name}/raw: full manifest, container, residual) and the
+// target's POST /v1/datasets/{name}/raw re-stages those bytes preserving
+// created_at/generation/content_hash, so a migration never decompresses or
+// recompresses anything and replicas stay bit-identical. Divergent copies
+// are arbitrated by manifest version order ((created_at, generation), the
+// store's CAS key): the newest live copy is authoritative, older ones are
+// overwritten, and a target that turns out newer than our listing wins via
+// the raw endpoint's own 409.
 
 // RebalanceReport is the POST /v1/cluster/rebalance response body.
 type RebalanceReport struct {
@@ -47,7 +45,8 @@ type RebalanceReport struct {
 	Removed int `json:"removed"`
 	// Failed counts copy or removal attempts that errored.
 	Failed int `json:"failed"`
-	// BytesMoved is the total raw container bytes streamed between shards.
+	// BytesMoved is the total raw-put frame bytes streamed between shards:
+	// manifest, container and residual.
 	BytesMoved int64 `json:"bytes_moved"`
 }
 
@@ -190,13 +189,8 @@ func (rt *Router) deleteOn(ctx context.Context, sh *shardState, name string) err
 	return res.err
 }
 
-// errManifestTooLarge marks a source manifest past the cap the raw-put
-// endpoint accepts: the sync could never be admitted, so it fails up front
-// instead of shipping a truncated record.
-var errManifestTooLarge = errors.New("router: manifest exceeds the raw-put frame cap")
-
 // fetch GETs path?query off src for a sync or an inventory, treating anything
-// but a 200 as a failure of that piece.
+// but a 200 as a failure.
 func (rt *Router) fetch(ctx context.Context, src *shardState, path, query, what string) (*http.Response, error) {
 	req, err := shardRequest(ctx, http.MethodGet, src, path, query, nil, nil)
 	if err != nil {
@@ -213,93 +207,38 @@ func (rt *Router) fetch(ctx context.Context, src *shardState, path, query, what 
 	return resp, nil
 }
 
-// syncReplica copies name from src to dst byte-for-byte: full manifest +
-// raw container off src — plus the raw residual file when the manifest
-// declares a lossless layer — framed into dst's raw-put endpoint. The
-// streams are never buffered or re-encoded, so a sync moves the whole
-// quality ladder verbatim. Returns the bytes moved and the raw-put status
-// (201 stored/repaired, 200 skipped, 409 target-newer).
+// syncReplica copies name from src to dst byte for byte: one GET of src's
+// raw-put frame (GET /v1/datasets/{name}/raw — full manifest, container,
+// and the residual file when the dataset has one) piped into dst's raw-put
+// endpoint with the source's Content-Length. The router neither buffers
+// nor reads the frame, so a sync moves the whole quality ladder verbatim.
+// Returns the frame bytes moved and the raw-put status (201
+// stored/repaired, 200 skipped, 409 target-newer). A shard from before GET
+// /raw answers it 405: the sync fails and is counted, so shards are
+// upgraded before routers.
 //
 // Integrity is enforced at three points, so a sync can neither propagate
 // corruption nor be fooled by it: the source shard shallow-verifies its
-// copy before serving it (?verify=1 — a corrupt source answers 422 and the
-// sync fails instead of spreading rot); the target re-stages the stream and
-// hashes it against the manifest's ContainerHash (a copy corrupted in
-// flight is rejected); and the target re-verifies a committed same-version
-// copy before taking the idempotent skip (?repair=1 — which is what lets
-// read-repair overwrite a rotten replica that still claims the right
-// version).
+// copy before serving the frame (a corrupt source answers 422 and the
+// sync fails instead of spreading rot); the target re-stages the streams
+// and hashes them against the manifest (a copy corrupted in flight, or
+// read across a commit on the source, is rejected); and the target
+// re-verifies a committed same-version copy before taking the idempotent
+// skip (?repair=1 — which is what lets read-repair overwrite a rotten
+// replica that still claims the right version).
 func (rt *Router) syncReplica(ctx context.Context, src, dst *shardState, name string) (int64, int, error) {
-	// Full manifest: the verbatim store.Manifest including chunk index and
-	// profile, exactly what the raw-put frame carries — and capped at what
-	// the raw-put endpoint will take.
-	manResp, err := rt.fetch(ctx, src, datasetPath(name), "manifest=1&full=1", "manifest")
+	frame, err := rt.fetch(ctx, src, datasetPath(name)+"/raw", "", "frame")
 	if err != nil {
 		return 0, 0, err
 	}
-	manBytes, err := io.ReadAll(io.LimitReader(manResp.Body, service.RawPutMaxManifest+1))
-	manResp.Body.Close()
-	if err != nil {
-		return 0, 0, fmt.Errorf("fetch manifest from %s: %w", src.url, err)
-	}
-	if len(manBytes) > service.RawPutMaxManifest {
-		return 0, 0, fmt.Errorf("%w: %q on %s is over %d bytes", errManifestTooLarge, name, src.url, service.RawPutMaxManifest)
-	}
-	// The only manifest field the router reads: whether a residual layer
-	// travels with the container. Everything else passes through opaquely.
-	var man struct {
-		Residual *struct {
-			Bytes int64 `json:"bytes"`
-		} `json:"residual"`
-	}
-	if err := json.Unmarshal(manBytes, &man); err != nil {
-		return 0, 0, fmt.Errorf("parse manifest from %s: %w", src.url, err)
-	}
-
-	// Raw container stream, source-verified before the first byte leaves.
-	rawResp, err := rt.fetch(ctx, src, datasetPath(name), "raw=1&verify=1", "container")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer rawResp.Body.Close()
-
-	// Residual stream, when declared: fetched with the same source-side
-	// verification and appended after the container — the raw-put frame is
-	// [len][manifest][container][residual], exactly what the target re-stages.
-	stream := io.Reader(rawResp.Body)
-	frameLen := int64(0)
-	if cl := rawResp.ContentLength; cl > 0 {
-		frameLen = int64(4+len(manBytes)) + cl
-	}
-	if man.Residual != nil {
-		resResp, err := rt.fetch(ctx, src, datasetPath(name), "raw=1&residual=1&verify=1", "residual")
-		if err != nil {
-			return 0, 0, err
-		}
-		defer resResp.Body.Close()
-		stream = io.MultiReader(rawResp.Body, resResp.Body)
-		if frameLen > 0 && resResp.ContentLength > 0 {
-			frameLen += resResp.ContentLength
-		} else {
-			frameLen = 0 // one length unknown: fall back to chunked
-		}
-	}
-
-	// Frame: 4-byte big-endian manifest length, manifest JSON, container,
-	// then the residual when the manifest declares one.
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(manBytes)))
-	counted := &countingReader{r: stream}
-	body := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(manBytes), counted)
-
-	putReq, err := http.NewRequestWithContext(ctx, http.MethodPost, dst.url+datasetPath(name)+"/raw?repair=1", body)
+	defer frame.Body.Close()
+	counted := &countingReader{r: frame.Body}
+	putReq, err := shardRequest(ctx, http.MethodPost, dst, datasetPath(name)+"/raw", "repair=1", nil, counted)
 	if err != nil {
 		return 0, 0, err
 	}
 	putReq.Header.Set("Content-Type", "application/octet-stream")
-	if frameLen > 0 {
-		putReq.ContentLength = frameLen
-	}
+	putReq.ContentLength = frame.ContentLength
 	putResp, err := rt.send(dst, putReq)
 	if err != nil {
 		return counted.n.Load(), 0, fmt.Errorf("raw put to %s: %w", dst.url, err)
@@ -314,7 +253,7 @@ func (rt *Router) syncReplica(ctx context.Context, src, dst *shardState, name st
 	}
 }
 
-// countingReader tallies container bytes actually streamed. The transport
+// countingReader tallies frame bytes actually streamed. The transport
 // may still be reading it when the put returns, hence the atomic.
 type countingReader struct {
 	r io.Reader

@@ -127,8 +127,8 @@ func TestClusterConcurrentPutsConverge(t *testing.T) {
 
 // TestSyncLargeManifest: a dataset whose full manifest is past 1 MiB (here
 // by chunk count; in production by the profile blob of a ~10M-value field)
-// syncs like any other — the router reads the source manifest under the
-// same cap the raw-put endpoint enforces.
+// syncs like any other — the frame carries it under the cap the raw-put
+// endpoint enforces.
 func TestSyncLargeManifest(t *testing.T) {
 	const n = 40000
 	data := make([]float64, n)

@@ -940,6 +940,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // Metrics is the router's /metrics snapshot, and where its counters live: a
 // Router keeps one, bumps its fields with count, and serves a copy of it.
+// RebalanceBytesMoved sums RebalanceReport.BytesMoved: raw-put frame bytes,
+// manifest included.
 type Metrics struct {
 	UptimeSeconds       float64 `json:"uptime_seconds"`
 	Requests            int64   `json:"requests"`

@@ -145,7 +145,8 @@ func rawFrame(man, container []byte) []byte {
 }
 
 // fetchReplicaParts pulls the full manifest and raw container for name —
-// exactly what a replicating router streams between shards.
+// the pieces a raw-put frame is built from, as routers from before GET /raw
+// fetched them.
 func fetchReplicaParts(t *testing.T, ts *httptest.Server, name string) (man, container []byte) {
 	t.Helper()
 	mresp, err := http.Get(ts.URL + "/v1/datasets/" + name + "?manifest=1&full=1")

@@ -5,10 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/url"
 	"os"
@@ -268,10 +270,6 @@ func (s *Service) handleDatasetGet(req *request) error {
 		return err
 	}
 	defer release()
-	path, err := st.ContainerPath(name)
-	if err != nil {
-		return err
-	}
 	raw := q.Get("raw") == "1"
 	// Verify before serve. Both payload paths commit a 200 and then stream;
 	// corruption discovered mid-body could only truncate the response. A
@@ -279,8 +277,8 @@ func (s *Service) handleDatasetGet(req *request) error {
 	// CRC — cheap next to the decompression that follows) turns stored rot
 	// into a typed 422 corrupt_dataset before the status goes out, which is
 	// what lets a replicated router fail over cleanly and repair this copy.
-	// The raw path pays it only on request (?verify=1): replica sync asks
-	// for it so corruption cannot propagate; plain clients keep a verbatim
+	// The raw path pays it only on request (?verify=1, which routers from
+	// before GET /raw sync with); plain clients keep a verbatim
 	// sendfile-speed copy, protected end-to-end by the manifest's
 	// ContainerHash instead.
 	if !raw || q.Get("verify") == "1" {
@@ -288,16 +286,39 @@ func (s *Service) handleDatasetGet(req *request) error {
 			return err
 		}
 	}
-	// The residual tier's two read paths: ?exact=1 decodes losslessly (its
-	// own end-to-end hash check replaces the streaming container path), and
-	// ?raw=1&residual=1 ships the residual file verbatim for replica sync.
+	// ?exact=1 decodes losslessly (its own end-to-end hash check replaces
+	// the streaming container path).
 	if !raw && q.Get("exact") == "1" {
 		s.count(&s.m.DatasetGets, 1)
 		return s.serveExact(w, st, m)
 	}
-	if raw && q.Get("residual") == "1" {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("X-RQM-Dataset", m.Name)
+	if raw {
+		// A stored file, verbatim: the container — clients can random-access
+		// it with ReadStreamIndex/ReadStreamChunk without another server
+		// round trip — or, with &residual=1, the residual file, its
+		// integrity riding the manifest's residual hash.
+		residual, size := q.Get("residual") == "1", m.ContainerBytes
+		if residual {
+			if m.Residual == nil {
+				return fmt.Errorf("%w: %q", store.ErrNoResidual, name)
+			}
+			size = m.Residual.Bytes
+			h.Set("X-RQM-Residual-Backend", m.Residual.Backend)
+			h.Set("X-RQM-Residual-Hash", m.Residual.Hash)
+		}
+		h.Set("Content-Length", strconv.FormatInt(size, 10))
+		if n, err := copyStored(w, st, name, residual); n == 0 && err != nil {
+			return err
+		}
 		s.count(&s.m.DatasetGets, 1)
-		return s.serveResidualRaw(w, st, m)
+		return nil
+	}
+	path, err := st.ContainerPath(name)
+	if err != nil {
+		return err
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -305,15 +326,6 @@ func (s *Service) handleDatasetGet(req *request) error {
 	}
 	defer f.Close()
 	s.count(&s.m.DatasetGets, 1)
-	if raw {
-		// The stored container, verbatim: clients can random-access it with
-		// ReadStreamIndex/ReadStreamChunk without another server round trip.
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.FormatInt(m.ContainerBytes, 10))
-		w.Header().Set("X-RQM-Dataset", m.Name)
-		_, err := io.Copy(w, f)
-		return ignoreWriteErr(err)
-	}
 	// Default: decompress back to a .rqmf field, streamed chunk by chunk.
 	br := pooledReader(f)
 	defer releaseReader(br)
@@ -322,10 +334,7 @@ func (s *Service) handleDatasetGet(req *request) error {
 		return err
 	}
 	defer sr.Close()
-	hdr := sr.Header()
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-RQM-Field", hdr.Name)
-	w.Header().Set("X-RQM-Dataset", m.Name)
+	h.Set("X-RQM-Field", sr.Header().Name)
 	if _, err := sr.WriteField(w); err != nil {
 		panic(http.ErrAbortHandler) // mid-stream failure: truncate, don't lie
 	}
@@ -710,18 +719,68 @@ func (req *request) commit(base *store.Manifest, build func(io.Writer) (*store.M
 // generous: the frame carries the manifest's wire form, whose dominant field
 // is the base64 profile, ~1 MiB per 10M-value dataset at the default 1%
 // sampling rate; on disk those samples sit in the profile sidecar instead).
-// Exported so the router's sync reads the source manifest under the same cap
-// the target enforces.
+// GET /raw refuses to serve a frame past it, POST /raw to admit one.
 const RawPutMaxManifest = 16 << 20
 
+// handleDatasetRawGet serves dataset name's raw-put frame: exactly the body
+// handleDatasetRawPut admits — a 4-byte big-endian manifest length, the full
+// manifest in its wire form, the container, then the residual file when the
+// manifest declares one — with its Content-Length. It is the source half of
+// a replica sync, one read a router pipes into the target's POST /raw
+// without parsing it, so the frame's layout and cap live in this file alone.
+// The copy is shallow-verified before the status goes out (a corrupt source
+// answers 422 corrupt_dataset instead of spreading its rot), and a manifest
+// past RawPutMaxManifest is refused before any byte goes out.
+func (s *Service) handleDatasetRawGet(req *request) error {
+	w, st, name := req.w, req.st, req.name
+	m, err := st.Manifest(name)
+	if err != nil {
+		return err
+	}
+	if err := st.VerifyLoaded(name, m, false); err != nil {
+		return err
+	}
+	if m, err = st.FullManifest(m); err != nil {
+		return err
+	}
+	man, err := json.Marshal(m)
+	if err != nil {
+		return fmt.Errorf("raw get: encoding the manifest of %q: %w", name, err)
+	}
+	if len(man) > RawPutMaxManifest {
+		return errf(http.StatusUnprocessableEntity, "manifest_too_large",
+			"raw get: the manifest of %q is %d bytes, a raw-put frame carries at most %d", name, len(man), RawPutMaxManifest)
+	}
+	size := 4 + int64(len(man)) + m.ContainerBytes
+	if m.Residual != nil {
+		size += m.Residual.Bytes
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.FormatInt(size, 10))
+	h.Set("X-RQM-Dataset", name)
+	s.count(&s.m.DatasetGets, 1)
+	// The status commits with the first byte: from here a failure (the
+	// client gone, or the dataset replaced or deleted under the read) can
+	// only truncate the frame, which the target refuses.
+	_, err = (&net.Buffers{binary.BigEndian.AppendUint32(nil, uint32(len(man))), man}).WriteTo(w)
+	if err == nil {
+		_, err = copyStored(w, st, name, false)
+	}
+	if err == nil && m.Residual != nil {
+		_, err = copyStored(w, st, name, true)
+	}
+	return ignoreWriteErr(err)
+}
+
 // handleDatasetRawPut admits an already-compressed dataset verbatim: the
-// body is a 4-byte big-endian manifest length, the full manifest JSON in its
-// wire form (store.WireVersion, as served by ?manifest=1&full=1), then the
-// container bytes (as served by
-// ?raw=1). This is the replication hook replica repair and rebalancing ride:
-// the container streams straight to disk — never decompressed, never
-// recompressed — and the manifest's identity (CreatedAt, Generation,
-// ContentHash, cached profile) is preserved bit for bit.
+// body, as GET /raw serves it, is a 4-byte big-endian manifest length, the
+// full manifest JSON in its wire form (store.WireVersion), the container
+// bytes, then the residual file when the manifest declares one. This is the
+// replication hook replica repair and rebalancing ride: the container
+// streams straight to disk — never decompressed, never recompressed — and
+// the manifest's identity (CreatedAt, Generation, ContentHash, cached
+// profile) is preserved bit for bit.
 //
 // The committed (CreatedAt, Generation) version is the conflict arbiter:
 //
@@ -843,6 +902,28 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 		w.Header().Set("X-RQM-Raw-Put", "stored")
 	}
 	return writeJSON(w, http.StatusCreated, datasetInfo(committed))
+}
+
+// copyStored copies a committed file of dataset name to w verbatim: its
+// container, or its residual file with residual set. It fails before the
+// first byte only when the file cannot be found or opened, so a handler
+// that gets n == 0 can still answer with an error; after that its response
+// is committed and a failure can only truncate it.
+func copyStored(w io.Writer, st *store.Store, name string, residual bool) (n int64, err error) {
+	pathOf := st.ContainerPath
+	if residual {
+		pathOf = st.ResidualPath
+	}
+	path, err := pathOf(name)
+	if err != nil {
+		return 0, err
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, err
+	}
+	defer f.Close()
+	return io.Copy(w, f)
 }
 
 // manifestNewer reports whether a describes a strictly newer version than b:

@@ -102,6 +102,7 @@ func writeError(w http.ResponseWriter, err error) {
 	var body ErrorBody
 	body.Error.Code = code
 	body.Error.Message = msg
+	w.Header().Del("Content-Length") // what a handler declared of the body it did not send
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(&body)

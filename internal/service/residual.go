@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"os"
 	"slices"
 	"strconv"
 
@@ -63,30 +62,6 @@ func (s *Service) serveExact(w http.ResponseWriter, st *store.Store, m *store.Ma
 	})
 }
 
-// serveResidualRaw answers GET ?raw=1&residual=1: the stored residual file
-// verbatim, the replica-sync counterpart of the raw container path. End-to-end
-// integrity rides the manifest's residual hash (and ?verify=1, handled by the
-// caller, adds a shallow pre-check exactly like the container path).
-func (s *Service) serveResidualRaw(w http.ResponseWriter, st *store.Store, m *store.Manifest) error {
-	path, err := st.ResidualPath(m.Name)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set("Content-Length", fmt.Sprintf("%d", m.Residual.Bytes))
-	h.Set("X-RQM-Dataset", m.Name)
-	h.Set("X-RQM-Residual-Backend", m.Residual.Backend)
-	h.Set("X-RQM-Residual-Hash", m.Residual.Hash)
-	_, err = io.Copy(w, f)
-	return ignoreWriteErr(err)
-}
-
 // nextGeneration clones a full manifest (Store.FullManifest) for a
 // same-container rewrite (promote / demote): identity (CreatedAt,
 // ContentHash, profile) carries over, the generation bumps, and the store
@@ -105,16 +80,7 @@ func nextGeneration(m *store.Manifest) *store.Manifest {
 // while its replacement stages is safe — publish is a whole-directory swap.
 func copyContainerBuild(st *store.Store, name string, nm *store.Manifest) func(io.Writer) (*store.Manifest, error) {
 	return func(cw io.Writer) (*store.Manifest, error) {
-		path, err := st.ContainerPath(name)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		if _, err := io.Copy(cw, f); err != nil {
+		if _, err := copyStored(cw, st, name, false); err != nil {
 			return nil, err
 		}
 		return nm, nil

@@ -146,9 +146,11 @@ func New(cfg Config) (*Service, error) {
 		// base (body = the original field), demote drops it. See residual.go.
 		{http.MethodPost, "/v1/datasets/{name}/promote", heavy, true, s.handleDatasetPromote},
 		{http.MethodPost, "/v1/datasets/{name}/demote", heavy, true, s.handleDatasetDemote},
-		// Replication plumbing: a raw put admits an already-compressed container
-		// verbatim (manifest framed ahead of it), so replica repair and shard
-		// rebalancing never decompress or recompress. See handleDatasetRawPut.
+		// Replication plumbing: GET serves a dataset's raw-put frame (manifest,
+		// container, residual) and POST admits one verbatim, so replica repair
+		// and shard rebalancing never decompress or recompress. See
+		// handleDatasetRawGet and handleDatasetRawPut.
+		{http.MethodGet, "/v1/datasets/{name}/raw", heavy, true, s.handleDatasetRawGet},
 		{http.MethodPost, "/v1/datasets/{name}/raw", heavy, true, s.handleDatasetRawPut},
 		// Integrity: POST starts one background scrub pass over the archive
 		// (progress via GET /v1/scrub/status). Light — the pass itself runs

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"rqm/internal/codec"
 	"rqm/internal/faultfs"
 	"rqm/internal/residual"
 	"rqm/internal/store"
@@ -387,6 +388,51 @@ func TestDeepScrubCatchesContainerHashMismatch(t *testing.T) {
 	rep, err := s.Scrub(store.ScrubOptions{Deep: true})
 	if err != nil || rep.DatasetsQuarantined != 1 {
 		t.Fatalf("deep scrub: %+v, %v", rep, err)
+	}
+}
+
+// TestReadsCheckTheContainerHeader: every read of values parses the
+// container's stream header before its first chunk, so a container in a
+// version this build does not read — here the TestScrubLeavesNewerVersionsInPlace
+// forgery, its hash re-stamped so only the version byte tells — is refused
+// with ErrCorruptDataset wrapping codec.ErrUnsupportedVersion, not decoded
+// through the manifest's chunk index as if it were this build's format.
+func TestReadsCheckTheContainerHeader(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	putPromoted(t, s, "v3", f32Field(t, 4096), 1024, 1e-3, residual.DefaultBackend)
+	dir := filepath.Join(s.Dir(), "datasets", "v3")
+	raw, err := os.ReadFile(filepath.Join(dir, store.ContainerFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	was := sha256.Sum256(raw)
+	raw[4] = 3 // the stream header's version byte
+	now := sha256.Sum256(raw)
+	man, err := os.ReadFile(filepath.Join(dir, store.ManifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man = bytes.ReplaceAll(man, []byte(hex.EncodeToString(was[:])), []byte(hex.EncodeToString(now[:])))
+	for file, b := range map[string][]byte{store.ContainerFile: raw, store.ManifestFile: man} {
+		if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := s.Manifest("v3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for read, fn := range map[string]func() error{
+		"ReadRangeWith":  func() error { _, err := s.ReadRangeWith(m, 100, 2000); return err },
+		"ReadRangeExact": func() error { _, err := s.ReadRangeExact(m, 100, 2000); return err },
+		"ReadExact":      func() error { _, err := s.ReadExact(m, nil); return err },
+	} {
+		if err := fn(); !errors.Is(err, store.ErrCorruptDataset) || !errors.Is(err, codec.ErrUnsupportedVersion) {
+			t.Errorf("%s of a version-3 container: %v, want ErrCorruptDataset wrapping ErrUnsupportedVersion", read, err)
+		}
 	}
 }
 

@@ -700,6 +700,12 @@ func (s *Store) walkRange(m *Manifest, off, n int64, exact bool, reads *atomic.I
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
+	// The manifest's index says where the chunks lie, not which format they
+	// are in: the stream header does, so a container this build cannot read
+	// is refused before its first chunk is decoded as if it could.
+	if _, err := codec.OpenChunked(f); err != nil {
+		return corruptRead(name, err)
+	}
 	var rf io.ReadSeekCloser
 	var ridx *residual.Index
 	if exact {
