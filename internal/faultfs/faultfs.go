@@ -15,13 +15,15 @@
 // keys without caring about the temp root) and are matched against both
 // Open and ReadFile. For on-disk (persistent) corruption — the kind scrub
 // must find and quarantine — tests use CorruptFile, which rewrites the real
-// file in place.
+// file in place, or ForgeChunk, which does so behind a valid CRC.
 package faultfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"strings"
@@ -235,6 +237,44 @@ func CorruptFile(path string, offset int64) error {
 	}
 	b[0] ^= 0xFF
 	if _, err := h.WriteAt(b, offset); err != nil {
+		return err
+	}
+	return h.Sync()
+}
+
+// ForgeChunk rewrites, in place, the chunk record at offset of a chunked
+// container on disk so that it passes every CRC check but does not decode:
+// the first four bytes of its payload (the native codec's magic) are
+// flipped and the CRC-32 in the record head is recomputed over the new
+// payload. A record head is the tag, the codec id, the bound (8 bytes), the
+// value count (4), the payload length (4) and the payload's CRC (4).
+// Shallow verification passes the forged record; only a decode, or a hash
+// of the whole file, finds it.
+func ForgeChunk(path string, offset int64) error {
+	const head = 22
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if offset < 0 || offset+head+4 > int64(len(raw)) {
+		return errors.New("faultfs: chunk record outside file")
+	}
+	rec := raw[offset:]
+	n := int64(binary.LittleEndian.Uint32(rec[14:]))
+	if n < 4 || head+n > int64(len(rec)) {
+		return errors.New("faultfs: chunk payload outside file")
+	}
+	payload := rec[head : head+n]
+	for i := range 4 {
+		payload[i] ^= 0xFF
+	}
+	binary.LittleEndian.PutUint32(rec[18:], crc32.ChecksumIEEE(payload))
+	h, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	defer h.Close()
+	if _, err := h.WriteAt(rec[:head+n], offset); err != nil {
 		return err
 	}
 	return h.Sync()

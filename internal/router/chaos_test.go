@@ -171,6 +171,55 @@ func TestChaosCorruptReplicaReadRepair(t *testing.T) {
 	}
 }
 
+// TestChaosForgedChunkReadRepair: one replica's second chunk is forged on
+// disk to pass its CRC but not decode. Shallow verification passes it, so
+// only the GET's decode finds it: the shard answers 422 corrupt_dataset
+// before its status line, the router fails over to the healthy replica
+// with the right bytes, and read-repair replaces the forged copy.
+func TestChaosForgedChunkReadRepair(t *testing.T) {
+	tc := newTestCluster(t, 3, 2)
+	const name = "cl-forged"
+	tc.put(t, name, "mode=abs&eb=0.01&chunk=512", fieldBytes(t, 8))
+	code, want, _ := tc.get(t, name)
+	if code != http.StatusOK {
+		t.Fatalf("baseline read: status %d", code)
+	}
+	victim := tc.shards[tc.rt.ring.sequence(name)[0]] // read first
+	goodRaw := victim.raw(t, name)
+	m, err := victim.st.Manifest(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := victim.st.ContainerPath(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultfs.ForgeChunk(p, m.Chunks[1].Offset); err != nil {
+		t.Fatal(err)
+	}
+	if err := victim.st.VerifyDataset(name, false); err != nil {
+		t.Fatalf("the forged chunk fails shallow verification: %v", err)
+	}
+
+	c, got, hdr := tc.get(t, name)
+	if c != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("read with a forged replica: status %d, right bytes %v", c, bytes.Equal(got, want))
+	}
+	if hdr.Get("X-RQM-Failover") == "" {
+		t.Fatal("the read did not fail over from the forged replica")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !bytes.Equal(victim.raw(t, name), goodRaw) {
+		if time.Now().After(deadline) {
+			t.Fatalf("read-repair did not replace the forged copy: %+v", tc.rt.Snapshot())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if err := victim.st.VerifyDataset(name, true); err != nil {
+		t.Fatalf("repaired replica: %v", err)
+	}
+}
+
 // TestChaosMissingProfileSamplesReadRepair: a replica whose profile samples
 // sidecar is gone fails its GET's verify-before-serve with 422
 // corrupt_dataset, so the router fails over, and read-repair re-syncs the

@@ -5,10 +5,12 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"rqm/internal/faultfs"
+	"rqm/internal/store"
 )
 
 // Residual-layer cluster behavior: exact puts replicate the lossless tier,
@@ -53,10 +55,7 @@ func (s *testShard) rawResidual(t *testing.T, name string) []byte {
 // squarely in CRC-covered territory.
 func corruptShardResidual(t *testing.T, sh *testShard, name string) {
 	t.Helper()
-	p, err := sh.st.ResidualPath(name)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := filepath.Join(sh.st.Dir(), "datasets", name, store.ResidualFile)
 	if err := faultfs.CorruptFile(p, 52+13+5); err != nil {
 		t.Fatal(err)
 	}

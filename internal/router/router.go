@@ -494,7 +494,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, name, path s
 // served a read over each replica that answered the same read with a
 // corruption verdict. The copy rides converge's raw sync, whose protocol makes
 // the repair safe at both ends: the source re-verifies its own chunk CRCs
-// before streaming (?verify=1 — a corrupt "good" copy aborts rather than
+// before it serves GET /raw (a corrupt "good" copy answers 422 rather than
 // propagates) and the target re-verifies its committed copy before taking
 // the idempotent same-version skip (?repair=1 — a rotten copy with an
 // intact manifest is replaced, not "already there"). In-flight repairs are
@@ -600,15 +600,18 @@ func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
 		return
 	}
-	res, holders := rt.mutateThenSync(r, name, "", body, set, set)
+	res, holders, syncErr := rt.mutateThenSync(r, name, "", body, set, set)
 	quorum := min(rt.Quorum(), len(set))
 	switch {
 	case res.sh != nil && res.status >= 300:
 		relayBuffered(w, res)
 	case holders < quorum:
 		rt.count(&rt.m.QuorumFailures, 1)
-		rt.writeErr(w, http.StatusBadGateway, "quorum_failed",
-			"write reached %d/%d replicas, quorum is %d", holders, len(set), quorum)
+		msg := fmt.Sprintf("write reached %d/%d replicas, quorum is %d", holders, len(set), quorum)
+		if syncErr != nil {
+			msg += "; first failed sync: " + syncErr.Error()
+		}
+		rt.writeErr(w, http.StatusBadGateway, "quorum_failed", "%s", msg)
 	default:
 		w.Header().Set("X-RQM-Replicas", fmt.Sprintf("%d/%d", holders, len(set)))
 		relayBuffered(w, res)
@@ -744,7 +747,7 @@ func (rt *Router) forwardThenSync(w http.ResponseWriter, r *http.Request, subpat
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
 		return
 	}
-	res, holders := rt.mutateThenSync(r, name, subpath, body, healthy, healthy[:min(len(healthy), rt.cfg.Replicas)])
+	res, holders, _ := rt.mutateThenSync(r, name, subpath, body, healthy, healthy[:min(len(healthy), rt.cfg.Replicas)])
 	if res.sh == nil {
 		rt.writeErr(w, http.StatusBadGateway, "no_replica", "no replica could %s dataset %q", verb, name)
 		return
@@ -780,9 +783,10 @@ func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int
 // success that shard's committed bytes are raw-synced to the rest of set,
 // the write set the caller fixed at request start (members that are down by
 // then are not attempted). It returns the serving shard's buffered answer
-// (res.sh nil: no shard answered) and how many shards now hold the result:
-// the one that ran the mutation plus every synced member of set.
-func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []byte, try, set []*shardState) (shardResult, int) {
+// (res.sh nil: no shard answered), how many shards now hold the result —
+// the one that ran the mutation plus every synced member of set — and the
+// first failed sync's error, which names the shard it failed on.
+func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []byte, try, set []*shardState) (shardResult, int, error) {
 	defer rt.lockName(name)()
 	for i, sh := range try {
 		res := rt.exchange(r.Context(), http.MethodPost, sh, datasetPath(name)+subpath, r.URL.RawQuery, r.Header, body)
@@ -797,26 +801,29 @@ func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []b
 			continue // this replica may simply lag; let a peer try
 		}
 		holders := 0
+		var syncErr error
 		if res.status < 300 {
 			holders = 1
 			for _, sr := range rt.convergeLocked(r.Context(), name, sh, healthyOf(set)) {
 				if sr.err == nil {
 					holders++
+				} else if syncErr == nil {
+					syncErr = sr.err
 				}
 			}
 		}
-		return res, holders
+		return res, holders, syncErr
 	}
-	return shardResult{}, 0
+	return shardResult{}, 0, nil
 }
 
 // lockName serializes this router's work on one dataset name and returns the
 // unlock: a mutation together with its peer syncs is one critical section (the
 // peers receive the version that request committed), each converge another. A
-// sync reads its source's manifest and container in two requests, and a shard
-// commits plain puts in arrival order, whatever their timestamps: a sync
-// overlapping a mutation could ship a torn pair (the target's hash check
-// refuses it), and two overlapping syncs could both take a target's
+// sync is one read of its source's raw-put frame, and a shard commits plain
+// puts in arrival order, whatever their timestamps: a sync overlapping a
+// mutation could read a frame across the source's commit (the target's hash
+// check refuses it), and two overlapping syncs could both take a target's
 // unconditional first-copy path. Across routers the raw put's version arbiter
 // and the next rebalance settle what is left.
 func (rt *Router) lockName(name string) (unlock func()) {

@@ -74,6 +74,33 @@ func TestSyncIsOneSourceRead(t *testing.T) {
 // counted in replica_sync_failures — never skipped silently — which is why
 // shards are upgraded before routers.
 func TestSyncFromShardWithoutRawGet(t *testing.T) {
+	old, target := newShardWithoutRawGet(t), newShard(t)
+	rt, _ := newRouterOver(t, []*testShard{old, target}, 2)
+
+	resp, err := http.Post(old.ts.URL+"/v1/datasets/cl-old?mode=abs&eb=0.01", "application/octet-stream", bytes.NewReader(fieldBytes(t, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("put on the old shard: status %d", resp.StatusCode)
+	}
+	res := rt.converge(context.Background(), "cl-old", rt.shards[0], rt.shards[1:])
+	if len(res) != 1 || res[0].err == nil || !strings.Contains(res[0].err.Error(), "405") {
+		t.Fatalf("sync from a shard without GET /raw: %+v, want a failure naming the 405", res)
+	}
+	if m := rt.Snapshot(); m.ReplicaSyncFailures != 1 || m.ReplicaSyncs != 0 {
+		t.Fatalf("replica_syncs %d, replica_sync_failures %d, want 0 and 1", m.ReplicaSyncs, m.ReplicaSyncFailures)
+	}
+	if _, ok := target.has(t, "cl-old"); ok {
+		t.Fatal("the target holds a copy after a failed sync")
+	}
+}
+
+// newShardWithoutRawGet is a shard from before GET /raw: its route table
+// has only POST at /raw, so a GET there answers 405.
+func newShardWithoutRawGet(t *testing.T) *testShard {
+	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -93,25 +120,38 @@ func TestSyncFromShardWithoutRawGet(t *testing.T) {
 		svc.ServeHTTP(w, r)
 	}))
 	t.Cleanup(ts.Close)
-	old, target := &testShard{svc: svc, st: st, ts: ts}, newShard(t)
-	rt, _ := newRouterOver(t, []*testShard{old, target}, 2)
+	return &testShard{svc: svc, st: st, ts: ts}
+}
 
-	resp, err := http.Post(ts.URL+"/v1/datasets/cl-old?mode=abs&eb=0.01", "application/octet-stream", bytes.NewReader(fieldBytes(t, 6)))
+// TestQuorumFailureNamesTheFailedSync: a router upgraded before its shards
+// fails every put's sync, and the 502 quorum_failed says why — the shard
+// the frame was fetched from and its 405 — instead of only counting
+// replicas. Both shards are old, so whichever the put lands on is the
+// sync's source.
+func TestQuorumFailureNamesTheFailedSync(t *testing.T) {
+	shards := []*testShard{newShardWithoutRawGet(t), newShardWithoutRawGet(t)}
+	_, ts := newRouterOver(t, shards, 2)
+	resp, err := http.Post(ts.URL+"/v1/datasets/cl-upgrade?mode=abs&eb=0.01", "application/octet-stream", bytes.NewReader(fieldBytes(t, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put on the old shard: status %d", resp.StatusCode)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("put with shards lacking GET /raw: status %d, want 502", resp.StatusCode)
 	}
-	res := rt.converge(context.Background(), "cl-old", rt.shards[0], rt.shards[1:])
-	if len(res) != 1 || res[0].err == nil || !strings.Contains(res[0].err.Error(), "405") {
-		t.Fatalf("sync from a shard without GET /raw: %+v, want a failure naming the 405", res)
+	eb := decodeErr(t, resp)
+	if eb.Error.Code != "quorum_failed" {
+		t.Fatalf("error code %q, want quorum_failed", eb.Error.Code)
 	}
-	if m := rt.Snapshot(); m.ReplicaSyncFailures != 1 || m.ReplicaSyncs != 0 {
-		t.Fatalf("replica_syncs %d, replica_sync_failures %d, want 0 and 1", m.ReplicaSyncs, m.ReplicaSyncFailures)
+	msg := eb.Error.Message
+	if !strings.Contains(msg, "write reached 1/2 replicas") || !strings.Contains(msg, "405 method_not_allowed") {
+		t.Fatalf("quorum failure %q does not carry the failed sync's 405", msg)
 	}
-	if _, ok := target.has(t, "cl-old"); ok {
-		t.Fatal("the target holds a copy after a failed sync")
+	named := false
+	for _, sh := range shards {
+		named = named || strings.Contains(msg, "fetch frame from "+sh.ts.URL)
+	}
+	if !named {
+		t.Fatalf("quorum failure %q does not name the sync's source shard", msg)
 	}
 }

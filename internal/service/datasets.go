@@ -2,6 +2,7 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -271,74 +271,72 @@ func (s *Service) handleDatasetGet(req *request) error {
 	}
 	defer release()
 	raw := q.Get("raw") == "1"
-	// Verify before serve. Both payload paths commit a 200 and then stream;
-	// corruption discovered mid-body could only truncate the response. A
-	// shallow verification pass up front (container structure + every chunk
-	// CRC — cheap next to the decompression that follows) turns stored rot
-	// into a typed 422 corrupt_dataset before the status goes out, which is
-	// what lets a replicated router fail over cleanly and repair this copy.
-	// The raw path pays it only on request (?verify=1, which routers from
-	// before GET /raw sync with); plain clients keep a verbatim
-	// sendfile-speed copy, protected end-to-end by the manifest's
-	// ContainerHash instead.
+	// Verify before serve. A shallow verification pass up front (container
+	// structure + every chunk CRC — cheap next to the decompression that
+	// follows) turns stored rot into a typed 422 corrupt_dataset before the
+	// status goes out, which is what lets a replicated router fail over
+	// cleanly and repair this copy. The raw path pays it only on request
+	// (?verify=1, which routers from before GET /raw sync with); plain
+	// clients keep a verbatim sendfile-speed copy, protected end-to-end by
+	// the manifest's ContainerHash instead.
 	if !raw || q.Get("verify") == "1" {
 		if err := st.VerifyLoaded(name, m, false); err != nil {
 			return err
 		}
 	}
-	// ?exact=1 decodes losslessly (its own end-to-end hash check replaces
-	// the streaming container path).
-	if !raw && q.Get("exact") == "1" {
+	if !raw {
 		s.count(&s.m.DatasetGets, 1)
-		return s.serveExact(w, st, m)
+		return s.serveValues(w, st, m, q.Get("exact") == "1")
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/octet-stream")
 	h.Set("X-RQM-Dataset", m.Name)
-	if raw {
-		// A stored file, verbatim: the container — clients can random-access
-		// it with ReadStreamIndex/ReadStreamChunk without another server
-		// round trip — or, with &residual=1, the residual file, its
-		// integrity riding the manifest's residual hash.
-		residual, size := q.Get("residual") == "1", m.ContainerBytes
-		if residual {
-			if m.Residual == nil {
-				return fmt.Errorf("%w: %q", store.ErrNoResidual, name)
-			}
-			size = m.Residual.Bytes
-			h.Set("X-RQM-Residual-Backend", m.Residual.Backend)
-			h.Set("X-RQM-Residual-Hash", m.Residual.Hash)
+	// A stored file, verbatim: the container — clients can random-access
+	// it with ReadStreamIndex/ReadStreamChunk without another server
+	// round trip — or, with &residual=1, the residual file, its
+	// integrity riding the manifest's residual hash.
+	residual, size := q.Get("residual") == "1", m.ContainerBytes
+	if residual {
+		if m.Residual == nil {
+			return fmt.Errorf("%w: %q", store.ErrNoResidual, name)
 		}
-		h.Set("Content-Length", strconv.FormatInt(size, 10))
-		if n, err := copyStored(w, st, name, residual); n == 0 && err != nil {
+		size = m.Residual.Bytes
+		h.Set("X-RQM-Residual-Backend", m.Residual.Backend)
+		h.Set("X-RQM-Residual-Hash", m.Residual.Hash)
+	}
+	h.Set("Content-Length", strconv.FormatInt(size, 10))
+	if n, err := st.CopyStored(w, m, residual); n == 0 && err != nil {
+		return err
+	}
+	s.count(&s.m.DatasetGets, 1)
+	return nil
+}
+
+// serveValues answers a whole-dataset GET: the .rqmf header and the samples
+// at storage width, with their Content-Length — the decoded reconstruction,
+// or with exact set the original, proven against the residual layer's
+// original hash. Every chunk has decoded (store.WithSamples) before the
+// status commits, so a read that cannot finish fails typed instead of
+// cutting a 200 short.
+func (s *Service) serveValues(w http.ResponseWriter, st *store.Store, m *store.Manifest, exact bool) error {
+	return st.WithSamples(m, exact, func(field string, samples []byte) error {
+		var hdr bytes.Buffer
+		if _, err := grid.WriteHeader(&hdr, m.Prec(), m.Dims); err != nil {
 			return err
 		}
-		s.count(&s.m.DatasetGets, 1)
-		return nil
-	}
-	path, err := st.ContainerPath(name)
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	s.count(&s.m.DatasetGets, 1)
-	// Default: decompress back to a .rqmf field, streamed chunk by chunk.
-	br := pooledReader(f)
-	defer releaseReader(br)
-	sr, err := rqm.NewReader(br)
-	if err != nil {
-		return err
-	}
-	defer sr.Close()
-	h.Set("X-RQM-Field", sr.Header().Name)
-	if _, err := sr.WriteField(w); err != nil {
-		panic(http.ErrAbortHandler) // mid-stream failure: truncate, don't lie
-	}
-	return nil
+		h := w.Header()
+		h.Set("Content-Type", "application/octet-stream")
+		h.Set("Content-Length", strconv.Itoa(hdr.Len()+len(samples)))
+		h.Set("X-RQM-Dataset", m.Name)
+		if exact {
+			s.count(&s.m.ExactReads, 1)
+			h.Set("X-RQM-Exact", "1")
+		} else {
+			h.Set("X-RQM-Field", field)
+		}
+		_, err := (&net.Buffers{hdr.Bytes(), samples}).WriteTo(w)
+		return ignoreWriteErr(err)
+	})
 }
 
 func (s *Service) handleDatasetDelete(req *request) error {
@@ -488,21 +486,20 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 		partName = partition.VarianceQuadtreeName
 	}
 
-	// With a residual layer, recover the true original first: the rewrite's
-	// input is then exact, and the new residual is rebuilt against the new
-	// container — accumulated error dies here instead of compounding. The
-	// recovery is proven against original_hash, so a residual that does not
-	// rebuild the original is refused here instead of re-stamped.
-	var orig []float64
-	if hasResidual {
-		buf, release := pooledValues()
-		if orig, err = st.ReadExact(m, buf); err != nil {
-			release(buf)
-			return err
-		}
-		defer func() { release(orig) }()
+	// The rewrite's input is the whole dataset, read through the store's
+	// chunk walk. With a residual layer it is the true original: the new
+	// residual is rebuilt against the new container, and accumulated error
+	// dies here instead of compounding. That recovery is proven against
+	// original_hash, so a residual that does not rebuild the original is
+	// refused here instead of re-stamped.
+	buf, release := pooledValues()
+	vals, err := st.ReadValues(m, hasResidual, buf)
+	if err != nil {
+		release(buf)
+		return err
 	}
-	nm, rwStats, err := rewriteDataset(req, m, curAbs, newAbs, p, partName, adaptiveBound(target, val), orig)
+	defer func() { release(vals) }()
+	nm, rwStats, err := rewriteDataset(req, m, curAbs, newAbs, p, partName, adaptiveBound(target, val), vals, hasResidual)
 	if err != nil {
 		return err
 	}
@@ -519,8 +516,8 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 	return writeJSON(w, http.StatusOK, resp)
 }
 
-// rewriteDataset decompresses the stored container and recompresses it at
-// the model-solved absolute bound through the stream pipeline, committing
+// rewriteDataset recompresses vals, the stored dataset's values, at the
+// model-solved absolute bound through the stream pipeline, committing
 // the replacement with the same crash-safe protocol as a put — conditioned
 // on the dataset still being the version the decision was made against
 // (store.Commit with a base; a concurrent re-put or delete aborts with
@@ -534,7 +531,7 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 // own bound. Each generation's recorded bound therefore stays a true bound
 // as errors accumulate.
 //
-// With orig non-nil (the true original, recovered through the residual
+// With exact set (vals is the true original, recovered through the residual
 // layer) the accumulation story inverts: the rewrite's input IS the original,
 // the manifest records newAbs alone, and the residual is rebuilt against the
 // new container so the dataset stays bit-exact at generation+1.
@@ -545,46 +542,20 @@ func (s *Service) handleDatasetRecompact(req *request) error {
 // manifest records curAbs plus the loosest of them. Partitioners are
 // deterministic, so recording partName makes the geometry reproducible by
 // the next recompaction.
-func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *rqm.Profile, partName string, policy rqm.AdaptiveBound, orig []float64) (*store.Manifest, rqm.StreamStats, error) {
+func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *rqm.Profile, partName string, policy rqm.AdaptiveBound, vals []float64, exact bool) (*store.Manifest, rqm.StreamStats, error) {
 	var stats rqm.StreamStats
-	var f *rqm.Field
 	baseErr := curAbs
-	if orig != nil {
-		// Exact input: no inherited error, the new bound stands alone.
-		baseErr = 0
-		ef, err := grid.FromData(m.Name, m.Prec(), orig, m.Dims...)
-		if err != nil {
-			return nil, stats, err
-		}
-		f = ef
-	} else {
-		path, err := req.st.ContainerPath(m.Name)
-		if err != nil {
-			return nil, stats, err
-		}
-		cf, err := os.Open(path)
-		if err != nil {
-			return nil, stats, err
-		}
-		br := pooledReader(cf)
-		sr, err := rqm.NewReader(br)
-		if err == nil {
-			f, err = sr.ReadAll()
-			sr.Close()
-		}
-		releaseReader(br)
-		cf.Close()
-		if err != nil {
-			return nil, stats, err
-		}
-		f.Name = m.Name
-		f.Prec = m.Prec()
+	if exact {
+		baseErr = 0 // exact input: no inherited error, the new bound stands alone
+	}
+	f, err := grid.FromData(m.Name, m.Prec(), vals, m.Dims...)
+	if err != nil {
+		return nil, stats, err
 	}
 
 	// Empty names are the fields' omitempty zero: the codec's defaults.
 	// Anything else was validated by store.ParseManifest.
 	kind, lossless := rqm.Lorenzo, rqm.LosslessNone
-	var err error
 	if m.Predictor != "" {
 		if kind, err = rqm.ParsePredictorKind(m.Predictor); err != nil {
 			return nil, stats, err
@@ -647,8 +618,8 @@ func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *
 			rqm.WithAdaptiveBound(policy))
 	}
 	var rb store.ResidualBuilder
-	if orig != nil {
-		rb = store.BuildResidual(orig, m.Prec(), m.Residual.Backend)
+	if exact {
+		rb = store.BuildResidual(vals, m.Prec(), m.Residual.Backend)
 	}
 	lo, hi := f.ValueRange()
 	committed, err := req.commit(m, func(cw io.Writer) (*store.Manifest, error) {
@@ -765,10 +736,10 @@ func (s *Service) handleDatasetRawGet(req *request) error {
 	// only truncate the frame, which the target refuses.
 	_, err = (&net.Buffers{binary.BigEndian.AppendUint32(nil, uint32(len(man))), man}).WriteTo(w)
 	if err == nil {
-		_, err = copyStored(w, st, name, false)
+		_, err = st.CopyStored(w, m, false)
 	}
 	if err == nil && m.Residual != nil {
-		_, err = copyStored(w, st, name, true)
+		_, err = st.CopyStored(w, m, true)
 	}
 	return ignoreWriteErr(err)
 }
@@ -787,10 +758,12 @@ func (s *Service) handleDatasetRawGet(req *request) error {
 //   - target has no committed copy        -> admit
 //   - incoming is strictly newer          -> replace (CAS on the loaded base)
 //   - versions identical, same content    -> skip, 200 (idempotent repair) —
-//     unless ?repair=1 AND the committed copy fails shallow verification,
+//     unless ?repair=1 AND the committed copy fails deep verification,
 //     in which case the incoming bytes replace the rotten ones (201,
 //     X-RQM-Raw-Put: repaired). A corrupt container keeps its manifest, so
-//     without the re-check read-repair would be "skipped" into a no-op.
+//     without the re-check read-repair would be "skipped" into a no-op; and
+//     a chunk that passes its CRC but does not decode fails a GET, so the
+//     re-check decodes and hashes what a shallow pass would let through.
 //   - incoming older, or same-version but
 //     divergent content                   -> typed 409, nothing written
 //
@@ -855,10 +828,10 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 		case sameVersion && cur.ContentHash == m.ContentHash:
 			// The replica already holds this exact version. Trust it only as
 			// far as asked: with ?repair=1 the committed copy must pass
-			// shallow verification to earn the idempotent skip.
+			// deep verification to earn the idempotent skip.
 			verr := error(nil)
 			if repair {
-				verr = st.VerifyDataset(name, false)
+				verr = st.VerifyLoaded(name, cur, true)
 			}
 			if verr == nil {
 				w.Header().Set("X-RQM-Raw-Put", "skipped")
@@ -902,28 +875,6 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 		w.Header().Set("X-RQM-Raw-Put", "stored")
 	}
 	return writeJSON(w, http.StatusCreated, datasetInfo(committed))
-}
-
-// copyStored copies a committed file of dataset name to w verbatim: its
-// container, or its residual file with residual set. It fails before the
-// first byte only when the file cannot be found or opened, so a handler
-// that gets n == 0 can still answer with an error; after that its response
-// is committed and a failure can only truncate it.
-func copyStored(w io.Writer, st *store.Store, name string, residual bool) (n int64, err error) {
-	pathOf := st.ContainerPath
-	if residual {
-		pathOf = st.ResidualPath
-	}
-	path, err := pathOf(name)
-	if err != nil {
-		return 0, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	return io.Copy(w, f)
 }
 
 // manifestNewer reports whether a describes a strictly newer version than b:

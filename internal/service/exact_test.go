@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rqm"
+	"rqm/internal/faultfs"
 	"rqm/internal/grid"
 	"rqm/internal/residual"
 	"rqm/internal/store"
@@ -142,6 +143,104 @@ func TestExactGetSameBytes(t *testing.T) {
 			t.Fatalf("%s: exact body is not the upload", tc.name)
 		}
 	}
+
+	// A lossy GET answers the bytes the streaming reader wrote before it read
+	// through the store's chunk walk — rqm.NewReader over the container file
+	// and WriteField — now with its Content-Length, and counts every chunk
+	// it decodes in chunk_reads.
+	_, mixed := mixedFieldBody(t)
+	putDataset(t, ts, "adaptive", "mode=abs&eb=1e-4", mixed)
+	if rr, status := postRecompact(t, ts, "adaptive", "target-psnr=60&adaptive-space=1"); status != http.StatusOK || rr.Skipped {
+		t.Fatalf("adaptive-space recompact: status %d, %+v", status, rr)
+	}
+	for _, tc := range []struct {
+		name string
+		prec grid.Precision
+		dims []int
+	}{
+		{"lossy-f32", grid.Float32, []int{n}},
+		{"lossy-f64", grid.Float64, []int{n}},
+		{"lossy-f32-3d", grid.Float32, []int{9, 14, 23}},
+		{"lossy-f64-3d", grid.Float64, []int{9, 14, 23}},
+		{"adaptive", 0, nil},
+	} {
+		if tc.dims != nil {
+			putDataset(t, ts, tc.name, "mode=rel&eb=1e-3&chunk=1000", smoothField(t, tc.prec, tc.dims...))
+		}
+		m, err := st.Manifest(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Chunks) < 2 {
+			t.Fatalf("%s: %d chunks, want several", tc.name, len(m.Chunks))
+		}
+		before := st.ChunkReads()
+		status, got, hdr := getBody(t, ts, "/v1/datasets/"+tc.name)
+		if status != http.StatusOK {
+			t.Fatalf("%s: get status %d: %s", tc.name, status, got)
+		}
+		if reads := st.ChunkReads() - before; reads != int64(len(m.Chunks)) {
+			t.Errorf("%s: the GET counted %d chunk reads, the dataset holds %d chunks", tc.name, reads, len(m.Chunks))
+		}
+		if cl := hdr.Get("Content-Length"); cl != strconv.Itoa(len(got)) {
+			t.Errorf("%s: Content-Length %q for a %d-byte body", tc.name, cl, len(got))
+		}
+		want, field := streamedField(t, st, tc.name)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: lossy body differs from the streaming reader's", tc.name)
+		}
+		if hdr.Get("X-RQM-Field") != field || hdr.Get("X-RQM-Dataset") != tc.name || hdr.Get("X-RQM-Exact") != "" {
+			t.Errorf("%s: headers %v, want X-RQM-Field %q and no X-RQM-Exact", tc.name, hdr, field)
+		}
+	}
+}
+
+// smoothField is the .rqmf body of a smooth field of shape dims at prec.
+func smoothField(t *testing.T, prec grid.Precision, dims ...int) []byte {
+	t.Helper()
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i)/37) + 0.25*math.Cos(float64(i%dims[len(dims)-1])/5)
+	}
+	f, err := grid.FromData("smooth", prec, vals, dims...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	if _, err := f.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// streamedField is what a whole lossy GET of dataset name served before it
+// read through the store: the container file through rqm.NewReader and
+// WriteField, and the field name the container records.
+func streamedField(t *testing.T, st *store.Store, name string) ([]byte, string) {
+	t.Helper()
+	cpath, err := st.ContainerPath(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(cpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sr, err := rqm.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sr.Close()
+	var b bytes.Buffer
+	if _, err := sr.WriteField(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes(), sr.Header().Name
 }
 
 // TestExactGetProofGatesStatus: an exact GET that cannot prove its bytes
@@ -228,6 +327,43 @@ func TestExactGetProofGatesStatus(t *testing.T) {
 		var eb ErrorBody
 		if err := json.Unmarshal(got, &eb); err != nil || eb.Error.Code != "corrupt_dataset" {
 			t.Fatalf("%s: body %q (%v), want only the corrupt_dataset envelope", name, got, err)
+		}
+	}
+}
+
+// TestUndecodableChunkFailsGetBeforeStatus: a chunk past the first whose
+// record passes its CRC but whose payload will not decode fails a whole
+// GET with 422 corrupt_dataset and no sample byte, lossy and exact alike:
+// every chunk decodes before the status goes out.
+func TestUndecodableChunkFailsGetBeforeStatus(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	_, body := testField(t)
+	putDataset(t, ts, "forged", "mode=rel&eb=1e-4&chunk=1024&exact=1", body)
+	m, err := st.Manifest("forged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpath, err := st.ContainerPath("forged")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultfs.ForgeChunk(cpath, m.Chunks[1].Offset); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.VerifyDataset("forged", false); err != nil {
+		t.Fatalf("the forged chunk fails shallow verification: %v", err)
+	}
+	for _, q := range []string{"", "?exact=1"} {
+		status, got, hdr := getBody(t, ts, "/v1/datasets/forged"+q)
+		if status != http.StatusUnprocessableEntity {
+			t.Fatalf("GET %q: status %d, want 422", q, status)
+		}
+		if ct := hdr.Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("GET %q: Content-Type %q, want the JSON envelope", q, ct)
+		}
+		var eb ErrorBody
+		if err := json.Unmarshal(got, &eb); err != nil || eb.Error.Code != "corrupt_dataset" {
+			t.Fatalf("GET %q: body %q (%v), want only the corrupt_dataset envelope", q, got, err)
 		}
 	}
 }

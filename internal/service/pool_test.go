@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -157,10 +158,7 @@ func readWritten(t *testing.T, st *store.Store, name string) writtenBytes {
 	}
 	if m.Residual != nil {
 		w.originalHash = m.Residual.OriginalHash
-		rpath, err := st.ResidualPath(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rpath := filepath.Join(st.Dir(), "datasets", name, store.ResidualFile)
 		if w.residual, err = os.ReadFile(rpath); err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,13 @@
 package service
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"slices"
-	"strconv"
 
 	"rqm/internal/grid"
 	"rqm/internal/residual"
@@ -39,29 +36,6 @@ func residualBuilderFor(q url.Values, data []float64, prec grid.Precision) (stor
 	return store.BuildResidual(data, prec, backend), nil
 }
 
-// serveExact answers GET ?exact=1: the full dataset at the lossless tier.
-// The reconstruction is proven against the residual layer's stored
-// original hash (store.WithExact) BEFORE the status commits — an exact read
-// that cannot prove it is exact fails typed instead of serving plausible
-// bytes. The proven samples are written from the store's pooled buffer
-// inside WithExact, after a Content-Length the proof makes known.
-func (s *Service) serveExact(w http.ResponseWriter, st *store.Store, m *store.Manifest) error {
-	return st.WithExact(m, func(samples []byte) error {
-		var hdr bytes.Buffer
-		if _, err := grid.WriteHeader(&hdr, m.Prec(), m.Dims); err != nil {
-			return err
-		}
-		s.count(&s.m.ExactReads, 1)
-		h := w.Header()
-		h.Set("Content-Type", "application/octet-stream")
-		h.Set("Content-Length", strconv.Itoa(hdr.Len()+len(samples)))
-		h.Set("X-RQM-Dataset", m.Name)
-		h.Set("X-RQM-Exact", "1")
-		_, err := (&net.Buffers{hdr.Bytes(), samples}).WriteTo(w)
-		return ignoreWriteErr(err)
-	})
-}
-
 // nextGeneration clones a full manifest (Store.FullManifest) for a
 // same-container rewrite (promote / demote): identity (CreatedAt,
 // ContentHash, profile) carries over, the generation bumps, and the store
@@ -75,15 +49,16 @@ func nextGeneration(m *store.Manifest) *store.Manifest {
 	return &nm
 }
 
-// copyContainerBuild is the build function for promote/demote: the committed
-// container streamed into the stage verbatim. Reading the committed file
-// while its replacement stages is safe — publish is a whole-directory swap.
-func copyContainerBuild(st *store.Store, name string, nm *store.Manifest) func(io.Writer) (*store.Manifest, error) {
+// copyContainerBuild is the build function for promote/demote: m's
+// committed container streamed into the stage verbatim, under m's next
+// generation. Reading the committed file while its replacement stages is
+// safe — publish is a whole-directory swap.
+func copyContainerBuild(st *store.Store, m *store.Manifest) func(io.Writer) (*store.Manifest, error) {
 	return func(cw io.Writer) (*store.Manifest, error) {
-		if _, err := copyStored(cw, st, name, false); err != nil {
+		if _, err := st.CopyStored(cw, m, false); err != nil {
 			return nil, err
 		}
-		return nm, nil
+		return nextGeneration(m), nil
 	}
 }
 
@@ -133,7 +108,7 @@ func (s *Service) handleDatasetPromote(req *request) error {
 	if m, err = st.FullManifest(m); err != nil {
 		return err
 	}
-	committed, err := req.commit(m, copyContainerBuild(st, name, nextGeneration(m)), rb)
+	committed, err := req.commit(m, copyContainerBuild(st, m), rb)
 	if err != nil {
 		return err
 	}
@@ -159,7 +134,7 @@ func (s *Service) handleDatasetDemote(req *request) error {
 	if m, err = st.FullManifest(m); err != nil {
 		return err
 	}
-	committed, err := req.commit(m, copyContainerBuild(st, name, nextGeneration(m)), nil)
+	committed, err := req.commit(m, copyContainerBuild(st, m), nil)
 	if err != nil {
 		return err
 	}

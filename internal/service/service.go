@@ -1029,11 +1029,11 @@ func (s *Service) lookupProfile(q url.Values) (*cachedProfile, error) {
 // ---------------------------------------------------------------------------
 // Helpers
 
-// readerPool recycles the 1 MiB buffered readers that request bodies and
-// containers stream through: on the read paths (a dataset GET, a
-// recompaction's decode, POST /v1/decompress) and on the write paths (a raw
-// put, a promotion's body, a streamed POST /v1/compress), so no request
-// allocates a reader of its own.
+// readerPool recycles the 1 MiB buffered readers that request bodies stream
+// through: on the one container read that is not a stored dataset's (POST
+// /v1/decompress) and on the write paths (a raw put, a promotion's body, a
+// streamed POST /v1/compress), so no request allocates a reader of its own.
+// A stored dataset is read by the store's chunk walk instead.
 var readerPool = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 1<<20) }}
 
 // pooledReader returns a pooled buffered reader over r. The caller hands it

@@ -60,11 +60,7 @@ func TestBuildResidualIsEncode(t *testing.T) {
 			if _, err := residual.Encode(&want, c, f.Prec, f.Data, recon, blocks); err != nil {
 				t.Fatal(err)
 			}
-			path, err := s.ResidualPath(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := os.ReadFile(path)
+			got, err := os.ReadFile(residualPath(s, name))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,11 +100,7 @@ func TestExactPathsAllocateLittle(t *testing.T) {
 	s, m, f, cpath := exactFixture(t)
 	// The fixture's residual holds ULP blocks, the layout exact reads decode
 	// most: its reader must stay as allocation-free as the XOR one.
-	rpath, err := s.ResidualPath(m.Name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rfile, err := os.ReadFile(rpath)
+	rfile, err := os.ReadFile(residualPath(s, m.Name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +123,7 @@ func TestExactPathsAllocateLittle(t *testing.T) {
 		name string
 		run  func() error
 	}{
-		{"exact read", func() error { return s.WithExact(m, func([]byte) error { return nil }) }},
+		{"exact read", func() error { return s.WithSamples(m, true, func(string, []byte) error { return nil }) }},
 		{"BuildResidual", func() error { _, err := build(cpath, io.Discard); return err }},
 	} {
 		// Under a quarter byte per value: the opened files, indexes and hash
@@ -157,11 +149,11 @@ func TestExactPathsAllocateLittle(t *testing.T) {
 }
 
 // TestWithExactServesTheOriginal: the proven bytes are the original's sample
-// section at storage width, and ReadExact's values decode from them.
+// section at storage width, and ReadValues's exact values decode from them.
 func TestWithExactServesTheOriginal(t *testing.T) {
 	s, m, f, _ := exactFixture(t)
 	want := grid.EncodeSamples(nil, f.Prec, f.Data)
-	if err := s.WithExact(m, func(samples []byte) error {
+	if err := s.WithSamples(m, true, func(_ string, samples []byte) error {
 		if !bytes.Equal(samples, want) {
 			t.Fatal("the proven samples are not the original's")
 		}
@@ -169,12 +161,12 @@ func TestWithExactServesTheOriginal(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	vals, err := s.ReadExact(m, nil)
+	vals, err := s.ReadValues(m, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := grid.EncodeSamples(nil, f.Prec, vals); !bytes.Equal(got, want) {
-		t.Fatal("ReadExact's values are not the original's")
+		t.Fatal("ReadValues's exact values are not the original's")
 	}
 }
 
@@ -186,7 +178,7 @@ func BenchmarkReadExact(b *testing.B) {
 	b.SetBytes(int64(len(f.Data) * 4))
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := s.WithExact(m, func([]byte) error { return nil }); err != nil {
+		if err := s.WithSamples(m, true, func(string, []byte) error { return nil }); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,8 +1,8 @@
 // Residual-layer store support: staging the residual file, the one opening
 // of it that staging, verification and exact reads share, the exact
-// (bit-lossless) range read path and its proof against the original hash,
-// and the builders that synthesize or copy a residual against a staged
-// container.
+// (bit-lossless) range read path, the whole-dataset reads and their proof
+// against the original hash, and the builders that synthesize or copy a
+// residual against a staged container.
 package store
 
 import (
@@ -191,56 +191,69 @@ func CopyResidual(r io.Reader, declared *ResidualRecord) ResidualBuilder {
 // returns bit-exact original values. Only the covering chunks and blocks
 // are read. ErrNoResidual when the dataset has no residual layer.
 func (s *Store) ReadRangeExact(m *Manifest, off, n int64) ([]float64, error) {
-	return s.readRange(m, off, n, true, &s.chunkReads)
+	return s.readRange(m, off, n, true, nil)
 }
 
-// ReadExact is WithExact's proven samples decoded to values, into dst's
-// storage when its capacity holds them (the values are dst[:0] extended).
-func (s *Store) ReadExact(m *Manifest, dst []float64) (vals []float64, err error) {
-	err = s.WithExact(m, func(samples []byte) error {
+// ReadValues is the whole dataset's values in order, into dst's storage
+// when its capacity holds them (the values are dst[:0] extended): the
+// decoded reconstruction, as ReadRangeWith returns it, or with exact set
+// WithSamples's proven samples decoded.
+func (s *Store) ReadValues(m *Manifest, exact bool, dst []float64) (vals []float64, err error) {
+	if !exact {
+		return s.readRange(m, 0, m.TotalValues, false, dst)
+	}
+	err = s.WithSamples(m, true, func(_ string, samples []byte) error {
 		vals = grid.DecodeSamples(slices.Grow(dst[:0], int(m.TotalValues)), m.Prec(), samples)
 		return nil
 	})
 	return vals, err
 }
 
-// WithExact is the whole dataset at the lossless tier, proven: fn gets its
-// samples as grid.EncodeSamples writes them, only once they hash to the
-// residual layer's original hash (else ErrCorruptDataset; ErrNoResidual
-// without one), in a pooled buffer valid until fn returns.
-func (s *Store) WithExact(m *Manifest, fn func(samples []byte) error) error {
-	return s.readExact(m, &s.chunkReads, fn)
+// WithSamples is the whole dataset at storage width: fn gets the name the
+// container records for its field and the samples as grid.EncodeSamples
+// writes them, in a pooled buffer valid until fn returns. With exact set
+// the samples are the original's, and fn gets them only once they hash to
+// the residual layer's original hash (else ErrCorruptDataset; ErrNoResidual
+// without one).
+func (s *Store) WithSamples(m *Manifest, exact bool, fn func(field string, samples []byte) error) error {
+	return s.readSamples(m, exact, &s.chunkReads, fn)
 }
 
-// exactBufs recycles the sample buffers readExact proves into.
-var exactBufs = sync.Pool{New: func() any { return new([]byte) }}
+// sampleBufs recycles the sample buffers readSamples fills.
+var sampleBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// readExact is the one proof against original_hash, behind WithExact and
-// deep verification: walkRange's exact values appended to a pooled buffer
-// at storage width and hashed as they are appended, fn called once the
-// digest matches. Chunks are counted in reads, as readRange counts them.
-func (s *Store) readExact(m *Manifest, reads *atomic.Int64, fn func(samples []byte) error) error {
+// readSamples is the one whole-dataset read of samples, behind WithSamples
+// and deep verification: walkRange's values appended to a pooled buffer at
+// storage width, fn called once the walk is done. With exact set the
+// samples are hashed as they are appended and fn is called only once the
+// digest matches original_hash: the one proof of an exact read. Chunks are
+// counted in reads, as readRange counts them.
+func (s *Store) readSamples(m *Manifest, exact bool, reads *atomic.Int64, fn func(field string, samples []byte) error) error {
 	prec := m.Prec()
-	buf := exactBufs.Get().(*[]byte)
-	defer exactBufs.Put(buf)
+	buf := sampleBufs.Get().(*[]byte)
+	defer sampleBufs.Put(buf)
 	b, h := (*buf)[:0], sha256.New()
-	err := s.walkRange(m, 0, m.TotalValues, true, reads, func(vals []float64) {
+	hdr, err := s.walkRange(m, 0, m.TotalValues, exact, reads, func(vals []float64) {
 		if len(b) == 0 {
 			b = slices.Grow(b, int(m.TotalValues)*prec.Bits()/8)
 		}
 		at := len(b)
 		b = grid.EncodeSamples(b, prec, vals)
-		h.Write(b[at:])
+		if exact {
+			h.Write(b[at:])
+		}
 	})
 	*buf = b // keeps a buffer the dataset outgrew
 	if err != nil {
 		return err
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != m.Residual.OriginalHash {
-		return fmt.Errorf("%w: %q: exact reconstruction hashes to %s, residual layer promises %s",
-			ErrCorruptDataset, m.Name, got, m.Residual.OriginalHash)
+	if exact {
+		if got := hex.EncodeToString(h.Sum(nil)); got != m.Residual.OriginalHash {
+			return fmt.Errorf("%w: %q: exact reconstruction hashes to %s, residual layer promises %s",
+				ErrCorruptDataset, m.Name, got, m.Residual.OriginalHash)
+		}
 	}
-	return fn(b)
+	return fn(hdr.Name, b)
 }
 
 // corruptResidual wraps a residual read/parse failure in ErrCorruptDataset

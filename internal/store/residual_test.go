@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,11 @@ import (
 	"rqm/internal/residual"
 	"rqm/internal/store"
 )
+
+// residualPath is where dataset name's residual file lies in s.
+func residualPath(s *store.Store, name string) string {
+	return filepath.Join(s.Dir(), "datasets", name, store.ResidualFile)
+}
 
 // putPromoted admits f with a residual layer built against the staged
 // container — the store-level equivalent of `put -exact`.
@@ -223,8 +229,8 @@ func TestExactReadWithoutResidual(t *testing.T) {
 	if _, err := s.ReadRangeExact(m, 0, 256); !errors.Is(err, store.ErrNoResidual) {
 		t.Fatalf("exact read of lossy dataset: %v, want ErrNoResidual", err)
 	}
-	if _, err := s.ResidualPath("lossy"); !errors.Is(err, store.ErrNoResidual) {
-		t.Fatalf("ResidualPath: %v, want ErrNoResidual", err)
+	if _, err := s.CopyStored(io.Discard, m, true); !errors.Is(err, store.ErrNoResidual) {
+		t.Fatalf("CopyStored of the residual: %v, want ErrNoResidual", err)
 	}
 }
 
@@ -306,10 +312,7 @@ func TestCorruptionMatrixResidual(t *testing.T) {
 	}
 	f := testField(t, 2048)
 	m := putPromoted(t, s, "rmatrix", f, 256, 1e-4, "ans")
-	path, err := s.ResidualPath("rmatrix")
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := residualPath(s, "rmatrix")
 	size := m.Residual.Bytes
 	if size < 404 {
 		t.Fatalf("residual only %d bytes — matrix needs several strides", size)
@@ -369,10 +372,7 @@ func TestScrubQuarantinesCorruptResidual(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := putPromoted(t, s, "quarry", testField(t, 2048), 256, 1e-4, "ans")
-	path, err := s.ResidualPath("quarry")
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := residualPath(s, "quarry")
 	if err := faultfs.CorruptFile(path, m.Residual.Bytes/2); err != nil {
 		t.Fatal(err)
 	}
@@ -404,11 +404,7 @@ func TestCopyResidualTransfer(t *testing.T) {
 	}
 	f := testField(t, 2048)
 	m := putPromoted(t, src, "xfer", f, 256, 1e-4, "ans")
-	rpath, err := src.ResidualPath("xfer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rbytes, err := os.ReadFile(rpath)
+	rbytes, err := os.ReadFile(residualPath(src, "xfer"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +530,8 @@ func wrongReconResidual(orig []float64, prec grid.Precision) store.ResidualBuild
 
 // TestDeepVerifyProvesOriginalHash pins deep verification's last step: a
 // residual that passes every file check but does not rebuild the original
-// passes shallow verification and fails deep, and ReadExact refuses it.
+// passes shallow verification and fails deep, and an exact ReadValues
+// refuses it.
 func TestDeepVerifyProvesOriginalHash(t *testing.T) {
 	s, err := store.Open(t.TempDir())
 	if err != nil {
@@ -551,16 +548,16 @@ func TestDeepVerifyProvesOriginalHash(t *testing.T) {
 	if err := s.VerifyDataset("liar", true); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("deep verify: %v, want ErrCorruptDataset", err)
 	}
-	if _, err := s.ReadExact(m, nil); !errors.Is(err, store.ErrCorruptDataset) {
-		t.Fatalf("ReadExact: %v, want ErrCorruptDataset", err)
+	if _, err := s.ReadValues(m, true, nil); !errors.Is(err, store.ErrCorruptDataset) {
+		t.Fatalf("ReadValues: %v, want ErrCorruptDataset", err)
 	}
 	// The sound residual of the same field proves itself.
 	good := putPromoted(t, s, "sound", f, 256, 1e-3, "ans")
 	if err := s.VerifyDataset("sound", true); err != nil {
 		t.Fatalf("deep verify of a sound residual: %v", err)
 	}
-	if _, err := s.ReadExact(good, nil); err != nil {
-		t.Fatalf("ReadExact of a sound residual: %v", err)
+	if _, err := s.ReadValues(good, true, nil); err != nil {
+		t.Fatalf("ReadValues of a sound residual: %v", err)
 	}
 }
 

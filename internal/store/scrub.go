@@ -325,7 +325,7 @@ func checkHash(name, file string, f io.ReadSeeker, want string) error {
 // committed one by scrub: openResidual's presence, size, index and layout
 // checks, then every block's CRC; deep additionally re-hashes the file
 // against the manifest's residual hash and proves the exact reconstruction
-// against its original hash (readExact). Datasets without a residual layer
+// against its original hash (readSamples). Datasets without a residual layer
 // pass trivially. It returns the number of blocks that passed CRC before
 // any failure.
 func (s *Store) verifyResidual(dir string, m *Manifest, deep bool) (int64, error) {
@@ -351,7 +351,7 @@ func (s *Store) verifyResidual(dir string, m *Manifest, deep bool) (int64, error
 		return verified, err
 	}
 	var uncounted atomic.Int64 // verification is not a served read
-	return verified, s.readExact(m, &uncounted, func([]byte) error { return nil })
+	return verified, s.readSamples(m, true, &uncounted, func(string, []byte) error { return nil })
 }
 
 // verifyContainer is the one container verification: run on a staged

@@ -426,9 +426,10 @@ func TestReadsCheckTheContainerHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	for read, fn := range map[string]func() error{
-		"ReadRangeWith":  func() error { _, err := s.ReadRangeWith(m, 100, 2000); return err },
-		"ReadRangeExact": func() error { _, err := s.ReadRangeExact(m, 100, 2000); return err },
-		"ReadExact":      func() error { _, err := s.ReadExact(m, nil); return err },
+		"ReadRangeWith":    func() error { _, err := s.ReadRangeWith(m, 100, 2000); return err },
+		"ReadRangeExact":   func() error { _, err := s.ReadRangeExact(m, 100, 2000); return err },
+		"ReadValues":       func() error { _, err := s.ReadValues(m, false, nil); return err },
+		"exact ReadValues": func() error { _, err := s.ReadValues(m, true, nil); return err },
 	} {
 		if err := fn(); !errors.Is(err, store.ErrCorruptDataset) || !errors.Is(err, codec.ErrUnsupportedVersion) {
 			t.Errorf("%s of a version-3 container: %v, want ErrCorruptDataset wrapping ErrUnsupportedVersion", read, err)

@@ -48,6 +48,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -265,15 +266,18 @@ func (s *Store) Dir() string { return s.root }
 // whose target the model says is already met must not move it.
 func (s *Store) Writes() int64 { return s.writes.Load() }
 
-// ChunkReads reports the number of chunks ReadRange has decompressed since
-// Open (the "only the covered chunks" contract is asserted against it).
+// ChunkReads reports the number of chunks served reads have decompressed
+// since Open — slices, whole GETs and recompaction inputs alike (the "only
+// the covered chunks" contract is asserted against it).
 func (s *Store) ChunkReads() int64 { return s.chunkReads.Load() }
 
 func (s *Store) datasetDir(name string) string {
 	return filepath.Join(s.root, "datasets", name)
 }
 
-// ContainerPath returns the path of a committed dataset's container.
+// ContainerPath returns the path of a committed dataset's container, for
+// tools and benchmarks outside the serving path: every read the store
+// serves opens its files itself, through its ReadFS.
 func (s *Store) ContainerPath(name string) (string, error) {
 	if err := ValidateName(name); err != nil {
 		return "", err
@@ -378,17 +382,26 @@ func (s *Store) Bytes() (total int64, datasets int) {
 // committed datasets — the cost of the archive's promoted tier.
 func (s *Store) ResidualBytes() int64 { return s.residualBytes.Load() }
 
-// ResidualPath returns the path of a committed dataset's residual file, or
-// ErrNoResidual when the dataset exists but has no residual layer.
-func (s *Store) ResidualPath(name string) (string, error) {
-	m, err := s.Manifest(name)
+// CopyStored copies a committed file of m's dataset to w verbatim, opened
+// through the store's ReadFS: its container, or with residual set its
+// residual file (ErrNoResidual when m records none). It fails before the
+// first byte only when the file cannot be opened, so a caller that gets
+// n == 0 can still answer with an error; after that a failure can only cut
+// the copy short.
+func (s *Store) CopyStored(w io.Writer, m *Manifest, residual bool) (n int64, err error) {
+	file := ContainerFile
+	if residual {
+		if m.Residual == nil {
+			return 0, fmt.Errorf("%w: %q", ErrNoResidual, m.Name)
+		}
+		file = ResidualFile
+	}
+	f, err := s.fs.Open(filepath.Join(s.datasetDir(m.Name), file))
 	if err != nil {
-		return "", err
+		return 0, fmt.Errorf("store: %w", err)
 	}
-	if m.Residual == nil {
-		return "", fmt.Errorf("%w: %q", ErrNoResidual, name)
-	}
-	return filepath.Join(s.datasetDir(name), ResidualFile), nil
+	defer f.Close()
+	return io.Copy(w, f)
 }
 
 // ResidualBuilder stages a dataset's residual file. It runs after the
@@ -662,15 +675,16 @@ func (s *Store) ReadRange(name string, off, n int64) ([]float64, error) {
 // at its offset, CRC-verified, and decoded; everything else stays untouched
 // on disk.
 func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
-	return s.readRange(m, off, n, false, &s.chunkReads)
+	return s.readRange(m, off, n, false, nil)
 }
 
-// readRange is ReadRangeWith and ReadRangeExact: the values walkRange
-// delivers for the range, appended in order.
-func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64) (out []float64, err error) {
-	err = s.walkRange(m, off, n, exact, reads, func(vals []float64) {
-		if out == nil {
-			out = make([]float64, 0, n) // walkRange admitted n
+// readRange is ReadRangeWith, ReadRangeExact and a lossy ReadValues: the
+// values walkRange delivers for the range, appended in order to dst[:0].
+func (s *Store) readRange(m *Manifest, off, n int64, exact bool, dst []float64) (out []float64, err error) {
+	out = dst[:0]
+	_, err = s.walkRange(m, off, n, exact, &s.chunkReads, func(vals []float64) {
+		if len(out) == 0 {
+			out = slices.Grow(out, int(n)) // walkRange admitted n
 		}
 		out = append(out, vals...)
 	})
@@ -685,32 +699,34 @@ func (s *Store) readRange(m *Manifest, off, n int64, exact bool, reads *atomic.I
 // the lossy reconstruction into the original bit pattern (ErrNoResidual
 // without a residual layer). fn gets each chunk's part of [off, off+n) once
 // the range is admitted, valid until fn returns. Each chunk it delivers is
-// counted in reads: ChunkReads for a served read.
-func (s *Store) walkRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64, fn func(vals []float64)) error {
+// counted in reads: ChunkReads for a served read. It returns the
+// container's stream header.
+func (s *Store) walkRange(m *Manifest, off, n int64, exact bool, reads *atomic.Int64, fn func(vals []float64)) (*codec.StreamHeader, error) {
 	name := m.Name
 	if exact && m.Residual == nil {
-		return fmt.Errorf("%w: %q", ErrNoResidual, name)
+		return nil, fmt.Errorf("%w: %q", ErrNoResidual, name)
 	}
 	// The subtraction form cannot overflow (off < TotalValues is implied).
 	if off < 0 || n <= 0 || off > m.TotalValues || n > m.TotalValues-off {
-		return fmt.Errorf("%w: [%d, %d) of %d values", ErrBadRange, off, off+n, m.TotalValues)
+		return nil, fmt.Errorf("%w: [%d, %d) of %d values", ErrBadRange, off, off+n, m.TotalValues)
 	}
 	f, err := s.fs.Open(filepath.Join(s.datasetDir(name), ContainerFile))
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	// The manifest's index says where the chunks lie, not which format they
 	// are in: the stream header does, so a container this build cannot read
 	// is refused before its first chunk is decoded as if it could.
-	if _, err := codec.OpenChunked(f); err != nil {
-		return corruptRead(name, err)
+	recs, err := codec.OpenChunked(f)
+	if err != nil {
+		return nil, corruptRead(name, err)
 	}
 	var rf io.ReadSeekCloser
 	var ridx *residual.Index
 	if exact {
 		if rf, ridx, err = s.openResidual(s.datasetDir(name), m); err != nil {
-			return err
+			return nil, err
 		}
 		defer rf.Close()
 	}
@@ -724,7 +740,7 @@ func (s *Store) walkRange(m *Manifest, off, n int64, exact bool, reads *atomic.I
 			lo, start = hi+1, end
 		}
 	}
-	return eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
+	return &recs.Header, eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
 		if exact {
 			// openResidual held every block to its chunk's value count, and
 			// DecodeChunkAt len(vals) to the entry's.
