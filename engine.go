@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"rqm/internal/codec"
 	"rqm/internal/core"
+	"rqm/internal/ordered"
 	"rqm/internal/tuner"
 )
 
@@ -145,38 +145,63 @@ func (e *Engine) Profile(f *Field) (*Profile, error) {
 }
 
 // CompressBatch compresses fields concurrently on the engine's worker pool.
-// The result slice is index-aligned with fields. On the first error (or
-// context cancellation) remaining work is abandoned and the partial results
-// are returned alongside the error; entries that did not finish are nil.
+// The result slice is index-aligned with fields. The first error in index
+// order (a codec panic is one, wrapping ErrCorrupt), or ctx's end, abandons
+// the remaining work: the entries before the failing one come back filled,
+// the rest nil, alongside the error.
 func (e *Engine) CompressBatch(ctx context.Context, fields []*Field) ([]*CodecResult, error) {
-	out := make([]*CodecResult, len(fields))
-	err := e.runPool(ctx, len(fields), func(i int) error {
-		if fields[i] == nil {
-			return fmt.Errorf("rqm: batch field %d is nil", i)
+	return batch(ctx, e.Concurrency(), fields, func(i int, f *Field) (*CodecResult, error) {
+		if f == nil {
+			return nil, fmt.Errorf("rqm: batch field %d is nil", i)
 		}
-		res, err := codec.Compress(e.codec, fields[i], e.copts)
+		res, err := codec.Compress(e.codec, f, e.copts)
 		if err != nil {
-			return fmt.Errorf("rqm: batch field %d (%q): %w", i, fields[i].Name, err)
+			return nil, fmt.Errorf("rqm: batch field %d (%q): %w", i, f.Name, err)
 		}
-		out[i] = res
-		return nil
+		return res, nil
 	})
-	return out, err
 }
 
 // DecompressBatch reconstructs containers concurrently, routing each blob to
 // its backend by inspection. Result semantics match CompressBatch.
 func (e *Engine) DecompressBatch(ctx context.Context, blobs [][]byte) ([]*Field, error) {
-	out := make([]*Field, len(blobs))
-	err := e.runPool(ctx, len(blobs), func(i int) error {
-		f, err := codec.Decompress(blobs[i])
+	return batch(ctx, e.Concurrency(), blobs, func(i int, blob []byte) (*Field, error) {
+		f, err := codec.Decompress(blob)
 		if err != nil {
-			return fmt.Errorf("rqm: batch container %d: %w", i, err)
+			return nil, fmt.Errorf("rqm: batch container %d: %w", i, err)
 		}
-		out[i] = f
-		return nil
+		return f, nil
 	})
-	return out, err
+}
+
+// batch runs work over items on an ordered pool and collects the results in
+// index order up to the first error; once ctx ends, every job not yet
+// started fails with ctx's error.
+func batch[T, R any](ctx context.Context, workers int, items []T, work func(int, T) (R, error)) ([]R, error) {
+	out := make([]R, len(items))
+	p := ordered.New(max(1, min(workers, len(items))), func(i int) (R, error) {
+		if err := ctx.Err(); err != nil {
+			var zero R
+			return zero, err
+		}
+		return work(i, items[i])
+	})
+	defer p.Stop()
+	p.Go(func() {
+		for i := range items {
+			if !p.Submit(i) {
+				return
+			}
+		}
+	})
+	for i := range out {
+		r, err := p.Next()
+		if err != nil {
+			return out, err
+		}
+		out[i] = r
+	}
+	return out, ctx.Err()
 }
 
 // CompressToBudget compresses f so the sealed container fits budgetBytes
@@ -232,61 +257,4 @@ func (e *Engine) NewFieldStreamWriter(w io.Writer, f *Field, extra ...StreamOpti
 // engine's configuration (codec auto-selection in one call).
 func (e *Engine) SelectCodec(f *Field, targetPSNR float64) ([]CodecChoice, error) {
 	return tuner.SelectCodec(f, codec.All(), targetPSNR, e.copts, e.mopts)
-}
-
-// runPool runs work(0..n-1) on the worker pool, honoring ctx and stopping at
-// the first error.
-func (e *Engine) runPool(ctx context.Context, n int, work func(int) error) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	workers := e.Concurrency()
-	if workers > n {
-		workers = n
-	}
-	poolCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		cancel()
-	}
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if poolCtx.Err() != nil {
-					continue // drain without working after cancellation
-				}
-				if err := work(i); err != nil {
-					fail(err)
-				}
-			}
-		}()
-	}
-feed:
-	for i := 0; i < n; i++ {
-		select {
-		case jobs <- i:
-		case <-poolCtx.Done():
-			break feed
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	return ctx.Err()
 }

@@ -607,7 +607,10 @@ var valuesPool = sync.Pool{New: func() any { return new([]float64) }}
 func GetValues() *[]float64 { return valuesPool.Get().(*[]float64) }
 
 // PutValues returns a GetValues buffer to the pool.
-func PutValues(b *[]float64) { valuesPool.Put(b) }
+func PutValues(b *[]float64) {
+	poisonValues(b)
+	valuesPool.Put(b)
+}
 
 // payloadPool recycles chunk payload buffers (see GetPayload).
 var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
@@ -618,7 +621,10 @@ var payloadPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 func GetPayload() *bytes.Buffer { return payloadPool.Get().(*bytes.Buffer) }
 
 // PutPayload returns a GetPayload buffer to the pool.
-func PutPayload(pb *bytes.Buffer) { payloadPool.Put(pb) }
+func PutPayload(pb *bytes.Buffer) {
+	poisonPayload(pb)
+	payloadPool.Put(pb)
+}
 
 // AssembleField shapes decoded stream samples into a field: the header's
 // dims when their product matches the sample count, 1-D otherwise.

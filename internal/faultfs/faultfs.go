@@ -15,7 +15,8 @@
 // keys without caring about the temp root) and are matched against both
 // Open and ReadFile. For on-disk (persistent) corruption — the kind scrub
 // must find and quarantine — tests use CorruptFile, which rewrites the real
-// file in place, or ForgeChunk, which does so behind a valid CRC.
+// file in place, or ForgeChunk, which does so behind a valid CRC. WaitFor
+// awaits the asynchronous healing a fault sets off.
 package faultfs
 
 import (

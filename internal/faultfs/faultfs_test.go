@@ -236,3 +236,18 @@ func TestCorruptFile(t *testing.T) {
 		t.Fatal("flip of missing file succeeded")
 	}
 }
+
+// TestWaitForPollsUntilDone: WaitFor keeps polling while cond reports a
+// reason and returns on its first nil.
+func TestWaitForPollsUntilDone(t *testing.T) {
+	calls := 0
+	WaitFor(t, 5*time.Second, func() error {
+		if calls++; calls < 3 {
+			return errors.New("not yet")
+		}
+		return nil
+	})
+	if calls != 3 {
+		t.Fatalf("cond called %d times, want 3", calls)
+	}
+}

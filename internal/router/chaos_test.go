@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -52,25 +53,35 @@ func shardScrub(t *testing.T, sh *testShard) service.ScrubStatusResponse {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("scrub start: status %d", resp.StatusCode)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	var st service.ScrubStatusResponse
+	faultfs.WaitFor(t, 10*time.Second, func() error {
 		sresp, err := http.Get(sh.ts.URL + "/v1/scrub/status")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st service.ScrubStatusResponse
+		defer sresp.Body.Close()
+		st = service.ScrubStatusResponse{}
 		if err := json.NewDecoder(sresp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
 		}
-		sresp.Body.Close()
-		if st.State != "running" {
-			return st
+		if st.State == "running" {
+			return fmt.Errorf("shard scrub still running: %+v", st)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard scrub still running: %+v", st)
-		}
-		time.Sleep(10 * time.Millisecond)
+		return nil
+	})
+	return st
+}
+
+// repaired reports whether a read-repair of name on victim has landed: the
+// router has counted one and the victim's copy deep-verifies.
+func repaired(tc *testCluster, victim *testShard, name string) error {
+	m := tc.rt.Snapshot()
+	err := victim.st.VerifyDataset(name, true)
+	if m.ReadRepairs < 1 || err != nil {
+		return fmt.Errorf("repair did not land: read_repairs %d, failures %d, verify %v",
+			m.ReadRepairs, m.ReadRepairFailures, err)
 	}
+	return nil
 }
 
 // TestChaosCorruptReplicaReadRepair is the acceptance scenario: one
@@ -126,17 +137,9 @@ func TestChaosCorruptReplicaReadRepair(t *testing.T) {
 	}
 
 	// The repair is asynchronous: wait for the counter and the healed bytes.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		m := tc.rt.Snapshot()
-		if m.ReadRepairs >= 1 && victim.st.VerifyDataset(name, true) == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("repair did not land: %+v, verify %v", m, victim.st.VerifyDataset(name, true))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// The counter moves once the sync has committed, so the bytes and the
+	// version the assertions below read are final by then.
+	faultfs.WaitFor(t, 10*time.Second, func() error { return repaired(tc, victim, name) })
 
 	// Byte-identical replication restored, version untouched.
 	if !bytes.Equal(victim.raw(t, name), goodRaw) {
@@ -208,13 +211,12 @@ func TestChaosForgedChunkReadRepair(t *testing.T) {
 	if hdr.Get("X-RQM-Failover") == "" {
 		t.Fatal("the read did not fail over from the forged replica")
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !bytes.Equal(victim.raw(t, name), goodRaw) {
-		if time.Now().After(deadline) {
-			t.Fatalf("read-repair did not replace the forged copy: %+v", tc.rt.Snapshot())
+	faultfs.WaitFor(t, 10*time.Second, func() error {
+		if !bytes.Equal(victim.raw(t, name), goodRaw) {
+			return fmt.Errorf("read-repair did not replace the forged copy: %+v", tc.rt.Snapshot())
 		}
-		time.Sleep(20 * time.Millisecond)
-	}
+		return victim.st.VerifyDataset(name, true)
+	})
 	if err := victim.st.VerifyDataset(name, true); err != nil {
 		t.Fatalf("repaired replica: %v", err)
 	}
@@ -239,13 +241,9 @@ func TestChaosMissingProfileSamplesReadRepair(t *testing.T) {
 	if code != http.StatusOK || !bytes.Equal(got, want) || hdr.Get("X-RQM-Failover") == "" {
 		t.Fatalf("read with one replica's samples missing: status %d, failover %q", code, hdr.Get("X-RQM-Failover"))
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for victim.st.VerifyDataset(name, true) != nil {
-		if time.Now().After(deadline) {
-			t.Fatalf("repair did not land: %+v, verify %v", tc.rt.Snapshot(), victim.st.VerifyDataset(name, true))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// The router counts a read-repair after its sync commits, so the files
+	// verify before the counter moves: wait for both.
+	faultfs.WaitFor(t, 10*time.Second, func() error { return repaired(tc, victim, name) })
 	healedInfo, _ := victim.has(t, name)
 	if !healedInfo.CreatedAt.Equal(goodInfo.CreatedAt) || healedInfo.Generation != goodInfo.Generation {
 		t.Fatalf("repair changed the manifest version: %+v -> %+v", goodInfo, healedInfo)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"rqm"
+	"rqm/internal/faultfs"
 	"rqm/internal/service"
 	"rqm/internal/store"
 )
@@ -570,19 +571,14 @@ func TestClusterQuorumFailure(t *testing.T) {
 
 	// No sync outlives its request: with the idle keep-alive connections
 	// dropped, the goroutine count settles back to where it started.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	faultfs.WaitFor(t, 5*time.Second, func() error {
 		tc.rt.ownTransport.CloseIdleConnections()
 		http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-		n := runtime.NumGoroutine()
-		if n <= goroutines {
-			break
+		if n := runtime.NumGoroutine(); n > goroutines {
+			return fmt.Errorf("%d goroutines after the failed and the retried put, %d before: a sync leaked", n, goroutines)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the failed and the retried put, %d before: a sync leaked", n, goroutines)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return nil
+	})
 }
 
 // ---------------------------------------------------------------------------

@@ -9,12 +9,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rqm"
+	"rqm/internal/faultfs"
 	"rqm/internal/service"
 )
 
@@ -290,21 +292,30 @@ type roundTripFunc func(*http.Request) (*http.Response, error)
 
 func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
+// waitParked waits until n goroutines wait on a name's lock: inside
+// lockName, which returns at once when the lock is free.
+func waitParked(t *testing.T, n int) {
+	t.Helper()
+	faultfs.WaitFor(t, 10*time.Second, func() error {
+		buf := make([]byte, 1<<20)
+		m := runtime.Stack(buf, true)
+		for ; m == len(buf); m = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		if got := strings.Count(string(buf[:m]), "router.(*Router).lockName("); got != n {
+			return fmt.Errorf("%d goroutines wait on a name's lock, want %d", got, n)
+		}
+		return nil
+	})
+}
+
 // TestRebalanceKeepsStrayWhenTargetDies: a desired shard that dies after the
 // pass planned its copy — here while the pass waits on the name's lock — is a
 // failed sync, not a skipped one, so the stray copy, the only one, is kept.
 func TestRebalanceKeepsStrayWhenTargetDies(t *testing.T) {
 	const name = "rb-stray"
 	shards := []*testShard{newShard(t), newShard(t)}
-	listed := make(chan struct{}, len(shards))
-	client := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		resp, err := http.DefaultTransport.RoundTrip(r)
-		if r.URL.Path == "/v1/datasets" {
-			listed <- struct{}{}
-		}
-		return resp, err
-	})}
-	rt, err := New(Config{Shards: []string{shards[0].ts.URL, shards[1].ts.URL}, Replicas: 1, ProbeInterval: -1, Client: client})
+	rt, err := New(Config{Shards: []string{shards[0].ts.URL, shards[1].ts.URL}, Replicas: 1, ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,10 +341,8 @@ func TestRebalanceKeepsStrayWhenTargetDies(t *testing.T) {
 		}
 		done <- rep
 	}()
-	for range shards {
-		<-listed
-	}
-	time.Sleep(50 * time.Millisecond) // let the pass plan its copy and reach the lock
+	// The pass has planned its copy once it waits on the name's lock.
+	waitParked(t, 1)
 	home.kill()
 	desired.markUnreachable(errors.New("killed"))
 	unlock()
@@ -362,17 +371,16 @@ func TestClusterPutSyncsBeforeNextPut(t *testing.T) {
 			order = append(order, r.URL.Path)
 			mu.Unlock()
 		}
-		resp, err := http.DefaultTransport.RoundTrip(r)
-		if r.Method == http.MethodPost && !strings.HasSuffix(r.URL.Path, "/raw") {
-			time.Sleep(10 * time.Millisecond) // let the other writers queue up behind this mutation
-		}
-		return resp, err
+		return http.DefaultTransport.RoundTrip(r)
 	})}
 	rt, err := New(Config{Shards: []string{shards[0].ts.URL, shards[1].ts.URL}, Replicas: 2, ProbeInterval: -1, Client: client})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	// Every writer queues on the name's lock before the first one runs, so
+	// each mutation and its sync run with the remaining writers waiting.
+	unlock := rt.lockName("cl-seq")
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
@@ -385,6 +393,8 @@ func TestClusterPutSyncsBeforeNextPut(t *testing.T) {
 			}
 		}(fieldBytes(t, uint64(i+1)))
 	}
+	waitParked(t, writers)
+	unlock()
 	wg.Wait()
 	if len(order) != 2*writers {
 		t.Fatalf("%d shard posts, want %d", len(order), 2*writers)

@@ -278,17 +278,7 @@ func TestChaosCorruptResidualReadRepair(t *testing.T) {
 	}
 
 	// Read-repair is asynchronous; wait until the victim deep-verifies again.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		m := tc.rt.Snapshot()
-		if m.ReadRepairs >= 1 && victim.st.VerifyDataset(name, true) == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("residual repair did not land: %+v, verify %v", m, victim.st.VerifyDataset(name, true))
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	faultfs.WaitFor(t, 10*time.Second, func() error { return repaired(tc, victim, name) })
 
 	if !bytes.Equal(victim.rawResidual(t, name), goodRes) {
 		t.Fatal("repaired residual differs from the original bytes")

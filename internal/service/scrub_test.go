@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"net/http"
@@ -41,25 +42,23 @@ func corruptStoredContainer(t *testing.T, st *store.Store, name string) {
 // waitScrubDone polls /v1/scrub/status until the pass leaves "running".
 func waitScrubDone(t *testing.T, ts *httptest.Server) ScrubStatusResponse {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
+	var stt ScrubStatusResponse
+	faultfs.WaitFor(t, 10*time.Second, func() error {
 		resp, err := http.Get(ts.URL + "/v1/scrub/status")
 		if err != nil {
 			t.Fatal(err)
 		}
-		var stt ScrubStatusResponse
+		defer resp.Body.Close()
+		stt = ScrubStatusResponse{}
 		if err := json.NewDecoder(resp.Body).Decode(&stt); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if stt.State != "running" {
-			return stt
+		if stt.State == "running" {
+			return fmt.Errorf("scrub still running: %+v", stt)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scrub still running: %+v", stt)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return nil
+	})
+	return stt
 }
 
 func startScrub(t *testing.T, ts *httptest.Server, query string) *http.Response {

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"rqm/internal/codec"
 	"rqm/internal/grid"
+	"rqm/internal/ordered"
 )
 
 // ReaderOption configures a Reader.
@@ -34,16 +33,16 @@ func WithReaderWorkers(n int) ReaderOption {
 // reconciles trailer and footer with the records it saw, entry for entry,
 // before EOF is reported.
 //
-// A Reader is single-consumer: NextChunk, Read, and ReadAll must come from
-// one goroutine.
+// A Reader is single-consumer: NextChunk, Read, ReadAll, and Close must come
+// from one goroutine, and after Close the reads return ErrClosed.
 type Reader struct {
 	recs    *codec.Records
 	workers int
 
-	pending  chan chan decResult // per-chunk result slots, in stream order
-	done     chan struct{}
-	feedDone chan struct{}
-	once     sync.Once
+	// pool runs the feeder and the decode workers. A result is a chunk
+	// decoded into a codec.GetValues buffer, which the consumer returns
+	// (NextChunk hands it to its caller instead).
+	pool *ordered.Pool[decJob, *[]float64]
 
 	cur     []float64  // decoded values Read has not serialized yet
 	curBuf  *[]float64 // the pooled chunk buffer cur points into
@@ -54,18 +53,11 @@ type Reader struct {
 	values int64
 }
 
-// decResult is one decoded chunk: its values live in a buffer from the
-// codec's chunk-buffer pool, which the consumer returns once it has copied
-// or serialized them (NextChunk hands it to its caller instead).
-type decResult struct {
-	vals *[]float64
-	err  error
-}
-
+// decJob is one record to decode, or the feeder's error in its place.
 type decJob struct {
 	chunk *codec.Chunk
 	pb    *bytes.Buffer // the pooled payload buffer chunk.Payload aliases
-	res   chan decResult
+	err   error
 }
 
 // NewReader parses the container head of src (a chunked stream's header or
@@ -76,21 +68,14 @@ func NewReader(src io.Reader, opts ...ReaderOption) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reader{
-		recs:     recs,
-		done:     make(chan struct{}),
-		feedDone: make(chan struct{}),
-	}
+	r := &Reader{recs: recs}
 	for _, opt := range opts {
 		if err := opt(r); err != nil {
 			return nil, err
 		}
 	}
-	if r.workers == 0 {
-		r.workers = runtime.GOMAXPROCS(0)
-	}
-	r.pending = make(chan chan decResult, r.workers+2)
-	go r.feed()
+	r.pool = ordered.New(r.workers, decode)
+	r.pool.Go(r.feed)
 	return r, nil
 }
 
@@ -102,41 +87,19 @@ func (r *Reader) Header() codec.StreamHeader { return r.recs.Header }
 // both happen on the workers, so the serial section of the pipeline is just
 // reading bytes and parsing 21-byte record heads.
 func (r *Reader) feed() {
-	defer close(r.feedDone)
-	defer close(r.pending)
-	jobs := make(chan decJob, r.workers)
-	var wg sync.WaitGroup
-	for i := 0; i < r.workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				j.res <- decode(j)
-			}
-		}()
-	}
-	defer wg.Wait()
-	defer close(jobs)
-
+	defer r.pool.Close()
 	for {
 		pb := codec.GetPayload()
 		c, err := r.recs.Next(pb)
 		if err != nil {
 			codec.PutPayload(pb)
 			if err != io.EOF {
-				r.emitErr(err)
+				r.pool.Submit(decJob{err: err})
 			}
 			return
 		}
-		res := make(chan decResult, 1)
-		select {
-		case r.pending <- res:
-		case <-r.done:
-			return
-		}
-		select {
-		case jobs <- decJob{chunk: c, pb: pb, res: res}:
-		case <-r.done:
+		if !r.pool.Submit(decJob{chunk: c, pb: pb}) {
+			codec.PutPayload(pb)
 			return
 		}
 	}
@@ -147,37 +110,23 @@ func (r *Reader) feed() {
 var decodeChunkInto = codec.DecodeChunkInto
 
 // decode verifies and decodes one chunk into a pooled buffer, recycling the
-// payload buffer either way. A decoder panic becomes that chunk's error,
-// wrapping codec.ErrCorrupt: the pool runs outside any caller's recover, so
-// an unrecovered one would end the process.
-func decode(j decJob) (res decResult) {
+// payload buffer either way.
+func decode(j decJob) (*[]float64, error) {
+	if j.err != nil {
+		return nil, j.err
+	}
 	defer codec.PutPayload(j.pb)
-	defer func() {
-		if p := recover(); p != nil {
-			res = decResult{err: fmt.Errorf("%w: chunk decoder panicked: %v", codec.ErrCorrupt, p)}
-		}
-	}()
 	if err := j.chunk.Verify(); err != nil {
-		return decResult{err: err}
+		return nil, err
 	}
 	b := codec.GetValues()
 	vals, err := decodeChunkInto(*b, j.chunk)
 	if err != nil {
 		codec.PutValues(b)
-		return decResult{err: err}
+		return nil, err
 	}
 	*b = vals
-	return decResult{vals: b}
-}
-
-// emitErr delivers a feeder error as the next in-order result.
-func (r *Reader) emitErr(err error) {
-	res := make(chan decResult, 1)
-	res <- decResult{err: err}
-	select {
-	case r.pending <- res:
-	case <-r.done:
-	}
+	return b, nil
 }
 
 // NextChunk returns the next chunk's decoded samples in stream order, or
@@ -197,19 +146,14 @@ func (r *Reader) next() (*[]float64, error) {
 	if r.readErr != nil {
 		return nil, r.readErr
 	}
-	rc, ok := <-r.pending
-	if !ok {
-		r.readErr = io.EOF
-		return nil, io.EOF
+	b, err := r.pool.Next()
+	if err != nil {
+		r.readErr = err
+		r.pool.Stop()
+		return nil, err
 	}
-	res := <-rc
-	if res.err != nil {
-		r.readErr = res.err
-		r.Close()
-		return nil, res.err
-	}
-	r.values += int64(len(*res.vals))
-	return res.vals, nil
+	r.values += int64(len(*b))
+	return b, nil
 }
 
 // Read serializes the decompressed stream as raw little-endian samples in
@@ -300,13 +244,13 @@ func (r *Reader) ReadAll() (*grid.Field, error) {
 // Values reports how many samples have been consumed so far.
 func (r *Reader) Values() int64 { return r.values }
 
-// Close abandons the pipeline early; reading past EOF or an error closes
-// the Reader implicitly. Close blocks until the feeder goroutine has
-// stopped touching the source reader, so once it returns the caller owns
-// the source exclusively again (the serving layer relies on this to drain
-// request bodies safely).
+// Close abandons the pipeline early; reading past EOF or an error stops it
+// implicitly. Close blocks until the feeder goroutine has stopped touching
+// the source reader, so once it returns the caller owns the source
+// exclusively again (the serving layer relies on this to drain request
+// bodies safely). Every read after Close returns ErrClosed.
 func (r *Reader) Close() error {
-	r.once.Do(func() { close(r.done) })
-	<-r.feedDone
+	r.readErr, r.cur, r.encoded = ErrClosed, nil, nil
+	r.pool.Stop()
 	return nil
 }

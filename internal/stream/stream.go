@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"rqm/internal/codec"
 	"rqm/internal/compressor"
@@ -31,11 +30,17 @@ import (
 // values, i.e. 2 MiB of float64 input per in-flight chunk.
 const DefaultChunkValues = 1 << 18
 
+// AdaptiveBound is the per-region error-bound policy, now owned by the
+// partition layer (it solves bounds for whatever regions the partitioner
+// plans — fixed slabs by default). The alias keeps the historical stream API
+// intact: stream.AdaptiveBound and partition.AdaptiveBound are one type.
+type AdaptiveBound = partition.AdaptiveBound
+
 // ErrEmptyStream marks a structurally valid container holding zero values.
 var ErrEmptyStream = errors.New("stream: empty stream")
 
-// ErrClosed marks use of a Writer after Close.
-var ErrClosed = errors.New("stream: writer is closed")
+// ErrClosed marks use of a Writer or a Reader after Close.
+var ErrClosed = errors.New("stream: closed")
 
 // ErrNeedValueRange marks a REL-mode Writer built without a stream-global
 // value range. A relative bound is defined against the *whole field's* range;
@@ -227,9 +232,6 @@ func newConfig(opts []Option) (*config, error) {
 		if err := opt(cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.workers == 0 {
-		cfg.workers = runtime.GOMAXPROCS(0)
 	}
 	// Resolve a REL bound once against the stream-global range. Chunk-local
 	// resolution would change the bound's meaning per chunk (and degenerate

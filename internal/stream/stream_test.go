@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rqm/internal/codec"
 	"rqm/internal/compressor"
@@ -700,14 +701,18 @@ func TestRELWithoutRangeFails(t *testing.T) {
 		t.Fatalf("default REL writer without a range: %v, want ErrNeedValueRange", err)
 	}
 	// An adaptive policy replaces mode and bound per chunk, so it needs none.
-	if _, err := NewWriter(io.Discard, WithAdaptive(AdaptiveBound{TargetPSNR: 60})); err != nil {
+	w, err := NewWriter(io.Discard, WithAdaptive(AdaptiveBound{TargetPSNR: 60}))
+	if err != nil {
 		t.Fatalf("adaptive writer rejected without a range: %v", err)
 	}
+	w.Close()
 	// And ABS mode never needed one.
-	if _, err := NewWriter(io.Discard,
-		WithCompression(codec.Options{Mode: compressor.ABS, ErrorBound: 1e-3})); err != nil {
+	w, err = NewWriter(io.Discard,
+		WithCompression(codec.Options{Mode: compressor.ABS, ErrorBound: 1e-3}))
+	if err != nil {
 		t.Fatalf("ABS writer rejected without a range: %v", err)
 	}
+	w.Close()
 }
 
 // TestConstantChunkRecordsEnforcedBound covers the chunk-header bound of a
@@ -865,5 +870,55 @@ func TestWorkerPanicFailsTyped(t *testing.T) {
 	werr := w.WriteValues(vals)
 	if cerr := w.Close(); !errors.Is(cerr, codec.ErrCorrupt) {
 		t.Fatalf("Close after a compressor panic: %v (WriteValues: %v), want codec.ErrCorrupt", cerr, werr)
+	}
+}
+
+// TestReadAfterCloseIsErrClosed: once Close returns, NextChunk, Read and
+// ReadAll answer ErrClosed at once. Close used to be able to leave a result
+// slot queued with no job behind it, so a later NextChunk hung on it, or
+// handed back the chunks already decoded and then io.EOF, as if a truncated
+// stream had ended cleanly.
+func TestReadAfterCloseIsErrClosed(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WithChunkValues(64), WithValueRange(-2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues(waveValues(50 * 64)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ops := []string{"NextChunk", "Read", "ReadAll"}
+	for trial := range 200 {
+		r, err := NewReader(bytes.NewReader(buf.Bytes()), WithReaderWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.NextChunk(); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan [3]error, 1)
+		go func() {
+			var errs [3]error
+			_, errs[0] = r.NextChunk()
+			_, errs[1] = r.Read(make([]byte, 8))
+			_, errs[2] = r.ReadAll()
+			done <- errs
+		}()
+		select {
+		case errs := <-done:
+			for i, err := range errs {
+				if err != ErrClosed {
+					t.Fatalf("trial %d: %s after Close: %v, want ErrClosed", trial, ops[i], err)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("trial %d: reading a closed Reader hangs", trial)
+		}
 	}
 }

@@ -3,12 +3,13 @@ package stream
 import (
 	"fmt"
 	"io"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"rqm/internal/codec"
 	"rqm/internal/compressor"
 	"rqm/internal/grid"
+	"rqm/internal/ordered"
 	"rqm/internal/partition"
 	"rqm/internal/stats"
 )
@@ -62,16 +63,10 @@ type Writer struct {
 	rem    []byte    // partial value carried between Write calls
 	splits int       // split decisions across all plans (producer-owned)
 
-	order chan chan result // per-chunk result slots, in input order
-	jobs  chan job
+	pool     *ordered.Pool[job, *codec.Chunk] // compress workers and the sequencer
+	firstErr atomic.Pointer[error]            // sticky
 
-	workerWG sync.WaitGroup
-	seqDone  chan struct{}
-
-	mu       sync.Mutex
-	firstErr error
-
-	// sequencer-owned until seqDone closes
+	// sequencer-owned until the pool's Wait returns
 	entries     []codec.IndexEntry
 	totalValues int64
 	minBound    float64
@@ -85,12 +80,6 @@ type job struct {
 	vals        []float64
 	windowRange float64 // value range of vals's window (0 = vals is the window)
 	recycle     bool    // vals is a whole pool buffer, return it after use
-	res         chan result
-}
-
-type result struct {
-	chunk *codec.Chunk
-	err   error
 }
 
 // NewWriter starts a streaming compressor over w. The stream header is
@@ -112,9 +101,6 @@ func NewWriter(w io.Writer, opts ...Option) (*Writer, error) {
 		windowValues: windowValues,
 		dst:          &countWriter{w: w},
 		start:        time.Now(),
-		order:        make(chan chan result, cfg.workers+2),
-		jobs:         make(chan job, cfg.workers),
-		seqDone:      make(chan struct{}),
 	}
 	if windowValues > 0 {
 		sw.buf = sw.nextBuf()
@@ -136,11 +122,8 @@ func NewWriter(w io.Writer, opts ...Option) (*Writer, error) {
 	if _, err := codec.WriteStreamHeader(sw.dst, hdr); err != nil {
 		return nil, err
 	}
-	for i := 0; i < cfg.workers; i++ {
-		sw.workerWG.Add(1)
-		go sw.worker()
-	}
-	go sw.sequencer()
+	sw.pool = ordered.New(cfg.workers, func(j job) (*codec.Chunk, error) { return compressChunk(sw, j) })
+	sw.pool.Go(sw.sequencer)
 	return sw, nil
 }
 
@@ -218,6 +201,8 @@ func (w *Writer) WriteField(f *grid.Field) error {
 // a multi-region plan alias one buffer, so none recycles (it goes to the
 // collector once all chunks are done), and each carries the window's value
 // range for the per-region solve. A whole-stream buffer is never pooled.
+// Submit back-pressures the producer while workers+2 chunks are in flight,
+// so a steady-state stream reuses the same workers+2 buffers.
 func (w *Writer) plan() {
 	window := w.buf
 	plan, err := w.cfg.partitioner.Partition(window, w.env)
@@ -234,7 +219,7 @@ func (w *Writer) plan() {
 		w.buf = w.nextBuf()
 	}
 	if len(plan.Regions) == 1 {
-		w.dispatch(window, 0, w.windowValues > 0)
+		w.pool.Submit(job{vals: window, recycle: w.windowValues > 0})
 		return
 	}
 	var windowRange float64
@@ -246,7 +231,7 @@ func (w *Writer) plan() {
 		if w.err() != nil {
 			return
 		}
-		w.dispatch(window[r.Off:r.Off+r.Len], windowRange, false)
+		w.pool.Submit(job{vals: window[r.Off : r.Off+r.Len], windowRange: windowRange})
 	}
 }
 
@@ -261,58 +246,27 @@ func (w *Writer) nextBuf() []float64 {
 	return (*b)[:0]
 }
 
-// dispatch hands one region to the pool. The order channel's capacity is the
-// pipeline's chunk-in-flight budget, so this blocks (and back-pressures the
-// producer) when the pool is saturated. Whole-buffer regions are recycled:
-// the producer draws the next accumulation buffer from the chunk-buffer pool
-// and workers return finished buffers to it, so a steady-state stream reuses
-// the same workers+2 buffers however long it runs.
-func (w *Writer) dispatch(vals []float64, windowRange float64, recycle bool) {
-	res := make(chan result, 1)
-	w.order <- res
-	w.jobs <- job{vals: vals, windowRange: windowRange, recycle: recycle, res: res}
-}
-
 // compressChunk is the compress workers' work: a variable only so the
 // package's tests can make a worker panic.
 var compressChunk = (*Writer).compressChunk
 
-// compress is compressChunk with a panic turned into that chunk's error,
-// wrapping codec.ErrCorrupt: the pool runs outside any caller's recover, so
-// an unrecovered one would end the process.
-func (w *Writer) compress(j job) (c *codec.Chunk, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			c, err = nil, fmt.Errorf("%w: chunk compressor panicked: %v", codec.ErrCorrupt, p)
-		}
-	}()
-	return compressChunk(w, j)
-}
-
-// worker compresses chunks until the job channel closes.
-func (w *Writer) worker() {
-	defer w.workerWG.Done()
-	for j := range w.jobs {
-		if w.err() != nil {
-			j.res <- result{err: w.err()}
-			continue
-		}
-		c, err := w.compress(j)
-		if j.recycle {
-			// The compressor copies the chunk into its own work buffer and
-			// the payload never aliases vals, so the buffer can be recycled
-			// now. Sub-window regions skip this: they alias a shared window.
-			vals := j.vals[:0]
-			codec.PutValues(&vals)
-		}
-		j.res <- result{chunk: c, err: err}
-	}
-}
-
 // compressChunk encodes one region as a 1-D field, in ABS mode at the bound
 // Env.SolveRegion solves for it under an AdaptiveBound policy, and under the
-// writer's options otherwise.
+// writer's options otherwise. Once the stream has failed it does nothing.
 func (w *Writer) compressChunk(j job) (*codec.Chunk, error) {
+	if err := w.err(); err != nil {
+		return nil, err
+	}
+	if j.recycle {
+		// The compressor copies the chunk into its own work buffer and the
+		// payload never aliases vals, so the buffer is recycled once the
+		// chunk is compressed. Sub-window regions skip this: they alias a
+		// shared window.
+		defer func() {
+			vals := j.vals[:0]
+			codec.PutValues(&vals)
+		}()
+	}
 	f, err := grid.FromData("", w.cfg.prec, j.vals, len(j.vals))
 	if err != nil {
 		return nil, err
@@ -327,56 +281,48 @@ func (w *Writer) compressChunk(j job) (*codec.Chunk, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &codec.Chunk{
-		CodecID:  c.ID(),
-		AbsBound: resolveAbsBound(copts),
-		Values:   len(j.vals),
-		Payload:  payload,
-	}, nil
-}
-
-// resolveAbsBound maps the chunk's (mode, bound) to the absolute bound
-// recorded in the chunk header. REL never reaches the chunk level — the
-// config resolves it once against the stream-global value range — so an ABS
-// bound here is exactly the bound the codec enforced on this chunk, constant
-// chunks included; PWREL has no single absolute bound and records 0.
-func resolveAbsBound(copts codec.Options) float64 {
+	// The chunk header records the absolute bound the codec enforced. REL
+	// never reaches a chunk (the config resolves it against the stream-global
+	// range), and PWREL has no single absolute bound and records 0.
+	chunk := &codec.Chunk{CodecID: c.ID(), Values: len(j.vals), Payload: payload}
 	if copts.Mode == compressor.ABS {
-		return copts.ErrorBound
+		chunk.AbsBound = copts.ErrorBound
 	}
-	return 0
+	return chunk, nil
 }
 
 // sequencer drains per-chunk results in input order and writes the records.
 func (w *Writer) sequencer() {
-	defer close(w.seqDone)
-	for rc := range w.order {
-		res := <-rc
-		if res.err != nil {
-			w.fail(res.err)
+	for {
+		c, err := w.pool.Next()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			w.fail(err)
 			continue
 		}
 		if w.err() != nil {
 			continue // drain without writing after a failure
 		}
 		off := w.dst.n
-		n, err := codec.WriteChunk(w.dst, res.chunk)
+		n, err := codec.WriteChunk(w.dst, c)
 		if err != nil {
 			w.fail(err)
 			continue
 		}
 		w.entries = append(w.entries, codec.IndexEntry{
 			Offset:      off,
-			Values:      res.chunk.Values,
+			Values:      c.Values,
 			RecordBytes: int(n),
-			AbsBound:    res.chunk.AbsBound,
+			AbsBound:    c.AbsBound,
 		})
-		w.totalValues += int64(res.chunk.Values)
-		if len(w.entries) == 1 || res.chunk.AbsBound < w.minBound {
-			w.minBound = res.chunk.AbsBound
+		w.totalValues += int64(c.Values)
+		if len(w.entries) == 1 || c.AbsBound < w.minBound {
+			w.minBound = c.AbsBound
 		}
-		if res.chunk.AbsBound > w.maxBound {
-			w.maxBound = res.chunk.AbsBound
+		if c.AbsBound > w.maxBound {
+			w.maxBound = c.AbsBound
 		}
 	}
 }
@@ -395,10 +341,8 @@ func (w *Writer) Close() error {
 	if len(w.buf) > 0 && w.err() == nil {
 		w.plan()
 	}
-	close(w.jobs)
-	w.workerWG.Wait()
-	close(w.order)
-	<-w.seqDone
+	w.pool.Close()
+	w.pool.Wait()
 	if w.windowValues > 0 && cap(w.buf) > 0 {
 		// The accumulation buffer drawn after the last window: nothing
 		// writes to a closed stream, so it goes back to the pool.
@@ -440,19 +384,14 @@ func (w *Writer) Stats() Stats { return w.stats }
 
 // err returns the sticky first pipeline error.
 func (w *Writer) err() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.firstErr
+	if p := w.firstErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // fail records the first pipeline error.
-func (w *Writer) fail(err error) {
-	w.mu.Lock()
-	if w.firstErr == nil {
-		w.firstErr = err
-	}
-	w.mu.Unlock()
-}
+func (w *Writer) fail(err error) { w.firstErr.CompareAndSwap(nil, &err) }
 
 // countWriter tracks the container offset for index entries.
 type countWriter struct {
