@@ -236,19 +236,23 @@ func (e *Engine) NewStreamWriter(w io.Writer, extra ...StreamOption) (*StreamWri
 }
 
 // NewFieldStreamWriter starts a streaming compressor over w for one known
-// field: the field's shape, name, and value range are recorded up front, so
-// a REL-mode engine resolves its bound once against the whole field's range
-// — the same absolute guarantee whole-buffer REL compression enforces. The
-// caller still streams the samples (WriteField/WriteValues) and must Close.
+// field: the field's shape and name are recorded up front, and a REL-mode
+// engine also records the field's value range, so its bound resolves once
+// against the whole field's range — the same absolute guarantee whole-buffer
+// REL compression enforces. ABS and PWREL read no range, so their fields
+// may hold ±Inf or NaN as Engine.Compress allows, while a REL field whose
+// range is not finite fails with ErrStreamNeedsValueRange. The caller still
+// streams the samples (WriteField/WriteValues) and must Close.
 func (e *Engine) NewFieldStreamWriter(w io.Writer, f *Field, extra ...StreamOption) (*StreamWriter, error) {
 	if f == nil {
 		return nil, errors.New("rqm: nil field")
 	}
-	lo, hi := f.ValueRange()
 	opts := []StreamOption{
 		WithStreamShape(f.Prec, f.Dims...),
 		WithStreamFieldName(f.Name),
-		WithStreamValueRange(lo, hi),
+	}
+	if e.copts.Mode == REL {
+		opts = append(opts, WithStreamValueRange(f.ValueRange()))
 	}
 	return e.NewStreamWriter(w, append(opts, extra...)...)
 }

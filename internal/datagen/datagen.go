@@ -5,6 +5,11 @@
 // (spectral slope), dynamic range, and noise floor. The RTM stand-in is a
 // genuine finite-difference acoustic wave-equation solver, because RTM
 // snapshots *are* wavefields. See DESIGN.md §15 for the substitution notes.
+//
+// Each field is synthesized alone from its own offset of the dataset's
+// seed, so GenerateField makes only the field it returns (RTM's snapshots,
+// from one simulation, are made together). Synthesis is bit-identical
+// across changes: TestFieldsPinned pins every field by hash.
 package datagen
 
 import (
@@ -12,6 +17,7 @@ import (
 	"math"
 	"math/cmplx"
 	"sort"
+	"strings"
 
 	"rqm/internal/fft"
 	"rqm/internal/grid"
@@ -53,32 +59,60 @@ func SpectralField(name string, prec grid.Precision, dims []int, slope float64, 
 	for _, d := range dims {
 		n *= d
 	}
-	rng := stats.NewXorShift64(seed)
-	spec := make([]complex128, n)
-	coord := make([]int, len(dims))
-	for idx := 0; idx < n; idx++ {
-		rem := idx
-		for ax := len(dims) - 1; ax >= 0; ax-- {
-			coord[ax] = rem % dims[ax]
-			rem /= dims[ax]
-		}
-		var k2 float64
-		for ax, c := range coord {
+	// A mode's amplitude depends only on its tuple of |k| per axis (each
+	// |k| <= d/2), so math.Pow runs once per tuple: amps is indexed by the
+	// tuple, and off[ax][c] is what coordinate c on axis ax adds to that
+	// index.
+	off := make([][]int, len(dims))
+	size := 1
+	for ax := len(dims) - 1; ax >= 0; ax-- {
+		d := dims[ax]
+		off[ax] = make([]int, d)
+		for c := range off[ax] {
 			k := c
-			if k > dims[ax]/2 {
-				k -= dims[ax]
+			if k > d/2 {
+				k = d - c
 			}
+			off[ax][c] = k * size
+		}
+		size *= d/2 + 1
+	}
+	amps := make([]float64, size)
+	tuple := make([]int, len(dims))
+	for t := range amps {
+		var k2 float64
+		for ax, k := range tuple {
 			kf := float64(k) / float64(dims[ax])
 			k2 += kf * kf
 		}
-		if k2 == 0 {
-			spec[idx] = 0 // no DC: keep zero mean
-			continue
+		amps[t] = math.Pow(k2, -slope/4) // |F| ∝ (k^2)^(-slope/4) = k^(-slope/2)
+		for ax := len(dims) - 1; ax >= 0; ax-- {
+			if tuple[ax]++; tuple[ax] <= dims[ax]/2 {
+				break
+			}
+			tuple[ax] = 0
 		}
-		amp := math.Pow(k2, -slope/4) // |F| ∝ (k^2)^(-slope/4) = k^(-slope/2)
-		phase := 2 * math.Pi * rng.Float64()
-		mag := amp * math.Sqrt(-2*math.Log(math.Max(rng.Float64(), 1e-12)))
-		spec[idx] = complex(mag, 0) * cmplx.Exp(complex(0, phase))
+	}
+	rng := stats.NewXorShift64(seed)
+	spec := make([]complex128, n)
+	coord := make([]int, len(dims))
+	t := 0 // amps index of coord
+	for idx := range spec {
+		// The all-zero tuple is the DC mode, left 0 to keep zero mean.
+		if t != 0 {
+			phase := 2 * math.Pi * rng.Float64()
+			mag := amps[t] * math.Sqrt(-2*math.Log(math.Max(rng.Float64(), 1e-12)))
+			spec[idx] = complex(mag, 0) * cmplx.Exp(complex(0, phase))
+		}
+		// Advance coord as an odometer, innermost axis fastest.
+		for ax := len(dims) - 1; ax >= 0; ax-- {
+			t -= off[ax][coord[ax]]
+			if coord[ax]++; coord[ax] < dims[ax] {
+				t += off[ax][coord[ax]]
+				break
+			}
+			coord[ax] = 0
+		}
 	}
 	// Inverse transform axis by axis: reuse ForwardND on the conjugate
 	// (inverse DFT = conj(forward(conj(x)))/N).
@@ -397,7 +431,31 @@ func (d *Dataset) TotalBytes() int64 {
 
 type spec struct {
 	desc, format string
-	gen          func(sc Scale, seed uint64) []*grid.Field
+	makers       []maker
+}
+
+// maker synthesizes one field of a dataset stand-in. Each field draws from
+// its own offset of the dataset's seed (seed, seed+1, ...), so a field made
+// alone equals the same field made beside its siblings.
+type maker struct {
+	// path is the "dataset/field" name of the one field gen returns, or ""
+	// for RTM's snapshot stack: every snapshot comes from one simulation.
+	path string
+	gen  func(sc Scale, seed uint64) []*grid.Field
+}
+
+// one is the maker of the single field path, drawn from seed+off.
+func one(path string, off uint64, gen func(name string, sc Scale, seed uint64) *grid.Field) maker {
+	return maker{path, func(sc Scale, seed uint64) []*grid.Field {
+		return []*grid.Field{gen(path, sc, seed+off)}
+	}}
+}
+
+// spectral is the maker of one float32 SpectralField.
+func spectral(path string, off uint64, dims func(Scale) []int, slope, lo, hi float64) maker {
+	return one(path, off, func(name string, sc Scale, seed uint64) *grid.Field {
+		return SpectralField(name, grid.Float32, dims(sc), slope, lo, hi, seed)
+	})
 }
 
 func dimsFor(sc Scale, tiny, small, medium []int) []int {
@@ -422,58 +480,74 @@ func lenFor(sc Scale, tiny, small, medium int) int {
 	}
 }
 
+// The shapes of the datasets with more than one field. Each call returns
+// fresh slices, since a field keeps its dims.
+func cesmDims(sc Scale) []int {
+	return dimsFor(sc, []int{45, 90}, []int{450, 900}, []int{900, 1800})
+}
+
+func hurricaneDims(sc Scale) []int {
+	return dimsFor(sc, []int{10, 25, 25}, []int{50, 125, 125}, []int{100, 250, 250})
+}
+
+func nyxDims(sc Scale) []int {
+	return dimsFor(sc, []int{24, 24, 24}, []int{96, 96, 96}, []int{160, 160, 160})
+}
+
+func haccLen(sc Scale) int { return lenFor(sc, 20000, 1<<20, 1<<22) }
+
 var catalog = map[string]spec{
-	"cesm": {"Climate simulation", "NetCDF", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{45, 90}, []int{450, 900}, []int{900, 1800})
-		return []*grid.Field{
-			SpectralField("cesm/TS", grid.Float32, dims, 3.0, 190, 310, seed),
-			SpectralField("cesm/TROP_Z", grid.Float32, dims, 3.4, 5e3, 1.8e4, seed+1),
-		}
+	"cesm": {"Climate simulation", "NetCDF", []maker{
+		spectral("cesm/TS", 0, cesmDims, 3.0, 190, 310),
+		spectral("cesm/TROP_Z", 1, cesmDims, 3.4, 5e3, 1.8e4),
 	}},
-	"exafel": {"Instrument imaging", "HDF5", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{2, 4, 16, 32}, []int{4, 16, 64, 128}, []int{8, 32, 96, 194})
-		return []*grid.Field{PhotonPanels4D("exafel/raw", dims, seed)}
+	"exafel": {"Instrument imaging", "HDF5", []maker{
+		one("exafel/raw", 0, func(name string, sc Scale, seed uint64) *grid.Field {
+			dims := dimsFor(sc, []int{2, 4, 16, 32}, []int{4, 16, 64, 128}, []int{8, 32, 96, 194})
+			return PhotonPanels4D(name, dims, seed)
+		}),
 	}},
-	"hurricane": {"Weather simulation", "Binary", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{10, 25, 25}, []int{50, 125, 125}, []int{100, 250, 250})
-		return []*grid.Field{
-			SpectralField("hurricane/U", grid.Float32, dims, 2.6, -80, 85, seed),
-			SpectralField("hurricane/TC", grid.Float32, dims, 3.0, -80, 30, seed+1),
-		}
+	"hurricane": {"Weather simulation", "Binary", []maker{
+		spectral("hurricane/U", 0, hurricaneDims, 2.6, -80, 85),
+		spectral("hurricane/TC", 1, hurricaneDims, 3.0, -80, 30),
 	}},
-	"hacc": {"Cosmology simulation", "GIO", func(sc Scale, seed uint64) []*grid.Field {
-		n := lenFor(sc, 20000, 1<<20, 1<<22)
-		return []*grid.Field{
-			ParticlePositions1D("hacc/xx", n, 256, 64, seed),
-			ParticleVelocities1D("hacc/vx", n, seed+1),
-		}
+	"hacc": {"Cosmology simulation", "GIO", []maker{
+		one("hacc/xx", 0, func(name string, sc Scale, seed uint64) *grid.Field {
+			return ParticlePositions1D(name, haccLen(sc), 256, 64, seed)
+		}),
+		one("hacc/vx", 1, func(name string, sc Scale, seed uint64) *grid.Field {
+			return ParticleVelocities1D(name, haccLen(sc), seed)
+		}),
 	}},
-	"nyx": {"Cosmology simulation", "HDF5", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{24, 24, 24}, []int{96, 96, 96}, []int{160, 160, 160})
-		return []*grid.Field{
-			LogNormalField("nyx/dark_matter_density", grid.Float32, dims, 2.2, 3.0, seed),
-			SpectralField("nyx/temperature", grid.Float32, dims, 2.8, 1e3, 1e6, seed+1),
-			SpectralField("nyx/velocity_z", grid.Float32, dims, 2.5, -3e7, 3e7, seed+2),
-		}
+	"nyx": {"Cosmology simulation", "HDF5", []maker{
+		one("nyx/dark_matter_density", 0, func(name string, sc Scale, seed uint64) *grid.Field {
+			return LogNormalField(name, grid.Float32, nyxDims(sc), 2.2, 3.0, seed)
+		}),
+		spectral("nyx/temperature", 1, nyxDims, 2.8, 1e3, 1e6),
+		spectral("nyx/velocity_z", 2, nyxDims, 2.5, -3e7, 3e7),
 	}},
-	"scale": {"Climate simulation", "NetCDF", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{8, 30, 30}, []int{48, 120, 120}, []int{98, 240, 240})
-		return []*grid.Field{SpectralField("scale/PRES", grid.Float32, dims, 3.2, 2e3, 1.05e5, seed)}
+	"scale": {"Climate simulation", "NetCDF", []maker{
+		spectral("scale/PRES", 0, func(sc Scale) []int {
+			return dimsFor(sc, []int{8, 30, 30}, []int{48, 120, 120}, []int{98, 240, 240})
+		}, 3.2, 2e3, 1.05e5),
 	}},
-	"qmcpack": {"Atoms' structure", "HDF5", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{17, 17, 28}, []int{69, 69, 115}, []int{69, 69, 115})
-		nc := lenFor(sc, 6, 24, 24)
-		return []*grid.Field{Orbital3D("qmcpack/einspline", dims, nc, seed)}
+	"qmcpack": {"Atoms' structure", "HDF5", []maker{
+		one("qmcpack/einspline", 0, func(name string, sc Scale, seed uint64) *grid.Field {
+			dims := dimsFor(sc, []int{17, 17, 28}, []int{69, 69, 115}, []int{69, 69, 115})
+			return Orbital3D(name, dims, lenFor(sc, 6, 24, 24), seed)
+		}),
 	}},
-	"miranda": {"Turbulence simulation", "Binary", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{16, 24, 24}, []int{64, 96, 96}, []int{128, 192, 192})
-		return []*grid.Field{SpectralField("miranda/vx", grid.Float32, dims, 1.9, -1, 1, seed)}
+	"miranda": {"Turbulence simulation", "Binary", []maker{
+		spectral("miranda/vx", 0, func(sc Scale) []int {
+			return dimsFor(sc, []int{16, 24, 24}, []int{64, 96, 96}, []int{128, 192, 192})
+		}, 1.9, -1, 1),
 	}},
-	"brown": {"Synthetic Brown data", "Binary", func(sc Scale, seed uint64) []*grid.Field {
-		n := lenFor(sc, 20000, 1<<20, 1<<22)
-		return []*grid.Field{Brownian1D("brown/pressure", n, 0.01, seed)}
+	"brown": {"Synthetic Brown data", "Binary", []maker{
+		one("brown/pressure", 0, func(name string, sc Scale, seed uint64) *grid.Field {
+			return Brownian1D(name, lenFor(sc, 20000, 1<<20, 1<<22), 0.01, seed)
+		}),
 	}},
-	"rtm": {"Reverse time migration", "HDF5", func(sc Scale, seed uint64) []*grid.Field {
+	"rtm": {"Reverse time migration", "HDF5", []maker{{"", func(sc Scale, seed uint64) []*grid.Field {
 		dims := dimsFor(sc, []int{20, 24, 24}, []int{60, 112, 112}, []int{96, 176, 176})
 		steps := lenFor(sc, 96, 320, 448)
 		every := lenFor(sc, 16, 40, 56)
@@ -482,13 +556,15 @@ var catalog = map[string]spec{
 			s.Name = fmt.Sprintf("rtm/snapshot_%d", i+1)
 		}
 		return snaps
-	}},
+	}}}},
 	// "mixed" is not part of the paper's Table I (and so not in Names()):
 	// it is the adaptive-space partitioning workload — one field whose
 	// halves want very different error bounds.
-	"mixed": {"Smooth + turbulent composite", "Binary", func(sc Scale, seed uint64) []*grid.Field {
-		dims := dimsFor(sc, []int{32, 48, 48}, []int{96, 128, 128}, []int{160, 192, 192})
-		return []*grid.Field{MixedField("mixed/q", grid.Float64, dims, seed)}
+	"mixed": {"Smooth + turbulent composite", "Binary", []maker{
+		one("mixed/q", 0, func(name string, sc Scale, seed uint64) *grid.Field {
+			dims := dimsFor(sc, []int{32, 48, 48}, []int{96, 128, 128}, []int{160, 192, 192})
+			return MixedField(name, grid.Float64, dims, seed)
+		}),
 	}},
 }
 
@@ -498,44 +574,58 @@ func Names() []string {
 	return out
 }
 
-// Generate builds the named dataset stand-in. Seed selects the realization;
-// the same (name, seed, scale) always produces identical data.
-func Generate(name string, seed uint64, sc Scale) (*Dataset, error) {
+func lookup(name string) (spec, error) {
 	s, ok := catalog[name]
 	if !ok {
 		known := Names()
 		sort.Strings(known)
-		return nil, fmt.Errorf("datagen: unknown dataset %q (known: %v)", name, known)
+		return spec{}, fmt.Errorf("datagen: unknown dataset %q (known: %v)", name, known)
+	}
+	return s, nil
+}
+
+// Generate builds the named dataset stand-in. Seed selects the realization;
+// the same (name, seed, scale) always produces identical data.
+func Generate(name string, seed uint64, sc Scale) (*Dataset, error) {
+	s, err := lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	var fields []*grid.Field
+	for _, m := range s.makers {
+		fields = append(fields, m.gen(sc, seed)...)
 	}
 	return &Dataset{
 		Name:        name,
 		Description: s.desc,
 		Format:      s.format,
-		Fields:      s.gen(sc, seed),
+		Fields:      fields,
 	}, nil
 }
 
-// GenerateField is a convenience that returns a single named field from a
-// dataset stand-in ("dataset/field" resolves within the generated set; a bare
-// dataset name returns the first field).
+// GenerateField synthesizes the single named field of a dataset stand-in
+// ("dataset/field"; a bare dataset name returns the first field), equal to
+// that field of Generate's set. Only the named field is made, except that
+// an RTM snapshot runs the whole simulation.
 func GenerateField(path string, seed uint64, sc Scale) (*grid.Field, error) {
-	dsName := path
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			dsName = path[:i]
-			break
-		}
-	}
-	ds, err := Generate(dsName, seed, sc)
+	dsName, _, _ := strings.Cut(path, "/")
+	s, err := lookup(dsName)
 	if err != nil {
 		return nil, err
 	}
 	if dsName == path {
-		return ds.Fields[0], nil
+		return s.makers[0].gen(sc, seed)[0], nil
 	}
-	for _, f := range ds.Fields {
-		if f.Name == path {
-			return f, nil
+	for _, m := range s.makers {
+		if m.path == path {
+			return m.gen(sc, seed)[0], nil
+		}
+		if m.path == "" {
+			for _, f := range m.gen(sc, seed) {
+				if f.Name == path {
+					return f, nil
+				}
+			}
 		}
 	}
 	return nil, fmt.Errorf("datagen: dataset %q has no field %q", dsName, path)

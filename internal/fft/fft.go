@@ -1,7 +1,14 @@
 // Package fft implements complex FFTs from scratch: an iterative radix-2
 // Cooley–Tukey kernel for power-of-two lengths and Bluestein's chirp-z
-// algorithm for arbitrary lengths, plus separable 2D/3D transforms and the
+// algorithm for arbitrary lengths, plus separable N-D transforms and the
 // shell-averaged power spectrum used by the Nyx-style post-hoc analysis.
+//
+// A transform of one length runs from a plan holding everything that does
+// not depend on the data (twiddles; for Bluestein the chirp and the chirp
+// filter's transform). ForwardND builds one plan per distinct axis length
+// per call and transforms every line in place; plans are never shared
+// between calls. The results are bit-identical to computing each line
+// from scratch, which oracle_test.go holds the code to.
 package fft
 
 import (
@@ -12,58 +19,35 @@ import (
 )
 
 // Forward computes the forward DFT of x and returns the result in a new
-// slice. Any length >= 1 is supported.
+// slice; x is not modified. Any length >= 1 is supported.
 func Forward(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
+	out := make([]complex128, len(x))
 	copy(out, x)
-	if n <= 1 {
+	if len(out) <= 1 {
 		return out
 	}
+	p := newPlan(len(out))
+	p.transform(out, make([]complex128, len(p.filter)))
+	return out
+}
+
+// plan is everything a transform of one length needs that does not depend
+// on the data. A power-of-two length needs only its radix-2 twiddles; any
+// other length is Bluestein's chirp-z convolution, which needs the chirp,
+// the twiddles of the padded power-of-two length m in both directions and
+// the transform of the chirp filter.
+type plan struct {
+	n      int
+	tw     []complex128 // forward twiddles of n, or of m for Bluestein
+	chirp  []complex128 // Bluestein: exp(-i*pi*k^2/n), k < n
+	itw    []complex128 // Bluestein: inverse twiddles of m
+	filter []complex128 // Bluestein: forward transform of the conjugate chirp, length m
+}
+
+func newPlan(n int) *plan {
 	if n&(n-1) == 0 {
-		radix2(out, false)
-		return out
+		return &plan{n: n, tw: twiddles(n, -1)}
 	}
-	return bluestein(out)
-}
-
-// radix2 runs the iterative Cooley–Tukey FFT in place; len(x) must be a
-// power of two.
-func radix2(x []complex128, inverse bool) {
-	n := len(x)
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wStep := cmplx.Exp(complex(0, step))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := x[start+k]
-				b := x[start+k+half] * w
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
-}
-
-// bluestein evaluates an arbitrary-length forward DFT as a convolution, using
-// a zero-padded power-of-two FFT of length >= 2n-1.
-func bluestein(x []complex128) []complex128 {
-	n := len(x)
 	// Chirp: w[k] = exp(-i*pi*k^2/n). Use k^2 mod 2n to avoid overflow
 	// and precision loss for large k.
 	chirp := make([]complex128, n)
@@ -76,34 +60,107 @@ func bluestein(x []complex128) []complex128 {
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	a := make([]complex128, m)
+	p := &plan{n: n, tw: twiddles(m, -1), chirp: chirp, itw: twiddles(m, 1)}
 	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
-		a[k] = x[k] * chirp[k]
 		b[k] = cmplx.Conj(chirp[k])
 	}
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
-	radix2(a, false)
-	radix2(b, false)
+	radix2(b, p.tw)
+	p.filter = b
+	return p
+}
+
+// twiddles returns the butterfly factors of every radix-2 stage of a
+// length-n transform (sign -1 forward, +1 inverse). Stage `size` holds its
+// size/2 factors at offset size/2-1, so a table serves every smaller power
+// of two as a prefix. Each factor comes from the recurrence w *= wStep
+// started at 1 in its stage, the exact value the butterfly loop once
+// computed in place.
+func twiddles(n int, sign float64) []complex128 {
+	tw := make([]complex128, n-1)
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		wStep := cmplx.Exp(complex(0, step))
+		w := complex(1, 0)
+		stage := tw[half-1 : size-1]
+		for k := range stage {
+			stage[k] = w
+			w *= wStep
+		}
+	}
+	return tw
+}
+
+// radix2 runs the iterative Cooley–Tukey FFT in place; len(x) must be a
+// power of two no larger than the length tw was built for.
+func radix2(x, tw []complex128) {
+	n := len(x)
+	// Bit-reversal permutation.
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		ws := tw[half-1 : size-1]
+		for start := 0; start < n; start += size {
+			lo := x[start : start+half]
+			hi := x[start+half : start+size]
+			for k, w := range ws {
+				a := lo[k]
+				b := hi[k] * w
+				lo[k] = a + b
+				hi[k] = a - b
+			}
+		}
+	}
+}
+
+// transform computes the forward DFT of x in place. scratch is used only
+// by a Bluestein plan and must hold len(p.filter) values.
+func (p *plan) transform(x, scratch []complex128) {
+	if p.chirp == nil {
+		radix2(x, p.tw)
+		return
+	}
+	// Bluestein: the DFT as a convolution with the chirp filter, evaluated
+	// by a zero-padded power-of-two FFT of length m >= 2n-1.
+	m := len(p.filter)
+	a := scratch[:m]
+	for k, c := range p.chirp {
+		a[k] = x[k] * c
+	}
+	clear(a[len(x):])
+	radix2(a, p.tw)
 	for i := range a {
-		a[i] *= b[i]
+		a[i] *= p.filter[i]
 	}
-	radix2(a, true)
+	radix2(a, p.itw)
 	inv := complex(1/float64(m), 0)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		out[k] = a[k] * inv * chirp[k]
+	for k, c := range p.chirp {
+		x[k] = a[k] * inv * c
 	}
-	return out
 }
 
 // ForwardND computes the separable N-D DFT of a row-major array with the
-// given dims (outermost first). It transforms along each axis in turn.
+// given dims (outermost first) and returns it in a new slice; data is not
+// modified. It transforms along each axis in turn, with one plan per
+// distinct axis length, and every line in place through one line buffer and
+// one Bluestein scratch, so a call allocates the same few buffers whatever
+// its line count.
 func ForwardND(data []complex128, dims []int) ([]complex128, error) {
 	n := 1
 	for _, d := range dims {
+		if d < 1 {
+			return nil, fmt.Errorf("fft: dims %v must be positive", dims)
+		}
 		n *= d
 	}
 	if n != len(data) {
@@ -111,41 +168,52 @@ func ForwardND(data []complex128, dims []int) ([]complex128, error) {
 	}
 	out := make([]complex128, len(data))
 	copy(out, data)
-	// Strides, outermost first.
-	strides := make([]int, len(dims))
-	acc := 1
-	for i := len(dims) - 1; i >= 0; i-- {
-		strides[i] = acc
-		acc *= dims[i]
-	}
-	line := make([]complex128, 0)
-	for axis := range dims {
-		d := dims[axis]
-		st := strides[axis]
-		if cap(line) < d {
-			line = make([]complex128, d)
+	// One plan per distinct length; a length-1 axis is the identity.
+	plans := make([]*plan, 0, len(dims))
+	planFor := func(d int) *plan {
+		for _, p := range plans {
+			if p.n == d {
+				return p
+			}
 		}
-		line = line[:d]
-		// Iterate over all 1-D lines along `axis`.
-		numLines := n / d
-		for li := 0; li < numLines; li++ {
-			// Convert line index to a base offset skipping the axis dim.
-			base := 0
-			rem := li
-			for ax := len(dims) - 1; ax >= 0; ax-- {
-				if ax == axis {
-					continue
+		p := newPlan(d)
+		plans = append(plans, p)
+		return p
+	}
+	maxLine, maxScratch := 0, 0
+	for _, d := range dims {
+		if d > 1 {
+			maxLine = max(maxLine, d)
+			maxScratch = max(maxScratch, len(planFor(d).filter))
+		}
+	}
+	line := make([]complex128, maxLine)
+	scratch := make([]complex128, maxScratch)
+	// A line along an axis of length d and stride st starts at o+i for
+	// every block o of d*st values and every i < st.
+	st := n
+	for _, d := range dims {
+		st /= d
+		if d == 1 {
+			continue
+		}
+		p := planFor(d)
+		if st == 1 {
+			for o := 0; o < n; o += d {
+				p.transform(out[o:o+d], scratch)
+			}
+			continue
+		}
+		x := line[:d]
+		for o := 0; o < n; o += d * st {
+			for i := o; i < o+st; i++ {
+				for k := range x {
+					x[k] = out[i+k*st]
 				}
-				c := rem % dims[ax]
-				rem /= dims[ax]
-				base += c * strides[ax]
-			}
-			for k := 0; k < d; k++ {
-				line[k] = out[base+k*st]
-			}
-			res := Forward(line)
-			for k := 0; k < d; k++ {
-				out[base+k*st] = res[k]
+				p.transform(x, scratch)
+				for k, v := range x {
+					out[i+k*st] = v
+				}
 			}
 		}
 	}

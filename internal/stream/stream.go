@@ -202,11 +202,12 @@ func WithName(name string) Option {
 // error bound resolves against — once, for the whole stream — so streamed and
 // whole-buffer REL compression of the same field enforce the same absolute
 // bound. Required for REL mode (see ErrNeedValueRange); ignored by ABS and
-// PWREL, which need no range.
+// PWREL, which need no range. A range that is not finite is no range a REL
+// bound can resolve against, and fails wrapping ErrNeedValueRange.
 func WithValueRange(lo, hi float64) Option {
 	return func(cfg *config) error {
 		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			return fmt.Errorf("stream: value range [%v, %v] is not finite", lo, hi)
+			return fmt.Errorf("%w (declared [%v, %v] is not finite)", ErrNeedValueRange, lo, hi)
 		}
 		if hi < lo {
 			return fmt.Errorf("stream: inverted value range [%v, %v]", lo, hi)

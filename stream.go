@@ -102,11 +102,16 @@ type (
 // values.
 var ErrEmptyStream = stream.ErrEmptyStream
 
+// ErrStreamClosed marks use of a StreamWriter or StreamReader after Close:
+// WriteValues, Write, WriteField and a second Close on a writer, and
+// NextChunk, Read, ReadAll and WriteField on a reader.
+var ErrStreamClosed = stream.ErrClosed
+
 // ErrChecksum marks a chunk or trailer whose CRC does not match its bytes.
 var ErrChecksum = codec.ErrChecksum
 
 // ErrStreamNeedsValueRange marks a REL-mode NewWriter without a declared
-// stream-global value range (see WithStreamValueRange).
+// finite stream-global value range (see WithStreamValueRange).
 var ErrStreamNeedsValueRange = stream.ErrNeedValueRange
 
 // NewWriter starts a streaming compressor over w: values written through it

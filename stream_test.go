@@ -431,3 +431,100 @@ func TestStreamRELMatchesWholeBuffer(t *testing.T) {
 		t.Fatalf("whole-buffer REL verification: %v", err)
 	}
 }
+
+// TestFieldStreamWriterNonFinite: ABS and PWREL streams never read the
+// value range, so NewFieldStreamWriter streams a field holding ±Inf and a
+// leading NaN, as Engine.Compress accepts it, and the values come back
+// within the bound with their Inf and NaN kept. A REL engine's bound would
+// resolve against an infinite range, so it still refuses the field typed.
+func TestFieldStreamWriterNonFinite(t *testing.T) {
+	vals := make([]float64, 3000)
+	for i := range vals {
+		vals[i] = math.Sin(float64(i) / 50)
+	}
+	vals[0] = math.NaN()
+	vals[1234] = math.Inf(1)
+	vals[2500] = math.Inf(-1)
+	f, err := rqm.FieldFromData("non-finite", rqm.Float64, vals, len(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eb = 1e-3
+	for _, mode := range []rqm.ErrorMode{rqm.ABS, rqm.PWREL} {
+		eng, err := rqm.NewEngine(rqm.WithMode(mode), rqm.WithErrorBound(eb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		w, err := eng.NewFieldStreamWriter(&buf, f, rqm.WithChunkSize(1024))
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if err := w.WriteField(f); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		back, err := rqm.Decompress(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if err := rqm.VerifyErrorBound(f, back, mode, eb); err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !math.IsNaN(back.Data[0]) || !math.IsInf(back.Data[1234], 1) || !math.IsInf(back.Data[2500], -1) {
+			t.Fatalf("%v: non-finite values came back as %v, %v, %v", mode, back.Data[0], back.Data[1234], back.Data[2500])
+		}
+	}
+	eng, err := rqm.NewEngine(rqm.WithMode(rqm.REL), rqm.WithErrorBound(eb))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.NewFieldStreamWriter(io.Discard, f); !errors.Is(err, rqm.ErrStreamNeedsValueRange) {
+		t.Fatalf("REL field with a non-finite range: %v, want ErrStreamNeedsValueRange", err)
+	}
+}
+
+// TestStreamClosedSentinel: use after Close answers rqm.ErrStreamClosed, so
+// a library caller can tell it apart with errors.Is.
+func TestStreamClosedSentinel(t *testing.T) {
+	f := streamField(t)
+	var buf bytes.Buffer
+	w, err := rqm.NewWriter(&buf, rqm.WithStreamShape(f.Prec, f.Dims...), rqm.WithStreamValueRange(f.ValueRange()), rqm.WithChunkSize(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteField(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteValues([]float64{1}); !errors.Is(err, rqm.ErrStreamClosed) {
+		t.Fatalf("WriteValues after Close: %v, want ErrStreamClosed", err)
+	}
+	if err := w.Close(); !errors.Is(err, rqm.ErrStreamClosed) {
+		t.Fatalf("second writer Close: %v, want ErrStreamClosed", err)
+	}
+
+	r, err := rqm.NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.NextChunk(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.NextChunk(); !errors.Is(err, rqm.ErrStreamClosed) {
+		t.Fatalf("NextChunk after Close: %v, want ErrStreamClosed", err)
+	}
+	if _, err := r.Read(make([]byte, 8)); !errors.Is(err, rqm.ErrStreamClosed) {
+		t.Fatalf("Read after Close: %v, want ErrStreamClosed", err)
+	}
+	if _, err := r.ReadAll(); !errors.Is(err, rqm.ErrStreamClosed) {
+		t.Fatalf("ReadAll after Close: %v, want ErrStreamClosed", err)
+	}
+}
