@@ -168,36 +168,36 @@ func ForwardND(data []complex128, dims []int) ([]complex128, error) {
 	}
 	out := make([]complex128, len(data))
 	copy(out, data)
-	// One plan per distinct length; a length-1 axis is the identity.
-	plans := make([]*plan, 0, len(dims))
-	planFor := func(d int) *plan {
-		for _, p := range plans {
-			if p.n == d {
-				return p
+	// One plan per distinct length, shared by the axes of that length; a
+	// length-1 axis is the identity and has none.
+	plans := make([]*plan, len(dims))
+	maxLine, maxScratch := 0, 0
+	for ax, d := range dims {
+		if d == 1 {
+			continue
+		}
+		for _, p := range plans[:ax] {
+			if p != nil && p.n == d {
+				plans[ax] = p
 			}
 		}
-		p := newPlan(d)
-		plans = append(plans, p)
-		return p
-	}
-	maxLine, maxScratch := 0, 0
-	for _, d := range dims {
-		if d > 1 {
-			maxLine = max(maxLine, d)
-			maxScratch = max(maxScratch, len(planFor(d).filter))
+		if plans[ax] == nil {
+			plans[ax] = newPlan(d)
 		}
+		maxLine = max(maxLine, d)
+		maxScratch = max(maxScratch, len(plans[ax].filter))
 	}
 	line := make([]complex128, maxLine)
 	scratch := make([]complex128, maxScratch)
 	// A line along an axis of length d and stride st starts at o+i for
 	// every block o of d*st values and every i < st.
 	st := n
-	for _, d := range dims {
+	for ax, d := range dims {
 		st /= d
-		if d == 1 {
+		p := plans[ax]
+		if p == nil {
 			continue
 		}
-		p := planFor(d)
 		if st == 1 {
 			for o := 0; o < n; o += d {
 				p.transform(out[o:o+d], scratch)

@@ -644,8 +644,9 @@ var stagingWriters = sync.Pool{New: func() any { return bufio.NewWriterSize(nil,
 
 // streamBuild stages the container of a compressing commit: f, whose value
 // range the caller has taken once as [lo, hi], through eng's chunked
-// pipeline into cw. It declares what NewFieldStreamWriter would — shape,
-// name, range — without scanning the field for the range again.
+// pipeline into cw. It declares shape, name and range — what
+// NewFieldStreamWriter declares for a REL engine — without scanning the
+// field for the range again.
 func streamBuild(cw io.Writer, eng *rqm.Engine, f *rqm.Field, lo, hi float64, opts ...rqm.StreamOption) (rqm.StreamStats, error) {
 	bw := stagingWriters.Get().(*bufio.Writer)
 	bw.Reset(cw)

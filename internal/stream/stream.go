@@ -202,13 +202,11 @@ func WithName(name string) Option {
 // error bound resolves against — once, for the whole stream — so streamed and
 // whole-buffer REL compression of the same field enforce the same absolute
 // bound. Required for REL mode (see ErrNeedValueRange); ignored by ABS and
-// PWREL, which need no range. A range that is not finite is no range a REL
-// bound can resolve against, and fails wrapping ErrNeedValueRange.
+// PWREL, which need no range, so there a field's ±Inf or NaN may reach it.
+// A REL stream whose declared range is not finite fails wrapping
+// ErrNeedValueRange: no bound resolves against it.
 func WithValueRange(lo, hi float64) Option {
 	return func(cfg *config) error {
-		if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
-			return fmt.Errorf("%w (declared [%v, %v] is not finite)", ErrNeedValueRange, lo, hi)
-		}
 		if hi < lo {
 			return fmt.Errorf("stream: inverted value range [%v, %v]", lo, hi)
 		}
@@ -241,6 +239,9 @@ func newConfig(opts []Option) (*config, error) {
 	if cfg.copts.Mode == compressor.REL && cfg.adaptive == nil {
 		if !cfg.rangeSet {
 			return nil, ErrNeedValueRange
+		}
+		if lo, hi := cfg.rangeLo, cfg.rangeHi; math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+			return nil, fmt.Errorf("%w (declared [%v, %v] is not finite)", ErrNeedValueRange, lo, hi)
 		}
 		abs := cfg.copts.ErrorBound * (cfg.rangeHi - cfg.rangeLo)
 		if abs <= 0 {

@@ -436,7 +436,8 @@ func TestStreamRELMatchesWholeBuffer(t *testing.T) {
 // value range, so NewFieldStreamWriter streams a field holding ±Inf and a
 // leading NaN, as Engine.Compress accepts it, and the values come back
 // within the bound with their Inf and NaN kept. A REL engine's bound would
-// resolve against an infinite range, so it still refuses the field typed.
+// resolve against a range that is not finite, so it still refuses the field
+// typed.
 func TestFieldStreamWriterNonFinite(t *testing.T) {
 	vals := make([]float64, 3000)
 	for i := range vals {
@@ -476,6 +477,13 @@ func TestFieldStreamWriterNonFinite(t *testing.T) {
 		if !math.IsNaN(back.Data[0]) || !math.IsInf(back.Data[1234], 1) || !math.IsInf(back.Data[2500], -1) {
 			t.Fatalf("%v: non-finite values came back as %v, %v, %v", mode, back.Data[0], back.Data[1234], back.Data[2500])
 		}
+		// A caller that declares the range whatever the mode (as the
+		// service does) is not refused either: only REL reads it.
+		sw, err := eng.NewStreamWriter(io.Discard, rqm.WithStreamValueRange(f.ValueRange()))
+		if err != nil {
+			t.Fatalf("%v: NewStreamWriter with the field's range declared: %v", mode, err)
+		}
+		sw.Close()
 	}
 	eng, err := rqm.NewEngine(rqm.WithMode(rqm.REL), rqm.WithErrorBound(eb))
 	if err != nil {
