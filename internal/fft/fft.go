@@ -179,6 +179,7 @@ func ForwardND(data []complex128, dims []int) ([]complex128, error) {
 		for _, p := range plans[:ax] {
 			if p != nil && p.n == d {
 				plans[ax] = p
+				break
 			}
 		}
 		if plans[ax] == nil {

@@ -201,10 +201,8 @@ func WithName(name string) Option {
 // WithValueRange declares the stream-global value range [lo, hi] that a REL
 // error bound resolves against — once, for the whole stream — so streamed and
 // whole-buffer REL compression of the same field enforce the same absolute
-// bound. Required for REL mode (see ErrNeedValueRange); ignored by ABS and
-// PWREL, which need no range, so there a field's ±Inf or NaN may reach it.
-// A REL stream whose declared range is not finite fails wrapping
-// ErrNeedValueRange: no bound resolves against it.
+// bound. Required for REL mode (see ErrNeedValueRange), where it must be
+// finite; ignored by ABS and PWREL, which need no range.
 func WithValueRange(lo, hi float64) Option {
 	return func(cfg *config) error {
 		if hi < lo {
