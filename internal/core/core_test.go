@@ -352,16 +352,3 @@ func BenchmarkEstimateAt(b *testing.B) {
 		p.EstimateAt(eb)
 	}
 }
-
-func BenchmarkNewProfile(b *testing.B) {
-	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewProfile(f, predictor.Lorenzo, Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -14,8 +14,10 @@ import (
 
 // Profile is the one-time product of the sampling pass for one
 // (field, predictor) pair. All estimates derive from it; building it is the
-// only part of the model whose cost scales with the data size (one O(N)
-// scan for range/variance plus the O(sample) prediction-error sampling).
+// only part of the model whose cost scales with the data size: one O(N)
+// scan for range/variance on its own goroutine, while the caller's samples
+// the prediction errors and radix-sorts them in O(sample). A cold profile
+// costs about the longer of the two.
 type Profile struct {
 	// Kind is the profiled predictor.
 	Kind predictor.Kind
@@ -68,25 +70,29 @@ func NewProfile(f *grid.Field, kind predictor.Kind, opts Options) (*Profile, err
 		return nil, fmt.Errorf("core: predictor %s does not support rank %d", kind, f.Rank())
 	}
 	start := time.Now()
-	errs := pred.SampleErrors(f, opts.SampleRate, opts.Seed)
-	if len(errs) == 0 {
-		return nil, errors.New("core: sampling produced no prediction errors")
-	}
-	_, dataVar, lo, hi := stats.MeanVarMinMax(f.Data)
 	p := &Profile{
 		Kind:     kind,
 		Dims:     append([]int(nil), f.Dims...),
 		N:        f.Len(),
 		OrigBits: f.Prec.Bits(),
-		Range:    hi - lo,
-		DataVar:  dataVar,
-		Errors:   errs,
 		opts:     opts,
 	}
+	// The range is read only to find the exactly predicted samples, so the
+	// scan runs beside the sampling and the sort.
+	_, dataVar, lo, hi := stats.MeanVarMinMaxWhile(f.Data, func() {
+		p.Errors = pred.SampleErrors(f, opts.SampleRate, opts.Seed)
+		if len(p.Errors) > 0 {
+			p.sortErrors()
+		}
+	})
+	if len(p.Errors) == 0 {
+		return nil, errors.New("core: sampling produced no prediction errors")
+	}
+	p.Range, p.DataVar = hi-lo, dataVar
 	if kind == predictor.Regression {
 		p.AuxBitsPerValue = predictor.AuxBitsPerValue(f.Dims)
 	}
-	p.index()
+	p.findExactZeros()
 	p.BuildTime = time.Since(start)
 	return p, nil
 }
@@ -122,14 +128,21 @@ func NewProfileFromSamples(kind predictor.Kind, samples []float64, dims []int,
 	return p, nil
 }
 
-// index prepares the sorted structures with one sort, done here and not on
-// first use because cached profiles are read concurrently. |errors| ascending
-// is the negative half reversed merged with the non-negative half.
+// index prepares the sorted structures, done here and not on first use
+// because cached profiles are read concurrently.
 func (p *Profile) index() {
+	p.sortErrors()
+	p.findExactZeros()
+}
+
+// sortErrors fills sorted, sortedAbs and prefixSq, and errStd. The radix
+// sort ping-pongs through sortedAbs before it is filled: |errors| ascending
+// is the negative half of sorted reversed merged with the non-negative half.
+func (p *Profile) sortErrors() {
 	n := len(p.Errors)
-	s := append(make([]float64, 0, n), p.Errors...)
-	sort.Float64s(s)
+	s := make([]float64, n)
 	p.sorted, p.sortedAbs, p.prefixSq = s, make([]float64, n), make([]float64, n+1)
+	sortFloats(s, p.sortedAbs, p.Errors)
 	nan := 0
 	for nan < n && s[nan] != s[nan] {
 		nan++
@@ -152,6 +165,10 @@ func (p *Profile) index() {
 	}
 	_, v := stats.MeanVar(p.Errors)
 	p.errStd = math.Sqrt(v)
+}
+
+// findExactZeros sets exactZeroFrac, the one index entry that needs Range.
+func (p *Profile) findExactZeros() {
 	zeroTol := p.Range * 1e-13
 	nz := sort.SearchFloat64s(p.sortedAbs, math.Nextafter(zeroTol, math.Inf(1)))
 	p.exactZeroFrac = float64(nz) / float64(len(p.sortedAbs))

@@ -4,11 +4,12 @@
 // shell-averaged power spectrum used by the Nyx-style post-hoc analysis.
 //
 // A transform of one length runs from a plan holding everything that does
-// not depend on the data (twiddles; for Bluestein the chirp and the chirp
-// filter's transform). ForwardND builds one plan per distinct axis length
-// per call and transforms every line in place; plans are never shared
-// between calls. The results are bit-identical to computing each line
-// from scratch, which oracle_test.go holds the code to.
+// not depend on the data (twiddles and the bit-reversal swaps; for
+// Bluestein the chirp and the chirp filter's transform). ForwardND builds
+// one plan per distinct axis length per call and transforms every line in
+// place; plans are never shared between calls. The results are
+// bit-identical to computing each line from scratch, which oracle_test.go
+// holds the code to.
 package fft
 
 import (
@@ -32,13 +33,15 @@ func Forward(x []complex128) []complex128 {
 }
 
 // plan is everything a transform of one length needs that does not depend
-// on the data. A power-of-two length needs only its radix-2 twiddles; any
-// other length is Bluestein's chirp-z convolution, which needs the chirp,
-// the twiddles of the padded power-of-two length m in both directions and
-// the transform of the chirp filter.
+// on the data. A power-of-two length needs only its radix-2 twiddles and
+// bit-reversal swaps; any other length is Bluestein's chirp-z convolution,
+// which needs the chirp, the twiddles and swaps of the padded power-of-two
+// length m (twiddles in both directions) and the transform of the chirp
+// filter.
 type plan struct {
 	n      int
 	tw     []complex128 // forward twiddles of n, or of m for Bluestein
+	swaps  []int32      // bit-reversal swaps of n, or of m for Bluestein
 	chirp  []complex128 // Bluestein: exp(-i*pi*k^2/n), k < n
 	itw    []complex128 // Bluestein: inverse twiddles of m
 	filter []complex128 // Bluestein: forward transform of the conjugate chirp, length m
@@ -46,7 +49,7 @@ type plan struct {
 
 func newPlan(n int) *plan {
 	if n&(n-1) == 0 {
-		return &plan{n: n, tw: twiddles(n, -1)}
+		return &plan{n: n, tw: twiddles(n, -1), swaps: bitReversal(n)}
 	}
 	// Chirp: w[k] = exp(-i*pi*k^2/n). Use k^2 mod 2n to avoid overflow
 	// and precision loss for large k.
@@ -60,7 +63,7 @@ func newPlan(n int) *plan {
 	for m < 2*n-1 {
 		m <<= 1
 	}
-	p := &plan{n: n, tw: twiddles(m, -1), chirp: chirp, itw: twiddles(m, 1)}
+	p := &plan{n: n, tw: twiddles(m, -1), swaps: bitReversal(m), chirp: chirp, itw: twiddles(m, 1)}
 	b := make([]complex128, m)
 	for k := 0; k < n; k++ {
 		b[k] = cmplx.Conj(chirp[k])
@@ -68,7 +71,7 @@ func newPlan(n int) *plan {
 	for k := 1; k < n; k++ {
 		b[m-k] = cmplx.Conj(chirp[k])
 	}
-	radix2(b, p.tw)
+	radix2(b, p.tw, p.swaps)
 	p.filter = b
 	return p
 }
@@ -95,17 +98,28 @@ func twiddles(n int, sign float64) []complex128 {
 	return tw
 }
 
-// radix2 runs the iterative Cooley–Tukey FFT in place; len(x) must be a
-// power of two no larger than the length tw was built for.
-func radix2(x, tw []complex128) {
-	n := len(x)
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.Len(uint(n-1)))
+// bitReversal returns the swaps of the bit-reversal permutation of a
+// power-of-two length n as (i, j) pairs, i < j, in ascending i. Of 2^b
+// indices, the 2^⌈b/2⌉ bit palindromes stay put.
+func bitReversal(n int) []int32 {
+	b := bits.Len(uint(n - 1))
+	swaps := make([]int32, 0, n-1<<((b+1)/2))
+	shift := 64 - uint(b)
 	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			swaps = append(swaps, int32(i), int32(j))
 		}
+	}
+	return swaps
+}
+
+// radix2 runs the iterative Cooley–Tukey FFT in place; len(x) must be the
+// power of two swaps (bitReversal's) was built for, no larger than tw's.
+func radix2(x, tw []complex128, swaps []int32) {
+	n := len(x)
+	for k := 0; k < len(swaps); k += 2 {
+		i, j := swaps[k], swaps[k+1]
+		x[i], x[j] = x[j], x[i]
 	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
@@ -127,7 +141,7 @@ func radix2(x, tw []complex128) {
 // by a Bluestein plan and must hold len(p.filter) values.
 func (p *plan) transform(x, scratch []complex128) {
 	if p.chirp == nil {
-		radix2(x, p.tw)
+		radix2(x, p.tw, p.swaps)
 		return
 	}
 	// Bluestein: the DFT as a convolution with the chirp filter, evaluated
@@ -138,11 +152,11 @@ func (p *plan) transform(x, scratch []complex128) {
 		a[k] = x[k] * c
 	}
 	clear(a[len(x):])
-	radix2(a, p.tw)
+	radix2(a, p.tw, p.swaps)
 	for i := range a {
 		a[i] *= p.filter[i]
 	}
-	radix2(a, p.itw)
+	radix2(a, p.itw, p.swaps)
 	inv := complex(1/float64(m), 0)
 	for k, c := range p.chirp {
 		x[k] = a[k] * inv * c

@@ -159,8 +159,8 @@ func (p interpPredictor) sweepSampled(dims, st []int, work []float64, d, s int,
 	if s >= dims[d] {
 		return out
 	}
-	coord := make([]int, rank)
-	steps := make([]int, rank)
+	var coords, stepsBuf [4]int // rank <= 4: no allocation per sweep
+	coord, steps := coords[:rank], stepsBuf[:rank]
 	for j := 0; j < rank; j++ {
 		if j < d {
 			steps[j] = s

@@ -135,7 +135,14 @@ type lorenzoTerms struct {
 
 func newLorenzoTerms(st []int) lorenzoTerms {
 	n := 1<<len(st) - 1
-	t := lorenzoTerms{off: make([]int, n), add: make([]bool, n)}
+	return lorenzoTermsIn(st, make([]int, n), make([]bool, n))
+}
+
+// lorenzoTermsIn builds the stencil in off and add (2^len(st)−1 zeroed
+// entries each), which may live on the caller's stack.
+func lorenzoTermsIn(st, off []int, add []bool) lorenzoTerms {
+	n := 1<<len(st) - 1
+	t := lorenzoTerms{off: off[:n], add: add[:n]}
 	for mask := 1; mask <= n; mask++ {
 		for d := range st {
 			if mask&(1<<d) != 0 {
@@ -187,8 +194,16 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 	idxs := stats.SampleIndices(n, rate, seed)
 	out := make([]float64, 0, len(idxs))
 	dims := f.Dims
-	terms := newLorenzoTerms(grid.Strides(dims))
-	coord := make([]int, len(dims))
+	// The strides, the stencil and the coordinates live on the stack (rank
+	// <= 4), so sampling allocates only its indices and its errors.
+	var st, coords [4]int
+	for d, acc := len(dims)-1, 1; d >= 0; d-- {
+		st[d], acc = acc, acc*dims[d]
+	}
+	var off [15]int
+	var add [15]bool
+	terms := lorenzoTermsIn(st[:len(dims)], off[:], add[:])
+	coord := coords[:len(dims)]
 	prev := 0
 	for _, idx := range idxs {
 		step := idx - prev

@@ -134,12 +134,13 @@ func AuxBitsPerValue(dims []int) float64 {
 // in selected blocks are collected.
 func (p regressionPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
 	st := f.Strides()
-	bls := grid.Blocks(f.Dims, RegressionBlockEdge)
-	picked := stats.SampleIndices(len(bls), rate, seed)
+	bw := grid.WalkBlocks(f.Dims, RegressionBlockEdge)
+	picked := stats.SampleIndices(bw.Count(), rate, seed)
 	out := make([]float64, 0, sampleCap(f.Len(), rate))
 	for _, bi := range picked {
-		coef := fitBlock(st, bls[bi], f.Data)
-		w := bls[bi].Cells(st)
+		bw.Seek(bi)
+		coef := fitBlock(st, bw.Block(), f.Data)
+		w := bw.Block().Cells(st)
 		for w.Next() {
 			out = append(out, regressionPredict(coef[:], w.Local())-f.Data[w.Flat])
 		}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"sync"
 )
 
 // Moments accumulates count, mean, and variance online (Welford).
@@ -112,6 +113,27 @@ func MeanVarMinMax(xs []float64) (mean, variance, lo, hi float64) {
 	}
 	mean = s / float64(len(xs))
 	return mean, varianceAbout(xs, mean), lo, hi
+}
+
+// MeanVarMinMaxWhile is MeanVarMinMax(xs) run on a new goroutine while work
+// runs on the caller's; it returns once both are done. A caller whose work
+// neither writes xs nor needs the results pays for the longer of the two
+// instead of their sum.
+func MeanVarMinMaxWhile(xs []float64, work func()) (mean, variance, lo, hi float64) {
+	var scan struct {
+		xs                     []float64
+		mean, variance, lo, hi float64
+		done                   sync.WaitGroup
+	}
+	scan.xs = xs
+	scan.done.Add(1)
+	go func() {
+		defer scan.done.Done()
+		scan.mean, scan.variance, scan.lo, scan.hi = MeanVarMinMax(scan.xs)
+	}()
+	work()
+	scan.done.Wait()
+	return scan.mean, scan.variance, scan.lo, scan.hi
 }
 
 func varianceAbout(xs []float64, mean float64) float64 {

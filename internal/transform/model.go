@@ -34,29 +34,72 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 	}
 	w := grid.WalkBlocks(f.Dims, BlockEdge)
 	picked := stats.SampleIndices(w.Count(), rate, seed)
-	buf := make([]int64, 1<<(2*rank))
-	samples := make([]float64, 0, len(picked)*len(buf))
-	// The integer transform on codes ≈ the same transform on values divided
-	// by the step; emulate it at a fine fixed-point resolution so rounding
-	// inside the lifting is negligible relative to any realistic bound.
-	_, dataVar, lo, hi := stats.MeanVarMinMax(f.Data)
-	scale := 1.0
-	if span := hi - lo; span > 0 {
-		scale = float64(1<<40) / span
-	}
-	st := f.Strides()
-	for _, bi := range picked {
-		clear(buf)
-		w.Seek(bi)
-		c := w.Block().Cells(st)
-		for c.Next() {
-			buf[cellPos(c.Local())] = int64(math.Round(f.Data[c.Flat] * scale))
-		}
-		fwdBlock(buf)
-		for _, c := range buf {
-			samples = append(samples, float64(c)/scale)
-		}
-	}
+	samples := make([]float64, len(picked)<<(2*rank))
+	// The span sets only the scale, so the picked blocks' values are
+	// gathered while the field is scanned, and scaled after.
+	_, dataVar, lo, hi := stats.MeanVarMinMaxWhile(f.Data, func() { gatherBlocks(samples, f, picked) })
+	transformBlocks(samples, f, picked, hi-lo)
 	return core.NewProfileFromSamples(TransformKind, samples, f.Dims,
 		f.Len(), f.Prec.Bits(), hi-lo, dataVar, opts)
+}
+
+// gatherBlocks copies the values of the picked blocks into samples, one
+// 4^rank block-buffer after another; a clipped block's missing cells are
+// left as they are.
+func gatherBlocks(samples []float64, f *grid.Field, picked []int) {
+	blockLen := 1 << (2 * f.Rank())
+	st := f.Strides()
+	var offs [1 << (2 * 4)]int
+	blockOffsets(offs[:blockLen], st)
+	w := grid.WalkBlocks(f.Dims, BlockEdge)
+	for i, bi := range picked {
+		blk := samples[i*blockLen : (i+1)*blockLen]
+		if w.Seek(bi); w.Full {
+			for j, o := range offs[:blockLen] {
+				blk[j] = f.Data[w.Flat+o]
+			}
+			continue
+		}
+		c := w.Block().Cells(st)
+		for c.Next() {
+			blk[cellPos(c.Local())] = f.Data[c.Flat]
+		}
+	}
+}
+
+// transformBlocks replaces the gathered values with their block transform.
+// The integer transform on codes ≈ the same transform on values divided by
+// the step; it is emulated at a fine fixed-point resolution set by the
+// field's span, so rounding inside the lifting is negligible relative to
+// any realistic bound.
+func transformBlocks(samples []float64, f *grid.Field, picked []int, span float64) {
+	scale := 1.0
+	if span > 0 {
+		scale = float64(1<<40) / span
+	}
+	blockLen := 1 << (2 * f.Rank())
+	st := f.Strides()
+	w := grid.WalkBlocks(f.Dims, BlockEdge)
+	var buf [1 << (2 * 4)]int64
+	for i, bi := range picked {
+		blk, codes := samples[i*blockLen:(i+1)*blockLen], buf[:blockLen]
+		if w.Seek(bi); w.Full {
+			for j, v := range blk {
+				codes[j] = int64(math.Round(v * scale))
+			}
+		} else {
+			// A clipped block's missing cells are 0 as codes, not as
+			// values: 0·scale is NaN where the span underflows the scale.
+			clear(codes)
+			c := w.Block().Cells(st)
+			for c.Next() {
+				j := cellPos(c.Local())
+				codes[j] = int64(math.Round(blk[j] * scale))
+			}
+		}
+		fwdBlock(codes)
+		for j, c := range codes {
+			blk[j] = float64(c) / scale
+		}
+	}
 }
