@@ -81,9 +81,7 @@ func NewProfile(f *grid.Field, kind predictor.Kind, opts Options) (*Profile, err
 	// scan runs beside the sampling and the sort.
 	_, dataVar, lo, hi := stats.MeanVarMinMaxWhile(f.Data, func() {
 		p.Errors = pred.SampleErrors(f, opts.SampleRate, opts.Seed)
-		if len(p.Errors) > 0 {
-			p.sortErrors()
-		}
+		p.sortErrors()
 	})
 	if len(p.Errors) == 0 {
 		return nil, errors.New("core: sampling produced no prediction errors")

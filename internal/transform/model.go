@@ -49,20 +49,12 @@ func NewProfile(f *grid.Field, rate float64, seed uint64, opts core.Options) (*c
 func gatherBlocks(samples []float64, f *grid.Field, picked []int) {
 	blockLen := 1 << (2 * f.Rank())
 	st := f.Strides()
-	var offs [1 << (2 * 4)]int
-	blockOffsets(offs[:blockLen], st)
 	w := grid.WalkBlocks(f.Dims, BlockEdge)
 	for i, bi := range picked {
-		blk := samples[i*blockLen : (i+1)*blockLen]
-		if w.Seek(bi); w.Full {
-			for j, o := range offs[:blockLen] {
-				blk[j] = f.Data[w.Flat+o]
-			}
-			continue
-		}
+		w.Seek(bi)
 		c := w.Block().Cells(st)
 		for c.Next() {
-			blk[cellPos(c.Local())] = f.Data[c.Flat]
+			samples[i*blockLen+cellPos(c.Local())] = f.Data[c.Flat]
 		}
 	}
 }
@@ -89,7 +81,7 @@ func transformBlocks(samples []float64, f *grid.Field, picked []int, span float6
 			}
 		} else {
 			// A clipped block's missing cells are 0 as codes, not as
-			// values: 0·scale is NaN where the span underflows the scale.
+			// values: 0·scale is NaN where a tiny span makes scale +Inf.
 			clear(codes)
 			c := w.Block().Cells(st)
 			for c.Next() {
