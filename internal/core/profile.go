@@ -15,9 +15,9 @@ import (
 // Profile is the one-time product of the sampling pass for one
 // (field, predictor) pair. All estimates derive from it; building it is the
 // only part of the model whose cost scales with the data size: one O(N)
-// scan for range/variance on its own goroutine, while the caller's samples
-// the prediction errors and radix-sorts them in O(sample). A cold profile
-// costs about the longer of the two.
+// scan for range/variance, run on a goroutine of its own while the
+// caller's goroutine samples the prediction errors and radix-sorts them in
+// O(sample). A cold profile costs about the longer of the two.
 type Profile struct {
 	// Kind is the profiled predictor.
 	Kind predictor.Kind
