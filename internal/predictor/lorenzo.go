@@ -109,7 +109,9 @@ func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
 // (used for 4-D).
 func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	rank := len(dims)
-	terms := newLorenzoTerms(grid.Strides(dims))
+	var off [15]int
+	var add [15]bool
+	terms := newLorenzoTerms(grid.Strides(dims), off[:], add[:])
 	n := totalLen(dims)
 	coord := make([]int, rank)
 	for idx := 0; idx < n; idx++ {
@@ -133,14 +135,9 @@ type lorenzoTerms struct {
 	add []bool
 }
 
-func newLorenzoTerms(st []int) lorenzoTerms {
-	n := 1<<len(st) - 1
-	return lorenzoTermsIn(st, make([]int, n), make([]bool, n))
-}
-
-// lorenzoTermsIn builds the stencil in off and add (2^len(st)−1 zeroed
-// entries each), which may live on the caller's stack.
-func lorenzoTermsIn(st, off []int, add []bool) lorenzoTerms {
+// newLorenzoTerms builds the stencil in off and add, zeroed and at least
+// 2^len(st)−1 long (15 at rank 4), which may live on the caller's stack.
+func newLorenzoTerms(st, off []int, add []bool) lorenzoTerms {
 	n := 1<<len(st) - 1
 	t := lorenzoTerms{off: off[:n], add: add[:n]}
 	for mask := 1; mask <= n; mask++ {
@@ -202,7 +199,7 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 	}
 	var off [15]int
 	var add [15]bool
-	terms := lorenzoTermsIn(st[:len(dims)], off[:], add[:])
+	terms := newLorenzoTerms(st[:len(dims)], off[:], add[:])
 	coord := coords[:len(dims)]
 	prev := 0
 	for _, idx := range idxs {
