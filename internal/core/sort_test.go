@@ -2,10 +2,14 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
 	"testing"
+
+	"rqm/internal/datagen"
+	"rqm/internal/predictor"
 )
 
 // FuzzSortFloatsMatchesSort: any floats come out of the radix sort in the
@@ -83,4 +87,36 @@ func floatBytes(xs []float64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(x))
 	}
 	return out
+}
+
+// BenchmarkSortFloats times sortFloats against copying and sort.Float64s on
+// the first n Lorenzo prediction errors of the Small nyx/temperature field
+// (8,847 in all): a region profile sorts a few hundred samples, a whole-field
+// profile thousands.
+func BenchmarkSortFloats(b *testing.B) {
+	f, err := datagen.GenerateField("nyx/temperature", 1, datagen.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{}.normalize()
+	pred, err := predictor.New(predictor.Lorenzo)
+	if err != nil {
+		b.Fatal(err)
+	}
+	errs := pred.SampleErrors(f, opts.SampleRate, opts.Seed)
+	for _, n := range []int{64, 256, 1024, len(errs)} {
+		src := errs[:n]
+		dst, scratch := make([]float64, n), make([]float64, n)
+		b.Run(fmt.Sprintf("n=%d/sortFloats", n), func(b *testing.B) {
+			for b.Loop() {
+				sortFloats(dst, scratch, src)
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/sort.Float64s", n), func(b *testing.B) {
+			for b.Loop() {
+				copy(dst, src)
+				sort.Float64s(dst)
+			}
+		})
+	}
 }
