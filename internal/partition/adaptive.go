@@ -63,18 +63,13 @@ const minAdaptiveSamples = 256
 // by the profiled region's own range, so a region of range r in a
 // multi-region window is solved at T + 20·log₁₀(r / windowRange) dB (at
 // least 1): the error budget it may spend while the window still meets T.
-// A region that is its whole window is solved at the raw target.
+// A region that is its whole window is solved at the raw target. The
+// region's range r is its profile's Range, read off the profile's own scan.
 //
 // A region the model cannot profile or solve (constant data, too few
 // samples) falls back to a tight bound relative to its own value range, with
 // a nil profile, so a pathological region never fails the stream.
 func (env Env) SolveRegion(vals []float64, windowRange float64) (float64, *core.Profile) {
-	pol := *env.Policy
-	if pol.TargetPSNR > 0 && windowRange > 0 {
-		if lo, hi := stats.MinMax(vals); hi > lo {
-			pol.TargetPSNR = max(pol.TargetPSNR+20*math.Log10((hi-lo)/windowRange), 1)
-		}
-	}
 	mopts := env.Mopts
 	if mopts.SampleRate <= 0 || mopts.SampleRate > 1 {
 		mopts.SampleRate = 0.01
@@ -89,6 +84,10 @@ func (env Env) SolveRegion(vals []float64, windowRange float64) (float64, *core.
 		p, err = env.Codec.Profile(f, env.Copts, mopts)
 	}
 	if err == nil {
+		pol := *env.Policy
+		if pol.TargetPSNR > 0 && windowRange > 0 && p.Range > 0 {
+			pol.TargetPSNR = max(pol.TargetPSNR+20*math.Log10(p.Range/windowRange), 1)
+		}
 		if pol.TargetRatio > 0 {
 			eb, err = p.ErrorBoundForRatio(pol.TargetRatio)
 		} else {

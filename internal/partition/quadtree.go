@@ -17,8 +17,9 @@ const VarianceQuadtreeName = "variance-quadtree"
 // hyperplanes to keep splitting along inner axes — and emits each leaf as
 // one region. It plans geometry only: the stream writer's workers solve each
 // leaf's bound with Env.SolveRegion as they compress it. Every split decision
-// is O(1) thanks to the tables, so planning costs one O(N) table build plus
-// O(leaves) table queries.
+// is O(1) thanks to the tables, so planning costs one O(N) table build (its
+// two tables on two goroutines) plus O(leaves) table queries, and each leaf's
+// solve reads the leaf's range off the profile it builds anyway.
 //
 // Splits always land on axis-aligned prefix boxes (fixed outer coordinates,
 // a range on one axis, full extents after it), which are exactly the boxes

@@ -3,15 +3,17 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Integral is a summed-area table (integral image) over a 1-D, 2-D, or 3-D
 // field: two prefix-sum tables (values and squared values) padded with a zero
 // border, so the sum, mean, and variance of any axis-aligned sub-box come
 // from a constant number of table lookups via inclusion–exclusion. Building
-// is O(N); every query after that is O(1), which is what makes recursive
-// variance-guided partitioning affordable (each split decision touches a few
-// table cells instead of rescanning the region).
+// is O(N), one pass per table, the two tables on two goroutines; every
+// query after that is O(1), which is what makes recursive variance-guided
+// partitioning affordable (each split decision touches a few table cells
+// instead of rescanning the region).
 //
 // Boxes are half-open: lo[i] <= coordinate < hi[i] on every axis.
 type Integral struct {
@@ -23,7 +25,9 @@ type Integral struct {
 
 // NewIntegral builds the summed-area tables for data laid out row-major with
 // the given shape. Rank must be 1, 2, or 3 and the shape must cover data
-// exactly.
+// exactly. The squares' table builds on a goroutine of its own while the
+// caller builds the values'; NewIntegral returns once both are done. Every
+// cell is the sum the one-goroutine recurrence gave, bit for bit.
 func NewIntegral(data []float64, dims ...int) (*Integral, error) {
 	if len(dims) < 1 || len(dims) > 3 {
 		return nil, fmt.Errorf("stats: integral rank %d outside 1..3", len(dims))
@@ -49,55 +53,78 @@ func NewIntegral(data []float64, dims ...int) (*Integral, error) {
 	t.sum = make([]float64, padded)
 	t.sumsq = make([]float64, padded)
 
-	// Promote to uniform 3-D [d0, d1, d2] with leading size-1 axes; the
-	// rank-1/2 tables are the 3-D build with degenerate outer loops.
-	d0, d1, d2 := 1, 1, 1
+	var squares sync.WaitGroup
+	squares.Add(1)
+	go func() {
+		defer squares.Done()
+		prefixTable(t.sumsq, data, dims, true)
+	}()
+	prefixTable(t.sum, data, dims, false)
+	squares.Wait()
+	return t, nil
+}
+
+// prefixTable fills table, padded as NewIntegral lays it out, with the
+// prefix sums of data over dims, or of data's squares. Each cell is
+// ((row + up) + back) − diag: the running sum along its row, plus the cell
+// above it and the cell behind it, minus the cell diagonal to both, the
+// terms its rank lacks left out: a rank-1 table is its running sum and a
+// rank-2 table row + up. Each rank has a loop of its own that walks a row
+// of cells against the rows above and behind it. A square is summed as
+// run += v * v, the form the serial build summed it in, so that a compiler
+// that fuses multiply-adds fuses both alike.
+func prefixTable(table, data []float64, dims []int, square bool) {
+	d2 := dims[len(dims)-1]
+	row := d2 + 1 // padded cells per row
 	switch len(dims) {
 	case 1:
-		d2 = dims[0]
+		cur := table[1 : 1+d2]
+		var run float64
+		for k, v := range data {
+			if square {
+				run += v * v
+			} else {
+				run += v
+			}
+			cur[k] = run
+		}
 	case 2:
-		d1, d2 = dims[0], dims[1]
-	case 3:
-		d0, d1, d2 = dims[0], dims[1], dims[2]
-	}
-	var s0, s1, s2 int
-	switch len(dims) {
-	case 1:
-		s0, s1, s2 = 0, 0, t.strides[0]
-	case 2:
-		s0, s1, s2 = 0, t.strides[0], t.strides[1]
-	case 3:
-		s0, s1, s2 = t.strides[0], t.strides[1], t.strides[2]
-	}
-	// Padded strides for the degenerate axes never advance (size-1 axes),
-	// so use 0 there; the inclusion–exclusion below only touches live axes.
-	for i := 0; i < d0; i++ {
-		for j := 0; j < d1; j++ {
-			base := (i+1)*s0 + (j+1)*s1
-			var rowSum, rowSq float64
-			for k := 0; k < d2; k++ {
-				v := data[(i*d1+j)*d2+k]
-				rowSum += v
-				rowSq += v * v
-				idx := base + (k+1)*s2
-				t.sum[idx] = rowSum
-				t.sumsq[idx] = rowSq
-				if s1 != 0 {
-					t.sum[idx] += t.sum[idx-s1]
-					t.sumsq[idx] += t.sumsq[idx-s1]
+		for j := range dims[0] {
+			in := data[j*d2 : (j+1)*d2]
+			cur := table[(j+1)*row+1:][:len(in)]
+			up := table[j*row+1:][:len(in)]
+			var run float64
+			for k, v := range in {
+				if square {
+					run += v * v
+				} else {
+					run += v
 				}
-				if s0 != 0 {
-					t.sum[idx] += t.sum[idx-s0]
-					t.sumsq[idx] += t.sumsq[idx-s0]
-					if s1 != 0 {
-						t.sum[idx] -= t.sum[idx-s0-s1]
-						t.sumsq[idx] -= t.sumsq[idx-s0-s1]
+				cur[k] = run + up[k]
+			}
+		}
+	case 3:
+		d1 := dims[1]
+		plane := (d1 + 1) * row // padded cells per plane
+		for i := range dims[0] {
+			for j := range d1 {
+				in := data[(i*d1+j)*d2 : (i*d1+j+1)*d2]
+				base := (i+1)*plane + (j+1)*row + 1
+				cur := table[base:][:len(in)]
+				up := table[base-row:][:len(in)]
+				back := table[base-plane:][:len(in)]
+				diag := table[base-plane-row:][:len(in)]
+				var run float64
+				for k, v := range in {
+					if square {
+						v *= v
 					}
+					run += v
+					cur[k] = run + up[k] + back[k] - diag[k]
 				}
 			}
 		}
 	}
-	return t, nil
 }
 
 // Dims returns the table's shape.

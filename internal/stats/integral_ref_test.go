@@ -250,3 +250,33 @@ func TestNewIntegralAllocations(t *testing.T) {
 			maxObjects, tables+slack)
 	}
 }
+
+// BenchmarkNewIntegral times the table build against the serial reference
+// on a field the shape of the Small mixed/q field the quadtree plans
+// (96×128×128), and on a plane and a line of the same size.
+func BenchmarkNewIntegral(b *testing.B) {
+	const n = 96 * 128 * 128
+	data := make([]float64, n)
+	rng := NewXorShift64(3)
+	for i := range data {
+		data[i] = rng.Float64()
+	}
+	for _, dims := range [][]int{{96, 128, 128}, {96 * 128, 128}, {n}} {
+		b.Run(fmt.Sprint(dims)+"/build", func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for b.Loop() {
+				if _, err := NewIntegral(data, dims...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprint(dims)+"/serial", func(b *testing.B) {
+			b.SetBytes(8 * n)
+			for b.Loop() {
+				if _, err := newIntegralRef(data, dims...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
