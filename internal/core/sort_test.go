@@ -12,13 +12,13 @@ import (
 	"rqm/internal/predictor"
 )
 
-// FuzzSortFloatsMatchesSort: any floats come out of the radix sort in the
-// order sort.Float64s gives them, compared through Float64bits. A −0/+0 tie
-// and the order of NaN payloads count as equal, since sort.Float64s leaves
-// both in any order and only codes and absolute values are read downstream;
-// the radix sort must still keep every bit pattern (its output is a
-// permutation of its input) and order the ties by key. src is left as it
-// was.
+// FuzzSortFloatsMatchesSort: any floats come out of sortFloats, and out of
+// its radix sort alone, in the order sort.Float64s gives them, compared
+// through Float64bits. A −0/+0 tie and the order of NaN payloads count as
+// equal, since sort.Float64s leaves both in any order and only codes and
+// absolute values are read downstream; each sort must still keep every bit
+// pattern (its output is a permutation of its input) and order the ties by
+// key. src is left as it was.
 func FuzzSortFloatsMatchesSort(f *testing.F) {
 	nan := math.Float64frombits(0x7ff8000000000001)
 	negNaN := math.Float64frombits(0xfff8000000000000)
@@ -48,37 +48,52 @@ func FuzzSortFloatsMatchesSort(f *testing.F) {
 		orig := slices.Clone(src)
 		want := slices.Clone(src)
 		sort.Float64s(want)
-		got, scratch := make([]float64, len(src)), make([]float64, len(src))
-		for i := range scratch {
-			got[i], scratch[i] = math.NaN(), math.Inf(1)
-		}
-		sortFloats(got, scratch, src)
-		for i := range src {
-			if math.Float64bits(src[i]) != math.Float64bits(orig[i]) {
-				t.Fatalf("src[%d] changed from %#x to %#x", i, math.Float64bits(orig[i]), math.Float64bits(src[i]))
-			}
-		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if math.Float64bits(g) != math.Float64bits(w) && !(g == 0 && w == 0) && !(g != g && w != w) {
-				t.Fatalf("[%d] = %v (%#x), sort.Float64s %v (%#x)", i, g, math.Float64bits(g), w, math.Float64bits(w))
-			}
-			if i > 0 && floatKey(got[i-1]) > floatKey(g) {
-				t.Fatalf("[%d] %#x after %#x: out of key order", i, math.Float64bits(g), math.Float64bits(got[i-1]))
-			}
-		}
-		bitsOf := func(xs []float64) []uint64 {
-			out := make([]uint64, len(xs))
-			for i, x := range xs {
-				out[i] = math.Float64bits(x)
-			}
-			slices.Sort(out)
-			return out
-		}
-		if !slices.Equal(bitsOf(got), bitsOf(src)) {
-			t.Fatalf("the output is not a permutation of the input")
+		// sortFloats sorts a few NaN-free values by comparison; sortRadix
+		// runs on the same input too, so that it is held at every length.
+		for _, sorter := range []func(dst, scratch, src []float64){sortFloats, sortRadix} {
+			checkSorted(t, sorter, src, orig, want)
 		}
 	})
+}
+
+// checkSorted runs one sorter on a non-empty src and holds its output to
+// want, sort.Float64s' order, as FuzzSortFloatsMatchesSort describes; src
+// must still equal orig after it.
+func checkSorted(t *testing.T, sorter func(dst, scratch, src []float64), src, orig, want []float64) {
+	t.Helper()
+	if len(src) == 0 {
+		return
+	}
+	got, scratch := make([]float64, len(src)), make([]float64, len(src))
+	for i := range scratch {
+		got[i], scratch[i] = math.NaN(), math.Inf(1)
+	}
+	sorter(got, scratch, src)
+	for i := range src {
+		if math.Float64bits(src[i]) != math.Float64bits(orig[i]) {
+			t.Fatalf("src[%d] changed from %#x to %#x", i, math.Float64bits(orig[i]), math.Float64bits(src[i]))
+		}
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if math.Float64bits(g) != math.Float64bits(w) && !(g == 0 && w == 0) && !(g != g && w != w) {
+			t.Fatalf("[%d] = %v (%#x), sort.Float64s %v (%#x)", i, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+		if i > 0 && floatKey(got[i-1]) > floatKey(g) {
+			t.Fatalf("[%d] %#x after %#x: out of key order", i, math.Float64bits(g), math.Float64bits(got[i-1]))
+		}
+	}
+	bitsOf := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		slices.Sort(out)
+		return out
+	}
+	if !slices.Equal(bitsOf(got), bitsOf(src)) {
+		t.Fatalf("the output is not a permutation of the input")
+	}
 }
 
 func floatBytes(xs []float64) []byte {
