@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -172,6 +173,13 @@ func (s *Service) handleDatasetPut(req *request) error {
 	p, err := s.profile(eng, f, sample, seed)
 	if err != nil {
 		return err
+	}
+	// The store keeps only a profile whose range is finite and whose samples
+	// hold no NaN (store.ProfileRecord's checks), so a field that gives any
+	// other is refused here, before a container byte is staged.
+	if math.IsNaN(p.Range) || math.IsInf(p.Range, 0) || slices.ContainsFunc(p.Errors, math.IsNaN) {
+		return errf(http.StatusUnprocessableEntity, "non_finite_field",
+			"field %q holds non-finite values (NaN or ±Inf): a dataset's profile needs a finite value range", name)
 	}
 	lo, hi := f.ValueRange()
 	abs := o.ErrorBound

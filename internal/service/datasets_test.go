@@ -3,10 +3,13 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"rqm"
@@ -428,5 +431,52 @@ func TestDatasetPutRejections(t *testing.T) {
 	}
 	if eb := decodeErrorBody(t, resp); eb.Error.Code != "bad_field" {
 		t.Fatalf("junk put: code %q", eb.Error.Code)
+	}
+}
+
+// TestDatasetPutRefusesNonFinite: a field holding NaN or ±Inf has no finite
+// value range for its stored profile, so its put is refused with a 422
+// that names the non-finite values, in every mode, before any container
+// byte is staged, and the dataset stays absent.
+func TestDatasetPutRefusesNonFinite(t *testing.T) {
+	_, st, ts := newStoreServer(t)
+	g, err := rqm.GenerateField("nyx/temperature", 7, rqm.ScaleTiny)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    float64
+	}{{"nan-led", 0, math.NaN()}, {"inf", 1500, math.Inf(1)}} {
+		data := append([]float64(nil), g.Data[:3000]...)
+		data[tc.at] = tc.v
+		f, err := rqm.FieldFromData(tc.name, rqm.Float64, data, len(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		if _, err := f.WriteTo(&body); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []string{"abs", "rel"} {
+			resp, err := http.Post(ts.URL+"/v1/datasets/"+tc.name+"?mode="+mode+"&eb=1e-3&chunk=1024",
+				"application/octet-stream", bytes.NewReader(body.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			eb := decodeErrorBody(t, resp)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusUnprocessableEntity || eb.Error.Code != "non_finite_field" ||
+				!strings.Contains(eb.Error.Message, "non-finite values") {
+				t.Fatalf("%s %s put: status %d, %+v", tc.name, mode, resp.StatusCode, eb.Error)
+			}
+			if _, err := st.Manifest(tc.name); !errors.Is(err, store.ErrNotFound) {
+				t.Fatalf("%s %s put: the dataset is there after the refusal (%v)", tc.name, mode, err)
+			}
+		}
+	}
+	if st.Writes() != 0 {
+		t.Fatalf("store writes %d after refused puts, want 0", st.Writes())
 	}
 }
