@@ -117,9 +117,10 @@ func prefixTable(table, data []float64, dims []int, square bool) {
 				var run float64
 				for k, v := range in {
 					if square {
-						v *= v
+						run += v * v
+					} else {
+						run += v
 					}
-					run += v
 					cur[k] = run + up[k] + back[k] - diag[k]
 				}
 			}
