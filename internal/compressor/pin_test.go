@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"rqm/internal/grid"
 	"rqm/internal/predictor"
 )
 
@@ -37,7 +38,9 @@ var pinnedBounds = []struct {
 // every container Compress writes (kernelField at each pinned shape of that
 // rank, under each pinned bound) and the bits of every value Decompress
 // returns. A walk that moves one prediction, one symbol or one
-// reconstructed value changes its pair's hash.
+// reconstructed value changes its pair's hash. The entropy/<kind> rows pin
+// the interleaved Huffman and tANS stages the same way, on the Lorenzo walk
+// at every pinned shape.
 func TestWalkContainersPinned(t *testing.T) {
 	want := map[string]string{
 		"interpolation-cubic/rank1": "f274ed68755cb7550fbd57ac99a67ef6de719c45af51db8752d92532320b1580",
@@ -57,9 +60,40 @@ func TestWalkContainersPinned(t *testing.T) {
 		"regression/rank2":          "d23541eb713db04bb4a635b82a272867741b92a366ced051b5b163e81d4b95ff",
 		"regression/rank3":          "45722f6f850f5c64fd6db6b4e96d569a4293106470ee92d6f0f3c13d6a849baf",
 		"regression/rank4":          "ae76ef7b925ff912c6c2d7d4ee4692874c0da3bc34a163df5944a74f320debdb",
+		"entropy/huffman-ilv":       "6c6cf5a2155c17ff630fcf43097972ba4b3c888f5622e4a000e5a279cda7e703",
+		"entropy/tans":              "9064e5b4919a9bd77384b70993a9cac8c8af8621efb21c75de739c7c474762f4",
 	}
 	got := map[string]hash.Hash{}
+	used := map[EntropyKind]bool{}
 	var scratch [8]byte
+	pin := func(key string, f *grid.Field, opts Options) {
+		h := got[key]
+		if h == nil {
+			h = sha256.New()
+			got[key] = h
+		}
+		for _, b := range pinnedBounds {
+			opts.Mode, opts.ErrorBound = b.mode, b.eb
+			res, err := Compress(f, opts)
+			if err != nil {
+				t.Fatalf("%s %v %s: %v", key, f.Dims, b.mode, err)
+			}
+			back, err := Decompress(res.Bytes)
+			if err != nil {
+				t.Fatalf("%s %v %s: decompress: %v", key, f.Dims, b.mode, err)
+			}
+			if err := VerifyErrorBound(f, back, b.mode, b.eb); err != nil {
+				t.Fatalf("%s %v %s %g: %v", key, f.Dims, b.mode, b.eb, err)
+			}
+			used[res.Stats.Entropy] = true
+			sum := sha256.Sum256(res.Bytes)
+			h.Write(sum[:])
+			for _, v := range back.Data {
+				binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
+				h.Write(scratch[:])
+			}
+		}
+	}
 	for _, dims := range pinnedShapes {
 		f := kernelField(t, dims...)
 		for _, pk := range predictor.Kinds() {
@@ -67,34 +101,12 @@ func TestWalkContainersPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !p.Supports(len(dims)) {
-				continue
+			if p.Supports(len(dims)) {
+				pin(fmt.Sprintf("%s/rank%d", pk, len(dims)), f, Options{Predictor: pk})
 			}
-			key := fmt.Sprintf("%s/rank%d", pk, len(dims))
-			h := got[key]
-			if h == nil {
-				h = sha256.New()
-				got[key] = h
-			}
-			for _, b := range pinnedBounds {
-				res, err := Compress(f, Options{Predictor: pk, Mode: b.mode, ErrorBound: b.eb})
-				if err != nil {
-					t.Fatalf("%s %v %s: %v", pk, dims, b.mode, err)
-				}
-				back, err := Decompress(res.Bytes)
-				if err != nil {
-					t.Fatalf("%s %v %s: decompress: %v", pk, dims, b.mode, err)
-				}
-				if err := VerifyErrorBound(f, back, b.mode, b.eb); err != nil {
-					t.Fatalf("%s %v %s %g: %v", pk, dims, b.mode, b.eb, err)
-				}
-				sum := sha256.Sum256(res.Bytes)
-				h.Write(sum[:])
-				for _, v := range back.Data {
-					binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-					h.Write(scratch[:])
-				}
-			}
+		}
+		for _, ek := range []EntropyKind{EntropyInterleaved, EntropyTANS} {
+			pin("entropy/"+ek.String(), f, Options{Predictor: predictor.Lorenzo, Entropy: ek})
 		}
 	}
 	keys := make([]string, 0, len(got))
@@ -108,6 +120,11 @@ func TestWalkContainersPinned(t *testing.T) {
 		}
 	}
 	if len(want) != len(got) {
-		t.Errorf("pinned %d (predictor, rank) pairs, ran %d", len(want), len(got))
+		t.Errorf("pinned %d rows, ran %d", len(want), len(got))
+	}
+	for _, ek := range []EntropyKind{EntropyInterleaved, EntropyTANS} {
+		if !used[ek] {
+			t.Errorf("no pinned container was coded with %s", ek)
+		}
 	}
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -286,13 +289,109 @@ func TestExtensionCodecSelection(t *testing.T) {
 	}
 }
 
+// TestRegistryRunsEverything runs every experiment at Quick() and pins what
+// each prints: the SHA-256 of its section of RunAll's text. Three
+// experiments print wall times, so for them the pin is a digest of the
+// result fields that hold none (timedPins). abl-lossless prints its
+// backends in map order, so its lines are hashed sorted.
 func TestRegistryRunsEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow: full registry")
 	}
-	if err := RunAll(Quick(), io.Discard); err != nil {
+	want := map[string]string{
+		"abl-anchors":    "0063195071f1e2d79cc6aabb1d1f48c614bde3d322384c40086fbdc6e638cb56",
+		"abl-correction": "9d458780c486e27d22fa2383beba6a4c8aaa074aaa216f5525bf172bb0635089",
+		"abl-errdist":    "f63204f49f6e8a49f196da9e4cd3664225bb62409a044cea19dfa98bcf1d73c3",
+		"abl-lossless":   "822beb15d7598d4c2d5d42009ef8d8811aec184007b361cfd599727e36488433",
+		"abl-samplerate": "c4dfec79a93a7c9a2223743d38cd337fa663463d4ea8d6153bed4059e68190f6",
+		"ext-codec":      "3a2e6b2b14a64da8780186f0697b4210b61d539d4fcaa8c0172cfa9796dde6c1",
+		"fig10":          "bb7b67d13a89ee2f4caf45c8606663f9cd48fa1f1208c101f90be6da6dc4c8e1",
+		"fig11":          "6871d83698d0c3fcc94e9076370e477ef208b98f6932d4037dc91119d0255c3b",
+		"fig12":          "9f0a99446e7767594fef6ffa1955864f9327dc88f9f54d53186ba17430080839",
+		"fig13":          "202e8051a1b990dde204f2c75afecff3769f3bd33001fefb8595bebda8f0c20a",
+		"fig14":          "b2640f3a1aedd0deb9639d378bfa8084fb239b24aac73b33c25a1bd46190ef7a",
+		"fig3":           "46cb2b93a51d89cf95fdb1eb17c41387c662b6d74bbec4e4d6e7954f4dfb5bfa",
+		"fig4":           "8f0184495fdb103474a57d6537070acb6248a87711640654b005fbf50a566505",
+		"fig5":           "700b795ff89fedf351df6f9b309c3aa1323023647fbd9adccd8aaed4534e0204",
+		"fig6":           "54c04fa5af55266df7e8eda01803f085498cb098680165ee84a81ddc69dc9b6c",
+		"fig7":           "251f88328351403879faed49910860f9201321e8efc8ce86926eeb0a0054dcc6",
+		"fig8":           "74d29006f63cf490f6381e8f6a2d012e6fc33341637a8ea99ee30e00965a2386",
+		"fig9":           "73475cb40a568e8da8a045ced110137e159f890ac4da883b6b17dc651b3a8049",
+		"tab1":           "39524f2cee34e608a43698ba1e80f4c90506dbb36f9c4445ca1d61231fec8c05",
+		"tab2":           "2ffba3717aeb1f56845f2b1778b2a70996212eedc0e57f7964406a11d1125e0c",
+	}
+	var buf bytes.Buffer
+	cfg := Quick()
+	if err := RunAll(cfg, &buf); err != nil {
 		t.Fatal(err)
 	}
+	sections := strings.Split(buf.String(), "\n=== ")[1:]
+	if len(sections) != len(Names()) {
+		t.Fatalf("RunAll printed %d sections for %d experiments", len(sections), len(Names()))
+	}
+	for i, name := range Names() {
+		text, ok := strings.CutPrefix(sections[i], name+" ===\n")
+		if !ok {
+			t.Fatalf("section %d is not %s", i, name)
+		}
+		if name == "abl-lossless" {
+			lines := strings.Split(text, "\n")
+			sort.Strings(lines)
+			text = strings.Join(lines, "\n")
+		}
+		if pin, ok := timedPins[name]; ok {
+			var err error
+			if text, err = pin(cfg); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(text))); sum != want[name] {
+			t.Errorf("%q: %q,", name, sum)
+		}
+	}
+}
+
+// timedPins digests the wall-time-free result fields of the experiments
+// whose printed text holds wall times.
+var timedPins = map[string]func(Config) (string, error){
+	"fig9": func(cfg Config) (string, error) {
+		r, err := Figure9(cfg, io.Discard)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprint(r.Combinations), nil
+	},
+	"fig14": func(cfg Config) (string, error) {
+		r, err := Figure14(cfg, io.Discard)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		fmt.Fprintln(&b, r.Baseline)
+		for _, s := range r.Strategies {
+			fmt.Fprintln(&b, s.Name, s.Summary.Bytes)
+			for _, rep := range s.Reports {
+				fmt.Fprintln(&b, rep.Snapshot, rep.IOTime, rep.BytesWritten, rep.BitRate, rep.PSNR)
+			}
+		}
+		return b.String(), nil
+	},
+	"abl-samplerate": func(cfg Config) (string, error) {
+		r, err := AblationSampleRate(cfg, io.Discard)
+		if err != nil {
+			return "", err
+		}
+		rates := make([]float64, 0, len(r))
+		for rate := range r {
+			rates = append(rates, rate)
+		}
+		sort.Float64s(rates)
+		var b strings.Builder
+		for _, rate := range rates {
+			fmt.Fprintln(&b, rate, r[rate])
+		}
+		return b.String(), nil
+	},
 }
 
 func TestNamesStable(t *testing.T) {
