@@ -131,16 +131,29 @@ func Build(freqs map[uint32]int64) (*Table, error) {
 }
 
 // BuildDense is Build over a dense histogram: counts[s] is symbol s's
-// frequency. The table is the one Build returns for the same frequencies;
-// a [256] byte histogram needs no map and, once the pool is warm, no
-// allocation.
-func BuildDense(counts []uint32) (*Table, error) {
+// frequency and touched lists, in any order and each once, the symbols whose
+// count may be positive (nil: every index of counts). The table is the one
+// Build returns for the same frequencies; once the pool is warm it allocates
+// nothing.
+func BuildDense(counts []int64, touched []uint32) (*Table, error) {
 	t := shell()
-	for s, f := range counts {
-		if f > 0 {
-			t.syms = append(t.syms, uint32(s))
-			t.freq = append(t.freq, int64(f))
+	if touched == nil {
+		for s, f := range counts {
+			if f > 0 {
+				t.syms = append(t.syms, uint32(s))
+				t.freq = append(t.freq, f)
+			}
 		}
+		return t.build()
+	}
+	for _, s := range touched {
+		if counts[s] > 0 {
+			t.syms = append(t.syms, s)
+		}
+	}
+	slices.Sort(t.syms)
+	for _, s := range t.syms {
+		t.freq = append(t.freq, counts[s])
 	}
 	return t.build()
 }

@@ -658,35 +658,46 @@ func TestKernelErrorsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestBuildDenseMatchesBuild: the dense-histogram door builds the table the
-// map door builds, so a byte-native caller writes the same serialized table.
+// TestBuildDenseMatchesBuild: the dense-histogram door, scanning every count
+// or walking a touched list in any order, builds the table the map door
+// builds, so a caller with dense counts writes the same serialized table.
 func TestBuildDenseMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for round := 0; round < 50; round++ {
-		var counts [256]uint32
+		counts := make([]int64, 1+rng.Intn(1<<uint(8+rng.Intn(5))))
 		freqs := map[uint32]int64{}
+		var touched []uint32
 		for k := 1 + rng.Intn(256); k > 0; k-- {
-			s := uint32(rng.Intn(256))
-			c := uint32(1 + rng.Intn(1<<uint(rng.Intn(16))))
+			s := uint32(rng.Intn(len(counts)))
+			c := int64(1 + rng.Intn(1<<uint(rng.Intn(16))))
+			if counts[s] == 0 {
+				touched = append(touched, s)
+			}
 			counts[s] += c
-			freqs[s] += int64(c)
+			freqs[s] += c
 		}
+		rng.Shuffle(len(touched), func(i, j int) { touched[i], touched[j] = touched[j], touched[i] })
 		a, err := Build(freqs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := BuildDense(counts[:])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a.Serialize(), b.Serialize()) {
-			t.Fatalf("round %d: BuildDense and Build serialize differently", round)
+		for _, list := range [][]uint32{nil, touched} {
+			b, err := BuildDense(counts, list)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Serialize(), b.Serialize()) {
+				t.Fatalf("round %d (touched list %v): BuildDense and Build serialize differently", round, list != nil)
+			}
+			b.Release()
 		}
 		a.Release()
-		b.Release()
 	}
-	if _, err := BuildDense(make([]uint32, 256)); !errors.Is(err, ErrCorrupt) {
+	if _, err := BuildDense(make([]int64, 256), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty histogram: got %v, want ErrCorrupt", err)
+	}
+	if _, err := BuildDense(make([]int64, 256), []uint32{7}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("touched zero count: got %v, want ErrCorrupt", err)
 	}
 }
 
@@ -712,7 +723,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(23))
 	raw := make([]byte, 1<<14)
-	var counts [256]uint32
+	var counts [256]int64
 	for i := range raw {
 		raw[i] = byte(rng.Intn(40))
 		counts[raw[i]]++
@@ -721,7 +732,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 	dst := make([]byte, 0, 2*len(raw)+16)
 	out := make([]byte, len(raw))
 	allocs := testing.AllocsPerRun(20, func() {
-		tab, err := BuildDense(counts[:])
+		tab, err := BuildDense(counts[:], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ import (
 	"rqm/internal/predictor"
 	"rqm/internal/quantizer"
 	"rqm/internal/rle"
-	"rqm/internal/stats"
 )
 
 // ErrorMode selects how the user's error bound is interpreted.
@@ -140,18 +139,8 @@ type Stats struct {
 	Entropy EntropyKind
 	// PayloadBytesFinal is the payload size after the lossless stage.
 	PayloadBytesFinal int
-	// CodebookBytes is the serialized codebook size.
-	CodebookBytes int
-	// AuxBytes is the predictor side-channel size (regression coefficients).
-	AuxBytes int
 	// Unpredictable counts values stored exactly.
 	Unpredictable int
-	// P0 is the frequency of the most common quantization code.
-	P0 float64
-	// ZeroFrac is the frequency of code 0 specifically.
-	ZeroFrac float64
-	// CodeHist is the quantization-code histogram (unpredictable excluded).
-	CodeHist *stats.CodeHistogram
 	// BitRate is total compressed bits per value.
 	BitRate float64
 	// BitRateHuffman is Huffman-payload bits per value (the quantity the
@@ -310,20 +299,6 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	}
 
 	out := assembleContainer(f, opts, absEB, aux, unpred, signsEnc, zerosEnc, enc, finalPayload, len(enc.raw))
-
-	// Rebuild the code histogram (unpredictable excluded) from the symbol
-	// frequencies for the Stats consumers; it is small — one entry per
-	// distinct code — and escapes with the Result.
-	codeHist := stats.NewCodeHistogram()
-	hist.each(func(s uint32, n int64) {
-		if s != resSym {
-			codeHist.Add(int32(s)-radius, n)
-		}
-	})
-	p0, _ := codeHist.TopP()
-	if codeHist.Total == 0 {
-		p0 = 0
-	}
 	st := Stats{
 		N:                 f.Len(),
 		AbsEB:             absEB,
@@ -332,12 +307,7 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 		HuffmanBits:       huffBits,
 		Entropy:           enc.kind,
 		PayloadBytesFinal: len(finalPayload),
-		CodebookBytes:     len(enc.codebook),
-		AuxBytes:          len(aux),
 		Unpredictable:     len(unpred),
-		P0:                p0,
-		ZeroFrac:          codeHist.P(0),
-		CodeHist:          codeHist,
 		BitRate:           float64(len(out)) * 8 / float64(f.Len()),
 		BitRateHuffman:    float64(huffBits) / float64(f.Len()),
 		Ratio:             float64(f.OriginalBytes()) / float64(len(out)),

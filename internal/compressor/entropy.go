@@ -63,22 +63,6 @@ type histogram struct {
 	touched []uint32
 }
 
-// each calls fn for every counted symbol, in no particular order.
-func (h *histogram) each(fn func(sym uint32, n int64)) {
-	for _, s := range h.touched {
-		fn(s, h.counts[s])
-	}
-}
-
-// asMap is the histogram as the map ans.Build takes.
-func (h *histogram) asMap() map[uint32]int64 {
-	m := make(map[uint32]int64, len(h.touched))
-	for _, s := range h.touched {
-		m[s] = h.counts[s]
-	}
-	return m
-}
-
 // encodeEntropy runs the selected entropy coder over the symbol stream.
 // encLUT is the dense encode LUT scratch. The returned codebook and raw blob
 // alias arena memory; callers must finish with them before the arena
@@ -130,7 +114,7 @@ func encodeEntropy(a *arena, kind EntropyKind, syms []uint32, h *histogram, encL
 		return enc, nil
 
 	case EntropyTANS:
-		tab, err := ans.Build(h.asMap())
+		tab, err := ans.BuildDense(h.counts, h.touched)
 		if errors.Is(err, ans.ErrAlphabetTooLarge) {
 			// The alphabet cannot be normalized into the largest table;
 			// code this field serially instead. The container records what

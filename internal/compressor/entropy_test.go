@@ -124,8 +124,8 @@ func TestTANSFallsBackOnHugeAlphabet(t *testing.T) {
 	if res.Stats.Entropy == EntropyTANS {
 		// The premise may not hold if the alphabet still fit; that is fine,
 		// but then nothing was exercised — make the premise loud.
-		distinct := len(res.Stats.CodeHist.Counts)
-		t.Logf("alphabet fit the ANS table (%d distinct codes); fallback not exercised", distinct)
+		t.Logf("alphabet fit the ANS table (%d of %d values unpredictable, %.2f bits/value); fallback not exercised",
+			res.Stats.Unpredictable, res.Stats.N, res.Stats.BitRateHuffman)
 	} else if res.Stats.Entropy != EntropyHuffman {
 		t.Fatalf("fallback produced entropy %s", res.Stats.Entropy)
 	}

@@ -72,15 +72,7 @@ func AblationErrorDistribution(cfg Config, w io.Writer) (*AblationResult, error)
 	rels := []float64{1e-2, 3e-2, 1e-1}
 	var meas, refined, uniform []float64
 	for _, eb := range ebsFor(f, rels) {
-		res, err := compressAt(f, predictor.Lorenzo, eb, compressor.LosslessNone)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := compressor.Decompress(res.Bytes)
-		if err != nil {
-			return nil, err
-		}
-		psnr, err := quality.PSNR(f, dec)
+		_, psnr, err := trialPSNR(f, predictor.Lorenzo, eb, compressor.LosslessNone)
 		if err != nil {
 			return nil, err
 		}
@@ -181,9 +173,9 @@ func AblationLossless(cfg Config, w io.Writer) (map[string]float64, error) {
 		return nil, err
 	}
 	rels := []float64{1e-3, 1e-2, 5e-2, 1e-1}
-	backends := map[string]compressor.LosslessKind{"rle": compressor.LosslessRLE, "lz77": compressor.LosslessLZ77, "flate": compressor.LosslessFlate}
 	out := map[string]float64{}
-	for name, kind := range backends {
+	for _, kind := range []compressor.LosslessKind{compressor.LosslessRLE, compressor.LosslessLZ77, compressor.LosslessFlate} {
+		name := kind.String()
 		var meas, est []float64
 		for _, eb := range ebsFor(f, rels) {
 			rNone, err := compressAt(f, predictor.Lorenzo, eb, compressor.LosslessNone)
@@ -194,11 +186,7 @@ func AblationLossless(cfg Config, w io.Writer) (map[string]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			gain := float64(rNone.Stats.PayloadBytesFinal) / float64(rLL.Stats.PayloadBytesFinal)
-			if gain < 1 {
-				gain = 1
-			}
-			meas = append(meas, gain)
+			meas = append(meas, losslessGain(rNone, rLL))
 			est = append(est, prof.EstimateAt(eb).RLEGain)
 		}
 		out[name] = quality.AccuracyOfEstimate(meas, est)

@@ -15,6 +15,7 @@ import (
 	"rqm/internal/datagen"
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
+	"rqm/internal/quality"
 )
 
 // Config controls experiment scale and determinism.
@@ -74,6 +75,36 @@ func compressAt(f *grid.Field, kind predictor.Kind, eb float64, lossless compres
 	return compressor.Compress(f, compressor.Options{
 		Predictor: kind, Mode: compressor.ABS, ErrorBound: eb, Lossless: lossless,
 	})
+}
+
+// trial is the evaluation's one trial step: compress f at eb and decode it,
+// returning the result and the reconstruction.
+func trial(f *grid.Field, kind predictor.Kind, eb float64, lossless compressor.LosslessKind) (*compressor.Result, *grid.Field, error) {
+	res, err := compressAt(f, kind, eb, lossless)
+	if err != nil {
+		return nil, nil, err
+	}
+	dec, err := compressor.Decompress(res.Bytes)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, dec, nil
+}
+
+// trialPSNR is a trial measured by the reconstruction's PSNR.
+func trialPSNR(f *grid.Field, kind predictor.Kind, eb float64, lossless compressor.LosslessKind) (*compressor.Result, float64, error) {
+	res, dec, err := trial(f, kind, eb, lossless)
+	if err != nil {
+		return nil, 0, err
+	}
+	psnr, err := quality.PSNR(f, dec)
+	return res, psnr, err
+}
+
+// losslessGain is the measured gain of a lossless stage: the payload bytes
+// without it over the payload bytes with it, floored at 1.
+func losslessGain(without, with *compressor.Result) float64 {
+	return max(float64(without.Stats.PayloadBytesFinal)/float64(with.Stats.PayloadBytesFinal), 1)
 }
 
 // newTable starts an aligned text table.

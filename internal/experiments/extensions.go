@@ -59,15 +59,7 @@ func ExtensionCodecSelection(cfg Config, w io.Writer) (*ExtensionCodecResult, er
 	for _, rel := range rels {
 		eb := rel * rng
 		// Prediction pipeline (Huffman payload bits as the common basis).
-		szRes, err := compressAt(f, predictor.Lorenzo, eb, compressor.LosslessNone)
-		if err != nil {
-			return nil, err
-		}
-		szDec, err := compressor.Decompress(szRes.Bytes)
-		if err != nil {
-			return nil, err
-		}
-		szPSNR, err := quality.PSNR(f, szDec)
+		szRes, szPSNR, err := trialPSNR(f, predictor.Lorenzo, eb, compressor.LosslessNone)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,6 @@ import (
 	"rqm/internal/dumpmodel"
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
-	"rqm/internal/quality"
 )
 
 // Figure13Point is one snapshot's outcome under one strategy.
@@ -71,65 +70,29 @@ func Figure13(cfg Config, w io.Writer) (*Figure13Result, error) {
 	}
 	out := &Figure13Result{TargetPSNR: target, MinPSNRModel: math.Inf(1)}
 
-	// Traditional: offline trial-and-error over the shared absolute
-	// candidate set on every snapshot; choose the single bound under which
-	// all snapshots meet the target (the Liebig's barrel).
-	cands := absCandidates(ds.Fields)
-	chosen := 0.0
-	for _, eb := range cands { // largest (cheapest) first
-		allOK := true
-		for _, f := range ds.Fields {
-			psnr, _, err := measuredPSNRAt(f, eb)
-			if err != nil {
-				return nil, err
-			}
-			if psnr < target {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			chosen = eb
-			break
-		}
-	}
-	if chosen == 0 {
-		chosen = cands[len(cands)-1]
+	// Traditional: the single offline bound under which all snapshots meet
+	// the target (the Liebig's barrel).
+	chosen, err := offlineBound(ds.Fields, absCandidates(ds.Fields), target)
+	if err != nil {
+		return nil, err
 	}
 	for _, f := range ds.Fields {
-		psnr, stats, err := measuredPSNRAt(f, chosen)
+		res, psnr, err := trialPSNR(f, predictor.Interpolation, chosen, compressor.LosslessFlate)
 		if err != nil {
 			return nil, err
 		}
-		out.Traditional = append(out.Traditional, Figure13Point{Snapshot: f.Name, BitRate: stats.BitRate, PSNR: psnr})
-		out.MeanBitsTraditional += stats.BitRate
+		out.Traditional = append(out.Traditional, Figure13Point{Snapshot: f.Name, BitRate: res.Stats.BitRate, PSNR: psnr})
+		out.MeanBitsTraditional += res.Stats.BitRate
 	}
 	out.MeanBitsTraditional /= float64(len(ds.Fields))
 
 	// Model-driven: per-snapshot bound from ErrorBoundForPSNR.
 	for _, f := range ds.Fields {
-		prof, err := core.NewProfile(f, predictor.Interpolation, cfg.modelOptions())
+		eb, err := modelBound(cfg, f, target)
 		if err != nil {
 			return nil, err
 		}
-		// Keep a 3 dB guard band to absorb model error (the analog of the
-		// paper's 20% headroom in the memory use-case): high-bound
-		// interpolation inherits reconstruction error from coarse levels,
-		// which pushes the true error distribution toward the bin edges and
-		// past the Eq. 10/11 variance.
-		eb, err := prof.ErrorBoundForPSNR(target + 3)
-		if err != nil {
-			return nil, err
-		}
-		res, err := compressAt(f, predictor.Interpolation, eb, compressor.LosslessFlate)
-		if err != nil {
-			return nil, err
-		}
-		dec, err := compressor.Decompress(res.Bytes)
-		if err != nil {
-			return nil, err
-		}
-		psnr, err := quality.PSNR(f, dec)
+		res, psnr, err := trialPSNR(f, predictor.Interpolation, eb, compressor.LosslessFlate)
 		if err != nil {
 			return nil, err
 		}
@@ -156,20 +119,44 @@ func Figure13(cfg Config, w io.Writer) (*Figure13Result, error) {
 	return out, nil
 }
 
-func measuredPSNRAt(f *grid.Field, absEB float64) (float64, *compressor.Stats, error) {
-	res, err := compressAt(f, predictor.Interpolation, absEB, compressor.LosslessFlate)
-	if err != nil {
-		return 0, nil, err
+// offlineBound is the traditional offline pick of Figs. 13 and 14: the
+// first of candidates (largest first) at which every field, compressed
+// with interpolation and flate, meets target; the last candidate when none
+// does.
+func offlineBound(fields []*grid.Field, candidates []float64, target float64) (float64, error) {
+next:
+	for _, eb := range candidates {
+		for _, f := range fields {
+			_, psnr, err := trialPSNR(f, predictor.Interpolation, eb, compressor.LosslessFlate)
+			if err != nil {
+				return 0, err
+			}
+			if psnr < target {
+				continue next
+			}
+		}
+		return eb, nil
 	}
-	dec, err := compressor.Decompress(res.Bytes)
+	return candidates[len(candidates)-1], nil
+}
+
+// modelGuardDB is the margin the model pick solves above its PSNR target to
+// absorb model error (the analog of the paper's 20% headroom in the memory
+// use-case): high-bound interpolation inherits reconstruction error from
+// coarse levels, which pushes the true error distribution toward the bin
+// edges and past the Eq. 10/11 variance. ROADMAP item 19 is that model miss;
+// 19(d) removes this margin.
+const modelGuardDB = 3
+
+// modelBound is the model pick of Figs. 13 and 14: profile f with the
+// interpolation predictor and solve for the bound meeting target plus
+// modelGuardDB.
+func modelBound(cfg Config, f *grid.Field, target float64) (float64, error) {
+	prof, err := core.NewProfile(f, predictor.Interpolation, cfg.modelOptions())
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	psnr, err := quality.PSNR(f, dec)
-	if err != nil {
-		return 0, nil, err
-	}
-	return psnr, &res.Stats, nil
+	return prof.ErrorBoundForPSNR(target + modelGuardDB)
 }
 
 // Figure14Strategy aggregates one approach's dump sequence.
@@ -213,23 +200,9 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 	// Traditional: offline-chosen single absolute bound (optimization cost
 	// excluded, as in the paper), applied to every snapshot.
 	cands := absCandidates(ds.Fields)
-	tradEB := cands[len(cands)-1] // conservative offline pick
-	for _, eb := range cands {
-		allOK := true
-		for _, f := range ds.Fields {
-			psnr, _, err := measuredPSNRAt(f, eb)
-			if err != nil {
-				return nil, err
-			}
-			if psnr < target {
-				allOK = false
-				break
-			}
-		}
-		if allOK {
-			tradEB = eb
-			break
-		}
+	tradEB, err := offlineBound(ds.Fields, cands, target)
+	if err != nil {
+		return nil, err
 	}
 	var trad Figure14Strategy
 	trad.Name = "Tr"
@@ -246,15 +219,17 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 	}
 	trad.Summary = dumpmodel.Summarize(trad.Reports)
 
-	// In-situ TAE: each snapshot tries all candidates online (optimization
-	// cost = the trial compressions), then compresses with the pick.
+	// In-situ TAE: each snapshot tries the candidates online, largest first,
+	// and stops at the first that meets the target, which is the largest
+	// such bound (the last candidate when none does); the optimization cost
+	// is the trial compressions. It then compresses with the pick.
 	var tae Figure14Strategy
 	tae.Name = "TAE"
 	for _, f := range ds.Fields {
 		optStart := time.Now()
 		best := cands[len(cands)-1]
 		for _, eb := range cands {
-			psnr, _, err := measuredPSNRAt(f, eb)
+			_, psnr, err := trialPSNR(f, predictor.Interpolation, eb, compressor.LosslessFlate)
 			if err != nil {
 				return nil, err
 			}
@@ -282,11 +257,7 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 	mod.Name = "Model"
 	for _, f := range ds.Fields {
 		optStart := time.Now()
-		prof, err := core.NewProfile(f, predictor.Interpolation, cfg.modelOptions())
-		if err != nil {
-			return nil, err
-		}
-		eb, err := prof.ErrorBoundForPSNR(target + 3)
+		eb, err := modelBound(cfg, f, target)
 		if err != nil {
 			return nil, err
 		}

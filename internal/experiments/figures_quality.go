@@ -41,15 +41,7 @@ func Figure6(cfg Config, w io.Writer) ([]Figure6Point, error) {
 			return nil, err
 		}
 		for i, eb := range ebsFor(f, rels) {
-			res, err := compressAt(f, kind, eb, compressor.LosslessNone)
-			if err != nil {
-				return nil, err
-			}
-			dec, err := compressor.Decompress(res.Bytes)
-			if err != nil {
-				return nil, err
-			}
-			psnr, err := quality.PSNR(f, dec)
+			_, psnr, err := trialPSNR(f, kind, eb, compressor.LosslessNone)
 			if err != nil {
 				return nil, err
 			}
@@ -95,11 +87,7 @@ func Figure7(cfg Config, w io.Writer) ([]Figure7Point, error) {
 		}
 		rels := []float64{1e-4, 1e-3, 1e-2, 1e-1}
 		for i, eb := range ebsFor(f, rels) {
-			res, err := compressAt(f, predictor.Lorenzo, eb, compressor.LosslessNone)
-			if err != nil {
-				return nil, err
-			}
-			dec, err := compressor.Decompress(res.Bytes)
+			_, dec, err := trial(f, predictor.Lorenzo, eb, compressor.LosslessNone)
 			if err != nil {
 				return nil, err
 			}
@@ -154,11 +142,7 @@ func Figure8(cfg Config, w io.Writer) (*Figure8Result, error) {
 	}
 	// High bound, like the paper's ABS 500 on Nyx temperature.
 	eb := prof.Range * 5e-2
-	res, err := compressAt(f, predictor.Lorenzo, eb, compressor.LosslessNone)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := compressor.Decompress(res.Bytes)
+	_, dec, err := trial(f, predictor.Lorenzo, eb, compressor.LosslessNone)
 	if err != nil {
 		return nil, err
 	}

@@ -10,9 +10,7 @@ import (
 	"rqm/internal/compressor"
 	"rqm/internal/core"
 	"rqm/internal/datagen"
-	"rqm/internal/grid"
 	"rqm/internal/predictor"
-	"rqm/internal/quality"
 	"rqm/internal/stats"
 	"rqm/internal/tuner"
 )
@@ -134,15 +132,7 @@ func Figure10(cfg Config, w io.Writer) (*Figure10Result, error) {
 		s := Figure10Series{Kind: k}
 		s.Modeled = tuner.RateDistortion(prof, 1e-6, 1e-1, 16)
 		for i, eb := range ebsFor(f, rels) {
-			res, err := compressAt(f, k, eb, compressor.LosslessFlate)
-			if err != nil {
-				return nil, err
-			}
-			dec, err := compressor.Decompress(res.Bytes)
-			if err != nil {
-				return nil, err
-			}
-			psnr, err := psnrOf(f, dec)
+			res, psnr, err := trialPSNR(f, k, eb, compressor.LosslessFlate)
 			if err != nil {
 				return nil, err
 			}
@@ -262,27 +252,24 @@ func Figure12(cfg Config, w io.Writer) (*Figure12Result, error) {
 			globalRange = p.Range
 		}
 	}
+	uniform := func(eb float64) []tuner.PartitionAllocation {
+		out := make([]tuner.PartitionAllocation, len(profiles))
+		for i, p := range profiles {
+			out[i] = tuner.PartitionAllocation{ErrorBound: eb, Estimate: p.EstimateAt(eb)}
+		}
+		return out
+	}
 	targetVar := globalRange * globalRange / math.Pow(10, targetPSNR/10)
 	lo, hi := globalRange*1e-12, globalRange
 	for i := 0; i < 60; i++ {
 		mid := math.Sqrt(lo * hi)
-		var v, n float64
-		for _, p := range profiles {
-			v += float64(p.N) * p.EstimateAt(mid).ErrVar
-			n += float64(p.N)
-		}
-		if v/n <= targetVar {
+		if v, _ := tuner.AggregateOf(profiles, uniform(mid)); v <= targetVar {
 			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	var ub, n float64
-	for _, p := range profiles {
-		ub += float64(p.N) * p.EstimateAt(lo).TotalBitRate
-		n += float64(p.N)
-	}
-	out.UniformBits = ub / n
+	_, out.UniformBits = tuner.AggregateOf(profiles, uniform(lo))
 	if out.OptBits > 0 {
 		out.ExtraRatioPct = (out.UniformBits/out.OptBits - 1) * 100
 	}
@@ -300,6 +287,3 @@ func Figure12(cfg Config, w io.Writer) (*Figure12Result, error) {
 		out.OptBits, out.UniformBits, out.ExtraRatioPct)
 	return out, nil
 }
-
-// psnrOf measures the decompressed quality.
-func psnrOf(a, b *grid.Field) (float64, error) { return quality.PSNR(a, b) }

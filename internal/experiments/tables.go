@@ -133,28 +133,20 @@ func TableII(cfg Config, w io.Writer) (*TableIIResult, error) {
 			huffM = append(huffM, resHuff.Stats.BitRateHuffman)
 			huffE = append(huffE, est.HuffmanBitRate)
 
-			// Lossless stage gain: measured = huffman payload bytes over
-			// final payload bytes; modeled = Eq. 4 RLE gain.
-			measGain := float64(resHuff.Stats.PayloadBytesFinal) / float64(resLL.Stats.PayloadBytesFinal)
-			if measGain < 1 {
-				measGain = 1
-			}
-			llM = append(llM, measGain)
+			// Lossless stage gain: measured against the modeled Eq. 4 RLE
+			// gain.
+			llM = append(llM, losslessGain(resHuff, resLL))
 			llE = append(llE, est.RLEGain)
 
 			totM = append(totM, resLL.Stats.BitRate)
 			totE = append(totE, est.TotalBitRate)
 		}
 		for _, eb := range ebsFor(f, relSweepQuality) {
-			res, err := compressAt(f, fc.Kind, eb, compressor.LosslessNone)
+			_, dec, err := trial(f, fc.Kind, eb, compressor.LosslessNone)
 			if err != nil {
 				return nil, err
 			}
 			est := prof.EstimateAt(eb)
-			dec, err := compressor.Decompress(res.Bytes)
-			if err != nil {
-				return nil, err
-			}
 			psnr, err := quality.PSNR(f, dec)
 			if err != nil {
 				return nil, err

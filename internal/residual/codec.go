@@ -78,7 +78,7 @@ func Known(name string) bool { _, ok := byName[name]; return ok }
 // histogram counts plane's byte values into h. Four interleaved tables keep
 // a run of equal bytes — the common case on a well-predicted plane — from
 // serializing on one counter's store-to-load latency.
-func histogram(h *[256]uint32, plane []byte) {
+func histogram(h *[256]int64, plane []byte) {
 	var part [4][256]uint32
 	i := 0
 	for ; i+4 <= len(plane); i += 4 {
@@ -91,7 +91,7 @@ func histogram(h *[256]uint32, plane []byte) {
 		part[0][plane[i]]++
 	}
 	for b := range h {
-		h[b] = part[0][b] + part[1][b] + part[2][b] + part[3][b]
+		h[b] = int64(part[0][b] + part[1][b] + part[2][b] + part[3][b])
 	}
 }
 
@@ -111,13 +111,9 @@ func (huffCodec) Name() string { return "huffman" }
 func (huffCodec) ID() uint8    { return idHuffman }
 
 func (huffCodec) Compress(dst, plane []byte, s *scratch) ([]byte, error) {
-	var hist [256]uint32
+	var hist [256]int64
 	histogram(&hist, plane)
-	var counts [256]int64
-	for b, n := range hist {
-		counts[b] = int64(n)
-	}
-	cb, err := huffman.BuildDense(counts[:], nil)
+	cb, err := huffman.BuildDense(hist[:], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -175,9 +171,10 @@ func (ansCodec) ID() uint8    { return idANS }
 const ansTrailer = 8 + 4*ans.NumStates
 
 func (ansCodec) Compress(dst, plane []byte, _ *scratch) ([]byte, error) {
-	var hist, lut [256]uint32
+	var hist [256]int64
+	var lut [256]uint32
 	histogram(&hist, plane)
-	t, err := ans.BuildDense(hist[:])
+	t, err := ans.BuildDense(hist[:], nil)
 	if err != nil {
 		return nil, err
 	}

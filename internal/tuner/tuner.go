@@ -205,18 +205,6 @@ type PartitionAllocation struct {
 	Estimate core.Estimate
 }
 
-// aggregate computes size-weighted mean error variance and mean bit-rate.
-func aggregate(profiles []*core.Profile, allocs []PartitionAllocation) (errVar, bits float64) {
-	var n float64
-	for i, p := range profiles {
-		w := float64(p.N)
-		errVar += w * allocs[i].Estimate.ErrVar
-		bits += w * allocs[i].Estimate.TotalBitRate
-		n += w
-	}
-	return errVar / n, bits / n
-}
-
 // ebGrid builds the per-partition candidate error bounds (log-spaced).
 func ebGrid(p *core.Profile, points int) []float64 {
 	lo := p.BaseErrorBound()
@@ -348,60 +336,17 @@ func materialize(grids [][]float64, ests [][]core.Estimate, idxs []int) []Partit
 	return out
 }
 
-// OptimizePartitionsForBitRate is the dual problem: meet an aggregate
-// bit-rate budget while minimizing the aggregate error variance (maximizing
-// quality).
-func OptimizePartitionsForBitRate(profiles []*core.Profile, targetBits float64) ([]PartitionAllocation, error) {
-	if len(profiles) == 0 {
-		return nil, errors.New("tuner: no partitions")
-	}
-	const gridPts = 48
-	grids := make([][]float64, len(profiles))
-	ests := make([][]core.Estimate, len(profiles))
-	for i, p := range profiles {
-		grids[i] = ebGrid(p, gridPts)
-		ests[i] = p.Curve(grids[i])
-	}
-	allocFor := func(mu float64) []PartitionAllocation {
-		out := make([]PartitionAllocation, len(profiles))
-		for i := range profiles {
-			bestCost := math.Inf(1)
-			for j, est := range ests[i] {
-				cost := est.ErrVar + mu*est.TotalBitRate
-				if cost < bestCost {
-					bestCost = cost
-					out[i] = PartitionAllocation{ErrorBound: grids[i][j], Estimate: est}
-				}
-			}
-		}
-		return out
-	}
-	// Larger μ penalizes bits more → lower aggregate bit-rate.
-	loM, hiM := 0.0, 1.0
-	for iter := 0; iter < 60; iter++ {
-		if _, b := aggregate(profiles, allocFor(hiM)); b <= targetBits {
-			break
-		}
-		hiM *= 8
-	}
-	if _, b := aggregate(profiles, allocFor(hiM)); b > targetBits {
-		return allocFor(hiM), nil
-	}
-	for iter := 0; iter < 60; iter++ {
-		mid := (loM + hiM) / 2
-		if _, b := aggregate(profiles, allocFor(mid)); b <= targetBits {
-			hiM = mid
-		} else {
-			loM = mid
-		}
-	}
-	return allocFor(hiM), nil
-}
-
-// AggregateOf exposes the size-weighted aggregate error variance and
-// bit-rate of an allocation (for experiments).
+// AggregateOf is the size-weighted mean error variance and mean bit-rate of
+// an allocation.
 func AggregateOf(profiles []*core.Profile, allocs []PartitionAllocation) (errVar, bits float64) {
-	return aggregate(profiles, allocs)
+	var n float64
+	for i, p := range profiles {
+		w := float64(p.N)
+		errVar += w * allocs[i].Estimate.ErrVar
+		bits += w * allocs[i].Estimate.TotalBitRate
+		n += w
+	}
+	return errVar / n, bits / n
 }
 
 // TAEOutcome reports a trial-and-error baseline run.

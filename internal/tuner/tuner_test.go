@@ -211,35 +211,8 @@ func uniformBaselineBits(t *testing.T, profiles []*core.Profile, target, globalR
 	return bits / n
 }
 
-func TestOptimizePartitionsForBitRate(t *testing.T) {
-	snaps, err := datagen.Generate("rtm", 9, datagen.Tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var profiles []*core.Profile
-	for _, f := range snaps.Fields {
-		p, err := core.NewProfile(f, predictor.Interpolation, modelOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profiles = append(profiles, p)
-	}
-	const targetBits = 4.0
-	allocs, err := OptimizePartitionsForBitRate(profiles, targetBits)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, bits := AggregateOf(profiles, allocs)
-	if bits > targetBits*1.1 {
-		t.Fatalf("aggregate bits %.3f exceed target %v", bits, targetBits)
-	}
-}
-
 func TestOptimizeEmptyPartitions(t *testing.T) {
 	if _, err := OptimizePartitionsForPSNR(nil, 60); err == nil {
-		t.Fatal("empty partitions accepted")
-	}
-	if _, err := OptimizePartitionsForBitRate(nil, 4); err == nil {
 		t.Fatal("empty partitions accepted")
 	}
 }

@@ -222,12 +222,6 @@ func OptimizePartitionsForPSNR(profiles []*Profile, targetPSNR float64) ([]Parti
 	return tuner.OptimizePartitionsForPSNR(profiles, targetPSNR)
 }
 
-// OptimizePartitionsForBitRate assigns per-partition error bounds meeting an
-// aggregate bit-rate budget with maximal quality (use-case C, dual form).
-func OptimizePartitionsForBitRate(profiles []*Profile, targetBits float64) ([]PartitionAllocation, error) {
-	return tuner.OptimizePartitionsForBitRate(profiles, targetBits)
-}
-
 // RateDistortion sweeps the model across relative error bounds.
 func RateDistortion(p *Profile, relLo, relHi float64, points int) []RatePoint {
 	return tuner.RateDistortion(p, relLo, relHi, points)
