@@ -7,7 +7,6 @@ import (
 
 	"rqm/internal/core"
 	"rqm/internal/grid"
-	"rqm/internal/stats"
 )
 
 // AdaptiveBound is the per-region error-bound policy: a region is profiled
@@ -63,12 +62,16 @@ const minAdaptiveSamples = 256
 // by the profiled region's own range, so a region of range r in a
 // multi-region window is solved at T + 20·log₁₀(r / windowRange) dB (at
 // least 1): the error budget it may spend while the window still meets T.
-// A region that is its whole window is solved at the raw target. The
-// region's range r is its profile's Range, read off the profile's own scan.
+// A region that is its whole window is solved at the raw target, and so is
+// one whose windowRange is not finite (its window holds an infinity or leads
+// with a NaN): no finite budget is judged against it. The region's range r
+// is its profile's Range, read off the profile's own scan.
 //
-// A region the model cannot profile or solve (constant data, too few
-// samples) falls back to a tight bound relative to its own value range, with
-// a nil profile, so a pathological region never fails the stream.
+// A solve is kept only when it gives a finite bound above zero. A region the
+// model cannot profile or solve (constant data, too few samples, a NaN or an
+// infinity among its values) falls back to a tight bound relative to the
+// range of its finite values, with a nil profile; that bound too is finite
+// and above zero, so a pathological region never fails the stream.
 func (env Env) SolveRegion(vals []float64, windowRange float64) (float64, *core.Profile) {
 	mopts := env.Mopts
 	if mopts.SampleRate <= 0 || mopts.SampleRate > 1 {
@@ -85,7 +88,7 @@ func (env Env) SolveRegion(vals []float64, windowRange float64) (float64, *core.
 	}
 	if err == nil {
 		pol := *env.Policy
-		if pol.TargetPSNR > 0 && windowRange > 0 && p.Range > 0 {
+		if pol.TargetPSNR > 0 && windowRange > 0 && !math.IsInf(windowRange, 1) && p.Range > 0 {
 			pol.TargetPSNR = max(pol.TargetPSNR+20*math.Log10(p.Range/windowRange), 1)
 		}
 		if pol.TargetRatio > 0 {
@@ -94,12 +97,24 @@ func (env Env) SolveRegion(vals []float64, windowRange float64) (float64, *core.
 			eb, err = p.ErrorBoundForPSNR(pol.TargetPSNR)
 		}
 	}
-	if err != nil || !(eb > 0) {
-		lo, hi := stats.MinMax(vals)
-		if eb = (hi - lo) * 1e-6; eb <= 0 {
+	if err != nil || !(eb > 0) || math.IsInf(eb, 1) {
+		lo, hi := finiteMinMax(vals)
+		if eb = (hi - lo) * 1e-6; !(eb > 0) || math.IsInf(eb, 1) {
 			eb = 1e-12
 		}
 		return eb, nil
 	}
 	return eb, p
+}
+
+// finiteMinMax is the least and greatest of vals's finite values (+Inf and
+// -Inf when there are none).
+func finiteMinMax(vals []float64) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if !math.IsInf(v, 0) && !math.IsNaN(v) {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	}
+	return lo, hi
 }

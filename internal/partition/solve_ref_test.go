@@ -75,10 +75,11 @@ func requireSameSolve(t *testing.T, label string, env Env, vals []float64, windo
 
 // TestSolveRegionMatchesSerial: every Tiny datagen field's quadtree regions,
 // solved under a PSNR and a ratio target, as their own window (windowRange
-// 0) and as part of the field (its range), plus a constant region and a
-// NaN-led one that take the fallback, solve to the reference's bits under
-// every codec. The fields are planned at a 4,096-value chunk, so that the
-// Tiny fields split into a few regions each.
+// 0) and as part of the field (its range), plus a constant region that takes
+// the fallback, solve to the reference's bits under every codec. A NaN-led
+// region takes the fallback too, at 1e-6 of its finite values' range. The
+// fields are planned at a 4,096-value chunk, so that the Tiny fields split
+// into a few regions each.
 func TestSolveRegionMatchesSerial(t *testing.T) {
 	var fields []*grid.Field
 	for _, name := range append(datagen.Names(), "mixed") {
@@ -131,18 +132,21 @@ func TestSolveRegionMatchesSerial(t *testing.T) {
 	}
 	nanLed := datagen.SpectralField("r", grid.Float64, []int{5000}, -1.6, -1, 1, 3).Data
 	nanLed[0] = math.NaN()
+	// The NaN-led region no longer follows the reference, whose fallback
+	// spans the NaN and so returns a NaN bound: it falls back to the range
+	// of its finite values.
+	lo, hi := stats.MinMax(nanLed[1:])
 	for _, c := range codecs {
 		for _, pol := range policies {
 			env := envFor(c, grid.Float64, nil, pol)
-			for _, edge := range []struct {
-				name string
-				vals []float64
-			}{{"constant", constant}, {"nan-led", nanLed}} {
-				for _, wr := range []float64{0, 7} {
-					label := fmt.Sprintf("%s %s %+v window range %g", edge.name, c.Name(), *pol, wr)
-					if p := requireSameSolve(t, label, env, edge.vals, wr); p != nil {
-						t.Fatalf("%s: solved on a profile, not by the fallback", label)
-					}
+			for _, wr := range []float64{0, 7} {
+				label := fmt.Sprintf("constant %s %+v window range %g", c.Name(), *pol, wr)
+				if p := requireSameSolve(t, label, env, constant, wr); p != nil {
+					t.Fatalf("%s: solved on a profile, not by the fallback", label)
+				}
+				if eb, p := env.SolveRegion(nanLed, wr); p != nil || eb != (hi-lo)*1e-6 {
+					t.Fatalf("nan-led %s %+v window range %g: bound %g (profile %v), want the finite fallback %g",
+						c.Name(), *pol, wr, eb, p != nil, (hi-lo)*1e-6)
 				}
 			}
 		}
