@@ -119,6 +119,10 @@ func TestExactPathsAllocateLittle(t *testing.T) {
 		t.Fatal("the fixture's residual holds no ULP block")
 	}
 	build := store.BuildResidual(f.Data, f.Prec, residual.DefaultBackend)
+	// Measure on one P, as testing.AllocsPerRun does: a sync.Pool keeps an
+	// item Put on one P in that P's private slot, which no other P can take,
+	// so a run that lands on another P than the last draws fresh buffers.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, tc := range []struct {
 		name string
 		run  func() error
@@ -129,6 +133,9 @@ func TestExactPathsAllocateLittle(t *testing.T) {
 		// Under a quarter byte per value: the opened files, indexes and hash
 		// state, never a buffer as long as the dataset.
 		const budget = 0.25
+		if err := tc.run(); err != nil { // warm the pools
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		least := uint64(math.MaxUint64)
 		for range 3 {
 			var before, after runtime.MemStats
