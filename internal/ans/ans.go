@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -104,9 +103,6 @@ func (t *Table) Release() {
 	t.maxSym = 0
 	tablePool.Put(t)
 }
-
-// NumSymbols returns the alphabet size.
-func (t *Table) NumSymbols() int { return len(t.syms) }
 
 // MaxSymbol returns the largest symbol value in the table.
 func (t *Table) MaxSymbol() uint32 { return t.maxSym }
@@ -304,19 +300,6 @@ func (t *Table) assemble(tableLog uint) error {
 		t.next[x+t.enc[j].deltaPos] = t.size + uint32(p)
 	}
 	return nil
-}
-
-// MeanBits computes the modeled average code length in bits/symbol under the
-// table's own normalized histogram: Σ p·log2(size/norm) — the ANS analogue
-// of huffman.MeanBits.
-func (t *Table) MeanBits() float64 {
-	var b float64
-	size := float64(t.size)
-	for _, n := range t.norm {
-		p := float64(n) / size
-		b += p * (float64(t.tableLog) - math.Log2(float64(n)))
-	}
-	return b
 }
 
 // Encode compresses syms with NumStates interleaved states into a backward

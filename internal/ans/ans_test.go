@@ -120,9 +120,14 @@ func TestCompressionBeatsLog2Alphabet(t *testing.T) {
 	if len(stream)*8 < int(bits) {
 		t.Fatalf("stream of %d bytes cannot hold %d bits", len(stream), bits)
 	}
-	// The modeled mean must track the realized rate.
-	if mb := tab.MeanBits(); math.Abs(mb-bps) > 0.15*bps+0.05 {
-		t.Fatalf("MeanBits %.3f vs realized %.3f bits/symbol", mb, bps)
+	// The modeled mean, Σ p·log2(size/norm) under the table's own
+	// normalized histogram, must track the realized rate.
+	var mb float64
+	for _, n := range tab.norm {
+		mb += float64(n) / float64(tab.size) * (float64(tab.tableLog) - math.Log2(float64(n)))
+	}
+	if math.Abs(mb-bps) > 0.15*bps+0.05 {
+		t.Fatalf("modeled %.3f vs realized %.3f bits/symbol", mb, bps)
 	}
 }
 

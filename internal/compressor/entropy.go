@@ -43,9 +43,9 @@ func (e EntropyKind) String() string {
 	return fmt.Sprintf("EntropyKind(%d)", int(e))
 }
 
-// entropyEnc is one encoded entropy stage, ready for container assembly.
-// kind may differ from the requested kind (tANS falls back to serial
-// Huffman when the alphabet outgrows the largest table).
+// entropyEnc is one encoded entropy stage, ready for container assembly. kind
+// may differ from the requested kind: tANS falls back to serial Huffman when
+// a field's codes, up to 65,537 plus the reserved symbol, exceed 2^16.
 type entropyEnc struct {
 	kind     EntropyKind
 	codebook []byte // serialized Huffman codebook or ANS table

@@ -10,7 +10,7 @@ import (
 
 	"rqm/internal/grid"
 	"rqm/internal/predictor"
-	"rqm/internal/stats"
+	"rqm/internal/quantizer"
 )
 
 var allEntropyKinds = []EntropyKind{EntropyHuffman, EntropyInterleaved, EntropyTANS}
@@ -112,24 +112,24 @@ func TestEntropyRatiosComparable(t *testing.T) {
 
 // TestTANSFallsBackOnHugeAlphabet: a field whose quantization alphabet exceeds
 // the largest ANS table must silently fall back to serial Huffman and still
-// round-trip.
+// round-trip. Its symbols are every code the quantizer accepts, the 65,537 in
+// [−DefaultRadius, DefaultRadius], and the reserved unpredictable symbol:
+// 65,538 against the 2^ans.MaxTableLog = 65,536 states of the largest table.
 func TestTANSFallsBackOnHugeAlphabet(t *testing.T) {
-	f := grid.MustNew("wild", grid.Float64, 1<<17)
-	rng := stats.NewXorShift64(9)
-	for i := range f.Data {
-		f.Data[i] = 1e6 * rng.NormFloat64()
+	const r = quantizer.DefaultRadius
+	f := grid.MustNew("every-code", grid.Float64, 2*r+3)
+	// Under 1-D Lorenzo at ABS 0.5 a value's code is its difference to the
+	// value before it: every integer in [−r, r] once, then a jump no code
+	// reaches.
+	for i := 1; i <= 2*r+1; i++ {
+		f.Data[i] = f.Data[i-1] + float64(i-1-r)
 	}
-	// A tiny bound over white noise makes nearly every code distinct.
-	res, dec := compressDecompress(t, f, Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: 1e-4, Entropy: EntropyTANS})
-	if res.Stats.Entropy == EntropyTANS {
-		// The premise may not hold if the alphabet still fit; that is fine,
-		// but then nothing was exercised — make the premise loud.
-		t.Logf("alphabet fit the ANS table (%d of %d values unpredictable, %.2f bits/value); fallback not exercised",
-			res.Stats.Unpredictable, res.Stats.N, res.Stats.BitRateHuffman)
-	} else if res.Stats.Entropy != EntropyHuffman {
-		t.Fatalf("fallback produced entropy %s", res.Stats.Entropy)
+	f.Data[2*r+2] = f.Data[2*r+1] + 1e9
+	res, _ := compressDecompress(t, f, Options{Predictor: predictor.Lorenzo, Mode: ABS, ErrorBound: 0.5, Entropy: EntropyTANS})
+	if res.Stats.Entropy != EntropyHuffman || res.Stats.Unpredictable != 1 {
+		t.Fatalf("entropy %s with %d unpredictable values, want the %s fallback with 1",
+			res.Stats.Entropy, res.Stats.Unpredictable, EntropyHuffman)
 	}
-	_ = dec
 }
 
 // TestVersion2Corruption: truncations and bit flips in version 2 containers

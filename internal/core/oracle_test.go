@@ -13,10 +13,11 @@ import (
 
 // The oracle: the per-sample histogram, the map-based correction layer, the
 // two bit-rate sums, EstimateAt's body and the bisection as they stood before
-// the sorted-run walk replaced them, moved here verbatim (receivers and the
-// h.Codes() call aside). It indexes its own copy of the samples the old way
-// — |errors| sorted on their own, stats.Quantile's copy-and-sort — so the
-// merge-derived sortedAbs/prefixSq are checked too, not reused.
+// the sorted-run walk replaced them, moved here verbatim (receivers, the
+// h.Codes() call and the histogram's unexported names aside). It indexes its
+// own copy of the samples the old way — |errors| sorted on their own,
+// stats.Quantile's copy-and-sort — so the merge-derived sortedAbs/prefixSq
+// are checked too, not reused.
 
 type oracle struct {
 	*Profile
@@ -70,8 +71,48 @@ func (cc *codeCounter) release() {
 	counterPool.Put(cc)
 }
 
-func (p *oracle) histogramAt(eb float64) (h *stats.CodeHistogram, unpredShare float64) {
-	h = stats.NewCodeHistogram()
+// codeHistogram is the frequency table over signed quantization codes that
+// the estimate counted before the sorted-run walk: a map from code to count
+// plus the total.
+type codeHistogram struct {
+	counts map[int32]int64
+	total  int64
+}
+
+func newCodeHistogram() *codeHistogram {
+	return &codeHistogram{counts: make(map[int32]int64)}
+}
+
+func (h *codeHistogram) add(code int32, n int64) {
+	h.counts[code] += n
+	h.total += n
+}
+
+// p is the empirical probability of code.
+func (h *codeHistogram) p(code int32) float64 {
+	if h.total == 0 {
+		return 0
+	}
+	return float64(h.counts[code]) / float64(h.total)
+}
+
+// topP is the probability of the most frequent code (the paper's p0) and
+// that code, the smallest code on a tie.
+func (h *codeHistogram) topP() (p float64, code int32) {
+	if h.total == 0 {
+		return 0, 0
+	}
+	var best int64 = -1
+	for c, n := range h.counts {
+		if n > best || (n == best && c < code) {
+			best, code = n, c
+		}
+	}
+	return float64(best) / float64(h.total), code
+}
+
+func (p *oracle) histogramAt(eb float64) (h *codeHistogram, unpredShare float64) {
+	h = newCodeHistogram()
 	const radius = quantizer.DefaultRadius
 	var unpred int64
 	cc := counterPool.Get().(*codeCounter)
@@ -93,14 +134,14 @@ func (p *oracle) histogramAt(eb float64) (h *stats.CodeHistogram, unpredShare fl
 		cc.counts[i]++
 	}
 	for _, i := range cc.touched {
-		h.Add(i-radius, cc.counts[i])
+		h.add(i-radius, cc.counts[i])
 	}
 	cc.release()
 	total := int64(len(p.Errors))
-	if h.Total == 0 {
+	if h.total == 0 {
 		return h, float64(unpred) / float64(total)
 	}
-	p0, _ := h.TopP()
+	p0, _ := h.topP()
 	c2 := c2For(p.Kind)
 	if !p.opts.DisableCorrection && c2 > 0 && p0 >= correctionThreshold {
 		h = oracleApplyCorrection(h, c2, p0)
@@ -108,10 +149,10 @@ func (p *oracle) histogramAt(eb float64) (h *stats.CodeHistogram, unpredShare fl
 	return h, float64(unpred) / float64(total)
 }
 
-func oracleApplyCorrection(h *stats.CodeHistogram, c2, p0 float64) *stats.CodeHistogram {
-	out := stats.NewCodeHistogram()
+func oracleApplyCorrection(h *codeHistogram, c2, p0 float64) *codeHistogram {
+	out := newCodeHistogram()
 	frac := c2 * (1 - p0)
-	for code, n := range h.Counts {
+	for code, n := range h.counts {
 		tran := int64(math.Round(frac * float64(n)))
 		if tran > n {
 			tran = n
@@ -120,37 +161,37 @@ func oracleApplyCorrection(h *stats.CodeHistogram, c2, p0 float64) *stats.CodeHi
 		left := tran / 2
 		right := tran - left
 		if keep > 0 {
-			out.Add(code, keep)
+			out.add(code, keep)
 		}
 		if left > 0 {
-			out.Add(code-1, left)
+			out.add(code-1, left)
 		}
 		if right > 0 {
-			out.Add(code+1, right)
+			out.add(code+1, right)
 		}
 	}
 	return out
 }
 
-// sortedCodes is the deleted stats.CodeHistogram.Codes.
-func sortedCodes(h *stats.CodeHistogram) []int32 {
-	cs := make([]int32, 0, len(h.Counts))
-	for c := range h.Counts {
+// sortedCodes is what the deleted CodeHistogram.Codes returned.
+func sortedCodes(h *codeHistogram) []int32 {
+	cs := make([]int32, 0, len(h.counts))
+	for c := range h.counts {
 		cs = append(cs, c)
 	}
 	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
 	return cs
 }
 
-func huffmanBitRate(h *stats.CodeHistogram) float64 {
-	if h.Total == 0 {
+func huffmanBitRate(h *codeHistogram) float64 {
+	if h.total == 0 {
 		return 0
 	}
-	_, top := h.TopP()
+	_, top := h.topP()
 	var b float64
-	tot := float64(h.Total)
+	tot := float64(h.total)
 	for _, code := range sortedCodes(h) {
-		n := h.Counts[code]
+		n := h.counts[code]
 		if n == 0 {
 			continue
 		}
@@ -168,14 +209,14 @@ func huffmanBitRate(h *stats.CodeHistogram) float64 {
 	return b
 }
 
-func ansBitRate(h *stats.CodeHistogram) float64 {
-	if h.Total == 0 {
+func ansBitRate(h *codeHistogram) float64 {
+	if h.total == 0 {
 		return 0
 	}
 	var b float64
-	tot := float64(h.Total)
+	tot := float64(h.total)
 	for _, code := range sortedCodes(h) {
-		n := h.Counts[code]
+		n := h.counts[code]
 		if n == 0 {
 			continue
 		}
@@ -185,7 +226,7 @@ func ansBitRate(h *stats.CodeHistogram) float64 {
 	return b
 }
 
-func (p *oracle) entropyBitRate(h *stats.CodeHistogram) float64 {
+func (p *oracle) entropyBitRate(h *codeHistogram) float64 {
 	if p.opts.Entropy == EntropyModelANS {
 		return ansBitRate(h)
 	}
@@ -199,11 +240,11 @@ func (p *oracle) EstimateAt(absEB float64) Estimate {
 	}
 	h, unpredShare := p.histogramAt(absEB)
 	est.UnpredShare = unpredShare
-	est.DistinctCodes = len(h.Counts)
-	if h.Total > 0 {
-		p0, _ := h.TopP()
+	est.DistinctCodes = len(h.counts)
+	if h.total > 0 {
+		p0, _ := h.topP()
 		est.P0 = p0
-		est.ZeroShare = h.P(0)
+		est.ZeroShare = h.p(0)
 	}
 	est.HuffmanBitRate = p.entropyBitRate(h)
 	zeroForRLE := est.ZeroShare

@@ -71,27 +71,28 @@ func TestSpectralFieldDeterministic(t *testing.T) {
 
 func TestLogNormalHeavyTail(t *testing.T) {
 	f := LogNormalField("d", grid.Float32, []int{24, 24, 24}, 2.2, 3.0, 3)
-	m := stats.Summary(f.Data)
-	if m.Min() <= 0 {
-		t.Fatalf("lognormal min = %v, want > 0", m.Min())
+	_, _, lo, hi := stats.MeanVarMinMax(f.Data)
+	if lo <= 0 {
+		t.Fatalf("lognormal min = %v, want > 0", lo)
 	}
 	med := stats.Quantile(f.Data, 0.5)
-	if m.Max()/med < 10 {
-		t.Fatalf("dynamic range max/median = %v, want heavy tail", m.Max()/med)
+	if hi/med < 10 {
+		t.Fatalf("dynamic range max/median = %v, want heavy tail", hi/med)
 	}
 }
 
 func TestBrownian1DIncrementsGaussian(t *testing.T) {
 	f := Brownian1D("b", 50000, 0.5, 11)
-	var m stats.Moments
-	for i := 1; i < f.Len(); i++ {
-		m.Add(f.Data[i] - f.Data[i-1])
+	inc := make([]float64, f.Len()-1)
+	for i := range inc {
+		inc[i] = f.Data[i+1] - f.Data[i]
 	}
-	if math.Abs(m.Mean()) > 0.02 {
-		t.Fatalf("increment mean = %v", m.Mean())
+	mean, variance, _, _ := stats.MeanVarMinMax(inc)
+	if math.Abs(mean) > 0.02 {
+		t.Fatalf("increment mean = %v", mean)
 	}
-	if math.Abs(m.StdDev()-0.5) > 0.02 {
-		t.Fatalf("increment std = %v, want 0.5", m.StdDev())
+	if std := math.Sqrt(variance); math.Abs(std-0.5) > 0.02 {
+		t.Fatalf("increment std = %v, want 0.5", std)
 	}
 }
 
@@ -105,30 +106,28 @@ func TestParticlePositionsInBox(t *testing.T) {
 
 func TestParticleVelocitiesMixture(t *testing.T) {
 	f := ParticleVelocities1D("v", 100000, 6)
-	m := stats.Summary(f.Data)
+	mean, variance, _, _ := stats.MeanVarMinMax(f.Data)
 	// Mixture std: sqrt(0.8*200^2 + 0.2*1200^2) ≈ 565.
-	if m.StdDev() < 400 || m.StdDev() > 750 {
-		t.Fatalf("velocity std = %v", m.StdDev())
+	if std := math.Sqrt(variance); std < 400 || std > 750 {
+		t.Fatalf("velocity std = %v", std)
 	}
-	if math.Abs(m.Mean()) > 20 {
-		t.Fatalf("velocity mean = %v", m.Mean())
+	if math.Abs(mean) > 20 {
+		t.Fatalf("velocity mean = %v", mean)
 	}
 }
 
 func TestOrbital3DSmooth(t *testing.T) {
 	f := Orbital3D("o", []int{12, 12, 20}, 4, 9)
-	m := stats.Summary(f.Data)
-	if m.Range() == 0 {
+	if _, _, lo, hi := stats.MeanVarMinMax(f.Data); hi == lo {
 		t.Fatal("orbital field is constant")
 	}
 }
 
 func TestPhotonPanelsPeaks(t *testing.T) {
 	f := PhotonPanels4D("x", []int{2, 2, 24, 24}, 4)
-	m := stats.Summary(f.Data)
 	// Background pedestal ~30-40; peaks push max into the hundreds.
-	if m.Max() < 150 {
-		t.Fatalf("no bright peaks: max = %v", m.Max())
+	if _, _, _, hi := stats.MeanVarMinMax(f.Data); hi < 150 {
+		t.Fatalf("no bright peaks: max = %v", hi)
 	}
 	med := stats.Quantile(f.Data, 0.5)
 	if med < 10 || med > 60 {
@@ -142,12 +141,12 @@ func TestWaveSnapshotsPropagate(t *testing.T) {
 		t.Fatalf("snapshots = %d", len(snaps))
 	}
 	for i, s := range snaps {
-		m := stats.Summary(s.Data)
-		if m.Range() == 0 {
+		mean, _, lo, hi := stats.MeanVarMinMax(s.Data)
+		if hi == lo {
 			t.Fatalf("snapshot %d is all zeros", i)
 		}
-		if math.IsNaN(m.Mean()) || math.IsInf(m.Max(), 0) {
-			t.Fatalf("snapshot %d unstable: mean=%v max=%v", i, m.Mean(), m.Max())
+		if math.IsNaN(mean) || math.IsInf(hi, 0) {
+			t.Fatalf("snapshot %d unstable: mean=%v max=%v", i, mean, hi)
 		}
 	}
 	// Energy must spread: later snapshots have wider support.

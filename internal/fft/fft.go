@@ -19,19 +19,6 @@ import (
 	"math/cmplx"
 )
 
-// Forward computes the forward DFT of x and returns the result in a new
-// slice; x is not modified. Any length >= 1 is supported.
-func Forward(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	if len(out) <= 1 {
-		return out
-	}
-	p := newPlan(len(out))
-	p.transform(out, make([]complex128, len(p.filter)))
-	return out
-}
-
 // plan is everything a transform of one length needs that does not depend
 // on the data. A power-of-two length needs only its radix-2 twiddles and
 // bit-reversal swaps; any other length is Bluestein's chirp-z convolution,

@@ -52,10 +52,20 @@ func randSignal(n int, seed int64) []complex128 {
 	return x
 }
 
+// forward is the 1-D transform as the library runs it: ForwardND over one
+// axis.
+func forward(x []complex128) []complex128 {
+	out, err := ForwardND(x, []int{len(x)})
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func TestForwardMatchesNaive(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 32, 100} {
 		x := randSignal(n, int64(n))
-		got := Forward(x)
+		got := forward(x)
 		want := naiveDFT(x, false)
 		if e := maxErr(got, want); e > 1e-8*float64(n) {
 			t.Fatalf("n=%d: max err %g", n, e)
@@ -63,14 +73,14 @@ func TestForwardMatchesNaive(t *testing.T) {
 	}
 }
 
-// inverse is the inverse DFT written through Forward alone: conjugate,
+// inverse is the inverse DFT written through forward alone: conjugate,
 // transform, conjugate, scale by 1/N.
 func inverse(x []complex128) []complex128 {
 	c := make([]complex128, len(x))
 	for i, v := range x {
 		c[i] = cmplx.Conj(v)
 	}
-	c = Forward(c)
+	c = forward(c)
 	for i, v := range c {
 		c[i] = cmplx.Conj(v) / complex(float64(len(x)), 0)
 	}
@@ -80,7 +90,7 @@ func inverse(x []complex128) []complex128 {
 func TestInverseRoundTrip(t *testing.T) {
 	for _, n := range []int{1, 2, 6, 8, 15, 64, 129} {
 		x := randSignal(n, int64(n)+99)
-		back := inverse(Forward(x))
+		back := inverse(forward(x))
 		if e := maxErr(back, x); e > 1e-9*float64(n+1) {
 			t.Fatalf("n=%d: round-trip err %g", n, e)
 		}
@@ -90,10 +100,10 @@ func TestInverseRoundTrip(t *testing.T) {
 func TestForwardDoesNotMutateInput(t *testing.T) {
 	x := randSignal(16, 5)
 	cp := append([]complex128(nil), x...)
-	Forward(x)
+	forward(x)
 	for i := range x {
 		if x[i] != cp[i] {
-			t.Fatal("Forward mutated its input")
+			t.Fatal("ForwardND mutated its input")
 		}
 	}
 }
@@ -102,7 +112,7 @@ func TestImpulseResponse(t *testing.T) {
 	// DFT of a unit impulse is all-ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	f := Forward(x)
+	f := forward(x)
 	for i, v := range f {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("bin %d = %v, want 1", i, v)
@@ -117,7 +127,7 @@ func TestSinusoidPeak(t *testing.T) {
 	for i := range x {
 		x[i] = cmplx.Exp(complex(0, 2*math.Pi*3*float64(i)/float64(n)))
 	}
-	f := Forward(x)
+	f := forward(x)
 	for i, v := range f {
 		mag := cmplx.Abs(v)
 		if i == 3 {
@@ -134,7 +144,7 @@ func TestParsevalProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%63 + 1
 		x := randSignal(n, seed)
-		fx := Forward(x)
+		fx := forward(x)
 		var et, ef float64
 		for i := range x {
 			et += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
@@ -160,7 +170,7 @@ func TestForwardNDMatchesNaiveRows(t *testing.T) {
 	tmp := make([]complex128, r*c)
 	copy(tmp, data)
 	for i := 0; i < r; i++ {
-		row := Forward(tmp[i*c : (i+1)*c])
+		row := forward(tmp[i*c : (i+1)*c])
 		copy(tmp[i*c:(i+1)*c], row)
 	}
 	col := make([]complex128, r)
@@ -168,7 +178,7 @@ func TestForwardNDMatchesNaiveRows(t *testing.T) {
 		for i := 0; i < r; i++ {
 			col[i] = tmp[i*c+j]
 		}
-		res := Forward(col)
+		res := forward(col)
 		for i := 0; i < r; i++ {
 			tmp[i*c+j] = res[i]
 		}
@@ -259,7 +269,7 @@ func BenchmarkForward4096(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Forward(x)
+		forward(x)
 	}
 }
 
@@ -300,12 +310,12 @@ func TestForwardMatchesReference(t *testing.T) {
 	for _, n := range lengths {
 		x := randSignal(n, int64(n)+7)
 		cp := append([]complex128(nil), x...)
-		got := Forward(x)
+		got := forward(x)
 		if i, ok := sameBits(got, refForward(x)); !ok {
 			t.Fatalf("n=%d: bin %d differs from the reference", n, i)
 		}
 		if _, ok := sameBits(x, cp); !ok {
-			t.Fatalf("n=%d: Forward mutated its input", n)
+			t.Fatalf("n=%d: ForwardND mutated its input", n)
 		}
 	}
 }

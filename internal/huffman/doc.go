@@ -21,9 +21,9 @@
 // rate hands it back with Release and allocates nothing in steady state.
 // Decode, DecodeSerial, DecodeInterleaved, FillLUT, EncodeLUT and
 // AppendSerialized only read the codebook and may run concurrently on one.
-// Encode and EncodeInterleaved without a LUT, CodeLength and MeanBits go
-// through a symbol index built on first use: concurrent callers of those on
-// one Codebook need a lock.
+// Encode and EncodeInterleaved without a LUT go through a symbol index
+// built on first use: concurrent callers of those on one Codebook need a
+// lock.
 //
 // # Stream-interleave order
 //
@@ -32,7 +32,7 @@
 // order within each stream. DecodeInterleaved reproduces exactly that
 // order — out[i] is the next undecoded symbol of stream i%k — so the
 // interleave is fully determined by (n, k) and carries no index side
-// channel. Stream s holds InterleavedLen(n, k, s) symbols.
+// channel. Stream s holds the ⌈(n−s)/k⌉ symbols i < n with i%k == s.
 //
 // # Padding rules
 //

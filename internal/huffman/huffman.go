@@ -39,7 +39,7 @@ type Codebook struct {
 	lengths []uint8
 	codes   []uint32
 	// index maps symbol -> canonical position. Only an Encode without a LUT
-	// (and CodeLength) consults it, and builds it on first use.
+	// consults it, and builds it on first use.
 	index map[uint32]int32
 	// Per code length l: the first canonical code of that length, its
 	// canonical position, and limit[l], the end of the codes no longer than l
@@ -322,9 +322,6 @@ func (cb *Codebook) assemble() error {
 	return nil
 }
 
-// NumSymbols returns the alphabet size.
-func (cb *Codebook) NumSymbols() int { return len(cb.symbols) }
-
 // positions returns the symbol -> canonical position index, built on first
 // use — so concurrent callers on one Codebook need external locking.
 func (cb *Codebook) positions() map[uint32]int32 {
@@ -335,35 +332,6 @@ func (cb *Codebook) positions() map[uint32]int32 {
 		}
 	}
 	return cb.index
-}
-
-// CodeLength returns the code length for sym, or ok=false if absent.
-func (cb *Codebook) CodeLength(sym uint32) (uint8, bool) {
-	i, ok := cb.positions()[sym]
-	if !ok {
-		return 0, false
-	}
-	return cb.lengths[i], true
-}
-
-// MeanBits computes the average code length under the given frequencies.
-func (cb *Codebook) MeanBits(freqs map[uint32]int64) float64 {
-	var bits, total int64
-	for s, f := range freqs {
-		if f <= 0 {
-			continue
-		}
-		l, ok := cb.CodeLength(s)
-		if !ok {
-			continue
-		}
-		bits += int64(l) * f
-		total += f
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(bits) / float64(total)
 }
 
 // Encode appends the codes for syms to w. Unknown symbols are an error. It

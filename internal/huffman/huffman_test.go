@@ -42,7 +42,7 @@ func TestRoundTripSimple(t *testing.T) {
 
 func TestRoundTripSingleSymbol(t *testing.T) {
 	cb := roundTrip(t, []uint32{42, 42, 42, 42})
-	if l, ok := cb.CodeLength(42); !ok || l != 1 {
+	if l, ok := codeLength(cb, 42); !ok || l != 1 {
 		t.Fatalf("single-symbol code length = %d ok=%v", l, ok)
 	}
 }
@@ -70,8 +70,8 @@ func TestRoundTripSkewed(t *testing.T) {
 	}
 	cb := roundTrip(t, syms)
 	// The dominant symbol must get the shortest code.
-	lDom, _ := cb.CodeLength(32768)
-	lRare, ok := cb.CodeLength(32701)
+	lDom, _ := codeLength(cb, 32768)
+	lRare, ok := codeLength(cb, 32701)
 	if ok && lRare < lDom {
 		t.Fatalf("rare symbol shorter than dominant: %d < %d", lRare, lDom)
 	}
@@ -94,17 +94,38 @@ func TestEncodeUnknownSymbol(t *testing.T) {
 	}
 }
 
+// codeLength is the code length of sym in cb, or ok=false if absent.
+func codeLength(cb *Codebook, sym uint32) (uint8, bool) {
+	i, ok := cb.positions()[sym]
+	if !ok {
+		return 0, false
+	}
+	return cb.lengths[i], true
+}
+
+// meanBits is the average code length of cb under freqs, every symbol in
+// freqs coded.
+func meanBits(cb *Codebook, freqs map[uint32]int64) float64 {
+	var bits, total int64
+	for s, f := range freqs {
+		l, _ := codeLength(cb, s)
+		bits += int64(l) * f
+		total += f
+	}
+	return float64(bits) / float64(total)
+}
+
 func TestMeanBitsNearEntropy(t *testing.T) {
 	freqs := map[uint32]int64{0: 900, 1: 50, 2: 50}
 	cb, err := Build(freqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mb := cb.MeanBits(freqs)
+	mb := meanBits(cb, freqs)
 	// Entropy = -(0.9 log 0.9 + 2*0.05 log 0.05) ≈ 0.569; Huffman is within
 	// 1 bit of entropy and at least 1 bit per symbol here.
 	if mb < 0.569 || mb > 1.569 {
-		t.Fatalf("MeanBits = %v", mb)
+		t.Fatalf("mean bits = %v", mb)
 	}
 }
 
@@ -180,7 +201,7 @@ func TestLengthLimitedDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range cb.symbols {
-		l, _ := cb.CodeLength(s)
+		l, _ := codeLength(cb, s)
 		if l > MaxCodeLen {
 			t.Fatalf("symbol %d has length %d > %d", s, l, MaxCodeLen)
 		}
@@ -275,7 +296,7 @@ func TestQuickNearEntropyBound(t *testing.T) {
 			p := float64(c) / float64(total)
 			entropy -= p * math.Log2(p)
 		}
-		mb := cb.MeanBits(freqs)
+		mb := meanBits(cb, freqs)
 		return mb >= entropy-1e-9 && mb <= entropy+1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -27,16 +27,6 @@ const MaxStreams = 16
 // ErrBadStreamCount marks an interleave stream count outside 1..MaxStreams.
 var ErrBadStreamCount = errors.New("huffman: stream count outside 1..16")
 
-// InterleavedLen returns the number of symbols stream s carries when n
-// symbols are split round-robin across k streams: the count of indices
-// i in [0, n) with i%k == s.
-func InterleavedLen(n, k, s int) int {
-	if s >= n {
-		return 0
-	}
-	return (n - s + k - 1) / k
-}
-
 // EncodeInterleaved encodes syms round-robin into k streams sharing this
 // codebook, appending through the provided writers (ws[i] must be Reset by
 // the caller; len(ws) >= k). lut is an optional dense encode LUT previously

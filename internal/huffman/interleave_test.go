@@ -75,9 +75,6 @@ func TestInterleavedMatchesSerialPerStream(t *testing.T) {
 		for i := s; i < len(syms); i += k {
 			sub = append(sub, syms[i])
 		}
-		if got, want := len(sub), InterleavedLen(len(syms), k, s); got != want {
-			t.Fatalf("stream %d: InterleavedLen says %d, actual %d", s, want, got)
-		}
 		w := bitio.NewWriter(0)
 		if err := cb.Encode(w, sub); err != nil {
 			t.Fatal(err)

@@ -305,7 +305,7 @@ func requireSameVerdictInterleaved(t *testing.T, cb *Codebook, ref *refCodebook,
 	want := make([]uint32, n)
 	classes := map[string]bool{}
 	for s := range streams {
-		part := make([]uint32, InterleavedLen(n, k, s))
+		part := make([]uint32, (n-s+k-1)/k) // the i < n with i%k == s
 		err := ref.refDecode(&refReader{buf: streams[s]}, part)
 		classes[errClass(err)] = true
 		if err == nil {

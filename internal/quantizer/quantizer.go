@@ -10,8 +10,8 @@ import (
 	"math"
 )
 
-// DefaultRadius matches SZ's default of 65536 quantization bins (codes in
-// (−32768, 32768)).
+// DefaultRadius matches SZ's default of 65536 bins, but Quantize accepts
+// |code| = radius: the codes are the 65,537 in [−32768, 32768].
 const DefaultRadius = 32768
 
 // Quantizer performs linear-scaling quantization for one error bound.

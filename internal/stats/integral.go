@@ -8,7 +8,7 @@ import (
 
 // Integral is a summed-area table (integral image) over a 1-D, 2-D, or 3-D
 // field: two prefix-sum tables (values and squared values) padded with a zero
-// border, so the sum, mean, and variance of any axis-aligned sub-box come
+// border, so the mean and variance of any axis-aligned sub-box come
 // from a constant number of table lookups via inclusion–exclusion. Building
 // is O(N), one pass per table, the two tables on two goroutines; every
 // query after that is O(1), which is what makes recursive variance-guided
@@ -128,9 +128,6 @@ func prefixTable(table, data []float64, dims []int, square bool) {
 	}
 }
 
-// Dims returns the table's shape.
-func (t *Integral) Dims() []int { return append([]int(nil), t.dims...) }
-
 // checkBox validates a half-open box against the table's shape.
 func (t *Integral) checkBox(lo, hi []int) error {
 	if len(lo) != len(t.dims) || len(hi) != len(t.dims) {
@@ -173,23 +170,6 @@ func (t *Integral) Count(lo, hi []int) int {
 	return n
 }
 
-// Sum returns the sum of the values inside the half-open box [lo, hi).
-func (t *Integral) Sum(lo, hi []int) (float64, error) {
-	if err := t.checkBox(lo, hi); err != nil {
-		return 0, err
-	}
-	return t.boxQuery(t.sum, lo, hi), nil
-}
-
-// Mean returns the mean of the values inside the half-open box [lo, hi).
-func (t *Integral) Mean(lo, hi []int) (float64, error) {
-	s, err := t.Sum(lo, hi)
-	if err != nil {
-		return 0, err
-	}
-	return s / float64(t.Count(lo, hi)), nil
-}
-
 // MeanVar returns the mean and population variance of the values inside the
 // half-open box [lo, hi). Variance is clamped at zero: the sum-of-squares
 // identity var = E[x²] − E[x]² can go slightly negative under float64
@@ -207,10 +187,4 @@ func (t *Integral) MeanVar(lo, hi []int) (mean, variance float64, err error) {
 		variance = 0
 	}
 	return mean, variance, nil
-}
-
-// Variance returns the population variance inside the half-open box [lo, hi).
-func (t *Integral) Variance(lo, hi []int) (float64, error) {
-	_, v, err := t.MeanVar(lo, hi)
-	return v, err
 }

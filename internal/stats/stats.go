@@ -1,7 +1,7 @@
 // Package stats provides the statistical substrate used across the
-// compressor and the ratio-quality model: streaming moments, value-range
-// scans, histograms over integer quantization codes, and deterministic
-// sampling utilities.
+// compressor and the ratio-quality model: mean, variance and value-range
+// scans, quantiles, summed-area tables, and deterministic sampling
+// utilities.
 package stats
 
 import (
@@ -10,74 +10,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Moments accumulates count, mean, and variance online (Welford).
-// The zero value is an empty accumulator.
-type Moments struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds one observation into the accumulator.
-func (m *Moments) Add(x float64) {
-	if m.n == 0 {
-		m.min, m.max = x, x
-	} else {
-		if x < m.min {
-			m.min = x
-		}
-		if x > m.max {
-			m.max = x
-		}
-	}
-	m.n++
-	d := x - m.mean
-	m.mean += d / float64(m.n)
-	m.m2 += d * (x - m.mean)
-}
-
-// AddSlice folds every element of xs into the accumulator.
-func (m *Moments) AddSlice(xs []float64) {
-	for _, x := range xs {
-		m.Add(x)
-	}
-}
-
-// N returns the number of observations.
-func (m *Moments) N() int64 { return m.n }
-
-// Mean returns the running mean (0 when empty).
-func (m *Moments) Mean() float64 { return m.mean }
-
-// Variance returns the population variance (0 when fewer than 2 samples).
-func (m *Moments) Variance() float64 {
-	if m.n < 2 {
-		return 0
-	}
-	return m.m2 / float64(m.n)
-}
-
-// StdDev returns the population standard deviation.
-func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Min returns the smallest observation (0 when empty).
-func (m *Moments) Min() float64 { return m.min }
-
-// Max returns the largest observation (0 when empty).
-func (m *Moments) Max() float64 { return m.max }
-
-// Range returns max-min (the "minmax" value range used by PSNR).
-func (m *Moments) Range() float64 { return m.max - m.min }
-
-// Summary computes moments of a slice in one pass.
-func Summary(xs []float64) Moments {
-	var m Moments
-	m.AddSlice(xs)
-	return m
-}
 
 // MeanVar returns mean and population variance of xs using a numerically
 // stable two-pass algorithm (preferred for quality metrics).
@@ -184,65 +116,6 @@ func Quantile(xs []float64, q float64) float64 {
 		return cp[len(cp)-1]
 	}
 	return cp[i]*(1-frac) + cp[i+1]*frac
-}
-
-// CodeHistogram is a frequency table over signed quantization codes. Codes in
-// prediction-based compression concentrate around zero, so it is stored as a
-// map from code to count plus cached totals.
-type CodeHistogram struct {
-	Counts map[int32]int64
-	Total  int64
-}
-
-// NewCodeHistogram returns an empty histogram.
-func NewCodeHistogram() *CodeHistogram {
-	return &CodeHistogram{Counts: make(map[int32]int64)}
-}
-
-// Add increments the count of code by n.
-func (h *CodeHistogram) Add(code int32, n int64) {
-	h.Counts[code] += n
-	h.Total += n
-}
-
-// P returns the empirical probability of code.
-func (h *CodeHistogram) P(code int32) float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	return float64(h.Counts[code]) / float64(h.Total)
-}
-
-// TopP returns the probability of the most frequent code (the paper's p0)
-// and that code.
-func (h *CodeHistogram) TopP() (p float64, code int32) {
-	if h.Total == 0 {
-		return 0, 0
-	}
-	var best int64 = -1
-	for c, n := range h.Counts {
-		if n > best || (n == best && c < code) {
-			best, code = n, c
-		}
-	}
-	return float64(best) / float64(h.Total), code
-}
-
-// Entropy returns the Shannon entropy in bits per symbol.
-func (h *CodeHistogram) Entropy() float64 {
-	if h.Total == 0 {
-		return 0
-	}
-	var e float64
-	tot := float64(h.Total)
-	for _, n := range h.Counts {
-		if n == 0 {
-			continue
-		}
-		p := float64(n) / tot
-		e -= p * math.Log2(p)
-	}
-	return e
 }
 
 // XorShift64 is a tiny deterministic PRNG for reproducible sampling without

@@ -8,28 +8,6 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestMomentsBasic(t *testing.T) {
-	var m Moments
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		m.Add(x)
-	}
-	if m.N() != 8 {
-		t.Fatalf("N = %d", m.N())
-	}
-	if !almostEq(m.Mean(), 5, 1e-12) {
-		t.Fatalf("Mean = %v", m.Mean())
-	}
-	if !almostEq(m.Variance(), 4, 1e-12) {
-		t.Fatalf("Variance = %v", m.Variance())
-	}
-	if !almostEq(m.StdDev(), 2, 1e-12) {
-		t.Fatalf("StdDev = %v", m.StdDev())
-	}
-	if m.Min() != 2 || m.Max() != 9 || m.Range() != 7 {
-		t.Fatalf("min/max/range = %v/%v/%v", m.Min(), m.Max(), m.Range())
-	}
-}
-
 func TestMeanVarTwoPass(t *testing.T) {
 	mean, v := MeanVar([]float64{1, 2, 3, 4})
 	if !almostEq(mean, 2.5, 1e-15) || !almostEq(v, 1.25, 1e-15) {
@@ -92,37 +70,6 @@ func TestMeanVarMinMaxMatchesSeparateScans(t *testing.T) {
 		if got != want {
 			t.Errorf("MeanVarMinMax(%v) = %v %v %v %v, separate scans %v %v %v %v", xs, mean, v, lo, hi, wantMean, wantV, wantLo, wantHi)
 		}
-	}
-}
-
-func TestCodeHistogram(t *testing.T) {
-	h := NewCodeHistogram()
-	h.Add(0, 80)
-	h.Add(1, 10)
-	h.Add(-1, 10)
-	if h.Total != 100 {
-		t.Fatalf("Total = %d", h.Total)
-	}
-	if p := h.P(0); !almostEq(p, 0.8, 1e-15) {
-		t.Fatalf("P(0) = %v", p)
-	}
-	p0, c := h.TopP()
-	if !almostEq(p0, 0.8, 1e-15) || c != 0 {
-		t.Fatalf("TopP = %v, %d", p0, c)
-	}
-	want := -(0.8*math.Log2(0.8) + 0.2*math.Log2(0.1))
-	if e := h.Entropy(); !almostEq(e, want, 1e-12) {
-		t.Fatalf("Entropy = %v want %v", e, want)
-	}
-}
-
-func TestEntropyUniform(t *testing.T) {
-	h := NewCodeHistogram()
-	for c := int32(0); c < 16; c++ {
-		h.Add(c, 7)
-	}
-	if e := h.Entropy(); !almostEq(e, 4, 1e-12) {
-		t.Fatalf("uniform-16 entropy = %v, want 4", e)
 	}
 }
 
@@ -207,14 +154,15 @@ func TestXorShiftRanges(t *testing.T) {
 
 func TestNormFloat64Moments(t *testing.T) {
 	rng := NewXorShift64(99)
-	var m Moments
-	for i := 0; i < 200000; i++ {
-		m.Add(rng.NormFloat64())
+	xs := make([]float64, 200000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
 	}
-	if math.Abs(m.Mean()) > 0.02 {
-		t.Fatalf("normal mean = %v", m.Mean())
+	mean, variance := MeanVar(xs)
+	if math.Abs(mean) > 0.02 {
+		t.Fatalf("normal mean = %v", mean)
 	}
-	if math.Abs(m.Variance()-1) > 0.03 {
-		t.Fatalf("normal variance = %v", m.Variance())
+	if math.Abs(variance-1) > 0.03 {
+		t.Fatalf("normal variance = %v", variance)
 	}
 }

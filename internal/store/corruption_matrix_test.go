@@ -63,7 +63,7 @@ func TestCorruptionMatrixContainer(t *testing.T) {
 		if _, merr := s.Manifest("matrix"); merr != nil {
 			t.Fatalf("offset %d: manifest read broke on a container flip: %v", off, merr)
 		}
-		if _, rerr := s.ReadRange("matrix", 0, m.TotalValues); rerr != nil && !typedCorruption(rerr) {
+		if _, rerr := readRange(s, "matrix", 0, m.TotalValues); rerr != nil && !typedCorruption(rerr) {
 			t.Fatalf("offset %d: untyped read error: %v", off, rerr)
 		}
 
@@ -205,7 +205,7 @@ func TestCorruptionMatrixProfileSamples(t *testing.T) {
 		if _, err := s.Manifest("smatrix"); err != nil {
 			t.Fatalf("%s: stat: %v", when, err)
 		}
-		if _, err := s.ReadRange("smatrix", 100, 1000); err != nil {
+		if _, err := readRange(s, "smatrix", 100, 1000); err != nil {
 			t.Fatalf("%s: slice: %v", when, err)
 		}
 	}

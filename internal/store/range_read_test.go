@@ -41,7 +41,7 @@ func TestReadRangeAllocatesOnlyItsValues(t *testing.T) {
 			}
 			for i, v := range vals {
 				if math.Float64bits(v) != math.Float64bits(full[tc.off+int64(i)]) {
-					t.Fatalf("ReadRange(%d, %d)[%d] = %v, the full read has %v", tc.off, tc.n, i, v, full[tc.off+int64(i)])
+					t.Fatalf("ReadRangeWith(%d, %d)[%d] = %v, the full read has %v", tc.off, tc.n, i, v, full[tc.off+int64(i)])
 				}
 			}
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
@@ -50,7 +50,7 @@ func TestReadRangeAllocatesOnlyItsValues(t *testing.T) {
 			continue // sync.Pool drops Puts at random under the race detector
 		}
 		if over := int64(least) - 8*tc.n; over > 32<<10 {
-			t.Errorf("ReadRange(%d, %d) allocates %d bytes beyond its %d values' %d", tc.off, tc.n, over, tc.n, 8*tc.n)
+			t.Errorf("ReadRangeWith(%d, %d) allocates %d bytes beyond its %d values' %d", tc.off, tc.n, over, tc.n, 8*tc.n)
 		}
 	}
 }
@@ -84,7 +84,7 @@ func TestConcurrentRangeReadsShareNoBuffer(t *testing.T) {
 				}
 				for i, v := range vals {
 					if math.Float64bits(v) != math.Float64bits(full[off+int64(i)]) {
-						t.Errorf("ReadRange(%d, %d)[%d] = %v, want %v", off, n, i, v, full[off+int64(i)])
+						t.Errorf("ReadRangeWith(%d, %d)[%d] = %v, want %v", off, n, i, v, full[off+int64(i)])
 						return
 					}
 				}

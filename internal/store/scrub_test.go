@@ -315,7 +315,7 @@ func TestVerifyDatasetAndReadsAreTypedUnderInjectedCorruption(t *testing.T) {
 	if err := s.VerifyLoaded("inj", m, false); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("verify against the held manifest under flip: %v", err)
 	}
-	if _, err := s.ReadRange("inj", 0, 2048); !errors.Is(err, store.ErrCorruptDataset) {
+	if _, err := readRange(s, "inj", 0, 2048); !errors.Is(err, store.ErrCorruptDataset) {
 		t.Fatalf("read under flip: %v", err)
 	}
 

@@ -151,7 +151,7 @@ type Store struct {
 	fs   ReadFS     // read-side file access (SetReadFS interposes faults)
 
 	writes     atomic.Int64 // container (re)writes committed
-	chunkReads atomic.Int64 // chunks decompressed by ReadRange
+	chunkReads atomic.Int64 // chunks decompressed by range reads
 
 	// bytesStored / datasetCount / residualBytes are gauges maintained
 	// incrementally on Put/Delete (initialized by one scan at Open), so a
@@ -659,21 +659,11 @@ func (s *Store) Delete(name string) error {
 	return nil
 }
 
-// ReadRange decompresses elements [off, off+n) of a dataset — and only the
-// chunks covering them.
-func (s *Store) ReadRange(name string, off, n int64) ([]float64, error) {
-	m, err := s.Manifest(name)
-	if err != nil {
-		return nil, err
-	}
-	return s.ReadRangeWith(m, off, n)
-}
-
-// ReadRangeWith is ReadRange against an already-loaded manifest, sparing
-// the hot random-access path a second manifest parse. The manifest's chunk
-// index maps the element range to chunk records; each needed chunk is read
-// at its offset, CRC-verified, and decoded; everything else stays untouched
-// on disk.
+// ReadRangeWith decompresses elements [off, off+n) of the dataset that the
+// loaded manifest m describes, sparing the hot random-access path a second
+// manifest parse. m's chunk index maps the range to chunk records; each
+// needed chunk is read at its offset, CRC-verified, and decoded; everything
+// else stays untouched on disk.
 func (s *Store) ReadRangeWith(m *Manifest, off, n int64) ([]float64, error) {
 	return s.readRange(m, off, n, false, nil)
 }

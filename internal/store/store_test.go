@@ -31,6 +31,16 @@ func testField(t testing.TB, n int) *rqm.Field {
 	return f
 }
 
+// readRange reads elements [off, off+n) of a dataset as the service's slice
+// handler does: its manifest, then ReadRangeWith.
+func readRange(s *store.Store, name string, off, n int64) ([]float64, error) {
+	m, err := s.Manifest(name)
+	if err != nil {
+		return nil, err
+	}
+	return s.ReadRangeWith(m, off, n)
+}
+
 // putField admits f with a fixed ABS bound, chunkValues per chunk, and a
 // cached profile — the same flow the service's put handler runs.
 func putField(t testing.TB, s *store.Store, name string, f *rqm.Field, chunkValues int, absEB float64) *store.Manifest {
@@ -269,12 +279,12 @@ func TestCrashSafetyHalfWrittenPut(t *testing.T) {
 		t.Fatalf("staging debris survived reopen: %v", err)
 	}
 	// The survivor still round-trips.
-	vals, err := s2.ReadRange("survivor", 0, 1024)
+	vals, err := readRange(s2, "survivor", 0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(vals) != 1024 {
-		t.Fatalf("ReadRange returned %d values", len(vals))
+		t.Fatalf("readRange returned %d values", len(vals))
 	}
 }
 
@@ -311,19 +321,19 @@ func TestReadRangeDecompressesOnlyCoveredChunks(t *testing.T) {
 	}
 	for _, tc := range cases {
 		before := s.ChunkReads()
-		vals, err := s.ReadRange("sliced", tc.off, tc.n)
+		vals, err := readRange(s, "sliced", tc.off, tc.n)
 		if err != nil {
-			t.Fatalf("ReadRange(%d, %d): %v", tc.off, tc.n, err)
+			t.Fatalf("readRange(%d, %d): %v", tc.off, tc.n, err)
 		}
 		if got := s.ChunkReads() - before; got != tc.wantChunks {
-			t.Errorf("ReadRange(%d, %d) decompressed %d chunks, want %d", tc.off, tc.n, got, tc.wantChunks)
+			t.Errorf("readRange(%d, %d) decompressed %d chunks, want %d", tc.off, tc.n, got, tc.wantChunks)
 		}
 		if int64(len(vals)) != tc.n {
-			t.Fatalf("ReadRange(%d, %d) returned %d values", tc.off, tc.n, len(vals))
+			t.Fatalf("readRange(%d, %d) returned %d values", tc.off, tc.n, len(vals))
 		}
 		for i, v := range vals {
 			if v != full.Data[tc.off+int64(i)] {
-				t.Fatalf("ReadRange(%d, %d)[%d] = %v, full decompress has %v",
+				t.Fatalf("readRange(%d, %d)[%d] = %v, full decompress has %v",
 					tc.off, tc.n, i, v, full.Data[tc.off+int64(i)])
 			}
 		}
@@ -331,8 +341,8 @@ func TestReadRangeDecompressesOnlyCoveredChunks(t *testing.T) {
 
 	// Out-of-range requests are typed errors.
 	for _, tc := range [][2]int64{{-1, 10}, {0, 0}, {0, total + 1}, {total, 1}} {
-		if _, err := s.ReadRange("sliced", tc[0], tc[1]); !errors.Is(err, store.ErrBadRange) {
-			t.Errorf("ReadRange(%d, %d) = %v, want ErrBadRange", tc[0], tc[1], err)
+		if _, err := readRange(s, "sliced", tc[0], tc[1]); !errors.Is(err, store.ErrBadRange) {
+			t.Errorf("readRange(%d, %d) = %v, want ErrBadRange", tc[0], tc[1], err)
 		}
 	}
 }
@@ -653,19 +663,19 @@ func TestReadRangeOverVariableChunks(t *testing.T) {
 	for _, tc := range cases {
 		off, n := tc[0], tc[1]
 		before := s.ChunkReads()
-		vals, err := s.ReadRange("quad", off, n)
+		vals, err := readRange(s, "quad", off, n)
 		if err != nil {
-			t.Fatalf("ReadRange(%d, %d): %v", off, n, err)
+			t.Fatalf("readRange(%d, %d): %v", off, n, err)
 		}
 		if got, want := s.ChunkReads()-before, coveringChunks(off, n); got != want {
-			t.Errorf("ReadRange(%d, %d) decompressed %d chunks, want %d", off, n, got, want)
+			t.Errorf("readRange(%d, %d) decompressed %d chunks, want %d", off, n, got, want)
 		}
 		if int64(len(vals)) != n {
-			t.Fatalf("ReadRange(%d, %d) returned %d values", off, n, len(vals))
+			t.Fatalf("readRange(%d, %d) returned %d values", off, n, len(vals))
 		}
 		for i, v := range vals {
 			if math.Float64bits(v) != math.Float64bits(full.Data[off+int64(i)]) {
-				t.Fatalf("ReadRange(%d, %d)[%d] = %v, full decompress has %v", off, n, i, v, full.Data[off+int64(i)])
+				t.Fatalf("readRange(%d, %d)[%d] = %v, full decompress has %v", off, n, i, v, full.Data[off+int64(i)])
 			}
 		}
 	}
