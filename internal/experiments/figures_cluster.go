@@ -219,24 +219,16 @@ func Figure14(cfg Config, w io.Writer) (*Figure14Result, error) {
 	}
 	trad.Summary = dumpmodel.Summarize(trad.Reports)
 
-	// In-situ TAE: each snapshot tries the candidates online, largest first,
-	// and stops at the first that meets the target, which is the largest
-	// such bound (the last candidate when none does); the optimization cost
-	// is the trial compressions. It then compresses with the pick.
+	// In-situ TAE: each snapshot runs the offline pick online, on itself
+	// alone; the optimization cost is its trial compressions. It then
+	// compresses with the pick.
 	var tae Figure14Strategy
 	tae.Name = "TAE"
 	for _, f := range ds.Fields {
 		optStart := time.Now()
-		best := cands[len(cands)-1]
-		for _, eb := range cands {
-			_, psnr, err := trialPSNR(f, predictor.Interpolation, eb, compressor.LosslessFlate)
-			if err != nil {
-				return nil, err
-			}
-			if psnr >= target {
-				best = eb
-				break
-			}
+		best, err := offlineBound([]*grid.Field{f}, cands, target)
+		if err != nil {
+			return nil, err
 		}
 		optCPU := time.Since(optStart)
 		start := time.Now()

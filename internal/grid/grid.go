@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+
+	"rqm/internal/stats"
 )
 
 // Precision records how the original data was stored on disk. Compression
@@ -285,21 +287,7 @@ func (f *Field) OriginalBytes() int64 {
 }
 
 // ValueRange scans for (min, max).
-func (f *Field) ValueRange() (lo, hi float64) {
-	if len(f.Data) == 0 {
-		return 0, 0
-	}
-	lo, hi = f.Data[0], f.Data[0]
-	for _, v := range f.Data[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
-}
+func (f *Field) ValueRange() (lo, hi float64) { return stats.MinMax(f.Data) }
 
 // Block describes an axis-aligned sub-box of a field: Origin coordinates and
 // Size per dimension (clipped at field edges by Blocks).

@@ -42,174 +42,108 @@ func maxLevelFor(dims []int) int {
 	return l
 }
 
-// walkInterp is the multilevel walk: the anchor, then every level from
-// coarse to fine, sweeping each dimension in turn.
+// walkInterp is the multilevel walk: the anchor, then every sweep.
 func walkInterp[E Emitter](dims []int, work []float64, cubic bool, e E) {
 	e.Emit(0, 0) // anchor point: predicted as 0
 	st := grid.Strides(dims)
+	interpLines(dims, st, func(d, s, base int) {
+		dim, std := dims[d], st[d]
+		for c := s; c < dim; c += 2 * s {
+			idx := base + c*std
+			e.Emit(idx, interpAt(work, idx, c, s, s*std, dim, cubic))
+		}
+	})
+}
+
+// interpLines visits every sweep's lines in walk order: levels from coarse
+// to fine, at each level the sweep along every dimension d in turn. A sweep
+// predicts the points whose coordinate along d is an odd multiple of the
+// level's stride s, with coords along dims < d on the s-grid and dims > d
+// on the 2s-grid; line receives d, s and the offset of each line's point
+// at coordinate 0 along d.
+func interpLines(dims, st []int, line func(d, s, base int)) {
+	rank := len(dims)
 	for level := maxLevelFor(dims); level >= 1; level-- {
 		s := 1 << (level - 1)
 		for d := range dims {
-			sweep(dims, st, work, d, s, cubic, e)
+			if s >= dims[d] {
+				continue // no odd multiple of s inside this dimension
+			}
+			// Odometer over the free dims; rank <= 4, so nothing is
+			// allocated per sweep.
+			var coords [4]int
+			coord := coords[:rank]
+			for {
+				base := 0
+				for j := range coord {
+					base += coord[j] * st[j]
+				}
+				line(d, s, base)
+				j := rank - 1
+				for ; j >= 0; j-- {
+					if j == d {
+						continue
+					}
+					if j < d {
+						coord[j] += s
+					} else {
+						coord[j] += 2 * s
+					}
+					if coord[j] < dims[j] {
+						break
+					}
+					coord[j] = 0
+				}
+				if j < 0 {
+					break
+				}
+			}
 		}
 	}
 }
 
-// sweep predicts all points whose coordinate along dim d is an odd multiple
-// of s, with coords along dims < d on the s-grid and dims > d on the 2s-grid.
-// e receives the flat index and the interpolated prediction (reading from
-// work, which holds known values).
-func sweep[E Emitter](dims, st []int, work []float64, d, s int, cubic bool, e E) {
-	rank := len(dims)
-	if s >= dims[d] {
-		return // no odd multiple of s inside this dimension
+// interpAt is the interpolated prediction at idx, coordinate c of its line
+// along a dimension of extent dim, from the known points s away, o apart in
+// work (and 3s away for the cubic spline, where all four lie in the line).
+func interpAt(work []float64, idx, c, s, o, dim int, cubic bool) float64 {
+	a := work[idx-o] // coord c-s always >= 0
+	if cubic && c >= 3*s && c+3*s < dim {
+		return (-work[idx-3*o] + 9*a + 9*work[idx+o] - work[idx+3*o]) / 16
 	}
-	// Odometer over the free dims.
-	coord := make([]int, rank)
-	steps := make([]int, rank)
-	for j := 0; j < rank; j++ {
-		if j < d {
-			steps[j] = s
-		} else {
-			steps[j] = 2 * s
-		}
+	if c+s < dim {
+		return (a + work[idx+o]) / 2
 	}
-	stD := st[d]
-	dimD := dims[d]
-	for {
-		// Base offset for this line (coord[d] == 0 here).
-		base := 0
-		for j := 0; j < rank; j++ {
-			if j != d {
-				base += coord[j] * st[j]
-			}
-		}
-		for c := s; c < dimD; c += 2 * s {
-			idx := base + c*stD
-			a := work[idx-s*stD] // coord c-s always >= 0
-			var pred float64
-			hasB := c+s < dimD
-			if cubic && c-3*s >= 0 && c+3*s < dimD {
-				a3 := work[idx-3*s*stD]
-				b1 := work[idx+s*stD]
-				b3 := work[idx+3*s*stD]
-				pred = (-a3 + 9*a + 9*b1 - b3) / 16
-			} else if hasB {
-				pred = (a + work[idx+s*stD]) / 2
-			} else {
-				pred = a
-			}
-			e.Emit(idx, pred)
-		}
-		// Advance the odometer over free dims.
-		j := rank - 1
-		for ; j >= 0; j-- {
-			if j == d {
-				continue
-			}
-			coord[j] += steps[j]
-			if coord[j] < dims[j] {
-				break
-			}
-			coord[j] = 0
-		}
-		if j < 0 {
-			return
-		}
-	}
+	return a
 }
 
 // SampleErrors uses the paper's level-aware strategy: every sweep point is a
 // candidate and is sampled with uniform probability, which makes the number
 // of samples per level shrink by 2^-rank from fine to coarse exactly as the
-// level populations do. Predictions use original values (§III-C4).
+// level populations do. Predictions use original values (§III-C4), through
+// the walk's lines and formula.
 //
-// The pass is O(sample): sweep positions are enumerated cheaply and the
-// interpolation arithmetic runs only for the points the RNG actually picks.
-// The RNG is consumed once per sweep point in sweep order — exactly as the
-// previous compute-then-discard implementation did — so the sampled set
-// (and therefore every model profile) is unchanged.
+// The pass is O(sample): the interpolation arithmetic runs only for the
+// points the RNG picks. The RNG is drawn once per sweep point, in sweep
+// order, picked or not.
 func (p interpPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
-	dims := f.Dims
-	st := grid.Strides(dims)
+	dims, st := f.Dims, f.Strides()
 	rng := stats.NewXorShift64(seed)
 	out := make([]float64, 0, sampleCap(f.Len(), rate))
-	for level := maxLevelFor(dims); level >= 1; level-- {
-		s := 1 << (level - 1)
-		for d := range dims {
-			out = p.sweepSampled(dims, st, f.Data, d, s, rng, rate, out)
-		}
-	}
-	if len(out) == 0 && f.Len() > 1 {
-		// Degenerate rate: fall back to one deterministic sample.
-		sweep(dims, st, f.Data, 0, 1, p.cubic, emitFunc(func(idx int, pred float64) {
-			if len(out) == 0 {
-				out = append(out, pred-f.Data[idx])
+	interpLines(dims, st, func(d, s, base int) {
+		// got is local, so each append stays off the captured out.
+		data, dim, std, got := f.Data, dims[d], st[d], out
+		for c := s; c < dim; c += 2 * s {
+			if rng.Float64() < rate {
+				idx := base + c*std
+				got = append(got, interpAt(data, idx, c, s, s*std, dim, p.cubic)-data[idx])
 			}
-		}))
+		}
+		out = got
+	})
+	if len(out) == 0 && dims[0] > 1 {
+		// Degenerate rate: fall back to one deterministic sample, the first
+		// point of the finest sweep along dimension 0.
+		out = append(out, interpAt(f.Data, st[0], 1, 1, st[0], dims[0], p.cubic)-f.Data[st[0]])
 	}
 	return out
-}
-
-// sweepSampled walks the same positions as sweep but computes the
-// interpolation only for sampled points, appending (pred − original) to out.
-func (p interpPredictor) sweepSampled(dims, st []int, work []float64, d, s int,
-	rng *stats.XorShift64, rate float64, out []float64) []float64 {
-	rank := len(dims)
-	if s >= dims[d] {
-		return out
-	}
-	var coords, stepsBuf [4]int // rank <= 4: no allocation per sweep
-	coord, steps := coords[:rank], stepsBuf[:rank]
-	for j := 0; j < rank; j++ {
-		if j < d {
-			steps[j] = s
-		} else {
-			steps[j] = 2 * s
-		}
-	}
-	stD := st[d]
-	dimD := dims[d]
-	for {
-		base := 0
-		for j := 0; j < rank; j++ {
-			if j != d {
-				base += coord[j] * st[j]
-			}
-		}
-		for c := s; c < dimD; c += 2 * s {
-			if rng.Float64() >= rate {
-				continue
-			}
-			idx := base + c*stD
-			a := work[idx-s*stD]
-			var pred float64
-			hasB := c+s < dimD
-			if p.cubic && c-3*s >= 0 && c+3*s < dimD {
-				a3 := work[idx-3*s*stD]
-				b1 := work[idx+s*stD]
-				b3 := work[idx+3*s*stD]
-				pred = (-a3 + 9*a + 9*b1 - b3) / 16
-			} else if hasB {
-				pred = (a + work[idx+s*stD]) / 2
-			} else {
-				pred = a
-			}
-			out = append(out, pred-work[idx])
-		}
-		j := rank - 1
-		for ; j >= 0; j-- {
-			if j == d {
-				continue
-			}
-			coord[j] += steps[j]
-			if coord[j] < dims[j] {
-				break
-			}
-			coord[j] = 0
-		}
-		if j < 0 {
-			return out
-		}
-	}
 }

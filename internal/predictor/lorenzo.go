@@ -1,6 +1,7 @@
 package predictor
 
 import (
+	"math"
 	"math/bits"
 
 	"rqm/internal/grid"
@@ -38,15 +39,20 @@ func walkLorenzo1D[E Emitter](n int, work []float64, e E) {
 
 func walkLorenzo2[E Emitter](n int, work []float64, e E) {
 	for i := 0; i < n; i++ {
-		var pred float64
-		switch {
-		case i >= 2:
-			pred = 2*work[i-1] - work[i-2]
-		case i == 1:
-			pred = work[0]
-		}
-		e.Emit(i, pred)
+		e.Emit(i, lorenzo2At(work, i))
 	}
+}
+
+// lorenzo2At is the order-2 Lorenzo prediction at i: the line through the
+// two previous values, the previous value alone at i = 1, 0 at i = 0.
+func lorenzo2At(work []float64, i int) float64 {
+	switch {
+	case i >= 2:
+		return 2*work[i-1] - work[i-2]
+	case i == 1:
+		return work[0]
+	}
+	return 0
 }
 
 func walkLorenzo2D[E Emitter](dims []int, work []float64, e E) {
@@ -109,9 +115,7 @@ func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
 // (used for 4-D).
 func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	rank := len(dims)
-	var off [15]int
-	var add [15]bool
-	terms := newLorenzoTerms(grid.Strides(dims), off[:], add[:])
+	terms := newLorenzoTerms(grid.Strides(dims))
 	n := totalLen(dims)
 	coord := make([]int, rank)
 	for idx := 0; idx < n; idx++ {
@@ -126,27 +130,50 @@ func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
 	}
 }
 
+// walkOrders lists, for ranks 1–3, the dimension masks in the order that
+// rank's walk sums its neighbours: west, north, northwest in 2-D, and
+// f100+f010+f001−f110−f101−f011+f111 in 3-D (bit d of a mask is dimension
+// d). Rank 4 has no entry: walkLorenzoND is predict, in mask order.
+var walkOrders = [4][]uint{1: {1}, 2: {2, 1, 3}, 3: {1, 2, 4, 3, 5, 6, 7}}
+
 // lorenzoTerms is the inclusion–exclusion stencil of the order-1 Lorenzo
-// predictor at one field's strides: for each nonempty dimension mask, in
-// mask order, the backward neighbour's distance from the point and whether
-// it is added (an odd number of dimensions) or subtracted.
+// predictor at one field's strides, in the order its walk sums: for each
+// nonempty dimension mask, the backward neighbour's distance from the point
+// and its sign, +1 for an odd number of dimensions and −1 for an even.
 type lorenzoTerms struct {
-	off []int
-	add []bool
+	n    int
+	mask [15]uint
+	off  [15]int
+	sign [15]float64
+	// origin starts the sum. The walks at ranks 1–3 start from their first
+	// term, which −0 + x reproduces for every x, −0 included; walkLorenzoND
+	// starts from +0.
+	origin float64
 }
 
-// newLorenzoTerms builds the stencil in off and add, zeroed and at least
-// 2^len(st)−1 long (15 at rank 4), which may live on the caller's stack.
-func newLorenzoTerms(st, off []int, add []bool) lorenzoTerms {
-	n := 1<<len(st) - 1
-	t := lorenzoTerms{off: off[:n], add: add[:n]}
-	for mask := 1; mask <= n; mask++ {
+// newLorenzoTerms builds the stencil for strides st (rank 1–4).
+func newLorenzoTerms(st []int) lorenzoTerms {
+	t := lorenzoTerms{n: 1<<len(st) - 1}
+	var order []uint
+	if len(st) < 4 {
+		order = walkOrders[len(st)]
+		t.origin = math.Copysign(0, -1)
+	}
+	for i := range t.n {
+		m := uint(i + 1)
+		if order != nil {
+			m = order[i]
+		}
+		t.mask[i] = m
 		for d := range st {
-			if mask&(1<<d) != 0 {
-				t.off[mask-1] += st[d]
+			if m&(1<<d) != 0 {
+				t.off[i] += st[d]
 			}
 		}
-		t.add[mask-1] = bits.OnesCount(uint(mask))%2 == 1
+		t.sign[i] = 1
+		if bits.OnesCount(m)%2 == 0 {
+			t.sign[i] = -1
+		}
 	}
 	return t
 }
@@ -163,29 +190,30 @@ func zeroMask(coord []int) uint {
 	return z
 }
 
-// predict is the Lorenzo prediction at idx from the terms whose dimensions
-// all have a backward neighbour (none in zero), summed in mask order.
-func (t lorenzoTerms) predict(work []float64, idx int, zero uint) float64 {
-	var pred float64
-	for m, off := range t.off {
-		if uint(m+1)&zero != 0 {
-			continue
+// predict is the Lorenzo prediction at idx, summed in the stencil's order
+// with the terms that lack a backward neighbour (a dimension in zero) as 0,
+// as the walks sum them. Multiplying by a sign is exact, so pred + sign·v
+// rounds as pred ± v does, without a branch per term.
+func (t *lorenzoTerms) predict(work []float64, idx int, zero uint) float64 {
+	pred := t.origin
+	for i, m := range t.mask[:t.n] {
+		var v float64
+		if m&zero == 0 {
+			v = work[idx-t.off[i]]
 		}
-		if t.add[m] {
-			pred += work[idx-off]
-		} else {
-			pred -= work[idx-off]
-		}
+		pred += t.sign[i] * v
 	}
 	return pred
 }
 
 // SampleErrors for Lorenzo: random point sampling; for each sampled point the
 // Lorenzo prediction is computed from *original* neighbor values (paper
-// §III-C1 and §III-C4). The very first point has no neighbors (prediction 0,
-// a giant outlier the compressor effectively stores raw), so it is excluded
-// from the error distribution. The sampled indices ascend, so each point's
-// coordinates advance from the last one's, dividing only on a carry.
+// §III-C1 and §III-C4) with the walk's arithmetic: lorenzo2At at order 2,
+// the stencil in the walk's summation order at order 1. The very first
+// point has no neighbors (prediction 0, a giant outlier the compressor
+// effectively stores raw), so it is excluded from the error distribution.
+// The sampled indices ascend, so each point's coordinates advance from the
+// last one's, dividing only on a carry.
 func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
 	n := f.Len()
 	idxs := stats.SampleIndices(n, rate, seed)
@@ -197,9 +225,7 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 	for d, acc := len(dims)-1, 1; d >= 0; d-- {
 		st[d], acc = acc, acc*dims[d]
 	}
-	var off [15]int
-	var add [15]bool
-	terms := newLorenzoTerms(st[:len(dims)], off[:], add[:])
+	terms := newLorenzoTerms(st[:len(dims)])
 	coord := coords[:len(dims)]
 	prev := 0
 	for _, idx := range idxs {
@@ -218,12 +244,7 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 		}
 		var pred float64
 		if l.order == 2 {
-			switch {
-			case idx >= 2:
-				pred = 2*f.Data[idx-1] - f.Data[idx-2]
-			case idx == 1:
-				pred = f.Data[0]
-			}
+			pred = lorenzo2At(f.Data, idx)
 		} else {
 			pred = terms.predict(f.Data, idx, zeroMask(coord))
 		}

@@ -9,11 +9,10 @@ import (
 	"rqm/internal/stats"
 )
 
-// lorenzoPredictNDRef and sampleErrorsRef are the Lorenzo prediction and
-// sampling pass as they were before the term table: the stencil rebuilt per
-// point from its coordinates, the coordinates divided out of each sampled
-// index. They are the reference the table-driven code must match bit for
-// bit.
+// lorenzoPredictNDRef is the Lorenzo prediction as it was before the term
+// table: the stencil rebuilt per point from its coordinates, summed in mask
+// order. It is the reference the rank-4 walk and rank-4 sampling must match
+// bit for bit.
 func lorenzoPredictNDRef(work []float64, coord, st []int, rank, idx int) float64 {
 	var pred float64
 	for mask := 1; mask < 1<<rank; mask++ {
@@ -40,7 +39,13 @@ func lorenzoPredictNDRef(work []float64, coord, st []int, rank, idx int) float64
 	return pred
 }
 
-func sampleErrorsRef(l lorenzoPredictor, f *grid.Field, rate float64, seed uint64) []float64 {
+// sampleErrorsRef is the Lorenzo sampling pass as it was before the term
+// table, with the coordinates divided out of each sampled index. Its
+// prediction is lorenzoPredictNDRef's at rank 4 and, at order 2 and ranks
+// 1–3, the walk's own over the original values: those walks sum in their
+// own order, which the sampler must take.
+func sampleErrorsRef(t *testing.T, l lorenzoPredictor, f *grid.Field, rate float64, seed uint64) []float64 {
+	t.Helper()
 	n := f.Len()
 	idxs := stats.SampleIndices(n, rate, seed)
 	out := make([]float64, 0, len(idxs))
@@ -48,8 +53,21 @@ func sampleErrorsRef(l lorenzoPredictor, f *grid.Field, rate float64, seed uint6
 	rank := len(dims)
 	st := grid.Strides(dims)
 	coord := make([]int, rank)
+	var walked []float64
+	if l.order == 2 || rank < 4 {
+		walked = make([]float64, n)
+		if _, err := Encode(l.Kind(), dims, f.Data, emitFunc(func(idx int, pred float64) {
+			walked[idx] = pred
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, idx := range idxs {
 		if idx == 0 {
+			continue
+		}
+		if walked != nil {
+			out = append(out, walked[idx]-f.Data[idx])
 			continue
 		}
 		rem := idx
@@ -57,18 +75,7 @@ func sampleErrorsRef(l lorenzoPredictor, f *grid.Field, rate float64, seed uint6
 			coord[d] = rem % dims[d]
 			rem /= dims[d]
 		}
-		var pred float64
-		if l.order == 2 {
-			switch {
-			case idx >= 2:
-				pred = 2*f.Data[idx-1] - f.Data[idx-2]
-			case idx == 1:
-				pred = f.Data[0]
-			}
-		} else {
-			pred = lorenzoPredictNDRef(f.Data, coord, st, rank, idx)
-		}
-		out = append(out, pred-f.Data[idx])
+		out = append(out, lorenzoPredictNDRef(f.Data, coord, st, rank, idx)-f.Data[idx])
 	}
 	return out
 }
@@ -97,7 +104,7 @@ func TestLorenzoSamplingMatchesReference(t *testing.T) {
 		for _, p := range preds {
 			for _, rate := range []float64{0.001, 0.01, 0.1, 0.5, 1} {
 				for _, seed := range []uint64{1, 42, 0x5eed} {
-					got, want := p.SampleErrors(f, rate, seed), sampleErrorsRef(p, f, rate, seed)
+					got, want := p.SampleErrors(f, rate, seed), sampleErrorsRef(t, p, f, rate, seed)
 					if len(got) != len(want) {
 						t.Fatalf("%v order %d rate %g seed %d: %d errors, reference %d", dims, p.order, rate, seed, len(got), len(want))
 					}
@@ -111,7 +118,11 @@ func TestLorenzoSamplingMatchesReference(t *testing.T) {
 			}
 		}
 
-		// The walk: every index's prediction against the reference stencil.
+		// The rank-4 walk: every index's prediction against the reference
+		// stencil.
+		if len(dims) != 4 {
+			continue
+		}
 		st := grid.Strides(dims)
 		coord := make([]int, len(dims))
 		idx := 0

@@ -10,7 +10,13 @@
 //     replays it bit-exactly; and
 //   - the paper's sampling strategy (§III-C) that estimates the
 //     prediction-error distribution from original values only, which is what
-//     the ratio-quality model consumes.
+//     the ratio-quality model consumes. The sampler predicts with its walk's
+//     code and sums in the walk's order, so each sampled error is one the
+//     walk makes over the original values, bit for bit
+//     (FuzzSamplerMatchesWalk): interpolation shares the walk's line
+//     odometer and formula, order-2 Lorenzo and regression call the walk's
+//     prediction functions, and order-1 Lorenzo sums its stencil in the
+//     order of the rank's walk.
 //
 // The walks are generic over the Emitter, so each is written once for both
 // of the compressor's emitters. Emit is then called through the generic
@@ -90,11 +96,6 @@ func ParseKind(s string) (Kind, error) {
 type Emitter interface {
 	Emit(idx int, pred float64)
 }
-
-// emitFunc adapts a function to Emitter.
-type emitFunc func(idx int, pred float64)
-
-func (f emitFunc) Emit(idx int, pred float64) { f(idx, pred) }
 
 // Predictor is one prediction scheme bound to no particular field.
 type Predictor interface {

@@ -1,11 +1,18 @@
 package predictor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"rqm/internal/datagen"
+	"rqm/internal/grid"
 )
+
+// emitFunc adapts a function to Emitter.
+type emitFunc func(idx int, pred float64)
+
+func (f emitFunc) Emit(idx int, pred float64) { f(idx, pred) }
 
 // nop discards every prediction: the walk keeps the original values, so
 // predictions stay finite and every index is visited against known data.
@@ -381,6 +388,34 @@ func BenchmarkInterpWalk3D(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(Interpolation, dims, work, nop); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSampleErrors3D times the model's sampling pass over the 64³
+// field the walk benchmarks use, at the model's default rate (0.01) and at
+// rate 1, where the prediction arithmetic dominates.
+func BenchmarkSampleErrors3D(b *testing.B) {
+	work := make([]float64, 64*64*64)
+	for i := range work {
+		work[i] = math.Sin(float64(i) * 1e-3)
+	}
+	f, err := grid.FromData("bench", grid.Float64, work, 64, 64, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []Kind{Lorenzo, Interpolation} {
+		p, err := New(kind)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rate := range []float64{0.01, 1} {
+			b.Run(fmt.Sprintf("%s/rate=%g", kind, rate), func(b *testing.B) {
+				b.SetBytes(int64(len(work) * 8))
+				for b.Loop() {
+					p.SampleErrors(f, rate, 1)
+				}
+			})
 		}
 	}
 }

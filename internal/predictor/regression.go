@@ -80,7 +80,7 @@ func regressionPredict(coef []float64, local []int) float64 {
 func encodeRegression[E Emitter](dims []int, work []float64, e E) []byte {
 	st := grid.Strides(dims)
 	bls := grid.Blocks(dims, RegressionBlockEdge)
-	aux := make([]byte, 0, len(bls)*(len(dims)+1)*4)
+	aux := make([]byte, 0, regressionAuxBytes(dims, bls))
 	for _, b := range bls {
 		coef := fitBlock(st, b, work)
 		for _, c := range coef[:len(dims)+1] {
@@ -99,8 +99,7 @@ func decodeRegression[E Emitter](dims []int, work []float64, aux []byte, e E) er
 	st := grid.Strides(dims)
 	bls := grid.Blocks(dims, RegressionBlockEdge)
 	rank := len(dims)
-	need := len(bls) * (rank + 1) * 4
-	if len(aux) != need {
+	if need := regressionAuxBytes(dims, bls); len(aux) != need {
 		return fmt.Errorf("predictor: regression aux has %d bytes, want %d", len(aux), need)
 	}
 	var coef [5]float64
@@ -121,12 +120,17 @@ func decodeRegression[E Emitter](dims []int, work []float64, aux []byte, e E) er
 // predictor in bits per value for a field shape; the ratio-quality model
 // adds it to the estimated bit-rate.
 func AuxBitsPerValue(dims []int) float64 {
-	bls := grid.Blocks(dims, RegressionBlockEdge)
 	total := totalLen(dims)
 	if total == 0 {
 		return 0
 	}
-	return float64(len(bls)*(len(dims)+1)*32) / float64(total)
+	return float64(regressionAuxBytes(dims, grid.Blocks(dims, RegressionBlockEdge))*8) / float64(total)
+}
+
+// regressionAuxBytes is the size of the coefficient side channel: rank+1
+// float32 coefficients per block.
+func regressionAuxBytes(dims []int, bls []grid.Block) int {
+	return len(bls) * (len(dims) + 1) * 4
 }
 
 // SampleErrors samples whole blocks (paper §III-C3): a fraction `rate` of

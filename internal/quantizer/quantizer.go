@@ -36,9 +36,6 @@ func New(eb float64, radius int32) (*Quantizer, error) {
 	return &Quantizer{eb: eb, twoEB: 2 * eb, radius: radius}, nil
 }
 
-// ErrorBound returns the configured bound.
-func (q *Quantizer) ErrorBound() float64 { return q.eb }
-
 // Radius returns the maximum |code| representable.
 func (q *Quantizer) Radius() int32 { return q.radius }
 
@@ -59,11 +56,6 @@ func (q *Quantizer) Quantize(value, pred float64) (code int32, recon float64, ok
 		return 0, value, false
 	}
 	return code, recon, true
-}
-
-// Reconstruct inverts a code against a prediction.
-func (q *Quantizer) Reconstruct(pred float64, code int32) float64 {
-	return pred + float64(code)*q.twoEB
 }
 
 // CodeFor returns the code a prediction error `diff` maps to without range

@@ -26,8 +26,8 @@ func TestNewValidation(t *testing.T) {
 	if q.Radius() != DefaultRadius {
 		t.Fatalf("default radius = %d", q.Radius())
 	}
-	if q.ErrorBound() != 0.5 {
-		t.Fatalf("eb = %v", q.ErrorBound())
+	if q.eb != 0.5 || q.twoEB != 1 {
+		t.Fatalf("eb = %v, 2eb = %v", q.eb, q.twoEB)
 	}
 }
 
@@ -74,21 +74,25 @@ func TestQuantizeNaNPrediction(t *testing.T) {
 	}
 }
 
+// The decoder reconstructs pred + code·2eb; Quantize must hand back exactly
+// that.
 func TestReconstructInvertsQuantize(t *testing.T) {
-	q, _ := New(0.25, 0)
+	const eb = 0.25
+	q, _ := New(eb, 0)
 	code, recon, ok := q.Quantize(10.3, 9.0)
 	if !ok {
 		t.Fatal("not ok")
 	}
-	if got := q.Reconstruct(9.0, code); got != recon {
-		t.Fatalf("Reconstruct = %v, want %v", got, recon)
+	if got := 9.0 + float64(code)*(2*eb); got != recon {
+		t.Fatalf("pred + code·2eb = %v, want %v", got, recon)
 	}
 }
 
 // Property: for any finite value/pred within range, the reconstruction error
 // is bounded by eb, and decoder reconstruction matches encoder reconstruction.
 func TestQuickErrorBoundInvariant(t *testing.T) {
-	q, _ := New(0.01, 0)
+	const eb = 0.01
+	q, _ := New(eb, 0)
 	f := func(v, p float64) bool {
 		v = math.Mod(v, 1e6)
 		p = math.Mod(p, 1e6)
@@ -99,10 +103,10 @@ func TestQuickErrorBoundInvariant(t *testing.T) {
 		if !ok {
 			return recon == v // unpredictable path must hand back the original
 		}
-		if math.Abs(v-recon) > q.ErrorBound() {
+		if math.Abs(v-recon) > eb {
 			return false
 		}
-		return q.Reconstruct(p, code) == recon
+		return p+float64(code)*(2*eb) == recon
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

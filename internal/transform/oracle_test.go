@@ -130,13 +130,12 @@ func oracleCompress(f *grid.Field, opts Options) (*Result, error) {
 	out = append(out, payload...)
 
 	return &Result{Bytes: out, Stats: Stats{
-		N:                f.Len(),
-		OriginalBytes:    f.OriginalBytes(),
-		CompressedBytes:  int64(len(out)),
-		BitRate:          float64(len(out)) * 8 / float64(f.Len()),
-		Ratio:            float64(f.OriginalBytes()) / float64(len(out)),
-		PayloadBits:      classBits,
-		ClassEntropyBits: classBits,
+		N:               f.Len(),
+		OriginalBytes:   f.OriginalBytes(),
+		CompressedBytes: int64(len(out)),
+		BitRate:         float64(len(out)) * 8 / float64(f.Len()),
+		Ratio:           float64(f.OriginalBytes()) / float64(len(out)),
+		PayloadBits:     classBits,
 	}}, nil
 }
 

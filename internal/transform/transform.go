@@ -63,8 +63,6 @@ type Stats struct {
 	Ratio float64
 	// PayloadBits is the coefficient bitstream size.
 	PayloadBits uint64
-	// ClassEntropyBits is the Huffman share of PayloadBits (diagnostic).
-	ClassEntropyBits uint64
 }
 
 // Result is a compressed container plus statistics.
@@ -264,13 +262,12 @@ func Compress(f *grid.Field, opts Options) (*Result, error) {
 	out = append(out, payload...)
 
 	return &Result{Bytes: out, Stats: Stats{
-		N:                f.Len(),
-		OriginalBytes:    f.OriginalBytes(),
-		CompressedBytes:  int64(len(out)),
-		BitRate:          float64(len(out)) * 8 / float64(f.Len()),
-		Ratio:            float64(f.OriginalBytes()) / float64(len(out)),
-		PayloadBits:      classBits,
-		ClassEntropyBits: classBits,
+		N:               f.Len(),
+		OriginalBytes:   f.OriginalBytes(),
+		CompressedBytes: int64(len(out)),
+		BitRate:         float64(len(out)) * 8 / float64(f.Len()),
+		Ratio:           float64(f.OriginalBytes()) / float64(len(out)),
+		PayloadBits:     classBits,
 	}}, nil
 }
 
