@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 )
 
 // Chunked (envelope version 2) container: the streaming sibling of the
@@ -608,7 +609,7 @@ func GetValues() *[]float64 { return valuesPool.Get().(*[]float64) }
 
 // PutValues returns a GetValues buffer to the pool.
 func PutValues(b *[]float64) {
-	poisonValues(b)
+	poison.Floats(*b)
 	valuesPool.Put(b)
 }
 
@@ -622,7 +623,7 @@ func GetPayload() *bytes.Buffer { return payloadPool.Get().(*bytes.Buffer) }
 
 // PutPayload returns a GetPayload buffer to the pool.
 func PutPayload(pb *bytes.Buffer) {
-	poisonPayload(pb)
+	poison.Bytes(pb.Bytes())
 	payloadPool.Put(pb)
 }
 

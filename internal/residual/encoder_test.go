@@ -31,7 +31,7 @@ func TestEncoderMisuse(t *testing.T) {
 		{"blocks left at Close", 3, []int{512, 512}, 0},
 	} {
 		var buf bytes.Buffer
-		enc, err := NewEncoder(&buf, c, grid.Float64, orig, tc.nblocks)
+		enc, err := NewEncoder(&buf, c, grid.Float64, orig, nil, tc.nblocks)
 		if err != nil {
 			t.Fatal(err)
 		}

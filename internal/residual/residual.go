@@ -336,7 +336,7 @@ func Encode(w io.Writer, c Codec, prec grid.Precision, orig, recon []float64, bl
 	if len(orig) != len(recon) {
 		return 0, fmt.Errorf("residual: %d original values vs %d reconstructed", len(orig), len(recon))
 	}
-	enc, err := NewEncoder(w, c, prec, orig, len(blocks))
+	enc, err := NewEncoder(w, c, prec, orig, nil, len(blocks))
 	if err != nil {
 		return 0, err
 	}
@@ -365,16 +365,21 @@ type Encoder struct {
 	err    error
 }
 
-// NewEncoder hashes orig (OriginalHash) and writes the header of a residual
-// file of len(orig) values in nblocks blocks, each coded with c.
-func NewEncoder(w io.Writer, c Codec, prec grid.Precision, orig []float64, nblocks int) (*Encoder, error) {
+// NewEncoder writes the header of a residual file of len(orig) values in
+// nblocks blocks, each coded with c. The header carries origHash, which a
+// caller that has proved orig against a stored OriginalHash passes; nil
+// hashes orig (OriginalHash).
+func NewEncoder(w io.Writer, c Codec, prec grid.Precision, orig []float64, origHash *[32]byte, nblocks int) (*Encoder, error) {
 	width, err := widthOf(prec)
 	if err != nil {
 		return nil, err
 	}
-	origHash, err := OriginalHash(orig, prec)
-	if err != nil {
-		return nil, err
+	if origHash == nil {
+		sum, err := OriginalHash(orig, prec)
+		if err != nil {
+			return nil, err
+		}
+		origHash = &sum
 	}
 	hdr := binary.LittleEndian.AppendUint32(make([]byte, 0, HeaderSize), Magic)
 	hdr = append(hdr, Version, c.ID(), byte(width), 0) // the reserved byte

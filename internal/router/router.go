@@ -22,8 +22,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"rqm/internal/poison"
 	"rqm/internal/service"
 )
 
@@ -544,10 +546,13 @@ type shardResult struct {
 
 // exchange issues one request to sh and buffers its answer (up to
 // errBodyLimit); a nil body sends none.
-func (rt *Router) exchange(ctx context.Context, method string, sh *shardState, path, rawQuery string, hdr http.Header, body []byte) shardResult {
+func (rt *Router) exchange(ctx context.Context, method string, sh *shardState, path, rawQuery string, hdr http.Header, body *pooledBody) shardResult {
 	res := shardResult{sh: sh}
-	req, err := shardRequest(ctx, method, sh, path, rawQuery, hdr, bytes.NewReader(body))
+	req, err := shardRequest(ctx, method, sh, path, rawQuery, hdr, nil)
 	if err == nil {
+		if body != nil {
+			body.attach(req) // once built: the transport closes every copy
+		}
 		var resp *http.Response
 		if resp, err = rt.send(sh, req); err == nil {
 			res.status, res.header = resp.StatusCode, resp.Header
@@ -595,6 +600,7 @@ func (rt *Router) handlePut(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	defer body.release()
 	set := rt.writeTargets(name)
 	if len(set) == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
@@ -742,6 +748,7 @@ func (rt *Router) forwardThenSync(w http.ResponseWriter, r *http.Request, subpat
 	if !ok {
 		return
 	}
+	defer body.release()
 	healthy, _ := rt.candidates(name)
 	if len(healthy) == 0 {
 		rt.writeErr(w, http.StatusServiceUnavailable, "no_shards", "no healthy shards")
@@ -758,22 +765,72 @@ func (rt *Router) forwardThenSync(w http.ResponseWriter, r *http.Request, subpat
 	relayBuffered(w, res)
 }
 
-// bufferBody reads a mutation's request body (replayed across failover) up
-// to maxBody, answering the typed 413 itself when it is larger. A body that
-// declares its length lands in one buffer of that length (service.ReadBody).
-// The buffer is not pooled: the transport may still be reading a replayed
-// body after its exchange returns.
-func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int64) ([]byte, bool) {
-	var body []byte
+// pooledBody is a mutation body, buffered for mutateThenSync to replay after
+// a transport error. Its handler holds a reference until it returns, and
+// each request's copy one until the transport closes it, maybe after Do
+// returns. The last to let go returns it to bodyPool, poisoned under -race.
+type pooledBody struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(pooledBody) }}
+
+func (b *pooledBody) release() {
+	if b.refs.Add(-1) == 0 {
+		poison.Bytes(b.buf)
+		bodyPool.Put(b)
+	}
+}
+
+// attach sends b as req's body as http.NewRequest sends a bytes.Reader:
+// length declared, retries by GetBody, nothing at all when empty.
+func (b *pooledBody) attach(req *http.Request) {
+	if len(b.buf) > 0 {
+		req.ContentLength = int64(len(b.buf))
+		req.GetBody = func() (io.ReadCloser, error) { return b.reader(), nil }
+		req.Body = b.reader()
+	}
+}
+
+// reader is one request's copy of b, holding a reference that its first
+// Close drops: a transport may close a body more than once.
+func (b *pooledBody) reader() io.ReadCloser {
+	b.refs.Add(1)
+	return bodyReader{bytes.NewReader(b.buf), sync.OnceFunc(b.release)}
+}
+
+type bodyReader struct {
+	*bytes.Reader
+	close func()
+}
+
+func (r bodyReader) Close() error {
+	r.close()
+	return nil
+}
+
+// bufferBody reads a mutation's body, up to maxBody, into a pooled body
+// holding the caller's reference, or answers 413 body_too_large itself, and
+// 400 read_failed for any other failed read (a body ending before its
+// declared length). A declared length is read into one buffer of that size.
+func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int64) (*pooledBody, bool) {
+	b := bodyPool.Get().(*pooledBody)
+	b.refs.Store(1)
 	var err error = &http.MaxBytesError{Limit: maxBody} // declared over the cap
 	if r.ContentLength <= maxBody {
-		body, err = service.ReadBody(http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
+		b.buf, err = service.ReadBody(b.buf, http.MaxBytesReader(w, r.Body, maxBody), r.ContentLength)
 	}
-	if err != nil {
+	switch err.(type) {
+	case nil:
+		return b, true
+	case *http.MaxBytesError:
 		rt.writeErr(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", maxBody)
-		return nil, false
+	default:
+		rt.writeErr(w, http.StatusBadRequest, "read_failed", "reading the request body: %v", err)
 	}
-	return body, true
+	b.release()
+	return nil, false
 }
 
 // mutateThenSync is the one replicated-mutation primitive (put, recompact,
@@ -786,7 +843,7 @@ func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int
 // (res.sh nil: no shard answered), how many shards now hold the result —
 // the one that ran the mutation plus every synced member of set — and the
 // first failed sync's error, which names the shard it failed on.
-func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body []byte, try, set []*shardState) (shardResult, int, error) {
+func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body *pooledBody, try, set []*shardState) (shardResult, int, error) {
 	defer rt.lockName(name)()
 	for i, sh := range try {
 		res := rt.exchange(r.Context(), http.MethodPost, sh, datasetPath(name)+subpath, r.URL.RawQuery, r.Header, body)

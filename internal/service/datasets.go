@@ -23,6 +23,7 @@ import (
 	"rqm"
 	"rqm/internal/grid"
 	"rqm/internal/partition"
+	"rqm/internal/poison"
 	"rqm/internal/store"
 )
 
@@ -627,7 +628,7 @@ func rewriteDataset(req *request, m *store.Manifest, curAbs, newAbs float64, p *
 	}
 	var rb store.ResidualBuilder
 	if exact {
-		rb = store.BuildResidual(vals, m.Prec(), m.Residual.Backend)
+		rb = store.RebuildResidual(vals, m) // vals are proven: no second hash
 	}
 	lo, hi := f.ValueRange()
 	committed, err := req.commit(m, func(cw io.Writer) (*store.Manifest, error) {
@@ -753,6 +754,9 @@ func (s *Service) handleDatasetRawGet(req *request) error {
 	return ignoreWriteErr(err)
 }
 
+// frameBufs recycles the raw put's manifest buffers.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleDatasetRawPut admits an already-compressed dataset verbatim: the
 // body, as GET /raw serves it, is a 4-byte big-endian manifest length, the
 // full manifest JSON in its wire form (store.WireVersion), the container
@@ -794,19 +798,26 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 	}
 	// The length prefix alone sizes nothing: the manifest buffer starts at
 	// the bytes already received and grows as more arrive, so a short body
-	// declaring 16 MiB allocates little.
-	mbuf, err := ReadBody(io.LimitReader(br, int64(mlen)), int64(min(int(mlen), br.Buffered())))
+	// declaring 16 MiB allocates little. The buffer is pooled and goes back
+	// once ParseManifest returns: json.Unmarshal copies what it keeps.
+	mb := frameBufs.Get().(*[]byte)
+	var m *store.Manifest
+	mbuf, err := ReadBody(*mb, io.LimitReader(br, int64(mlen)), int64(min(int(mlen), br.Buffered())))
 	if err == nil && len(mbuf) < int(mlen) {
 		err = io.ErrUnexpectedEOF
 	}
 	if err != nil {
-		return errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest truncated: %v", err)
-	}
-	m, err := store.ParseManifest(mbuf)
-	if err != nil {
+		err = errf(http.StatusBadRequest, "bad_manifest", "raw put: manifest truncated: %v", err)
+	} else if m, err = store.ParseManifest(mbuf); err != nil {
 		// The manifest is client input here, not stored state: a parse
 		// failure is the caller's 400, not the store's 500.
-		return errf(http.StatusBadRequest, "bad_manifest", "raw put: %v", err)
+		err = errf(http.StatusBadRequest, "bad_manifest", "raw put: %v", err)
+	}
+	poison.Bytes(mbuf)
+	*mb = mbuf
+	frameBufs.Put(mb)
+	if err != nil {
+		return err
 	}
 	if m.Name != name {
 		return errf(http.StatusBadRequest, "bad_manifest",

@@ -33,6 +33,7 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,6 +43,7 @@ import (
 
 	"rqm"
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 	"rqm/internal/store"
 )
 
@@ -1051,20 +1053,21 @@ func releaseReader(br *bufio.Reader) {
 	readerPool.Put(br)
 }
 
-// ReadBody is io.ReadAll for a body expected to be n bytes long, as a
-// request declares in its Content-Length (n < 0: unknown, read as
-// io.ReadAll reads). A body of n bytes lands in one buffer of n bytes, read
-// once, instead of one grown from 512 bytes by a copy per doubling. n
-// alone reserves no more than grid.MaxPrealloc float64s' worth: beyond
-// that, and beyond n, the buffer grows only as bytes arrive, so a false
-// Content-Length cannot drive a huge allocation from a tiny body.
-func ReadBody(r io.Reader, n int64) ([]byte, error) {
-	if n < 0 {
-		return io.ReadAll(r)
-	}
+// ReadBody is io.ReadAll into dst's storage (a pooled buffer, or nil) for a
+// body expected to be n bytes long, as a request declares in its
+// Content-Length (n < 0: unknown). A body of n bytes lands in one buffer of
+// n bytes, read once, instead of one grown from 512 bytes by a copy per
+// doubling. n alone reserves no more than grid.MaxPrealloc float64s' worth:
+// beyond that, and beyond n, the buffer grows only as bytes arrive, so a
+// false Content-Length cannot drive a huge allocation from a tiny body.
+func ReadBody(dst []byte, r io.Reader, n int64) ([]byte, error) {
 	// One byte past n: the read that finds the end has room to land, so an
-	// honest body never grows the buffer.
-	b := make([]byte, 0, min(n, 8*grid.MaxPrealloc)+1)
+	// honest body never grows the buffer. An unknown n starts as ReadAll.
+	want := 512
+	if n >= 0 {
+		want = int(min(n, 8*grid.MaxPrealloc)) + 1
+	}
+	b := slices.Grow(dst[:0], want)
 	for {
 		m, err := r.Read(b[len(b):cap(b)])
 		b = b[:len(b)+m]
@@ -1087,7 +1090,7 @@ func readBufferedBody(r io.Reader, n int64) ([]byte, error) {
 	var body []byte
 	if n <= maxBufferedBody {
 		var err error
-		if body, err = ReadBody(io.LimitReader(r, maxBufferedBody+1), n); err != nil {
+		if body, err = ReadBody(nil, io.LimitReader(r, maxBufferedBody+1), n); err != nil {
 			return nil, errf(http.StatusBadRequest, "read_failed", "%v", err)
 		}
 	}
@@ -1109,6 +1112,7 @@ var fieldPool = sync.Pool{New: func() any { return new([]float64) }}
 func pooledValues() (buf []float64, release func(vals []float64)) {
 	p := fieldPool.Get().(*[]float64)
 	return *p, func(vals []float64) {
+		poison.Floats(vals)
 		*p = vals[:0]
 		fieldPool.Put(p)
 	}

@@ -71,6 +71,45 @@ func TestBuildResidualIsEncode(t *testing.T) {
 	}
 }
 
+// TestRebuildResidualIsBuildResidual: an exact recompaction rebuilds the
+// residual from the original ReadValues proved against the manifest's
+// original hash, and stamps that digest instead of hashing the values
+// again. The file is, byte for byte, the one BuildResidual writes from the
+// same values, and the one the put committed, at both widths.
+func TestRebuildResidualIsBuildResidual(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*rqm.Field{testField(t, 5*1024+300), f32Field(t, 5*1024+300)} {
+		name := fmt.Sprintf("f%d", f.Prec.Bits())
+		m := putPromoted(t, s, name, f, 1024, 1e-3, residual.DefaultBackend)
+		vals, err := s.ReadValues(m, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpath, err := s.ContainerPath(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var built, rebuilt bytes.Buffer
+		if _, err := store.BuildResidual(vals, m.Prec(), m.Residual.Backend)(cpath, &built); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.RebuildResidual(vals, m)(cpath, &rebuilt); err != nil {
+			t.Fatal(err)
+		}
+		committed, err := os.ReadFile(residualPath(s, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rebuilt.Bytes(), built.Bytes()) || !bytes.Equal(rebuilt.Bytes(), committed) {
+			t.Fatalf("%s: RebuildResidual wrote %d bytes that differ from BuildResidual's %d or the committed %d",
+				name, rebuilt.Len(), built.Len(), len(committed))
+		}
+	}
+}
+
 // exactFixture is a promoted f32 dataset of 4 chunks of 65,536 values: what
 // the exact-tier benchmarks and allocation guard read and rebuild.
 func exactFixture(t testing.TB) (*store.Store, *store.Manifest, *rqm.Field, string) {

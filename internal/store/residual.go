@@ -20,6 +20,7 @@ import (
 
 	"rqm/internal/codec"
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 	"rqm/internal/residual"
 )
 
@@ -127,6 +128,20 @@ func (s *Store) openResidual(dir string, m *Manifest) (_ io.ReadSeekCloser, _ *r
 // ResidualBuilder factory so callers pass BuildResidual(orig, prec, backend)
 // straight to Commit.
 func BuildResidual(orig []float64, prec grid.Precision, backend string) ResidualBuilder {
+	return buildResidual(orig, prec, backend, nil)
+}
+
+// RebuildResidual is BuildResidual for m's original as ReadValues(m, true,
+// …) proved it against m's original hash: the encoder stamps that digest
+// instead of hashing orig again.
+func RebuildResidual(orig []float64, m *Manifest) ResidualBuilder {
+	var sum [32]byte
+	_, _ = hex.Decode(sum[:], []byte(m.Residual.OriginalHash)) // the proof matched its hex
+	return buildResidual(orig, m.Prec(), m.Residual.Backend, &sum)
+}
+
+// buildResidual is BuildResidual, stamping origHash when it is not nil.
+func buildResidual(orig []float64, prec grid.Precision, backend string, origHash *[32]byte) ResidualBuilder {
 	return func(containerPath string, w io.Writer) (*ResidualRecord, error) {
 		c, err := residual.ByName(backend)
 		if err != nil {
@@ -145,7 +160,7 @@ func BuildResidual(orig []float64, prec grid.Precision, backend string) Residual
 			return nil, fmt.Errorf("store: residual base holds %d values, original holds %d",
 				idx.TotalValues, len(orig))
 		}
-		enc, err := residual.NewEncoder(w, c, prec, orig, len(idx.Entries))
+		enc, err := residual.NewEncoder(w, c, prec, orig, origHash, len(idx.Entries))
 		if err != nil {
 			return nil, err
 		}
@@ -231,7 +246,10 @@ var sampleBufs = sync.Pool{New: func() any { return new([]byte) }}
 func (s *Store) readSamples(m *Manifest, exact bool, reads *atomic.Int64, fn func(field string, samples []byte) error) error {
 	prec := m.Prec()
 	buf := sampleBufs.Get().(*[]byte)
-	defer sampleBufs.Put(buf)
+	defer func() {
+		poison.Bytes(*buf)
+		sampleBufs.Put(buf)
+	}()
 	b, h := (*buf)[:0], sha256.New()
 	hdr, err := s.walkRange(m, 0, m.TotalValues, exact, reads, func(vals []float64) {
 		if len(b) == 0 {
