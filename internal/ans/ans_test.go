@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"rqm/internal/poison"
 )
 
 func freqsOf(syms []uint32) map[uint32]int64 {
@@ -723,7 +725,7 @@ func TestDecodeBytesRejectsWideTable(t *testing.T) {
 // encode into a reused buffer and a decode allocate nothing — in particular
 // no symbol map on the LUT path.
 func TestSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	rng := rand.New(rand.NewSource(23))

@@ -12,6 +12,7 @@ import (
 
 	"rqm/internal/datagen"
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 	"rqm/internal/predictor"
 	"rqm/internal/stats"
 )
@@ -309,7 +310,7 @@ func TestQuickErrorBoundHolds(t *testing.T) {
 // on the stack, so a whole-field compress or decompress makes a fixed
 // number of allocations however many blocks the field has.
 func TestRegressionAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("the arena's sync.Pool drops Puts under the race detector")
 	}
 	f := kernelField(t, 30, 30, 30)

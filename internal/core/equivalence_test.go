@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rqm/internal/datagen"
+	"rqm/internal/poison"
 	"rqm/internal/predictor"
 	"rqm/internal/quantizer"
 )
@@ -188,7 +189,7 @@ func TestEstimateMatchesOracle(t *testing.T) {
 	// Every distinct |sample| on the default pipeline; the other seven read
 	// the same histogram walk, so a thinned set of edges does for them.
 	stride, thinned, points := 1, 8, 481
-	if testing.Short() || raceEnabled {
+	if testing.Short() || poison.Enabled {
 		stride, thinned, points = 8, 64, 49
 	}
 	for name, base := range datagenProfiles(t) {
@@ -231,7 +232,7 @@ func TestSolvesMatchOracle(t *testing.T) {
 	}
 	ratios := append(logSpaced(1.01, 1e6, 13), 1, 0.5, math.NaN())
 	bitRates := append(logSpaced(0.01, 40, 12), 0, -1, math.NaN())
-	if testing.Short() || raceEnabled {
+	if testing.Short() || poison.Enabled {
 		ratios, bitRates = append(logSpaced(1.01, 1e6, 4), 1), append(logSpaced(0.01, 40, 4), 0)
 	}
 	check := func(name string, base *Profile) {
@@ -289,7 +290,7 @@ func TestHostileSamplesFiledOutOfRange(t *testing.T) {
 // TestSteadyStateAllocations: once the pooled scratch has grown, an estimate
 // and both kinds of solve allocate nothing.
 func TestSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	p := profileOf(t, field(t, "nyx/temperature"), predictor.Lorenzo)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rqm/internal/datagen"
+	"rqm/internal/poison"
 	"rqm/internal/predictor"
 	"rqm/internal/stats"
 )
@@ -17,7 +18,7 @@ import (
 // results and its closure); the sampling's strides, coordinates and stencil
 // moved onto the stack pay for them.
 func TestNewProfileAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	f := field(t, "nyx/temperature")

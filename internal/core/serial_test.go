@@ -11,6 +11,7 @@ import (
 
 	"rqm/internal/datagen"
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 	"rqm/internal/predictor"
 	"rqm/internal/stats"
 )
@@ -202,7 +203,7 @@ func requireSameProfile(t testing.TB, label string, got, want *Profile) {
 // profiles and loaded records take) equal the serial ones.
 func TestProfileMatchesSerial(t *testing.T) {
 	rates := []float64{0.01, 0.2}
-	if raceEnabled || testing.Short() {
+	if poison.Enabled || testing.Short() {
 		rates = rates[1:]
 	}
 	for _, f := range tinyFields(t) {

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rqm/internal/bitio"
+	"rqm/internal/poison"
 )
 
 // errClass sorts a decode verdict into the classes callers can tell apart:
@@ -479,7 +480,7 @@ func TestParseRejectsOversizedCount(t *testing.T) {
 // into a reused buffer, a LUT encode and a release allocate nothing, and
 // neither do a parse, a decode and a release.
 func TestSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	rng := rand.New(rand.NewSource(53))

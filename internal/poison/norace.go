@@ -2,4 +2,5 @@
 
 package poison
 
-const enabled = false
+// Enabled reports a race-detector build; see race.go.
+const Enabled = false

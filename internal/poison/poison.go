@@ -9,7 +9,7 @@ import "math"
 
 // Floats fills v's whole capacity with NaN under the race detector.
 func Floats(v []float64) {
-	if enabled {
+	if Enabled {
 		v = v[:cap(v)]
 		for i := range v {
 			v[i] = math.NaN()
@@ -19,7 +19,7 @@ func Floats(v []float64) {
 
 // Bytes fills b's whole capacity with 0xA5 under the race detector.
 func Bytes(b []byte) {
-	if enabled {
+	if Enabled {
 		b = b[:cap(b)]
 		for i := range b {
 			b[i] = 0xA5

@@ -1,9 +1,6 @@
 package predictor
 
 import (
-	"math"
-	"math/bits"
-
 	"rqm/internal/grid"
 	"rqm/internal/stats"
 )
@@ -11,6 +8,8 @@ import (
 // lorenzoPredictor implements the order-1 Lorenzo predictor for rank 1–4
 // (inclusion–exclusion over the 2^rank−1 backward neighbors, missing
 // neighbors contribute 0, as in SZ) and the order-2 variant for 1D streams.
+// Each rank and order has one prediction function, which both its walk and
+// SampleErrors call.
 type lorenzoPredictor struct {
 	order int // 1 or 2
 }
@@ -29,17 +28,18 @@ func (l lorenzoPredictor) Supports(rank int) bool {
 	return rank >= 1 && rank <= 4
 }
 
-func walkLorenzo1D[E Emitter](n int, work []float64, e E) {
-	prev := 0.0
-	for i := 0; i < n; i++ {
-		e.Emit(i, prev)
-		prev = work[i]
+// lorenzo1D is the order-1 Lorenzo prediction at i in 1-D: the previous
+// value, 0 at i = 0.
+func lorenzo1D(work []float64, i int) float64 {
+	if i > 0 {
+		return work[i-1]
 	}
+	return 0
 }
 
-func walkLorenzo2[E Emitter](n int, work []float64, e E) {
+func walkLorenzo1D[E Emitter](n int, work []float64, e E) {
 	for i := 0; i < n; i++ {
-		e.Emit(i, lorenzo2At(work, i))
+		e.Emit(i, lorenzo1D(work, i))
 	}
 }
 
@@ -55,24 +55,71 @@ func lorenzo2At(work []float64, i int) float64 {
 	return 0
 }
 
+func walkLorenzo2[E Emitter](n int, work []float64, e E) {
+	for i := 0; i < n; i++ {
+		e.Emit(i, lorenzo2At(work, i))
+	}
+}
+
+// lorenzo2D is the order-1 Lorenzo prediction at idx of a 2-D field whose
+// rows hold cols values: west + north − northwest, a missing neighbour
+// counting 0. north and west say whether idx has a row above it and a
+// column left of it.
+func lorenzo2D(work []float64, idx, cols int, north, west bool) float64 {
+	var a, b, c float64
+	if west {
+		a = work[idx-1]
+	}
+	if north {
+		b = work[idx-cols]
+		if west {
+			c = work[idx-cols-1]
+		}
+	}
+	return a + b - c
+}
+
 func walkLorenzo2D[E Emitter](dims []int, work []float64, e E) {
 	rows, cols := dims[0], dims[1]
 	for i := 0; i < rows; i++ {
 		row := i * cols
 		for j := 0; j < cols; j++ {
-			var a, b, c float64 // west, north, northwest
-			if j > 0 {
-				a = work[row+j-1]
-			}
-			if i > 0 {
-				b = work[row-cols+j]
-				if j > 0 {
-					c = work[row-cols+j-1]
-				}
-			}
-			e.Emit(row+j, a+b-c)
+			e.Emit(row+j, lorenzo2D(work, row+j, cols, i > 0, j > 0))
 		}
 	}
+}
+
+// lorenzo3D is the order-1 Lorenzo prediction at idx of a 3-D field with
+// strides s0 and s1 along its first two dimensions: the seven backward
+// neighbours summed f100+f010+f001−f110−f101−f011+f111, a missing one
+// counting 0 (digit d of fXYZ is 1 for a step back along dimension d). i,
+// j and k say whether idx has a backward neighbour along dimensions 0, 1
+// and 2.
+func lorenzo3D(work []float64, idx, s0, s1 int, i, j, k bool) float64 {
+	var f100, f010, f001, f110, f101, f011, f111 float64
+	if k {
+		f001 = work[idx-1]
+	}
+	if j {
+		f010 = work[idx-s1]
+		if k {
+			f011 = work[idx-s1-1]
+		}
+	}
+	if i {
+		n := idx - s0
+		f100 = work[n]
+		if k {
+			f101 = work[n-1]
+		}
+		if j {
+			f110 = work[n-s1]
+			if k {
+				f111 = work[n-s1-1]
+			}
+		}
+	}
+	return f100 + f010 + f001 - f110 - f101 - f011 + f111
 }
 
 func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
@@ -82,100 +129,28 @@ func walkLorenzo3D[E Emitter](dims []int, work []float64, e E) {
 		for j := 0; j < d1; j++ {
 			base := i*s0 + j*d2
 			for k := 0; k < d2; k++ {
-				idx := base + k
-				var f100, f010, f001, f110, f101, f011, f111 float64
-				if i > 0 {
-					f100 = work[idx-s0]
-				}
-				if j > 0 {
-					f010 = work[idx-d2]
-				}
-				if k > 0 {
-					f001 = work[idx-1]
-				}
-				if i > 0 && j > 0 {
-					f110 = work[idx-s0-d2]
-				}
-				if i > 0 && k > 0 {
-					f101 = work[idx-s0-1]
-				}
-				if j > 0 && k > 0 {
-					f011 = work[idx-d2-1]
-				}
-				if i > 0 && j > 0 && k > 0 {
-					f111 = work[idx-s0-d2-1]
-				}
-				e.Emit(idx, f100+f010+f001-f110-f101-f011+f111)
+				e.Emit(base+k, lorenzo3D(work, base+k, s0, d2, i > 0, j > 0, k > 0))
 			}
 		}
 	}
 }
 
-// walkLorenzoND is the inclusion–exclusion Lorenzo walk over any rank
-// (used for 4-D).
-func walkLorenzoND[E Emitter](dims []int, work []float64, e E) {
-	rank := len(dims)
-	terms := newLorenzoTerms(grid.Strides(dims))
-	n := totalLen(dims)
-	coord := make([]int, rank)
-	for idx := 0; idx < n; idx++ {
-		e.Emit(idx, terms.predict(work, idx, zeroMask(coord)))
-		for d := rank - 1; d >= 0; d-- {
-			coord[d]++
-			if coord[d] < dims[d] {
-				break
-			}
-			coord[d] = 0
-		}
-	}
-}
+// lorenzoSigns is the sign of each term of the 4-D stencil, term i being
+// the backward neighbour along the dimensions in mask i+1 (bit d is
+// dimension d): +1 for an odd number of dimensions and −1 for an even.
+var lorenzoSigns = [15]float64{1, 1, -1, 1, -1, -1, 1, 1, -1, -1, 1, -1, 1, 1, -1}
 
-// walkOrders lists, for ranks 1–3, the dimension masks in the order that
-// rank's walk sums its neighbours: west, north, northwest in 2-D, and
-// f100+f010+f001−f110−f101−f011+f111 in 3-D (bit d of a mask is dimension
-// d). Rank 4 has no entry: walkLorenzoND is predict, in mask order.
-var walkOrders = [4][]uint{1: {1}, 2: {2, 1, 3}, 3: {1, 2, 4, 3, 5, 6, 7}}
-
-// lorenzoTerms is the inclusion–exclusion stencil of the order-1 Lorenzo
-// predictor at one field's strides, in the order its walk sums: for each
-// nonempty dimension mask, the backward neighbour's distance from the point
-// and its sign, +1 for an odd number of dimensions and −1 for an even.
-type lorenzoTerms struct {
-	n    int
-	mask [15]uint
-	off  [15]int
-	sign [15]float64
-	// origin starts the sum. The walks at ranks 1–3 start from their first
-	// term, which −0 + x reproduces for every x, −0 included; walkLorenzoND
-	// starts from +0.
-	origin float64
-}
-
-// newLorenzoTerms builds the stencil for strides st (rank 1–4).
-func newLorenzoTerms(st []int) lorenzoTerms {
-	t := lorenzoTerms{n: 1<<len(st) - 1}
-	var order []uint
-	if len(st) < 4 {
-		order = walkOrders[len(st)]
-		t.origin = math.Copysign(0, -1)
-	}
-	for i := range t.n {
-		m := uint(i + 1)
-		if order != nil {
-			m = order[i]
-		}
-		t.mask[i] = m
-		for d := range st {
-			if m&(1<<d) != 0 {
-				t.off[i] += st[d]
+// lorenzoOffsets is the 4-D stencil at strides st: term i's distance back
+// from the point.
+func lorenzoOffsets(st [4]int) (off [15]int) {
+	for i := range off {
+		for d, s := range st {
+			if (i+1)&(1<<d) != 0 {
+				off[i] += s
 			}
 		}
-		t.sign[i] = 1
-		if bits.OnesCount(m)%2 == 0 {
-			t.sign[i] = -1
-		}
 	}
-	return t
+	return off
 }
 
 // zeroMask has bit d set where coord[d] is 0: the dimensions with no
@@ -190,42 +165,58 @@ func zeroMask(coord []int) uint {
 	return z
 }
 
-// predict is the Lorenzo prediction at idx, summed in the stencil's order
-// with the terms that lack a backward neighbour (a dimension in zero) as 0,
-// as the walks sum them. Multiplying by a sign is exact, so pred + sign·v
-// rounds as pred ± v does, without a branch per term.
-func (t *lorenzoTerms) predict(work []float64, idx int, zero uint) float64 {
-	pred := t.origin
-	for i, m := range t.mask[:t.n] {
+// lorenzo4D is the order-1 Lorenzo prediction at idx of a 4-D field with
+// stencil off, summed from +0 in mask order with the terms that lack a
+// backward neighbour (a dimension in zero) as 0. Multiplying by a sign is
+// exact, so pred + sign·v rounds as pred ± v does, without a branch per
+// term.
+func lorenzo4D(work []float64, idx int, off *[15]int, zero uint) float64 {
+	var pred float64
+	for i, o := range off {
 		var v float64
-		if m&zero == 0 {
-			v = work[idx-t.off[i]]
+		if uint(i+1)&zero == 0 {
+			v = work[idx-o]
 		}
-		pred += t.sign[i] * v
+		pred += lorenzoSigns[i] * v
 	}
 	return pred
 }
 
+func walkLorenzo4D[E Emitter](dims []int, work []float64, e E) {
+	off := lorenzoOffsets([4]int(grid.Strides(dims)))
+	var coord [4]int
+	for idx := range totalLen(dims) {
+		e.Emit(idx, lorenzo4D(work, idx, &off, zeroMask(coord[:])))
+		for d := 3; d >= 0; d-- {
+			if coord[d]++; coord[d] < dims[d] {
+				break
+			}
+			coord[d] = 0
+		}
+	}
+}
+
 // SampleErrors for Lorenzo: random point sampling; for each sampled point the
 // Lorenzo prediction is computed from *original* neighbor values (paper
-// §III-C1 and §III-C4) with the walk's arithmetic: lorenzo2At at order 2,
-// the stencil in the walk's summation order at order 1. The very first
-// point has no neighbors (prediction 0, a giant outlier the compressor
-// effectively stores raw), so it is excluded from the error distribution.
-// The sampled indices ascend, so each point's coordinates advance from the
-// last one's, dividing only on a carry.
+// §III-C1 and §III-C4) by the walk's own prediction function for the order
+// and rank. The very first point has no neighbors (prediction 0, a giant
+// outlier the compressor effectively stores raw), so it is excluded from
+// the error distribution. The sampled indices ascend, so each point's
+// coordinates advance from the last one's, dividing only on a carry.
 func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64) []float64 {
-	n := f.Len()
-	idxs := stats.SampleIndices(n, rate, seed)
+	work, dims := f.Data, f.Dims
+	idxs := stats.SampleIndices(len(work), rate, seed)
 	out := make([]float64, 0, len(idxs))
-	dims := f.Dims
 	// The strides, the stencil and the coordinates live on the stack (rank
 	// <= 4), so sampling allocates only its indices and its errors.
 	var st, coords [4]int
 	for d, acc := len(dims)-1, 1; d >= 0; d-- {
 		st[d], acc = acc, acc*dims[d]
 	}
-	terms := newLorenzoTerms(st[:len(dims)])
+	var off [15]int
+	if len(dims) == 4 {
+		off = lorenzoOffsets(st)
+	}
 	coord := coords[:len(dims)]
 	prev := 0
 	for _, idx := range idxs {
@@ -243,12 +234,19 @@ func (l lorenzoPredictor) SampleErrors(f *grid.Field, rate float64, seed uint64)
 			continue
 		}
 		var pred float64
-		if l.order == 2 {
-			pred = lorenzo2At(f.Data, idx)
-		} else {
-			pred = terms.predict(f.Data, idx, zeroMask(coord))
+		switch {
+		case l.order == 2:
+			pred = lorenzo2At(work, idx)
+		case len(dims) == 1:
+			pred = lorenzo1D(work, idx)
+		case len(dims) == 2:
+			pred = lorenzo2D(work, idx, st[0], coord[0] > 0, coord[1] > 0)
+		case len(dims) == 3:
+			pred = lorenzo3D(work, idx, st[0], st[1], coord[0] > 0, coord[1] > 0, coord[2] > 0)
+		default:
+			pred = lorenzo4D(work, idx, &off, zeroMask(coord))
 		}
-		out = append(out, pred-f.Data[idx])
+		out = append(out, pred-work[idx])
 	}
 	return out
 }

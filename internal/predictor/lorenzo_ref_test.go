@@ -126,7 +126,7 @@ func TestLorenzoSamplingMatchesReference(t *testing.T) {
 		st := grid.Strides(dims)
 		coord := make([]int, len(dims))
 		idx := 0
-		walkLorenzoND(dims, vals, emitFunc(func(i int, pred float64) {
+		walkLorenzo4D(dims, vals, emitFunc(func(i int, pred float64) {
 			if i != idx {
 				t.Fatalf("%v: walk emitted index %d, want %d", dims, i, idx)
 			}

@@ -10,13 +10,11 @@
 //     replays it bit-exactly; and
 //   - the paper's sampling strategy (§III-C) that estimates the
 //     prediction-error distribution from original values only, which is what
-//     the ratio-quality model consumes. The sampler predicts with its walk's
-//     code and sums in the walk's order, so each sampled error is one the
-//     walk makes over the original values, bit for bit
-//     (FuzzSamplerMatchesWalk): interpolation shares the walk's line
-//     odometer and formula, order-2 Lorenzo and regression call the walk's
-//     prediction functions, and order-1 Lorenzo sums its stencil in the
-//     order of the rank's walk.
+//     the ratio-quality model consumes. Every sampler calls its walk's
+//     prediction function (Lorenzo has one per order and rank;
+//     interpolation also shares the walk's line odometer), so each sampled
+//     error is one the walk makes over the original values, bit for bit
+//     (FuzzSamplerMatchesWalk).
 //
 // The walks are generic over the Emitter, so each is written once for both
 // of the compressor's emitters. Emit is then called through the generic
@@ -173,7 +171,7 @@ func walk[E Emitter](kind Kind, dims []int, work []float64, e E) {
 	case len(dims) == 3:
 		walkLorenzo3D(dims, work, e)
 	default:
-		walkLorenzoND(dims, work, e)
+		walkLorenzo4D(dims, work, e)
 	}
 }
 

@@ -362,35 +362,25 @@ func TestInterpolationSmallerErrorsThanLorenzoOnSmooth(t *testing.T) {
 	}
 }
 
-func BenchmarkLorenzoWalk3D(b *testing.B) {
-	dims := []int{64, 64, 64}
-	work := make([]float64, 64*64*64)
+// benchWalk times kind's walk over a field of dims, the same 2^18 values
+// at every rank.
+func benchWalk(b *testing.B, kind Kind, dims ...int) {
+	work := make([]float64, totalLen(dims))
 	for i := range work {
 		work[i] = math.Sin(float64(i) * 1e-3)
 	}
 	b.SetBytes(int64(len(work) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(Lorenzo, dims, work, nop); err != nil {
+	for b.Loop() {
+		if _, err := Encode(kind, dims, work, nop); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkInterpWalk3D(b *testing.B) {
-	dims := []int{64, 64, 64}
-	work := make([]float64, 64*64*64)
-	for i := range work {
-		work[i] = math.Sin(float64(i) * 1e-3)
-	}
-	b.SetBytes(int64(len(work) * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(Interpolation, dims, work, nop); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkLorenzoWalk2D(b *testing.B) { benchWalk(b, Lorenzo, 512, 512) }
+func BenchmarkLorenzoWalk3D(b *testing.B) { benchWalk(b, Lorenzo, 64, 64, 64) }
+func BenchmarkLorenzoWalk4D(b *testing.B) { benchWalk(b, Lorenzo, 16, 16, 32, 32) }
+func BenchmarkInterpWalk3D(b *testing.B)  { benchWalk(b, Interpolation, 64, 64, 64) }
 
 // BenchmarkSampleErrors3D times the model's sampling pass over the 64³
 // field the walk benchmarks use, at the model's default rate (0.01) and at

@@ -19,6 +19,7 @@ import (
 	"rqm/internal/ans"
 	"rqm/internal/grid"
 	"rqm/internal/huffman"
+	"rqm/internal/poison"
 )
 
 // splitmix is splitmix64: a fixed, library-independent generator so the
@@ -542,7 +543,7 @@ func allocsOf(fn func()) (objects, bytes float64) {
 // symbol slice, no histogram map, no coding table or codebook, no matcher,
 // no ULP read buffer.
 func TestSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
 	for _, backend := range goldenBackends {

@@ -8,6 +8,7 @@ import (
 	"rqm"
 	"rqm/internal/codec"
 	"rqm/internal/datagen"
+	"rqm/internal/poison"
 )
 
 // reconBlocks stream-compresses f at REL bound rel in chunks of chunk values
@@ -54,7 +55,7 @@ func reconBlocks(t *testing.T, f *rqm.Field, rel float64, chunk int) ([]float64,
 // existed. It logs each cell's residual bits per value, XOR layout → the
 // rule, and its ULP block count.
 func TestLayoutTable(t *testing.T) {
-	if testing.Short() || raceEnabled {
+	if testing.Short() || poison.Enabled {
 		t.Skip("synthesizes 15 M values; the fuzz and golden tests cover the layouts under -short and -race")
 	}
 	var cells, ulpCells atomic.Int64

@@ -18,6 +18,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"rqm/internal/poison"
 )
 
 // stubShard answers every dataset put 201 after reading its body, and
@@ -80,7 +82,7 @@ func stubRouter(t *testing.T, maxBody int64) (*Router, *stubShard) {
 // from 512 bytes by doubling copies, 5.05 B per body byte of this 4 MiB
 // body; one unpooled buffer of the declared length took 1.02.
 func TestRoutedPutBuffersOnce(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("allocation counts are not stable under the race detector")
 	}
 	rt, sh := stubRouter(t, 0)

@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"rqm"
+	"rqm/internal/poison"
 	"rqm/internal/store"
 )
 
@@ -71,7 +72,7 @@ func leastAlloc(t *testing.T, runs int, fn func()) uint64 {
 // a byte per body byte. Before, the parse alone took a new float64 per
 // value, 2 B per body byte of an f32 field, and the whole put 2.42 B.
 func TestPutAllocatesPerRequest(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	svc, _, _ := newStoreServer(t)
@@ -98,7 +99,7 @@ func TestPutAllocatesPerRequest(t *testing.T) {
 // bytes fails 400 bad_manifest having allocated under 1 MiB; before, it
 // allocated the 16 MiB the prefix named.
 func TestRawPutFrameSizedByBody(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	svc, _, _ := newStoreServer(t)

@@ -6,6 +6,8 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"rqm/internal/poison"
 )
 
 // newIntegralRef is NewIntegral as it stood while both tables were built in
@@ -215,7 +217,7 @@ func FuzzIntegralMatchesSerial(f *testing.F) {
 // bytes plus a few hundred for everything else. The shape is picked so that
 // each table is a whole number of pages.
 func TestNewIntegralAllocations(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	dims := []int{15, 31, 63} // padded 16·32·64 cells: 256 KiB a table

@@ -11,6 +11,7 @@ import (
 
 	"rqm"
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 	"rqm/internal/residual"
 	"rqm/internal/store"
 )
@@ -133,7 +134,7 @@ func exactFixture(t testing.TB) (*store.Store, *store.Manifest, *rqm.Field, stri
 // neither allocates per value. Before, each held a float64 per value of the
 // whole dataset (8 B/value, 16 for the read).
 func TestExactPathsAllocateLittle(t *testing.T) {
-	if raceEnabled {
+	if poison.Enabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	s, m, f, cpath := exactFixture(t)

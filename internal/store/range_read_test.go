@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"rqm/internal/poison"
 	"rqm/internal/store"
 )
 
@@ -46,7 +47,7 @@ func TestReadRangeAllocatesOnlyItsValues(t *testing.T) {
 			}
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		if raceEnabled {
+		if poison.Enabled {
 			continue // sync.Pool drops Puts at random under the race detector
 		}
 		if over := int64(least) - 8*tc.n; over > 32<<10 {

@@ -16,6 +16,7 @@ import (
 	"rqm/internal/compressor"
 	"rqm/internal/core"
 	"rqm/internal/grid"
+	"rqm/internal/poison"
 )
 
 // waveValues synthesizes a mildly compressible test signal.
@@ -249,7 +250,7 @@ func TestWriteField(t *testing.T) {
 				prec, got.Len(), m, err, want.Len())
 		}
 
-		if raceEnabled {
+		if poison.Enabled {
 			continue // pooled decode buffers allocate unevenly under the race detector
 		}
 		// Read decodes into pooled chunk buffers and recycles them once
