@@ -46,9 +46,12 @@ func (s *Service) handleScrubStart(req *request) error {
 	}
 	deep := req.q.Get("deep") == "1"
 	s.scrub = ScrubStatusResponse{State: "running", Deep: deep, StartedAt: time.Now().UTC()}
+	// Answer with the status as started: a short pass can finish before
+	// the answer is written.
+	started := s.scrub
 	s.mu.Unlock()
 	go s.runScrub(req.st, deep)
-	return writeJSON(req.w, http.StatusAccepted, s.scrubStatus())
+	return writeJSON(req.w, http.StatusAccepted, started)
 }
 
 func (s *Service) handleScrubStatus(req *request) error {
