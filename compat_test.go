@@ -74,6 +74,8 @@ var fixtures = []struct {
 	// A version-1 dataset (64×64 f32, mode=rel&eb=1e-3&chunk=1024) and a router's raw-put frame of it: see served.
 	{"internal/store/testdata/pre_pr30_dataset", dataset, "8c0cafbda49fd1e0c9d3aef699fe376701fc94310be2c902a04f87ae8a9114a4", "b3c32f8ca8bc442db751625621452e77245297424c715940a6fe96a324874ed7"},
 	{"internal/store/testdata/pre_pr30_raw_put.bin", rawPut, "ce5b38a7822d7ecd3f22933c44975a59097ad525e405c8ae7365ded4daf85826", ""},
+	// A version-2 dataset (45×90 f32, mode=rel&eb=1e-3&chunk=1024) whose created_at has 4 fractional digits: see servedShortStamp.
+	{"internal/store/testdata/pre_pr57_dataset", dataset, "e44623ed8c9f599b5e61f36ae5403202c44a370df1291a532c60cb56f364f3fe", "173e3d1d05ab2e032dbafdd5b6132064df7363b83084458a259b4eeb45006a1b"},
 }
 
 // served hashes what the writer's rqserved answered for the pre_pr30 dataset:
@@ -89,6 +91,27 @@ var served = []struct{ method, path, sum string }{
 	{"GET", "/v1/datasets/legacy?manifest=1&full=1", "ca33ce66457a6b38f6d5207c328124e4ef2c62c525c7bd70ca8804fd9716a867"},
 	{"GET", "/v1/datasets/legacy/slice?off=1000&len=300", "ef224552610505a18325fafdd2330ce2dcc50d323c3b3df0c12fed29d25ed5a9"},
 	{"GET", "/v1/datasets/legacy", "4eb72e9561463c4145b82c4bcc3a8f91ba22844be67f0da301ea31165e9ed894"},
+}
+
+// servedShortStamp is served for the dataset whose stored created_at has fewer than nine fractional digits.
+var servedShortStamp = []struct{ method, path, sum string }{
+	{"GET", "/v1/datasets/legacy?manifest=1", "d9d8043f4058d7e415bb0cf439c6c9609476b6afa963bc1810348b19042e0823"},
+	{"GET", "/v1/datasets/legacy?manifest=1&full=1", "d492f561ac9d6e8b08bd9df27ed0465506d259c417eab9d64b269fb575c20bbc"},
+	{"GET", "/v1/datasets", "24472e8e2c2d7a3a8036b6d3a2df6e10d4124839cd2a3064ebb16b6001e9400d"},
+	{"GET", "/v1/datasets/legacy/slice?off=1000&len=300", "31b9ff3458577e17aaeb8cbb9770e87e853e8a534e8de57f080aa8e5e24150c5"},
+	{"GET", "/v1/datasets/legacy", "ef2f79c01d203cf01676a28221df5f4bb985e5f807198186087f73f1c820e163"},
+	{"POST", "/v1/datasets/legacy/recompact?target-psnr=55", "861c09b6db0180365376ff777bdcb464473c95b77fe158cdb145813261312228"},
+	{"GET", "/v1/datasets/legacy?manifest=1", "f583e2861fecf0a74614df5b2feda058446165399a814166516fd374701e6831"},
+	{"GET", "/v1/datasets/legacy?manifest=1&full=1", "8bdfa0855609606e99a495b0e2ddfb25554bd684626b5be335f80bd80364bff4"},
+	{"GET", "/v1/datasets/legacy/slice?off=1000&len=300", "cc7ba8b389853a0ae031c4c3710e19e30c20f1c1048309f777222fa60321a2e5"},
+	{"GET", "/v1/datasets/legacy", "1500270f1382bbf40d99471359bea19330f2a357c821d687e3515c03798e422b"},
+}
+
+// walks maps each dataset row, and the raw-put frame of one, to what its writer's rqserved answered.
+var walks = map[string][]struct{ method, path, sum string }{
+	"internal/store/testdata/pre_pr30_dataset":     served,
+	"internal/store/testdata/pre_pr30_raw_put.bin": served,
+	"internal/store/testdata/pre_pr57_dataset":     servedShortStamp,
 }
 
 // httpError is a refusal over HTTP: its status and error code.
@@ -204,9 +227,9 @@ func checkRows(t *testing.T, prefix string) {
 				if err := os.CopyFS(filepath.Join(root, "datasets", "legacy"), os.DirFS(fx.path)); err != nil {
 					t.Fatal(err)
 				}
-				checkServed(t, root, nil)
+				checkServed(t, root, nil, walks[fx.path])
 			case rawPut:
-				checkServed(t, root, blob)
+				checkServed(t, root, blob, walks[fx.path])
 			}
 		})
 	}
@@ -252,15 +275,15 @@ func checkStored(t *testing.T, blob []byte, rqmfSum string) {
 }
 
 // checkServed serves a store at root, raw-puts frame onto it when given (201 stored, then 200 skipped as held),
-// and walks served, deep-verifying the dataset after every step.
-func checkServed(t *testing.T, root string, frame []byte) {
+// and walks steps, deep-verifying the dataset after every step.
+func checkServed(t *testing.T, root string, frame []byte, steps []struct{ method, path, sum string }) {
 	st, ts := serve(t, root)
 	for i := 0; frame != nil && i < 2; i++ {
 		if _, err := send(ts.URL, "POST", "/v1/datasets/legacy/raw", frame, []int{201, 200}[i]); err != nil {
 			t.Fatalf("raw put %d: %v", i+1, err)
 		}
 	}
-	for _, s := range served {
+	for _, s := range steps {
 		body, err := send(ts.URL, s.method, s.path, nil, http.StatusOK)
 		if got := sha(body); err != nil || got != s.sum {
 			t.Errorf("%s %s: %v, body hashes to %s, the writer answered %s", s.method, s.path, err, got, s.sum)
