@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"rqm/internal/service"
+	"rqm/internal/store"
 )
 
 // The rebalance pass restores the placement invariant after shards die,
@@ -88,7 +89,7 @@ func (rt *Router) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 		var stale []*shardState
 		for _, d := range rt.writeTargets(name) {
 			desiredSet[d] = true
-			if c, ok := holds[d]; !ok || infoNewer(&auth.info, &c.info) {
+			if c, ok := holds[d]; !ok || byVersion(auth, *c) > 0 {
 				stale = append(stale, d) // missing, or behind the authoritative copy
 			}
 		}
@@ -153,15 +154,13 @@ func (rt *Router) inventory(ctx context.Context) (occupancy map[string][]replica
 	return occupancy, listed, len(healthy)
 }
 
-// newest picks the authoritative copy: the newest by manifest version order.
-func newest(copies []replicaCopy) replicaCopy {
-	auth := copies[0]
-	for _, c := range copies[1:] {
-		if infoNewer(&c.info, &auth.info) {
-			auth = c
-		}
-	}
-	return auth
+// newest picks the authoritative copy: the newest by manifest version
+// order, the first of equals.
+func newest(copies []replicaCopy) replicaCopy { return slices.MaxFunc(copies, byVersion) }
+
+// byVersion orders two copies by store.CompareVersions.
+func byVersion(a, b replicaCopy) int {
+	return store.CompareVersions(a.info.CreatedAt, a.info.Generation, b.info.CreatedAt, b.info.Generation)
 }
 
 // listShard fetches one shard's dataset listing, decoded off the wire: a

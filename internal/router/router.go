@@ -685,9 +685,9 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleList fans out to every healthy shard and merges by dataset name,
-// keeping the newest copy of each (manifest version order: created_at,
-// then generation). Unreachable shards are skipped — a partial list beats
-// no list — and X-RQM-Shards-Listed reports the coverage.
+// keeping the newest copy of each (store.CompareVersions). Unreachable
+// shards are skipped, a partial list beating none; X-RQM-Shards-Listed
+// reports the coverage.
 func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	rt.count(&rt.m.ProxiedLists, 1)
 	occupancy, listed, asked := rt.inventory(r.Context())
@@ -702,15 +702,6 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(out.Datasets, func(i, j int) bool { return out.Datasets[i].Name < out.Datasets[j].Name })
 	w.Header().Set("X-RQM-Shards-Listed", fmt.Sprintf("%d/%d", listed, asked))
 	writeJSON(w, http.StatusOK, &out)
-}
-
-// infoNewer applies the same (created_at, generation) version order the
-// store's CAS uses, on the list projection.
-func infoNewer(a, b *service.DatasetInfo) bool {
-	if !a.CreatedAt.Equal(b.CreatedAt) {
-		return a.CreatedAt.After(b.CreatedAt)
-	}
-	return a.Generation > b.Generation
 }
 
 // handleRecompact forwards to the first replica that takes the request,
@@ -862,6 +853,9 @@ func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body *po
 		if res.status < 300 {
 			holders = 1
 			for _, sr := range rt.convergeLocked(r.Context(), name, sh, healthyOf(set)) {
+				if sr.err == nil && sr.status == http.StatusConflict {
+					sr.err = fmt.Errorf("raw put to %s refused: it holds a newer version", sr.dst.url)
+				}
 				if sr.err == nil {
 					holders++
 				} else if syncErr == nil {
@@ -889,8 +883,9 @@ func (rt *Router) lockName(name string) (unlock func()) {
 	return mu.Unlock
 }
 
-// syncResult is the outcome of one raw sync: syncReplica's results.
+// syncResult is the outcome of one raw sync to dst: syncReplica's results.
 type syncResult struct {
+	dst    *shardState
 	n      int64
 	status int
 	err    error
@@ -919,7 +914,7 @@ func (rt *Router) convergeLocked(ctx context.Context, name string, src *shardSta
 		} else {
 			rt.count(&rt.m.ReplicaSyncs, 1)
 		}
-		out = append(out, syncResult{n, status, err})
+		out = append(out, syncResult{dst, n, status, err})
 	}
 	return out
 }

@@ -195,7 +195,7 @@ func (s *Service) handleDatasetPut(req *request) error {
 	}
 
 	man := &store.Manifest{
-		CreatedAt:     time.Now().UTC(),
+		CreatedAt:     req.st.Stamp(name),
 		PrecBits:      f.Prec.Bits(),
 		Dims:          append([]int(nil), f.Dims...),
 		Codec:         eng.Codec().Name(),
@@ -766,7 +766,7 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // the manifest's identity (CreatedAt, Generation, ContentHash, cached
 // profile) is preserved bit for bit.
 //
-// The committed (CreatedAt, Generation) version is the conflict arbiter:
+// store.CompareVersions against the committed copy is the conflict arbiter:
 //
 //   - target has no committed copy        -> admit
 //   - incoming is strictly newer          -> replace (CAS on the loaded base)
@@ -843,9 +843,9 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 		return err
 	}
 	if cur != nil {
-		sameVersion := cur.CreatedAt.Equal(m.CreatedAt) && cur.Generation == m.Generation
+		order := store.CompareVersions(m.CreatedAt, m.Generation, cur.CreatedAt, cur.Generation)
 		switch {
-		case sameVersion && cur.ContentHash == m.ContentHash:
+		case order == 0 && cur.ContentHash == m.ContentHash:
 			// The replica already holds this exact version. Trust it only as
 			// far as asked: with ?repair=1 the committed copy must pass
 			// deep verification to earn the idempotent skip.
@@ -858,7 +858,7 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 				return writeJSON(w, http.StatusOK, datasetInfo(cur))
 			}
 			repaired = true // fall through: same-version replace over the rot
-		case !manifestNewer(m, cur):
+		case order <= 0:
 			return errf(http.StatusConflict, "conflict",
 				"raw put: committed %q is generation %d (created %s), incoming generation %d (created %s) does not supersede it",
 				name, cur.Generation, cur.CreatedAt.Format(time.RFC3339Nano),
@@ -895,16 +895,6 @@ func (s *Service) handleDatasetRawPut(req *request) error {
 		w.Header().Set("X-RQM-Raw-Put", "stored")
 	}
 	return writeJSON(w, http.StatusCreated, datasetInfo(committed))
-}
-
-// manifestNewer reports whether a describes a strictly newer version than b:
-// a later CreatedAt wins (a re-put is a new dataset identity); at the same
-// CreatedAt the higher Generation (recompaction count) wins.
-func manifestNewer(a, b *store.Manifest) bool {
-	if !a.CreatedAt.Equal(b.CreatedAt) {
-		return a.CreatedAt.After(b.CreatedAt)
-	}
-	return a.Generation > b.Generation
 }
 
 // intParam parses an optional int64 parameter with a default.

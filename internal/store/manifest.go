@@ -89,7 +89,7 @@ type Manifest struct {
 	Version int `json:"version"`
 	// Name is the dataset name (store-unique, path-safe).
 	Name string `json:"name"`
-	// CreatedAt is when the dataset was first admitted.
+	// CreatedAt is the put's stamp (Store.Stamp); with Generation, the version.
 	CreatedAt time.Time `json:"created_at"`
 	// Generation counts container rewrites (0 = original put; each
 	// recompaction increments it).
@@ -337,6 +337,17 @@ func splitProfile(m *Manifest) (*Manifest, []byte, error) {
 	sum := sha256.Sum256(samples)
 	head.ProfileSamples = &SamplesRecord{Bytes: int64(len(samples)), Hash: hex.EncodeToString(sum[:])}
 	return &head, samples, nil
+}
+
+// committedHead is a manifest head as Commit writes it: Manifest's fields
+// in their order, created_at with all nine fractional digits, so that its
+// width does not hang on the stamp's trailing zeros. Parsing takes it as
+// any RFC 3339 stamp.
+type committedHead struct {
+	Version   int    `json:"version"`
+	Name      string `json:"name"`
+	CreatedAt string `json:"created_at"`
+	*Manifest
 }
 
 // joinProfile returns the wire form of head: version 1, with samples — the

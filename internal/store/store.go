@@ -40,6 +40,7 @@
 package store
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -53,6 +54,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"rqm/internal/codec"
 	"rqm/internal/residual"
@@ -507,13 +509,35 @@ func (s *Store) Commit(name string, base *Manifest, build func(w io.Writer) (*Ma
 }
 
 // checkBase verifies the committed dataset is still the version base
-// describes ((CreatedAt, Generation) identity).
+// describes.
 func (s *Store) checkBase(name string, base *Manifest) error {
 	cur, err := s.Manifest(name)
-	if err != nil || !cur.CreatedAt.Equal(base.CreatedAt) || cur.Generation != base.Generation {
+	if err != nil || CompareVersions(cur.CreatedAt, cur.Generation, base.CreatedAt, base.Generation) != 0 {
 		return fmt.Errorf("%w: %q", ErrConflict, name)
 	}
 	return nil
+}
+
+// CompareVersions is the archive's one version order, over a dataset's
+// (created_at, generation): +1 when a is newer than b, -1 when older, 0
+// when they are one version. The later created_at wins, a re-put being a
+// new dataset; at one created_at the higher generation (rewrite count).
+func CompareVersions(aAt time.Time, aGen int, bAt time.Time, bGen int) int {
+	if c := aAt.Compare(bAt); c != 0 {
+		return c
+	}
+	return cmp.Compare(aGen, bGen)
+}
+
+// Stamp is the created_at of a plain put of name: the wall clock, or one
+// nanosecond past the committed version's stamp if that is not older, so
+// a put orders after the version it replaces however fast a clock ran.
+func (s *Store) Stamp(name string) time.Time {
+	now := time.Now().UTC()
+	if cur, err := s.Manifest(name); err == nil && CompareVersions(now, 0, cur.CreatedAt, cur.Generation) <= 0 {
+		return cur.CreatedAt.Add(time.Nanosecond)
+	}
+	return now
 }
 
 // stageDataset writes container, optional residual, profile samples and
@@ -580,7 +604,8 @@ func (s *Store) stageDataset(stage, name string, build func(w io.Writer) (*Manif
 			return nil, err
 		}
 	}
-	data, err := json.MarshalIndent(head, "", "  ")
+	stamped := committedHead{head.Version, head.Name, head.CreatedAt.Format("2006-01-02T15:04:05.000000000Z07:00"), head}
+	data, err := json.MarshalIndent(stamped, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("store: encoding manifest: %w", err)
 	}
