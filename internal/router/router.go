@@ -832,8 +832,9 @@ func (rt *Router) bufferBody(w http.ResponseWriter, r *http.Request, maxBody int
 // the write set the caller fixed at request start (members that are down by
 // then are not attempted). It returns the serving shard's buffered answer
 // (res.sh nil: no shard answered), how many shards now hold the result —
-// the one that ran the mutation plus every synced member of set — and the
-// first failed sync's error, which names the shard it failed on.
+// the one that ran the mutation plus every member of set a sync left
+// holding it, never a peer that refused (409: it holds a newer version) —
+// and the first failed or refused sync's error, which names its shard.
 func (rt *Router) mutateThenSync(r *http.Request, name, subpath string, body *pooledBody, try, set []*shardState) (shardResult, int, error) {
 	defer rt.lockName(name)()
 	for i, sh := range try {
