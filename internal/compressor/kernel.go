@@ -29,6 +29,11 @@ var (
 // one, so they differ by at most 3·2⁻⁵³·|q| (plus 2⁻¹⁰⁷⁴ on underflow), under
 // 1.1e-11 at |q| ≤ radius + ½ = 32768.5; the 1e-9 margin, 100× that, puts
 // both in the same (c − ½, c + ½), where Round and round-to-even agree.
+// That argument counts each operation's own rounding, which the Go spec
+// lets a compiler skip by fusing a product into the add after it (arm64,
+// ppc64le, s390x and riscv64 do; amd64 does not): the explicit float64
+// conversions round q and c·2eb first on every architecture, so c, f and
+// recon — Quantize's pred + c·2eb — are the same bits on all of them.
 // quantize avoids math.Abs, which would price it out of inlining; NaN fails
 // every comparison.
 type quantStep struct {
@@ -52,9 +57,9 @@ func newQuantStep(eb float64, radius int32) quantStep {
 }
 
 func (s quantStep) quantize(v, pred float64) (c, recon float64, ok bool) {
-	q := (v - pred) * s.inv
+	q := float64((v - pred) * s.inv)
 	c = q + roundShift - roundShift
-	recon = pred + c*s.twoEB
+	recon = pred + float64(c*s.twoEB)
 	f, e := q-c, v-recon
 	const h = 0.5 - stepMargin
 	return c, recon, f < h && f > -h && c <= s.radF && c >= -s.radF && e <= s.eb && e >= -s.eb
@@ -84,7 +89,7 @@ func (k *encodeKernel) Emit(idx int, pred float64) {
 	c, recon, ok := k.quantize(v, pred)
 	if !ok { // the exact path: quantizer.Quantize's arithmetic
 		c = math.Round((v - pred) / k.twoEB)
-		recon = pred + float64(int32(c))*k.twoEB
+		recon = pred + float64(float64(int32(c))*k.twoEB)
 		// NaN fails both range comparisons, like Quantize's IsNaN branch.
 		if !(c <= k.radF && c >= -k.radF) || math.Abs(v-recon) > k.eb {
 			k.emitUnpred(v)
@@ -170,7 +175,7 @@ func (k *decodeKernel) Emit(idx int, pred float64) {
 		k.err = fmt.Errorf("compressor: symbol %d out of range", s)
 		return
 	}
-	k.work[idx] = pred + float64(int32(code))*k.twoEB
+	k.work[idx] = pred + float64(float64(int32(code))*k.twoEB)
 }
 
 // lorenzo1D is predictor.Decode's order-1 Lorenzo walk at rank 1 with
@@ -182,7 +187,7 @@ func (k *decodeKernel) lorenzo1D() {
 	prev := 0.0
 	for i, s := range k.syms[:len(work)] {
 		if code := int64(s) - radius; code <= radius {
-			prev = prev + float64(code)*twoEB
+			prev = prev + float64(float64(code)*twoEB)
 			work[i] = prev
 			continue
 		}

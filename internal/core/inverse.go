@@ -56,7 +56,7 @@ func (p *Profile) ErrorBoundForBitRate(target float64) (float64, error) {
 		}
 	}
 	// Robust fallback: invert the model numerically.
-	return p.solveMonotone(target, func(eb float64) float64 { return p.EstimateAt(eb).HuffmanBitRate })
+	return p.solveMonotone(target, func(eb float64) float64 { return p.EstimateAt(eb).HuffmanBitRate }, math.Inf(1))
 }
 
 // anchorInterpolate implements the paper's low-bit-rate handling: profile
@@ -110,25 +110,33 @@ func (p *Profile) ErrorBoundForRatio(targetRatio float64) (float64, error) {
 		return 0, fmt.Errorf("core: target ratio must exceed 1, got %v", targetRatio)
 	}
 	targetBits := float64(p.OrigBits) / targetRatio
-	return p.solveMonotone(targetBits, func(eb float64) float64 { return p.EstimateAt(eb).TotalBitRate })
+	return p.solveMonotone(targetBits, func(eb float64) float64 { return p.EstimateAt(eb).TotalBitRate }, math.Inf(1))
 }
 
 // ErrorBoundForPSNR solves for a target PSNR (dB) using the refined error
 // distribution; the result is the loosest bound whose modeled PSNR still
 // meets the target. PSNR reads no histogram, so each probe is two binary
 // searches: O(probes·log n) for the solve.
+//
+// The modeled PSNR plateaus once the bound passes every sampled prediction
+// error, while the decoder's error keeps growing (ROADMAP 19), so a target
+// below the model's PSNR at the whole value range R is one the model cannot
+// see met. It answers the certificate R·10^(−T/20) instead: max |err| ≤ eb
+// gives MSE ≤ eb², which meets T whatever the model says.
 func (p *Profile) ErrorBoundForPSNR(target float64) (float64, error) {
 	if math.IsNaN(target) {
 		return 0, errors.New("core: target PSNR is NaN")
 	}
-	return p.solveMonotone(target, p.psnrAt)
+	return p.solveMonotone(target, p.psnrAt, p.Range*math.Pow(10, -target/20))
 }
 
 // solveMonotone bisects the error bound so that metric(eb) hits target. The
 // metric is the one Estimate field the solve reads, computed however cheaply
 // that field allows; it must be monotone decreasing in eb (bit-rates and
-// PSNR are, within the full-mass regime enforced by the lower bracket).
-func (p *Profile) solveMonotone(target float64, metric func(eb float64) float64) (float64, error) {
+// PSNR are, within the full-mass regime enforced by the lower bracket). A
+// target the metric passes even at the loosest bound answers past, capped
+// at that bound (+Inf: the loosest bound itself).
+func (p *Profile) solveMonotone(target float64, metric func(eb float64) float64, past float64) (float64, error) {
 	lo := p.Range * 1e-12
 	// Keep the bracket inside the regime where (nearly) no sample falls out
 	// of the quantizer range; below it the Huffman histogram loses mass and
@@ -154,7 +162,7 @@ func (p *Profile) solveMonotone(target float64, metric func(eb float64) float64)
 		return lo, nil // cannot do better than the tightest bound
 	}
 	if target < mHi {
-		return hi, nil
+		return min(past, hi), nil
 	}
 	for iter := 0; iter < 80; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection: eb spans decades

@@ -311,7 +311,7 @@ func (p *oracle) ErrorBoundForBitRate(target float64) (float64, error) {
 			return eAnchor, nil
 		}
 	}
-	return p.solveMonotone(target, func(e Estimate) float64 { return e.HuffmanBitRate })
+	return p.solveMonotone(target, func(e Estimate) float64 { return e.HuffmanBitRate }, math.Inf(1))
 }
 
 func (p *oracle) anchorInterpolate(target float64) (float64, bool) {
@@ -359,17 +359,17 @@ func (p *oracle) ErrorBoundForRatio(targetRatio float64) (float64, error) {
 		return 0, fmt.Errorf("core: target ratio must exceed 1, got %v", targetRatio)
 	}
 	targetBits := float64(p.OrigBits) / targetRatio
-	return p.solveMonotone(targetBits, func(e Estimate) float64 { return e.TotalBitRate })
+	return p.solveMonotone(targetBits, func(e Estimate) float64 { return e.TotalBitRate }, math.Inf(1))
 }
 
 func (p *oracle) ErrorBoundForPSNR(target float64) (float64, error) {
 	if math.IsNaN(target) {
 		return 0, errors.New("core: target PSNR is NaN")
 	}
-	return p.solveMonotone(target, func(e Estimate) float64 { return e.PSNR })
+	return p.solveMonotone(target, func(e Estimate) float64 { return e.PSNR }, p.Range*math.Pow(10, -target/20))
 }
 
-func (p *oracle) solveMonotone(target float64, metric func(Estimate) float64) (float64, error) {
+func (p *oracle) solveMonotone(target float64, metric func(Estimate) float64, past float64) (float64, error) {
 	lo := p.Range * 1e-12
 	if q := p.quantileAbs(1.0); q > 0 {
 		if minEB := q / (1.8 * quantizer.DefaultRadius); lo < minEB {
@@ -392,7 +392,7 @@ func (p *oracle) solveMonotone(target float64, metric func(Estimate) float64) (f
 		return lo, nil // cannot do better than the tightest bound
 	}
 	if target < mHi {
-		return hi, nil
+		return min(past, hi), nil
 	}
 	for iter := 0; iter < 80; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection: eb spans decades

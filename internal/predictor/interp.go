@@ -108,7 +108,7 @@ func interpLines(dims, st []int, line func(d, s, base int)) {
 func interpAt(work []float64, idx, c, s, o, dim int, cubic bool) float64 {
 	a := work[idx-o] // coord c-s always >= 0
 	if cubic && c >= 3*s && c+3*s < dim {
-		return (-work[idx-3*o] + 9*a + 9*work[idx+o] - work[idx+3*o]) / 16
+		return (-work[idx-3*o] + float64(9*a) + float64(9*work[idx+o]) - work[idx+3*o]) / 16
 	}
 	if c+s < dim {
 		return (a + work[idx+o]) / 2

@@ -177,7 +177,7 @@ func lorenzo4D(work []float64, idx int, off *[15]int, zero uint) float64 {
 		if uint(i+1)&zero == 0 {
 			v = work[idx-o]
 		}
-		pred += lorenzoSigns[i] * v
+		pred += float64(lorenzoSigns[i] * v)
 	}
 	return pred
 }

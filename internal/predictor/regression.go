@@ -37,7 +37,7 @@ func fitBlock(st []int, b grid.Block, data []float64) (coef [5]float64) {
 	for d := 0; d < rank; d++ {
 		m := float64(b.Size[d])
 		meanT[d] = (m - 1) / 2
-		varT[d] = (m*m - 1) / 12
+		varT[d] = (float64(m*m) - 1) / 12
 	}
 	var sumF float64
 	w := b.Cells(st)
@@ -45,7 +45,7 @@ func fitBlock(st []int, b grid.Block, data []float64) (coef [5]float64) {
 		v := data[w.Flat]
 		sumF += v
 		for d, l := range w.Local() {
-			covTF[d] += (float64(l) - meanT[d]) * v
+			covTF[d] += float64((float64(l) - meanT[d]) * v)
 		}
 	}
 	meanF := sumF / float64(n)
@@ -56,7 +56,7 @@ func fitBlock(st []int, b grid.Block, data []float64) (coef [5]float64) {
 	}
 	c0 := meanF
 	for d := 0; d < rank; d++ {
-		c0 -= coef[d+1] * meanT[d]
+		c0 -= float64(coef[d+1] * meanT[d])
 	}
 	coef[0] = c0
 	for i := range coef {
@@ -69,7 +69,7 @@ func fitBlock(st []int, b grid.Block, data []float64) (coef [5]float64) {
 func regressionPredict(coef []float64, local []int) float64 {
 	pred := coef[0]
 	for d := range local {
-		pred += coef[d+1] * float64(local[d])
+		pred += float64(coef[d+1] * float64(local[d]))
 	}
 	return pred
 }

@@ -50,7 +50,7 @@ func (q *Quantizer) Quantize(value, pred float64) (code int32, recon float64, ok
 		return 0, value, false
 	}
 	code = int32(c)
-	recon = pred + float64(code)*q.twoEB
+	recon = pred + float64(float64(code)*q.twoEB)
 	// Guard against precision loss on extreme magnitudes: re-check the bound.
 	if math.Abs(value-recon) > q.eb {
 		return 0, value, false

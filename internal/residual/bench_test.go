@@ -88,7 +88,7 @@ func BenchmarkResidualDecode(b *testing.B) {
 			})
 		}
 		run("ApplyBlock", func(r io.ReadSeeker, e BlockEntry, vals []float64) error {
-			return ApplyBlock(r, idx.Header, e, vals)
+			return ApplyBlock(r, idx.Header, e, vals, 0, len(vals))
 		})
 		if sh.layout == FlagULP {
 			continue // a ULP block has no XOR bytes for Apply

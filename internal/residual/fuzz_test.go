@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"testing"
 
 	"rqm/internal/grid"
@@ -90,7 +91,7 @@ func FuzzContainer(f *testing.F) {
 			if readErr == nil {
 				readErr = Apply(viaRead, raw, prec)
 			}
-			applyErr := ApplyBlock(bytes.NewReader(data), idx.Header, e, viaApply)
+			applyErr := ApplyBlock(bytes.NewReader(data), idx.Header, e, viaApply, 0, len(viaApply))
 			deepErr := VerifyBlock(bytes.NewReader(data), idx.Header, e, true)
 			if readErr != nil {
 				requireTyped(t, readErr)
@@ -125,7 +126,7 @@ func checkULPBlock(t *testing.T, data []byte, hdr Header, e BlockEntry, vals []f
 	if readErr == nil {
 		want, readErr = refUnpackULP(vals, payload, prec)
 	}
-	applyErr := ApplyBlock(bytes.NewReader(data), hdr, e, vals)
+	applyErr := ApplyBlock(bytes.NewReader(data), hdr, e, vals, 0, len(vals))
 	if errorType(readErr) != errorType(applyErr) {
 		t.Fatalf("ULP block: reference says %v, ApplyBlock says %v", readErr, applyErr)
 	}
@@ -275,31 +276,34 @@ func ulpFile(orig, recon []float64, width int) []byte {
 // FuzzULPBlock codes fuzzed (orig, recon) pairs — NaN payloads, ±Inf, ±0,
 // subnormals, sign crossings, both widths — and requires ApplyBlock to
 // restore the original bits from what Encode writes and from a forced ULP
-// block. A ULP block with t out of range, a byte more or less of payload,
-// or a pad bit set is a typed error that leaves the values untouched; an
-// in-range t changed by one either fails the same way or applies.
+// block, over the whole block and over a fuzzed [lo, hi), which restores
+// the whole apply's bits there and nothing outside. A ULP block with t out
+// of range, a byte more or less of payload, or a pad bit set is a typed
+// error for either range that leaves the values untouched; an in-range t
+// changed by one either fails the same way or applies.
 func FuzzULPBlock(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}, false)
-	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0, 0, 0, 0, 1, 0, 0, 0, 0xfe, 0, 0, 0, 0}, true)
+	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 0}, false, uint16(0), uint16(1))
+	f.Add([]byte{0, 0, 0, 0x80, 0xff, 0, 0, 0, 0, 1, 0, 0, 0, 0xfe, 0, 0, 0, 0}, true, uint16(1), uint16(2))
 	var all []byte
 	for i := byte(0); i < 16; i++ {
 		all = append(all, i, 0, 0, 0, 15-i, 0, 0, 0, 3)
 	}
-	f.Add(all, false)
-	f.Add(all, true)
+	f.Add(all, false, uint16(3), uint16(11))
+	f.Add(all, true, uint16(16), uint16(0))
 	var smooth []byte
 	for i := 0; i < 64; i++ {
 		smooth = binary.LittleEndian.AppendUint32(smooth, math.Float32bits(float32(math.Sin(float64(i)/7))))
 		smooth = append(smooth, byte(i*37), 0, 0, 0, byte(4*(i%3)))
 	}
-	f.Add(smooth, false)
-	f.Add(smooth, true)
+	f.Add(smooth, false, uint16(40), uint16(41))
+	f.Add(smooth, true, uint16(7), uint16(64))
 
 	f.Fuzz(ulpRoundTrip)
 }
 
-// ulpRoundTrip is FuzzULPBlock's property on one input.
-func ulpRoundTrip(t *testing.T, data []byte, wide bool) {
+// ulpRoundTrip is FuzzULPBlock's property on one input; lo and hi are taken
+// modulo the value count plus one, in order.
+func ulpRoundTrip(t *testing.T, data []byte, wide bool, lo16, hi16 uint16) {
 	prec, width := grid.Float32, 4
 	if wide {
 		prec, width = grid.Float64, 8
@@ -307,6 +311,10 @@ func ulpRoundTrip(t *testing.T, data []byte, wide bool) {
 	orig, recon := ulpPairs(data, prec)
 	if len(orig) == 0 {
 		return
+	}
+	lo, hi := int(lo16)%(len(orig)+1), int(hi16)%(len(orig)+1)
+	if lo > hi {
+		lo, hi = hi, lo
 	}
 	c, err := ByName(DefaultBackend)
 	if err != nil {
@@ -316,14 +324,30 @@ func ulpRoundTrip(t *testing.T, data []byte, wide bool) {
 	if _, err := Encode(&buf, c, prec, orig, recon, []int{len(orig)}); err != nil {
 		t.Fatal(err)
 	}
-	apply := func(what string, file []byte) ([]float64, error) {
+	applyOver := func(what string, file []byte, lo, hi int) ([]float64, error) {
 		idx, err := LoadIndex(bytes.NewReader(file))
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
 		vals := append([]float64(nil), recon...)
-		err = ApplyBlock(bytes.NewReader(file), idx.Header, idx.Blocks[0], vals)
+		err = ApplyBlock(bytes.NewReader(file), idx.Header, idx.Blocks[0], vals, lo, hi)
 		return vals, err
+	}
+	// apply is the whole apply, checked against the apply over [lo, hi):
+	// the same error type, and on success the same bits inside the range
+	// and recon's outside it.
+	apply := func(what string, file []byte) ([]float64, error) {
+		whole, err := applyOver(what, file, 0, len(recon))
+		part, partErr := applyOver(what, file, lo, hi)
+		if errorType(err) != errorType(partErr) {
+			t.Fatalf("%s: the whole apply says %v, [%d, %d) says %v", what, err, lo, hi, partErr)
+		}
+		want := recon
+		if err == nil {
+			want = slices.Concat(recon[:lo], whole[lo:hi], recon[hi:])
+		}
+		requireSameBits(t, fmt.Sprintf("%s: [%d, %d)", what, lo, hi), part, want, prec)
+		return whole, err
 	}
 	for what, file := range map[string][]byte{"Encode": buf.Bytes(), "forced ULP block": ulpFile(orig, recon, width)} {
 		got, err := apply(what, file)

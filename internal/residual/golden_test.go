@@ -196,7 +196,7 @@ func restoreAll(t *testing.T, what string, file []byte, orig, recon []float64, p
 	got := append([]float64(nil), recon...)
 	start := 0
 	for i, e := range idx.Blocks {
-		if err := ApplyBlock(r, idx.Header, e, got[start:start+e.Values]); err != nil {
+		if err := ApplyBlock(r, idx.Header, e, got[start:start+e.Values], 0, e.Values); err != nil {
 			t.Fatalf("%s: block %d: %v", what, i, err)
 		}
 		start += e.Values
@@ -288,7 +288,7 @@ func TestApplyBlockMatchesReadBlockAndReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			viaApply := append([]float64(nil), rc...)
-			if err := ApplyBlock(r, idx.Header, e, viaApply); err != nil {
+			if err := ApplyBlock(r, idx.Header, e, viaApply, 0, len(viaApply)); err != nil {
 				t.Fatalf("block %d: ApplyBlock: %v", i, err)
 			}
 			requireSameBits(t, fmt.Sprintf("block %d: ReadBlock+Apply", i), viaRead, o, prec)
@@ -296,7 +296,7 @@ func TestApplyBlockMatchesReadBlockAndReference(t *testing.T) {
 			if err := VerifyBlock(r, idx.Header, e, true); err != nil {
 				t.Fatalf("block %d: deep VerifyBlock: %v", i, err)
 			}
-			if err := ApplyBlock(r, idx.Header, e, viaApply[:len(viaApply)-1]); !errors.Is(err, ErrCorrupt) && e.Values > 1 {
+			if err := ApplyBlock(r, idx.Header, e, viaApply[:len(viaApply)-1], 0, len(viaApply)-1); !errors.Is(err, ErrCorrupt) && e.Values > 1 {
 				t.Fatalf("block %d: ApplyBlock onto %d values: %v, want ErrCorrupt", i, e.Values-1, err)
 			}
 		}
@@ -354,7 +354,7 @@ func TestApplyBlockConcurrentReaders(t *testing.T) {
 					got := append([]float64(nil), recon...)
 					start := 0
 					for i, e := range idx.Blocks {
-						if err := ApplyBlock(r, idx.Header, e, got[start:start+e.Values]); err != nil {
+						if err := ApplyBlock(r, idx.Header, e, got[start:start+e.Values], 0, e.Values); err != nil {
 							t.Errorf("block %d: %v", i, err)
 							return
 						}
@@ -425,7 +425,7 @@ func TestWideSymbolTableRejectedAtParse(t *testing.T) {
 		}
 		vals := make([]float64, values)
 		for what, err := range map[string]error{
-			"ApplyBlock":  ApplyBlock(bytes.NewReader(file), idx.Header, idx.Blocks[0], vals),
+			"ApplyBlock":  ApplyBlock(bytes.NewReader(file), idx.Header, idx.Blocks[0], vals, 0, len(vals)),
 			"VerifyBlock": VerifyBlock(bytes.NewReader(file), idx.Header, idx.Blocks[0], true),
 			"ReadBlock": func() error {
 				_, err := ReadBlock(bytes.NewReader(file), idx.Header, idx.Blocks[0])
@@ -583,7 +583,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 				vals := make([]float64, n)
 				applyObjects, applyBytes := allocsOf(func() {
 					copy(vals, recon[n:2*n])
-					if err := ApplyBlock(r, idx.Header, idx.Blocks[1], vals); err != nil {
+					if err := ApplyBlock(r, idx.Header, idx.Blocks[1], vals, 0, len(vals)); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -190,24 +190,26 @@ func Apply(recon []float64, res []byte, prec grid.Precision) error {
 	if err != nil {
 		return err
 	}
-	return applyRaw(recon, res, w)
+	return applyRaw(recon, res, w, 0, len(recon))
 }
 
-// applyRaw is Apply at a known storage width.
-func applyRaw(recon []float64, res []byte, w int) error {
+// applyRaw is Apply at a known storage width, restoring only recon[lo:hi]:
+// res is held to all of recon, and only its bytes for [lo, hi) are read.
+func applyRaw(recon []float64, res []byte, w, lo, hi int) error {
 	if len(res) != len(recon)*w {
 		return fmt.Errorf("%w: %d residual bytes for %d values at width %d", ErrCorrupt, len(res), len(recon), w)
 	}
+	part, res := recon[lo:hi], res[lo*w:hi*w]
 	if w == 4 {
-		for i := range recon {
-			x := math.Float32bits(float32(recon[i])) ^ binary.LittleEndian.Uint32(res[4*i:])
-			recon[i] = float64(math.Float32frombits(x))
+		for i := range part {
+			x := math.Float32bits(float32(part[i])) ^ binary.LittleEndian.Uint32(res[4*i:])
+			part[i] = float64(math.Float32frombits(x))
 		}
 		return nil
 	}
-	for i := range recon {
-		x := math.Float64bits(recon[i]) ^ binary.LittleEndian.Uint64(res[8*i:])
-		recon[i] = math.Float64frombits(x)
+	for i := range part {
+		x := math.Float64bits(part[i]) ^ binary.LittleEndian.Uint64(res[8*i:])
+		part[i] = math.Float64frombits(x)
 	}
 	return nil
 }
@@ -719,19 +721,26 @@ func ReadBlock(r io.ReadSeeker, hdr Header, e BlockEntry) ([]byte, error) {
 	return out, nil
 }
 
-// ApplyBlock reads, CRC-verifies and decodes one block and applies it to
-// vals in place: a ULP block's distances are added in key space, an XOR
-// block's decoded planes go straight into the values (ReadBlock followed
-// by Apply without the element-order copy between them). vals holds the
-// block's e.Values lossy reconstructions and leaves holding the original
-// values at storage precision. On error vals is untouched.
-func ApplyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, vals []float64) error {
+// ApplyBlock reads, CRC-verifies and decodes one block and restores
+// vals[lo:hi] in place: a ULP block's distances are added in key space, an
+// XOR block's decoded planes go straight into the values (ReadBlock
+// followed by Apply without the element-order copy between them). vals
+// holds the block's e.Values lossy reconstructions; [lo, hi) leaves holding
+// the original values at storage precision, the rest as it came. Every
+// check covers the whole block whatever the range — the payload's CRC, a
+// ULP block's t, its Σw_i over all of vals against the payload length and
+// its pad bits, an XOR block's every plane — so a block that would fail a
+// whole apply fails a range apply too. On error vals is untouched.
+func ApplyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, vals []float64, lo, hi int) error {
 	c, err := ByID(hdr.BackendID)
 	if err != nil {
 		return err
 	}
 	if len(vals) != e.Values {
 		return fmt.Errorf("%w: block of %d values applied to %d", ErrCorrupt, e.Values, len(vals))
+	}
+	if lo < 0 || lo > hi || hi > len(vals) {
+		return fmt.Errorf("residual: range [%d, %d) of a %d-value block", lo, hi, len(vals))
 	}
 	s := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(s)
@@ -741,14 +750,17 @@ func ApplyBlock(r io.ReadSeeker, hdr Header, e BlockEntry, vals []float64) error
 	}
 	switch e.Flags {
 	case FlagULP:
-		return applyULP(&s.ulp, vals, payload, hdr.Width)
+		return applyULP(&s.ulp, vals, payload, hdr.Width, lo, hi)
 	case FlagRaw:
-		return applyRaw(vals, payload, hdr.Width)
+		return applyRaw(vals, payload, hdr.Width, lo, hi)
 	}
 	p, err := decodePlanes(s, c, payload, e.Values, hdr.Width)
 	if err != nil {
 		return err
 	}
-	applyPlanes(vals, &p, hdr.Width)
+	for k := range hdr.Width {
+		p[k] = p[k][lo:hi]
+	}
+	applyPlanes(vals[lo:hi], &p, hdr.Width)
 	return nil
 }

@@ -90,7 +90,7 @@ func TestEncodeDecodeAllBackends(t *testing.T) {
 				// ReadBlock yields XOR bytes for an XOR block; a ULP block
 				// applies only against its reconstruction, through ApplyBlock.
 				if e.Flags&FlagULP != 0 {
-					err = ApplyBlock(r, idx.Header, e, got[start:start+e.Values])
+					err = ApplyBlock(r, idx.Header, e, got[start:start+e.Values], 0, e.Values)
 				} else {
 					err = Apply(got[start:start+e.Values], raw, prec)
 				}

@@ -131,7 +131,7 @@ func (st *blockStats) xorEstimate(n, width int) int {
 		var coded float64
 		for _, c := range st.planes[p] {
 			if c != 0 {
-				coded -= float64(c) * math.Log2(float64(c)/float64(n))
+				coded -= float64(float64(c) * math.Log2(float64(c)/float64(n)))
 			}
 		}
 		total += min(n, int(math.Ceil(coded/8))+40)
@@ -210,27 +210,35 @@ func (tb *ulpTable) fill(t, width int) {
 	}
 }
 
-// applyULP adds a ULP payload's distances into vals, the block's
-// reconstructions, in key space. payload must reach ulpPad bytes past its
-// length within its capacity. The widths are summed from vals first, and a
-// payload whose length or pad bits disagree is refused before any value
-// changes.
-func applyULP(tb *ulpTable, vals []float64, payload []byte, width int) error {
+// bits is Σ w_i over vals, the block's reconstructions, at a storage width.
+func (tb *ulpTable) bits(vals []float64, width int) int {
+	n := 0
+	if width == 4 {
+		for _, v := range vals {
+			n += int(tb.width[math.Float32bits(float32(v))>>23&0xff])
+		}
+		return n
+	}
+	for _, v := range vals {
+		n += int(tb.width[math.Float64bits(v)>>52&0x7ff])
+	}
+	return n
+}
+
+// applyULP adds a ULP payload's distances into vals[lo:hi], where vals is
+// the whole block's reconstructions, in key space. payload must reach
+// ulpPad bytes past its length within its capacity. The widths are summed
+// over all of vals first, and a payload whose length or pad bits disagree
+// is refused before any value changes; the unpacking then starts at bit
+// Σ_{i<lo} w_i.
+func applyULP(tb *ulpTable, vals []float64, payload []byte, width, lo, hi int) error {
 	t, err := checkULPHead(payload, width)
 	if err != nil {
 		return err
 	}
 	tb.fill(t, width)
-	nbits := 0
-	if width == 4 {
-		for _, v := range vals {
-			nbits += int(tb.width[math.Float32bits(float32(v))>>23&0xff])
-		}
-	} else {
-		for _, v := range vals {
-			nbits += int(tb.width[math.Float64bits(v)>>52&0x7ff])
-		}
-	}
+	skip := tb.bits(vals[:lo], width)
+	nbits := skip + tb.bits(vals[lo:], width)
 	if len(payload) != ulpPayloadSize(nbits) {
 		return fmt.Errorf("%w: ULP payload of %d bytes for %d bits", ErrCorrupt, len(payload), nbits)
 	}
@@ -238,18 +246,19 @@ func applyULP(tb *ulpTable, vals []float64, payload []byte, width int) error {
 		return fmt.Errorf("%w: ULP pad bits set", ErrCorrupt)
 	}
 	buf := payload[ulpHeaderSize : len(payload)+ulpPad]
-	pos := 0 // bit position in buf
+	pos := skip // bit position in buf
+	part := vals[lo:hi]
 	if width == 4 {
-		for i, v := range vals {
+		for i, v := range part {
 			ur := math.Float32bits(float32(v))
 			e := ur >> 23 & 0xff
 			z := uint32(binary.LittleEndian.Uint64(buf[pos>>3:])>>(pos&7)) & uint32(tb.mask[e])
 			pos += int(tb.width[e])
-			vals[i] = float64(math.Float32frombits(unkey32(key32(ur) + unzig32(z))))
+			part[i] = float64(math.Float32frombits(unkey32(key32(ur) + unzig32(z))))
 		}
 		return nil
 	}
-	for i, v := range vals {
+	for i, v := range part {
 		ur := math.Float64bits(v)
 		e := ur >> 52 & 0x7ff
 		// One load holds at least 57 bits past pos; a wider field takes its
@@ -260,7 +269,7 @@ func applyULP(tb *ulpTable, vals []float64, payload []byte, width int) error {
 			z |= binary.LittleEndian.Uint64(buf[at+8:]) << (64 - sh)
 		}
 		pos += int(tb.width[e])
-		vals[i] = math.Float64frombits(unkey64(key64(ur) + unzig64(z&tb.mask[e])))
+		part[i] = math.Float64frombits(unkey64(key64(ur) + unzig64(z&tb.mask[e])))
 	}
 	return nil
 }

@@ -231,6 +231,61 @@ func BenchmarkReadExact(b *testing.B) {
 	}
 }
 
+// TestReadRangeExactAcrossChunks: exact slices that start, end or cross at
+// chunk boundaries — one value on either side of a boundary, a whole chunk,
+// a range over three chunks, the short last chunk — restore the original
+// bits, at both widths and on every backend. Each chunk restores only its
+// part of the range, so a part that started or ended in the wrong place
+// would show here.
+func TestReadRangeExactAcrossChunks(t *testing.T) {
+	s, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunk = 1024
+	for _, f := range []*rqm.Field{testField(t, 5*chunk+300), f32Field(t, 5*chunk+300)} {
+		for _, backend := range []string{"ans", "huffman", "lz77"} {
+			name := fmt.Sprintf("%s-f%d", backend, f.Prec.Bits())
+			m := putPromoted(t, s, name, f, chunk, 1e-3, backend)
+			total := m.TotalValues
+			for _, r := range [][2]int64{
+				{0, 1}, {chunk - 1, 1}, {chunk, 1}, {chunk - 1, 2}, {chunk - 24, 48},
+				{chunk, chunk}, {chunk + 1, chunk - 1}, {chunk - 24, 2*chunk + 48},
+				{5*chunk - 1, 2}, {5 * chunk, 300}, {total - 1, 1}, {0, total},
+			} {
+				got, err := s.ReadRangeExact(m, r[0], r[1])
+				if err != nil {
+					t.Fatalf("%s [%d, %d): %v", name, r[0], r[0]+r[1], err)
+				}
+				want := grid.EncodeSamples(nil, f.Prec, f.Data[r[0]:r[0]+r[1]])
+				if !bytes.Equal(grid.EncodeSamples(nil, f.Prec, got), want) {
+					t.Fatalf("%s [%d, %d): the exact slice is not the original's", name, r[0], r[0]+r[1])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkReadRangeExact times 4096-value exact slices of exactFixture: at
+// a chunk's start, inside one, across a chunk boundary, inside a chunk
+// whose residual is a ULP block and at the last chunk's end. Each decodes
+// its chunks whole and restores its own values.
+func BenchmarkReadRangeExact(b *testing.B) {
+	s, m, _, _ := exactFixture(b)
+	const n, chunk = 4096, 1 << 16
+	for _, off := range []int64{0, 30000, chunk - n/2, 2*chunk + 30000, 4*chunk - n} {
+		b.Run(fmt.Sprintf("off=%d", off), func(b *testing.B) {
+			b.SetBytes(n * 4)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := s.ReadRangeExact(m, off, n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkBuildResidual times the residual writer of an exact put: the
 // container decoded chunk by chunk and each chunk's residual block coded.
 func BenchmarkBuildResidual(b *testing.B) {

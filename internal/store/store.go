@@ -756,17 +756,19 @@ func (s *Store) walkRange(m *Manifest, off, n int64, exact bool, reads *atomic.I
 		}
 	}
 	return &recs.Header, eachChunk(name, f, entries, lo, hi, true, func(i int, vals []float64) error {
+		// The chunk's part of the range. DecodeChunkAt holds len(vals) to
+		// the entry's count, so it is in range whatever the container claims.
+		a, b := int(max(off-start, 0)), int(min(off+n-start, int64(len(vals))))
 		if exact {
 			// openResidual held every block to its chunk's value count, and
-			// DecodeChunkAt len(vals) to the entry's.
-			if err := residual.ApplyBlock(rf, ridx.Header, ridx.Blocks[i], vals); err != nil {
+			// DecodeChunkAt len(vals) to the entry's. Only the part is
+			// restored; the block is checked whole.
+			if err := residual.ApplyBlock(rf, ridx.Header, ridx.Blocks[i], vals, a, b); err != nil {
 				return corruptResidual(name, err)
 			}
 		}
 		reads.Add(1)
-		// DecodeChunkAt holds len(vals) to the entry's count, so the slice
-		// below is in range whatever the container claims.
-		fn(vals[max(off-start, 0):min(off+n-start, int64(len(vals)))])
+		fn(vals[a:b])
 		start += int64(len(vals))
 		return nil
 	})
